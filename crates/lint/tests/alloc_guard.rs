@@ -1,7 +1,7 @@
 //! The dynamic twin of the static `no-alloc` rule: a counting global
 //! allocator proves the three `kite-lint: no-alloc` steady-state paths —
 //! `Outbox` flush→recycle, `InFlightTable` resolve/reuse, and the fabric's
-//! pooled encode→ring→decode cycle — perform **zero** heap allocations
+//! pooled encode→decode→ring→`writev` cycle — perform **zero** heap allocations
 //! once warmed up. The static rule catches allocation *constructs*; this
 //! test catches allocation *behavior* (a pool that silently stops pooling
 //! passes the lexical rule but fails here).
@@ -13,13 +13,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Read;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kite::inflight::{EsWriteState, InFlight, InFlightTable, Meta};
 use kite::wire;
 use kite::{Msg, Op};
 use kite_common::{Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
-use kite_net::ring::{OutRing, Pool};
+use kite_net::ring::{Drain, OutRing, Pool};
 use kite_simnet::Outbox;
 
 /// Counts allocator calls while [`ARMED`]; allocation itself is delegated
@@ -112,11 +114,38 @@ fn outbox_cycle(ob: &mut Outbox<Msg>, handed: &mut Vec<(NodeId, Vec<Msg>)>) {
     }
 }
 
-/// One fabric-shaped readiness cycle with no sockets: encode a batch into
-/// a pooled byte buffer, stage it on the ring, decode it back into a
-/// pooled message buffer (what `decode_conn_frames` does per readable
-/// connection), and return every buffer to its pool.
-fn fabric_cycle(byte_pool: &Pool<u8>, msg_pool: &Pool<Msg>, ring: &mut OutRing, batch: &[Msg]) {
+/// A connected loopback pair: the nonblocking sending end the ring drains
+/// into, and the receiving end the test reads back from (same thread — the
+/// frames fit the socket buffers many times over).
+struct Loopback {
+    tx: TcpStream,
+    rx: TcpStream,
+    sink: Vec<u8>,
+}
+
+impl Loopback {
+    fn new() -> Loopback {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let tx = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (rx, _) = listener.accept().expect("accept");
+        tx.set_nodelay(true).expect("nodelay");
+        tx.set_nonblocking(true).expect("nonblocking");
+        Loopback { tx, rx, sink: vec![0u8; 1 << 16] }
+    }
+}
+
+/// One fabric-shaped readiness cycle: encode a batch into a pooled byte
+/// buffer, decode it back into a pooled message buffer (what
+/// `decode_conn_frames` does per readable connection), stage the frame on
+/// the ring and drain the ring through a real socket with `drain_to` (what
+/// `drain_peer_ring` does per flush), which returns the buffer to its pool.
+fn fabric_cycle(
+    byte_pool: &Pool<u8>,
+    msg_pool: &Pool<Msg>,
+    ring: &mut OutRing,
+    wire_pair: &mut Loopback,
+    batch: &[Msg],
+) {
     let mut buf = byte_pool.pop();
     let frames = wire::encode_frames(NodeId(0), 0, batch, &mut buf);
     assert_eq!(frames, 1);
@@ -129,8 +158,11 @@ fn fabric_cycle(byte_pool: &Pool<u8>, msg_pool: &Pool<Msg>, ring: &mut OutRing, 
     assert_eq!(msgs.len(), batch.len());
     msg_pool.put(msgs);
 
+    let frame_len = buf.len();
     ring.push(buf).expect("ring has room");
-    ring.clear_into(byte_pool);
+    let drained = ring.drain_to(&mut wire_pair.tx, byte_pool).expect("loopback write");
+    assert_eq!(drained, Drain::Emptied, "a {frame_len} B frame fits the socket buffer");
+    wire_pair.rx.read_exact(&mut wire_pair.sink[..frame_len]).expect("frame arrives");
 }
 
 #[test]
@@ -170,18 +202,20 @@ fn steady_state_paths_do_not_allocate() {
     assert_eq!(n, 0, "InFlightTable steady state allocated {n} times over 1000 cycles");
 
     // --- Path 3: the fabric readiness cycle (no-alloc on flush_outbox /
-    // decode_conn_frames), sockets mocked out by driving the same pools,
-    // codec and ring the event loop uses.
+    // decode_conn_frames / OutRing::drain_to), driving the same pools,
+    // codec and ring the event loop uses, the ring draining through a real
+    // loopback socket.
     let byte_pool = Pool::new(8);
     let msg_pool = Pool::new(8);
     let mut ring = OutRing::new();
+    let mut wire_pair = Loopback::new();
     let batch: Vec<Msg> = (0..8).map(sample_msg).collect();
     for _ in 0..4 {
-        fabric_cycle(&byte_pool, &msg_pool, &mut ring, &batch);
+        fabric_cycle(&byte_pool, &msg_pool, &mut ring, &mut wire_pair, &batch);
     }
     let n = count_allocs(|| {
         for _ in 0..100 {
-            fabric_cycle(&byte_pool, &msg_pool, &mut ring, &batch);
+            fabric_cycle(&byte_pool, &msg_pool, &mut ring, &mut wire_pair, &batch);
         }
     });
     assert_eq!(n, 0, "fabric steady state allocated {n} times over 100 cycles");

@@ -11,6 +11,21 @@
 //!   ticks and outbox flushes all run on the same thread with no handoff
 //!   queues. Thread budget per node: `workers + 1` (the acceptor), not
 //!   `O(peers × workers)` writer/reader threads.
+//! * **No wake without work.** A loop goes round again without blocking
+//!   only when something is known to be pending — the tick pumped session
+//!   ops and a frame or a completion came of it (a session may have more
+//!   queued; a pump that shows nothing is a session stalled behind its
+//!   write window, which an inbound ack reopens), the loopback queue or the
+//!   conn intake delivered, or completions are waiting behind a full
+//!   client ring; otherwise the pass ends in a blocking `epoll_wait` whose
+//!   1 ms timeout is the protocol-timer tick and the safety net (local
+//!   `SessionHandle`s have no waker). A readable socket costs one `read`
+//!   into an already-initialized buffer — a short read means the kernel
+//!   queue is empty, and level-triggered epoll re-reports what races in.
+//!   The acceptor blocks in `poll(2)` on its listener, its half-read
+//!   hellos and a stop eventfd: nobody connecting means zero wakes. The
+//!   loop-health counters ([`crate::link::LoopStats`]) make each of these
+//!   a scrapeable number.
 //! * **Worker peering (§6.3).** Worker *w* dials exactly one nonblocking
 //!   connection to each peer node, announced by a [`wire::Hello::Peer`]
 //!   handshake, and peers route inbound frames to *their* worker *w* —
@@ -41,7 +56,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,9 +70,11 @@ use kite_common::{NodeId, SessionId};
 use kite_simnet::{Actor, Clock, Outbox, WallClock};
 use parking_lot::Mutex;
 
-use crate::link::LinkTable;
-use crate::ring::{Drain, OutRing, Pool};
-use crate::sys::{self, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::link::{bump, FabricStats, LinkTable, LoopStats};
+use crate::ring::{Drain, OutRing, Pool, ReadBuf};
+use crate::sys::{
+    self, PollFd, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 
 /// Reconnect backoff floor.
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
@@ -72,15 +89,11 @@ const POOL_CAP: usize = 64;
 /// Bytes read from one connection per readiness service (fairness bound —
 /// level-triggered epoll re-reports anything left).
 const READ_QUANTUM: usize = 256 << 10;
-/// Read chunk size.
+/// Read chunk size (the per-connection [`ReadBuf`]'s initial length).
 const READ_CHUNK: usize = 64 << 10;
-/// Empty passes before the loop parks in `epoll_wait` with a timeout: a
-/// few zero-timeout polls catch on_tick follow-ups cheaply, then the loop
-/// sleeps — readiness (or the waker) ends the park immediately, and a
-/// parked loop leaves the CPU to the peers it is waiting on.
-const IDLE_SPIN: u32 = 4;
-/// Park timeout once fully idle — bounds pure-timer latency (protocol
-/// retransmit/keepalive cadence) and stop-flag responsiveness.
+/// Park timeout of a quiescent loop — bounds pure-timer latency (protocol
+/// retransmit/keepalive cadence), stop-flag responsiveness, and the cost of
+/// any pending-work condition the loop failed to notice.
 const IDLE_WAIT_MS: i32 = 1;
 
 /// The cluster's dial targets, mutable at runtime: one `(address,
@@ -96,12 +109,26 @@ const IDLE_WAIT_MS: i32 = 1;
 /// real address later revives it through the normal dial path.
 pub struct PeerTable {
     slots: Mutex<Vec<(String, u64)>>,
+    /// Bumped with every address change anywhere in the table: the one
+    /// load a worker loop's dial pass makes while all its links are up.
+    changes: AtomicU64,
 }
 
 impl PeerTable {
     /// A table seeded with the boot-time address list.
     pub fn new(addrs: Vec<String>) -> PeerTable {
-        PeerTable { slots: Mutex::new(addrs.into_iter().map(|a| (a, 0)).collect()) }
+        PeerTable {
+            slots: Mutex::new(addrs.into_iter().map(|a| (a, 0)).collect()),
+            changes: AtomicU64::new(0),
+        }
+    }
+
+    /// How many address changes the table has seen (any slot).
+    // ordering: Relaxed — the bump happens inside the `slots` critical
+    // section and a loop that observes it goes on to lock `slots`, which
+    // orders it after the writer; a stale read is retried next pass.
+    pub fn changes(&self) -> u64 {
+        self.changes.load(Ordering::Relaxed)
     }
 
     /// Number of node slots.
@@ -119,8 +146,8 @@ impl PeerTable {
         self.slots.lock()[node].clone()
     }
 
-    /// The current generation of `node`'s slot (cheap staleness probe for
-    /// the dial loop's hot path).
+    /// The current generation of `node`'s slot (the dial loop probes it
+    /// once [`PeerTable::changes`] has moved).
     pub fn generation(&self, node: usize) -> u64 {
         self.slots.lock()[node].1
     }
@@ -137,6 +164,8 @@ impl PeerTable {
         }
         slot.0 = addr;
         slot.1 += 1;
+        // ordering: see `changes()`.
+        self.changes.fetch_add(1, Ordering::Relaxed);
         true
     }
 }
@@ -189,6 +218,7 @@ pub struct TcpWorkerIo {
     waker: Arc<Waker>,
     peers: Arc<PeerTable>,
     links: Arc<LinkTable>,
+    stats: Arc<FabricStats>,
     byte_pool: Arc<Pool<u8>>,
     msg_pool: Arc<Pool<Msg>>,
     counters: Arc<ProtoCounters>,
@@ -236,10 +266,13 @@ pub struct TcpNet {
     /// This node's protocol counters.
     pub counters: Arc<ProtoCounters>,
     links: Arc<LinkTable>,
+    stats: Arc<FabricStats>,
     peers: Arc<PeerTable>,
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     wakers: Vec<Arc<Waker>>,
+    /// Ends the acceptor's `poll(2)` at shutdown.
+    accept_stop: Arc<Waker>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -265,6 +298,7 @@ impl TcpNet {
         let clock = Arc::new(WallClock::new());
         let counters = Arc::new(ProtoCounters::default());
         let links = Arc::new(LinkTable::new(me, nodes, cfg.workers));
+        let stats = Arc::new(FabricStats::new(cfg.workers));
         let stop = Arc::new(AtomicBool::new(false));
         let byte_pool = Arc::new(Pool::<u8>::new(POOL_CAP));
         let msg_pool = Arc::new(Pool::<Msg>::new(POOL_CAP));
@@ -281,16 +315,23 @@ impl TcpNet {
             wakers.push(Arc::new(Waker::new()?));
         }
 
+        let accept_stop = Arc::new(Waker::new()?);
         let mut threads = Vec::new();
         {
-            let stop = Arc::clone(&stop);
-            let wakers = wakers.clone();
-            let workers = cfg.workers;
-            let spw = cfg.sessions_per_worker.max(1);
+            let acceptor = Acceptor {
+                nodes,
+                workers: cfg.workers,
+                sessions_per_worker: cfg.sessions_per_worker.max(1),
+                conn_txs,
+                wakers: wakers.clone(),
+                stop: Arc::clone(&stop),
+                stop_waker: Arc::clone(&accept_stop),
+                stats: Arc::clone(&stats),
+            };
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("kite-net-{me}-accept"))
-                    .spawn(move || acceptor_loop(listener, nodes, workers, spw, conn_txs, wakers, stop))
+                    .spawn(move || acceptor.run(listener))
                     .expect("spawn acceptor"),
             );
         }
@@ -304,6 +345,7 @@ impl TcpNet {
                 waker: Arc::clone(&wakers[w]),
                 peers: Arc::clone(&peers),
                 links: Arc::clone(&links),
+                stats: Arc::clone(&stats),
                 byte_pool: Arc::clone(&byte_pool),
                 msg_pool: Arc::clone(&msg_pool),
                 counters: Arc::clone(&counters),
@@ -322,10 +364,12 @@ impl TcpNet {
                 clock,
                 counters,
                 links,
+                stats,
                 peers,
                 local_addr,
                 stop,
                 wakers,
+                accept_stop,
                 threads,
             },
             ios,
@@ -340,6 +384,11 @@ impl TcpNet {
     /// The per-peer link table (diagnostics; see [`LinkTable::describe`]).
     pub fn links(&self) -> &Arc<LinkTable> {
         &self.links
+    }
+
+    /// Loop-health and acceptor wake counters.
+    pub fn stats(&self) -> &Arc<FabricStats> {
+        &self.stats
     }
 
     /// The mutable dial-target table shared with every worker loop.
@@ -375,7 +424,7 @@ impl TcpNet {
 impl Drop for TcpNet {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for w in &self.wakers {
+        for w in self.wakers.iter().chain([&self.accept_stop]) {
             w.wake();
         }
         for h in self.threads.drain(..) {
@@ -449,126 +498,155 @@ pub fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
 // Acceptor
 // ---------------------------------------------------------------------------
 
-/// The node's single accept thread: nonblocking accepts, inline (also
-/// nonblocking) hello handshakes with a per-connection deadline, then
-/// routing to the owning worker's loop. No per-connection threads — a
-/// connection that trickles its hello costs a list entry, not a thread.
-// kite-lint: event-loop
-fn acceptor_loop(
-    listener: TcpListener,
+/// The node's single accept thread: it sleeps in `poll(2)` on the
+/// listener, every half-read hello and the stop eventfd — with a timeout
+/// only while a handshake deadline is pending, so a node nobody connects to
+/// makes zero acceptor wakes — then accepts, reads hellos (nonblocking, with
+/// a per-connection deadline) and routes each connection to the owning
+/// worker's loop. No per-connection threads — a connection that trickles
+/// its hello costs a list entry, not a thread.
+struct Acceptor {
     nodes: usize,
     workers: usize,
     sessions_per_worker: usize,
     conn_txs: Vec<Sender<NewConn>>,
     wakers: Vec<Arc<Waker>>,
     stop: Arc<AtomicBool>,
-) {
-    struct Pending {
-        stream: TcpStream,
-        hello: [u8; wire::HELLO_LEN],
-        got: usize,
-        deadline: Instant,
-    }
-    let mut pending: Vec<Pending> = Vec::new();
-    // ordering: shutdown flag poll — seeing the store one iteration late
-    // only delays teardown by one accept timeout; nothing is guarded by it.
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(true);
-                let _ = stream.set_nodelay(true);
-                pending.push(Pending {
-                    stream,
-                    hello: [0u8; wire::HELLO_LEN],
-                    got: 0,
-                    deadline: Instant::now() + HELLO_TIMEOUT,
-                });
-                progress = true;
+    stop_waker: Arc<Waker>,
+    stats: Arc<FabricStats>,
+}
+
+/// An accepted connection whose hello is still arriving.
+struct PendingHello {
+    stream: TcpStream,
+    hello: [u8; wire::HELLO_LEN],
+    got: usize,
+    deadline: Instant,
+}
+
+enum HelloStep {
+    /// Partial hello, deadline not reached: keep polling the socket.
+    Waiting,
+    /// All `HELLO_LEN` bytes arrived.
+    Complete,
+    /// Deadline passed, EOF or socket error: drop the connection.
+    Dead,
+}
+
+impl PendingHello {
+    /// Read what has arrived of the hello (nonblocking).
+    fn advance(&mut self, now: Instant) -> HelloStep {
+        loop {
+            if now >= self.deadline {
+                return HelloStep::Dead;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            // kite-lint: allow(no-blocking-in-loop) — accept-error backoff on
-            // the dedicated acceptor thread; no data path waits on it.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < pending.len() {
-            let p = &mut pending[i];
-            let done = loop {
-                if now >= p.deadline {
-                    break true; // handshake deadline: drop
-                }
-                match p.stream.read(&mut p.hello[p.got..]) {
-                    Ok(0) => break true,
-                    Ok(n) => {
-                        p.got += n;
-                        progress = true;
-                        if p.got < wire::HELLO_LEN {
-                            continue;
-                        }
-                        let p = pending.swap_remove(i);
-                        route_hello(
-                            p.stream,
-                            &p.hello,
-                            nodes,
-                            workers,
-                            sessions_per_worker,
-                            &conn_txs,
-                            &wakers,
-                        );
-                        // swap_remove replaced index i; re-examine it.
-                        break false;
+            match self.stream.read(&mut self.hello[self.got..]) {
+                Ok(0) => return HelloStep::Dead,
+                Ok(n) => {
+                    self.got += n;
+                    if self.got == wire::HELLO_LEN {
+                        return HelloStep::Complete;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break true,
                 }
-            };
-            if done {
-                pending.swap_remove(i);
-            } else if i < pending.len() && pending[i].got < wire::HELLO_LEN {
-                i += 1;
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return HelloStep::Waiting,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return HelloStep::Dead,
             }
-        }
-        if !progress {
-            // kite-lint: allow(no-blocking-in-loop) — idle handshake poll on
-            // the dedicated acceptor thread; workers park in epoll instead.
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
 
-/// Decode a completed hello and hand the connection to its worker loop.
-/// Out-of-topology peers and bad handshakes are dropped silently (same
-/// policy as the threaded fabric).
-fn route_hello(
-    stream: TcpStream,
-    hello: &[u8; wire::HELLO_LEN],
-    nodes: usize,
-    workers: usize,
-    sessions_per_worker: usize,
-    conn_txs: &[Sender<NewConn>],
-    wakers: &[Arc<Waker>],
-) {
-    match wire::decode_hello(hello) {
-        Ok(Hello::Peer { node, worker }) => {
-            let worker = worker as usize;
-            if node.idx() >= nodes || worker >= workers {
-                return; // out-of-topology peer: drop
+impl Acceptor {
+    // kite-lint: event-loop
+    fn run(self, listener: TcpListener) {
+        use std::os::fd::AsRawFd;
+        let mut pending: Vec<PendingHello> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
+        // ordering: shutdown flag poll — `TcpNet::drop` stores it and then
+        // writes the stop eventfd, which ends the poll below; a stale read
+        // only costs one more trip round the loop.
+        while !self.stop.load(Ordering::Relaxed) {
+            fds.clear();
+            fds.push(PollFd::readable(listener.as_raw_fd()));
+            fds.push(PollFd::readable(self.stop_waker.fd()));
+            fds.extend(pending.iter().map(|p| PollFd::readable(p.stream.as_raw_fd())));
+            // Deadlines are at most HELLO_TIMEOUT away, so the cast is exact;
+            // +1 rounds up so the wake lands after the deadline, not before.
+            let now = Instant::now();
+            let timeout_ms = pending
+                .iter()
+                .map(|p| p.deadline.saturating_duration_since(now).as_millis() as i32 + 1)
+                .min()
+                .unwrap_or(-1);
+            if let Err(e) = sys::poll_fds(&mut fds, timeout_ms) {
+                eprintln!("kite-net acceptor: poll failed: {e}");
+                break;
             }
-            let _ = conn_txs[worker].send(NewConn::Peer { src: node, stream });
-            wakers[worker].wake();
+            bump(&self.stats.acceptor_wakes, 1);
+
+            while fds[0].ready() {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let _ = stream.set_nonblocking(true);
+                        let _ = stream.set_nodelay(true);
+                        pending.push(PendingHello {
+                            stream,
+                            hello: [0u8; wire::HELLO_LEN],
+                            got: 0,
+                            deadline: Instant::now() + HELLO_TIMEOUT,
+                        });
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        // kite-lint: allow(no-blocking-in-loop) — accept-error
+                        // backoff (fd exhaustion leaves the listener readable)
+                        // on the dedicated acceptor thread; no data path waits.
+                        std::thread::sleep(Duration::from_millis(10));
+                        break;
+                    }
+                }
+            }
+            let now = Instant::now();
+            let mut i = 0;
+            while i < pending.len() {
+                match pending[i].advance(now) {
+                    HelloStep::Waiting => i += 1,
+                    // swap_remove moves the last entry to index i, which
+                    // the next iteration examines.
+                    HelloStep::Complete => {
+                        let p = pending.swap_remove(i);
+                        self.route_hello(p.stream, &p.hello);
+                    }
+                    HelloStep::Dead => drop(pending.swap_remove(i)),
+                }
+            }
         }
-        Ok(Hello::Client { slot }) => {
-            // Route to the worker that owns the slot's session; an
-            // out-of-range slot goes to worker 0, whose loop answers
-            // `HelloErr` through the normal claim path.
-            let worker = (slot as usize / sessions_per_worker).min(workers - 1);
-            let _ = conn_txs[worker].send(NewConn::Client { slot, stream });
-            wakers[worker].wake();
-        }
-        Err(_) => {} // bad handshake: drop
+    }
+
+    /// Decode a completed hello and hand the connection to its worker
+    /// loop. Out-of-topology peers and bad handshakes are dropped silently
+    /// (same policy as the threaded fabric).
+    fn route_hello(&self, stream: TcpStream, hello: &[u8; wire::HELLO_LEN]) {
+        let (worker, conn) = match wire::decode_hello(hello) {
+            Ok(Hello::Peer { node, worker }) => {
+                let worker = worker as usize;
+                if node.idx() >= self.nodes || worker >= self.workers {
+                    return; // out-of-topology peer: drop
+                }
+                (worker, NewConn::Peer { src: node, stream })
+            }
+            Ok(Hello::Client { slot }) => {
+                // Route to the worker that owns the slot's session; an
+                // out-of-range slot goes to worker 0, whose loop answers
+                // `HelloErr` through the normal claim path.
+                let worker = (slot as usize / self.sessions_per_worker).min(self.workers - 1);
+                (worker, NewConn::Client { slot, stream })
+            }
+            Err(_) => return, // bad handshake: drop
+        };
+        let _ = self.conn_txs[worker].send(conn);
+        self.wakers[worker].wake();
     }
 }
 
@@ -626,12 +704,12 @@ impl PeerOut {
 /// One inbound connection owned by a worker loop.
 enum Conn {
     /// Peer fabric traffic.
-    PeerIn { src: NodeId, stream: TcpStream, rbuf: Vec<u8> },
+    PeerIn { src: NodeId, stream: TcpStream, rbuf: ReadBuf },
     /// A remote client session.
     Client {
         slot: u32,
         stream: TcpStream,
-        rbuf: Vec<u8>,
+        rbuf: ReadBuf,
         ring: OutRing,
         op_tx: Sender<Op>,
         done_rx: Receiver<Completion>,
@@ -661,6 +739,21 @@ impl Conn {
     fn is_scrape_plane(&self) -> bool {
         matches!(self, Conn::ScrapeListener { .. } | Conn::Scrape { .. })
     }
+}
+
+/// [`OutRing::drain_to`], with the `writev` calls it made added to the
+/// draining loop's health block.
+// kite-lint: no-alloc
+fn drain_counted(
+    ring: &mut OutRing,
+    stream: &mut TcpStream,
+    pool: &Pool<u8>,
+    stats: &LoopStats,
+) -> std::io::Result<Drain> {
+    let before = ring.writevs();
+    let outcome = ring.drain_to(stream, pool);
+    bump(&stats.writevs, ring.writevs() - before);
+    outcome
 }
 
 /// Handle to stop and join one node's worker loops (the
@@ -742,9 +835,12 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     clock: Arc<WallClock>,
     counters: Arc<ProtoCounters>,
     links: Arc<LinkTable>,
+    stats: Arc<FabricStats>,
     byte_pool: Arc<Pool<u8>>,
     msg_pool: Arc<Pool<Msg>>,
     peers: Arc<PeerTable>,
+    /// [`PeerTable::changes`] as of the last dial pass that probed the table.
+    peers_seen: u64,
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
     sessions: Option<ClientSessions>,
@@ -798,9 +894,11 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             clock: io.clock,
             counters: io.counters,
             links: io.links,
+            stats: io.stats,
             byte_pool: io.byte_pool,
             msg_pool: io.msg_pool,
             peers: io.peers,
+            peers_seen: 0,
             conn_rx: io.conn_rx,
             waker: io.waker,
             sessions,
@@ -825,47 +923,55 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn run(&mut self) {
-        let mut idle: u32 = 0;
+        // Work known to be waiting for the next pass: the tick pumped
+        // session ops and has something to show for it (a session stops at
+        // `ops_per_tick` with more queued), or completions sit behind a
+        // client ring that was full. Nothing else survives a pass —
+        // readiness is epoll's to report.
+        let mut pending = false;
         while !self.stop.load(Ordering::Relaxed) && !self.net_stop.load(Ordering::Relaxed) {
             if !self.dumped && self.dump.load(Ordering::Relaxed) {
                 self.dumped = true;
                 self.dump_state();
             }
-            let mut progress = false;
 
             // Newly accepted connections from the acceptor.
             while let Ok(nc) = self.conn_rx.try_recv() {
                 self.register_conn(nc);
-                progress = true;
+                pending = true;
             }
 
-            // Self-addressed batches queued by the previous flush.
+            // Self-addressed batches queued by the previous flush; what the
+            // actor answers sits in the outbox until the flush below.
             for _ in 0..64 {
                 let Some(mut msgs) = self.selfq.pop_front() else { break };
                 let now = self.clock.now();
                 self.actor.on_envelope(self.me, &mut msgs, now, &mut self.out);
                 self.out.recycle(msgs);
-                progress = true;
+                pending = true;
             }
 
-            // Socket readiness. After a couple of empty passes, park in
-            // epoll_wait: fd readiness (and the waker) ends the park
-            // immediately, so the timeout only gates pure-timer work —
-            // while a busier spin/yield ramp would steal the CPU from the
-            // peer loops whose replies we are parked waiting for (decisive
-            // on few-core machines).
-            let timeout_ms = if progress || idle < IDLE_SPIN { 0 } else { IDLE_WAIT_MS };
+            // Socket readiness. A quiescent loop parks here: fd readiness
+            // (and the waker) ends the park immediately, so the timeout only
+            // gates pure-timer work — and a parked loop leaves the CPU to the
+            // peer loops whose replies it is waiting for (decisive on
+            // few-core machines).
+            let timeout_ms = if pending { 0 } else { IDLE_WAIT_MS };
             self.events.clear();
             let mut events = std::mem::take(&mut self.events);
+            let stats = &self.stats.loops[self.worker];
+            bump(&stats.passes, 1);
+            bump(&stats.epoll_waits, 1);
             match self.poller.wait(&mut events, timeout_ms) {
-                Ok(_) => {}
+                Ok(0) if timeout_ms != 0 => bump(&stats.idle_ticks, 1),
+                Ok(0) => {}
+                Ok(_) => bump(&stats.wakes, 1),
                 Err(e) => {
                     eprintln!("kite-net {} w{}: epoll_wait failed: {e}", self.me, self.worker);
                     break;
                 }
             }
             for &(tok, ev) in events.iter() {
-                progress = true;
                 if tok == TOK_WAKER {
                     self.waker.drain();
                 } else if tok < conn_token_base(self.nodes) {
@@ -877,32 +983,28 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             self.events = events;
 
             // Protocol tick (retransmissions, keepalives, session intake).
+            // A tick that pumped ops shows it — a frame to ship or an op
+            // completed. One that claims progress and shows neither only
+            // re-tried an op stalled behind its session's full write
+            // window; what opens the window is an inbound ack, a readiness
+            // event, so the claim is no reason to go round without blocking
+            // (that spin took the CPU from the very peers it waited for).
             let now = self.clock.now();
-            if self.actor.on_tick(now, &mut self.out) {
-                progress = true;
-            }
+            let completed = self.counters.completed.get();
+            let pumped = self.actor.on_tick(now, &mut self.out);
+            pending = pumped
+                && (!self.out.is_empty() || self.counters.completed.get() != completed);
 
             // Ship what the actor produced, then push client completions.
             if !self.out.is_empty() {
                 self.flush_outbox();
-                progress = true;
             }
             if self.sessions.is_some() && self.pump_completions() {
-                progress = true;
+                pending = true;
             }
 
             // Dial pass: any disconnected peer whose backoff expired.
             self.dial_pass();
-
-            if progress {
-                idle = 0;
-            } else {
-                idle = idle.saturating_add(1);
-                if idle < IDLE_SPIN {
-                    std::hint::spin_loop();
-                }
-                // Past IDLE_SPIN the epoll_wait timeout above parks us.
-            }
         }
         self.teardown();
     }
@@ -910,9 +1012,21 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // -- outbound peers ---------------------------------------------------
 
     fn dial_pass(&mut self) {
+        // With every link up and no address change since the last probe
+        // there is nothing to dial and nothing to tear down: the pass costs
+        // one atomic load, not a `PeerTable` lock per peer.
+        let changes = self.peers.changes();
+        let moved = changes != self.peers_seen;
+        let me = self.me.idx();
+        let all_up = (self.peer_out.iter().enumerate())
+            .all(|(d, po)| d == me || matches!(po.state, DialState::Connected));
+        if all_up && !moved {
+            return;
+        }
+        self.peers_seen = changes;
         let now = Instant::now();
         for dst in 0..self.nodes {
-            if dst == self.me.idx() {
+            if dst == me {
                 continue;
             }
             // Address-change probe: if the operator repointed this slot
@@ -920,7 +1034,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             // against the old address and restart the backoff ladder at the
             // floor — a worker deep in backoff against a dead address must
             // not serve the *new* address its accumulated 500ms penalty.
-            if self.peers.generation(dst) != self.peer_out[dst].addr_gen {
+            if moved && self.peers.generation(dst) != self.peer_out[dst].addr_gen {
                 if !matches!(self.peer_out[dst].state, DialState::Idle) {
                     self.peer_fail(NodeId(dst as u8));
                 }
@@ -1109,7 +1223,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let Some(stream) = po.stream.as_mut() else { return };
         let before_frames = po.ring.len();
         let before_bytes = po.ring.bytes();
-        let outcome = po.ring.drain_to(stream, &self.byte_pool);
+        let stats = &self.stats.loops[self.worker];
+        let outcome = drain_counted(&mut po.ring, stream, &self.byte_pool, stats);
         let done = po.ring.len();
         if before_frames > done {
             link.frames_out.fetch_add((before_frames - done) as u64, Ordering::Relaxed);
@@ -1203,7 +1318,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn register_conn(&mut self, nc: NewConn) {
         let conn = match nc {
             NewConn::Peer { src, stream } => {
-                Conn::PeerIn { src, stream, rbuf: Vec::with_capacity(READ_CHUNK) }
+                Conn::PeerIn { src, stream, rbuf: ReadBuf::new(READ_CHUNK) }
             }
             NewConn::Client { slot, stream } => match self.claim_session(slot) {
                 Ok((op_tx, done_rx)) => {
@@ -1215,7 +1330,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                     Conn::Client {
                         slot,
                         stream,
-                        rbuf: Vec::with_capacity(READ_CHUNK),
+                        rbuf: ReadBuf::new(READ_CHUNK),
                         ring,
                         op_tx,
                         done_rx,
@@ -1296,8 +1411,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         }
     }
 
-    /// Read-and-decode until `WouldBlock` (bounded by [`READ_QUANTUM`] for
-    /// fairness). Returns `false` when the connection must close.
+    /// Read-and-decode until a short read — the kernel queue is then empty,
+    /// and level-triggered epoll re-reports whatever races in, so no second
+    /// `read` is spent on fetching `EAGAIN` — bounded by [`READ_QUANTUM`]
+    /// for fairness. Returns `false` when the connection must close.
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn service_conn_readable(&mut self, idx: usize) -> bool {
@@ -1316,31 +1433,32 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                     break 'read;
                 }
             };
-            let old = rbuf.len();
-            rbuf.resize(old + READ_CHUNK, 0);
-            match stream.read(&mut rbuf[old..]) {
+            let stats = &self.stats.loops[self.worker];
+            bump(&stats.reads, 1);
+            let space = rbuf.space();
+            let offered = space.len();
+            match stream.read(space) {
                 Ok(0) => {
-                    rbuf.truncate(old);
                     alive = false;
                     break 'read;
                 }
                 Ok(n) => {
-                    rbuf.truncate(old + n);
+                    rbuf.commit(n);
                     budget = budget.saturating_sub(n);
                     if !self.decode_conn_frames(&mut conn) {
                         alive = false;
                         break 'read;
                     }
+                    if n < offered {
+                        break 'read;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    rbuf.truncate(old);
+                    bump(&stats.read_eagain, 1);
                     break 'read;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    rbuf.truncate(old);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    rbuf.truncate(old);
                     alive = false;
                     break 'read;
                 }
@@ -1363,12 +1481,13 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 let src = *src;
                 let link = self.links.link(src, self.worker);
                 link.last_rx_ns.store(self.clock.now(), Ordering::Relaxed);
+                let buf = rbuf.filled();
                 let mut pos = 0usize;
                 let ok = loop {
-                    if rbuf.len() - pos < 4 {
+                    if buf.len() - pos < 4 {
                         break true;
                     }
-                    let prefix = [rbuf[pos], rbuf[pos + 1], rbuf[pos + 2], rbuf[pos + 3]];
+                    let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
                     let blen = match wire::frame_body_len(prefix) {
                         Ok(l) => l,
                         Err(_) => {
@@ -1376,11 +1495,11 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                             break false;
                         }
                     };
-                    if rbuf.len() - pos < 4 + blen {
+                    if buf.len() - pos < 4 + blen {
                         break true; // partial frame: wait for more bytes
                     }
                     let mut msgs = self.msg_pool.pop();
-                    match wire::decode_frame_body(&rbuf[pos + 4..pos + 4 + blen], &mut msgs) {
+                    match wire::decode_frame_body(&buf[pos + 4..pos + 4 + blen], &mut msgs) {
                         Ok((frame_src, mepoch)) if frame_src == src => {
                             link.frames_in.fetch_add(1, Ordering::Relaxed);
                             pos += 4 + blen;
@@ -1397,24 +1516,25 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                         }
                     }
                 };
-                compact(rbuf, pos);
+                rbuf.consume(pos);
                 ok
             }
             Conn::Client { rbuf, op_tx, .. } => {
+                let buf = rbuf.filled();
                 let mut pos = 0usize;
                 let ok = loop {
-                    if rbuf.len() - pos < 4 {
+                    if buf.len() - pos < 4 {
                         break true;
                     }
-                    let prefix = [rbuf[pos], rbuf[pos + 1], rbuf[pos + 2], rbuf[pos + 3]];
+                    let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
                     let blen = u32::from_le_bytes(prefix) as usize;
                     if blen > wire::MAX_FRAME {
                         break false; // malformed client: drop the connection
                     }
-                    if rbuf.len() - pos < 4 + blen {
+                    if buf.len() - pos < 4 + blen {
                         break true;
                     }
-                    match wire::decode_client_frame(&rbuf[pos + 4..pos + 4 + blen]) {
+                    match wire::decode_client_frame(&buf[pos + 4..pos + 4 + blen]) {
                         Ok(ClientFrame::Submit(op)) => {
                             pos += 4 + blen;
                             if op_tx.send(op).is_err() {
@@ -1424,7 +1544,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                         _ => break false, // anything else from a client is malformed
                     }
                 };
-                compact(rbuf, pos);
+                rbuf.consume(pos);
                 ok
             }
             // Scrape-plane conns carry no fabric frames.
@@ -1442,7 +1562,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         };
         use std::os::fd::AsRawFd;
         let tok = conn_token_base(self.nodes) + idx as u64;
-        match ring.drain_to(stream, &self.byte_pool) {
+        match drain_counted(ring, stream, &self.byte_pool, &self.stats.loops[self.worker]) {
             Ok(Drain::Emptied) => {
                 if *want_out {
                     *want_out = false;
@@ -1461,9 +1581,12 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
 
     /// Move completed ops from every client session to its connection's
     /// ring. Batches all completions available this iteration into one
-    /// frame buffer per connection (one writev downstream).
+    /// frame buffer per connection (one writev downstream). Returns `true`
+    /// when completions were left behind a full ring whose socket is *not*
+    /// blocked — the next pass must pump again without parking (a blocked
+    /// socket's `EPOLLOUT` is what wakes the loop for the rest).
     fn pump_completions(&mut self) -> bool {
-        let mut any = false;
+        let mut left_behind = false;
         for idx in 0..self.conns.len() {
             let Some(Conn::Client { ring, done_rx, .. }) =
                 self.conns[idx].as_mut()
@@ -1496,10 +1619,12 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             } else if let Err(buf) = ring.push(buf) {
                 self.byte_pool.put(buf);
             }
-            any = true;
             self.service_conn_writable(idx);
+            if let Some(Conn::Client { done_rx, want_out, .. }) = &self.conns[idx] {
+                left_behind |= !done_rx.is_empty() && !*want_out;
+            }
         }
-        any
+        left_behind
     }
 
     // -- scrape plane ------------------------------------------------------
@@ -1674,7 +1799,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         };
         use std::os::fd::AsRawFd;
         let tok = conn_token_base(self.nodes) + idx as u64;
-        match ring.drain_to(stream, &self.byte_pool) {
+        match drain_counted(ring, stream, &self.byte_pool, &self.stats.loops[self.worker]) {
             Ok(Drain::Emptied) => {
                 if *done {
                     // One-shot protocol: response flushed, we close.
@@ -1730,6 +1855,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             "fabric loop: {live_conns} inbound conns + waker registered, selfq={}",
             self.selfq.len()
         );
+        let _ = writeln!(s, "{}", self.stats.describe());
         for c in self.conns.iter().flatten() {
             if let Conn::Client { slot, ring, .. } = c {
                 let _ = writeln!(s, "  client s{slot}: ring={}f/{}B", ring.len(), ring.bytes());
@@ -1771,14 +1897,4 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             self.close_conn(idx);
         }
     }
-}
-
-/// Drop `buf[..pos]`, keeping the unparsed tail at the front.
-fn compact(buf: &mut Vec<u8>, pos: usize) {
-    if pos == 0 {
-        return;
-    }
-    let len = buf.len();
-    buf.copy_within(pos..len, 0);
-    buf.truncate(len - pos);
 }

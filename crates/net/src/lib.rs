@@ -49,5 +49,5 @@ pub use fabric::{
     bind_reuseaddr, spawn_tcp_workers, ClientSessions, NodeStopHandle, PeerTable, TcpNet,
     TcpNetCfg, TcpWorkerIo,
 };
-pub use link::{LinkPhase, LinkState, LinkTable};
+pub use link::{FabricStats, LinkPhase, LinkState, LinkTable, LoopStats};
 pub use node::{launch_local_cluster, NodeConfig, NodeRuntime, NodeWatchdog};

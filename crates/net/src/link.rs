@@ -196,6 +196,91 @@ impl LinkTable {
     }
 }
 
+/// Event-loop health of one worker loop: what the loop does with its
+/// wake-ups, as monotone counters. A pass is one trip round
+/// `EventLoop::run`; it makes exactly one `epoll_wait`, which is a **wake**
+/// when it delivers readiness, an **idle tick** when it blocks and times
+/// out, and otherwise an empty follow-up pass — the waste the
+/// park-at-quiescence rule bounds (`passes - wakes - idle_ticks`).
+/// `reads`/`read_eagain`/`writevs` are the socket syscalls, so
+/// `(epoll_waits + reads + writevs) / proto_completed` is syscalls per op.
+#[derive(Default)]
+pub struct LoopStats {
+    /// Trips round the loop.
+    pub passes: AtomicU64,
+    /// `epoll_wait` calls.
+    pub epoll_waits: AtomicU64,
+    /// `epoll_wait` returns that delivered at least one readiness event.
+    pub wakes: AtomicU64,
+    /// Blocking `epoll_wait`s that timed out with nothing ready (the 1 ms
+    /// protocol-timer tick of an idle loop).
+    pub idle_ticks: AtomicU64,
+    /// `read` calls on the loop's peer and client connections.
+    pub reads: AtomicU64,
+    /// ... of which returned `EAGAIN` (a wasted syscall).
+    pub read_eagain: AtomicU64,
+    /// `writev` calls draining outbound rings.
+    pub writevs: AtomicU64,
+}
+
+impl LoopStats {
+    /// `(name, counter)` of every field, in render order — the scrape keys
+    /// (`loop_w<j>_<name>`) and the dump line are both built from this.
+    pub fn fields(&self) -> [(&'static str, &AtomicU64); 7] {
+        [
+            ("passes", &self.passes),
+            ("epoll_waits", &self.epoll_waits),
+            ("wakes", &self.wakes),
+            ("idle_ticks", &self.idle_ticks),
+            ("reads", &self.reads),
+            ("read_eagain", &self.read_eagain),
+            ("writevs", &self.writevs),
+        ]
+    }
+}
+
+/// Add `n` to a monitoring counter.
+// ordering: Relaxed — loop-health and wake counters are statistics with a
+// single writer thread each; nothing is published through them.
+#[inline]
+pub(crate) fn bump(c: &AtomicU64, n: u64) {
+    c.fetch_add(n, Ordering::Relaxed);
+}
+
+/// One node's wake accounting: a [`LoopStats`] per worker loop plus the
+/// acceptor thread's wake count (the WAL flusher's lives in `WalStats`).
+pub struct FabricStats {
+    /// Indexed by worker.
+    pub loops: Vec<LoopStats>,
+    /// Returns from the acceptor's `poll(2)`; flat while nobody connects.
+    pub acceptor_wakes: AtomicU64,
+}
+
+impl FabricStats {
+    pub(crate) fn new(workers: usize) -> FabricStats {
+        FabricStats {
+            loops: (0..workers).map(|_| LoopStats::default()).collect(),
+            acceptor_wakes: AtomicU64::new(0),
+        }
+    }
+
+    /// One line per worker loop plus the acceptor, for the `dump` view.
+    // ordering: diagnostics snapshot of independent monotone counters.
+    pub fn describe(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (w, l) in self.loops.iter().enumerate() {
+            let _ = write!(out, "loop w{w}:");
+            for (name, c) in l.fields() {
+                let _ = write!(out, " {name}={}", c.load(Ordering::Relaxed));
+            }
+            out.push('\n');
+        }
+        let _ = write!(out, "acceptor wakes={}", self.acceptor_wakes.load(Ordering::Relaxed));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -153,13 +153,10 @@ impl NodeRuntime {
         if let Some(listener) = metrics_listener {
             metrics_addr = listener.local_addr().ok();
             let hub = crate::scrape::node_metrics_hub(
-                cfg.me,
                 format!("{:?}", cfg.mode),
                 &shared,
-                &net.counters,
-                net.links(),
+                &net,
                 wal.as_ref(),
-                ccfg.workers_per_node,
             );
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });
         }
@@ -263,6 +260,13 @@ impl NodeRuntime {
     /// transport-side stats the bench bins report per row.
     pub fn links(&self) -> &Arc<crate::link::LinkTable> {
         self.net.links()
+    }
+
+    /// Loop-health counters of every worker loop plus the acceptor's wake
+    /// count — what the scrape endpoint renders as `loop_w<j>_*` /
+    /// `acceptor_wakes`.
+    pub fn fabric_stats(&self) -> &Arc<crate::link::FabricStats> {
+        self.net.stats()
     }
 
     /// Repoint peer `node`'s fabric address at runtime (empty string

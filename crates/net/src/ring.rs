@@ -1,10 +1,14 @@
-//! Bounded per-peer outbound rings and the buffer pool behind them.
+//! Bounded per-peer outbound rings, the buffer pool behind them, and the
+//! per-connection inbound buffer.
 //!
 //! A ring holds fully-encoded wire frames waiting for socket writability.
 //! Capacity is bounded in both frames and bytes; a push that would exceed
 //! either cap is refused and the frame is shed — the link behaves like a
 //! lossy NIC under backpressure and protocol retransmission recovers, which
 //! keeps a stalled peer from growing sender memory without bound.
+//!
+//! A [`ReadBuf`] is the inbound mirror: bytes land at a fill cursor in a
+//! buffer that was zero-filled once, when the connection was registered.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -65,6 +69,8 @@ pub struct OutRing {
     bytes: usize,
     cap_frames: usize,
     cap_bytes: usize,
+    /// `writev` calls issued over the ring's lifetime.
+    writevs: u64,
 }
 
 impl OutRing {
@@ -75,7 +81,13 @@ impl OutRing {
 
     /// Ring with explicit caps (tests shrink these to force sheds quickly).
     pub fn with_caps(cap_frames: usize, cap_bytes: usize) -> OutRing {
-        OutRing { q: VecDeque::new(), head_off: 0, bytes: 0, cap_frames, cap_bytes }
+        OutRing { q: VecDeque::new(), head_off: 0, bytes: 0, cap_frames, cap_bytes, writevs: 0 }
+    }
+
+    /// `writev` calls [`OutRing::drain_to`] has issued so far (monotone; the
+    /// event loop publishes the per-drain delta as a loop-health counter).
+    pub fn writevs(&self) -> u64 {
+        self.writevs
     }
 
     /// Queued frame count.
@@ -106,15 +118,20 @@ impl OutRing {
 
     /// Write as much as the socket accepts via `write_vectored`, recycling
     /// fully-written frames into `pool`. Io errors other than `WouldBlock`
-    /// propagate (the caller tears the connection down).
+    /// propagate (the caller tears the connection down). The iovec array
+    /// lives on the stack: a drain allocates nothing.
+    // kite-lint: no-alloc
     pub fn drain_to(&mut self, stream: &mut TcpStream, pool: &Pool<u8>) -> io::Result<Drain> {
         while !self.q.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(WRITEV_BATCH.min(self.q.len()));
-            for (i, buf) in self.q.iter().take(WRITEV_BATCH).enumerate() {
-                let start = if i == 0 { self.head_off } else { 0 };
-                slices.push(IoSlice::new(&buf[start..]));
+            let mut slices = [IoSlice::new(&[]); WRITEV_BATCH];
+            let mut used = 0;
+            for (slot, buf) in slices.iter_mut().zip(self.q.iter()) {
+                let start = if used == 0 { self.head_off } else { 0 };
+                *slot = IoSlice::new(&buf[start..]);
+                used += 1;
             }
-            let n = match stream.write_vectored(&slices) {
+            self.writevs += 1;
+            let n = match stream.write_vectored(&slices[..used]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Drain::Blocked),
@@ -126,6 +143,7 @@ impl OutRing {
         Ok(Drain::Emptied)
     }
 
+    // kite-lint: no-alloc
     fn advance(&mut self, mut n: usize, pool: &Pool<u8>) {
         while n > 0 {
             let head_len = self.q[0].len() - self.head_off;
@@ -158,6 +176,55 @@ impl Default for OutRing {
     }
 }
 
+/// Inbound byte buffer of one connection: the whole `Vec` stays initialized
+/// (zero-filled once, at construction) and `fill` marks how much of it holds
+/// unparsed bytes, so a read lands in `space()` with no per-read memset and
+/// no `unsafe`. Frames are parsed out of `filled()`; `consume` moves the
+/// partial tail back to the front.
+pub struct ReadBuf {
+    buf: Vec<u8>,
+    fill: usize,
+    chunk: usize,
+}
+
+impl ReadBuf {
+    /// A buffer of `chunk` (> 0) bytes — also the step it grows by when a
+    /// single frame outgrows it.
+    pub fn new(chunk: usize) -> ReadBuf {
+        assert!(chunk > 0, "a zero-byte read buffer can never be read into");
+        ReadBuf { buf: vec![0; chunk], fill: 0, chunk }
+    }
+
+    /// The unfilled tail to read into. Never empty: a buffer filled to the
+    /// brim by one partial frame grows by a chunk first (the only zero-fill
+    /// after construction, and only for frames past one chunk).
+    pub fn space(&mut self) -> &mut [u8] {
+        if self.fill == self.buf.len() {
+            self.buf.resize(self.fill + self.chunk, 0);
+        }
+        &mut self.buf[self.fill..]
+    }
+
+    /// Mark `n` bytes of the last [`ReadBuf::space`] as filled by a read.
+    pub fn commit(&mut self, n: usize) {
+        self.fill += n;
+        debug_assert!(self.fill <= self.buf.len());
+    }
+
+    /// The bytes read and not yet consumed.
+    pub fn filled(&self) -> &[u8] {
+        &self.buf[..self.fill]
+    }
+
+    /// Drop `filled()[..pos]`, keeping the unparsed tail at the front.
+    pub fn consume(&mut self, pos: usize) {
+        if pos > 0 {
+            self.buf.copy_within(pos..self.fill, 0);
+            self.fill -= pos;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +236,23 @@ mod tests {
         assert!(r.push(vec![2]).is_ok());
         assert!(r.push(vec![3]).is_err());
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn read_buf_keeps_the_partial_tail_and_grows_only_when_full() {
+        let mut b = ReadBuf::new(8);
+        b.space()[..6].copy_from_slice(b"abcdef");
+        b.commit(6);
+        b.consume(4);
+        assert_eq!(b.filled(), b"ef");
+        assert_eq!(b.space().len(), 6);
+        b.space().copy_from_slice(b"ghijkl");
+        b.commit(6);
+        assert_eq!(b.filled(), b"efghijkl");
+        assert_eq!(b.space().len(), 8, "full: grew by one chunk");
+        b.consume(8);
+        assert!(b.filled().is_empty());
+        assert_eq!(b.space().len(), 16);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! [`MetricsHub`] owns a [`kite_metrics::Registry`] populated with every
 //! observable the daemon has — protocol counters, store probe, per-class op
-//! latency, WAL watermarks and group-commit latency, per-link fabric stats —
+//! latency, WAL watermarks and group-commit latency, per-link fabric stats,
+//! per-loop health and the acceptor's and flusher's wake counts —
 //! bridged through `poll_fn`/`poll_histogram` closures so the live atomics
 //! are read at scrape time instead of being copied into parallel storage.
 //!
@@ -25,6 +26,7 @@ use kite_common::NodeId;
 use kite_metrics::Registry;
 use kite_wal::Wal;
 
+use crate::fabric::TcpNet;
 use crate::link::LinkTable;
 
 /// Everything a scrape connection renders. Built once per node at launch
@@ -62,18 +64,18 @@ fn bridge(reg: &Registry, name: &str, counters: &Arc<ProtoCounters>, f: fn(&Prot
 
 /// Build the hub for one node: bridge every layer's live counters into one
 /// registry. `mode` is the protocol-mode tag shown in the `dump` view (the
-/// scrape view is numeric-only `key value` lines).
+/// scrape view is numeric-only `key value` lines); `net` contributes the
+/// protocol counters, the link table and the wake accounting.
 pub fn node_metrics_hub(
-    me: NodeId,
     mode: String,
     shared: &Arc<NodeShared>,
-    counters: &Arc<ProtoCounters>,
-    links: &Arc<LinkTable>,
+    net: &TcpNet,
     wal: Option<&Arc<Wal>>,
-    workers: usize,
 ) -> Arc<MetricsHub> {
     let reg = Registry::new();
     let nodes = shared.cfg.nodes;
+    let (me, workers) = (net.me, net.workers);
+    let (counters, links, fabric) = (&net.counters, net.links(), net.stats());
 
     reg.poll_fn("node_id", {
         let me = me.idx() as u64;
@@ -169,6 +171,7 @@ pub fn node_metrics_hub(
         reg.poll_fn("wal_flush_batches", stat(wal, |s| s.flush_batches));
         reg.poll_fn("wal_fsyncs", stat(wal, |s| s.fsyncs));
         reg.poll_fn("wal_snapshots", stat(wal, |s| s.snapshots));
+        reg.poll_fn("wal_flusher_wakes", stat(wal, |s| s.flusher_wakes));
         let w = Arc::clone(wal);
         reg.poll_histogram("wal_commit_latency_ns", move || w.commit_latency().snapshot());
     }
@@ -204,6 +207,18 @@ pub fn node_metrics_hub(
             reg.poll_fn(&format!("{pre}_phase"), field(links, |l| l.phase() as u64));
         }
     }
+
+    // -- wake accounting: per-loop health + the acceptor ---------------------
+    for w in 0..workers {
+        for (i, (name, _)) in fabric.loops[w].fields().into_iter().enumerate() {
+            let fabric = Arc::clone(fabric);
+            reg.poll_fn(&format!("loop_w{w}_{name}"), move || stat(fabric.loops[w].fields()[i].1));
+        }
+    }
+    reg.poll_fn("acceptor_wakes", {
+        let fabric = Arc::clone(fabric);
+        move || stat(&fabric.acceptor_wakes)
+    });
 
     // -- dump view extras --------------------------------------------------
     let dump_extra: Box<dyn Fn(&mut String) + Send + Sync> = {

@@ -66,10 +66,23 @@ struct SockaddrIn {
 
 /// `struct pollfd` (poll(2)) — identical layout on every Linux ABI.
 #[repr(C)]
-struct PollFd {
+pub struct PollFd {
     fd: i32,
     events: i16,
     revents: i16,
+}
+
+impl PollFd {
+    /// An entry waiting for `fd` to become readable (or to hang up/error,
+    /// which `poll` reports regardless of the requested events).
+    pub fn readable(fd: RawFd) -> PollFd {
+        PollFd { fd, events: POLL_IN, revents: 0 }
+    }
+
+    /// Did the last [`poll_fds`] report anything on this entry?
+    pub fn ready(&self) -> bool {
+        self.revents != 0
+    }
 }
 
 extern "C" {
@@ -107,18 +120,26 @@ pub fn wait_rw(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
 }
 
 fn wait_fd(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
-    let mut pfd = PollFd { fd, events, revents: 0 };
-    // SAFETY: `pfd` is a live stack value matching the kernel's pollfd
-    // layout; nfds=1 bounds the kernel's access to exactly that one entry.
-    let rc = unsafe { poll(&mut pfd, 1, timeout_ms) };
+    Ok(poll_fds(&mut [PollFd { fd, events, revents: 0 }], timeout_ms)? > 0)
+}
+
+/// Block the calling thread until any of `fds` is ready (or `timeout_ms`
+/// passes; `-1` = forever) and return how many are — 0 on timeout or a
+/// signal. The acceptor sleeps here on its listener, its half-read hellos
+/// and its stop eventfd: a thread with nothing to accept makes no wakes.
+pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    // SAFETY: `fds` is a live, exclusively borrowed slice of values with the
+    // kernel's pollfd layout, and nfds is exactly its length, so the kernel
+    // reads and writes only inside it.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
     if rc < 0 {
         let err = io::Error::last_os_error();
         if err.kind() == io::ErrorKind::Interrupted {
-            return Ok(false);
+            return Ok(0);
         }
         return Err(err);
     }
-    Ok(rc > 0)
+    Ok(rc as usize)
 }
 
 const MAX_EVENTS: usize = 64;

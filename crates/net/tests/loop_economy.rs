@@ -1,0 +1,345 @@
+//! The fabric's wake economy, asserted on its own counters (never on
+//! wall-clock CPU): no thread wakes without work, and a wake makes only the
+//! syscalls that move bytes.
+//!
+//! * idle — a 3-node loopback cluster with the WAL on, links up, no load:
+//!   the acceptor and the WAL flusher stay asleep and every event-loop pass
+//!   is either a readiness wake or the 1 ms timer tick;
+//! * driven — under a mixed closed-loop workload every op completes, a
+//!   loop goes round at most twice per wake (the wake itself plus one
+//!   follow-up when the tick pumped session ops) and almost no `read` is
+//!   spent fetching `EAGAIN`;
+//! * pipelined — a burst of relaxed writes that fills the session's write
+//!   window stalls until acks arrive; the loop waits for them in
+//!   `epoll_wait` instead of going round re-trying the stalled op;
+//! * burst — a peer that sends 200 KB in one go is drained completely: the
+//!   stop-after-a-short-read rule and the `READ_QUANTUM` fairness bound
+//!   strand nothing.
+
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use kite::api::Op;
+use kite::msg::Msg;
+use kite::wire::{self, Hello};
+use kite::ProtocolMode;
+use kite_common::{ClusterConfig, Key, NodeId, Val};
+use kite_net::{
+    launch_local_cluster, spawn_tcp_workers, LinkPhase, LoopStats, NodeRuntime, RemoteSession,
+    TcpNet, TcpNetCfg,
+};
+use kite_simnet::{Actor, Outbox};
+
+fn wait_for(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if f() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    false
+}
+
+fn load(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
+}
+
+/// One node's wake counters at an instant.
+#[derive(Clone, Copy, Debug)]
+struct Snap {
+    passes: u64,
+    wakes: u64,
+    idle_ticks: u64,
+    reads: u64,
+    read_eagain: u64,
+    acceptor_wakes: u64,
+    flusher_wakes: u64,
+}
+
+fn snap(n: &NodeRuntime) -> Snap {
+    let f = n.fabric_stats();
+    let l: &LoopStats = &f.loops[0];
+    Snap {
+        passes: load(&l.passes),
+        wakes: load(&l.wakes),
+        idle_ticks: load(&l.idle_ticks),
+        reads: load(&l.reads),
+        read_eagain: load(&l.read_eagain),
+        acceptor_wakes: load(&f.acceptor_wakes),
+        flusher_wakes: n.wal().map_or(0, |w| w.stats().flusher_wakes),
+    }
+}
+
+fn launch(tag: &str) -> (Vec<NodeRuntime>, std::path::PathBuf) {
+    let wal_dir =
+        std::env::temp_dir().join(format!("kite-loop-economy-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let cfg = ClusterConfig::small()
+        .sessions_per_worker(4)
+        .release_timeout_ns(50_000_000)
+        .wal(true)
+        .wal_dir(wal_dir.to_str().expect("utf8"));
+    let nodes = launch_local_cluster(cfg, ProtocolMode::Kite).expect("launch");
+    let all_up = || {
+        nodes.iter().enumerate().all(|(me, n)| {
+            (0..nodes.len())
+                .filter(|&p| p != me)
+                .all(|p| n.links().link(NodeId(p as u8), 0).phase() == LinkPhase::Connected)
+        })
+    };
+    assert!(wait_for(Duration::from_secs(30), all_up), "links never all connected");
+    (nodes, wal_dir)
+}
+
+#[test]
+fn idle_cluster_makes_no_wakes_without_work() {
+    let (nodes, wal_dir) = launch("idle");
+    // Let the connect-time hellos and their follow-up passes settle.
+    std::thread::sleep(Duration::from_millis(100));
+    let before: Vec<Snap> = nodes.iter().map(snap).collect();
+    std::thread::sleep(Duration::from_millis(500));
+    for (n, (node, b)) in nodes.iter().zip(&before).enumerate() {
+        let a = snap(node);
+        let (passes, wakes, ticks) =
+            (a.passes - b.passes, a.wakes - b.wakes, a.idle_ticks - b.idle_ticks);
+        assert!(
+            a.flusher_wakes - b.flusher_wakes <= 5,
+            "node {n}: idle WAL flusher woke {} times in 500 ms",
+            a.flusher_wakes - b.flusher_wakes
+        );
+        assert!(
+            a.acceptor_wakes - b.acceptor_wakes <= 5,
+            "node {n}: acceptor woke {} times in 500 ms with nobody connecting",
+            a.acceptor_wakes - b.acceptor_wakes
+        );
+        assert!(
+            passes <= wakes + ticks + 8,
+            "node {n}: {passes} passes for {wakes} wakes + {ticks} timer ticks — \
+             the loop went round without work"
+        );
+        assert!(ticks >= 100, "node {n}: the 1 ms timer tick stopped ({ticks} in 500 ms)");
+    }
+
+    // The same numbers are on the scrape endpoint and in the dump view.
+    let fetch = |view: &str| {
+        let addr = nodes[0].metrics_addr().expect("metrics endpoint");
+        let mut s = TcpStream::connect(addr).expect("connect metrics endpoint");
+        s.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        s.write_all(format!("{view}\n").as_bytes()).expect("send request");
+        let mut body = String::new();
+        s.read_to_string(&mut body).expect("read response");
+        body
+    };
+    let body = fetch("scrape");
+    for key in [
+        "loop_w0_passes",
+        "loop_w0_epoll_waits",
+        "loop_w0_wakes",
+        "loop_w0_idle_ticks",
+        "loop_w0_reads",
+        "loop_w0_read_eagain",
+        "loop_w0_writevs",
+        "acceptor_wakes",
+        "wal_flusher_wakes",
+    ] {
+        let line = body.lines().find(|l| l.split(' ').next() == Some(key));
+        let value = line.and_then(|l| l.split(' ').nth(1)).and_then(|v| v.parse::<u64>().ok());
+        assert!(value.is_some(), "scrape view has no numeric `{key}`:\n{body}");
+    }
+    let dump = fetch("dump");
+    for needle in ["loop w0: passes=", "acceptor wakes=", "flusher_wakes="] {
+        assert!(dump.contains(needle), "dump view lacks `{needle}`:\n{dump}");
+    }
+
+    for n in nodes {
+        n.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+#[test]
+fn driven_cluster_goes_round_at_most_twice_per_wake() {
+    let (nodes, wal_dir) = launch("driven");
+    let _wd = nodes[0].watchdog(Duration::from_secs(120));
+    let before: Vec<Snap> = nodes.iter().map(snap).collect();
+    let completed_before: u64 = nodes.iter().map(|n| n.counters().completed.get()).sum();
+
+    // One closed-loop client per node, each on its own thread: reads,
+    // writes, a release/acquire pair and an RMW per round, on shared keys.
+    const ROUNDS: u64 = 150;
+    const OPS_PER_ROUND: u64 = 6;
+    let clients: Vec<_> = nodes
+        .iter()
+        .enumerate()
+        .map(|(n, node)| {
+            let addr = node.addr().to_string();
+            std::thread::spawn(move || {
+                let mut s = RemoteSession::connect(&addr, 0).expect("session");
+                for i in 0..ROUNDS {
+                    let k = 1 + (i * 7 + n as u64) % 64;
+                    s.write(Key(k), i + 1).expect("write");
+                    s.read(Key(k)).expect("read");
+                    s.read(Key(1 + (k + 13) % 64)).expect("read");
+                    s.release(Key(100 + n as u64), i + 1).expect("release");
+                    s.acquire(Key(100 + (n as u64 + 1) % 3)).expect("acquire");
+                    s.fetch_add(Key(200), 1).expect("faa");
+                }
+                s
+            })
+        })
+        .collect();
+    // Sessions stay open until the counters are read: a close is traffic.
+    let sessions: Vec<RemoteSession> =
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect();
+
+    let submitted = ROUNDS * OPS_PER_ROUND * nodes.len() as u64;
+    let completed: u64 = nodes.iter().map(|n| n.counters().completed.get()).sum();
+    assert!(
+        completed - completed_before >= submitted,
+        "{submitted} ops submitted, {} completed",
+        completed - completed_before
+    );
+    for (n, (node, b)) in nodes.iter().zip(&before).enumerate() {
+        let a = snap(node);
+        // Timer ticks of the gaps between ops are passes without a wake by
+        // definition; what is bounded is the passes the *traffic* caused.
+        let passes = (a.passes - b.passes) - (a.idle_ticks - b.idle_ticks);
+        let wakes = a.wakes - b.wakes;
+        let (reads, eagain) = (a.reads - b.reads, a.read_eagain - b.read_eagain);
+        assert!(wakes > 0 && reads > 0, "node {n} saw no traffic: {a:?}");
+        assert!(
+            passes <= 2 * wakes,
+            "node {n}: {passes} passes for {wakes} wakes (> 2 per wake)"
+        );
+        assert!(
+            eagain * 20 <= reads,
+            "node {n}: {eagain} of {reads} reads only fetched EAGAIN (> 5 %)"
+        );
+    }
+    drop(sessions);
+    for n in nodes {
+        n.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+#[test]
+fn a_full_write_window_is_waited_out_in_epoll_not_spun_on() {
+    let (nodes, wal_dir) = launch("pipelined");
+    let _wd = nodes[0].watchdog(Duration::from_secs(120));
+    let mut s = RemoteSession::connect(&nodes[0].addr().to_string(), 0).expect("session");
+    let before = snap(&nodes[0]);
+
+    // Relaxed writes complete at once but each stays in the session's write
+    // window (64 by default) until every replica acked it, so 4096 of them
+    // submitted in bursts of 256 keep the session stalled most of the time.
+    const OPS: u64 = 4096;
+    for burst in 0..OPS / 256 {
+        for i in 0..256 {
+            let k = burst * 256 + i;
+            s.submit(Op::Write { key: Key(k % 512), val: Val::from_u64(k) }).expect("submit");
+        }
+        s.flush().expect("flush");
+        for _ in 0..256 {
+            s.next_completion().expect("completion");
+        }
+    }
+
+    let a = snap(&nodes[0]);
+    let passes = (a.passes - before.passes) - (a.idle_ticks - before.idle_ticks);
+    let wakes = a.wakes - before.wakes;
+    // Every pass is a readiness wake or follows a pass that started ops (at
+    // least one op per such pass). Re-trying a stalled op is neither — the
+    // old loop went round ~10 times per op here.
+    assert!(
+        passes <= wakes + OPS + 64,
+        "{passes} passes for {wakes} wakes and {OPS} ops: the loop spun on a stalled session"
+    );
+    drop(s);
+    for n in nodes {
+        n.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// Counts every message the fabric delivers.
+struct Sink(Arc<AtomicU64>);
+
+impl Actor for Sink {
+    type Msg = Msg;
+
+    fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<Msg>, _now: u64, _out: &mut Outbox<Msg>) {
+        self.0.fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        msgs.clear();
+    }
+
+    fn on_tick(&mut self, _now: u64, _out: &mut Outbox<Msg>) -> bool {
+        false
+    }
+
+    fn describe(&self, out: &mut String) {
+        out.push_str("sink\n");
+    }
+}
+
+#[test]
+fn a_200_kb_burst_from_one_peer_is_fully_drained() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind node 0");
+    let me_addr = listener.local_addr().unwrap().to_string();
+    // Node 1's slot is retired (empty address): the loop never dials it,
+    // and the test plays node 1's side of the inbound link by hand.
+    let (net, ios) = TcpNet::bind(TcpNetCfg {
+        me: NodeId(0),
+        peers: vec![me_addr.clone(), String::new()],
+        workers: 1,
+        sessions_per_worker: 1,
+        listener: Some(listener),
+    })
+    .expect("bind fabric");
+    let delivered = Arc::new(AtomicU64::new(0));
+    let rigs = ios.into_iter().map(|io| (Sink(Arc::clone(&delivered)), io, None)).collect();
+    let handle = spawn_tcp_workers(rigs, &net);
+
+    // ~2 KB per frame, 110 frames: past three read chunks, short of the
+    // read quantum plus one — both rules are on the path.
+    let batch = vec![Msg::AckBatch { rids: vec![7u64; 250] }];
+    let mut burst = Vec::new();
+    let mut frames = 0u64;
+    while burst.len() < 220 << 10 {
+        frames += wire::encode_frames(NodeId(1), 0, &batch, &mut burst) as u64;
+    }
+    let mut peer = TcpStream::connect(&me_addr).expect("connect as node 1");
+    peer.set_nodelay(true).expect("nodelay");
+    peer.write_all(&wire::encode_hello(Hello::Peer { node: NodeId(1), worker: 0 })).expect("hello");
+    peer.write_all(&burst).expect("one burst");
+
+    assert!(
+        wait_for(Duration::from_secs(30), || delivered.load(Ordering::Relaxed) == frames),
+        "burst of {frames} frames stranded: {} delivered\n{}",
+        delivered.load(Ordering::Relaxed),
+        net.describe()
+    );
+    let link = net.links().link(NodeId(1), 0);
+    assert_eq!(link.frames_in.load(Ordering::Relaxed), frames);
+    assert_eq!(link.decode_errors.load(Ordering::Relaxed), 0);
+    // A burst this size is a handful of reads, not one per frame.
+    let reads = load(&net.stats().loops[0].reads);
+    assert!((4..frames).contains(&reads), "{reads} reads for a {} B burst", burst.len());
+
+    // The connection is still healthy: a trickle after the burst arrives.
+    let mut tail = Vec::new();
+    wire::encode_frames(NodeId(1), 0, &batch, &mut tail);
+    peer.write_all(&tail).expect("trickle");
+    assert!(
+        wait_for(Duration::from_secs(30), || delivered.load(Ordering::Relaxed) == frames + 1),
+        "frame after the burst never arrived"
+    );
+
+    drop(peer);
+    handle.stop_and_join();
+    drop(net);
+}

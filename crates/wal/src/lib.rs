@@ -8,15 +8,23 @@
 //! stamp-transitioning apply — the same choke points that feed the Merkle
 //! leaf lattice. The sink implementation here does the minimum possible on
 //! the protocol thread: encode one frame into a stack buffer and append it
-//! to a mutex-guarded **staging buffer**. A dedicated flusher thread wakes
-//! every `group_commit_ns`, swaps the staging buffer against a recycled
-//! spare (two buffers ping-pong forever — steady-state appends and flushes
-//! are allocation-free once the buffers have grown to the working set),
-//! writes the batch to the active segment and `fsync`s it once. Protocol
+//! to a mutex-guarded **staging buffer**. A dedicated flusher thread is
+//! **demand-driven**: while the staging buffer is empty it parks on a
+//! condvar, and the append that ends the idleness — it holds the staging
+//! mutex anyway — signals it, once per idle→busy edge. The flusher then
+//! sleeps out one `group_commit_ns` window from that first record, swaps
+//! the staging buffer against a recycled spare (two buffers ping-pong
+//! forever — steady-state appends and flushes are allocation-free once the
+//! buffers have grown to the working set), writes the batch to the active
+//! segment and `fsync`s it once; records that arrived meanwhile start the
+//! next window with no signal at all, so sustained load makes **zero**
+//! signals per record and an idle node's flusher does not run. Protocol
 //! threads never block on I/O; the durability lag is bounded by one
 //! group-commit window plus one fsync and is reported in [`Wal::stats`].
 //!
-//! Every `snapshot_interval_ns` (and on [`Wal::shutdown`]) the flusher
+//! Every `snapshot_interval_ns` — if anything was appended since the last
+//! rotation: re-dumping an unchanged store buys nothing — and on
+//! [`Wal::snapshot_now`] and [`Wal::shutdown`] unconditionally, the flusher
 //! **rotates**: seal the active segment, open segment `S+1`, dump the
 //! whole store to `snap-<S+1>.tmp`, fsync, rename to `.snap`, then delete
 //! every older segment and snapshot. The ordering argument: a record
@@ -64,6 +72,12 @@ struct Staging {
     durable: u64,
     /// Active segment sequence number.
     seq: u64,
+    /// `appended` as of the last rotation: more than this means the newest
+    /// snapshot is stale.
+    rotated_at: u64,
+    /// The flusher is parked on `wake` with nothing staged; the append
+    /// that finds this set clears it and signals.
+    parked: bool,
 }
 
 /// Monotone counters exported to the watchdog dump.
@@ -74,6 +88,7 @@ struct Counters {
     fsyncs: AtomicU64,
     snapshots: AtomicU64,
     snapshot_entries: AtomicU64,
+    flusher_wakes: AtomicU64,
 }
 
 /// A point-in-time view of the WAL's health, for logs and the watchdog
@@ -97,6 +112,9 @@ pub struct WalStats {
     pub snapshots: u64,
     /// Entries in the most recent snapshot.
     pub snapshot_entries: u64,
+    /// Times the flusher thread returned from a condvar wait — once per
+    /// group-commit window under load, flat on an idle node.
+    pub flusher_wakes: u64,
 }
 
 /// The write-ahead log. Construct with [`Wal::open`] (after
@@ -108,8 +126,9 @@ pub struct Wal {
     group_commit: Duration,
     snapshot_interval: Duration,
     inner: Mutex<Staging>,
-    /// Wakes the flusher early (flush/snapshot/stop requests; appenders
-    /// never signal — waking per record would defeat group commit).
+    /// Wakes the flusher: flush/snapshot/stop requests, and the append
+    /// that finds it parked (one signal per idle→busy edge — waking per
+    /// record would defeat group commit).
     wake: Condvar,
     /// Signals appender-side waiters that `durable`/`snapshots` advanced.
     done: Condvar,
@@ -162,6 +181,8 @@ impl Wal {
                 appended: 0,
                 durable: 0,
                 seq,
+                rotated_at: 0,
+                parked: false,
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
@@ -198,6 +219,7 @@ impl Wal {
             fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
             snapshots: self.counters.snapshots.load(Ordering::Relaxed),
             snapshot_entries: self.counters.snapshot_entries.load(Ordering::Relaxed),
+            flusher_wakes: self.counters.flusher_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -210,9 +232,10 @@ impl Wal {
     pub fn describe(&self) -> String {
         let s = self.stats();
         format!(
-            "wal records={} durable={}B lag={}B batches={} fsyncs={} snapshots={} snap_entries={}",
+            "wal records={} durable={}B lag={}B batches={} fsyncs={} snapshots={} snap_entries={} \
+             flusher_wakes={}",
             s.records, s.durable_bytes, s.lag_bytes, s.flush_batches, s.fsyncs, s.snapshots,
-            s.snapshot_entries
+            s.snapshot_entries, s.flusher_wakes
         )
     }
 
@@ -230,9 +253,11 @@ impl Wal {
     /// Force a snapshot + log truncation now and wait for it to complete.
     pub fn snapshot_now(&self) {
         let target = self.counters.snapshots.load(Ordering::Relaxed) + 1;
+        // Requests are raised under the staging mutex: the flusher checks
+        // them under it before parking, so none can slip past into a park.
+        let mut inner = self.inner.lock().unwrap();
         self.snap_req.store(true, Ordering::Relaxed);
         self.wake.notify_all();
-        let mut inner = self.inner.lock().unwrap();
         while self.counters.snapshots.load(Ordering::Relaxed) < target
             && !self.stop.load(Ordering::Relaxed)
         {
@@ -257,8 +282,11 @@ impl Wal {
     }
 
     fn stop_flusher(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.wake.notify_all();
+        {
+            let _guard = self.inner.lock().unwrap();
+            self.stop.store(true, Ordering::Relaxed);
+            self.wake.notify_all();
+        }
         let handle = self.flusher.lock().unwrap().take();
         if let Some(h) = handle {
             let _ = h.join();
@@ -274,23 +302,44 @@ impl Wal {
         let mut spare: Vec<u8> = Vec::with_capacity(1 << 16);
         let mut last_snapshot = Instant::now();
         loop {
-            // Sleep out the group-commit window (early wake on requests).
+            let stale;
             {
                 let mut inner = self.inner.lock().unwrap();
-                let deadline = Instant::now() + self.group_commit;
-                loop {
-                    if self.stop.load(Ordering::Relaxed)
+                let requested = || {
+                    self.stop.load(Ordering::Relaxed)
                         || self.flush_req.load(Ordering::Relaxed)
                         || self.snap_req.load(Ordering::Relaxed)
-                    {
+                };
+                // Nothing staged: park until an append signals the
+                // idle→busy edge or a request arrives, but no longer than
+                // the next snapshot is due (or, with nothing to snapshot,
+                // one interval — a heartbeat, not a deadline).
+                inner.parked = inner.buf.is_empty();
+                while inner.parked && !requested() {
+                    let due_in = if inner.appended > inner.rotated_at {
+                        self.snapshot_interval.saturating_sub(last_snapshot.elapsed())
+                    } else {
+                        self.snapshot_interval
+                    };
+                    if due_in.is_zero() {
                         break;
                     }
+                    inner = self.wake.wait_timeout(inner, due_in).unwrap().0;
+                    self.counters.flusher_wakes.fetch_add(1, Ordering::Relaxed);
+                }
+                inner.parked = false;
+                // Something staged: sleep out the group-commit window from
+                // here — the first record's arrival (early wake on requests).
+                let deadline = Instant::now() + self.group_commit;
+                while !inner.buf.is_empty() && !requested() {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
                     }
                     inner = self.wake.wait_timeout(inner, deadline - now).unwrap().0;
+                    self.counters.flusher_wakes.fetch_add(1, Ordering::Relaxed);
                 }
+                stale = inner.appended > inner.rotated_at;
             }
             self.flush_req.store(false, Ordering::Relaxed);
             let stopping = self.stop.load(Ordering::Relaxed);
@@ -302,8 +351,10 @@ impl Wal {
                 // Retry next window.
             }
 
+            // An interval with nothing appended since the last rotation is
+            // skipped: the snapshot on disk already covers the store.
             let snapshot_due = self.snap_req.swap(false, Ordering::Relaxed)
-                || last_snapshot.elapsed() >= self.snapshot_interval;
+                || (stale && last_snapshot.elapsed() >= self.snapshot_interval);
             let wants_snapshot = if stopping {
                 !self.skip_final_snapshot.load(Ordering::Relaxed)
             } else {
@@ -371,6 +422,7 @@ impl Wal {
             let mut inner = self.inner.lock().unwrap();
             std::mem::swap(&mut inner.buf, spare);
             inner.seq += 1;
+            inner.rotated_at = inner.appended;
             (inner.appended, inner.seq)
         };
         // 2. Seal the old segment with the residue.
@@ -441,8 +493,9 @@ impl Wal {
 
 impl DurabilitySink for Wal {
     /// The hot path: one stack-buffer encode + one `extend_from_slice`
-    /// into the recycled staging buffer. No syscalls, no waking, no
-    /// allocation once the buffer reached its working-set capacity.
+    /// into the recycled staging buffer. No allocation once the buffer
+    /// reached its working-set capacity, and no syscall — except the one
+    /// condvar signal of the append that finds the flusher parked.
     // kite-lint: no-alloc
     fn record(&self, key: Key, lc: Lc, val: &Val) -> Result<(), SinkError> {
         let len = val.as_bytes().len();
@@ -457,7 +510,11 @@ impl DurabilitySink for Wal {
         let mut inner = self.inner.lock().unwrap();
         inner.buf.extend_from_slice(&frame_buf[..n]);
         inner.appended += n as u64;
+        let wake = std::mem::take(&mut inner.parked);
         drop(inner);
+        if wake {
+            self.wake.notify_one();
+        }
         self.counters.records.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -2,7 +2,9 @@
 # End-to-end test of the real-network transport: a 3-process `kite-node`
 # cluster on localhost, driven by `kite-client` remote sessions.
 #
-#   1. launch 3 kite-node processes (fixed localhost ports);
+#   1. launch 3 kite-node processes (fixed localhost ports); before any
+#      load, two scrapes a second apart must show the acceptor (and, in the
+#      WAL phase, the flusher) asleep — idle threads make no wakes;
 #   2. run a mixed read/write/release/acquire/RMW workload across all
 #      three and check it against the RC(Lin) axioms client-side;
 #   3. open-loop latency probe: fixed-arrival-rate sessions against all
@@ -54,8 +56,10 @@ NODE_BIN=target/release/kite-node
 CLIENT_BIN=target/release/kite-client
 
 # Port base randomized per run to dodge TIME_WAIT collisions across quick
-# successive invocations; advanced per iteration inside the loop.
-PORT_BASE=$(( 20000 + (RANDOM % 20000) ))
+# successive invocations; advanced per iteration inside the loop. Kept below
+# the kernel's ephemeral range (32768+): the clients' own outbound sockets
+# land there, and a listener cannot bind a port one of them holds.
+PORT_BASE=$(( 20000 + (RANDOM % 12000) ))
 
 declare -a PIDS=()
 
@@ -68,6 +72,27 @@ start_node() { # start_node <id> <logfile> [extra-args...]
 
 scrape_metric() { # scrape_metric <metrics-addr> <metric-name>
     "$CLIENT_BIN" scrape --servers "$1" | awk -v k="$2" '$1==k{print $2}'
+}
+
+assert_idle_wakes() { # assert_idle_wakes <metrics-addr>... — no wake without work
+    local m k
+    local -A before
+    for m in "$@"; do
+        for k in acceptor_wakes wal_flusher_wakes; do
+            before[$m.$k]="$(scrape_metric "$m" "$k")"   # no wal_* keys with the WAL off
+        done
+    done
+    sleep 1
+    for m in "$@"; do
+        for k in acceptor_wakes wal_flusher_wakes; do
+            local b="${before[$m.$k]:-0}" a
+            a="$(scrape_metric "$m" "$k")"
+            if [ "$(( ${a:-0} - b ))" -gt 10 ]; then
+                echo "!! idle node $m: $k advanced $b -> $a in 1 s" >&2
+                exit 1
+            fi
+        done
+    done
 }
 
 wait_ready() { # wait_ready <logfile>
@@ -113,6 +138,7 @@ for iter in $(seq 1 "$ITERS"); do
     wait_ready "$LOGDIR/n0.log"
     wait_ready "$LOGDIR/n1.log"
     wait_ready "$LOGDIR/n2.log"
+    assert_idle_wakes "$M0" "$M1" "$M2"
 
     echo "-- phase 1: mixed workload across all 3 nodes + RC(Lin) check"
     "$CLIENT_BIN" mixed --servers "$P0,$P1,$P2" --slot 0 --ops 25
@@ -291,18 +317,23 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     P0="127.0.0.1:$((PORT_BASE))"
     P1="127.0.0.1:$((PORT_BASE + 1))"
     P2="127.0.0.1:$((PORT_BASE + 2))"
-    PORT_BASE=$((PORT_BASE + 3))
+    local m0="127.0.0.1:$((PORT_BASE + 3))"
+    local m1="127.0.0.1:$((PORT_BASE + 4))"
+    local m2="127.0.0.1:$((PORT_BASE + 5))"
+    PORT_BASE=$((PORT_BASE + 6))
     NODE_ARGS=(--peers "$P0,$P1,$P2" --workers 1 --sessions-per-worker 6 \
                --keys 131072 --keepalive-ns 50000000)
     if [ "$wal" = on ]; then
         NODE_ARGS+=(--wal on --wal-dir "$waldir")
     fi
-    start_node 0 "$logdir/n0.log"
-    start_node 1 "$logdir/n1.log"
-    start_node 2 "$logdir/n2.log"
+    start_node 0 "$logdir/n0.log" --metrics-addr "$m0"
+    start_node 1 "$logdir/n1.log" --metrics-addr "$m1"
+    start_node 2 "$logdir/n2.log" --metrics-addr "$m2"
     wait_ready "$logdir/n0.log" >&2
     wait_ready "$logdir/n1.log" >&2
     wait_ready "$logdir/n2.log" >&2
+    # With the WAL on this is the flusher's check: nothing staged, no wakes.
+    assert_idle_wakes "$m0" "$m1" "$m2"
 
     echo "-- wal=$wal: fill $FILL_COUNT keys, then SIGKILL node 2" >&2
     "$CLIENT_BIN" fill --servers "$P0,$P1,$P2" --slot 0 --key-base 1000 --count "$FILL_COUNT" >&2

@@ -9,6 +9,7 @@
 /// Channel types mirroring `crossbeam::channel`.
 pub mod channel {
     use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
@@ -16,18 +17,36 @@ pub mod channel {
         buf: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers currently blocked on `cv`. Changed only under the
+        /// mutex, so a sender that sees 0 knows nobody can miss its push.
+        parked: usize,
     }
 
     struct Inner<T> {
         state: Mutex<State<T>>,
         cv: Condvar,
+        /// Mirror of `buf.len()`, written under the mutex and read without
+        /// it: the event loops probe emptiness of channels they themselves
+        /// feed several times per op. Relaxed — it publishes no data (the
+        /// queue is only ever touched under the mutex); a stale value is a
+        /// probe that comes back one poll early or late, as with the lock.
+        len: AtomicUsize,
+    }
+
+    impl<T> Inner<T> {
+        fn pop(&self, st: &mut State<T>) -> Option<T> {
+            let t = st.buf.pop_front()?;
+            self.len.store(st.buf.len(), Ordering::Relaxed);
+            Some(t)
+        }
     }
 
     /// Create an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            state: Mutex::new(State { buf: VecDeque::new(), senders: 1, receivers: 1 }),
+            state: Mutex::new(State { buf: VecDeque::new(), senders: 1, receivers: 1, parked: 0 }),
             cv: Condvar::new(),
+            len: AtomicUsize::new(0),
         });
         (Sender(Arc::clone(&inner)), Receiver(inner))
     }
@@ -69,8 +88,15 @@ pub mod channel {
                 return Err(SendError(t));
             }
             st.buf.push_back(t);
+            self.0.len.store(st.buf.len(), Ordering::Relaxed);
+            // Like the real crossbeam, signal only a receiver that is
+            // actually blocked: `notify_one` is a futex syscall even with
+            // nobody waiting, and most sends here go to a polling loop.
+            let wake = st.parked > 0;
             drop(st);
-            self.0.cv.notify_one();
+            if wake {
+                self.0.cv.notify_one();
+            }
             Ok(())
         }
     }
@@ -101,7 +127,7 @@ pub mod channel {
         /// Pop a message without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
-            match st.buf.pop_front() {
+            match self.0.pop(&mut st) {
                 Some(t) => Ok(t),
                 None if st.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
@@ -112,13 +138,15 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(t) = st.buf.pop_front() {
+                if let Some(t) = self.0.pop(&mut st) {
                     return Ok(t);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked += 1;
                 st = self.0.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.parked -= 1;
             }
         }
 
@@ -127,7 +155,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(t) = st.buf.pop_front() {
+                if let Some(t) = self.0.pop(&mut st) {
                     return Ok(t);
                 }
                 if st.senders == 0 {
@@ -137,12 +165,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                st.parked += 1;
                 let (guard, res) = self
                     .0
                     .cv
                     .wait_timeout(st, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 st = guard;
+                st.parked -= 1;
                 if res.timed_out() && st.buf.is_empty() {
                     return if st.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -153,9 +183,15 @@ pub mod channel {
             }
         }
 
-        /// Number of queued messages.
+        /// Number of queued messages (lock-free snapshot).
         pub fn len(&self) -> usize {
-            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).buf.len()
+            self.0.len.load(Ordering::Relaxed)
+        }
+
+        /// Receivers blocked in `recv`/`recv_timeout` right now.
+        #[cfg(test)]
+        pub(crate) fn parked(&self) -> usize {
+            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).parked
         }
 
         /// Whether the queue is currently empty.
@@ -213,6 +249,65 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
         h.join().unwrap();
+    }
+
+    /// Run `wait` on a second thread and return once it is blocked on the
+    /// channel's condvar (the parked count is the barrier — no sleeps).
+    fn park<R: Send + 'static>(
+        rx: &std::sync::Arc<Receiver<u8>>,
+        wait: impl FnOnce(&Receiver<u8>) -> R + Send + 'static,
+    ) -> std::thread::JoinHandle<R> {
+        let rx2 = std::sync::Arc::clone(rx);
+        let h = std::thread::spawn(move || wait(&rx2));
+        while rx.parked() == 0 {
+            std::thread::yield_now();
+        }
+        h
+    }
+
+    #[test]
+    fn parked_receivers_wake_on_send() {
+        let (tx, rx) = unbounded::<u8>();
+        let rx = std::sync::Arc::new(rx);
+        let h = park(&rx, |rx| rx.recv());
+        tx.send(1).unwrap();
+        assert_eq!(h.join().unwrap(), Ok(1));
+        let h = park(&rx, |rx| rx.recv_timeout(Duration::from_secs(30)));
+        tx.send(2).unwrap();
+        assert_eq!(h.join().unwrap(), Ok(2));
+        assert_eq!(rx.parked(), 0);
+    }
+
+    #[test]
+    fn parked_receivers_wake_on_last_sender_drop() {
+        let (tx, rx) = unbounded::<u8>();
+        let (tx2, rx) = (tx.clone(), std::sync::Arc::new(rx));
+        let a = park(&rx, |rx| rx.recv());
+        drop(tx);
+        assert_eq!(rx.parked(), 1, "a live clone keeps the receiver parked");
+        drop(tx2);
+        assert_eq!(a.join().unwrap(), Err(RecvError));
+
+        let (tx, rx) = unbounded::<u8>();
+        let rx = std::sync::Arc::new(rx);
+        let b = park(&rx, |rx| rx.recv_timeout(Duration::from_secs(30)));
+        drop(tx);
+        assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+    }
+
+    #[test]
+    fn unsignalled_sends_are_not_lost_and_len_tracks_the_queue() {
+        let (tx, rx) = unbounded();
+        assert!(rx.is_empty());
+        for i in 0..3u8 {
+            tx.send(i).unwrap(); // nobody parked: no condvar signal
+        }
+        assert_eq!(rx.len(), 3);
+        assert_eq!(rx.recv(), Ok(0));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(1));
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert!(rx.is_empty());
     }
 
     #[test]
