@@ -107,10 +107,14 @@ pub struct ClusterConfig {
     /// appends its own `node<idx>/` subdirectory so one config serves a
     /// whole local cluster. Must be non-empty when `wal` is on.
     pub wal_dir: String,
-    /// Group-commit window in nanoseconds: the flusher thread wakes at this
-    /// cadence, swaps out the staged record buffer, writes and fsyncs it as
+    /// Group-commit window floor in nanoseconds: the flusher lets staged
+    /// records accumulate this long — or, on a device whose commits are
+    /// slow enough to matter, `K` = 3 times its measured write+fsync time —
+    /// then swaps out the staged record buffer, writes and fsyncs it as
     /// one batch. Bounds the durability lag — records are on disk at most
-    /// one window (plus one fsync) after the store apply.
+    /// `max(this, K × commit) + one commit` after the store apply (≈ 1 ms
+    /// where a commit takes 250 µs; this value plus a commit on a disk
+    /// that commits in under a third of it).
     pub wal_group_commit_ns: u64,
     /// Interval between store snapshots (ns). Each snapshot rotates the log
     /// to a fresh segment and deletes all older segments, so the replay
@@ -319,7 +323,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: WAL group-commit window.
+    /// Builder: WAL group-commit window floor.
     pub fn wal_group_commit_ns(mut self, t: u64) -> Self {
         self.wal_group_commit_ns = t;
         self

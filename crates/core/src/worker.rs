@@ -263,21 +263,21 @@ impl Worker {
             while budget > 0 && self.sessions[si].is_free() {
                 let Some(op) = self.sessions[si].next_op() else { break };
                 budget -= 1;
-                progress = true;
                 let seq = self.sessions[si].seq;
                 self.sessions[si].seq += 1;
                 let op_id = OpId::new(self.sessions[si].id, seq);
                 match self.start_op(si, op_id, op, now, out) {
-                    StartResult::Inline => {}
+                    StartResult::Inline => progress = true,
                     StartResult::Blocked(rid) => {
                         self.sessions[si].blocked_on = Some(rid);
+                        progress = true;
                     }
                     StartResult::Stall(op) => {
-                        // window full: retry next tick; the op keeps its seq
-                        // slot by restoring the counter. If the window is
-                        // stuck on unresponsive replicas, start a relief
-                        // round so the session doesn't stall for the whole
-                        // outage.
+                        // window full: retry next tick (no progress — the
+                        // op did not start); the op keeps its seq slot by
+                        // restoring the counter. If the window is stuck on
+                        // unresponsive replicas, start a relief round so
+                        // the session doesn't stall for the whole outage.
                         self.sessions[si].seq -= 1;
                         self.sessions[si].staged = Some(op);
                         self.maybe_window_relief(si, now, out);

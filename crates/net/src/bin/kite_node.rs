@@ -43,32 +43,48 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::OnceLock;
 
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Membership, NodeId, NodeSet, MEMBERSHIP_KEY};
+use kite_net::sys::{self, PollFd, Waker};
 use kite_net::{NodeConfig, NodeRuntime, RemoteSession};
 
 static STOP: AtomicBool = AtomicBool::new(false);
+/// The eventfd the main thread sleeps on; the signal handler writes it.
+static STOP_WAKER: OnceLock<Waker> = OnceLock::new();
 
 extern "C" fn on_signal(_sig: i32) {
     STOP.store(true, Ordering::SeqCst);
+    if let Some(waker) = STOP_WAKER.get() {
+        waker.wake();
+    }
 }
 
 /// Install `on_signal` for SIGTERM and SIGINT via raw libc `signal(2)` —
-/// the workspace is dependency-free, so no signal crate.
-fn install_signal_handlers() {
+/// the workspace is dependency-free, so no signal crate — and return the
+/// eventfd it writes.
+fn install_signal_handlers() -> &'static Waker {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
-    // SAFETY: `on_signal` is an async-signal-safe extern "C" fn (it only
-    // stores to an atomic); signal(2) itself takes no pointers beyond it.
+    let waker = STOP_WAKER.get_or_init(|| {
+        Waker::new().unwrap_or_else(|e| {
+            eprintln!("kite-node: stop eventfd: {e}");
+            std::process::exit(1);
+        })
+    });
+    // SAFETY: `on_signal` is an async-signal-safe extern "C" fn — it stores
+    // to an atomic, reads an already-initialized `OnceLock` (one atomic
+    // load; it is set above, before the handler can run) and `write(2)`s
+    // the eventfd; signal(2) itself takes no pointers beyond it.
     unsafe {
         signal(SIGTERM, on_signal);
         signal(SIGINT, on_signal);
     }
+    waker
 }
 
 /// Parse a TOML-ish `key = value` file into a flat map (strings may be
@@ -240,7 +256,7 @@ fn main() {
         cluster = cluster.initial_learners(parse_node_set("learners", &l));
     }
 
-    install_signal_handlers();
+    let stop_waker = install_signal_handlers();
 
     // `--join`: commit the add-learner config change through the seed
     // BEFORE launching. The node then boots on its (now stale) bootstrap
@@ -302,8 +318,14 @@ fn main() {
         ),
     }
 
+    // Sleep until a signal: the handler writes the stop eventfd, and a
+    // signal that lands between the check and the `poll` has already made
+    // it readable.
     while !STOP.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
+        if let Err(e) = sys::poll_fds(&mut [PollFd::readable(stop_waker.fd())], -1) {
+            eprintln!("kite-node: poll on the stop eventfd failed: {e}");
+            break;
+        }
     }
 
     eprintln!("kite-node: node {} shutting down\n{}", runtime.node(), runtime.describe());

@@ -12,12 +12,12 @@
 //!   queues. Thread budget per node: `workers + 1` (the acceptor), not
 //!   `O(peers × workers)` writer/reader threads.
 //! * **No wake without work.** A loop goes round again without blocking
-//!   only when something is known to be pending — the tick pumped session
-//!   ops and a frame or a completion came of it (a session may have more
-//!   queued; a pump that shows nothing is a session stalled behind its
-//!   write window, which an inbound ack reopens), the loopback queue or the
-//!   conn intake delivered, or completions are waiting behind a full
-//!   client ring; otherwise the pass ends in a blocking `epoll_wait` whose
+//!   only when something is known to be pending — the tick started
+//!   session ops (a session may have more queued; an op stalled behind its
+//!   session's full write window did not start, and an inbound ack reopens
+//!   the window), the loopback queue or the conn intake delivered, or
+//!   completions are waiting behind a full client ring; otherwise the pass
+//!   ends in a blocking `epoll_wait` whose
 //!   1 ms timeout is the protocol-timer tick and the safety net (local
 //!   `SessionHandle`s have no waker). A readable socket costs one `read`
 //!   into an already-initialized buffer — a short read means the kernel
@@ -741,8 +741,8 @@ impl Conn {
     }
 }
 
-/// [`OutRing::drain_to`], with the `writev` calls it made added to the
-/// draining loop's health block.
+/// [`OutRing::drain_to`], with the `writev` calls it made and the frames
+/// they finished added to the draining loop's health block.
 // kite-lint: no-alloc
 fn drain_counted(
     ring: &mut OutRing,
@@ -750,9 +750,10 @@ fn drain_counted(
     pool: &Pool<u8>,
     stats: &LoopStats,
 ) -> std::io::Result<Drain> {
-    let before = ring.writevs();
+    let (writevs, frames) = (ring.writevs(), ring.len());
     let outcome = ring.drain_to(stream, pool);
-    bump(&stats.writevs, ring.writevs() - before);
+    bump(&stats.writevs, ring.writevs() - writevs);
+    bump(&stats.writev_frames, (frames - ring.len()) as u64);
     outcome
 }
 
@@ -983,17 +984,15 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             self.events = events;
 
             // Protocol tick (retransmissions, keepalives, session intake).
-            // A tick that pumped ops shows it — a frame to ship or an op
-            // completed. One that claims progress and shows neither only
-            // re-tried an op stalled behind its session's full write
-            // window; what opens the window is an inbound ack, a readiness
-            // event, so the claim is no reason to go round without blocking
-            // (that spin took the CPU from the very peers it waited for).
+            // A tick that started session ops may have stopped at
+            // `ops_per_tick`: go round again. One that only re-tried an op
+            // stalled behind its session's full write window started
+            // nothing and says so; what opens the window is an inbound
+            // ack, a readiness event, so the loop waits for it in
+            // `epoll_wait` (spinning there took the CPU from the very
+            // peers it waited for).
             let now = self.clock.now();
-            let completed = self.counters.completed.get();
-            let pumped = self.actor.on_tick(now, &mut self.out);
-            pending = pumped
-                && (!self.out.is_empty() || self.counters.completed.get() != completed);
+            pending = self.actor.on_tick(now, &mut self.out);
 
             // Ship what the actor produced, then push client completions.
             if !self.out.is_empty() {
@@ -1266,7 +1265,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn flush_outbox(&mut self) {
         let me = self.me;
         let worker = self.worker;
-        let Self { out, peer_out, selfq, byte_pool, links, counters, scratch, .. } = self;
+        let Self { out, peer_out, selfq, byte_pool, links, counters, scratch, stats, .. } = self;
+        let stats = &stats.loops[worker];
         // The stamp the actor set at the end of its last step: every frame
         // this flush emits was composed under that membership view.
         let stamp = out.stamp();
@@ -1274,6 +1274,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         out.flush(|dst, batch| {
             counters.msgs_sent.add(batch.len() as u64);
             counters.envelopes_sent.incr();
+            bump(&stats.envelope_msgs, batch.len() as u64);
+            bump(&stats.envelopes, 1);
             if dst == me {
                 selfq.push_back(batch);
                 return;
@@ -1587,6 +1589,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     /// socket's `EPOLLOUT` is what wakes the loop for the rest).
     fn pump_completions(&mut self) -> bool {
         let mut left_behind = false;
+        let mut moved = 0u64;
         for idx in 0..self.conns.len() {
             let Some(Conn::Client { ring, done_rx, .. }) =
                 self.conns[idx].as_mut()
@@ -1602,6 +1605,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             while ring.len() < 64 {
                 match done_rx.try_recv() {
                     Ok(c) => {
+                        moved += 1;
                         wire::encode_client_frame(&ClientFrame::Completion(c), &mut buf);
                         if buf.len() >= 32 << 10 {
                             let full = std::mem::replace(&mut buf, self.byte_pool.pop());
@@ -1623,6 +1627,11 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             if let Some(Conn::Client { done_rx, want_out, .. }) = &self.conns[idx] {
                 left_behind |= !done_rx.is_empty() && !*want_out;
             }
+        }
+        if moved > 0 {
+            let stats = &self.stats.loops[self.worker];
+            bump(&stats.pumps, 1);
+            bump(&stats.completions, moved);
         }
         left_behind
     }

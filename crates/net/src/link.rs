@@ -204,6 +204,10 @@ impl LinkTable {
 /// park-at-quiescence rule bounds (`passes - wakes - idle_ticks`).
 /// `reads`/`read_eagain`/`writevs` are the socket syscalls, so
 /// `(epoll_waits + reads + writevs) / proto_completed` is syscalls per op.
+/// The rest are numerator/denominator pairs of the loop's batching:
+/// `writev_frames / writevs` is frames per `writev`, `envelope_msgs /
+/// envelopes` msgs per envelope, `completions / pumps` completions per
+/// pump.
 #[derive(Default)]
 pub struct LoopStats {
     /// Trips round the loop.
@@ -221,12 +225,24 @@ pub struct LoopStats {
     pub read_eagain: AtomicU64,
     /// `writev` calls draining outbound rings.
     pub writevs: AtomicU64,
+    /// Ring frames those `writev`s wrote out completely (a peer frame is
+    /// one envelope; a client frame is one pump's completions).
+    pub writev_frames: AtomicU64,
+    /// Outbox envelopes flushed (to peer rings, dead links and the
+    /// loopback queue alike) ...
+    pub envelopes: AtomicU64,
+    /// ... and the protocol messages in them.
+    pub envelope_msgs: AtomicU64,
+    /// `pump_completions` passes that moved at least one completion ...
+    pub pumps: AtomicU64,
+    /// ... and the completions they moved to client rings.
+    pub completions: AtomicU64,
 }
 
 impl LoopStats {
     /// `(name, counter)` of every field, in render order — the scrape keys
     /// (`loop_w<j>_<name>`) and the dump line are both built from this.
-    pub fn fields(&self) -> [(&'static str, &AtomicU64); 7] {
+    pub fn fields(&self) -> [(&'static str, &AtomicU64); 12] {
         [
             ("passes", &self.passes),
             ("epoll_waits", &self.epoll_waits),
@@ -235,6 +251,11 @@ impl LoopStats {
             ("reads", &self.reads),
             ("read_eagain", &self.read_eagain),
             ("writevs", &self.writevs),
+            ("writev_frames", &self.writev_frames),
+            ("envelopes", &self.envelopes),
+            ("envelope_msgs", &self.envelope_msgs),
+            ("pumps", &self.pumps),
+            ("completions", &self.completions),
         ]
     }
 }

@@ -172,6 +172,8 @@ pub fn node_metrics_hub(
         reg.poll_fn("wal_fsyncs", stat(wal, |s| s.fsyncs));
         reg.poll_fn("wal_snapshots", stat(wal, |s| s.snapshots));
         reg.poll_fn("wal_flusher_wakes", stat(wal, |s| s.flusher_wakes));
+        reg.poll_fn("wal_commit_window_ns", stat(wal, |s| s.commit_window_ns));
+        reg.poll_fn("wal_commit_busy_ns", stat(wal, |s| s.commit_busy_ns));
         let w = Arc::clone(wal);
         reg.poll_histogram("wal_commit_latency_ns", move || w.commit_latency().snapshot());
     }

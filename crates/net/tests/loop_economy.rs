@@ -143,15 +143,22 @@ fn idle_cluster_makes_no_wakes_without_work() {
         "loop_w0_reads",
         "loop_w0_read_eagain",
         "loop_w0_writevs",
+        "loop_w0_writev_frames",
+        "loop_w0_envelopes",
+        "loop_w0_envelope_msgs",
+        "loop_w0_pumps",
+        "loop_w0_completions",
         "acceptor_wakes",
         "wal_flusher_wakes",
+        "wal_commit_window_ns",
+        "wal_commit_busy_ns",
     ] {
         let line = body.lines().find(|l| l.split(' ').next() == Some(key));
         let value = line.and_then(|l| l.split(' ').nth(1)).and_then(|v| v.parse::<u64>().ok());
         assert!(value.is_some(), "scrape view has no numeric `{key}`:\n{body}");
     }
     let dump = fetch("dump");
-    for needle in ["loop w0: passes=", "acceptor wakes=", "flusher_wakes="] {
+    for needle in ["loop w0: passes=", "acceptor wakes=", "flusher_wakes=", "commit_window="] {
         assert!(dump.contains(needle), "dump view lacks `{needle}`:\n{dump}");
     }
 
@@ -219,6 +226,17 @@ fn driven_cluster_goes_round_at_most_twice_per_wake() {
             eagain * 20 <= reads,
             "node {n}: {eagain} of {reads} reads only fetched EAGAIN (> 5 %)"
         );
+        // The batching pairs count what they say: every op this node's
+        // client submitted went back through a pump, and an envelope, a
+        // `writev` and a pump each carry at least one of their unit.
+        let l = &node.fabric_stats().loops[0];
+        let (pumps, completions) = (load(&l.pumps), load(&l.completions));
+        assert!(completions >= ROUNDS * OPS_PER_ROUND, "node {n}: {completions} completions");
+        assert!((1..=completions).contains(&pumps), "node {n}: {pumps} pumps");
+        let (envelopes, msgs) = (load(&l.envelopes), load(&l.envelope_msgs));
+        assert!(envelopes > 0 && msgs >= envelopes, "node {n}: {msgs} msgs / {envelopes}");
+        let (writevs, frames) = (load(&l.writevs), load(&l.writev_frames));
+        assert!(writevs > 0 && frames > 0, "node {n}: {frames} frames / {writevs} writevs");
     }
     drop(sessions);
     for n in nodes {

@@ -8,19 +8,44 @@
 //! stamp-transitioning apply — the same choke points that feed the Merkle
 //! leaf lattice. The sink implementation here does the minimum possible on
 //! the protocol thread: encode one frame into a stack buffer and append it
-//! to a mutex-guarded **staging buffer**. A dedicated flusher thread is
-//! **demand-driven**: while the staging buffer is empty it parks on a
-//! condvar, and the append that ends the idleness — it holds the staging
-//! mutex anyway — signals it, once per idle→busy edge. The flusher then
-//! sleeps out one `group_commit_ns` window from that first record, swaps
-//! the staging buffer against a recycled spare (two buffers ping-pong
-//! forever — steady-state appends and flushes are allocation-free once the
-//! buffers have grown to the working set), writes the batch to the active
-//! segment and `fsync`s it once; records that arrived meanwhile start the
-//! next window with no signal at all, so sustained load makes **zero**
-//! signals per record and an idle node's flusher does not run. Protocol
-//! threads never block on I/O; the durability lag is bounded by one
-//! group-commit window plus one fsync and is reported in [`Wal::stats`].
+//! to a mutex-guarded **staging buffer**. Protocol threads never block on
+//! I/O; a dedicated, **demand-driven** flusher thread makes the staged
+//! bytes durable. One of its commit cycles, with every place it sleeps:
+//!
+//! 1. **Park.** Nothing staged: the flusher waits on a condvar, bounded
+//!    only by the next snapshot's due time, and an idle node's flusher does
+//!    not run. The append that ends the idleness — it holds the staging
+//!    mutex anyway — signals it, once per idle→busy edge.
+//! 2. **Window.** Something staged: the flusher sleeps out one group-commit
+//!    window, `max(group_commit_ns, K × commit time)`, where the commit
+//!    time is the median of the last five write + `fdatasync` wall times it
+//!    measured itself and `K` = 3 (`pacing.rs`). A commit costs the device's
+//!    time whatever the batch size, so the window is sized to keep the
+//!    flusher in the device at most a quarter of the time, every commit
+//!    carrying four commit times' worth of records: on a disk that commits
+//!    in 20 µs the configured 100 µs floor is the window; on the 2-vCPU
+//!    reference VM (commits of 130–430 µs) it settles at 0.4–1.3 ms. Three
+//!    things cut a window short: `flush()`, `snapshot_now()` and stop, as
+//!    requests always did, and a staged backlog of one staging buffer
+//!    (64 KiB) — the append that fills it signals — so time paces a trickle
+//!    and bytes pace a burst.
+//! 3. **Commit.** Swap the staging buffer against a recycled spare (two
+//!    buffers ping-pong forever — steady-state appends and flushes are
+//!    allocation-free once the buffers have grown to the working set),
+//!    write the batch to the active segment and `fdatasync` it once — the
+//!    third sleep, in the device. The wall time goes to `commit_latency`,
+//!    to `commit_busy_ns` and into the next window. `flush()`/
+//!    `snapshot_now()` callers are woken only if there are any: a commit
+//!    with nobody waiting makes no wake-up syscall.
+//!
+//! Records that arrive during 2 and 3 start the next window with no signal
+//! at all, so sustained load makes **zero** signals per record. The
+//! durability lag is bounded by `max(group_commit_ns, K × commit) + one
+//! commit` in time (≈ 0.6–1.8 ms on the reference VM, 120 µs on the fast
+//! disk; a record staged while a commit is in the device also waits out
+//! the rest of that commit) and by one staging buffer plus one commit's
+//! arrivals in bytes; lag, the window in force and the commit duty cycle
+//! are reported in [`Wal::stats`].
 //!
 //! Every `snapshot_interval_ns` — if anything was appended since the last
 //! rotation: re-dumping an unchanged store buys nothing — and on
@@ -41,19 +66,21 @@
 #![warn(missing_docs)]
 
 pub mod frame;
+mod pacing;
 pub mod recover;
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kite_common::{Key, Lc, Val};
 use kite_kvs::{DurabilitySink, SinkError};
 
+use pacing::CommitPacer;
 pub use recover::{recover_into, segment_path, snapshot_path, RecoveryStats};
 
 /// Store-iteration callback: the WAL asks its owner to walk every written
@@ -61,6 +88,11 @@ pub use recover::{recover_into, segment_path, snapshot_path, RecoveryStats};
 /// `Store::for_each_entry`, erased so this crate needs no handle to the
 /// node's shared state).
 pub type SnapshotSource = Box<dyn Fn(&mut dyn FnMut(Key, Lc, &Val)) + Send + Sync>;
+
+/// Initial capacity of each of the two staging buffers, and the staged
+/// backlog that commits at once: a window paces a trickle, this paces a
+/// burst, so the lag is bounded in bytes as well as in time.
+const STAGING_CAP: usize = 1 << 16;
 
 /// Staging state shared between appenders and the flusher.
 struct Staging {
@@ -78,6 +110,9 @@ struct Staging {
     /// The flusher is parked on `wake` with nothing staged; the append
     /// that finds this set clears it and signals.
     parked: bool,
+    /// `flush()`/`snapshot_now()` callers blocked on `done`: a commit with
+    /// nobody waiting skips the notify (a futex syscall even when idle).
+    waiters: u32,
 }
 
 /// Monotone counters exported to the watchdog dump.
@@ -89,11 +124,15 @@ struct Counters {
     snapshots: AtomicU64,
     snapshot_entries: AtomicU64,
     flusher_wakes: AtomicU64,
+    /// Gauge, not a counter: the group-commit window in force.
+    commit_window_ns: AtomicU64,
+    commit_busy_ns: AtomicU64,
 }
 
 /// A point-in-time view of the WAL's health, for logs and the watchdog
 /// report. `lag_bytes` is the staged-but-not-yet-durable backlog — bounded
-/// by one group-commit window of traffic when the flusher is healthy.
+/// by one group-commit window plus one commit of traffic, and by one
+/// staging buffer plus one commit of it, when the flusher is healthy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WalStats {
     /// Records appended by the store sink.
@@ -115,6 +154,13 @@ pub struct WalStats {
     /// Times the flusher thread returned from a condvar wait — once per
     /// group-commit window under load, flat on an idle node.
     pub flusher_wakes: u64,
+    /// The group-commit window in force (a gauge): the configured floor, or
+    /// `K ×` the recent commit time where that is longer.
+    pub commit_window_ns: u64,
+    /// Σ write + `fdatasync` wall time of every group commit — the
+    /// flusher's time in the device, so Δ`commit_busy_ns` ÷ Δt between two
+    /// readings is its commit duty cycle.
+    pub commit_busy_ns: u64,
 }
 
 /// The write-ahead log. Construct with [`Wal::open`] (after
@@ -123,7 +169,6 @@ pub struct WalStats {
 /// next boot replays nothing).
 pub struct Wal {
     dir: PathBuf,
-    group_commit: Duration,
     snapshot_interval: Duration,
     inner: Mutex<Staging>,
     /// Wakes the flusher: flush/snapshot/stop requests, and the append
@@ -172,17 +217,21 @@ impl Wal {
             .unwrap_or(0);
         let seq = newest + 1;
         let seg = open_segment(dir, seq)?;
+        // The configured window is the floor of the paced one.
+        let pacer = CommitPacer::new(group_commit_ns);
+        let counters = Counters::default();
+        counters.commit_window_ns.store(pacer.window().as_nanos() as u64, Ordering::Relaxed);
         let wal = Arc::new(Wal {
             dir: dir.to_path_buf(),
-            group_commit: Duration::from_nanos(group_commit_ns.max(1)),
             snapshot_interval: Duration::from_nanos(snapshot_interval_ns.max(1)),
             inner: Mutex::new(Staging {
-                buf: Vec::with_capacity(1 << 16),
+                buf: Vec::with_capacity(STAGING_CAP),
                 appended: 0,
                 durable: 0,
                 seq,
                 rotated_at: 0,
                 parked: false,
+                waiters: 0,
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
@@ -190,7 +239,7 @@ impl Wal {
             flush_req: AtomicBool::new(false),
             snap_req: AtomicBool::new(false),
             skip_final_snapshot: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters,
             commit_latency: kite_metrics::Histogram::new(),
             flusher: Mutex::new(None),
         });
@@ -198,7 +247,7 @@ impl Wal {
             let wal = Arc::clone(&wal);
             std::thread::Builder::new()
                 .name("kite-wal-flusher".into())
-                .spawn(move || wal.flusher_loop(seg, source))?
+                .spawn(move || wal.flusher_loop(seg, source, pacer))?
         };
         *wal.flusher.lock().unwrap() = Some(handle);
         Ok(wal)
@@ -220,6 +269,8 @@ impl Wal {
             snapshots: self.counters.snapshots.load(Ordering::Relaxed),
             snapshot_entries: self.counters.snapshot_entries.load(Ordering::Relaxed),
             flusher_wakes: self.counters.flusher_wakes.load(Ordering::Relaxed),
+            commit_window_ns: self.counters.commit_window_ns.load(Ordering::Relaxed),
+            commit_busy_ns: self.counters.commit_busy_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -233,21 +284,19 @@ impl Wal {
         let s = self.stats();
         format!(
             "wal records={} durable={}B lag={}B batches={} fsyncs={} snapshots={} snap_entries={} \
-             flusher_wakes={}",
+             flusher_wakes={} commit_window={}ns commit_busy={}ns",
             s.records, s.durable_bytes, s.lag_bytes, s.flush_batches, s.fsyncs, s.snapshots,
-            s.snapshot_entries, s.flusher_wakes
+            s.snapshot_entries, s.flusher_wakes, s.commit_window_ns, s.commit_busy_ns
         )
     }
 
     /// Block until everything staged before this call is fsynced.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap();
         let target = inner.appended;
         self.flush_req.store(true, Ordering::Relaxed);
         self.wake.notify_all();
-        while inner.durable < target && !self.stop.load(Ordering::Relaxed) {
-            inner = self.done.wait(inner).unwrap();
-        }
+        self.wait_done(inner, |staging| staging.durable >= target);
     }
 
     /// Force a snapshot + log truncation now and wait for it to complete.
@@ -255,14 +304,20 @@ impl Wal {
         let target = self.counters.snapshots.load(Ordering::Relaxed) + 1;
         // Requests are raised under the staging mutex: the flusher checks
         // them under it before parking, so none can slip past into a park.
-        let mut inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap();
         self.snap_req.store(true, Ordering::Relaxed);
         self.wake.notify_all();
-        while self.counters.snapshots.load(Ordering::Relaxed) < target
-            && !self.stop.load(Ordering::Relaxed)
-        {
+        self.wait_done(inner, |_| self.counters.snapshots.load(Ordering::Relaxed) >= target);
+    }
+
+    /// Block on `done` until `reached` holds (or the flusher stopped),
+    /// registered as a waiter so that [`Wal::publish`] knows to notify.
+    fn wait_done(&self, mut inner: MutexGuard<'_, Staging>, reached: impl Fn(&Staging) -> bool) {
+        inner.waiters += 1;
+        while !reached(&inner) && !self.stop.load(Ordering::Relaxed) {
             inner = self.done.wait(inner).unwrap();
         }
+        inner.waiters -= 1;
     }
 
     /// Clean shutdown: final flush, final snapshot, flusher joined. After
@@ -292,14 +347,27 @@ impl Wal {
             let _ = h.join();
         }
         // Unblock any flush()/snapshot_now() waiters racing the shutdown.
-        let _guard = self.inner.lock().unwrap();
-        self.done.notify_all();
+        self.publish(|_| {});
+    }
+
+    /// Apply `update` to the staging state and wake the `flush()`/
+    /// `snapshot_now()` callers blocked on what it changed — if there are
+    /// any. Waiters register under the staging mutex before they wait and
+    /// re-check under it, so a caller this misses has yet to look.
+    fn publish(&self, update: impl FnOnce(&mut Staging)) {
+        let mut inner = self.inner.lock().unwrap();
+        update(&mut inner);
+        let waiting = inner.waiters > 0;
+        drop(inner);
+        if waiting {
+            self.done.notify_all();
+        }
     }
 
     // ---- flusher ---------------------------------------------------------
 
-    fn flusher_loop(&self, mut seg: File, source: SnapshotSource) {
-        let mut spare: Vec<u8> = Vec::with_capacity(1 << 16);
+    fn flusher_loop(&self, mut seg: File, source: SnapshotSource, mut pacer: CommitPacer) {
+        let mut spare: Vec<u8> = Vec::with_capacity(STAGING_CAP);
         let mut last_snapshot = Instant::now();
         loop {
             let stale;
@@ -328,10 +396,15 @@ impl Wal {
                     self.counters.flusher_wakes.fetch_add(1, Ordering::Relaxed);
                 }
                 inner.parked = false;
-                // Something staged: sleep out the group-commit window from
-                // here — the first record's arrival (early wake on requests).
-                let deadline = Instant::now() + self.group_commit;
-                while !inner.buf.is_empty() && !requested() {
+                // Something staged: sleep out the commit window from here —
+                // the first record's arrival after a park, the end of the
+                // last commit under load. A request ends it early, and so
+                // does a full staging buffer (the append that fills it
+                // signals): time paces a trickle, bytes pace a burst.
+                let window = pacer.window();
+                self.counters.commit_window_ns.store(window.as_nanos() as u64, Ordering::Relaxed);
+                let deadline = Instant::now() + window;
+                while !inner.buf.is_empty() && inner.buf.len() < STAGING_CAP && !requested() {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
@@ -345,7 +418,7 @@ impl Wal {
             let stopping = self.stop.load(Ordering::Relaxed);
 
             // Swap staging out and commit the batch.
-            if self.commit_batch(&mut seg, &mut spare).is_err() {
+            if self.commit_batch(&mut seg, &mut spare, &mut pacer).is_err() {
                 // Disk trouble: durability is lost but the replica keeps
                 // serving (same availability stance as running WAL-off).
                 // Retry next window.
@@ -368,12 +441,10 @@ impl Wal {
                     // Rotation failed irrecoverably (the old segment file
                     // is consumed): stop so waiters never hang.
                     self.stop.store(true, Ordering::Relaxed);
-                    let _guard = self.inner.lock().unwrap();
-                    self.done.notify_all();
+                    self.publish(|_| {});
                     return;
                 }
-                let _guard = self.inner.lock().unwrap();
-                self.done.notify_all();
+                self.publish(|_| {});
             }
             if stopping {
                 return;
@@ -382,8 +453,14 @@ impl Wal {
     }
 
     /// Swap the staging buffer against `spare`, write it to `seg`, fsync,
-    /// and publish the new durable watermark.
-    fn commit_batch(&self, seg: &mut File, spare: &mut Vec<u8>) -> io::Result<()> {
+    /// and publish the new durable watermark. The commit's wall time feeds
+    /// `pacer` — the next window is sized from it.
+    fn commit_batch(
+        &self,
+        seg: &mut File,
+        spare: &mut Vec<u8>,
+        pacer: &mut CommitPacer,
+    ) -> io::Result<()> {
         let watermark = {
             let mut inner = self.inner.lock().unwrap();
             std::mem::swap(&mut inner.buf, spare);
@@ -397,13 +474,13 @@ impl Wal {
             self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
             // Group-commit latency = write + fsync wall time of the batch
             // (the disk-side cost every staged record in it waited on).
-            self.commit_latency.record(started.elapsed().as_nanos() as u64);
+            let commit_ns = started.elapsed().as_nanos() as u64;
+            self.commit_latency.record(commit_ns);
+            self.counters.commit_busy_ns.fetch_add(commit_ns, Ordering::Relaxed);
+            pacer.observe(commit_ns);
             spare.clear();
         }
-        let mut inner = self.inner.lock().unwrap();
-        inner.durable = inner.durable.max(watermark);
-        drop(inner);
-        self.done.notify_all();
+        self.publish(|inner| inner.durable = inner.durable.max(watermark));
         Ok(())
     }
 
@@ -435,11 +512,7 @@ impl Wal {
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         drop(seg);
         let new_seg = open_segment(&self.dir, new_seq)?;
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.durable = inner.durable.max(watermark);
-        }
-        self.done.notify_all();
+        self.publish(|inner| inner.durable = inner.durable.max(watermark));
 
         // 3. Dump the store. Every record sealed above was applied to the
         //    store before this walk starts, so the snapshot covers all
@@ -495,7 +568,8 @@ impl DurabilitySink for Wal {
     /// The hot path: one stack-buffer encode + one `extend_from_slice`
     /// into the recycled staging buffer. No allocation once the buffer
     /// reached its working-set capacity, and no syscall — except the one
-    /// condvar signal of the append that finds the flusher parked.
+    /// condvar signal of the append that finds the flusher parked, or that
+    /// fills the staging buffer.
     // kite-lint: no-alloc
     fn record(&self, key: Key, lc: Lc, val: &Val) -> Result<(), SinkError> {
         let len = val.as_bytes().len();
@@ -508,9 +582,14 @@ impl DurabilitySink for Wal {
         let mut frame_buf = [0u8; frame::MAX_FRAME];
         let n = frame::encode_into(&mut frame_buf, key, lc, val);
         let mut inner = self.inner.lock().unwrap();
+        let staged = inner.buf.len();
         inner.buf.extend_from_slice(&frame_buf[..n]);
         inner.appended += n as u64;
-        let wake = std::mem::take(&mut inner.parked);
+        // Two edges wake the flusher, each at most once per batch: idle→busy
+        // (it is parked) and the append that fills the staging buffer (it is
+        // sleeping out a window this backlog has outgrown).
+        let wake = std::mem::take(&mut inner.parked)
+            || (staged < STAGING_CAP && staged + n >= STAGING_CAP);
         drop(inner);
         if wake {
             self.wake.notify_one();

@@ -1,0 +1,205 @@
+//! The flusher paces group commit to the device's own commit time: the
+//! window is `max(floor, K × recent commit time)`, a full staging buffer
+//! commits at once, and requests cut any window short. These tests assert
+//! on the WAL's own counters (`commit_busy_ns`, `commit_window_ns`,
+//! `fsyncs`, the durable watermark), never on CPU time; every wait for the
+//! flusher to *act* is a bounded poll.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use kite_common::{Key, Lc, NodeId, Val};
+use kite_kvs::DurabilitySink;
+use kite_wal::{Wal, WalStats};
+
+/// The documented window factor (`pacing::WINDOW_PER_COMMIT`).
+const K: u64 = 3;
+const DEFAULT_FLOOR_NS: u64 = 100_000;
+/// A floor no test waits out: whatever becomes durable under it was
+/// committed by a request or by the byte guard, not by the window.
+const TEN_SECONDS_NS: u64 = 10_000_000_000;
+const HOUR_NS: u64 = 3_600_000_000_000;
+/// Generous bound for "promptly" — still a small fraction of the 10 s floor.
+const PROMPT: Duration = Duration::from_secs(3);
+
+fn tempdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("kite-wal-cp-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &Path, floor_ns: u64) -> Arc<Wal> {
+    // Snapshot interval of an hour: no rotation interferes.
+    Wal::open(dir, floor_ns, HOUR_NS, Box::new(|_| {})).unwrap()
+}
+
+fn record(wal: &Wal, i: u64) {
+    wal.record(Key(i), Lc::new(i + 1, NodeId(0)), &Val::from_u64(i)).unwrap();
+}
+
+fn wait_for(what: &str, cond: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !cond() {
+        assert!(start.elapsed() < PROMPT, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Append one record every `gap` for `span` (a spin-paced trickle: sleeping
+/// would add the kernel's timer slack to every gap) and return the counter
+/// deltas and the time they cover.
+fn append_steadily(wal: &Wal, gap: Duration, span: Duration) -> (WalStats, WalStats, Duration) {
+    let before = wal.stats();
+    let start = Instant::now();
+    let mut i = 0u64;
+    while start.elapsed() < span {
+        record(wal, i);
+        i += 1;
+        let due = gap * i as u32;
+        while start.elapsed() < due {
+            std::hint::spin_loop();
+        }
+    }
+    (before, wal.stats(), start.elapsed())
+}
+
+fn records_per_fsync(before: &WalStats, after: &WalStats) -> f64 {
+    (after.records - before.records) as f64 / (after.fsyncs - before.fsyncs).max(1) as f64
+}
+
+#[test]
+fn sustained_appends_spend_a_quarter_of_the_time_committing_and_batch_twice_the_floor_only_run() {
+    // A floor of 1 µs is below any device's commit time, so the window in
+    // force is K × commit wherever this runs.
+    const FLOOR_NS: u64 = 1_000;
+    const GAP: Duration = Duration::from_micros(20);
+    const SPAN: Duration = Duration::from_millis(400);
+    let dir = tempdir("sustained");
+
+    // The floor-only cadence on this directory: a commit as soon as the
+    // last one is done, which is what back-to-back `flush()` calls force
+    // (every flush cuts the window short).
+    let floor_only = {
+        let wal = open(&dir, FLOOR_NS);
+        let stop = Arc::new(AtomicBool::new(false));
+        let flusher = {
+            let (wal, stop) = (Arc::clone(&wal), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    wal.flush();
+                }
+            })
+        };
+        let (before, after, _) = append_steadily(&wal, GAP, SPAN);
+        stop.store(true, Ordering::SeqCst);
+        flusher.join().unwrap();
+        wal.close();
+        records_per_fsync(&before, &after)
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let wal = open(&dir, FLOOR_NS);
+    // Let the pacer see a few commits before measuring.
+    append_steadily(&wal, GAP, Duration::from_millis(50));
+    let (before, after, elapsed) = append_steadily(&wal, GAP, SPAN);
+    let paced = records_per_fsync(&before, &after);
+    let commit_ns = after.commit_window_ns / K;
+    let duty = (after.commit_busy_ns - before.commit_busy_ns) as f64 / elapsed.as_nanos() as f64;
+    wal.close();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // One window asleep per commit in the device: 1/(K+1) = a quarter when
+    // every commit takes the median, a third when the mean of a
+    // heavy-tailed device runs half again above it.
+    assert!(
+        duty <= 0.34,
+        "commit duty cycle {duty:.2} (window {} ns, {paced:.1} records per fsync)",
+        after.commit_window_ns
+    );
+    assert!(after.commit_window_ns >= FLOOR_NS);
+    // Batching can only show where records arrive faster than the device
+    // commits; a device quicker than two record gaps commits them one by
+    // one under either cadence (and the floor, not this policy, paces it).
+    if commit_ns >= 2 * GAP.as_nanos() as u64 {
+        assert!(
+            paced >= 2.0 * floor_only,
+            "{paced:.1} records per fsync paced vs {floor_only:.1} floor-only (commit ~{commit_ns} ns)"
+        );
+    } else {
+        eprintln!("commit ~{commit_ns} ns: device too fast for the batching comparison, skipped");
+    }
+}
+
+#[test]
+fn flush_cuts_a_ten_second_window_short() {
+    let dir = tempdir("flush");
+    let wal = open(&dir, TEN_SECONDS_NS);
+    record(&wal, 1);
+    let asked = Instant::now();
+    wal.flush();
+    assert!(asked.elapsed() < PROMPT, "flush() took {:?} under a 10 s floor", asked.elapsed());
+    assert_eq!(wal.stats().lag_bytes, 0);
+    let asked = Instant::now();
+    wal.close();
+    assert!(asked.elapsed() < PROMPT, "close() took {:?} under a 10 s floor", asked.elapsed());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_burst_past_the_staging_buffer_commits_without_a_flush() {
+    const STAGING_CAP: u64 = 64 << 10;
+    let dir = tempdir("burst");
+    let wal = open(&dir, TEN_SECONDS_NS);
+    // Under the cap nothing moves: the 10 s window is in force.
+    record(&wal, 0);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(wal.stats().durable_bytes, 0, "a lone record waits out the window");
+    // Past it the backlog commits at once, with nobody asking.
+    let mut i = 1;
+    while wal.stats().appended_bytes <= STAGING_CAP {
+        record(&wal, i);
+        i += 1;
+    }
+    wait_for("the full staging buffer to commit", || wal.stats().durable_bytes >= STAGING_CAP);
+    // What arrived after the swap is a new trickle under the same window.
+    record(&wal, i);
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(wal.stats().lag_bytes > 0, "the byte guard must not shorten the next window");
+    wal.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_first_record_after_a_park_is_not_delayed_by_a_stale_window() {
+    let dir = tempdir("park");
+    let wal = open(&dir, DEFAULT_FLOOR_NS);
+    // Load: the pacer learns this device's commit time.
+    append_steadily(&wal, Duration::from_micros(20), Duration::from_millis(150));
+    wal.flush();
+    // Idle: the flusher parks.
+    std::thread::sleep(Duration::from_millis(30));
+    let commit_max_ns = wal.commit_latency().snapshot().quantile(1.0);
+    let s = wal.stats();
+    assert!(
+        s.commit_window_ns <= DEFAULT_FLOOR_NS.max(K * commit_max_ns),
+        "window {} ns with no commit slower than {commit_max_ns} ns",
+        s.commit_window_ns
+    );
+    let bound = Duration::from_nanos(s.commit_window_ns + 4 * commit_max_ns)
+        + Duration::from_millis(50); // scheduling slack on a loaded box
+    let staged = Instant::now();
+    record(&wal, 1 << 40);
+    while wal.stats().lag_bytes > 0 {
+        assert!(
+            staged.elapsed() < bound,
+            "first record after a park still staged after {:?} (window {} ns, commits <= {commit_max_ns} ns)",
+            staged.elapsed(),
+            s.commit_window_ns
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    wal.close();
+    let _ = std::fs::remove_dir_all(&dir);
+}

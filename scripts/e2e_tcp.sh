@@ -40,7 +40,10 @@
 # restart replays the local tail and anti-entropy heals only the downtime
 # delta; without it, the node comes back empty and the sweep re-replicates
 # the world. A final graceful-restart check asserts SIGTERM's
-# flush+snapshot leaves zero replay.
+# flush+snapshot leaves zero replay. With the WAL on, scrape deltas across
+# the fill give each node's commit duty cycle (Δwal_commit_busy_ns ÷ Δt)
+# and records per fsync; a duty above 0.4 fails — group commit is paced to
+# keep the flusher out of the device three quarters of the time.
 #
 # Usage: scripts/e2e_tcp.sh [iterations]   (default 1; loop it à la
 #        scripts/stress.sh for CI soak runs)
@@ -93,6 +96,27 @@ assert_idle_wakes() { # assert_idle_wakes <metrics-addr>... — no wake without 
             fi
         done
     done
+}
+
+wal_commit_sample() { # wal_commit_sample <metrics-addr> -> "now_ns busy_ns records fsyncs"
+    "$CLIENT_BIN" scrape --servers "$1" | awk -v now="$(date +%s%N)" '
+        $1=="wal_commit_busy_ns"{b=$2} $1=="wal_records"{r=$2} $1=="wal_fsyncs"{f=$2}
+        END{print now, b+0, r+0, f+0}'
+}
+
+# Group-commit economy of one node between two samples: the share of wall
+# time its flusher spent in write+fdatasync (the pacing keeps it near 1/4;
+# above 0.4 the window is not tracking the device) and records per fsync.
+assert_commit_duty() { # assert_commit_duty <label> <sample-before> <sample-after>
+    awk -v label="$1" -v a="$2" -v b="$3" 'BEGIN{
+        split(a, x, " "); split(b, y, " ")
+        dt = y[1]-x[1]; fs = y[4]-x[4]
+        duty = (dt > 0) ? (y[2]-x[2])/dt : 0
+        rpf = (fs > 0) ? (y[3]-x[3])/fs : 0
+        printf("   %s: commit duty %.3f, %.1f records/fsync (%d records, %d fsyncs)\n",
+               label, duty, rpf, y[3]-x[3], fs) > "/dev/stderr"
+        if (duty > 0.4) { print "!! " label ": commit duty cycle " duty " > 0.4" > "/dev/stderr"; exit 1 }
+    }' || exit 1
 }
 
 wait_ready() { # wait_ready <logfile>
@@ -336,7 +360,18 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     assert_idle_wakes "$m0" "$m1" "$m2"
 
     echo "-- wal=$wal: fill $FILL_COUNT keys, then SIGKILL node 2" >&2
+    local -a hot_before=()
+    if [ "$wal" = on ]; then
+        for m in "$m0" "$m1" "$m2"; do hot_before+=("$(wal_commit_sample "$m")"); done
+    fi
     "$CLIENT_BIN" fill --servers "$P0,$P1,$P2" --slot 0 --key-base 1000 --count "$FILL_COUNT" >&2
+    if [ "$wal" = on ]; then
+        local n=0
+        for m in "$m0" "$m1" "$m2"; do
+            assert_commit_duty "node $n" "${hot_before[$n]}" "$(wal_commit_sample "$m")"
+            n=$((n + 1))
+        done
+    fi
     sleep 1   # let replication + group commit drain node 2's tail
     kill -9 "${PIDS[2]}"
     wait "${PIDS[2]}" 2>/dev/null || true
