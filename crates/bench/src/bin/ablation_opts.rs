@@ -119,7 +119,7 @@ fn run_overlap(overlap: bool, quick: bool) -> (f64, f64, f64, f64) {
     let before = sc.total_completed();
     sc.run_for(run_ns);
     let completed = sc.total_completed() - before;
-    let mreqs = completed as f64 / (run_ns as f64 / 1e9) / 1e6;
+    let mreqs = SimCluster::mreqs(completed, run_ns);
     (mreqs, lats.release.q_us(0.5), lats.release.q_us(0.99), lats.rmw.q_us(0.5))
 }
 

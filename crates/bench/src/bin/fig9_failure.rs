@@ -81,7 +81,7 @@ fn main() {
             (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
         let delta: Vec<u64> = cur.iter().zip(&prev).map(|(c, p)| c - p).collect();
         prev = cur;
-        let to_mreqs = |d: u64| d as f64 / (sample as f64 / 1e9) / 1e6;
+        let to_mreqs = |d: u64| SimCluster::mreqs(d, sample);
         let row = (
             t / MS,
             to_mreqs(delta.iter().sum()),

@@ -23,8 +23,8 @@
 //! (see DESIGN.md §4): absolute mreqs are not comparable to the paper's
 //! 56 Gb-RDMA testbed, but the *shape* — who wins, crossover points,
 //! recovery behaviour — is the reproduction target and is asserted where
-//! the paper states it. Criterion micro-benchmarks for the substrate live
-//! in `benches/`.
+//! the paper states it. Substrate micro rows are the `throughput` bin's and
+//! the `benchmark/` probes'.
 
 use kite_common::ClusterConfig;
 use kite_simnet::SimCfg;

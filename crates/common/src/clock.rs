@@ -6,8 +6,6 @@
 //! ES stamps relaxed writes, ABD stamps releases and read write-backs, and
 //! Paxos uses LLCs as ballots.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// A Lamport logical clock value (`<v, mid>` in the paper, §3.1).
@@ -23,7 +21,7 @@ use crate::ids::NodeId;
 /// order falls out of plain integer comparison because the version occupies
 /// the high bits. Versions are bounded at 2⁵⁶−1, which at one write per
 /// nanosecond takes over two years to exhaust.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lc(u64);
 
 /// Bits holding the machine id.
@@ -126,9 +124,7 @@ impl std::fmt::Display for Lc {
 /// local ES access) iff its epoch equals the machine epoch; otherwise it is
 /// **out-of-epoch** and must be refreshed through the slow path. Epochs of
 /// different machines are not interrelated.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Epoch(pub u64);
 
 impl Epoch {

@@ -1,7 +1,5 @@
 //! Deployment configuration shared by Kite and the baseline systems.
 
-use serde::{Deserialize, Serialize};
-
 use crate::nodeset::NodeSet;
 
 /// Configuration of an in-process "datacenter" deployment.
@@ -9,7 +7,7 @@ use crate::nodeset::NodeSet;
 /// Defaults mirror the paper's testbed (§7): 5 machines, the KVS holding
 /// 1M keys, values of 32 bytes; and its system parameters (§8.4): a release
 /// ack-gathering timeout overprovisioned to ~1 ms.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of replicas (3–9 in the paper; ≤ 16 here).
     pub nodes: usize,
@@ -543,18 +541,5 @@ mod tests {
             .is_err());
         // …but the disabled mode doesn't care about its knobs.
         assert!(ClusterConfig::default().wal_group_commit_ns(0).validate().is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = ClusterConfig::default().nodes(9);
-        let json = serde_json_like(&c);
-        assert!(json.contains("\"nodes\":9") || json.contains("nodes"));
-    }
-
-    // serde_json is not a dependency; just smoke-test Serialize via the
-    // debug representation instead.
-    fn serde_json_like(c: &ClusterConfig) -> String {
-        format!("{c:?}")
     }
 }

@@ -7,11 +7,9 @@
 //! tag acquires (for the delinquency reset handshake, §4.2.1) and RMW
 //! commands (so helped commands are not executed twice).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a machine (replica). The paper deploys 3–9 machines; we cap
 /// at [`NodeId::MAX_NODES`] so node sets fit in a `u16` bitmask.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u8);
 
 impl NodeId {
@@ -35,7 +33,7 @@ impl std::fmt::Display for NodeId {
 /// execution engines; worker *w* of node *a* exchanges messages only with
 /// worker *w* of every other node (§6.3: one connection per remote worker,
 /// minimizing connection state).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct WorkerId(pub u16);
 
 impl WorkerId {
@@ -58,7 +56,7 @@ impl std::fmt::Display for WorkerId {
 /// phrased in terms of the session order of the issuing session. A session is
 /// pinned to exactly one worker (§6.1) so workers never synchronize on
 /// session state.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SessionId {
     /// Node the session lives on.
     pub node: NodeId,
@@ -93,7 +91,7 @@ impl std::fmt::Display for SessionId {
 ///   applied only for the acquire that observed the transient bit (§4.2.1).
 /// * RMW commands carry their `OpId` so a command completed by a helping
 ///   proposer is never re-executed by its owner (§3.4 of DESIGN.md).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId {
     /// The owning session.
     pub session: SessionId,
@@ -118,7 +116,7 @@ impl std::fmt::Display for OpId {
 /// A key of the store. The paper's evaluation uses 8-byte keys accessed
 /// uniformly from a 1M-key space; we keep keys as `u64` and hash them inside
 /// the KVS (MICA does the same with its keyhash).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Key(pub u64);
 
 impl Key {

@@ -17,7 +17,7 @@
 //!   path (the paper's evaluation uses 32-byte values).
 //! * [`nodeset`] — bitset over replica ids and quorum arithmetic.
 //! * [`config`] — deployment configuration shared by Kite and the baselines.
-//! * [`stats`] — cheap concurrent counters and a log-bucketed histogram.
+//! * [`stats`] — the per-node protocol counters (`kite-metrics` types).
 //! * [`rng`] — tiny splittable PRNG for deterministic hot-path decisions.
 //! * [`error`] — the common error type.
 

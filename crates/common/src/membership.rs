@@ -28,8 +28,6 @@
 //! hot-path reads (`quorum()`, `voters()` on every reply) are one relaxed
 //! load plus bit math.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClusterConfig;
 use crate::ids::Key;
 use crate::nodeset::NodeSet;
@@ -41,7 +39,7 @@ use crate::value::Val;
 pub const MEMBERSHIP_KEY: Key = Key(u64::MAX - 1);
 
 /// A versioned cluster configuration: who votes, who is still learning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Membership {
     /// Monotonically increasing configuration version. Epoch 0 is the
     /// config-file bootstrap membership (nothing stored under

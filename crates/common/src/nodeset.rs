@@ -7,12 +7,10 @@
 //! targets only non-responders. A `NodeSet` is a `u16` bitmask over node ids,
 //! so all of this is branch-free bit math.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// A set of node ids, stored as a bitmask (deployments are ≤ 16 nodes).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeSet(pub u16);
 
 impl NodeSet {

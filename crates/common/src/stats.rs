@@ -1,54 +1,16 @@
-//! Lightweight concurrent instrumentation.
+//! Per-node protocol counters.
 //!
 //! The evaluation reports throughput in million requests per second (mreqs)
-//! overall and per node (Fig 5–9), plus a per-5ms timeline in the failure
-//! study (Fig 9). [`Counter`] is a cache-padded atomic the workers bump per
-//! completed request; [`Histogram`] is a log-bucketed latency histogram for
-//! the Criterion micro-benches and the examples.
+//! overall and per node (Fig 5–9), plus fast/slow-path transitions and epoch
+//! bumps in the failure study (Fig 9) — all read off [`ProtoCounters`], a
+//! struct of `kite-metrics` [`Counter`]s the workers bump per event. Typed
+//! fields are the in-process read path (`counters.completed.get()`);
+//! [`ProtoCounters::fields`] names every field once for the text view, so
+//! the sim, the threaded runtime and the daemon render the same `proto_*`
+//! keys from the same atomics. Nothing else lives here: counters, gauges,
+//! histograms and the registry are `kite-metrics`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A cache-line-padded monotone counter.
-///
-/// Padding matters: throughput counters are bumped on every completed
-/// request from every worker; without padding they false-share.
-#[repr(align(128))]
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    // ordering: Relaxed — a statistics counter orders nothing; readers want
-    // an eventually-accurate total, never a happens-before edge.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    // ordering: Relaxed — see `add`.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
+use kite_metrics::Counter;
 
 /// Per-node protocol event counters, used by benches to report message
 /// amplification and fast/slow-path transitions alongside throughput.
@@ -126,6 +88,62 @@ pub struct ProtoCounters {
 }
 
 impl ProtoCounters {
+    /// `(name, counter)` of every field — the scrape keys (`proto_<name>`)
+    /// are built from this and nothing else. The destructuring is exhaustive
+    /// on purpose: a field added without a name here does not compile.
+    pub fn fields(&self) -> [(&'static str, &Counter); 23] {
+        let ProtoCounters {
+            completed,
+            local_reads,
+            slow_path_accesses,
+            fast_releases,
+            slow_releases,
+            epoch_bumps,
+            envelopes_sent,
+            msgs_sent,
+            acks_sent,
+            acks_coalesced,
+            msgs_batched,
+            ae_digests_sent,
+            ae_digest_keys,
+            ae_summaries_sent,
+            ae_merkle_reqs,
+            ae_digest_bytes,
+            ae_repair_reqs,
+            ae_repair_vals,
+            ae_repairs_applied,
+            ae_repair_bytes,
+            membership_installs,
+            stale_epoch_dropped,
+            membership_pulls,
+        } = self;
+        [
+            ("completed", completed),
+            ("local_reads", local_reads),
+            ("slow_path_accesses", slow_path_accesses),
+            ("fast_releases", fast_releases),
+            ("slow_releases", slow_releases),
+            ("epoch_bumps", epoch_bumps),
+            ("envelopes_sent", envelopes_sent),
+            ("msgs_sent", msgs_sent),
+            ("acks_sent", acks_sent),
+            ("acks_coalesced", acks_coalesced),
+            ("msgs_batched", msgs_batched),
+            ("ae_digests_sent", ae_digests_sent),
+            ("ae_digest_keys", ae_digest_keys),
+            ("ae_summaries_sent", ae_summaries_sent),
+            ("ae_merkle_reqs", ae_merkle_reqs),
+            ("ae_digest_bytes", ae_digest_bytes),
+            ("ae_repair_reqs", ae_repair_reqs),
+            ("ae_repair_vals", ae_repair_vals),
+            ("ae_repairs_applied", ae_repairs_applied),
+            ("ae_repair_bytes", ae_repair_bytes),
+            ("membership_installs", membership_installs),
+            ("stale_epoch_dropped", stale_epoch_dropped),
+            ("membership_pulls", membership_pulls),
+        ]
+    }
+
     /// Average messages per envelope — the §6.3 batching effectiveness.
     pub fn batching_factor(&self) -> f64 {
         let env = self.envelopes_sent.get();
@@ -137,185 +155,23 @@ impl ProtoCounters {
     }
 }
 
-/// Log-bucketed latency histogram: bucket `i` covers `[2^i, 2^(i+1))` ns.
-/// Recording is lock-free; merging and quantile queries are for reporting.
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    const BUCKETS: usize = 48; // up to ~2^48 ns ≈ 3 days
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram { buckets: (0..Self::BUCKETS).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.max(1).leading_zeros() as usize - 1).min(Self::BUCKETS - 1)
-    }
-
-    /// Record one sample.
-    // ordering: Relaxed — same statistics-only contract as `Counter::add`:
-    // bucket totals are read for reporting, never for synchronization, and
-    // a racing snapshot that misses in-flight increments is acceptable.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded samples.
-    // ordering: Relaxed — see `record`.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Approximate quantile (upper bound of the containing bucket).
-    // ordering: Relaxed — see `record`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * q).ceil() as u64;
-        let mut acc = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            acc += b.load(Ordering::Relaxed);
-            if acc >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << Self::BUCKETS
-    }
-
-    /// Fold another histogram's buckets into this one.
-    // ordering: Relaxed — see `record`; merging tolerates a concurrent
-    // writer to `other` the same way a snapshot read does.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Histogram(n={}, p50≤{}ns, p99≤{}ns)",
-            self.count(),
-            self.quantile(0.5),
-            self.quantile(0.99)
-        )
-    }
-}
-
-/// Samples a set of counters at a fixed period, producing the Fig 9-style
-/// throughput timeline (requests completed per interval, per node).
-pub struct Timeline {
-    /// Interval length in nanoseconds.
-    pub interval_ns: u64,
-    /// `samples[i][node]` = counter delta during interval `i`.
-    pub samples: Vec<Vec<u64>>,
-}
-
-impl Timeline {
-    /// A timeline bucketing samples every `interval_ns`.
-    pub fn new(interval_ns: u64) -> Self {
-        Timeline { interval_ns, samples: Vec::new() }
-    }
-
-    /// Record one sampling period given absolute counter values.
-    /// `prev` is updated in place to the current values.
-    pub fn push_sample(&mut self, current: &[u64], prev: &mut Vec<u64>) {
-        if prev.len() != current.len() {
-            *prev = vec![0; current.len()];
-        }
-        let delta: Vec<u64> =
-            current.iter().zip(prev.iter()).map(|(c, p)| c.saturating_sub(*p)).collect();
-        prev.copy_from_slice(current);
-        self.samples.push(delta);
-    }
-
-    /// Throughput of interval `i` in million requests per second, summed
-    /// over all nodes.
-    pub fn mreqs_total(&self, i: usize) -> f64 {
-        let total: u64 = self.samples[i].iter().sum();
-        total as f64 / (self.interval_ns as f64 / 1e9) / 1e6
-    }
-
-    /// Per-node throughput of interval `i` in mreqs.
-    pub fn mreqs_node(&self, i: usize, node: usize) -> f64 {
-        self.samples[i][node] as f64 / (self.interval_ns as f64 / 1e9) / 1e6
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The compile-time guard catches a field without a name; this catches
+    /// the slip that still compiles — one name pasted onto two fields.
     #[test]
-    fn counter_basics() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn counter_is_padded() {
-        assert!(std::mem::align_of::<Counter>() >= 128);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        assert_eq!(Histogram::bucket_of(1), 0);
-        assert_eq!(Histogram::bucket_of(2), 1);
-        assert_eq!(Histogram::bucket_of(3), 1);
-        assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_of(0), 0); // clamped
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_recordings() {
-        let h = Histogram::new();
-        for v in [100u64, 200, 400, 800, 100_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!(h.quantile(0.5) >= 200);
-        assert!(h.quantile(1.0) >= 100_000);
-        assert!(h.quantile(0.01) >= 100);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        b.record(20);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn timeline_deltas() {
-        let mut t = Timeline::new(5_000_000); // 5 ms
-        let mut prev = Vec::new();
-        t.push_sample(&[100, 50], &mut prev);
-        t.push_sample(&[300, 50], &mut prev);
-        assert_eq!(t.samples[0], vec![100, 50]);
-        assert_eq!(t.samples[1], vec![200, 0]);
-        // 200 reqs in 5 ms = 40_000 reqs/s = 0.04 mreqs
-        assert!((t.mreqs_total(1) - 0.04).abs() < 1e-9);
-        assert!((t.mreqs_node(1, 1) - 0.0).abs() < 1e-9);
+    fn fields_name_each_counter_once() {
+        let p = ProtoCounters::default();
+        p.slow_releases.add(4);
+        let mut names: Vec<&str> = p.fields().iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), p.fields().len(), "duplicate scrape name");
+        let read = |name| p.fields().iter().find(|(n, _)| *n == name).expect("named").1.get();
+        assert_eq!(read("slow_releases"), 4);
+        assert_eq!(read("fast_releases"), 0);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! aligned enum with a `Box` variant would round up to 40 bytes and blow
 //! the budget (see `kite::msg`).
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of bytes stored inline.
 const INLINE_CAP: usize = 32;
 
@@ -210,19 +208,6 @@ impl<const N: usize> From<&[u8; N]> for Val {
     #[inline]
     fn from(b: &[u8; N]) -> Self {
         Val::from_bytes(b)
-    }
-}
-
-impl Serialize for Val {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(self.as_bytes())
-    }
-}
-
-impl<'de> Deserialize<'de> for Val {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let bytes = <Vec<u8>>::deserialize(d)?;
-        Ok(Val::from_bytes(&bytes))
     }
 }
 

@@ -706,3 +706,75 @@ impl Worker {
         missing.intersect(shared.suspected())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::encode_msg;
+    use kite_common::{OpId, SessionId};
+    use kite_kvs::RmwCommit;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// What `kite::wire` really puts on the socket for `m`.
+    fn encoded_len(m: &Msg) -> u64 {
+        let mut out = Vec::new();
+        encode_msg(m, &mut out);
+        out.len() as u64
+    }
+
+    // `ae_digest_bytes` / `ae_repair_bytes` are added up from the four
+    // hand-written mirrors above, not from encoded frames (the sim and the
+    // threaded runtime never encode). A codec change that forgets a mirror
+    // would silently skew `ae.digest_bytes_per_op` on two of three runtimes.
+    proptest! {
+        #[test]
+        fn digest_wire_bytes_is_the_encoded_length(keys in vec(any::<u64>(), 0..600)) {
+            let entries: Vec<(Key, Lc)> =
+                keys.iter().map(|&k| (Key(k), Lc::new(k >> 24, NodeId((k % 16) as u8)))).collect();
+            let n = entries.len();
+            let m = Msg::Digest { d: Arc::new(DigestChunk { entries }) };
+            prop_assert_eq!(digest_wire_bytes(n), encoded_len(&m));
+        }
+
+        #[test]
+        fn summary_wire_bytes_is_the_encoded_length(
+            hashes in vec(any::<u64>(), 0..300),
+            level in 0u8..8,
+            start in any::<u32>(),
+        ) {
+            let n = hashes.len();
+            let m = Msg::MerkleSummary { s: Arc::new(MerkleSummary { level, start, hashes }) };
+            prop_assert_eq!(summary_wire_bytes(n), encoded_len(&m));
+        }
+
+        #[test]
+        fn req_wire_bytes_is_the_encoded_length(buckets in vec(any::<u32>(), 0..300), level in 0u8..8) {
+            let n = buckets.len();
+            prop_assert_eq!(req_wire_bytes(n), encoded_len(&Msg::MerkleReq { level, buckets: buckets.into() }));
+        }
+
+        #[test]
+        fn repair_wire_bytes_is_the_encoded_length(
+            val in vec(any::<u8>(), 0..65),
+            ring in vec((any::<u64>(), vec(any::<u8>(), 0..65)), 0..9),
+        ) {
+            let ring = ring
+                .iter()
+                .map(|(x, result)| RmwCommit {
+                    op: OpId::new(SessionId::new(NodeId((x % 16) as u8), (x >> 8) as u32 & 0x3ff), x >> 34),
+                    slot: x >> 20,
+                    result: Val::from_bytes(result),
+                })
+                .collect();
+            let r = Box::new(Repair {
+                key: Key(7),
+                val: Val::from_bytes(&val),
+                lc: Lc::new(3, NodeId(2)),
+                slot: 9,
+                ring,
+            });
+            prop_assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
+        }
+    }
+}

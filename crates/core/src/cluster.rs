@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use crate::api::{Completion, CompletionHook, Op, OpOutput};
 use crate::msg::Msg;
 use crate::nodestate::NodeShared;
-use crate::session::{ProtocolMode, Session, SessionDriver};
+use crate::session::{sessions_for, ProtocolMode, SessionDriver};
 use crate::worker::Worker;
 
 /// How long synchronous client calls wait before reporting
@@ -69,17 +69,12 @@ impl Cluster {
         let mut rigs: Vec<(Worker, WorkerIo<Msg>)> = Vec::new();
         for (n, per_node) in ios.into_iter().enumerate() {
             for (w, io) in per_node.into_iter().enumerate() {
-                let mut sessions = Vec::with_capacity(cfg.sessions_per_worker);
-                for i in 0..cfg.sessions_per_worker {
-                    let slot = (w * cfg.sessions_per_worker + i) as u32;
-                    let sid = SessionId::new(NodeId(n as u8), slot);
+                let sessions = sessions_for(NodeId(n as u8), w, cfg.sessions_per_worker, |_| {
                     let (op_tx, op_rx) = unbounded();
                     let (done_tx, done_rx) = unbounded();
-                    let mut sess = Session::new(sid);
-                    sess.driver = SessionDriver::External { rx: op_rx, tx: done_tx };
-                    sessions.push(sess);
                     slots[n].push(Some((op_tx, done_rx)));
-                }
+                    SessionDriver::External { rx: op_rx, tx: done_tx }
+                });
                 let worker = Worker::new(w, Arc::clone(&shared[n]), mode, sessions, hook.clone());
                 rigs.push((worker, io));
             }
@@ -126,6 +121,12 @@ impl Cluster {
         &self.net.counters[node.idx()]
     }
 
+    /// One node's core-layer metrics as `key value` text — the `proto_*`,
+    /// `membership_*`, `store_*` and `op_*` lines its daemon would scrape.
+    pub fn metrics_text(&self, node: NodeId) -> String {
+        self.shared[node.idx()].metrics_text()
+    }
+
     /// The fault-injection plane (drops, delays, partitions, crashes).
     pub fn faults(&self) -> &FaultPlane {
         &self.net.faults
@@ -158,7 +159,8 @@ impl Cluster {
     /// Arm a deadline watchdog: if the returned guard is not dropped within
     /// `timeout`, every worker prints an `Actor::describe` snapshot of its
     /// protocol state to stderr (from its own thread, via the runtime's
-    /// dump flag), cluster-level state follows, and the process **aborts**
+    /// dump flag), every node's metrics text follows — the scrape view a
+    /// wedged daemon would serve — and the process **aborts**
     /// with a diagnostic instead of wedging forever. Threaded fault tests
     /// should arm one: a liveness bug then yields a stalled-round dump
     /// rather than a CI timeout with no evidence.
@@ -169,7 +171,6 @@ impl Cluster {
             .as_ref()
             .expect("watchdog on a running cluster")
             .dump_flag();
-        let counters = self.net.counters.clone();
         let shared = self.shared.clone();
         let handle = std::thread::Builder::new()
             .name("kite-watchdog".into())
@@ -184,17 +185,13 @@ impl Cluster {
                 // Give the (possibly parked) workers a moment to notice the
                 // flag and print; park_timeout bounds this to well under 1s.
                 std::thread::sleep(Duration::from_secs(1));
-                for (n, (c, sh)) in counters.iter().zip(&shared).enumerate() {
+                for sh in &shared {
                     eprintln!(
-                        "node {n}: completed={} slow_releases={} epoch_bumps={} \
-                         envelopes={} msgs={} suspected={:?} epoch={}",
-                        c.completed.get(),
-                        c.slow_releases.get(),
-                        c.epoch_bumps.get(),
-                        c.envelopes_sent.get(),
-                        c.msgs_sent.get(),
+                        "node {}: suspected={:?} epoch={}\n{}",
+                        sh.me,
                         sh.suspected(),
                         sh.epoch(),
+                        sh.metrics_text(),
                     );
                 }
                 eprintln!("!!!! kite watchdog: aborting !!!!");

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Epoch, Membership, MembershipCell, NodeId, NodeSet, MEMBERSHIP_KEY};
 use kite_kvs::{Store, StoreProbe};
-use kite_metrics::Histogram;
+use kite_metrics::{Histogram, Registry};
 
 use crate::api::Op;
 use crate::delinquency::DelinquencyTable;
@@ -151,6 +151,54 @@ impl NodeShared {
             membership,
             cfg,
         })
+    }
+
+    /// Register the core layer's metrics — `proto_*`, `membership_*`,
+    /// `store_*` and `op_<class>_latency_ns` — as readers of this node's
+    /// live state. The daemon's scrape hub, [`crate::SimCluster`] and
+    /// [`crate::Cluster`] all call this, so the three runtimes render the
+    /// same keys from the same atomics.
+    pub fn register_metrics(self: &Arc<Self>, reg: &Registry) {
+        let s = Arc::clone(self);
+        reg.poll_fields("proto_", move || s.counters.fields().map(|(name, c)| (name, c.get())));
+        // The packed membership cell decomposes into three gauges so a
+        // scrape delta shows a config change landing (epoch bumps) and a
+        // learner promoting (voters gains a bit, learners loses it).
+        let s = Arc::clone(self);
+        reg.poll_fields("membership_", move || {
+            let m = s.membership.load();
+            [
+                ("epoch", m.epoch as u64),
+                ("voters", m.voters.0 as u64),
+                ("learners", m.learners.0 as u64),
+            ]
+        });
+        // `len` counts claimed slots (reads probing fresh keys claim too);
+        // `vals` counts only value-bearing keys, which is the number
+        // anti-entropy actually converges across replicas.
+        let s = Arc::clone(self);
+        reg.poll_fields("store_", move || {
+            [
+                ("len", s.store.len() as u64),
+                ("vals", s.store.values() as u64),
+                ("writes", s.store_probe.writes.get()),
+                ("distinct_keys_est", s.store_probe.distinct_keys.estimate()),
+            ]
+        });
+        for (i, (class, _)) in self.op_latency.classes().into_iter().enumerate() {
+            let s = Arc::clone(self);
+            reg.poll_histogram(&format!("op_{class}_latency_ns"), move || {
+                s.op_latency.classes()[i].1.snapshot()
+            });
+        }
+    }
+
+    /// The core layer's metrics as `key value` text: what a daemon's scrape
+    /// shows for this node, minus the transport's keys.
+    pub fn metrics_text(self: &Arc<Self>) -> String {
+        let reg = Registry::new();
+        self.register_metrics(&reg);
+        reg.render_to_string()
     }
 
     /// Mark a replica suspected (a release barrier timed out on it).

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use crossbeam::channel::{Receiver, Sender};
-use kite_common::SessionId;
+use kite_common::{NodeId, SessionId};
 
 use crate::api::{Completion, Op};
 
@@ -176,10 +176,29 @@ impl Session {
     }
 }
 
+/// The sessions of worker `worker` on `node`, numbered the way every
+/// runtime and client assumes — slot `worker × per_worker + i`, so a
+/// slot routes back to its worker by division. `driver` is called once
+/// per session, in slot order.
+pub fn sessions_for(
+    node: NodeId,
+    worker: usize,
+    per_worker: usize,
+    mut driver: impl FnMut(SessionId) -> SessionDriver,
+) -> Vec<Session> {
+    (0..per_worker)
+        .map(|i| {
+            let mut sess = Session::new(SessionId::new(node, (worker * per_worker + i) as u32));
+            sess.driver = driver(sess.id);
+            sess
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kite_common::{Key, NodeId};
+    use kite_common::Key;
 
     fn sid() -> SessionId {
         SessionId::new(NodeId(0), 0)
@@ -256,6 +275,18 @@ mod tests {
             completed_at: 1,
         });
         assert_eq!(done_rx.len(), 1);
+    }
+
+    #[test]
+    fn sessions_for_numbers_slots_by_worker() {
+        let mut seen = Vec::new();
+        let sessions = sessions_for(NodeId(2), 3, 4, |sid| {
+            seen.push(sid);
+            SessionDriver::Idle
+        });
+        let ids: Vec<SessionId> = sessions.iter().map(|s| s.id).collect();
+        assert_eq!(ids, (12..16).map(|slot| SessionId::new(NodeId(2), slot)).collect::<Vec<_>>());
+        assert_eq!(seen, ids, "driver called once per session, in slot order");
     }
 
     #[test]

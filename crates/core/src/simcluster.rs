@@ -10,7 +10,7 @@ use kite_simnet::{Sim, SimCfg};
 
 use crate::api::CompletionHook;
 use crate::nodestate::NodeShared;
-use crate::session::{ProtocolMode, Session, SessionDriver};
+use crate::session::{sessions_for, ProtocolMode, SessionDriver};
 use crate::worker::Worker;
 
 /// A deterministic, single-threaded Kite deployment on virtual time.
@@ -41,29 +41,18 @@ impl SimCluster {
             .map(|n| NodeShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
             .collect();
 
-        let mut actors: Vec<Vec<Worker>> = Vec::with_capacity(cfg.nodes);
-        #[allow(clippy::needless_range_loop)] // n doubles as the NodeId
-        for n in 0..cfg.nodes {
-            let mut per_node = Vec::with_capacity(cfg.workers_per_node);
-            for w in 0..cfg.workers_per_node {
-                let mut sessions = Vec::with_capacity(cfg.sessions_per_worker);
-                for i in 0..cfg.sessions_per_worker {
-                    let slot = (w * cfg.sessions_per_worker + i) as u32;
-                    let sid = SessionId::new(NodeId(n as u8), slot);
-                    let mut sess = Session::new(sid);
-                    sess.driver = drivers(sid);
-                    sessions.push(sess);
-                }
-                per_node.push(Worker::new(
-                    w,
-                    Arc::clone(&shared[n]),
-                    mode,
-                    sessions,
-                    hook.clone(),
-                ));
-            }
-            actors.push(per_node);
-        }
+        let actors: Vec<Vec<Worker>> = shared
+            .iter()
+            .map(|sh| {
+                (0..cfg.workers_per_node)
+                    .map(|w| {
+                        let sessions =
+                            sessions_for(sh.me, w, cfg.sessions_per_worker, &mut drivers);
+                        Worker::new(w, Arc::clone(sh), mode, sessions, hook.clone())
+                    })
+                    .collect()
+            })
+            .collect();
 
         SimCluster { sim: Sim::new(actors, sim_cfg), shared, counters, cfg }
     }
@@ -81,6 +70,12 @@ impl SimCluster {
     /// Per-node counters.
     pub fn counters(&self, node: NodeId) -> &ProtoCounters {
         &self.counters[node.idx()]
+    }
+
+    /// One node's core-layer metrics as `key value` text — the `proto_*`,
+    /// `membership_*`, `store_*` and `op_*` lines its daemon would scrape.
+    pub fn metrics_text(&self, node: NodeId) -> String {
+        self.shared[node.idx()].metrics_text()
     }
 
     /// Total completed requests across the deployment.

@@ -1,11 +1,10 @@
 //! The binary wire codec: how [`Msg`] batches (and the remote-session
 //! client protocol) cross a real socket.
 //!
-//! The in-process runtimes move `Msg` values through channels, so the serde
-//! derives in this workspace are deliberately no-op shims. This module is
-//! the real encoder: a hand-rolled, little-endian, length-prefixed format
-//! with no reflection and no allocation beyond the payload bytes
-//! themselves.
+//! The in-process runtimes move `Msg` values through channels; this module
+//! is the only serializer in the workspace: a hand-rolled, little-endian,
+//! length-prefixed format with no reflection and no allocation beyond the
+//! payload bytes themselves.
 //!
 //! # Frame layout
 //!

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kite::api::{CompletionHook, Op, OpOutput};
-use kite::session::{Session, SessionDriver};
+use kite::session::{sessions_for, Session, SessionDriver};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_kvs::Store;
@@ -295,13 +295,8 @@ impl DerechoSimCluster {
         let stores: Vec<Arc<Store>> = (0..cfg.nodes).map(|_| Arc::new(Store::new(cfg.keys))).collect();
         let mut actors = Vec::with_capacity(cfg.nodes);
         for n in 0..cfg.nodes {
-            let mut sessions = Vec::with_capacity(cfg.sessions_per_worker);
-            for i in 0..cfg.sessions_per_worker {
-                let sid = SessionId::new(NodeId(n as u8), i as u32);
-                let mut sess = Session::new(sid);
-                sess.driver = drivers(sid);
-                sessions.push(sess);
-            }
+            let sessions =
+                sessions_for(NodeId(n as u8), 0, cfg.sessions_per_worker, &mut drivers);
             actors.push(vec![DerechoWorker::new(
                 NodeId(n as u8),
                 mode,

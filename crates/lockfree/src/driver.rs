@@ -15,9 +15,9 @@ use std::sync::Arc;
 use kite::api::{Completion, Op, OpOutput};
 use kite::session::ClientSm;
 use kite_common::rng::SplitMix64;
-use kite_common::stats::Counter;
 use kite_common::{Key, Val};
 use kite_kvs::Store;
+use kite_metrics::Counter;
 
 use crate::hml::{HmList, HmlInsert, HmlRemove};
 use crate::machine::{DsMachine, DsOutcome, Step};

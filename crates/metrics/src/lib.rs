@@ -1,8 +1,10 @@
-//! kite-metrics: live observability primitives for the Kite reproduction.
+//! kite-metrics: the one metrics vocabulary of the Kite reproduction.
 //!
 //! Dependency-free by design (like `kite-lint`): this crate sits *below*
-//! every other workspace crate, so the kvs store, the protocol core, the WAL
-//! and the TCP fabric can all record into it without dependency cycles.
+//! every other workspace crate — `kite-common` included, whose
+//! `ProtoCounters` is a struct of these [`Counter`]s — so the kvs store, the
+//! protocol core, the WAL and the TCP fabric all record into the same types
+//! without dependency cycles.
 //!
 //! Three primitives plus a registry:
 //!
@@ -18,9 +20,19 @@
 //! [`Registry`] itself uses a mutex, but only for registration (startup) and
 //! rendering (scrape time); nothing on an op's critical path touches it.
 //!
+//! **How a layer exports its stats.** The stats struct names its own fields
+//! once, in a `fields()` method returning `(name, reading)` pairs —
+//! `ProtoCounters::fields`, `LoopStats::fields`, `LinkState::fields`,
+//! `WalStats::fields`, `OpLatency::classes` — and whoever owns the struct
+//! registers it with one [`Registry::poll_fields`] call under a prefix. The
+//! struct stays the typed in-process read path (`counters.completed.get()`);
+//! the registry is the text view of the same atomics, read at scrape time.
+//! Nothing copies a metric into parallel storage and no file lists another
+//! layer's fields.
+//!
 //! Rendering is a plain-text `key value` line per metric — no wire format,
 //! no HTTP, greppable from a shell. Histograms render four lines
-//! (`_count`, `_p50`, `_p99`, `_p999`), sketches one (`_est`).
+//! (`_count`, `_p50`, `_p99`, `_p999`).
 
 pub mod histogram;
 pub mod hll;
@@ -30,16 +42,17 @@ pub use hll::{mix64, Hll, HLL_B, HLL_M};
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Monotone counter, padded to its own cache-line pair so independent
-/// counters never false-share.
+/// counters never false-share (throughput counters are bumped on every
+/// completed request from every worker).
 #[repr(align(128))]
 #[derive(Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Counter(AtomicU64::new(0))
     }
 
@@ -57,8 +70,15 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Counter({})", self.get())
     }
 }
 
@@ -79,118 +99,87 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
-/// One registered metric. `Poll` adapts pre-existing atomics (e.g. the
-/// protocol's `ProtoCounters`, per-link fabric stats, WAL watermarks) into
-/// the registry without copying them into new storage: the closure reads the
-/// live value at scrape time.
-pub enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-    Hll(Arc<Hll>),
-    Poll(Box<dyn Fn() -> u64 + Send + Sync>),
-    /// Snapshot-at-scrape-time histogram owned elsewhere (e.g. embedded in
-    /// a shared struct the registry cannot hold an `Arc<Histogram>` into).
-    PollHistogram(Box<dyn Fn() -> HistogramSnapshot + Send + Sync>),
-}
+/// Appends one registered entry's `key value` lines; called with the name
+/// (or prefix) the entry was registered under.
+type Render = Box<dyn Fn(&str, &mut String) + Send + Sync>;
 
-/// Name → metric table rendered as `key value` lines. Registration and
-/// rendering take a mutex; the metrics themselves are lock-free, so nothing
-/// on a request's critical path ever blocks here.
+/// Name → reader table rendered as `key value` lines. Every entry is a
+/// closure over atomics that live in their owner's stats struct, read at
+/// scrape time. Registration and rendering take a mutex; the metrics
+/// themselves are lock-free, so nothing on a request's critical path ever
+/// blocks here.
 #[derive(Default)]
 pub struct Registry {
-    entries: Mutex<Vec<(String, Metric)>>,
+    entries: Mutex<Vec<(String, Render)>>,
 }
 
 impl Registry {
     pub fn new() -> Self {
-        Registry {
-            entries: Mutex::new(Vec::new()),
-        }
+        Registry::default()
     }
 
-    pub fn register(&self, name: &str, metric: Metric) {
+    fn register(&self, name: &str, render: Render) {
         self.entries
             .lock()
             .expect("metrics registry poisoned")
-            .push((name.to_string(), metric));
+            .push((name.to_string(), render));
     }
 
-    /// Create and register a counter in one step.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, Metric::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Create and register a gauge in one step.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, Metric::Gauge(Arc::clone(&g)));
-        g
-    }
-
-    /// Create and register a histogram in one step.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.register(name, Metric::Histogram(Arc::clone(&h)));
-        h
-    }
-
-    /// Create and register an HLL sketch in one step.
-    pub fn hll(&self, name: &str) -> Arc<Hll> {
-        let h = Arc::new(Hll::new());
-        self.register(name, Metric::Hll(Arc::clone(&h)));
-        h
-    }
-
-    /// Register a closure polled at scrape time — the bridge for atomics
-    /// that already live elsewhere (ProtoCounters, LinkState, WalStats).
+    /// One reading under its own name (`node_id`, `store_len`).
     pub fn poll_fn<F>(&self, name: &str, f: F)
     where
         F: Fn() -> u64 + Send + Sync + 'static,
     {
-        self.register(name, Metric::Poll(Box::new(f)));
+        self.register(name, Box::new(move |name, out| line(out, name, "", f())));
     }
 
-    /// Register a histogram snapshotted at scrape time — the bridge for
-    /// histograms embedded in structs owned by other layers.
+    /// A stats struct's worth of readings, one `{prefix}{field} value` line
+    /// each, from **one** call of `f` per scrape — `f` is the struct's own
+    /// `fields()` (mapped to values), so the field names are spelled once,
+    /// next to the fields.
+    pub fn poll_fields<const N: usize, F>(&self, prefix: &str, f: F)
+    where
+        F: Fn() -> [(&'static str, u64); N] + Send + Sync + 'static,
+    {
+        self.register(
+            prefix,
+            Box::new(move |prefix, out| {
+                for (field, v) in f() {
+                    line(out, prefix, field, v);
+                }
+            }),
+        );
+    }
+
+    /// A histogram snapshotted at scrape time, rendered as
+    /// `{name}_{count,p50,p99,p999}`.
     pub fn poll_histogram<F>(&self, name: &str, f: F)
     where
         F: Fn() -> HistogramSnapshot + Send + Sync + 'static,
     {
-        self.register(name, Metric::PollHistogram(Box::new(f)));
+        self.register(
+            name,
+            Box::new(move |name, out| {
+                let s = f();
+                line(out, name, "_count", s.count);
+                line(out, name, "_p50", s.p50());
+                line(out, name, "_p99", s.p99());
+                line(out, name, "_p999", s.p999());
+            }),
+        );
     }
 
     /// Render every metric as `key value\n` in registration order.
     pub fn render(&self, out: &mut String) {
         let entries = self.entries.lock().expect("metrics registry poisoned");
-        for (name, m) in entries.iter() {
-            match m {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "{} {}", name, c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{} {}", name, g.get());
-                }
-                Metric::Poll(f) => {
-                    let _ = writeln!(out, "{} {}", name, f());
-                }
-                Metric::Histogram(h) => {
-                    render_hist(out, name, &h.snapshot());
-                }
-                Metric::PollHistogram(f) => {
-                    render_hist(out, name, &f());
-                }
-                Metric::Hll(h) => {
-                    let _ = writeln!(out, "{}_est {}", name, h.estimate());
-                }
-            }
+        for (name, render) in entries.iter() {
+            render(name, out);
         }
     }
 
@@ -202,37 +191,75 @@ impl Registry {
     }
 }
 
-fn render_hist(out: &mut String, name: &str, s: &HistogramSnapshot) {
-    let _ = writeln!(out, "{}_count {}", name, s.count);
-    let _ = writeln!(out, "{}_p50 {}", name, s.p50());
-    let _ = writeln!(out, "{}_p99 {}", name, s.p99());
-    let _ = writeln!(out, "{}_p999 {}", name, s.p999());
+fn line(out: &mut String, name: &str, suffix: &str, v: u64) {
+    let _ = writeln!(out, "{name}{suffix} {v}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn counter_basics() {
+        let c = Counter::new();
+        c.incr();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+        assert_eq!(format!("{c:?}"), "Counter(5)");
+    }
+
+    #[test]
+    fn counter_and_gauge_are_padded() {
+        assert!(std::mem::align_of::<Counter>() >= 128);
+        assert!(std::mem::align_of::<Gauge>() >= 128);
+    }
+
+    /// A struct whose snapshot takes a lock (the WAL's) pays for it once per
+    /// scrape, not once per field.
+    #[test]
+    fn poll_fields_reads_once_per_render() {
+        let calls = Arc::new(Counter::new());
+        let r = Registry::new();
+        r.poll_fields("s_", {
+            let calls = Arc::clone(&calls);
+            move || {
+                calls.incr();
+                [("a", 1), ("b", 2), ("c", 3)]
+            }
+        });
+        assert_eq!(r.render_to_string(), "s_a 1\ns_b 2\ns_c 3\n");
+        assert_eq!(calls.get(), 1);
+    }
 
     #[test]
     fn registry_renders_key_value_lines() {
+        #[derive(Default)]
+        struct Stats {
+            ops: Counter,
+            depth: Gauge,
+            lat: Histogram,
+        }
+        let s = Arc::new(Stats::default());
         let r = Registry::new();
-        let c = r.counter("ops");
-        let g = r.gauge("depth");
-        let h = r.histogram("lat");
-        let sk = r.hll("keys");
         r.poll_fn("answer", || 42);
-        c.add(3);
-        g.set(7);
-        h.record(100);
-        sk.observe(1);
-        sk.observe(2);
+        r.poll_fields("q_", {
+            let s = Arc::clone(&s);
+            move || [("ops", s.ops.get()), ("depth", s.depth.get())]
+        });
+        r.poll_histogram("lat", {
+            let s = Arc::clone(&s);
+            move || s.lat.snapshot()
+        });
+        s.ops.add(3);
+        s.depth.set(7);
+        s.lat.record(100);
         let out = r.render_to_string();
-        assert!(out.contains("ops 3\n"), "{out}");
-        assert!(out.contains("depth 7\n"), "{out}");
+        assert!(out.contains("q_ops 3\n"), "{out}");
+        assert!(out.contains("q_depth 7\n"), "{out}");
         assert!(out.contains("answer 42\n"), "{out}");
         assert!(out.contains("lat_count 1\n"), "{out}");
         assert!(out.contains("lat_p99 "), "{out}");
-        assert!(out.contains("keys_est 2\n"), "{out}");
         // every line is exactly `key value`
         for line in out.lines() {
             assert_eq!(line.split_whitespace().count(), 2, "bad line: {line}");

@@ -78,6 +78,27 @@ impl LinkState {
         LinkPhase::from_u8(self.phase.load(Ordering::Relaxed))
     }
 
+    /// `(name, reading)` of every scrape key (`link_n<i>_w<j>_<name>`); the
+    /// phase reads as its discriminant. `last_rx_ns`/`last_tx_ns` are
+    /// wall-clock stamps for the dump, not scrape keys.
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        // ordering: Relaxed — monitoring reads of monotone counters and
+        // gauges whose only writers are the worker loops; a stale value is
+        // a slightly old number, never a broken invariant.
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        [
+            ("frames_out", get(&self.frames_out)),
+            ("frames_in", get(&self.frames_in)),
+            ("dropped_out", get(&self.dropped_out)),
+            ("shed_full", get(&self.shed_full)),
+            ("decode_errors", get(&self.decode_errors)),
+            ("connects", get(&self.connects)),
+            ("ring_frames", get(&self.ring_frames)),
+            ("ring_bytes", get(&self.ring_bytes)),
+            ("phase", self.phase() as u64),
+        ]
+    }
+
     /// Is the outbound connection currently up?
     // ordering: advisory fast-path check — a stale read only means one more
     // frame queued to a dying link, which the drop counters then record.
@@ -240,22 +261,25 @@ pub struct LoopStats {
 }
 
 impl LoopStats {
-    /// `(name, counter)` of every field, in render order — the scrape keys
+    /// `(name, reading)` of every field, in render order — the scrape keys
     /// (`loop_w<j>_<name>`) and the dump line are both built from this.
-    pub fn fields(&self) -> [(&'static str, &AtomicU64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
+        // ordering: Relaxed — diagnostics snapshot of independent monotone
+        // counters, each with a single writer (its loop).
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
-            ("passes", &self.passes),
-            ("epoll_waits", &self.epoll_waits),
-            ("wakes", &self.wakes),
-            ("idle_ticks", &self.idle_ticks),
-            ("reads", &self.reads),
-            ("read_eagain", &self.read_eagain),
-            ("writevs", &self.writevs),
-            ("writev_frames", &self.writev_frames),
-            ("envelopes", &self.envelopes),
-            ("envelope_msgs", &self.envelope_msgs),
-            ("pumps", &self.pumps),
-            ("completions", &self.completions),
+            ("passes", get(&self.passes)),
+            ("epoll_waits", get(&self.epoll_waits)),
+            ("wakes", get(&self.wakes)),
+            ("idle_ticks", get(&self.idle_ticks)),
+            ("reads", get(&self.reads)),
+            ("read_eagain", get(&self.read_eagain)),
+            ("writevs", get(&self.writevs)),
+            ("writev_frames", get(&self.writev_frames)),
+            ("envelopes", get(&self.envelopes)),
+            ("envelope_msgs", get(&self.envelope_msgs)),
+            ("pumps", get(&self.pumps)),
+            ("completions", get(&self.completions)),
         ]
     }
 }
@@ -292,8 +316,8 @@ impl FabricStats {
         let mut out = String::new();
         for (w, l) in self.loops.iter().enumerate() {
             let _ = write!(out, "loop w{w}:");
-            for (name, c) in l.fields() {
-                let _ = write!(out, " {name}={}", c.load(Ordering::Relaxed));
+            for (name, v) in l.fields() {
+                let _ = write!(out, " {name}={v}");
             }
             out.push('\n');
         }

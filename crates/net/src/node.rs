@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite::api::{Completion, Op};
-use kite::session::{Session, SessionDriver};
+use kite::session::{sessions_for, SessionDriver};
 use kite::{NodeShared, ProtocolMode, SessionHandle, Worker};
 use kite_common::{ClusterConfig, KiteError, NodeId, Result, SessionId};
 use kite_kvs::DurabilitySink;
@@ -168,17 +168,12 @@ impl NodeRuntime {
         let mut workers: Vec<(Worker, TcpWorkerIo)> = Vec::new();
         for io in ios {
             let w = io.worker;
-            let mut sessions = Vec::with_capacity(ccfg.sessions_per_worker);
-            for i in 0..ccfg.sessions_per_worker {
-                let slot = (w * ccfg.sessions_per_worker + i) as u32;
-                let sid = SessionId::new(cfg.me, slot);
+            let sessions = sessions_for(cfg.me, w, ccfg.sessions_per_worker, |_| {
                 let (op_tx, op_rx) = unbounded();
                 let (done_tx, done_rx) = unbounded();
-                let mut sess = Session::new(sid);
-                sess.driver = SessionDriver::External { rx: op_rx, tx: done_tx };
-                sessions.push(sess);
                 slot_vec.push(Some((op_tx, done_rx)));
-            }
+                SessionDriver::External { rx: op_rx, tx: done_tx }
+            });
             let worker = Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, None);
             workers.push((worker, io));
         }

@@ -237,3 +237,105 @@ fn half_open_scrape_connections_are_harmless() {
         n.shutdown();
     }
 }
+
+/// The complete scrape key set of node 0 of a 3-node, 1-worker, WAL-on
+/// cluster, sorted — captured at the commit before `scrape.rs` stopped
+/// listing other layers' fields. The benchmark harness, `scripts/e2e_tcp.sh`
+/// and `kite-client` parse these names, so a key renamed, dropped or added
+/// must show up here as a deliberate edit.
+const NODE0_KEYS: &str = "\
+    acceptor_wakes link_n1_w0_connects link_n1_w0_decode_errors link_n1_w0_dropped_out \
+    link_n1_w0_frames_in link_n1_w0_frames_out link_n1_w0_phase link_n1_w0_ring_bytes \
+    link_n1_w0_ring_frames link_n1_w0_shed_full link_n2_w0_connects link_n2_w0_decode_errors \
+    link_n2_w0_dropped_out link_n2_w0_frames_in link_n2_w0_frames_out link_n2_w0_phase \
+    link_n2_w0_ring_bytes link_n2_w0_ring_frames link_n2_w0_shed_full loop_w0_completions \
+    loop_w0_envelope_msgs loop_w0_envelopes loop_w0_epoll_waits loop_w0_idle_ticks \
+    loop_w0_passes loop_w0_pumps loop_w0_read_eagain loop_w0_reads loop_w0_wakes \
+    loop_w0_writev_frames loop_w0_writevs membership_epoch membership_learners \
+    membership_voters node_id op_acquire_latency_ns_count op_acquire_latency_ns_p50 \
+    op_acquire_latency_ns_p99 op_acquire_latency_ns_p999 op_read_latency_ns_count \
+    op_read_latency_ns_p50 op_read_latency_ns_p99 op_read_latency_ns_p999 \
+    op_release_latency_ns_count op_release_latency_ns_p50 op_release_latency_ns_p99 \
+    op_release_latency_ns_p999 op_rmw_latency_ns_count op_rmw_latency_ns_p50 \
+    op_rmw_latency_ns_p99 op_rmw_latency_ns_p999 op_write_latency_ns_count \
+    op_write_latency_ns_p50 op_write_latency_ns_p99 op_write_latency_ns_p999 \
+    proto_acks_coalesced proto_acks_sent proto_ae_digest_bytes proto_ae_digest_keys \
+    proto_ae_digests_sent proto_ae_merkle_reqs proto_ae_repair_bytes proto_ae_repair_reqs \
+    proto_ae_repair_vals proto_ae_repairs_applied proto_ae_summaries_sent proto_completed \
+    proto_envelopes_sent proto_epoch_bumps proto_fast_releases proto_local_reads \
+    proto_membership_installs proto_membership_pulls proto_msgs_batched proto_msgs_sent \
+    proto_slow_path_accesses proto_slow_releases proto_stale_epoch_dropped \
+    store_distinct_keys_est store_len store_vals store_writes wal_appended_bytes \
+    wal_commit_busy_ns wal_commit_latency_ns_count wal_commit_latency_ns_p50 \
+    wal_commit_latency_ns_p99 wal_commit_latency_ns_p999 wal_commit_window_ns \
+    wal_durable_bytes wal_flush_batches wal_flusher_wakes wal_fsyncs wal_lag_bytes \
+    wal_records wal_snapshots";
+
+fn keys_of(body: &str) -> Vec<&str> {
+    let mut keys: Vec<&str> =
+        body.lines().map(|l| l.split_once(' ').expect("`key value` line").0).collect();
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn scrape_key_set_is_pinned() {
+    let wal_dir = std::env::temp_dir().join(format!("kite-scrape-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let cfg = cfg(wal_dir.to_str().expect("utf8"));
+    assert_eq!((cfg.nodes, cfg.workers_per_node), (3, 1), "the pinned list's topology");
+    let nodes = launch_local_cluster(cfg, ProtocolMode::Kite).expect("launch");
+    let addr = nodes[0].metrics_addr().expect("metrics endpoint");
+    let expected: Vec<&str> = NODE0_KEYS.split_whitespace().collect();
+    assert_eq!(keys_of(&scrape(&addr, "scrape")), expected);
+
+    // The dump view's node-level half still opens with these lines.
+    let dump = scrape(&addr, "dump");
+    for prefix in ["node n0 mode=Kite completed=", "membership e0 ", "links of n0:", "wal records="] {
+        assert!(dump.lines().any(|l| l.starts_with(prefix)), "dump lost `{prefix}`:\n{dump}");
+    }
+    for n in nodes {
+        n.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// The simulator and the threaded runtime register the core layer through
+/// the same `NodeShared::register_metrics` the daemon's hub calls: their
+/// `metrics_text` is exactly the daemon's `proto_*` / `membership_*` /
+/// `store_*` / `op_*` lines, over the same atomics the typed fields read.
+#[test]
+fn sim_and_threaded_runtimes_render_the_daemons_core_keys() {
+    let cfg = ClusterConfig::small().keys(1 << 8);
+    let nodes = launch_local_cluster(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let body = scrape(&nodes[0].metrics_addr().expect("metrics endpoint"), "scrape");
+    let core: Vec<&str> = keys_of(&body)
+        .into_iter()
+        .filter(|k| ["proto_", "membership_", "store_", "op_"].iter().any(|p| k.starts_with(p)))
+        .collect();
+    assert_eq!(core.len(), 23 + 3 + 4 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
+    for n in nodes {
+        n.shutdown();
+    }
+
+    let sim = kite::SimCluster::build(
+        cfg.clone(),
+        ProtocolMode::Kite,
+        kite_simnet::SimCfg::default(),
+        |_| kite::session::SessionDriver::Idle,
+        None,
+    );
+    sim.counters(NodeId(1)).slow_releases.add(7);
+    let text = sim.metrics_text(NodeId(1));
+    assert_eq!(keys_of(&text), core, "SimCluster::metrics_text");
+    assert_eq!(metric(&text, "proto_slow_releases"), Some(7));
+    assert_eq!(metric(&sim.metrics_text(NodeId(0)), "proto_slow_releases"), Some(0));
+
+    let threaded = kite::Cluster::launch(cfg, ProtocolMode::Kite).expect("launch threaded");
+    threaded.session(NodeId(2), 0).expect("session").write(Key(5), 1u64).expect("write");
+    let text = threaded.metrics_text(NodeId(2));
+    assert_eq!(keys_of(&text), core, "Cluster::metrics_text");
+    assert_eq!(metric(&text, "proto_completed"), Some(threaded.counters(NodeId(2)).completed.get()));
+    assert_eq!(metric(&text, "op_write_latency_ns_count"), Some(1));
+    threaded.shutdown();
+}

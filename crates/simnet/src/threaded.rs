@@ -463,7 +463,7 @@ mod tests {
         me: NodeId,
         peers: usize,
         sent: bool,
-        pongs: Arc<kite_common::stats::Counter>,
+        pongs: Arc<kite_metrics::Counter>,
     }
 
     impl Actor for PingPong {
@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn ping_pong_across_three_nodes() {
         let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 42);
-        let pongs = Arc::new(kite_common::stats::Counter::new());
+        let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {
             for io in per_node {
@@ -523,7 +523,7 @@ mod tests {
     fn crashed_node_stays_silent() {
         let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 7);
         net.faults.crash(NodeId(2));
-        let pongs = Arc::new(kite_common::stats::Counter::new());
+        let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {
             for io in per_node {
@@ -543,7 +543,7 @@ mod tests {
     fn delayed_link_still_delivers() {
         let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 9);
         net.faults.set_delay(NodeId(0), NodeId(1), 20_000_000); // 20 ms out
-        let pongs = Arc::new(kite_common::stats::Counter::new());
+        let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {
             for io in per_node {
@@ -594,7 +594,7 @@ mod tests {
     #[test]
     fn counters_track_messages() {
         let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 11);
-        let pongs = Arc::new(kite_common::stats::Counter::new());
+        let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {
             for io in per_node {

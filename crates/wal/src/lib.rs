@@ -163,6 +163,25 @@ pub struct WalStats {
     pub commit_busy_ns: u64,
 }
 
+impl WalStats {
+    /// `(name, reading)` of every scrape key (`wal_<name>`), all from this
+    /// one snapshot. `snapshot_entries` shows in [`Wal::describe`] only.
+    pub fn fields(&self) -> [(&'static str, u64); 10] {
+        [
+            ("records", self.records),
+            ("appended_bytes", self.appended_bytes),
+            ("durable_bytes", self.durable_bytes),
+            ("lag_bytes", self.lag_bytes),
+            ("flush_batches", self.flush_batches),
+            ("fsyncs", self.fsyncs),
+            ("snapshots", self.snapshots),
+            ("flusher_wakes", self.flusher_wakes),
+            ("commit_window_ns", self.commit_window_ns),
+            ("commit_busy_ns", self.commit_busy_ns),
+        ]
+    }
+}
+
 /// The write-ahead log. Construct with [`Wal::open`] (after
 /// [`recover_into`]), attach to the store with `Store::attach_sink`, and
 /// call [`Wal::shutdown`] for a clean exit (final flush + snapshot, so the

@@ -48,10 +48,6 @@ pub struct RunResult {
     pub total_completed: u64,
 }
 
-fn mreqs(completed: u64, window_ns: u64) -> f64 {
-    completed as f64 / (window_ns as f64 / 1e9) / 1e6
-}
-
 /// Run `mix` on a Kite deployment in `mode` for `warmup_ns + run_ns` of
 /// virtual time; throughput is measured over the last `run_ns`.
 pub fn run_kite_mix(
@@ -99,7 +95,7 @@ where
     sc.run_for(run_ns);
     let after: Vec<u64> = (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
     let per_node: Vec<f64> =
-        before.iter().zip(&after).map(|(b, a)| mreqs(a - b, run_ns)).collect();
+        before.iter().zip(&after).map(|(b, a)| SimCluster::mreqs(a - b, run_ns)).collect();
     let completed: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     let (local_reads, slow_path, ack_msgs, acks_coalesced, ae_msgs, ae_digest_bytes) = (0..cfg
         .nodes)
@@ -122,7 +118,7 @@ where
             (lr + l, sp + s, am + a, ac + c, ae + e, ab + b)
         });
     RunResult {
-        mreqs: mreqs(completed, run_ns),
+        mreqs: SimCluster::mreqs(completed, run_ns),
         per_node,
         completed,
         local_reads,
@@ -163,13 +159,13 @@ pub fn run_zab_mix(
     let after: Vec<u64> =
         (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).completed.get()).collect();
     let per_node: Vec<f64> =
-        before.iter().zip(&after).map(|(b, a)| mreqs(a - b, run_ns)).collect();
+        before.iter().zip(&after).map(|(b, a)| SimCluster::mreqs(a - b, run_ns)).collect();
     let completed: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     let local_reads =
         (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).local_reads.get()).sum();
     let total_completed = (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).completed.get()).sum();
     RunResult {
-        mreqs: mreqs(completed, run_ns),
+        mreqs: SimCluster::mreqs(completed, run_ns),
         per_node,
         completed,
         local_reads,

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use kite::api::CompletionHook;
-use kite::session::{Session, SessionDriver};
+use kite::session::{sessions_for, SessionDriver};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, NodeId, SessionId};
 use kite_simnet::{Sim, SimCfg};
@@ -35,23 +35,18 @@ impl ZabSimCluster {
             .map(|n| ZabShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
             .collect();
 
-        let mut actors: Vec<Vec<ZabWorker>> = Vec::with_capacity(cfg.nodes);
-        #[allow(clippy::needless_range_loop)] // n doubles as the NodeId
-        for n in 0..cfg.nodes {
-            let mut per_node = Vec::with_capacity(cfg.workers_per_node);
-            for w in 0..cfg.workers_per_node {
-                let mut sessions = Vec::with_capacity(cfg.sessions_per_worker);
-                for i in 0..cfg.sessions_per_worker {
-                    let slot = (w * cfg.sessions_per_worker + i) as u32;
-                    let sid = SessionId::new(NodeId(n as u8), slot);
-                    let mut sess = Session::new(sid);
-                    sess.driver = drivers(sid);
-                    sessions.push(sess);
-                }
-                per_node.push(ZabWorker::new(w, Arc::clone(&shared[n]), sessions, hook.clone()));
-            }
-            actors.push(per_node);
-        }
+        let actors: Vec<Vec<ZabWorker>> = shared
+            .iter()
+            .map(|sh| {
+                (0..cfg.workers_per_node)
+                    .map(|w| {
+                        let sessions =
+                            sessions_for(sh.me, w, cfg.sessions_per_worker, &mut drivers);
+                        ZabWorker::new(w, Arc::clone(sh), sessions, hook.clone())
+                    })
+                    .collect()
+            })
+            .collect();
         ZabSimCluster { sim: Sim::new(actors, sim_cfg), shared, counters }
     }
 

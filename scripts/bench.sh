@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1-adjacent perf check:
-#   1. `cargo bench --no-run` — benches must keep compiling (no bit-rot);
-#   2. run the closed-loop throughput bin with fixed seeds. Before
-#      overwriting BENCH_micro.json, the bin diffs the fresh numbers
-#      against the committed file and prints a ±10% regression warning
-#      table (micro: lower is better; e2e mreqs: higher is better;
-#      per-run ae_bytes_per_op — the anti-entropy digest-plane cost the
-#      Merkle-range mode shrinks — lower is better) — regressions are
-#      flagged loudly instead of silently replaced.
+# Tier-1-adjacent perf check: run the closed-loop throughput bin with fixed
+# seeds. Before overwriting BENCH_micro.json, the bin diffs the fresh
+# numbers against the committed file and prints a ±10% regression warning
+# table (micro: lower is better; e2e mreqs: higher is better; per-run
+# ae_bytes_per_op — the anti-entropy digest-plane cost the Merkle-range
+# mode shrinks — lower is better) — regressions are flagged loudly instead
+# of silently replaced.
 #
 # Usage: scripts/bench.sh [seed]   (default seed: 42)
 set -euo pipefail
@@ -20,9 +18,6 @@ SEED="${1:-42}"
 # grandfathered) and aborts on any new violation.
 echo "== kite-lint (invariant pass, ratcheted) =="
 scripts/lint.sh
-
-echo "== cargo bench --no-run (benches must compile) =="
-cargo bench --no-run --workspace
 
 echo "== closed-loop throughput (seed ${SEED}) + regression diff =="
 # --transport all adds the threaded and tcp-loopback wall-clock rows;
