@@ -1,7 +1,7 @@
 //! **Ablation** — what the §4.3/§6.3 protocol optimizations buy.
 //!
-//! Three measurements, each toggling one optimization the paper describes
-//! (and DESIGN.md calls out as a design choice), everything else fixed:
+//! Three measurements, each toggling one optimization the paper describes,
+//! everything else fixed:
 //!
 //! 1. **Overlapping a release with waiting** (§4.3): the release's
 //!    LLC-read round — and an RMW's propose phase — normally run while the

@@ -81,7 +81,7 @@ fn main() {
             // Our cost model charges messages, not multicore serialization:
             // ZAB's total-order apply is free here, while it is the paper's
             // reason Paxos wins. We verify Paxos stays *competitive* on
-            // writes despite needing no leader (EXPERIMENTS.md, Fig 5 note).
+            // writes despite needing no leader.
             name: "Paxos competitive with ZAB at write-heavy mixes (§8.2, see notes)",
             holds: hi[2] > hi[3] * 0.85,
             detail: format!("at 100% writes: Paxos {} vs ZAB {}", hi[2], hi[3]),

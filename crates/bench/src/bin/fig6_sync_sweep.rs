@@ -68,7 +68,7 @@ fn main() {
         // performance to ZAB" claim is gated on the write-heavy panel: on
         // read-heavy mixes ZAB's local SC reads are nearly free while
         // Kite's acquires pay quorum latency, and with our small session
-        // counts that latency is not fully hidden (EXPERIMENTS.md).
+        // counts that latency is not fully hidden.
         if w >= 60 {
             checks.push(ShapeCheck {
                 name: "Kite ≥ ZAB even at the synchronization extreme (§8.1)",

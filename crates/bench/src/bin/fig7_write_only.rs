@@ -89,7 +89,7 @@ fn main() {
             detail: format!("{es:.3} > {abd:.3} > {paxos:.3}"),
         },
         ShapeCheck {
-            // See fig5/EXPERIMENTS.md: the simulator does not charge ZAB's
+            // As in `fig5_write_ratio`: the simulator does not charge ZAB's
             // total-order serialization, the effect behind the paper's gap.
             name: "Paxos writes competitive with ZAB writes (§8.2, see notes)",
             holds: paxos > zab * 0.85,

@@ -16,7 +16,7 @@
 //! fraction of synchronization accesses per op ("sync-per") shrinks
 //! (TS-32 ≫ HML-4).
 //!
-//! Reproduction note (see EXPERIMENTS.md): the *gated* comparison here is
+//! Reproduction note: the *gated* comparison here is
 //! the conflict-free one — Kite-ideal vs ZAB-ideal — because both sides of
 //! it are apples-to-apples in our simulation. Shared-structure Kite is
 //! measured and reported, but its conflict penalty is much larger than the

@@ -11,7 +11,8 @@
 //! | `fig8_datastructures` | Figure 8 | lock-free DS throughput: Kite vs Kite-ideal vs ZAB-ideal |
 //! | `fig9_failure` | Figure 9 | throughput timeline across a 400 ms replica sleep |
 //!
-//! Plus one harness per design-choice ablation (DESIGN.md §5b):
+//! Plus one harness per design-choice ablation, and `ext_skew` (an
+//! extension beyond the paper: the same stacks under Zipfian key skew):
 //!
 //! | binary | design choice | what it prints |
 //! |---|---|---|
@@ -20,11 +21,11 @@
 //! | `ablation_cas` | §6.1 weak CAS | contended Treiber stack, weak vs strong CAS |
 //!
 //! All harnesses run on the deterministic simulator in **virtual time**
-//! (see DESIGN.md §4): absolute mreqs are not comparable to the paper's
-//! 56 Gb-RDMA testbed, but the *shape* — who wins, crossover points,
-//! recovery behaviour — is the reproduction target and is asserted where
-//! the paper states it. Substrate micro rows are the `throughput` bin's and
-//! the `benchmark/` probes'.
+//! (a run is a function of its seed, not of the host): absolute mreqs are
+//! not comparable to the paper's 56 Gb-RDMA testbed, but the *shape* — who
+//! wins, crossover points, recovery behaviour — is the reproduction target
+//! and is asserted where the paper states it. Performance claims are
+//! refereed by `benchmark/run.sh`, not by these bins.
 
 use kite_common::ClusterConfig;
 use kite_simnet::SimCfg;
@@ -108,7 +109,7 @@ pub fn fmt_mreqs(v: f64) -> String {
 }
 
 /// A named shape expectation from the paper, checked by the harnesses and
-/// reported alongside the numbers (so EXPERIMENTS.md can record pass/fail).
+/// reported alongside the numbers as a PASS/FAIL line.
 pub struct ShapeCheck {
     pub name: &'static str,
     pub holds: bool,

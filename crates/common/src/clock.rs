@@ -97,12 +97,6 @@ impl Lc {
     pub fn owner(self) -> NodeId {
         NodeId(self.mid() & !Self::RMW_TAG)
     }
-
-    /// `true` iff this clock orders strictly after `other`.
-    #[inline]
-    pub fn beats(self, other: Lc) -> bool {
-        self > other
-    }
 }
 
 impl std::fmt::Debug for Lc {

@@ -25,17 +25,14 @@ pub struct ClusterConfig {
     /// Retransmission interval for quorum-seeking operations (ABD rounds,
     /// Paxos phases) in nanoseconds. Needed for liveness under message loss.
     pub retransmit_ns: u64,
-    /// Messages batched opportunistically into one network envelope (§6.3).
-    /// Workers never wait to fill a quota; this is only the cap.
-    pub max_batch: usize,
     /// Per-session cap on relaxed writes with outstanding acks. Bounds
     /// release-barrier bookkeeping; the paper's implementation similarly
     /// bounds in-flight broadcasts by its window of pending messages.
     pub write_window: usize,
     /// Operations each session may *start* per worker scheduling tick.
     /// Paired with the simulator's service-time model this is the
-    /// issue-rate half of the queueing model (see DESIGN.md §4): relaxed
-    /// ops are issue-bound, synchronization ops are round-trip-bound.
+    /// issue-rate half of the queueing model: relaxed ops are issue-bound,
+    /// synchronization ops are round-trip-bound.
     pub ops_per_tick: usize,
     /// §4.3 optimization "overlapping a release with waiting": run the
     /// release's LLC-read round (and an RMW's propose phase) concurrently
@@ -151,7 +148,6 @@ impl Default for ClusterConfig {
             keys: 1 << 16,
             release_timeout_ns: 1_000_000, // ~1 ms, as in §8.4
             retransmit_ns: 2_000_000,
-            max_batch: 32,
             write_window: 64,
             ops_per_tick: 2,
             overlap_release: true,
@@ -227,12 +223,6 @@ impl ClusterConfig {
     /// Builder: retransmission interval.
     pub fn retransmit_ns(mut self, t: u64) -> Self {
         self.retransmit_ns = t;
-        self
-    }
-
-    /// Builder: messages batched per envelope (§6.3).
-    pub fn max_batch(mut self, b: usize) -> Self {
-        self.max_batch = b;
         self
     }
 

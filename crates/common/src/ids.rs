@@ -29,27 +29,6 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Identifier of a worker thread within a node. Workers are the protocol
-/// execution engines; worker *w* of node *a* exchanges messages only with
-/// worker *w* of every other node (§6.3: one connection per remote worker,
-/// minimizing connection state).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct WorkerId(pub u16);
-
-impl WorkerId {
-    #[inline]
-    /// The node id as a dense index.
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl std::fmt::Display for WorkerId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "w{}", self.0)
-    }
-}
-
 /// Globally unique session identifier.
 ///
 /// Sessions define program order: the ordering rules of RC (§5.1) are all
@@ -90,7 +69,8 @@ impl std::fmt::Display for SessionId {
 /// * Acquires embed their `OpId` in delinquency-reset messages so a reset is
 ///   applied only for the acquire that observed the transient bit (§4.2.1).
 /// * RMW commands carry their `OpId` so a command completed by a helping
-///   proposer is never re-executed by its owner (§3.4 of DESIGN.md).
+///   proposer is never re-executed by its owner (paper §3.4; the per-key
+///   committed ring in `kite_kvs::paxos_meta` is the dedup record).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId {
     /// The owning session.
@@ -198,6 +178,5 @@ mod tests {
         assert_eq!(sid.to_string(), "n1s7");
         assert_eq!(OpId::new(sid, 9).to_string(), "n1s7#9");
         assert_eq!(Key(12).to_string(), "k12");
-        assert_eq!(WorkerId(2).to_string(), "w2");
     }
 }

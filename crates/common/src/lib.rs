@@ -36,7 +36,7 @@ pub mod value;
 pub use clock::{Epoch, Lc};
 pub use config::ClusterConfig;
 pub use error::{KiteError, Result};
-pub use ids::{Key, NodeId, OpId, SessionId, WorkerId};
+pub use ids::{Key, NodeId, OpId, SessionId};
 pub use membership::{Membership, MembershipCell, MEMBERSHIP_KEY};
 pub use nodeset::NodeSet;
 pub use value::Val;

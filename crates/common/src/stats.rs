@@ -34,7 +34,7 @@ pub struct ProtoCounters {
     pub msgs_sent: Counter,
     /// Ack *messages* sent: single `Ack`s, delinquent `WriteAck`s, and each
     /// `AckBatch` counted once. `acks_sent / writes` is the
-    /// acks-per-write figure the throughput harness reports.
+    /// acks-per-write figure (`core.acks_per_op` in the benchmark).
     pub acks_sent: Counter,
     /// Plain acks that rode inside an `AckBatch` (rids coalesced).
     pub acks_coalesced: Counter,
@@ -70,8 +70,7 @@ pub struct ProtoCounters {
     /// Estimated wire bytes of repair *values* sent (the complement of
     /// `ae_digest_bytes`: divergence-proportional payload, not sweep
     /// overhead). Summed across a learner's peers this is the bulk-sync
-    /// transfer cost of a catch-up — the figure `scripts/bench.sh`
-    /// reports per join.
+    /// transfer cost of a catch-up.
     pub ae_repair_bytes: Counter,
     /// Memberships installed into the live cell (commit applies, WAL
     /// replay, and anti-entropy repairs of the membership key that carried
@@ -143,16 +142,6 @@ impl ProtoCounters {
             ("membership_pulls", membership_pulls),
         ]
     }
-
-    /// Average messages per envelope — the §6.3 batching effectiveness.
-    pub fn batching_factor(&self) -> f64 {
-        let env = self.envelopes_sent.get();
-        if env == 0 {
-            0.0
-        } else {
-            self.msgs_sent.get() as f64 / env as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,13 +161,5 @@ mod tests {
         let read = |name| p.fields().iter().find(|(n, _)| *n == name).expect("named").1.get();
         assert_eq!(read("slow_releases"), 4);
         assert_eq!(read("fast_releases"), 0);
-    }
-
-    #[test]
-    fn batching_factor() {
-        let p = ProtoCounters::default();
-        p.msgs_sent.add(30);
-        p.envelopes_sent.add(10);
-        assert!((p.batching_factor() - 3.0).abs() < 1e-9);
     }
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite_common::stats::ProtoCounters;
-use kite_common::{ClusterConfig, Key, KiteError, NodeId, Result, SessionId, Val};
+use kite_common::{ClusterConfig, Key, KiteError, NodeId, Result, Val};
 use kite_simnet::{spawn_workers, FaultPlane, StopHandle, ThreadedNet, WorkerIo};
 use parking_lot::Mutex;
 
@@ -32,9 +32,7 @@ type SessionPlumbing = (Sender<Op>, Receiver<Completion>);
 
 /// A running in-process Kite deployment.
 pub struct Cluster {
-    cfg: ClusterConfig,
-    mode: ProtocolMode,
-    net: ThreadedNet<Msg>,
+    net: ThreadedNet,
     stop: Option<StopHandle>,
     shared: Vec<Arc<NodeShared>>,
     /// Unclaimed session plumbing, indexed `[node][slot]`.
@@ -55,7 +53,7 @@ impl Cluster {
         hook: Option<CompletionHook>,
     ) -> Result<Cluster> {
         cfg.validate().map_err(KiteError::BadConfig)?;
-        let (net, ios) = ThreadedNet::<Msg>::build(cfg.nodes, cfg.workers_per_node, 0xC0FFEE);
+        let (net, ios) = ThreadedNet::build::<Msg>(cfg.nodes, cfg.workers_per_node, 0xC0FFEE);
 
         let shared: Vec<Arc<NodeShared>> = (0..cfg.nodes)
             .map(|n| {
@@ -81,17 +79,7 @@ impl Cluster {
         }
 
         let stop = spawn_workers(rigs, &net);
-        Ok(Cluster { cfg, mode, net, stop: Some(stop), shared, slots: Mutex::new(slots) })
-    }
-
-    /// The deployment's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    /// The protocol stack this deployment runs.
-    pub fn mode(&self) -> ProtocolMode {
-        self.mode
+        Ok(Cluster { net, stop: Some(stop), shared, slots: Mutex::new(slots) })
     }
 
     /// Claim a session on `node`. `slot` ranges over
@@ -107,7 +95,7 @@ impl Cluster {
         let (tx, rx) = entry
             .take()
             .ok_or_else(|| KiteError::SessionUnavailable(format!("{node} slot {slot} taken")))?;
-        Ok(SessionHandle { id: SessionId::new(node, slot), tx, rx, submitted: 0, retired: 0 })
+        Ok(SessionHandle::from_channels(tx, rx))
     }
 
     /// Per-node shared state (store, epoch, delinquency) — for tests and
@@ -127,26 +115,17 @@ impl Cluster {
         self.shared[node.idx()].metrics_text()
     }
 
-    /// The fault-injection plane (drops, delays, partitions, crashes).
+    /// The fault-injection plane (lossy links, partitions, sleeps).
     pub fn faults(&self) -> &FaultPlane {
         &self.net.faults
-    }
-
-    /// Cluster clock (ns since launch).
-    pub fn now(&self) -> u64 {
-        use kite_simnet::Clock;
-        self.net.clock.now()
     }
 
     /// Put a node to sleep for `dur` (the §8.4 failure experiment): its
     /// workers stop processing; traffic to it buffers.
     pub fn sleep_node(&self, node: NodeId, dur: Duration) {
-        self.net.faults.sleep_node_until(node, self.now() + dur.as_nanos() as u64);
-    }
-
-    /// Crash a node permanently (crash-stop, §2.1).
-    pub fn crash_node(&self, node: NodeId) {
-        self.net.faults.crash(node);
+        use kite_simnet::Clock;
+        let wake = self.net.clock.now() + dur.as_nanos() as u64;
+        self.net.faults.sleep_node_until(node, wake);
     }
 
     /// Stop all workers and tear down.
@@ -237,7 +216,6 @@ impl Drop for Cluster {
 /// its own sequence number instead of being misattributed to whatever the
 /// client asked for next.
 pub struct SessionHandle {
-    id: SessionId,
     tx: Sender<Op>,
     rx: Receiver<Completion>,
     /// Operations submitted; the next submission gets session seq
@@ -254,13 +232,8 @@ impl SessionHandle {
     /// `Session`/`SessionDriver::External` wiring as [`Cluster::launch`];
     /// the channels must belong to an unclaimed session or program order is
     /// violated.
-    pub fn from_channels(id: SessionId, tx: Sender<Op>, rx: Receiver<Completion>) -> SessionHandle {
-        SessionHandle { id, tx, rx, submitted: 0, retired: 0 }
-    }
-
-    /// This session's id (node + slot).
-    pub fn id(&self) -> SessionId {
-        self.id
+    pub fn from_channels(tx: Sender<Op>, rx: Receiver<Completion>) -> SessionHandle {
+        SessionHandle { tx, rx, submitted: 0, retired: 0 }
     }
 
     // ---- async API (§6.1) ------------------------------------------------
@@ -287,16 +260,6 @@ impl SessionHandle {
         debug_assert_eq!(c.op_id.seq, self.retired, "completions must arrive in session order");
         self.retired += 1;
         Ok(c)
-    }
-
-    /// Drain all currently available completions.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let mut v = Vec::new();
-        while let Ok(c) = self.rx.try_recv() {
-            self.retired += 1;
-            v.push(c);
-        }
-        v
     }
 
     // ---- sync API ----------------------------------------------------------

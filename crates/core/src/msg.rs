@@ -59,7 +59,8 @@ use std::sync::Arc;
 use kite_common::{Key, Lc, NodeSet, OpId, Val};
 
 /// A Paxos command: everything an acceptor stores for an accepted RMW and a
-/// committer needs to finish it (§3.4; DESIGN.md §3.4 for the dedup scheme).
+/// committer needs to finish it (§3.4; the dedup scheme is the per-key
+/// committed ring in `kite_kvs::paxos_meta`).
 ///
 /// ~90 bytes — always behind an `Arc`/`Box` on the wire (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -233,20 +233,12 @@ impl NodeShared {
         Epoch(self.epoch.load(Ordering::Acquire))
     }
 
-    /// Increment the machine epoch (transition to the slow path, §4.2):
-    /// every locally stored key becomes out-of-epoch at once. Returns the
-    /// new epoch.
-    #[inline]
-    pub fn bump_epoch(&self) -> Epoch {
-        let new = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.counters.epoch_bumps.incr();
-        Epoch(new)
-    }
-
-    /// Epoch bump for an acquire that *started* at `invoked_at` (scheduler
-    /// clock): skipped if another acquire already bumped the epoch after
-    /// this one began — that bump invalidated every key and thus already
-    /// discharges this acquire's slow-path obligation (Lemma 5.4). Without
+    /// Increment the machine epoch (transition to the slow path, §4.2:
+    /// every locally stored key becomes out-of-epoch at once) for an
+    /// acquire that *started* at `invoked_at` (scheduler clock). Skipped if
+    /// another acquire already bumped the epoch after this one began — that
+    /// bump invalidated every key and thus already discharges this
+    /// acquire's slow-path obligation (Lemma 5.4). Without
     /// this, a burst of concurrent acquires on a waking replica bumps the
     /// epoch hundreds of times, forcing each key through the slow path
     /// once *per bump* instead of once per outage.
@@ -288,13 +280,6 @@ impl NodeShared {
     pub fn mepoch(&self) -> u32 {
         self.membership.epoch()
     }
-
-    /// Number of configured node *slots* (sizes tables and rings; the live
-    /// member set is a subset — see [`NodeShared::members`]).
-    #[inline]
-    pub fn nodes(&self) -> usize {
-        self.cfg.nodes
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +298,7 @@ mod tests {
     fn epoch_starts_at_zero_and_bumps() {
         let s = shared();
         assert_eq!(s.epoch(), Epoch(0));
-        assert_eq!(s.bump_epoch(), Epoch(1));
+        assert!(s.bump_epoch_once(0, 1));
         assert_eq!(s.epoch(), Epoch(1));
         assert_eq!(s.counters.epoch_bumps.get(), 1);
     }
@@ -324,7 +309,7 @@ mod tests {
         let s = shared();
         // in-epoch write succeeds at epoch 0
         assert!(s.store.fast_write(Key(1), &Val::from_u64(1), s.me, s.epoch()).is_some());
-        s.bump_epoch();
+        assert!(s.bump_epoch_once(0, 1));
         // the key's epoch (0) now lags the machine epoch (1): fast path refused
         assert!(s.store.fast_write(Key(1), &Val::from_u64(2), s.me, s.epoch()).is_none());
         // restoring brings it back
@@ -336,6 +321,5 @@ mod tests {
     fn quorum_matches_config() {
         let s = shared();
         assert_eq!(s.quorum(), 2); // 3-node small config
-        assert_eq!(s.nodes(), 3);
     }
 }

@@ -1,6 +1,7 @@
 //! Kite on the deterministic simulator: reproducible protocol executions
 //! in virtual time, used by the correctness test-suites and the benchmark
-//! harnesses (see DESIGN.md §4 for why benchmarks run in virtual time).
+//! harnesses (virtual time makes a run a function of its seed, not of the
+//! host's core count or load).
 
 use std::sync::Arc;
 

@@ -50,7 +50,6 @@ pub(crate) enum StartResult {
 /// docs for the division of labour with `replica`/`initiator`.
 pub struct Worker {
     pub(crate) me: NodeId,
-    pub(crate) wid: usize,
     pub(crate) shared: Arc<NodeShared>,
     pub(crate) mode: ProtocolMode,
     pub(crate) sessions: Vec<Session>,
@@ -112,7 +111,6 @@ impl Worker {
         let inflight_cap = sessions.len() * (cfg.write_window + 1);
         Worker {
             me: shared.me,
-            wid,
             mode,
             sessions,
             inflight: InFlightTable::with_capacity(inflight_cap),
@@ -144,21 +142,6 @@ impl Worker {
     pub(crate) fn untracked_rid(&mut self) -> u64 {
         self.next_untracked += 1;
         UNTRACKED_RID_BIT | self.next_untracked
-    }
-
-    /// The node this worker belongs to.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
-    /// This worker's index within its node.
-    pub fn worker_index(&self) -> usize {
-        self.wid
-    }
-
-    /// The node-shared state (store, epoch, delinquency, counters).
-    pub fn shared(&self) -> &Arc<NodeShared> {
-        &self.shared
     }
 
     /// Majority-quorum size over the **live** voter set. Never cached in a

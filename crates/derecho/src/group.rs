@@ -102,11 +102,6 @@ impl DerechoWorker {
         }
     }
 
-    /// Total writes delivered (applied) at this node.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Is any real (non-null) message waiting for delivery at this node?
     fn real_pending(&self) -> bool {
         self.recv.iter().any(|log| log.slots.values().any(|p| p.is_some()))

@@ -69,8 +69,7 @@ pub(crate) struct Record {
     /// contains a pointer to its own Paxos-structure"). We guard it with a
     /// `Mutex` rather than re-entering the seqlock because the Paxos state
     /// is not `Copy`; the paper's trick of sharing the seqlock is an
-    /// optimization, not a correctness requirement (deviation noted in
-    /// DESIGN.md §3.4).
+    /// optimization, not a correctness requirement.
     pub paxos: OnceLock<Box<Mutex<PaxosMeta>>>,
 }
 

@@ -97,27 +97,6 @@ impl SeqLock {
         }
     }
 
-    /// Run `f` under the write lock.
-    #[inline]
-    pub fn with_write<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _g = self.write_lock();
-        f()
-    }
-
-    /// Run `f` optimistically until it reads a consistent snapshot.
-    /// `f` must be side-effect-free on retry.
-    #[inline]
-    pub fn with_read<R>(&self, mut f: impl FnMut() -> R) -> R {
-        loop {
-            let begin = self.read_begin();
-            let r = f();
-            if self.read_validate(begin) {
-                return r;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
     /// Current raw sequence (test/diagnostic use).
     // ordering: diagnostic peek; nothing is read on the strength of it.
     pub fn raw(&self) -> u64 {
@@ -152,9 +131,9 @@ mod tests {
     fn sequence_advances_by_two_per_write() {
         let l = SeqLock::new();
         assert_eq!(l.raw(), 0);
-        l.with_write(|| {});
+        drop(l.write_lock());
         assert_eq!(l.raw(), 2);
-        l.with_write(|| {});
+        drop(l.write_lock());
         assert_eq!(l.raw(), 4);
     }
 
@@ -169,14 +148,14 @@ mod tests {
     fn reader_detects_intervening_writer() {
         let l = SeqLock::new();
         let b = l.read_begin();
-        l.with_write(|| {});
+        drop(l.write_lock());
         assert!(!l.read_validate(b));
     }
 
     #[test]
-    fn with_read_retries_to_consistency() {
-        // Writer flips two correlated cells; with_read must never observe
-        // them unequal.
+    fn validated_reads_retry_to_consistency() {
+        // Writer flips two correlated cells; a read that validates must
+        // never have observed them unequal.
         let l = Arc::new(SeqLock::new());
         let a = Arc::new(AtomicU64::new(0));
         let b = Arc::new(AtomicU64::new(0));
@@ -198,9 +177,12 @@ mod tests {
 
         let mut checks = 0u64;
         while checks < 2_000 {
-            let (x, y) = l.with_read(|| (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed)));
-            assert_eq!(x, y, "torn read observed");
-            checks += 1;
+            let begin = l.read_begin();
+            let (x, y) = (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+            if l.read_validate(begin) {
+                assert_eq!(x, y, "torn read observed");
+                checks += 1;
+            }
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();

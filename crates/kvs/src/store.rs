@@ -380,13 +380,6 @@ impl Store {
         self.record(key).snapshot().lc
     }
 
-    /// The key's `(clock, epoch)` pair.
-    #[inline]
-    pub fn lc_epoch(&self, key: Key) -> (Lc, Epoch) {
-        let d = self.record(key).snapshot();
-        (d.lc, Epoch(d.epoch))
-    }
-
     // ---- writes ----------------------------------------------------------
 
     /// ES fast-path relaxed write (§3.2): requires the key to be in-epoch.
@@ -540,26 +533,6 @@ impl Store {
         self.sink_apply(key, lc, val);
     }
 
-    /// Run `f` with exclusive access to the record's `(val, lc, epoch)`
-    /// via a small closure API — escape hatch for engines with bespoke
-    /// commit rules. `f` receives `(current value, current lc)` and may
-    /// return a replacement.
-    pub fn update_with(&self, key: Key, f: impl FnOnce(Val, Lc) -> Option<(Val, Lc)>) {
-        let mut transition = None;
-        self.record(key).update(|d| {
-            if let Some((nv, nlc)) = f(d.val(), d.lc) {
-                let old = d.lc;
-                d.lc = nlc;
-                d.set_val(&nv);
-                transition = Some((old, nlc, nv));
-            }
-        });
-        if let Some((old, new, val)) = transition {
-            self.leaf_apply(key, old, new);
-            self.sink_apply(key, new, &val);
-        }
-    }
-
     // ---- Paxos -----------------------------------------------------------
 
     /// The key's Paxos structure (lazily allocated on first RMW, §6.2).
@@ -659,12 +632,6 @@ impl Store {
     #[inline]
     pub fn merkle_leaves(&self) -> usize {
         self.leaves.len()
-    }
-
-    /// Home slots covered per leaf.
-    #[inline]
-    pub fn merkle_leaf_span(&self) -> usize {
-        1 << self.leaf_shift
     }
 
     /// The current hash of one leaf (diagnostics/tests; range comparisons
@@ -1158,12 +1125,10 @@ mod tests {
         s.apply_max_restore(Key(3), &Val::from_u64(33), Lc::new(4, NodeId(2)), Epoch(1));
         s.stamp_apply(Key(4), &Val::from_u64(44), Lc::ZERO, NodeId(2), None);
         s.apply_ordered(Key(5), &Val::from_u64(55), Lc::new(7, NodeId(0)));
-        s.update_with(Key(6), |_, lc| Some((Val::from_u64(66), lc.succ(NodeId(3)))));
-        s.update_with(Key(6), |_, _| None); // declined: no record
         s.view(Key(7)); // claim only: no record
         let recs = tape.0.lock().unwrap().clone();
         let keys: Vec<u64> = recs.iter().map(|(k, _, _)| k.0).collect();
-        assert_eq!(keys, vec![1, 2, 3, 4, 5, 6], "one record per applied mutation, in order");
+        assert_eq!(keys, vec![1, 2, 3, 4, 5], "one record per applied mutation, in order");
         for (k, lc, v) in &recs {
             let view = s.view(*k);
             assert_eq!((view.lc, view.val.as_u64()), (*lc, *v), "sink record matches store");
@@ -1189,14 +1154,12 @@ mod tests {
         s.view(Key(1));
         assert!((0..s.merkle_leaves()).all(|l| s.leaf_hash(l) == 0));
         // Every mutator feeds the lattice: fast_write, apply_max,
-        // apply_max_restore, apply_ordered (including clock *decreases*),
-        // update_with.
+        // apply_max_restore, apply_ordered (including clock *decreases*).
         s.fast_write(Key(1), &Val::from_u64(1), NodeId(0), Epoch::ZERO);
         s.apply_max(Key(2), &Val::from_u64(2), Lc::new(9, NodeId(1)));
         s.apply_max_restore(Key(3), &Val::from_u64(3), Lc::new(4, NodeId(2)), Epoch(1));
         s.apply_ordered(Key(4), &Val::from_u64(4), Lc::new(100, NodeId(0)));
         s.apply_ordered(Key(4), &Val::from_u64(5), Lc::new(2, NodeId(0)));
-        s.update_with(Key(5), |_, lc| Some((Val::from_u64(6), lc.succ(NodeId(3)))));
         // A rejected stale apply must not perturb the lattice.
         s.apply_max(Key(2), &Val::from_u64(7), Lc::new(1, NodeId(0)));
         for leaf in 0..s.merkle_leaves() {

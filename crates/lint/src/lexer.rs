@@ -300,10 +300,6 @@ mod tests {
         lex(src).into_iter().map(|l| l.code).collect()
     }
 
-    fn comment_of(src: &str) -> Vec<String> {
-        lex(src).into_iter().map(|l| l.comment).collect()
-    }
-
     #[test]
     fn line_comment_goes_to_comment_channel() {
         let lines = lex("let x = 1; // SAFETY: fine\n");

@@ -254,9 +254,6 @@ impl DsClient {
                 self.stats.pops.incr();
                 match fields {
                     None => {
-                        if std::env::var_os("KITE_TRACE_EMPTY").is_some() {
-                            eprintln!("[empty] client {} pair {}", self.id, self.pair_idx);
-                        }
                         self.stats.empty_pops.incr();
                     }
                     Some(fs) => {

@@ -44,11 +44,6 @@ impl Ptr {
         Ptr { mark: false, ..self }
     }
 
-    /// Target as a store key.
-    pub fn target(self) -> Key {
-        Key(self.key)
-    }
-
     /// Encode into a store value (13 bytes, inline). The canonical NULL
     /// encodes as the *empty* value so it compares equal to a never-written
     /// pointer cell — CAS expectations on fresh cells depend on this.

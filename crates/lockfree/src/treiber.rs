@@ -53,11 +53,6 @@ impl TsPush {
         assert_eq!(payload.len(), stack.fields);
         TsPush { stack, node, payload, state: PushState::WriteField(0), retries: 0 }
     }
-
-    /// The node handed in at construction (free it on a failed push).
-    pub fn node(&self) -> Ptr {
-        self.node
-    }
 }
 
 impl DsMachine for TsPush {

@@ -83,15 +83,6 @@ impl Histogram {
         s.sum = self.sum.load(Ordering::Relaxed);
         s
     }
-
-    /// Reset all buckets to zero (tests / epoch-based windows).
-    pub fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Plain-data snapshot of a [`Histogram`]: mergeable, clonable, queryable.

@@ -126,13 +126,6 @@ impl Hll {
         };
         est.round() as u64
     }
-
-    /// Reset every register (tests / epoch windows).
-    pub fn clear(&self) {
-        for reg in self.registers.iter() {
-            reg.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]

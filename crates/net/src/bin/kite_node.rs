@@ -5,7 +5,7 @@
 //!           [--workers 2] [--sessions-per-worker 4] [--keys 65536]
 //!           [--mode kite|es|abd|paxos] [--anti-entropy on|off]
 //!           [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS]
-//!           [--keepalive-ns N] [--config cluster.toml]
+//!           [--keepalive-ns N] [--release-timeout-ns N]
 //!           [--wal on|off] [--wal-dir DIR] [--wal-group-commit-ns N]
 //!           [--wal-snapshot-interval-ns N] [--metrics-addr HOST:PORT]
 //!           [--voters 0,1,2] [--learners 3] [--join HOST:PORT [--join-slot S]]
@@ -26,15 +26,8 @@
 //! dump when the request line is `dump`. The endpoint is served by worker
 //! 0's existing epoll loop — no extra threads.
 //!
-//! Topology can also come from a TOML-ish config file (`key = value` lines,
-//! `#` comments; command-line flags override it):
-//!
-//! ```text
-//! node = 0
-//! peers = "127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102"
-//! workers = 2
-//! mode = "kite"
-//! ```
+//! Every argument is a `--flag value` pair from the list above; an unknown
+//! flag or a flag without a value prints the usage line and exits 2.
 //!
 //! The fabric listener also accepts remote client sessions (`kite-client`,
 //! [`kite_net::RemoteSession`]). SIGTERM/SIGINT trigger a clean shutdown
@@ -87,24 +80,13 @@ fn install_signal_handlers() -> &'static Waker {
     waker
 }
 
-/// Parse a TOML-ish `key = value` file into a flat map (strings may be
-/// quoted; `#` starts a comment; no tables/arrays — the topology is flat).
-fn parse_config_file(path: &str) -> Result<HashMap<String, String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut map = HashMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(format!("{path}:{}: expected `key = value`", lineno + 1));
-        };
-        let v = v.trim().trim_matches('"').trim_matches('\'');
-        map.insert(k.trim().to_string(), v.to_string());
-    }
-    Ok(map)
-}
+/// Every flag `main` reads; anything else is a usage error.
+const FLAGS: [&str; 20] = [
+    "node", "peers", "workers", "sessions-per-worker", "keys", "mode", "anti-entropy",
+    "anti-entropy-interval-ns", "anti-entropy-chunk", "keepalive-ns", "release-timeout-ns", "wal",
+    "wal-dir", "wal-group-commit-ns", "wal-snapshot-interval-ns", "metrics-addr", "voters",
+    "learners", "join", "join-slot",
+];
 
 fn usage() -> ! {
     eprintln!(
@@ -112,7 +94,7 @@ fn usage() -> ! {
          [--workers W] [--sessions-per-worker S] [--keys K] \
          [--mode kite|es|abd|paxos] [--anti-entropy on|off] \
          [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS] \
-         [--keepalive-ns N] [--release-timeout-ns N] [--config FILE] \
+         [--keepalive-ns N] [--release-timeout-ns N] \
          [--wal on|off] [--wal-dir DIR] [--wal-group-commit-ns N] \
          [--wal-snapshot-interval-ns N] [--metrics-addr HOST:PORT] \
          [--voters 0,1,2] [--learners 3] [--join HOST:PORT [--join-slot S]]"
@@ -175,30 +157,16 @@ fn join_as_learner(
 }
 
 fn main() {
-    // Collect `--flag value` pairs; a config file seeds the map first so
-    // flags override it.
+    // Collect `--flag value` pairs.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts: HashMap<String, String> = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(flag) = args[i].strip_prefix("--") else { usage() };
-        let Some(value) = args.get(i + 1) else { usage() };
-        if flag == "config" {
-            match parse_config_file(value) {
-                Ok(file) => {
-                    for (k, v) in file {
-                        opts.entry(k).or_insert(v);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("kite-node: {e}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            opts.insert(flag.replace('-', "_"), value.clone());
+    for pair in args.chunks(2) {
+        let (Some(flag), Some(value)) = (pair[0].strip_prefix("--"), pair.get(1)) else { usage() };
+        if !FLAGS.contains(&flag) {
+            eprintln!("kite-node: unknown flag --{flag}");
+            usage();
         }
-        i += 2;
+        opts.insert(flag.replace('-', "_"), value.clone());
     }
 
     let get = |k: &str| opts.get(k).cloned();

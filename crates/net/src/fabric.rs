@@ -131,16 +131,6 @@ impl PeerTable {
         self.changes.load(Ordering::Relaxed)
     }
 
-    /// Number of node slots.
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// True if the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
-    }
-
     /// The current `(address, generation)` of `node`'s slot.
     pub fn get(&self, node: usize) -> (String, u64) {
         self.slots.lock()[node].clone()
@@ -772,11 +762,6 @@ impl NodeStopHandle {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-
-    /// The shared stop flag.
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
     }
 
     /// The diagnostics flag: raising it makes every worker loop print an

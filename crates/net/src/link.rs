@@ -149,40 +149,6 @@ impl LinkTable {
         &self.links[peer.idx()][worker]
     }
 
-    /// Total inbound frames across all links (progress probe).
-    // ordering: monotone counters summed for a progress heuristic; the sum
-    // is racy by nature and Relaxed loses nothing.
-    pub fn total_frames_in(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| l.frames_in.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total outbound frames shed to ring backpressure across all links —
-    /// the transport-health number the bench bins print per row.
-    // ordering: monotone counters summed for reporting; Relaxed is exact
-    // enough for a snapshot that is racy by nature.
-    pub fn total_shed_full(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| l.shed_full.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total inbound frames that failed to decode across all links (any
-    /// nonzero value means wire corruption or a framing bug).
-    // ordering: same monotone-snapshot argument as `total_shed_full`.
-    pub fn total_decode_errors(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| l.decode_errors.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Human-readable per-link dump for the watchdog / shutdown report.
     // ordering: diagnostics snapshot — each counter is read independently;
     // cross-counter consistency is not promised, so Relaxed is exact enough.
@@ -346,6 +312,5 @@ mod tests {
         let d = t.describe();
         assert!(d.contains("Retired"), "{d}");
         assert!(d.contains("in=3"), "{d}");
-        assert_eq!(t.total_frames_in(), 3);
     }
 }

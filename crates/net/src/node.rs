@@ -19,7 +19,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite::api::{Completion, Op};
 use kite::session::{sessions_for, SessionDriver};
 use kite::{NodeShared, ProtocolMode, SessionHandle, Worker};
-use kite_common::{ClusterConfig, KiteError, NodeId, Result, SessionId};
+use kite_common::{ClusterConfig, KiteError, NodeId, Result};
 use kite_kvs::DurabilitySink;
 use kite_wal::{RecoveryStats, Wal};
 use parking_lot::Mutex;
@@ -71,7 +71,6 @@ impl NodeConfig {
 
 /// A running Kite node over TCP.
 pub struct NodeRuntime {
-    cfg: ClusterConfig,
     mode: ProtocolMode,
     me: NodeId,
     net: TcpNet,
@@ -188,7 +187,6 @@ impl NodeRuntime {
         let stop = spawn_tcp_workers(rigs, &net);
 
         Ok(NodeRuntime {
-            cfg: ccfg,
             mode: cfg.mode,
             me: cfg.me,
             net,
@@ -204,16 +202,6 @@ impl NodeRuntime {
     /// This node's id.
     pub fn node(&self) -> NodeId {
         self.me
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    /// The protocol stack this node runs.
-    pub fn mode(&self) -> ProtocolMode {
-        self.mode
     }
 
     /// The address the fabric listener bound — peers dial this, and remote
@@ -237,7 +225,7 @@ impl NodeRuntime {
     /// as `Cluster::session`).
     pub fn session(&self, slot: u32) -> Result<SessionHandle> {
         let (tx, rx) = claim_slot(&self.slots, self.me, slot)?;
-        Ok(SessionHandle::from_channels(SessionId::new(self.me, slot), tx, rx))
+        Ok(SessionHandle::from_channels(tx, rx))
     }
 
     /// The node's write-ahead log, when durability is on.
@@ -387,9 +375,9 @@ fn claim_slot(
 // ---------------------------------------------------------------------------
 
 /// Launch a whole cluster of [`NodeRuntime`]s **in one process** on
-/// loopback TCP — every byte still crosses a real socket. Used by tests,
-/// the `tcp_cluster` example and the throughput bin's `--transport tcp`;
-/// real deployments run one `kite-node` process per node instead.
+/// loopback TCP — every byte still crosses a real socket. Used by tests
+/// and the `tcp_cluster` example; real deployments run one `kite-node`
+/// process per node instead.
 pub fn launch_local_cluster(cfg: ClusterConfig, mode: ProtocolMode) -> Result<Vec<NodeRuntime>> {
     let listeners: Vec<std::net::TcpListener> = (0..cfg.nodes)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))

@@ -48,11 +48,6 @@ impl MetricsHub {
     pub fn render_dump_extra(&self, out: &mut String) {
         (self.dump_extra)(out);
     }
-
-    /// The underlying registry (tests; additional registration).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 /// Build the hub for one node: every layer's live stats behind one

@@ -169,3 +169,50 @@ fn restarted_node_redials_and_converges_by_keepalive() {
         n.shutdown();
     }
 }
+
+/// `kite-node`'s argument handling: an unknown `--flag` or a flag without a
+/// value is a usage error (exit 2, usage line on stderr) instead of being
+/// silently ignored, and a launch with known flags still reaches the
+/// `ready on` line `scripts/e2e_tcp.sh` and the benchmark wait for.
+#[test]
+fn kite_node_rejects_unknown_flags_and_launches_on_known_ones() {
+    use std::process::{Command, Stdio};
+
+    // Three loopback ports nobody listens on once the probes are dropped.
+    let peers = (0..3)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("probe port"))
+        .map(|l| l.local_addr().expect("addr").to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let node = |args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_kite-node"));
+        cmd.args(args).args(["--node", "0", "--peers", &peers]);
+        cmd
+    };
+
+    for bad in [&["--bogus", "1"][..], &["--merkle-digests", "on"], &["--workers"]] {
+        let mut child = node(bad).stderr(Stdio::piped()).spawn().expect("spawn kite-node");
+        // An accepted flag would launch a node that serves forever.
+        let exited = wait_for(Duration::from_secs(10), || child.try_wait().expect("wait").is_some());
+        child.kill().ok();
+        assert!(exited, "{bad:?} was accepted: the node launched instead of exiting");
+        let out = child.wait_with_output().expect("reap kite-node");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: kite-node --node N --peers"), "{bad:?}: {err}");
+    }
+
+    let log = std::env::temp_dir().join(format!("kite-node-flags-{}.log", std::process::id()));
+    let mut child = node(&["--workers", "1", "--keys", "1024"])
+        .stdout(std::fs::File::create(&log).expect("stdout log"))
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn kite-node");
+    let ready = wait_for(Duration::from_secs(30), || {
+        std::fs::read_to_string(&log).is_ok_and(|out| out.contains("node n0 ready on 127.0.0.1:"))
+    });
+    child.kill().expect("kill kite-node");
+    child.wait().expect("reap kite-node");
+    let _ = std::fs::remove_file(&log);
+    assert!(ready, "a known-flag launch must print the ready line");
+}

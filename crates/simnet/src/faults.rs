@@ -6,40 +6,30 @@
 //!
 //! * **node sleep** — the node's workers stop processing until a deadline;
 //!   messages to it are buffered, not lost (a GC pause / overload model);
-//! * **crash-stop** — the node stops forever and its messages are dropped;
 //! * **lossy links** — per-link drop probability (RDMA UD loss model);
 //! * **partitions** — drop probability 1.0 on both directions of a link.
 //!
+//! Crash-stop and per-link delay are faults of the simulator only
+//! ([`crate::sim::Sim::crash`], [`crate::sim::Sim::set_link_delay`]):
+//! virtual time delays an envelope for free, while wall-clock threads would
+//! need a timer thread per cluster to do it.
+//!
 //! All checks on the send/receive hot path are single atomic loads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use kite_common::NodeId;
-
-/// Per-directed-link configuration, fixed-point probabilities on atomics so
-/// the data plane never takes a lock.
-pub struct LinkCfg {
-    /// Drop probability in units of 1/2^32 (0 = reliable, u32::MAX ≈ 1.0).
-    drop_fp: AtomicU64,
-    /// Extra one-way delay in nanoseconds.
-    delay_ns: AtomicU64,
-}
-
-impl LinkCfg {
-    fn new() -> Self {
-        LinkCfg { drop_fp: AtomicU64::new(0), delay_ns: AtomicU64::new(0) }
-    }
-}
 
 /// Cluster-wide fault state shared by all worker threads.
 pub struct FaultPlane {
     n: usize,
-    crashed: Vec<AtomicBool>,
     /// Absolute wall-clock deadline (ns on the cluster clock) until which
     /// the node sleeps; 0 = awake.
     sleep_until: Vec<AtomicU64>,
-    /// Row-major `links[src * n + dst]`.
-    links: Vec<LinkCfg>,
+    /// Row-major `drop_fp[src * n + dst]`: the directed link's drop
+    /// probability in units of 1/2^32 (0 = reliable, u32::MAX ≈ 1.0) —
+    /// fixed-point on an atomic so the data plane never takes a lock.
+    drop_fp: Vec<AtomicU64>,
 }
 
 impl FaultPlane {
@@ -47,9 +37,8 @@ impl FaultPlane {
     pub fn new(nodes: usize) -> Self {
         FaultPlane {
             n: nodes,
-            crashed: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             sleep_until: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            links: (0..nodes * nodes).map(|_| LinkCfg::new()).collect(),
+            drop_fp: (0..nodes * nodes).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -59,16 +48,11 @@ impl FaultPlane {
     }
 
     #[inline]
-    fn link(&self, src: NodeId, dst: NodeId) -> &LinkCfg {
-        &self.links[src.idx() * self.n + dst.idx()]
+    fn link(&self, src: NodeId, dst: NodeId) -> &AtomicU64 {
+        &self.drop_fp[src.idx() * self.n + dst.idx()]
     }
 
     // ---- control plane -------------------------------------------------
-
-    /// Crash a node permanently (crash-stop model, §2.1).
-    pub fn crash(&self, node: NodeId) {
-        self.crashed[node.idx()].store(true, Ordering::SeqCst);
-    }
 
     /// Put a node to sleep until the given cluster-clock deadline.
     pub fn sleep_node_until(&self, node: NodeId, deadline_ns: u64) {
@@ -78,7 +62,7 @@ impl FaultPlane {
     /// Set the drop probability of the directed link `src → dst`.
     pub fn set_drop(&self, src: NodeId, dst: NodeId, p: f64) {
         let fp = (p.clamp(0.0, 1.0) * u32::MAX as f64) as u64;
-        self.link(src, dst).drop_fp.store(fp, Ordering::SeqCst);
+        self.link(src, dst).store(fp, Ordering::SeqCst);
     }
 
     /// Symmetric partition between `a` and `b`: both directions drop all.
@@ -93,48 +77,20 @@ impl FaultPlane {
         self.set_drop(b, a, 0.0);
     }
 
-    /// Add one-way delay on `src → dst`.
-    pub fn set_delay(&self, src: NodeId, dst: NodeId, delay_ns: u64) {
-        self.link(src, dst).delay_ns.store(delay_ns, Ordering::SeqCst);
-    }
-
     // ---- data plane ----------------------------------------------------
 
     /// Should a message `src → dst` be dropped? `coin` is a uniform u32 from
     /// the sender's PRNG (passed in so the plane itself stays stateless).
     #[inline]
     pub fn should_drop(&self, src: NodeId, dst: NodeId, coin: u32) -> bool {
-        if self.crashed[src.idx()].load(Ordering::Relaxed)
-            || self.crashed[dst.idx()].load(Ordering::Relaxed)
-        {
-            return true;
-        }
-        let fp = self.link(src, dst).drop_fp.load(Ordering::Relaxed);
+        let fp = self.link(src, dst).load(Ordering::Relaxed);
         fp != 0 && (coin as u64) < fp
-    }
-
-    /// Extra delay for `src → dst` in nanoseconds (0 in the common case).
-    #[inline]
-    pub fn extra_delay(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.link(src, dst).delay_ns.load(Ordering::Relaxed)
-    }
-
-    /// Is the node crashed?
-    #[inline]
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.idx()].load(Ordering::Relaxed)
     }
 
     /// Is the node sleeping at cluster-clock time `now`?
     #[inline]
     pub fn is_sleeping(&self, node: NodeId, now: u64) -> bool {
         self.sleep_until[node.idx()].load(Ordering::Relaxed) > now
-    }
-
-    /// The node's wake deadline (0 if awake).
-    #[inline]
-    pub fn wake_deadline(&self, node: NodeId) -> u64 {
-        self.sleep_until[node.idx()].load(Ordering::Relaxed)
     }
 }
 
@@ -148,21 +104,9 @@ mod tests {
         for s in 0..3u8 {
             for d in 0..3u8 {
                 assert!(!f.should_drop(NodeId(s), NodeId(d), u32::MAX - 1));
-                assert_eq!(f.extra_delay(NodeId(s), NodeId(d)), 0);
             }
         }
-        assert!(!f.is_crashed(NodeId(0)));
         assert!(!f.is_sleeping(NodeId(0), 123));
-    }
-
-    #[test]
-    fn crash_drops_both_directions() {
-        let f = FaultPlane::new(3);
-        f.crash(NodeId(1));
-        assert!(f.should_drop(NodeId(0), NodeId(1), 0));
-        assert!(f.should_drop(NodeId(1), NodeId(0), 0));
-        assert!(!f.should_drop(NodeId(0), NodeId(2), u32::MAX - 1));
-        assert!(f.is_crashed(NodeId(1)));
     }
 
     #[test]
@@ -192,14 +136,5 @@ mod tests {
         f.sleep_node_until(NodeId(0), 1_000);
         assert!(f.is_sleeping(NodeId(0), 999));
         assert!(!f.is_sleeping(NodeId(0), 1_000));
-        assert_eq!(f.wake_deadline(NodeId(0)), 1_000);
-    }
-
-    #[test]
-    fn delay_is_per_direction() {
-        let f = FaultPlane::new(2);
-        f.set_delay(NodeId(0), NodeId(1), 5_000);
-        assert_eq!(f.extra_delay(NodeId(0), NodeId(1)), 5_000);
-        assert_eq!(f.extra_delay(NodeId(1), NodeId(0)), 0);
     }
 }

@@ -18,16 +18,18 @@
 //!
 //! Two interchangeable schedulers drive the same sans-io protocol actors:
 //!
-//! * [`threaded`] — one OS thread per worker, crossbeam channels as NICs,
-//!   wall-clock time. Used for throughput experiments (Fig 5–9).
+//! * [`threaded`] — one OS thread per worker and nothing else, crossbeam
+//!   channels as NICs, wall-clock time. Used by the in-process `Cluster`
+//!   (examples, threaded tests).
 //! * [`sim`] — a single-threaded discrete-event executor with virtual time
 //!   and a seeded RNG for latency jitter, drops, partitions, node sleeps and
 //!   crashes. Used for reproducible correctness tests: a seed fully
 //!   determines the execution, including fast/slow-path transitions.
 //!
-//! Fault injection ([`FaultPlane`] for the threaded runtime, fault methods
-//! on [`sim::Sim`] for the simulator) models the failure study of §8.4:
-//! sleeping replicas, crash-stop failures, lossy links and partitions.
+//! Fault injection models the failure study of §8.4. [`FaultPlane`] gives
+//! the threaded runtime the two faults the paper injects — sleeping
+//! replicas and lossy links (partitions included); the fault methods on
+//! [`sim::Sim`] add crash-stop and per-link delay in virtual time.
 
 #![warn(missing_docs)]
 
@@ -38,7 +40,7 @@ pub mod sim;
 pub mod threaded;
 
 pub use actor::{Actor, Clock, ManualClock, WallClock};
-pub use faults::{FaultPlane, LinkCfg};
+pub use faults::FaultPlane;
 pub use outbox::{Envelope, Outbox};
 pub use sim::{Sim, SimCfg};
 pub use threaded::{spawn_workers, NetHandle, StopHandle, ThreadedNet, WorkerIo};

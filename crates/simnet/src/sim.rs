@@ -52,8 +52,9 @@ pub struct SimCfg {
     pub recv_queue_cap: usize,
     /// Maximum protocol messages per network envelope; `0` means unbounded
     /// (§6.3's opportunistic batching, the default). `1` disables batching
-    /// entirely — every message pays its own envelope service/send cost —
-    /// which is the `ablation_opts` measurement of what batching buys.
+    /// entirely — every message pays its own envelope service/send cost.
+    /// This is the paper's §6.3 batching ablation, measured by
+    /// `ablation_opts`.
     pub max_batch: usize,
 }
 

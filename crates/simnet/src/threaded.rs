@@ -1,6 +1,6 @@
-//! The threaded runtime: one OS thread per worker, crossbeam channels as
-//! NICs, wall-clock time. This is the scheduler used for throughput
-//! experiments, mirroring Kite's busy-polling RDMA workers (§6).
+//! The threaded runtime: one OS thread per worker — and no other thread —
+//! crossbeam channels as NICs, wall-clock time. The scheduler behind the
+//! in-process `Cluster`, mirroring Kite's busy-polling RDMA workers (§6).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,22 +35,16 @@ pub struct NetHandle<P> {
     worker: usize,
     senders: Arc<Vec<Vec<Sender<Envelope<P>>>>>,
     faults: Arc<FaultPlane>,
-    delay_tx: Sender<Delayed<P>>,
-    clock: Arc<WallClock>,
     rng: SplitMix64,
     counters: Arc<ProtoCounters>,
 }
 
 impl<P: Send + 'static> NetHandle<P> {
-    /// Send a batch of protocol messages to `dst` as a single envelope.
-    /// Subject to the fault plane: may be dropped or delayed. Returns `true`
-    /// if the envelope was handed to the fabric (not necessarily delivered).
-    pub fn send(&mut self, dst: NodeId, msgs: Vec<P>) -> bool {
-        self.send_stamped(dst, 0, msgs)
-    }
-
-    /// [`NetHandle::send`] with an explicit membership-epoch stamp (what
-    /// [`NetHandle::flush`] uses, copying the outbox's stamp).
+    /// Send a batch of protocol messages to `dst` as a single envelope
+    /// carrying the membership-epoch stamp `mepoch` ([`NetHandle::flush`]
+    /// copies the outbox's). Subject to the fault plane: may be dropped.
+    /// Returns `true` if the envelope was handed to the fabric (not
+    /// necessarily delivered).
     pub fn send_stamped(&mut self, dst: NodeId, mepoch: u32, msgs: Vec<P>) -> bool {
         debug_assert!(!msgs.is_empty());
         self.counters.msgs_sent.add(msgs.len() as u64);
@@ -59,19 +53,8 @@ impl<P: Send + 'static> NetHandle<P> {
         if self.faults.should_drop(self.me, dst, coin) {
             return false;
         }
-        let env = Envelope { src: self.me, mepoch, msgs };
-        let delay = self.faults.extra_delay(self.me, dst);
-        if delay == 0 {
-            // Receiver may have been dropped during shutdown — not an error.
-            let _ = self.senders[dst.idx()][self.worker].send(env);
-        } else {
-            let _ = self.delay_tx.send(Delayed {
-                deliver_at: self.clock.now() + delay,
-                dst,
-                worker: self.worker,
-                env,
-            });
-        }
+        // Receiver may have been dropped during shutdown — not an error.
+        let _ = self.senders[dst.idx()][self.worker].send(Envelope { src: self.me, mepoch, msgs });
         true
     }
 
@@ -83,45 +66,24 @@ impl<P: Send + 'static> NetHandle<P> {
             self.send_stamped(dst, stamp, batch);
         });
     }
-
-    /// The node this handle belongs to.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
 }
 
-struct Delayed<P> {
-    deliver_at: u64,
-    dst: NodeId,
-    worker: usize,
-    env: Envelope<P>,
-}
-
-/// The fabric: channel matrix plus the shared clock, fault plane and
-/// per-node counters. Build once per cluster.
-pub struct ThreadedNet<P> {
+/// The fabric's shared state: the clock, fault plane and per-node
+/// counters. The channel matrix itself lives in the [`NetHandle`]s, and the
+/// net owns no thread. Build once per cluster.
+pub struct ThreadedNet {
     /// Shared wall clock.
     pub clock: Arc<WallClock>,
-    /// Shared fault plane (drops, delays, sleeps).
+    /// Shared fault plane (drops, sleeps).
     pub faults: Arc<FaultPlane>,
     /// Per-node message counters (envelopes/msgs sent by that node's workers).
     pub counters: Vec<Arc<ProtoCounters>>,
-    delayer: Option<JoinHandle<()>>,
-    /// Held only so the channel outlives the net (workers' clones come and
-    /// go); dropped in `Drop`, which keeps the disconnect exit path alive
-    /// as a fallback.
-    _delay_tx: Sender<Delayed<P>>,
-    /// Explicit delayer shutdown flag. Every live `NetHandle` holds a
-    /// `delay_tx` clone, so "drop the last sender" only terminates the
-    /// delayer if the workers happen to be joined before the net — an
-    /// ordering this flag makes teardown independent of.
-    delayer_stop: Arc<AtomicBool>,
 }
 
-impl<P: Send + 'static> ThreadedNet<P> {
+impl ThreadedNet {
     /// Create the fabric for `nodes × workers` endpoints and return the
     /// per-worker IO bundles, indexed `[node][worker]`.
-    pub fn build(nodes: usize, workers: usize, seed: u64) -> (Self, Vec<Vec<WorkerIo<P>>>) {
+    pub fn build<P>(nodes: usize, workers: usize, seed: u64) -> (Self, Vec<Vec<WorkerIo<P>>>) {
         let clock = Arc::new(WallClock::new());
         let faults = Arc::new(FaultPlane::new(nodes));
         let counters: Vec<Arc<ProtoCounters>> =
@@ -142,18 +104,6 @@ impl<P: Send + 'static> ThreadedNet<P> {
         }
         let senders = Arc::new(senders);
 
-        let (delay_tx, delay_rx) = unbounded::<Delayed<P>>();
-        let delayer_stop = Arc::new(AtomicBool::new(false));
-        let delayer = {
-            let senders = Arc::clone(&senders);
-            let clock = Arc::clone(&clock);
-            let stop = Arc::clone(&delayer_stop);
-            std::thread::Builder::new()
-                .name("simnet-delayer".into())
-                .spawn(move || delayer_loop(delay_rx, senders, clock, stop))
-                .expect("spawn delayer")
-        };
-
         let mut seed_rng = SplitMix64::new(seed);
         let mut ios = Vec::with_capacity(nodes);
         for (n, rxs) in receivers.into_iter().enumerate() {
@@ -168,8 +118,6 @@ impl<P: Send + 'static> ThreadedNet<P> {
                         worker: w,
                         senders: Arc::clone(&senders),
                         faults: Arc::clone(&faults),
-                        delay_tx: delay_tx.clone(),
-                        clock: Arc::clone(&clock),
                         rng: seed_rng.split(),
                         counters: Arc::clone(&counters[n]),
                     },
@@ -178,110 +126,7 @@ impl<P: Send + 'static> ThreadedNet<P> {
             ios.push(per_node);
         }
 
-        (ThreadedNet { clock, faults, counters, delayer: Some(delayer), _delay_tx: delay_tx, delayer_stop }, ios)
-    }
-}
-
-impl<P> Drop for ThreadedNet<P> {
-    fn drop(&mut self) {
-        // Explicit shutdown: workers may still hold `delay_tx` clones (the
-        // sender count alone cannot signal termination), so raise the stop
-        // flag; the delayer notices within one poll interval, drains its
-        // queue, flushes every in-heap envelope in deadline order, and
-        // exits. `delay_tx` being dropped here as well keeps the old
-        // disconnect path working when the net outlives every handle.
-        self.delayer_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.delayer.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A delayed envelope in the delayer's heap, ordered by `(deliver_at, seq)`
-/// — seq breaks deadline ties FIFO. The envelope lives *in* the heap entry:
-/// no side-table, no hash per delayed envelope.
-struct Pending<P> {
-    deliver_at: u64,
-    seq: u64,
-    d: Delayed<P>,
-}
-
-impl<P> PartialEq for Pending<P> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.deliver_at, self.seq) == (other.deliver_at, other.seq)
-    }
-}
-impl<P> Eq for Pending<P> {}
-impl<P> PartialOrd for Pending<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for Pending<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
-
-fn delayer_loop<P: Send>(
-    rx: Receiver<Delayed<P>>,
-    senders: Arc<Vec<Vec<Sender<Envelope<P>>>>>,
-    clock: Arc<WallClock>,
-    stop: Arc<AtomicBool>,
-) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<Pending<P>>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // On shutdown, whatever is still delayed is delivered immediately in
-    // `(deadline, submission)` order — a deterministic flush, so teardown
-    // never depends on whether workers or the net drop first.
-    let flush = |heap: &mut BinaryHeap<Reverse<Pending<P>>>| {
-        while let Some(Reverse(p)) = heap.pop() {
-            let _ = senders[p.d.dst.idx()][p.d.worker].send(p.d.env);
-        }
-    };
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            // Drain everything submitted so far, then flush
-            // deterministically and exit. A worker that hands an envelope
-            // to the (now gone) delay path *after* this drain loses it —
-            // that is a torn-down fabric dropping in-flight traffic, the
-            // same as a real NIC going away; the guarantees here are "no
-            // wedge" and "nothing submitted before the stop is lost", not
-            // delivery during teardown. `Cluster` joins its workers before
-            // dropping the net, so the race never bites there.
-            while let Ok(d) = rx.try_recv() {
-                heap.push(Reverse(Pending { deliver_at: d.deliver_at, seq, d }));
-                seq += 1;
-            }
-            flush(&mut heap);
-            return;
-        }
-        // Deliver everything due.
-        let now = clock.now();
-        while heap.peek().is_some_and(|Reverse(p)| p.deliver_at <= now) {
-            let Some(Reverse(p)) = heap.pop() else { unreachable!() };
-            let _ = senders[p.d.dst.idx()][p.d.worker].send(p.d.env);
-        }
-        // Cap the wait so the stop flag is observed promptly even when the
-        // heap is empty or the next deadline is far out.
-        let timeout = heap
-            .peek()
-            .map(|Reverse(p)| Duration::from_nanos(p.deliver_at.saturating_sub(clock.now())))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(5));
-        match rx.recv_timeout(timeout) {
-            Ok(d) => {
-                heap.push(Reverse(Pending { deliver_at: d.deliver_at, seq, d }));
-                seq += 1;
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                flush(&mut heap);
-                return;
-            }
-        }
+        (ThreadedNet { clock, faults, counters }, ios)
     }
 }
 
@@ -299,11 +144,6 @@ impl StopHandle {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-
-    /// The shared stop flag (lets callers embed it in their own loops).
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
     }
 
     /// The shared diagnostics flag: raising it makes every worker print an
@@ -332,7 +172,7 @@ impl Drop for StopHandle {
 /// (idle sessions, empty NIC) to stay friendly on small machines.
 pub fn spawn_workers<A: Actor + 'static>(
     rigs: Vec<(A, WorkerIo<A::Msg>)>,
-    net: &ThreadedNet<A::Msg>,
+    net: &ThreadedNet,
 ) -> StopHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let dump = Arc::new(AtomicBool::new(false));
@@ -377,8 +217,8 @@ fn worker_loop<A: Actor>(
         let now = clock.now();
 
         // Watchdog diagnostics: dump this worker's state once when asked.
-        // Checked before the fault gates so even crashed/sleeping workers
-        // report (their buffered state is often exactly what wedged).
+        // Checked before the fault gate so even a sleeping worker reports
+        // (its buffered state is often exactly what wedged).
         if !dumped && dump.load(Ordering::Relaxed) {
             dumped = true;
             let mut s = format!("==== watchdog dump {me} w{} (t={now}ns) ====\n", io.worker);
@@ -386,13 +226,6 @@ fn worker_loop<A: Actor>(
             eprintln!("{s}");
         }
 
-        if faults.is_crashed(me) {
-            // Crash-stop: discard traffic, do nothing, stay parked.
-            carry = None;
-            while rx.try_recv().is_ok() {}
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
         if faults.is_sleeping(me, now) {
             // Sleeping replica (§8.4): do not process; messages buffer up
             // (a carried envelope waits with them).
@@ -499,7 +332,7 @@ mod tests {
 
     #[test]
     fn ping_pong_across_three_nodes() {
-        let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 42);
+        let (net, ios) = ThreadedNet::build::<&'static str>(3, 1, 42);
         let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {
@@ -519,81 +352,23 @@ mod tests {
         assert_eq!(pongs.get(), 2, "node 0 should get pongs from nodes 1 and 2");
     }
 
+    /// The net owns no thread and no channel end: dropping it while every
+    /// `NetHandle` is alive returns at once, and the handles keep
+    /// delivering — teardown cannot depend on drop order.
     #[test]
-    fn crashed_node_stays_silent() {
-        let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 7);
-        net.faults.crash(NodeId(2));
-        let pongs = Arc::new(kite_metrics::Counter::new());
-        let mut rigs = Vec::new();
-        for per_node in ios {
-            for io in per_node {
-                rigs.push((
-                    PingPong { me: io.node, peers: 3, sent: false, pongs: Arc::clone(&pongs) },
-                    io,
-                ));
-            }
-        }
-        let h = spawn_workers(rigs, &net);
-        std::thread::sleep(Duration::from_millis(100));
-        h.stop_and_join();
-        assert_eq!(pongs.get(), 1, "only node 1 should answer");
-    }
-
-    #[test]
-    fn delayed_link_still_delivers() {
-        let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 9);
-        net.faults.set_delay(NodeId(0), NodeId(1), 20_000_000); // 20 ms out
-        let pongs = Arc::new(kite_metrics::Counter::new());
-        let mut rigs = Vec::new();
-        for per_node in ios {
-            for io in per_node {
-                rigs.push((
-                    PingPong { me: io.node, peers: 3, sent: false, pongs: Arc::clone(&pongs) },
-                    io,
-                ));
-            }
-        }
-        let h = spawn_workers(rigs, &net);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pongs.get() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        h.stop_and_join();
-        assert_eq!(pongs.get(), 2, "delayed ping must still arrive");
-    }
-
-    /// Teardown must not depend on drop order: here the net is dropped
-    /// while every `NetHandle` (each holding a live `delay_tx` clone) still
-    /// exists — the stop flag terminates the delayer anyway, and the
-    /// delayed envelope still in its heap is flushed to the destination
-    /// rather than lost. Before the explicit-stop fix this join hung until
-    /// the handles happened to be dropped.
-    #[test]
-    fn delayer_stops_and_flushes_while_handles_alive() {
-        let (net, mut ios) = ThreadedNet::<&'static str>::build(2, 1, 13);
-        net.faults.set_delay(NodeId(0), NodeId(1), 60_000_000_000); // 60 s out
+    fn handles_outlive_the_net() {
+        let (net, mut ios) = ThreadedNet::build::<&'static str>(2, 1, 13);
         let mut io0 = ios.remove(0).remove(0);
         let io1 = ios.remove(0).remove(0);
-        let faults = Arc::clone(&net.faults);
-        assert!(io0.net.send(NodeId(1), vec!["delayed"]));
-        // Drop the net: the delayer must exit promptly (stop flag) and
-        // deterministically flush the 60s-delayed envelope on its way out.
         drop(net);
-        faults.set_delay(NodeId(0), NodeId(1), 0); // undelayed path stays usable
-        let env = io1
-            .rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("flushed envelope must be delivered, not lost");
-        assert_eq!(env.src, NodeId(0));
-        assert_eq!(env.msgs, vec!["delayed"]);
-        // Handles still alive and usable for direct (undelayed) traffic.
-        assert!(io0.net.send(NodeId(1), vec!["direct"]));
-        assert_eq!(io1.rx.recv_timeout(Duration::from_secs(1)).unwrap().msgs, vec!["direct"]);
+        assert!(io0.net.send_stamped(NodeId(1), 0, vec!["direct"]));
+        let env = io1.rx.recv_timeout(Duration::from_secs(1)).expect("delivered");
+        assert_eq!((env.src, env.msgs), (NodeId(0), vec!["direct"]));
     }
 
     #[test]
     fn counters_track_messages() {
-        let (net, ios) = ThreadedNet::<&'static str>::build(3, 1, 11);
+        let (net, ios) = ThreadedNet::build::<&'static str>(3, 1, 11);
         let pongs = Arc::new(kite_metrics::Counter::new());
         let mut rigs = Vec::new();
         for per_node in ios {

@@ -48,13 +48,6 @@ pub struct RecoveryStats {
     pub truncated: bool,
 }
 
-impl RecoveryStats {
-    /// Whether recovery found any durable state at all.
-    pub fn recovered_anything(&self) -> bool {
-        self.snapshot_seq.is_some() || self.replayed_records > 0 || self.segments > 0
-    }
-}
-
 /// Parse `wal-<seq>.log` / `snap-<seq>.snap` style names.
 fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()

@@ -21,6 +21,6 @@ pub mod measure;
 pub mod mix;
 pub mod skew;
 
-pub use measure::{run_kite_gen, run_kite_mix, run_zab_mix, RunResult};
+pub use measure::{run_kite_mix, run_zab_mix, RunResult};
 pub use mix::MixCfg;
 pub use skew::{FlashCrowdCfg, Zipf};

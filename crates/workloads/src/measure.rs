@@ -26,23 +26,11 @@ pub struct RunResult {
     /// Slow-path accesses during the whole run (should be 0 without
     /// failures).
     pub slow_path: u64,
-    /// Ack messages sent during the whole run (singles + batches each
-    /// counted once) — `ack_msgs / total_completed` is the acks-per-op
-    /// figure the throughput harness reports.
-    pub ack_msgs: u64,
-    /// Plain acks that rode inside `AckBatch` messages.
-    pub acks_coalesced: u64,
     /// Anti-entropy messages sent during the whole run (digests + Merkle
     /// summaries + drill-downs + repair pulls + repair values):
     /// `ae_msgs / total_completed` is the steady-state digest-traffic
     /// figure — it must stay negligible (< 0.01 msgs/op at 0% loss).
     pub ae_msgs: u64,
-    /// Estimated wire bytes of the digest plane (flat digests, Merkle
-    /// summaries, drill-down requests) sent during the whole run —
-    /// `ae_digest_bytes / total_completed` is the `ae-bytes/op` column the
-    /// throughput bin reports, the quantity Merkle mode shrinks from
-    /// O(store) to O(log store) per sweep cycle.
-    pub ae_digest_bytes: u64,
     /// Requests completed over the whole run (warmup included) — the
     /// denominator matching the whole-run counters above.
     pub total_completed: u64,
@@ -59,26 +47,6 @@ pub fn run_kite_mix(
     run_ns: u64,
 ) -> RunResult {
     mix.validate().expect("invalid mix");
-    run_kite_gen(cfg, mode, sim_cfg, move |seed| mix.generator(seed), warmup_ns, run_ns)
-}
-
-/// Run an arbitrary per-session op generator on a Kite deployment — the
-/// generalized harness behind [`run_kite_mix`]. `make_gen` receives a
-/// per-session deterministic seed and returns that session's op stream;
-/// this is how non-`MixCfg` shapes (e.g. [`crate::FlashCrowdCfg`]) drive
-/// the same measured windows and counter collection as the standard mixes.
-pub fn run_kite_gen<G, F>(
-    cfg: ClusterConfig,
-    mode: ProtocolMode,
-    sim_cfg: SimCfg,
-    make_gen: F,
-    warmup_ns: u64,
-    run_ns: u64,
-) -> RunResult
-where
-    G: FnMut(u64) -> Option<kite::api::Op> + Send + 'static,
-    F: Fn(u64) -> G,
-{
     let seed0 = sim_cfg.seed;
     let mut sc = SimCluster::build(
         cfg.clone(),
@@ -86,7 +54,7 @@ where
         sim_cfg,
         |sid| {
             let seed = seed0 ^ ((sid.global_idx(cfg.sessions_per_node()) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(make_gen(seed)))
+            SessionDriver::Script(Box::new(mix.generator(seed)))
         },
         None,
     );
@@ -97,36 +65,27 @@ where
     let per_node: Vec<f64> =
         before.iter().zip(&after).map(|(b, a)| SimCluster::mreqs(a - b, run_ns)).collect();
     let completed: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
-    let (local_reads, slow_path, ack_msgs, acks_coalesced, ae_msgs, ae_digest_bytes) = (0..cfg
-        .nodes)
+    let (local_reads, slow_path, ae_msgs) = (0..cfg.nodes)
         .map(|n| {
             let c = sc.counters(NodeId(n as u8));
             (
                 c.local_reads.get(),
                 c.slow_path_accesses.get(),
-                c.acks_sent.get(),
-                c.acks_coalesced.get(),
                 c.ae_digests_sent.get()
                     + c.ae_summaries_sent.get()
                     + c.ae_merkle_reqs.get()
                     + c.ae_repair_reqs.get()
                     + c.ae_repair_vals.get(),
-                c.ae_digest_bytes.get(),
             )
         })
-        .fold((0, 0, 0, 0, 0, 0), |(lr, sp, am, ac, ae, ab), (l, s, a, c, e, b)| {
-            (lr + l, sp + s, am + a, ac + c, ae + e, ab + b)
-        });
+        .fold((0, 0, 0), |(lr, sp, ae), (l, s, e)| (lr + l, sp + s, ae + e));
     RunResult {
         mreqs: SimCluster::mreqs(completed, run_ns),
         per_node,
         completed,
         local_reads,
         slow_path,
-        ack_msgs,
-        acks_coalesced,
         ae_msgs,
-        ae_digest_bytes,
         total_completed: sc.total_completed(),
     }
 }
@@ -170,10 +129,7 @@ pub fn run_zab_mix(
         completed,
         local_reads,
         slow_path: 0,
-        ack_msgs: 0,
-        acks_coalesced: 0,
         ae_msgs: 0,
-        ae_digest_bytes: 0,
         total_completed,
     }
 }

@@ -97,11 +97,6 @@ impl ZabShared {
     pub fn next_zxid(&self) -> u64 {
         self.zxid.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Majority quorum size.
-    pub fn quorum(&self) -> usize {
-        self.cfg.quorum()
-    }
 }
 
 #[cfg(test)]

@@ -122,11 +122,6 @@ impl ZabWorker {
         }
     }
 
-    /// The node-shared ZAB state.
-    pub fn shared(&self) -> &Arc<ZabShared> {
-        &self.shared
-    }
-
     fn is_leader(&self) -> bool {
         self.me == LEADER
     }

@@ -74,11 +74,6 @@ impl ZabSimCluster {
     pub fn run_until_quiesce(&mut self, max_ns: u64) -> bool {
         self.sim.run_until_quiesce(max_ns)
     }
-
-    /// Current virtual time.
-    pub fn now(&self) -> u64 {
-        self.sim.now()
-    }
 }
 
 #[cfg(test)]

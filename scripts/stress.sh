@@ -48,9 +48,9 @@ cd "$(dirname "$0")/.."
 N="${1:-50}"
 FILTER="${2:-threaded_mutex_exact_under_message_loss}"
 
-# Invariant gate: nothing perf-related is worth measuring if the no-alloc /
-# event-loop contracts regressed. Prints the ratchet diff (new / fixed /
-# grandfathered) and aborts on any new violation.
+# Invariant gate: a soak is not worth its hour if the no-alloc / event-loop
+# contracts regressed. Prints the ratchet diff (new / fixed / grandfathered)
+# and aborts on any new violation.
 echo "== kite-lint (invariant pass, ratcheted) =="
 scripts/lint.sh
 
