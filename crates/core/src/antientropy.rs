@@ -76,7 +76,7 @@ use std::sync::Arc;
 
 use kite_common::{ClusterConfig, Key, Lc, NodeId, Val};
 use kite_kvs::Store;
-use kite_simnet::Outbox;
+use kite_simnet::{Outbox, Wakeup};
 
 use crate::msg::{DigestChunk, MerkleSummary, Msg, Repair};
 use crate::worker::Worker;
@@ -184,10 +184,15 @@ pub(crate) struct AeState {
     cursor: usize,
     /// Time of the last sweep.
     last_sweep: u64,
-    /// Time of the last `ae_on_tick` — a large gap means the worker just
-    /// woke from a §8.4 sleep (or similar scheduling blackout) and must
-    /// assume divergence.
+    /// Time of the last `ae_on_tick`; `0` until the first (a worker's first
+    /// tick counts as a wake-up — see `ae_on_tick`).
     last_tick: u64,
+    /// The deadline the last `ae_on_tick` asked for. Ticks arrive when
+    /// something is due, not on a beat, so a long gap between two of them
+    /// says nothing; a tick that comes long *after the one this state asked
+    /// for* means the worker just woke from a §8.4 sleep (or a similar
+    /// scheduling blackout) and must assume divergence.
+    deadline: u64,
     /// Node-wide completion count at the last tick: sibling workers share
     /// the store this worker sweeps, so *their* activity must hold the
     /// sweep open too, not just this worker's own sessions.
@@ -255,6 +260,7 @@ impl AeState {
             cursor: 0,
             last_sweep: 0,
             last_tick: 0,
+            deadline: Wakeup::NEVER,
             last_completed: 0,
             pings: 0,
             merkle,
@@ -284,13 +290,14 @@ impl AeState {
     /// One-line state summary for the watchdog dump.
     pub(crate) fn describe(&self) -> String {
         format!(
-            "sweep={} done={} cursor={} last_sweep={} last_tick={} idle_since={:?} \
+            "sweep={} done={} cursor={} last_sweep={} last_tick={} deadline={} idle_since={:?} \
              interval={} keepalive={} chunk={} cooldown={} merkle={} suspect_buckets={} geom={:?}",
             self.sweep,
             self.done,
             self.cursor,
             self.last_sweep,
             self.last_tick,
+            self.deadline,
             self.idle_since,
             self.interval,
             self.keepalive,
@@ -311,22 +318,52 @@ impl Worker {
         self.inflight.is_empty() && self.sessions.iter().all(|s| s.is_idle())
     }
 
-    /// Anti-entropy scheduling, called every tick: track idleness, run the
-    /// cool-down, and emit one digest per interval while active.
-    pub(crate) fn ae_on_tick(&mut self, now: u64, out: &mut Outbox<Msg>) {
+    /// Anti-entropy scheduling, called from every tick: track idleness,
+    /// run the cool-down, and emit one digest per interval while active.
+    /// Returns when it next has something due (`Wakeup::NEVER` once the
+    /// sweep has wound down with no keepalive configured).
+    pub(crate) fn ae_on_tick(&mut self, now: u64, out: &mut Outbox<Msg>) -> u64 {
         if !self.ae.sweep {
-            return;
+            return Wakeup::NEVER;
         }
-        // A large gap between ticks means this worker just woke from a
-        // §8.4-style sleep: the cluster moved on without it (and its
+        self.ae_sweep(now, out);
+        self.ae.deadline = self.ae_next_due(now);
+        self.ae.deadline
+    }
+
+    /// When the sweep state next needs a tick, given what `ae_sweep` just
+    /// left behind.
+    fn ae_next_due(&self, now: u64) -> u64 {
+        let ae = &self.ae;
+        if ae.done {
+            // Wound down: only the keepalive trickle is left, if any.
+            return match ae.keepalive {
+                0 => Wakeup::NEVER,
+                k => ae.last_sweep + k.max(ae.interval),
+            };
+        }
+        let sweep = ae.last_sweep + ae.interval;
+        match ae.idle_since {
+            Some(t) => sweep.min(t + ae.cooldown),
+            // Protocol-idle but the cool-down clock has not started: this
+            // tick saw a completion land. The clock starts at the first
+            // tick that sees none, so ask for the next one.
+            None if self.protocol_idle() => now + 1,
+            None => sweep,
+        }
+    }
+
+    fn ae_sweep(&mut self, now: u64, out: &mut Outbox<Msg>) {
+        // A tick long after the one asked for means this worker just woke
+        // from a §8.4-style sleep: the cluster moved on without it (and its
         // cool-down clock ran while it was blacked out), so assume
         // divergence and sweep a fresh full cycle — its digests advertise
         // the stale clocks and any fresh peer pushes repairs back. The
         // very first tick counts as a wake too: a replica that slept from
-        // birth has no `last_tick` to measure a gap from, and the worst a
-        // spurious birth-time resync costs is a few empty pings.
-        let gap = now.saturating_sub(self.ae.last_tick);
-        if self.ae.last_tick == 0 || gap > 4 * self.ae.interval {
+        // birth never asked for anything, and the worst a spurious
+        // birth-time resync costs is a few empty pings.
+        let overslept = now.saturating_sub(self.ae.deadline) > 4 * self.ae.interval;
+        if self.ae.last_tick == 0 || overslept {
             self.ae.rearm();
             self.ae.idle_since = Some(now);
             self.ae.pings = 3;

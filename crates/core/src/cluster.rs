@@ -2,8 +2,8 @@
 //! and a blocking client API.
 //!
 //! This is the shape of a real Kite deployment (§2.1) scaled into one
-//! process: `nodes × workers_per_node` busy-polling worker threads, each
-//! serving `sessions_per_worker` sessions. Clients claim sessions and issue
+//! process: `nodes × workers_per_node` run-to-completion worker threads,
+//! each serving `sessions_per_worker` sessions. Clients claim sessions and issue
 //! operations through [`SessionHandle`]; synchronous calls block until the
 //! completion arrives (the Kite API offers sync and async flavors, §6.1 —
 //! both are provided here).
@@ -14,7 +14,7 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, KiteError, NodeId, Result, Val};
-use kite_simnet::{spawn_workers, FaultPlane, StopHandle, ThreadedNet, WorkerIo};
+use kite_simnet::{spawn_workers, FaultPlane, StopHandle, ThreadedNet, Wake, WorkerIo};
 use parking_lot::Mutex;
 
 use crate::api::{Completion, CompletionHook, Op, OpOutput};
@@ -28,7 +28,8 @@ use crate::worker::Worker;
 /// microseconds or the cluster has lost its majority).
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-type SessionPlumbing = (Sender<Op>, Receiver<Completion>);
+/// A session's op/completion channels and what ends its worker's park.
+type SessionPlumbing = (Sender<Op>, Receiver<Completion>, Wake);
 
 /// A running in-process Kite deployment.
 pub struct Cluster {
@@ -67,10 +68,12 @@ impl Cluster {
         let mut rigs: Vec<(Worker, WorkerIo<Msg>)> = Vec::new();
         for (n, per_node) in ios.into_iter().enumerate() {
             for (w, io) in per_node.into_iter().enumerate() {
+                let waker = io.waker();
+                let wake: Wake = Arc::new(move || waker.wake());
                 let sessions = sessions_for(NodeId(n as u8), w, cfg.sessions_per_worker, |_| {
                     let (op_tx, op_rx) = unbounded();
                     let (done_tx, done_rx) = unbounded();
-                    slots[n].push(Some((op_tx, done_rx)));
+                    slots[n].push(Some((op_tx, done_rx, Arc::clone(&wake))));
                     SessionDriver::External { rx: op_rx, tx: done_tx }
                 });
                 let worker = Worker::new(w, Arc::clone(&shared[n]), mode, sessions, hook.clone());
@@ -92,10 +95,10 @@ impl Cluster {
         let entry = per_node
             .get_mut(slot as usize)
             .ok_or_else(|| KiteError::SessionUnavailable(format!("no slot {slot} on {node}")))?;
-        let (tx, rx) = entry
+        let (tx, rx, wake) = entry
             .take()
             .ok_or_else(|| KiteError::SessionUnavailable(format!("{node} slot {slot} taken")))?;
-        Ok(SessionHandle::from_channels(tx, rx))
+        Ok(SessionHandle::from_channels(tx, rx, wake))
     }
 
     /// Per-node shared state (store, epoch, delinquency) — for tests and
@@ -145,11 +148,7 @@ impl Cluster {
     /// rather than a CI timeout with no evidence.
     pub fn watchdog(&self, timeout: Duration) -> Watchdog {
         let (disarm_tx, disarm_rx) = unbounded::<()>();
-        let dump = self
-            .stop
-            .as_ref()
-            .expect("watchdog on a running cluster")
-            .dump_flag();
+        let dumper = self.stop.as_ref().expect("watchdog on a running cluster").dumper();
         let shared = self.shared.clone();
         let handle = std::thread::Builder::new()
             .name("kite-watchdog".into())
@@ -160,9 +159,9 @@ impl Cluster {
                 eprintln!(
                     "\n!!!! kite watchdog: no disarm within {timeout:?} — dumping state !!!!"
                 );
-                dump.store(true, std::sync::atomic::Ordering::SeqCst);
-                // Give the (possibly parked) workers a moment to notice the
-                // flag and print; park_timeout bounds this to well under 1s.
+                // The request ends every worker's park; give them a moment
+                // to print.
+                dumper.request();
                 std::thread::sleep(Duration::from_secs(1));
                 for sh in &shared {
                     eprintln!(
@@ -218,6 +217,9 @@ impl Drop for Cluster {
 pub struct SessionHandle {
     tx: Sender<Op>,
     rx: Receiver<Completion>,
+    /// Ends the owning worker's park: an idle worker sleeps until its next
+    /// deadline or envelope, and a submitted op is neither.
+    wake: Wake,
     /// Operations submitted; the next submission gets session seq
     /// `submitted`.
     submitted: u64,
@@ -231,9 +233,11 @@ impl SessionHandle {
     /// runtimes (the TCP `kite-net` node) that build the same
     /// `Session`/`SessionDriver::External` wiring as [`Cluster::launch`];
     /// the channels must belong to an unclaimed session or program order is
-    /// violated.
-    pub fn from_channels(tx: Sender<Op>, rx: Receiver<Completion>) -> SessionHandle {
-        SessionHandle { tx, rx, submitted: 0, retired: 0 }
+    /// violated. `wake` must end the park of the worker that owns the
+    /// session (the threaded runtime's `WorkerWaker`, the epoll loop's
+    /// eventfd): it is called after every submission.
+    pub fn from_channels(tx: Sender<Op>, rx: Receiver<Completion>, wake: Wake) -> SessionHandle {
+        SessionHandle { tx, rx, wake, submitted: 0, retired: 0 }
     }
 
     // ---- async API (§6.1) ------------------------------------------------
@@ -242,6 +246,7 @@ impl SessionHandle {
     /// [`SessionHandle::next_completion`].
     pub fn submit(&mut self, op: Op) -> Result<()> {
         self.tx.send(op).map_err(|_| KiteError::Shutdown)?;
+        (self.wake)();
         self.submitted += 1;
         Ok(())
     }

@@ -28,8 +28,8 @@ use crate::inflight::{
 };
 use crate::msg::{Cmd, CommitPayload, Msg, PromiseOutcome, Repair, WriteBack};
 use crate::nodestate::NodeShared;
-use crate::session::{ProtocolMode, Session};
-use crate::worker::{StartResult, Worker};
+use crate::session::ProtocolMode;
+use crate::worker::{Sessions, StartResult, Worker};
 use crate::api::CompletionHook;
 
 /// Outcome of [`Worker::rmw_decide_cmd`] at a phase-1 quorum.
@@ -247,7 +247,7 @@ impl Worker {
         };
         let rid = self.inflight.insert(InFlight::Release(state));
         if barrier_pending {
-            self.barrier_waiters.push(rid);
+            self.add_barrier_waiter(si, rid);
         }
         if rts_sent {
             out.multicast(self.me, self.voters(), Msg::RtsReq { rid, key });
@@ -336,12 +336,12 @@ impl Worker {
         if !self.overlap_release && barrier_pending {
             state.phase = RmwPhase::WaitBarrierPropose;
             let rid = self.inflight.insert(InFlight::Rmw(state));
-            self.barrier_waiters.push(rid);
+            self.add_barrier_waiter(si, rid);
             return StartResult::Blocked(rid);
         }
         let rid = self.inflight.insert(InFlight::Rmw(state));
         if barrier_pending {
-            self.barrier_waiters.push(rid);
+            self.add_barrier_waiter(si, rid);
         }
         let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { unreachable!() };
         if let Some(output) = Self::rmw_new_round_in(&self.shared, self.me, rid, state, out) {
@@ -354,6 +354,15 @@ impl Worker {
             return StartResult::Inline;
         }
         StartResult::Blocked(rid)
+    }
+
+    /// Session `si`'s release/RMW `rid` waits on a barrier over the
+    /// session's write window: from here on, acks for those writes are
+    /// barrier inputs.
+    fn add_barrier_waiter(&mut self, si: usize, rid: u64) {
+        self.barrier_waiters.push(rid);
+        self.sessions[si].awaiting_barrier = true;
+        self.barriers_dirty = true;
     }
 
     /// Begin a fresh proposal round: self-promise under the key's Paxos
@@ -433,10 +442,16 @@ impl Worker {
         let voters = self.voters();
         let Some(InFlight::EsWrite(state)) = self.inflight.get_mut(rid) else { return };
         state.acked.insert(src);
+        let si = state.meta.sess;
         if voters.minus(state.acked).is_empty() {
-            let si = state.meta.sess;
             self.inflight.remove(rid);
             self.remove_from_window(si, rid);
+        } else if self.slow_mode {
+            // Short of "acked by all", an ack moves a barrier (or a stalled
+            // session's relief decision) only on the slow path: it can make
+            // a write quorum-acked, or leave only suspected replicas missing.
+            let sess = &self.sessions[si];
+            self.barriers_dirty |= sess.awaiting_barrier || sess.staged.is_some();
         }
     }
 
@@ -804,7 +819,7 @@ impl Worker {
     fn finish_acquire_in(
         shared: &NodeShared,
         hook: &Option<CompletionHook>,
-        sessions: &mut [Session],
+        sessions: &mut Sessions,
         mode: ProtocolMode,
         me: NodeId,
         state: &AcquireState,
@@ -844,14 +859,11 @@ impl Worker {
         let mut relief_done = false;
         if let Some(entry) = self.inflight.get_mut(rid) {
             match entry {
-                InFlight::Release(s) => {
-                    if let Some(sub) = &mut s.barrier.slow {
+                InFlight::Release(ReleaseState { barrier, .. })
+                | InFlight::Rmw(RmwState { barrier, .. }) => {
+                    if let Some(sub) = &mut barrier.slow {
                         sub.acked.insert(src);
-                    }
-                }
-                InFlight::Rmw(s) => {
-                    if let Some(sub) = &mut s.barrier.slow {
-                        sub.acked.insert(src);
+                        self.barriers_dirty = true;
                     }
                 }
                 InFlight::WindowRelief(s) => {
@@ -866,7 +878,8 @@ impl Worker {
                 self.finish_window_relief(rid, state);
             }
         }
-        // Release/RMW barrier resolution is evaluated by `check_barriers`.
+        // Release/RMW barrier resolution is evaluated by `check_barriers`,
+        // which the ack above made due.
     }
 
     // =====================================================================
@@ -905,12 +918,26 @@ impl Worker {
     /// Evaluate all unresolved barriers: fast-path resolution, timeout →
     /// slow-release, slow-path resolution.
     ///
+    /// Called by the tick only when it can find something: a barrier input
+    /// moved (`barriers_dirty`) or a waiter reached the release timeout
+    /// (`barrier_deadline`). An evaluation with neither is a no-op — a
+    /// barrier's verdict is a function of its writes' ack sets, its
+    /// slow-release acks, the suspected set, the membership and which
+    /// timeouts have passed — so skipping it changes nothing. It leaves
+    /// `barriers_dirty` set only if a slow-path transition changed the
+    /// inputs of waiters it had already looked at, and folds every waiter's
+    /// next timeout into `barrier_deadline`.
+    ///
     /// Each waiter's barrier is *taken out* of its entry for the duration
     /// of the evaluation (a move, no allocation) so the rest of the table
     /// stays readable — the fast-path check peeks at the sibling EsWrite
     /// entries — and then put back. Entries are never removed and
     /// reinserted.
     pub(crate) fn check_barriers(&mut self, now: u64, out: &mut Outbox<Msg>) {
+        self.barriers_dirty = false;
+        self.barrier_passes += 1;
+        // Refreshed below: a waiter on the slow path keeps it set.
+        self.slow_mode = !self.shared.suspected().is_empty();
         if self.barrier_waiters.is_empty() {
             return;
         }
@@ -935,6 +962,7 @@ impl Worker {
             };
             let done = self.evaluate_barrier(rid, invoked_at, &mut barrier, now, out);
             if !done {
+                self.slow_mode |= barrier.slow.is_some();
                 match self.inflight.get_mut(rid) {
                     Some(InFlight::Release(s)) => s.barrier = barrier,
                     Some(InFlight::Rmw(s)) => s.barrier = barrier,
@@ -946,6 +974,8 @@ impl Worker {
             any_resolved = true;
             // Slow-path resolution subsumes the writes: delinquency is
             // published, so tracking (and retransmitting) them can stop.
+            // (Each removal is an input of the waiters evaluated before
+            // this one: `remove_from_window` marks the table dirty.)
             if barrier.slow.is_some() {
                 for wi in 0..barrier.writes.len() {
                     let wrid = barrier.writes[wi];
@@ -960,6 +990,7 @@ impl Worker {
             let voters = self.voters();
             match self.inflight.get_mut(rid) {
                 Some(InFlight::Release(state)) => {
+                    self.sessions[state.meta.sess].awaiting_barrier = false;
                     state.barrier = barrier;
                     if !state.rts_sent {
                         // Deferred LLC-read round (overlap ablation).
@@ -970,6 +1001,7 @@ impl Worker {
                     Self::try_advance_release(self.me, quorum, &self.shared, rid, state, out);
                 }
                 Some(InFlight::Rmw(state)) => {
+                    self.sessions[state.meta.sess].awaiting_barrier = false;
                     state.barrier = barrier;
                     match state.phase {
                         RmwPhase::WaitBarrier => {
@@ -1040,7 +1072,8 @@ impl Worker {
         // whose missing ackers are all already suspected. Acks merely in
         // flight for young writes must NOT mark healthy replicas delinquent
         // — that would cascade needless epoch bumps across the cluster.
-        let dm_due = self.barrier_overdue_missing(&barrier.writes, now, invoked_at);
+        let (dm_due, next_overdue) = self.barrier_overdue_missing(&barrier.writes, now, invoked_at);
+        self.barrier_deadline = self.barrier_deadline.min(next_overdue);
         match &mut barrier.slow {
             None => {
                 if dm_due.is_empty() {
@@ -1048,9 +1081,7 @@ impl Worker {
                 }
                 // §4.2 slow-path release: publish the DM-set, retransmit
                 // the writes so they reach a quorum under loss.
-                for n in dm_due {
-                    self.shared.suspect(n);
-                }
+                self.suspect_all(dm_due);
                 for wi in 0..barrier.writes.len() {
                     self.retransmit_es_write(barrier.writes[wi], now, out);
                 }
@@ -1067,6 +1098,7 @@ impl Worker {
                 // may miss a barrier write — Lemma 5.2).
                 let extra = dm_due.minus(sub.dm);
                 if !extra.is_empty() {
+                    self.barriers_dirty = true;
                     sub.dm = sub.dm.union(extra);
                     sub.acked = NodeSet::singleton(self.me);
                     self.shared.delinquency.mark_delinquent(extra);
@@ -1100,27 +1132,37 @@ impl Worker {
 
     /// Nodes missing acks for barrier writes that are past due: the write
     /// (or the barrier itself) aged beyond the release timeout, or everyone
-    /// the write is missing is already suspected.
-    fn barrier_overdue_missing(&self, writes: &[u64], now: u64, barrier_invoked: u64) -> NodeSet {
+    /// the write is missing is already suspected. Second: the earliest time
+    /// a write that is *not* yet due becomes so by age alone (`u64::MAX` if
+    /// none can) — when the verdict can next change with no input moving.
+    /// `barrier_invoked` is `u64::MAX` for a set of writes no barrier waits
+    /// on (a stalled window).
+    fn barrier_overdue_missing(
+        &self,
+        writes: &[u64],
+        now: u64,
+        barrier_invoked: u64,
+    ) -> (NodeSet, u64) {
         let all = self.voters();
         let suspected = self.shared.suspected();
-        let barrier_overdue = now.saturating_sub(barrier_invoked) >= self.release_timeout;
+        let barrier_due = barrier_invoked.saturating_add(self.release_timeout);
         let mut dm = NodeSet::EMPTY;
+        let mut next_overdue = u64::MAX;
         for w in writes {
             if let Some(InFlight::EsWrite(es)) = self.inflight.get(*w) {
                 let missing = all.minus(es.acked);
                 if missing.is_empty() {
                     continue;
                 }
-                let overdue = barrier_overdue
-                    || now.saturating_sub(es.meta.invoked_at) >= self.release_timeout
-                    || missing.minus(suspected).is_empty();
-                if overdue {
+                let due = barrier_due.min(es.meta.invoked_at.saturating_add(self.release_timeout));
+                if now >= due || missing.minus(suspected).is_empty() {
                     dm = dm.union(missing);
+                } else {
+                    next_overdue = next_overdue.min(due);
                 }
             }
         }
-        dm
+        (dm, next_overdue)
     }
 
     /// Start a write-window relief round for session `si` if its window is
@@ -1134,13 +1176,15 @@ impl Worker {
         let writes: Vec<u64> = self.sessions[si].write_window.iter().copied().collect();
         // Only *overdue* missing ackers are published — acks in flight for
         // young writes are not delinquency.
-        let dm = self.barrier_overdue_missing(&writes, now, now);
+        let (dm, next_overdue) = self.barrier_overdue_missing(&writes, now, u64::MAX);
         if dm.is_empty() {
-            return; // acks are simply in flight; retry next tick
+            // Acks are simply in flight: the session is retried when a
+            // write leaves its window, when an input of this decision moves,
+            // or when the oldest write has waited out the timeout.
+            self.barrier_deadline = self.barrier_deadline.min(next_overdue);
+            return;
         }
-        for n in dm {
-            self.shared.suspect(n);
-        }
+        self.suspect_all(dm);
         self.shared.delinquency.mark_delinquent(dm);
         self.shared.counters.slow_releases.incr();
         let op_id = OpId::new(self.sessions[si].id, u64::MAX); // synthetic
@@ -1179,7 +1223,10 @@ impl Worker {
                 }
             }
         }
+        // The session may still be stalled (nothing was quorum-acked yet):
+        // its next attempt can start another round.
         self.sessions[state.meta.sess].relief = None;
+        self.barriers_dirty = true;
         let _ = rid;
     }
 
@@ -1678,7 +1725,7 @@ impl Worker {
     fn rmw_finish_in(
         shared: &NodeShared,
         hook: &Option<CompletionHook>,
-        sessions: &mut [Session],
+        sessions: &mut Sessions,
         mode: ProtocolMode,
         me: NodeId,
         state: &RmwState,

@@ -88,6 +88,9 @@ pub struct NodeShared {
     /// it). Suspicion is a performance hint only: the slow path is always
     /// the conservative, correct path.
     suspects: Vec<AtomicBool>,
+    /// Bumped whenever the suspected set changes (see
+    /// [`NodeShared::suspect_gen`]).
+    suspect_gen: AtomicU64,
     /// Protocol/throughput counters (merged with the fabric's counts).
     pub counters: Arc<ProtoCounters>,
     /// Per-class op latency, recorded at session retire.
@@ -145,6 +148,7 @@ impl NodeShared {
             last_bump: AtomicU64::new(0),
             delinquency: DelinquencyTable::new(cfg.nodes),
             suspects: (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect(),
+            suspect_gen: AtomicU64::new(0),
             counters,
             op_latency: OpLatency::default(),
             store_probe,
@@ -202,17 +206,34 @@ impl NodeShared {
     }
 
     /// Mark a replica suspected (a release barrier timed out on it).
+    // ordering: the flag itself is a hint (Relaxed, as before); the Release
+    // bump pairs with the Acquire load in `suspect_gen`, so a worker that
+    // sees the generation move also sees the flag that moved it.
     #[inline]
     pub fn suspect(&self, node: NodeId) {
-        self.suspects[node.idx()].store(true, Ordering::Relaxed);
+        if !self.suspects[node.idx()].swap(true, Ordering::Relaxed) {
+            self.suspect_gen.fetch_add(1, Ordering::Release);
+        }
     }
 
     /// Any message from a replica proves it alive: clear its suspicion.
+    // ordering: as in `suspect`.
     #[inline]
     pub fn clear_suspect(&self, node: NodeId) {
         if self.suspects[node.idx()].load(Ordering::Relaxed) {
             self.suspects[node.idx()].store(false, Ordering::Relaxed);
+            self.suspect_gen.fetch_add(1, Ordering::Release);
         }
+    }
+
+    /// How many times the suspected set has changed. The set is shared by
+    /// the node's workers, so a worker whose barriers depend on it compares
+    /// this with the value it last acted on instead of re-reading the set
+    /// on every step.
+    // ordering: Acquire — pairs with the Release bumps above.
+    #[inline]
+    pub fn suspect_gen(&self) -> u64 {
+        self.suspect_gen.load(Ordering::Acquire)
     }
 
     /// The currently suspected set.

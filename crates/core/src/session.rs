@@ -20,7 +20,9 @@ use crate::api::{Completion, Op};
 /// way a blocking client drives a [`crate::SessionHandle`] thread-side.
 pub trait ClientSm: Send {
     /// The session is free: produce the next operation, or `None` if the
-    /// client has nothing to issue right now.
+    /// client has nothing to issue right now. After a `None` the worker asks
+    /// again only once a completion has been delivered to this client — a
+    /// client's next step may depend on its own results, not on the clock.
     fn next_op(&mut self, seq: u64) -> Option<Op>;
     /// An operation completed (called in session order).
     fn on_completion(&mut self, c: &Completion);
@@ -103,6 +105,10 @@ pub struct Session {
     pub staged: Option<Op>,
     /// rid of an in-flight write-window relief (at most one per session).
     pub relief: Option<u64>,
+    /// The session's blocking release/RMW is waiting on an unresolved
+    /// barrier over this session's write window: acks for those writes are
+    /// barrier inputs (the worker re-evaluates barriers only when one moves).
+    pub awaiting_barrier: bool,
     /// Script driver returned `None` — the session is finished.
     pub script_done: bool,
 }
@@ -118,6 +124,7 @@ impl Session {
             write_window: VecDeque::new(),
             staged: None,
             relief: None,
+            awaiting_barrier: false,
             script_done: false,
         }
     }

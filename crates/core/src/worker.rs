@@ -6,8 +6,8 @@
 //! the deterministic simulator.
 //!
 //! This file holds the scheduling skeleton: session pumping, dispatch,
-//! completion plumbing, and timeout scanning. The protocol logic lives in
-//! two sibling `impl Worker` blocks:
+//! completion plumbing, and the tick. The protocol logic lives in two
+//! sibling `impl Worker` blocks:
 //!
 //! * [`crate::replica`] — the acceptor/replica side (requests from peers);
 //! * [`crate::initiator`] — the proposer/initiator side (starting client
@@ -16,18 +16,36 @@
 //! In-flight state lives in a generational slab ([`InFlightTable`]): reply
 //! dispatch resolves entries by slot index + generation compare (no
 //! hashing), and handlers mutate entries in place.
+//!
+//! # A step costs O(due), not O(pending)
+//!
+//! The worker takes a step per inbound batch, so `on_tick` may only touch
+//! what has something to do:
+//!
+//! * **Sessions** — [`Sessions`] keeps the set of sessions that can start
+//!   an op; a blocked, stalled or exhausted session is not visited until a
+//!   completion, a retired write or a timer makes it runnable again.
+//! * **Barriers** — every pending release/RMW barrier is a function of a
+//!   few inputs (its writes' ack sets, its slow-release acks, the node's
+//!   suspected set and membership epoch, and the release timeout). The
+//!   handlers that move an input mark `barriers_dirty`; the earliest
+//!   timeout any waiter can hit is `barrier_deadline`. `check_barriers`
+//!   runs when one of the two says so and at no other time.
+//! * **Timers** — RMW back-offs, the retransmission scan and the
+//!   anti-entropy sweep each have a due-time; the tick returns their
+//!   minimum as the [`Wakeup`] deadline, and the runtimes sleep until then.
 
 use std::sync::Arc;
 
 use kite_common::{NodeId, NodeSet, OpId, MEMBERSHIP_KEY};
-use kite_simnet::{Actor, Outbox};
+use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::antientropy::AeState;
 use crate::api::{Completion, CompletionHook, Op, OpOutput};
 use crate::inflight::{InFlight, InFlightTable, UNTRACKED_RID_BIT};
 use crate::msg::Msg;
 use crate::nodestate::NodeShared;
-use crate::session::{ProtocolMode, Session};
+use crate::session::{ProtocolMode, Session, SessionDriver};
 
 /// Spare `AckBatch` buffers retained per worker. Like the outbox's envelope
 /// pool: drained batch buffers circulate between the workers' pools instead
@@ -45,6 +63,55 @@ pub(crate) enum StartResult {
     Stall(Op),
 }
 
+/// A worker's sessions, plus the set of those that can start an operation.
+///
+/// Bit `si` of `runnable` is set while session `si` is free and may have an
+/// op to hand over. It is cleared when the session blocks, stalls behind a
+/// full write window or runs out of ops, and set again by whatever can
+/// change that: a completion delivered to it, a write leaving its window, a
+/// barrier-input change (a stalled session's relief round may now be
+/// possible). Iterating set bits in index order visits the runnable
+/// sessions in the order a full scan would.
+pub(crate) struct Sessions {
+    all: Vec<Session>,
+    runnable: Vec<u64>,
+}
+
+impl Sessions {
+    fn new(all: Vec<Session>) -> Self {
+        let mut sessions = Sessions { runnable: vec![0; all.len().div_ceil(64)], all };
+        for si in 0..sessions.all.len() {
+            sessions.wake(si);
+        }
+        sessions
+    }
+
+    /// Session `si` may be able to start an op: visit it next tick.
+    #[inline]
+    pub(crate) fn wake(&mut self, si: usize) {
+        self.runnable[si / 64] |= 1 << (si % 64);
+    }
+
+    #[inline]
+    fn park(&mut self, si: usize) {
+        self.runnable[si / 64] &= !(1 << (si % 64));
+    }
+}
+
+impl std::ops::Deref for Sessions {
+    type Target = [Session];
+
+    fn deref(&self) -> &[Session] {
+        &self.all
+    }
+}
+
+impl std::ops::DerefMut for Sessions {
+    fn deref_mut(&mut self) -> &mut [Session] {
+        &mut self.all
+    }
+}
+
 /// The protocol execution engine (§6.1): owns a set of sessions, runs the
 /// three protocols and the RC barrier machinery for them. See the module
 /// docs for the division of labour with `replica`/`initiator`.
@@ -52,10 +119,32 @@ pub struct Worker {
     pub(crate) me: NodeId,
     pub(crate) shared: Arc<NodeShared>,
     pub(crate) mode: ProtocolMode,
-    pub(crate) sessions: Vec<Session>,
+    pub(crate) sessions: Sessions,
     pub(crate) inflight: InFlightTable,
     /// rids of releases/RMWs whose barrier is not yet resolved.
     pub(crate) barrier_waiters: Vec<u64>,
+    /// A barrier input moved since the last `check_barriers` (an ack on a
+    /// write some barrier waits for, a slow-release ack, a new waiter, a
+    /// slow-path transition): the next tick must evaluate. Stalled sessions
+    /// share the signal — their relief decision reads the same inputs.
+    pub(crate) barriers_dirty: bool,
+    /// Earliest time a pending barrier or a stalled session's window can
+    /// cross the release timeout; `check_barriers` is due then even with
+    /// nothing dirty. A lower bound, recomputed by every full evaluation.
+    pub(crate) barrier_deadline: u64,
+    /// Acks that leave a write short of "acked by all" matter to barriers
+    /// only on the slow path: a waiter already published a DM-set, or some
+    /// replica is suspected. Refreshed by every `check_barriers`.
+    pub(crate) slow_mode: bool,
+    /// `NodeShared::suspect_gen` / membership epoch as of the last tick:
+    /// both are shared with sibling workers and move under this one.
+    suspect_seen: u64,
+    mepoch_seen: u32,
+    /// This worker changed one of them since its last tick: the siblings'
+    /// deadlines were computed from the old value (`Wakeup::kick_siblings`).
+    kick_siblings: bool,
+    /// `check_barriers` evaluations made (diagnostics).
+    pub(crate) barrier_passes: u64,
     /// `(rid, due)` for nacked Paxos rounds awaiting their backoff — fired
     /// from the tick path (the retransmit scan is far too coarse for
     /// contention backoffs).
@@ -112,9 +201,16 @@ impl Worker {
         Worker {
             me: shared.me,
             mode,
-            sessions,
+            sessions: Sessions::new(sessions),
             inflight: InFlightTable::with_capacity(inflight_cap),
             barrier_waiters: Vec::new(),
+            barriers_dirty: false,
+            barrier_deadline: Wakeup::NEVER,
+            slow_mode: false,
+            suspect_seen: shared.suspect_gen(),
+            mepoch_seen: shared.mepoch(),
+            kick_siblings: false,
+            barrier_passes: 0,
             rmw_retries: Vec::new(),
             next_untracked: 0,
             last_scan: 0,
@@ -172,6 +268,12 @@ impl Worker {
         self.inflight.len()
     }
 
+    /// How many times this worker has evaluated its pending barriers
+    /// (diagnostics: against ops completed it says what a step costs).
+    pub fn barrier_passes(&self) -> u64 {
+        self.barrier_passes
+    }
+
     // ---- completion plumbing -------------------------------------------
 
     /// Deliver a completion for session `si` and unblock it if needed.
@@ -204,7 +306,7 @@ impl Worker {
     pub(crate) fn complete_in(
         shared: &NodeShared,
         hook: &Option<CompletionHook>,
-        sessions: &mut [Session],
+        sessions: &mut Sessions,
         si: usize,
         op_id: OpId,
         op: Op,
@@ -224,52 +326,104 @@ impl Worker {
         let sess = &mut sessions[si];
         sess.deliver(c);
         sess.blocked_on = None;
+        sess.awaiting_barrier = false;
+        sessions.wake(si);
     }
 
     /// Remove `rid` from its owning session's write window. O(1): ordering
     /// within the window carries no protocol meaning — barriers and window
     /// relief snapshot the window as a *set* of rids — so swap removal is
-    /// safe.
+    /// safe. A write leaving the window is a barrier input of the session's
+    /// pending release/RMW, and room for a session stalled on a full window.
     pub(crate) fn remove_from_window(&mut self, si: usize, rid: u64) {
-        let window = &mut self.sessions[si].write_window;
-        if let Some(pos) = window.iter().position(|&r| r == rid) {
-            window.swap_remove_back(pos);
+        let sess = &mut self.sessions[si];
+        if let Some(pos) = sess.write_window.iter().position(|&r| r == rid) {
+            sess.write_window.swap_remove_back(pos);
         }
+        self.barriers_dirty |= sess.awaiting_barrier;
+        if sess.staged.is_some() {
+            self.sessions.wake(si);
+        }
+    }
+
+    /// Suspect every node of `dm` (a barrier or a stalled window timed out
+    /// on them). The suspected set is a barrier input.
+    pub(crate) fn suspect_all(&mut self, dm: NodeSet) {
+        for n in dm {
+            self.shared.suspect(n);
+        }
+        self.barriers_dirty = true;
+        self.slow_mode = true;
+        // A sibling's barrier may be waiting on exactly these replicas.
+        self.kick_siblings = true;
     }
 
     // ---- session pumping -------------------------------------------------
 
+    /// Let every runnable session start up to `ops_per_tick` ops. Returns
+    /// whether one stopped at that budget still free — the only case in
+    /// which another tick right now would start more.
     fn pump_sessions(&mut self, now: u64, out: &mut Outbox<Msg>) -> bool {
-        let mut progress = false;
-        for si in 0..self.sessions.len() {
-            let mut budget = self.ops_per_tick;
-            while budget > 0 && self.sessions[si].is_free() {
-                let Some(op) = self.sessions[si].next_op() else { break };
-                budget -= 1;
-                let seq = self.sessions[si].seq;
-                self.sessions[si].seq += 1;
-                let op_id = OpId::new(self.sessions[si].id, seq);
-                match self.start_op(si, op_id, op, now, out) {
-                    StartResult::Inline => progress = true,
-                    StartResult::Blocked(rid) => {
-                        self.sessions[si].blocked_on = Some(rid);
-                        progress = true;
-                    }
-                    StartResult::Stall(op) => {
-                        // window full: retry next tick (no progress — the
-                        // op did not start); the op keeps its seq slot by
-                        // restoring the counter. If the window is stuck on
-                        // unresponsive replicas, start a relief round so
-                        // the session doesn't stall for the whole outage.
-                        self.sessions[si].seq -= 1;
-                        self.sessions[si].staged = Some(op);
-                        self.maybe_window_relief(si, now, out);
-                        break;
-                    }
+        let mut more_now = false;
+        for word in 0..self.sessions.runnable.len() {
+            // A snapshot is exact: pumping one session never makes another
+            // runnable (that takes a completion, an ack or a timer).
+            let mut bits = self.sessions.runnable[word];
+            while bits != 0 {
+                let si = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                more_now |= self.pump_session(si, now, out);
+            }
+        }
+        more_now
+    }
+
+    fn pump_session(&mut self, si: usize, now: u64, out: &mut Outbox<Msg>) -> bool {
+        let mut budget = self.ops_per_tick;
+        while budget > 0 && self.sessions[si].is_free() {
+            let Some(op) = self.sessions[si].next_op() else {
+                // Out of ops. A script is finished for good and a client
+                // state machine speaks again after its next completion; an
+                // external client's ops arrive from outside, with a wake of
+                // the runtime, so its session stays on the list.
+                if !matches!(self.sessions[si].driver, SessionDriver::External { .. }) {
+                    self.sessions.park(si);
+                }
+                return false;
+            };
+            budget -= 1;
+            let seq = self.sessions[si].seq;
+            self.sessions[si].seq += 1;
+            let op_id = OpId::new(self.sessions[si].id, seq);
+            match self.start_op(si, op_id, op, now, out) {
+                StartResult::Inline => {}
+                StartResult::Blocked(rid) => self.sessions[si].blocked_on = Some(rid),
+                StartResult::Stall(op) => {
+                    // Window full: the op did not start and keeps its seq
+                    // slot by restoring the counter. If the window is stuck
+                    // on unresponsive replicas, start a relief round so the
+                    // session doesn't stall for the whole outage. The
+                    // session is retried when a write leaves its window or
+                    // a barrier input moves (see `Sessions`).
+                    self.sessions[si].seq -= 1;
+                    self.sessions[si].staged = Some(op);
+                    self.maybe_window_relief(si, now, out);
+                    self.sessions.park(si);
+                    return false;
                 }
             }
         }
-        progress
+        if !self.sessions[si].is_free() {
+            self.sessions.park(si);
+            return false;
+        }
+        // Stopped at the budget, still free: more can start right now if
+        // more is queued — which an external client's channel can say; a
+        // script or a client state machine is asked by pumping it again.
+        match &self.sessions[si].driver {
+            SessionDriver::External { rx, .. } => !rx.is_empty(),
+            _ => true,
+        }
     }
 
     // ---- ack coalescing ---------------------------------------------------
@@ -462,24 +616,61 @@ impl Actor for Worker {
         self.on_envelope(src, msgs, now, out);
     }
 
-    fn on_tick(&mut self, now: u64, out: &mut Outbox<Msg>) -> bool {
-        let progress = self.pump_sessions(now, out);
-        // Barrier progress + timeout/retransmission scans are amortized:
-        // barriers are checked every tick (cheap, usually empty), the full
-        // retransmission scan only every `retransmit / 2` ns. RMW conflict
-        // backoffs fire from their own queue at tick granularity.
-        self.check_barriers(now, out);
+    fn on_tick(&mut self, now: u64, out: &mut Outbox<Msg>) -> Wakeup {
+        // The node-shared barrier inputs: sibling workers suspect and clear
+        // replicas, and any store apply can install a membership.
+        let (suspects, mepoch) = (self.shared.suspect_gen(), self.shared.mepoch());
+        if (suspects, mepoch) != (self.suspect_seen, self.mepoch_seen) {
+            // A membership install is found by whichever worker ticks
+            // first after it; that one passes it on.
+            self.kick_siblings |= mepoch != self.mepoch_seen;
+            (self.suspect_seen, self.mepoch_seen) = (suspects, mepoch);
+            self.barriers_dirty = true;
+        }
+        let barriers_due = self.barriers_dirty || now >= self.barrier_deadline;
+        if barriers_due {
+            // A stalled session's relief decision reads the barrier inputs
+            // too: give each another attempt (this pump recomputes their
+            // share of the deadline, `check_barriers` below the rest).
+            self.barrier_deadline = Wakeup::NEVER;
+            for si in 0..self.sessions.len() {
+                if self.sessions[si].staged.is_some() {
+                    self.sessions.wake(si);
+                }
+            }
+        }
+        let more_now = self.pump_sessions(now, out);
+        // The pump may have added a waiter or suspected a replica.
+        if barriers_due || self.barriers_dirty {
+            self.check_barriers(now, out);
+        }
         self.fire_rmw_retries(now, out);
+        // The full retransmission scan runs every `retransmit / 2` ns.
         if now.saturating_sub(self.last_scan) >= self.retransmit / 2 {
             self.last_scan = now;
             self.scan_retransmits(now, out);
         }
-        self.ae_on_tick(now, out);
+        let mut next_deadline = self.ae_on_tick(now, out);
         // Refresh the outbox's membership-epoch stamp after the step's
         // sends were composed: the runtimes copy it into every flushed
         // envelope/frame.
         out.set_stamp(self.shared.mepoch());
-        progress
+
+        // What is left is waiting for an envelope or for one of these.
+        if self.barriers_dirty {
+            // A slow-path transition changed inputs of barriers already
+            // evaluated this tick: they are looked at again next tick.
+            next_deadline = now;
+        }
+        next_deadline = next_deadline.min(self.barrier_deadline);
+        for &(_, due) in &self.rmw_retries {
+            next_deadline = next_deadline.min(due);
+        }
+        if !self.inflight.is_empty() {
+            next_deadline = next_deadline.min(self.last_scan + self.retransmit / 2);
+        }
+        let kick_siblings = std::mem::take(&mut self.kick_siblings);
+        Wakeup { more_now, next_deadline, kick_siblings }
     }
 
     fn is_idle(&self) -> bool {
@@ -496,10 +687,14 @@ impl Actor for Worker {
         use std::fmt::Write;
         let _ = writeln!(
             out,
-            "mode={:?} inflight={} barrier_waiters={:?} rmw_retries={:?} last_scan={}",
+            "mode={:?} inflight={} barrier_waiters={:?} (dirty={} deadline={} passes={}) \
+             rmw_retries={:?} last_scan={}",
             self.mode,
             self.inflight.len(),
             self.barrier_waiters,
+            self.barriers_dirty,
+            self.barrier_deadline,
+            self.barrier_passes,
             self.rmw_retries,
             self.last_scan,
         );

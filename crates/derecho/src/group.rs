@@ -9,7 +9,7 @@ use kite::session::{sessions_for, Session, SessionDriver};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_kvs::Store;
-use kite_simnet::{Actor, Outbox, Sim, SimCfg};
+use kite_simnet::{Actor, Outbox, Sim, SimCfg, Wakeup};
 
 /// Delivery discipline (the two flavors of Figure 7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,15 +199,17 @@ impl Actor for DerechoWorker {
         }
     }
 
-    fn on_tick(&mut self, now: u64, out: &mut Outbox<DrcMsg>) -> bool {
-        let mut progress = false;
+    fn on_tick(&mut self, now: u64, out: &mut Outbox<DrcMsg>) -> Wakeup {
+        // Every op pulled from a session starts (reads complete, writes
+        // multicast), so a session is worth another tick right now only if
+        // it stopped at its budget while still free.
+        let mut more_now = false;
         let mut sent_this_tick = false;
         for si in 0..self.sessions.len() {
             let mut budget = self.ops_per_tick;
             while budget > 0 && self.sessions[si].is_free() {
                 let Some(op) = self.sessions[si].next_op() else { break };
                 budget -= 1;
-                progress = true;
                 let seq = self.sessions[si].seq;
                 self.sessions[si].seq += 1;
                 let op_id = OpId::new(self.sessions[si].id, seq);
@@ -240,6 +242,7 @@ impl Actor for DerechoWorker {
                     }
                 }
             }
+            more_now |= budget == 0 && self.sessions[si].is_free();
         }
         // Ordered mode: an idle sender emits a null when the delivery
         // cursor is stuck on *it* and real (payload) messages are waiting
@@ -253,9 +256,12 @@ impl Actor for DerechoWorker {
             && self.real_pending()
         {
             self.multicast(None, None, out);
-            progress = true;
+            // Delivering our own null may leave the cursor on us again.
+            more_now = true;
         }
-        progress
+        // No timers: the null-message condition only changes with an
+        // envelope (or with this tick's own multicast, covered above).
+        Wakeup { more_now, ..Wakeup::IDLE }
     }
 
     fn is_idle(&self) -> bool {

@@ -55,6 +55,9 @@ pub struct RmwCommit {
 pub struct CommittedRing {
     ring: Vec<RmwCommit>,
     next: usize,
+    /// Evictions of an entry whose owner nothing in the ring proved to have
+    /// moved on (see [`CommittedRing::evicted_unretired`]).
+    evicted_unretired: u64,
 }
 
 /// Ring capacity. Sized so that a proposer retrying after a nack backoff
@@ -65,7 +68,11 @@ pub const COMMITTED_RING_DEPTH: usize = 32;
 impl CommittedRing {
     /// An empty ring.
     pub fn new() -> Self {
-        CommittedRing { ring: Vec::with_capacity(COMMITTED_RING_DEPTH), next: 0 }
+        CommittedRing {
+            ring: Vec::with_capacity(COMMITTED_RING_DEPTH),
+            next: 0,
+            evicted_unretired: 0,
+        }
     }
 
     /// Record a committed RMW (overwrites the oldest entry when full).
@@ -73,9 +80,24 @@ impl CommittedRing {
         if self.ring.len() < COMMITTED_RING_DEPTH {
             self.ring.push(c);
         } else {
+            // A session has one RMW outstanding at a time, so a newer entry
+            // of the same session proves the owner retired the evicted op.
+            // Without one, the owner may still be retrying it.
+            let old = &self.ring[self.next];
+            let retired = (self.ring.iter().chain([&c]))
+                .any(|e| e.op.session == old.op.session && e.op.seq > old.op.seq);
+            self.evicted_unretired += u64::from(!retired);
             self.ring[self.next] = c;
         }
         self.next = (self.next + 1) % COMMITTED_RING_DEPTH;
+    }
+
+    /// How many entries this ring evicted while holding no newer entry of
+    /// the same session — the dedup evidence of an op whose owner (asleep,
+    /// or backing off) may not have learned its outcome yet. ROADMAP
+    /// direction 6 reads it to test the evicted-evidence hypothesis.
+    pub fn evicted_unretired(&self) -> u64 {
+        self.evicted_unretired
     }
 
     /// Look up a committed command by operation id.
@@ -187,6 +209,18 @@ mod tests {
         assert_eq!(r.len(), COMMITTED_RING_DEPTH);
         assert!(r.find(op(0, 0)).is_none(), "oldest evicted");
         assert!(r.find(op(0, 10)).is_some(), "newest kept");
+        assert_eq!(r.evicted_unretired(), 0, "every evicted op has a newer one of its session");
+    }
+
+    #[test]
+    fn eviction_of_a_sessions_latest_op_is_counted() {
+        let mut r = CommittedRing::new();
+        r.push(RmwCommit { op: op(4, 9), slot: 0, result: Val::EMPTY });
+        for i in 0..COMMITTED_RING_DEPTH as u64 {
+            r.push(RmwCommit { op: op(0, i), slot: i + 1, result: Val::EMPTY });
+        }
+        assert!(r.find(op(4, 9)).is_none(), "node 4's only entry is gone");
+        assert_eq!(r.evicted_unretired(), 1, "nothing proved its owner had moved on");
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //!   queues. Thread budget per node: `workers + 1` (the acceptor), not
 //!   `O(peers × workers)` writer/reader threads.
 //! * **No wake without work.** A loop goes round again without blocking
-//!   only when something is known to be pending — the tick started
-//!   session ops (a session may have more queued; an op stalled behind its
-//!   session's full write window did not start, and an inbound ack reopens
-//!   the window), the loopback queue or the conn intake delivered, or
-//!   completions are waiting behind a full client ring; otherwise the pass
-//!   ends in a blocking `epoll_wait` whose
-//!   1 ms timeout is the protocol-timer tick and the safety net (local
-//!   `SessionHandle`s have no waker). A readable socket costs one `read`
+//!   only when something is known to be pending — the actor said another
+//!   tick would start more right now (`Wakeup::more_now`: a session
+//!   stopped at its per-tick budget), the loopback queue or the conn
+//!   intake delivered, or completions are waiting behind a full client
+//!   ring; otherwise the pass ends in an `epoll_wait` that blocks until
+//!   the earliest deadline anyone holds — the actor's own
+//!   (`Wakeup::next_deadline`: retransmission scan, release timeout,
+//!   back-off, anti-entropy sweep) or a peer link's redial — and forever
+//!   when nobody holds one. There is no timer beat: whatever needs the
+//!   loop from outside (a local `SessionHandle` submitting an op, a stop
+//!   or dump request, an address change) writes the loop's eventfd. A
+//!   readable socket costs one `read`
 //!   into an already-initialized buffer — a short read means the kernel
 //!   queue is empty, and level-triggered epoll re-reports what races in.
 //!   The acceptor blocks in `poll(2)` on its listener, its half-read
@@ -67,7 +71,7 @@ use kite::wire::{self, ClientFrame, Hello};
 use kite::Msg;
 use kite_common::stats::ProtoCounters;
 use kite_common::{NodeId, SessionId};
-use kite_simnet::{Actor, Clock, Outbox, WallClock};
+use kite_simnet::{Actor, Clock, Dumper, Outbox, Wake, Wakeup, WallClock};
 use parking_lot::Mutex;
 
 use crate::link::{bump, FabricStats, LinkTable, LoopStats};
@@ -91,10 +95,6 @@ const POOL_CAP: usize = 64;
 const READ_QUANTUM: usize = 256 << 10;
 /// Read chunk size (the per-connection [`ReadBuf`]'s initial length).
 const READ_CHUNK: usize = 64 << 10;
-/// Park timeout of a quiescent loop — bounds pure-timer latency (protocol
-/// retransmit/keepalive cadence), stop-flag responsiveness, and the cost of
-/// any pending-work condition the loop failed to notice.
-const IDLE_WAIT_MS: i32 = 1;
 
 /// The cluster's dial targets, mutable at runtime: one `(address,
 /// generation)` slot per node id. The generation bumps on every address
@@ -206,6 +206,8 @@ pub struct TcpWorkerIo {
     pub worker: usize,
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
+    /// Wakers of the node's other worker loops (`Wakeup::kick_siblings`).
+    siblings: Vec<Arc<Waker>>,
     peers: Arc<PeerTable>,
     links: Arc<LinkTable>,
     stats: Arc<FabricStats>,
@@ -333,6 +335,10 @@ impl TcpNet {
                 worker: w,
                 conn_rx,
                 waker: Arc::clone(&wakers[w]),
+                siblings: (wakers.iter().enumerate())
+                    .filter(|&(other, _)| other != w)
+                    .map(|(_, waker)| Arc::clone(waker))
+                    .collect(),
                 peers: Arc::clone(&peers),
                 links: Arc::clone(&links),
                 stats: Arc::clone(&stats),
@@ -398,6 +404,14 @@ impl TcpNet {
             }
         }
         changed
+    }
+
+    /// What ends worker `worker`'s park: a local `SessionHandle` calls it
+    /// after every submission (the loop otherwise sleeps until its actor's
+    /// next deadline).
+    pub fn worker_wake(&self, worker: usize) -> Wake {
+        let waker = Arc::clone(&self.wakers[worker]);
+        Arc::new(move || waker.wake())
     }
 
     /// The shared stop flag (the acceptor and the worker loops watch it).
@@ -752,32 +766,37 @@ fn drain_counted(
 pub struct NodeStopHandle {
     stop: Arc<AtomicBool>,
     dump: Arc<AtomicBool>,
+    /// Writes every loop's eventfd: a parked loop has no other reason to
+    /// look at the flags.
+    wake_all: Wake,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl NodeStopHandle {
     /// Signal all workers to stop and wait for them to exit.
     pub fn stop_and_join(mut self) {
+        self.halt();
+    }
+
+    /// The diagnostics request: makes every worker loop print an
+    /// `Actor::describe` snapshot plus its fabric state (registered fds,
+    /// ring occupancy, last-readiness timestamps) to stderr once.
+    pub fn dumper(&self) -> Dumper {
+        Dumper::new(Arc::clone(&self.dump), Arc::clone(&self.wake_all))
+    }
+
+    fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        (self.wake_all)();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-
-    /// The diagnostics flag: raising it makes every worker loop print an
-    /// `Actor::describe` snapshot plus its fabric state (registered fds,
-    /// ring occupancy, last-readiness timestamps) to stderr once.
-    pub fn dump_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.dump)
     }
 }
 
 impl Drop for NodeStopHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.halt();
     }
 }
 
@@ -795,6 +814,7 @@ where
     assert!(rigs.len() <= net.workers, "more rigs than fabric workers");
     let stop = Arc::new(AtomicBool::new(false));
     let dump = Arc::new(AtomicBool::new(false));
+    let wakers: Vec<Arc<Waker>> = rigs.iter().map(|(_, io, _)| Arc::clone(&io.waker)).collect();
     let mut handles = Vec::with_capacity(rigs.len());
     for (actor, io, sessions) in rigs {
         let stop = Arc::clone(&stop);
@@ -810,7 +830,8 @@ where
                 .expect("spawn tcp worker"),
         );
     }
-    NodeStopHandle { stop, dump, handles }
+    let wake_all: Wake = Arc::new(move || wakers.iter().for_each(|w| w.wake()));
+    NodeStopHandle { stop, dump, wake_all, handles }
 }
 
 struct EventLoop<A: Actor<Msg = Msg>> {
@@ -827,8 +848,12 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     peers: Arc<PeerTable>,
     /// [`PeerTable::changes`] as of the last dial pass that probed the table.
     peers_seen: u64,
+    /// When the dial pass next has something to do (a backoff or a connect
+    /// deadline expiring); `None` while every link is up.
+    next_dial: Option<Instant>,
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
+    siblings: Vec<Arc<Waker>>,
     sessions: Option<ClientSessions>,
     poller: Poller,
     peer_out: Vec<PeerOut>,
@@ -885,8 +910,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             msg_pool: io.msg_pool,
             peers: io.peers,
             peers_seen: 0,
+            next_dial: None,
             conn_rx: io.conn_rx,
             waker: io.waker,
+            siblings: io.siblings,
             sessions,
             poller,
             peer_out,
@@ -909,12 +936,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn run(&mut self) {
-        // Work known to be waiting for the next pass: the tick pumped
-        // session ops and has something to show for it (a session stops at
-        // `ops_per_tick` with more queued), or completions sit behind a
-        // client ring that was full. Nothing else survives a pass —
-        // readiness is epoll's to report.
+        // Work known to be waiting for the next pass: conn intake or the
+        // loopback queue delivered, or completions sit behind a client
+        // ring that was full. Nothing else survives a pass — readiness is
+        // epoll's to report, timers are the actor's to name.
         let mut pending = false;
+        // What the actor's last tick asked for, and when (deadlines are
+        // measured from the time the actor computed them: `now + 1` means
+        // "at your next timer tick", not "before you get to park"). The
+        // first pass owes the actor a tick.
+        let (mut wakeup, mut ticked_at) = (Wakeup::AGAIN, 0);
         while !self.stop.load(Ordering::Relaxed) && !self.net_stop.load(Ordering::Relaxed) {
             if !self.dumped && self.dump.load(Ordering::Relaxed) {
                 self.dumped = true;
@@ -937,12 +968,15 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 pending = true;
             }
 
-            // Socket readiness. A quiescent loop parks here: fd readiness
-            // (and the waker) ends the park immediately, so the timeout only
-            // gates pure-timer work — and a parked loop leaves the CPU to the
-            // peer loops whose replies it is waiting for (decisive on
-            // few-core machines).
-            let timeout_ms = if pending { 0 } else { IDLE_WAIT_MS };
+            // Socket readiness. A quiescent loop parks here until fd
+            // readiness, the waker, or the earliest deadline the actor or a
+            // redial holds — and a parked loop leaves the CPU to the peer
+            // loops whose replies it is waiting for (decisive on few-core
+            // machines).
+            let timeout_ms = match pending || wakeup.more_now {
+                true => 0,
+                false => self.park_ms(wakeup.next_deadline, ticked_at),
+            };
             self.events.clear();
             let mut events = std::mem::take(&mut self.events);
             let stats = &self.stats.loops[self.worker];
@@ -968,29 +1002,51 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             }
             self.events = events;
 
-            // Protocol tick (retransmissions, keepalives, session intake).
-            // A tick that started session ops may have stopped at
-            // `ops_per_tick`: go round again. One that only re-tried an op
-            // stalled behind its session's full write window started
-            // nothing and says so; what opens the window is an inbound
-            // ack, a readiness event, so the loop waits for it in
-            // `epoll_wait` (spinning there took the CPU from the very
-            // peers it waited for).
-            let now = self.clock.now();
-            pending = self.actor.on_tick(now, &mut self.out);
+            // Protocol tick: session intake, and whatever timer is due. The
+            // actor says when it next needs one and whether another right
+            // now would start more (a session stopped at `ops_per_tick`).
+            // An op stalled behind its session's full write window is
+            // neither: what opens the window is an inbound ack, a
+            // readiness event, so the loop waits for it in `epoll_wait`
+            // (spinning there took the CPU from the very peers it waited
+            // for).
+            ticked_at = self.clock.now();
+            wakeup = self.actor.on_tick(ticked_at, &mut self.out);
+            if wakeup.kick_siblings {
+                for w in &self.siblings {
+                    w.wake();
+                }
+            }
 
             // Ship what the actor produced, then push client completions.
             if !self.out.is_empty() {
                 self.flush_outbox();
             }
-            if self.sessions.is_some() && self.pump_completions() {
-                pending = true;
-            }
+            pending = self.sessions.is_some() && self.pump_completions();
 
             // Dial pass: any disconnected peer whose backoff expired.
             self.dial_pass();
         }
         self.teardown();
+    }
+
+    /// How long a quiescent pass may block: until the actor's deadline (on
+    /// the fabric clock, as of the tick at `ticked_at` that returned it) or
+    /// the next redial, whichever is first, rounded up to `epoll_wait`'s
+    /// milliseconds; `-1` (forever) when neither exists.
+    // kite-lint: no-alloc
+    fn park_ms(&self, actor_deadline: u64, ticked_at: u64) -> i32 {
+        let actor = match actor_deadline {
+            Wakeup::NEVER => None,
+            t => Some(Duration::from_nanos(t.saturating_sub(ticked_at))),
+        };
+        let dial = self.next_dial.map(|t| t.saturating_duration_since(Instant::now()));
+        let wait = match (actor, dial) {
+            (Some(a), Some(d)) => a.min(d),
+            (Some(w), None) | (None, Some(w)) => w,
+            (None, None) => return -1,
+        };
+        wait.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
     }
 
     // -- outbound peers ---------------------------------------------------
@@ -1005,6 +1061,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let all_up = (self.peer_out.iter().enumerate())
             .all(|(d, po)| d == me || matches!(po.state, DialState::Connected));
         if all_up && !moved {
+            self.next_dial = None;
             return;
         }
         self.peers_seen = changes;
@@ -1035,6 +1092,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 _ => {}
             }
         }
+        // The loop sleeps until its actor's deadline; a link waiting out a
+        // backoff or a connect attempt needs it back by then.
+        self.next_dial = (self.peer_out.iter().enumerate())
+            .filter(|&(d, _)| d != me)
+            .filter_map(|(_, po)| match po.state {
+                DialState::Idle => Some(po.next_dial),
+                DialState::Connecting => Some(po.dial_deadline),
+                DialState::Connected => None,
+            })
+            .min();
     }
 
     fn dial(&mut self, dst: usize, now: Instant) {

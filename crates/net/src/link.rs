@@ -203,8 +203,8 @@ pub struct LoopStats {
     pub epoll_waits: AtomicU64,
     /// `epoll_wait` returns that delivered at least one readiness event.
     pub wakes: AtomicU64,
-    /// Blocking `epoll_wait`s that timed out with nothing ready (the 1 ms
-    /// protocol-timer tick of an idle loop).
+    /// Blocking `epoll_wait`s that timed out with nothing ready: the loop
+    /// slept until its actor's next deadline (or a redial) and woke for it.
     pub idle_ticks: AtomicU64,
     /// `read` calls on the loop's peer and client connections.
     pub reads: AtomicU64,

@@ -225,7 +225,9 @@ impl NodeRuntime {
     /// as `Cluster::session`).
     pub fn session(&self, slot: u32) -> Result<SessionHandle> {
         let (tx, rx) = claim_slot(&self.slots, self.me, slot)?;
-        Ok(SessionHandle::from_channels(tx, rx))
+        // Slot `worker × per_worker + i` belongs to `worker` (`sessions_for`).
+        let worker = slot as usize / self.shared.cfg.sessions_per_worker;
+        Ok(SessionHandle::from_channels(tx, rx, self.net.worker_wake(worker)))
     }
 
     /// The node's write-ahead log, when durability is on.
@@ -290,7 +292,7 @@ impl NodeRuntime {
     /// exactly what this surfaces), and the process aborts.
     pub fn watchdog(&self, timeout: Duration) -> NodeWatchdog {
         let (disarm_tx, disarm_rx) = unbounded::<()>();
-        let dump = self.stop.as_ref().expect("watchdog on a running node").dump_flag();
+        let dumper = self.stop.as_ref().expect("watchdog on a running node").dumper();
         let links = Arc::clone(self.net.links());
         let me = self.me;
         let handle = std::thread::Builder::new()
@@ -300,7 +302,7 @@ impl NodeRuntime {
                     return;
                 }
                 eprintln!("\n!!!! kite-node {me} watchdog: no disarm within {timeout:?} !!!!");
-                dump.store(true, Ordering::SeqCst);
+                dumper.request();
                 std::thread::sleep(Duration::from_secs(1));
                 eprintln!("{}", links.describe());
                 eprintln!("!!!! kite-node {me} watchdog: aborting !!!!");

@@ -18,7 +18,7 @@ use kite::msg::Msg;
 use kite_common::NodeId;
 use kite_net::ring::{RING_CAP_BYTES, RING_CAP_FRAMES};
 use kite_net::{spawn_tcp_workers, TcpNet, TcpNetCfg};
-use kite_simnet::{Actor, Outbox};
+use kite_simnet::{Actor, Outbox, Wakeup};
 
 /// Saturates the link to node 1: every tick emits a few ~8 KiB frames,
 /// far faster than a stalled peer can absorb.
@@ -31,11 +31,11 @@ impl Actor for Flood {
         msgs.clear();
     }
 
-    fn on_tick(&mut self, _now: u64, out: &mut Outbox<Msg>) -> bool {
+    fn on_tick(&mut self, _now: u64, out: &mut Outbox<Msg>) -> Wakeup {
         for _ in 0..4 {
             out.send(NodeId(1), Msg::AckBatch { rids: vec![0u64; 256] });
         }
-        true
+        Wakeup::AGAIN
     }
 
     fn describe(&self, out: &mut String) {

@@ -2,10 +2,19 @@
 //!
 //! A protocol worker (Kite worker, ZAB worker, Derecho io thread) is written
 //! once as an [`Actor`]: a state machine that reacts to delivered envelopes
-//! and periodic ticks, emitting messages into an [`Outbox`]. The threaded
-//! runtime and the deterministic simulator drive the same actor code —
-//! protocol logic cannot tell which scheduler it runs under except through
-//! the clock values it is handed.
+//! and to ticks, emitting messages into an [`Outbox`]. The threaded
+//! runtime, the epoll fabric and the deterministic simulator drive the same
+//! actor code — protocol logic cannot tell which scheduler it runs under
+//! except through the clock values it is handed.
+//!
+//! # Deadline-driven ticks
+//!
+//! No scheduler polls an actor on a beat. Every [`Actor::on_tick`] ends by
+//! saying when the actor next needs one ([`Wakeup`]), and every runtime
+//! waits for `min(next_deadline, I/O)`: the simulator skips the calls of
+//! ticks that are not due, the threaded runtime bounds its channel park by
+//! the deadline, the epoll loop hands it to `epoll_wait`. What the actor
+//! owes in return is a step that costs O(due), not O(pending).
 
 use kite_common::NodeId;
 
@@ -49,13 +58,14 @@ pub trait Actor: Send {
         self.on_envelope(src, msgs, now, out);
     }
 
-    /// Periodic invocation: pump sessions, check protocol timeouts, issue
-    /// retransmissions. Called at the scheduler's tick cadence and after
-    /// every envelope delivery in the threaded runtime. Returns `true` if
-    /// local progress was made (lets the threaded driver back off when the
-    /// worker is truly idle without missing purely-local work such as ES
-    /// reads).
-    fn on_tick(&mut self, now: u64, out: &mut Outbox<Self::Msg>) -> bool;
+    /// Pump sessions, fire whatever protocol timers are due, issue
+    /// retransmissions. Every runtime calls it after each batch of
+    /// envelope deliveries, when the deadline it last returned passes, and
+    /// when something outside the actor asks for it (a local client
+    /// submitted an op and ended the park). The returned [`Wakeup`] is the
+    /// actor's whole claim on the scheduler until the next call — see its
+    /// fields for what it must cover.
+    fn on_tick(&mut self, now: u64, out: &mut Outbox<Self::Msg>) -> Wakeup;
 
     /// `true` when the actor has no outstanding work of its own (all
     /// sessions finished their scripts, no in-flight quorums). Used by the
@@ -66,11 +76,73 @@ pub trait Actor: Send {
 
     /// Append a human-readable snapshot of the actor's internal state to
     /// `out` — sessions, in-flight rounds, timers. Called by the threaded
-    /// runtime's watchdog path (see `StopHandle::dump_flag`) from the
+    /// runtime's watchdog path (see `StopHandle::dumper`) from the
     /// actor's own thread, so implementations may read any owned state.
     /// The default writes nothing.
     fn describe(&self, out: &mut String) {
         let _ = out;
+    }
+}
+
+/// What an actor needs from its scheduler after an [`Actor::on_tick`].
+///
+/// The contract, from the actor's side:
+///
+/// * `next_deadline` must cover **every** reason the actor could have to
+///   act without a new envelope arriving: a retransmission scan, a release
+///   timeout, a back-off expiry, a periodic sweep. Anything it leaves out
+///   simply never happens on an idle node. [`Wakeup::NEVER`]
+///   (`u64::MAX`) means "nothing is scheduled": only an envelope or an
+///   outside wake will bring the next call.
+/// * Lateness is legal. A runtime may call after the deadline (a busy
+///   worker, a descheduled thread, a sleeping replica); the actor compares
+///   `now` with its own due-times and must not assume the call is punctual.
+///   Earliness is legal too: a call before the deadline finds nothing due
+///   and must leave the actor's state as it was.
+/// * `more_now` is for work another call could start **immediately** — a
+///   session that stopped at its per-tick budget with more queued. The
+///   runtime goes round again without parking; it is not a way to poll.
+/// * `kick_siblings` is for state the actors of one node share: an actor's
+///   deadline is computed from what it saw, so an actor that changes what
+///   its siblings' deadlines were computed from says so, and the runtime
+///   makes their next tick due at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Wakeup {
+    /// Another `on_tick` right away would start more work.
+    pub more_now: bool,
+    /// Scheduler-clock time (ns) of the earliest timer the actor holds;
+    /// [`Wakeup::NEVER`] when it holds none.
+    pub next_deadline: u64,
+    /// This step changed node-shared state the other workers of the node
+    /// wait on (for Kite: the suspected set, the membership): call their
+    /// `on_tick` as soon as possible, whatever deadline they last gave.
+    pub kick_siblings: bool,
+}
+
+impl Wakeup {
+    /// The `next_deadline` of an actor with no timer armed.
+    pub const NEVER: u64 = u64::MAX;
+
+    /// Nothing to do until an envelope (or an outside wake) arrives.
+    pub const IDLE: Wakeup = Wakeup::at(Wakeup::NEVER);
+
+    /// More work can start right now.
+    pub const AGAIN: Wakeup = Wakeup { more_now: true, ..Wakeup::IDLE };
+
+    /// Nothing to do before `next_deadline`.
+    pub const fn at(next_deadline: u64) -> Wakeup {
+        Wakeup { more_now: false, next_deadline, kick_siblings: false }
+    }
+
+    /// The time a scheduler should make its next call at: `0` (as soon as
+    /// possible) while `more_now`, the deadline otherwise.
+    #[inline]
+    pub fn due(self) -> u64 {
+        if self.more_now {
+            0
+        } else {
+            self.next_deadline
+        }
     }
 }
 
@@ -178,8 +250,8 @@ mod tests {
             }
         }
 
-        fn on_tick(&mut self, _now: u64, _out: &mut Outbox<u32>) -> bool {
-            false
+        fn on_tick(&mut self, _now: u64, _out: &mut Outbox<u32>) -> Wakeup {
+            Wakeup::IDLE
         }
 
         fn is_idle(&self) -> bool {
@@ -197,5 +269,14 @@ mod tests {
         out.flush(|d, b| echoed.push((d, b)));
         assert_eq!(echoed, vec![(NodeId(0), vec![2, 3])]);
         assert!(a.is_idle());
+        assert_eq!(a.on_tick(0, &mut out), Wakeup::IDLE);
+    }
+
+    #[test]
+    fn a_wakeup_is_due_at_once_while_more_can_start() {
+        assert_eq!(Wakeup::at(700).due(), 700);
+        assert_eq!(Wakeup { more_now: true, ..Wakeup::at(700) }.due(), 0);
+        assert_eq!(Wakeup::IDLE.due(), Wakeup::NEVER);
+        assert_eq!(Wakeup::AGAIN.due(), 0);
     }
 }

@@ -39,8 +39,10 @@ pub mod outbox;
 pub mod sim;
 pub mod threaded;
 
-pub use actor::{Actor, Clock, ManualClock, WallClock};
+pub use actor::{Actor, Clock, ManualClock, Wakeup, WallClock};
 pub use faults::FaultPlane;
 pub use outbox::{Envelope, Outbox};
 pub use sim::{Sim, SimCfg};
-pub use threaded::{spawn_workers, NetHandle, StopHandle, ThreadedNet, WorkerIo};
+pub use threaded::{
+    spawn_workers, Dumper, NetHandle, StopHandle, ThreadedNet, Wake, WorkerIo, WorkerWaker,
+};

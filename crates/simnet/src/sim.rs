@@ -1,11 +1,51 @@
 //! Deterministic discrete-event simulator.
 //!
 //! Runs the same [`Actor`]s as the threaded runtime, single-threaded, on
-//! virtual time: a binary heap of events (envelope deliveries and worker
-//! ticks) with seeded latency jitter, message drops, partitions, node sleeps
-//! and crashes. Given the same seed, configuration and actor behaviour, the
-//! execution — including every fast/slow-path transition of Kite — replays
-//! identically. The correctness test-suites are built on this.
+//! virtual time, with seeded latency jitter, message drops, partitions, node
+//! sleeps and crashes. Given the same seed, configuration and actor
+//! behaviour, the execution — including every fast/slow-path transition of
+//! Kite — replays identically. The correctness test-suites are built on
+//! this.
+//!
+//! # Events
+//!
+//! Everything that happens is an event ordered by `(time, seq)`, `seq`
+//! being the order events were scheduled in. Three kinds exist:
+//!
+//! * **Deliveries** — an envelope reaching a worker — live in a binary
+//!   heap: one push and one pop per envelope.
+//! * **Ticks** and **drains** (a busy worker's receive FIFO being served)
+//!   are *logical* events: a worker has at most one of each pending, so
+//!   each is a `(time, seq)` slot per worker, re-keyed in place where a
+//!   heap-based scheduler would pop and re-push. The order of the run is
+//!   that of the one-queue scheduler; the heap carries a third of its
+//!   traffic.
+//!
+//! # Ticks are deadlines
+//!
+//! A worker's tick chain keeps the model's cadence — one tick per
+//! `tick_ns` while the worker's virtual CPU is free, sliding past busy
+//! periods and sleeps — because that cadence is part of the queueing model
+//! (it is what paces a saturated worker's sessions). But a tick calls the
+//! actor only when the actor asked for it: every `on_tick` returns a
+//! [`crate::Wakeup`], and a tick that fires before `Wakeup::due` is a slot
+//! update, not a call. Deadlines are thereby quantised up to the tick
+//! grid: the call happens at the first tick at or after the deadline,
+//! exactly where a polled `on_tick` would first have found the timer
+//! expired, so no virtual-time figure depends on whether idle ticks are
+//! delivered. A worker that changes state its node's other workers wait
+//! on says so (`Wakeup::kick_siblings`) and their next tick becomes due.
+//!
+//! # Idle time is skipped
+//!
+//! While no envelope is anywhere and no worker is busy or asleep, nothing
+//! can happen before the earliest tick some actor asked for, so the ticks
+//! in between are not stepped through: every worker's tick moves straight
+//! to where stepping would have left it (`Sim::skip_idle_ticks`, which
+//! also says why ties keep their order; a unit test runs a scenario both
+//! ways and compares every call). `run_until_quiesce` re-examines idleness
+//! only after a step that ran an actor. Together they make an idle
+//! cluster's wind-down cost its events, not its duration.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,18 +115,19 @@ impl Default for SimCfg {
     }
 }
 
-enum EventKind<P> {
-    Deliver { dst: NodeId, worker: usize, src: NodeId, mepoch: u32, msgs: Vec<P> },
-    Tick { node: NodeId, worker: usize },
-    /// Pop one envelope from the worker's receive FIFO (scheduled whenever
-    /// envelopes arrive while the worker's virtual CPU is busy).
-    Drain { node: NodeId, worker: usize },
-}
-
+/// An envelope in flight on the fabric — the only thing the event heap
+/// holds.
 struct Event<P> {
     time: u64,
     seq: u64,
-    kind: EventKind<P>,
+    dst: NodeId,
+    worker: usize,
+    src: NodeId,
+    mepoch: u32,
+    msgs: Vec<P>,
+    /// Already counted in `Sim::held`: the envelope arrived while `dst`
+    /// slept and was parked until its wake-up time.
+    held: bool,
 }
 
 // Order events by (time, seq): deterministic tie-break.
@@ -107,6 +148,38 @@ impl<P> Ord for Event<P> {
     }
 }
 
+/// `(time, seq)` of a per-worker logical event packed as `time << 64 | seq`
+/// (one compare orders two events); [`UNSCHEDULED`] when the worker has
+/// none of that kind pending.
+type Key = u128;
+const UNSCHEDULED: Key = u128::MAX;
+
+#[inline]
+fn key_of(time: u64, seq: u64) -> Key {
+    (time as u128) << 64 | seq as u128
+}
+
+/// Which pending event is next in `(time, seq)` order.
+#[derive(Clone, Copy)]
+enum Next {
+    Deliver,
+    Tick(usize),
+    Drain(usize),
+}
+
+/// What a step did, for quiescence detection: only a step that ran an actor
+/// or lost an envelope can have changed what `run_until_quiesce` looks at.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// No event left.
+    Empty,
+    /// A tick that was not due, or an event deferred behind a busy or
+    /// sleeping worker: nothing observable changed.
+    Blind,
+    /// An actor ran or an envelope was dropped.
+    Acted,
+}
+
 /// Per-directed-link fault state (single-threaded: plain fields).
 #[derive(Clone, Copy, Default)]
 struct Link {
@@ -121,7 +194,19 @@ pub struct Sim<A: Actor> {
     cfg: SimCfg,
     now: u64,
     seq: u64,
+    /// Envelope deliveries, by `(time, seq)`.
     queue: BinaryHeap<Reverse<Event<A::Msg>>>,
+    /// Each worker's next tick — exactly one pending per live worker, so it
+    /// is a slot, not a heap entry. Keyed like any other event: the slot is
+    /// re-keyed (consuming a `seq`) exactly where the tick used to be
+    /// re-pushed, so the `(time, seq)` order of the whole run is unchanged.
+    ticks: Vec<Key>,
+    /// Each worker's receive-FIFO drain, likewise at most one pending.
+    drains: Vec<Key>,
+    /// When each worker's `on_tick` is next due ([`crate::Wakeup::due`] of its
+    /// last call). A tick that fires earlier is not delivered to the actor:
+    /// by the contract it would have done nothing.
+    due: Vec<u64>,
     deliveries_pending: usize,
     rng: SplitMix64,
     links: Vec<Link>,
@@ -131,10 +216,13 @@ pub struct Sim<A: Actor> {
     /// server clock: a worker busy until `t` defers deliveries and ticks.
     busy_until: Vec<u64>,
     /// Per-worker receive FIFO: envelopes that arrived while busy. One
-    /// `Drain` event at a time serves each FIFO (O(1) events per envelope —
+    /// drain at a time serves each FIFO (O(1) events per envelope —
     /// re-enqueueing every waiter would be quadratic under load).
     waiting: Vec<std::collections::VecDeque<(NodeId, u32, Vec<A::Msg>)>>,
-    drain_scheduled: Vec<bool>,
+    /// Envelopes parked in `queue` until a sleeping node's wake-up, per
+    /// worker. Bounded at arrival by `recv_queue_cap + 1` — the most a
+    /// waking worker can accept (one served at once, a full FIFO behind it).
+    held: Vec<usize>,
     workers: usize,
     nodes: usize,
     scratch: Outbox<A::Msg>,
@@ -142,6 +230,13 @@ pub struct Sim<A: Actor> {
     pub delivered: u64,
     /// Total envelopes dropped by fault injection.
     pub dropped: u64,
+    /// Pushes onto the event heap (deliveries, and re-parks of envelopes
+    /// held for a sleeping node). Ticks and drains never touch the heap.
+    pub heap_pushes: u64,
+    /// Skip idle stretches in one go (`skip_idle_ticks`). Always on; tests
+    /// turn it off to get the tick-by-tick reference execution.
+    skip_idle: bool,
+    idle_scratch: Vec<(u64, Reverse<u64>, u64, usize)>,
 }
 
 impl<A: Actor> Sim<A> {
@@ -152,6 +247,7 @@ impl<A: Actor> Sim<A> {
         let workers = actors.first().map(|v| v.len()).unwrap_or(0);
         assert!(nodes > 0 && workers > 0, "need at least one actor");
         assert!(actors.iter().all(|v| v.len() == workers), "ragged actor matrix");
+        let slots = nodes * workers;
         let mut sim = Sim {
             actors,
             rng: SplitMix64::new(cfg.seed),
@@ -159,25 +255,28 @@ impl<A: Actor> Sim<A> {
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
+            ticks: vec![UNSCHEDULED; slots],
+            drains: vec![UNSCHEDULED; slots],
+            due: vec![0; slots],
             deliveries_pending: 0,
             links: vec![Link::default(); nodes * nodes],
             crashed: vec![false; nodes],
             wake_at: vec![0; nodes],
-            busy_until: vec![0; nodes * workers],
-            waiting: (0..nodes * workers).map(|_| std::collections::VecDeque::new()).collect(),
-            drain_scheduled: vec![false; nodes * workers],
+            busy_until: vec![0; slots],
+            waiting: (0..slots).map(|_| std::collections::VecDeque::new()).collect(),
+            held: vec![0; slots],
             workers,
             nodes,
             scratch: Outbox::new(nodes),
             delivered: 0,
             dropped: 0,
+            heap_pushes: 0,
+            skip_idle: true,
+            idle_scratch: Vec::with_capacity(slots),
         };
-        for n in 0..nodes {
-            for w in 0..workers {
-                // Stagger initial ticks so nodes don't act in lockstep.
-                let t = (n * workers + w) as u64 * 97;
-                sim.push(t, EventKind::Tick { node: NodeId(n as u8), worker: w });
-            }
+        for slot in 0..slots {
+            // Stagger initial ticks so nodes don't act in lockstep.
+            sim.ticks[slot] = sim.key(slot as u64 * 97);
         }
         sim
     }
@@ -187,12 +286,22 @@ impl<A: Actor> Sim<A> {
         self.now
     }
 
-    fn push(&mut self, time: u64, kind: EventKind<A::Msg>) {
-        if matches!(kind, EventKind::Deliver { .. }) {
-            self.deliveries_pending += 1;
-        }
-        self.queue.push(Reverse(Event { time, seq: self.seq, kind }));
+    /// The key of an event scheduled now for `time`.
+    #[inline]
+    fn key(&mut self, time: u64) -> Key {
         self.seq += 1;
+        key_of(time, self.seq - 1)
+    }
+
+    fn push(&mut self, time: u64, mut ev: Event<A::Msg>) {
+        (ev.time, ev.seq) = (time, self.seq);
+        self.seq += 1;
+        self.heap_pushes += 1;
+        self.queue.push(Reverse(ev));
+    }
+
+    fn node_of(&self, slot: usize) -> NodeId {
+        NodeId((slot / self.workers) as u8)
     }
 
     // ---- fault control (virtual-time variants of `FaultPlane`) ---------
@@ -240,129 +349,268 @@ impl<A: Actor> Sim<A> {
     /// Deliver one envelope to an actor: charge receive cost, run the
     /// handlers, route the output (charging send cost). The drained
     /// envelope buffer is recycled into the scratch outbox's pool.
-    fn process_envelope(
-        &mut self,
-        dst: NodeId,
-        worker: usize,
-        src: NodeId,
-        mepoch: u32,
-        mut msgs: Vec<A::Msg>,
-    ) {
+    fn process_envelope(&mut self, slot: usize, src: NodeId, mepoch: u32, mut msgs: Vec<A::Msg>) {
         self.deliveries_pending -= 1;
-        let slot = dst.idx() * self.workers + worker;
         let cost =
             self.cfg.service_per_envelope_ns + self.cfg.service_per_msg_ns * msgs.len() as u64;
         self.busy_until[slot] = self.now.max(self.busy_until[slot]) + cost;
         self.delivered += 1;
         let mut out = std::mem::replace(&mut self.scratch, Outbox::new(0));
-        let a = &mut self.actors[dst.idx()][worker];
+        let a = &mut self.actors[slot / self.workers][slot % self.workers];
         a.on_envelope_stamped(src, mepoch, &mut msgs, self.now, &mut out);
         // Pump immediately after delivery (protocol progress should not
         // wait for the next tick).
-        a.on_tick(self.now, &mut out);
+        let wakeup = a.on_tick(self.now, &mut out);
+        self.note_wakeup(slot, wakeup);
         out.recycle(msgs);
-        self.route(dst, worker, &mut out);
+        self.route(slot, &mut out);
         self.scratch = out;
     }
 
-    /// Schedule the drain event for a worker's receive FIFO if needed.
-    fn ensure_drain(&mut self, node: NodeId, worker: usize) {
-        let slot = node.idx() * self.workers + worker;
-        if !self.drain_scheduled[slot] && !self.waiting[slot].is_empty() {
-            self.drain_scheduled[slot] = true;
-            let at = self.busy_until[slot].max(self.now);
-            self.push(at, EventKind::Drain { node, worker });
+    /// Record what the worker at `slot` asked for; a kick makes the next
+    /// tick of every other worker of its node due.
+    fn note_wakeup(&mut self, slot: usize, wakeup: crate::Wakeup) {
+        self.due[slot] = wakeup.due();
+        if wakeup.kick_siblings {
+            let first = slot - slot % self.workers;
+            for sibling in (first..first + self.workers).filter(|&s| s != slot) {
+                self.due[sibling] = 0;
+            }
         }
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
+    /// Schedule the drain event for a worker's receive FIFO if needed.
+    fn ensure_drain(&mut self, slot: usize) {
+        if self.drains[slot] == UNSCHEDULED && !self.waiting[slot].is_empty() {
+            self.drains[slot] = self.key(self.busy_until[slot].max(self.now));
+        }
+    }
+
+    /// The pending event that is first in `(time, seq)` order. The heap
+    /// holds the deliveries; ticks and drains are two short dense arrays
+    /// (one entry per worker) scanned in place.
+    #[inline]
+    fn next(&self) -> Option<(u64, Next)> {
+        let mut best =
+            self.queue.peek().map_or(UNSCHEDULED, |Reverse(ev)| key_of(ev.time, ev.seq));
+        let mut which = Next::Deliver;
+        for (slot, &k) in self.ticks.iter().enumerate() {
+            if k < best {
+                (best, which) = (k, Next::Tick(slot));
+            }
+        }
+        for (slot, &k) in self.drains.iter().enumerate() {
+            if k < best {
+                (best, which) = (k, Next::Drain(slot));
+            }
+        }
+        (best != UNSCHEDULED).then_some(((best >> 64) as u64, which))
+    }
+
+    /// Process a single event. Returns `false` when none is left.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
-            return false;
+        self.step_once(u64::MAX) != Step::Empty
+    }
+
+    /// One step of a run that will not go past `limit`.
+    fn step_once(&mut self, limit: u64) -> Step {
+        let Some((time, which)) = self.next() else {
+            return Step::Empty;
         };
-        debug_assert!(ev.time >= self.now, "time went backwards");
-        self.now = ev.time;
-        match ev.kind {
-            EventKind::Deliver { dst, worker, src, mepoch, msgs } => {
-                if self.crashed[dst.idx()] {
-                    self.deliveries_pending -= 1; // dropped at a dead NIC
-                    return true;
-                }
-                let wake = self.wake_at[dst.idx()];
-                if wake > self.now {
-                    // Sleeping node: buffer (redeliver at wake time).
-                    self.deliveries_pending -= 1; // push() re-increments
-                    self.push(wake, EventKind::Deliver { dst, worker, src, mepoch, msgs });
-                    return true;
-                }
-                // Queueing model: a busy worker's envelopes wait in FIFO
-                // order; a single Drain event serves the queue.
-                let slot = dst.idx() * self.workers + worker;
-                if self.busy_until[slot] > self.now || !self.waiting[slot].is_empty() {
-                    if self.waiting[slot].len() >= self.cfg.recv_queue_cap {
-                        // UD receive-queue overflow: the datagram is lost.
-                        self.deliveries_pending -= 1;
-                        self.dropped += 1;
-                        return true;
-                    }
-                    self.waiting[slot].push_back((src, mepoch, msgs));
-                    self.ensure_drain(dst, worker);
-                    return true;
-                }
-                self.process_envelope(dst, worker, src, mepoch, msgs);
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        match which {
+            Next::Deliver => self.deliver(),
+            Next::Drain(slot) => self.drain(slot),
+            Next::Tick(slot) => self.tick(slot, limit),
+        }
+    }
+
+    fn deliver(&mut self) -> Step {
+        let Reverse(mut ev) = self.queue.pop().expect("next() saw a delivery");
+        let slot = ev.dst.idx() * self.workers + ev.worker;
+        if ev.held {
+            ev.held = false;
+            self.held[slot] -= 1;
+        }
+        if self.crashed[ev.dst.idx()] {
+            self.deliveries_pending -= 1; // dropped at a dead NIC
+            return Step::Acted;
+        }
+        let wake = self.wake_at[ev.dst.idx()];
+        if wake > self.now {
+            // Sleeping node: the NIC keeps receiving into the worker's
+            // receive queue, which overflows like any other time — bounded
+            // here, at arrival, by what the worker can accept when it
+            // wakes. The survivors are redelivered at wake-up time.
+            if self.held[slot] > self.cfg.recv_queue_cap {
+                self.deliveries_pending -= 1;
+                self.dropped += 1;
+                return Step::Acted;
             }
-            EventKind::Drain { node, worker } => {
-                let slot = node.idx() * self.workers + worker;
-                self.drain_scheduled[slot] = false;
-                if self.crashed[node.idx()] {
-                    // drop the whole backlog at a dead node
-                    let n = self.waiting[slot].len();
-                    self.waiting[slot].clear();
-                    self.deliveries_pending -= n;
-                    return true;
-                }
-                let wake = self.wake_at[node.idx()];
-                if wake > self.now {
-                    self.drain_scheduled[slot] = true;
-                    self.push(wake, EventKind::Drain { node, worker });
-                    return true;
-                }
-                if self.busy_until[slot] > self.now {
-                    self.drain_scheduled[slot] = true;
-                    self.push(self.busy_until[slot], EventKind::Drain { node, worker });
-                    return true;
-                }
-                if let Some((src, mepoch, msgs)) = self.waiting[slot].pop_front() {
-                    self.process_envelope(node, worker, src, mepoch, msgs);
-                }
-                self.ensure_drain(node, worker);
+            self.held[slot] += 1;
+            ev.held = true;
+            self.push(wake, ev);
+            return Step::Blind;
+        }
+        // Queueing model: a busy worker's envelopes wait in FIFO order; a
+        // single drain serves the queue.
+        if self.busy_until[slot] > self.now || !self.waiting[slot].is_empty() {
+            if self.waiting[slot].len() >= self.cfg.recv_queue_cap {
+                // UD receive-queue overflow: the datagram is lost.
+                self.deliveries_pending -= 1;
+                self.dropped += 1;
+                return Step::Acted;
             }
-            EventKind::Tick { node, worker } => {
-                if self.crashed[node.idx()] {
-                    return true; // crashed nodes stop ticking forever
-                }
-                let wake = self.wake_at[node.idx()];
-                if wake > self.now {
-                    self.push(wake, EventKind::Tick { node, worker });
-                    return true;
-                }
-                let slot = node.idx() * self.workers + worker;
-                if self.busy_until[slot] > self.now {
-                    self.push(self.busy_until[slot], EventKind::Tick { node, worker });
-                    return true;
-                }
-                let mut out = std::mem::replace(&mut self.scratch, Outbox::new(0));
-                self.actors[node.idx()][worker].on_tick(self.now, &mut out);
-                self.route(node, worker, &mut out);
-                self.scratch = out;
-                let next = self.now + self.cfg.tick_ns;
-                self.push(next, EventKind::Tick { node, worker });
+            self.waiting[slot].push_back((ev.src, ev.mepoch, ev.msgs));
+            self.ensure_drain(slot);
+            return Step::Blind;
+        }
+        self.process_envelope(slot, ev.src, ev.mepoch, ev.msgs);
+        Step::Acted
+    }
+
+    /// Pop one envelope from the worker's receive FIFO (scheduled whenever
+    /// envelopes arrive while the worker's virtual CPU is busy).
+    fn drain(&mut self, slot: usize) -> Step {
+        self.drains[slot] = UNSCHEDULED;
+        let node = self.node_of(slot);
+        if self.crashed[node.idx()] {
+            // drop the whole backlog at a dead node
+            self.deliveries_pending -= self.waiting[slot].len();
+            self.waiting[slot].clear();
+            return Step::Acted;
+        }
+        // Asleep or busy: try again when neither.
+        let wake = self.wake_at[node.idx()];
+        if wake > self.now {
+            self.drains[slot] = self.key(wake);
+            return Step::Blind;
+        }
+        if self.busy_until[slot] > self.now {
+            self.drains[slot] = self.key(self.busy_until[slot]);
+            return Step::Blind;
+        }
+        if let Some((src, mepoch, msgs)) = self.waiting[slot].pop_front() {
+            self.process_envelope(slot, src, mepoch, msgs);
+        }
+        self.ensure_drain(slot);
+        Step::Acted
+    }
+
+    /// A worker's tick fired. Its place in the `(time, seq)` order is that
+    /// of the polled tick it replaces — one per `tick_ns` while the worker
+    /// is free, deferred past busy periods and sleeps — but the actor is
+    /// only called when the tick is due by the actor's own account
+    /// ([`crate::Wakeup`]): a tick it did not ask for is one whose `on_tick` would
+    /// have done nothing, so skipping the call moves no virtual-time figure
+    /// and leaves an idle worker costing a slot update per tick.
+    fn tick(&mut self, slot: usize, limit: u64) -> Step {
+        let node = self.node_of(slot);
+        if self.crashed[node.idx()] {
+            self.ticks[slot] = UNSCHEDULED; // crashed nodes stop ticking forever
+            return Step::Blind;
+        }
+        let wake = self.wake_at[node.idx()];
+        if wake > self.now {
+            self.ticks[slot] = self.key(wake);
+            return Step::Blind;
+        }
+        if self.busy_until[slot] > self.now {
+            self.ticks[slot] = self.key(self.busy_until[slot]);
+            return Step::Blind;
+        }
+        let called = self.now >= self.due[slot];
+        if !called && self.skip_idle && self.skip_idle_ticks(limit) {
+            return Step::Blind;
+        }
+        if called {
+            let mut out = std::mem::replace(&mut self.scratch, Outbox::new(0));
+            let a = &mut self.actors[slot / self.workers][slot % self.workers];
+            let wakeup = a.on_tick(self.now, &mut out);
+            self.note_wakeup(slot, wakeup);
+            self.route(slot, &mut out);
+            self.scratch = out;
+        }
+        self.ticks[slot] = self.key(self.now + self.cfg.tick_ns);
+        if called {
+            Step::Acted
+        } else {
+            Step::Blind
+        }
+    }
+
+    /// Skip an idle stretch in one go. With no envelope anywhere and no
+    /// worker busy or asleep, nothing can happen before the earliest tick
+    /// some actor asked for: until then every event is a tick that is not
+    /// due, and each does nothing but re-key itself one `tick_ns` on. So
+    /// every worker's tick is moved straight to its first grid point that
+    /// is not ordered before that earliest due tick (or past `limit`, if
+    /// the run ends first) — where tick-by-tick stepping would have left
+    /// it. Returns `false`, having changed nothing, when the stretch is not
+    /// of that kind.
+    ///
+    /// Ties keep the order stepping gives them. Two ticks that meet at one
+    /// time `T` were each scheduled when their predecessor fired at
+    /// `T - tick_ns`, in the order those fired — so by induction in the
+    /// order of the first instant both chains had a tick, where a tick
+    /// still pending from before the stretch precedes one scheduled within
+    /// it: the later-starting chain goes first, then the older `seq`.
+    fn skip_idle_ticks(&mut self, limit: u64) -> bool {
+        let dt = self.cfg.tick_ns;
+        if !self.queue.is_empty() || dt == 0 {
+            return false;
+        }
+        // First grid point of the chain starting at `t0` that is `>= at`.
+        let grid = |t0: u64, at: u64| t0 + at.saturating_sub(t0).div_ceil(dt) * dt;
+        // (first due grid point, chain start — later first, seq) of the
+        // earliest tick that will call its actor.
+        let mut horizon = (u64::MAX, Reverse(0), 0);
+        for slot in 0..self.ticks.len() {
+            let key = self.ticks[slot];
+            if self.drains[slot] != UNSCHEDULED {
+                return false;
             }
+            if key == UNSCHEDULED {
+                continue; // a crashed node's worker: retired for good
+            }
+            let (t0, seq0) = ((key >> 64) as u64, key as u64);
+            let node = slot / self.workers;
+            if self.crashed[node] || self.wake_at[node] > t0 || self.busy_until[slot] > t0 {
+                return false; // this chain is about to be deferred, not stepped
+            }
+            let due = self.due[slot].min(u64::MAX - 2 * dt);
+            horizon = horizon.min((grid(t0, due), Reverse(t0), seq0));
+        }
+        let cut = match limit.checked_add(1) {
+            Some(end) if end <= horizon.0 => (end, Reverse(u64::MAX), 0),
+            _ if horizon.0 >= u64::MAX - 2 * dt => return false, // nothing is ever due
+            _ => horizon,
+        };
+        self.idle_scratch.clear();
+        for (slot, &key) in self.ticks.iter().enumerate() {
+            if key == UNSCHEDULED {
+                continue;
+            }
+            let (t0, seq0) = ((key >> 64) as u64, key as u64);
+            let mut at = grid(t0, cut.0);
+            if (at, Reverse(t0), seq0) < cut {
+                at += dt; // ordered before the cut: one more skipped tick
+            }
+            if at > t0 {
+                self.now = self.now.max(at - dt); // the last tick skipped
+            }
+            self.idle_scratch.push((at, Reverse(t0), seq0, slot));
+        }
+        self.idle_scratch.sort_unstable();
+        for i in 0..self.idle_scratch.len() {
+            let (at, _, _, slot) = self.idle_scratch[i];
+            self.ticks[slot] = self.key(at);
         }
         true
     }
 
-    fn route(&mut self, src: NodeId, worker: usize, out: &mut Outbox<A::Msg>) {
+    fn route(&mut self, slot: usize, out: &mut Outbox<A::Msg>) {
         if out.is_empty() {
             return;
         }
@@ -378,22 +626,22 @@ impl<A: Actor> Sim<A> {
                 let mut batch = batch;
                 while batch.len() > max_batch {
                     let rest = batch.split_off(max_batch);
-                    self.post(src, worker, dst, stamp, std::mem::replace(&mut batch, rest));
+                    self.post(slot, dst, stamp, std::mem::replace(&mut batch, rest));
                 }
                 if !batch.is_empty() {
-                    self.post(src, worker, dst, stamp, batch);
+                    self.post(slot, dst, stamp, batch);
                 }
             } else {
-                self.post(src, worker, dst, stamp, batch);
+                self.post(slot, dst, stamp, batch);
             }
         });
     }
 
-    /// Post one envelope from `(src, worker)` to the fabric: charge the
+    /// Post one envelope from the worker at `slot` to the fabric: charge the
     /// sender-side cost, roll the fault/jitter dice, schedule delivery (to
     /// the peered worker at `dst` — §6.3 worker peering).
-    fn post(&mut self, src: NodeId, worker: usize, dst: NodeId, mepoch: u32, msgs: Vec<A::Msg>) {
-        let slot = src.idx() * self.workers + worker;
+    fn post(&mut self, slot: usize, dst: NodeId, mepoch: u32, msgs: Vec<A::Msg>) {
+        let src = self.node_of(slot);
         // Sender-side cost (NIC posting): charged whether or not the
         // fault plane then drops the envelope.
         self.busy_until[slot] = self.busy_until[slot].max(self.now)
@@ -411,17 +659,16 @@ impl<A: Actor> Sim<A> {
         } else {
             self.cfg.base_latency_ns + jitter + link.extra_delay_ns
         };
-        let t = self.now + latency;
-        self.push(t, EventKind::Deliver { dst, worker, src, mepoch, msgs });
+        self.deliveries_pending += 1;
+        let worker = slot % self.workers;
+        let ev = Event { time: 0, seq: 0, dst, worker, src, mepoch, msgs, held: false };
+        self.push(self.now + latency, ev);
     }
 
     /// Run until virtual time passes `deadline_ns`.
     pub fn run_until(&mut self, deadline_ns: u64) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time > deadline_ns {
-                break;
-            }
-            self.step();
+        while self.next().is_some_and(|(time, _)| time <= deadline_ns) {
+            self.step_once(deadline_ns);
         }
         self.now = self.now.max(deadline_ns);
     }
@@ -439,8 +686,12 @@ impl<A: Actor> Sim<A> {
     /// never advance, and a crash-stopped node has no outstanding work by
     /// definition.
     pub fn run_until_quiesce(&mut self, max_ns: u64) -> bool {
+        // Idleness is only re-examined after a step that could have changed
+        // it: a tick that was not due touches no actor.
+        let mut last = Step::Acted;
         loop {
-            if self.deliveries_pending == 0
+            if last == Step::Acted
+                && self.deliveries_pending == 0
                 && self
                     .actors
                     .iter()
@@ -451,12 +702,10 @@ impl<A: Actor> Sim<A> {
             {
                 return true;
             }
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.time <= max_ns => {
-                    self.step();
-                }
-                _ => return false,
+            if self.next().is_none_or(|(time, _)| time > max_ns) {
+                return false;
             }
+            last = self.step_once(max_ns);
         }
     }
 }
@@ -464,6 +713,7 @@ impl<A: Actor> Sim<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wakeup;
 
     /// Test actor: node 0 sends `count` pings to everyone; everyone pongs;
     /// node 0 counts pongs.
@@ -493,14 +743,14 @@ mod tests {
             }
         }
 
-        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u8>) -> bool {
+        // Tests reset `sent` from outside between runs, so the pinger asks
+        // for every tick rather than trusting its own idea of "done".
+        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u8>) -> Wakeup {
             if self.me == NodeId(0) && self.sent < self.to_send {
                 self.sent += 1;
                 out.broadcast(self.me, 0u8);
-                true
-            } else {
-                false
             }
+            Wakeup::AGAIN
         }
 
         fn is_idle(&self) -> bool {
@@ -521,6 +771,16 @@ mod tests {
         assert!(sim.run_until_quiesce(1_000_000_000));
         assert_eq!(sim.actors[0][0].pongs, 10); // 5 rounds × 2 peers
         assert_eq!(sim.dropped, 0);
+    }
+
+    /// Deliveries are the only heap traffic: one push per envelope, however
+    /// often the receiving worker was busy and its ticks deferred.
+    #[test]
+    fn the_heap_sees_one_push_per_envelope() {
+        let mut sim = build(5, 500, 42);
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert_eq!(sim.delivered, 500 * 4 * 2, "every ping and every pong");
+        assert_eq!(sim.heap_pushes, sim.delivered);
     }
 
     #[test]
@@ -606,16 +866,14 @@ mod tests {
             msgs.clear();
         }
 
-        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u8>) -> bool {
+        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u8>) -> Wakeup {
             if self.me == NodeId(0) && !self.sent {
                 self.sent = true;
                 for i in 0..self.burst {
                     out.send(NodeId(1), i as u8);
                 }
-                true
-            } else {
-                false
             }
+            Wakeup::IDLE
         }
 
         fn is_idle(&self) -> bool {
@@ -645,5 +903,140 @@ mod tests {
         assert_eq!(whole.delivered, 1, "default: one envelope per step+dst");
         assert_eq!(capped.delivered, 4, "10 msgs at cap 3 → 4 envelopes");
         assert_eq!(single.delivered, 10, "cap 1: batching disabled");
+    }
+
+    /// Node 0 floods node 1 with one envelope per tick for `ticks` ticks;
+    /// node 1 just counts what reaches it.
+    struct Flood {
+        me: NodeId,
+        ticks: usize,
+        got: usize,
+    }
+
+    impl Actor for Flood {
+        type Msg = u8;
+
+        fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<u8>, _now: u64, _out: &mut Outbox<u8>) {
+            self.got += msgs.len();
+            msgs.clear();
+        }
+
+        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u8>) -> Wakeup {
+            if self.me == NodeId(0) && self.ticks > 0 {
+                self.ticks -= 1;
+                out.send(NodeId(1), 7);
+                return Wakeup::AGAIN;
+            }
+            Wakeup::IDLE
+        }
+
+        fn is_idle(&self) -> bool {
+            self.me != NodeId(0) || self.ticks == 0
+        }
+    }
+
+    /// A sleeping node's inbox is a receive queue like any other: bounded
+    /// when the envelopes arrive, not when the node wakes. The drop and
+    /// delivery totals are the ones the unbounded inbox produced for this
+    /// seed (captured at `b701804`), and the event heap never carries more
+    /// than the worker can accept at wake-up plus what is on the wire.
+    #[test]
+    fn sleeping_inbox_is_bounded_at_arrival() {
+        const CAP: usize = 16;
+        const FLOOD: usize = 2_000;
+        let actors = (0..2).map(|n| vec![Flood { me: NodeId(n as u8), ticks: FLOOD, got: 0 }]).collect();
+        let mut sim = Sim::new(actors, SimCfg { seed: 5, recv_queue_cap: CAP, ..Default::default() });
+        sim.run_for(100_000);
+        sim.sleep_node(NodeId(1), 3_000_000);
+        // One-way latency is at most base + jitter, so at one envelope per
+        // tick this many are on the wire at any instant.
+        let cfg = SimCfg::default();
+        let in_flight = ((cfg.base_latency_ns + cfg.jitter_ns) / cfg.tick_ns) as usize + 1;
+        let mut peak = 0;
+        while sim.now() < 3_000_000 && sim.step() {
+            peak = peak.max(sim.queue.len());
+        }
+        assert!(
+            peak <= (CAP + 1) + in_flight,
+            "heap peaked at {peak} events: the inbox of a sleeping worker holds at most {}",
+            CAP + 1
+        );
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert_eq!((sim.delivered, sim.dropped), (517, 1483), "same totals as the unbounded inbox");
+        assert_eq!(sim.actors[1][0].got as u64, sim.delivered);
+        assert_eq!(sim.delivered + sim.dropped, FLOOD as u64, "every envelope accounted for");
+    }
+
+    /// Every worker broadcasts a beacon each `period`, re-armed from the
+    /// time the tick actually ran — so the whole trajectory depends on
+    /// which grid point each deadline is honoured at.
+    struct Beacon {
+        me: NodeId,
+        period: u64,
+        next: u64,
+        log: std::sync::Arc<std::sync::Mutex<Vec<(u64, u8, u8)>>>,
+    }
+
+    impl Actor for Beacon {
+        type Msg = u8;
+
+        fn on_envelope(&mut self, src: NodeId, msgs: &mut Vec<u8>, now: u64, _out: &mut Outbox<u8>) {
+            self.log.lock().unwrap().push((now, self.me.0, src.0));
+            msgs.clear();
+        }
+
+        fn on_tick(&mut self, now: u64, out: &mut Outbox<u8>) -> Wakeup {
+            if now >= self.next {
+                self.log.lock().unwrap().push((now, self.me.0, u8::MAX));
+                out.broadcast(self.me, 1);
+                self.next = now + self.period;
+            }
+            Wakeup::at(self.next)
+        }
+    }
+
+    /// Skipping an idle stretch in one go lands every tick where stepping
+    /// through it would: same calls at the same virtual times in the same
+    /// order (the shared log), same jitter draws (the delivery times in it),
+    /// across sleeps, a crash, busy deferrals and run boundaries that fall
+    /// mid-stretch.
+    #[test]
+    fn skipping_idle_stretches_is_invisible() {
+        let run = |skip_idle: bool| {
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let periods = [7_300, 11_000, 50_001, 2_000, 333_333, 90_000];
+            let actors = (0..3)
+                .map(|n| {
+                    (0..2)
+                        .map(|w| Beacon {
+                            me: NodeId(n as u8),
+                            period: periods[n * 2 + w],
+                            next: 0,
+                            log: std::sync::Arc::clone(&log),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sim = Sim::new(actors, SimCfg { seed: 21, ..Default::default() });
+            sim.skip_idle = skip_idle;
+            sim.run_for(1_234_567);
+            sim.sleep_node(NodeId(1), 400_001);
+            sim.run_for(777_777);
+            sim.crash(NodeId(2));
+            sim.run_until(3_000_001);
+            sim.actors[0][0].period = 1_000_000_000; // long idle stretches from here on
+            sim.actors[0][1].period = 1_000_000_000;
+            sim.actors[1][0].period = 700_000;
+            sim.actors[1][1].period = 1_100_000;
+            sim.run_for(20_000_000);
+            let steps = sim.seq;
+            let log = std::mem::take(&mut *log.lock().unwrap());
+            (log, sim.delivered, sim.dropped, sim.now(), steps)
+        };
+        let (stepped, skipped) = (run(false), run(true));
+        assert!(stepped.0.len() > 1_000, "the scenario did something");
+        assert_eq!(stepped.0, skipped.0, "same calls, same order, same times");
+        assert_eq!((stepped.1, stepped.2, stepped.3), (skipped.1, skipped.2, skipped.3));
+        assert!(skipped.4 * 3 < stepped.4, "{} events scheduled vs {}", skipped.4, stepped.4);
     }
 }

@@ -1,6 +1,14 @@
 //! The threaded runtime: one OS thread per worker — and no other thread —
 //! crossbeam channels as NICs, wall-clock time. The scheduler behind the
-//! in-process `Cluster`, mirroring Kite's busy-polling RDMA workers (§6).
+//! in-process `Cluster`.
+//!
+//! A worker runs to completion — drain the NIC, `on_tick`, flush — and then
+//! parks **on its own channel** until the deadline its actor returned
+//! ([`Wakeup`]) or the next envelope, whichever is first. Nothing else ends
+//! a park, so everything that needs the worker's attention from outside
+//! arrives on that channel too: a local client that submitted an op, a stop
+//! request and a watchdog dump request each send a payload-free envelope
+//! through a [`WorkerWaker`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,7 +20,7 @@ use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
 use kite_common::NodeId;
 
-use crate::actor::{Actor, Clock, WallClock};
+use crate::actor::{Actor, Clock, Wakeup, WallClock};
 use crate::faults::FaultPlane;
 use crate::outbox::{Envelope, Outbox};
 
@@ -26,6 +34,40 @@ pub struct WorkerIo<P> {
     pub rx: Receiver<Envelope<P>>,
     /// Outgoing side.
     pub net: NetHandle<P>,
+}
+
+impl<P> WorkerIo<P> {
+    /// A handle that ends this worker's park from any thread.
+    pub fn waker(&self) -> WorkerWaker<P> {
+        self.waker_of(self.worker)
+    }
+
+    fn waker_of(&self, worker: usize) -> WorkerWaker<P> {
+        let tx = self.net.senders[self.node.idx()][worker].clone();
+        WorkerWaker { node: self.node, tx }
+    }
+
+    /// Wakers of the node's other workers (`Wakeup::kick_siblings`).
+    fn sibling_wakers(&self) -> Vec<WorkerWaker<P>> {
+        let workers = self.net.senders[self.node.idx()].len();
+        (0..workers).filter(|&w| w != self.worker).map(|w| self.waker_of(w)).collect()
+    }
+}
+
+/// Ends one worker's park: sends a payload-free envelope to the worker's
+/// own channel, which its loop takes as "go round once" and never hands to
+/// the actor. Cheap when the worker is running (a queue push), a condvar
+/// notify when it is parked.
+pub struct WorkerWaker<P> {
+    node: NodeId,
+    tx: Sender<Envelope<P>>,
+}
+
+impl<P> WorkerWaker<P> {
+    /// Wake the worker. A no-op once it has exited.
+    pub fn wake(&self) {
+        let _ = self.tx.send(Envelope { src: self.node, mepoch: 0, msgs: Vec::new() });
+    }
 }
 
 /// Sending half bound to one source worker. Routes by
@@ -130,52 +172,83 @@ impl ThreadedNet {
     }
 }
 
+/// Ends the park of one or more worker loops, from any thread: what a
+/// client handle, a stop request or a watchdog holds in place of a timer the
+/// loops no longer have.
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
+
 /// Handle to stop and join a set of spawned worker threads.
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
     dump: Arc<AtomicBool>,
+    /// Ends every worker's park: a parked worker re-reads the flags only
+    /// when something arrives on its channel.
+    wake_all: Wake,
     handles: Vec<JoinHandle<()>>,
+}
+
+/// Asks every worker of a runtime for a one-time diagnostics dump: each
+/// prints an [`Actor::describe`] snapshot of its own state to stderr from
+/// its own thread — the watchdog's view into otherwise thread-owned
+/// protocol state when a test wedges. Clonable, so a watchdog thread can
+/// hold one.
+#[derive(Clone)]
+pub struct Dumper {
+    flag: Arc<AtomicBool>,
+    wake_all: Wake,
+}
+
+impl Dumper {
+    /// A dumper over `flag` that wakes the loops watching it with `wake_all`.
+    pub fn new(flag: Arc<AtomicBool>, wake_all: Wake) -> Dumper {
+        Dumper { flag, wake_all }
+    }
+
+    /// Raise the flag and end every worker's park so it is seen now.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        (self.wake_all)();
+    }
 }
 
 impl StopHandle {
     /// Signal all workers to stop and wait for them to exit.
     pub fn stop_and_join(mut self) {
+        self.halt();
+    }
+
+    /// The diagnostics request handle (see [`Dumper`]).
+    pub fn dumper(&self) -> Dumper {
+        Dumper::new(Arc::clone(&self.dump), Arc::clone(&self.wake_all))
+    }
+
+    fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        (self.wake_all)();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-    }
-
-    /// The shared diagnostics flag: raising it makes every worker print an
-    /// [`Actor::describe`] snapshot of its own state to stderr (once) from
-    /// its own thread — the watchdog's view into otherwise thread-owned
-    /// protocol state when a test wedges.
-    pub fn dump_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.dump)
     }
 }
 
 impl Drop for StopHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.halt();
     }
 }
 
-/// Spawn one busy-polling thread per `(actor, io)` pair.
+/// Spawn one run-to-completion thread per `(actor, io)` pair.
 ///
 /// The loop mirrors Kite's worker structure: drain incoming envelopes,
 /// pump sessions/timeouts via `on_tick`, flush the outbox as opportunistic
-/// batches. Backoff kicks in only when the worker made no progress at all
-/// (idle sessions, empty NIC) to stay friendly on small machines.
+/// batches — then park until the actor's deadline or the next envelope.
 pub fn spawn_workers<A: Actor + 'static>(
     rigs: Vec<(A, WorkerIo<A::Msg>)>,
     net: &ThreadedNet,
 ) -> StopHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let dump = Arc::new(AtomicBool::new(false));
+    let wakers: Vec<WorkerWaker<A::Msg>> = rigs.iter().map(|(_, io)| io.waker()).collect();
     let mut handles = Vec::with_capacity(rigs.len());
     for (actor, io) in rigs {
         let stop = Arc::clone(&stop);
@@ -190,7 +263,8 @@ pub fn spawn_workers<A: Actor + 'static>(
                 .expect("spawn worker"),
         );
     }
-    StopHandle { stop, dump, handles }
+    let wake_all: Wake = Arc::new(move || wakers.iter().for_each(WorkerWaker::wake));
+    StopHandle { stop, dump, wake_all, handles }
 }
 
 fn worker_loop<A: Actor>(
@@ -202,14 +276,14 @@ fn worker_loop<A: Actor>(
     dump: Arc<AtomicBool>,
 ) {
     let me = io.node;
+    let siblings = io.sibling_wakers();
     let mut net = io.net;
     let rx = io.rx;
     let nodes = faults.nodes();
     let mut out: Outbox<A::Msg> = Outbox::new(nodes);
-    let mut idle_iters: u32 = 0;
     let mut dumped = false;
-    // An envelope received by the blocking idle path, delivered on the
-    // next pass (ahead of the try_recv drain, preserving channel order).
+    // An envelope received by the park, delivered on the next pass (ahead
+    // of the try_recv drain, preserving channel order).
     let mut carry: Option<Envelope<A::Msg>> = None;
     const MAX_ENVELOPES_PER_ITER: usize = 64;
 
@@ -233,56 +307,45 @@ fn worker_loop<A: Actor>(
             continue;
         }
 
-        let mut progress = false;
-        let mut budget = MAX_ENVELOPES_PER_ITER;
-        if let Some(mut env) = carry.take() {
-            actor.on_envelope_stamped(env.src, env.mepoch, &mut env.msgs, clock.now(), &mut out);
-            out.recycle(env.msgs);
-            progress = true;
-            budget -= 1;
-        }
-        for _ in 0..budget {
-            match rx.try_recv() {
-                Ok(mut env) => {
-                    actor.on_envelope_stamped(env.src, env.mepoch, &mut env.msgs, clock.now(), &mut out);
-                    // The drained buffer feeds this worker's own send pool:
-                    // buffers circulate around the cluster instead of being
-                    // freed and reallocated per envelope.
-                    out.recycle(env.msgs);
-                    progress = true;
-                }
-                Err(_) => break,
+        // Drain the NIC. A payload-free envelope is a wake (see
+        // `WorkerWaker`): it got the loop here and has nothing to deliver.
+        let mut drained = 0;
+        while drained < MAX_ENVELOPES_PER_ITER {
+            let Some(mut env) = carry.take().or_else(|| rx.try_recv().ok()) else { break };
+            drained += 1;
+            if !env.msgs.is_empty() {
+                actor.on_envelope_stamped(env.src, env.mepoch, &mut env.msgs, clock.now(), &mut out);
+                // The drained buffer feeds this worker's own send pool:
+                // buffers circulate around the cluster instead of being
+                // freed and reallocated per envelope.
+                out.recycle(env.msgs);
             }
         }
-        if actor.on_tick(clock.now(), &mut out) {
-            progress = true;
-        }
+        let ticked_at = clock.now();
+        let wakeup = actor.on_tick(ticked_at, &mut out);
         if !out.is_empty() {
             net.flush(&mut out);
-            progress = true;
+        }
+        if wakeup.kick_siblings {
+            siblings.iter().for_each(WorkerWaker::wake);
+        }
+        if wakeup.more_now || drained == MAX_ENVELOPES_PER_ITER {
+            continue; // more to start, or more queued behind the batch cap
         }
 
-        if progress {
-            idle_iters = 0;
-        } else {
-            idle_iters = idle_iters.saturating_add(1);
-            if idle_iters < 64 {
-                std::hint::spin_loop();
-            } else if idle_iters < 256 {
-                std::thread::yield_now();
-            } else {
-                // Block on the channel itself: the sender's condvar notify
-                // wakes this worker the moment an envelope lands, and the
-                // next pass drains a whole batch behind it via try_recv —
-                // one wakeup amortises across up to MAX_ENVELOPES_PER_ITER
-                // envelopes instead of one park/unpark round-trip each.
-                // The timeout bounds on_tick latency for protocol timers.
-                if let Ok(env) = rx.recv_timeout(Duration::from_micros(500)) {
-                    carry = Some(env);
-                    idle_iters = 0;
-                }
-            }
-        }
+        // Park on the channel itself: the sender's condvar notify wakes
+        // this worker the moment an envelope lands, and the next pass
+        // drains a whole batch behind it via try_recv — one wakeup
+        // amortises across up to MAX_ENVELOPES_PER_ITER envelopes. The
+        // actor's deadline, measured from the tick that returned it, is the
+        // only timeout.
+        carry = match wakeup.next_deadline {
+            Wakeup::NEVER => rx.recv().ok(),
+            deadline => match deadline.saturating_sub(ticked_at) {
+                0 => None, // already due
+                wait => rx.recv_timeout(Duration::from_nanos(wait)).ok(),
+            },
+        };
     }
 }
 
@@ -318,15 +381,14 @@ mod tests {
             }
         }
 
-        fn on_tick(&mut self, _now: u64, out: &mut Outbox<&'static str>) -> bool {
+        fn on_tick(&mut self, _now: u64, out: &mut Outbox<&'static str>) -> Wakeup {
             if self.me == NodeId(0) && !self.sent {
                 self.sent = true;
                 for p in 1..self.peers {
                     out.send(NodeId(p as u8), "ping");
                 }
-                return true;
             }
-            false
+            Wakeup::IDLE
         }
     }
 

@@ -187,19 +187,26 @@ fn the_first_record_after_a_park_is_not_delayed_by_a_stale_window() {
         "window {} ns with no commit slower than {commit_max_ns} ns",
         s.commit_window_ns
     );
-    let bound = Duration::from_nanos(s.commit_window_ns + 4 * commit_max_ns)
-        + Duration::from_millis(50); // scheduling slack on a loaded box
     let staged = Instant::now();
     record(&wal, 1 << 40);
     while wal.stats().lag_bytes > 0 {
-        assert!(
-            staged.elapsed() < bound,
-            "first record after a park still staged after {:?} (window {} ns, commits <= {commit_max_ns} ns)",
-            staged.elapsed(),
-            s.commit_window_ns
-        );
+        assert!(staged.elapsed() < Duration::from_secs(10), "first record after a park never committed");
         std::thread::sleep(Duration::from_micros(200));
     }
+    let took = staged.elapsed();
+    // The bound scales with the commit time observed, as the pacer's window
+    // does: the slowest commit so far *including the one that just carried
+    // the record* — on a box busy enough to slow the disk to 8 ms a commit,
+    // the commit under test is the slow one. One window, the commit itself
+    // and the flusher's wake-up, each allowed a few commit times (never
+    // less than 4 ms: a fast disk does not make the scheduler fast).
+    let commit_ns = wal.commit_latency().snapshot().quantile(1.0).max(4_000_000);
+    let bound = Duration::from_nanos(s.commit_window_ns + 12 * commit_ns);
+    assert!(
+        took < bound,
+        "first record after a park was staged for {took:?} (window {} ns, commits <= {commit_ns} ns)",
+        s.commit_window_ns
+    );
     wal.close();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use kite::api::{CompletionHook, Op, OpOutput};
 use kite::session::Session;
 use kite_common::{Key, NodeId, NodeSet, OpId, Val};
-use kite_simnet::{Actor, Outbox};
+use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::shared::ZabShared;
 use crate::LEADER;
@@ -275,22 +275,24 @@ impl Actor for ZabWorker {
         }
     }
 
-    fn on_tick(&mut self, now: u64, out: &mut Outbox<ZabMsg>) -> bool {
-        let mut progress = false;
+    fn on_tick(&mut self, now: u64, out: &mut Outbox<ZabMsg>) -> Wakeup {
+        // An op pulled from a session always starts (ZAB has no write
+        // window to stall behind), so the only reason to go round again is
+        // a session that stopped at its budget while still free.
+        let mut more_now = false;
         for si in 0..self.sessions.len() {
             let mut budget = self.ops_per_tick;
             while budget > 0 && self.sessions[si].is_free() {
                 let Some(op) = self.sessions[si].next_op() else { break };
                 budget -= 1;
-                progress = true;
                 let seq = self.sessions[si].seq;
                 self.sessions[si].seq += 1;
                 let op_id = OpId::new(self.sessions[si].id, seq);
                 if self.start_op(si, op_id, op, now, out) {
                     self.sessions[si].blocked_on = Some(u64::MAX); // blocked on commit
-                    break;
                 }
             }
+            more_now |= budget == 0 && self.sessions[si].is_free();
         }
         // Retransmit forwarded writes whose WriteDone seems lost. (The
         // leader dedups by… nothing — WriteReq retransmission can double-
@@ -313,7 +315,12 @@ impl Actor for ZabWorker {
                 out.send(LEADER, ZabMsg::WriteReq { rid, key, val });
             }
         }
-        progress
+        // The scan is the only timer, and only forwarded writes need it.
+        let next_deadline = match self.forwarded.is_empty() {
+            true => Wakeup::NEVER,
+            false => self.last_scan + self.retransmit,
+        };
+        Wakeup { more_now, ..Wakeup::at(next_deadline) }
     }
 
     fn is_idle(&self) -> bool {

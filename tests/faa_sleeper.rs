@@ -1,0 +1,139 @@
+//! ROADMAP direction 6, steps (a)–(b): the red test for "an FAA whose
+//! proposer sleeps is applied twice".
+//!
+//! The referee's `sim_sleep_heal` deployment (`benchmark/README.md`,
+//! §"Finding") with the exemption removed: **every** node — the sleeper
+//! included — runs one session that bumps a shared counter by fetch-and-add
+//! once every `PERIOD` ops, node 4 sleeps three times for 30 ms, and at the
+//! end the counter must equal the number of acknowledged FAAs with no
+//! pre-image handed out twice. It fails at HEAD for the seed below; the fix
+//! (direction 6 (c)) turns it green and drops the `#[ignore]`.
+
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
+use kite::api::{CompletionHook, Op, OpOutput};
+use kite::session::SessionDriver;
+use kite::{ProtocolMode, SimCluster};
+use kite_common::{ClusterConfig, Key, NodeId};
+use kite_simnet::SimCfg;
+use kite_workloads::MixCfg;
+
+const MS: u64 = 1_000_000;
+/// The counter sits far above the mix's key space.
+const COUNTER: Key = Key(1 << 40);
+/// Session slot (per node) that carries the FAAs, and how often.
+const FAA_SLOT: usize = 2;
+const PERIOD: u64 = 64;
+const SLEEPER: NodeId = NodeId(4);
+const SLEEP_MS: u64 = 30;
+const AWAKE_MS: u64 = 40;
+
+/// What one run observed.
+struct Outcome {
+    acked: u64,
+    duplicate_preimages: usize,
+    /// The counter's final value on every replica.
+    counters: Vec<u64>,
+    /// Per replica: ring evictions on the counter key of an entry that
+    /// nothing in the ring proved retired (`CommittedRing::evicted_unretired`).
+    evicted_unretired: Vec<u64>,
+}
+
+fn run(seed: u64) -> Outcome {
+    let keys = 1 << 14;
+    let cfg = ClusterConfig::default()
+        .nodes(5)
+        .workers_per_node(2)
+        .sessions_per_worker(8)
+        .keys(keys)
+        .release_timeout_ns(5 * MS)
+        .retransmit_ns(8 * MS);
+    let mix = MixCfg {
+        write_ratio: 0.05,
+        sync_frac: 0.05,
+        rmw_frac: 0.0,
+        keys: keys as u64,
+        val_len: 32,
+        skew_theta: 0.0,
+    };
+    let spn = cfg.sessions_per_node();
+    let nodes = cfg.nodes;
+    let stop = Arc::new(AtomicBool::new(false));
+    let preimages: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let hook: CompletionHook = {
+        let preimages = Arc::clone(&preimages);
+        Arc::new(move |c| {
+            if let (Op::Faa { .. }, OpOutput::Faa(old)) = (&c.op, &c.output) {
+                preimages.lock().expect("sim is single-threaded").push(*old);
+            }
+        })
+    };
+    let mut sc = SimCluster::build(
+        cfg,
+        ProtocolMode::Kite,
+        SimCfg { seed, ..SimCfg::default() },
+        |sid| {
+            let idx = sid.global_idx(spn);
+            let mut next = mix.generator(seed ^ ((idx as u64 + 1) * 0x9E37));
+            let faa = idx % spn == FAA_SLOT;
+            let stop = Arc::clone(&stop);
+            // ordering: Relaxed — the simulator runs on this one thread.
+            SessionDriver::Script(Box::new(move |seq| {
+                if stop.load(Ordering::Relaxed) {
+                    None
+                } else if faa && seq % PERIOD == PERIOD / 2 {
+                    Some(Op::Faa { key: COUNTER, delta: 1 })
+                } else {
+                    next(seq)
+                }
+            }))
+        },
+        Some(hook),
+    );
+
+    sc.run_for(20 * MS);
+    for _ in 0..3 {
+        sc.sim.sleep_node(SLEEPER, SLEEP_MS * MS);
+        sc.run_for((SLEEP_MS + AWAKE_MS) * MS);
+    }
+    // Stop the load; every started op completes and the replicas converge.
+    stop.store(true, Ordering::Relaxed);
+    assert!(sc.run_until_quiesce(sc.now() + 20_000 * MS), "seed {seed}: cluster did not quiesce");
+
+    let preimages = preimages.lock().expect("no other holder");
+    let distinct: HashSet<u64> = preimages.iter().copied().collect();
+    let per_node = |f: &dyn Fn(NodeId) -> u64| (0..nodes).map(|n| f(NodeId(n as u8))).collect();
+    Outcome {
+        acked: preimages.len() as u64,
+        duplicate_preimages: preimages.len() - distinct.len(),
+        counters: per_node(&|n| sc.shared(n).store.view(COUNTER).val.as_u64()),
+        evicted_unretired: per_node(&|n| {
+            sc.shared(n).store.paxos(COUNTER).lock().committed.evicted_unretired()
+        }),
+    }
+}
+
+fn check(seed: u64) -> Result<(), String> {
+    let o = run(seed);
+    let exact = o.counters.iter().all(|&c| c == o.acked);
+    if exact && o.duplicate_preimages == 0 {
+        return Ok(());
+    }
+    Err(format!(
+        "seed {seed}: {} FAAs acknowledged, counter per replica {:?}, {} duplicate pre-images, \
+         unretired ring evictions per replica {:?}",
+        o.acked, o.counters, o.duplicate_preimages, o.evicted_unretired
+    ))
+}
+
+/// First failing seed of a scan over 1..=12 at `b701804` (the counter ends at 1327 with 1326
+/// FAAs acknowledged; `CHANGES.md`, PR 21, has the eviction trace).
+const FAILING_SEED: u64 = 8;
+
+#[test]
+#[ignore = "ROADMAP direction 6: fails at HEAD (an FAA whose proposer sleeps is applied twice)"]
+fn faa_counter_is_exact_when_the_proposer_sleeps() {
+    check(FAILING_SEED).unwrap();
+}

@@ -1,0 +1,159 @@
+//! Golden rows: three small seeded `SimCluster` runs whose counters and
+//! final virtual time are pinned to constants **captured at the commit
+//! before the due-lean worker / deadline-driven `Sim`** (`b701804`).
+//!
+//! The simulator is a function of its seed, so "the virtual-time rows did
+//! not move by a digit" is something `cargo test -q` can check: a change to
+//! the scheduler or to `Worker::on_tick` that skips a tick whose `on_tick`
+//! would have done something — or runs one at a different virtual time —
+//! shifts these figures. All three run continuous load for a fixed virtual
+//! window (like the referee's `sim_*` workloads), so they pin the loaded
+//! trajectory, not the idle wind-down behind `run_until_quiesce`.
+//!
+//! A protocol change that legitimately moves the trajectory re-captures the
+//! constants and says so; a scheduler or bookkeeping change must not.
+
+use kite::session::SessionDriver;
+use kite::{ProtocolMode, SimCluster};
+use kite_common::{ClusterConfig, NodeId};
+use kite_simnet::SimCfg;
+use kite_workloads::MixCfg;
+
+const MS: u64 = 1_000_000;
+
+/// What a run is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct Row {
+    total_completed: u64,
+    delivered: u64,
+    dropped: u64,
+    slow_releases: u64,
+    epoch_bumps: u64,
+    ae_digests_sent: u64,
+    now: u64,
+}
+
+fn row(sc: &SimCluster) -> Row {
+    let sum = |f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
+        (0..sc.config().nodes).map(|n| f(sc.counters(NodeId(n as u8)))).sum()
+    };
+    Row {
+        total_completed: sc.total_completed(),
+        delivered: sc.sim.delivered,
+        dropped: sc.sim.dropped,
+        slow_releases: sum(|c| c.slow_releases.get()),
+        epoch_bumps: sum(|c| c.epoch_bumps.get()),
+        ae_digests_sent: sum(|c| c.ae_digests_sent.get()),
+        now: sc.now(),
+    }
+}
+
+/// Endless mix on every session, seeded per session the way
+/// `kite_workloads::measure` and the referee do.
+fn build(cfg: ClusterConfig, mix: MixCfg, seed: u64) -> SimCluster {
+    let spn = cfg.sessions_per_node();
+    SimCluster::build(
+        cfg,
+        ProtocolMode::Kite,
+        SimCfg { seed, ..SimCfg::default() },
+        |sid| {
+            let sseed = seed ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37);
+            SessionDriver::Script(Box::new(mix.generator(sseed)))
+        },
+        None,
+    )
+}
+
+/// The paper's headline mix (20 % writes, 5 % sync) plus 1 % FAAs so the
+/// Paxos back-off queue is on the trajectory too.
+#[test]
+fn typical_mix_row_is_pinned() {
+    let keys = 1 << 12;
+    let cfg = ClusterConfig::default().nodes(5).workers_per_node(2).sessions_per_worker(4).keys(keys);
+    let mix = MixCfg { rmw_frac: 0.01, ..MixCfg::typical(0.2, keys as u64) };
+    let mut sc = build(cfg, mix, 11);
+    sc.run_for(12 * MS);
+    assert_eq!(
+        row(&sc),
+        Row {
+            total_completed: 131286,
+            delivered: 232112,
+            dropped: 0,
+            slow_releases: 0,
+            epoch_bumps: 0,
+            ae_digests_sent: 80,
+            now: 12 * MS,
+        }
+    );
+}
+
+/// §8.4: node 4 sleeps three times, with `fig9_failure`'s patient timeouts.
+/// Each sleep outlasts both the release timeout (slow-path releases, epoch
+/// bumps on wake-up) and four anti-entropy intervals (the sleeper's
+/// "I overslept" resync).
+#[test]
+fn sleeping_replica_row_is_pinned() {
+    let keys = 1 << 12;
+    let cfg = ClusterConfig::default()
+        .nodes(5)
+        .workers_per_node(2)
+        .sessions_per_worker(2)
+        .keys(keys)
+        .release_timeout_ns(5 * MS)
+        .retransmit_ns(8 * MS)
+        .anti_entropy_interval_ns(2 * MS);
+    let mix = MixCfg {
+        write_ratio: 0.05,
+        sync_frac: 0.05,
+        rmw_frac: 0.0,
+        keys: keys as u64,
+        val_len: 32,
+        skew_theta: 0.0,
+    };
+    let mut sc = build(cfg, mix, 7);
+    sc.run_for(4 * MS);
+    for _ in 0..3 {
+        sc.sim.sleep_node(NodeId(4), 12 * MS);
+        sc.run_for(12 * MS);
+        sc.run_for(8 * MS);
+    }
+    assert_eq!(
+        row(&sc),
+        Row {
+            total_completed: 651792,
+            delivered: 499892,
+            dropped: 9982,
+            slow_releases: 1803,
+            epoch_bumps: 19,
+            ae_digests_sent: 636,
+            now: 64 * MS,
+        }
+    );
+}
+
+/// 10 % loss on two links (both directions): retransmission scans, the
+/// slow-path barrier and anti-entropy repairs all carry load.
+#[test]
+fn lossy_links_row_is_pinned() {
+    let keys = 1 << 12;
+    let cfg = ClusterConfig::default().nodes(5).workers_per_node(2).sessions_per_worker(2).keys(keys);
+    let mix = MixCfg { rmw_frac: 0.01, ..MixCfg::typical(0.2, keys as u64) };
+    let mut sc = build(cfg, mix, 3);
+    for (a, b) in [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))] {
+        sc.sim.set_drop(a, b, 0.1);
+        sc.sim.set_drop(b, a, 0.1);
+    }
+    sc.run_for(16 * MS);
+    assert_eq!(
+        row(&sc),
+        Row {
+            total_completed: 55804,
+            delivered: 174085,
+            dropped: 2512,
+            slow_releases: 286,
+            epoch_bumps: 119,
+            ae_digests_sent: 120,
+            now: 16 * MS,
+        }
+    );
+}
