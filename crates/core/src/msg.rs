@@ -522,6 +522,42 @@ impl Msg {
         }
     }
 
+    /// The key a replica looks up in its store to serve this request, when
+    /// the message carries it inline — what [`crate::Worker`]'s look-ahead
+    /// hints the store with. `None` for replies (resolved by rid), for
+    /// messages without a single key, and for those whose key sits behind
+    /// a pointer (chasing it would be the very miss the hint exists to
+    /// hide). Exhaustive on purpose: a new variant has to decide.
+    #[inline]
+    pub fn store_key(&self) -> Option<Key> {
+        match self {
+            Msg::EsWrite { key, .. }
+            | Msg::RtsReq { key, .. }
+            | Msg::ReadReq { key, .. }
+            | Msg::WriteMsg { key, .. }
+            | Msg::Propose { key, .. }
+            | Msg::Accept { key, .. }
+            | Msg::Commit { key, .. } => Some(*key),
+            // Keyed, but the key is behind an `Arc`/`Box`.
+            Msg::WriteAcq { .. } | Msg::RepairVal { .. } => None,
+            // Replies, and messages about no single key.
+            Msg::Ack { .. }
+            | Msg::AckBatch { .. }
+            | Msg::RtsRep { .. }
+            | Msg::ReadRep { .. }
+            | Msg::WriteAck { .. }
+            | Msg::SlowRelease { .. }
+            | Msg::SlowReleaseAck { .. }
+            | Msg::ResetBit { .. }
+            | Msg::PromiseRep { .. }
+            | Msg::AcceptRep { .. }
+            | Msg::Digest { .. }
+            | Msg::MerkleSummary { .. }
+            | Msg::MerkleReq { .. }
+            | Msg::RepairReq { .. } => None,
+        }
+    }
+
     /// Is this a reply message (routed by rid at the receiver)?
     pub fn is_reply(&self) -> bool {
         matches!(
@@ -595,6 +631,11 @@ mod tests {
         ];
         let tags: std::collections::HashSet<_> = msgs.iter().map(|m| m.tag()).collect();
         assert_eq!(tags.len(), msgs.len(), "tags must be distinct");
+        // The look-ahead key: exactly the requests that carry their key
+        // inline (every keyed message above names Key(1)).
+        let keyed: Vec<_> = msgs.iter().filter(|m| m.store_key().is_some()).map(Msg::tag).collect();
+        assert_eq!(keyed, ["es-write", "rts-req", "read-req", "write", "propose", "accept", "commit"]);
+        assert!(msgs.iter().all(|m| m.store_key().is_none_or(|k| k == Key(1))));
     }
 
     #[test]

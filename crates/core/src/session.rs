@@ -23,6 +23,10 @@ pub trait ClientSm: Send {
     /// client has nothing to issue right now. After a `None` the worker asks
     /// again only once a completion has been delivered to this client — a
     /// client's next step may depend on its own results, not on the clock.
+    /// The question may come one step early: a session that used up its
+    /// per-tick budget is asked at the end of that tick for the op the next
+    /// tick will start (the worker's look-ahead), with every completion the
+    /// client is owed already delivered.
     fn next_op(&mut self, seq: u64) -> Option<Op>;
     /// An operation completed (called in session order).
     fn on_completion(&mut self, c: &Completion);
@@ -100,8 +104,12 @@ pub struct Session {
     /// rids of relaxed writes whose acks are still outstanding, in issue
     /// order — the release barrier's "writes before me in session order".
     pub write_window: VecDeque<u64>,
-    /// An op pulled from the driver but not yet started (stalled on a full
-    /// write window).
+    /// An op pulled from the driver but not yet started. Two producers: a
+    /// start that stalled on a full write window (the session is parked
+    /// until the window moves), and the worker's look-ahead, which pulls the
+    /// next tick's op at the end of a tick that stopped at `ops_per_tick`
+    /// (the session stays runnable). Either way the op is this session's
+    /// next to start and keeps its `seq`.
     pub staged: Option<Op>,
     /// rid of an in-flight write-window relief (at most one per session).
     pub relief: Option<u64>,

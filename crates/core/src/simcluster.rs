@@ -92,12 +92,27 @@ impl SimCluster {
     /// Run `dur_ns` of virtual time.
     pub fn run_for(&mut self, dur_ns: u64) {
         self.sim.run_for(dur_ns);
+        self.fold_sent();
     }
 
     /// Run until all scripts finish and the network drains, or `max_ns` is
     /// reached. Returns true on quiescence.
     pub fn run_until_quiesce(&mut self, max_ns: u64) -> bool {
-        self.sim.run_until_quiesce(max_ns)
+        let quiesced = self.sim.run_until_quiesce(max_ns);
+        self.fold_sent();
+        quiesced
+    }
+
+    /// The simulator routes envelopes itself, so it — not a `NetHandle` —
+    /// knows what each node sent: fold its tallies into the nodes'
+    /// `msgs_sent` / `envelopes_sent`, the counters the other runtimes bump
+    /// as they send.
+    fn fold_sent(&mut self) {
+        for (n, c) in self.counters.iter().enumerate() {
+            let (msgs, envelopes) = self.sim.take_sent(NodeId(n as u8));
+            c.msgs_sent.add(msgs);
+            c.envelopes_sent.add(envelopes);
+        }
     }
 
     /// Current virtual time.
@@ -178,6 +193,16 @@ mod tests {
                 "replica {n} must have the write"
             );
         }
+        // The sim counts what each node posted: the writer one EsWrite per
+        // peer at least, each peer its ack, and — with nothing dropped and
+        // nothing left in flight — every posted envelope was delivered.
+        let sent = |n: u8| {
+            let c = sc.counters(NodeId(n));
+            (c.msgs_sent.get(), c.envelopes_sent.get())
+        };
+        assert!(sent(0).0 >= 2 && sent(1).0 >= 1 && sent(2).0 >= 1);
+        assert!((0..3).all(|n| sent(n).0 >= sent(n).1));
+        assert_eq!((0..3).map(|n| sent(n).1).sum::<u64>(), sc.sim.delivered);
     }
 
     /// Releases and acquires work across nodes; FAA counts correctly.

@@ -361,8 +361,9 @@ impl Worker {
     // ---- session pumping -------------------------------------------------
 
     /// Let every runnable session start up to `ops_per_tick` ops. Returns
-    /// whether one stopped at that budget still free — the only case in
-    /// which another tick right now would start more.
+    /// whether one stopped at that budget still free with its next op
+    /// staged — the only case in which another tick right now would start
+    /// more.
     fn pump_sessions(&mut self, now: u64, out: &mut Outbox<Msg>) -> bool {
         let mut more_now = false;
         for word in 0..self.sessions.runnable.len() {
@@ -378,17 +379,21 @@ impl Worker {
         more_now
     }
 
+    /// The driver of session `si` had no op to give. A script is finished
+    /// for good and a client state machine speaks again after its next
+    /// completion; an external client's ops arrive from outside, with a
+    /// wake of the runtime, so its session stays on the list.
+    fn out_of_ops(&mut self, si: usize) {
+        if !matches!(self.sessions[si].driver, SessionDriver::External { .. }) {
+            self.sessions.park(si);
+        }
+    }
+
     fn pump_session(&mut self, si: usize, now: u64, out: &mut Outbox<Msg>) -> bool {
         let mut budget = self.ops_per_tick;
         while budget > 0 && self.sessions[si].is_free() {
             let Some(op) = self.sessions[si].next_op() else {
-                // Out of ops. A script is finished for good and a client
-                // state machine speaks again after its next completion; an
-                // external client's ops arrive from outside, with a wake of
-                // the runtime, so its session stays on the list.
-                if !matches!(self.sessions[si].driver, SessionDriver::External { .. }) {
-                    self.sessions.park(si);
-                }
+                self.out_of_ops(si);
                 return false;
             };
             budget -= 1;
@@ -417,12 +422,22 @@ impl Worker {
             self.sessions.park(si);
             return false;
         }
-        // Stopped at the budget, still free: more can start right now if
-        // more is queued — which an external client's channel can say; a
-        // script or a client state machine is asked by pumping it again.
-        match &self.sessions[si].driver {
-            SessionDriver::External { rx, .. } => !rx.is_empty(),
-            _ => true,
+        // Stopped at the budget, still free. Look ahead: pull the op the
+        // next tick will start into the staged slot now, and have the store
+        // start loading its key — the load then overlaps whatever runs
+        // before that tick instead of stalling it. The op starts exactly
+        // where it would have; another tick right now would start more iff
+        // one is staged.
+        match self.sessions[si].next_op() {
+            Some(op) => {
+                self.shared.store.prefetch(op.key());
+                self.sessions[si].staged = Some(op);
+                true
+            }
+            None => {
+                self.out_of_ops(si);
+                false
+            }
         }
     }
 
@@ -614,6 +629,15 @@ impl Actor for Worker {
             out.send(src, Msg::RepairReq { keys: Box::new([MEMBERSHIP_KEY]) });
         }
         self.on_envelope(src, msgs, now, out);
+    }
+
+    /// Every keyed request of the coming batch will look its key up in the
+    /// store: start those loads now (see [`kite_kvs::Store::prefetch`]).
+    // kite-lint: no-alloc
+    fn prefetch(&self, msgs: &[Msg]) {
+        for key in msgs.iter().filter_map(Msg::store_key) {
+            self.shared.store.prefetch(key);
+        }
     }
 
     fn on_tick(&mut self, now: u64, out: &mut Outbox<Msg>) -> Wakeup {

@@ -6,6 +6,19 @@
 //! replicated on all nodes), so dropping entries would be a correctness bug,
 //! not a cache miss. Slots are claimed lock-free with a CAS on first touch.
 //!
+//! # Look-ahead
+//!
+//! The slot array is far larger than any cache, and a key and its record
+//! share one slot of two or three cache lines, so a lookup is one DRAM miss
+//! on the slot's key word and little else. MICA and the paper's workers
+//! hide that miss by prefetching for a whole batch of requests before
+//! probing for any of them. [`Store::prefetch`] is the same hint for a
+//! single key: a caller that learns a key some time *before* it looks the
+//! key up (a runtime that knows its next delivery, a session that knows its
+//! next op) issues it and goes on with other work. It is only a hint — it
+//! reads no slot, claims none, and nothing about a later lookup depends on
+//! it having been given.
+//!
 //! # The Merkle leaf lattice
 //!
 //! Alongside the slots the store maintains an incremental hash summary for
@@ -363,6 +376,32 @@ impl Store {
             idx = (idx + 1) & self.mask;
         }
         panic!("store capacity exhausted: {} slots", self.slots.len());
+    }
+
+    /// Hint that `key` is about to be looked up: ask the CPU to start
+    /// loading the key's *home* slot (see the module docs). Reads nothing,
+    /// claims nothing, and is free to be wrong — a displaced key's lookup
+    /// still starts at the home slot, so the hint covers its first probe.
+    #[inline]
+    // kite-lint: no-alloc
+    pub fn prefetch(&self, key: Key) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            const SLOT: usize = std::mem::size_of::<Slot>();
+            let slot: *const Slot = &self.slots[(key.hash() & self.mask) as usize];
+            // Slots are 8-aligned, not line-aligned: one line per 64 bytes
+            // from the slot's start, and the one its last byte falls in.
+            for byte in (0..SLOT).step_by(64).chain([SLOT - 1]) {
+                // SAFETY: `slot` points at an in-bounds element of
+                // `self.slots` and `byte < size_of::<Slot>()`, so the
+                // address stays inside that element; a prefetch
+                // dereferences nothing, and SSE is baseline on x86-64.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>().add(byte)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = key;
     }
 
     // ---- reads -----------------------------------------------------------
@@ -893,6 +932,41 @@ mod tests {
         assert_eq!(s.len(), before, "probe must not claim a slot");
         s.apply_max(Key(123), &Val::from_u64(9), Lc::new(4, NodeId(1)));
         assert_eq!(s.probe_lc(Key(123)), Some(Lc::new(4, NodeId(1))));
+    }
+
+    #[test]
+    fn prefetch_is_invisible() {
+        let s = Store::with_leaf_span(16, 2); // capacity 64, 32 leaves
+        let home = |k: u64| Key(k).hash() & s.mask;
+        // Two keys sharing a home slot (the second one is displaced), one
+        // whose home is the last slot of the array, and one never touched.
+        let first = 1u64;
+        let displaced = (2..).find(|&k| home(k) == home(first)).unwrap();
+        let last = (2..).find(|&k| home(k) == s.mask && k != displaced).unwrap();
+        let absent = (2..).find(|&k| ![displaced, last].contains(&k)).unwrap();
+        let present = [first, displaced, last];
+        for (i, &k) in present.iter().enumerate() {
+            s.apply_max(Key(k), &Val::from_u64(k), Lc::new(i as u64 + 1, NodeId(1)));
+        }
+        let observe = || {
+            let mut slots = Vec::new();
+            s.digest_range(0, s.capacity(), &mut slots);
+            let views: Vec<_> = present
+                .iter()
+                .map(|&k| s.view(Key(k)))
+                .map(|v| (v.val.as_u64(), v.lc, v.epoch))
+                .collect();
+            let leaves: Vec<u64> = (0..s.merkle_leaves()).map(|l| s.leaf_hash(l)).collect();
+            (s.len(), s.values(), slots, views, leaves, s.probe_lc(Key(absent)))
+        };
+        let before = observe();
+        assert_eq!((before.0, before.1, before.5), (3, 3, None));
+        for _ in 0..3 {
+            for k in [first, displaced, last, absent] {
+                s.prefetch(Key(k));
+            }
+        }
+        assert_eq!(observe(), before, "a hint changed what the store holds");
     }
 
     #[test]

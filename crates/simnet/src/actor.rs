@@ -58,6 +58,20 @@ pub trait Actor: Send {
         self.on_envelope(src, msgs, now, out);
     }
 
+    /// Look-ahead, the software-pipelining way: a runtime about to deliver
+    /// one batch tells the actor which batch comes **after** it — `msgs` is
+    /// what the [`Actor::on_envelope`] following the one now in hand will be
+    /// given. The actor may use the notice to warm caches (Kite's worker
+    /// asks the store to start loading each request's key) and for nothing
+    /// else: `&self` rules out protocol state, and the call promises
+    /// nothing — a runtime may never make it, and a batch it announced may
+    /// be dropped (the node crashed) instead of delivered. What a runtime
+    /// that does call must keep: if the actor gets a delivery after the one
+    /// in hand, it is `msgs`. The default does nothing.
+    fn prefetch(&self, msgs: &[Self::Msg]) {
+        let _ = msgs;
+    }
+
     /// Pump sessions, fire whatever protocol timers are due, issue
     /// retransmissions. Every runtime calls it after each batch of
     /// envelope deliveries, when the deadline it last returned passes, and

@@ -44,8 +44,11 @@ pub struct Envelope<P> {
 /// Upper bound on pooled spare buffers (per outbox).
 const POOL_CAP: usize = 64;
 
-/// Initial capacity of fresh batch buffers.
-const BUF_CAP: usize = 64;
+/// Initial capacity of fresh batch buffers. Sized to the batches the
+/// runtimes actually see (1.1–2 messages per envelope): with thousands of
+/// envelopes in flight, a page per buffer was tens of MB of resident set.
+/// A bigger batch grows its buffer, and the pool keeps grown buffers.
+const BUF_CAP: usize = 8;
 
 /// Accumulates outgoing messages during one actor step, batched per
 /// destination node. Flushed by the scheduler at the end of the step.

@@ -233,6 +233,10 @@ pub struct Sim<A: Actor> {
     /// Pushes onto the event heap (deliveries, and re-parks of envelopes
     /// held for a sleeping node). Ticks and drains never touch the heap.
     pub heap_pushes: u64,
+    /// `(messages, envelopes)` posted per source node since the last
+    /// [`Sim::take_sent`] — counted where the threaded runtime counts them,
+    /// before the fault plane decides.
+    sent: Vec<(u64, u64)>,
     /// Skip idle stretches in one go (`skip_idle_ticks`). Always on; tests
     /// turn it off to get the tick-by-tick reference execution.
     skip_idle: bool,
@@ -271,6 +275,7 @@ impl<A: Actor> Sim<A> {
             delivered: 0,
             dropped: 0,
             heap_pushes: 0,
+            sent: vec![(0, 0); nodes],
             skip_idle: true,
             idle_scratch: Vec::with_capacity(slots),
         };
@@ -284,6 +289,13 @@ impl<A: Actor> Sim<A> {
     /// Current virtual time (ns).
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// `(messages, envelopes)` that `node`'s workers posted to the fabric
+    /// since the last call (dropped ones included, as in the threaded
+    /// runtime's `msgs_sent` / `envelopes_sent`); resets the tally.
+    pub fn take_sent(&mut self, node: NodeId) -> (u64, u64) {
+        std::mem::take(&mut self.sent[node.idx()])
     }
 
     /// The key of an event scheduled now for `time`.
@@ -492,10 +504,37 @@ impl<A: Actor> Sim<A> {
             return Step::Blind;
         }
         if let Some((src, mepoch, msgs)) = self.waiting[slot].pop_front() {
+            self.look_ahead(slot);
             self.process_envelope(slot, src, mepoch, msgs);
         }
         self.ensure_drain(slot);
         Step::Acted
+    }
+
+    /// One step of look-ahead, spent on cache hints, taken while the
+    /// envelope just popped is still to be processed. With thousands of
+    /// envelopes in flight a worker's backlog is cold by the time it is
+    /// served, and so is every store slot its requests name. The envelope
+    /// now at the front of the FIFO is the next thing this worker is handed
+    /// (arrivals queue behind it; a crash drops it, nothing overtakes it) —
+    /// this envelope's handlers and other workers' events from now, which
+    /// is the time a load needs. So the actor is told about it
+    /// ([`Actor::prefetch`]), and the buffer behind it is requested so that
+    /// *its* turn to be read does not miss either.
+    #[inline]
+    fn look_ahead(&self, slot: usize) {
+        let fifo = &self.waiting[slot];
+        if let Some((_, _, next)) = fifo.front() {
+            self.actors[slot / self.workers][slot % self.workers].prefetch(next);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some((_, _, after)) = fifo.get(1) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is a hint: it dereferences nothing and
+            // cannot fault whatever the address (here the start of a live
+            // `Vec`'s buffer); SSE is baseline on x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(after.as_ptr().cast::<i8>()) };
+        }
     }
 
     /// A worker's tick fired. Its place in the `(time, seq)` order is that
@@ -642,6 +681,9 @@ impl<A: Actor> Sim<A> {
     /// the peered worker at `dst` — §6.3 worker peering).
     fn post(&mut self, slot: usize, dst: NodeId, mepoch: u32, msgs: Vec<A::Msg>) {
         let src = self.node_of(slot);
+        let sent = &mut self.sent[src.idx()];
+        sent.0 += msgs.len() as u64;
+        sent.1 += 1;
         // Sender-side cost (NIC posting): charged whether or not the
         // fault plane then drops the envelope.
         self.busy_until[slot] = self.busy_until[slot].max(self.now)
@@ -965,6 +1007,100 @@ mod tests {
         assert_eq!((sim.delivered, sim.dropped), (517, 1483), "same totals as the unbounded inbox");
         assert_eq!(sim.actors[1][0].got as u64, sim.delivered);
         assert_eq!(sim.delivered + sim.dropped, FLOOD as u64, "every envelope accounted for");
+    }
+
+    /// Floods every peer with uniquely numbered messages and checks each
+    /// look-ahead notice against the delivery it was about.
+    struct Watcher {
+        me: NodeId,
+        ticks: usize,
+        next: u32,
+        /// A notice just given: about the delivery after the one in hand.
+        announced: std::sync::Mutex<Option<Vec<u32>>>,
+        /// The notice the next delivery has to match.
+        expected: Option<Vec<u32>>,
+        honoured: usize,
+        unannounced: usize,
+    }
+
+    impl Actor for Watcher {
+        type Msg = u32;
+
+        fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<u32>, _now: u64, _out: &mut Outbox<u32>) {
+            let announced = self.announced.get_mut().unwrap().take();
+            match std::mem::replace(&mut self.expected, announced) {
+                Some(hint) => {
+                    assert_eq!(&hint, msgs, "node {}: announced one batch, delivered another", self.me);
+                    self.honoured += 1;
+                }
+                None => self.unannounced += 1,
+            }
+            msgs.clear();
+        }
+
+        fn prefetch(&self, msgs: &[u32]) {
+            let stale = self.announced.lock().unwrap().replace(msgs.to_vec());
+            assert_eq!(stale, None, "node {}: two notices with no delivery between", self.me);
+        }
+
+        fn on_tick(&mut self, _now: u64, out: &mut Outbox<u32>) -> Wakeup {
+            if self.ticks == 0 {
+                return Wakeup::IDLE;
+            }
+            self.ticks -= 1;
+            for _ in 0..1 + self.next % 3 {
+                self.next += 1;
+                out.broadcast(self.me, (self.me.0 as u32) << 24 | self.next);
+            }
+            Wakeup::AGAIN
+        }
+
+        fn is_idle(&self) -> bool {
+            self.ticks == 0
+        }
+    }
+
+    /// A look-ahead notice, given with one delivery in hand, names the
+    /// delivery after it: through a backlog that overflows, a sleep that
+    /// parks it, and a crash that throws it away (the crashed node's last
+    /// notice is never honoured — and nothing else is delivered there
+    /// either).
+    #[test]
+    fn a_look_ahead_notice_names_the_next_delivery() {
+        let actors = (0..4)
+            .map(|n| {
+                vec![Watcher {
+                    me: NodeId(n),
+                    ticks: 3_000,
+                    next: 0,
+                    announced: Default::default(),
+                    expected: None,
+                    honoured: 0,
+                    unannounced: 0,
+                }]
+            })
+            .collect();
+        // Serving an envelope costs about a tick and three arrive per tick:
+        // every worker runs a backlog, and a queue of 8 overflows.
+        let cfg = SimCfg { seed: 3, recv_queue_cap: 8, service_per_envelope_ns: 1_500, ..Default::default() };
+        let mut sim = Sim::new(actors, cfg);
+        sim.run_for(1_000_000);
+        sim.sleep_node(NodeId(1), 500_000);
+        sim.run_for(1_000_000);
+        sim.crash(NodeId(2));
+        let at_crash = (sim.actors[2][0].honoured, sim.actors[2][0].unannounced);
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert!(sim.dropped > 1_000, "the queues overflowed ({} drops)", sim.dropped);
+        for n in [0, 1, 3] {
+            let a = &mut sim.actors[n][0];
+            assert!(a.honoured > 1_000, "node {n}: {} notices honoured", a.honoured);
+            let left = (a.announced.get_mut().unwrap().take(), a.expected.take());
+            assert_eq!(left, (None, None), "node {n}: a notice was never honoured");
+        }
+        let dead = &sim.actors[2][0];
+        assert_eq!((dead.honoured, dead.unannounced), at_crash, "nothing reaches a dead node");
+        let delivered: usize = sim.actors.iter().map(|a| a[0].honoured + a[0].unannounced).sum();
+        assert_eq!(delivered as u64, sim.delivered);
     }
 
     /// Every worker broadcasts a beacon each `period`, re-armed from the
