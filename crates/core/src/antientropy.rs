@@ -686,7 +686,9 @@ impl Worker {
             self.ae.rearm();
         }
     }
+}
 
+impl crate::worker::Cx<'_> {
     /// The targeted trigger: a quorum round (RMW commit, release value
     /// round, acquire write-back) just completed with `targets` outside its
     /// quorum — the round stops retransmitting now. Push a repair to the
@@ -700,7 +702,7 @@ impl Worker {
     /// key's next undecided Paxos slot for commit fills, `0` otherwise.
     /// Gated by `commit_fill` (the sweep-sufficiency baseline disables it).
     pub(crate) fn ae_completion_fill(
-        &mut self,
+        &self,
         targets: kite_common::NodeSet,
         key: Key,
         val: Val,
@@ -708,7 +710,7 @@ impl Worker {
         next_slot: u64,
         out: &mut Outbox<Msg>,
     ) {
-        let targets = Self::fill_targets_in(self.commit_fill, &self.shared, targets);
+        let targets = self.fill_targets(targets);
         if targets.is_empty() {
             return;
         }
@@ -725,22 +727,16 @@ impl Worker {
         out.multicast(self.me, targets, Msg::RepairVal { r });
     }
 
-    /// The completion-fill gate, associated over the individual fields so a
-    /// caller can evaluate it while an in-flight entry is still borrowed —
-    /// and skip preparing the payload (cloning a value out of an `Arc`'d
-    /// commit) when the answer is "nobody", which is the steady state.
-    /// Idempotent: `ae_completion_fill` applies it again on whatever it is
-    /// handed.
+    /// The completion-fill gate, separate so a caller can evaluate it first
+    /// and skip preparing the payload (cloning a value out of an `Arc`'d commit)
+    /// when the answer is "nobody", which is the steady state. Idempotent:
+    /// `ae_completion_fill` applies it again on whatever it is handed.
     #[inline]
-    pub(crate) fn fill_targets_in(
-        commit_fill: bool,
-        shared: &crate::nodestate::NodeShared,
-        missing: kite_common::NodeSet,
-    ) -> kite_common::NodeSet {
-        if !commit_fill || missing.is_empty() {
+    pub(crate) fn fill_targets(&self, missing: kite_common::NodeSet) -> kite_common::NodeSet {
+        if !self.shared.cfg.commit_fill || missing.is_empty() {
             return kite_common::NodeSet::EMPTY;
         }
-        missing.intersect(shared.suspected())
+        missing.intersect(self.shared.suspected())
     }
 }
 

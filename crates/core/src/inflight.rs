@@ -33,10 +33,11 @@
 
 use std::sync::Arc;
 
-use kite_common::{Epoch, Key, Lc, NodeSet, OpId, Val};
+use kite_common::{Epoch, Key, Lc, NodeId, NodeSet, OpId, Val};
+use kite_simnet::Outbox;
 
 use crate::api::Op;
-use crate::msg::{Cmd, CommitPayload};
+use crate::msg::{Cmd, CommitPayload, Msg, WriteBack};
 
 /// Common fields shared by all in-flight entries.
 #[derive(Clone, Debug)]
@@ -55,6 +56,27 @@ pub struct Meta {
     pub last_sent: u64,
 }
 
+/// One quorum round as its initiator sees it: the request, and who has
+/// answered it. Every in-flight state describes the round it is waiting on
+/// in one place — its `round(rid)` — and both transmissions come from
+/// there: a retransmission is the first transmission, resent to whoever has
+/// not answered (Hermes recovers from loss the same way: replay the message).
+#[derive(Clone, Debug)]
+pub struct Round {
+    /// Voters whose answer has been counted (includes self).
+    pub replied: NodeSet,
+    /// The request.
+    pub msg: Msg,
+}
+
+impl Round {
+    /// Send the request to every voter that has not answered it — all of
+    /// them the first time, when only the initiator has "replied".
+    pub fn send(self, me: NodeId, voters: NodeSet, out: &mut Outbox<Msg>) {
+        out.multicast(me, voters.minus(self.replied), self.msg);
+    }
+}
+
 /// A relaxed write whose `EsWrite` broadcast is gathering acks (§3.2). It
 /// completed from the client's perspective when issued; the entry exists so
 /// the next release knows which machines acked (§4.2).
@@ -70,6 +92,66 @@ pub struct EsWriteState {
     pub acked: NodeSet,
 }
 
+impl EsWriteState {
+    /// The value broadcast, awaited from every voter.
+    pub fn round(&self, rid: u64) -> Round {
+        let msg = Msg::EsWrite { rid, key: self.meta.key, val: self.val.clone(), lc: self.lc };
+        Round { replied: self.acked, msg }
+    }
+
+    /// Invariants 1+2 of §4.2 for one barrier write: quorum-acked, and every
+    /// voter still missing it is covered by the published DM-set.
+    pub fn covered_by(&self, dm: NodeSet, voters: NodeSet, quorum: usize) -> bool {
+        self.acked.len() >= quorum && voters.minus(self.acked).minus(dm).is_empty()
+    }
+}
+
+/// The ABD read fold (§3.3 round 1): the freshest value a growing set of
+/// replicas reported, and who reported exactly it.
+#[derive(Clone, Debug)]
+pub struct ReadFold {
+    /// Replicas that answered (includes self).
+    pub reps: NodeSet,
+    /// Freshest value seen so far.
+    pub val: Val,
+    /// Its clock.
+    pub lc: Lc,
+    /// Replicas that reported the current best value (a write-back is
+    /// needed if they do not reach a quorum).
+    pub holders: NodeSet,
+}
+
+impl ReadFold {
+    /// A fold seeded with the local replica's own view.
+    pub fn new(me: NodeId, val: Val, lc: Lc) -> Self {
+        ReadFold { reps: NodeSet::singleton(me), val, lc, holders: NodeSet::singleton(me) }
+    }
+
+    /// Fold in `src`'s reply; returns how many replicas have answered.
+    pub fn offer(&mut self, src: NodeId, val: Val, lc: Lc) -> usize {
+        self.reps.insert(src);
+        if lc > self.lc {
+            self.lc = lc;
+            self.val = val;
+            self.holders = NodeSet::singleton(src);
+        } else if lc == self.lc {
+            self.holders.insert(src);
+        }
+        self.reps.len()
+    }
+
+    /// The write-back of the fold's value: an acquire's carries its tag (in
+    /// the boxed `WriteAcq` flavour) so the round's quorum also performs
+    /// delinquency discovery (Lemma 5.3).
+    fn write_back(&self, rid: u64, key: Key, acq: Option<OpId>) -> Msg {
+        let (val, lc) = (self.val.clone(), self.lc);
+        match acq {
+            Some(acq) => Msg::WriteAcq { rid, wb: Arc::new(WriteBack { key, val, lc, acq }) },
+            None => Msg::WriteMsg { rid, key, val, lc },
+        }
+    }
+}
+
 /// Slow-path relaxed read (§4.1 "On a relaxed access"): one quorum round,
 /// then restore the key in-epoch. With `stripped_slow_path` off (ablation),
 /// a full-ABD write-back round runs when the freshest value was not already
@@ -80,17 +162,22 @@ pub struct SlowReadState {
     pub meta: Meta,
     /// Machine-epoch snapshot taken at op start (§4.2 fine print).
     pub snapshot: Epoch,
-    /// Freshest value seen so far.
-    pub best_val: Val,
-    /// Its clock.
-    pub best_lc: Lc,
-    /// Replicas that answered round 1 (includes self).
-    pub reps: NodeSet,
-    /// Replicas that reported the current best value (ablation only: the
+    /// Round 1's replies (`holders` matters to the ablation only: the
     /// stripped slow path never needs a write-back, §4.3).
-    pub holders: NodeSet,
+    pub fold: ReadFold,
     /// Write-back round progress; `None` until started (ablation only).
     pub w2: Option<NodeSet>,
+}
+
+impl SlowReadState {
+    /// The read round, then (ablation) the write-back of what it found.
+    pub fn round(&self, rid: u64) -> Round {
+        let key = self.meta.key;
+        match self.w2 {
+            Some(acked) => Round { replied: acked, msg: self.fold.write_back(rid, key, None) },
+            None => Round { replied: self.fold.reps, msg: Msg::ReadReq { rid, key, acq: None } },
+        }
+    }
 }
 
 /// Slow-path relaxed write (§4.3): one LLC-read quorum round so the fresh
@@ -113,6 +200,19 @@ pub struct SlowWriteState {
     /// Value-round `(stamp, acks)` progress; `None` until started
     /// (ablation only).
     pub w2: Option<(Lc, NodeSet)>,
+}
+
+impl SlowWriteState {
+    /// The stamp round, then (ablation) the awaited value round.
+    pub fn round(&self, rid: u64) -> Round {
+        let key = self.meta.key;
+        match self.w2 {
+            Some((lc, acked)) => {
+                Round { replied: acked, msg: Msg::WriteMsg { rid, key, val: self.val.clone(), lc } }
+            }
+            None => Round { replied: self.reps, msg: Msg::RtsReq { rid, key } },
+        }
+    }
 }
 
 /// The slow-path release barrier sub-round (§4.2): DM-set broadcast.
@@ -149,6 +249,14 @@ impl Barrier {
     pub fn resolved() -> Self {
         Barrier { writes: Vec::new(), slow: None, done: true }
     }
+
+    /// The slow-release DM round, while the barrier is still waiting on it.
+    /// `rid` is the owning release/RMW's (message types disambiguate the
+    /// replies).
+    pub fn round(&self, rid: u64) -> Option<Round> {
+        let sub = self.slow.as_ref().filter(|_| !self.done)?;
+        Some(Round { replied: sub.acked, msg: Msg::SlowRelease { rid, dm: sub.dm } })
+    }
 }
 
 /// A release in flight: overlapped barrier + ABD write (§4.3 optimization:
@@ -173,26 +281,54 @@ pub struct ReleaseState {
     pub w2: Option<(Lc, NodeSet)>,
 }
 
+impl ReleaseState {
+    /// The LLC-read round, then the value round; `None` while round 1 is
+    /// deferred behind the barrier (nothing sent yet).
+    pub fn round(&self, rid: u64) -> Option<Round> {
+        let key = self.meta.key;
+        match self.w2 {
+            Some((lc, acked)) => Some(Round {
+                replied: acked,
+                msg: Msg::WriteMsg { rid, key, val: self.val.clone(), lc },
+            }),
+            None if self.rts_sent => {
+                Some(Round { replied: self.rts_reps, msg: Msg::RtsReq { rid, key } })
+            }
+            None => None,
+        }
+    }
+}
+
 /// An acquire in flight: ABD read + delinquency discovery (§4.2).
 #[derive(Clone, Debug)]
 pub struct AcquireState {
     /// Common in-flight fields.
     pub meta: Meta,
-    /// Replicas that answered round 1 (includes self).
-    pub reps: NodeSet,
-    /// Freshest value seen so far.
-    pub best_val: Val,
-    /// Its clock.
-    pub best_lc: Lc,
-    /// Replicas that reported the current best value (write-back needed if
-    /// they don't reach a quorum).
-    pub holders: NodeSet,
+    /// The acquire's tag on both rounds: its op id when the round also
+    /// probes delinquency (a Kite `Op::Acquire`), `None` for the plain ABD
+    /// reads of the other modes.
+    pub acq: Option<OpId>,
+    /// Round 1's replies.
+    pub fold: ReadFold,
     /// OR of delinquency verdicts across rounds.
     pub delinquent: bool,
     /// Write-back round progress.
     pub w2: Option<NodeSet>,
     /// True once round 1 has acted (quorum reached) — late replies ignored.
     pub decided: bool,
+}
+
+impl AcquireState {
+    /// The read round, then the write-back (§3.3) of what it found.
+    pub fn round(&self, rid: u64) -> Round {
+        let key = self.meta.key;
+        match self.w2 {
+            Some(acked) => Round { replied: acked, msg: self.fold.write_back(rid, key, self.acq) },
+            None => {
+                Round { replied: self.fold.reps, msg: Msg::ReadReq { rid, key, acq: self.acq } }
+            }
+        }
+    }
 }
 
 /// What an RMW computes, once its base value is known.
@@ -282,6 +418,29 @@ pub struct RmwState {
     pub ballot_floor: u64,
 }
 
+impl RmwState {
+    /// The current phase's broadcast; `None` while waiting for the barrier.
+    /// `Accept` and `Commit` clone the `Arc` the first transmission made.
+    pub fn round(&self, rid: u64) -> Option<Round> {
+        let (key, slot, ballot) = (self.meta.key, self.slot, self.ballot);
+        match self.phase {
+            RmwPhase::Propose => Some(Round {
+                replied: self.promises,
+                msg: Msg::Propose { rid, key, slot, ballot, op: self.meta.op_id },
+            }),
+            RmwPhase::Accept => self.cmd.as_ref().map(|cmd| Round {
+                replied: self.accepts,
+                msg: Msg::Accept { rid, key, slot, ballot, cmd: Arc::clone(cmd) },
+            }),
+            RmwPhase::Commit => self.commit_bcast.as_ref().map(|c| Round {
+                replied: self.commits,
+                msg: Msg::Commit { rid, key, c: Arc::clone(c) },
+            }),
+            RmwPhase::WaitBarrier | RmwPhase::WaitBarrierPropose => None,
+        }
+    }
+}
+
 /// Write-window relief (see `initiator.rs`): when a session's write window
 /// fills with writes that only unresponsive replicas haven't acked, the
 /// worker publishes their delinquency to a quorum (a value-less slow
@@ -299,6 +458,13 @@ pub struct WindowReliefState {
     pub acked: NodeSet,
     /// The window snapshot this relief covers.
     pub writes: Vec<u64>,
+}
+
+impl WindowReliefState {
+    /// The value-less slow release.
+    pub fn round(&self, rid: u64) -> Round {
+        Round { replied: self.acked, msg: Msg::SlowRelease { rid, dm: self.dm } }
+    }
 }
 
 /// The in-flight table entry.
@@ -349,6 +515,40 @@ impl InFlight {
             InFlight::Acquire(s) => &mut s.meta,
             InFlight::Rmw(s) => &mut s.meta,
             InFlight::WindowRelief(s) => &mut s.meta,
+        }
+    }
+
+    /// The release barrier of a release or an RMW.
+    pub fn barrier_mut(&mut self) -> Option<&mut Barrier> {
+        match self {
+            InFlight::Release(ReleaseState { barrier, .. })
+            | InFlight::Rmw(RmwState { barrier, .. }) => Some(barrier),
+            _ => None,
+        }
+    }
+
+    /// The ack set of the entry's value round (`w2`), once it has started.
+    pub fn value_acks(&mut self) -> Option<&mut NodeSet> {
+        match self {
+            InFlight::SlowRead(SlowReadState { w2, .. })
+            | InFlight::Acquire(AcquireState { w2, .. }) => w2.as_mut(),
+            InFlight::SlowWrite(SlowWriteState { w2, .. })
+            | InFlight::Release(ReleaseState { w2, .. }) => w2.as_mut().map(|(_, acked)| acked),
+            _ => None,
+        }
+    }
+
+    /// What the entry is waiting for: its barrier's slow-release round (if
+    /// one is open), then its own round — the order they are retransmitted.
+    pub fn rounds(&self, rid: u64) -> [Option<Round>; 2] {
+        match self {
+            InFlight::EsWrite(s) => [None, Some(s.round(rid))],
+            InFlight::SlowRead(s) => [None, Some(s.round(rid))],
+            InFlight::SlowWrite(s) => [None, Some(s.round(rid))],
+            InFlight::Release(s) => [s.barrier.round(rid), s.round(rid)],
+            InFlight::Acquire(s) => [None, Some(s.round(rid))],
+            InFlight::Rmw(s) => [s.barrier.round(rid), s.round(rid)],
+            InFlight::WindowRelief(s) => [None, Some(s.round(rid))],
         }
     }
 
@@ -530,7 +730,7 @@ impl InFlightTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kite_common::{NodeId, SessionId};
+    use kite_common::SessionId;
 
     fn meta() -> Meta {
         Meta {
@@ -561,10 +761,8 @@ mod tests {
         assert!(!es.blocks_session(), "relaxed writes don't block (§3.2)");
         let acq = InFlight::Acquire(AcquireState {
             meta: meta(),
-            reps: NodeSet::EMPTY,
-            best_val: Val::EMPTY,
-            best_lc: Lc::ZERO,
-            holders: NodeSet::EMPTY,
+            acq: None,
+            fold: ReadFold::new(NodeId(0), Val::EMPTY, Lc::ZERO),
             delinquent: false,
             w2: None,
             decided: false,
@@ -653,10 +851,7 @@ mod tests {
         let mut e = InFlight::SlowRead(SlowReadState {
             meta: meta(),
             snapshot: Epoch(0),
-            best_val: Val::EMPTY,
-            best_lc: Lc::ZERO,
-            reps: NodeSet::EMPTY,
-            holders: NodeSet::EMPTY,
+            fold: ReadFold::new(NodeId(0), Val::EMPTY, Lc::ZERO),
             w2: None,
         });
         assert_eq!(e.meta().key, Key(1));

@@ -9,28 +9,35 @@
 //! the generation compare and are silently discarded — every protocol step
 //! is idempotent at the replicas.
 //!
-//! Helpers that run while the table is borrowed are associated functions
-//! over the worker's *other* fields (store, sessions, hook), so the borrow
-//! checker sees the disjointness.
+//! A handler holds its entry and the rest of the worker at the same time:
+//! [`Worker::split`] lends the table and a [`Cx`] (sessions, store, hook,
+//! retry queue) side by side, and every step that runs with an entry in
+//! hand — completing it, advancing a release, the Paxos proposer — is a
+//! `Cx` method taking the entry's state.
+//!
+//! A quorum round is described once, by its state's `round(rid)`
+//! ([`crate::inflight::Round`]): the first transmission sends it to every
+//! voter, and [`Worker::scan_retransmits`] resends the same description to
+//! whoever has not answered. The one request built in this file is the
+//! `EsWrite` of [`Worker::broadcast_es_write`], because an untracked write
+//! has no state to describe it.
 
 #![allow(clippy::too_many_arguments)] // protocol handlers thread (now, cfg, outbox, ...) explicitly
 
 use std::sync::Arc;
 
-use kite_common::{Key, Lc, NodeId, NodeSet, OpId, Val};
+use kite_common::{Key, Lc, NodeSet, OpId, Val};
 use kite_kvs::paxos_meta::{AcceptedCmd, RmwCommit};
 use kite_simnet::Outbox;
 
 use crate::api::{Op, OpOutput};
 use crate::inflight::{
-    AcquireState, Barrier, EsWriteState, InFlight, Meta, ReleaseState, RmwKind, RmwPhase,
-    RmwState, SlowReadState, SlowReleaseSub, SlowWriteState, WindowReliefState,
+    AcquireState, Barrier, EsWriteState, InFlight, Meta, ReadFold, ReleaseState, RmwKind,
+    RmwPhase, RmwState, SlowReadState, SlowReleaseSub, SlowWriteState, WindowReliefState,
 };
-use crate::msg::{Cmd, CommitPayload, Msg, PromiseOutcome, Repair, WriteBack};
-use crate::nodestate::NodeShared;
+use crate::msg::{Cmd, CommitPayload, Msg, PromiseOutcome, Repair};
 use crate::session::ProtocolMode;
-use crate::worker::{Sessions, StartResult, Worker};
-use crate::api::CompletionHook;
+use crate::worker::{Cx, StartResult, Worker};
 
 /// Outcome of [`Worker::rmw_decide_cmd`] at a phase-1 quorum.
 enum RmwDecision {
@@ -62,6 +69,18 @@ fn rmw_backoff(rid: u64, exp: u8) -> u64 {
 impl Worker {
     fn meta(&self, si: usize, op_id: OpId, key: Key, op: Op, now: u64) -> Meta {
         Meta { sess: si, op_id, key, op, invoked_at: now, last_sent: now }
+    }
+
+
+    /// Track `entry` and make the first transmission of the round it opens
+    /// (none, for a release whose first round waits for the barrier).
+    fn launch(&mut self, entry: InFlight, out: &mut Outbox<Msg>) -> u64 {
+        let rid = self.inflight.insert(entry);
+        let entry = self.inflight.get(rid).expect("just inserted");
+        for round in entry.rounds(rid).into_iter().flatten() {
+            round.send(self.me, self.shared.voters(), out);
+        }
+        rid
     }
 
     // =====================================================================
@@ -148,15 +167,10 @@ impl Worker {
         let state = SlowReadState {
             meta: self.meta(si, op_id, key, op, now),
             snapshot,
-            best_val: view.val,
-            best_lc: view.lc,
-            reps: NodeSet::singleton(self.me),
-            holders: NodeSet::singleton(self.me),
+            fold: ReadFold::new(self.me, view.val, view.lc),
             w2: None,
         };
-        let rid = self.inflight.insert(InFlight::SlowRead(state));
-        out.multicast(self.me, self.voters(), Msg::ReadReq { rid, key, acq: None });
-        StartResult::Blocked(rid)
+        StartResult::Blocked(self.launch(InFlight::SlowRead(state), out))
     }
 
     /// Relaxed write (§3.2): stamp with the key's next clock, apply locally,
@@ -172,27 +186,13 @@ impl Worker {
         now: u64,
         out: &mut Outbox<Msg>,
     ) -> StartResult {
-        let track = self.mode.has_barriers();
-        if track && self.sessions[si].write_window.len() >= self.window_cap {
+        if self.mode.has_barriers() && self.sessions[si].write_window.len() >= self.window_cap {
             return StartResult::Stall(op);
         }
         let snapshot = self.shared.epoch();
         match self.shared.store.fast_write(key, &val, self.me, snapshot) {
             Some(lc) => {
-                let rid = if track {
-                    let state = EsWriteState {
-                        meta: self.meta(si, op_id, key, op.clone(), now),
-                        val: val.clone(),
-                        lc,
-                        acked: NodeSet::singleton(self.me),
-                    };
-                    let rid = self.inflight.insert(InFlight::EsWrite(state));
-                    self.sessions[si].write_window.push_back(rid);
-                    rid
-                } else {
-                    self.untracked_rid()
-                };
-                out.multicast(self.me, self.voters(), Msg::EsWrite { rid, key, val, lc });
+                self.broadcast_es_write(si, op_id, key, &op, val, lc, now, out);
                 self.complete(si, op_id, op, OpOutput::Done, now, now);
                 StartResult::Inline
             }
@@ -208,11 +208,51 @@ impl Worker {
                     reps: NodeSet::singleton(self.me),
                     w2: None,
                 };
-                let rid = self.inflight.insert(InFlight::SlowWrite(state));
-                out.multicast(self.me, self.voters(), Msg::RtsReq { rid, key });
-                StartResult::Blocked(rid)
+                StartResult::Blocked(self.launch(InFlight::SlowWrite(state), out))
             }
         }
+    }
+
+    /// Broadcast a relaxed write ES-style (§3.2). With barriers on, the
+    /// write is tracked in the session's window so the next release knows
+    /// which machines acked it (§4.2); otherwise it is fire-and-forget
+    /// under an untracked rid.
+    #[inline]
+    fn broadcast_es_write(
+        &mut self,
+        si: usize,
+        op_id: OpId,
+        key: Key,
+        op: &Op,
+        val: Val,
+        lc: Lc,
+        now: u64,
+        out: &mut Outbox<Msg>,
+    ) {
+        let rid = if self.mode.has_barriers() {
+            let state = EsWriteState {
+                meta: self.meta(si, op_id, key, op.clone(), now),
+                val: val.clone(),
+                lc,
+                acked: NodeSet::singleton(self.me),
+            };
+            let rid = self.inflight.insert(InFlight::EsWrite(state));
+            self.sessions[si].write_window.push_back(rid);
+            rid
+        } else {
+            self.untracked_rid()
+        };
+        out.multicast(self.me, self.voters(), Msg::EsWrite { rid, key, val, lc });
+    }
+
+    /// The barrier a release/RMW of session `si` starts with: over the
+    /// session's outstanding relaxed writes, or already resolved.
+    fn barrier_for(&self, si: usize, with_barrier: bool) -> Barrier {
+        Barrier::new(if with_barrier {
+            self.sessions[si].write_window.iter().copied().collect()
+        } else {
+            Vec::new()
+        })
     }
 
     /// Release (§4.2): the barrier (gather acks for all prior session
@@ -228,9 +268,7 @@ impl Worker {
         out: &mut Outbox<Msg>,
         with_barrier: bool,
     ) -> StartResult {
-        let writes: Vec<u64> =
-            if with_barrier { self.sessions[si].write_window.iter().copied().collect() } else { Vec::new() };
-        let barrier = Barrier::new(writes);
+        let barrier = self.barrier_for(si, with_barrier);
         let barrier_pending = !barrier.done;
         // §4.3 optimization: the LLC-read round is benign (it does not make
         // the release visible), so it normally overlaps the barrier wait.
@@ -245,12 +283,9 @@ impl Worker {
             rts_max: self.shared.store.read_lc(key),
             w2: None,
         };
-        let rid = self.inflight.insert(InFlight::Release(state));
+        let rid = self.launch(InFlight::Release(state), out);
         if barrier_pending {
             self.add_barrier_waiter(si, rid);
-        }
-        if rts_sent {
-            out.multicast(self.me, self.voters(), Msg::RtsReq { rid, key });
         }
         StartResult::Blocked(rid)
     }
@@ -273,17 +308,13 @@ impl Worker {
         let delinquent = if sync { self.shared.delinquency.probe(self.me, op_id) } else { false };
         let state = AcquireState {
             meta: self.meta(si, op_id, key, op, now),
-            reps: NodeSet::singleton(self.me),
-            best_val: view.val,
-            best_lc: view.lc,
-            holders: NodeSet::singleton(self.me),
+            acq: sync.then_some(op_id),
+            fold: ReadFold::new(self.me, view.val, view.lc),
             delinquent,
             w2: None,
             decided: false,
         };
-        let rid = self.inflight.insert(InFlight::Acquire(state));
-        out.multicast(self.me, self.voters(), Msg::ReadReq { rid, key, acq: sync.then_some(op_id) });
-        StartResult::Blocked(rid)
+        StartResult::Blocked(self.launch(InFlight::Acquire(state), out))
     }
 
     /// RMW (§3.4): leaderless per-key Paxos, with release-barrier semantics
@@ -303,17 +334,20 @@ impl Worker {
         out: &mut Outbox<Msg>,
         with_barrier: bool,
     ) -> StartResult {
-        let writes: Vec<u64> =
-            if with_barrier { self.sessions[si].write_window.iter().copied().collect() } else { Vec::new() };
-        let barrier = Barrier::new(writes);
+        let barrier = self.barrier_for(si, with_barrier);
         let barrier_pending = !barrier.done;
-        let mut state = RmwState {
+        // §4.3 optimization: the propose phase carries no value, so it
+        // normally overlaps the barrier wait (like the release's LLC-read
+        // round). The ablation holds the whole Paxos exchange back until
+        // the barrier resolves.
+        let deferred = !self.overlap_release && barrier_pending;
+        let state = RmwState {
             meta: self.meta(si, op_id, key, op, now),
             kind,
             expect,
             new,
             barrier,
-            phase: RmwPhase::Propose,
+            phase: if deferred { RmwPhase::WaitBarrierPropose } else { RmwPhase::Propose },
             slot: 0,
             ballot: Lc::ZERO,
             promises: NodeSet::EMPTY,
@@ -329,28 +363,18 @@ impl Worker {
             backoff_exp: 0,
             ballot_floor: 0,
         };
-        // §4.3 optimization: the propose phase carries no value, so it
-        // normally overlaps the barrier wait (like the release's LLC-read
-        // round). The ablation holds the whole Paxos exchange back until
-        // the barrier resolves.
-        if !self.overlap_release && barrier_pending {
-            state.phase = RmwPhase::WaitBarrierPropose;
-            let rid = self.inflight.insert(InFlight::Rmw(state));
-            self.add_barrier_waiter(si, rid);
-            return StartResult::Blocked(rid);
-        }
         let rid = self.inflight.insert(InFlight::Rmw(state));
         if barrier_pending {
             self.add_barrier_waiter(si, rid);
         }
-        let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { unreachable!() };
-        if let Some(output) = Self::rmw_new_round_in(&self.shared, self.me, rid, state, out) {
-            Self::rmw_finish_in(
-                &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state, output,
-                now, out,
-            );
+        if deferred {
+            return StartResult::Blocked(rid);
+        }
+        let (table, mut cx) = self.split();
+        let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { unreachable!() };
+        if cx.rmw_restart(rid, state, now, out) {
             // Any stale barrier_waiters entry is swept by check_barriers.
-            self.inflight.remove(rid);
+            table.remove(rid);
             return StartResult::Inline;
         }
         StartResult::Blocked(rid)
@@ -365,72 +389,6 @@ impl Worker {
         self.barriers_dirty = true;
     }
 
-    /// Begin a fresh proposal round: self-promise under the key's Paxos
-    /// lock, then broadcast `Propose`.
-    ///
-    /// Returns `Some(output)` if the operation's command turns out to have
-    /// already committed (another proposer *helped* it while we were backing
-    /// off — the commit's ring entry proves it). The caller must then finish
-    /// the op with that output instead of proposing: re-proposing would
-    /// execute the RMW a second time.
-    ///
-    /// Associated fn over the non-table worker fields so it can run while
-    /// `state` is borrowed from the in-flight slab.
-    #[must_use]
-    fn rmw_new_round_in(
-        shared: &NodeShared,
-        me: NodeId,
-        rid: u64,
-        state: &mut RmwState,
-        out: &mut Outbox<Msg>,
-    ) -> Option<OpOutput> {
-        let key = state.meta.key;
-        let (slot, ballot, accepted) = {
-            let pax = shared.store.paxos(key);
-            let mut pax = pax.lock();
-            if let Some(done) = pax.committed.find(state.meta.op_id) {
-                return Some(rmw_output(state.kind, &done.result));
-            }
-            // Strictly above every ballot THIS request ever used, not just
-            // the acceptor floor: `advance_past` resets `promised` to ZERO
-            // at a slot transition, so without the `state.ballot` term the
-            // new slot's first ballot can collide exactly with the old
-            // slot's last one — and since promise/accept replies echo only
-            // the ballot (no slot), a stale reply from the previous slot's
-            // round then passes the stale-round filter and hands this
-            // round a *previous slot's* accepted command to adopt. That
-            // command re-commits at the new slot: duplicate RMW execution
-            // (two FAAs observing the same base — caught by
-            // `tests/chaos.rs::crash_stop_preserves_progress_and_rc` once
-            // the TCP-duel backoff perturbed the interleaving). Per-rid
-            // ballot monotonicity makes every stale reply unmistakable.
-            let version =
-                pax.promised.version().max(state.ballot_floor).max(state.ballot.version()) + 1;
-            let ballot = Lc::new(version, me);
-            pax.promised = ballot;
-            let accepted = pax.accepted.as_ref().map(|a| {
-                (
-                    a.ballot,
-                    Cmd { op: a.op, new_val: a.new_val.clone(), result: a.result.clone(), lc: a.lc },
-                )
-            });
-            (pax.slot, ballot, accepted)
-        };
-        state.slot = slot;
-        state.ballot = ballot;
-        state.phase = RmwPhase::Propose;
-        state.promises = NodeSet::singleton(me);
-        state.best_accepted = accepted;
-        state.cmd = None;
-        state.helping = false;
-        state.accepts = NodeSet::EMPTY;
-        state.commits = NodeSet::EMPTY;
-        state.commit_bcast = None;
-        state.pending_output = None;
-        state.retry_at = 0;
-        out.multicast(me, shared.voters(), Msg::Propose { rid, key, slot, ballot, op: state.meta.op_id });
-        None
-    }
 
     // =====================================================================
     // Reply handlers
@@ -465,11 +423,13 @@ impl Worker {
     ) {
         let quorum = self.quorum();
         let voters = self.voters();
-        match self.inflight.get_mut(rid) {
+        let stripped = self.stripped_slow;
+        let (table, mut cx) = self.split();
+        match table.get_mut(rid) {
             Some(InFlight::Release(state)) => {
                 state.rts_reps.insert(src);
                 state.rts_max = state.rts_max.max(lc);
-                Self::try_advance_release(self.me, quorum, &self.shared, rid, state, out);
+                cx.try_advance_release(quorum, rid, state, out);
             }
             Some(InFlight::SlowWrite(state)) => {
                 if state.w2.is_some() {
@@ -488,50 +448,30 @@ impl Worker {
                 // the key's seqlock can collide with a concurrent sibling
                 // session's fast-write stamp (same `(version, mid)`, two
                 // values), a divergence no LLC-max repair can ever heal.
-                let wlc = self.shared.store.stamp_apply(
+                let wlc = cx.shared.store.stamp_apply(
                     state.meta.key,
                     &state.val,
                     state.max_lc,
-                    self.me,
+                    cx.me,
                     Some(state.snapshot),
                 );
-                if !self.stripped_slow {
+                if !stripped {
                     // Full-ABD ablation: the value round must be
                     // quorum-acked before the write completes.
-                    state.w2 = Some((wlc, NodeSet::singleton(self.me)));
+                    state.w2 = Some((wlc, NodeSet::singleton(cx.me)));
                     state.meta.last_sent = now;
-                    out.multicast(
-                        self.me,
-                        voters,
-                        Msg::WriteMsg { rid, key: state.meta.key, val: state.val.clone(), lc: wlc },
-                    );
+                    state.round(rid).send(cx.me, voters, out);
                     return;
                 }
                 // §4.3 default: broadcast the value ES-style under a fresh
                 // rid; completion does not wait for acks — the next release
                 // in session order is responsible for quorum visibility.
-                let si = state.meta.sess;
-                let op_id = state.meta.op_id;
-                let key = state.meta.key;
-                let op = state.meta.op.clone();
-                let invoked_at = state.meta.invoked_at;
-                let val = state.val.clone();
-                self.inflight.remove(rid); // slow write finished
-                let wrid = if self.mode.has_barriers() {
-                    let es = EsWriteState {
-                        meta: self.meta(si, op_id, key, op.clone(), now),
-                        val: val.clone(),
-                        lc: wlc,
-                        acked: NodeSet::singleton(self.me),
-                    };
-                    let wrid = self.inflight.insert(InFlight::EsWrite(es));
-                    self.sessions[si].write_window.push_back(wrid);
-                    wrid
-                } else {
-                    self.untracked_rid()
+                let Some(InFlight::SlowWrite(s)) = table.remove(rid) else {
+                    unreachable!("entry matched above")
                 };
-                out.multicast(self.me, voters, Msg::EsWrite { rid: wrid, key, val, lc: wlc });
-                self.complete(si, op_id, op, OpOutput::Done, invoked_at, now);
+                let Meta { sess, op_id, key, op, invoked_at, .. } = s.meta;
+                self.broadcast_es_write(sess, op_id, key, &op, s.val, wlc, now, out);
+                self.complete(sess, op_id, op, OpOutput::Done, invoked_at, now);
             }
             _ => {}
         }
@@ -549,63 +489,38 @@ impl Worker {
     ) {
         let quorum = self.quorum();
         let voters = self.voters();
-        match self.inflight.get_mut(rid) {
+        let stripped = self.stripped_slow;
+        let (table, mut cx) = self.split();
+        match table.get_mut(rid) {
             Some(InFlight::SlowRead(state)) => {
                 if state.w2.is_some() {
                     // Write-back round already started (full-ABD ablation);
                     // this is a late round-1 reply.
                     return;
                 }
-                state.reps.insert(src);
-                if lc > state.best_lc {
-                    state.best_lc = lc;
-                    state.best_val = val;
-                    state.holders = NodeSet::singleton(src);
-                } else if lc == state.best_lc {
-                    state.holders.insert(src);
-                }
-                if state.reps.len() < quorum {
+                if state.fold.offer(src, val, lc) < quorum {
                     return;
                 }
                 // Freshest of a quorum; restore the key in-epoch at the
                 // snapshot taken when the access started (§4.2).
-                self.shared.store.apply_max_restore(
+                cx.shared.store.apply_max_restore(
                     state.meta.key,
-                    &state.best_val,
-                    state.best_lc,
+                    &state.fold.val,
+                    state.fold.lc,
                     state.snapshot,
                 );
-                state.holders.insert(self.me);
-                if !self.stripped_slow && state.holders.len() < quorum {
+                state.fold.holders.insert(cx.me);
+                if !stripped && state.fold.holders.len() < quorum {
                     // Full-ABD ablation: make the value quorum-visible
                     // before returning it (the §4.3 default skips this —
                     // RC only needs the read to observe missed writes).
-                    state.w2 = Some(NodeSet::singleton(self.me));
+                    state.w2 = Some(NodeSet::singleton(cx.me));
                     state.meta.last_sent = now;
-                    out.multicast(
-                        self.me,
-                        voters,
-                        Msg::WriteMsg {
-                            rid,
-                            key: state.meta.key,
-                            val: state.best_val.clone(),
-                            lc: state.best_lc,
-                        },
-                    );
+                    state.round(rid).send(cx.me, voters, out);
                     return;
                 }
-                Self::complete_in(
-                    &self.shared,
-                    &self.hook,
-                    &mut self.sessions,
-                    state.meta.sess,
-                    state.meta.op_id,
-                    state.meta.op.clone(),
-                    OpOutput::Value(state.best_val.clone()),
-                    state.meta.invoked_at,
-                    now,
-                );
-                self.inflight.remove(rid);
+                cx.complete(&state.meta, OpOutput::Value(state.fold.val.clone()), now);
+                table.remove(rid);
             }
             Some(InFlight::Acquire(state)) => {
                 state.delinquent |= delinquent;
@@ -613,51 +528,29 @@ impl Worker {
                     // Round 1 already acted; this is a late replica.
                     return;
                 }
-                state.reps.insert(src);
-                if lc > state.best_lc {
-                    state.best_lc = lc;
-                    state.best_val = val;
-                    state.holders = NodeSet::singleton(src);
-                } else if lc == state.best_lc {
-                    state.holders.insert(src);
-                }
-                if state.reps.len() < quorum {
+                if state.fold.offer(src, val, lc) < quorum {
                     return;
                 }
                 state.decided = true;
                 // Apply the freshest value locally either way.
-                self.shared.store.apply_max(state.meta.key, &state.best_val, state.best_lc);
-                if state.holders.len() >= quorum {
-                    Self::finish_acquire_in(
-                        &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                        now, out,
-                    );
-                    self.inflight.remove(rid); // acquire complete
+                cx.shared.store.apply_max(state.meta.key, &state.fold.val, state.fold.lc);
+                if state.fold.holders.len() >= quorum {
+                    let value = OpOutput::Value(state.fold.val.clone());
+                    cx.complete_sync(&state.meta, state.delinquent, value, now, out);
+                    table.remove(rid); // acquire complete
                     return;
                 }
                 // Write-back round (§3.3): make the value quorum-visible
-                // before returning it. Acquires carry their tag (in the
-                // boxed `WriteAcq` flavour) so the round's quorum also
-                // performs delinquency discovery (Lemma 5.3).
-                let acq_tag = match state.meta.op {
-                    Op::Acquire { .. } if self.mode.has_barriers() => Some(state.meta.op_id),
-                    _ => None,
-                };
-                state.w2 = Some(NodeSet::singleton(self.me));
-                let (key, val, lc) = (state.meta.key, state.best_val.clone(), state.best_lc);
-                match acq_tag {
-                    Some(acq) => out.multicast(
-                        self.me,
-                        voters,
-                        Msg::WriteAcq { rid, wb: Arc::new(WriteBack { key, val, lc, acq }) },
-                    ),
-                    None => out.multicast(self.me, voters, Msg::WriteMsg { rid, key, val, lc }),
-                }
+                // before returning it.
+                state.w2 = Some(NodeSet::singleton(cx.me));
+                state.round(rid).send(cx.me, voters, out);
             }
             _ => {}
         }
     }
 
+    /// An ack of a value round (`w2`): count it once, then finish whatever
+    /// the round belonged to when a quorum holds the value.
     pub(crate) fn on_write_ack(
         &mut self,
         src: kite_common::NodeId,
@@ -668,32 +561,25 @@ impl Worker {
     ) {
         let quorum = self.quorum();
         let voters = self.voters();
-        let Some(entry) = self.inflight.get_mut(rid) else { return };
+        let (table, mut cx) = self.split();
+        let Some(entry) = table.get_mut(rid) else { return };
+        if let InFlight::Acquire(state) = entry {
+            state.delinquent |= delinquent;
+        }
+        let Some(acked) = entry.value_acks() else { return };
+        acked.insert(src);
+        if acked.len() < quorum {
+            return;
+        }
+        let acked = *acked;
         match entry {
             InFlight::Release(state) => {
-                let finished = if let Some((_, acked)) = &mut state.w2 {
-                    acked.insert(src);
-                    acked.len() >= quorum
+                if state.barrier.slow.is_some() {
+                    cx.shared.counters.slow_releases.incr();
                 } else {
-                    false
-                };
-                if finished {
-                    if state.barrier.slow.is_some() {
-                        self.shared.counters.slow_releases.incr();
-                    } else {
-                        self.shared.counters.fast_releases.incr();
-                    }
-                    Self::complete_in(
-                        &self.shared,
-                        &self.hook,
-                        &mut self.sessions,
-                        state.meta.sess,
-                        state.meta.op_id,
-                        state.meta.op.clone(),
-                        OpOutput::Done,
-                        state.meta.invoked_at,
-                        now,
-                    );
+                    cx.shared.counters.fast_releases.incr();
+                }
+                cx.complete(&state.meta, OpOutput::Done, now);
                     // The value round stops retransmitting here; a replica
                     // whose copy was dropped would otherwise stay stale
                     // until the anti-entropy sweep finds it (the old
@@ -702,107 +588,51 @@ impl Worker {
                     // replica that missed the last unlock spun forever).
                     // The value moves out of the removed entry — the
                     // common no-fill case never clones it.
-                    let Some(InFlight::Release(s)) = self.inflight.remove(rid) else {
-                        unreachable!("entry matched above")
-                    };
-                    let (lc, acked) = s.w2.expect("finished implies w2");
-                    let missing = self.voters().minus(acked);
-                    self.ae_completion_fill(missing, s.meta.key, s.val, lc, 0, out);
-                }
+                let Some(InFlight::Release(s)) = table.remove(rid) else {
+                    unreachable!("entry matched above")
+                };
+                let (lc, _) = s.w2.expect("finished implies w2");
+                let missing = cx.shared.voters().minus(acked);
+                cx.ae_completion_fill(missing, s.meta.key, s.val, lc, 0, out);
             }
             InFlight::Acquire(state) => {
-                state.delinquent |= delinquent;
-                let finished = if let Some(acked) = &mut state.w2 {
-                    acked.insert(src);
-                    acked.len() >= quorum
-                } else {
-                    false
+                let value = OpOutput::Value(state.fold.val.clone());
+                cx.complete_sync(&state.meta, state.delinquent, value, now, out);
+                // Same completion-time repair as the release: the
+                // write-back round's non-ackers stop being
+                // retransmitted to now.
+                let Some(InFlight::Acquire(s)) = table.remove(rid) else {
+                    unreachable!("entry matched above")
                 };
-                if finished {
-                    Self::finish_acquire_in(
-                        &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                        now, out,
-                    );
-                    // Same completion-time repair as the release: the
-                    // write-back round's non-ackers stop being
-                    // retransmitted to now.
-                    let Some(InFlight::Acquire(s)) = self.inflight.remove(rid) else {
-                        unreachable!("entry matched above")
-                    };
-                    let acked = s.w2.expect("finished implies w2");
-                    let missing = self.voters().minus(acked);
-                    self.ae_completion_fill(missing, s.meta.key, s.best_val, s.best_lc, 0, out);
-                }
+                let missing = cx.shared.voters().minus(acked);
+                cx.ae_completion_fill(missing, s.meta.key, s.fold.val, s.fold.lc, 0, out);
             }
             InFlight::SlowRead(state) => {
                 // Write-back round of the full-ABD ablation.
-                let finished = if let Some(acked) = &mut state.w2 {
-                    acked.insert(src);
-                    acked.len() >= quorum
-                } else {
-                    false
-                };
-                if finished {
-                    Self::complete_in(
-                        &self.shared,
-                        &self.hook,
-                        &mut self.sessions,
-                        state.meta.sess,
-                        state.meta.op_id,
-                        state.meta.op.clone(),
-                        OpOutput::Value(state.best_val.clone()),
-                        state.meta.invoked_at,
-                        now,
-                    );
-                    self.inflight.remove(rid);
-                }
+                cx.complete(&state.meta, OpOutput::Value(state.fold.val.clone()), now);
+                table.remove(rid);
             }
             InFlight::SlowWrite(state) => {
                 // Value round of the full-ABD ablation: complete at a
                 // quorum, then keep the entry alive as a tracked relaxed
                 // write so later release barriers see its remaining acks.
-                let finished = if let Some((_, acked)) = &mut state.w2 {
-                    acked.insert(src);
-                    acked.len() >= quorum
-                } else {
-                    false
-                };
-                if finished {
-                    let (wlc, acked) = state.w2.expect("checked above");
+                let (wlc, _) = state.w2.expect("value round acked");
+                cx.complete(&state.meta, OpOutput::Done, now);
+                if cx.mode.has_barriers() && !voters.minus(acked).is_empty() {
+                    // Convert the entry in place (same rid, same slot):
+                    // late replica acks to the original WriteMsg keep
+                    // counting toward the relaxed write's ack set.
                     let si = state.meta.sess;
-                    Self::complete_in(
-                        &self.shared,
-                        &self.hook,
-                        &mut self.sessions,
-                        si,
-                        state.meta.op_id,
-                        state.meta.op.clone(),
-                        OpOutput::Done,
-                        state.meta.invoked_at,
-                        now,
-                    );
-                    if self.mode.has_barriers() && !voters.minus(acked).is_empty() {
-                        // Convert the entry in place (same rid, same slot):
-                        // late replica acks to the original WriteMsg keep
-                        // counting toward the relaxed write's ack set.
-                        let es = EsWriteState {
-                            meta: Meta {
-                                sess: si,
-                                op_id: state.meta.op_id,
-                                key: state.meta.key,
-                                op: state.meta.op.clone(),
-                                invoked_at: now,
-                                last_sent: now,
-                            },
-                            val: state.val.clone(),
-                            lc: wlc,
-                            acked,
-                        };
-                        *entry = InFlight::EsWrite(es);
-                        self.sessions[si].write_window.push_back(rid);
-                    } else {
-                        self.inflight.remove(rid);
-                    }
+                    let es = EsWriteState {
+                        meta: Meta { invoked_at: now, last_sent: now, ..state.meta.clone() },
+                        val: state.val.clone(),
+                        lc: wlc,
+                        acked,
+                    };
+                    *entry = InFlight::EsWrite(es);
+                    cx.sessions[si].write_window.push_back(rid);
+                } else {
+                    table.remove(rid);
                 }
             }
             // EsWrite entries never reach here: plain acks (including a
@@ -813,41 +643,6 @@ impl Worker {
         }
     }
 
-    /// Complete an acquire: barrier transition if deemed delinquent (§4.2),
-    /// then return the value. Associated fn so it can run while the entry
-    /// is still borrowed from the slab (the caller removes it afterwards).
-    fn finish_acquire_in(
-        shared: &NodeShared,
-        hook: &Option<CompletionHook>,
-        sessions: &mut Sessions,
-        mode: ProtocolMode,
-        me: NodeId,
-        state: &AcquireState,
-        now: u64,
-        out: &mut Outbox<Msg>,
-    ) {
-        if state.delinquent && mode.has_barriers() {
-            // Transition to the slow path *before* completing the acquire:
-            // bump the machine epoch (all keys fall out-of-epoch), then
-            // broadcast the reset so later acquires are not re-notified
-            // (§4.2.1; Lemmas 5.4, 5.6). The bump is elided if a concurrent
-            // acquire already bumped after this one began.
-            shared.bump_epoch_once(state.meta.invoked_at, now);
-            shared.delinquency.reset(me, state.meta.op_id);
-            out.multicast(me, shared.voters(), Msg::ResetBit { acq: state.meta.op_id });
-        }
-        Self::complete_in(
-            shared,
-            hook,
-            sessions,
-            state.meta.sess,
-            state.meta.op_id,
-            state.meta.op.clone(),
-            OpOutput::Value(state.best_val.clone()),
-            state.meta.invoked_at,
-            now,
-        );
-    }
 
     pub(crate) fn on_slow_release_ack(
         &mut self,
@@ -856,59 +651,26 @@ impl Worker {
         _now: u64,
         _out: &mut Outbox<Msg>,
     ) {
-        let mut relief_done = false;
-        if let Some(entry) = self.inflight.get_mut(rid) {
-            match entry {
-                InFlight::Release(ReleaseState { barrier, .. })
-                | InFlight::Rmw(RmwState { barrier, .. }) => {
-                    if let Some(sub) = &mut barrier.slow {
-                        sub.acked.insert(src);
-                        self.barriers_dirty = true;
-                    }
+        match self.inflight.get_mut(rid) {
+            Some(InFlight::WindowRelief(s)) => {
+                s.acked.insert(src);
+                if s.acked.len() >= self.shared.quorum() {
+                    let Some(InFlight::WindowRelief(state)) = self.inflight.remove(rid) else {
+                        unreachable!("entry matched above")
+                    };
+                    self.finish_window_relief(state);
                 }
-                InFlight::WindowRelief(s) => {
-                    s.acked.insert(src);
-                    relief_done = s.acked.len() >= self.quorum();
+            }
+            // Release/RMW barrier resolution is evaluated by
+            // `check_barriers`, which the ack makes due.
+            Some(entry) => {
+                if let Some(Barrier { slow: Some(sub), .. }) = entry.barrier_mut() {
+                    sub.acked.insert(src);
+                    self.barriers_dirty = true;
                 }
-                _ => {}
             }
+            None => {}
         }
-        if relief_done {
-            if let Some(InFlight::WindowRelief(state)) = self.inflight.remove(rid) {
-                self.finish_window_relief(rid, state);
-            }
-        }
-        // Release/RMW barrier resolution is evaluated by `check_barriers`,
-        // which the ack above made due.
-    }
-
-    // =====================================================================
-    // Release progression
-    // =====================================================================
-
-    /// Start the release's value round once the barrier is resolved and a
-    /// quorum of stamps has been read. Returns true if round 2 started.
-    /// Associated fn over the non-table fields (callable with `state`
-    /// borrowed in place from the slab).
-    fn try_advance_release(
-        me: NodeId,
-        quorum: usize,
-        shared: &NodeShared,
-        rid: u64,
-        state: &mut ReleaseState,
-        out: &mut Outbox<Msg>,
-    ) -> bool {
-        if !state.barrier.done || state.w2.is_some() || state.rts_reps.len() < quorum {
-            return false;
-        }
-        // Mint + apply atomically (see `Store::stamp_apply`): the stamp
-        // must rise above the round-1 quorum max *and* whatever a racing
-        // local fast write stamped since — outside the lock the two mints
-        // can collide on one `(version, mid)` with different values.
-        let lc = shared.store.stamp_apply(state.meta.key, &state.val, state.rts_max, me, None);
-        state.w2 = Some((lc, NodeSet::singleton(me)));
-        out.multicast(me, shared.voters(), Msg::WriteMsg { rid, key: state.meta.key, val: state.val.clone(), lc });
-        true
     }
 
     // =====================================================================
@@ -944,17 +706,11 @@ impl Worker {
         let mut any_resolved = false;
         for i in 0..self.barrier_waiters.len() {
             let rid = self.barrier_waiters[i];
-            let taken = match self.inflight.get_mut(rid) {
-                Some(InFlight::Release(s)) => {
-                    Some((s.meta.invoked_at, std::mem::replace(&mut s.barrier, Barrier::resolved())))
-                }
-                Some(InFlight::Rmw(s)) => {
-                    Some((s.meta.invoked_at, std::mem::replace(&mut s.barrier, Barrier::resolved())))
-                }
-                None => None,
-                Some(_) => unreachable!("barrier waiter must be release or rmw"),
-            };
-            let Some((invoked_at, mut barrier)) = taken else {
+            let taken = self.inflight.get_mut(rid).map(|e| {
+                let barrier = e.barrier_mut().expect("barrier waiter must be release or rmw");
+                (std::mem::replace(barrier, Barrier::resolved()), e.meta().invoked_at)
+            });
+            let Some((mut barrier, invoked_at)) = taken else {
                 // Entry already gone (op completed): drop the waiter.
                 self.barrier_waiters[i] = u64::MAX;
                 any_resolved = true;
@@ -963,11 +719,8 @@ impl Worker {
             let done = self.evaluate_barrier(rid, invoked_at, &mut barrier, now, out);
             if !done {
                 self.slow_mode |= barrier.slow.is_some();
-                match self.inflight.get_mut(rid) {
-                    Some(InFlight::Release(s)) => s.barrier = barrier,
-                    Some(InFlight::Rmw(s)) => s.barrier = barrier,
-                    _ => unreachable!("entry checked above"),
-                }
+                let entry = self.inflight.get_mut(rid).expect("entry checked above");
+                *entry.barrier_mut().expect("entry checked above") = barrier;
                 continue;
             }
             self.barrier_waiters[i] = u64::MAX;
@@ -985,57 +738,39 @@ impl Worker {
                 }
             }
             // Put the resolved barrier back and run the deferred rounds.
-            let mut consumed = false;
             let quorum = self.quorum();
             let voters = self.voters();
-            match self.inflight.get_mut(rid) {
+            let (table, mut cx) = self.split();
+            let consumed = match table.get_mut(rid) {
                 Some(InFlight::Release(state)) => {
-                    self.sessions[state.meta.sess].awaiting_barrier = false;
+                    cx.sessions[state.meta.sess].awaiting_barrier = false;
                     state.barrier = barrier;
                     if !state.rts_sent {
                         // Deferred LLC-read round (overlap ablation).
                         state.rts_sent = true;
                         state.meta.last_sent = now;
-                        out.multicast(self.me, voters, Msg::RtsReq { rid, key: state.meta.key });
+                        state.round(rid).expect("round 1 just opened").send(cx.me, voters, out);
                     }
-                    Self::try_advance_release(self.me, quorum, &self.shared, rid, state, out);
+                    cx.try_advance_release(quorum, rid, state, out);
+                    false
                 }
                 Some(InFlight::Rmw(state)) => {
-                    self.sessions[state.meta.sess].awaiting_barrier = false;
+                    cx.sessions[state.meta.sess].awaiting_barrier = false;
                     state.barrier = barrier;
                     match state.phase {
-                        RmwPhase::WaitBarrier => {
-                            if let Some(output) = Self::rmw_enter_accept_in(
-                                &self.shared, self.me, rid, state, now,
-                                &mut self.rmw_retries, out,
-                            ) {
-                                Self::rmw_finish_in(
-                                    &self.shared, &self.hook, &mut self.sessions, self.mode,
-                                    self.me, state, output, now, out,
-                                );
-                                consumed = true;
-                            }
-                        }
+                        RmwPhase::WaitBarrier => cx.rmw_accept(rid, state, now, out),
                         RmwPhase::WaitBarrierPropose => {
                             // Deferred propose phase (overlap ablation).
                             state.meta.last_sent = now;
-                            if let Some(output) =
-                                Self::rmw_new_round_in(&self.shared, self.me, rid, state, out)
-                            {
-                                Self::rmw_finish_in(
-                                    &self.shared, &self.hook, &mut self.sessions, self.mode,
-                                    self.me, state, output, now, out,
-                                );
-                                consumed = true;
-                            }
+                            cx.rmw_restart(rid, state, now, out)
                         }
-                        _ => {}
+                        _ => false,
                     }
                 }
                 _ => unreachable!("entry checked above"),
-            }
+            };
             if consumed {
-                self.inflight.remove(rid);
+                table.remove(rid);
             }
         }
         if any_resolved {
@@ -1089,7 +824,8 @@ impl Worker {
                 barrier.slow =
                     Some(SlowReleaseSub { dm: dm_due, acked: NodeSet::singleton(self.me) });
                 self.shared.counters.slow_releases.incr();
-                out.multicast(self.me, self.voters(), Msg::SlowRelease { rid, dm: dm_due });
+                let round = barrier.round(rid).expect("slow round just opened");
+                round.send(self.me, self.voters(), out);
                 false
             }
             Some(sub) => {
@@ -1102,30 +838,21 @@ impl Worker {
                     sub.dm = sub.dm.union(extra);
                     sub.acked = NodeSet::singleton(self.me);
                     self.shared.delinquency.mark_delinquent(extra);
-                    out.multicast(self.me, self.voters(), Msg::SlowRelease { rid, dm: sub.dm });
+                    barrier.round(rid).expect("slow round open").send(self.me, self.voters(), out);
                     return false;
                 }
                 // Slow path resolves when the DM broadcast is quorum-acked
                 // and every prior write is quorum-acked with its remaining
                 // non-ackers covered by the published DM (invariants 1+2 of
                 // §4.2).
-                let dm_ok = sub.acked.len() >= self.quorum();
-                let dm = sub.dm;
-                let all = self.voters();
+                let (quorum, voters, dm) = (self.quorum(), self.voters(), sub.dm);
+                let dm_ok = sub.acked.len() >= quorum;
                 let writes_ok = barrier.writes.iter().all(|w| match self.inflight.get(*w) {
-                    None => true,
-                    Some(InFlight::EsWrite(es)) => {
-                        es.acked.len() >= self.quorum()
-                            && all.minus(es.acked).minus(dm).is_empty()
-                    }
-                    Some(_) => true,
+                    Some(InFlight::EsWrite(es)) => es.covered_by(dm, voters, quorum),
+                    _ => true,
                 });
-                if dm_ok && writes_ok {
-                    barrier.done = true;
-                    true
-                } else {
-                    false
-                }
+                barrier.done = dm_ok && writes_ok;
+                barrier.done
             }
         }
     }
@@ -1196,27 +923,17 @@ impl Worker {
             invoked_at: now,
             last_sent: now,
         };
-        let rid = self.inflight.insert(InFlight::WindowRelief(WindowReliefState {
-            meta,
-            dm,
-            acked: NodeSet::singleton(self.me),
-            writes,
-        }));
-        self.sessions[si].relief = Some(rid);
-        out.multicast(self.me, self.voters(), Msg::SlowRelease { rid, dm });
+        let relief = WindowReliefState { meta, dm, acked: NodeSet::singleton(self.me), writes };
+        self.sessions[si].relief = Some(self.launch(InFlight::WindowRelief(relief), out));
     }
 
     /// Relief's DM broadcast is quorum-acked: retire every covered write
     /// that reached a quorum; the session's window drains and it resumes.
-    fn finish_window_relief(&mut self, rid: u64, state: WindowReliefState) {
+    fn finish_window_relief(&mut self, state: WindowReliefState) {
+        let (quorum, voters) = (self.quorum(), self.voters());
         for w in &state.writes {
-            let retire = match self.inflight.get(*w) {
-                Some(InFlight::EsWrite(es)) => {
-                    es.acked.len() >= self.quorum()
-                        && self.voters().minus(es.acked).minus(state.dm).is_empty()
-                }
-                _ => false,
-            };
+            let retire = matches!(self.inflight.get(*w),
+                Some(InFlight::EsWrite(es)) if es.covered_by(state.dm, voters, quorum));
             if retire {
                 if let Some(InFlight::EsWrite(es)) = self.inflight.remove(*w) {
                     self.remove_from_window(es.meta.sess, *w);
@@ -1227,22 +944,18 @@ impl Worker {
         // its next attempt can start another round.
         self.sessions[state.meta.sess].relief = None;
         self.barriers_dirty = true;
-        let _ = rid;
     }
 
     fn retransmit_es_write(&mut self, rid: u64, now: u64, out: &mut Outbox<Msg>) {
-        let me = self.me;
-        let voters = self.voters();
+        let (me, voters) = (self.me, self.voters());
         if let Some(InFlight::EsWrite(es)) = self.inflight.get_mut(rid) {
             es.meta.last_sent = now;
-            let missing = voters.minus(es.acked);
-            let msg = Msg::EsWrite { rid, key: es.meta.key, val: es.val.clone(), lc: es.lc };
-            out.multicast(me, missing, msg);
+            es.round(rid).send(me, voters, out);
         }
     }
 
     // =====================================================================
-    // Paxos proposer (§3.4)
+    // Paxos proposer (§3.4): replies
     // =====================================================================
 
     pub(crate) fn on_promise_rep(
@@ -1256,12 +969,13 @@ impl Worker {
         out: &mut Outbox<Msg>,
     ) {
         let quorum = self.quorum();
-        let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { return };
+        let (table, mut cx) = self.split();
+        let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { return };
         state.delinquent |= delinquent;
         if state.phase != RmwPhase::Propose || ballot != state.ballot {
             return; // stale round
         }
-        match outcome {
+        let finished = match outcome {
             PromiseOutcome::Promised { accepted } => {
                 state.promises.insert(src);
                 if let Some(boxed) = accepted {
@@ -1277,54 +991,28 @@ impl Worker {
                 // highest accepted, else evaluate our own RMW on the local
                 // base value) and move to the accept phase, gated on the
                 // release barrier (§4.2 "RMWs").
-                match Self::rmw_decide_cmd(&self.shared, self.me, state) {
+                match cx.rmw_decide_cmd(state) {
                     RmwDecision::Finished(output) => {
                         // Comparison failed against a stable base (or the
                         // op turned out already committed): done without
                         // running consensus.
-                        Self::rmw_finish_in(
-                            &self.shared, &self.hook, &mut self.sessions, self.mode, self.me,
-                            state, output, now, out,
-                        );
-                        self.inflight.remove(rid);
-                        return;
+                        cx.complete_sync(&state.meta, state.delinquent, output, now, out);
+                        true
                     }
                     RmwDecision::Restart => {
                         state.meta.last_sent = now;
-                        if let Some(output) =
-                            Self::rmw_new_round_in(&self.shared, self.me, rid, state, out)
-                        {
-                            Self::rmw_finish_in(
-                                &self.shared, &self.hook, &mut self.sessions, self.mode, self.me,
-                                state, output, now, out,
-                            );
-                            self.inflight.remove(rid);
-                        }
-                        return;
+                        cx.rmw_restart(rid, state, now, out)
                     }
-                    RmwDecision::Cmd => {}
-                }
-                if state.barrier.done {
-                    if let Some(output) = Self::rmw_enter_accept_in(
-                        &self.shared, self.me, rid, state, now, &mut self.rmw_retries, out,
-                    ) {
-                        Self::rmw_finish_in(
-                            &self.shared, &self.hook, &mut self.sessions, self.mode, self.me,
-                            state, output, now, out,
-                        );
-                        self.inflight.remove(rid);
+                    RmwDecision::Cmd if state.barrier.done => cx.rmw_accept(rid, state, now, out),
+                    RmwDecision::Cmd => {
+                        state.phase = RmwPhase::WaitBarrier;
+                        false
                     }
-                } else {
-                    state.phase = RmwPhase::WaitBarrier;
                 }
             }
             PromiseOutcome::NackBallot { promised } => {
-                state.ballot_floor = state.ballot_floor.max(promised.version());
-                if state.retry_at == 0 {
-                    state.retry_at = now + rmw_backoff(rid, state.backoff_exp);
-                    state.backoff_exp = state.backoff_exp.saturating_add(1);
-                    self.rmw_retries.push((rid, state.retry_at));
-                }
+                cx.rmw_back_off(rid, state, promised.version(), now);
+                false
             }
             PromiseOutcome::AlreadyCommitted(cu) => {
                 // Catch up to the decided prefix: merge the acceptor's ring
@@ -1333,38 +1021,22 @@ impl Worker {
                 // see `crate::msg::Repair`).
                 let (slot, cur_lc) = (cu.slot, cu.cur_lc);
                 {
-                    let pax = self.shared.store.paxos(state.meta.key);
+                    let pax = cx.shared.store.paxos(state.meta.key);
                     pax.lock().merge_evidence(&cu.ring, slot);
                 }
-                self.shared.store.apply_max(state.meta.key, &cu.cur_val, cur_lc);
+                cx.shared.store.apply_max(state.meta.key, &cu.cur_val, cur_lc);
                 if let Some(result) = &cu.done {
                     // Our command was helped to commit by another proposer:
                     // complete exactly once with its recorded result — after
                     // making the caught-up value (which subsumes our commit)
                     // quorum-visible.
                     state.pending_output = Some(rmw_output(state.kind, result));
-                    Self::rmw_start_commit_round_in(
-                        &self.shared,
-                        self.me,
-                        rid,
-                        state,
-                        slot.saturating_sub(1),
-                        cu.cur_val,
-                        cur_lc,
-                        None,
-                        out,
-                    );
+                    let slot = slot.saturating_sub(1);
+                    cx.rmw_start_commit_round(rid, state, slot, cu.cur_val, cur_lc, None, out);
                     return;
                 }
                 // Retry at the new slot with a fresh evaluation.
-                if let Some(output) = Self::rmw_new_round_in(&self.shared, self.me, rid, state, out)
-                {
-                    Self::rmw_finish_in(
-                        &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                        output, now, out,
-                    );
-                    self.inflight.remove(rid);
-                }
+                cx.rmw_restart(rid, state, now, out)
             }
             PromiseOutcome::Lagging { slot: _ } => {
                 // The replica missed a commit: repair it with the decided
@@ -1375,21 +1047,323 @@ impl Worker {
                 // acceptors catching up.
                 debug_assert!(state.slot > 0, "Lagging implies the proposer is ahead");
                 let key = state.meta.key;
-                let (slot, ring) = self.shared.store.paxos_evidence(key);
+                let (slot, ring) = cx.shared.store.paxos_evidence(key);
                 let slot = slot.max(state.slot);
-                let view = self.shared.store.view(key);
-                self.shared.counters.ae_repair_vals.incr();
+                let view = cx.shared.store.view(key);
+                cx.shared.counters.ae_repair_vals.incr();
                 let r = Box::new(Repair { key, val: view.val, lc: view.lc, slot, ring });
-                self.shared.counters.ae_repair_bytes.add(crate::antientropy::repair_wire_bytes(&r));
+                cx.shared.counters.ae_repair_bytes.add(crate::antientropy::repair_wire_bytes(&r));
                 out.send(src, Msg::RepairVal { r });
+                false
             }
+        };
+        if finished {
+            table.remove(rid);
+        }
+    }
+
+    pub(crate) fn on_accept_rep(
+        &mut self,
+        src: kite_common::NodeId,
+        rid: u64,
+        ballot: Lc,
+        ok: bool,
+        promised: Lc,
+        delinquent: bool,
+        now: u64,
+        out: &mut Outbox<Msg>,
+    ) {
+        let quorum = self.quorum();
+        let (table, mut cx) = self.split();
+        let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { return };
+        state.delinquent |= delinquent;
+        if state.phase != RmwPhase::Accept || ballot != state.ballot {
+            return;
+        }
+        if !ok {
+            cx.rmw_back_off(rid, state, promised.version(), now);
+            return;
+        }
+        state.accepts.insert(src);
+        if state.accepts.len() >= quorum {
+            cx.rmw_commit(rid, state, out);
+        }
+    }
+
+    /// Commit visibility acks: when a quorum holds the committed value, the
+    /// RMW completes (or, when helping, our own command goes again).
+    pub(crate) fn on_commit_ack(
+        &mut self,
+        src: kite_common::NodeId,
+        rid: u64,
+        now: u64,
+        out: &mut Outbox<Msg>,
+    ) {
+        let quorum = self.quorum();
+        let voters = self.voters();
+        let (table, mut cx) = self.split();
+        let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { return };
+        if state.phase != RmwPhase::Commit {
+            return;
+        }
+        state.commits.insert(src);
+        if state.commits.len() < quorum {
+            return;
+        }
+        // The round ends here (the entry is removed or restarted below), so
+        // replicas outside the visibility quorum would otherwise only catch
+        // up on the key's next consensus round. Hand them to the
+        // anti-entropy subsystem as a targeted repair push — the periodic
+        // sweep would heal them anyway (tests prove sufficiency), the push
+        // merely does it within one RTT instead of one sweep interval.
+        if let Some(cb) = &state.commit_bcast {
+            // Pre-gate before touching the payload: the common case
+            // (fills on, nobody suspected) must not clone the value.
+            let targets = cx.fill_targets(voters.minus(state.commits));
+            if !targets.is_empty() {
+                let (key, val, next_slot) = (state.meta.key, cb.val.clone(), cb.slot + 1);
+                cx.ae_completion_fill(targets, key, val, cb.lc, next_slot, out);
+            }
+        }
+        match state.pending_output.take() {
+            Some(output) => {
+                cx.complete_sync(&state.meta, state.delinquent, output, now, out);
+                table.remove(rid);
+            }
+            None => {
+                // We were helping: our own command goes next — in a fresh
+                // round under a *re-keyed* rid. Removing and reinserting the
+                // entry bumps the slot generation, so any straggler ack from
+                // the just-finished commit round goes stale and can never be
+                // counted toward the new round's visibility quorum (commit
+                // acks are plain rids — unlike `PromiseRep`/`AcceptRep`
+                // there is no echoed ballot to filter stale rounds on).
+                let si = state.meta.sess;
+                let entry = table.remove(rid).expect("entry borrowed above");
+                let new_rid = table.insert(entry);
+                let Some(InFlight::Rmw(state)) = table.get_mut(new_rid) else {
+                    unreachable!("just inserted")
+                };
+                if cx.rmw_restart(new_rid, state, now, out) {
+                    table.remove(new_rid);
+                } else if cx.sessions[si].blocked_on == Some(rid) {
+                    cx.sessions[si].blocked_on = Some(new_rid);
+                }
+            }
+        }
+    }
+
+    // =====================================================================
+    // Retransmission / timers
+    // =====================================================================
+
+    /// Periodic scan: resend every due entry's open rounds (its barrier's,
+    /// then its own) to the voters that have not answered. A dense walk over
+    /// the slab in slot order (deterministic) — no key collection, no
+    /// sorting, no hashing.
+    pub(crate) fn scan_retransmits(&mut self, now: u64, out: &mut Outbox<Msg>) {
+        let (me, quorum, voters) = (self.me, self.quorum(), self.voters());
+        let suspected = self.shared.suspected();
+        for (rid, entry) in self.inflight.iter_mut() {
+            if now.saturating_sub(entry.meta().last_sent) < self.retransmit {
+                continue;
+            }
+            // The one rule that is not mechanical: never chase *suspected*
+            // replicas once a quorum holds a relaxed write — recovery for
+            // those is the delinquency mechanism's job, and blind
+            // retransmission toward a dead node is a traffic storm.
+            let spared = match entry {
+                InFlight::EsWrite(es) if es.acked.len() >= quorum => suspected,
+                _ => NodeSet::EMPTY,
+            };
+            for round in entry.rounds(rid).into_iter().flatten() {
+                round.send(me, voters.minus(spared), out);
+            }
+            entry.meta_mut().last_sent = now;
+        }
+    }
+
+    /// Fire due RMW conflict backoffs (called every tick).
+    pub(crate) fn fire_rmw_retries(&mut self, now: u64, out: &mut Outbox<Msg>) {
+        if self.rmw_retries.is_empty() {
+            return;
+        }
+        let due: Vec<u64> = self
+            .rmw_retries
+            .iter()
+            .filter(|&&(_, at)| now >= at)
+            .map(|&(rid, _)| rid)
+            .collect();
+        if due.is_empty() {
+            return;
+        }
+        self.rmw_retries.retain(|&(_, at)| now < at);
+        for rid in due {
+            let (table, mut cx) = self.split();
+            let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { continue };
+            // Only restart if the round is still stuck (a quorum may have
+            // arrived after the nack; phase transitions clear retry_at).
+            if state.retry_at != 0 && now >= state.retry_at && cx.rmw_restart(rid, state, now, out)
+            {
+                table.remove(rid);
+            }
+        }
+    }
+}
+
+/// The protocol steps that run while a handler holds an in-flight entry.
+impl Cx<'_> {
+    /// Complete an op with acquire semantics — an acquire, or an RMW (§4.2
+    /// "RMWs"); the caller removes the entry afterwards. (An RMW's stale
+    /// entry in `barrier_waiters` is cleaned up by the next `check_barriers`
+    /// pass.)
+    fn complete_sync(
+        &mut self,
+        meta: &Meta,
+        delinquent: bool,
+        output: OpOutput,
+        now: u64,
+        out: &mut Outbox<Msg>,
+    ) {
+        if delinquent && self.mode.has_barriers() {
+            // Transition to the slow path *before* completing the acquire:
+            // bump the machine epoch (all keys fall out-of-epoch), then
+            // broadcast the reset so later acquires are not re-notified
+            // (§4.2.1; Lemmas 5.4, 5.6). The bump is elided if a concurrent
+            // acquire already bumped after this one began.
+            self.shared.bump_epoch_once(meta.invoked_at, now);
+            self.shared.delinquency.reset(self.me, meta.op_id);
+            out.multicast(self.me, self.shared.voters(), Msg::ResetBit { acq: meta.op_id });
+        }
+        self.complete(meta, output, now);
+    }
+
+    /// Start the release's value round once the barrier is resolved and a
+    /// quorum of stamps has been read.
+    fn try_advance_release(
+        &mut self,
+        quorum: usize,
+        rid: u64,
+        state: &mut ReleaseState,
+        out: &mut Outbox<Msg>,
+    ) {
+        if !state.barrier.done || state.w2.is_some() || state.rts_reps.len() < quorum {
+            return;
+        }
+        // Mint + apply atomically (see `Store::stamp_apply`): the stamp
+        // must rise above the round-1 quorum max *and* whatever a racing
+        // local fast write stamped since — outside the lock the two mints
+        // can collide on one `(version, mid)` with different values.
+        let lc =
+            self.shared.store.stamp_apply(state.meta.key, &state.val, state.rts_max, self.me, None);
+        state.w2 = Some((lc, NodeSet::singleton(self.me)));
+        state.round(rid).expect("round 2 just opened").send(self.me, self.shared.voters(), out);
+    }
+
+    // =====================================================================
+    // Paxos proposer (§3.4): rounds
+    // =====================================================================
+
+    /// Begin a fresh proposal round: self-promise under the key's Paxos
+    /// lock, then broadcast `Propose`.
+    ///
+    /// Returns `Some(output)` if the operation's command turns out to have
+    /// already committed (another proposer *helped* it while we were backing
+    /// off — the commit's ring entry proves it). The op must then finish
+    /// with that output instead of proposing: re-proposing would execute
+    /// the RMW a second time ([`Cx::rmw_restart`] does both).
+    #[must_use]
+    fn rmw_new_round(
+        &mut self,
+        rid: u64,
+        state: &mut RmwState,
+        out: &mut Outbox<Msg>,
+    ) -> Option<OpOutput> {
+        let (shared, me) = (self.shared, self.me);
+        let key = state.meta.key;
+        let (slot, ballot, accepted) = {
+            let pax = shared.store.paxos(key);
+            let mut pax = pax.lock();
+            if let Some(done) = pax.committed.find(state.meta.op_id) {
+                return Some(rmw_output(state.kind, &done.result));
+            }
+            // Strictly above every ballot THIS request ever used, not just
+            // the acceptor floor: `advance_past` resets `promised` to ZERO
+            // at a slot transition, so without the `state.ballot` term the
+            // new slot's first ballot can collide exactly with the old
+            // slot's last one — and since promise/accept replies echo only
+            // the ballot (no slot), a stale reply from the previous slot's
+            // round then passes the stale-round filter and hands this
+            // round a *previous slot's* accepted command to adopt. That
+            // command re-commits at the new slot: duplicate RMW execution
+            // (two FAAs observing the same base — caught by
+            // `tests/chaos.rs::crash_stop_preserves_progress_and_rc` once
+            // the TCP-duel backoff perturbed the interleaving). Per-rid
+            // ballot monotonicity makes every stale reply unmistakable.
+            let version =
+                pax.promised.version().max(state.ballot_floor).max(state.ballot.version()) + 1;
+            let ballot = Lc::new(version, me);
+            pax.promised = ballot;
+            let accepted = pax.accepted.as_ref().map(|a| {
+                (
+                    a.ballot,
+                    Cmd { op: a.op, new_val: a.new_val.clone(), result: a.result.clone(), lc: a.lc },
+                )
+            });
+            (pax.slot, ballot, accepted)
+        };
+        state.slot = slot;
+        state.ballot = ballot;
+        state.phase = RmwPhase::Propose;
+        state.promises = NodeSet::singleton(me);
+        state.best_accepted = accepted;
+        state.cmd = None;
+        state.helping = false;
+        state.accepts = NodeSet::EMPTY;
+        state.commits = NodeSet::EMPTY;
+        state.commit_bcast = None;
+        state.pending_output = None;
+        state.retry_at = 0;
+        state.round(rid).expect("propose phase").send(me, shared.voters(), out);
+        None
+    }
+
+    /// [`Cx::rmw_new_round`], finishing the op instead when it turns out to
+    /// have committed already. True: finished — remove the entry.
+    #[must_use]
+    fn rmw_restart(
+        &mut self,
+        rid: u64,
+        state: &mut RmwState,
+        now: u64,
+        out: &mut Outbox<Msg>,
+    ) -> bool {
+        match self.rmw_new_round(rid, state, out) {
+            Some(output) => {
+                self.complete_sync(&state.meta, state.delinquent, output, now, out);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A higher ballot is promised somewhere (an acceptor's nack, or a lost
+    /// local duel): rise above it next round, which waits out the
+    /// exponential backoff unless a retry is already scheduled.
+    fn rmw_back_off(&mut self, rid: u64, state: &mut RmwState, promised_version: u64, now: u64) {
+        state.ballot_floor = state.ballot_floor.max(promised_version);
+        if state.retry_at == 0 {
+            state.retry_at = now + rmw_backoff(rid, state.backoff_exp);
+            state.backoff_exp = state.backoff_exp.saturating_add(1);
+            self.rmw_retries.push((rid, state.retry_at));
         }
     }
 
     /// Pick the command for a phase-1 quorum: adopt the highest accepted,
     /// else evaluate our own RMW on the local base value. See
     /// [`RmwDecision`] for the outcomes.
-    fn rmw_decide_cmd(shared: &NodeShared, me: NodeId, state: &mut RmwState) -> RmwDecision {
+    fn rmw_decide_cmd(&self, state: &mut RmwState) -> RmwDecision {
+        let (shared, me) = (self.shared, self.me);
         if let Some((_, cmd)) = state.best_accepted.take() {
             state.helping = cmd.op != state.meta.op_id;
             state.cmd = Some(Arc::new(cmd));
@@ -1478,7 +1452,7 @@ impl Worker {
     /// Start phase 2: self-accept under the key's Paxos lock, broadcast.
     /// If the **slot** moved under the round (a commit landed), a fresh
     /// round starts immediately — retrying is productive and propagates an
-    /// already-committed result exactly like `rmw_new_round_in`. If only
+    /// already-committed result exactly like `rmw_restart`. If only
     /// the **ballot** was outrun (a dueling proposer raised the shared
     /// promise — with several sessions per worker the duel is usually a
     /// *sibling on this very node*), the round parks behind the same
@@ -1487,24 +1461,24 @@ impl Worker {
     /// same-node proposers then phase-lock at wire latency — observed
     /// livelocking the TCP loopback bench at ~24k ballots/s while both
     /// sessions sat in Propose with only their self-promise.
+    /// True: the op finished instead (see `rmw_restart`) — remove the entry.
     #[must_use]
-    pub(crate) fn rmw_enter_accept_in(
-        shared: &NodeShared,
-        me: NodeId,
+    fn rmw_accept(
+        &mut self,
         rid: u64,
         state: &mut RmwState,
         now: u64,
-        retries: &mut Vec<(u64, u64)>,
         out: &mut Outbox<Msg>,
-    ) -> Option<OpOutput> {
-        let cmd = state.cmd.clone().expect("accept without command");
+    ) -> bool {
+        let me = self.me;
         enum Gate {
             Ok,
             SlotMoved,
             BallotLost(u64),
         }
         let gate = {
-            let pax = shared.store.paxos(state.meta.key);
+            let cmd = state.cmd.as_deref().expect("accept without command");
+            let pax = self.shared.store.paxos(state.meta.key);
             let mut pax = pax.lock();
             if pax.slot != state.slot {
                 Gate::SlotMoved
@@ -1524,72 +1498,26 @@ impl Worker {
         };
         match gate {
             Gate::Ok => {}
-            Gate::SlotMoved => return Self::rmw_new_round_in(shared, me, rid, state, out),
+            Gate::SlotMoved => return self.rmw_restart(rid, state, now, out),
             Gate::BallotLost(promised_version) => {
-                state.ballot_floor = state.ballot_floor.max(promised_version);
-                if state.retry_at == 0 {
-                    state.retry_at = now + rmw_backoff(rid, state.backoff_exp);
-                    state.backoff_exp = state.backoff_exp.saturating_add(1);
-                    retries.push((rid, state.retry_at));
-                }
-                return None;
+                self.rmw_back_off(rid, state, promised_version, now);
+                return false;
             }
         }
         state.phase = RmwPhase::Accept;
         state.retry_at = 0;
         state.backoff_exp = 0;
         state.accepts = NodeSet::singleton(me);
-        out.multicast(
-            me,
-            shared.voters(),
-            Msg::Accept { rid, key: state.meta.key, slot: state.slot, ballot: state.ballot, cmd },
-        );
-        None
-    }
-
-    pub(crate) fn on_accept_rep(
-        &mut self,
-        src: kite_common::NodeId,
-        rid: u64,
-        ballot: Lc,
-        ok: bool,
-        promised: Lc,
-        delinquent: bool,
-        now: u64,
-        out: &mut Outbox<Msg>,
-    ) {
-        let quorum = self.quorum();
-        let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { return };
-        state.delinquent |= delinquent;
-        if state.phase != RmwPhase::Accept || ballot != state.ballot {
-            return;
-        }
-        if ok {
-            state.accepts.insert(src);
-            if state.accepts.len() >= quorum {
-                Self::rmw_commit_in(&self.shared, self.me, rid, state, out);
-            }
-        } else {
-            state.ballot_floor = state.ballot_floor.max(promised.version());
-            if state.retry_at == 0 {
-                state.retry_at = now + rmw_backoff(rid, state.backoff_exp);
-                state.backoff_exp = state.backoff_exp.saturating_add(1);
-                self.rmw_retries.push((rid, state.retry_at));
-            }
-        }
+        state.round(rid).expect("accept phase with a command").send(me, self.shared.voters(), out);
+        false
     }
 
     /// Phase-2 quorum: the command is decided. Apply, record, learn, then
     /// run the commit round — the RMW completes (or, when helping, our own
     /// round restarts) only once the commit is visible at a quorum (§3.4's
     /// third broadcast round).
-    fn rmw_commit_in(
-        shared: &NodeShared,
-        me: NodeId,
-        rid: u64,
-        state: &mut RmwState,
-        out: &mut Outbox<Msg>,
-    ) {
+    fn rmw_commit(&mut self, rid: u64, state: &mut RmwState, out: &mut Outbox<Msg>) {
+        let shared = self.shared;
         let cmd = state.cmd.clone().expect("commit without command");
         let key = state.meta.key;
         // The committed value is stamped with the clock fixed at decide
@@ -1610,14 +1538,12 @@ impl Worker {
         let slot = state.slot;
         let meta = Some((cmd.op, cmd.result.clone()));
         let val = cmd.new_val.clone();
-        Self::rmw_start_commit_round_in(shared, me, rid, state, slot, val, lc, meta, out);
+        self.rmw_start_commit_round(rid, state, slot, val, lc, meta, out);
     }
 
     /// Broadcast the commit and wait for a visibility quorum.
-    #[allow(clippy::too_many_arguments)]
-    fn rmw_start_commit_round_in(
-        shared: &NodeShared,
-        me: NodeId,
+    fn rmw_start_commit_round(
+        &mut self,
         rid: u64,
         state: &mut RmwState,
         slot: u64,
@@ -1626,360 +1552,15 @@ impl Worker {
         meta: Option<(OpId, Val)>,
         out: &mut Outbox<Msg>,
     ) {
-        shared.store.apply_max(state.meta.key, &val, lc);
+        self.shared.store.apply_max(state.meta.key, &val, lc);
         state.phase = RmwPhase::Commit;
         state.retry_at = 0;
-        state.commits = NodeSet::singleton(me);
+        state.commits = NodeSet::singleton(self.me);
         // One allocation for the whole round: the broadcast unicasts,
         // retransmissions and the completion-time catch-up fill all clone
         // this Arc.
-        let payload = Arc::new(CommitPayload { slot, val, lc, meta });
-        state.commit_bcast = Some(Arc::clone(&payload));
-        out.multicast(me, shared.voters(), Msg::Commit { rid, key: state.meta.key, c: payload });
-    }
-
-    /// Commit visibility acks: when a quorum holds the committed value, the
-    /// RMW completes (or, when helping, our own command goes again).
-    pub(crate) fn on_commit_ack(
-        &mut self,
-        src: kite_common::NodeId,
-        rid: u64,
-        now: u64,
-        out: &mut Outbox<Msg>,
-    ) {
-        let quorum = self.quorum();
-        let voters = self.voters();
-        let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { return };
-        if state.phase != RmwPhase::Commit {
-            return;
-        }
-        state.commits.insert(src);
-        if state.commits.len() < quorum {
-            return;
-        }
-        // The round ends here (the entry is removed or restarted below), so
-        // replicas outside the visibility quorum would otherwise only catch
-        // up on the key's next consensus round. Hand them to the
-        // anti-entropy subsystem as a targeted repair push — the periodic
-        // sweep would heal them anyway (tests prove sufficiency), the push
-        // merely does it within one RTT instead of one sweep interval.
-        if !voters.minus(state.commits).is_empty() {
-            if let Some(cb) = &state.commit_bcast {
-                // Pre-gate before touching the payload: the common case
-                // (fills on, nobody suspected) must not clone the value.
-                let targets = Self::fill_targets_in(
-                    self.commit_fill,
-                    &self.shared,
-                    voters.minus(state.commits),
-                );
-                if !targets.is_empty() {
-                    let (key, val, lc, next_slot) =
-                        (state.meta.key, cb.val.clone(), cb.lc, cb.slot + 1);
-                    self.ae_completion_fill(targets, key, val, lc, next_slot, out);
-                }
-            }
-        }
-        let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { unreachable!() };
-        match state.pending_output.take() {
-            Some(output) => {
-                Self::rmw_finish_in(
-                    &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                    output, now, out,
-                );
-                self.inflight.remove(rid);
-            }
-            None => {
-                // We were helping: our own command goes next — in a fresh
-                // round under a *re-keyed* rid. Removing and reinserting the
-                // entry bumps the slot generation, so any straggler ack from
-                // the just-finished commit round goes stale and can never be
-                // counted toward the new round's visibility quorum (commit
-                // acks are plain rids — unlike `PromiseRep`/`AcceptRep`
-                // there is no echoed ballot to filter stale rounds on).
-                let entry = self.inflight.remove(rid).expect("entry borrowed above");
-                let new_rid = self.inflight.insert(entry);
-                let Some(InFlight::Rmw(state)) = self.inflight.get_mut(new_rid) else {
-                    unreachable!("just inserted")
-                };
-                let si = state.meta.sess;
-                if let Some(output) =
-                    Self::rmw_new_round_in(&self.shared, self.me, new_rid, state, out)
-                {
-                    Self::rmw_finish_in(
-                        &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                        output, now, out,
-                    );
-                    self.inflight.remove(new_rid);
-                } else if self.sessions[si].blocked_on == Some(rid) {
-                    self.sessions[si].blocked_on = Some(new_rid);
-                }
-            }
-        }
-    }
-
-    /// Complete an RMW: acquire-side barrier transition (§4.2 "RMWs"), then
-    /// deliver the result. Associated fn so it can run while the entry is
-    /// still borrowed from the slab; the caller removes the entry
-    /// afterwards. (A stale entry in `barrier_waiters` is cleaned up by the
-    /// next `check_barriers` pass.)
-    fn rmw_finish_in(
-        shared: &NodeShared,
-        hook: &Option<CompletionHook>,
-        sessions: &mut Sessions,
-        mode: ProtocolMode,
-        me: NodeId,
-        state: &RmwState,
-        output: OpOutput,
-        now: u64,
-        out: &mut Outbox<Msg>,
-    ) {
-        if state.delinquent && mode.has_barriers() {
-            shared.bump_epoch_once(state.meta.invoked_at, now);
-            shared.delinquency.reset(me, state.meta.op_id);
-            out.multicast(me, shared.voters(), Msg::ResetBit { acq: state.meta.op_id });
-        }
-        Self::complete_in(
-            shared,
-            hook,
-            sessions,
-            state.meta.sess,
-            state.meta.op_id,
-            state.meta.op.clone(),
-            output,
-            state.meta.invoked_at,
-            now,
-        );
-    }
-
-    // =====================================================================
-    // Retransmission / timers
-    // =====================================================================
-
-    /// Periodic scan: retransmit quorum-seeking requests to non-responders.
-    /// A dense walk over the slab in slot order (deterministic) — no key
-    /// collection, no sorting, no hashing.
-    pub(crate) fn scan_retransmits(&mut self, now: u64, out: &mut Outbox<Msg>) {
-        let me = self.me;
-        let quorum = self.quorum();
-        let all = self.voters();
-        let retransmit = self.retransmit;
-        let barriers = self.mode.has_barriers();
-        let suspected = self.shared.suspected();
-        for (rid, entry) in self.inflight.iter_mut() {
-            let due = now.saturating_sub(entry.meta().last_sent) >= retransmit;
-            if !due {
-                continue;
-            }
-            match entry {
-                InFlight::EsWrite(es) => {
-                    // Retransmit to non-ackers, but never chase *suspected*
-                    // replicas once a quorum holds the write: recovery for
-                    // those is the delinquency mechanism's job, and blind
-                    // retransmission toward a dead node is a traffic storm.
-                    if !all.minus(es.acked).is_empty() {
-                        let missing = all.minus(es.acked);
-                        let targets = if es.acked.len() < quorum {
-                            missing
-                        } else {
-                            missing.minus(suspected)
-                        };
-                        es.meta.last_sent = now;
-                        if !targets.is_empty() {
-                            let msg = Msg::EsWrite {
-                                rid,
-                                key: es.meta.key,
-                                val: es.val.clone(),
-                                lc: es.lc,
-                            };
-                            out.multicast(me, targets, msg);
-                        }
-                    }
-                }
-                InFlight::SlowRead(s) => {
-                    s.meta.last_sent = now;
-                    match &s.w2 {
-                        Some(acked) => out.multicast(
-                            me,
-                            all.minus(*acked),
-                            Msg::WriteMsg {
-                                rid,
-                                key: s.meta.key,
-                                val: s.best_val.clone(),
-                                lc: s.best_lc,
-                            },
-                        ),
-                        None => out.multicast(
-                            me,
-                            all.minus(s.reps),
-                            Msg::ReadReq { rid, key: s.meta.key, acq: None },
-                        ),
-                    }
-                }
-                InFlight::SlowWrite(s) => {
-                    s.meta.last_sent = now;
-                    match &s.w2 {
-                        Some((lc, acked)) => out.multicast(
-                            me,
-                            all.minus(*acked),
-                            Msg::WriteMsg { rid, key: s.meta.key, val: s.val.clone(), lc: *lc },
-                        ),
-                        None => out.multicast(
-                            me,
-                            all.minus(s.reps),
-                            Msg::RtsReq { rid, key: s.meta.key },
-                        ),
-                    }
-                }
-                InFlight::Release(s) => {
-                    s.meta.last_sent = now;
-                    if let (Some(sub), false) = (&s.barrier.slow, s.barrier.done) {
-                        out.multicast(
-                            me,
-                            all.minus(sub.acked),
-                            Msg::SlowRelease { rid, dm: sub.dm },
-                        );
-                    }
-                    match &s.w2 {
-                        Some((lc, acked)) => out.multicast(
-                            me,
-                            all.minus(*acked),
-                            Msg::WriteMsg { rid, key: s.meta.key, val: s.val.clone(), lc: *lc },
-                        ),
-                        None if s.rts_sent => out.multicast(
-                            me,
-                            all.minus(s.rts_reps),
-                            Msg::RtsReq { rid, key: s.meta.key },
-                        ),
-                        None => {} // deferred round 1: nothing sent yet
-                    }
-                }
-                InFlight::Acquire(s) => {
-                    s.meta.last_sent = now;
-                    let acq_tag = match s.meta.op {
-                        Op::Acquire { .. } if barriers => Some(s.meta.op_id),
-                        _ => None,
-                    };
-                    match &s.w2 {
-                        // Rebuilding the WriteAcq Arc here is fine: the
-                        // retransmit path is cold by definition.
-                        Some(acked) => match acq_tag {
-                            Some(acq) => out.multicast(
-                                me,
-                                all.minus(*acked),
-                                Msg::WriteAcq {
-                                    rid,
-                                    wb: Arc::new(WriteBack {
-                                        key: s.meta.key,
-                                        val: s.best_val.clone(),
-                                        lc: s.best_lc,
-                                        acq,
-                                    }),
-                                },
-                            ),
-                            None => out.multicast(
-                                me,
-                                all.minus(*acked),
-                                Msg::WriteMsg {
-                                    rid,
-                                    key: s.meta.key,
-                                    val: s.best_val.clone(),
-                                    lc: s.best_lc,
-                                },
-                            ),
-                        },
-                        None => out.multicast(
-                            me,
-                            all.minus(s.reps),
-                            Msg::ReadReq { rid, key: s.meta.key, acq: acq_tag },
-                        ),
-                    }
-                }
-                InFlight::WindowRelief(s) => {
-                    s.meta.last_sent = now;
-                    out.multicast(me, all.minus(s.acked), Msg::SlowRelease { rid, dm: s.dm });
-                }
-                InFlight::Rmw(s) => {
-                    s.meta.last_sent = now;
-                    if let (Some(sub), false) = (&s.barrier.slow, s.barrier.done) {
-                        out.multicast(
-                            me,
-                            all.minus(sub.acked),
-                            Msg::SlowRelease { rid, dm: sub.dm },
-                        );
-                    }
-                    match s.phase {
-                        RmwPhase::Propose => out.multicast(
-                            me,
-                            all.minus(s.promises),
-                            Msg::Propose {
-                                rid,
-                                key: s.meta.key,
-                                slot: s.slot,
-                                ballot: s.ballot,
-                                op: s.meta.op_id,
-                            },
-                        ),
-                        RmwPhase::Accept => {
-                            if let Some(cmd) = &s.cmd {
-                                out.multicast(
-                                    me,
-                                    all.minus(s.accepts),
-                                    Msg::Accept {
-                                        rid,
-                                        key: s.meta.key,
-                                        slot: s.slot,
-                                        ballot: s.ballot,
-                                        cmd: Arc::clone(cmd),
-                                    },
-                                );
-                            }
-                        }
-                        RmwPhase::Commit => {
-                            if let Some(cb) = &s.commit_bcast {
-                                out.multicast(
-                                    me,
-                                    all.minus(s.commits),
-                                    Msg::Commit { rid, key: s.meta.key, c: Arc::clone(cb) },
-                                );
-                            }
-                        }
-                        RmwPhase::WaitBarrier | RmwPhase::WaitBarrierPropose => {}
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fire due RMW conflict backoffs (called every tick).
-    pub(crate) fn fire_rmw_retries(&mut self, now: u64, out: &mut Outbox<Msg>) {
-        if self.rmw_retries.is_empty() {
-            return;
-        }
-        let due: Vec<u64> = self
-            .rmw_retries
-            .iter()
-            .filter(|&&(_, at)| now >= at)
-            .map(|&(rid, _)| rid)
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        self.rmw_retries.retain(|&(_, at)| now < at);
-        for rid in due {
-            let Some(InFlight::Rmw(state)) = self.inflight.get_mut(rid) else { continue };
-            // Only restart if the round is still stuck (a quorum may have
-            // arrived after the nack; phase transitions clear retry_at).
-            if state.retry_at != 0 && now >= state.retry_at {
-                if let Some(output) = Self::rmw_new_round_in(&self.shared, self.me, rid, state, out)
-                {
-                    Self::rmw_finish_in(
-                        &self.shared, &self.hook, &mut self.sessions, self.mode, self.me, state,
-                        output, now, out,
-                    );
-                    self.inflight.remove(rid);
-                }
-            }
-        }
+        state.commit_bcast = Some(Arc::new(CommitPayload { slot, val, lc, meta }));
+        state.round(rid).expect("commit phase").send(self.me, self.shared.voters(), out);
     }
 }
 

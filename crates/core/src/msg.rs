@@ -557,21 +557,6 @@ impl Msg {
             | Msg::RepairReq { .. } => None,
         }
     }
-
-    /// Is this a reply message (routed by rid at the receiver)?
-    pub fn is_reply(&self) -> bool {
-        matches!(
-            self,
-            Msg::Ack { .. }
-                | Msg::AckBatch { .. }
-                | Msg::RtsRep { .. }
-                | Msg::ReadRep { .. }
-                | Msg::WriteAck { .. }
-                | Msg::SlowReleaseAck { .. }
-                | Msg::PromiseRep { .. }
-                | Msg::AcceptRep { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -636,32 +621,6 @@ mod tests {
         let keyed: Vec<_> = msgs.iter().filter(|m| m.store_key().is_some()).map(Msg::tag).collect();
         assert_eq!(keyed, ["es-write", "rts-req", "read-req", "write", "propose", "accept", "commit"]);
         assert!(msgs.iter().all(|m| m.store_key().is_none_or(|k| k == Key(1))));
-    }
-
-    #[test]
-    fn reply_classification() {
-        assert!(Msg::Ack { rid: 1 }.is_reply());
-        assert!(Msg::AckBatch { rids: vec![1] }.is_reply());
-        assert!(!Msg::EsWrite { rid: 1, key: Key(0), val: Val::EMPTY, lc: Lc::ZERO }.is_reply());
-        assert!(!Msg::ResetBit { acq: OpId::new(SessionId::new(NodeId(0), 0), 0) }.is_reply());
-        assert!(!Msg::Commit {
-            rid: 0,
-            key: Key(0),
-            c: Arc::new(CommitPayload { slot: 0, val: Val::EMPTY, lc: Lc::ZERO, meta: None }),
-        }
-        .is_reply());
-        // Anti-entropy traffic is rid-less and never routed as a reply.
-        assert!(!Msg::Digest { d: Arc::new(DigestChunk { entries: vec![] }) }.is_reply());
-        assert!(!Msg::MerkleSummary {
-            s: Arc::new(MerkleSummary { level: 0, start: 0, hashes: vec![] })
-        }
-        .is_reply());
-        assert!(!Msg::MerkleReq { level: 0, buckets: Vec::new().into() }.is_reply());
-        assert!(!Msg::RepairReq { keys: Box::new([]) }.is_reply());
-        assert!(!Msg::RepairVal {
-            r: Box::new(Repair { key: Key(0), val: Val::EMPTY, lc: Lc::ZERO, slot: 0, ring: vec![] })
-        }
-        .is_reply());
     }
 
     #[test]

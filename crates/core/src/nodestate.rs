@@ -12,7 +12,7 @@ use crate::api::Op;
 use crate::delinquency::DelinquencyTable;
 
 /// Per-class end-to-end op latency, recorded at session retire (the moment
-/// `Worker::complete_in` hands a completion back): invoke-to-completion in
+/// `Cx::deliver` hands a completion back): invoke-to-completion in
 /// scheduler-clock ns, one lock-free log2 histogram per op class. Snapshots
 /// merge across nodes/workers, so cluster-wide p50/p99/p999 per class come
 /// straight out of a scrape.

@@ -42,7 +42,7 @@ use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::antientropy::AeState;
 use crate::api::{Completion, CompletionHook, Op, OpOutput};
-use crate::inflight::{InFlight, InFlightTable, UNTRACKED_RID_BIT};
+use crate::inflight::{InFlight, InFlightTable, Meta, UNTRACKED_RID_BIT};
 use crate::msg::Msg;
 use crate::nodestate::NodeShared;
 use crate::session::{ProtocolMode, Session, SessionDriver};
@@ -169,15 +169,60 @@ pub struct Worker {
     pub(crate) hook: Option<CompletionHook>,
     // cached config (membership-independent only — quorum/voters/members are
     // *methods* reading the live cell; see the stale-quorum note on them)
-    /// Cached `cfg.commit_fill`: push completion-time repairs to replicas a
-    /// finished round left behind.
-    pub(crate) commit_fill: bool,
     pub(crate) release_timeout: u64,
     pub(crate) retransmit: u64,
     pub(crate) ops_per_tick: usize,
     pub(crate) window_cap: usize,
     pub(crate) overlap_release: bool,
     pub(crate) stripped_slow: bool,
+}
+
+/// Everything of a [`Worker`] except its in-flight table, borrowed beside it
+/// by [`Worker::split`]: a reply handler mutates its entry **in place** and
+/// completes ops, starts Paxos rounds and schedules back-offs through this,
+/// without removing the entry first. The protocol steps that run with an
+/// entry in hand are its methods (`crate::initiator`).
+pub(crate) struct Cx<'a> {
+    pub(crate) me: NodeId,
+    pub(crate) mode: ProtocolMode,
+    pub(crate) shared: &'a NodeShared,
+    pub(crate) hook: &'a Option<CompletionHook>,
+    pub(crate) sessions: &'a mut Sessions,
+    pub(crate) rmw_retries: &'a mut Vec<(u64, u64)>,
+}
+
+impl Cx<'_> {
+    /// Deliver a completion for session `si` and unblock it if needed.
+    #[inline]
+    pub(crate) fn deliver(
+        &mut self,
+        si: usize,
+        op_id: OpId,
+        op: Op,
+        output: OpOutput,
+        invoked_at: u64,
+        now: u64,
+    ) {
+        self.shared.counters.completed.incr();
+        // Session retire is the one point every op funnels through exactly
+        // once, so per-class latency is recorded here: invoke-to-completion
+        // in scheduler ns. Lock-free, allocation-free (three fetch_adds).
+        self.shared.op_latency.for_op(&op).record(now.saturating_sub(invoked_at));
+        let c = Completion { op_id, op, output, invoked_at, completed_at: now };
+        if let Some(hook) = self.hook {
+            hook(&c);
+        }
+        let sess = &mut self.sessions[si];
+        sess.deliver(c);
+        sess.blocked_on = None;
+        sess.awaiting_barrier = false;
+        self.sessions.wake(si);
+    }
+
+    /// Complete the op of an in-flight entry (the caller removes the entry).
+    pub(crate) fn complete(&mut self, meta: &Meta, output: OpOutput, now: u64) {
+        self.deliver(meta.sess, meta.op_id, meta.op.clone(), output, meta.invoked_at, now);
+    }
 }
 
 impl Worker {
@@ -221,7 +266,6 @@ impl Worker {
             ack_src: None,
             ae: AeState::new(cfg, wid, &shared.store),
             hook,
-            commit_fill: cfg.commit_fill,
             release_timeout: cfg.release_timeout_ns,
             retransmit: cfg.retransmit_ns,
             ops_per_tick: cfg.ops_per_tick,
@@ -276,7 +320,25 @@ impl Worker {
 
     // ---- completion plumbing -------------------------------------------
 
-    /// Deliver a completion for session `si` and unblock it if needed.
+    /// The in-flight table, and the rest of the worker a handler needs while
+    /// it holds one of the table's entries (see [`Cx`]). Plain disjoint
+    /// field borrows: nothing is moved, taken or put back.
+    #[inline]
+    pub(crate) fn split(&mut self) -> (&mut InFlightTable, Cx<'_>) {
+        let cx = Cx {
+            me: self.me,
+            mode: self.mode,
+            shared: &self.shared,
+            hook: &self.hook,
+            sessions: &mut self.sessions,
+            rmw_retries: &mut self.rmw_retries,
+        };
+        (&mut self.inflight, cx)
+    }
+
+    /// Complete an op that never had an in-flight entry (fast-path relaxed
+    /// ops, a locally failed weak CAS).
+    #[inline]
     pub(crate) fn complete(
         &mut self,
         si: usize,
@@ -286,48 +348,7 @@ impl Worker {
         invoked_at: u64,
         now: u64,
     ) {
-        Self::complete_in(
-            &self.shared,
-            &self.hook,
-            &mut self.sessions,
-            si,
-            op_id,
-            op,
-            output,
-            invoked_at,
-            now,
-        );
-    }
-
-    /// Field-split flavour of [`Worker::complete`]: callable while the
-    /// in-flight table is mutably borrowed (reply handlers complete
-    /// operations without first removing the entry they are reading).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn complete_in(
-        shared: &NodeShared,
-        hook: &Option<CompletionHook>,
-        sessions: &mut Sessions,
-        si: usize,
-        op_id: OpId,
-        op: Op,
-        output: OpOutput,
-        invoked_at: u64,
-        now: u64,
-    ) {
-        shared.counters.completed.incr();
-        // Session retire is the one point every op funnels through exactly
-        // once, so per-class latency is recorded here: invoke-to-completion
-        // in scheduler ns. Lock-free, allocation-free (three fetch_adds).
-        shared.op_latency.for_op(&op).record(now.saturating_sub(invoked_at));
-        let c = Completion { op_id, op, output, invoked_at, completed_at: now };
-        if let Some(hook) = hook {
-            hook(&c);
-        }
-        let sess = &mut sessions[si];
-        sess.deliver(c);
-        sess.blocked_on = None;
-        sess.awaiting_barrier = false;
-        sessions.wake(si);
+        self.split().1.deliver(si, op_id, op, output, invoked_at, now);
     }
 
     /// Remove `rid` from its owning session's write window. O(1): ordering
@@ -749,7 +770,8 @@ impl Actor for Worker {
             let _ = match e {
                 InFlight::EsWrite(s) => writeln!(out, "acked={:?}", s.acked),
                 InFlight::SlowRead(s) => {
-                    writeln!(out, "reps={:?} holders={:?} w2={:?}", s.reps, s.holders, s.w2)
+                    let f = &s.fold;
+                    writeln!(out, "reps={:?} holders={:?} w2={:?}", f.reps, f.holders, s.w2)
                 }
                 InFlight::SlowWrite(s) => writeln!(out, "reps={:?} w2={:?}", s.reps, s.w2),
                 InFlight::Release(s) => writeln!(
@@ -760,7 +782,7 @@ impl Actor for Worker {
                 InFlight::Acquire(s) => writeln!(
                     out,
                     "reps={:?} holders={:?} w2={:?} decided={} delinquent={}",
-                    s.reps, s.holders, s.w2, s.decided, s.delinquent
+                    s.fold.reps, s.fold.holders, s.w2, s.decided, s.delinquent
                 ),
                 InFlight::Rmw(s) => writeln!(
                     out,

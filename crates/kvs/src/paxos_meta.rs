@@ -39,63 +39,61 @@ pub struct RmwCommit {
     pub result: Val,
 }
 
-/// Ring of the most recent committed RMWs on a key.
+/// The committed RMWs a key remembers: the **latest commit of each session**
+/// that has committed one on it (the paper's "last committed rmw-id per
+/// session", kept per key so it travels with the key's slot — see
+/// [`PaxosMeta::merge_evidence`]). The name is historical: this was a FIFO
+/// ring, and a sleeper's helped FAA was forgotten by every replica before
+/// its owner retried it.
 ///
 /// A proposer whose command was *helped* to commit by another proposer
-/// discovers this through the ring (replicas attach matching entries to
-/// `AlreadyCommitted` replies) and must not re-execute the command. The
-/// fixed depth bounds memory; a session retries its RMW promptly, and per
-/// key at most one command per session is in flight, so
-/// [`COMMITTED_RING_DEPTH`] covers bursts of helped commands across
-/// sessions in practice. A miss is benign for CAS/FAA-style
-/// commands only if the proposer retries — see `kite::proto::paxos` for how
-/// misses are handled (the proposer re-proposes; exactly-once is preserved
-/// because replicas also dedup at propose time via the ring).
+/// discovers this here (replicas attach the entries to `AlreadyCommitted`
+/// replies) and must not re-execute the command. A session has one RMW
+/// outstanding, so its newer commit supersedes its older one and one entry
+/// per session is all the evidence there is to keep: other sessions'
+/// commits can never push a session's latest op out. Memory is bounded by
+/// [`COMMITTED_RING_DEPTH`] sessions per key; past that the longest-decided
+/// entry goes, and [`CommittedRing::evicted_unretired`] counts it.
 #[derive(Clone, Debug, Default)]
 pub struct CommittedRing {
     ring: Vec<RmwCommit>,
-    next: usize,
-    /// Evictions of an entry whose owner nothing in the ring proved to have
-    /// moved on (see [`CommittedRing::evicted_unretired`]).
+    /// Entries dropped to make room (see [`CommittedRing::evicted_unretired`]).
     evicted_unretired: u64,
 }
 
-/// Ring capacity. Sized so that a proposer retrying after a nack backoff
-/// still finds its helped command: under heavy same-key contention up to
-/// `sessions` commands can commit between a nack and the retry.
+/// How many sessions' latest commits one key remembers.
 pub const COMMITTED_RING_DEPTH: usize = 32;
 
 impl CommittedRing {
     /// An empty ring.
     pub fn new() -> Self {
-        CommittedRing {
-            ring: Vec::with_capacity(COMMITTED_RING_DEPTH),
-            next: 0,
-            evicted_unretired: 0,
-        }
+        CommittedRing { ring: Vec::with_capacity(COMMITTED_RING_DEPTH), evicted_unretired: 0 }
     }
 
-    /// Record a committed RMW (overwrites the oldest entry when full).
+    /// Record a committed RMW: it replaces its session's older entry in
+    /// place (a commit older than the entry is dropped — its owner has moved
+    /// on); only a session new to the key takes a new entry.
     pub fn push(&mut self, c: RmwCommit) {
-        if self.ring.len() < COMMITTED_RING_DEPTH {
+        if let Some(own) = self.ring.iter_mut().find(|e| e.op.session == c.op.session) {
+            if c.op.seq > own.op.seq {
+                *own = c;
+            }
+        } else if self.ring.len() < COMMITTED_RING_DEPTH {
             self.ring.push(c);
         } else {
-            // A session has one RMW outstanding at a time, so a newer entry
-            // of the same session proves the owner retired the evicted op.
-            // Without one, the owner may still be retrying it.
-            let old = &self.ring[self.next];
-            let retired = (self.ring.iter().chain([&c]))
-                .any(|e| e.op.session == old.op.session && e.op.seq > old.op.seq);
-            self.evicted_unretired += u64::from(!retired);
-            self.ring[self.next] = c;
+            // More sessions than entries: the commit decided longest ago
+            // goes. Nothing superseded it, so its owner may still be
+            // retrying it.
+            let oldest = self.ring.iter_mut().min_by_key(|e| e.slot).expect("depth > 0");
+            *oldest = c;
+            self.evicted_unretired += 1;
         }
-        self.next = (self.next + 1) % COMMITTED_RING_DEPTH;
     }
 
-    /// How many entries this ring evicted while holding no newer entry of
-    /// the same session — the dedup evidence of an op whose owner (asleep,
-    /// or backing off) may not have learned its outcome yet. ROADMAP
-    /// direction 6 reads it to test the evicted-evidence hypothesis.
+    /// Evidence lost that nothing superseded: entries evicted because more
+    /// than [`COMMITTED_RING_DEPTH`] sessions committed RMWs on the key —
+    /// each the latest op of a session that may not have learned its
+    /// outcome yet. Zero unless that many sessions contend on one key.
     pub fn evicted_unretired(&self) -> u64 {
         self.evicted_unretired
     }
@@ -201,26 +199,60 @@ mod tests {
     }
 
     #[test]
+    fn a_session_holds_only_its_latest_entry() {
+        let mut r = CommittedRing::new();
+        for seq in [3, 5, 4] {
+            r.push(RmwCommit { op: op(1, seq), slot: seq, result: Val::from_u64(seq) });
+        }
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.find(op(1, 5)).unwrap().result.as_u64(), 5, "the newer replaced the older");
+        assert!(r.find(op(1, 3)).is_none(), "superseded");
+        assert!(r.find(op(1, 4)).is_none(), "a late older commit is dropped");
+        assert_eq!(r.evicted_unretired(), 0);
+    }
+
+    #[test]
+    fn other_sessions_commits_never_evict_a_sessions_entry() {
+        let mut r = CommittedRing::new();
+        r.push(RmwCommit { op: op(4, 9), slot: 0, result: Val::from_u64(7) });
+        for i in 0..10 * COMMITTED_RING_DEPTH as u64 {
+            r.push(RmwCommit { op: op((i % 4) as u8, i), slot: i + 1, result: Val::EMPTY });
+        }
+        assert_eq!(r.find(op(4, 9)).unwrap().result.as_u64(), 7, "the sleeper's op is still known");
+        assert_eq!(r.len(), 5, "one entry per session");
+        assert_eq!(r.evicted_unretired(), 0);
+    }
+
+    fn session(i: usize) -> SessionId {
+        SessionId::new(NodeId((i % 8) as u8), (i / 8) as u32)
+    }
+
+    #[test]
     fn ring_evicts_oldest_beyond_depth() {
         let mut r = CommittedRing::new();
-        for i in 0..(COMMITTED_RING_DEPTH as u64 + 3) {
-            r.push(RmwCommit { op: op(0, i), slot: i, result: Val::EMPTY });
+        for i in 0..COMMITTED_RING_DEPTH + 3 {
+            r.push(RmwCommit { op: OpId::new(session(i), 0), slot: i as u64, result: Val::EMPTY });
         }
         assert_eq!(r.len(), COMMITTED_RING_DEPTH);
-        assert!(r.find(op(0, 0)).is_none(), "oldest evicted");
-        assert!(r.find(op(0, 10)).is_some(), "newest kept");
-        assert_eq!(r.evicted_unretired(), 0, "every evicted op has a newer one of its session");
+        for i in 0..3 {
+            assert!(r.find(OpId::new(session(i), 0)).is_none(), "lowest slots evicted");
+        }
+        assert!(r.find(OpId::new(session(COMMITTED_RING_DEPTH + 2), 0)).is_some(), "newest kept");
     }
 
     #[test]
     fn eviction_of_a_sessions_latest_op_is_counted() {
         let mut r = CommittedRing::new();
-        r.push(RmwCommit { op: op(4, 9), slot: 0, result: Val::EMPTY });
-        for i in 0..COMMITTED_RING_DEPTH as u64 {
-            r.push(RmwCommit { op: op(0, i), slot: i + 1, result: Val::EMPTY });
+        for i in 0..COMMITTED_RING_DEPTH {
+            r.push(RmwCommit { op: OpId::new(session(i), 0), slot: i as u64, result: Val::EMPTY });
         }
-        assert!(r.find(op(4, 9)).is_none(), "node 4's only entry is gone");
-        assert_eq!(r.evicted_unretired(), 1, "nothing proved its owner had moved on");
+        // A session already present moves on: nothing is lost.
+        r.push(RmwCommit { op: OpId::new(session(0), 1), slot: 40, result: Val::EMPTY });
+        assert_eq!(r.evicted_unretired(), 0);
+        // One session more than the ring holds: session 1's only entry goes.
+        r.push(RmwCommit { op: OpId::new(session(40), 0), slot: 41, result: Val::EMPTY });
+        assert!(r.find(OpId::new(session(1), 0)).is_none());
+        assert_eq!(r.evicted_unretired(), 1, "nothing had superseded it");
     }
 
     #[test]

@@ -120,3 +120,44 @@ fn cited_markdown_files_exist() {
     }
     assert!(dangling.is_empty(), "cites of files that do not exist:\n{}", dangling.join("\n"));
 }
+
+/// A quorum round is described once (`docs/INVARIANTS.md`): the request
+/// constructors live in `inflight.rs`'s `round()` impls (and `wire.rs`'s
+/// decoder), so the worker cannot grow a second, drifting copy of a
+/// message for its retransmission — and no initiator step goes back to
+/// threading the worker's fields in by hand instead of taking `Cx`.
+#[test]
+fn quorum_requests_are_constructed_in_one_place() {
+    // Non-comment lines above the file's unit tests.
+    let code = |file: &str| -> Vec<String> {
+        let path = workspace_root().join("crates/core/src").join(file);
+        let text = std::fs::read_to_string(&path).expect("core source file");
+        let above_tests = text.split("#[cfg(test)]").next().expect("split yields a first piece");
+        let is_code = |l: &&str| !l.trim_start().starts_with("//");
+        above_tests.lines().filter(is_code).map(String::from).collect()
+    };
+    // `Msg::X {` builds a message unless a `=>` follows on the line (a
+    // match arm's pattern, as in `Worker::dispatch`).
+    let constructions = |lines: &[String], variant: &str| -> Vec<String> {
+        let ctor = format!("Msg::{variant} {{");
+        lines
+            .iter()
+            .filter(|l| l.find(&ctor).is_some_and(|at| !l[at..].contains("=>")))
+            .cloned()
+            .collect()
+    };
+    let requests =
+        ["RtsReq", "ReadReq", "WriteMsg", "WriteAcq", "SlowRelease", "Propose", "Accept", "Commit"];
+    for file in ["initiator.rs", "worker.rs", "replica.rs"] {
+        let lines = code(file);
+        for variant in requests {
+            let found = constructions(&lines, variant);
+            assert!(found.is_empty(), "{file} constructs Msg::{variant}:\n{}", found.join("\n"));
+        }
+    }
+    let initiator = code("initiator.rs");
+    let es_writes = constructions(&initiator, "EsWrite");
+    assert_eq!(es_writes.len(), 1, "initiator.rs builds Msg::EsWrite in broadcast_es_write only");
+    let threaded: Vec<_> = initiator.iter().filter(|l| l.contains("shared: &NodeShared")).collect();
+    assert!(threaded.is_empty(), "initiator.rs functions take `Cx`, not the fields: {threaded:?}");
+}

@@ -160,8 +160,7 @@ impl Wakeup {
     }
 }
 
-/// Nanosecond clock abstraction. The threaded runtime uses [`WallClock`];
-/// tests can hand actors a [`ManualClock`].
+/// Nanosecond clock abstraction. The threaded runtime uses [`WallClock`].
 pub trait Clock: Send + Sync {
     /// Current time in nanoseconds.
     fn now(&self) -> u64;
@@ -192,34 +191,6 @@ impl Clock for WallClock {
     }
 }
 
-/// A clock advanced explicitly — for unit tests of timeout logic.
-#[derive(Default)]
-pub struct ManualClock(std::sync::atomic::AtomicU64);
-
-impl ManualClock {
-    /// A clock at time 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock by `ns`.
-    pub fn advance(&self, ns: u64) {
-        self.0.fetch_add(ns, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Set the clock to `ns`.
-    pub fn set(&self, ns: u64) {
-        self.0.store(ns, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    #[inline]
-    fn now(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,16 +201,6 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_advances_only_on_demand() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance(5);
-        assert_eq!(c.now(), 5);
-        c.set(100);
-        assert_eq!(c.now(), 100);
     }
 
     // A trivial actor used to confirm object-safety and default idle.

@@ -39,7 +39,7 @@ pub mod outbox;
 pub mod sim;
 pub mod threaded;
 
-pub use actor::{Actor, Clock, ManualClock, Wakeup, WallClock};
+pub use actor::{Actor, Clock, Wakeup, WallClock};
 pub use faults::FaultPlane;
 pub use outbox::{Envelope, Outbox};
 pub use sim::{Sim, SimCfg};

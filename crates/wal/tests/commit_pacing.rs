@@ -47,14 +47,24 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// One stretch of [`append_steadily`]: the counters around it, the time it
+/// covers, and the furthest the appender started a record behind schedule.
+struct Stretch {
+    before: WalStats,
+    after: WalStats,
+    elapsed: Duration,
+    behind: Duration,
+}
+
 /// Append one record every `gap` for `span` (a spin-paced trickle: sleeping
-/// would add the kernel's timer slack to every gap) and return the counter
-/// deltas and the time they cover.
-fn append_steadily(wal: &Wal, gap: Duration, span: Duration) -> (WalStats, WalStats, Duration) {
+/// would add the kernel's timer slack to every gap).
+fn append_steadily(wal: &Wal, gap: Duration, span: Duration) -> Stretch {
     let before = wal.stats();
     let start = Instant::now();
+    let mut behind = Duration::ZERO;
     let mut i = 0u64;
     while start.elapsed() < span {
+        behind = behind.max(start.elapsed().saturating_sub(gap * i as u32));
         record(wal, i);
         i += 1;
         let due = gap * i as u32;
@@ -62,11 +72,44 @@ fn append_steadily(wal: &Wal, gap: Duration, span: Duration) -> (WalStats, WalSt
             std::hint::spin_loop();
         }
     }
-    (before, wal.stats(), start.elapsed())
+    Stretch { before, after: wal.stats(), elapsed: start.elapsed(), behind }
 }
 
-fn records_per_fsync(before: &WalStats, after: &WalStats) -> f64 {
-    (after.records - before.records) as f64 / (after.fsyncs - before.fsyncs).max(1) as f64
+/// The WAL's counter deltas over the part of a load during which the
+/// appender kept its schedule.
+#[derive(Default)]
+struct OnSchedule {
+    records: u64,
+    fsyncs: u64,
+    commit_busy_ns: u64,
+    elapsed_ns: u64,
+}
+
+impl OnSchedule {
+    fn records_per_fsync(&self) -> f64 {
+        self.records as f64 / self.fsyncs.max(1) as f64
+    }
+}
+
+/// [`append_steadily`] for `span` in 20 ms slices, keeping the slices in
+/// which the appender never started a record a millisecond late. When this
+/// spinning thread is descheduled (the suite's other test binaries share
+/// the cores) so are the flusher and whoever drives it, mid-commit, and the
+/// counters of that slice measure the scheduler, not the pacing policy.
+fn append_on_schedule(wal: &Wal, gap: Duration, span: Duration) -> OnSchedule {
+    const SLICE: Duration = Duration::from_millis(20);
+    const BEHIND: Duration = Duration::from_millis(1);
+    let mut kept = OnSchedule::default();
+    for _ in 0..span.as_millis() / SLICE.as_millis() {
+        let Stretch { before, after, elapsed, behind } = append_steadily(wal, gap, SLICE);
+        if behind < BEHIND {
+            kept.records += after.records - before.records;
+            kept.fsyncs += after.fsyncs - before.fsyncs;
+            kept.commit_busy_ns += after.commit_busy_ns - before.commit_busy_ns;
+            kept.elapsed_ns += elapsed.as_nanos() as u64;
+        }
+    }
+    kept
 }
 
 #[test]
@@ -92,33 +135,41 @@ fn sustained_appends_spend_a_quarter_of_the_time_committing_and_batch_twice_the_
                 }
             })
         };
-        let (before, after, _) = append_steadily(&wal, GAP, SPAN);
+        let kept = append_on_schedule(&wal, GAP, SPAN);
         stop.store(true, Ordering::SeqCst);
         flusher.join().unwrap();
         wal.close();
-        records_per_fsync(&before, &after)
+        kept
     };
     let _ = std::fs::remove_dir_all(&dir);
 
     let wal = open(&dir, FLOOR_NS);
     // Let the pacer see a few commits before measuring.
     append_steadily(&wal, GAP, Duration::from_millis(50));
-    let (before, after, elapsed) = append_steadily(&wal, GAP, SPAN);
-    let paced = records_per_fsync(&before, &after);
-    let commit_ns = after.commit_window_ns / K;
-    let duty = (after.commit_busy_ns - before.commit_busy_ns) as f64 / elapsed.as_nanos() as f64;
+    let paced = append_on_schedule(&wal, GAP, SPAN);
+    let window_ns = wal.stats().commit_window_ns;
+    let commit_ns = window_ns / K;
     wal.close();
     let _ = std::fs::remove_dir_all(&dir);
 
+    assert!(window_ns >= FLOOR_NS);
+    let on_schedule_ns = floor_only.elapsed_ns.min(paced.elapsed_ns);
+    if on_schedule_ns < SPAN.as_nanos() as u64 / 2 {
+        eprintln!(
+            "appender on schedule for {} ms of {SPAN:?}: host too busy to measure pacing, skipped",
+            on_schedule_ns / 1_000_000
+        );
+        return;
+    }
     // One window asleep per commit in the device: 1/(K+1) = a quarter when
     // every commit takes the median, a third when the mean of a
     // heavy-tailed device runs half again above it.
+    let duty = paced.commit_busy_ns as f64 / paced.elapsed_ns as f64;
+    let (paced, floor_only) = (paced.records_per_fsync(), floor_only.records_per_fsync());
     assert!(
         duty <= 0.34,
-        "commit duty cycle {duty:.2} (window {} ns, {paced:.1} records per fsync)",
-        after.commit_window_ns
+        "commit duty cycle {duty:.2} (window {window_ns} ns, {paced:.1} records per fsync)"
     );
-    assert!(after.commit_window_ns >= FLOOR_NS);
     // Batching can only show where records arrive faster than the device
     // commits; a device quicker than two record gaps commits them one by
     // one under either cadence (and the floor, not this policy, paces it).

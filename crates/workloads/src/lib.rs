@@ -23,4 +23,4 @@ pub mod skew;
 
 pub use measure::{run_kite_mix, run_zab_mix, RunResult};
 pub use mix::MixCfg;
-pub use skew::{FlashCrowdCfg, Zipf};
+pub use skew::Zipf;

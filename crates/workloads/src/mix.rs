@@ -113,16 +113,6 @@ impl MixCfg {
             })
         }
     }
-
-    /// A bounded generator producing exactly `n` ops (deterministic tests).
-    pub fn generator_bounded(
-        &self,
-        seed: u64,
-        n: u64,
-    ) -> impl FnMut(u64) -> Option<Op> + Send + 'static {
-        let mut inner = self.generator(seed);
-        move |seq| if seq < n { inner(seq) } else { None }
-    }
 }
 
 fn random_val(rng: &mut SplitMix64, len: usize) -> Val {
@@ -205,16 +195,6 @@ mod tests {
             let key = gen(i).unwrap().key();
             assert!(key.0 < 17);
         }
-    }
-
-    #[test]
-    fn bounded_generator_stops() {
-        let m = MixCfg::plain(0.5, 10);
-        let mut gen = m.generator_bounded(1, 5);
-        for i in 0..5 {
-            assert!(gen(i).is_some());
-        }
-        assert!(gen(5).is_none());
     }
 
     #[test]

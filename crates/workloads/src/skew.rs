@@ -12,9 +12,7 @@
 //! SIGMOD '94): exact Zipf(θ) over `0..n` using precomputed zeta sums,
 //! two uniform draws per sample, no rejection.
 
-use kite::api::Op;
 use kite_common::rng::SplitMix64;
-use kite_common::{Key, Val};
 
 /// A Zipf(θ) sampler over ranks `0..n` (rank 0 is the hottest key).
 ///
@@ -86,129 +84,6 @@ impl Zipf {
 
 fn zeta(n: u64, theta: f64) -> f64 {
     (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-}
-
-/// The hostile end of the skew spectrum: a **flash crowd**.
-///
-/// Zipf models steady-state popularity; a flash crowd is worse — one key
-/// abruptly takes a *fixed, huge* share of every node's writes (a viral
-/// object, a global lock, a metering counter), on top of an already-skewed
-/// cold tail. This is the workload §6.3's batching and ack-coalescing
-/// machinery exists for: every write to the hot key needs acks from all
-/// replicas, so without coalescing the hot key's owner would see ack
-/// traffic linear in node count × write rate.
-///
-/// Values deliberately span the whole size spectrum the store supports —
-/// from empty through [`Val::INLINE_CAP`]-byte inline values up to the
-/// `kite_kvs::record::MAX_VAL` record cap — so the wire path exercises both the
-/// inline and the spilled `Val` representations under the same hot key.
-#[derive(Clone, Copy, Debug)]
-pub struct FlashCrowdCfg {
-    /// Fraction of all ops that write (flash crowds are write-storms; the
-    /// default `extreme` shape uses 0.5).
-    pub write_ratio: f64,
-    /// Fraction of *writes* that land on the single hot key (rank 0). The
-    /// ISSUE shape: 0.5 — one key takes half of every node's writes.
-    pub hot_write_frac: f64,
-    /// Fraction of *reads* that land on the hot key (crowds read what they
-    /// write).
-    pub hot_read_frac: f64,
-    /// Zipf skew of the cold tail (keys `1..keys`). θ > 1 is legal and
-    /// hostile.
-    pub theta: f64,
-    /// Key-space size (hot key + cold tail).
-    pub keys: u64,
-    /// Largest value size generated; sizes cycle `0..=max_val_len`.
-    pub max_val_len: usize,
-}
-
-impl FlashCrowdCfg {
-    /// The ISSUE's hostile shape: 50% writes, half of them on one hot key,
-    /// θ = 1.2 cold tail, values spanning 0..=`kite_kvs::record::MAX_VAL` bytes.
-    pub fn extreme(keys: u64) -> FlashCrowdCfg {
-        FlashCrowdCfg {
-            write_ratio: 0.5,
-            hot_write_frac: 0.5,
-            hot_read_frac: 0.5,
-            theta: 1.2,
-            keys,
-            max_val_len: kite_kvs::record::MAX_VAL,
-        }
-    }
-
-    /// Validate the fractions and ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("write_ratio", self.write_ratio),
-            ("hot_write_frac", self.hot_write_frac),
-            ("hot_read_frac", self.hot_read_frac),
-        ] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{name} = {v} outside [0,1]"));
-            }
-        }
-        if self.keys < 2 {
-            return Err("flash crowd needs a hot key and a cold tail (keys ≥ 2)".into());
-        }
-        if self.theta < 0.0 || self.theta == 1.0 {
-            return Err(format!("theta {} must be ≥ 0 and ≠ 1", self.theta));
-        }
-        if self.max_val_len > kite_kvs::record::MAX_VAL {
-            return Err(format!(
-                "max_val_len {} exceeds the record cap {}",
-                self.max_val_len,
-                kite_kvs::record::MAX_VAL
-            ));
-        }
-        Ok(())
-    }
-
-    /// An infinite op generator for one session (same shape as
-    /// [`crate::MixCfg::generator`], so it drives the same harnesses).
-    pub fn generator(&self, seed: u64) -> impl FnMut(u64) -> Option<Op> + Send + 'static {
-        let cfg = *self;
-        debug_assert!(cfg.validate().is_ok());
-        let cold = Zipf::new(cfg.keys - 1, cfg.theta);
-        let mut rng = SplitMix64::new(seed);
-        move |seq| {
-            let is_write = rng.chance(cfg.write_ratio);
-            let hot_frac = if is_write { cfg.hot_write_frac } else { cfg.hot_read_frac };
-            let key = if rng.chance(hot_frac) {
-                Key(0)
-            } else {
-                Key(1 + cold.sample(&mut rng))
-            };
-            Some(if is_write {
-                // Cycle value sizes across the whole supported range so the
-                // same key carries inline and spilled representations.
-                let len = (seq % (cfg.max_val_len as u64 + 1)) as usize;
-                Op::Write { key, val: sized_val(&mut rng, len) }
-            } else {
-                Op::Read { key }
-            })
-        }
-    }
-
-    /// A bounded generator producing exactly `n` ops.
-    pub fn generator_bounded(
-        &self,
-        seed: u64,
-        n: u64,
-    ) -> impl FnMut(u64) -> Option<Op> + Send + 'static {
-        let mut inner = self.generator(seed);
-        move |seq| if seq < n { inner(seq) } else { None }
-    }
-}
-
-/// A random value of exactly `len` bytes.
-fn sized_val(rng: &mut SplitMix64, len: usize) -> Val {
-    let mut bytes = vec![0u8; len];
-    for chunk in bytes.chunks_mut(8) {
-        let v = rng.next_u64().to_le_bytes();
-        let n = chunk.len();
-        chunk.copy_from_slice(&v[..n]);
-    }
-    Val::from_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -291,63 +166,5 @@ mod tests {
     #[should_panic(expected = "empty key space")]
     fn rejects_empty_range() {
         let _ = Zipf::new(0, 0.5);
-    }
-
-    #[test]
-    fn flash_crowd_hot_key_takes_half_the_writes() {
-        let cfg = FlashCrowdCfg::extreme(1 << 12);
-        let mut gen = cfg.generator(17);
-        let (mut writes, mut hot_writes) = (0u64, 0u64);
-        for i in 0..200_000 {
-            if let Some(Op::Write { key, .. }) = gen(i) {
-                writes += 1;
-                if key.0 == 0 {
-                    hot_writes += 1;
-                }
-            }
-        }
-        let f = hot_writes as f64 / writes as f64;
-        assert!((f - 0.5).abs() < 0.01, "hot-key write share {f}");
-    }
-
-    #[test]
-    fn flash_crowd_values_span_inline_to_record_cap() {
-        let cfg = FlashCrowdCfg::extreme(1 << 10);
-        let mut gen = cfg.generator(3);
-        let mut seen = vec![false; kite_kvs::record::MAX_VAL + 1];
-        for i in 0..20_000 {
-            if let Some(Op::Write { val, .. }) = gen(i) {
-                seen[val.len()] = true;
-            }
-        }
-        assert!(seen[0], "empty values must appear");
-        assert!(seen[kite_common::Val::INLINE_CAP], "inline-cap values must appear");
-        assert!(seen[kite_kvs::record::MAX_VAL], "record-cap values must appear");
-    }
-
-    #[test]
-    fn flash_crowd_validation() {
-        assert!(FlashCrowdCfg::extreme(1 << 10).validate().is_ok());
-        assert!(FlashCrowdCfg { keys: 1, ..FlashCrowdCfg::extreme(16) }.validate().is_err());
-        assert!(
-            FlashCrowdCfg { max_val_len: kite_kvs::record::MAX_VAL + 1, ..FlashCrowdCfg::extreme(16) }
-                .validate()
-                .is_err()
-        );
-        assert!(
-            FlashCrowdCfg { hot_write_frac: 1.5, ..FlashCrowdCfg::extreme(16) }
-                .validate()
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn flash_crowd_deterministic_per_seed() {
-        let cfg = FlashCrowdCfg::extreme(1 << 10);
-        let mut a = cfg.generator(9);
-        let mut b = cfg.generator(9);
-        for i in 0..500 {
-            assert_eq!(format!("{:?}", a(i)), format!("{:?}", b(i)));
-        }
     }
 }

@@ -39,6 +39,11 @@
 # (crates/metrics/tests/sketch_props.rs — HLL error bounds, histogram
 # merge, quantile monotonicity under random streams).
 #
+# Before the loop, once: the exactly-once-FAA soak (tests/faa_sleeper.rs,
+# 200 seeds of "every node bumps one counter while node 4 sleeps three
+# times", ~10 min). Deterministic per seed, so once is enough; it prints
+# every failing seed.
+#
 # Usage: scripts/stress.sh [iterations] [test-filter]
 #   iterations   default 50
 #   test-filter  default threaded_mutex_exact_under_message_loss
@@ -55,7 +60,7 @@ echo "== kite-lint (invariant pass, ratcheted) =="
 scripts/lint.sh
 
 echo "== building test binaries =="
-cargo test --release --test cluster_threaded --test antientropy --test merkle_faults --test wal_faults --test membership --no-run
+cargo test --release --test cluster_threaded --test antientropy --test merkle_faults --test wal_faults --test membership --test faa_sleeper --no-run
 cargo test --release -p kite-net --test backpressure --test pipeline_props --test scrape --test membership_tcp --no-run
 cargo test --release -p kite-metrics --test sketch_props --no-run
 
@@ -78,6 +83,9 @@ run_logged() {
     echo "iteration $i [$label] FAILED (rc=$rc, output preserved in $keep)"
     return 1
 }
+
+echo "== exactly-once FAA with a sleeping proposer, seeds 1..=200 =="
+cargo test -q --release --test faa_sleeper -- --ignored
 
 echo "== stressing '${FILTER}' + anti-entropy fault tests x${N} =="
 fails=0
