@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
-use kite_bench::{paper_sim, ShapeCheck, Table};
+use kite_bench::{paper_sim, LastCompletion, ShapeCheck, Table};
 use kite_common::ClusterConfig;
 use kite_lockfree::driver::DsLayout;
 use kite_lockfree::{DsClient, DsStats, DsWorkload};
@@ -42,6 +42,7 @@ fn run_ts(fields: usize, contended: bool, strong: bool, quick: bool) -> (f64, u6
     let stats = Arc::new(DsStats::default());
     let stats2 = Arc::clone(&stats);
     let spn = cfg.sessions_per_node();
+    let last = LastCompletion::default();
 
     let mut sc = SimCluster::build(
         cfg,
@@ -66,13 +67,13 @@ fn run_ts(fields: usize, contended: bool, strong: bool, quick: bool) -> (f64, u6
                 .strong_cas(strong),
             ))
         },
-        None,
+        Some(last.hook()),
     );
     assert!(sc.run_until_quiesce(600_000_000_000), "run must finish");
     assert_eq!(stats.torn_objects.get(), 0, "§8.3 object consistency");
     assert_eq!(stats.empty_pops.get(), 0, "§8.3: pops never find the stack empty");
 
-    let mops = (stats.pairs.get() * 2) as f64 / (sc.now() as f64 / 1e9) / 1e6;
+    let mops = (stats.pairs.get() * 2) as f64 / (last.at() as f64 / 1e9) / 1e6;
     (mops, stats.retries.get(), stats.empty_pops.get())
 }
 

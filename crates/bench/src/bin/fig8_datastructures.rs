@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
-use kite_bench::{paper_sim, ShapeCheck, Table};
+use kite_bench::{paper_sim, LastCompletion, ShapeCheck, Table};
 use kite_common::{ClusterConfig, NodeId};
 use kite_lockfree::driver::DsLayout;
 use kite_lockfree::{DsClient, DsStats, DsWorkload};
@@ -94,6 +94,7 @@ fn run_kite_ds(spec: &WorkloadSpec, ideal: bool, quick: bool) -> (f64, Arc<DsSta
     let stats = Arc::new(DsStats::default());
     let stats2 = Arc::clone(&stats);
     let spn = cfg.sessions_per_node();
+    let last = LastCompletion::default();
 
     let kind = spec.kind;
     let mut sc = SimCluster::build(
@@ -131,7 +132,7 @@ fn run_kite_ds(spec: &WorkloadSpec, ideal: bool, quick: bool) -> (f64, Arc<DsSta
                 Arc::clone(&stats2),
             )))
         },
-        None,
+        Some(last.hook()),
     );
     if spec.kind == Kind::Queue {
         for n in 0..cfg.nodes {
@@ -146,15 +147,16 @@ fn run_kite_ds(spec: &WorkloadSpec, ideal: bool, quick: bool) -> (f64, Arc<DsSta
     assert_eq!(stats.torn_objects.get(), 0, "{}: popped objects must be consistent", spec.name);
 
     let ds_ops = stats.pairs.get() * 2;
-    let mops = ds_ops as f64 / (sc.now() as f64 / 1e9) / 1e6;
+    let mops = ds_ops as f64 / (last.at() as f64 / 1e9) / 1e6;
     eprintln!(
-        "    [{}{}] pairs={} retries={} dup={} miss={} vt={:.1}ms",
+        "    [{}{}] pairs={} retries={} dup={} miss={} last op at {:.1}ms, quiesced at {:.1}ms",
         spec.name,
         if ideal { "/ideal" } else { "" },
         stats.pairs.get(),
         stats.retries.get(),
         stats.dup_inserts.get(),
         stats.missing_removes.get(),
+        last.at() as f64 / 1e6,
         sc.now() as f64 / 1e6
     );
     (mops, stats)

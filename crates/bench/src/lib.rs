@@ -27,6 +27,10 @@
 //! and is asserted where the paper states it. Performance claims are
 //! refereed by `benchmark/run.sh`, not by these bins.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use kite::CompletionHook;
 use kite_common::ClusterConfig;
 use kite_simnet::SimCfg;
 
@@ -53,6 +57,29 @@ pub fn paper_sim(seed: u64) -> SimCfg {
 /// Default measurement windows (virtual nanoseconds).
 pub const WARMUP_NS: u64 = 2_000_000;
 pub const RUN_NS: u64 = 8_000_000;
+
+/// The end of a fixed-work run's measurement window: the virtual time of
+/// its last op completion. `SimCluster::now()` after `run_until_quiesce` is
+/// not that time — quiescence also waits out the anti-entropy cool-down (a
+/// full store sweep), and anti-entropy completes no op.
+#[derive(Default)]
+pub struct LastCompletion(Arc<AtomicU64>);
+
+impl LastCompletion {
+    /// A completion hook that keeps the latest `completed_at` it sees.
+    pub fn hook(&self) -> CompletionHook {
+        let last = Arc::clone(&self.0);
+        // Relaxed: a statistic read after the run, publishing nothing else.
+        Arc::new(move |c| {
+            last.fetch_max(c.completed_at, Ordering::Relaxed);
+        })
+    }
+
+    /// Virtual nanoseconds of the last completion so far.
+    pub fn at(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Fixed-width table printing for harness output.
 pub struct Table {

@@ -124,12 +124,6 @@ pub struct Epoch(pub u64);
 impl Epoch {
     /// Epoch 0 — the initial epoch everywhere.
     pub const ZERO: Epoch = Epoch(0);
-
-    #[inline]
-    /// The next epoch.
-    pub fn next(self) -> Epoch {
-        Epoch(self.0 + 1)
-    }
 }
 
 impl std::fmt::Display for Epoch {
@@ -212,13 +206,6 @@ mod tests {
         assert!(rmw.succ(NodeId(0)) > rmw);
         assert!(relaxed.succ_rmw(NodeId(0)) > relaxed);
         assert_eq!(Lc::ZERO.succ_rmw(NodeId(0)).version(), 1);
-    }
-
-    #[test]
-    fn epoch_next_monotone() {
-        let e = Epoch::ZERO;
-        assert!(e.next() > e);
-        assert_eq!(e.next().next(), Epoch(2));
     }
 
     #[test]

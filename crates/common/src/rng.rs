@@ -56,13 +56,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(hi > lo);
-        lo + self.next_below(hi - lo)
-    }
 }
 
 #[cfg(test)]
@@ -127,14 +120,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| r.chance(0.3)).count();
         let p = hits as f64 / 100_000.0;
         assert!((p - 0.3).abs() < 0.02, "p = {p}");
-    }
-
-    #[test]
-    fn range_bounds() {
-        let mut r = SplitMix64::new(17);
-        for _ in 0..10_000 {
-            let v = r.range(10, 20);
-            assert!((10..20).contains(&v));
-        }
     }
 }

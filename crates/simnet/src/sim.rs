@@ -12,14 +12,19 @@
 //! Everything that happens is an event ordered by `(time, seq)`, `seq`
 //! being the order events were scheduled in. Three kinds exist:
 //!
-//! * **Deliveries** — an envelope reaching a worker — live in a binary
-//!   heap: one push and one pop per envelope.
+//! * **Deliveries** — an envelope reaching a worker — are `(time, seq,
+//!   slab index)` entries of a binary heap, one push and one pop per
+//!   envelope; the envelope itself waits in a slab slot that the heap entry
+//!   names, so a heap sift moves 24 bytes, whatever the envelope holds.
 //! * **Ticks** and **drains** (a busy worker's receive FIFO being served)
 //!   are *logical* events: a worker has at most one of each pending, so
-//!   each is a `(time, seq)` slot per worker, re-keyed in place where a
-//!   heap-based scheduler would pop and re-push. The order of the run is
-//!   that of the one-queue scheduler; the heap carries a third of its
-//!   traffic.
+//!   each is a `(time, seq)` leaf of a tournament tree over all workers,
+//!   re-keyed in place (O(log workers)) where a heap-based scheduler would
+//!   pop and re-push.
+//!
+//! The next event is the smaller of the tree's root and the heap's top, so
+//! finding it costs O(1), and a step looks it up once. Keys are unique, so
+//! the order of the run is that of a single `(time, seq)` queue.
 //!
 //! # Ticks are deadlines
 //!
@@ -115,11 +120,9 @@ impl Default for SimCfg {
     }
 }
 
-/// An envelope in flight on the fabric — the only thing the event heap
-/// holds.
+/// An envelope in flight on the fabric, parked in `Sim::slab` until its
+/// delivery comes up.
 struct Event<P> {
-    time: u64,
-    seq: u64,
     dst: NodeId,
     worker: usize,
     src: NodeId,
@@ -130,22 +133,13 @@ struct Event<P> {
     held: bool,
 }
 
-// Order events by (time, seq): deterministic tie-break.
-impl<P> PartialEq for Event<P> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl<P> Eq for Event<P> {}
-impl<P> PartialOrd for Event<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for Event<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+/// A pending delivery: when, in which order, and the slab slot of its
+/// envelope. `(time, seq)` is unique, so `at` never decides the order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    time: u64,
+    seq: u64,
+    at: u32,
 }
 
 /// `(time, seq)` of a per-worker logical event packed as `time << 64 | seq`
@@ -157,6 +151,80 @@ const UNSCHEDULED: Key = u128::MAX;
 #[inline]
 fn key_of(time: u64, seq: u64) -> Key {
     (time as u128) << 64 | seq as u128
+}
+
+/// The leaf of `Sim::timers` holding the tick of the worker at `slot`.
+#[inline]
+fn tick_leaf(slot: usize) -> usize {
+    2 * slot
+}
+
+/// The leaf of `Sim::timers` holding the drain of the worker at `slot`.
+#[inline]
+fn drain_leaf(slot: usize) -> usize {
+    2 * slot + 1
+}
+
+/// A tournament (winner) tree over a fixed set of keyed leaves: the
+/// smallest key in O(1), a re-key in O(log leaves).
+///
+/// Laid out as an implicit binary tree over `2 × leaves` nodes: node `i`'s
+/// children are `2i` and `2i + 1`, node `leaves + j` is leaf `j`, and the
+/// root is node 1 — for any leaf count, since every node below `leaves` has
+/// two children and every leaf reaches the root. Each node holds the index
+/// of the leaf with the smallest key beneath it, not the key: the keys live
+/// once, in `keys`.
+struct Tournament {
+    keys: Vec<Key>,
+    /// `win[i]`: the winning leaf of node `i` (`win[0]` is unused; a leaf
+    /// node is its own winner).
+    win: Vec<u32>,
+}
+
+impl Tournament {
+    /// `leaves` leaves (at least two), all [`UNSCHEDULED`].
+    fn new(leaves: usize) -> Self {
+        assert!(leaves >= 2 && leaves <= u32::MAX as usize / 2, "tournament size");
+        let mut win = vec![0; 2 * leaves];
+        for (node, w) in win.iter_mut().enumerate().skip(leaves) {
+            *w = (node - leaves) as u32;
+        }
+        for node in (1..leaves).rev() {
+            win[node] = win[2 * node];
+        }
+        Tournament { keys: vec![UNSCHEDULED; leaves], win }
+    }
+
+    #[inline]
+    fn key(&self, leaf: usize) -> Key {
+        self.keys[leaf]
+    }
+
+    /// The leaf with the smallest key, and that key.
+    #[inline]
+    fn min(&self) -> (usize, Key) {
+        let leaf = self.win[1] as usize;
+        (leaf, self.keys[leaf])
+    }
+
+    /// Re-key `leaf` and replay its matches up the tree. Only the nodes
+    /// whose winner changed or is `leaf` can see a different key; above the
+    /// first node with the same winner as before, other than `leaf`,
+    /// nothing does.
+    #[inline]
+    fn set(&mut self, leaf: usize, key: Key) {
+        self.keys[leaf] = key;
+        let mut node = (self.keys.len() + leaf) / 2;
+        while node > 0 {
+            let (l, r) = (self.win[2 * node], self.win[2 * node + 1]);
+            let w = if self.keys[l as usize] < self.keys[r as usize] { l } else { r };
+            if w == self.win[node] && w as usize != leaf {
+                break;
+            }
+            self.win[node] = w;
+            node /= 2;
+        }
+    }
 }
 
 /// Which pending event is next in `(time, seq)` order.
@@ -171,8 +239,6 @@ enum Next {
 /// or lost an envelope can have changed what `run_until_quiesce` looks at.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// No event left.
-    Empty,
     /// A tick that was not due, or an event deferred behind a busy or
     /// sleeping worker: nothing observable changed.
     Blind,
@@ -195,14 +261,18 @@ pub struct Sim<A: Actor> {
     now: u64,
     seq: u64,
     /// Envelope deliveries, by `(time, seq)`.
-    queue: BinaryHeap<Reverse<Event<A::Msg>>>,
-    /// Each worker's next tick — exactly one pending per live worker, so it
-    /// is a slot, not a heap entry. Keyed like any other event: the slot is
-    /// re-keyed (consuming a `seq`) exactly where the tick used to be
-    /// re-pushed, so the `(time, seq)` order of the whole run is unchanged.
-    ticks: Vec<Key>,
-    /// Each worker's receive-FIFO drain, likewise at most one pending.
-    drains: Vec<Key>,
+    queue: BinaryHeap<Reverse<Due>>,
+    /// The envelopes `queue` names, by [`Due::at`]; `None` marks a slot on
+    /// `free`. One slot per pending delivery, so the slab is never longer
+    /// than the heap has been.
+    slab: Vec<Option<Event<A::Msg>>>,
+    free: Vec<u32>,
+    /// Each worker's next tick (leaf `2 × slot`) and receive-FIFO drain
+    /// (leaf `2 × slot + 1`) — at most one of each pending per worker, so a
+    /// leaf, not a heap entry. Keyed like any other event: a leaf is re-keyed
+    /// (consuming a `seq`) exactly where a one-queue scheduler would re-push
+    /// the event, so the `(time, seq)` order of the whole run is that one.
+    timers: Tournament,
     /// When each worker's `on_tick` is next due ([`crate::Wakeup::due`] of its
     /// last call). A tick that fires earlier is not delivered to the actor:
     /// by the contract it would have done nothing.
@@ -259,8 +329,9 @@ impl<A: Actor> Sim<A> {
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
-            ticks: vec![UNSCHEDULED; slots],
-            drains: vec![UNSCHEDULED; slots],
+            slab: Vec::new(),
+            free: Vec::new(),
+            timers: Tournament::new(2 * slots),
             due: vec![0; slots],
             deliveries_pending: 0,
             links: vec![Link::default(); nodes * nodes],
@@ -281,7 +352,7 @@ impl<A: Actor> Sim<A> {
         };
         for slot in 0..slots {
             // Stagger initial ticks so nodes don't act in lockstep.
-            sim.ticks[slot] = sim.key(slot as u64 * 97);
+            sim.schedule(tick_leaf(slot), slot as u64 * 97);
         }
         sim
     }
@@ -298,18 +369,32 @@ impl<A: Actor> Sim<A> {
         std::mem::take(&mut self.sent[node.idx()])
     }
 
-    /// The key of an event scheduled now for `time`.
+    /// Schedule the tick or drain at `leaf` of `timers` for `time`, ordered
+    /// after every event scheduled so far.
     #[inline]
-    fn key(&mut self, time: u64) -> Key {
+    fn schedule(&mut self, leaf: usize, time: u64) {
         self.seq += 1;
-        key_of(time, self.seq - 1)
+        self.timers.set(leaf, key_of(time, self.seq - 1));
     }
 
-    fn push(&mut self, time: u64, mut ev: Event<A::Msg>) {
-        (ev.time, ev.seq) = (time, self.seq);
+    /// Schedule the delivery of `ev` for `time`: the envelope goes into a
+    /// free slab slot (the one last freed — so a re-parked envelope keeps
+    /// its own), the heap gets its `(time, seq, slot)`.
+    fn push(&mut self, time: u64, ev: Event<A::Msg>) {
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.slab[at as usize] = Some(ev);
+                at
+            }
+            None => {
+                self.slab.push(Some(ev));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 envelopes in flight")
+            }
+        };
+        let seq = self.seq;
         self.seq += 1;
         self.heap_pushes += 1;
-        self.queue.push(Reverse(ev));
+        self.queue.push(Reverse(Due { time, seq, at }));
     }
 
     fn node_of(&self, slot: usize) -> NodeId {
@@ -393,42 +478,40 @@ impl<A: Actor> Sim<A> {
 
     /// Schedule the drain event for a worker's receive FIFO if needed.
     fn ensure_drain(&mut self, slot: usize) {
-        if self.drains[slot] == UNSCHEDULED && !self.waiting[slot].is_empty() {
-            self.drains[slot] = self.key(self.busy_until[slot].max(self.now));
+        if self.timers.key(drain_leaf(slot)) == UNSCHEDULED && !self.waiting[slot].is_empty() {
+            self.schedule(drain_leaf(slot), self.busy_until[slot].max(self.now));
         }
     }
 
-    /// The pending event that is first in `(time, seq)` order. The heap
-    /// holds the deliveries; ticks and drains are two short dense arrays
-    /// (one entry per worker) scanned in place.
+    /// The pending event that is first in `(time, seq)` order: the heap's
+    /// first delivery or the tree's first tick or drain, whichever is
+    /// earlier.
     #[inline]
     fn next(&self) -> Option<(u64, Next)> {
-        let mut best =
-            self.queue.peek().map_or(UNSCHEDULED, |Reverse(ev)| key_of(ev.time, ev.seq));
-        let mut which = Next::Deliver;
-        for (slot, &k) in self.ticks.iter().enumerate() {
-            if k < best {
-                (best, which) = (k, Next::Tick(slot));
-            }
-        }
-        for (slot, &k) in self.drains.iter().enumerate() {
-            if k < best {
-                (best, which) = (k, Next::Drain(slot));
-            }
-        }
+        let (leaf, timer) = self.timers.min();
+        let delivery = self.queue.peek().map_or(UNSCHEDULED, |Reverse(d)| key_of(d.time, d.seq));
+        let (best, which) = if delivery < timer {
+            (delivery, Next::Deliver)
+        } else if leaf == tick_leaf(leaf / 2) {
+            (timer, Next::Tick(leaf / 2))
+        } else {
+            (timer, Next::Drain(leaf / 2))
+        };
         (best != UNSCHEDULED).then_some(((best >> 64) as u64, which))
     }
 
     /// Process a single event. Returns `false` when none is left.
     pub fn step(&mut self) -> bool {
-        self.step_once(u64::MAX) != Step::Empty
+        let Some((time, which)) = self.next() else {
+            return false;
+        };
+        self.step_at(time, which, u64::MAX);
+        true
     }
 
-    /// One step of a run that will not go past `limit`.
-    fn step_once(&mut self, limit: u64) -> Step {
-        let Some((time, which)) = self.next() else {
-            return Step::Empty;
-        };
+    /// Process the event [`Sim::next`] found, due at `time`, in a run that
+    /// will not go past `limit`.
+    fn step_at(&mut self, time: u64, which: Next, limit: u64) -> Step {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         match which {
@@ -439,7 +522,9 @@ impl<A: Actor> Sim<A> {
     }
 
     fn deliver(&mut self) -> Step {
-        let Reverse(mut ev) = self.queue.pop().expect("next() saw a delivery");
+        let Reverse(Due { at, .. }) = self.queue.pop().expect("next() saw a delivery");
+        let mut ev = self.slab[at as usize].take().expect("a pending delivery has its envelope");
+        self.free.push(at);
         let slot = ev.dst.idx() * self.workers + ev.worker;
         if ev.held {
             ev.held = false;
@@ -484,30 +569,38 @@ impl<A: Actor> Sim<A> {
 
     /// Pop one envelope from the worker's receive FIFO (scheduled whenever
     /// envelopes arrive while the worker's virtual CPU is busy).
+    ///
+    /// The drain's leaf is re-keyed once, on the way out; the key of a
+    /// next drain is taken after the envelope's posts, as a one-queue
+    /// scheduler would have pushed it.
     fn drain(&mut self, slot: usize) -> Step {
-        self.drains[slot] = UNSCHEDULED;
         let node = self.node_of(slot);
         if self.crashed[node.idx()] {
             // drop the whole backlog at a dead node
             self.deliveries_pending -= self.waiting[slot].len();
             self.waiting[slot].clear();
+            self.timers.set(drain_leaf(slot), UNSCHEDULED);
             return Step::Acted;
         }
         // Asleep or busy: try again when neither.
         let wake = self.wake_at[node.idx()];
         if wake > self.now {
-            self.drains[slot] = self.key(wake);
+            self.schedule(drain_leaf(slot), wake);
             return Step::Blind;
         }
         if self.busy_until[slot] > self.now {
-            self.drains[slot] = self.key(self.busy_until[slot]);
+            self.schedule(drain_leaf(slot), self.busy_until[slot]);
             return Step::Blind;
         }
         if let Some((src, mepoch, msgs)) = self.waiting[slot].pop_front() {
             self.look_ahead(slot);
             self.process_envelope(slot, src, mepoch, msgs);
         }
-        self.ensure_drain(slot);
+        if self.waiting[slot].is_empty() {
+            self.timers.set(drain_leaf(slot), UNSCHEDULED);
+        } else {
+            self.schedule(drain_leaf(slot), self.busy_until[slot].max(self.now));
+        }
         Step::Acted
     }
 
@@ -547,16 +640,17 @@ impl<A: Actor> Sim<A> {
     fn tick(&mut self, slot: usize, limit: u64) -> Step {
         let node = self.node_of(slot);
         if self.crashed[node.idx()] {
-            self.ticks[slot] = UNSCHEDULED; // crashed nodes stop ticking forever
+            // crashed nodes stop ticking forever
+            self.timers.set(tick_leaf(slot), UNSCHEDULED);
             return Step::Blind;
         }
         let wake = self.wake_at[node.idx()];
         if wake > self.now {
-            self.ticks[slot] = self.key(wake);
+            self.schedule(tick_leaf(slot), wake);
             return Step::Blind;
         }
         if self.busy_until[slot] > self.now {
-            self.ticks[slot] = self.key(self.busy_until[slot]);
+            self.schedule(tick_leaf(slot), self.busy_until[slot]);
             return Step::Blind;
         }
         let called = self.now >= self.due[slot];
@@ -571,7 +665,7 @@ impl<A: Actor> Sim<A> {
             self.route(slot, &mut out);
             self.scratch = out;
         }
-        self.ticks[slot] = self.key(self.now + self.cfg.tick_ns);
+        self.schedule(tick_leaf(slot), self.now + self.cfg.tick_ns);
         if called {
             Step::Acted
         } else {
@@ -605,9 +699,10 @@ impl<A: Actor> Sim<A> {
         // (first due grid point, chain start — later first, seq) of the
         // earliest tick that will call its actor.
         let mut horizon = (u64::MAX, Reverse(0), 0);
-        for slot in 0..self.ticks.len() {
-            let key = self.ticks[slot];
-            if self.drains[slot] != UNSCHEDULED {
+        let slots = self.busy_until.len();
+        for slot in 0..slots {
+            let key = self.timers.key(tick_leaf(slot));
+            if self.timers.key(drain_leaf(slot)) != UNSCHEDULED {
                 return false;
             }
             if key == UNSCHEDULED {
@@ -627,7 +722,8 @@ impl<A: Actor> Sim<A> {
             _ => horizon,
         };
         self.idle_scratch.clear();
-        for (slot, &key) in self.ticks.iter().enumerate() {
+        for slot in 0..slots {
+            let key = self.timers.key(tick_leaf(slot));
             if key == UNSCHEDULED {
                 continue;
             }
@@ -644,7 +740,7 @@ impl<A: Actor> Sim<A> {
         self.idle_scratch.sort_unstable();
         for i in 0..self.idle_scratch.len() {
             let (at, _, _, slot) = self.idle_scratch[i];
-            self.ticks[slot] = self.key(at);
+            self.schedule(tick_leaf(slot), at);
         }
         true
     }
@@ -703,14 +799,14 @@ impl<A: Actor> Sim<A> {
         };
         self.deliveries_pending += 1;
         let worker = slot % self.workers;
-        let ev = Event { time: 0, seq: 0, dst, worker, src, mepoch, msgs, held: false };
+        let ev = Event { dst, worker, src, mepoch, msgs, held: false };
         self.push(self.now + latency, ev);
     }
 
     /// Run until virtual time passes `deadline_ns`.
     pub fn run_until(&mut self, deadline_ns: u64) {
-        while self.next().is_some_and(|(time, _)| time <= deadline_ns) {
-            self.step_once(deadline_ns);
+        while let Some((time, which)) = self.next().filter(|&(time, _)| time <= deadline_ns) {
+            self.step_at(time, which, deadline_ns);
         }
         self.now = self.now.max(deadline_ns);
     }
@@ -744,10 +840,10 @@ impl<A: Actor> Sim<A> {
             {
                 return true;
             }
-            if self.next().is_none_or(|(time, _)| time > max_ns) {
+            let Some((time, which)) = self.next().filter(|&(time, _)| time <= max_ns) else {
                 return false;
-            }
-            last = self.step_once(max_ns);
+            };
+            last = self.step_at(time, which, max_ns);
         }
     }
 }
@@ -823,6 +919,33 @@ mod tests {
         assert!(sim.run_until_quiesce(1_000_000_000));
         assert_eq!(sim.delivered, 500 * 4 * 2, "every ping and every pong");
         assert_eq!(sim.heap_pushes, sim.delivered);
+    }
+
+    /// The tree's root is the smallest leaf after every re-key — random
+    /// leaves set to random keys or unscheduled, and the current winner
+    /// moved later and earlier — at leaf counts that are and are not powers
+    /// of two.
+    #[test]
+    fn the_tournament_root_is_the_minimum() {
+        let mut rng = SplitMix64::new(26);
+        for leaves in [2, 10, 20, 30] {
+            let mut tree = Tournament::new(leaves);
+            let mut seq = 0;
+            for round in 0..4_000 {
+                let (winner, best) = tree.min();
+                let (leaf, time) = match round % 4 {
+                    _ if best == UNSCHEDULED => (winner, rng.next_below(1 << 20)),
+                    0 => (winner, (best >> 64) as u64 + 1 + rng.next_below(1_000)),
+                    1 => (winner, ((best >> 64) as u64).saturating_sub(1 + rng.next_below(1_000))),
+                    _ => (rng.next_below(leaves as u64) as usize, rng.next_below(1 << 20)),
+                };
+                seq += 1;
+                let key = if rng.next_below(5) == 0 { UNSCHEDULED } else { key_of(time, seq) };
+                tree.set(leaf, key);
+                let brute = (0..leaves).map(|l| tree.key(l)).min().unwrap();
+                assert_eq!(tree.min().1, brute, "{leaves} leaves, round {round}: leaf {leaf} re-keyed");
+            }
+        }
     }
 
     #[test]
@@ -981,7 +1104,8 @@ mod tests {
     /// when the envelopes arrive, not when the node wakes. The drop and
     /// delivery totals are the ones the unbounded inbox produced for this
     /// seed (captured at `b701804`), and the event heap never carries more
-    /// than the worker can accept at wake-up plus what is on the wire.
+    /// than the worker can accept at wake-up plus what is on the wire — nor
+    /// the envelope slab more slots than the heap has held entries.
     #[test]
     fn sleeping_inbox_is_bounded_at_arrival() {
         const CAP: usize = 16;
@@ -1003,6 +1127,7 @@ mod tests {
             "heap peaked at {peak} events: the inbox of a sleeping worker holds at most {}",
             CAP + 1
         );
+        assert!(sim.slab.len() <= peak, "{} slab slots for a heap of at most {peak}", sim.slab.len());
         assert!(sim.run_until_quiesce(1_000_000_000));
         assert_eq!((sim.delivered, sim.dropped), (517, 1483), "same totals as the unbounded inbox");
         assert_eq!(sim.actors[1][0].got as u64, sim.delivered);

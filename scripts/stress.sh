@@ -42,7 +42,7 @@
 # Before the loop, once: the exactly-once-FAA soak (tests/faa_sleeper.rs,
 # 200 seeds of "every node bumps one counter while node 4 sleeps three
 # times", ~10 min). Deterministic per seed, so once is enough; it prints
-# every failing seed.
+# every failing seed, then the soak's wall time in seconds.
 #
 # Usage: scripts/stress.sh [iterations] [test-filter]
 #   iterations   default 50
@@ -85,7 +85,10 @@ run_logged() {
 }
 
 echo "== exactly-once FAA with a sleeping proposer, seeds 1..=200 =="
+SECONDS=0
 cargo test -q --release --test faa_sleeper -- --ignored
+# The soak's wall time is the budget a wider seed swarm spends: print it.
+echo "FAA soak: 200 seeds in ${SECONDS} s"
 
 echo "== stressing '${FILTER}' + anti-entropy fault tests x${N} =="
 fails=0
