@@ -144,6 +144,8 @@ pub struct ShapeCheck {
 }
 
 impl ShapeCheck {
+    /// Print every check as a PASS/FAIL line, then exit with status 1 if
+    /// any failed: a harness whose numbers lost the paper's shape fails.
     pub fn assert_all(checks: &[ShapeCheck]) {
         let mut failed = false;
         for c in checks {
@@ -152,7 +154,8 @@ impl ShapeCheck {
             failed |= !c.holds;
         }
         if failed {
-            eprintln!("warning: some paper-shape checks failed (see above)");
+            eprintln!("error: some paper-shape checks failed (see above)");
+            std::process::exit(1);
         }
     }
 }

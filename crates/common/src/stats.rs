@@ -6,8 +6,8 @@
 //! struct of `kite-metrics` [`Counter`]s the workers bump per event. Typed
 //! fields are the in-process read path (`counters.completed.get()`);
 //! [`ProtoCounters::fields`] names every field once for the text view, so
-//! the sim, the threaded runtime and the daemon render the same `proto_*`
-//! keys from the same atomics. Nothing else lives here: counters, gauges,
+//! the sim and the daemon render the same `proto_*` keys from the same
+//! atomics. Nothing else lives here: counters, gauges,
 //! histograms and the registry are `kite-metrics`.
 
 use kite_metrics::Counter;

@@ -757,9 +757,9 @@ mod tests {
     }
 
     // `ae_digest_bytes` / `ae_repair_bytes` are added up from the four
-    // hand-written mirrors above, not from encoded frames (the sim and the
-    // threaded runtime never encode). A codec change that forgets a mirror
-    // would silently skew `ae.digest_bytes_per_op` on two of three runtimes.
+    // hand-written mirrors above, not from encoded frames (the sim never
+    // encodes). A codec change that forgets a mirror would silently skew
+    // `ae.digest_bytes_per_op` on the sim.
     proptest! {
         #[test]
         fn digest_wire_bytes_is_the_encoded_length(keys in vec(any::<u64>(), 0..600)) {

@@ -31,35 +31,41 @@
 //! * [`delinquency`], [`nodestate`] — the barrier mechanism's node state.
 //! * [`wire`] — the binary codec carrying [`msg::Msg`] batches (and remote
 //!   client sessions) across real sockets (see the `kite-net` crate).
-//! * [`cluster`] — a threaded in-process deployment with a blocking client
-//!   API ([`Cluster`], [`SessionHandle`]).
+//! * [`cluster`] — the blocking client API ([`SessionHandle`]) of an
+//!   in-process deployment; the deployment itself is `kite_net::Cluster`,
+//!   real nodes over loopback sockets.
 //! * [`simcluster`] — the same system on the deterministic simulator, for
 //!   reproducible correctness tests and the benchmark harness.
 //!
 //! ## Quick start
 //!
+//! A producer's payload write and flag release on the simulator; the
+//! `kite-net` crate docs show the same handshake on real nodes.
+//!
 //! ```
-//! use kite::{Cluster, ProtocolMode};
-//! use kite_common::{ClusterConfig, Key};
+//! use kite::api::Op;
+//! use kite::session::SessionDriver;
+//! use kite::{ProtocolMode, SimCluster};
+//! use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
+//! use kite_simnet::SimCfg;
 //!
-//! let cfg = ClusterConfig::small().keys(128);
-//! let cluster = Cluster::launch(cfg, ProtocolMode::Kite).unwrap();
-//! let mut producer = cluster.session(kite_common::NodeId(0), 0).unwrap();
-//! let mut consumer = cluster.session(kite_common::NodeId(1), 0).unwrap();
-//!
-//! producer.write(Key(1), b"payload").unwrap();
-//! producer.release(Key(0), b"ready").unwrap();
-//!
-//! // Spin until the consumer acquires the flag, then the payload is
-//! // guaranteed visible (RC barrier invariant).
-//! loop {
-//!     let flag = consumer.acquire(Key(0)).unwrap();
-//!     if flag.as_bytes() == b"ready" {
-//!         break;
-//!     }
-//! }
-//! assert_eq!(consumer.read(Key(1)).unwrap().as_bytes(), b"payload");
-//! cluster.shutdown();
+//! let producer = SessionId::new(NodeId(0), 0);
+//! let mut sc = SimCluster::build(
+//!     ClusterConfig::small().keys(128),
+//!     ProtocolMode::Kite,
+//!     SimCfg::default(),
+//!     |sid| match sid == producer {
+//!         true => SessionDriver::Script(Box::new(|seq| match seq {
+//!             0 => Some(Op::Write { key: Key(1), val: Val::from_u64(7) }),
+//!             1 => Some(Op::Release { key: Key(0), val: Val::from_u64(1) }),
+//!             _ => None,
+//!         })),
+//!         false => SessionDriver::Idle,
+//!     },
+//!     None,
+//! );
+//! assert!(sc.run_until_quiesce(1_000_000_000), "two ops settle in a virtual second");
+//! assert_eq!(sc.total_completed(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -79,7 +85,7 @@ pub mod wire;
 pub mod worker;
 
 pub use api::{Completion, CompletionHook, Op, OpOutput};
-pub use cluster::{Cluster, SessionHandle};
+pub use cluster::SessionHandle;
 pub use msg::Msg;
 pub use nodestate::{NodeShared, OpLatency};
 pub use session::{ClientSm, ProtocolMode, Session, SessionDriver};

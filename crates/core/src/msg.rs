@@ -636,11 +636,6 @@ mod tests {
             ("Lc", size_of::<Lc>(), align_of::<Lc>()),
             ("Cmd", size_of::<Cmd>(), align_of::<Cmd>()),
             ("CommitPayload", size_of::<CommitPayload>(), align_of::<CommitPayload>()),
-            (
-                "Envelope<Msg>",
-                size_of::<kite_simnet::Envelope<Msg>>(),
-                align_of::<kite_simnet::Envelope<Msg>>(),
-            ),
         ];
         for (name, size, align) in report {
             println!("{name:<16} size {size:>3}  align {align}");
@@ -649,8 +644,6 @@ mod tests {
         assert!(size_of::<PromiseOutcome>() <= 24);
         assert_eq!(size_of::<Val>(), 33);
         assert_eq!(size_of::<Lc>(), 8);
-        // An envelope is one line of header + the batch Vec: src + Vec.
-        assert!(size_of::<kite_simnet::Envelope<Msg>>() <= 32);
     }
 
     #[test]

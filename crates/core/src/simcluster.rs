@@ -103,10 +103,10 @@ impl SimCluster {
         quiesced
     }
 
-    /// The simulator routes envelopes itself, so it — not a `NetHandle` —
+    /// The simulator routes envelopes itself, so it — not a fabric loop —
     /// knows what each node sent: fold its tallies into the nodes'
-    /// `msgs_sent` / `envelopes_sent`, the counters the other runtimes bump
-    /// as they send.
+    /// `msgs_sent` / `envelopes_sent`, the counters the epoll fabric bumps
+    /// as it sends.
     fn fold_sent(&mut self) {
         for (n, c) in self.counters.iter().enumerate() {
             let (msgs, envelopes) = self.sim.take_sent(NodeId(n as u8));

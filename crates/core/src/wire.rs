@@ -1,16 +1,17 @@
 //! The binary wire codec: how [`Msg`] batches (and the remote-session
 //! client protocol) cross a real socket.
 //!
-//! The in-process runtimes move `Msg` values through channels; this module
-//! is the only serializer in the workspace: a hand-rolled, little-endian,
+//! The simulator moves `Msg` values in memory; this module is the only
+//! serializer in the workspace: a hand-rolled, little-endian,
 //! length-prefixed format with no reflection and no allocation beyond the
 //! payload bytes themselves.
 //!
 //! # Frame layout
 //!
-//! A **peer frame** is one [`kite_simnet::Envelope`] on the wire — every
-//! message one worker produced for one destination during one scheduling
-//! step (§6.3 opportunistic batching survives the socket boundary):
+//! A **peer frame** is one batch of [`kite_simnet::Outbox::flush`] on the
+//! wire — every message one worker produced for one destination during one
+//! scheduling step (§6.3 opportunistic batching survives the socket
+//! boundary):
 //!
 //! ```text
 //! [u32 body_len][u8 src_node][u32 mepoch][u32 msg_count][msg_count × Msg]

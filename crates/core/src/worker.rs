@@ -2,8 +2,8 @@
 //!
 //! A worker owns a set of sessions and executes their operations by running
 //! the three protocols and the RC barrier machinery. It is written as a
-//! sans-io [`Actor`] so the same code runs under the threaded runtime and
-//! the deterministic simulator.
+//! sans-io [`Actor`] so the same code runs over the epoll fabric
+//! (`kite-net`) and the deterministic simulator.
 //!
 //! This file holds the scheduling skeleton: session pumping, dispatch,
 //! completion plumbing, and the tick. The protocol logic lives in two

@@ -1,9 +1,9 @@
-//! `TcpNet`: the real-socket fabric, run-to-completion event loops over
-//! the same worker-facing surface as `kite_simnet::ThreadedNet`.
+//! `TcpNet`: the real-socket fabric, run-to-completion event loops that
+//! drive the sans-io actors of one node.
 //!
-//! One `TcpNet` serves **one node** of the cluster (the in-process fabrics
-//! own all nodes; here every node is its own OS process — or its own
-//! `TcpNet` instance when a test runs a whole cluster on loopback):
+//! One `TcpNet` serves **one node** of the cluster (the simulator owns all
+//! nodes; here every node is its own OS process — or its own `TcpNet`
+//! instance when [`crate::Cluster`] runs a whole cluster on loopback):
 //!
 //! * **One event loop per worker.** The worker thread *is* the I/O loop:
 //!   an epoll instance (raw-libc FFI — the workspace carries no mio/tokio)
@@ -42,6 +42,9 @@
 //!   — the fabric behaves like a lossy NIC under backpressure, which is
 //!   exactly the failure model the protocols already recover from, so a
 //!   stalled peer bounds sender memory instead of growing a writer queue.
+//!   The same drop point takes injected loss: a link given a drop
+//!   probability ([`LinkTable::set_drop`]) loses envelopes before they are
+//!   framed — the §8.4 lossy-link fault on real sockets.
 //! * **Readiness-driven reads.** Inbound bytes accumulate in a per-
 //!   connection buffer; complete frames decode into pool-recycled
 //!   `Vec<Msg>` buffers and feed `Actor::on_envelope` directly. A
@@ -69,6 +72,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite::api::{Completion, Op};
 use kite::wire::{self, ClientFrame, Hello};
 use kite::Msg;
+use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
 use kite_common::{NodeId, SessionId};
 use kite_simnet::{Actor, Clock, Dumper, Outbox, Wake, Wakeup, WallClock};
@@ -244,8 +248,7 @@ pub struct ClientSessions {
 }
 
 /// One node's fabric endpoint: the listener/acceptor thread plus shared
-/// pools, per-node clock and counters (the `ThreadedNet` surface for one
-/// node).
+/// pools, clock and counters.
 pub struct TcpNet {
     /// This node.
     pub me: NodeId,
@@ -253,7 +256,8 @@ pub struct TcpNet {
     pub nodes: usize,
     /// Workers per node.
     pub workers: usize,
-    /// Shared wall clock.
+    /// The process wall clock (one time base for every node in the
+    /// process).
     pub clock: Arc<WallClock>,
     /// This node's protocol counters.
     pub counters: Arc<ProtoCounters>,
@@ -629,8 +633,7 @@ impl Acceptor {
     }
 
     /// Decode a completed hello and hand the connection to its worker
-    /// loop. Out-of-topology peers and bad handshakes are dropped silently
-    /// (same policy as the threaded fabric).
+    /// loop. Out-of-topology peers and bad handshakes are dropped silently.
     fn route_hello(&self, stream: TcpStream, hello: &[u8; wire::HELLO_LEN]) {
         let (worker, conn) = match wire::decode_hello(hello) {
             Ok(Hello::Peer { node, worker }) => {
@@ -761,8 +764,7 @@ fn drain_counted(
     outcome
 }
 
-/// Handle to stop and join one node's worker loops (the
-/// `kite_simnet::StopHandle` surface for the TCP runtime).
+/// Handle to stop and join one node's worker loops.
 pub struct NodeStopHandle {
     stop: Arc<AtomicBool>,
     dump: Arc<AtomicBool>,
@@ -801,9 +803,9 @@ impl Drop for NodeStopHandle {
 }
 
 /// Spawn one event-loop thread per `(actor, io, sessions)` rig over the
-/// TCP fabric — the `kite_simnet::spawn_workers` surface, with the I/O
-/// plane folded into the worker thread itself. Rigs serving remote client
-/// sessions pass the node's slot table as the third element.
+/// TCP fabric, the I/O plane folded into the worker thread itself. Rigs
+/// serving remote client sessions pass the node's slot table as the third
+/// element.
 pub fn spawn_tcp_workers<A>(
     rigs: Vec<(A, TcpWorkerIo, Option<ClientSessions>)>,
     net: &TcpNet,
@@ -861,6 +863,9 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     /// Self-addressed batches (loopback without a socket).
     selfq: VecDeque<Vec<Msg>>,
     out: Outbox<Msg>,
+    /// Coins for injected loss ([`crate::link::LinkState::drops`]), seeded
+    /// from `(node, worker)`.
+    rng: SplitMix64,
     scratch: Vec<Vec<Msg>>,
     events: Vec<(u64, u32)>,
     stop: Arc<AtomicBool>,
@@ -920,6 +925,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             conns,
             selfq: VecDeque::new(),
             out: Outbox::new(io.nodes),
+            rng: SplitMix64::new((io.node.0 as u64) << 32 | io.worker as u64),
             scratch: Vec::with_capacity(io.nodes),
             events: Vec::with_capacity(64),
             stop,
@@ -1309,15 +1315,17 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // by the watchdog and tests; the loop that mutates them is their only
     // writer, so Relaxed publishes numbers, not invariants.
     /// Encode-and-ship every outbox batch: remote batches into peer rings
-    /// (shedding when a ring is full — bounded memory under backpressure),
-    /// self batches onto the loopback queue. Batch buffers recycle into
-    /// the outbox; steady-state flushes allocate nothing.
+    /// (shedding when a ring is full — bounded memory under backpressure;
+    /// dropping when the link is down or loses the envelope to injected
+    /// loss), self batches onto the loopback queue. Batch buffers recycle
+    /// into the outbox; steady-state flushes allocate nothing.
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn flush_outbox(&mut self) {
         let me = self.me;
         let worker = self.worker;
-        let Self { out, peer_out, selfq, byte_pool, links, counters, scratch, stats, .. } = self;
+        let Self { out, peer_out, selfq, byte_pool, links, counters, rng, scratch, stats, .. } =
+            self;
         let stats = &stats.loops[worker];
         // The stamp the actor set at the end of its last step: every frame
         // this flush emits was composed under that membership view.
@@ -1334,7 +1342,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             }
             let link = links.link(dst, worker);
             let po = &mut peer_out[dst.idx()];
-            if let DialState::Connected = po.state {
+            if link.drops(rng) {
+                // Injected loss: the envelope never reaches the wire.
+                link.dropped_out.fetch_add(1, Ordering::Relaxed);
+            } else if let DialState::Connected = po.state {
                 let mut buf = byte_pool.pop();
                 wire::encode_frames(me, stamp, &batch, &mut buf);
                 match po.ring.push(buf) {

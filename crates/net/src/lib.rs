@@ -1,11 +1,9 @@
 //! # kite-net
 //!
-//! The real-network transport of the Kite reproduction: the third
-//! scheduler for the sans-io protocol actors. Where `kite-simnet` drives
-//! the same `Worker` code through in-process channels (threaded) or a
-//! deterministic event loop (sim), this crate drives it across **real TCP
-//! sockets between real processes** — the step from protocol to deployable
-//! replication layer.
+//! The real-network runtime of the Kite reproduction. `kite-simnet`'s
+//! simulator drives the sans-io `Worker` on virtual time; this crate drives
+//! the same code across **real TCP sockets** — between processes
+//! (`kite-node`), or between the nodes of a [`Cluster`] inside one process.
 //!
 //! * [`fabric`] — [`TcpNet`]: one run-to-completion epoll event loop per
 //!   worker (the worker thread *is* the I/O loop), nonblocking sockets,
@@ -17,10 +15,14 @@
 //!   (the workspace carries no libc/mio/tokio crates).
 //! * [`ring`] — the bounded outbound frame ring and the shared buffer
 //!   pools.
+//! * [`link`] — per-link state and counters, and the injected-loss knob
+//!   ([`LinkTable::set_drop`]).
 //! * [`node`] — [`NodeRuntime`]: one Kite node as a process (session
 //!   plumbing, workers over the fabric, in-loop remote-session serving,
-//!   clean shutdown); [`launch_local_cluster`] runs a whole cluster on
-//!   loopback inside one process for tests and benches.
+//!   clean shutdown).
+//! * [`cluster`] — [`Cluster`]: a whole cluster of [`NodeRuntime`]s on
+//!   loopback in one process, with the blocking [`kite::SessionHandle`]
+//!   client API, for tests, examples and benches.
 //! * [`client`] — [`RemoteSession`]: the `SessionHandle` API over a
 //!   socket, pipelined — many in-flight ops per connection, completions
 //!   matched by op sequence number through a reorder window.
@@ -28,15 +30,42 @@
 //!   driver used by `scripts/e2e_tcp.sh`.
 //!
 //! The wire format itself lives in `kite::wire`; this crate only moves the
-//! frames. The buffer-recycling contract of the in-process runtimes
-//! survives the socket boundary: outbox batches are encoded into pooled
-//! byte buffers that the rings recycle once the kernel accepts the bytes,
-//! and inbound frames decode into pooled `Vec<Msg>` buffers — steady-state
-//! sends and receives allocate nothing.
+//! frames. Outbox batches are encoded into pooled byte buffers that the
+//! rings recycle once the kernel accepts the bytes, and inbound frames
+//! decode into pooled `Vec<Msg>` buffers — steady-state sends and receives
+//! allocate nothing.
+//!
+//! ## Quick start
+//!
+//! ```
+//! use kite::ProtocolMode;
+//! use kite_common::{ClusterConfig, Key, NodeId};
+//! use kite_net::Cluster;
+//!
+//! let cfg = ClusterConfig::small().keys(128);
+//! let cluster = Cluster::launch(cfg, ProtocolMode::Kite).unwrap();
+//! let mut producer = cluster.session(NodeId(0), 0).unwrap();
+//! let mut consumer = cluster.session(NodeId(1), 0).unwrap();
+//!
+//! producer.write(Key(1), b"payload").unwrap();
+//! producer.release(Key(0), b"ready").unwrap();
+//!
+//! // Spin until the consumer acquires the flag, then the payload is
+//! // guaranteed visible (RC barrier invariant).
+//! loop {
+//!     let flag = consumer.acquire(Key(0)).unwrap();
+//!     if flag.as_bytes() == b"ready" {
+//!         break;
+//!     }
+//! }
+//! assert_eq!(consumer.read(Key(1)).unwrap().as_bytes(), b"payload");
+//! cluster.shutdown();
+//! ```
 
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod cluster;
 pub mod fabric;
 pub mod link;
 pub mod node;
@@ -45,9 +74,10 @@ pub mod scrape;
 pub mod sys;
 
 pub use client::{RemoteSession, CLIENT_TIMEOUT};
+pub use cluster::Cluster;
 pub use fabric::{
     bind_reuseaddr, spawn_tcp_workers, ClientSessions, NodeStopHandle, PeerTable, TcpNet,
     TcpNetCfg, TcpWorkerIo,
 };
 pub use link::{FabricStats, LinkPhase, LinkState, LinkTable, LoopStats};
-pub use node::{launch_local_cluster, NodeConfig, NodeRuntime, NodeWatchdog};
+pub use node::{NodeConfig, NodeRuntime, NodeWatchdog};

@@ -9,8 +9,9 @@
 //! workers' `Actor::describe` dumps — instead of silently stalling
 //! retransmissions until someone attaches strace.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
+use kite_common::rng::SplitMix64;
 use kite_common::NodeId;
 
 /// Connection phase of one outbound link.
@@ -48,8 +49,9 @@ pub struct LinkState {
     pub frames_out: AtomicU64,
     /// Frames received and decoded from the peer.
     pub frames_in: AtomicU64,
-    /// Outbound frames dropped because the link was down (the protocol's
-    /// retransmission layer recovers these, exactly like a lossy fabric).
+    /// Outbound frames dropped because the link was down or lost them to
+    /// [`LinkTable::set_drop`] (the protocol's retransmission layer
+    /// recovers these, exactly like a lossy fabric).
     pub dropped_out: AtomicU64,
     /// Inbound connections closed because a frame failed to decode — a
     /// malformed peer costs itself the connection, never the worker.
@@ -68,6 +70,10 @@ pub struct LinkState {
     pub last_rx_ns: AtomicU64,
     /// Wall-clock ns of the last completed socket write (0 = never).
     pub last_tx_ns: AtomicU64,
+    /// Injected loss: the probability that an outbound envelope is dropped
+    /// before it is framed, in units of 1/2^32 (0 = reliable, `u32::MAX` =
+    /// cut) — fixed-point on an atomic so the flush path takes no lock.
+    drop_fp: AtomicU32,
 }
 
 impl LinkState {
@@ -124,6 +130,24 @@ impl LinkState {
     pub(crate) fn set_retired(&self) {
         self.phase.store(3, Ordering::Relaxed);
     }
+
+    /// Make the link lose each outbound envelope with probability `p`
+    /// (clamped to `[0, 1]`; `0` heals it).
+    // ordering: a standalone knob read once per envelope; a flush that
+    // sees the old value a moment longer only loses (or keeps) one more.
+    pub(crate) fn set_drop(&self, p: f64) {
+        self.drop_fp.store((p.clamp(0.0, 1.0) * u32::MAX as f64) as u32, Ordering::Relaxed);
+    }
+
+    /// Should the next outbound envelope be lost? Draws from `rng` only
+    /// while a loss probability is set.
+    // ordering: see set_drop.
+    // kite-lint: no-alloc
+    #[inline]
+    pub(crate) fn drops(&self, rng: &mut SplitMix64) -> bool {
+        let fp = self.drop_fp.load(Ordering::Relaxed);
+        fp != 0 && (rng.next_u64() >> 32) as u32 <= fp
+    }
 }
 
 /// All of one node's links, indexed `[peer][worker]` (the `me` row exists
@@ -149,7 +173,17 @@ impl LinkTable {
         &self.links[peer.idx()][worker]
     }
 
-    /// Human-readable per-link dump for the watchdog / shutdown report.
+    /// Make every worker's link to `peer` lose each outbound envelope with
+    /// probability `p` (clamped to `[0, 1]`; `0` heals). The §8.4
+    /// lossy-link fault, one direction: a lost envelope never reaches the
+    /// wire and counts on the row's `dropped_out`, like one sent while the
+    /// link is down. A runtime call, like [`crate::TcpNet::set_peer_addr`].
+    pub fn set_drop(&self, peer: NodeId, p: f64) {
+        self.links[peer.idx()].iter().for_each(|l| l.set_drop(p));
+    }
+
+    /// Human-readable per-link dump for the watchdog / shutdown report:
+    /// every [`LinkState::fields`] reading plus the last-traffic stamps.
     // ordering: diagnostics snapshot — each counter is read independently;
     // cross-counter consistency is not promised, so Relaxed is exact enough.
     pub fn describe(&self) -> String {
@@ -161,19 +195,13 @@ impl LinkTable {
                 continue;
             }
             for (w, l) in per_node.iter().enumerate() {
+                let _ = write!(out, "  peer n{n} w{w}: {:?}", l.phase());
+                for (name, v) in l.fields() {
+                    let _ = write!(out, " {name}={v}");
+                }
                 let _ = writeln!(
                     out,
-                    "  peer n{n} w{w}: {:?} out={} in={} dropped={} shed={} ring={}f/{}B \
-                     decode_errs={} connects={} last_rx_ns={} last_tx_ns={}",
-                    l.phase(),
-                    l.frames_out.load(Ordering::Relaxed),
-                    l.frames_in.load(Ordering::Relaxed),
-                    l.dropped_out.load(Ordering::Relaxed),
-                    l.shed_full.load(Ordering::Relaxed),
-                    l.ring_frames.load(Ordering::Relaxed),
-                    l.ring_bytes.load(Ordering::Relaxed),
-                    l.decode_errors.load(Ordering::Relaxed),
-                    l.connects.load(Ordering::Relaxed),
+                    " last_rx_ns={} last_tx_ns={}",
                     l.last_rx_ns.load(Ordering::Relaxed),
                     l.last_tx_ns.load(Ordering::Relaxed),
                 );
@@ -311,6 +339,36 @@ mod tests {
         l.frames_in.fetch_add(3, Ordering::Relaxed);
         let d = t.describe();
         assert!(d.contains("Retired"), "{d}");
-        assert!(d.contains("in=3"), "{d}");
+        assert!(d.contains("frames_in=3"), "{d}");
+    }
+
+    #[test]
+    fn default_is_faultless() {
+        let t = LinkTable::new(NodeId(0), 3, 1);
+        let mut rng = SplitMix64::new(1);
+        assert!((0..3).all(|n| !t.link(NodeId(n), 0).drops(&mut rng)));
+        assert_eq!(rng.next_u64(), SplitMix64::new(1).next_u64(), "no coin drawn while reliable");
+    }
+
+    #[test]
+    fn drop_probability_thresholds_coin() {
+        let t = LinkTable::new(NodeId(0), 2, 2);
+        t.link(NodeId(1), 0).set_drop(0.5);
+        let mut rng = SplitMix64::new(7);
+        let lost = (0..10_000).filter(|_| t.link(NodeId(1), 0).drops(&mut rng)).count();
+        assert!((4_500..5_500).contains(&lost), "p = 0.5 lost {lost} of 10 000");
+        // The other worker's row is untouched.
+        assert!(!t.link(NodeId(1), 1).drops(&mut rng));
+    }
+
+    #[test]
+    fn partition_and_heal() {
+        let t = LinkTable::new(NodeId(0), 2, 1);
+        let l = t.link(NodeId(1), 0);
+        let mut rng = SplitMix64::new(3);
+        l.set_drop(1.0);
+        assert!((0..1_000).all(|_| l.drops(&mut rng)), "p = 1 cuts the link");
+        l.set_drop(0.0);
+        assert!((0..1_000).all(|_| !l.drops(&mut rng)), "p = 0 heals it");
     }
 }

@@ -1,13 +1,13 @@
 //! One Kite node as a real process: cluster bootstrap over [`TcpNet`],
 //! local and remote client sessions, watchdog, clean shutdown.
 //!
-//! [`NodeRuntime::launch`] is `kite::Cluster::launch` for **one** node of a
-//! multi-process deployment: it builds the node's shared state, its
-//! sessions (the same `SessionDriver::External` plumbing the in-process
-//! cluster uses), its `Worker` actors, and drives them over the TCP
-//! fabric. Remote clients claim sessions through the client protocol
-//! (`kite::wire`) and get completions matched by op sequence number,
-//! exactly like an in-process [`kite::SessionHandle`].
+//! [`NodeRuntime::launch`] starts **one** node of a deployment: it builds
+//! the node's shared state, its sessions (`SessionDriver::External`
+//! plumbing), its `Worker` actors, and drives them over the TCP fabric.
+//! Local clients claim a [`kite::SessionHandle`]; remote clients claim
+//! sessions through the client protocol (`kite::wire`) and get completions
+//! matched by op sequence number, exactly like a local handle.
+//! [`crate::Cluster`] runs several of these on loopback in one process.
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -16,17 +16,19 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use kite::api::{Completion, Op};
+use kite::api::{Completion, CompletionHook, Op};
 use kite::session::{sessions_for, SessionDriver};
 use kite::{NodeShared, ProtocolMode, SessionHandle, Worker};
 use kite_common::{ClusterConfig, KiteError, NodeId, Result};
 use kite_kvs::DurabilitySink;
+use kite_simnet::Dumper;
 use kite_wal::{RecoveryStats, Wal};
 use parking_lot::Mutex;
 
 use crate::fabric::{
     spawn_tcp_workers, ClientSessions, NodeStopHandle, TcpNet, TcpNetCfg, TcpWorkerIo,
 };
+use crate::link::LinkTable;
 
 type SessionPlumbing = (Sender<Op>, Receiver<Completion>);
 
@@ -86,6 +88,16 @@ impl NodeRuntime {
     /// Build and start one node. Peer links dial in the background with
     /// backoff, so nodes may launch in any order.
     pub fn launch(cfg: NodeConfig) -> Result<NodeRuntime> {
+        Self::launch_hooked(cfg, None)
+    }
+
+    /// As [`NodeRuntime::launch`], with a completion hook observing every
+    /// operation the node completes (history recording in tests; see
+    /// [`crate::Cluster::launch_with`]).
+    pub(crate) fn launch_hooked(
+        cfg: NodeConfig,
+        hook: Option<CompletionHook>,
+    ) -> Result<NodeRuntime> {
         cfg.cluster.validate().map_err(KiteError::BadConfig)?;
         if cfg.peers.len() != cfg.cluster.nodes {
             return Err(KiteError::BadConfig(format!(
@@ -160,9 +172,9 @@ impl NodeRuntime {
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });
         }
 
-        // Session plumbing: identical wiring to `Cluster::launch`, one node.
-        // The slot table is shared with the worker event loops, which serve
-        // remote session claims directly (no bridge threads).
+        // Session plumbing. The slot table is shared with the worker event
+        // loops, which serve remote session claims directly (no bridge
+        // threads).
         let mut slot_vec: Vec<Option<SessionPlumbing>> = Vec::new();
         let mut workers: Vec<(Worker, TcpWorkerIo)> = Vec::new();
         for io in ios {
@@ -173,7 +185,7 @@ impl NodeRuntime {
                 slot_vec.push(Some((op_tx, done_rx)));
                 SessionDriver::External { rx: op_rx, tx: done_tx }
             });
-            let worker = Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, None);
+            let worker = Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, hook.clone());
             workers.push((worker, io));
         }
         let slots = Arc::new(Mutex::new(slot_vec));
@@ -221,8 +233,8 @@ impl NodeRuntime {
         &self.net.counters
     }
 
-    /// Claim a **local** session on this node (same claim-once semantics
-    /// as `Cluster::session`).
+    /// Claim a **local** session on this node. Each slot can be claimed
+    /// once, locally or remotely.
     pub fn session(&self, slot: u32) -> Result<SessionHandle> {
         let (tx, rx) = claim_slot(&self.slots, self.me, slot)?;
         // Slot `worker × per_worker + i` belongs to `worker` (`sessions_for`).
@@ -286,30 +298,18 @@ impl NodeRuntime {
         )
     }
 
-    /// Arm a deadline watchdog: if the guard is not dropped in time, every
-    /// worker prints its `Actor::describe` snapshot, the per-peer link
-    /// table follows (a half-open connection or a peer stuck in backoff is
-    /// exactly what this surfaces), and the process aborts.
+    /// Arm a deadline watchdog over this node (see [`NodeWatchdog`]).
     pub fn watchdog(&self, timeout: Duration) -> NodeWatchdog {
-        let (disarm_tx, disarm_rx) = unbounded::<()>();
-        let dumper = self.stop.as_ref().expect("watchdog on a running node").dumper();
-        let links = Arc::clone(self.net.links());
-        let me = self.me;
-        let handle = std::thread::Builder::new()
-            .name(format!("kite-watchdog-{me}"))
-            .spawn(move || {
-                if disarm_rx.recv_timeout(timeout).is_ok() {
-                    return;
-                }
-                eprintln!("\n!!!! kite-node {me} watchdog: no disarm within {timeout:?} !!!!");
-                dumper.request();
-                std::thread::sleep(Duration::from_secs(1));
-                eprintln!("{}", links.describe());
-                eprintln!("!!!! kite-node {me} watchdog: aborting !!!!");
-                std::process::abort();
-            })
-            .expect("spawn watchdog");
-        NodeWatchdog { disarm_tx, handle: Some(handle) }
+        NodeWatchdog::arm(timeout, vec![self.watched()])
+    }
+
+    /// What a watchdog needs of this node when it fires.
+    pub(crate) fn watched(&self) -> Watched {
+        Watched {
+            dumper: self.stop.as_ref().expect("watchdog on a running node").dumper(),
+            links: Arc::clone(self.net.links()),
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Stop client serving, workers and the fabric, joining every thread.
@@ -342,11 +342,60 @@ impl Drop for NodeRuntime {
     }
 }
 
-/// Guard returned by [`NodeRuntime::watchdog`]; dropping it disarms the
-/// deadline.
+/// One watched node: its workers' dump request, its link table and its
+/// shared state.
+pub(crate) struct Watched {
+    dumper: Dumper,
+    links: Arc<LinkTable>,
+    shared: Arc<NodeShared>,
+}
+
+/// A deadline watchdog over one or more nodes ([`NodeRuntime::watchdog`],
+/// [`crate::Cluster::watchdog`]). If the guard is not dropped within the
+/// timeout, every worker prints its `Actor::describe` snapshot; each node's
+/// link table (a half-open connection or a peer stuck in backoff is
+/// exactly what this surfaces) and its metrics text — the scrape view a
+/// wedged daemon would serve — follow; and the process **aborts** with a
+/// diagnostic instead of wedging forever. Fault tests should arm one: a
+/// liveness bug then yields a stalled-round dump rather than a CI timeout
+/// with no evidence. Dropping the guard disarms it.
 pub struct NodeWatchdog {
     disarm_tx: Sender<()>,
     handle: Option<JoinHandle<()>>,
+}
+
+impl NodeWatchdog {
+    pub(crate) fn arm(timeout: Duration, nodes: Vec<Watched>) -> NodeWatchdog {
+        let (disarm_tx, disarm_rx) = unbounded::<()>();
+        let handle = std::thread::Builder::new()
+            .name("kite-watchdog".into())
+            .spawn(move || {
+                if disarm_rx.recv_timeout(timeout).is_ok() {
+                    return; // disarmed: finished in time
+                }
+                eprintln!(
+                    "\n!!!! kite watchdog: no disarm within {timeout:?} — dumping state !!!!"
+                );
+                // The requests end every worker's park; give them a moment
+                // to print.
+                nodes.iter().for_each(|n| n.dumper.request());
+                std::thread::sleep(Duration::from_secs(1));
+                for Watched { links, shared, .. } in &nodes {
+                    eprintln!(
+                        "node {}: suspected={:?} epoch={}\n{}{}",
+                        shared.me,
+                        shared.suspected(),
+                        shared.epoch(),
+                        links.describe(),
+                        shared.metrics_text(),
+                    );
+                }
+                eprintln!("!!!! kite watchdog: aborting !!!!");
+                std::process::abort();
+            })
+            .expect("spawn watchdog");
+        NodeWatchdog { disarm_tx, handle: Some(handle) }
+    }
 }
 
 impl Drop for NodeWatchdog {
@@ -370,44 +419,4 @@ fn claim_slot(
     entry
         .take()
         .ok_or_else(|| KiteError::SessionUnavailable(format!("{me} slot {slot} taken")))
-}
-
-// ---------------------------------------------------------------------------
-// In-process multi-node helper
-// ---------------------------------------------------------------------------
-
-/// Launch a whole cluster of [`NodeRuntime`]s **in one process** on
-/// loopback TCP — every byte still crosses a real socket. Used by tests
-/// and the `tcp_cluster` example; real deployments run one `kite-node`
-/// process per node instead.
-pub fn launch_local_cluster(cfg: ClusterConfig, mode: ProtocolMode) -> Result<Vec<NodeRuntime>> {
-    let listeners: Vec<std::net::TcpListener> = (0..cfg.nodes)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
-        .collect::<std::io::Result<_>>()
-        .map_err(|e| KiteError::Net(format!("bind loopback: {e}")))?;
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().map(|a| a.to_string()))
-        .collect::<std::io::Result<_>>()
-        .map_err(|e| KiteError::Net(format!("local addr: {e}")))?;
-    listeners
-        .into_iter()
-        .enumerate()
-        .map(|(n, listener)| {
-            // Metrics on by default: every in-process node gets a loopback
-            // scrape endpoint on an ephemeral port (one extra fd on worker
-            // 0's epoll loop; zero extra threads).
-            let metrics_listener = std::net::TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| KiteError::Net(format!("bind metrics loopback: {e}")))?;
-            NodeRuntime::launch(NodeConfig {
-                cluster: cfg.clone(),
-                mode,
-                me: NodeId(n as u8),
-                peers: peers.clone(),
-                fabric_listener: Some(listener),
-                metrics_addr: None,
-                metrics_listener: Some(metrics_listener),
-            })
-        })
-        .collect()
 }

@@ -32,8 +32,8 @@ use kite::wire::{self, Hello};
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId, Val};
 use kite_net::{
-    launch_local_cluster, spawn_tcp_workers, LinkPhase, LoopStats, NodeRuntime, RemoteSession,
-    TcpNet, TcpNetCfg,
+    spawn_tcp_workers, Cluster, LinkPhase, LoopStats, NodeRuntime, RemoteSession, TcpNet,
+    TcpNetCfg,
 };
 use kite_simnet::{Actor, Outbox, Wakeup};
 
@@ -92,7 +92,7 @@ fn launch_with_keepalive(tag: &str, keepalive_ns: u64) -> (Vec<NodeRuntime>, std
         .anti_entropy_keepalive_ns(keepalive_ns)
         .wal(true)
         .wal_dir(wal_dir.to_str().expect("utf8"));
-    let nodes = launch_local_cluster(cfg, ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg, ProtocolMode::Kite).expect("launch").into_nodes();
     let all_up = || {
         nodes.iter().enumerate().all(|(me, n)| {
             (0..nodes.len())

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY};
-use kite_net::{launch_local_cluster, LinkPhase, NodeConfig, NodeRuntime, RemoteSession};
+use kite_net::{Cluster, LinkPhase, NodeConfig, NodeRuntime, RemoteSession};
 use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
 
 fn cfg() -> ClusterConfig {
@@ -40,7 +40,7 @@ fn wait_for(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
 #[test]
 fn rolling_restart_under_load_zero_failed_ops() {
     let cfg = cfg();
-    let nodes = launch_local_cluster(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch").into_nodes();
     let peers: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
     let mut nodes: Vec<Option<NodeRuntime>> = nodes.into_iter().map(Some).collect();
 
@@ -133,7 +133,7 @@ fn rolling_restart_under_load_zero_failed_ops() {
 fn replacement_node_joins_as_learner_and_bulk_syncs() {
     const FILL: u64 = 400;
     let cfg = cfg();
-    let nodes = launch_local_cluster(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch").into_nodes();
     let peers: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
     let mut nodes: Vec<Option<NodeRuntime>> = nodes.into_iter().map(Some).collect();
 

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
-use kite_net::{launch_local_cluster, RemoteSession};
+use kite_net::{Cluster, RemoteSession};
 
 fn cfg(wal_dir: &str) -> ClusterConfig {
     ClusterConfig::small()
@@ -64,8 +64,9 @@ fn wait_for(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
 fn scrape_mid_run_under_flash_crowd() {
     let wal_dir = std::env::temp_dir().join(format!("kite-scrape-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let nodes = launch_local_cluster(cfg(wal_dir.to_str().expect("utf8")), ProtocolMode::Kite)
-        .expect("launch");
+    let nodes = Cluster::launch(cfg(wal_dir.to_str().expect("utf8")), ProtocolMode::Kite)
+        .expect("launch")
+        .into_nodes();
     let maddrs: Vec<std::net::SocketAddr> =
         nodes.iter().map(|n| n.metrics_addr().expect("metrics endpoint enabled")).collect();
 
@@ -216,8 +217,9 @@ fn scrape_mid_run_under_flash_crowd() {
 #[test]
 fn half_open_scrape_connections_are_harmless() {
     let nodes =
-        launch_local_cluster(ClusterConfig::small().keys(1 << 8), ProtocolMode::Kite)
-            .expect("launch");
+        Cluster::launch(ClusterConfig::small().keys(1 << 8), ProtocolMode::Kite)
+            .expect("launch")
+            .into_nodes();
     let addr = nodes[0].metrics_addr().expect("metrics endpoint");
 
     // Connect-and-drop, connect-and-idle, then a real scrape must still
@@ -284,7 +286,7 @@ fn scrape_key_set_is_pinned() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let cfg = cfg(wal_dir.to_str().expect("utf8"));
     assert_eq!((cfg.nodes, cfg.workers_per_node), (3, 1), "the pinned list's topology");
-    let nodes = launch_local_cluster(cfg, ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg, ProtocolMode::Kite).expect("launch").into_nodes();
     let addr = nodes[0].metrics_addr().expect("metrics endpoint");
     let expected: Vec<&str> = NODE0_KEYS.split_whitespace().collect();
     assert_eq!(keys_of(&scrape(&addr, "scrape")), expected);
@@ -300,26 +302,31 @@ fn scrape_key_set_is_pinned() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// The simulator and the threaded runtime register the core layer through
-/// the same `NodeShared::register_metrics` the daemon's hub calls: their
+/// The simulator registers the core layer through the same
+/// `NodeShared::register_metrics` the daemon's hub calls: its
 /// `metrics_text` is exactly the daemon's `proto_*` / `membership_*` /
-/// `store_*` / `op_*` lines, over the same atomics the typed fields read.
+/// `store_*` / `op_*` lines, over the same atomics the typed fields read —
+/// and so is `Cluster::metrics_text`, which reads a daemon node in-process.
 #[test]
-fn sim_and_threaded_runtimes_render_the_daemons_core_keys() {
+fn sim_and_daemon_render_the_same_core_keys() {
     let cfg = ClusterConfig::small().keys(1 << 8);
-    let nodes = launch_local_cluster(cfg.clone(), ProtocolMode::Kite).expect("launch");
-    let body = scrape(&nodes[0].metrics_addr().expect("metrics endpoint"), "scrape");
+    let cluster = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let body = scrape(&cluster.nodes()[0].metrics_addr().expect("metrics endpoint"), "scrape");
     let core: Vec<&str> = keys_of(&body)
         .into_iter()
         .filter(|k| ["proto_", "membership_", "store_", "op_"].iter().any(|p| k.starts_with(p)))
         .collect();
     assert_eq!(core.len(), 23 + 3 + 4 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
-    for n in nodes {
-        n.shutdown();
-    }
+
+    cluster.session(NodeId(2), 0).expect("session").write(Key(5), 1u64).expect("write");
+    let text = cluster.metrics_text(NodeId(2));
+    assert_eq!(keys_of(&text), core, "Cluster::metrics_text");
+    assert_eq!(metric(&text, "proto_completed"), Some(cluster.counters(NodeId(2)).completed.get()));
+    assert_eq!(metric(&text, "op_write_latency_ns_count"), Some(1));
+    cluster.shutdown();
 
     let sim = kite::SimCluster::build(
-        cfg.clone(),
+        cfg,
         ProtocolMode::Kite,
         kite_simnet::SimCfg::default(),
         |_| kite::session::SessionDriver::Idle,
@@ -330,12 +337,4 @@ fn sim_and_threaded_runtimes_render_the_daemons_core_keys() {
     assert_eq!(keys_of(&text), core, "SimCluster::metrics_text");
     assert_eq!(metric(&text, "proto_slow_releases"), Some(7));
     assert_eq!(metric(&sim.metrics_text(NodeId(0)), "proto_slow_releases"), Some(0));
-
-    let threaded = kite::Cluster::launch(cfg, ProtocolMode::Kite).expect("launch threaded");
-    threaded.session(NodeId(2), 0).expect("session").write(Key(5), 1u64).expect("write");
-    let text = threaded.metrics_text(NodeId(2));
-    assert_eq!(keys_of(&text), core, "Cluster::metrics_text");
-    assert_eq!(metric(&text, "proto_completed"), Some(threaded.counters(NodeId(2)).completed.get()));
-    assert_eq!(metric(&text, "op_write_latency_ns_count"), Some(1));
-    threaded.shutdown();
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use kite::wire::{self, Hello};
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
-use kite_net::{launch_local_cluster, NodeConfig, NodeRuntime, RemoteSession};
+use kite_net::{Cluster, LinkTable, NodeConfig, NodeRuntime, RemoteSession};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::small()
@@ -34,7 +34,7 @@ fn wait_for(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn mixed_workload_over_loopback_tcp() {
-    let nodes = launch_local_cluster(cfg(), ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch").into_nodes();
     let _wd = nodes[0].watchdog(Duration::from_secs(120));
     let addr = |n: usize| nodes[n].addr().to_string();
 
@@ -75,7 +75,7 @@ fn mixed_workload_over_loopback_tcp() {
 
 #[test]
 fn malformed_peer_frames_drop_the_connection_not_the_worker() {
-    let nodes = launch_local_cluster(cfg(), ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch").into_nodes();
     let addr = nodes[0].addr();
 
     // A "peer" that handshakes correctly, then sends garbage: valid length
@@ -110,7 +110,7 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
 
     // The malformed connections are surfaced on the link table…
     assert!(
-        wait_for(Duration::from_secs(10), || nodes[0].describe().contains("decode_errs=1")),
+        wait_for(Duration::from_secs(10), || nodes[0].describe().contains("decode_errors=1")),
         "decode error must be counted for the watchdog: {}",
         nodes[0].describe()
     );
@@ -125,6 +125,66 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
     }
 }
 
+/// One `LinkState::fields` reading summed over every worker's row to `peer`.
+fn rows(links: &LinkTable, peer: NodeId, workers: usize, name: &str) -> u64 {
+    (0..workers)
+        .flat_map(|w| links.link(peer, w).fields())
+        .filter_map(|(field, v)| (field == name).then_some(v))
+        .sum()
+}
+
+/// Injected loss lives on the link rows the fabric already drops on:
+/// cutting `0 → 1` makes node 0's rows to node 1 count `dropped_out`
+/// while node 0's writes and release still complete (the release on the
+/// slow path, against node 2); healing it (`p = 0`) lets frames flow to
+/// node 1 again.
+#[test]
+fn injected_loss_drops_on_the_link_rows_and_heals() {
+    const WORKERS: usize = 2;
+    let cluster =
+        Cluster::launch(cfg().workers_per_node(WORKERS), ProtocolMode::Kite).expect("launch");
+    let _wd = cluster.watchdog(Duration::from_secs(120));
+    let links = cluster.nodes()[0].links();
+    let to_1 = |name| rows(links, NodeId(1), WORKERS, name);
+    // Frames sent before a link first connects count as dropped too: start
+    // from every link up.
+    assert!(
+        wait_for(Duration::from_secs(10), || (1..3)
+            .all(|d| (0..WORKERS).all(|w| links.link(NodeId(d), w).is_connected()))),
+        "links never came up: {}",
+        links.describe()
+    );
+    let mut s = cluster.session(NodeId(0), 0).expect("session");
+    s.write(Key(1), 1u64).unwrap();
+    s.release(Key(2), 1u64).unwrap();
+
+    let to_2 = rows(links, NodeId(2), WORKERS, "dropped_out");
+    let (dropped, slow) = (to_1("dropped_out"), cluster.counters(NodeId(0)).slow_releases.get());
+    cluster.set_drop(NodeId(0), NodeId(1), 1.0);
+    for i in 0..8u64 {
+        s.write(Key(10 + i), i + 1).unwrap();
+    }
+    s.release(Key(2), 2u64).unwrap();
+    assert!(to_1("dropped_out") > dropped, "the cut link must count its losses");
+    assert!(
+        cluster.counters(NodeId(0)).slow_releases.get() > slow,
+        "node 1 never acks, so the release completes on the slow path"
+    );
+    assert_eq!(rows(links, NodeId(2), WORKERS, "dropped_out"), to_2, "the link to node 2 is whole");
+
+    let frames = to_1("frames_out");
+    cluster.set_drop(NodeId(0), NodeId(1), 0.0);
+    s.write(Key(3), 3u64).unwrap();
+    assert!(
+        wait_for(Duration::from_secs(10), || to_1("frames_out") > frames),
+        "traffic to node 1 must resume after the heal: {}",
+        links.describe()
+    );
+    let mut r = cluster.session(NodeId(1), 0).expect("session on node 1");
+    assert_eq!(r.acquire(Key(2)).unwrap().as_u64(), 2, "node 1 sees the release made during the cut");
+    cluster.shutdown();
+}
+
 /// A node goes away (shutdown), the cluster keeps serving on its majority,
 /// a sentinel is released meanwhile, and the node comes back **on the same
 /// port**: peers must re-dial it (reconnect-with-backoff) and the idle-time
@@ -133,7 +193,7 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
 #[test]
 fn restarted_node_redials_and_converges_by_keepalive() {
     let cfg = cfg().anti_entropy_keepalive_ns(10_000_000); // 10 ms keepalive
-    let nodes = launch_local_cluster(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let nodes = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch").into_nodes();
     let peers: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
 
     // Take node 2 down (drop joins all its threads and closes its port).

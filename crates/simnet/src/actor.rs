@@ -1,20 +1,25 @@
-//! The sans-io actor contract and clocks.
+//! The sans-io actor contract, clocks, and the runtime-neutral handles
+//! that reach a worker loop from outside ([`Wake`], [`Dumper`]).
 //!
 //! A protocol worker (Kite worker, ZAB worker, Derecho io thread) is written
 //! once as an [`Actor`]: a state machine that reacts to delivered envelopes
-//! and to ticks, emitting messages into an [`Outbox`]. The threaded
-//! runtime, the epoll fabric and the deterministic simulator drive the same
-//! actor code — protocol logic cannot tell which scheduler it runs under
-//! except through the clock values it is handed.
+//! and to ticks, emitting messages into an [`Outbox`]. The epoll fabric
+//! (`kite-net`) and the deterministic simulator drive the same actor code —
+//! protocol logic cannot tell which scheduler it runs under except through
+//! the clock values it is handed.
 //!
 //! # Deadline-driven ticks
 //!
 //! No scheduler polls an actor on a beat. Every [`Actor::on_tick`] ends by
 //! saying when the actor next needs one ([`Wakeup`]), and every runtime
 //! waits for `min(next_deadline, I/O)`: the simulator skips the calls of
-//! ticks that are not due, the threaded runtime bounds its channel park by
-//! the deadline, the epoll loop hands it to `epoll_wait`. What the actor
-//! owes in return is a step that costs O(due), not O(pending).
+//! ticks that are not due, the epoll loop hands the deadline to
+//! `epoll_wait`. What the actor owes in return is a step that costs O(due),
+//! not O(pending).
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use kite_common::NodeId;
 
@@ -41,11 +46,11 @@ pub trait Actor: Send {
     );
 
     /// [`Actor::on_envelope`] plus the sender's membership-epoch stamp
-    /// (`Envelope::mepoch` / the wire frame's `mepoch` field). Runtimes
-    /// call *this* entry point; the default discards the stamp and
-    /// delegates, so membership-oblivious actors (the ZAB and Derecho
-    /// baselines, unit-test actors) need no changes. Kite's worker
-    /// overrides it to gate stale-epoch traffic.
+    /// (its [`Outbox::stamp`] at flush, carried as the wire frame's
+    /// `mepoch` field). Runtimes call *this* entry point; the default
+    /// discards the stamp and delegates, so membership-oblivious actors
+    /// (the ZAB and Derecho baselines, unit-test actors) need no changes.
+    /// Kite's worker overrides it to gate stale-epoch traffic.
     fn on_envelope_stamped(
         &mut self,
         src: NodeId,
@@ -89,9 +94,9 @@ pub trait Actor: Send {
     }
 
     /// Append a human-readable snapshot of the actor's internal state to
-    /// `out` — sessions, in-flight rounds, timers. Called by the threaded
-    /// runtime's watchdog path (see `StopHandle::dumper`) from the
-    /// actor's own thread, so implementations may read any owned state.
+    /// `out` — sessions, in-flight rounds, timers. Called by a runtime's
+    /// watchdog path (see [`Dumper`]) from the actor's own thread, so
+    /// implementations may read any owned state.
     /// The default writes nothing.
     fn describe(&self, out: &mut String) {
         let _ = out;
@@ -160,34 +165,63 @@ impl Wakeup {
     }
 }
 
-/// Nanosecond clock abstraction. The threaded runtime uses [`WallClock`].
+/// Nanosecond clock abstraction. The epoll fabric uses [`WallClock`].
 pub trait Clock: Send + Sync {
     /// Current time in nanoseconds.
     fn now(&self) -> u64;
 }
 
-/// Monotonic wall-clock time relative to construction.
-pub struct WallClock {
-    base: std::time::Instant,
-}
+/// Monotonic wall-clock time since a **process-wide** origin: every
+/// `WallClock` of one process reads the same time base, so stamps taken by
+/// the nodes of an in-process cluster (`invoked_at`/`completed_at` of the
+/// same history) order across nodes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WallClock;
+
+/// The instant every [`WallClock`] counts from (fixed by the first one).
+static ORIGIN: OnceLock<Instant> = OnceLock::new();
 
 impl WallClock {
-    /// A clock at time 0.
+    /// The process clock; fixes the origin if no clock has yet.
     pub fn new() -> Self {
-        WallClock { base: std::time::Instant::now() }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
+        ORIGIN.get_or_init(Instant::now);
+        WallClock
     }
 }
 
 impl Clock for WallClock {
     #[inline]
     fn now(&self) -> u64 {
-        self.base.elapsed().as_nanos() as u64
+        ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+}
+
+/// Ends the park of one or more worker loops, from any thread: what a
+/// client handle, a stop request or a watchdog holds in place of a timer
+/// the loops do not have.
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// Asks every worker of a runtime for a one-time diagnostics dump: each
+/// prints an [`Actor::describe`] snapshot of its own state to stderr from
+/// its own thread — the watchdog's view into otherwise thread-owned
+/// protocol state when a test wedges. Clonable, so a watchdog thread can
+/// hold one.
+#[derive(Clone)]
+pub struct Dumper {
+    flag: Arc<AtomicBool>,
+    wake_all: Wake,
+}
+
+impl Dumper {
+    /// A dumper over `flag` that wakes the loops watching it with `wake_all`.
+    pub fn new(flag: Arc<AtomicBool>, wake_all: Wake) -> Dumper {
+        Dumper { flag, wake_all }
+    }
+
+    /// Raise the flag and end every worker's park so it is seen now.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        (self.wake_all)();
     }
 }
 
@@ -201,6 +235,8 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
+        // A second clock shares the origin: it never reads behind the first.
+        assert!(WallClock::new().now() >= b);
     }
 
     // A trivial actor used to confirm object-safety and default idle.

@@ -10,39 +10,31 @@
 //!   exactly what the paper builds on top.
 //! * **Unicast only** — broadcasts are loops of unicasts (§6.3).
 //! * **Worker peering** — worker *w* of a node exchanges messages only with
-//!   worker *w* of each remote node (§6.3), so the fabric routes envelopes
+//!   worker *w* of each remote node (§6.3), so the fabric routes batches
 //!   by `(destination node, source worker index)`.
 //! * **Opportunistic batching** — an [`Outbox`] accumulates the messages a
 //!   worker produces during one scheduling step and flushes them as one
-//!   envelope per destination (§6.3: workers never wait to fill a quota).
+//!   batch per destination (§6.3: workers never wait to fill a quota).
 //!
-//! Two interchangeable schedulers drive the same sans-io protocol actors:
+//! Two things live here:
 //!
-//! * [`threaded`] — one OS thread per worker and nothing else, crossbeam
-//!   channels as NICs, wall-clock time. Used by the in-process `Cluster`
-//!   (examples, threaded tests).
 //! * [`sim`] — a single-threaded discrete-event executor with virtual time
 //!   and a seeded RNG for latency jitter, drops, partitions, node sleeps and
-//!   crashes. Used for reproducible correctness tests: a seed fully
-//!   determines the execution, including fast/slow-path transitions.
-//!
-//! Fault injection models the failure study of §8.4. [`FaultPlane`] gives
-//! the threaded runtime the two faults the paper injects — sleeping
-//! replicas and lossy links (partitions included); the fault methods on
-//! [`sim::Sim`] add crash-stop and per-link delay in virtual time.
+//!   crashes. Used for reproducible correctness tests and every figure: a
+//!   seed fully determines the execution, including fast/slow-path
+//!   transitions. Its fault methods model the failure study of §8.4.
+//! * the vocabulary every runtime shares — [`Actor`], [`Wakeup`],
+//!   [`Outbox`], the clocks, and the [`Wake`]/[`Dumper`] handles that reach
+//!   a worker loop from outside. The other runtime, the epoll fabric that
+//!   runs real nodes (one per process, or several on loopback in one
+//!   process), lives in `kite-net`.
 
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod faults;
 pub mod outbox;
 pub mod sim;
-pub mod threaded;
 
-pub use actor::{Actor, Clock, Wakeup, WallClock};
-pub use faults::FaultPlane;
-pub use outbox::{Envelope, Outbox};
+pub use actor::{Actor, Clock, Dumper, Wake, Wakeup, WallClock};
+pub use outbox::Outbox;
 pub use sim::{Sim, SimCfg};
-pub use threaded::{
-    spawn_workers, Dumper, NetHandle, StopHandle, ThreadedNet, Wake, WorkerIo, WorkerWaker,
-};

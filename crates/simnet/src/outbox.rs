@@ -1,5 +1,11 @@
-//! Per-step message accumulation and envelopes (§6.3 opportunistic
-//! batching), with recycled batch buffers.
+//! Per-step message accumulation (§6.3 opportunistic batching), with
+//! recycled batch buffers.
+//!
+//! One flushed batch is one network datagram: every protocol message the
+//! source worker produced for one destination during one scheduling step,
+//! delivered together. Batching "across all protocols" is a first-class
+//! design point of Kite (§6.3): ES acks, ABD rounds and Paxos phases
+//! destined to the same node share a batch, amortizing per-packet overhead.
 //!
 //! # Buffer-recycling contract
 //!
@@ -9,37 +15,17 @@
 //! batch buffer once its messages are consumed returns it with
 //! [`Outbox::recycle`]:
 //!
-//! * the **threaded runtime** ships batches to peers inside [`Envelope`]s;
-//!   the *receiving* worker drains the messages and recycles the emptied
-//!   buffer into its own outbox — buffers circulate around the cluster
-//!   rather than being freed and reallocated (all workers speak the same
-//!   message type, so any pool may adopt any buffer);
-//! * the **simulator** recycles each delivered envelope's buffer into its
+//! * the **epoll fabric** encodes each remote batch into a wire frame and
+//!   recycles the batch into the sending outbox at once (inbound frames
+//!   decode into the fabric's own message pool);
+//! * the **simulator** recycles each delivered batch's buffer into its
 //!   scratch outbox after the destination actor has drained it.
 //!
-//! Buffers lost to fault injection (dropped envelopes) are simply freed;
+//! Buffers lost to fault injection (dropped batches) are simply freed;
 //! the pool refills from subsequent deliveries. The pool is bounded
 //! ([`POOL_CAP`]) so a burst cannot pin memory forever.
 
 use kite_common::NodeId;
-
-/// One network datagram: every protocol message the source worker produced
-/// for this destination during one scheduling step, delivered together.
-///
-/// Batching "across all protocols" is a first-class design point of Kite
-/// (§6.3): ES acks, ABD rounds and Paxos phases destined to the same node
-/// share an envelope, amortizing per-packet overhead.
-#[derive(Debug, Clone)]
-pub struct Envelope<P> {
-    /// Sending node.
-    pub src: NodeId,
-    /// The sender's membership epoch when the batch was flushed (see
-    /// `kite_common::membership`). Actors that never reconfigure leave
-    /// their outbox stamp at 0 and ignore it on receive.
-    pub mepoch: u32,
-    /// The batched protocol messages.
-    pub msgs: Vec<P>,
-}
 
 /// Upper bound on pooled spare buffers (per outbox).
 const POOL_CAP: usize = 64;
@@ -62,8 +48,8 @@ pub struct Outbox<P> {
     dirty: Vec<u8>,
     /// Spare buffers returned by consumers, handed back out on flush.
     pool: Vec<Vec<P>>,
-    /// The sender's current membership epoch, copied into every
-    /// [`Envelope`]/frame at flush time by the driving runtime. The actor
+    /// The sender's current membership epoch, which the driving runtime
+    /// stamps on every batch it flushes. The actor
     /// refreshes it at the end of each step (after any batch it produced
     /// was composed under that epoch's membership view). Defaults to 0 —
     /// correct forever for actors that never reconfigure.

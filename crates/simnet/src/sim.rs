@@ -1,6 +1,6 @@
 //! Deterministic discrete-event simulator.
 //!
-//! Runs the same [`Actor`]s as the threaded runtime, single-threaded, on
+//! Runs the same [`Actor`]s as the epoll fabric, single-threaded, on
 //! virtual time, with seeded latency jitter, message drops, partitions, node
 //! sleeps and crashes. Given the same seed, configuration and actor
 //! behaviour, the execution — including every fast/slow-path transition of
@@ -304,8 +304,8 @@ pub struct Sim<A: Actor> {
     /// held for a sleeping node). Ticks and drains never touch the heap.
     pub heap_pushes: u64,
     /// `(messages, envelopes)` posted per source node since the last
-    /// [`Sim::take_sent`] — counted where the threaded runtime counts them,
-    /// before the fault plane decides.
+    /// [`Sim::take_sent`] — counted where the epoll fabric counts them,
+    /// before a drop is decided.
     sent: Vec<(u64, u64)>,
     /// Skip idle stretches in one go (`skip_idle_ticks`). Always on; tests
     /// turn it off to get the tick-by-tick reference execution.
@@ -363,8 +363,8 @@ impl<A: Actor> Sim<A> {
     }
 
     /// `(messages, envelopes)` that `node`'s workers posted to the fabric
-    /// since the last call (dropped ones included, as in the threaded
-    /// runtime's `msgs_sent` / `envelopes_sent`); resets the tally.
+    /// since the last call (dropped ones included, as in the epoll
+    /// fabric's `msgs_sent` / `envelopes_sent`); resets the tally.
     pub fn take_sent(&mut self, node: NodeId) -> (u64, u64) {
         std::mem::take(&mut self.sent[node.idx()])
     }
@@ -401,7 +401,7 @@ impl<A: Actor> Sim<A> {
         NodeId((slot / self.workers) as u8)
     }
 
-    // ---- fault control (virtual-time variants of `FaultPlane`) ---------
+    // ---- fault control (§8.4 in virtual time) ---------------------------
 
     /// Crash-stop `node`: nothing is delivered to or ticked on it again.
     pub fn crash(&mut self, node: NodeId) {

@@ -18,8 +18,9 @@
 use std::time::Instant;
 
 use kite::api::{Op, OpOutput};
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
+use kite_net::Cluster;
 
 const RECORDS: u64 = 2_000;
 const SEAL: Key = Key(0);

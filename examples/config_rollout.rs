@@ -23,8 +23,9 @@
 
 use std::time::{Duration, Instant};
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY};
+use kite_net::Cluster;
 
 const PAYLOAD_KEYS: u64 = 64;
 

@@ -18,8 +18,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
+use kite_net::Cluster;
 
 const CLIENTS: usize = 3;
 const INCS_PER_CLIENT: u64 = 240;

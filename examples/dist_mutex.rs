@@ -18,8 +18,9 @@
 
 use std::sync::Arc;
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
+use kite_net::Cluster;
 
 const LOCK: Key = Key(0);
 const COUNTER: Key = Key(1);

@@ -10,11 +10,12 @@
 
 use std::sync::Arc;
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, NodeId, Val};
 use kite_lockfree::driver::DsLayout;
 use kite_lockfree::treiber::{TsPop, TsPush};
 use kite_lockfree::{run_blocking, DsOutcome};
+use kite_net::Cluster;
 
 const CLIENTS: usize = 3;
 const PAIRS: u64 = 30;

@@ -10,8 +10,9 @@
 //!
 //! Run: `cargo run --release --example producer_consumer`
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId, Val};
+use kite_net::Cluster;
 
 const FIELDS: u64 = 64;
 const ROUNDS: u64 = 20;

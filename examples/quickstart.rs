@@ -5,8 +5,9 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, NodeId};
+use kite_net::Cluster;
 
 fn main() -> kite_common::Result<()> {
     // 3 replicas, 1 worker each, a small key space.

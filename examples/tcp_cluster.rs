@@ -9,14 +9,14 @@
 
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key};
-use kite_net::{launch_local_cluster, RemoteSession};
+use kite_net::{Cluster, RemoteSession};
 
 fn main() {
     // Three replicas, each with its own TCP listener on 127.0.0.1:0;
     // peers dial each other with reconnect-backoff, so launch order never
     // matters.
     let cfg = ClusterConfig::small().keys(256);
-    let nodes = launch_local_cluster(cfg, ProtocolMode::Kite).expect("launch cluster");
+    let nodes = Cluster::launch(cfg, ProtocolMode::Kite).expect("launch cluster").into_nodes();
     for n in &nodes {
         println!("node {} listening on {}", n.node(), n.addr());
     }

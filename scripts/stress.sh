@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Loop the loss-injection threaded tests N times to flush out rare
-# interleavings (the threaded_mutex_exact_under_message_loss hang showed up
-# in ~2-5% of runs before the anti-entropy backstop landed).
+# Loop the loss-injection test 4N times to flush out rare interleavings
+# (the threaded_mutex_exact_under_message_loss hang showed up in ~2-5% of
+# runs before the anti-entropy backstop landed). It runs on the in-process
+# `kite_net::Cluster` — three nodes on loopback sockets over the production
+# epoll fabric, 10 % of envelopes lost at each link's drop point — and
+# prints the soak's pass count and wall time.
 #
-# Every iteration runs under the in-process watchdog
-# (`Cluster::watchdog`): a wedged run aborts with a per-worker
-# protocol-state dump on stderr instead of hanging the loop, and the
-# failing iteration's full output is preserved.
+# Every run is under the in-process watchdog (`Cluster::watchdog`): a
+# wedged run aborts with a per-worker protocol-state dump on stderr
+# instead of hanging the loop, and the failing run's full output is
+# preserved.
 #
 # Each iteration also runs the anti-entropy fault suites — the flat-sweep
 # convergence/equivalence tests (tests/antientropy.rs), the Merkle-digest
@@ -45,7 +48,7 @@
 # every failing seed, then the soak's wall time in seconds.
 #
 # Usage: scripts/stress.sh [iterations] [test-filter]
-#   iterations   default 50
+#   iterations   default 50 (the loss soak runs 4 × iterations = 200)
 #   test-filter  default threaded_mutex_exact_under_message_loss
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,11 +93,19 @@ cargo test -q --release --test faa_sleeper -- --ignored
 # The soak's wall time is the budget a wider seed swarm spends: print it.
 echo "FAA soak: 200 seeds in ${SECONDS} s"
 
-echo "== stressing '${FILTER}' + anti-entropy fault tests x${N} =="
+LOSS_N=$((4 * N))
+echo "== stressing '${FILTER}' x${LOSS_N} =="
 fails=0
-for i in $(seq 1 "$N"); do
-    run_logged "$i" threaded cargo test -q --release --test cluster_threaded "$FILTER" \
+SECONDS=0
+for i in $(seq 1 "$LOSS_N"); do
+    run_logged "$i" loss cargo test -q --release --test cluster_threaded "$FILTER" \
         -- --test-threads=1 --nocapture || fails=$((fails + 1))
+done
+echo
+echo "loss soak: $((LOSS_N - fails))/${LOSS_N} passed in ${SECONDS} s"
+
+echo "== stressing the fault suites x${N} =="
+for i in $(seq 1 "$N"); do
     run_logged "$i" ae cargo test -q --release --test antientropy \
         -- --test-threads=1 || fails=$((fails + 1))
     run_logged "$i" merkle cargo test -q --release --test merkle_faults \

@@ -9,7 +9,7 @@
 //!   without it, and both histories pass the `kite-verify` RC checks
 //!   (stale rids inside a batch are dropped individually, so coalescing
 //!   must not change any protocol outcome);
-//! * **effectiveness** — on the threaded runtime, a write-heavy session
+//! * **effectiveness** — on the in-process cluster, a write-heavy session
 //!   with a deep write window costs *less than one ack message per write*
 //!   (the seed paid `nodes − 1` per write).
 
@@ -18,8 +18,9 @@ use std::sync::Arc;
 
 use kite::api::Op;
 use kite::session::SessionDriver;
-use kite::{Cluster, ProtocolMode, SimCluster};
+use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
+use kite_net::Cluster;
 use kite_repro::testutil::recording_hook;
 use kite_simnet::SimCfg;
 use kite_verify::{check_rc, History, RcMode};
@@ -84,7 +85,7 @@ fn coalesced_acks_are_equivalent_to_per_message_acks_under_faults() {
     }
 }
 
-/// Threaded runtime, write-heavy sessions, write window ≥ 8: the coalesced
+/// In-process cluster, write-heavy sessions, write window ≥ 8: the coalesced
 /// ack path must cost strictly less than one ack *message* per ES write.
 /// (The seed sent `nodes − 1 = 2` ack messages per write in this setup.)
 #[test]

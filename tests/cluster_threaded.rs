@@ -1,11 +1,12 @@
-//! End-to-end tests of the threaded deployment: real worker threads,
-//! channel NICs, blocking clients — the §2.1 system shape in miniature.
+//! End-to-end tests of the in-process deployment: real worker threads,
+//! loopback sockets, blocking clients — the §2.1 system shape in miniature.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use kite::{Cluster, ProtocolMode};
+use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, KiteError, NodeId, Val};
+use kite_net::Cluster;
 use kite_repro::testutil::recording_hook;
 use kite_verify::{check_rc, History, RcMode};
 
@@ -160,43 +161,6 @@ fn producer_consumer_rc_holds_with_real_threads() {
     }
 }
 
-#[test]
-fn sleeping_replica_does_not_block_survivors() {
-    let cluster = Cluster::launch(
-        cfg().release_timeout_ns(1_000_000), // 1 ms timeout → fast slow-path
-        ProtocolMode::Kite,
-    )
-    .unwrap();
-    let _watchdog = cluster.watchdog(Duration::from_secs(60));
-    let sleeper = NodeId(2);
-    let mut w = cluster.session(NodeId(0), 0).unwrap();
-
-    // healthy warmup
-    w.write(Key(1), Val::from_u64(1)).unwrap();
-    w.release(Key(2), Val::from_u64(1)).unwrap();
-
-    cluster.sleep_node(sleeper, Duration::from_millis(150));
-    let t0 = std::time::Instant::now();
-    let mut rounds = 0u64;
-    while t0.elapsed() < Duration::from_millis(150) {
-        w.write(Key(1), Val::from_u64(rounds + 2)).unwrap();
-        w.release(Key(2), Val::from_u64(rounds + 2)).unwrap();
-        rounds += 1;
-    }
-    assert!(rounds > 0, "survivors must keep completing releases");
-    let slow: u64 = (0..3).map(|n| cluster.counters(NodeId(n)).slow_releases.get()).sum();
-    assert!(slow > 0, "releases during the sleep must take the slow path");
-
-    // after wake-up, the sleeper can acquire and see the latest value
-    std::thread::sleep(Duration::from_millis(200));
-    let mut r = cluster.session(sleeper, 0).unwrap();
-    let flag = r.acquire(Key(2)).unwrap().as_u64();
-    assert!(flag >= rounds, "woken replica must observe the last release ({flag} < {rounds})");
-    let payload = r.read(Key(1)).unwrap().as_u64();
-    assert!(payload >= flag, "payload {payload} must be at least as fresh as flag {flag}");
-    cluster.shutdown();
-}
-
 /// Mutual exclusion on real threads under 10% uniform message loss: a
 /// CAS-lock guarded counter must count every critical section exactly once
 /// (retransmission + the slow path absorb the loss).
@@ -213,7 +177,7 @@ fn threaded_mutex_exact_under_message_loss() {
     for a in 0..3u8 {
         for b in 0..3u8 {
             if a != b {
-                cluster.faults().set_drop(NodeId(a), NodeId(b), 0.10);
+                cluster.set_drop(NodeId(a), NodeId(b), 0.10);
             }
         }
     }
@@ -246,7 +210,7 @@ fn threaded_mutex_exact_under_message_loss() {
     for a in 0..3u8 {
         for b in 0..3u8 {
             if a != b {
-                cluster.faults().heal(NodeId(a), NodeId(b));
+                cluster.set_drop(NodeId(a), NodeId(b), 0.0);
             }
         }
     }

@@ -7,11 +7,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kite::{Cluster, NodeShared, ProtocolMode, SessionHandle};
+use kite::{NodeShared, ProtocolMode, SessionHandle};
 use kite_common::stats::ProtoCounters;
 use kite_common::{
     ClusterConfig, Key, Lc, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY,
 };
+use kite_net::Cluster;
 
 /// The stale-cached-quorum regression. Workers used to copy
 /// `cfg.quorum()` at construction; a config change mid-run then left

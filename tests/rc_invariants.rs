@@ -334,3 +334,92 @@ fn es_mode_is_per_key_sc() {
         "ES must provide per-key sequential consistency"
     );
 }
+
+/// §8.4 on the simulator: a replica sleeps and the survivors keep
+/// completing releases on the slow path; after it wakes, its acquire
+/// sees the last release and its relaxed read of the payload is at least
+/// as fresh. The writer on node 0 runs write/release rounds until told to
+/// stop; the sleeper's session polls acquire/read and, once told to, issues
+/// one last pair after the writer has finished.
+#[test]
+fn sleeping_replica_does_not_block_survivors() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const MS: u64 = 1_000_000;
+    let sleeper = NodeId(2);
+    let writer = SessionId::new(NodeId(0), 0);
+    let reader = SessionId::new(sleeper, 0);
+    let stop = Arc::new(AtomicBool::new(false));
+    let last_pair = Arc::new(AtomicBool::new(false));
+    let history = Arc::new(History::new());
+    let mut sc = SimCluster::build(
+        // A 1 ms release timeout sends releases to the slow path fast.
+        ClusterConfig::small().keys(1 << 10).release_timeout_ns(MS),
+        ProtocolMode::Kite,
+        sim(5),
+        |sid| {
+            if sid == writer {
+                let stop = Arc::clone(&stop);
+                SessionDriver::Script(Box::new(move |seq| {
+                    let round = Val::from_u64(seq / 2 + 1);
+                    (!stop.load(Ordering::Relaxed)).then_some(match seq % 2 {
+                        0 => Op::Write { key: X, val: round },
+                        _ => Op::Release { key: FLAG, val: round },
+                    })
+                }))
+            } else if sid == reader {
+                let last_pair = Arc::clone(&last_pair);
+                let mut issued_last = false;
+                SessionDriver::Script(Box::new(move |seq| {
+                    if seq % 2 == 0 {
+                        if issued_last {
+                            return None;
+                        }
+                        issued_last = last_pair.load(Ordering::Relaxed);
+                        Some(Op::Acquire { key: FLAG })
+                    } else {
+                        Some(Op::Read { key: X })
+                    }
+                }))
+            } else {
+                SessionDriver::Idle
+            }
+        },
+        Some(recording_hook(Arc::clone(&history))),
+    );
+    let releases_done = |from: u64| {
+        (history.sorted().iter())
+            .filter(|r| r.session == writer && r.complete >= from)
+            .filter(|r| matches!(r.kind, OpKind::Release { .. }))
+            .count()
+    };
+
+    sc.run_for(5 * MS); // healthy warmup
+    let slept_at = sc.now();
+    sc.sim.sleep_node(sleeper, 150 * MS);
+    sc.run_for(150 * MS);
+    assert!(releases_done(slept_at) > 0, "survivors must keep completing releases");
+    let slow: u64 = (0..3).map(|n| sc.counters(NodeId(n)).slow_releases.get()).sum();
+    assert!(slow > 0, "releases during the sleep must take the slow path");
+
+    // The writer stops; once its last op has settled, the woken reader
+    // issues its last acquire/read pair.
+    stop.store(true, Ordering::Relaxed);
+    sc.run_for(200 * MS);
+    last_pair.store(true, Ordering::Relaxed);
+    assert!(sc.run_until_quiesce(10 * SEC), "the reader's last pair must complete");
+
+    let recs = history.sorted();
+    let last_release = (recs.iter().rev())
+        .find_map(|r| match (r.session == writer, r.kind) {
+            (true, OpKind::Release { v }) => Some(v),
+            _ => None,
+        })
+        .expect("the writer released");
+    let mine: Vec<_> = recs.iter().filter(|r| r.session == reader).collect();
+    let [.., acquire, read] = mine[..] else { panic!("the reader completed no pair") };
+    let (OpKind::Acquire { v: flag }, OpKind::Read { v: payload }) = (acquire.kind, read.kind) else {
+        panic!("the reader's last pair is {acquire:?}, {read:?}")
+    };
+    assert_eq!(flag, last_release, "woken replica must observe the last release");
+    assert!(payload >= flag, "payload {payload} must be at least as fresh as flag {flag}");
+}
