@@ -79,38 +79,8 @@ use kite_kvs::Store;
 use kite_simnet::{Outbox, Wakeup};
 
 use crate::msg::{DigestChunk, MerkleSummary, Msg, Repair};
+use crate::wire::{digest_wire_bytes, repair_wire_bytes, req_wire_bytes, summary_wire_bytes};
 use crate::worker::Worker;
-
-/// Encoded wire bytes of a flat digest carrying `entries` `(key, Lc)`
-/// pairs (tag + count + 16 per entry) — the `ae_digest_bytes` accounting
-/// mirrors `kite::wire` so the counter means the same thing on every
-/// transport.
-#[inline]
-fn digest_wire_bytes(entries: usize) -> u64 {
-    5 + 16 * entries as u64
-}
-
-/// Encoded wire bytes of a Merkle summary of `hashes` range hashes.
-#[inline]
-fn summary_wire_bytes(hashes: usize) -> u64 {
-    10 + 8 * hashes as u64
-}
-
-/// Encoded wire bytes of a Merkle drill-down request for `buckets` buckets.
-#[inline]
-fn req_wire_bytes(buckets: usize) -> u64 {
-    6 + 4 * buckets as u64
-}
-
-/// Encoded wire bytes of one [`Msg::RepairVal`] (tag + key + len-prefixed
-/// value + Lc + slot + ring of `(op-id, slot, len-prefixed result)`
-/// entries) — mirrors `kite::wire` like [`digest_wire_bytes`] so the
-/// `ae_repair_bytes` counter means the same thing on every transport.
-#[inline]
-pub(crate) fn repair_wire_bytes(r: &Repair) -> u64 {
-    33 + r.val.as_bytes().len() as u64
-        + r.ring.iter().map(|c| 25 + c.result.as_bytes().len() as u64).sum::<u64>()
-}
 
 /// Drill-down geometry: an implicit `fanout`-ary tree over the store's
 /// `leaves` leaf hashes. Level 0 buckets are single leaves; a level-`l`
@@ -737,77 +707,5 @@ impl crate::worker::Cx<'_> {
             return kite_common::NodeSet::EMPTY;
         }
         missing.intersect(self.shared.suspected())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::wire::encode_msg;
-    use kite_common::{OpId, SessionId};
-    use kite_kvs::RmwCommit;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    /// What `kite::wire` really puts on the socket for `m`.
-    fn encoded_len(m: &Msg) -> u64 {
-        let mut out = Vec::new();
-        encode_msg(m, &mut out);
-        out.len() as u64
-    }
-
-    // `ae_digest_bytes` / `ae_repair_bytes` are added up from the four
-    // hand-written mirrors above, not from encoded frames (the sim never
-    // encodes). A codec change that forgets a mirror would silently skew
-    // `ae.digest_bytes_per_op` on the sim.
-    proptest! {
-        #[test]
-        fn digest_wire_bytes_is_the_encoded_length(keys in vec(any::<u64>(), 0..600)) {
-            let entries: Vec<(Key, Lc)> =
-                keys.iter().map(|&k| (Key(k), Lc::new(k >> 24, NodeId((k % 16) as u8)))).collect();
-            let n = entries.len();
-            let m = Msg::Digest { d: Arc::new(DigestChunk { entries }) };
-            prop_assert_eq!(digest_wire_bytes(n), encoded_len(&m));
-        }
-
-        #[test]
-        fn summary_wire_bytes_is_the_encoded_length(
-            hashes in vec(any::<u64>(), 0..300),
-            level in 0u8..8,
-            start in any::<u32>(),
-        ) {
-            let n = hashes.len();
-            let m = Msg::MerkleSummary { s: Arc::new(MerkleSummary { level, start, hashes }) };
-            prop_assert_eq!(summary_wire_bytes(n), encoded_len(&m));
-        }
-
-        #[test]
-        fn req_wire_bytes_is_the_encoded_length(buckets in vec(any::<u32>(), 0..300), level in 0u8..8) {
-            let n = buckets.len();
-            prop_assert_eq!(req_wire_bytes(n), encoded_len(&Msg::MerkleReq { level, buckets: buckets.into() }));
-        }
-
-        #[test]
-        fn repair_wire_bytes_is_the_encoded_length(
-            val in vec(any::<u8>(), 0..65),
-            ring in vec((any::<u64>(), vec(any::<u8>(), 0..65)), 0..9),
-        ) {
-            let ring = ring
-                .iter()
-                .map(|(x, result)| RmwCommit {
-                    op: OpId::new(SessionId::new(NodeId((x % 16) as u8), (x >> 8) as u32 & 0x3ff), x >> 34),
-                    slot: x >> 20,
-                    result: Val::from_bytes(result),
-                })
-                .collect();
-            let r = Box::new(Repair {
-                key: Key(7),
-                val: Val::from_bytes(&val),
-                lc: Lc::new(3, NodeId(2)),
-                slot: 9,
-                ring,
-            });
-            prop_assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
-        }
     }
 }

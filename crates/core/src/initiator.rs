@@ -1052,7 +1052,7 @@ impl Worker {
                 let view = cx.shared.store.view(key);
                 cx.shared.counters.ae_repair_vals.incr();
                 let r = Box::new(Repair { key, val: view.val, lc: view.lc, slot, ring });
-                cx.shared.counters.ae_repair_bytes.add(crate::antientropy::repair_wire_bytes(&r));
+                cx.shared.counters.ae_repair_bytes.add(crate::wire::repair_wire_bytes(&r));
                 out.send(src, Msg::RepairVal { r });
                 false
             }

@@ -29,12 +29,10 @@
 //!   converge on every key's last write without per-op fills).
 //! * [`session`], [`inflight`] — program-order and in-flight bookkeeping.
 //! * [`delinquency`], [`nodestate`] — the barrier mechanism's node state.
-//! * [`wire`] — the binary codec carrying [`msg::Msg`] batches (and remote
-//!   client sessions) across real sockets (see the `kite-net` crate).
-//! * [`cluster`] — the blocking client API ([`SessionHandle`]) of an
-//!   in-process deployment; the deployment itself is `kite_net::Cluster`,
-//!   real nodes over loopback sockets.
-//! * [`simcluster`] — the same system on the deterministic simulator, for
+//! * [`wire`] — the binary codec carrying [`msg::Msg`] batches and the
+//!   client protocol across real sockets (see the `kite-net` crate, whose
+//!   `RemoteSession` is the one client of a real node, in-process or not).
+//! * [`simcluster`] — the system on the deterministic simulator, for
 //!   reproducible correctness tests and the benchmark harness.
 //!
 //! ## Quick start
@@ -72,7 +70,6 @@
 
 pub mod antientropy;
 pub mod api;
-pub mod cluster;
 pub mod delinquency;
 pub mod inflight;
 pub mod initiator;
@@ -85,7 +82,6 @@ pub mod wire;
 pub mod worker;
 
 pub use api::{Completion, CompletionHook, Op, OpOutput};
-pub use cluster::SessionHandle;
 pub use msg::Msg;
 pub use nodestate::{NodeShared, OpLatency};
 pub use session::{ClientSm, ProtocolMode, Session, SessionDriver};

@@ -17,7 +17,8 @@ use crate::api::{Completion, Op};
 /// A closed-loop client: its next operation may depend on earlier results
 /// (lock-free data structures are the canonical case — a CAS retry loop
 /// needs the observed value). Drives a session in the simulator the same
-/// way a blocking client drives a [`crate::SessionHandle`] thread-side.
+/// way a blocking client drives a node's session over a socket
+/// (`kite_net::RemoteSession`).
 pub trait ClientSm: Send {
     /// The session is free: produce the next operation, or `None` if the
     /// client has nothing to issue right now. After a `None` the worker asks
@@ -44,8 +45,10 @@ pub enum SessionDriver {
     Script(Box<dyn FnMut(u64) -> Option<Op> + Send>),
     /// Closed-loop state-machine client (sees completions).
     Interactive(Box<dyn ClientSm>),
-    /// External client connected through channels (the public
-    /// `SessionHandle` API).
+    /// A client outside the worker, connected through channels. A node's
+    /// event loop is their one producer and consumer: it feeds `rx` from
+    /// the client connection that claimed the slot and writes what `tx`
+    /// returns back to it (`kite-net`'s node runtime builds these).
     External {
         /// Operations submitted by the client.
         rx: Receiver<Op>,

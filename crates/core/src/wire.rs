@@ -42,11 +42,17 @@
 //!
 //! # Client protocol
 //!
-//! Remote [`crate::SessionHandle`]-shaped clients speak a tiny protocol on
-//! a separate listener: a hello claiming a session slot, then a stream of
-//! [`Op`] submissions downstream and [`Completion`]s upstream. Completions
-//! carry the op's session sequence number, so clients match replies to
-//! calls exactly as the in-process `SessionHandle` does.
+//! Every client session speaks a tiny protocol on the node's fabric
+//! listener: a hello claiming a session slot, then a stream of [`Op`]
+//! submissions downstream and [`Completion`]s upstream. Completions carry
+//! the op's session sequence number, which is how a client matches replies
+//! to calls.
+//!
+//! # Accounting
+//!
+//! The simulator never encodes, yet its anti-entropy counters report wire
+//! bytes: [`digest_wire_bytes`] and its siblings state the encoded length
+//! of those messages next to the encoder that defines it.
 
 use std::sync::Arc;
 
@@ -554,6 +560,36 @@ pub fn encode_msg(m: &Msg, out: &mut Vec<u8>) {
             }
         }
     }
+}
+
+/// [`encode_msg`]'s length for a [`Msg::Digest`] of `entries` `(key, Lc)`
+/// pairs: tag + count + 16 per entry.
+#[inline]
+pub fn digest_wire_bytes(entries: usize) -> u64 {
+    5 + 16 * entries as u64
+}
+
+/// [`encode_msg`]'s length for a [`Msg::MerkleSummary`] of `hashes` range
+/// hashes: tag + level + start + count + 8 per hash.
+#[inline]
+pub fn summary_wire_bytes(hashes: usize) -> u64 {
+    10 + 8 * hashes as u64
+}
+
+/// [`encode_msg`]'s length for a [`Msg::MerkleReq`] of `buckets` buckets:
+/// tag + level + count + 4 per bucket.
+#[inline]
+pub fn req_wire_bytes(buckets: usize) -> u64 {
+    6 + 4 * buckets as u64
+}
+
+/// [`encode_msg`]'s length for a [`Msg::RepairVal`]: tag + key +
+/// len-prefixed value + Lc + slot + ring of `(op-id, slot, len-prefixed
+/// result)` entries.
+#[inline]
+pub fn repair_wire_bytes(r: &Repair) -> u64 {
+    33 + r.val.as_bytes().len() as u64
+        + r.ring.iter().map(|c| 25 + c.result.as_bytes().len() as u64).sum::<u64>()
 }
 
 // kite-lint: total-decode
@@ -1099,6 +1135,8 @@ pub fn decode_hello(b: &[u8; HELLO_LEN]) -> WireResult<Hello> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample_msgs() -> Vec<Msg> {
         let op = OpId::new(SessionId::new(NodeId(3), 9), 77);
@@ -1197,5 +1235,76 @@ mod tests {
         let mut bad_kind = encode_hello(Hello::Client { slot: 0 });
         bad_kind[5] = 9;
         assert!(matches!(decode_hello(&bad_kind), Err(WireError::BadTag { .. })));
+    }
+
+    /// What [`encode_msg`] really puts on the socket for `m`.
+    fn encoded_len(m: &Msg) -> u64 {
+        let mut out = Vec::new();
+        encode_msg(m, &mut out);
+        out.len() as u64
+    }
+
+    // `ae_digest_bytes` / `ae_repair_bytes` are added up from the four
+    // `*_wire_bytes` functions, not from encoded frames (the sim never
+    // encodes). An encoder change that leaves one behind would silently
+    // skew `ae.digest_bytes_per_op` on the sim.
+    proptest! {
+        #[test]
+        fn digest_wire_bytes_is_the_encoded_length(keys in vec(any::<u64>(), 0..600)) {
+            let entries: Vec<(Key, Lc)> = keys
+                .iter()
+                .map(|&k| (Key(k), Lc::new(k >> 24, NodeId((k % 16) as u8))))
+                .collect();
+            let n = entries.len();
+            let m = Msg::Digest { d: Arc::new(DigestChunk { entries }) };
+            prop_assert_eq!(digest_wire_bytes(n), encoded_len(&m));
+        }
+
+        #[test]
+        fn summary_wire_bytes_is_the_encoded_length(
+            hashes in vec(any::<u64>(), 0..300),
+            level in 0u8..8,
+            start in any::<u32>(),
+        ) {
+            let n = hashes.len();
+            let m = Msg::MerkleSummary { s: Arc::new(MerkleSummary { level, start, hashes }) };
+            prop_assert_eq!(summary_wire_bytes(n), encoded_len(&m));
+        }
+
+        #[test]
+        fn req_wire_bytes_is_the_encoded_length(
+            buckets in vec(any::<u32>(), 0..300),
+            level in 0u8..8,
+        ) {
+            let n = buckets.len();
+            let m = Msg::MerkleReq { level, buckets: buckets.into() };
+            prop_assert_eq!(req_wire_bytes(n), encoded_len(&m));
+        }
+
+        #[test]
+        fn repair_wire_bytes_is_the_encoded_length(
+            val in vec(any::<u8>(), 0..65),
+            ring in vec((any::<u64>(), vec(any::<u8>(), 0..65)), 0..9),
+        ) {
+            let ring = ring
+                .iter()
+                .map(|(x, result)| RmwCommit {
+                    op: OpId::new(
+                        SessionId::new(NodeId((x % 16) as u8), (x >> 8) as u32 & 0x3ff),
+                        x >> 34,
+                    ),
+                    slot: x >> 20,
+                    result: Val::from_bytes(result),
+                })
+                .collect();
+            let r = Box::new(Repair {
+                key: Key(7),
+                val: Val::from_bytes(&val),
+                lc: Lc::new(3, NodeId(2)),
+                slot: 9,
+                ring,
+            });
+            prop_assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
+        }
     }
 }

@@ -161,3 +161,44 @@ fn quorum_requests_are_constructed_in_one_place() {
     let threaded: Vec<_> = initiator.iter().filter(|l| l.contains("shared: &NodeShared")).collect();
     assert!(threaded.is_empty(), "initiator.rs functions take `Cx`, not the fields: {threaded:?}");
 }
+
+/// One client path: every session a client drives is a client-protocol
+/// connection. The node runtime builds each `SessionDriver::External` and
+/// hands its client end to the loop serving the slot, so no second way
+/// into a session (a handle onto the worker's channels) can grow back
+/// beside `RemoteSession`.
+#[test]
+fn external_sessions_are_constructed_in_one_place() {
+    const CTOR: &str = "SessionDriver::External {";
+    let root = workspace_root();
+    let mut tree = Vec::new();
+    walk(root, &mut tree);
+    let mut found = Vec::new();
+    for file in &tree {
+        let rel = file.strip_prefix(root).expect("under root");
+        let non_test = ["crates", "src", "examples"].iter().any(|s| rel.starts_with(s))
+            && !rel.components().any(|c| c.as_os_str() == "tests")
+            && rel.extension().is_some_and(|e| e == "rs");
+        if !non_test {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("source file");
+        let above_tests = text.split("#[cfg(test)]").next().expect("split yields a first piece");
+        for (n, line) in above_tests.lines().enumerate() {
+            let Some(at) = line.find(CTOR).filter(|_| !line.trim_start().starts_with("//")) else {
+                continue;
+            };
+            // A pattern (`{ rx, .. } =>`, `matches!(d, External { .. })`)
+            // is not a construction.
+            let rest = &line[at + CTOR.len()..];
+            if !rest.contains("=>") && !rest.trim_start().starts_with("..") {
+                found.push(format!("{}:{}: {}", rel.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.len() == 1 && found[0].starts_with("crates/net/src/node.rs:"),
+        "`{CTOR}` must be built once, in crates/net/src/node.rs; found:\n{}",
+        found.join("\n")
+    );
+}

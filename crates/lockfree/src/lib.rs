@@ -24,8 +24,8 @@
 //! explicit state machine over the Kite op/completion interface — and can
 //! then be driven two ways:
 //!
-//! * **blocking**, over a [`kite::SessionHandle`] (threaded clusters,
-//!   examples): [`machine::run_blocking`];
+//! * **blocking**, over any client's submit-and-wait call (a socket
+//!   session on real nodes, as in the examples): [`machine::run_blocking`];
 //! * **closed-loop simulated**, as a [`kite::session::ClientSm`]
 //!   (deterministic benches — Figure 8): [`driver::DsClient`].
 

@@ -2,7 +2,6 @@
 //! operation, drivable by a blocking session or by the simulator.
 
 use kite::api::{Op, OpOutput};
-use kite::SessionHandle;
 use kite_common::{Result, Val};
 
 use crate::ptr::Ptr;
@@ -73,17 +72,17 @@ pub trait DsMachine: Send {
     fn step(&mut self, last: Option<&OpOutput>) -> Step;
 }
 
-/// Drive a machine to completion over a blocking session handle (threaded
-/// clusters and examples).
-pub fn run_blocking(m: &mut dyn DsMachine, sess: &mut SessionHandle) -> Result<DsOutcome> {
+/// Drive a machine to completion over a blocking client: `exec` submits one
+/// operation and waits for its output (a session's synchronous call).
+pub fn run_blocking(
+    m: &mut dyn DsMachine,
+    mut exec: impl FnMut(Op) -> Result<OpOutput>,
+) -> Result<DsOutcome> {
     let mut last: Option<OpOutput> = None;
     loop {
         match m.step(last.as_ref()) {
             Step::Done(outcome) => return Ok(outcome),
-            Step::Exec(op) => {
-                sess.submit(op)?;
-                last = Some(sess.next_completion()?.output);
-            }
+            Step::Exec(op) => last = Some(exec(op)?),
         }
     }
 }

@@ -1,7 +1,9 @@
-//! Remote client sessions: the [`kite::SessionHandle`] API over a socket,
-//! **pipelined**.
+//! Client sessions: the Kite API's sync and async calls (§6.1) over a
+//! socket, **pipelined**. This is the only client of a node — a
+//! [`crate::Cluster`] hands these out on loopback, and remote machines use
+//! the same call.
 //!
-//! A [`RemoteSession`] connects to a `kite-node`'s listener with a client
+//! A [`RemoteSession`] connects to a node's fabric listener with a client
 //! hello claiming one session slot, then submits operations as
 //! length-prefixed frames over a nonblocking socket. Many operations may
 //! be in flight at once: submissions batch into a write buffer (one flush
@@ -11,7 +13,7 @@
 //! completion after a recovered timeout is retired instead of being
 //! misattributed, and [`RemoteSession::next_completion`] always returns
 //! completions in session order. The synchronous API (`read`, `write`,
-//! `release`, …) is unchanged: it pipelines with window 1.
+//! `release`, …) pipelines with window 1.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -22,8 +24,11 @@ use kite::api::{Completion, Op, OpOutput};
 use kite::wire::{self, ClientFrame, Hello};
 use kite_common::{Key, KiteError, Result, SessionId, Val};
 
+use crate::ring::ReadBuf;
+
 /// How long synchronous calls wait before reporting
-/// [`KiteError::Timeout`] (matches the in-process client boundary).
+/// [`KiteError::Timeout`] (generous: operations either complete in
+/// microseconds or the cluster has lost its majority).
 pub const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Auto-flush threshold: submissions buffered past this many bytes push
@@ -56,7 +61,7 @@ pub struct RemoteSession {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Unparsed inbound bytes.
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
     /// A non-completion frame received out of band (hello replies).
     ctrl: Option<ClientFrame>,
 }
@@ -79,7 +84,7 @@ impl RemoteSession {
             dups: 0,
             wbuf: Vec::with_capacity(4096),
             wpos: 0,
-            rbuf: Vec::with_capacity(READ_CHUNK),
+            rbuf: ReadBuf::new(READ_CHUNK),
             ctrl: None,
         };
         s.wbuf.extend_from_slice(&wire::encode_hello(Hello::Client { slot }));
@@ -191,11 +196,6 @@ impl RemoteSession {
         }
     }
 
-    /// Sleep in `poll(2)` until the socket can make progress: readable
-    /// always wakes; writable additionally wakes while unsent bytes are
-    /// buffered. Blocking in the kernel (instead of a spin/park loop)
-    /// matters on loaded or few-core machines — a waiting client must
-    /// leave the CPU to the server loops it is waiting on.
     /// Public flavour of the progress wait for open-loop drivers: block up
     /// to `timeout` until the socket may have work (completion bytes
     /// readable, or buffered submits flushable), then return. The caller's
@@ -207,6 +207,11 @@ impl RemoteSession {
         self.wait_progress(Instant::now() + timeout)
     }
 
+    /// Sleep in `poll(2)` until the socket can make progress: readable
+    /// always wakes; writable additionally wakes while unsent bytes are
+    /// buffered. Blocking in the kernel (instead of a spin/park loop)
+    /// matters on loaded or few-core machines — a waiting client must
+    /// leave the CPU to the server loops it is waiting on.
     fn wait_progress(&self, deadline: Instant) -> Result<()> {
         use std::os::fd::AsRawFd;
         // Cap each sleep so the caller's deadline check still runs.
@@ -264,53 +269,40 @@ impl RemoteSession {
     /// complete frame.
     fn pump_reads(&mut self) -> Result<()> {
         loop {
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
+            match self.stream.read(self.rbuf.space()) {
                 Ok(0) => {
-                    self.rbuf.truncate(old);
                     self.parse_frames()?;
                     return Err(KiteError::Shutdown);
                 }
                 Ok(n) => {
-                    self.rbuf.truncate(old + n);
+                    self.rbuf.commit(n);
                     self.parse_frames()?;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old);
-                    return Ok(());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
-                Err(e) => {
-                    self.rbuf.truncate(old);
-                    return Err(KiteError::Net(format!("read: {e}")));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(KiteError::Net(format!("read: {e}"))),
             }
         }
     }
 
     fn parse_frames(&mut self) -> Result<()> {
+        let bad = |e: wire::WireError| KiteError::Net(format!("bad frame: {e}"));
         let mut pos = 0usize;
-        while self.rbuf.len() - pos >= 4 {
-            let prefix =
-                [self.rbuf[pos], self.rbuf[pos + 1], self.rbuf[pos + 2], self.rbuf[pos + 3]];
-            let blen = wire::frame_body_len(prefix)
-                .map_err(|e| KiteError::Net(format!("bad frame: {e}")))?;
-            if self.rbuf.len() - pos < 4 + blen {
+        loop {
+            let buf = self.rbuf.filled();
+            if buf.len() - pos < 4 {
                 break;
             }
-            let frame = wire::decode_client_frame(&self.rbuf[pos + 4..pos + 4 + blen])
-                .map_err(|e| KiteError::Net(format!("bad frame: {e}")))?;
+            let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
+            let blen = wire::frame_body_len(prefix).map_err(bad)?;
+            if buf.len() - pos < 4 + blen {
+                break;
+            }
+            let frame = wire::decode_client_frame(&buf[pos + 4..pos + 4 + blen]).map_err(bad)?;
             pos += 4 + blen;
             self.dispatch(frame)?;
         }
-        if pos > 0 {
-            let len = self.rbuf.len();
-            self.rbuf.copy_within(pos..len, 0);
-            self.rbuf.truncate(len - pos);
-        }
+        self.rbuf.consume(pos);
         Ok(())
     }
 
@@ -350,7 +342,11 @@ impl RemoteSession {
 
     // ---- sync API -------------------------------------------------------
 
-    fn call(&mut self, op: Op) -> Result<Completion> {
+    /// Submit `op` and wait for *its* completion — the one primitive every
+    /// synchronous call below is. Earlier unretired completions (a backlog
+    /// of async submissions, or the late answer to a timed-out call) are
+    /// retired first, never returned as this op's.
+    pub fn call(&mut self, op: Op) -> Result<Completion> {
         // Retire stray completions of earlier (timed-out) ops first.
         while self.outstanding() > 0 {
             self.next_completion()?;

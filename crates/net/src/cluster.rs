@@ -1,17 +1,20 @@
 //! A whole cluster in one process: `nodes` [`NodeRuntime`]s on loopback
 //! TCP. Each node is the one `kite-node` runs — the same epoll loops,
 //! codec, bounded rings and membership-epoch gate — and every byte between
-//! them crosses a real socket. Tests, examples and benches use it; a real
-//! deployment runs one `kite-node` process per node instead.
+//! them crosses a real socket, client traffic included: a session is a
+//! [`RemoteSession`] on the node's loopback address. Tests, examples and
+//! benches use it; a real deployment runs one `kite-node` process per node
+//! instead.
 
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use kite::{CompletionHook, NodeShared, ProtocolMode, SessionHandle};
+use kite::{CompletionHook, NodeShared, ProtocolMode};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, KiteError, NodeId, Result};
 
+use crate::client::RemoteSession;
 use crate::node::{NodeConfig, NodeRuntime, NodeWatchdog};
 
 /// A running in-process deployment. Thread budget: `workers_per_node + 1`
@@ -76,13 +79,15 @@ impl Cluster {
         &self.nodes[node.idx()]
     }
 
-    /// Claim a session on `node`. `slot` ranges over
+    /// Claim a session on `node` over its loopback address — the client
+    /// protocol every remote client speaks. `slot` ranges over
     /// `0..cfg.sessions_per_node()`; each slot can be claimed once.
-    pub fn session(&self, node: NodeId, slot: u32) -> Result<SessionHandle> {
-        self.nodes
+    pub fn session(&self, node: NodeId, slot: u32) -> Result<RemoteSession> {
+        let node = self
+            .nodes
             .get(node.idx())
-            .ok_or_else(|| KiteError::SessionUnavailable(format!("no node {node}")))?
-            .session(slot)
+            .ok_or_else(|| KiteError::SessionUnavailable(format!("no node {node}")))?;
+        RemoteSession::connect(&node.addr().to_string(), slot)
     }
 
     /// Per-node shared state (store, epoch, delinquency) — for tests and

@@ -20,10 +20,11 @@
 //!   the earliest deadline anyone holds — the actor's own
 //!   (`Wakeup::next_deadline`: retransmission scan, release timeout,
 //!   back-off, anti-entropy sweep) or a peer link's redial — and forever
-//!   when nobody holds one. There is no timer beat: whatever needs the
-//!   loop from outside (a local `SessionHandle` submitting an op, a stop
-//!   or dump request, an address change) writes the loop's eventfd. A
-//!   readable socket costs one `read`
+//!   when nobody holds one. There is no timer beat: a client's submission
+//!   is socket readiness like any other, and whatever needs the loop from
+//!   outside (the acceptor handing over a connection, a sibling's kick, a
+//!   stop or dump request, an address change) writes the loop's eventfd.
+//!   A readable socket costs one `read`
 //!   into an already-initialized buffer — a short read means the kernel
 //!   queue is empty, and level-triggered epoll re-reports what races in.
 //!   The acceptor blocks in `poll(2)` on its listener, its half-read
@@ -50,9 +51,11 @@
 //!   `Vec<Msg>` buffers and feed `Actor::on_envelope` directly. A
 //!   malformed frame closes that connection — never panics a worker — and
 //!   is counted on the link for the watchdog.
-//! * **Remote clients in the loop.** Client connections (session claims)
-//!   are served by the owning worker's loop too: `Submit` frames feed the
-//!   session op channel, completions drain into the connection's ring.
+//! * **Clients in the loop.** Client connections (session claims) are
+//!   served by the owning worker's loop too: each loop holds the channels
+//!   of its own session slots, a claim takes a slot's pair out (once, no
+//!   lock), `Submit` frames feed the session op channel, and completions
+//!   drain into the connection's ring.
 //! * **Zero-allocation steady state.** Outbound: `Outbox::flush` batches
 //!   encode into pooled byte buffers; the ring recycles them after the
 //!   socket accepts the bytes, and drained `Vec<Msg>` batches go straight
@@ -174,7 +177,7 @@ pub struct TcpNetCfg {
     /// Worker threads per node (uniform across the cluster — worker
     /// peering needs both sides to agree).
     pub workers: usize,
-    /// Session slots per worker — routes a remote client's slot claim to
+    /// Session slots per worker — routes a client's slot claim to
     /// the worker whose loop will serve the connection.
     pub sessions_per_worker: usize,
     /// Pre-bound listener override: lets tests bind `127.0.0.1:0` first
@@ -192,7 +195,7 @@ enum NewConn {
         /// The connection (hello consumed, nonblocking).
         stream: TcpStream,
     },
-    /// A remote client claiming session `slot`.
+    /// A client claiming session `slot`.
     Client {
         /// Claimed slot (node-wide index).
         slot: u32,
@@ -225,7 +228,14 @@ pub struct TcpWorkerIo {
     /// (set on exactly one worker by [`crate::NodeRuntime`]; the scrape
     /// plane adds connections to the loop, never threads to the node).
     pub(crate) scrape: Option<ScrapeSource>,
+    /// The client end of this worker's session slots, in slot order
+    /// (filled by [`crate::NodeRuntime`]; empty for a loop that serves no
+    /// sessions). A client hello claims one by taking it.
+    pub(crate) sessions: Vec<Option<SlotChannels>>,
 }
+
+/// One session slot's client end: ops in, completions out.
+type SlotChannels = (Sender<Op>, Receiver<Completion>);
 
 /// A pre-bound scrape listener plus the hub that renders its responses.
 pub(crate) struct ScrapeSource {
@@ -234,17 +244,6 @@ pub(crate) struct ScrapeSource {
     pub(crate) listener: TcpListener,
     /// Renders the `scrape` and `dump` views.
     pub(crate) hub: Arc<crate::scrape::MetricsHub>,
-}
-
-/// The session-slot table a worker loop claims remote sessions from —
-/// shared with [`crate::NodeRuntime`], which claims local sessions from
-/// the same table (claim-once semantics either way).
-pub struct ClientSessions {
-    /// This node (stamped into `HelloOk` session ids).
-    pub me: NodeId,
-    /// `slots[i]` holds the op/completion plumbing of session slot `i`
-    /// until someone claims it.
-    pub slots: Arc<Mutex<Vec<Option<(Sender<Op>, Receiver<Completion>)>>>>,
 }
 
 /// One node's fabric endpoint: the listener/acceptor thread plus shared
@@ -353,6 +352,7 @@ impl TcpNet {
                 nodes,
                 net_stop: Arc::clone(&stop),
                 scrape: None,
+                sessions: Vec::new(),
             })
             .collect();
 
@@ -408,14 +408,6 @@ impl TcpNet {
             }
         }
         changed
-    }
-
-    /// What ends worker `worker`'s park: a local `SessionHandle` calls it
-    /// after every submission (the loop otherwise sleeps until its actor's
-    /// next deadline).
-    pub fn worker_wake(&self, worker: usize) -> Wake {
-        let waker = Arc::clone(&self.wakers[worker]);
-        Arc::new(move || waker.wake())
     }
 
     /// The shared stop flag (the acceptor and the worker loops watch it).
@@ -712,7 +704,7 @@ impl PeerOut {
 enum Conn {
     /// Peer fabric traffic.
     PeerIn { src: NodeId, stream: TcpStream, rbuf: ReadBuf },
-    /// A remote client session.
+    /// A client session.
     Client {
         slot: u32,
         stream: TcpStream,
@@ -802,30 +794,25 @@ impl Drop for NodeStopHandle {
     }
 }
 
-/// Spawn one event-loop thread per `(actor, io, sessions)` rig over the
-/// TCP fabric, the I/O plane folded into the worker thread itself. Rigs
-/// serving remote client sessions pass the node's slot table as the third
-/// element.
-pub fn spawn_tcp_workers<A>(
-    rigs: Vec<(A, TcpWorkerIo, Option<ClientSessions>)>,
-    net: &TcpNet,
-) -> NodeStopHandle
+/// Spawn one event-loop thread per `(actor, io)` rig over the TCP fabric,
+/// the I/O plane folded into the worker thread itself.
+pub fn spawn_tcp_workers<A>(rigs: Vec<(A, TcpWorkerIo)>, net: &TcpNet) -> NodeStopHandle
 where
     A: Actor<Msg = Msg> + 'static,
 {
     assert!(rigs.len() <= net.workers, "more rigs than fabric workers");
     let stop = Arc::new(AtomicBool::new(false));
     let dump = Arc::new(AtomicBool::new(false));
-    let wakers: Vec<Arc<Waker>> = rigs.iter().map(|(_, io, _)| Arc::clone(&io.waker)).collect();
+    let wakers: Vec<Arc<Waker>> = rigs.iter().map(|(_, io)| Arc::clone(&io.waker)).collect();
     let mut handles = Vec::with_capacity(rigs.len());
-    for (actor, io, sessions) in rigs {
+    for (actor, io) in rigs {
         let stop = Arc::clone(&stop);
         let dump = Arc::clone(&dump);
         let name = format!("kite-tcp-{}-w{}", io.node, io.worker);
         handles.push(
             std::thread::Builder::new()
                 .name(name)
-                .spawn(move || match EventLoop::new(actor, io, sessions, stop, dump) {
+                .spawn(move || match EventLoop::new(actor, io, stop, dump) {
                     Ok(mut lp) => lp.run(),
                     Err(e) => eprintln!("kite-net: event loop setup failed: {e}"),
                 })
@@ -856,7 +843,10 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
     siblings: Vec<Arc<Waker>>,
-    sessions: Option<ClientSessions>,
+    /// This loop's session slots (see [`TcpWorkerIo::sessions`]); slot
+    /// `worker × sessions.len() + i` is `sessions[i]` (`sessions_for`'s
+    /// numbering).
+    sessions: Vec<Option<SlotChannels>>,
     poller: Poller,
     peer_out: Vec<PeerOut>,
     conns: Vec<Option<Conn>>,
@@ -881,7 +871,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn new(
         actor: A,
         io: TcpWorkerIo,
-        sessions: Option<ClientSessions>,
         stop: Arc<AtomicBool>,
         dump: Arc<AtomicBool>,
     ) -> std::io::Result<EventLoop<A>> {
@@ -919,7 +908,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             conn_rx: io.conn_rx,
             waker: io.waker,
             siblings: io.siblings,
-            sessions,
+            sessions: std::mem::take(&mut io.sessions),
             poller,
             peer_out,
             conns,
@@ -1028,7 +1017,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             if !self.out.is_empty() {
                 self.flush_outbox();
             }
-            pending = self.sessions.is_some() && self.pump_completions();
+            pending = self.pump_completions();
 
             // Dial pass: any disconnected peer whose backoff expired.
             self.dial_pass();
@@ -1432,15 +1421,14 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         self.service_conn_writable(idx);
     }
 
-    fn claim_session(&mut self, slot: u32) -> std::result::Result<(Sender<Op>, Receiver<Completion>), String> {
-        let Some(sessions) = &self.sessions else {
-            return Err(format!("{} serves no remote sessions", self.me));
-        };
-        let mut slots = sessions.slots.lock();
-        match slots.get_mut(slot as usize) {
-            Some(entry) => {
-                entry.take().ok_or_else(|| format!("{} slot {slot} taken", self.me))
-            }
+    /// Take session `slot`'s channels (claim-once). The acceptor routes a
+    /// slot to the loop that owns it, and anything out of range to the
+    /// last loop, which refuses it here.
+    fn claim_session(&mut self, slot: u32) -> Result<SlotChannels, String> {
+        let first = self.worker * self.sessions.len();
+        let entry = (slot as usize).checked_sub(first).and_then(|i| self.sessions.get_mut(i));
+        match entry {
+            Some(entry) => entry.take().ok_or_else(|| format!("{} slot {slot} taken", self.me)),
             None => Err(format!("no slot {slot} on {}", self.me)),
         }
     }
@@ -1592,10 +1580,9 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                         break true;
                     }
                     let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
-                    let blen = u32::from_le_bytes(prefix) as usize;
-                    if blen > wire::MAX_FRAME {
+                    let Ok(blen) = wire::frame_body_len(prefix) else {
                         break false; // malformed client: drop the connection
-                    }
+                    };
                     if buf.len() - pos < 4 + blen {
                         break true;
                     }
@@ -1898,7 +1885,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             ring.clear_into(&self.byte_pool);
         }
         // The slot of a disconnected client stays claimed — sessions are
-        // claim-once, exactly like the in-process cluster.
+        // claim-once (its channels went with the connection).
     }
 
     // -- diagnostics / shutdown -------------------------------------------

@@ -18,14 +18,15 @@
 //! * [`link`] — per-link state and counters, and the injected-loss knob
 //!   ([`LinkTable::set_drop`]).
 //! * [`node`] — [`NodeRuntime`]: one Kite node as a process (session
-//!   plumbing, workers over the fabric, in-loop remote-session serving,
-//!   clean shutdown).
+//!   plumbing, workers over the fabric, in-loop session serving, clean
+//!   shutdown).
 //! * [`cluster`] — [`Cluster`]: a whole cluster of [`NodeRuntime`]s on
-//!   loopback in one process, with the blocking [`kite::SessionHandle`]
-//!   client API, for tests, examples and benches.
-//! * [`client`] — [`RemoteSession`]: the `SessionHandle` API over a
-//!   socket, pipelined — many in-flight ops per connection, completions
-//!   matched by op sequence number through a reorder window.
+//!   loopback in one process, for tests, examples and benches; its
+//!   sessions are [`RemoteSession`]s on the nodes' loopback addresses.
+//! * [`client`] — [`RemoteSession`]: the one client — the Kite API's sync
+//!   and async calls over a socket, pipelined: many in-flight ops per
+//!   connection, completions matched by op sequence number through a
+//!   reorder window.
 //! * `kite-node` / `kite-client` (bins) — the daemon and the workload
 //!   driver used by `scripts/e2e_tcp.sh`.
 //!
@@ -76,8 +77,7 @@ pub mod sys;
 pub use client::{RemoteSession, CLIENT_TIMEOUT};
 pub use cluster::Cluster;
 pub use fabric::{
-    bind_reuseaddr, spawn_tcp_workers, ClientSessions, NodeStopHandle, PeerTable, TcpNet,
-    TcpNetCfg, TcpWorkerIo,
+    bind_reuseaddr, spawn_tcp_workers, NodeStopHandle, PeerTable, TcpNet, TcpNetCfg, TcpWorkerIo,
 };
 pub use link::{FabricStats, LinkPhase, LinkState, LinkTable, LoopStats};
 pub use node::{NodeConfig, NodeRuntime, NodeWatchdog};

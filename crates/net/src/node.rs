@@ -1,13 +1,14 @@
 //! One Kite node as a real process: cluster bootstrap over [`TcpNet`],
-//! local and remote client sessions, watchdog, clean shutdown.
+//! client sessions, watchdog, clean shutdown.
 //!
 //! [`NodeRuntime::launch`] starts **one** node of a deployment: it builds
 //! the node's shared state, its sessions (`SessionDriver::External`
-//! plumbing), its `Worker` actors, and drives them over the TCP fabric.
-//! Local clients claim a [`kite::SessionHandle`]; remote clients claim
-//! sessions through the client protocol (`kite::wire`) and get completions
-//! matched by op sequence number, exactly like a local handle.
-//! [`crate::Cluster`] runs several of these on loopback in one process.
+//! channels, handed to the loop of the worker that owns each slot), its
+//! `Worker` actors, and drives them over the TCP fabric. Every client —
+//! in the same process or not — claims a session through the client
+//! protocol (`kite::wire`, [`crate::RemoteSession`]) and gets completions
+//! matched by op sequence number. [`crate::Cluster`] runs several of these
+//! on loopback in one process.
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -15,22 +16,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use kite::api::{Completion, CompletionHook, Op};
+use crossbeam::channel::{unbounded, Sender};
+use kite::api::CompletionHook;
 use kite::session::{sessions_for, SessionDriver};
-use kite::{NodeShared, ProtocolMode, SessionHandle, Worker};
+use kite::{NodeShared, ProtocolMode, Worker};
 use kite_common::{ClusterConfig, KiteError, NodeId, Result};
 use kite_kvs::DurabilitySink;
 use kite_simnet::Dumper;
 use kite_wal::{RecoveryStats, Wal};
-use parking_lot::Mutex;
 
-use crate::fabric::{
-    spawn_tcp_workers, ClientSessions, NodeStopHandle, TcpNet, TcpNetCfg, TcpWorkerIo,
-};
+use crate::fabric::{spawn_tcp_workers, NodeStopHandle, TcpNet, TcpNetCfg};
 use crate::link::LinkTable;
-
-type SessionPlumbing = (Sender<Op>, Receiver<Completion>);
 
 /// Configuration of one node of a real-network deployment.
 pub struct NodeConfig {
@@ -78,7 +74,6 @@ pub struct NodeRuntime {
     net: TcpNet,
     stop: Option<NodeStopHandle>,
     shared: Arc<NodeShared>,
-    slots: Arc<Mutex<Vec<Option<SessionPlumbing>>>>,
     wal: Option<Arc<Wal>>,
     recovery: Option<RecoveryStats>,
     metrics_addr: Option<SocketAddr>,
@@ -172,30 +167,20 @@ impl NodeRuntime {
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });
         }
 
-        // Session plumbing. The slot table is shared with the worker event
-        // loops, which serve remote session claims directly (no bridge
-        // threads).
-        let mut slot_vec: Vec<Option<SessionPlumbing>> = Vec::new();
-        let mut workers: Vec<(Worker, TcpWorkerIo)> = Vec::new();
-        for io in ios {
+        // Session plumbing: the client end of each slot's channels goes to
+        // the loop of the worker that owns the slot, which serves the one
+        // connection that claims it (no bridge threads, no shared table).
+        let mut rigs = Vec::with_capacity(ios.len());
+        for mut io in ios {
             let w = io.worker;
             let sessions = sessions_for(cfg.me, w, ccfg.sessions_per_worker, |_| {
                 let (op_tx, op_rx) = unbounded();
                 let (done_tx, done_rx) = unbounded();
-                slot_vec.push(Some((op_tx, done_rx)));
+                io.sessions.push(Some((op_tx, done_rx)));
                 SessionDriver::External { rx: op_rx, tx: done_tx }
             });
-            let worker = Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, hook.clone());
-            workers.push((worker, io));
+            rigs.push((Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, hook.clone()), io));
         }
-        let slots = Arc::new(Mutex::new(slot_vec));
-        let rigs = workers
-            .into_iter()
-            .map(|(worker, io)| {
-                let sessions = ClientSessions { me: cfg.me, slots: Arc::clone(&slots) };
-                (worker, io, Some(sessions))
-            })
-            .collect();
         let stop = spawn_tcp_workers(rigs, &net);
 
         Ok(NodeRuntime {
@@ -204,7 +189,6 @@ impl NodeRuntime {
             net,
             stop: Some(stop),
             shared,
-            slots,
             wal,
             recovery,
             metrics_addr,
@@ -216,8 +200,8 @@ impl NodeRuntime {
         self.me
     }
 
-    /// The address the fabric listener bound — peers dial this, and remote
-    /// clients connect to the same port with a client hello.
+    /// The address the fabric listener bound — peers dial this, and every
+    /// client session connects to the same port with a client hello.
     pub fn addr(&self) -> SocketAddr {
         self.net.local_addr()
     }
@@ -231,15 +215,6 @@ impl NodeRuntime {
     /// This node's protocol counters.
     pub fn counters(&self) -> &kite_common::stats::ProtoCounters {
         &self.net.counters
-    }
-
-    /// Claim a **local** session on this node. Each slot can be claimed
-    /// once, locally or remotely.
-    pub fn session(&self, slot: u32) -> Result<SessionHandle> {
-        let (tx, rx) = claim_slot(&self.slots, self.me, slot)?;
-        // Slot `worker × per_worker + i` belongs to `worker` (`sessions_for`).
-        let worker = slot as usize / self.shared.cfg.sessions_per_worker;
-        Ok(SessionHandle::from_channels(tx, rx, self.net.worker_wake(worker)))
     }
 
     /// The node's write-ahead log, when durability is on.
@@ -405,18 +380,4 @@ impl Drop for NodeWatchdog {
             let _ = h.join();
         }
     }
-}
-
-fn claim_slot(
-    slots: &Mutex<Vec<Option<SessionPlumbing>>>,
-    me: NodeId,
-    slot: u32,
-) -> Result<SessionPlumbing> {
-    let mut slots = slots.lock();
-    let entry = slots
-        .get_mut(slot as usize)
-        .ok_or_else(|| KiteError::SessionUnavailable(format!("no slot {slot} on {me}")))?;
-    entry
-        .take()
-        .ok_or_else(|| KiteError::SessionUnavailable(format!("{me} slot {slot} taken")))
 }

@@ -97,7 +97,7 @@ fn stalled_peer_bounds_sender_memory_and_recovery_resumes_flow() {
         listener: Some(listener),
     })
     .expect("bind fabric");
-    let rigs = ios.into_iter().map(|io| (Flood, io, None)).collect();
+    let rigs = ios.into_iter().map(|io| (Flood, io)).collect();
     let handle = spawn_tcp_workers(rigs, &net);
 
     let link = || net.links().link(NodeId(1), 0);

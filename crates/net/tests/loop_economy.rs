@@ -7,8 +7,8 @@
 //!   anti-entropy sweep has wound down the event loops sleep too — there is
 //!   no timer beat, a loop wakes for its actor's next deadline (the
 //!   keepalive sweep, when one is configured) and for nothing else; a
-//!   local `SessionHandle` op still completes at once, because submitting
-//!   it ends the park;
+//!   connected session's op still completes at once, because the bytes it
+//!   writes make the loop's socket readable and that ends the park;
 //! * driven — under a mixed closed-loop workload every op completes, a
 //!   loop goes round once per wake or timer (5 % slack for the passes that
 //!   follow conn intake and budget-limited session pumps) and almost no
@@ -150,17 +150,20 @@ fn idle_cluster_makes_no_wakes_without_work() {
         }
     }
 
-    // A parked loop has no timer to find a local client's op with: the
-    // submission itself must end the park.
-    let mut local = quiet[0].session(1).expect("local session");
+    // A parked loop has no timer to find a client's op with: the
+    // submission's socket readiness must end the park. Connect first (the
+    // hello wakes the acceptor and the loop), let the loop park again, then
+    // time the op alone.
+    let mut client = RemoteSession::connect(&quiet[0].addr().to_string(), 1).expect("session");
+    std::thread::sleep(Duration::from_millis(50));
     let t = Instant::now();
-    local.read(Key(7)).expect("local read on a parked loop");
+    client.read(Key(7)).expect("read on a parked loop");
     assert!(
         t.elapsed() < Duration::from_millis(5),
-        "a local op waited {:?} for a loop with no deadline to notice it",
+        "an op waited {:?} for a loop with no deadline to notice it",
         t.elapsed()
     );
-    drop(local);
+    drop(client);
     for n in quiet {
         n.shutdown();
     }
@@ -361,7 +364,7 @@ fn a_200_kb_burst_from_one_peer_is_fully_drained() {
     })
     .expect("bind fabric");
     let delivered = Arc::new(AtomicU64::new(0));
-    let rigs = ios.into_iter().map(|io| (Sink(Arc::clone(&delivered)), io, None)).collect();
+    let rigs = ios.into_iter().map(|io| (Sink(Arc::clone(&delivered)), io)).collect();
     let handle = spawn_tcp_workers(rigs, &net);
 
     // ~2 KB per frame, 110 frames: past three read chunks, short of the

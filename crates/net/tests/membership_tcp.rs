@@ -108,7 +108,7 @@ fn rolling_restart_under_load_zero_failed_ops() {
         uniq += 1;
         let want = uniq;
         s.release(sentinel, want).expect("sentinel release");
-        let mut local = reborn.session(0).expect("local session on reborn node");
+        let mut local = RemoteSession::connect(&peers[victim], 0).expect("session on reborn node");
         assert!(
             wait_for(Duration::from_secs(30), || local.read(sentinel).unwrap().as_u64() == want),
             "round {round}: reborn node never caught up; links: {}",
@@ -178,7 +178,7 @@ fn replacement_node_joins_as_learner_and_bulk_syncs() {
     assert!(reborn.shared().members().contains(NodeId(2)), "it knows it is the learner");
 
     // Learner bulk-sync: the whole fill must arrive by anti-entropy.
-    let mut local = reborn.session(0).expect("local session on replacement");
+    let mut local = RemoteSession::connect(&peers[2], 0).expect("session on replacement");
     assert!(
         wait_for(Duration::from_secs(60), || local.read(Key(450)).unwrap().as_u64() == 0xD0E),
         "replacement never bulk-synced; links: {}",
@@ -259,7 +259,7 @@ fn reconnect_follows_peer_address_change() {
 
     // End to end: a release from node 0 needs acks from ALL voters, so it
     // only completes if protocol traffic now flows 0 → 2.
-    let mut s = n0.session(0).expect("local session");
+    let mut s = RemoteSession::connect(&addrs[0], 0).expect("session on node 0");
     s.release(Key(5), Val::from_u64(0xCAFE)).expect("release across the repointed link");
 
     for n in [n0, n1, n2] {

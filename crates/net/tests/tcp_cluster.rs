@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use kite::wire::{self, Hello};
@@ -38,11 +39,10 @@ fn mixed_workload_over_loopback_tcp() {
     let _wd = nodes[0].watchdog(Duration::from_secs(120));
     let addr = |n: usize| nodes[n].addr().to_string();
 
-    // Remote sessions on two nodes, a local one on the third: the RC
-    // handoff pattern across real sockets.
+    // A session on each node: the RC handoff pattern across real sockets.
     let mut producer = RemoteSession::connect(&addr(0), 0).expect("producer");
     let mut consumer = RemoteSession::connect(&addr(1), 0).expect("consumer");
-    let mut local = nodes[2].session(0).expect("local session");
+    let mut third = RemoteSession::connect(&addr(2), 0).expect("third session");
 
     producer.write(Key(1), 0xDA7Au64).unwrap();
     producer.release(Key(0), 0xF1A6u64).unwrap();
@@ -54,14 +54,14 @@ fn mixed_workload_over_loopback_tcp() {
     // The RC barrier invariant, across processes' worth of sockets.
     assert_eq!(consumer.read(Key(1)).unwrap().as_u64(), 0xDA7A);
 
-    // Consensus across all three session kinds.
+    // Consensus across all three nodes.
     const FAAS: u64 = 30;
     for _ in 0..FAAS {
         producer.fetch_add(Key(7), 1).unwrap();
         consumer.fetch_add(Key(7), 1).unwrap();
-        local.fetch_add(Key(7), 1).unwrap();
+        third.fetch_add(Key(7), 1).unwrap();
     }
-    let total = local.acquire(Key(7)).unwrap().as_u64();
+    let total = third.acquire(Key(7)).unwrap().as_u64();
     assert_eq!(total, 3 * FAAS, "FAA increments must not be lost or doubled");
 
     // A second claim of a taken slot is rejected with a clean error.
@@ -71,6 +71,33 @@ fn mixed_workload_over_loopback_tcp() {
     for n in nodes {
         n.shutdown();
     }
+}
+
+/// A `Cluster` session is a client connection like any other: its
+/// completions leave through the serving loop's pump (`LoopStats::
+/// {completions, pumps}`), the path every remote client takes.
+#[test]
+fn cluster_sessions_are_served_through_the_completion_pump() {
+    let cluster = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch");
+    // Slot 0 belongs to worker 0 (`sessions_for` numbering).
+    let loop0 = &cluster.nodes()[0].fabric_stats().loops[0];
+    let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let (pumps, completions) = (read(&loop0.pumps), read(&loop0.completions));
+
+    let mut s = cluster.session(NodeId(0), 0).expect("session");
+    s.write(Key(1), 1u64).unwrap();
+    s.release(Key(2), 1u64).unwrap();
+    assert_eq!(s.read(Key(1)).unwrap().as_u64(), 1);
+    // The pump counts a batch after writing it, so the last op's count may
+    // land just after its completion did.
+    assert!(
+        wait_for(Duration::from_secs(10), || read(&loop0.completions) - completions >= 3),
+        "3 ops completed, the loop pumped {}",
+        read(&loop0.completions) - completions
+    );
+    assert!(read(&loop0.pumps) > pumps, "no completion pump ran for the session's ops");
+    drop(s);
+    cluster.shutdown();
 }
 
 #[test]
@@ -217,7 +244,7 @@ fn restarted_node_redials_and_converges_by_keepalive() {
     // No further client activity anywhere: convergence must come from the
     // keepalive sweep reaching the rejoined replica. Relaxed reads are
     // local, so the sentinel appearing on node 2 proves repair traffic.
-    let mut poll = node2.session(0).expect("local session on restarted node");
+    let mut poll = RemoteSession::connect(&peers[2], 0).expect("session on restarted node");
     assert!(
         wait_for(Duration::from_secs(30), || poll.read(Key(42)).unwrap().as_u64() == 0xBEEF),
         "restarted node never converged; links: {}",

@@ -35,7 +35,7 @@ fn wait_for_epoch(
     cluster: &Cluster,
     nodes: &[u8],
     epoch: u32,
-    writer: &mut kite::SessionHandle,
+    writer: &mut kite_net::RemoteSession,
 ) -> kite_common::Result<()> {
     let t0 = Instant::now();
     let mut i = 0u64;

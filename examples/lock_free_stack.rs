@@ -52,13 +52,13 @@ fn main() -> kite_common::Result<()> {
                     .collect();
                 let node_ptr = arena.alloc();
                 let mut push = TsPush::new(stack, node_ptr, payload);
-                match run_blocking(&mut push, &mut sess)? {
+                match run_blocking(&mut push, |op| sess.call(op).map(|c| c.output))? {
                     DsOutcome::Pushed { retries: r } => retries += r as u64,
                     other => panic!("unexpected outcome {other:?}"),
                 }
                 // pop: §8.3 checks
                 let mut pop = TsPop::new(stack);
-                match run_blocking(&mut pop, &mut sess)? {
+                match run_blocking(&mut pop, |op| sess.call(op).map(|c| c.output))? {
                     DsOutcome::Popped { fields, node, retries: r } => {
                         retries += r as u64;
                         let fields = fields.expect("pop after push must never find empty (§8.3)");

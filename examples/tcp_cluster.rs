@@ -21,8 +21,9 @@ fn main() {
         println!("node {} listening on {}", n.node(), n.addr());
     }
 
-    // Remote sessions: the `SessionHandle` API over a socket. A real
-    // deployment would connect from another machine with the same call.
+    // Sessions over a socket — the one client API (`Cluster::session`
+    // makes the same call). A real deployment would connect from another
+    // machine exactly like this.
     let mut producer =
         RemoteSession::connect(&nodes[0].addr().to_string(), 0).expect("producer session");
     let mut consumer =

@@ -7,12 +7,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kite::{NodeShared, ProtocolMode, SessionHandle};
+use kite::{NodeShared, ProtocolMode};
 use kite_common::stats::ProtoCounters;
 use kite_common::{
     ClusterConfig, Key, Lc, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY,
 };
-use kite_net::Cluster;
+use kite_net::{Cluster, RemoteSession};
 
 /// The stale-cached-quorum regression. Workers used to copy
 /// `cfg.quorum()` at construction; a config change mid-run then left
@@ -48,7 +48,7 @@ fn quorum_tracks_live_membership_mid_reconfig() {
 /// Poll until every replica's membership epoch reaches `epoch`, keeping
 /// client traffic flowing so anti-entropy sweeps stay active (a learner
 /// only hears about promotions through digests/repairs).
-fn wait_for_epoch(cluster: &Cluster, n: usize, epoch: u32, s: &mut SessionHandle) {
+fn wait_for_epoch(cluster: &Cluster, n: usize, epoch: u32, s: &mut RemoteSession) {
     let t0 = Instant::now();
     let mut i = 0u64;
     while !(0..n).all(|id| cluster.shared(NodeId(id as u8)).mepoch() >= epoch) {
