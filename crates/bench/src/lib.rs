@@ -60,8 +60,8 @@ pub const RUN_NS: u64 = 8_000_000;
 
 /// The end of a fixed-work run's measurement window: the virtual time of
 /// its last op completion. `SimCluster::now()` after `run_until_quiesce` is
-/// not that time — quiescence also waits out the anti-entropy cool-down (a
-/// full store sweep), and anti-entropy completes no op.
+/// not that time — quiescence also waits out the anti-entropy cool-down,
+/// and anti-entropy completes no op.
 #[derive(Default)]
 pub struct LastCompletion(Arc<AtomicU64>);
 

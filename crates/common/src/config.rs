@@ -51,20 +51,22 @@ pub struct ClusterConfig {
     /// ack message per request — the equivalence baseline for tests.
     pub coalesce_acks: bool,
     /// Run the anti-entropy / read-repair subsystem: replicas periodically
-    /// exchange compact per-slot-range digests (key + packed `Lc` per live
-    /// slot) and pull/push missing values through repair rounds, so every
+    /// exchange compact digests — a per-slot-range `(key, Lc)` chunk under
+    /// heavy write churn, a whole-store Merkle summary otherwise (the node
+    /// picks per sweep) — and pull/push missing values through repair
+    /// rounds, so every
     /// replica converges on every key's last write without depending on any
     /// particular retransmission. `false` is the equivalence baseline for
     /// tests (completed-op sets must match either way).
     pub anti_entropy: bool,
     /// Interval between anti-entropy digest sweeps, in nanoseconds. One
-    /// digest (covering `anti_entropy_chunk` store slots) is broadcast to
-    /// every peer per interval per node — steady-state digest traffic is
+    /// digest (a chunk of `anti_entropy_chunk` store slots, or one summary)
+    /// is broadcast to every peer per interval per node — digest traffic is
     /// `nodes × (nodes − 1) / interval` messages cluster-wide, independent
     /// of op throughput.
     pub anti_entropy_interval_ns: u64,
-    /// Store slots covered per digest sweep. Together with the interval
-    /// this bounds the full-store convergence time:
+    /// Store slots covered per flat digest sweep. Together with the
+    /// interval this bounds a flat full-store walk:
     /// `ceil(capacity / chunk) * interval`.
     pub anti_entropy_chunk: usize,
     /// Push a completion-time repair to replicas outside an RMW commit's
@@ -73,22 +75,6 @@ pub struct ClusterConfig {
     /// convergence of a key's last commit entirely to the periodic
     /// anti-entropy sweep — the sufficiency baseline for tests.
     pub commit_fill: bool,
-    /// Merkle-range anti-entropy: sweeps broadcast a hash summary of the
-    /// **whole** store (O(fanout) range hashes folded from the store's
-    /// incremental leaf lattice) instead of a flat `(key, Lc)` chunk, and
-    /// receivers drill down only on mismatched ranges — steady-state digest
-    /// bytes become O(log store) instead of O(store) per sweep cycle.
-    /// `false` (the default) keeps the flat digest sweep byte-for-byte
-    /// unchanged — the equivalence baseline for tests.
-    pub merkle_digests: bool,
-    /// Children per interior node of the Merkle drill-down (power of two
-    /// ≥ 2). Together with the leaf count this fixes the lattice depth:
-    /// `ceil(log_fanout(leaves))` drill-down rounds reach a leaf.
-    pub merkle_fanout: usize,
-    /// Store home-slots summarized per Merkle leaf hash (rounded up to a
-    /// power of two by the store). Smaller leaves mean finer drill-down
-    /// (fewer keys per bottom-level flat digest) but more leaf state.
-    pub merkle_leaf_span: usize,
     /// Per-node crash durability: every stamp-transitioning store apply is
     /// appended to a CRC-framed write-ahead log, group-committed off the
     /// hot path by a dedicated flusher thread, with periodic snapshots
@@ -127,12 +113,12 @@ pub struct ClusterConfig {
     /// until a `ConfigChange` promotes them.
     pub initial_learners: NodeSet,
     /// Low-frequency keepalive sweep interval (ns), `0` = off. Ordinary
-    /// anti-entropy sweeps are activity-driven: they wind down one full
-    /// store cycle after the node goes idle, so a replica that diverges
+    /// anti-entropy sweeps are activity-driven: they wind down one Merkle
+    /// cycle after the node goes idle, so a replica that diverges
     /// while *idle* (partitioned away with no client traffic, past every
     /// peer's cool-down) converges on the next activity rather than at
     /// heal time. With a keepalive set, worker 0 keeps emitting one digest
-    /// chunk per `anti_entropy_keepalive_ns` even after the wind-down —
+    /// per `anti_entropy_keepalive_ns` even after the wind-down —
     /// long-idle clusters then converge at heal time. Off by default
     /// because a permanent digest trickle keeps the deterministic
     /// simulator's network busy forever: quiesced sims must terminate.
@@ -163,9 +149,6 @@ impl Default for ClusterConfig {
             // mixes (pinned by tests/antientropy.rs).
             anti_entropy_interval_ns: 5_000_000,
             anti_entropy_chunk: 128,
-            merkle_digests: false,
-            merkle_fanout: 16,
-            merkle_leaf_span: 64,
             commit_fill: true,
             wal: false,
             wal_dir: String::new(),
@@ -274,25 +257,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: Merkle-range anti-entropy digests (hash summaries + drill
-    /// down, instead of flat per-chunk key lists).
-    pub fn merkle_digests(mut self, on: bool) -> Self {
-        self.merkle_digests = on;
-        self
-    }
-
-    /// Builder: Merkle drill-down fanout (children per interior node).
-    pub fn merkle_fanout(mut self, f: usize) -> Self {
-        self.merkle_fanout = f;
-        self
-    }
-
-    /// Builder: store home-slots per Merkle leaf hash.
-    pub fn merkle_leaf_span(mut self, s: usize) -> Self {
-        self.merkle_leaf_span = s;
-        self
-    }
-
     /// Builder: the commit-completion repair push (ex rid-0 fill).
     pub fn commit_fill(mut self, on: bool) -> Self {
         self.commit_fill = on;
@@ -387,27 +351,6 @@ impl ClusterConfig {
         {
             return Err("anti-entropy needs a non-zero chunk and interval".into());
         }
-        if self.anti_entropy && self.merkle_digests {
-            // The fanout bounds every summary's hash count and every
-            // drill-down's bucket count (a level-0 request lists at most
-            // the mismatched buckets of a ≤fanout-hash summary), so the
-            // cap keeps every Merkle message far inside the wire codec's
-            // per-collection bound (MAX_SEQ = 65536) — an oversized
-            // "legal" config would otherwise poison every peer link with
-            // frames the receive gate rejects.
-            if !(2..=1024).contains(&self.merkle_fanout) {
-                return Err(format!(
-                    "merkle fanout must be in 2..=1024, got {}",
-                    self.merkle_fanout
-                ));
-            }
-            if !(1..=(1 << 16)).contains(&self.merkle_leaf_span) {
-                return Err(format!(
-                    "merkle leaf span must be in 1..=65536, got {}",
-                    self.merkle_leaf_span
-                ));
-            }
-        }
         let slots = self.all_nodes();
         if !self.initial_voters.minus(slots).is_empty()
             || !self.initial_learners.minus(slots).is_empty()
@@ -485,23 +428,6 @@ mod tests {
         assert_eq!(c.anti_entropy_interval_ns, 1_000);
         assert_eq!(c.anti_entropy_chunk, 7);
         assert!(!c.commit_fill);
-    }
-
-    #[test]
-    fn merkle_knobs_default_off_and_validate() {
-        let c = ClusterConfig::default();
-        assert!(!c.merkle_digests, "Merkle digests are an opt-in mode");
-        assert_eq!(c.merkle_fanout, 16);
-        assert_eq!(c.merkle_leaf_span, 64);
-        let c = c.merkle_digests(true).merkle_fanout(4).merkle_leaf_span(8);
-        assert!(c.merkle_digests);
-        assert!(c.validate().is_ok());
-        assert!(ClusterConfig::default().merkle_digests(true).merkle_fanout(1).validate().is_err());
-        assert!(
-            ClusterConfig::default().merkle_digests(true).merkle_leaf_span(0).validate().is_err()
-        );
-        // A disabled mode doesn't care about its knobs.
-        assert!(ClusterConfig::default().merkle_fanout(0).validate().is_ok());
     }
 
     #[test]

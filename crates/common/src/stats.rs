@@ -47,7 +47,7 @@ pub struct ProtoCounters {
     /// `(key, lc)` entries carried inside sent digests (the digest "bytes"
     /// figure: 16 bytes per entry on the wire model).
     pub ae_digest_keys: Counter,
-    /// Merkle-mode anti-entropy summaries sent (the top-level sweep
+    /// Merkle anti-entropy summaries sent (the top-level sweep
     /// broadcast and every drill-down child summary, each counted once).
     pub ae_summaries_sent: Counter,
     /// Merkle drill-down requests sent (a summary range mismatched).
@@ -55,9 +55,9 @@ pub struct ProtoCounters {
     /// Estimated wire bytes of digest-plane anti-entropy traffic sent:
     /// flat digests, Merkle summaries and drill-down requests (repair
     /// pulls/values are excluded — repair traffic is proportional to real
-    /// divergence in either mode). This is the figure the Merkle mode
-    /// exists to shrink: O(log store) per steady-state sweep instead of
-    /// O(store) per sweep cycle.
+    /// divergence on either plane). This is the figure the summaries exist
+    /// to shrink: O(log store) per low-churn sweep instead of O(store) per
+    /// flat sweep cycle.
     pub ae_digest_bytes: Counter,
     /// Anti-entropy repair-pull requests sent (digest receiver was behind).
     pub ae_repair_reqs: Counter,

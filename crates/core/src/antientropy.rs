@@ -8,13 +8,13 @@
 //! by luck: a one-shot fire-and-forget fill at RMW completion, itself
 //! droppable. This module makes convergence *retransmission-independent*:
 //!
-//! * **Digest sweep** — worker 0 of each node walks its store in
-//!   `anti_entropy_chunk`-slot ranges, one range per
-//!   `anti_entropy_interval_ns`, and broadcasts the range's `(key, packed
-//!   Lc)` pairs ([`DigestChunk`], `Arc`-shared across the unicasts) to
-//!   every peer — so any single fresh replica can repair a stale one
-//!   within one sweep cycle. Slot indices are replica-local, so digests
-//!   identify state by key, never by position.
+//! * **Digest sweep** — once per `anti_entropy_interval_ns`, worker 0 of
+//!   each node broadcasts one digest to every peer (`Arc`-shared across
+//!   the unicasts), so any single fresh replica can repair a stale one. A
+//!   digest is either the next `anti_entropy_chunk`-slot range of its
+//!   store as `(key, packed Lc)` pairs ([`DigestChunk`]; slot indices are
+//!   replica-local, so digests identify state by key, never by position)
+//!   or a hash summary of the whole store — see "Two digest planes".
 //! * **Diff** — the receiver compares each entry with its own store: if the
 //!   sender is fresher it *pulls* ([`Msg::RepairReq`]); if the sender is
 //!   stale it *pushes* its own value back ([`Msg::RepairVal`]). Both
@@ -40,27 +40,39 @@
 //! The deterministic simulator declares quiescence when every actor is idle
 //! and no deliveries are in flight; an unconditional periodic sweep would
 //! keep the network busy forever. Sweeping therefore runs while the
-//! worker's protocol state is active and for a **cool-down** of one full
-//! store cycle (plus slack) afterwards; any repair activity re-arms the
+//! worker's protocol state is active and for a **cool-down** of one Merkle
+//! cycle (plus slack) afterwards; any repair activity re-arms the
 //! cool-down. `Worker::is_idle` reports idle only once the cool-down has
 //! lapsed, so `run_until_quiesce` additionally guarantees the final states
 //! have been swept — replicas converge *before* quiescence, without per-op
 //! fills.
 
-//! # Merkle-range mode (`ClusterConfig::merkle_digests`)
+//! # Two digest planes, picked per sweep
 //!
-//! At production store sizes the flat sweep's digest *bytes* are O(store)
-//! per cycle even when replicas are identical. With `merkle_digests(true)`
-//! the sweep instead broadcasts a **summary** of the whole store folded
-//! from the KVS's incremental leaf lattice (see `kite_kvs::store`): the
-//! top level of an implicit `fanout`-ary tree over the leaf hashes, so one
-//! message of O(fanout) hashes covers every key. Receivers fold the same
-//! ranges locally; a mismatched range is answered with [`Msg::MerkleReq`],
-//! whose drill-down descends one level per round trip and bottoms out in a
-//! flat per-leaf [`Msg::Digest`] — from there the per-key diff → pull/push
-//! → repair machinery is **unchanged**, so every slot-advancement-with-
-//! evidence invariant carries over verbatim. Identical replicas exchange
-//! nothing but the top summary: steady-state digest bytes are O(log store).
+//! At production store sizes a flat sweep's digest *bytes* are O(store)
+//! per cycle even when replicas are identical. The other plane is a
+//! **summary** of the whole store folded from the KVS's incremental leaf
+//! lattice (see `kite_kvs::store`): the top level of an implicit
+//! [`FANOUT`]-ary tree over the leaf hashes, so one message of at most
+//! `FANOUT` hashes covers every key. Receivers fold the same ranges
+//! locally; a mismatched range is answered with [`Msg::MerkleReq`], whose
+//! drill-down descends one level per round trip and bottoms out in a flat
+//! per-leaf [`Msg::Digest`] — from there the per-key diff → pull/push →
+//! repair machinery is shared, so every slot-advancement-with-evidence
+//! invariant holds on both planes. Identical replicas exchange nothing but
+//! the top summary: O(log store) digest bytes per sweep.
+//!
+//! Worker 0 picks the plane at every sweep from the node's **write churn**:
+//! the writes its store applied since the previous sweep
+//! (`StoreProbe::writes`). Below the lattice's leaf count it sends a
+//! summary. At or above it, in expectation every leaf changed during the
+//! interval, so a summary would mismatch everywhere and drill into
+//! everything, while a flat chunk costs O(chunk) either way — it sends the
+//! chunk. The sweep right after a wake (the first tick included) is flat
+//! too: the node knows it is behind, and a flat chunk advertises its stale
+//! clocks in one message, where a summary would wait for the persistence
+//! filter's second mismatch and then a round trip per level. So a loaded
+//! node sweeps flat and an idle one summarizes.
 //!
 //! Interior hashes are folded on demand (never stored); only leaves are
 //! maintained, lock-free, by the store's write paths. A summary racing an
@@ -82,45 +94,43 @@ use crate::msg::{DigestChunk, MerkleSummary, Msg, Repair};
 use crate::wire::{digest_wire_bytes, repair_wire_bytes, req_wire_bytes, summary_wire_bytes};
 use crate::worker::Worker;
 
-/// Drill-down geometry: an implicit `fanout`-ary tree over the store's
+/// Children per interior node of the drill-down tree. It bounds every
+/// summary's hash count and every drill-down's bucket count, which keeps
+/// each Merkle message far inside the wire codec's per-collection bound.
+const FANOUT: usize = 16;
+
+/// Drill-down geometry: an implicit [`FANOUT`]-ary tree over the store's
 /// `leaves` leaf hashes. Level 0 buckets are single leaves; a level-`l`
-/// bucket covers `fanout^l` consecutive leaves. Derived identically on
-/// every replica from the shared config, so `(level, bucket)` names the
-/// same leaf range everywhere.
+/// bucket covers `FANOUT^l` consecutive leaves. The leaf count follows from
+/// the shared `keys`, so `(level, bucket)` names the same leaf range on
+/// every replica.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MerkleGeom {
     /// Leaf count of the local store's lattice.
     leaves: usize,
-    /// Children per interior node.
-    fanout: usize,
     /// The level the sweep summarizes at: the smallest level with at most
-    /// `fanout` buckets, so the whole store fits one summary message.
+    /// `FANOUT` buckets, so the whole store fits one summary message.
     top_level: u8,
 }
 
 impl MerkleGeom {
-    fn new(leaves: usize, fanout: usize) -> Self {
-        let fanout = fanout.max(2);
-        let mut top_level = 0u8;
-        while Self::buckets(leaves, fanout, top_level) > fanout {
-            top_level += 1;
+    fn new(leaves: usize) -> Self {
+        let mut geom = MerkleGeom { leaves, top_level: 0 };
+        while geom.buckets_at(geom.top_level) > FANOUT {
+            geom.top_level += 1;
         }
-        MerkleGeom { leaves, fanout, top_level }
-    }
-
-    fn buckets(leaves: usize, fanout: usize, level: u8) -> usize {
-        let width = (fanout as u128).saturating_pow(level as u32);
-        ((leaves as u128).div_ceil(width).max(1)) as usize
+        geom
     }
 
     /// Number of buckets at `level`.
     fn buckets_at(&self, level: u8) -> usize {
-        Self::buckets(self.leaves, self.fanout, level)
+        let width = (FANOUT as u128).saturating_pow(level as u32);
+        ((self.leaves as u128).div_ceil(width).max(1)) as usize
     }
 
     /// The leaf range `[lo, hi)` a `(level, bucket)` covers (clamped).
     fn leaf_range(&self, level: u8, bucket: usize) -> (usize, usize) {
-        let width = (self.fanout as u128).saturating_pow(level as u32);
+        let width = (FANOUT as u128).saturating_pow(level as u32);
         let lo = (bucket as u128).saturating_mul(width).min(self.leaves as u128) as usize;
         let hi = (bucket as u128 + 1).saturating_mul(width).min(self.leaves as u128) as usize;
         (lo, hi)
@@ -137,18 +147,18 @@ pub(crate) struct AeState {
     /// Sweep cadence (ns).
     interval: u64,
     /// Idle-time keepalive cadence (ns), `0` = off: after the cool-down
-    /// has lapsed (`done`), keep emitting one digest chunk per this
+    /// has lapsed (`done`), keep emitting one digest per this
     /// interval so a replica that diverged while *idle* converges at heal
     /// time instead of on the next activity. Deliberately ignored by
     /// [`AeState::quiescent`]: the keepalive is a steady background
     /// trickle, not outstanding work (sims that enable it never quiesce —
     /// which is why it defaults off).
     keepalive: u64,
-    /// Store slots per digest.
+    /// Store slots per flat digest.
     chunk: usize,
-    /// Cool-down after the worker goes protocol-idle: one full store cycle
-    /// plus slack, so everything written before idling is swept at least
-    /// once more.
+    /// Cool-down after the worker goes protocol-idle: one Merkle cycle plus
+    /// slack, so everything written before idling is summarized (and
+    /// drilled into) at least once more.
     cooldown: u64,
     /// Next store slot to digest (wraps).
     cursor: usize,
@@ -171,14 +181,17 @@ pub(crate) struct AeState {
     /// sweeps). A replica that slept through a key's *first* write holds
     /// no slot to advertise it from, so its own data digests cannot
     /// surface that gap — only a full cycle of peer digests can. Several
-    /// are sent so a lossy link cannot eat the only copy. Merkle mode
-    /// keeps the ping as-is: a sleeper's all-zero lattice *does* mismatch
-    /// peers' summaries, but only while their sweeps are armed — the ping
-    /// is what re-arms them.
+    /// are sent so a lossy link cannot eat the only copy. Summaries do not
+    /// replace the ping: a sleeper's stale lattice *does* mismatch peers'
+    /// summaries, but only while their sweeps are armed — the ping is what
+    /// re-arms them.
     pings: u8,
-    /// Merkle-range mode: sweeps broadcast lattice summaries instead of
-    /// flat per-chunk digests (see the module docs).
-    merkle: bool,
+    /// The store's applied-write count at the previous sweep; `None` after
+    /// a wake (and at birth), when the node cannot tell what it missed.
+    last_writes: Option<u64>,
+    /// The last sweep's write churn (`None`: the sweep after a wake),
+    /// which picked its plane (see [`AeState::summarizes`]).
+    churn: Option<u64>,
     /// Drill-down persistence filter: per-source, the top-level buckets
     /// that mismatched on that peer's *previous* sweep summary. A
     /// top-level mismatch triggers a drill-down only when the same bucket
@@ -192,8 +205,7 @@ pub(crate) struct AeState {
     /// source node; drill-down child summaries (level < top) bypass the
     /// filter — they are already confirmed divergence.
     prev_mismatch: Vec<Vec<u32>>,
-    /// Drill-down geometry (meaningful whenever a peer may speak Merkle —
-    /// derived from the shared config, so always initialized).
+    /// Drill-down geometry of this node's lattice.
     geom: MerkleGeom,
     /// When the node last transitioned to idle (`None` while active).
     idle_since: Option<u64>,
@@ -206,26 +218,20 @@ impl AeState {
     pub(crate) fn new(cfg: &ClusterConfig, wid: usize, store: &Store) -> Self {
         let sweep = cfg.anti_entropy && wid == 0;
         let interval = cfg.anti_entropy_interval_ns;
-        let chunk = cfg.anti_entropy_chunk.max(1);
-        let merkle = cfg.merkle_digests;
-        let geom = MerkleGeom::new(store.merkle_leaves(), cfg.merkle_fanout);
-        // Cool-down: everything written before idling must be swept (and,
-        // in Merkle mode, drilled into) at least once more. A flat cycle
-        // is one full cursor walk; a Merkle "cycle" is a single summary
-        // plus one drill-down round trip per level, all within a couple of
-        // intervals — budget one interval per level plus slack, plus one
-        // more interval for the persistence filter's confirming sweep (a
-        // drill-down starts only on the second consecutive mismatch).
-        let cycle = if merkle {
-            (geom.top_level as u64 + 3) * interval
-        } else {
-            (store.capacity().div_ceil(chunk) as u64) * interval
-        };
+        let geom = MerkleGeom::new(store.merkle_leaves());
+        // Cool-down: everything written before idling must be summarized
+        // and drilled into at least once more — an idle node's churn is
+        // below the leaf count, so it sweeps with summaries. A Merkle cycle
+        // is a single summary plus one drill-down round trip per level:
+        // budget one interval per level plus slack, plus one more interval
+        // for the persistence filter's confirming sweep (a drill-down
+        // starts only on the second consecutive mismatch).
+        let cycle = (geom.top_level as u64 + 3) * interval;
         AeState {
             sweep,
             interval,
             keepalive: cfg.anti_entropy_keepalive_ns,
-            chunk,
+            chunk: cfg.anti_entropy_chunk.max(1),
             cooldown: cycle + 2 * interval,
             cursor: 0,
             last_sweep: 0,
@@ -233,7 +239,8 @@ impl AeState {
             deadline: Wakeup::NEVER,
             last_completed: 0,
             pings: 0,
-            merkle,
+            last_writes: None,
+            churn: None,
             prev_mismatch: vec![Vec::new(); cfg.nodes],
             geom,
             idle_since: None,
@@ -251,6 +258,14 @@ impl AeState {
         }
     }
 
+    /// Does the last sweep's churn pick a Merkle summary over a flat chunk?
+    /// Only below the leaf count: at or above it, in expectation every leaf
+    /// changed since the previous sweep (see the module docs).
+    #[inline]
+    fn summarizes(&self) -> bool {
+        self.churn.is_some_and(|c| c < self.geom.leaves as u64)
+    }
+
     /// Has the sweep wound down (for `Worker::is_idle`)?
     #[inline]
     pub(crate) fn quiescent(&self) -> bool {
@@ -261,7 +276,8 @@ impl AeState {
     pub(crate) fn describe(&self) -> String {
         format!(
             "sweep={} done={} cursor={} last_sweep={} last_tick={} deadline={} idle_since={:?} \
-             interval={} keepalive={} chunk={} cooldown={} merkle={} suspect_buckets={} geom={:?}",
+             interval={} keepalive={} chunk={} cooldown={} plane={} churn={:?} suspect_buckets={} \
+             geom={:?}",
             self.sweep,
             self.done,
             self.cursor,
@@ -273,7 +289,8 @@ impl AeState {
             self.keepalive,
             self.chunk,
             self.cooldown,
-            self.merkle,
+            if self.summarizes() { "merkle" } else { "flat" },
+            self.churn,
             self.prev_mismatch.iter().map(|v| v.len()).sum::<usize>(),
             self.geom,
         )
@@ -337,6 +354,7 @@ impl Worker {
             self.ae.rearm();
             self.ae.idle_since = Some(now);
             self.ae.pings = 3;
+            self.ae.last_writes = None;
         }
         self.ae.last_tick = now;
         // Node-level activity: this worker's own sessions/in-flight, plus
@@ -352,10 +370,11 @@ impl Worker {
             self.ae.done = false;
         } else if self.ae.done {
             // Wound down. With a keepalive configured, fall through to emit
-            // one digest chunk per keepalive interval (at the keepalive
-            // cadence, not the active-sweep cadence) — `done` stays set, so
-            // quiescence reporting is untouched; real divergence surfaced
-            // by the digest re-arms the full sweep via the repair path.
+            // one digest per keepalive interval (a summary, since an idle
+            // store barely churns; at the keepalive cadence, not the
+            // active-sweep cadence) — `done` stays set, so quiescence
+            // reporting is untouched; real divergence surfaced by the
+            // digest re-arms the full sweep via the repair path.
             if self.ae.keepalive == 0
                 || now.saturating_sub(self.ae.last_sweep) < self.ae.keepalive
             {
@@ -395,11 +414,16 @@ impl Worker {
             c.ae_digest_bytes.add(digest_wire_bytes(0) * peers);
             out.multicast(self.me, members, Msg::Digest { d: Arc::new(DigestChunk { entries: Vec::new() }) });
         }
-        if self.ae.merkle {
-            // Merkle mode: one top-level lattice summary covers the whole
-            // store — O(fanout) hashes per interval, whatever the store
-            // size. Divergence surfaces as a range mismatch at a receiver,
-            // which drills down via `MerkleReq`.
+        // Pick the plane from the writes applied since the previous sweep
+        // (see the module docs); the sweep after a wake has no baseline.
+        let writes = self.shared.store_probe.writes.get();
+        self.ae.churn = self.ae.last_writes.map(|w| writes - w);
+        self.ae.last_writes = Some(writes);
+        if self.ae.summarizes() {
+            // One top-level lattice summary covers the whole store —
+            // O(FANOUT) hashes per interval, whatever the store size.
+            // Divergence surfaces as a range mismatch at a receiver, which
+            // drills down via `MerkleReq`.
             let geom = self.ae.geom;
             let top = geom.top_level;
             let store = &self.shared.store;
@@ -554,8 +578,8 @@ impl Worker {
                 continue; // malformed peer: out-of-range bucket
             }
             let child_level = level - 1;
-            let child_base = b * geom.fanout;
-            let n = geom.fanout.min(geom.buckets_at(child_level).saturating_sub(child_base));
+            let child_base = b * FANOUT;
+            let n = FANOUT.min(geom.buckets_at(child_level).saturating_sub(child_base));
             if n == 0 {
                 continue;
             }

@@ -163,7 +163,7 @@ pub struct DigestChunk {
 ///
 /// Geometry is implied, not carried: every replica derives the same leaf
 /// count from the shared `ClusterConfig` (`keys` rounds to the same store
-/// capacity, `merkle_leaf_span`/`merkle_fanout` are cluster-wide), so
+/// capacity; the leaf span and the drill-down fanout are constants), so
 /// `(level, start)` names the same leaf range on both sides. A summary
 /// whose level exceeds the local lattice depth is dropped as malformed.
 #[derive(Clone, Debug)]

@@ -112,10 +112,7 @@ impl NodeShared {
     /// Build the shared state for node `me` (preallocates the KVS).
     pub fn new(me: NodeId, cfg: ClusterConfig, counters: Arc<ProtoCounters>) -> Arc<Self> {
         let store_probe = Arc::new(StoreProbe::default());
-        let store = Store::with_leaf_span(
-            cfg.keys,
-            if cfg.merkle_digests { cfg.merkle_leaf_span } else { 0 },
-        );
+        let store = Store::new(cfg.keys);
         store.attach_probe(Arc::clone(&store_probe));
         let membership = Arc::new(MembershipCell::new(Membership::bootstrap(&cfg)));
         {
@@ -138,11 +135,6 @@ impl NodeShared {
         }
         Arc::new(NodeShared {
             me,
-            // The Merkle leaf span rides the shared config so every
-            // replica's lattice has identical geometry (comparability is
-            // what makes summary hashes meaningful). With Merkle digests
-            // off, span 0 disables the lattice — the default deployment
-            // pays no per-write hashing for summaries nobody reads.
             store,
             epoch: AtomicU64::new(0),
             last_bump: AtomicU64::new(0),

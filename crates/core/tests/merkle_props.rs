@@ -1,23 +1,22 @@
-//! Divergence-fuzzing equivalence harness for Merkle-range anti-entropy.
+//! Divergence-fuzzing harness for the Merkle summary plane.
 //!
-//! The Merkle mode is an *optimization of how divergence is found*, never
-//! of what gets repaired — so for any divergence pattern whatsoever, a
-//! Merkle sweep must converge the cluster to the **identical** final store
-//! state the flat sweep produces (which is itself forced by LLC-max: the
-//! highest-stamped copy of every key wins everywhere). This harness fuzzes
+//! Summaries are an *optimization of how divergence is found*, never of
+//! what gets repaired — so for any divergence pattern whatsoever, the sweep
+//! must converge the cluster to the state LLC-max forces: the
+//! highest-stamped copy of every key wins everywhere. This harness fuzzes
 //! random per-replica divergence patterns — missing keys, stale clocks,
 //! empty stores, single-key stores — plants them directly in the replicas'
-//! stores, lets each mode's sweep heal the cluster on the deterministic
-//! simulator, and asserts:
+//! stores once the birth-time sweep (always flat: it follows a wake) has
+//! gone by, so the idle nodes' summaries do the healing on the
+//! deterministic simulator, and asserts:
 //!
-//! * both modes quiesce with every replica holding the LLC-max winner of
+//! * the sweep quiesces with every replica holding the LLC-max winner of
 //!   every key (and still missing the keys nobody held);
-//! * the two final states are identical, key for key;
-//! * the Merkle drill-down message count is O(diverged · log store) —
-//!   and exactly **zero** when the replicas are identical, the property
-//!   that makes summary sweeps O(log store) bytes at steady state;
-//! * Merkle mode ships no flat digest keys beyond the drill-down leaves
-//!   (`ae_digest_keys` stays 0 on converged stores).
+//! * the drill-down message count is O(diverged · log store) — and exactly
+//!   **zero** when the replicas are identical, the property that makes
+//!   summary sweeps O(log store) bytes at steady state;
+//! * summaries ship no flat digest keys beyond the drill-down leaves
+//!   (`ae_digest_keys` does not move on converged stores).
 
 use std::collections::BTreeMap;
 
@@ -119,15 +118,15 @@ struct RunOut {
     digest_keys: u64,
 }
 
-fn converge(merkle: bool, plan: &DivergencePlan) -> RunOut {
-    let cfg = ClusterConfig::small()
-        .keys(256) // capacity 512; leaf span 8 → 64 leaves; fanout 4 → depth 3
-        .anti_entropy_interval_ns(50_000)
-        .anti_entropy_chunk(512)
-        .merkle_digests(merkle)
-        .merkle_fanout(4)
-        .merkle_leaf_span(8)
-        .commit_fill(false);
+/// 16 384 keys: capacity 32 768, 512 leaves of 64 home slots; fanout 16
+/// puts the summary at level 2, so a drill-down descends 2 levels to a leaf.
+const KEYS: usize = 1 << 14;
+const LEVELS: u64 = 3;
+const INTERVAL: u64 = 50_000;
+
+fn converge(plan: &DivergencePlan) -> RunOut {
+    let cfg =
+        ClusterConfig::small().keys(KEYS).anti_entropy_interval_ns(INTERVAL).commit_fill(false);
     let mut sc = SimCluster::build(
         cfg,
         ProtocolMode::Kite,
@@ -135,9 +134,26 @@ fn converge(merkle: bool, plan: &DivergencePlan) -> RunOut {
         |_| SessionDriver::Idle,
         None,
     );
+    // Let the birth-time sweep go by: it follows a wake, so it is flat.
+    // Every sweep after it sees a few planted writes at most — far below
+    // the leaf count — and summarizes.
+    sc.run_for(INTERVAL);
+    let sum = |sc: &SimCluster, f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
+        (0..NODES).map(|n| f(sc.counters(NodeId(n as u8)))).sum()
+    };
+    let counts = |sc: &SimCluster| {
+        [
+            sum(sc, |c| c.ae_merkle_reqs.get()),
+            sum(sc, |c| c.ae_summaries_sent.get()),
+            sum(sc, |c| c.ae_digest_keys.get()),
+        ]
+    };
+    let before = counts(&sc);
+    assert!(sum(&sc, |c| c.ae_digests_sent.get()) > 0, "the birth sweep must have run");
+    assert_eq!(before[1], 0, "the sweep after a wake must be flat");
     // Plant the divergence directly in the stores (the protocols are not
     // running: this *is* the post-fault state the sweep must heal).
-    for (n, _) in (0..NODES).enumerate() {
+    for n in 0..NODES {
         let store = &sc.shared(NodeId(n as u8)).store;
         for kp in &plan.keys {
             if let Some((v, o)) = kp.state[n] {
@@ -147,7 +163,7 @@ fn converge(merkle: bool, plan: &DivergencePlan) -> RunOut {
     }
     assert!(
         sc.run_until_quiesce(600 * SEC),
-        "sweep must converge and wind down (merkle={merkle}, seed={})",
+        "sweep must converge and wind down (seed={})",
         plan.seed
     );
     let state: StoreState = (0..NODES)
@@ -164,14 +180,12 @@ fn converge(merkle: bool, plan: &DivergencePlan) -> RunOut {
                 .collect()
         })
         .collect();
-    let sum = |f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
-        (0..NODES).map(|n| f(sc.counters(NodeId(n as u8)))).sum()
-    };
+    let after = counts(&sc);
     RunOut {
         state,
-        merkle_reqs: sum(|c| c.ae_merkle_reqs.get()),
-        summaries: sum(|c| c.ae_summaries_sent.get()),
-        digest_keys: sum(|c| c.ae_digest_keys.get()),
+        merkle_reqs: after[0] - before[0],
+        summaries: after[1] - before[1],
+        digest_keys: after[2] - before[2],
     }
 }
 
@@ -179,52 +193,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn merkle_sweep_converges_identically_to_flat_sweep(plan in Plans) {
-        let merkle = converge(true, &plan);
-        let flat = converge(false, &plan);
+    fn summaries_converge_every_replica_to_the_llc_max_winner(plan in Plans) {
+        let out = converge(&plan);
+        prop_assert!(out.summaries > 0, "idle sweeps must broadcast summaries");
 
-        // Both modes actually ran the machinery they claim to.
-        prop_assert!(merkle.summaries > 0, "Merkle sweeps must broadcast summaries");
-        prop_assert_eq!(flat.merkle_reqs, 0, "flat mode must never drill down");
-
-        // Every replica, in both modes, holds exactly the LLC-max winner
-        // of every key the pattern placed anywhere — and nothing at all
-        // where nobody held the key.
+        // Every replica holds exactly the LLC-max winner of every key the
+        // pattern placed anywhere — and nothing at all where nobody held
+        // the key.
         for kp in &plan.keys {
             let want = kp.expected().map(|(v, o)| (Lc::new(v, NodeId(o)), val_for(kp.key, v, o).as_u64()));
-            for (mode, out) in [("merkle", &merkle), ("flat", &flat)] {
-                for (n, st) in out.state.iter().enumerate() {
-                    prop_assert_eq!(
-                        st.get(&kp.key).copied(),
-                        want,
-                        "{}: replica {} wrong on key {} (plan {:?})",
-                        mode, n, kp.key, kp.state
-                    );
-                }
+            for (n, st) in out.state.iter().enumerate() {
+                prop_assert_eq!(
+                    st.get(&kp.key).copied(),
+                    want,
+                    "replica {} wrong on key {} (plan {:?})",
+                    n, kp.key, kp.state
+                );
             }
-        }
-        // ... which also makes the two final states bytewise identical.
-        for n in 0..NODES {
-            prop_assert_eq!(&merkle.state[n], &flat.state[n], "mode divergence at replica {}", n);
         }
 
         // Drill-down traffic is O(diverged · log store): zero when the
         // replicas agree, and bounded by a small constant per diverged key
-        // per lattice level otherwise (64 leaves, fanout 4 → 3 levels).
+        // per lattice level otherwise.
         let diverged = plan.keys.iter().filter(|kp| kp.diverged()).count() as u64;
         if diverged == 0 {
-            prop_assert_eq!(merkle.merkle_reqs, 0, "identical replicas must not drill down");
+            prop_assert_eq!(out.merkle_reqs, 0, "identical replicas must not drill down");
             prop_assert_eq!(
-                merkle.digest_keys, 0,
+                out.digest_keys, 0,
                 "identical replicas must exchange no per-key digest entries"
             );
         } else {
-            let levels = 3u64;
-            let bound = 64 * (1 + diverged * levels);
+            let bound = 64 * (1 + diverged * LEVELS);
             prop_assert!(
-                merkle.merkle_reqs <= bound,
+                out.merkle_reqs <= bound,
                 "drill-down blow-up: {} reqs for {} diverged keys (bound {})",
-                merkle.merkle_reqs, diverged, bound
+                out.merkle_reqs, diverged, bound
             );
         }
     }

@@ -27,4 +27,4 @@ pub mod store;
 pub use paxos_meta::{CommittedRing, PaxosMeta, RmwCommit};
 pub use record::ReadView;
 pub use seqlock::SeqLock;
-pub use store::{merkle_mix, DurabilitySink, SinkError, Store, StoreProbe, DEFAULT_LEAF_SPAN};
+pub use store::{merkle_mix, DurabilitySink, SinkError, Store, StoreProbe};

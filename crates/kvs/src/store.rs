@@ -21,9 +21,10 @@
 //!
 //! # The Merkle leaf lattice
 //!
-//! Alongside the slots the store maintains an incremental hash summary for
-//! the Merkle-range anti-entropy mode: an array of **leaf hashes**, one per
-//! `leaf_span` *home* slots, where leaf `i` is the XOR of
+//! Alongside the slots the store always maintains an incremental hash
+//! summary, which the anti-entropy sweep folds into Merkle summaries
+//! whenever write churn is low: an array of **leaf hashes**, one per
+//! `LEAF_SPAN` *home* slots, where leaf `i` is the XOR of
 //! [`merkle_mix`]`(key, lc)` over every written entry whose home slot
 //! (`key.hash() & mask`, before linear-probe displacement) falls in leaf
 //! `i`'s range. Leaves bucket by *home* position — a pure function of the
@@ -60,8 +61,9 @@ use crate::record::{Record, ReadView};
 
 const EMPTY_KEY: u64 = u64::MAX;
 
-/// Default home slots per Merkle leaf (see the module docs).
-pub const DEFAULT_LEAF_SPAN: usize = 64;
+/// Home slots per Merkle leaf (see the module docs). A constant, so every
+/// replica of a `keys`-sized store has the same lattice geometry.
+const LEAF_SPAN: usize = 64;
 
 /// The per-entry hash the Merkle leaf lattice accumulates: a splitmix64
 /// avalanche over the packed `(key, lc)` pair. `Lc::ZERO` maps to 0 by
@@ -187,29 +189,21 @@ impl Store {
     /// is rounded up to a power of two with 2× headroom to keep probe
     /// sequences short.
     pub fn new(keys: usize) -> Self {
-        Self::with_leaf_span(keys, DEFAULT_LEAF_SPAN)
+        Self::with_leaf_span(keys, LEAF_SPAN)
     }
 
-    /// [`Store::new`] with an explicit Merkle leaf span (home slots per
-    /// leaf hash; rounded up to a power of two and clamped to the
-    /// capacity). Replicas must agree on `(keys, leaf_span)` for their
-    /// lattices to be comparable — both come from the shared
-    /// `ClusterConfig`. A span of **0 disables the lattice entirely**
-    /// (no leaves allocated, `leaf_apply` is a single branch): deployments
-    /// that never speak Merkle digests must not pay per-write hashing or
-    /// a shared-cache-line `fetch_xor` for a summary nobody reads.
-    pub fn with_leaf_span(keys: usize, leaf_span: usize) -> Self {
+    /// [`Store::new`] with another Merkle leaf span (home slots per leaf
+    /// hash; rounded up to a power of two and clamped to the capacity) —
+    /// small spans let unit tests cross leaf boundaries with a few keys.
+    /// The lattice is not optional: the sweep may summarize any interval.
+    fn with_leaf_span(keys: usize, leaf_span: usize) -> Self {
         let cap = (keys.max(16) * 2).next_power_of_two();
         let slots: Box<[Slot]> = (0..cap)
             .map(|_| Slot { key: AtomicU64::new(EMPTY_KEY), record: Record::new() })
             .collect();
-        let (leaves, leaf_shift) = if leaf_span == 0 {
-            (Box::from([]), 0)
-        } else {
-            let span = leaf_span.next_power_of_two().min(cap);
-            let leaves: Box<[AtomicU64]> = (0..cap / span).map(|_| AtomicU64::new(0)).collect();
-            (leaves, span.trailing_zeros())
-        };
+        let span = leaf_span.next_power_of_two().min(cap);
+        let leaves: Box<[AtomicU64]> = (0..cap / span).map(|_| AtomicU64::new(0)).collect();
+        let leaf_shift = span.trailing_zeros();
         Store {
             slots,
             mask: (cap - 1) as u64,
@@ -288,9 +282,7 @@ impl Store {
 
     /// Fold a clock transition `old → new` for `key` into its leaf hash.
     /// Called after the seqlock write section commits; see the module docs
-    /// for why the out-of-lock XOR is still exact. With the lattice
-    /// disabled (leaf span 0) this is one predictable branch — the write
-    /// path pays nothing.
+    /// for why the out-of-lock XOR is still exact.
     // ordering: leaf hashes are a commutative XOR fold; sweep readers
     // tolerate transient skew by design (drill-down re-confirms on the next
     // interval), so the fetch_xor needs atomicity, not ordering.
@@ -301,9 +293,6 @@ impl Store {
         // section), so this counts each first value exactly once.
         if old == Lc::ZERO && new > Lc::ZERO {
             self.written.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.leaves.is_empty() {
-            return;
         }
         let delta = merkle_mix(key, old) ^ merkle_mix(key, new);
         if delta != 0 {
@@ -667,7 +656,7 @@ impl Store {
 
     // ---- Merkle leaf lattice ---------------------------------------------
 
-    /// Number of Merkle leaves (`capacity / leaf_span`; ≥ 1).
+    /// Number of Merkle leaves (`capacity / LEAF_SPAN`; ≥ 1).
     #[inline]
     pub fn merkle_leaves(&self) -> usize {
         self.leaves.len()
@@ -1243,21 +1232,6 @@ mod tests {
                 "leaf {leaf} diverged from ground truth"
             );
         }
-    }
-
-    #[test]
-    fn leaf_span_zero_disables_the_lattice() {
-        // Deployments that never speak Merkle digests allocate no leaves
-        // and pay nothing per write; the fold of the (empty) lattice is
-        // still total.
-        let s = Store::with_leaf_span(256, 0);
-        assert_eq!(s.merkle_leaves(), 0);
-        s.fast_write(Key(1), &Val::from_u64(1), NodeId(0), Epoch::ZERO);
-        s.apply_max(Key(2), &Val::from_u64(2), Lc::new(9, NodeId(1)));
-        assert_eq!(s.fold_leaves(0, 1), s.fold_leaves(0, 0), "empty lattice folds are constant");
-        let mut out = Vec::new();
-        s.digest_leaf(0, &mut out); // leaf 0 covers the whole table (shift 0)
-        assert_eq!(s.view(Key(2)).val.as_u64(), 2, "the store itself is unaffected");
     }
 
     #[test]

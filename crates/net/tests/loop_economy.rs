@@ -6,7 +6,8 @@
 //!   the acceptor and the WAL flusher stay asleep, and once the
 //!   anti-entropy sweep has wound down the event loops sleep too — there is
 //!   no timer beat, a loop wakes for its actor's next deadline (the
-//!   keepalive sweep, when one is configured) and for nothing else; a
+//!   keepalive sweep, when one is configured) and for its peers' sweeps,
+//!   and for nothing else; a
 //!   connected session's op still completes at once, because the bytes it
 //!   writes make the loop's socket readable and that ends the park;
 //! * driven — under a mixed closed-loop workload every op completes, a
@@ -62,6 +63,7 @@ struct Snap {
     read_eagain: u64,
     acceptor_wakes: u64,
     flusher_wakes: u64,
+    ae_summaries: u64,
 }
 
 fn snap(n: &NodeRuntime) -> Snap {
@@ -75,6 +77,7 @@ fn snap(n: &NodeRuntime) -> Snap {
         read_eagain: load(&l.read_eagain),
         acceptor_wakes: load(&f.acceptor_wakes),
         flusher_wakes: n.wal().map_or(0, |w| w.stats().flusher_wakes),
+        ae_summaries: n.counters().ae_summaries_sent.get(),
     }
 }
 
@@ -105,28 +108,32 @@ fn launch_with_keepalive(tag: &str, keepalive_ns: u64) -> (Vec<NodeRuntime>, std
 }
 
 /// Passes an idle daemon's loop may make per second beyond its actor's own
-/// timers (stray readiness, a redial, the scrape below).
+/// timers and its peers' keepalive sweeps (stray readiness, a redial, the
+/// scrape below).
 const IDLE_WAKES_PER_S: u64 = 50;
 
 #[test]
 fn idle_cluster_makes_no_wakes_without_work() {
     // Keepalive off: nothing is scheduled once the sweep has wound down.
-    // Keepalive on (50 ms): its timer, and nothing else.
+    // Keepalive on (50 ms): the loop's own timer plus one sweep from each
+    // peer per keepalive — the node count times its timer rate.
     const KEEPALIVE_NS: u64 = 50_000_000;
     let (quiet, quiet_dir) = launch("idle");
     let (nodes, wal_dir) = launch_with_keepalive("idle-keepalive", KEEPALIVE_NS);
-    // Let the connect-time hellos settle and the birth-time sweep (one
-    // store cycle plus the resync pings, ~100 ms at this size) wind down.
+    // Let the connect-time hellos settle and the birth-time sweep (a
+    // Merkle cycle plus the resync pings, ~35 ms at this size) wind down.
     std::thread::sleep(Duration::from_millis(400));
     let before: Vec<Vec<Snap>> = [&quiet, &nodes].map(|c| c.iter().map(snap).collect()).into();
     std::thread::sleep(Duration::from_secs(1));
     for (c, (cluster, keepalive_per_s)) in
         [(&quiet, 0), (&nodes, 1_000_000_000 / KEEPALIVE_NS)].into_iter().enumerate()
     {
+        let mut cluster_ticks = 0;
         for (n, (node, b)) in cluster.iter().zip(&before[c]).enumerate() {
             let a = snap(node);
             let (passes, wakes, ticks) =
                 (a.passes - b.passes, a.wakes - b.wakes, a.idle_ticks - b.idle_ticks);
+            cluster_ticks += ticks;
             assert!(
                 a.flusher_wakes - b.flusher_wakes <= 5,
                 "cluster {c} node {n}: idle WAL flusher woke {} times in 1 s",
@@ -137,17 +144,38 @@ fn idle_cluster_makes_no_wakes_without_work() {
                 "cluster {c} node {n}: acceptor woke {} times in 1 s with nobody connecting",
                 a.acceptor_wakes - b.acceptor_wakes
             );
+            let timers = keepalive_per_s * cluster.len() as u64;
             assert!(
-                passes <= keepalive_per_s + IDLE_WAKES_PER_S,
+                passes <= timers + IDLE_WAKES_PER_S,
                 "cluster {c} node {n}: an idle loop made {passes} passes in 1 s \
                  ({wakes} wakes, {ticks} timer ticks; keepalive {keepalive_per_s}/s)"
             );
+            // Every node keeps alive on its own: one summary to each peer
+            // per keepalive, whichever wake ran the sweep.
+            let peers = cluster.len() as u64 - 1;
+            let summaries = a.ae_summaries - b.ae_summaries;
             assert!(
-                ticks >= keepalive_per_s / 2,
-                "cluster {c} node {n}: the keepalive deadline is not waking the loop \
+                summaries >= keepalive_per_s / 2 * peers,
+                "cluster {c} node {n}: {summaries} keepalive summaries in 1 s \
+                 ({keepalive_per_s} sweeps due, {peers} peers)"
+            );
+            // A peer's summary that lands just after a node's own deadline
+            // runs that node's sweep on the same wake, so any one of its
+            // deadlines may show up as a wake instead of a tick; a loop with
+            // no keepalive deadline armed never ticks at all.
+            assert!(
+                ticks >= keepalive_per_s.min(1),
+                "cluster {c} node {n}: the keepalive deadline never woke the loop \
                  ({ticks} timer ticks in 1 s, {keepalive_per_s} due)"
             );
         }
+        // The cluster's first sweep of each period has no summary ahead of
+        // it: that one is always a timer tick.
+        assert!(
+            cluster_ticks >= keepalive_per_s / 2,
+            "cluster {c}: the keepalive deadline is not waking the loops \
+             ({cluster_ticks} timer ticks in 1 s, {keepalive_per_s} due per node)"
+        );
     }
 
     // A parked loop has no timer to find a client's op with: the
@@ -273,10 +301,16 @@ fn driven_cluster_goes_round_once_per_wake() {
         );
         // The batching pairs count what they say: every op this node's
         // client submitted went back through a pump, and an envelope, a
-        // `writev` and a pump each carry at least one of their unit.
+        // `writev` and a pump each carry at least one of their unit. The
+        // pump counts a batch after writing it, so the last op's count may
+        // land just after its completion did.
         let l = &node.fabric_stats().loops[0];
+        assert!(
+            wait_for(Duration::from_secs(10), || load(&l.completions) >= ROUNDS * OPS_PER_ROUND),
+            "node {n}: {} completions",
+            load(&l.completions)
+        );
         let (pumps, completions) = (load(&l.pumps), load(&l.completions));
-        assert!(completions >= ROUNDS * OPS_PER_ROUND, "node {n}: {completions} completions");
         assert!((1..=completions).contains(&pumps), "node {n}: {pumps} pumps");
         let (envelopes, msgs) = (load(&l.envelopes), load(&l.envelope_msgs));
         assert!(envelopes > 0 && msgs >= envelopes, "node {n}: {msgs} msgs / {envelopes}");

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use kite::wire::{self, Hello};
 use kite::ProtocolMode;
+use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, NodeId};
 use kite_net::{Cluster, LinkTable, NodeConfig, NodeRuntime, RemoteSession};
 
@@ -255,6 +256,49 @@ fn restarted_node_redials_and_converges_by_keepalive() {
     for n in nodes {
         n.shutdown();
     }
+}
+
+/// An idle, populated cluster keeps alive in the summary plane: its
+/// stores barely churn, so its keepalive sweeps are whole-store hash
+/// summaries, and converged replicas never drill down to per-key digests. A
+/// flat keepalive would advertise every live key of each chunk it visits.
+#[test]
+fn idle_populated_cluster_keeps_alive_with_summaries() {
+    const KEYS: u64 = 200;
+    let cfg = cfg().anti_entropy_keepalive_ns(10_000_000);
+    let cluster = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch");
+    let _wd = cluster.watchdog(Duration::from_secs(120));
+    let mut s = cluster.session(NodeId(0), 0).expect("session");
+    for k in 0..KEYS {
+        s.write(Key(1000 + k), k + 1).unwrap();
+    }
+    // The release waits out every replica's ack of the writes before it.
+    s.release(Key(1), 1u64).unwrap();
+    // Let the sweeps' cool-down (a few 2 ms intervals) lapse.
+    std::thread::sleep(Duration::from_millis(100));
+    let sum = |f: fn(&ProtoCounters) -> u64| -> u64 {
+        (0..3).map(|n| f(cluster.counters(NodeId(n)))).sum()
+    };
+    let planes = || (sum(|c| c.ae_summaries_sent.get()), sum(|c| c.ae_digest_keys.get()));
+    let before = planes();
+    std::thread::sleep(Duration::from_millis(200));
+    let after = planes();
+    let (summaries, digest_keys) = (after.0 - before.0, after.1 - before.1);
+    assert!(summaries > 0, "idle keepalive sweeps must summarize: {before:?} → {after:?}");
+    // Each summary went to one peer in place of a flat chunk, which would
+    // have carried that chunk's share of the live keys. A tick the host runs
+    // more than 4 intervals late counts as a wake, and the sweep after a
+    // wake is flat, so a loaded host may ship a few chunks: bound the
+    // per-key entries at a quarter of the flat plane's, not at none.
+    let slots = kite_kvs::Store::new(cfg.keys).capacity() as u64;
+    let flat = summaries * KEYS * cfg.anti_entropy_chunk as u64 / slots;
+    assert!(
+        digest_keys * 4 <= flat,
+        "idle keepalives shipped {digest_keys} per-key digest entries; \
+         flat ones would have shipped ~{flat}"
+    );
+    drop(s);
+    cluster.shutdown();
 }
 
 /// `kite-node`'s argument handling: an unknown `--flag` or a flag without a

@@ -80,12 +80,14 @@ scrape_metric() { # scrape_metric <metrics-addr> <metric-name>
 # No wake without work, on idle nodes: the acceptor and the WAL flusher stay
 # asleep, and worker 0's loop goes round only for its actor's own timer —
 # the anti-entropy sweep (birth-time cool-down) or keepalive, at most
-# <timers-per-s> — plus 50 passes of slack (this scrape is traffic too).
-# There is no timer beat left to account for: a loop polling at 1 kHz fails.
-assert_idle_wakes() { # assert_idle_wakes <timers-per-s> <metrics-addr>...
+# <timers-per-s> — and for one sweep from each peer per timer (an idle
+# node's sweep is a summary, sent to every peer), so <timers-per-s> × nodes,
+# plus 50 passes of slack (this scrape is traffic too). There is no timer
+# beat left to account for: a loop polling at 1 kHz fails.
+assert_idle_wakes() { # assert_idle_wakes <timers-per-s> <metrics-addr of every node>...
     local timers="$1" m k
     shift
-    local -A before allow=([acceptor_wakes]=10 [wal_flusher_wakes]=10 [loop_w0_passes]=$((timers + 50)))
+    local -A before allow=([acceptor_wakes]=10 [wal_flusher_wakes]=10 [loop_w0_passes]=$((timers * $# + 50)))
     for m in "$@"; do
         for k in "${!allow[@]}"; do
             before[$m.$k]="$(scrape_metric "$m" "$k")"   # no wal_* keys with the WAL off
@@ -168,7 +170,7 @@ for iter in $(seq 1 "$ITERS"); do
     wait_ready "$LOGDIR/n0.log"
     wait_ready "$LOGDIR/n1.log"
     wait_ready "$LOGDIR/n2.log"
-    # 5 ms keepalive: 200 sweeps/s.
+    # 5 ms keepalive: 200 sweeps/s per node.
     assert_idle_wakes 200 "$M0" "$M1" "$M2"
 
     echo "-- phase 1: mixed workload across all 3 nodes + RC(Lin) check"
@@ -364,9 +366,9 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     wait_ready "$logdir/n1.log" >&2
     wait_ready "$logdir/n2.log" >&2
     # With the WAL on this is the flusher's check: nothing staged, no wakes.
-    # The loops are still in the birth-time cool-down (one 5 ms sweep per
-    # store chunk, ~10 s at this size): 200 sweeps/s, then 20/s keepalive.
-    assert_idle_wakes 200 "$m0" "$m1" "$m2"
+    # The birth-time cool-down is one Merkle cycle (seven 5 ms sweeps at
+    # this size); after it, the 50 ms keepalive: 20 sweeps/s per node.
+    assert_idle_wakes 20 "$m0" "$m1" "$m2"
 
     echo "-- wal=$wal: fill $FILL_COUNT keys, then SIGKILL node 2" >&2
     local -a hot_before=()

@@ -11,12 +11,13 @@
 # instead of hanging the loop, and the failing run's full output is
 # preserved.
 #
-# Each iteration also runs the anti-entropy fault suites — the flat-sweep
-# convergence/equivalence tests (tests/antientropy.rs), the Merkle-digest
-# loss+crash ablation (tests/merkle_faults.rs) and the WAL torn-write /
-# corruption / kill-switch suite (tests/wal_faults.rs) — so sweep
-# liveness, the merkle_digests kill switch and crash durability stay
-# covered by the loop, not just by one-shot CI.
+# Each iteration also runs the anti-entropy fault suites — the sweep
+# convergence/equivalence tests (tests/antientropy.rs), the loss+crash run
+# whose sweeps go flat under load and summarize in the wind-down
+# (tests/merkle_faults.rs) and the WAL torn-write / corruption /
+# kill-switch suite (tests/wal_faults.rs) — so sweep liveness, the
+# per-sweep digest-plane choice and crash durability stay covered by the
+# loop, not just by one-shot CI.
 #
 # The kite-net fabric fault tests ride along too: the stalled-reader
 # backpressure test (crates/net/tests/backpressure.rs — bounded outbound

@@ -37,6 +37,12 @@ fn ae_cfg() -> ClusterConfig {
 /// the periodic sweep must be *sufficient*, not just supplementary. After
 /// healing to 20% loss (sweeps must survive drops too), every replica ends
 /// with the final FAA value and the caught-up Paxos slot.
+///
+/// The woken replica holds no slot (not even a claim) for the key it slept
+/// through, so only its zero-entry resync ping — "I advertise empty, push
+/// me" — can re-arm the peers' wound-down sweeps. The peers are idle, so
+/// they sweep with summaries; those mismatch the sleeper's lattice and the
+/// drill-down pulls the key in.
 #[test]
 fn sleeping_replica_converges_by_anti_entropy_alone() {
     const FAAS: u64 = 5;
@@ -100,6 +106,10 @@ fn sleeping_replica_converges_by_anti_entropy_alone() {
     }
     let repaired = sc.shared(sleeper).counters.ae_repairs_applied.get();
     assert!(repaired > 0, "the sleeper must have been healed by repair values");
+    let summaries: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_summaries_sent.get()).sum();
+    let drills: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_merkle_reqs.get()).sum();
+    assert!(summaries > 0, "divergence must have been found through summaries");
+    assert!(drills > 0, "... and localized through drill-downs");
 }
 
 /// The same scenario with the fill *enabled* but under uniform 20% loss
@@ -250,147 +260,123 @@ fn digest_traffic_negligible_at_zero_loss() {
     }
 }
 
-/// The §8.4 sleeper scenario under Merkle mode: the woken replica holds no
-/// slot (not even a claim) for the key it slept through, so only its
-/// zero-entry resync ping — "I advertise empty, push me" — can get the
-/// peers' wound-down sweeps re-armed; their summaries then mismatch the
-/// sleeper's all-zero lattice and the drill-down pulls the key in. Same
-/// scenario, same assertions as the flat-mode test above, proving the ping
-/// semantics survive the digest representation change.
-#[test]
-fn merkle_mode_sleeping_replica_converges_by_anti_entropy_alone() {
-    const FAAS: u64 = 5;
-    let key = Key(7);
-    let sleeper = NodeId(2);
-    let mut sc = SimCluster::build(
-        ae_cfg().commit_fill(false).merkle_digests(true).merkle_fanout(4).merkle_leaf_span(8),
-        ProtocolMode::Kite,
-        SimCfg { seed: 9, ..Default::default() },
-        |sid| {
-            if sid == SessionId::new(NodeId(0), 0) {
-                SessionDriver::Script(Box::new(move |seq| {
-                    (seq < FAAS).then_some(Op::Faa { key, delta: 1 })
-                }))
-            } else {
-                SessionDriver::Idle
-            }
-        },
-        None,
-    );
-    sc.sim.partition(sleeper, NodeId(0));
-    sc.sim.partition(sleeper, NodeId(1));
-    sc.sim.sleep_node(sleeper, 20 * MS);
-    sc.run_for(20 * MS);
-    assert_eq!(sc.total_completed(), FAAS, "FAAs must commit against the majority");
-    assert_eq!(
-        sc.shared(sleeper).store.probe_lc(key),
-        None,
-        "sleeper must have missed the key entirely for the scenario to be meaningful"
-    );
-
-    for (a, b) in [(sleeper, NodeId(0)), (sleeper, NodeId(1))] {
-        sc.sim.set_drop(a, b, 0.2);
-        sc.sim.set_drop(b, a, 0.2);
-    }
-    assert!(sc.run_until_quiesce(600 * SEC), "Merkle anti-entropy must converge and wind down");
-
-    for n in 0..3u8 {
-        let sh = sc.shared(NodeId(n));
-        assert_eq!(
-            sh.store.view(key).val.as_u64(),
-            FAAS,
-            "replica {n} must converge on the final FAA value"
-        );
-        assert_eq!(
-            sh.store.paxos_next_slot(key),
-            FAAS,
-            "replica {n} must catch its Paxos slot up past the decided prefix"
-        );
-    }
-    let repaired = sc.shared(sleeper).counters.ae_repairs_applied.get();
-    assert!(repaired > 0, "the sleeper must have been healed by repair values");
-    let summaries: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_summaries_sent.get()).sum();
-    let drills: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_merkle_reqs.get()).sum();
-    assert!(summaries > 0, "divergence must have been found through summaries");
-    assert!(drills > 0, "... and localized through drill-downs");
-}
-
 /// The headline byte win, at a store size where it matters: a 100k-key
-/// store with exactly one diverged key. Flat mode must advertise every key
-/// of every swept chunk to find it — O(store) digest bytes per cycle —
-/// while Merkle mode localizes it through O(log store) summary/drill-down
-/// bytes. Both modes must heal the key; the byte ratio is the point.
+/// store with exactly one diverged key. A flat sweep must advertise every
+/// key of every swept chunk to find it — one cycle ships every key to
+/// every peer, O(store) digest bytes — while the idle nodes' summaries
+/// localize it through O(log store) summary/drill-down bytes. The key must
+/// heal; the byte ratio against one flat cycle is the point.
 #[test]
 fn large_store_single_divergence_heals_with_fraction_of_flat_bytes() {
     const KEYS: u64 = 100_000;
+    const PEERS: u64 = 2;
     let stale_key = Key(777);
-    let run = |merkle: bool| -> (u64, u64) {
-        let mut sc = SimCluster::build(
-            ClusterConfig::small()
-                .keys(KEYS as usize) // capacity 262144
-                .release_timeout_ns(200_000)
-                .anti_entropy_interval_ns(100_000)
-                // Flat mode gets a generously large chunk so its full-store
-                // cycle (and thus the test's virtual runtime) stays short —
-                // bytes per cycle are chunk-independent, so this only
-                // *helps* flat mode's message count, not its byte count.
-                .anti_entropy_chunk(16 * 1024)
-                .merkle_digests(merkle)
-                .commit_fill(false),
-            ProtocolMode::Kite,
-            SimCfg { seed: 21, ..Default::default() },
-            |_| SessionDriver::Idle,
-            None,
-        );
-        // All three replicas hold the full preloaded key set...
-        for n in 0..3u8 {
-            let store = &sc.shared(NodeId(n)).store;
-            for k in 0..KEYS {
-                store.apply_max(Key(k), &Val::from_u64(k + 1), Lc::new(1, NodeId(0)));
-            }
-        }
-        // ... but replica 2 missed one key's last write.
-        for n in 0..2u8 {
-            sc.shared(NodeId(n)).store.apply_max(
-                stale_key,
-                &Val::from_u64(0xD00D),
-                Lc::new(2, NodeId(1)),
-            );
-        }
-        assert!(sc.run_until_quiesce(600 * SEC), "must converge and wind down, merkle={merkle}");
-        for n in 0..3u8 {
-            assert_eq!(
-                sc.shared(NodeId(n)).store.view(stale_key).val.as_u64(),
-                0xD00D,
-                "replica {n} must heal the diverged key (merkle={merkle})"
-            );
-        }
-        let bytes: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_digest_bytes.get()).sum();
-        let msgs: u64 = (0..3)
-            .map(|n| {
-                let c = sc.counters(NodeId(n));
-                c.ae_digests_sent.get() + c.ae_summaries_sent.get() + c.ae_merkle_reqs.get()
-            })
-            .sum();
-        (bytes, msgs)
-    };
-
-    let (flat_bytes, flat_msgs) = run(false);
-    let (merkle_bytes, merkle_msgs) = run(true);
-    println!(
-        "digest plane for one diverged key in 100k: flat {flat_bytes} B / {flat_msgs} msgs, \
-         merkle {merkle_bytes} B / {merkle_msgs} msgs ({}x byte reduction)",
-        flat_bytes / merkle_bytes.max(1)
+    let mut sc = SimCluster::build(
+        ClusterConfig::small()
+            .keys(KEYS as usize) // capacity 262144
+            .release_timeout_ns(200_000)
+            .anti_entropy_interval_ns(100_000)
+            .commit_fill(false),
+        ProtocolMode::Kite,
+        SimCfg { seed: 21, ..Default::default() },
+        |_| SessionDriver::Idle,
+        None,
     );
-    // The flat sweep shipped the whole store at least once: ≥ 100k entries
-    // × 16 bytes × 2 peers per node. The Merkle sweep shipped summaries
-    // plus one drill-down path. Require the headline ≥ 10× reduction with
-    // a wide margin of safety in the assertion itself.
+    // All three replicas hold the full preloaded key set...
+    for n in 0..3u8 {
+        let store = &sc.shared(NodeId(n)).store;
+        for k in 0..KEYS {
+            store.apply_max(Key(k), &Val::from_u64(k + 1), Lc::new(1, NodeId(0)));
+        }
+    }
+    // ... but replica 2 missed one key's last write.
+    for n in 0..2u8 {
+        let store = &sc.shared(NodeId(n)).store;
+        store.apply_max(stale_key, &Val::from_u64(0xD00D), Lc::new(2, NodeId(1)));
+    }
+    assert!(sc.run_until_quiesce(600 * SEC), "must converge and wind down");
+    for n in 0..3u8 {
+        assert_eq!(
+            sc.shared(NodeId(n)).store.view(stale_key).val.as_u64(),
+            0xD00D,
+            "replica {n} must heal the diverged key"
+        );
+    }
+    let sum = |f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
+        (0..3).map(|n| f(sc.counters(NodeId(n)))).sum()
+    };
+    let bytes = sum(|c| c.ae_digest_bytes.get());
+    let summaries = sum(|c| c.ae_summaries_sent.get());
+    let drills = sum(|c| c.ae_merkle_reqs.get());
+    // One node's flat cycle: every key, 16 wire bytes each, to every peer.
+    let flat_cycle = KEYS * 16 * PEERS;
+    println!(
+        "digest plane for one diverged key in 100k: {bytes} B ({summaries} summaries, \
+         {drills} drill-downs) against {flat_cycle} B for one node's flat cycle ({}x)",
+        flat_cycle / bytes.max(1)
+    );
+    assert!(summaries > 0 && drills > 0, "the idle nodes must heal through summaries");
+    // The whole cluster's digest bytes — birth sweeps, summaries and the
+    // drill-down path — against a single node's flat cycle.
     assert!(
-        flat_bytes >= 10 * merkle_bytes,
-        "Merkle mode must cut steady-state digest bytes ≥ 10× on a 100k-key store: \
-         flat {flat_bytes} vs merkle {merkle_bytes} ({}x)",
-        flat_bytes / merkle_bytes.max(1)
+        flat_cycle >= 10 * bytes,
+        "summaries must cut digest bytes ≥ 10× below one flat cycle on a 100k-key store: \
+         {bytes} B vs {flat_cycle} B ({}x)",
+        flat_cycle / bytes.max(1)
+    );
+}
+
+/// Each sweep picks its digest plane from its node's write churn. While a
+/// write load applies more writes per interval than the store's lattice has
+/// leaves, sweeps ship flat chunks and not one summary; once the load
+/// stops, the idle nodes summarize, and the cluster winds down one Merkle
+/// cycle after the last completion — not one flat walk of the store.
+#[test]
+fn sweeps_go_flat_under_churn_and_summarize_once_idle() {
+    const WRITES: u64 = 2_000;
+    let cfg = ae_cfg().keys(1 << 12); // capacity 8192: 128 leaves, summary level 1
+    let interval = cfg.anti_entropy_interval_ns;
+    let history = Arc::new(History::new());
+    let mut sc = SimCluster::build(
+        cfg,
+        ProtocolMode::Kite,
+        SimCfg { seed: 3, ..Default::default() },
+        |sid| {
+            let base = sid.node.idx() as u64 * 1_000 + sid.slot as u64 * 500;
+            SessionDriver::Script(Box::new(move |seq| {
+                let (key, val) = (Key(base + seq % 500), Val::from_u64(seq + 1));
+                (seq < WRITES).then_some(Op::Write { key, val })
+            }))
+        },
+        Some(recording_hook(Arc::clone(&history))),
+    );
+    let planes = |sc: &SimCluster| -> (u64, u64) {
+        let sum = |f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
+            (0..3).map(|n| f(sc.counters(NodeId(n)))).sum()
+        };
+        (sum(|c| c.ae_digests_sent.get()), sum(|c| c.ae_summaries_sent.get()))
+    };
+    sc.run_for(MS);
+    let total = 6 * WRITES;
+    let loaded = planes(&sc);
+    assert!(sc.total_completed() < total, "the load must still be running");
+    assert!(loaded.0 > 0, "loaded sweeps must ship flat chunks");
+    assert_eq!(loaded.1, 0, "loaded sweeps must not summarize");
+
+    assert!(sc.run_until_quiesce(60 * SEC), "must wind down");
+    assert_eq!(sc.total_completed(), total);
+    let idle = planes(&sc);
+    let last = history.sorted().iter().map(|r| r.complete).max().unwrap();
+    assert_eq!(sc.shared(NodeId(0)).store.merkle_leaves(), 128);
+    let top_level = 1; // 128 leaves fold into 8 buckets at level 1
+    assert!(idle.1 > 0, "idle sweeps must summarize");
+    // The cool-down is `top_level + 5` intervals from the first idle tick,
+    // which follows the last completion by the acks of its last writes:
+    // one more interval covers that tail. A flat walk of this store is 32.
+    assert!(
+        sc.now() - last <= (top_level + 6) * interval,
+        "the wind-down took {} ns after the last completion: more than a Merkle cycle",
+        sc.now() - last
     );
 }
 
@@ -406,7 +392,7 @@ fn large_store_single_divergence_heals_with_fraction_of_flat_bytes() {
 fn merkle_drill_downs_bounded_under_transient_churn() {
     let history = Arc::new(History::new());
     let mut sc = SimCluster::build(
-        ae_cfg().keys(1 << 10).merkle_digests(true).merkle_fanout(4).merkle_leaf_span(16),
+        ae_cfg().keys(1 << 10),
         ProtocolMode::Kite,
         SimCfg { seed: 13, ..Default::default() },
         mixed_driver,
@@ -419,15 +405,15 @@ fn merkle_drill_downs_bounded_under_transient_churn() {
     let drills: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_merkle_reqs.get()).sum();
     assert!(summaries > 0, "active writes must arm sweeps and ship summaries");
     // Calibration at this seed: without the persistence filter the run
-    // drills 57 times across 197 summaries (the mixed workload's five hot
-    // keys keep the same top bucket racing on most sweeps); with it, 12
-    // drills across 146 summaries — fewer drills also means fewer
+    // drills 43 times across 153 summaries (the mixed workload's five hot
+    // keys keep the same top bucket racing on most sweeps); with it, 13
+    // drills across 118 summaries — fewer drills also means fewer
     // re-arms, so the sweep plane itself winds down sooner. The bound
     // sits between the two with margin on both sides.
     assert!(
         drills <= 25,
         "persistence filter must bound transient-churn drill-downs: {drills} drills \
-         over {summaries} summaries / {completed} ops (unfiltered baseline: 57)"
+         over {summaries} summaries / {completed} ops (unfiltered baseline: 43)"
     );
     println!("churn drill plane: {drills} drills / {summaries} summaries / {completed} ops");
 }

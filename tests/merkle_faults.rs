@@ -1,29 +1,29 @@
-//! Merkle-digest equivalence under faults: the `merkle_digests` switch is
-//! a true no-op ablation.
+//! The digest plane under faults: each sweep picks flat or Merkle from its
+//! node's write churn, and the choice holds up in a faulted run.
 //!
-//! Mirror of `tests/ack_coalescing.rs`: the same seeded mixed workload
-//! runs under message loss **plus a crash-stopped replica** with Merkle
-//! digests on and off, and must produce
+//! The seeded mixed workload runs under message loss **plus a
+//! crash-stopped replica**, once per seed, and must show
 //!
-//! * the identical completed-operation set (anti-entropy — in either
-//!   representation — repairs stores, never completes or blocks client
-//!   operations), with both histories passing the RC checkers;
-//! * proof the mechanism really flipped: summaries and drill-downs flow in
-//!   Merkle mode and are exactly zero in flat mode (and vice versa for
-//!   flat chunk digests, which Merkle mode only emits at drill-down
-//!   bottom-out).
+//! * the plane really switching: while the survivors are loaded, their
+//!   sweeps ship flat chunks and no summary; once the load stops, the idle
+//!   survivors summarize (and drill down where a summary mismatches);
+//! * every survivor operation completing, with the history passing the RC
+//!   checkers (that anti-entropy changes no protocol outcome is
+//!   `tests/antientropy.rs::anti_entropy_on_off_equivalence_under_faults`);
+//! * the survivors' stores converged at quiescence.
 //!
-//! The crash matters: a dead peer never answers a summary, so the Merkle
-//! sweep must neither stall on it (sweeps are fire-and-forget) nor keep
-//! the survivors' cool-down armed forever (a dead peer produces no
-//! mismatch traffic) — quiescence with a corpse in the cluster is part of
-//! the property.
+//! The crash matters: a dead peer never answers a summary, so the sweep
+//! must neither stall on it (sweeps are fire-and-forget) nor keep the
+//! survivors' cool-down armed forever (a dead peer produces no mismatch
+//! traffic) — quiescence with a corpse in the cluster is part of the
+//! property.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
+use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, NodeId, SessionId};
 use kite_repro::testutil::recording_hook;
 use kite_simnet::SimCfg;
@@ -31,127 +31,88 @@ use kite_verify::{check_rc, History, RcMode};
 
 const MS: u64 = 1_000_000;
 const SEC: u64 = 1_000_000_000;
+const DEAD: NodeId = NodeId(2);
+const OPS: u64 = 40;
 
-/// One faulted run: 25% loss on two directed links among the survivors,
-/// one replica crash-stopped mid-run, same seed either way. The dead
-/// node's sessions are idle (as in `chaos.rs`) so the run can quiesce.
-/// Returns the completed-op set, the history, and the
-/// (summaries+drills, flat digests) counter pair.
-fn faulted_run(
-    merkle: bool,
-    seed: u64,
-) -> (BTreeSet<(u8, u32, u64)>, Arc<History>, (u64, u64), u64) {
-    let dead = NodeId(2);
+/// `(flat digests, summaries)` sent so far, cluster-wide.
+fn planes(sc: &SimCluster) -> (u64, u64) {
+    let sum =
+        |f: fn(&ProtoCounters) -> u64| -> u64 { (0..3).map(|n| f(sc.counters(NodeId(n)))).sum() };
+    (sum(|c| c.ae_digests_sent.get()), sum(|c| c.ae_summaries_sent.get()))
+}
+
+/// One faulted run, quiesced: 25% loss on both directions of the
+/// survivors' link, one replica crash-stopped mid-run. The dead node's
+/// sessions are idle (as in `chaos.rs`) so the run can quiesce. 256 keys
+/// make a lattice of 8 leaves, and 250 µs sweeps see far more writes than
+/// that while the survivors' sessions run. Returns the cluster, its
+/// history, and the `planes` of the first millisecond — the loaded window.
+fn faulted_run(seed: u64) -> (SimCluster, Arc<History>, (u64, u64)) {
     let history = Arc::new(History::new());
     let cfg = ClusterConfig::small()
-        .keys(1 << 10)
+        .keys(1 << 8)
         .release_timeout_ns(200_000)
-        .anti_entropy_interval_ns(100_000)
-        .anti_entropy_chunk(1 << 11)
-        .merkle_digests(merkle)
-        .merkle_fanout(4)
-        .merkle_leaf_span(16)
+        .anti_entropy_interval_ns(250_000)
         .commit_fill(false);
     let mut sc = SimCluster::build(
         cfg,
         ProtocolMode::Kite,
         SimCfg { seed, ..Default::default() },
         |sid| {
-            if sid.node == dead {
+            if sid.node == DEAD {
                 SessionDriver::Idle
             } else {
-                kite_repro::testutil::mixed_fault_driver(sid, 5, 40)
+                kite_repro::testutil::mixed_fault_driver(sid, 5, OPS)
             }
         },
         Some(recording_hook(Arc::clone(&history))),
     );
     sc.sim.set_drop(NodeId(0), NodeId(1), 0.25);
     sc.sim.set_drop(NodeId(1), NodeId(0), 0.25);
-    sc.run_for(2 * MS);
-    sc.sim.crash(dead);
+    sc.run_for(MS);
+    assert!(sc.total_completed() < 4 * OPS, "seed {seed}: the load ended early");
+    let loaded = planes(&sc);
+    sc.run_for(MS);
+    sc.sim.crash(DEAD);
     assert!(
         sc.run_until_quiesce(60 * SEC),
-        "survivors must quiesce under loss with a corpse in the cluster (merkle={merkle})"
+        "seed {seed}: survivors must quiesce under loss with a corpse in the cluster"
     );
-    let completed: BTreeSet<(u8, u32, u64)> = history
-        .sorted()
-        .iter()
-        .map(|r| (r.session.node.0, r.session.slot, r.session_seq))
-        .collect();
-    let merkle_msgs: u64 = (0..3)
-        .map(|n| {
-            let c = sc.counters(NodeId(n));
-            c.ae_summaries_sent.get() + c.ae_merkle_reqs.get()
-        })
-        .sum();
-    let digests: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_digests_sent.get()).sum();
-    let repaired: u64 =
-        (0..3).map(|n| sc.counters(NodeId(n)).ae_repairs_applied.get()).sum();
-    (completed, history, (merkle_msgs, digests), repaired)
+    (sc, history, loaded)
 }
 
 #[test]
-fn merkle_on_off_equivalence_under_loss_and_crash() {
+fn sweeps_go_flat_under_load_and_summarize_in_the_wind_down() {
     for seed in [7u64, 33] {
-        let (ops_on, hist_on, (merkle_on, _), _) = faulted_run(true, seed);
-        let (ops_off, hist_off, (merkle_off, digests_off), _) = faulted_run(false, seed);
+        let (sc, history, loaded) = faulted_run(seed);
+        let end = planes(&sc);
+        assert!(loaded.0 > 0, "seed {seed}: loaded sweeps must ship flat chunks");
+        assert_eq!(loaded.1, 0, "seed {seed}: loaded sweeps must not summarize ({loaded:?})");
+        assert!(end.1 > 0, "seed {seed}: the wind-down must summarize");
 
-        // The switch really switched.
-        assert!(merkle_on > 0, "seed {seed}: Merkle mode must send summaries/drill-downs");
-        assert_eq!(merkle_off, 0, "seed {seed}: flat mode must send none");
-        assert!(digests_off > 0, "seed {seed}: flat mode must sweep flat digests");
-
-        // Identical protocol outcome: the same operations completed, and
-        // both histories satisfy RCSC and RCLin.
-        assert_eq!(ops_on, ops_off, "seed {seed}: completed-op sets diverge");
-        assert_eq!(check_rc(&hist_on, RcMode::Sc), Ok(()), "seed {seed}: Merkle-on RCSC");
-        assert_eq!(check_rc(&hist_off, RcMode::Sc), Ok(()), "seed {seed}: Merkle-off RCSC");
-        assert_eq!(check_rc(&hist_on, RcMode::Lin), Ok(()), "seed {seed}: Merkle-on RCLin");
-        assert_eq!(check_rc(&hist_off, RcMode::Lin), Ok(()), "seed {seed}: Merkle-off RCLin");
+        // Every survivor op completed, and the history is RC.
+        let expected: BTreeSet<(u8, u32, u64)> = (0..2u8)
+            .flat_map(|n| (0..2u32).flat_map(move |s| (0..OPS).map(move |q| (n, s, q))))
+            .collect();
+        let completed: BTreeSet<(u8, u32, u64)> = history
+            .sorted()
+            .iter()
+            .map(|r| (r.session.node.0, r.session.slot, r.session_seq))
+            .collect();
+        assert_eq!(completed, expected, "seed {seed}: survivor ops missing");
+        assert_eq!(check_rc(&history, RcMode::Sc), Ok(()), "seed {seed}: RCSC");
+        assert_eq!(check_rc(&history, RcMode::Lin), Ok(()), "seed {seed}: RCLin");
     }
 }
 
-/// Survivor stores converge under Merkle mode despite the loss + crash —
-/// the "quiescence implies store convergence" invariant carries over to
-/// the new digest representation (the corpse is exempt: nothing can repair
-/// a crashed node).
+/// Survivor stores converge after the summarizing wind-down despite the
+/// loss + crash — "quiescence implies store convergence" holds whichever
+/// plane the last sweeps chose (the corpse is exempt: nothing can repair a
+/// crashed node).
 #[test]
 fn merkle_quiescence_implies_survivor_convergence() {
-    let (_, _, (merkle_msgs, _), repaired) = faulted_run(true, 19);
-    assert!(merkle_msgs > 0);
-    // The mixed workload under 25% loss reliably leaves at least one
-    // replica behind on something; repairs flowing proves the drill-down
-    // bottoms out in the per-key machinery end to end.
-    let dead = NodeId(2);
-    let history = Arc::new(History::new());
-    let cfg = ClusterConfig::small()
-        .keys(1 << 10)
-        .release_timeout_ns(200_000)
-        .anti_entropy_interval_ns(100_000)
-        .anti_entropy_chunk(1 << 11)
-        .merkle_digests(true)
-        .merkle_fanout(4)
-        .merkle_leaf_span(16)
-        .commit_fill(false);
-    let mut sc = SimCluster::build(
-        cfg,
-        ProtocolMode::Kite,
-        SimCfg { seed: 19, ..Default::default() },
-        |sid| {
-            if sid.node == dead {
-                SessionDriver::Idle
-            } else {
-                kite_repro::testutil::mixed_fault_driver(sid, 5, 40)
-            }
-        },
-        Some(recording_hook(Arc::clone(&history))),
-    );
-    sc.sim.set_drop(NodeId(0), NodeId(1), 0.25);
-    sc.sim.set_drop(NodeId(1), NodeId(0), 0.25);
-    sc.run_for(2 * MS);
-    sc.sim.crash(dead);
-    assert!(sc.run_until_quiesce(60 * SEC));
-    let _ = repaired; // diagnostic from the shared run above
+    let (sc, _, _) = faulted_run(19);
+    assert!(planes(&sc).1 > 0, "the wind-down must summarize");
     for key in [Key(3), Key(5), Key(10), Key(11), Key(12), Key(13), Key(14)] {
         let views: Vec<(u64, u64)> = (0..2u8)
             .map(|n| {
@@ -166,7 +127,7 @@ fn merkle_quiescence_implies_survivor_convergence() {
     }
 }
 
-/// The dead-session guard the suites above rely on: the session id type
+/// The dead-session guard the suite above relies on: the session id type
 /// used in the completed-op sets is stable (a compile-time reminder that
 /// renaming fields breaks set comparison silently).
 #[test]

@@ -91,6 +91,12 @@ fn typical_mix_row_is_pinned() {
 /// Each sleep outlasts both the release timeout (slow-path releases, epoch
 /// bumps on wake-up) and four anti-entropy intervals (the sleeper's
 /// "I overslept" resync).
+///
+/// Re-captured when each sweep began to pick its digest plane from its
+/// node's write churn: the outage dip drops some nodes' churn below the
+/// store's 128 leaves, so a few sweeps summarize instead of shipping a flat
+/// chunk (80 `ae_summaries_sent` and 40 drill-downs over the run;
+/// `ae_digests_sent` 636 → 620) and the trajectory moves with them.
 #[test]
 fn sleeping_replica_row_is_pinned() {
     let keys = 1 << 12;
@@ -120,12 +126,12 @@ fn sleeping_replica_row_is_pinned() {
     assert_eq!(
         row(&sc),
         Row {
-            total_completed: 651792,
-            delivered: 499892,
-            dropped: 9982,
-            slow_releases: 1803,
-            epoch_bumps: 19,
-            ae_digests_sent: 636,
+            total_completed: 649386,
+            delivered: 495079,
+            dropped: 10088,
+            slow_releases: 1792,
+            epoch_bumps: 16,
+            ae_digests_sent: 620,
             now: 64 * MS,
         }
     );
