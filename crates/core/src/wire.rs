@@ -849,6 +849,17 @@ pub fn frame_body_len(prefix: [u8; 4]) -> WireResult<usize> {
 }
 
 // kite-lint: total-decode
+/// Split the next length-prefixed frame (peer or client) off the front of
+/// `buf`: `Ok(Some((body, rest)))` once the whole frame is buffered,
+/// `Ok(None)` while it has not fully arrived, or the length prefix's
+/// error. Every reader of a frame stream splits it here.
+pub fn next_frame(buf: &[u8]) -> WireResult<Option<(&[u8], &[u8])>> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else { return Ok(None) };
+    let len = frame_body_len(*prefix)?;
+    Ok(rest.split_at_checked(len))
+}
+
+// kite-lint: total-decode
 /// Decode a peer frame body into `into` (appended; the caller hands in a
 /// pool-recycled buffer). Returns the sending node and its membership
 /// epoch stamp. The body must be consumed exactly.
@@ -1164,10 +1175,10 @@ mod tests {
         let msgs = sample_msgs();
         let mut buf = Vec::new();
         encode_frame(NodeId(4), 7, &msgs, &mut buf);
-        let body_len = frame_body_len(buf[..4].try_into().unwrap()).unwrap();
-        assert_eq!(body_len, buf.len() - 4);
+        let (body, rest) = next_frame(&buf).unwrap().unwrap();
+        assert!(rest.is_empty());
         let mut got = Vec::new();
-        let (src, mepoch) = decode_frame_body(&buf[4..], &mut got).unwrap();
+        let (src, mepoch) = decode_frame_body(body, &mut got).unwrap();
         assert_eq!(src, NodeId(4));
         assert_eq!(mepoch, 7);
         assert_eq!(format!("{msgs:?}"), format!("{got:?}"));
@@ -1199,6 +1210,24 @@ mod tests {
         let prefix = ((MAX_FRAME + 1) as u32).to_le_bytes();
         assert!(matches!(frame_body_len(prefix), Err(WireError::Oversized { .. })));
         assert!(frame_body_len(3u32.to_le_bytes()).is_err());
+        assert!(matches!(next_frame(&prefix), Err(WireError::Oversized { .. })));
+    }
+
+    #[test]
+    fn next_frame_waits_for_the_whole_frame() {
+        let mut buf = Vec::new();
+        encode_frame(NodeId(1), 0, &sample_msgs(), &mut buf);
+        let first = buf.len();
+        let session = SessionId::new(NodeId(1), 2);
+        encode_client_frame(&ClientFrame::HelloOk { session }, &mut buf);
+        for cut in 0..first {
+            assert_eq!(next_frame(&buf[..cut]), Ok(None), "a {cut}-byte prefix is not a frame");
+        }
+        let (body, rest) = next_frame(&buf).unwrap().unwrap();
+        assert_eq!((body.len(), rest.len()), (first - 4, buf.len() - first));
+        let (body, rest) = next_frame(rest).unwrap().unwrap();
+        assert!(rest.is_empty());
+        assert!(matches!(decode_client_frame(body), Ok(ClientFrame::HelloOk { .. })));
     }
 
     #[test]

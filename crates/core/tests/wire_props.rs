@@ -211,10 +211,10 @@ proptest! {
     fn frame_round_trips_every_variant(msgs in MsgBatch, src in 0u8..16, mepoch in any::<u32>()) {
         let mut buf = Vec::new();
         wire::encode_frame(NodeId(src), mepoch, &msgs, &mut buf);
-        let body_len = wire::frame_body_len(buf[..4].try_into().unwrap()).unwrap();
-        prop_assert_eq!(body_len, buf.len() - 4);
+        let (body, rest) = wire::next_frame(&buf).unwrap().unwrap();
+        prop_assert!(rest.is_empty());
         let mut out = Vec::new();
-        let (got_src, got_mepoch) = wire::decode_frame_body(&buf[4..], &mut out).unwrap();
+        let (got_src, got_mepoch) = wire::decode_frame_body(body, &mut out).unwrap();
         prop_assert_eq!(got_src, NodeId(src));
         prop_assert_eq!(got_mepoch, mepoch);
         prop_assert_eq!(out.len(), msgs.len());
@@ -324,16 +324,16 @@ fn summary_batch_splits_at_max_frame() {
     let frames = wire::encode_frames(NodeId(2), 3, &msgs, &mut buf);
     assert!(frames > 1, "6 MiB of summaries cannot fit one {}-byte frame", wire::MAX_FRAME);
     let mut out = Vec::new();
-    let mut off = 0;
+    let mut rest = &buf[..];
     for _ in 0..frames {
-        let len = wire::frame_body_len(buf[off..off + 4].try_into().unwrap()).unwrap();
-        assert!(len <= wire::MAX_FRAME, "every emitted frame must satisfy the receive gate");
-        let (src, mepoch) = wire::decode_frame_body(&buf[off + 4..off + 4 + len], &mut out).unwrap();
+        // `next_frame` applies the receive gate (`MAX_FRAME`) to every prefix.
+        let (body, tail) = wire::next_frame(rest).unwrap().expect("whole frame");
+        let (src, mepoch) = wire::decode_frame_body(body, &mut out).unwrap();
         assert_eq!(src, NodeId(2));
         assert_eq!(mepoch, 3, "every split frame carries the same stamp");
-        off += 4 + len;
+        rest = tail;
     }
-    assert_eq!(off, buf.len(), "no trailing bytes between frames");
+    assert!(rest.is_empty(), "no trailing bytes between frames");
     assert_eq!(out.len(), msgs.len());
     for (a, b) in msgs.iter().zip(&out) {
         assert!(same(a, b));
@@ -371,14 +371,14 @@ fn oversized_batches_split_across_frames() {
     assert!(frames > 1, "6 MB of messages cannot fit one {}-byte frame", wire::MAX_FRAME);
     // Walk the concatenated frames exactly as a reader thread would.
     let mut out = Vec::new();
-    let mut off = 0;
+    let mut rest = &buf[..];
     for _ in 0..frames {
-        let len = wire::frame_body_len(buf[off..off + 4].try_into().unwrap()).unwrap();
-        let (src, _) = wire::decode_frame_body(&buf[off + 4..off + 4 + len], &mut out).unwrap();
+        let (body, tail) = wire::next_frame(rest).unwrap().expect("whole frame");
+        let (src, _) = wire::decode_frame_body(body, &mut out).unwrap();
         assert_eq!(src, NodeId(3));
-        off += 4 + len;
+        rest = tail;
     }
-    assert_eq!(off, buf.len(), "no trailing bytes between frames");
+    assert!(rest.is_empty(), "no trailing bytes between frames");
     assert_eq!(out.len(), msgs.len());
     for (a, b) in msgs.iter().zip(&out) {
         assert!(same(a, b));
@@ -389,8 +389,8 @@ fn oversized_batches_split_across_frames() {
 fn empty_batch_still_produces_one_frame() {
     let mut buf = Vec::new();
     assert_eq!(wire::encode_frames(NodeId(0), 0, &[], &mut buf), 1);
-    let len = wire::frame_body_len(buf[..4].try_into().unwrap()).unwrap();
+    let (body, _) = wire::next_frame(&buf).unwrap().expect("whole frame");
     let mut out = Vec::new();
-    wire::decode_frame_body(&buf[4..4 + len], &mut out).unwrap();
+    wire::decode_frame_body(body, &mut out).unwrap();
     assert!(out.is_empty());
 }

@@ -135,10 +135,10 @@ impl Loopback {
 }
 
 /// One fabric-shaped readiness cycle: encode a batch into a pooled byte
-/// buffer, decode it back into a pooled message buffer (what
+/// buffer, split and decode it back into a pooled message buffer (what
 /// `decode_conn_frames` does per readable connection), stage the frame on
 /// the ring and drain the ring through a real socket with `drain_to` (what
-/// `drain_peer_ring` does per flush), which returns the buffer to its pool.
+/// `drain_and_arm` does per flush), which returns the buffer to its pool.
 fn fabric_cycle(
     byte_pool: &Pool<u8>,
     msg_pool: &Pool<Msg>,
@@ -151,9 +151,8 @@ fn fabric_cycle(
     assert_eq!(frames, 1);
 
     let mut msgs = msg_pool.pop();
-    let prefix = [buf[0], buf[1], buf[2], buf[3]];
-    let blen = wire::frame_body_len(prefix).expect("own frame");
-    let (src, _) = wire::decode_frame_body(&buf[4..4 + blen], &mut msgs).expect("own frame");
+    let (body, _) = wire::next_frame(&buf).expect("own frame").expect("whole frame");
+    let (src, _) = wire::decode_frame_body(body, &mut msgs).expect("own frame");
     assert_eq!(src, NodeId(0));
     assert_eq!(msgs.len(), batch.len());
     msg_pool.put(msgs);

@@ -287,22 +287,15 @@ impl RemoteSession {
 
     fn parse_frames(&mut self) -> Result<()> {
         let bad = |e: wire::WireError| KiteError::Net(format!("bad frame: {e}"));
-        let mut pos = 0usize;
+        let mut used = 0usize;
         loop {
-            let buf = self.rbuf.filled();
-            if buf.len() - pos < 4 {
-                break;
-            }
-            let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
-            let blen = wire::frame_body_len(prefix).map_err(bad)?;
-            if buf.len() - pos < 4 + blen {
-                break;
-            }
-            let frame = wire::decode_client_frame(&buf[pos + 4..pos + 4 + blen]).map_err(bad)?;
-            pos += 4 + blen;
+            let buf = &self.rbuf.filled()[used..];
+            let Some((body, rest)) = wire::next_frame(buf).map_err(bad)? else { break };
+            let frame = wire::decode_client_frame(body).map_err(bad)?;
+            used += buf.len() - rest.len();
             self.dispatch(frame)?;
         }
-        self.rbuf.consume(pos);
+        self.rbuf.consume(used);
         Ok(())
     }
 

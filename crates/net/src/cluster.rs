@@ -17,9 +17,9 @@ use kite_common::{ClusterConfig, KiteError, NodeId, Result};
 use crate::client::RemoteSession;
 use crate::node::{NodeConfig, NodeRuntime, NodeWatchdog};
 
-/// A running in-process deployment. Thread budget: `workers_per_node + 1`
-/// (the acceptor) per node; each node's metrics endpoint rides its worker
-/// 0 loop on an ephemeral loopback port.
+/// A running in-process deployment. Thread budget: `workers_per_node` per
+/// node — worker 0's loop accepts for its node, and serves the node's
+/// metrics endpoint on an ephemeral loopback port.
 pub struct Cluster {
     nodes: Vec<NodeRuntime>,
 }

@@ -9,8 +9,17 @@
 //!   an epoll instance (raw-libc FFI — the workspace carries no mio/tokio)
 //!   watches every socket the worker owns, and readiness events, protocol
 //!   ticks and outbox flushes all run on the same thread with no handoff
-//!   queues. Thread budget per node: `workers + 1` (the acceptor), not
-//!   `O(peers × workers)` writer/reader threads.
+//!   queues. Thread budget per node: `workers`, not `O(peers × workers)`
+//!   writer/reader threads — the fabric owns no thread of its own.
+//! * **Worker 0's loop accepts for the node.** The fabric listener and the
+//!   metrics listener sit in worker 0's conn slab like any socket. An
+//!   accepted fabric connection waits there until its hello has arrived
+//!   (never read past: the peer's first frames follow on the same socket),
+//!   then goes to the loop the hello names — registered in place when that
+//!   is worker 0, handed over the owner's conn intake plus a wake
+//!   otherwise. A hello that has not arrived within `HELLO_TIMEOUT` costs
+//!   its connection, and an accept error pauses its listener for
+//!   `BACKOFF_MIN`; both are deadlines the loop parks on, never sleeps.
 //! * **No wake without work.** A loop goes round again without blocking
 //!   only when something is known to be pending — the actor said another
 //!   tick would start more right now (`Wakeup::more_now`: a session
@@ -19,18 +28,17 @@
 //!   ring; otherwise the pass ends in an `epoll_wait` that blocks until
 //!   the earliest deadline anyone holds — the actor's own
 //!   (`Wakeup::next_deadline`: retransmission scan, release timeout,
-//!   back-off, anti-entropy sweep) or a peer link's redial — and forever
-//!   when nobody holds one. There is no timer beat: a client's submission
-//!   is socket readiness like any other, and whatever needs the loop from
-//!   outside (the acceptor handing over a connection, a sibling's kick, a
-//!   stop or dump request, an address change) writes the loop's eventfd.
-//!   A readable socket costs one `read`
-//!   into an already-initialized buffer — a short read means the kernel
-//!   queue is empty, and level-triggered epoll re-reports what races in.
-//!   The acceptor blocks in `poll(2)` on its listener, its half-read
-//!   hellos and a stop eventfd: nobody connecting means zero wakes. The
-//!   loop-health counters ([`crate::link::LoopStats`]) make each of these
-//!   a scrapeable number.
+//!   back-off, anti-entropy sweep), a peer link's redial, a pending hello's
+//!   deadline or a paused listener's — and forever when nobody holds one.
+//!   There is no timer beat: a client's submission is socket readiness
+//!   like any other, and whatever needs the loop from outside (worker 0
+//!   handing over a connection, a sibling's kick, a stop or dump request,
+//!   an address change) writes the loop's eventfd. A readable socket costs
+//!   one `read` into an already-initialized buffer — a short read means
+//!   the kernel queue is empty, and level-triggered epoll re-reports what
+//!   races in. Nobody connecting means zero wakes. The loop-health
+//!   counters ([`crate::link::LoopStats`]) make each of these a scrapeable
+//!   number.
 //! * **Worker peering (§6.3).** Worker *w* dials exactly one nonblocking
 //!   connection to each peer node, announced by a [`wire::Hello::Peer`]
 //!   handshake, and peers route inbound frames to *their* worker *w* —
@@ -66,6 +74,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,7 +82,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite::api::{Completion, Op};
-use kite::wire::{self, ClientFrame, Hello};
+use kite::wire::{self, ClientFrame, Hello, HELLO_LEN};
 use kite::Msg;
 use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
@@ -83,11 +92,10 @@ use parking_lot::Mutex;
 
 use crate::link::{bump, FabricStats, LinkTable, LoopStats};
 use crate::ring::{Drain, OutRing, Pool, ReadBuf};
-use crate::sys::{
-    self, PollFd, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::sys::{self, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Reconnect backoff floor.
+/// Reconnect backoff floor, and the pause of a listener whose accept
+/// failed (fd exhaustion leaves a level-triggered listener readable).
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 /// Reconnect backoff ceiling.
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
@@ -102,6 +110,8 @@ const POOL_CAP: usize = 64;
 const READ_QUANTUM: usize = 256 << 10;
 /// Read chunk size (the per-connection [`ReadBuf`]'s initial length).
 const READ_CHUNK: usize = 64 << 10;
+/// A scrape connection's read buffer, and the bound on its request line.
+const REQUEST_MAX: usize = 1024;
 
 /// The cluster's dial targets, mutable at runtime: one `(address,
 /// generation)` slot per node id. The generation bumps on every address
@@ -186,7 +196,7 @@ pub struct TcpNetCfg {
 }
 
 /// A freshly accepted, handshake-complete connection routed to a worker
-/// loop by the acceptor.
+/// loop by worker 0's.
 enum NewConn {
     /// Peer fabric traffic from `src` (the hello's worker picked us).
     Peer {
@@ -205,7 +215,7 @@ enum NewConn {
 }
 
 /// Everything a worker's event loop needs from the fabric: the conn intake
-/// from the acceptor plus the shared pools, links and counters.
+/// from worker 0's loop plus the shared pools, links and counters.
 pub struct TcpWorkerIo {
     /// Node this IO bundle belongs to.
     pub node: NodeId,
@@ -223,7 +233,8 @@ pub struct TcpWorkerIo {
     counters: Arc<ProtoCounters>,
     clock: Arc<WallClock>,
     nodes: usize,
-    net_stop: Arc<AtomicBool>,
+    /// The fabric listener and the routes to every loop (worker 0 only).
+    accept: Option<(TcpListener, Router)>,
     /// Optional metrics/dump endpoint served off this worker's epoll loop
     /// (set on exactly one worker by [`crate::NodeRuntime`]; the scrape
     /// plane adds connections to the loop, never threads to the node).
@@ -237,6 +248,41 @@ pub struct TcpWorkerIo {
 /// One session slot's client end: ops in, completions out.
 type SlotChannels = (Sender<Op>, Receiver<Completion>);
 
+/// Where worker 0's loop sends an accepted connection once its hello is
+/// in: the loop that owns the peer's worker or the client's slot.
+struct Router {
+    sessions_per_worker: usize,
+    /// Every loop's conn intake and waker, indexed by worker.
+    intake: Vec<(Sender<NewConn>, Arc<Waker>)>,
+}
+
+impl Router {
+    /// The worker a completed hello names, with the connection it gets;
+    /// `None` for a bad handshake or an out-of-topology peer (dropped
+    /// silently).
+    fn route(
+        &self,
+        nodes: usize,
+        hello: &[u8; HELLO_LEN],
+        stream: TcpStream,
+    ) -> Option<(usize, NewConn)> {
+        match wire::decode_hello(hello).ok()? {
+            Hello::Peer { node, worker } => {
+                let worker = worker as usize;
+                let known = node.idx() < nodes && worker < self.intake.len();
+                known.then_some((worker, NewConn::Peer { src: node, stream }))
+            }
+            // The worker that owns the slot's session; an out-of-range slot
+            // goes to the last loop, which answers `HelloErr` through the
+            // normal claim path.
+            Hello::Client { slot } => {
+                let worker = (slot as usize / self.sessions_per_worker).min(self.intake.len() - 1);
+                Some((worker, NewConn::Client { slot, stream }))
+            }
+        }
+    }
+}
+
 /// A pre-bound scrape listener plus the hub that renders its responses.
 pub(crate) struct ScrapeSource {
     /// The listener (nonblocking; bound via the same `SO_REUSEADDR` path as
@@ -246,8 +292,8 @@ pub(crate) struct ScrapeSource {
     pub(crate) hub: Arc<crate::scrape::MetricsHub>,
 }
 
-/// One node's fabric endpoint: the listener/acceptor thread plus shared
-/// pools, clock and counters.
+/// One node's fabric endpoint: shared pools, clock, counters and link
+/// table. It owns no thread — worker 0's loop accepts for the node.
 pub struct TcpNet {
     /// This node.
     pub me: NodeId,
@@ -264,11 +310,7 @@ pub struct TcpNet {
     stats: Arc<FabricStats>,
     peers: Arc<PeerTable>,
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     wakers: Vec<Arc<Waker>>,
-    /// Ends the acceptor's `poll(2)` at shutdown.
-    accept_stop: Arc<Waker>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl TcpNet {
@@ -294,42 +336,24 @@ impl TcpNet {
         let counters = Arc::new(ProtoCounters::default());
         let links = Arc::new(LinkTable::new(me, nodes, cfg.workers));
         let stats = Arc::new(FabricStats::new(cfg.workers));
-        let stop = Arc::new(AtomicBool::new(false));
         let byte_pool = Arc::new(Pool::<u8>::new(POOL_CAP));
         let msg_pool = Arc::new(Pool::<Msg>::new(POOL_CAP));
         let peers = Arc::new(PeerTable::new(cfg.peers));
 
-        // Conn intake: one channel + waker per worker loop.
-        let mut conn_txs = Vec::with_capacity(cfg.workers);
+        // Conn intake: one channel + waker per worker loop; worker 0's loop
+        // holds the sending ends, with the listener.
+        let mut intake = Vec::with_capacity(cfg.workers);
         let mut conn_rxs = Vec::with_capacity(cfg.workers);
         let mut wakers = Vec::with_capacity(cfg.workers);
         for _ in 0..cfg.workers {
             let (tx, rx) = unbounded::<NewConn>();
-            conn_txs.push(tx);
+            let waker = Arc::new(Waker::new()?);
+            intake.push((tx, Arc::clone(&waker)));
             conn_rxs.push(rx);
-            wakers.push(Arc::new(Waker::new()?));
+            wakers.push(waker);
         }
-
-        let accept_stop = Arc::new(Waker::new()?);
-        let mut threads = Vec::new();
-        {
-            let acceptor = Acceptor {
-                nodes,
-                workers: cfg.workers,
-                sessions_per_worker: cfg.sessions_per_worker.max(1),
-                conn_txs,
-                wakers: wakers.clone(),
-                stop: Arc::clone(&stop),
-                stop_waker: Arc::clone(&accept_stop),
-                stats: Arc::clone(&stats),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("kite-net-{me}-accept"))
-                    .spawn(move || acceptor.run(listener))
-                    .expect("spawn acceptor"),
-            );
-        }
+        let router = Router { sessions_per_worker: cfg.sessions_per_worker.max(1), intake };
+        let mut accept = Some((listener, router));
 
         let ios = (0..cfg.workers)
             .zip(conn_rxs)
@@ -350,7 +374,7 @@ impl TcpNet {
                 counters: Arc::clone(&counters),
                 clock: Arc::clone(&clock),
                 nodes,
-                net_stop: Arc::clone(&stop),
+                accept: accept.take(),
                 scrape: None,
                 sessions: Vec::new(),
             })
@@ -367,10 +391,7 @@ impl TcpNet {
                 stats,
                 peers,
                 local_addr,
-                stop,
                 wakers,
-                accept_stop,
-                threads,
             },
             ios,
         ))
@@ -386,7 +407,7 @@ impl TcpNet {
         &self.links
     }
 
-    /// Loop-health and acceptor wake counters.
+    /// Loop-health counters.
     pub fn stats(&self) -> &Arc<FabricStats> {
         &self.stats
     }
@@ -408,28 +429,6 @@ impl TcpNet {
             }
         }
         changed
-    }
-
-    /// The shared stop flag (the acceptor and the worker loops watch it).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Per-link state dump for watchdogs and shutdown reports.
-    pub fn describe(&self) -> String {
-        self.links.describe()
-    }
-}
-
-impl Drop for TcpNet {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for w in self.wakers.iter().chain([&self.accept_stop]) {
-            w.wake();
-        }
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -495,161 +494,6 @@ pub fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptor
-// ---------------------------------------------------------------------------
-
-/// The node's single accept thread: it sleeps in `poll(2)` on the
-/// listener, every half-read hello and the stop eventfd — with a timeout
-/// only while a handshake deadline is pending, so a node nobody connects to
-/// makes zero acceptor wakes — then accepts, reads hellos (nonblocking, with
-/// a per-connection deadline) and routes each connection to the owning
-/// worker's loop. No per-connection threads — a connection that trickles
-/// its hello costs a list entry, not a thread.
-struct Acceptor {
-    nodes: usize,
-    workers: usize,
-    sessions_per_worker: usize,
-    conn_txs: Vec<Sender<NewConn>>,
-    wakers: Vec<Arc<Waker>>,
-    stop: Arc<AtomicBool>,
-    stop_waker: Arc<Waker>,
-    stats: Arc<FabricStats>,
-}
-
-/// An accepted connection whose hello is still arriving.
-struct PendingHello {
-    stream: TcpStream,
-    hello: [u8; wire::HELLO_LEN],
-    got: usize,
-    deadline: Instant,
-}
-
-enum HelloStep {
-    /// Partial hello, deadline not reached: keep polling the socket.
-    Waiting,
-    /// All `HELLO_LEN` bytes arrived.
-    Complete,
-    /// Deadline passed, EOF or socket error: drop the connection.
-    Dead,
-}
-
-impl PendingHello {
-    /// Read what has arrived of the hello (nonblocking).
-    fn advance(&mut self, now: Instant) -> HelloStep {
-        loop {
-            if now >= self.deadline {
-                return HelloStep::Dead;
-            }
-            match self.stream.read(&mut self.hello[self.got..]) {
-                Ok(0) => return HelloStep::Dead,
-                Ok(n) => {
-                    self.got += n;
-                    if self.got == wire::HELLO_LEN {
-                        return HelloStep::Complete;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return HelloStep::Waiting,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return HelloStep::Dead,
-            }
-        }
-    }
-}
-
-impl Acceptor {
-    // kite-lint: event-loop
-    fn run(self, listener: TcpListener) {
-        use std::os::fd::AsRawFd;
-        let mut pending: Vec<PendingHello> = Vec::new();
-        let mut fds: Vec<PollFd> = Vec::new();
-        // ordering: shutdown flag poll — `TcpNet::drop` stores it and then
-        // writes the stop eventfd, which ends the poll below; a stale read
-        // only costs one more trip round the loop.
-        while !self.stop.load(Ordering::Relaxed) {
-            fds.clear();
-            fds.push(PollFd::readable(listener.as_raw_fd()));
-            fds.push(PollFd::readable(self.stop_waker.fd()));
-            fds.extend(pending.iter().map(|p| PollFd::readable(p.stream.as_raw_fd())));
-            // Deadlines are at most HELLO_TIMEOUT away, so the cast is exact;
-            // +1 rounds up so the wake lands after the deadline, not before.
-            let now = Instant::now();
-            let timeout_ms = pending
-                .iter()
-                .map(|p| p.deadline.saturating_duration_since(now).as_millis() as i32 + 1)
-                .min()
-                .unwrap_or(-1);
-            if let Err(e) = sys::poll_fds(&mut fds, timeout_ms) {
-                eprintln!("kite-net acceptor: poll failed: {e}");
-                break;
-            }
-            bump(&self.stats.acceptor_wakes, 1);
-
-            while fds[0].ready() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(true);
-                        let _ = stream.set_nodelay(true);
-                        pending.push(PendingHello {
-                            stream,
-                            hello: [0u8; wire::HELLO_LEN],
-                            got: 0,
-                            deadline: Instant::now() + HELLO_TIMEOUT,
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // kite-lint: allow(no-blocking-in-loop) — accept-error
-                        // backoff (fd exhaustion leaves the listener readable)
-                        // on the dedicated acceptor thread; no data path waits.
-                        std::thread::sleep(Duration::from_millis(10));
-                        break;
-                    }
-                }
-            }
-            let now = Instant::now();
-            let mut i = 0;
-            while i < pending.len() {
-                match pending[i].advance(now) {
-                    HelloStep::Waiting => i += 1,
-                    // swap_remove moves the last entry to index i, which
-                    // the next iteration examines.
-                    HelloStep::Complete => {
-                        let p = pending.swap_remove(i);
-                        self.route_hello(p.stream, &p.hello);
-                    }
-                    HelloStep::Dead => drop(pending.swap_remove(i)),
-                }
-            }
-        }
-    }
-
-    /// Decode a completed hello and hand the connection to its worker
-    /// loop. Out-of-topology peers and bad handshakes are dropped silently.
-    fn route_hello(&self, stream: TcpStream, hello: &[u8; wire::HELLO_LEN]) {
-        let (worker, conn) = match wire::decode_hello(hello) {
-            Ok(Hello::Peer { node, worker }) => {
-                let worker = worker as usize;
-                if node.idx() >= self.nodes || worker >= self.workers {
-                    return; // out-of-topology peer: drop
-                }
-                (worker, NewConn::Peer { src: node, stream })
-            }
-            Ok(Hello::Client { slot }) => {
-                // Route to the worker that owns the slot's session; an
-                // out-of-range slot goes to worker 0, whose loop answers
-                // `HelloErr` through the normal claim path.
-                let worker = (slot as usize / self.sessions_per_worker).min(self.workers - 1);
-                (worker, NewConn::Client { slot, stream })
-            }
-            Err(_) => return, // bad handshake: drop
-        };
-        let _ = self.conn_txs[worker].send(conn);
-        self.wakers[worker].wake();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Worker event loop
 // ---------------------------------------------------------------------------
 
@@ -700,7 +544,17 @@ impl PeerOut {
     }
 }
 
-/// One inbound connection owned by a worker loop.
+/// Which of the node's listeners a [`Conn::Listener`] is.
+#[derive(Clone, Copy)]
+enum Listen {
+    /// Peers and clients: an accepted connection starts with a hello.
+    Fabric,
+    /// The metrics/dump endpoint: an accepted connection is a scrape.
+    Metrics,
+}
+
+/// One socket in a worker loop's conn slab (everything but the loop's own
+/// dialled peer links).
 enum Conn {
     /// Peer fabric traffic.
     PeerIn { src: NodeId, stream: TcpStream, rbuf: ReadBuf },
@@ -714,38 +568,46 @@ enum Conn {
         done_rx: Receiver<Completion>,
         want_out: bool,
     },
-    /// The node's metrics/dump listener — accepted scrape connections join
-    /// this same slab, so the scrape plane costs epoll registrations, not
-    /// threads.
-    ScrapeListener { listener: TcpListener },
+    /// One of the node's listeners, on worker 0's loop. `paused` while an
+    /// accept error backs off (registered with no interest until then).
+    Listener { listener: TcpListener, kind: Listen, paused: bool },
+    /// An accepted fabric connection whose hello is still arriving.
+    Hello { stream: TcpStream, hello: [u8; HELLO_LEN], got: usize, deadline: Instant },
     /// One scrape connection: reads a one-line request (`scrape` or
     /// `dump`), writes the rendered text, closes. `done` flips once the
     /// response is queued; the conn closes when the ring drains.
-    Scrape { stream: TcpStream, rbuf: Vec<u8>, ring: OutRing, want_out: bool, done: bool },
+    Scrape { stream: TcpStream, rbuf: ReadBuf, ring: OutRing, want_out: bool, done: bool },
 }
 
 impl Conn {
     fn raw_fd(&self) -> std::os::fd::RawFd {
-        use std::os::fd::AsRawFd;
         match self {
             Conn::PeerIn { stream, .. }
             | Conn::Client { stream, .. }
+            | Conn::Hello { stream, .. }
             | Conn::Scrape { stream, .. } => stream.as_raw_fd(),
-            Conn::ScrapeListener { listener } => listener.as_raw_fd(),
+            Conn::Listener { listener, .. } => listener.as_raw_fd(),
         }
     }
 
-    fn is_scrape_plane(&self) -> bool {
-        matches!(self, Conn::ScrapeListener { .. } | Conn::Scrape { .. })
+    /// A scrape whose response is queued: it stays until the ring drains,
+    /// and its client may half-close meanwhile.
+    fn answered(&self) -> bool {
+        matches!(self, Conn::Scrape { done: true, .. })
     }
 }
 
-/// [`OutRing::drain_to`], with the `writev` calls it made and the frames
-/// they finished added to the draining loop's health block.
+/// Drain `ring` into `stream`, count the `writev` calls and the frames they
+/// finished on the loop's health block, and keep `EPOLLOUT` registered
+/// (under `tok`) exactly while bytes remain. Every socket a loop writes
+/// drains through here.
 // kite-lint: no-alloc
-fn drain_counted(
+fn drain_and_arm(
     ring: &mut OutRing,
+    want_out: &mut bool,
     stream: &mut TcpStream,
+    tok: u64,
+    poller: &Poller,
     pool: &Pool<u8>,
     stats: &LoopStats,
 ) -> std::io::Result<Drain> {
@@ -753,7 +615,35 @@ fn drain_counted(
     let outcome = ring.drain_to(stream, pool);
     bump(&stats.writevs, ring.writevs() - writevs);
     bump(&stats.writev_frames, (frames - ring.len()) as u64);
+    if let Ok(drain) = outcome {
+        let blocked = drain == Drain::Blocked;
+        if blocked != *want_out {
+            *want_out = blocked;
+            let interest = if blocked { EPOLLIN | EPOLLOUT } else { EPOLLIN };
+            let _ = poller.modify(stream.as_raw_fd(), tok, interest);
+        }
+    }
     outcome
+}
+
+/// Hand every complete length-prefixed frame buffered in `rbuf` to `f`, in
+/// order, and drop what was consumed; a partial tail waits for the next
+/// read. Stops at the first frame `f` refuses (`Ok(false)`) or at a
+/// malformed length prefix (`Err`).
+// kite-lint: no-alloc
+fn for_each_frame(rbuf: &mut ReadBuf, mut f: impl FnMut(&[u8]) -> bool) -> wire::WireResult<bool> {
+    let filled = rbuf.filled();
+    let mut rest = filled;
+    let accepted = loop {
+        let Some((body, tail)) = wire::next_frame(rest)? else { break true };
+        rest = tail;
+        if !f(body) {
+            break false;
+        }
+    };
+    let used = filled.len() - rest.len();
+    rbuf.consume(used);
+    Ok(accepted)
 }
 
 /// Handle to stop and join one node's worker loops.
@@ -840,6 +730,12 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     /// When the dial pass next has something to do (a backoff or a connect
     /// deadline expiring); `None` while every link is up.
     next_dial: Option<Instant>,
+    /// When a conn in the slab next needs the loop without readiness: a
+    /// pending hello's deadline or a paused listener's retry. May be early
+    /// (a hello that completed), never late.
+    conn_deadline: Option<Instant>,
+    /// Worker 0's routes for accepted connections (`None` elsewhere).
+    router: Option<Router>,
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
     siblings: Vec<Arc<Waker>>,
@@ -859,7 +755,6 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     scratch: Vec<Vec<Msg>>,
     events: Vec<(u64, u32)>,
     stop: Arc<AtomicBool>,
-    net_stop: Arc<AtomicBool>,
     dump: Arc<AtomicBool>,
     dumped: bool,
     /// Renders scrape/dump responses when this worker hosts the metrics
@@ -878,20 +773,9 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let poller = Poller::new()?;
         poller.add(io.waker.fd(), TOK_WAKER, EPOLLIN)?;
         let peer_out = (0..io.nodes).map(|_| PeerOut::new()).collect();
-        // The scrape listener (if this worker hosts it) occupies a normal
-        // conn slab slot: readiness arrives through the same epoll_wait as
-        // fabric traffic — zero extra threads for the metrics plane.
-        let mut conns = Vec::new();
-        let mut scrape_hub = None;
-        if let Some(src) = io.scrape.take() {
-            use std::os::fd::AsRawFd;
-            src.listener.set_nonblocking(true)?;
-            let fd = src.listener.as_raw_fd();
-            poller.add(fd, conn_token_base(io.nodes), EPOLLIN)?;
-            conns.push(Some(Conn::ScrapeListener { listener: src.listener }));
-            scrape_hub = Some(src.hub);
-        }
-        Ok(EventLoop {
+        let (fabric_listener, router) = io.accept.take().unzip();
+        let (metrics_listener, scrape_hub) = io.scrape.take().map(|s| (s.listener, s.hub)).unzip();
+        let mut lp = EventLoop {
             actor,
             me: io.node,
             worker: io.worker,
@@ -905,28 +789,40 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             peers: io.peers,
             peers_seen: 0,
             next_dial: None,
+            conn_deadline: None,
+            router,
             conn_rx: io.conn_rx,
             waker: io.waker,
             siblings: io.siblings,
             sessions: std::mem::take(&mut io.sessions),
             poller,
             peer_out,
-            conns,
+            conns: Vec::new(),
             selfq: VecDeque::new(),
             out: Outbox::new(io.nodes),
             rng: SplitMix64::new((io.node.0 as u64) << 32 | io.worker as u64),
             scratch: Vec::with_capacity(io.nodes),
             events: Vec::with_capacity(64),
             stop,
-            net_stop: io.net_stop,
             dump,
             dumped: false,
             scrape_hub,
-        })
+        };
+        // The node's listeners (on worker 0) occupy normal conn slab slots:
+        // readiness arrives through the same epoll_wait as fabric traffic —
+        // accepting and the metrics plane cost no thread.
+        let listeners = [(fabric_listener, Listen::Fabric), (metrics_listener, Listen::Metrics)];
+        for (listener, kind) in listeners {
+            if let Some(listener) = listener {
+                listener.set_nonblocking(true)?;
+                lp.insert_conn(Conn::Listener { listener, kind, paused: false })?;
+            }
+        }
+        Ok(lp)
     }
 
-    // ordering: the loop polls three advisory flags (stop, net-stop, dump
-    // request); each is a standalone signal with no payload behind it, so a
+    // ordering: the loop polls two advisory flags (stop, dump request);
+    // each is a standalone signal with no payload behind it, so a
     // one-iteration-stale Relaxed read is harmless by construction.
     // kite-lint: no-alloc
     // kite-lint: event-loop
@@ -941,13 +837,13 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         // "at your next timer tick", not "before you get to park"). The
         // first pass owes the actor a tick.
         let (mut wakeup, mut ticked_at) = (Wakeup::AGAIN, 0);
-        while !self.stop.load(Ordering::Relaxed) && !self.net_stop.load(Ordering::Relaxed) {
+        while !self.stop.load(Ordering::Relaxed) {
             if !self.dumped && self.dump.load(Ordering::Relaxed) {
                 self.dumped = true;
                 self.dump_state();
             }
 
-            // Newly accepted connections from the acceptor.
+            // Connections worker 0's loop accepted for this one.
             while let Ok(nc) = self.conn_rx.try_recv() {
                 self.register_conn(nc);
                 pending = true;
@@ -964,10 +860,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             }
 
             // Socket readiness. A quiescent loop parks here until fd
-            // readiness, the waker, or the earliest deadline the actor or a
-            // redial holds — and a parked loop leaves the CPU to the peer
-            // loops whose replies it is waiting for (decisive on few-core
-            // machines).
+            // readiness, the waker, or the earliest deadline the actor, a
+            // redial or a conn holds — and a parked loop leaves the CPU to
+            // the peer loops whose replies it is waiting for (decisive on
+            // few-core machines).
             let timeout_ms = match pending || wakeup.more_now {
                 true => 0,
                 false => self.park_ms(wakeup.next_deadline, ticked_at),
@@ -1019,24 +915,30 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             }
             pending = self.pump_completions();
 
-            // Dial pass: any disconnected peer whose backoff expired.
+            // Dial pass: any disconnected peer whose backoff expired; then
+            // whatever conn deadline came due.
             self.dial_pass();
+            if self.conn_deadline.is_some_and(|t| Instant::now() >= t) {
+                self.reap_conns();
+            }
         }
         self.teardown();
     }
 
     /// How long a quiescent pass may block: until the actor's deadline (on
-    /// the fabric clock, as of the tick at `ticked_at` that returned it) or
-    /// the next redial, whichever is first, rounded up to `epoll_wait`'s
-    /// milliseconds; `-1` (forever) when neither exists.
+    /// the fabric clock, as of the tick at `ticked_at` that returned it),
+    /// the next redial or the next conn deadline, whichever is first,
+    /// rounded up to `epoll_wait`'s milliseconds; `-1` (forever) when none
+    /// exists.
     // kite-lint: no-alloc
     fn park_ms(&self, actor_deadline: u64, ticked_at: u64) -> i32 {
         let actor = match actor_deadline {
             Wakeup::NEVER => None,
             t => Some(Duration::from_nanos(t.saturating_sub(ticked_at))),
         };
-        let dial = self.next_dial.map(|t| t.saturating_duration_since(Instant::now()));
-        let wait = match (actor, dial) {
+        let fabric = [self.next_dial, self.conn_deadline].into_iter().flatten().min();
+        let fabric = fabric.map(|t| t.saturating_duration_since(Instant::now()));
+        let wait = match (actor, fabric) {
             (Some(a), Some(d)) => a.min(d),
             (Some(w), None) | (None, Some(w)) => w,
             (None, None) => return -1,
@@ -1145,7 +1047,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             }
         };
         let _ = stream.set_nodelay(true);
-        use std::os::fd::AsRawFd;
         if self.poller.add(stream.as_raw_fd(), 1 + dst as u64, EPOLLOUT).is_err() {
             self.schedule_redial(dst);
             return;
@@ -1242,7 +1143,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let link = self.links.link(dst, self.worker);
         let po = &mut self.peer_out[d];
         if let Some(stream) = po.stream.take() {
-            use std::os::fd::AsRawFd;
             let _ = self.poller.del(stream.as_raw_fd());
         }
         if !po.ring.is_empty() {
@@ -1258,8 +1158,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // ordering: link-stat counters and ring gauges — monitoring state read
     // by the watchdog and tests; the loop that mutates them is their only
     // writer, so Relaxed publishes numbers, not invariants.
-    /// Push ring bytes into the socket; toggles EPOLLOUT to match what's
-    /// left.
+    /// Push ring bytes into the socket ([`drain_and_arm`]) and publish the
+    /// link's gauges.
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn drain_peer_ring(&mut self, dst: NodeId) {
@@ -1267,10 +1167,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let link = self.links.link(dst, self.worker);
         let po = &mut self.peer_out[d];
         let Some(stream) = po.stream.as_mut() else { return };
-        let before_frames = po.ring.len();
-        let before_bytes = po.ring.bytes();
-        let stats = &self.stats.loops[self.worker];
-        let outcome = drain_counted(&mut po.ring, stream, &self.byte_pool, stats);
+        let (before_frames, before_bytes) = (po.ring.len(), po.ring.bytes());
+        let outcome = drain_and_arm(
+            &mut po.ring,
+            &mut po.want_out,
+            stream,
+            1 + d as u64,
+            &self.poller,
+            &self.byte_pool,
+            &self.stats.loops[self.worker],
+        );
         let done = po.ring.len();
         if before_frames > done {
             link.frames_out.fetch_add((before_frames - done) as u64, Ordering::Relaxed);
@@ -1280,23 +1186,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         }
         link.ring_frames.store(po.ring.len() as u64, Ordering::Relaxed);
         link.ring_bytes.store(po.ring.bytes() as u64, Ordering::Relaxed);
-        match outcome {
-            Ok(Drain::Emptied) => {
-                if po.want_out {
-                    po.want_out = false;
-                    use std::os::fd::AsRawFd;
-                    let _ = self.poller.modify(stream.as_raw_fd(), 1 + d as u64, EPOLLIN);
-                }
-            }
-            Ok(Drain::Blocked) => {
-                if !po.want_out {
-                    po.want_out = true;
-                    use std::os::fd::AsRawFd;
-                    let _ =
-                        self.poller.modify(stream.as_raw_fd(), 1 + d as u64, EPOLLIN | EPOLLOUT);
-                }
-            }
-            Err(_) => self.peer_fail(dst),
+        if outcome.is_err() {
+            self.peer_fail(dst);
         }
     }
 
@@ -1403,26 +1294,34 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 }
             },
         };
-        // Slab insert + epoll registration.
-        let idx = match self.conns.iter().position(|c| c.is_none()) {
+        // A client conn starts with HelloOk queued — push it out now.
+        if let Ok(idx) = self.insert_conn(conn) {
+            self.service_writable(idx);
+        }
+    }
+
+    /// Put `conn` in the first free slab slot and register it for
+    /// readability under that slot's token — every socket in the slab
+    /// enters here. On an epoll error the conn drops.
+    fn insert_conn(&mut self, conn: Conn) -> std::io::Result<usize> {
+        let idx = match self.conns.iter().position(Option::is_none) {
             Some(i) => i,
             None => {
                 self.conns.push(None);
                 self.conns.len() - 1
             }
         };
-        let fd = conn.raw_fd();
-        let tok = conn_token_base(self.nodes) + idx as u64;
-        if self.poller.add(fd, tok, EPOLLIN).is_err() {
-            return; // conn dropped
-        }
+        self.poller.add(conn.raw_fd(), self.conn_token(idx), EPOLLIN)?;
         self.conns[idx] = Some(conn);
-        // A client conn starts with HelloOk queued — push it out now.
-        self.service_conn_writable(idx);
+        Ok(idx)
     }
 
-    /// Take session `slot`'s channels (claim-once). The acceptor routes a
-    /// slot to the loop that owns it, and anything out of range to the
+    fn conn_token(&self, idx: usize) -> u64 {
+        conn_token_base(self.nodes) + idx as u64
+    }
+
+    /// Take session `slot`'s channels (claim-once). Worker 0's loop routes
+    /// a slot to the loop that owns it, and anything out of range to the
     /// last loop, which refuses it here.
     fn claim_session(&mut self, slot: u32) -> Result<SlotChannels, String> {
         let first = self.worker * self.sessions.len();
@@ -1433,88 +1332,84 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         }
     }
 
-    /// Readiness on an inbound connection.
+    /// Readiness on a slab socket. Accepting and reading hellos are
+    /// connection set-up (once per connection, on worker 0's loop); they
+    /// run off the annotated hot path — accepting grows the slab.
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn service_conn(&mut self, idx: usize, ev: u32) {
-        if self.conns.get(idx).map_or(true, |c| c.is_none()) {
-            return; // closed earlier in this event batch
-        }
-        if self.conns[idx].as_ref().is_some_and(|c| c.is_scrape_plane()) {
-            // Scrape-plane traffic is cold by definition; it is serviced off
-            // the annotated hot path (rendering a response allocates).
-            self.service_scrape(idx, ev);
-            return;
+        match self.conns.get(idx) {
+            Some(Some(Conn::Listener { .. })) => return self.accept_all(idx),
+            Some(Some(Conn::Hello { .. })) => return self.read_hello(idx),
+            Some(Some(_)) => {}
+            _ => return, // closed earlier in this event batch
         }
         if ev & (EPOLLERR | EPOLLHUP) != 0 {
             self.close_conn(idx);
             return;
         }
-        if ev & EPOLLIN != 0 && !self.service_conn_readable(idx) {
+        if ev & EPOLLIN != 0 && !self.service_readable(idx) {
             self.close_conn(idx);
             return;
         }
-        if ev & EPOLLRDHUP != 0 {
-            // Half-close after we consumed what was readable: done.
+        // A half-close after we consumed what was readable ends the
+        // connection — but a scrape client may half-close after its request
+        // line and still expects the response; that conn closes itself once
+        // the ring drains.
+        let answered = self.conns[idx].as_ref().is_some_and(Conn::answered);
+        if ev & EPOLLRDHUP != 0 && !answered {
             self.close_conn(idx);
             return;
         }
-        if ev & EPOLLOUT != 0 {
-            self.service_conn_writable(idx);
+        if ev & EPOLLOUT != 0 || answered {
+            self.service_writable(idx);
         }
     }
 
-    /// Read-and-decode until a short read — the kernel queue is then empty,
-    /// and level-triggered epoll re-reports whatever races in, so no second
-    /// `read` is spent on fetching `EAGAIN` — bounded by [`READ_QUANTUM`]
-    /// for fairness. Returns `false` when the connection must close.
+    /// Read and consume until a short read — the kernel queue is then
+    /// empty, and level-triggered epoll re-reports whatever races in, so no
+    /// second `read` is spent on fetching `EAGAIN` — bounded by
+    /// [`READ_QUANTUM`] for fairness. Every connection that reads shares
+    /// this path. Returns `false` when the connection must close.
     // kite-lint: no-alloc
     // kite-lint: event-loop
-    fn service_conn_readable(&mut self, idx: usize) -> bool {
+    fn service_readable(&mut self, idx: usize) -> bool {
         // Take the conn out of the slab so the actor (also `&mut self`)
         // can run against decoded frames without aliasing.
         let Some(mut conn) = self.conns[idx].take() else { return true };
         let mut alive = true;
         let mut budget = READ_QUANTUM;
-        'read: while budget > 0 {
+        while alive && budget > 0 {
             let (stream, rbuf) = match &mut conn {
-                Conn::PeerIn { stream, rbuf, .. } => (stream, rbuf),
-                Conn::Client { stream, rbuf, .. } => (stream, rbuf),
-                // Scrape-plane conns never reach this path (routed to
-                // `service_scrape` by `service_conn`).
-                Conn::ScrapeListener { .. } | Conn::Scrape { .. } => {
-                    break 'read;
-                }
+                Conn::PeerIn { stream, rbuf, .. }
+                | Conn::Client { stream, rbuf, .. }
+                | Conn::Scrape { stream, rbuf, .. } => (stream, rbuf),
+                Conn::Listener { .. } | Conn::Hello { .. } => break,
             };
             let stats = &self.stats.loops[self.worker];
             bump(&stats.reads, 1);
             let space = rbuf.space();
             let offered = space.len();
             match stream.read(space) {
+                // EOF ends the connection, an answered scrape's excepted.
                 Ok(0) => {
-                    alive = false;
-                    break 'read;
+                    alive = conn.answered();
+                    break;
                 }
                 Ok(n) => {
                     rbuf.commit(n);
                     budget = budget.saturating_sub(n);
-                    if !self.decode_conn_frames(&mut conn) {
-                        alive = false;
-                        break 'read;
-                    }
+                    alive = self.decode_conn_frames(&mut conn);
                     if n < offered {
-                        break 'read;
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     bump(&stats.read_eagain, 1);
-                    break 'read;
+                    break;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    alive = false;
-                    break 'read;
-                }
+                Err(_) => alive = false,
             }
         }
         self.conns[idx] = Some(conn);
@@ -1524,109 +1419,73 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // ordering: link-stat counters and ring gauges — monitoring state read
     // by the watchdog and tests; the loop that mutates them is their only
     // writer, so Relaxed publishes numbers, not invariants.
-    /// Decode every complete frame buffered on `conn`. Returns `false` on
-    /// a malformed frame (the connection is charged, never the worker).
+    /// Consume what is buffered on `conn`: every complete peer or client
+    /// frame decodes and dispatches, a scrape's request line is answered.
+    /// Returns `false` on a malformed frame (the connection is charged,
+    /// never the worker).
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn decode_conn_frames(&mut self, conn: &mut Conn) -> bool {
         match conn {
-            Conn::PeerIn { src, stream: _, rbuf } => {
+            Conn::PeerIn { src, rbuf, .. } => {
                 let src = *src;
                 let link = self.links.link(src, self.worker);
                 link.last_rx_ns.store(self.clock.now(), Ordering::Relaxed);
-                let buf = rbuf.filled();
-                let mut pos = 0usize;
-                let ok = loop {
-                    if buf.len() - pos < 4 {
-                        break true;
-                    }
-                    let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
-                    let blen = match wire::frame_body_len(prefix) {
-                        Ok(l) => l,
-                        Err(_) => {
-                            link.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            break false;
-                        }
-                    };
-                    if buf.len() - pos < 4 + blen {
-                        break true; // partial frame: wait for more bytes
-                    }
-                    let mut msgs = self.msg_pool.pop();
-                    match wire::decode_frame_body(&buf[pos + 4..pos + 4 + blen], &mut msgs) {
+                let (actor, out, msg_pool, clock) =
+                    (&mut self.actor, &mut self.out, &self.msg_pool, &self.clock);
+                let framed = for_each_frame(rbuf, |body| {
+                    let mut msgs = msg_pool.pop();
+                    let ok = match wire::decode_frame_body(body, &mut msgs) {
                         Ok((frame_src, mepoch)) if frame_src == src => {
                             link.frames_in.fetch_add(1, Ordering::Relaxed);
-                            pos += 4 + blen;
-                            let now = self.clock.now();
-                            self.actor.on_envelope_stamped(src, mepoch, &mut msgs, now, &mut self.out);
-                            self.msg_pool.put(msgs);
+                            actor.on_envelope_stamped(src, mepoch, &mut msgs, clock.now(), out);
+                            true
                         }
-                        _ => {
-                            // Malformed (or mis-attributed) frame: count,
-                            // recycle, close.
-                            link.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            self.msg_pool.put(msgs);
-                            break false;
-                        }
-                    }
-                };
-                rbuf.consume(pos);
-                ok
-            }
-            Conn::Client { rbuf, op_tx, .. } => {
-                let buf = rbuf.filled();
-                let mut pos = 0usize;
-                let ok = loop {
-                    if buf.len() - pos < 4 {
-                        break true;
-                    }
-                    let prefix = [buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]];
-                    let Ok(blen) = wire::frame_body_len(prefix) else {
-                        break false; // malformed client: drop the connection
+                        _ => false,
                     };
-                    if buf.len() - pos < 4 + blen {
-                        break true;
-                    }
-                    match wire::decode_client_frame(&buf[pos + 4..pos + 4 + blen]) {
-                        Ok(ClientFrame::Submit(op)) => {
-                            pos += 4 + blen;
-                            if op_tx.send(op).is_err() {
-                                break false; // node shutting down
-                            }
-                        }
-                        _ => break false, // anything else from a client is malformed
-                    }
-                };
-                rbuf.consume(pos);
+                    msg_pool.put(msgs);
+                    ok
+                });
+                // A malformed (or mis-attributed) frame is counted, then
+                // costs the connection.
+                let ok = framed == Ok(true);
+                if !ok {
+                    link.decode_errors.fetch_add(1, Ordering::Relaxed);
+                }
                 ok
             }
-            // Scrape-plane conns carry no fabric frames.
-            Conn::ScrapeListener { .. } | Conn::Scrape { .. } => true,
+            // Anything but a submission from a client is malformed; a send
+            // fails only while the node shuts down.
+            Conn::Client { rbuf, op_tx, .. } => {
+                let framed = for_each_frame(rbuf, |body| match wire::decode_client_frame(body) {
+                    Ok(ClientFrame::Submit(op)) => op_tx.send(op).is_ok(),
+                    _ => false,
+                });
+                framed == Ok(true)
+            }
+            Conn::Scrape { rbuf, ring, done, .. } => self.scrape_request(rbuf, ring, done),
+            Conn::Listener { .. } | Conn::Hello { .. } => true,
         }
     }
 
+    /// Drain a client's or a scrape's ring ([`drain_and_arm`]); an answered
+    /// scrape closes once its response is out.
     // kite-lint: no-alloc
     // kite-lint: event-loop
-    fn service_conn_writable(&mut self, idx: usize) {
-        let Some(Conn::Client { stream, ring, want_out, .. }) =
-            self.conns.get_mut(idx).and_then(|c| c.as_mut())
-        else {
-            return; // peer-in conns never queue outbound bytes
+    fn service_writable(&mut self, idx: usize) {
+        let tok = self.conn_token(idx);
+        let conn = self.conns.get_mut(idx).and_then(Option::as_mut);
+        let (stream, ring, want_out, answered) = match conn {
+            Some(Conn::Client { stream, ring, want_out, .. }) => (stream, ring, want_out, false),
+            Some(Conn::Scrape { stream, ring, want_out, done: answered, .. }) => {
+                (stream, ring, want_out, *answered)
+            }
+            _ => return, // nothing else queues outbound bytes
         };
-        use std::os::fd::AsRawFd;
-        let tok = conn_token_base(self.nodes) + idx as u64;
-        match drain_counted(ring, stream, &self.byte_pool, &self.stats.loops[self.worker]) {
-            Ok(Drain::Emptied) => {
-                if *want_out {
-                    *want_out = false;
-                    let _ = self.poller.modify(stream.as_raw_fd(), tok, EPOLLIN);
-                }
-            }
-            Ok(Drain::Blocked) => {
-                if !*want_out {
-                    *want_out = true;
-                    let _ = self.poller.modify(stream.as_raw_fd(), tok, EPOLLIN | EPOLLOUT);
-                }
-            }
+        let stats = &self.stats.loops[self.worker];
+        match drain_and_arm(ring, want_out, stream, tok, &self.poller, &self.byte_pool, stats) {
+            Ok(Drain::Emptied) if answered => self.close_conn(idx),
+            Ok(_) => {}
             Err(_) => self.close_conn(idx),
         }
     }
@@ -1673,7 +1532,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             } else if let Err(buf) = ring.push(buf) {
                 self.byte_pool.put(buf);
             }
-            self.service_conn_writable(idx);
+            self.service_writable(idx);
             if let Some(Conn::Client { done_rx, want_out, .. }) = &self.conns[idx] {
                 left_behind |= !done_rx.is_empty() && !*want_out;
             }
@@ -1686,147 +1545,132 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         left_behind
     }
 
+    // -- connection set-up (worker 0) --------------------------------------
+
+    /// Accept everything pending on listener `idx`. A fabric connection
+    /// waits in the slab for its hello; a metrics connection is a scrape
+    /// from the start. An accept error other than `WouldBlock` pauses the
+    /// listener for [`BACKOFF_MIN`]: fd exhaustion leaves a level-triggered
+    /// listener readable, and retrying at once would spin on it.
+    fn accept_all(&mut self, idx: usize) {
+        loop {
+            let Some(Conn::Listener { listener, kind, .. }) = &self.conns[idx] else { return };
+            let kind = *kind;
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.pause_listener(idx),
+            };
+            let _ = stream.set_nonblocking(true);
+            let conn = match kind {
+                Listen::Fabric => {
+                    let _ = stream.set_nodelay(true);
+                    let deadline = Instant::now() + HELLO_TIMEOUT;
+                    self.hold_until(deadline);
+                    Conn::Hello { stream, hello: [0; HELLO_LEN], got: 0, deadline }
+                }
+                Listen::Metrics => Conn::Scrape {
+                    stream,
+                    rbuf: ReadBuf::new(REQUEST_MAX),
+                    ring: OutRing::new(),
+                    want_out: false,
+                    done: false,
+                },
+            };
+            let _ = self.insert_conn(conn);
+        }
+    }
+
+    fn pause_listener(&mut self, idx: usize) {
+        let tok = self.conn_token(idx);
+        if let Some(Conn::Listener { listener, paused, .. }) = &mut self.conns[idx] {
+            *paused = true;
+            let _ = self.poller.modify(listener.as_raw_fd(), tok, 0);
+        }
+        self.hold_until(Instant::now() + BACKOFF_MIN);
+    }
+
+    /// Make the loop come back by `t` (see `conn_deadline`).
+    fn hold_until(&mut self, t: Instant) {
+        self.conn_deadline = Some(self.conn_deadline.map_or(t, |d| d.min(t)));
+    }
+
+    /// Read what has arrived of an accepted connection's hello — only the
+    /// bytes still missing: a peer's first frames follow its hello on the
+    /// same socket, and they belong to the loop the hello names. A complete
+    /// hello routes the connection; EOF or an error drops it.
+    fn read_hello(&mut self, idx: usize) {
+        let Some(Conn::Hello { stream, hello, got, .. }) = &mut self.conns[idx] else { return };
+        while *got < HELLO_LEN {
+            match stream.read(&mut hello[*got..]) {
+                Ok(0) => return self.close_conn(idx),
+                Ok(n) => *got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return self.close_conn(idx),
+            }
+        }
+        let Some(Conn::Hello { stream, hello, .. }) = self.conns[idx].take() else { return };
+        let _ = self.poller.del(stream.as_raw_fd());
+        let Some(router) = &self.router else { return };
+        // Bad handshakes and out-of-topology peers are dropped silently.
+        let Some((worker, nc)) = router.route(self.nodes, &hello, stream) else { return };
+        if worker == self.worker {
+            self.register_conn(nc);
+        } else {
+            let (intake, waker) = &router.intake[worker];
+            let _ = intake.send(nc);
+            waker.wake();
+        }
+    }
+
+    /// A conn deadline came due: a hello that has not arrived within
+    /// [`HELLO_TIMEOUT`] costs its connection, and every paused listener
+    /// tries again — one cause (the process out of fds) pauses them alike,
+    /// so they retry together: one wake per back-off, not one per listener.
+    fn reap_conns(&mut self) {
+        let now = Instant::now();
+        self.conn_deadline = None;
+        for idx in 0..self.conns.len() {
+            let tok = self.conn_token(idx);
+            match &mut self.conns[idx] {
+                Some(Conn::Hello { deadline, .. }) if *deadline <= now => self.close_conn(idx),
+                Some(Conn::Hello { deadline, .. }) => {
+                    let deadline = *deadline;
+                    self.hold_until(deadline);
+                }
+                Some(Conn::Listener { listener, paused, .. }) if *paused => {
+                    *paused = false;
+                    let _ = self.poller.modify(listener.as_raw_fd(), tok, EPOLLIN);
+                    self.accept_all(idx);
+                }
+                _ => {}
+            }
+        }
+    }
+
     // -- scrape plane ------------------------------------------------------
 
-    /// Readiness on the metrics listener or a scrape connection. Cold path:
-    /// not `no-alloc` annotated on purpose — rendering a response builds a
-    /// string — but it still runs to completion on this worker's loop, so
-    /// the endpoint consumes epoll budget, never a thread.
-    fn service_scrape(&mut self, idx: usize, ev: u32) {
-        if matches!(self.conns[idx], Some(Conn::ScrapeListener { .. })) {
-            if ev & EPOLLIN == 0 {
-                return;
-            }
-            // Take the listener out so accepted conns can be slab-inserted
-            // (an insert scans for the first free slot — including `idx`).
-            let Some(Conn::ScrapeListener { listener }) = self.conns[idx].take() else {
-                return;
-            };
-            let mut accepted = Vec::new();
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(true);
-                        accepted.push(stream);
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-            self.conns[idx] = Some(Conn::ScrapeListener { listener });
-            for stream in accepted {
-                self.register_scrape_conn(stream);
-            }
-            return;
-        }
-        if ev & (EPOLLERR | EPOLLHUP) != 0 {
-            self.close_conn(idx);
-            return;
-        }
-        if ev & EPOLLIN != 0 && !self.scrape_readable(idx) {
-            self.close_conn(idx);
-            return;
-        }
-        // EPOLLRDHUP is deliberately tolerated: a client may half-close
-        // after sending its one-line request and still expects the
-        // response; the conn closes itself once the ring drains.
-        if ev & EPOLLOUT != 0 {
-            self.scrape_writable(idx);
-        }
-    }
-
-    fn register_scrape_conn(&mut self, stream: TcpStream) {
-        let conn = Conn::Scrape {
-            stream,
-            rbuf: Vec::with_capacity(256),
-            ring: OutRing::new(),
-            want_out: false,
-            done: false,
-        };
-        let idx = match self.conns.iter().position(|c| c.is_none()) {
-            Some(i) => i,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
-        };
-        let fd = conn.raw_fd();
-        let tok = conn_token_base(self.nodes) + idx as u64;
-        if self.poller.add(fd, tok, EPOLLIN).is_err() {
-            return; // conn dropped
-        }
-        self.conns[idx] = Some(conn);
-    }
-
-    /// Read until `WouldBlock`; once a full request line is buffered,
-    /// render the response and queue it. Returns `false` to close.
-    fn scrape_readable(&mut self, idx: usize) -> bool {
-        let Some(mut conn) = self.conns[idx].take() else { return true };
-        let mut alive = true;
-        let mut respond = false;
-        {
-            let Conn::Scrape { stream, rbuf, done, .. } = &mut conn else {
-                self.conns[idx] = Some(conn);
-                return true;
-            };
-            loop {
-                let old = rbuf.len();
-                if old > 1024 {
-                    // A "request" that long is not one of ours.
-                    alive = false;
-                    break;
-                }
-                rbuf.resize(old + 256, 0);
-                match stream.read(&mut rbuf[old..]) {
-                    Ok(0) => {
-                        rbuf.truncate(old);
-                        // EOF with the response already queued is the
-                        // normal half-close; before a full request, close.
-                        if !*done {
-                            alive = false;
-                        }
-                        break;
-                    }
-                    Ok(n) => rbuf.truncate(old + n),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        rbuf.truncate(old);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        rbuf.truncate(old);
-                    }
-                    Err(_) => {
-                        rbuf.truncate(old);
-                        alive = false;
-                        break;
-                    }
-                }
-            }
-            if alive && !*done && rbuf.contains(&b'\n') {
-                respond = true;
+    /// A scrape connection's bytes: once a whole request line is buffered,
+    /// render the response into the ring (`done`). Cold path: not
+    /// `no-alloc` annotated on purpose — rendering builds a string — but it
+    /// still runs to completion on this worker's loop, so the endpoint
+    /// consumes epoll budget, never a thread. Returns `false` to close.
+    fn scrape_request(&mut self, rbuf: &ReadBuf, ring: &mut OutRing, done: &mut bool) -> bool {
+        let filled = rbuf.filled();
+        match filled.iter().position(|&b| b == b'\n') {
+            Some(end) if !*done => {
                 *done = true;
+                let text = self.render_scrape_response(&filled[..end]);
+                let mut buf = self.byte_pool.pop();
+                buf.extend_from_slice(text.as_bytes());
+                ring.push(buf).is_ok()
             }
+            // A request that long is not one of ours (nor is that much
+            // chatter after one).
+            _ => filled.len() < REQUEST_MAX,
         }
-        if respond {
-            let text = {
-                let Conn::Scrape { rbuf, .. } = &conn else { unreachable!() };
-                let line = rbuf.split(|&b| b == b'\n').next().unwrap_or(&[]);
-                self.render_scrape_response(line)
-            };
-            let Conn::Scrape { ring, .. } = &mut conn else { unreachable!() };
-            let mut buf = self.byte_pool.pop();
-            buf.extend_from_slice(text.as_bytes());
-            if ring.push(buf).is_err() {
-                alive = false;
-            }
-        }
-        self.conns[idx] = Some(conn);
-        if respond {
-            self.scrape_writable(idx);
-            // The conn may have closed itself once the ring drained.
-            return self.conns[idx].is_some();
-        }
-        alive
     }
 
     /// Render the response for one request line: `dump` returns this
@@ -1850,34 +1694,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         out
     }
 
-    fn scrape_writable(&mut self, idx: usize) {
-        let Some(Conn::Scrape { stream, ring, want_out, done, .. }) =
-            self.conns.get_mut(idx).and_then(|c| c.as_mut())
-        else {
-            return;
-        };
-        use std::os::fd::AsRawFd;
-        let tok = conn_token_base(self.nodes) + idx as u64;
-        match drain_counted(ring, stream, &self.byte_pool, &self.stats.loops[self.worker]) {
-            Ok(Drain::Emptied) => {
-                if *done {
-                    // One-shot protocol: response flushed, we close.
-                    self.close_conn(idx);
-                } else if *want_out {
-                    *want_out = false;
-                    let _ = self.poller.modify(stream.as_raw_fd(), tok, EPOLLIN);
-                }
-            }
-            Ok(Drain::Blocked) => {
-                if !*want_out {
-                    *want_out = true;
-                    let _ = self.poller.modify(stream.as_raw_fd(), tok, EPOLLIN | EPOLLOUT);
-                }
-            }
-            Err(_) => self.close_conn(idx),
-        }
-    }
-
     fn close_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].take() else { return };
         let _ = self.poller.del(conn.raw_fd());
@@ -1890,9 +1706,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
 
     // -- diagnostics / shutdown -------------------------------------------
 
-    // ordering: link-stat counters and ring gauges — monitoring state read
-    // by the watchdog and tests; the loop that mutates them is their only
-    // writer, so Relaxed publishes numbers, not invariants.
     /// Watchdog dump to stderr (the flag-raised path).
     fn dump_state(&mut self) {
         let s = self.dump_text();
@@ -1900,9 +1713,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     }
 
     /// The per-worker diagnostic text: the actor's protocol snapshot plus
-    /// the loop's fabric state — registered fds, per-peer ring occupancy,
-    /// last-readiness timestamps. Serves both the stderr watchdog dump and
-    /// the scrape endpoint's on-demand `dump` view.
+    /// the loop's own state — registered conns, loop health, client ring
+    /// occupancy (the links' state is [`LinkTable::describe`]'s). Serves
+    /// both the stderr watchdog dump and the scrape endpoint's on-demand
+    /// `dump` view.
     fn dump_text(&mut self) -> String {
         let now = self.clock.now();
         let mut s = format!("==== watchdog dump {} w{} (t={now}ns) ====\n", self.me, self.worker);
@@ -1911,37 +1725,14 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let live_conns = self.conns.iter().filter(|c| c.is_some()).count();
         let _ = writeln!(
             s,
-            "fabric loop: {live_conns} inbound conns + waker registered, selfq={}",
+            "fabric loop: {live_conns} conns + waker registered, selfq={}",
             self.selfq.len()
         );
-        let _ = writeln!(s, "{}", self.stats.describe());
+        s.push_str(&self.stats.describe());
         for c in self.conns.iter().flatten() {
             if let Conn::Client { slot, ring, .. } = c {
                 let _ = writeln!(s, "  client s{slot}: ring={}f/{}B", ring.len(), ring.bytes());
             }
-        }
-        for d in 0..self.nodes {
-            if d == self.me.idx() {
-                continue;
-            }
-            let po = &self.peer_out[d];
-            let link = self.links.link(NodeId(d as u8), self.worker);
-            let state = match po.state {
-                DialState::Idle => "Idle",
-                DialState::Connecting => "Connecting",
-                DialState::Connected => "Connected",
-            };
-            // ordering: Relaxed — diagnostic reads of the link's activity
-            // timestamps; a stale value only ages the dump line.
-            let _ = writeln!(
-                s,
-                "  out n{d}: {state} ring={}f/{}B want_out={} last_rx_ns={} last_tx_ns={}",
-                po.ring.len(),
-                po.ring.bytes(),
-                po.want_out,
-                link.last_rx_ns.load(Ordering::Relaxed),
-                link.last_tx_ns.load(Ordering::Relaxed),
-            );
         }
         s
     }

@@ -6,7 +6,8 @@
 //! (`kite-node`), or between the nodes of a [`Cluster`] inside one process.
 //!
 //! * [`fabric`] — [`TcpNet`]: one run-to-completion epoll event loop per
-//!   worker (the worker thread *is* the I/O loop), nonblocking sockets,
+//!   worker (the worker thread *is* the I/O loop; worker 0's also accepts
+//!   for the node — there is no other thread), nonblocking sockets,
 //!   readiness-driven reads feeding `Actor::on_envelope`, vectored writes
 //!   draining bounded per-peer outbound rings that shed under
 //!   backpressure, per-link reconnect-with-backoff as loop state, and

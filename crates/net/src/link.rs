@@ -182,8 +182,9 @@ impl LinkTable {
         self.links[peer.idx()].iter().for_each(|l| l.set_drop(p));
     }
 
-    /// Human-readable per-link dump for the watchdog / shutdown report:
-    /// every [`LinkState::fields`] reading plus the last-traffic stamps.
+    /// Human-readable per-link dump for the watchdog / shutdown report: the
+    /// phase by name, every other [`LinkState::fields`] reading, and the
+    /// last-traffic stamps.
     // ordering: diagnostics snapshot — each counter is read independently;
     // cross-counter consistency is not promised, so Relaxed is exact enough.
     pub fn describe(&self) -> String {
@@ -196,7 +197,7 @@ impl LinkTable {
             }
             for (w, l) in per_node.iter().enumerate() {
                 let _ = write!(out, "  peer n{n} w{w}: {:?}", l.phase());
-                for (name, v) in l.fields() {
+                for (name, v) in l.fields().into_iter().filter(|&(name, _)| name != "phase") {
                     let _ = write!(out, " {name}={v}");
                 }
                 let _ = writeln!(
@@ -234,7 +235,7 @@ pub struct LoopStats {
     /// Blocking `epoll_wait`s that timed out with nothing ready: the loop
     /// slept until its actor's next deadline (or a redial) and woke for it.
     pub idle_ticks: AtomicU64,
-    /// `read` calls on the loop's peer and client connections.
+    /// `read` calls on the loop's peer, client and scrape connections.
     pub reads: AtomicU64,
     /// ... of which returned `EAGAIN` (a wasted syscall).
     pub read_eagain: AtomicU64,
@@ -286,25 +287,20 @@ pub(crate) fn bump(c: &AtomicU64, n: u64) {
     c.fetch_add(n, Ordering::Relaxed);
 }
 
-/// One node's wake accounting: a [`LoopStats`] per worker loop plus the
-/// acceptor thread's wake count (the WAL flusher's lives in `WalStats`).
+/// One node's wake accounting: a [`LoopStats`] per worker loop — the
+/// node's listeners ride worker 0's (the WAL flusher's lives in
+/// `WalStats`).
 pub struct FabricStats {
     /// Indexed by worker.
     pub loops: Vec<LoopStats>,
-    /// Returns from the acceptor's `poll(2)`; flat while nobody connects.
-    pub acceptor_wakes: AtomicU64,
 }
 
 impl FabricStats {
     pub(crate) fn new(workers: usize) -> FabricStats {
-        FabricStats {
-            loops: (0..workers).map(|_| LoopStats::default()).collect(),
-            acceptor_wakes: AtomicU64::new(0),
-        }
+        FabricStats { loops: (0..workers).map(|_| LoopStats::default()).collect() }
     }
 
-    /// One line per worker loop plus the acceptor, for the `dump` view.
-    // ordering: diagnostics snapshot of independent monotone counters.
+    /// One line per worker loop, for the `dump` view.
     pub fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -315,7 +311,6 @@ impl FabricStats {
             }
             out.push('\n');
         }
-        let _ = write!(out, "acceptor wakes={}", self.acceptor_wakes.load(Ordering::Relaxed));
         out
     }
 }
@@ -339,6 +334,7 @@ mod tests {
         l.frames_in.fetch_add(3, Ordering::Relaxed);
         let d = t.describe();
         assert!(d.contains("Retired"), "{d}");
+        assert!(!d.contains("phase="), "the phase prints once, by name: {d}");
         assert!(d.contains("frames_in=3"), "{d}");
     }
 

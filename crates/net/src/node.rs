@@ -11,7 +11,6 @@
 //! on loopback in one process.
 
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -158,12 +157,7 @@ impl NodeRuntime {
         let mut ios = ios;
         if let Some(listener) = metrics_listener {
             metrics_addr = listener.local_addr().ok();
-            let hub = crate::scrape::node_metrics_hub(
-                format!("{:?}", cfg.mode),
-                &shared,
-                &net,
-                wal.as_ref(),
-            );
+            let hub = crate::scrape::node_metrics_hub(cfg.mode, &shared, &net, wal.as_ref());
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });
         }
 
@@ -234,9 +228,8 @@ impl NodeRuntime {
         self.net.links()
     }
 
-    /// Loop-health counters of every worker loop plus the acceptor's wake
-    /// count — what the scrape endpoint renders as `loop_w<j>_*` /
-    /// `acceptor_wakes`.
+    /// Loop-health counters of every worker loop — what the scrape endpoint
+    /// renders as `loop_w<j>_*`.
     pub fn fabric_stats(&self) -> &Arc<crate::link::FabricStats> {
         self.net.stats()
     }
@@ -256,21 +249,15 @@ impl NodeRuntime {
         self.recovery.as_ref()
     }
 
-    /// Per-peer link state + counters dump (the transport half of a
-    /// watchdog report), plus WAL flush/lag state when durability is on.
+    /// The node-level lines of a watchdog report — mode and totals,
+    /// membership, the per-peer link table, and WAL flush/lag state when
+    /// durability is on; the scrape endpoint's `dump` view ends with the
+    /// same lines.
     pub fn describe(&self) -> String {
-        let wal = match &self.wal {
-            Some(w) => format!(" {}", w.describe()),
-            None => String::new(),
-        };
-        format!(
-            "node {} mode={:?} completed={} ae_repairs={} {}{wal}",
-            self.me,
-            self.mode,
-            self.net.counters.completed.get(),
-            self.net.counters.ae_repairs_applied.get(),
-            self.net.describe()
-        )
+        let mut out = String::new();
+        let wal = self.wal.as_deref();
+        crate::scrape::describe_node(&mut out, self.mode, &self.shared, self.net.links(), wal);
+        out
     }
 
     /// Arm a deadline watchdog over this node (see [`NodeWatchdog`]).
@@ -287,16 +274,16 @@ impl NodeRuntime {
         }
     }
 
-    /// Stop client serving, workers and the fabric, joining every thread.
-    /// This is the SIGTERM path of the `kite-node` daemon.
+    /// Stop the worker loops — client serving and the fabric with them —
+    /// joining every thread, then the WAL. This is the SIGTERM path of the
+    /// `kite-node` daemon.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        // Stop the acceptor first (no new connections), then the worker
-        // event loops — which close every socket they own on the way out.
-        self.net.stop_flag().store(true, Ordering::SeqCst);
+        // Stop the worker event loops, which close every socket they own on
+        // the way out — worker 0's listeners included.
         if let Some(stop) = self.stop.take() {
             stop.stop_and_join();
         }
@@ -307,7 +294,6 @@ impl NodeRuntime {
         if let Some(wal) = self.wal.take() {
             wal.shutdown();
         }
-        // TcpNet::drop joins the fabric threads when `self` drops.
     }
 }
 

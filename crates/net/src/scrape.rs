@@ -4,9 +4,9 @@
 //! node's live atomics — nothing is copied into parallel storage. The core
 //! layer registers its own keys (`NodeShared::register_metrics`: protocol
 //! counters, membership, store probe, per-class op latency); this file adds
-//! only what `kite-net` owns — node id, WAL, per-link fabric stats, per-loop
-//! health and the acceptor's wake count — each struct through its own
-//! `fields()`, so no field of any layer is named here.
+//! only what `kite-net` owns — node id, WAL, per-link fabric stats and
+//! per-loop health — each struct through its own `fields()`, so no field of
+//! any layer is named here.
 //!
 //! The hub itself is transport-agnostic: the TCP listener serving it lives
 //! in [`crate::fabric`], registered on an *existing* worker epoll loop (no
@@ -15,26 +15,30 @@
 //!
 //! * `scrape` (the default): one `key value` line per metric;
 //! * `dump`: the serving worker's watchdog text (`Actor::describe` + fabric
-//!   loop state) followed by the node-level describe lines — the watchdog
-//!   dump promoted from "raise a flag, read stderr" to on-demand pull.
+//!   loop state) followed by the node-level describe lines
+//!   ([`describe_node`], which `NodeRuntime::describe` prints too) — the
+//!   watchdog dump promoted from "raise a flag, read stderr" to on-demand
+//!   pull.
 
-use std::sync::atomic::Ordering;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-use kite::NodeShared;
+use kite::{NodeShared, ProtocolMode};
 use kite_common::NodeId;
 use kite_metrics::Registry;
 use kite_wal::Wal;
 
 use crate::fabric::TcpNet;
+use crate::link::LinkTable;
 
 /// Everything a scrape connection renders. Built once per node at launch
 /// (registration allocates; scraping only reads).
 pub struct MetricsHub {
     registry: Registry,
-    /// Appends the node-level describe lines to a `dump` view (protocol
-    /// mode, completed counts, link table, WAL health).
-    dump_extra: Box<dyn Fn(&mut String) + Send + Sync>,
+    mode: ProtocolMode,
+    shared: Arc<NodeShared>,
+    links: Arc<LinkTable>,
+    wal: Option<Arc<Wal>>,
 }
 
 impl MetricsHub {
@@ -46,16 +50,48 @@ impl MetricsHub {
     /// Append the node-level half of the `dump` view (the serving worker
     /// prepends its own loop state).
     pub fn render_dump_extra(&self, out: &mut String) {
-        (self.dump_extra)(out);
+        describe_node(out, self.mode, &self.shared, &self.links, self.wal.as_deref());
+    }
+}
+
+/// The node-level diagnostic lines — protocol mode and totals, membership,
+/// the link table, WAL health — for `NodeRuntime::describe` and the `dump`
+/// view alike.
+pub(crate) fn describe_node(
+    out: &mut String,
+    mode: ProtocolMode,
+    shared: &NodeShared,
+    links: &LinkTable,
+    wal: Option<&Wal>,
+) {
+    let c = &shared.counters;
+    let _ = writeln!(
+        out,
+        "node {} mode={mode:?} completed={} ae_repairs={}",
+        shared.me,
+        c.completed.get(),
+        c.ae_repairs_applied.get(),
+    );
+    let _ = writeln!(
+        out,
+        "membership {} installs={} stale_dropped={} pulls={}",
+        shared.membership.load(),
+        c.membership_installs.get(),
+        c.stale_epoch_dropped.get(),
+        c.membership_pulls.get(),
+    );
+    out.push_str(&links.describe());
+    if let Some(wal) = wal {
+        let _ = writeln!(out, "{}", wal.describe());
     }
 }
 
 /// Build the hub for one node: every layer's live stats behind one
-/// registry. `mode` is the protocol-mode tag shown in the `dump` view (the
+/// registry. `mode` is the protocol mode shown in the `dump` view (the
 /// scrape view is numeric-only `key value` lines); `net` contributes the
 /// link table and the wake accounting.
 pub fn node_metrics_hub(
-    mode: String,
+    mode: ProtocolMode,
     shared: &Arc<NodeShared>,
     net: &TcpNet,
     wal: Option<&Arc<Wal>>,
@@ -84,47 +120,17 @@ pub fn node_metrics_hub(
         }
     }
 
-    // -- wake accounting: per-loop health + the acceptor ---------------------
+    // -- wake accounting: per-loop health (the listeners ride worker 0's) ---
     for w in 0..net.workers {
         let fabric = Arc::clone(fabric);
         reg.poll_fields(&format!("loop_w{w}_"), move || fabric.loops[w].fields());
     }
-    reg.poll_fn("acceptor_wakes", {
-        let fabric = Arc::clone(fabric);
-        // ordering: Relaxed — a monitoring read of a monotone counter whose
-        // only writer is the acceptor thread.
-        move || fabric.acceptor_wakes.load(Ordering::Relaxed)
-    });
 
-    // -- dump view extras --------------------------------------------------
-    let dump_extra: Box<dyn Fn(&mut String) + Send + Sync> = {
-        let shared = Arc::clone(shared);
-        let links = Arc::clone(links);
-        let wal = wal.map(Arc::clone);
-        Box::new(move |out: &mut String| {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "node {} mode={} completed={} ae_repairs={}",
-                shared.me,
-                mode,
-                shared.counters.completed.get(),
-                shared.counters.ae_repairs_applied.get(),
-            );
-            let _ = writeln!(
-                out,
-                "membership {} installs={} stale_dropped={} pulls={}",
-                shared.membership.load(),
-                shared.counters.membership_installs.get(),
-                shared.counters.stale_epoch_dropped.get(),
-                shared.counters.membership_pulls.get(),
-            );
-            let _ = writeln!(out, "{}", links.describe());
-            if let Some(wal) = &wal {
-                let _ = writeln!(out, "{}", wal.describe());
-            }
-        })
-    };
-
-    Arc::new(MetricsHub { registry: reg, dump_extra })
+    Arc::new(MetricsHub {
+        registry: reg,
+        mode,
+        shared: Arc::clone(shared),
+        links: Arc::clone(links),
+        wal: wal.map(Arc::clone),
+    })
 }

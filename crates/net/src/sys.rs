@@ -78,11 +78,6 @@ impl PollFd {
     pub fn readable(fd: RawFd) -> PollFd {
         PollFd { fd, events: POLL_IN, revents: 0 }
     }
-
-    /// Did the last [`poll_fds`] report anything on this entry?
-    pub fn ready(&self) -> bool {
-        self.revents != 0
-    }
 }
 
 extern "C" {
@@ -125,8 +120,7 @@ fn wait_fd(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
 
 /// Block the calling thread until any of `fds` is ready (or `timeout_ms`
 /// passes; `-1` = forever) and return how many are — 0 on timeout or a
-/// signal. The acceptor sleeps here on its listener, its half-read hellos
-/// and its stop eventfd: a thread with nothing to accept makes no wakes.
+/// signal. `kite-node`'s main thread sleeps here on its stop eventfd.
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     // SAFETY: `fds` is a live, exclusively borrowed slice of values with the
     // kernel's pollfd layout, and nfds is exactly its length, so the kernel

@@ -49,20 +49,16 @@ fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64
             let n = conn.read(&mut chunk).expect("read submits");
             assert!(n > 0, "client closed before submitting the window");
             buf.extend_from_slice(&chunk[..n]);
-            let mut pos = 0;
-            while buf.len() - pos >= 4 {
-                let blen =
-                    u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-                if buf.len() - pos - 4 < blen {
-                    break;
-                }
-                match wire::decode_client_frame(&buf[pos + 4..pos + 4 + blen]) {
+            let mut rest = &buf[..];
+            while let Some((body, tail)) = wire::next_frame(rest).expect("client frame") {
+                match wire::decode_client_frame(body) {
                     Ok(ClientFrame::Submit(op)) => ops.push(op),
                     other => panic!("expected submit, got {other:?}"),
                 }
-                pos += 4 + blen;
+                rest = tail;
             }
-            buf.drain(..pos);
+            let used = buf.len() - rest.len();
+            buf.drain(..used);
         }
 
         // Complete every op, shuffled (Fisher–Yates on the seeded rng) and

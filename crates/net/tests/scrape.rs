@@ -246,7 +246,7 @@ fn half_open_scrape_connections_are_harmless() {
 /// and `kite-client` parse these names, so a key renamed, dropped or added
 /// must show up here as a deliberate edit.
 const NODE0_KEYS: &str = "\
-    acceptor_wakes link_n1_w0_connects link_n1_w0_decode_errors link_n1_w0_dropped_out \
+    link_n1_w0_connects link_n1_w0_decode_errors link_n1_w0_dropped_out \
     link_n1_w0_frames_in link_n1_w0_frames_out link_n1_w0_phase link_n1_w0_ring_bytes \
     link_n1_w0_ring_frames link_n1_w0_shed_full link_n2_w0_connects link_n2_w0_decode_errors \
     link_n2_w0_dropped_out link_n2_w0_frames_in link_n2_w0_frames_out link_n2_w0_phase \

@@ -153,6 +153,62 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
     }
 }
 
+/// Does the node close `s` within `timeout` (without writing to it)?
+fn closed_within(s: &mut TcpStream, timeout: Duration) -> bool {
+    use std::io::Read;
+    s.set_read_timeout(Some(timeout)).unwrap();
+    match s.read(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        Ok(_) => false,
+    }
+}
+
+/// The handshake deadline for accepted connections (`HELLO_TIMEOUT`).
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A connection that sends half a hello and stops holds a slab slot until
+/// its deadline, and no longer; meanwhile the node accepts and serves
+/// everyone else.
+#[test]
+fn a_half_hello_is_dropped_at_its_deadline() {
+    let cluster = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch");
+    let addr = cluster.nodes()[0].addr();
+    let mut half = TcpStream::connect(addr).unwrap();
+    let connected = Instant::now();
+    half.write_all(&wire::encode_hello(Hello::Client { slot: 1 })[..5]).unwrap();
+
+    let mut s = cluster.session(NodeId(0), 0).expect("a session while a hello is pending");
+    s.write(Key(4), 4u64).unwrap();
+    assert_eq!(s.read(Key(4)).unwrap().as_u64(), 4);
+
+    let limit = HELLO_TIMEOUT + Duration::from_secs(1);
+    let left = limit.saturating_sub(connected.elapsed()).max(Duration::from_millis(1));
+    assert!(closed_within(&mut half, left), "a half hello outlived its deadline");
+    assert!(
+        connected.elapsed() >= HELLO_TIMEOUT - Duration::from_millis(500),
+        "a half hello was dropped after {:?}, before its deadline",
+        connected.elapsed()
+    );
+    drop(s);
+    cluster.shutdown();
+}
+
+/// A garbage hello costs its connection at once, and is no peer's: no link
+/// row counts it.
+#[test]
+fn a_garbage_hello_is_dropped_and_counted_on_no_link() {
+    let cluster = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch");
+    let node = &cluster.nodes()[0];
+    let mut s = TcpStream::connect(node.addr()).unwrap();
+    s.write_all(&[0xA5; wire::HELLO_LEN]).unwrap();
+    assert!(closed_within(&mut s, Duration::from_secs(10)), "a garbage hello was kept");
+    for peer in [NodeId(1), NodeId(2)] {
+        assert_eq!(rows(node.links(), peer, 1, "decode_errors"), 0, "{}", node.links().describe());
+    }
+    cluster.shutdown();
+}
+
 /// One `LinkState::fields` reading summed over every worker's row to `peer`.
 fn rows(links: &LinkTable, peer: NodeId, workers: usize, name: &str) -> u64 {
     (0..workers)

@@ -2,9 +2,12 @@
 # End-to-end test of the real-network transport: a 3-process `kite-node`
 # cluster on localhost, driven by `kite-client` remote sessions.
 #
-#   1. launch 3 kite-node processes (fixed localhost ports); before any
-#      load, two scrapes a second apart must show the acceptor (and, in the
-#      WAL phase, the flusher) asleep — idle threads make no wakes;
+#   1. launch 3 kite-node processes (fixed localhost ports), each exactly
+#      its main thread plus one event loop per worker (plus the WAL flusher
+#      in the WAL phase); before any load, two scrapes a second apart must
+#      show worker 0's loop (which accepts for the node) going round only
+#      for its timers, and the WAL flusher asleep — idle threads make no
+#      wakes;
 #   2. run a mixed read/write/release/acquire/RMW workload across all
 #      three and check it against the RC(Lin) axioms client-side;
 #   3. open-loop latency probe: fixed-arrival-rate sessions against all
@@ -77,17 +80,18 @@ scrape_metric() { # scrape_metric <metrics-addr> <metric-name>
     "$CLIENT_BIN" scrape --servers "$1" | awk -v k="$2" '$1==k{print $2}'
 }
 
-# No wake without work, on idle nodes: the acceptor and the WAL flusher stay
-# asleep, and worker 0's loop goes round only for its actor's own timer —
-# the anti-entropy sweep (birth-time cool-down) or keepalive, at most
-# <timers-per-s> — and for one sweep from each peer per timer (an idle
-# node's sweep is a summary, sent to every peer), so <timers-per-s> × nodes,
-# plus 50 passes of slack (this scrape is traffic too). There is no timer
-# beat left to account for: a loop polling at 1 kHz fails.
+# No wake without work, on idle nodes: the WAL flusher stays asleep, and
+# worker 0's loop — which also holds the node's listeners — goes round only
+# for its actor's own timer — the anti-entropy sweep (birth-time cool-down)
+# or keepalive, at most <timers-per-s> — and for one sweep from each peer
+# per timer (an idle node's sweep is a summary, sent to every peer), so
+# <timers-per-s> × nodes, plus 50 passes of slack (this scrape is traffic
+# too, accepted by that same loop). There is no timer beat left to account
+# for: a loop polling at 1 kHz fails.
 assert_idle_wakes() { # assert_idle_wakes <timers-per-s> <metrics-addr of every node>...
     local timers="$1" m k
     shift
-    local -A before allow=([acceptor_wakes]=10 [wal_flusher_wakes]=10 [loop_w0_passes]=$((timers * $# + 50)))
+    local -A before allow=([wal_flusher_wakes]=10 [loop_w0_passes]=$((timers * $# + 50)))
     for m in "$@"; do
         for k in "${!allow[@]}"; do
             before[$m.$k]="$(scrape_metric "$m" "$k")"   # no wal_* keys with the WAL off
@@ -127,12 +131,21 @@ assert_commit_duty() { # assert_commit_duty <label> <sample-before> <sample-afte
     }' || exit 1
 }
 
-wait_ready() { # wait_ready <logfile>
+# A node is its event loops: once ready, `kite-node` runs its main thread,
+# one thread per worker and — with the WAL on — the flusher; nothing else
+# (NODE_THREADS says how many that is for the current NODE_ARGS).
+wait_ready() { # wait_ready <node-id> <logfile>
+    local pid="${PIDS[$1]}" threads
     for _ in $(seq 1 100); do
-        grep -q "ready on" "$1" 2>/dev/null && return 0
+        if grep -q "ready on" "$2" 2>/dev/null; then
+            threads="$(ls "/proc/$pid/task" | wc -l)"
+            [ "$threads" -eq "$NODE_THREADS" ] && return 0
+            echo "!! node $1 (pid $pid) runs $threads threads, expected $NODE_THREADS" >&2
+            exit 1
+        fi
         sleep 0.1
     done
-    echo "node never became ready; log:"; cat "$1"; return 1
+    echo "node never became ready; log:"; cat "$2"; return 1
 }
 
 cleanup() {
@@ -158,6 +171,7 @@ for iter in $(seq 1 "$ITERS"); do
     # below — idle-time sweeps run at the keepalive cadence.
     NODE_ARGS=(--peers "$PEERS" --workers 1 --sessions-per-worker 16 --keys 4096 --keepalive-ns 5000000
                --anti-entropy-interval-ns 2000000 --anti-entropy-chunk 512)
+    NODE_THREADS=2   # main + 1 worker
     # Metrics endpoints on the next three ports (scraped in phase 2b).
     M0="127.0.0.1:$((PORT_BASE + 3))"
     M1="127.0.0.1:$((PORT_BASE + 4))"
@@ -167,9 +181,9 @@ for iter in $(seq 1 "$ITERS"); do
     start_node 0 "$LOGDIR/n0.log" --metrics-addr "$M0"
     start_node 1 "$LOGDIR/n1.log" --metrics-addr "$M1"
     start_node 2 "$LOGDIR/n2.log" --metrics-addr "$M2"
-    wait_ready "$LOGDIR/n0.log"
-    wait_ready "$LOGDIR/n1.log"
-    wait_ready "$LOGDIR/n2.log"
+    wait_ready 0 "$LOGDIR/n0.log"
+    wait_ready 1 "$LOGDIR/n1.log"
+    wait_ready 2 "$LOGDIR/n2.log"
     # 5 ms keepalive: 200 sweeps/s per node.
     assert_idle_wakes 200 "$M0" "$M1" "$M2"
 
@@ -243,7 +257,7 @@ for iter in $(seq 1 "$ITERS"); do
 
     echo "-- phase 5: restart node 2 on the same port; reconnect + anti-entropy catch-up"
     start_node 2 "$LOGDIR/n2-restart.log" --metrics-addr "$M2"
-    wait_ready "$LOGDIR/n2-restart.log"
+    wait_ready 2 "$LOGDIR/n2-restart.log"
     # The sentinel was released while node 2 was dead; a *relaxed* read on
     # node 2 is local, so convergence proves the keepalive sweep repaired it.
     "$CLIENT_BIN" poll --servers "$P2" --slot 0 --key 900 --val 7777 --timeout-secs 30
@@ -263,7 +277,7 @@ for iter in $(seq 1 "$ITERS"); do
     len0="$(scrape_metric "$M0" store_vals)"
     "$CLIENT_BIN" put --servers "$P0" --slot 10 --key 902 --val 5555
     start_node 2 "$LOGDIR/n2-replace.log" --metrics-addr "$M2" --join "$P0" --join-slot 12
-    wait_ready "$LOGDIR/n2-replace.log"
+    wait_ready 2 "$LOGDIR/n2-replace.log"
     grep -q "joined via" "$LOGDIR/n2-replace.log" \
         || { echo "!! replacement printed no join line"; cat "$LOGDIR/n2-replace.log"; exit 1; }
     # The join CAS bumped the membership epoch on the survivors…
@@ -356,15 +370,17 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     PORT_BASE=$((PORT_BASE + 6))
     NODE_ARGS=(--peers "$P0,$P1,$P2" --workers 1 --sessions-per-worker 6 \
                --keys 131072 --keepalive-ns 50000000)
+    NODE_THREADS=2   # main + 1 worker
     if [ "$wal" = on ]; then
         NODE_ARGS+=(--wal on --wal-dir "$waldir")
+        NODE_THREADS=3   # + the WAL flusher
     fi
     start_node 0 "$logdir/n0.log" --metrics-addr "$m0"
     start_node 1 "$logdir/n1.log" --metrics-addr "$m1"
     start_node 2 "$logdir/n2.log" --metrics-addr "$m2"
-    wait_ready "$logdir/n0.log" >&2
-    wait_ready "$logdir/n1.log" >&2
-    wait_ready "$logdir/n2.log" >&2
+    wait_ready 0 "$logdir/n0.log" >&2
+    wait_ready 1 "$logdir/n1.log" >&2
+    wait_ready 2 "$logdir/n2.log" >&2
     # With the WAL on this is the flusher's check: nothing staged, no wakes.
     # The birth-time cool-down is one Merkle cycle (seven 5 ms sweeps at
     # this size); after it, the 50 ms keepalive: 20 sweeps/s per node.
@@ -393,7 +409,7 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
 
     echo "-- wal=$wal: restart node 2, wait for full convergence" >&2
     start_node 2 "$logdir/n2-restart.log"
-    wait_ready "$logdir/n2-restart.log" >&2
+    wait_ready 2 "$logdir/n2-restart.log" >&2
     if [ "$wal" = on ]; then
         # The boot line must prove the restart recovered the pre-crash
         # store locally instead of starting empty.
@@ -434,8 +450,9 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
         PORT_BASE=$((PORT_BASE + 3))
         NODE_ARGS=(--peers "$P0,$P1,$P2b" --workers 1 --sessions-per-worker 6 \
                    --keys 131072 --keepalive-ns 50000000 --wal on --wal-dir "$waldir")
+        NODE_THREADS=3   # main + 1 worker + the WAL flusher
         start_node 2 "$logdir/n2-graceful.log"
-        wait_ready "$logdir/n2-graceful.log" >&2
+        wait_ready 2 "$logdir/n2-graceful.log" >&2
         grep "recovered" "$logdir/n2-graceful.log" >&2
         grep -q "wal_records=0 " "$logdir/n2-graceful.log" \
             || { echo "!! graceful shutdown left a WAL tail to replay" >&2; exit 1; }
