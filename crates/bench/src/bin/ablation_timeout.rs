@@ -222,7 +222,13 @@ fn main() {
         ShapeCheck {
             name: "throughput recovers after the outage at every time-out",
             holds: outage.iter().all(|o| o.3 > o.2 * 0.8),
-            detail: "post-sleep ≥ intermediate across the sweep".into(),
+            detail: format!(
+                "post-sleep > 0.8 × intermediate; post/mid: {}",
+                (outage_timeouts.iter().zip(&outage))
+                    .map(|(&(_, label), o)| format!("{label} {:.2}", o.3 / o.2))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         },
     ]);
 }

@@ -33,9 +33,13 @@ fn main() {
     let sleeper = NodeId(4);
 
     // The release timeout is overprovisioned (§8.4: "such that it never
-    // gets triggered while in common operation") — here 5 ms, comfortably
-    // above worst-case queueing during the wake-up transition, so healthy
-    // replicas never deem each other delinquent under the recovery load.
+    // gets triggered while in common operation") — here 5 ms, above the
+    // queueing of steady operation. It does not keep healthy replicas from
+    // deeming each other delinquent around the wake-up: with this setup at
+    // 4 sessions per worker (seed 41, a 30 or 60 ms sleep after 15 ms of
+    // warm-up, then 50 ms more), three of the four healthy nodes bump their
+    // epoch 1–2 times and take ~16 000–17 500 slow-path accesses each. At
+    // this bin's 8 sessions per worker none did in that probe.
     let cfg = ClusterConfig::default()
         .nodes(5)
         .workers_per_node(2)

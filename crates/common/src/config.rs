@@ -54,10 +54,12 @@ pub struct ClusterConfig {
     /// exchange compact digests — a per-slot-range `(key, Lc)` chunk under
     /// heavy write churn, a whole-store Merkle summary otherwise (the node
     /// picks per sweep) — and pull/push missing values through repair
-    /// rounds, so every
-    /// replica converges on every key's last write without depending on any
-    /// particular retransmission. `false` is the equivalence baseline for
-    /// tests (completed-op sets must match either way).
+    /// rounds, so every replica converges on every key's last write without
+    /// depending on any particular retransmission. It is the only way a
+    /// replica left outside a finished round catches up: no round pushes
+    /// its value to stragglers when it completes. `false` is the
+    /// equivalence baseline for tests (completed-op sets must match either
+    /// way).
     pub anti_entropy: bool,
     /// Interval between anti-entropy digest sweeps, in nanoseconds. One
     /// digest (a chunk of `anti_entropy_chunk` store slots, or one summary)
@@ -69,12 +71,6 @@ pub struct ClusterConfig {
     /// interval this bounds a flat full-store walk:
     /// `ceil(capacity / chunk) * interval`.
     pub anti_entropy_chunk: usize,
-    /// Push a completion-time repair to replicas outside an RMW commit's
-    /// visibility quorum (the targeted trigger of the anti-entropy
-    /// mechanism; historically the "rid-0 catch-up fill"). `false` leaves
-    /// convergence of a key's last commit entirely to the periodic
-    /// anti-entropy sweep — the sufficiency baseline for tests.
-    pub commit_fill: bool,
     /// Per-node crash durability: every stamp-transitioning store apply is
     /// appended to a CRC-framed write-ahead log, group-committed off the
     /// hot path by a dedicated flusher thread, with periodic snapshots
@@ -88,19 +84,6 @@ pub struct ClusterConfig {
     /// appends its own `node<idx>/` subdirectory so one config serves a
     /// whole local cluster. Must be non-empty when `wal` is on.
     pub wal_dir: String,
-    /// Group-commit window floor in nanoseconds: the flusher lets staged
-    /// records accumulate this long — or, on a device whose commits are
-    /// slow enough to matter, `K` = 3 times its measured write+fsync time —
-    /// then swaps out the staged record buffer, writes and fsyncs it as
-    /// one batch. Bounds the durability lag — records are on disk at most
-    /// `max(this, K × commit) + one commit` after the store apply (≈ 1 ms
-    /// where a commit takes 250 µs; this value plus a commit on a disk
-    /// that commits in under a third of it).
-    pub wal_group_commit_ns: u64,
-    /// Interval between store snapshots (ns). Each snapshot rotates the log
-    /// to a fresh segment and deletes all older segments, so the replay
-    /// tail — and restart time — is bounded by one interval of writes.
-    pub wal_snapshot_interval_ns: u64,
     /// Bootstrap (membership-epoch-0) voter set. Empty — the default —
     /// means "every configured slot except `initial_learners`". Configs
     /// that pre-provision spare slots for future joiners list the actual
@@ -149,11 +132,8 @@ impl Default for ClusterConfig {
             // mixes (pinned by tests/antientropy.rs).
             anti_entropy_interval_ns: 5_000_000,
             anti_entropy_chunk: 128,
-            commit_fill: true,
             wal: false,
             wal_dir: String::new(),
-            wal_group_commit_ns: 100_000,
-            wal_snapshot_interval_ns: 1_000_000_000,
             initial_voters: NodeSet::EMPTY,
             initial_learners: NodeSet::EMPTY,
             anti_entropy_keepalive_ns: 0,
@@ -257,12 +237,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: the commit-completion repair push (ex rid-0 fill).
-    pub fn commit_fill(mut self, on: bool) -> Self {
-        self.commit_fill = on;
-        self
-    }
-
     /// Builder: the write-ahead-log durability kill switch.
     pub fn wal(mut self, on: bool) -> Self {
         self.wal = on;
@@ -272,18 +246,6 @@ impl ClusterConfig {
     /// Builder: WAL segment/snapshot directory.
     pub fn wal_dir(mut self, dir: impl Into<String>) -> Self {
         self.wal_dir = dir.into();
-        self
-    }
-
-    /// Builder: WAL group-commit window floor.
-    pub fn wal_group_commit_ns(mut self, t: u64) -> Self {
-        self.wal_group_commit_ns = t;
-        self
-    }
-
-    /// Builder: WAL snapshot (log-truncation) interval.
-    pub fn wal_snapshot_interval_ns(mut self, t: u64) -> Self {
-        self.wal_snapshot_interval_ns = t;
         self
     }
 
@@ -371,13 +333,8 @@ impl ClusterConfig {
         if voters.len() < 3 {
             return Err(format!("need ≥3 bootstrap voters, got {}", voters.len()));
         }
-        if self.wal {
-            if self.wal_dir.is_empty() {
-                return Err("wal needs a non-empty wal_dir".into());
-            }
-            if self.wal_group_commit_ns == 0 || self.wal_snapshot_interval_ns == 0 {
-                return Err("wal needs non-zero group-commit and snapshot intervals".into());
-            }
+        if self.wal && self.wal_dir.is_empty() {
+            return Err("wal needs a non-empty wal_dir".into());
         }
         Ok(())
     }
@@ -423,11 +380,9 @@ mod tests {
     fn anti_entropy_knobs_default_on_and_chain() {
         let c = ClusterConfig::default();
         assert!(c.anti_entropy, "anti-entropy is on by default");
-        assert!(c.commit_fill, "completion-time repair pushes are on by default");
-        let c = c.anti_entropy_interval_ns(1_000).anti_entropy_chunk(7).commit_fill(false);
+        let c = c.anti_entropy_interval_ns(1_000).anti_entropy_chunk(7);
         assert_eq!(c.anti_entropy_interval_ns, 1_000);
         assert_eq!(c.anti_entropy_chunk, 7);
-        assert!(!c.commit_fill);
     }
 
     #[test]
@@ -435,27 +390,11 @@ mod tests {
         let c = ClusterConfig::default();
         assert!(!c.wal, "the WAL is an opt-in durability mode");
         assert!(c.wal_dir.is_empty());
-        assert_eq!(c.wal_group_commit_ns, 100_000);
-        assert_eq!(c.wal_snapshot_interval_ns, 1_000_000_000);
-        let c = c.wal(true).wal_dir("/tmp/kite-wal").wal_group_commit_ns(50_000);
+        let c = c.wal(true).wal_dir("/tmp/kite-wal");
         assert!(c.wal);
         assert_eq!(c.wal_dir, "/tmp/kite-wal");
         assert!(c.validate().is_ok());
-        // WAL on demands a directory and non-zero flush cadences…
+        // WAL on demands a directory.
         assert!(ClusterConfig::default().wal(true).validate().is_err());
-        assert!(ClusterConfig::default()
-            .wal(true)
-            .wal_dir("d")
-            .wal_group_commit_ns(0)
-            .validate()
-            .is_err());
-        assert!(ClusterConfig::default()
-            .wal(true)
-            .wal_dir("d")
-            .wal_snapshot_interval_ns(0)
-            .validate()
-            .is_err());
-        // …but the disabled mode doesn't care about its knobs.
-        assert!(ClusterConfig::default().wal_group_commit_ns(0).validate().is_ok());
     }
 }

@@ -62,7 +62,7 @@ pub struct ProtoCounters {
     /// Anti-entropy repair-pull requests sent (digest receiver was behind).
     pub ae_repair_reqs: Counter,
     /// Anti-entropy repair values sent (pull answers, stale-sender pushes,
-    /// and commit-completion fills routed through the subsystem).
+    /// and a proposer's answers to `Lagging` promises).
     pub ae_repair_vals: Counter,
     /// Repair values whose `apply_max` actually advanced the local store —
     /// real divergence healed, as opposed to already-converged traffic.

@@ -4,9 +4,9 @@
 //! The three protocols make completed operations *safe* (quorum-visible),
 //! but a replica outside every quorum — asleep through a key's last commit
 //! (§8.4), or simply on the losing end of sustained message loss once
-//! retransmission for a finished round has stopped — used to converge only
-//! by luck: a one-shot fire-and-forget fill at RMW completion, itself
-//! droppable. This module makes convergence *retransmission-independent*:
+//! retransmission for a finished round has stopped — is left behind when
+//! the round ends. Nothing pushes a finished round's value to it; this
+//! module is the one way it converges, independent of retransmission:
 //!
 //! * **Digest sweep** — once per `anti_entropy_interval_ns`, worker 0 of
 //!   each node broadcasts one digest to every peer (`Arc`-shared across
@@ -22,12 +22,10 @@
 //!   side diverged.
 //! * **Repair** — [`Msg::RepairVal`] applies under the LLC-max rule
 //!   (stale or duplicated repairs no-op) and advances the key's Paxos slot
-//!   past the sender's decided prefix, exactly what the old rid-0 commit
-//!   fill did. The commit round's completion-time fill is now merely the
-//!   *targeted trigger* of this mechanism (see
-//!   [`Worker::ae_commit_fill`]) — and with `commit_fill(false)` the
-//!   periodic sweep alone is sufficient, which `tests/antientropy.rs`
-//!   proves.
+//!   past the sender's decided prefix. Besides the sweep's own pulls and
+//!   pushes, the only other sender is a proposer answering a `Lagging`
+//!   promise, a repair the acceptor solicited. That the periodic sweep
+//!   alone is sufficient is what `tests/antientropy.rs` proves.
 //!
 //! No anti-entropy message is acked or retransmitted: a lost digest or
 //! repair is simply superseded by the next sweep. Repairs never touch a
@@ -44,8 +42,8 @@
 //! cycle (plus slack) afterwards; any repair activity re-arms the
 //! cool-down. `Worker::is_idle` reports idle only once the cool-down has
 //! lapsed, so `run_until_quiesce` additionally guarantees the final states
-//! have been swept — replicas converge *before* quiescence, without per-op
-//! fills.
+//! have been swept — replicas converge *before* quiescence, through the
+//! sweep alone.
 
 //! # Two digest planes, picked per sweep
 //!
@@ -86,7 +84,7 @@
 
 use std::sync::Arc;
 
-use kite_common::{ClusterConfig, Key, Lc, NodeId, Val};
+use kite_common::{ClusterConfig, Key, Lc, NodeId};
 use kite_kvs::Store;
 use kite_simnet::{Outbox, Wakeup};
 
@@ -679,57 +677,5 @@ impl Worker {
             self.shared.counters.ae_repairs_applied.incr();
             self.ae.rearm();
         }
-    }
-}
-
-impl crate::worker::Cx<'_> {
-    /// The targeted trigger: a quorum round (RMW commit, release value
-    /// round, acquire write-back) just completed with `targets` outside its
-    /// quorum — the round stops retransmitting now. Push a repair to the
-    /// **suspected** stragglers among them (nodes whose acks we believe
-    /// will never come — a §8.4 sleeper): their convergence would otherwise
-    /// wait a whole sweep cycle for state they may be queried about the
-    /// moment they wake. *Unsuspected* non-ackers are almost always just
-    /// acks in flight — measurement at 0% loss showed blind fills were
-    /// 100% redundant — so plain-loss stragglers are left to the sweep,
-    /// which `tests/antientropy.rs` proves sufficient. `next_slot` is the
-    /// key's next undecided Paxos slot for commit fills, `0` otherwise.
-    /// Gated by `commit_fill` (the sweep-sufficiency baseline disables it).
-    pub(crate) fn ae_completion_fill(
-        &self,
-        targets: kite_common::NodeSet,
-        key: Key,
-        val: Val,
-        lc: Lc,
-        next_slot: u64,
-        out: &mut Outbox<Msg>,
-    ) {
-        let targets = self.fill_targets(targets);
-        if targets.is_empty() {
-            return;
-        }
-        // Commit fills (next_slot > 0) advance the receiver's slot, so they
-        // must carry the ring evidence; the current local evidence is at
-        // least as fresh as the completed round's. Value-round fills
-        // (slot 0) advance nothing and ship none.
-        let (slot, ring) =
-            if next_slot > 0 { self.shared.store.paxos_evidence(key) } else { (0, Vec::new()) };
-        let slot = slot.max(next_slot);
-        self.shared.counters.ae_repair_vals.add(targets.len() as u64);
-        let r = Box::new(Repair { key, val, lc, slot, ring });
-        self.shared.counters.ae_repair_bytes.add(targets.len() as u64 * repair_wire_bytes(&r));
-        out.multicast(self.me, targets, Msg::RepairVal { r });
-    }
-
-    /// The completion-fill gate, separate so a caller can evaluate it first
-    /// and skip preparing the payload (cloning a value out of an `Arc`'d commit)
-    /// when the answer is "nobody", which is the steady state. Idempotent:
-    /// `ae_completion_fill` applies it again on whatever it is handed.
-    #[inline]
-    pub(crate) fn fill_targets(&self, missing: kite_common::NodeSet) -> kite_common::NodeSet {
-        if !self.shared.cfg.commit_fill || missing.is_empty() {
-            return kite_common::NodeSet::EMPTY;
-        }
-        missing.intersect(self.shared.suspected())
     }
 }

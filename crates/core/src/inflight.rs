@@ -402,8 +402,8 @@ pub struct RmwState {
     pub accepts: NodeSet,
     /// Commit-round visibility acks.
     pub commits: NodeSet,
-    /// The commit being broadcast — the same `Arc` the `Commit` unicasts,
-    /// retransmissions and catch-up fills carry.
+    /// The commit being broadcast — the same `Arc` the `Commit` unicasts
+    /// and their retransmissions carry.
     pub commit_bcast: Option<Arc<CommitPayload>>,
     /// Output to deliver when the commit round completes (None while
     /// helping: a new round starts instead).

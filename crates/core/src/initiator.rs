@@ -580,32 +580,15 @@ impl Worker {
                     cx.shared.counters.fast_releases.incr();
                 }
                 cx.complete(&state.meta, OpOutput::Done, now);
-                    // The value round stops retransmitting here; a replica
-                    // whose copy was dropped would otherwise stay stale
-                    // until the anti-entropy sweep finds it (the old
-                    // livelock behind `threaded_mutex_exact_under_message
-                    // _loss`: a strong CAS reads its base locally, so a
-                    // replica that missed the last unlock spun forever).
-                    // The value moves out of the removed entry — the
-                    // common no-fill case never clones it.
-                let Some(InFlight::Release(s)) = table.remove(rid) else {
-                    unreachable!("entry matched above")
-                };
-                let (lc, _) = s.w2.expect("finished implies w2");
-                let missing = cx.shared.voters().minus(acked);
-                cx.ae_completion_fill(missing, s.meta.key, s.val, lc, 0, out);
+                // The value round stops retransmitting here; a replica
+                // outside its quorum converges through the anti-entropy
+                // sweep, like every other divergence.
+                table.remove(rid);
             }
             InFlight::Acquire(state) => {
                 let value = OpOutput::Value(state.fold.val.clone());
                 cx.complete_sync(&state.meta, state.delinquent, value, now, out);
-                // Same completion-time repair as the release: the
-                // write-back round's non-ackers stop being
-                // retransmitted to now.
-                let Some(InFlight::Acquire(s)) = table.remove(rid) else {
-                    unreachable!("entry matched above")
-                };
-                let missing = cx.shared.voters().minus(acked);
-                cx.ae_completion_fill(missing, s.meta.key, s.fold.val, s.fold.lc, 0, out);
+                table.remove(rid);
             }
             InFlight::SlowRead(state) => {
                 // Write-back round of the full-ABD ablation.
@@ -1042,9 +1025,9 @@ impl Worker {
                 // The replica missed a commit: repair it with the decided
                 // prefix (the key's current value summarizes it, the ring
                 // evidence travels along) and let the retransmission logic
-                // re-propose. A solicited repair, so it is not gated by
-                // `commit_fill` — Paxos liveness depends on lagging
-                // acceptors catching up.
+                // re-propose. Paxos liveness depends on lagging acceptors
+                // catching up, so this solicited repair does not wait for
+                // the sweep.
                 debug_assert!(state.slot > 0, "Lagging implies the proposer is ahead");
                 let key = state.meta.key;
                 let (slot, ring) = cx.shared.store.paxos_evidence(key);
@@ -1100,7 +1083,6 @@ impl Worker {
         out: &mut Outbox<Msg>,
     ) {
         let quorum = self.quorum();
-        let voters = self.voters();
         let (table, mut cx) = self.split();
         let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { return };
         if state.phase != RmwPhase::Commit {
@@ -1110,21 +1092,9 @@ impl Worker {
         if state.commits.len() < quorum {
             return;
         }
-        // The round ends here (the entry is removed or restarted below), so
-        // replicas outside the visibility quorum would otherwise only catch
-        // up on the key's next consensus round. Hand them to the
-        // anti-entropy subsystem as a targeted repair push — the periodic
-        // sweep would heal them anyway (tests prove sufficiency), the push
-        // merely does it within one RTT instead of one sweep interval.
-        if let Some(cb) = &state.commit_bcast {
-            // Pre-gate before touching the payload: the common case
-            // (fills on, nobody suspected) must not clone the value.
-            let targets = cx.fill_targets(voters.minus(state.commits));
-            if !targets.is_empty() {
-                let (key, val, next_slot) = (state.meta.key, cb.val.clone(), cb.slot + 1);
-                cx.ae_completion_fill(targets, key, val, cb.lc, next_slot, out);
-            }
-        }
+        // The round ends here (the entry is removed or restarted below);
+        // replicas outside the visibility quorum converge through the
+        // anti-entropy sweep or the key's next consensus round.
         match state.pending_output.take() {
             Some(output) => {
                 cx.complete_sync(&state.meta, state.delinquent, output, now, out);
@@ -1556,9 +1526,8 @@ impl Cx<'_> {
         state.phase = RmwPhase::Commit;
         state.retry_at = 0;
         state.commits = NodeSet::singleton(self.me);
-        // One allocation for the whole round: the broadcast unicasts,
-        // retransmissions and the completion-time catch-up fill all clone
-        // this Arc.
+        // One allocation for the whole round: the broadcast unicasts and
+        // their retransmissions all clone this Arc.
         state.commit_bcast = Some(Arc::new(CommitPayload { slot, val, lc, meta }));
         state.round(rid).expect("commit phase").send(self.me, self.shared.voters(), out);
     }

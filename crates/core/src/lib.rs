@@ -25,8 +25,8 @@
 //! * [`api`] — the client-facing operation types (Table 1 + §6.1).
 //! * [`msg`] — the wire protocol.
 //! * [`worker`], [`replica`], [`initiator`] — the sans-io protocol engine.
-//! * [`antientropy`] — background digest/repair convergence (replicas
-//!   converge on every key's last write without per-op fills).
+//! * [`antientropy`] — background digest/repair convergence (the one way
+//!   a replica left outside a finished round catches up).
 //! * [`session`], [`inflight`] — program-order and in-flight bookkeeping.
 //! * [`delinquency`], [`nodestate`] — the barrier mechanism's node state.
 //! * [`wire`] — the binary codec carrying [`msg::Msg`] batches and the

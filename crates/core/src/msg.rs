@@ -119,8 +119,8 @@ pub struct CatchUp {
 }
 
 /// Payload of one repaired key ([`Msg::RepairVal`]), boxed: anti-entropy
-/// pull answers, digest-diff pushes, completion-time fills and the
-/// Paxos-lagging catch-up all ride this.
+/// pull answers, digest-diff pushes and the proposer's answer to a
+/// `Lagging` promise all ride this.
 #[derive(Clone, Debug)]
 pub struct Repair {
     /// Key being repaired.
@@ -213,7 +213,8 @@ pub enum PromiseOutcome {
     /// decided. Boxed catch-up payload (two values).
     AlreadyCommitted(Box<CatchUp>),
     /// The acceptor is *behind* the proposer's slot (missed a commit); the
-    /// proposer answers with a `Commit` fill.
+    /// proposer answers with a [`Msg::RepairVal`] carrying its decided
+    /// prefix.
     Lagging {
         /// The acceptor's (stale) slot.
         slot: u64,
@@ -415,9 +416,9 @@ pub enum Msg {
     /// Commit/learn broadcast. Idempotent. Acked (plain): an RMW completes
     /// only once its commit is visible at a quorum of stores (the third of
     /// the paper's "three broadcast rounds", §3.4 — without it a
-    /// linearizable read could miss a completed RMW). Catch-up for replicas
-    /// *outside* the round rides the anti-entropy repair path
-    /// ([`Msg::RepairVal`]) instead of untracked rid-0 commits.
+    /// linearizable read could miss a completed RMW). Replicas *outside*
+    /// the round catch up through the anti-entropy sweep
+    /// ([`Msg::RepairVal`]); no untracked `Commit` is ever sent.
     Commit {
         /// Committer's request id.
         rid: u64,
@@ -479,9 +480,9 @@ pub enum Msg {
     /// the sender's next undecided Paxos slot — with the committed-ring
     /// evidence backing it (see [`Repair`]) — so a replica that slept
     /// through a key's last RMW commit catches its consensus state up too.
-    /// Sent as pull answers, digest-diff pushes, the commit round's
-    /// completion-time fill, and the Paxos-lagging catch-up (all triggers
-    /// of the same mechanism).
+    /// Sent as pull answers, digest-diff pushes, and the proposer's answer
+    /// to a `Lagging` promise. No finished round pushes one: a replica
+    /// outside a round's quorum converges through the sweep.
     RepairVal {
         /// The boxed payload (value + slot + ring: well over a cache line).
         r: Box<Repair>,

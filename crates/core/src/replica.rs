@@ -173,7 +173,7 @@ impl Worker {
                     ring: meta.committed.iter().cloned().collect(),
                 }))
             } else if slot > meta.slot {
-                // We missed a commit; the proposer will send a fill.
+                // We missed a commit; the proposer answers with a repair.
                 PromiseOutcome::Lagging { slot: meta.slot }
             } else if ballot >= meta.promised {
                 // `>=` admits retransmissions of the same proposer's ballot
@@ -228,10 +228,9 @@ impl Worker {
 
     /// Commit/learn (§3.4): apply the decided value (LLC-max keeps this
     /// idempotent and correctly ordered against relaxed writes), record the
-    /// command for dedup, advance the slot. Always acked: catch-up for
-    /// replicas outside the round rides the anti-entropy repair path
-    /// (`Msg::RepairVal`) nowadays, so every `Commit` on the wire belongs
-    /// to a live visibility round.
+    /// command for dedup, advance the slot. Always acked: replicas outside
+    /// the round catch up through the anti-entropy sweep (`Msg::RepairVal`),
+    /// so every `Commit` on the wire belongs to a live visibility round.
     pub(crate) fn on_commit(
         &mut self,
         src: NodeId,

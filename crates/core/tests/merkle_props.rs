@@ -125,8 +125,7 @@ const LEVELS: u64 = 3;
 const INTERVAL: u64 = 50_000;
 
 fn converge(plan: &DivergencePlan) -> RunOut {
-    let cfg =
-        ClusterConfig::small().keys(KEYS).anti_entropy_interval_ns(INTERVAL).commit_fill(false);
+    let cfg = ClusterConfig::small().keys(KEYS).anti_entropy_interval_ns(INTERVAL);
     let mut sc = SimCluster::build(
         cfg,
         ProtocolMode::Kite,

@@ -6,8 +6,7 @@
 //!           [--mode kite|es|abd|paxos] [--anti-entropy on|off]
 //!           [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS]
 //!           [--keepalive-ns N] [--release-timeout-ns N]
-//!           [--wal on|off] [--wal-dir DIR] [--wal-group-commit-ns N]
-//!           [--wal-snapshot-interval-ns N] [--metrics-addr HOST:PORT]
+//!           [--wal on|off] [--wal-dir DIR] [--metrics-addr HOST:PORT]
 //!           [--voters 0,1,2] [--learners 3] [--join HOST:PORT [--join-slot S]]
 //! ```
 //!
@@ -81,11 +80,10 @@ fn install_signal_handlers() -> &'static Waker {
 }
 
 /// Every flag `main` reads; anything else is a usage error.
-const FLAGS: [&str; 20] = [
+const FLAGS: [&str; 18] = [
     "node", "peers", "workers", "sessions-per-worker", "keys", "mode", "anti-entropy",
     "anti-entropy-interval-ns", "anti-entropy-chunk", "keepalive-ns", "release-timeout-ns", "wal",
-    "wal-dir", "wal-group-commit-ns", "wal-snapshot-interval-ns", "metrics-addr", "voters",
-    "learners", "join", "join-slot",
+    "wal-dir", "metrics-addr", "voters", "learners", "join", "join-slot",
 ];
 
 fn usage() -> ! {
@@ -95,8 +93,7 @@ fn usage() -> ! {
          [--mode kite|es|abd|paxos] [--anti-entropy on|off] \
          [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS] \
          [--keepalive-ns N] [--release-timeout-ns N] \
-         [--wal on|off] [--wal-dir DIR] [--wal-group-commit-ns N] \
-         [--wal-snapshot-interval-ns N] [--metrics-addr HOST:PORT] \
+         [--wal on|off] [--wal-dir DIR] [--metrics-addr HOST:PORT] \
          [--voters 0,1,2] [--learners 3] [--join HOST:PORT [--join-slot S]]"
     );
     std::process::exit(2);
@@ -213,10 +210,6 @@ fn main() {
     if let Some(dir) = get("wal_dir") {
         cluster = cluster.wal_dir(dir);
     }
-    let (gc_default, snap_default) = (cluster.wal_group_commit_ns, cluster.wal_snapshot_interval_ns);
-    cluster = cluster
-        .wal_group_commit_ns(parse_u64("wal_group_commit_ns", gc_default))
-        .wal_snapshot_interval_ns(parse_u64("wal_snapshot_interval_ns", snap_default));
     if let Some(v) = get("voters") {
         cluster = cluster.initial_voters(parse_node_set("voters", &v));
     }

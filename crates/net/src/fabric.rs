@@ -32,8 +32,8 @@
 //!   deadline or a paused listener's — and forever when nobody holds one.
 //!   There is no timer beat: a client's submission is socket readiness
 //!   like any other, and whatever needs the loop from outside (worker 0
-//!   handing over a connection, a sibling's kick, a stop or dump request,
-//!   an address change) writes the loop's eventfd. A readable socket costs
+//!   handing over a connection, a sibling's kick, a stop or dump request)
+//!   writes the loop's eventfd. A readable socket costs
 //!   one `read` into an already-initialized buffer — a short read means
 //!   the kernel queue is empty, and level-triggered epoll re-reports what
 //!   races in. Nobody connecting means zero wakes. The loop-health
@@ -43,8 +43,10 @@
 //!   connection to each peer node, announced by a [`wire::Hello::Peer`]
 //!   handshake, and peers route inbound frames to *their* worker *w* —
 //!   one connection per remote worker, like the paper's RDMA QP layout.
-//!   Reconnect-with-backoff is loop state (a deadline per peer), not a
-//!   thread blocked in `connect`.
+//!   The dial targets are the address list the node booted with; each
+//!   attempt re-resolves its address string, which is how a peer whose
+//!   hostname moved is found. Reconnect-with-backoff is loop state (a
+//!   deadline per peer), not a thread blocked in `connect`.
 //! * **Bounded outbound rings.** Each peer link drains through an
 //!   [`OutRing`] of encoded frames via vectored writes. A peer that stops
 //!   reading fills the ring and then *sheds* frames (counted on the link)
@@ -75,7 +77,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,7 +90,6 @@ use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
 use kite_common::{NodeId, SessionId};
 use kite_simnet::{Actor, Clock, Dumper, Outbox, Wake, Wakeup, WallClock};
-use parking_lot::Mutex;
 
 use crate::link::{bump, FabricStats, LinkTable, LoopStats};
 use crate::ring::{Drain, OutRing, Pool, ReadBuf};
@@ -113,76 +114,13 @@ const READ_CHUNK: usize = 64 << 10;
 /// A scrape connection's read buffer, and the bound on its request line.
 const REQUEST_MAX: usize = 1024;
 
-/// The cluster's dial targets, mutable at runtime: one `(address,
-/// generation)` slot per node id. The generation bumps on every address
-/// change, which is what lets a worker stuck deep in the redial backoff
-/// ladder notice that the operator moved the peer and start over at the
-/// backoff floor — without it, a node whose address was fixed after a
-/// botched deploy keeps being dialed at the *old* address until the
-/// process restarts (the dead-address bug this table replaces).
-///
-/// An empty address retires the slot: the loops stop dialing it and mark
-/// its [`LinkTable`] rows [`crate::link::LinkPhase::Retired`]. Setting a
-/// real address later revives it through the normal dial path.
-pub struct PeerTable {
-    slots: Mutex<Vec<(String, u64)>>,
-    /// Bumped with every address change anywhere in the table: the one
-    /// load a worker loop's dial pass makes while all its links are up.
-    changes: AtomicU64,
-}
-
-impl PeerTable {
-    /// A table seeded with the boot-time address list.
-    pub fn new(addrs: Vec<String>) -> PeerTable {
-        PeerTable {
-            slots: Mutex::new(addrs.into_iter().map(|a| (a, 0)).collect()),
-            changes: AtomicU64::new(0),
-        }
-    }
-
-    /// How many address changes the table has seen (any slot).
-    // ordering: Relaxed — the bump happens inside the `slots` critical
-    // section and a loop that observes it goes on to lock `slots`, which
-    // orders it after the writer; a stale read is retried next pass.
-    pub fn changes(&self) -> u64 {
-        self.changes.load(Ordering::Relaxed)
-    }
-
-    /// The current `(address, generation)` of `node`'s slot.
-    pub fn get(&self, node: usize) -> (String, u64) {
-        self.slots.lock()[node].clone()
-    }
-
-    /// The current generation of `node`'s slot (the dial loop probes it
-    /// once [`PeerTable::changes`] has moved).
-    pub fn generation(&self, node: usize) -> u64 {
-        self.slots.lock()[node].1
-    }
-
-    /// Replace `node`'s dial address. Returns `true` if the address
-    /// actually changed (and thus the generation bumped). An empty string
-    /// retires the slot.
-    pub fn set(&self, node: usize, addr: impl Into<String>) -> bool {
-        let addr = addr.into();
-        let mut slots = self.slots.lock();
-        let slot = &mut slots[node];
-        if slot.0 == addr {
-            return false;
-        }
-        slot.0 = addr;
-        slot.1 += 1;
-        // ordering: see `changes()`.
-        self.changes.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-}
-
 /// Configuration of one node's fabric endpoint.
 pub struct TcpNetCfg {
     /// This node's id.
     pub me: NodeId,
     /// Fabric address of every node, indexed by node id (`peers[me]` is the
     /// address *this* node listens on, unless `listener` overrides it).
+    /// Fixed for the fabric's lifetime: the loops dial these strings.
     pub peers: Vec<String>,
     /// Worker threads per node (uniform across the cluster — worker
     /// peering needs both sides to agree).
@@ -225,7 +163,8 @@ pub struct TcpWorkerIo {
     waker: Arc<Waker>,
     /// Wakers of the node's other worker loops (`Wakeup::kick_siblings`).
     siblings: Vec<Arc<Waker>>,
-    peers: Arc<PeerTable>,
+    /// The boot-time dial targets, indexed by node id.
+    peers: Arc<[String]>,
     links: Arc<LinkTable>,
     stats: Arc<FabricStats>,
     byte_pool: Arc<Pool<u8>>,
@@ -308,9 +247,7 @@ pub struct TcpNet {
     pub counters: Arc<ProtoCounters>,
     links: Arc<LinkTable>,
     stats: Arc<FabricStats>,
-    peers: Arc<PeerTable>,
     local_addr: SocketAddr,
-    wakers: Vec<Arc<Waker>>,
 }
 
 impl TcpNet {
@@ -338,7 +275,7 @@ impl TcpNet {
         let stats = Arc::new(FabricStats::new(cfg.workers));
         let byte_pool = Arc::new(Pool::<u8>::new(POOL_CAP));
         let msg_pool = Arc::new(Pool::<Msg>::new(POOL_CAP));
-        let peers = Arc::new(PeerTable::new(cfg.peers));
+        let peers: Arc<[String]> = cfg.peers.into();
 
         // Conn intake: one channel + waker per worker loop; worker 0's loop
         // holds the sending ends, with the listener.
@@ -381,18 +318,7 @@ impl TcpNet {
             .collect();
 
         Ok((
-            TcpNet {
-                me,
-                nodes,
-                workers: cfg.workers,
-                clock,
-                counters,
-                links,
-                stats,
-                peers,
-                local_addr,
-                wakers,
-            },
+            TcpNet { me, nodes, workers: cfg.workers, clock, counters, links, stats, local_addr },
             ios,
         ))
     }
@@ -410,25 +336,6 @@ impl TcpNet {
     /// Loop-health counters.
     pub fn stats(&self) -> &Arc<FabricStats> {
         &self.stats
-    }
-
-    /// The mutable dial-target table shared with every worker loop.
-    pub fn peers(&self) -> &Arc<PeerTable> {
-        &self.peers
-    }
-
-    /// Point `node`'s slot at a new fabric address (empty retires it) and
-    /// wake every worker loop so stuck backoff ladders reset immediately
-    /// instead of on their next natural wakeup. Returns `true` if the
-    /// address changed.
-    pub fn set_peer_addr(&self, node: NodeId, addr: impl Into<String>) -> bool {
-        let changed = self.peers.set(node.idx(), addr);
-        if changed {
-            for w in &self.wakers {
-                w.wake();
-            }
-        }
-        changed
     }
 }
 
@@ -524,9 +431,6 @@ struct PeerOut {
     dial_deadline: Instant,
     /// EPOLLOUT currently registered?
     want_out: bool,
-    /// [`PeerTable`] generation the current dial target was read at; a
-    /// mismatch in `dial_pass` means the address moved under us.
-    addr_gen: u64,
 }
 
 impl PeerOut {
@@ -539,7 +443,6 @@ impl PeerOut {
             next_dial: Instant::now(),
             dial_deadline: Instant::now(),
             want_out: false,
-            addr_gen: 0,
         }
     }
 }
@@ -724,9 +627,8 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     stats: Arc<FabricStats>,
     byte_pool: Arc<Pool<u8>>,
     msg_pool: Arc<Pool<Msg>>,
-    peers: Arc<PeerTable>,
-    /// [`PeerTable::changes`] as of the last dial pass that probed the table.
-    peers_seen: u64,
+    /// The boot-time dial targets (see [`TcpWorkerIo::peers`]).
+    peers: Arc<[String]>,
     /// When the dial pass next has something to do (a backoff or a connect
     /// deadline expiring); `None` while every link is up.
     next_dial: Option<Instant>,
@@ -787,7 +689,6 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             byte_pool: io.byte_pool,
             msg_pool: io.msg_pool,
             peers: io.peers,
-            peers_seen: 0,
             next_dial: None,
             conn_deadline: None,
             router,
@@ -949,37 +850,18 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // -- outbound peers ---------------------------------------------------
 
     fn dial_pass(&mut self) {
-        // With every link up and no address change since the last probe
-        // there is nothing to dial and nothing to tear down: the pass costs
-        // one atomic load, not a `PeerTable` lock per peer.
-        let changes = self.peers.changes();
-        let moved = changes != self.peers_seen;
+        // With every link up there is nothing to dial.
         let me = self.me.idx();
         let all_up = (self.peer_out.iter().enumerate())
             .all(|(d, po)| d == me || matches!(po.state, DialState::Connected));
-        if all_up && !moved {
+        if all_up {
             self.next_dial = None;
             return;
         }
-        self.peers_seen = changes;
         let now = Instant::now();
         for dst in 0..self.nodes {
             if dst == me {
                 continue;
-            }
-            // Address-change probe: if the operator repointed this slot
-            // (see `TcpNet::set_peer_addr`), abandon whatever we were doing
-            // against the old address and restart the backoff ladder at the
-            // floor — a worker deep in backoff against a dead address must
-            // not serve the *new* address its accumulated 500ms penalty.
-            if moved && self.peers.generation(dst) != self.peer_out[dst].addr_gen {
-                if !matches!(self.peer_out[dst].state, DialState::Idle) {
-                    self.peer_fail(NodeId(dst as u8));
-                }
-                let po = &mut self.peer_out[dst];
-                po.addr_gen = self.peers.generation(dst);
-                po.backoff = BACKOFF_MIN;
-                po.next_dial = now;
             }
             match self.peer_out[dst].state {
                 DialState::Idle if now >= self.peer_out[dst].next_dial => self.dial(dst, now),
@@ -1002,23 +884,9 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     }
 
     fn dial(&mut self, dst: usize, now: Instant) {
-        // Re-read the table on *every* attempt — the redial cycle is the
-        // recovery path for a peer that moved, so it must pick up the new
-        // address (and re-resolve a hostname) rather than cache the one it
-        // first booted with.
-        let (target, gen) = self.peers.get(dst);
-        self.peer_out[dst].addr_gen = gen;
-        if target.is_empty() {
-            // Retired slot: no dialing, no backoff escalation. The
-            // generation probe in `dial_pass` revives it instantly when an
-            // address is set again; until then, recheck at the ceiling.
-            let po = &mut self.peer_out[dst];
-            po.backoff = BACKOFF_MIN;
-            po.next_dial = now + BACKOFF_MAX;
-            self.links.link(NodeId(dst as u8), self.worker).set_retired();
-            return;
-        }
-        let addr = match target.to_socket_addrs().ok().and_then(|mut a| a.next()) {
+        // Resolve on *every* attempt, never cache: the redial cycle is the
+        // recovery path for a peer whose hostname now names another host.
+        let addr = match self.peers[dst].to_socket_addrs().ok().and_then(|mut a| a.next()) {
             Some(a) => a,
             None => {
                 self.schedule_redial(dst);

@@ -21,12 +21,8 @@ pub enum LinkPhase {
     Connecting,
     /// Connected; frames flow.
     Connected,
-    /// Lost the connection; redialing with backoff.
+    /// Lost the connection (or the dial failed); redialing with backoff.
     Backoff,
-    /// Administratively retired: the peer left the membership (or its
-    /// address slot was emptied), so the loop stopped dialing it. A later
-    /// address set revives the row through the normal dial path.
-    Retired,
 }
 
 impl LinkPhase {
@@ -34,7 +30,6 @@ impl LinkPhase {
         match v {
             1 => LinkPhase::Connected,
             2 => LinkPhase::Backoff,
-            3 => LinkPhase::Retired,
             _ => LinkPhase::Connecting,
         }
     }
@@ -126,11 +121,6 @@ impl LinkState {
         self.phase.store(2, Ordering::Relaxed);
     }
 
-    // ordering: same single-writer advisory flag as set_connected.
-    pub(crate) fn set_retired(&self) {
-        self.phase.store(3, Ordering::Relaxed);
-    }
-
     /// Make the link lose each outbound envelope with probability `p`
     /// (clamped to `[0, 1]`; `0` heals it).
     // ordering: a standalone knob read once per envelope; a flush that
@@ -177,7 +167,8 @@ impl LinkTable {
     /// probability `p` (clamped to `[0, 1]`; `0` heals). The §8.4
     /// lossy-link fault, one direction: a lost envelope never reaches the
     /// wire and counts on the row's `dropped_out`, like one sent while the
-    /// link is down. A runtime call, like [`crate::TcpNet::set_peer_addr`].
+    /// link is down. A runtime call: the link stays up, only its envelopes
+    /// are lost.
     pub fn set_drop(&self, peer: NodeId, p: f64) {
         self.links[peer.idx()].iter().for_each(|l| l.set_drop(p));
     }
@@ -329,11 +320,9 @@ mod tests {
         assert!(l.is_connected());
         l.set_backoff();
         assert_eq!(l.phase(), LinkPhase::Backoff);
-        l.set_retired();
-        assert_eq!(l.phase(), LinkPhase::Retired);
         l.frames_in.fetch_add(3, Ordering::Relaxed);
         let d = t.describe();
-        assert!(d.contains("Retired"), "{d}");
+        assert!(d.contains("Backoff"), "{d}");
         assert!(!d.contains("phase="), "the phase prints once, by name: {d}");
         assert!(d.contains("frames_in=3"), "{d}");
     }

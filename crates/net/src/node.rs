@@ -27,6 +27,16 @@ use kite_wal::{RecoveryStats, Wal};
 use crate::fabric::{spawn_tcp_workers, NodeStopHandle, TcpNet, TcpNetCfg};
 use crate::link::LinkTable;
 
+/// Group-commit window floor handed to [`Wal::open`]: staged records
+/// accumulate this long (or `K` × the device's measured commit time, when
+/// that is longer) before one write + fsync, so the durability lag is at
+/// most `max(100 µs, K × commit) + one commit` after the store apply.
+const WAL_GROUP_COMMIT_NS: u64 = 100_000;
+
+/// Interval between WAL snapshots: each one rotates the log and deletes
+/// older segments, so the replay tail is bounded by one second of writes.
+const WAL_SNAPSHOT_INTERVAL_NS: u64 = 1_000_000_000;
+
 /// Configuration of one node of a real-network deployment.
 pub struct NodeConfig {
     /// Protocol/deployment parameters (must agree across the cluster:
@@ -130,8 +140,8 @@ impl NodeRuntime {
             let src = Arc::clone(&shared);
             let wal = Wal::open(
                 &dir,
-                ccfg.wal_group_commit_ns,
-                ccfg.wal_snapshot_interval_ns,
+                WAL_GROUP_COMMIT_NS,
+                WAL_SNAPSHOT_INTERVAL_NS,
                 Box::new(move |f| src.store.for_each_entry(|k, lc, v| f(k, lc, v))),
             )
             .map_err(|e| KiteError::Net(format!("wal open: {e}")))?;
@@ -232,16 +242,6 @@ impl NodeRuntime {
     /// renders as `loop_w<j>_*`.
     pub fn fabric_stats(&self) -> &Arc<crate::link::FabricStats> {
         self.net.stats()
-    }
-
-    /// Repoint peer `node`'s fabric address at runtime (empty string
-    /// retires the slot). Returns whether the address actually changed;
-    /// on a change the dial loops tear down any link to the old address
-    /// and redial the new one from a fresh backoff ladder. This is the
-    /// ops hook behind node replacement: when a slot's replacement comes
-    /// up elsewhere, survivors repoint instead of restarting.
-    pub fn set_peer_addr(&self, node: NodeId, addr: impl Into<String>) -> bool {
-        self.net.set_peer_addr(node, addr)
     }
 
     /// What boot-time recovery found, when durability is on.

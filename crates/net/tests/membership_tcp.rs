@@ -1,7 +1,7 @@
 //! Dynamic membership over real sockets: rolling restarts under
-//! RC-checked load, node replacement by learner bulk-sync, and the
-//! dead-address reconnect fix (dial targets re-resolved from the live
-//! peer table every backoff cycle).
+//! RC-checked load, node replacement by learner bulk-sync, and a peer that
+//! comes up late at its boot address (the dial loop's backoff ladder keeps
+//! dialing the `--peers` address until it answers).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,35 +205,34 @@ fn replacement_node_joins_as_learner_and_bulk_syncs() {
     }
 }
 
-/// The dead-address reconnect fix: a node whose peer table points at a
-/// dead address sits in backoff — and used to stay there forever, because
-/// the dial loop resolved the target once and cached it. Now each backoff
-/// cycle re-resolves from the live peer table: repointing the address
-/// mid-run tears the ladder down to its minimum and connects immediately.
+/// A peer that boots late: node 2's address is in every peer list from
+/// the start, but nothing listens there yet, so node 0's dials are refused
+/// and its link rows sit in backoff. Once node 2 launches at that address,
+/// the next rung of the backoff ladder connects — the dial targets are
+/// fixed at boot, and each attempt re-resolves the same string.
 #[test]
-fn reconnect_follows_peer_address_change() {
+fn reconnect_reaches_a_peer_that_boots_late() {
     let cfg = cfg();
     let listeners: Vec<std::net::TcpListener> =
-        (0..3).map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    let addrs: Vec<String> =
-        listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
-    // A guaranteed-dead address: bind an ephemeral port, then free it.
-    let dead = {
+        (0..2).map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    // Node 2's address: bind an ephemeral port, then free it, so dials to
+    // it are refused until node 2 rebinds it.
+    let late = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
     };
+    let mut addrs: Vec<String> =
+        listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
+    addrs.push(late);
 
-    let mut listeners = listeners.into_iter();
-    let launch = |me: u8, peers: Vec<String>, listener: std::net::TcpListener| {
-        let mut nc = NodeConfig::new(cfg.clone(), ProtocolMode::Kite, NodeId(me), peers);
-        nc.fabric_listener = Some(listener);
+    let launch = |me: u8, listener: Option<std::net::TcpListener>| {
+        let mut nc = NodeConfig::new(cfg.clone(), ProtocolMode::Kite, NodeId(me), addrs.clone());
+        nc.fabric_listener = listener;
         NodeRuntime::launch(nc).expect("launch node")
     };
-    // Node 0 believes peer 2 lives at the dead address; 1 and 2 are fine.
-    let wrong = vec![addrs[0].clone(), addrs[1].clone(), dead];
-    let n0 = launch(0, wrong, listeners.next().unwrap());
-    let n1 = launch(1, addrs.clone(), listeners.next().unwrap());
-    let n2 = launch(2, addrs.clone(), listeners.next().unwrap());
+    let mut listeners = listeners.into_iter();
+    let n0 = launch(0, listeners.next());
+    let n1 = launch(1, listeners.next());
 
     // Node 0's outbound link to peer 2 must end up in backoff (connection
     // refused on every dial), on every worker's link row.
@@ -241,26 +240,29 @@ fn reconnect_follows_peer_address_change() {
     assert!(
         wait_for(Duration::from_secs(10), || (0..workers)
             .all(|w| n0.links().link(NodeId(2), w).phase() == LinkPhase::Backoff)),
-        "dials to a dead address must land in backoff: {}",
+        "dials to an address nobody listens on must land in backoff: {}",
         n0.describe()
     );
 
-    // Repoint peer 2 at its real address — the fix under test. The dial
-    // loops observe the generation bump, reset the ladder, and connect.
-    assert!(n0.set_peer_addr(NodeId(2), addrs[2].clone()), "address must count as changed");
+    // Node 2 comes up at its boot address; the ladder connects.
+    let n2 = launch(2, None);
     assert!(
         wait_for(Duration::from_secs(10), || (0..workers)
             .all(|w| n0.links().link(NodeId(2), w).is_connected())),
-        "repointed link never connected: {}",
+        "the link to the late peer never connected: {}",
         n0.describe()
     );
-    // Repointing to the same address is a no-op.
-    assert!(!n0.set_peer_addr(NodeId(2), addrs[2].clone()));
 
-    // End to end: a release from node 0 needs acks from ALL voters, so it
-    // only completes if protocol traffic now flows 0 → 2.
+    // End to end: a release from node 0 completes, and node 2 ends up
+    // holding its value.
     let mut s = RemoteSession::connect(&addrs[0], 0).expect("session on node 0");
-    s.release(Key(5), Val::from_u64(0xCAFE)).expect("release across the repointed link");
+    s.release(Key(5), Val::from_u64(0xCAFE)).expect("release with the late peer up");
+    let mut local = RemoteSession::connect(&addrs[2], 0).expect("session on node 2");
+    assert!(
+        wait_for(Duration::from_secs(10), || local.read(Key(5)).unwrap().as_u64() == 0xCAFE),
+        "node 2 never saw the release: {}",
+        n2.describe()
+    );
 
     for n in [n0, n1, n2] {
         n.shutdown();

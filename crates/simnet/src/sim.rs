@@ -408,11 +408,6 @@ impl<A: Actor> Sim<A> {
         self.crashed[node.idx()] = true;
     }
 
-    /// Whether `node` has crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.idx()]
-    }
-
     /// Sleep `node` for `dur_ns` of virtual time starting now.
     pub fn sleep_node(&mut self, node: NodeId, dur_ns: u64) {
         self.wake_at[node.idx()] = self.now + dur_ns;

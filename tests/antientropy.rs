@@ -3,10 +3,10 @@
 //!
 //! The headline scenario is the §8.4 sleeper taken one step further than
 //! `chaos.rs` goes: a replica is cut off (partition + sleep) through a
-//! key's **last** RMW commit with the completion-time repair push disabled
-//! (`commit_fill(false)`), then wakes into a 20%-lossy network. Nothing in
-//! the request path will ever resend that commit — convergence must come
-//! from the periodic digest sweep alone.
+//! key's **last** RMW commit, then wakes into a 20%-lossy network. Nothing
+//! in the request path will ever resend that commit, and no finished round
+//! pushes its value to stragglers — convergence must come from the
+//! periodic digest sweep alone.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,8 +33,8 @@ fn ae_cfg() -> ClusterConfig {
         .anti_entropy_chunk(256)
 }
 
-/// A replica sleeps through a key's last commit and its fill is disabled:
-/// the periodic sweep must be *sufficient*, not just supplementary. After
+/// A replica sleeps through a key's last commit: the periodic sweep is
+/// the only way it converges, so it must be *sufficient*. After
 /// healing to 20% loss (sweeps must survive drops too), every replica ends
 /// with the final FAA value and the caught-up Paxos slot.
 ///
@@ -49,7 +49,7 @@ fn sleeping_replica_converges_by_anti_entropy_alone() {
     let key = Key(7);
     let sleeper = NodeId(2);
     let mut sc = SimCluster::build(
-        ae_cfg().commit_fill(false),
+        ae_cfg(),
         ProtocolMode::Kite,
         SimCfg { seed: 9, ..Default::default() },
         |sid| {
@@ -112,10 +112,10 @@ fn sleeping_replica_converges_by_anti_entropy_alone() {
     assert!(drills > 0, "... and localized through drill-downs");
 }
 
-/// The same scenario with the fill *enabled* but under uniform 20% loss
-/// from the start (the fill is droppable): replicas still converge.
+/// RMWs under uniform 20% loss from the start, on every link: replicas
+/// still converge on the last commit.
 #[test]
-fn lossy_run_converges_with_fills_enabled() {
+fn lossy_run_converges_under_uniform_loss() {
     let key = Key(3);
     let mut sc = SimCluster::build(
         ae_cfg(),
@@ -202,12 +202,12 @@ fn anti_entropy_on_off_equivalence_under_faults() {
 
 /// After quiescing with anti-entropy on, the faulted mixed run leaves all
 /// replicas byte-identical on the touched keys — the "replicas converge
-/// without per-op fills" invariant.
+/// through the sweep alone" invariant.
 #[test]
 fn quiescence_implies_store_convergence() {
     let history = Arc::new(History::new());
     let mut sc = SimCluster::build(
-        ae_cfg().keys(1 << 10).commit_fill(false),
+        ae_cfg().keys(1 << 10),
         ProtocolMode::Kite,
         SimCfg { seed: 31, ..Default::default() },
         mixed_driver,
@@ -275,8 +275,7 @@ fn large_store_single_divergence_heals_with_fraction_of_flat_bytes() {
         ClusterConfig::small()
             .keys(KEYS as usize) // capacity 262144
             .release_timeout_ns(200_000)
-            .anti_entropy_interval_ns(100_000)
-            .commit_fill(false),
+            .anti_entropy_interval_ns(100_000),
         ProtocolMode::Kite,
         SimCfg { seed: 21, ..Default::default() },
         |_| SessionDriver::Idle,

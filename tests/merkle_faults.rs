@@ -52,8 +52,7 @@ fn faulted_run(seed: u64) -> (SimCluster, Arc<History>, (u64, u64)) {
     let cfg = ClusterConfig::small()
         .keys(1 << 8)
         .release_timeout_ns(200_000)
-        .anti_entropy_interval_ns(250_000)
-        .commit_fill(false);
+        .anti_entropy_interval_ns(250_000);
     let mut sc = SimCluster::build(
         cfg,
         ProtocolMode::Kite,

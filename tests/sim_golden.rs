@@ -97,6 +97,12 @@ fn typical_mix_row_is_pinned() {
 /// store's 128 leaves, so a few sweeps summarize instead of shipping a flat
 /// chunk (80 `ae_summaries_sent` and 40 drill-downs over the run;
 /// `ae_digests_sent` 636 → 620) and the trajectory moves with them.
+///
+/// Re-captured again when finished rounds stopped pushing their value to
+/// suspected stragglers: what the sleeper missed now reaches it through
+/// the sweep alone, and fills no longer queue at the sleeper while it
+/// sleeps (completed 649 386 → 659 445, delivered 495 079 → 501 039,
+/// dropped 10 088 → 9 410, slow releases 1 792 → 1 798, digests 620 → 644).
 #[test]
 fn sleeping_replica_row_is_pinned() {
     let keys = 1 << 12;
@@ -126,12 +132,12 @@ fn sleeping_replica_row_is_pinned() {
     assert_eq!(
         row(&sc),
         Row {
-            total_completed: 649386,
-            delivered: 495079,
-            dropped: 10088,
-            slow_releases: 1792,
+            total_completed: 659445,
+            delivered: 501039,
+            dropped: 9410,
+            slow_releases: 1798,
             epoch_bumps: 16,
-            ae_digests_sent: 620,
+            ae_digests_sent: 644,
             now: 64 * MS,
         }
     );

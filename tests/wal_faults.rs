@@ -208,10 +208,10 @@ fn snapshot_plus_mangled_tail_recovers_the_union() {
 }
 
 /// The kill switch, merkle_faults-ablation style: a faulted mixed run
-/// with the WAL knobs set (but `wal(false)`) completes exactly the same
+/// with a WAL directory set (but `wal(false)`) completes exactly the same
 /// operations as a run with defaults, both histories pass the RC checks,
 /// and the configured directory stays untouched — the simulator (like
-/// any deployment with durability off) never observes the knobs.
+/// any deployment with durability off) never observes it.
 #[test]
 fn wal_off_is_a_provable_no_op() {
     let dir = tempdir("killswitch");
@@ -237,12 +237,7 @@ fn wal_off_is_a_provable_no_op() {
 
     let base = ClusterConfig::small().keys(1 << 10).release_timeout_ns(200_000);
     let (ops_default, hist_default) = run(base.clone());
-    let (ops_off, hist_off) = run(
-        base.wal(false)
-            .wal_dir(dir.to_str().expect("utf8 tempdir"))
-            .wal_group_commit_ns(1)
-            .wal_snapshot_interval_ns(1),
-    );
+    let (ops_off, hist_off) = run(base.wal(false).wal_dir(dir.to_str().expect("utf8 tempdir")));
 
     assert_eq!(ops_default, ops_off, "wal(false) must not change one completed op");
     assert_eq!(check_rc(&hist_default, RcMode::Sc), Ok(()));
