@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel::{Receiver, Sender};
 use kite_common::{NodeId, SessionId};
 
 use crate::api::{Completion, Op};
@@ -45,16 +44,13 @@ pub enum SessionDriver {
     Script(Box<dyn FnMut(u64) -> Option<Op> + Send>),
     /// Closed-loop state-machine client (sees completions).
     Interactive(Box<dyn ClientSm>),
-    /// A client outside the worker, connected through channels. A node's
-    /// event loop is their one producer and consumer: it feeds `rx` from
-    /// the client connection that claimed the slot and writes what `tx`
-    /// returns back to it (`kite-net`'s node runtime builds these).
-    External {
-        /// Operations submitted by the client.
-        rx: Receiver<Op>,
-        /// Completions returned to the client.
-        tx: Sender<Completion>,
-    },
+    /// A client outside the worker, served by the runtime that drives it:
+    /// the operations the client submitted and the session has not started
+    /// yet. [`crate::Worker::submit`] appends to the queue and the
+    /// session's completions collect in the worker's buffer
+    /// ([`crate::Worker::completions`]); `kite-net`'s node runtime builds
+    /// these, one per slot a client connection may claim.
+    Client(VecDeque<Op>),
 }
 
 impl std::fmt::Debug for SessionDriver {
@@ -63,7 +59,7 @@ impl std::fmt::Debug for SessionDriver {
             SessionDriver::Idle => write!(f, "Idle"),
             SessionDriver::Script(_) => write!(f, "Script"),
             SessionDriver::Interactive(_) => write!(f, "Interactive"),
-            SessionDriver::External { .. } => write!(f, "External"),
+            SessionDriver::Client(_) => write!(f, "Client"),
         }
     }
 }
@@ -154,7 +150,7 @@ impl Session {
                 SessionDriver::Idle => true,
                 SessionDriver::Script(_) => self.script_done,
                 SessionDriver::Interactive(sm) => sm.finished(),
-                SessionDriver::External { rx, .. } => rx.is_empty(),
+                SessionDriver::Client(ops) => ops.is_empty(),
             }
     }
 
@@ -177,19 +173,16 @@ impl Session {
                 }
             }
             SessionDriver::Interactive(sm) => sm.next_op(self.seq),
-            SessionDriver::External { rx, .. } => rx.try_recv().ok(),
+            SessionDriver::Client(ops) => ops.pop_front(),
         }
     }
 
-    /// Deliver a completion to the client (channel send for external
-    /// clients; callback for interactive ones; no-op otherwise).
+    /// Deliver a completion to an interactive client (a no-op for every
+    /// other driver: a script does not look, and a client session's
+    /// completions are the worker's to buffer for its runtime).
     pub fn deliver(&mut self, c: Completion) {
-        match &mut self.driver {
-            SessionDriver::External { tx, .. } => {
-                let _ = tx.send(c);
-            }
-            SessionDriver::Interactive(sm) => sm.on_completion(&c),
-            _ => {}
+        if let SessionDriver::Interactive(sm) = &mut self.driver {
+            sm.on_completion(&c);
         }
     }
 }
@@ -216,7 +209,7 @@ pub fn sessions_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kite_common::Key;
+    use kite_common::{Key, OpId};
 
     fn sid() -> SessionId {
         SessionId::new(NodeId(0), 0)
@@ -276,23 +269,29 @@ mod tests {
 
     #[test]
     fn external_driver_round_trip() {
-        use crate::api::{OpOutput};
-        use kite_common::OpId;
-        let (op_tx, op_rx) = crossbeam::channel::unbounded();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        use std::sync::Arc;
+
+        use kite_common::stats::ProtoCounters;
+        use kite_common::ClusterConfig;
+        use kite_simnet::{Actor, Outbox};
+
+        use crate::{Msg, NodeShared, Worker};
+
+        let cfg = ClusterConfig::small().anti_entropy(false);
+        let shared = NodeShared::new(NodeId(0), cfg, Arc::new(ProtoCounters::default()));
         let mut s = Session::new(sid());
-        s.driver = SessionDriver::External { rx: op_rx, tx: done_tx };
+        s.driver = SessionDriver::Client(VecDeque::new());
         assert!(s.next_op().is_none());
-        op_tx.send(Op::Read { key: Key(9) }).unwrap();
-        assert!(matches!(s.next_op(), Some(Op::Read { key }) if key == Key(9)));
-        s.deliver(Completion {
-            op_id: OpId::new(sid(), 0),
-            op: Op::Read { key: Key(9) },
-            output: OpOutput::Done,
-            invoked_at: 0,
-            completed_at: 1,
-        });
-        assert_eq!(done_rx.len(), 1);
+        let mut w = Worker::new(0, shared, ProtocolMode::Kite, vec![s], None);
+        let mut out: Outbox<Msg> = Outbox::new(3);
+        w.on_tick(0, &mut out);
+        assert_eq!(w.completions().count(), 0);
+        w.submit(sid(), Op::Read { key: Key(9) });
+        w.on_tick(1, &mut out);
+        let done: Vec<Completion> = w.completions().collect();
+        assert!(matches!(&done[..], [c] if matches!(c.op, Op::Read { key } if key == Key(9))));
+        assert_eq!(done[0].op_id, OpId::new(sid(), 0));
+        assert!(w.is_idle());
     }
 
     #[test]

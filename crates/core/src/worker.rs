@@ -23,8 +23,9 @@
 //! what has something to do:
 //!
 //! * **Sessions** — [`Sessions`] keeps the set of sessions that can start
-//!   an op; a blocked, stalled or exhausted session is not visited until a
-//!   completion, a retired write or a timer makes it runnable again.
+//!   an op; a blocked, stalled or exhausted session — whatever its driver —
+//!   is not visited until a completion, a retired write, a timer or (for a
+//!   client session) a submitted op makes it runnable again.
 //! * **Barriers** — every pending release/RMW barrier is a function of a
 //!   few inputs (its writes' ack sets, its slow-release acks, the node's
 //!   suspected set and membership epoch, and the release timeout). The
@@ -37,7 +38,7 @@
 
 use std::sync::Arc;
 
-use kite_common::{NodeId, NodeSet, OpId, MEMBERSHIP_KEY};
+use kite_common::{NodeId, NodeSet, OpId, SessionId, MEMBERSHIP_KEY};
 use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::antientropy::AeState;
@@ -67,19 +68,25 @@ pub(crate) enum StartResult {
 ///
 /// Bit `si` of `runnable` is set while session `si` is free and may have an
 /// op to hand over. It is cleared when the session blocks, stalls behind a
-/// full write window or runs out of ops, and set again by whatever can
-/// change that: a completion delivered to it, a write leaving its window, a
-/// barrier-input change (a stalled session's relief round may now be
-/// possible). Iterating set bits in index order visits the runnable
-/// sessions in the order a full scan would.
+/// full write window or runs out of ops — whatever its driver — and set
+/// again by whatever can change that: a completion delivered to it, a write
+/// leaving its window, a barrier-input change (a stalled session's relief
+/// round may now be possible), an op submitted to a client session.
+/// Iterating set bits in index order visits the runnable sessions in the
+/// order a full scan would.
 pub(crate) struct Sessions {
     all: Vec<Session>,
     runnable: Vec<u64>,
+    /// Completions of client sessions (`SessionDriver::Client`), in
+    /// completion order, until the runtime takes them
+    /// ([`Worker::completions`]).
+    done: Vec<Completion>,
 }
 
 impl Sessions {
     fn new(all: Vec<Session>) -> Self {
-        let mut sessions = Sessions { runnable: vec![0; all.len().div_ceil(64)], all };
+        let runnable = vec![0; all.len().div_ceil(64)];
+        let mut sessions = Sessions { runnable, all, done: Vec::new() };
         for si in 0..sessions.all.len() {
             sessions.wake(si);
         }
@@ -212,8 +219,12 @@ impl Cx<'_> {
         if let Some(hook) = self.hook {
             hook(&c);
         }
+        if let SessionDriver::Client(_) = self.sessions[si].driver {
+            self.sessions.done.push(c);
+        } else {
+            self.sessions[si].deliver(c);
+        }
         let sess = &mut self.sessions[si];
-        sess.deliver(c);
         sess.blocked_on = None;
         sess.awaiting_barrier = false;
         self.sessions.wake(si);
@@ -318,6 +329,32 @@ impl Worker {
         self.barrier_passes
     }
 
+    // ---- client port -----------------------------------------------------
+
+    /// Queue `op` on client session `session` (a `SessionDriver::Client`
+    /// of this worker) and make the session runnable, unless it is blocked
+    /// or stalled: what unblocks it wakes it. The op starts at the next
+    /// tick; its completion comes back through [`Worker::completions`]. An
+    /// op for a session this worker does not feed from a queue is dropped.
+    pub fn submit(&mut self, session: SessionId, op: Op) {
+        let first = self.sessions.first().map_or(0, |s| s.id.slot);
+        let si = session.slot.wrapping_sub(first) as usize;
+        let Some(sess) = self.sessions.get_mut(si).filter(|s| s.id == session) else { return };
+        if let SessionDriver::Client(ops) = &mut sess.driver {
+            ops.push_back(op);
+            if sess.is_free() && sess.staged.is_none() {
+                self.sessions.wake(si);
+            }
+        }
+    }
+
+    /// Take the client sessions' completions buffered since the last call,
+    /// in completion order. A runtime drains them after every call into the
+    /// worker; the buffer keeps its capacity.
+    pub fn completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.sessions.done.drain(..)
+    }
+
     // ---- completion plumbing -------------------------------------------
 
     /// The in-flight table, and the rest of the worker a handler needs while
@@ -400,21 +437,14 @@ impl Worker {
         more_now
     }
 
-    /// The driver of session `si` had no op to give. A script is finished
-    /// for good and a client state machine speaks again after its next
-    /// completion; an external client's ops arrive from outside, with a
-    /// wake of the runtime, so its session stays on the list.
-    fn out_of_ops(&mut self, si: usize) {
-        if !matches!(self.sessions[si].driver, SessionDriver::External { .. }) {
-            self.sessions.park(si);
-        }
-    }
-
     fn pump_session(&mut self, si: usize, now: u64, out: &mut Outbox<Msg>) -> bool {
         let mut budget = self.ops_per_tick;
         while budget > 0 && self.sessions[si].is_free() {
+            // Out of ops: a script is finished for good, a client state
+            // machine speaks again after its next completion, and a client
+            // session's next op comes with `submit`, which wakes it.
             let Some(op) = self.sessions[si].next_op() else {
-                self.out_of_ops(si);
+                self.sessions.park(si);
                 return false;
             };
             budget -= 1;
@@ -456,7 +486,7 @@ impl Worker {
                 true
             }
             None => {
-                self.out_of_ops(si);
+                self.sessions.park(si);
                 false
             }
         }

@@ -2,6 +2,7 @@
 //! end-to-end check that a worker drops stale replies carrying a recycled
 //! slot's old rid (no cross-op completion, no panic).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use kite::api::Op;
@@ -89,17 +90,19 @@ proptest! {
 // ===========================================================================
 
 /// Build a single standalone Kite worker for node 0 of a 3-node cluster,
-/// with one externally driven session (ops are fed through the returned
-/// channel on demand).
-fn worker_with_external_session() -> (Worker, crossbeam::channel::Sender<Op>) {
+/// with one client session (ops are fed through `Worker::submit` on
+/// demand; its completions are never drained).
+fn worker_with_client_session() -> Worker {
     let cfg = ClusterConfig::small();
     let shared = NodeShared::new(NodeId(0), cfg, Arc::new(ProtoCounters::default()));
-    let (op_tx, op_rx) = crossbeam::channel::unbounded();
-    // Completion sends to a dropped receiver are ignored by the session.
-    let (done_tx, _done_rx) = crossbeam::channel::unbounded();
-    let mut sess = Session::new(SessionId::new(NodeId(0), 0));
-    sess.driver = SessionDriver::External { rx: op_rx, tx: done_tx };
-    (Worker::new(0, shared, ProtocolMode::Kite, vec![sess], None), op_tx)
+    let mut sess = Session::new(session());
+    sess.driver = SessionDriver::Client(VecDeque::new());
+    Worker::new(0, shared, ProtocolMode::Kite, vec![sess], None)
+}
+
+/// The one session of [`worker_with_client_session`].
+fn session() -> SessionId {
+    SessionId::new(NodeId(0), 0)
 }
 
 /// Drive one tick and collect the rids of EsWrite broadcasts it emitted.
@@ -120,11 +123,11 @@ fn tick_collect_es_rids(w: &mut Worker, now: u64, out: &mut Outbox<Msg>) -> Vec<
 
 #[test]
 fn stale_es_ack_for_recycled_rid_is_dropped() {
-    let (mut w, ops) = worker_with_external_session();
+    let mut w = worker_with_client_session();
     let mut out: Outbox<Msg> = Outbox::new(3);
 
     // First write: one tracked EsWrite in flight.
-    ops.send(Op::Write { key: Key(7), val: Val::from_u64(1) }).unwrap();
+    w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(1) });
     let rids = tick_collect_es_rids(&mut w, 0, &mut out);
     assert_eq!(rids.len(), 1, "one relaxed write broadcast");
     let old_rid = rids[0];
@@ -137,7 +140,7 @@ fn stale_es_ack_for_recycled_rid_is_dropped() {
     assert_eq!(w.inflight_len(), 0, "fully acked write retires");
 
     // Second write: the slab recycles the slot under a new generation.
-    ops.send(Op::Write { key: Key(7), val: Val::from_u64(2) }).unwrap();
+    w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(2) });
     let rids = tick_collect_es_rids(&mut w, 30, &mut out);
     assert_eq!(rids.len(), 1);
     let new_rid = rids[0];
@@ -170,18 +173,18 @@ fn stale_es_ack_for_recycled_rid_is_dropped() {
 /// must not weaken the generation check.
 #[test]
 fn stale_rid_inside_ack_batch_is_dropped_individually() {
-    let (mut w, ops) = worker_with_external_session();
+    let mut w = worker_with_client_session();
     let mut out: Outbox<Msg> = Outbox::new(3);
 
     // Retire a first write to obtain a stale rid for a recycled slot.
-    ops.send(Op::Write { key: Key(7), val: Val::from_u64(1) }).unwrap();
+    w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(1) });
     let old_rid = tick_collect_es_rids(&mut w, 0, &mut out)[0];
     w.on_envelope(NodeId(1), &mut vec![Msg::Ack { rid: old_rid }], 10, &mut out);
     w.on_envelope(NodeId(2), &mut vec![Msg::Ack { rid: old_rid }], 20, &mut out);
     assert_eq!(w.inflight_len(), 0);
 
     // Second write reuses the slot under a new generation.
-    ops.send(Op::Write { key: Key(7), val: Val::from_u64(2) }).unwrap();
+    w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(2) });
     let new_rid = tick_collect_es_rids(&mut w, 30, &mut out)[0];
     assert_ne!(old_rid, new_rid);
 
@@ -200,9 +203,9 @@ fn stale_rid_inside_ack_batch_is_dropped_individually() {
 /// ids, rid 0) must be ignored across all reply kinds without panicking.
 #[test]
 fn unknown_rids_are_ignored_across_reply_kinds() {
-    let (mut w, ops) = worker_with_external_session();
+    let mut w = worker_with_client_session();
     let mut out: Outbox<Msg> = Outbox::new(3);
-    ops.send(Op::Write { key: Key(7), val: Val::from_u64(1) }).unwrap();
+    w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(1) });
     let rids = tick_collect_es_rids(&mut w, 0, &mut out);
     let live = rids[0];
 

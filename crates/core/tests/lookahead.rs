@@ -2,6 +2,7 @@
 //! pulls its next op into `Session::staged` one tick early (to hint the
 //! store for its key) and nothing a client or a schedule can observe moves.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -25,25 +26,24 @@ fn worker(driver: SessionDriver) -> Worker {
 
 #[test]
 fn a_staged_look_ahead_op_keeps_the_worker_busy() {
-    let (op_tx, op_rx) = crossbeam::channel::unbounded();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded();
-    let mut w = worker(SessionDriver::External { rx: op_rx, tx: done_tx });
+    let mut w = worker(SessionDriver::Client(VecDeque::new()));
     let mut out: Outbox<Msg> = Outbox::new(3);
     for k in 0..3 {
-        op_tx.send(Op::Read { key: Key(k) }).unwrap();
+        w.submit(SessionId::new(NodeId(0), 0), Op::Read { key: Key(k) });
     }
-    // Two local reads start and complete; the third is pulled out of the
-    // channel and staged. Nothing is in flight, yet the worker owes an op.
+    // Two local reads start and complete; the third is taken off the
+    // session's queue and staged. Nothing is in flight, yet the worker owes
+    // an op.
     let wakeup = w.on_tick(0, &mut out);
-    assert_eq!(done_rx.len(), 2);
+    let mut done: Vec<Completion> = w.completions().collect();
+    assert_eq!(done.len(), 2);
     assert_eq!(w.inflight_len(), 0);
     assert!(wakeup.more_now, "an op is staged: another tick starts it");
     assert!(!w.is_idle(), "a staged op is outstanding work");
     // It starts at the next tick, as it would have without the look-ahead.
     let wakeup = w.on_tick(2_000, &mut out);
-    let started: Vec<(u64, u64)> = std::iter::from_fn(|| done_rx.try_recv().ok())
-        .map(|c| (c.op_id.seq, c.invoked_at))
-        .collect();
+    done.extend(w.completions());
+    let started: Vec<(u64, u64)> = done.iter().map(|c| (c.op_id.seq, c.invoked_at)).collect();
     assert_eq!(started, [(0, 0), (1, 0), (2, 2_000)]);
     assert!(!wakeup.more_now);
     assert!(w.is_idle());

@@ -8,11 +8,10 @@
 //! runs one op of each class; nodes 1–4 are real workers used only to
 //! compose replies, and a scenario says which of them answer what.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use kite::{Completion, Msg, NodeShared, Op, ProtocolMode, Session, SessionDriver, Worker};
+use kite::{Msg, NodeShared, Op, ProtocolMode, Session, SessionDriver, Worker};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, Lc, NodeId, SessionId, Val};
 use kite_simnet::{Actor, Outbox};
@@ -76,7 +75,8 @@ struct Harness {
     nodes: Vec<Worker>,
     shared: Vec<Arc<NodeShared>>,
     out: Outbox<Msg>,
-    clients: Vec<(Sender<Op>, Receiver<Completion>)>,
+    /// Completions node 0 returned, per session.
+    completed: Vec<usize>,
     now: u64,
     /// Which peers answer which request kinds.
     answers: fn(NodeId, &'static str) -> bool,
@@ -87,7 +87,6 @@ struct Harness {
 
 impl Harness {
     fn new(cfg: ClusterConfig, answers: fn(NodeId, &'static str) -> bool) -> Self {
-        let mut clients = Vec::new();
         let shared: Vec<_> = (0..NODES as u8)
             .map(|n| NodeShared::new(NodeId(n), cfg.clone(), Arc::new(ProtoCounters::default())))
             .collect();
@@ -96,11 +95,8 @@ impl Harness {
                 // Only node 0 runs sessions; the peers are replicas.
                 let sessions = (0..if n == 0 { 6 } else { 0 })
                     .map(|slot| {
-                        let (op_tx, op_rx) = unbounded();
-                        let (done_tx, done_rx) = unbounded();
-                        clients.push((op_tx, done_rx));
                         let mut s = Session::new(SessionId::new(NodeId(n), slot));
-                        s.driver = SessionDriver::External { rx: op_rx, tx: done_tx };
+                        s.driver = SessionDriver::Client(VecDeque::new());
                         s
                     })
                     .collect();
@@ -111,7 +107,7 @@ impl Harness {
             nodes,
             shared,
             out: Outbox::new(NODES),
-            clients,
+            completed: vec![0; 6],
             now: 0,
             answers,
             log: BTreeMap::new(),
@@ -119,11 +115,11 @@ impl Harness {
         }
     }
 
-    fn submit(&self, session: usize, op: Op) {
-        self.clients[session].0.send(op).unwrap();
+    fn submit(&mut self, session: usize, op: Op) {
+        self.nodes[0].submit(SessionId::new(NodeId(0), session as u32), op);
     }
 
-    fn write(&self, session: usize, key: u64) {
+    fn write(&mut self, session: usize, key: u64) {
         self.submit(session, Op::Write { key: Key(key), val: Val::from_u64(key) });
     }
 
@@ -131,6 +127,9 @@ impl Harness {
     /// peers answer it; their replies go straight back in (and whatever
     /// those provoke is recorded as flushes of their own).
     fn flush(&mut self) {
+        for c in self.nodes[0].completions() {
+            self.completed[c.op_id.session.slot as usize] += 1;
+        }
         let mut sent: Vec<(NodeId, Msg)> = Vec::new();
         self.out.flush(|dst, batch| sent.extend(batch.into_iter().map(|m| (dst, m))));
         let mut flushed: BTreeMap<RoundId, Transmission> = BTreeMap::new();
@@ -208,7 +207,7 @@ impl Harness {
     }
 
     fn completed(&self, session: usize) -> usize {
-        self.clients[session].1.len()
+        self.completed[session]
     }
 }
 

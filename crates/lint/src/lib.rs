@@ -97,7 +97,7 @@
 //! that blocks stalls every fd it owns. Nonblocking drains and
 //! `epoll_wait` are the only places a loop may rest.
 //!
-//! # Suppressions and the ratchet
+//! # Suppressions
 //!
 //! A violation is suppressed by an explicit, *reasoned* allow on or
 //! immediately above the offending line:
@@ -108,15 +108,11 @@
 //! ```
 //!
 //! An allow without a reason is itself a violation (`allow-without-reason`).
-//! Pre-existing violations live in a committed ratchet baseline
-//! (`lint-baseline.txt`): entries there may burn down over time, but any
-//! violation *not* in the baseline fails the pass immediately, with a
-//! `N new, M fixed` diff so regressions are attributable to a commit.
+//! There is no baseline: any violation fails the pass.
 
 pub mod lexer;
 
 use lexer::{lex, LexLine};
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -169,22 +165,11 @@ pub struct Violation {
     pub rule: Rule,
     /// What went wrong and what to do instead.
     pub message: String,
-    /// The offending code line, trimmed (ratchet key material — stable
-    /// across unrelated line-number drift).
-    pub snippet: String,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: {}: {}", self.file, self.line, self.rule.name(), self.message)
-    }
-}
-
-impl Violation {
-    /// Line-number-free identity used by the ratchet baseline: unrelated
-    /// edits above a pre-existing violation must not turn it "new".
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.file, self.rule.name(), self.snippet)
     }
 }
 
@@ -565,9 +550,8 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Violation> {
         let meta = &metas[ln];
         let code = &line.code;
         let lineno = ln + 1;
-        let snippet = code.trim().to_string();
         let mut push = |rule: Rule, message: String| {
-            raw.push(Violation { file: path.to_string(), line: lineno, rule, message, snippet: snippet.clone() });
+            raw.push(Violation { file: path.to_string(), line: lineno, rule, message });
         };
 
         // safety-comment: everywhere, including tests.
@@ -732,66 +716,4 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         }
     }
     Ok(all)
-}
-
-// ---------------------------------------------------------------------------
-// Ratchet baseline
-// ---------------------------------------------------------------------------
-
-/// The result of diffing current violations against the committed baseline.
-pub struct Ratchet {
-    /// Violations not present in the baseline — these fail the pass.
-    pub new: Vec<Violation>,
-    /// Baseline entries no longer observed — candidates for burn-down.
-    pub fixed: Vec<String>,
-    /// Baseline entries still observed (grandfathered).
-    pub remaining: usize,
-}
-
-/// Parse a baseline file: one [`Violation::key`] per line, `#` comments and
-/// blank lines ignored. Duplicate lines express multiplicity.
-pub fn parse_baseline(text: &str) -> Vec<String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
-/// Multiset-diff `current` against `baseline` keys.
-pub fn ratchet(current: &[Violation], baseline: &[String]) -> Ratchet {
-    let mut budget: HashMap<&str, usize> = HashMap::new();
-    for k in baseline {
-        *budget.entry(k.as_str()).or_insert(0) += 1;
-    }
-    let mut new = Vec::new();
-    let mut remaining = 0usize;
-    let mut keys: Vec<String> = Vec::new();
-    for v in current {
-        let k = v.key();
-        keys.push(k.clone());
-        match budget.get_mut(k.as_str()) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                remaining += 1;
-            }
-            _ => new.push(v.clone()),
-        }
-    }
-    let fixed = budget
-        .into_iter()
-        .flat_map(|(k, n)| std::iter::repeat_n(k.to_string(), n))
-        .collect();
-    Ratchet { new, fixed, remaining }
-}
-
-/// Render the ratchet summary line (`2 new violations, 0 fixed, 3 grandfathered`).
-pub fn ratchet_summary(r: &Ratchet) -> String {
-    format!(
-        "{} new violation{}, {} fixed, {} grandfathered",
-        r.new.len(),
-        if r.new.len() == 1 { "" } else { "s" },
-        r.fixed.len(),
-        r.remaining
-    )
 }

@@ -1,33 +1,24 @@
-//! `kite-lint` CLI: lint the workspace against the ratchet baseline.
+//! `kite-lint` CLI: lint the workspace.
 //!
 //! ```text
-//! kite-lint [--root DIR] [--baseline FILE] [--update-baseline] [--list]
+//! kite-lint [--root DIR]
 //! ```
 //!
-//! Exit code 0 when no violations outside the baseline exist; 1 when new
-//! violations are found (each printed rustc-style `file:line: rule: msg`);
-//! 2 on usage/IO errors. `--update-baseline` rewrites the baseline to the
-//! current violation set — only for deliberate grandfathering, never to
-//! silence a regression (the diff in review shows exactly what was added).
+//! Prints every violation rustc-style (`file:line: rule: msg`). Exit code 0
+//! when there is none, 1 when there is any, 2 on usage/IO errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut update = false;
-    let mut list = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--baseline" => baseline = args.next().map(PathBuf::from),
-            "--update-baseline" => update = true,
-            "--list" => list = true,
             "--help" | "-h" => {
-                eprintln!("usage: kite-lint [--root DIR] [--baseline FILE] [--update-baseline] [--list]");
+                eprintln!("usage: kite-lint [--root DIR]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -47,7 +38,6 @@ fn main() -> ExitCode {
             }
         },
     };
-    let baseline_path = baseline.unwrap_or_else(|| root.join("lint-baseline.txt"));
 
     let violations = match kite_lint::analyze_workspace(&root) {
         Ok(v) => v,
@@ -56,52 +46,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if list {
-        for v in &violations {
-            println!("{v}");
-        }
-        println!("kite-lint: {} total violation(s)", violations.len());
-        return ExitCode::SUCCESS;
-    }
-
-    if update {
-        let mut keys: Vec<String> = violations.iter().map(|v| v.key()).collect();
-        keys.sort();
-        let mut text = String::from(
-            "# kite-lint ratchet baseline — grandfathered violations, one `file|rule|snippet`\n\
-             # per line. Entries may only burn down; new violations fail the pass. Regenerate\n\
-             # deliberately with `scripts/lint.sh --update-baseline` and justify in review.\n",
-        );
-        for k in &keys {
-            text.push_str(k);
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("kite-lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!("kite-lint: baseline rewritten with {} entr{}", keys.len(), if keys.len() == 1 { "y" } else { "ies" });
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_keys = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => kite_lint::parse_baseline(&t),
-        Err(_) => Vec::new(), // missing baseline = empty baseline
-    };
-    let r = kite_lint::ratchet(&violations, &baseline_keys);
-    for v in &r.new {
+    for v in &violations {
         println!("{v}");
     }
-    println!("kite-lint: {}", kite_lint::ratchet_summary(&r));
-    if !r.fixed.is_empty() {
-        println!(
-            "kite-lint: {} baseline entr{} no longer fire — burn them down with --update-baseline",
-            r.fixed.len(),
-            if r.fixed.len() == 1 { "y" } else { "ies" }
-        );
-    }
-    if r.new.is_empty() {
+    println!("kite-lint: {} violation(s)", violations.len());
+    if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -371,7 +371,7 @@ fn run(&mut self) {
 }
 
 // ---------------------------------------------------------------------------
-// Diagnostics & ratchet
+// Diagnostics
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -384,44 +384,4 @@ fn diagnostic_format_is_file_line_rule_message() {
         rendered.starts_with("crates/x/src/y.rs:3: no-alloc: "),
         "unexpected diagnostic: {rendered}"
     );
-}
-
-#[test]
-fn ratchet_keys_are_line_number_free() {
-    let a = analyze_source("f.rs", "// kite-lint: no-alloc\nfn f() {\n    let v = Vec::new();\n}\n");
-    // Same violation shifted three lines down: identical key.
-    let b = analyze_source(
-        "f.rs",
-        "\n\n\n// kite-lint: no-alloc\nfn f() {\n    let v = Vec::new();\n}\n",
-    );
-    assert_eq!(a[0].key(), b[0].key());
-    assert_ne!(a[0].line, b[0].line);
-}
-
-#[test]
-fn ratchet_diffs_as_a_multiset() {
-    use kite_lint::{parse_baseline, ratchet, ratchet_summary};
-    let src = "// kite-lint: no-alloc\nfn f() {\n    let a = Vec::new();\n    let b = Vec::new();\n}\n";
-    let current = analyze_source("f.rs", src);
-    assert_eq!(current.len(), 2);
-
-    // Empty baseline: both are new.
-    let r = ratchet(&current, &parse_baseline("# header only\n"));
-    assert_eq!(r.new.len(), 2);
-    assert_eq!(r.fixed.len(), 0);
-    assert_eq!(r.remaining, 0);
-
-    // Baseline holds one copy: one grandfathered, one new (multiset, not set).
-    let one = current[0].key();
-    let r = ratchet(&current, &parse_baseline(&one));
-    assert_eq!(r.new.len(), 1);
-    assert_eq!(r.remaining, 1);
-
-    // Baseline holds both plus a stale entry: nothing new, one fixed.
-    let baseline = format!("{}\n{}\nstale.rs|no-alloc|gone()\n", current[0].key(), current[1].key());
-    let r = ratchet(&current, &parse_baseline(&baseline));
-    assert_eq!(r.new.len(), 0);
-    assert_eq!(r.fixed, vec!["stale.rs|no-alloc|gone()".to_string()]);
-    assert_eq!(r.remaining, 2);
-    assert_eq!(ratchet_summary(&r), "0 new violations, 1 fixed, 2 grandfathered");
 }

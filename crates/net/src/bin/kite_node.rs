@@ -53,29 +53,19 @@ extern "C" fn on_signal(_sig: i32) {
     }
 }
 
-/// Install `on_signal` for SIGTERM and SIGINT via raw libc `signal(2)` —
-/// the workspace is dependency-free, so no signal crate — and return the
-/// eventfd it writes.
+/// Install `on_signal` for SIGTERM and SIGINT ([`sys::on_stop_signals`])
+/// and return the eventfd it writes.
 fn install_signal_handlers() -> &'static Waker {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
     let waker = STOP_WAKER.get_or_init(|| {
         Waker::new().unwrap_or_else(|e| {
             eprintln!("kite-node: stop eventfd: {e}");
             std::process::exit(1);
         })
     });
-    // SAFETY: `on_signal` is an async-signal-safe extern "C" fn — it stores
-    // to an atomic, reads an already-initialized `OnceLock` (one atomic
-    // load; it is set above, before the handler can run) and `write(2)`s
-    // the eventfd; signal(2) itself takes no pointers beyond it.
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
+    // SAFETY: `on_signal` is async-signal-safe — it stores to an atomic,
+    // reads an already-initialized `OnceLock` (one atomic load; it is set
+    // above, before the handler can run) and `write(2)`s the eventfd.
+    unsafe { sys::on_stop_signals(on_signal) };
     waker
 }
 

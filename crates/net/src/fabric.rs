@@ -62,10 +62,12 @@
 //!   malformed frame closes that connection — never panics a worker — and
 //!   is counted on the link for the watchdog.
 //! * **Clients in the loop.** Client connections (session claims) are
-//!   served by the owning worker's loop too: each loop holds the channels
-//!   of its own session slots, a claim takes a slot's pair out (once, no
-//!   lock), `Submit` frames feed the session op channel, and completions
-//!   drain into the connection's ring.
+//!   served by the owning worker's loop too, with no queue between the loop
+//!   and the session: each loop keeps a flag per session slot (a slot is
+//!   claimed once, no lock), a `Submit` frame goes straight into the
+//!   actor's client port ([`ClientPort::submit`]), and after every tick the
+//!   loop moves the actor's completions into the rings of the connections
+//!   their slots map to.
 //! * **Zero-allocation steady state.** Outbound: `Outbox::flush` batches
 //!   encode into pooled byte buffers; the ring recycles them after the
 //!   socket accepts the bytes, and drained `Vec<Msg>` batches go straight
@@ -75,17 +77,17 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use kite::api::{Completion, Op};
 use kite::wire::{self, ClientFrame, Hello, HELLO_LEN};
-use kite::Msg;
+use kite::{Msg, Worker};
 use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
 use kite_common::{NodeId, SessionId};
@@ -125,8 +127,10 @@ pub struct TcpNetCfg {
     /// Worker threads per node (uniform across the cluster — worker
     /// peering needs both sides to agree).
     pub workers: usize,
-    /// Session slots per worker — routes a client's slot claim to
-    /// the worker whose loop will serve the connection.
+    /// Session slots per worker — routes a client's slot claim to the
+    /// worker whose loop will serve the connection, and is the number of
+    /// slots each loop serves (worker `w`'s are `w × sessions_per_worker
+    /// + i`, `sessions_for`'s numbering).
     pub sessions_per_worker: usize,
     /// Pre-bound listener override: lets tests bind `127.0.0.1:0` first
     /// and distribute the real addresses.
@@ -178,14 +182,29 @@ pub struct TcpWorkerIo {
     /// (set on exactly one worker by [`crate::NodeRuntime`]; the scrape
     /// plane adds connections to the loop, never threads to the node).
     pub(crate) scrape: Option<ScrapeSource>,
-    /// The client end of this worker's session slots, in slot order
-    /// (filled by [`crate::NodeRuntime`]; empty for a loop that serves no
-    /// sessions). A client hello claims one by taking it.
-    pub(crate) sessions: Vec<Option<SlotChannels>>,
+    /// Session slots this worker's loop serves.
+    sessions: usize,
 }
 
-/// One session slot's client end: ops in, completions out.
-type SlotChannels = (Sender<Op>, Receiver<Completion>);
+/// What a worker loop needs from its actor besides [`Actor`]: the client
+/// port of the sessions the loop serves. [`Worker`] is the production one.
+pub trait ClientPort: Actor<Msg = Msg> {
+    /// The connection that claimed `session` submitted `op`.
+    fn submit(&mut self, session: SessionId, op: Op);
+    /// The completions of submitted ops since the last call, in completion
+    /// order; the loop takes them all after every call into the actor.
+    fn completions(&mut self) -> impl Iterator<Item = Completion> + '_;
+}
+
+impl ClientPort for Worker {
+    fn submit(&mut self, session: SessionId, op: Op) {
+        Worker::submit(self, session, op);
+    }
+
+    fn completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
+        Worker::completions(self)
+    }
+}
 
 /// Where worker 0's loop sends an accepted connection once its hello is
 /// in: the loop that owns the peer's worker or the client's slot.
@@ -283,7 +302,7 @@ impl TcpNet {
         let mut conn_rxs = Vec::with_capacity(cfg.workers);
         let mut wakers = Vec::with_capacity(cfg.workers);
         for _ in 0..cfg.workers {
-            let (tx, rx) = unbounded::<NewConn>();
+            let (tx, rx) = channel::<NewConn>();
             let waker = Arc::new(Waker::new()?);
             intake.push((tx, Arc::clone(&waker)));
             conn_rxs.push(rx);
@@ -313,7 +332,7 @@ impl TcpNet {
                 nodes,
                 accept: accept.take(),
                 scrape: None,
-                sessions: Vec::new(),
+                sessions: cfg.sessions_per_worker,
             })
             .collect();
 
@@ -339,65 +358,11 @@ impl TcpNet {
     }
 }
 
-/// Bind a listener with `SO_REUSEADDR`: a SIGKILLed node leaves its
-/// accepted sockets in TIME_WAIT on the fabric port, and a restarted
-/// replica must rebind the same address *now*, not in 60 seconds —
-/// otherwise "restart the node" wedges the whole recovery story. `std`'s
-/// `TcpListener::bind` does not set the option, so IPv4 binds go through
-/// raw libc FFI (the workspace has no libc crate); other address families
-/// fall back to the std path.
+/// Bind a listener with `SO_REUSEADDR` ([`sys::listen_reuseaddr`]) on the
+/// first IPv4 address `addr` resolves to: a restarted replica rebinds its
+/// fabric port at once, through its predecessor's TIME_WAIT sockets.
 pub fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
-    let sa = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "no addrs"))?;
-    let SocketAddr::V4(v4) = sa else { return TcpListener::bind(sa) };
-    use std::os::fd::FromRawFd;
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port: u16,    // network byte order
-        addr: u32,    // network byte order
-        zero: [u8; 8],
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    // SAFETY: plain-int syscalls plus one live stack sockaddr whose exact
-    // size is passed; the fd is closed on every error path before return.
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let one: i32 = 1;
-        setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4);
-        let sin = SockaddrIn {
-            family: AF_INET as u16,
-            port: v4.port().to_be(),
-            addr: u32::from(*v4.ip()).to_be(),
-            zero: [0; 8],
-        };
-        if bind(fd, &sin, std::mem::size_of::<SockaddrIn>() as u32) < 0 {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            return Err(e);
-        }
-        if listen(fd, 128) < 0 {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            return Err(e);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
+    sys::listen_reuseaddr(&sys::resolve_ipv4(addr)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -456,19 +421,31 @@ enum Listen {
     Metrics,
 }
 
+/// One of a loop's session slots, as the client protocol sees it.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Not claimed yet.
+    Open,
+    /// Claimed by the client connection at this conn-slab index.
+    Served(usize),
+    /// Its client left. Slots are claimed once: the slot stays taken, and
+    /// whatever its session still completes is dropped.
+    Left,
+}
+
 /// One socket in a worker loop's conn slab (everything but the loop's own
 /// dialled peer links).
 enum Conn {
     /// Peer fabric traffic.
     PeerIn { src: NodeId, stream: TcpStream, rbuf: ReadBuf },
-    /// A client session.
+    /// A client session. `backlog` holds its completions until the ring
+    /// takes them.
     Client {
         slot: u32,
         stream: TcpStream,
         rbuf: ReadBuf,
         ring: OutRing,
-        op_tx: Sender<Op>,
-        done_rx: Receiver<Completion>,
+        backlog: VecDeque<Completion>,
         want_out: bool,
     },
     /// One of the node's listeners, on worker 0's loop. `paused` while an
@@ -591,7 +568,7 @@ impl Drop for NodeStopHandle {
 /// the I/O plane folded into the worker thread itself.
 pub fn spawn_tcp_workers<A>(rigs: Vec<(A, TcpWorkerIo)>, net: &TcpNet) -> NodeStopHandle
 where
-    A: Actor<Msg = Msg> + 'static,
+    A: ClientPort + Send + 'static,
 {
     assert!(rigs.len() <= net.workers, "more rigs than fabric workers");
     let stop = Arc::new(AtomicBool::new(false));
@@ -616,7 +593,7 @@ where
     NodeStopHandle { stop, dump, wake_all, handles }
 }
 
-struct EventLoop<A: Actor<Msg = Msg>> {
+struct EventLoop<A: ClientPort> {
     actor: A,
     me: NodeId,
     worker: usize,
@@ -641,10 +618,11 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     conn_rx: Receiver<NewConn>,
     waker: Arc<Waker>,
     siblings: Vec<Arc<Waker>>,
-    /// This loop's session slots (see [`TcpWorkerIo::sessions`]); slot
-    /// `worker × sessions.len() + i` is `sessions[i]` (`sessions_for`'s
-    /// numbering).
-    sessions: Vec<Option<SlotChannels>>,
+    /// This loop's session slots: node-wide slot `worker × slots.len() + i`
+    /// is `slots[i]` (`sessions_for`'s numbering).
+    slots: Vec<Slot>,
+    /// Completions dropped because their slot's client had left.
+    orphaned: u64,
     poller: Poller,
     peer_out: Vec<PeerOut>,
     conns: Vec<Option<Conn>>,
@@ -664,7 +642,7 @@ struct EventLoop<A: Actor<Msg = Msg>> {
     scrape_hub: Option<Arc<crate::scrape::MetricsHub>>,
 }
 
-impl<A: Actor<Msg = Msg>> EventLoop<A> {
+impl<A: ClientPort> EventLoop<A> {
     fn new(
         actor: A,
         io: TcpWorkerIo,
@@ -695,7 +673,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             conn_rx: io.conn_rx,
             waker: io.waker,
             siblings: io.siblings,
-            sessions: std::mem::take(&mut io.sessions),
+            slots: vec![Slot::Open; io.sessions],
+            orphaned: 0,
             poller,
             peer_out,
             conns: Vec::new(),
@@ -886,33 +865,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn dial(&mut self, dst: usize, now: Instant) {
         // Resolve on *every* attempt, never cache: the redial cycle is the
         // recovery path for a peer whose hostname now names another host.
-        let addr = match self.peers[dst].to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                self.schedule_redial(dst);
-                return;
-            }
-        };
-        let stream = match sys::connect_nonblocking(&addr) {
-            Ok(s) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                // Non-IPv4 fallback: a bounded blocking dial (only hit by
-                // v6 deployments; loopback and datacenter configs are v4).
-                match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-                    Ok(s) => {
-                        let _ = s.set_nonblocking(true);
-                        s
-                    }
-                    Err(_) => {
-                        self.schedule_redial(dst);
-                        return;
-                    }
-                }
-            }
-            Err(_) => {
-                self.schedule_redial(dst);
-                return;
-            }
+        let addr = sys::resolve_ipv4(&self.peers[dst]);
+        let Ok(stream) = addr.and_then(|a| sys::connect_nonblocking(&a)) else {
+            self.schedule_redial(dst);
+            return;
         };
         let _ = stream.set_nodelay(true);
         if self.poller.add(stream.as_raw_fd(), 1 + dst as u64, EPOLLOUT).is_err() {
@@ -1129,26 +1085,26 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     // -- inbound connections ----------------------------------------------
 
     fn register_conn(&mut self, nc: NewConn) {
-        let conn = match nc {
+        let (conn, claimed) = match nc {
             NewConn::Peer { src, stream } => {
-                Conn::PeerIn { src, stream, rbuf: ReadBuf::new(READ_CHUNK) }
+                (Conn::PeerIn { src, stream, rbuf: ReadBuf::new(READ_CHUNK) }, None)
             }
             NewConn::Client { slot, stream } => match self.claim_session(slot) {
-                Ok((op_tx, done_rx)) => {
+                Ok(i) => {
                     let mut ring = OutRing::new();
                     let mut buf = self.byte_pool.pop();
                     let session = SessionId::new(self.me, slot);
                     wire::encode_client_frame(&ClientFrame::HelloOk { session }, &mut buf);
                     let _ = ring.push(buf);
-                    Conn::Client {
+                    let conn = Conn::Client {
                         slot,
                         stream,
                         rbuf: ReadBuf::new(READ_CHUNK),
                         ring,
-                        op_tx,
-                        done_rx,
+                        backlog: VecDeque::new(),
                         want_out: false,
-                    }
+                    };
+                    (conn, Some(i))
                 }
                 Err(reason) => {
                     // Best-effort refusal; the frame is tiny, so a fresh
@@ -1162,8 +1118,12 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 }
             },
         };
+        let inserted = self.insert_conn(conn);
+        if let Some(i) = claimed {
+            self.slots[i] = inserted.as_ref().map_or(Slot::Left, |&idx| Slot::Served(idx));
+        }
         // A client conn starts with HelloOk queued — push it out now.
-        if let Ok(idx) = self.insert_conn(conn) {
+        if let Ok(idx) = inserted {
             self.service_writable(idx);
         }
     }
@@ -1188,14 +1148,20 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         conn_token_base(self.nodes) + idx as u64
     }
 
-    /// Take session `slot`'s channels (claim-once). Worker 0's loop routes
-    /// a slot to the loop that owns it, and anything out of range to the
-    /// last loop, which refuses it here.
-    fn claim_session(&mut self, slot: u32) -> Result<SlotChannels, String> {
-        let first = self.worker * self.sessions.len();
-        let entry = (slot as usize).checked_sub(first).and_then(|i| self.sessions.get_mut(i));
-        match entry {
-            Some(entry) => entry.take().ok_or_else(|| format!("{} slot {slot} taken", self.me)),
+    /// The index in `slots` of node-wide session `slot`, if this loop
+    /// serves it.
+    fn slot_index(&self, slot: u32) -> Option<usize> {
+        let first = self.worker * self.slots.len();
+        (slot as usize).checked_sub(first).filter(|&i| i < self.slots.len())
+    }
+
+    /// The index of session `slot` if it is open to a claim (claim-once).
+    /// Worker 0's loop routes a slot to the loop that owns it, and anything
+    /// out of range to the last loop, which refuses it here.
+    fn claim_session(&self, slot: u32) -> Result<usize, String> {
+        match self.slot_index(slot) {
+            Some(i) if matches!(self.slots[i], Slot::Open) => Ok(i),
+            Some(_) => Err(format!("{} slot {slot} taken", self.me)),
             None => Err(format!("no slot {slot} on {}", self.me)),
         }
     }
@@ -1322,11 +1288,14 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 }
                 ok
             }
-            // Anything but a submission from a client is malformed; a send
-            // fails only while the node shuts down.
-            Conn::Client { rbuf, op_tx, .. } => {
+            // Anything but a submission from a client is malformed.
+            Conn::Client { slot, rbuf, .. } => {
+                let (actor, session) = (&mut self.actor, SessionId::new(self.me, *slot));
                 let framed = for_each_frame(rbuf, |body| match wire::decode_client_frame(body) {
-                    Ok(ClientFrame::Submit(op)) => op_tx.send(op).is_ok(),
+                    Ok(ClientFrame::Submit(op)) => {
+                        actor.submit(session, op);
+                        true
+                    }
                     _ => false,
                 });
                 framed == Ok(true)
@@ -1358,41 +1327,51 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         }
     }
 
-    /// Move completed ops from every client session to its connection's
-    /// ring. Batches all completions available this iteration into one
-    /// frame buffer per connection (one writev downstream). Returns `true`
-    /// when completions were left behind a full ring whose socket is *not*
-    /// blocked — the next pass must pump again without parking (a blocked
-    /// socket's `EPOLLOUT` is what wakes the loop for the rest).
+    /// Move the actor's completions to their clients: each goes through
+    /// its slot to the serving connection's backlog (or is dropped when the
+    /// slot's client has left), and every backlog drains into its ring,
+    /// batched into one frame buffer per connection (one writev
+    /// downstream). Returns `true` when completions were left behind a full
+    /// ring whose socket is *not* blocked — the next pass must pump again
+    /// without parking (a blocked socket's `EPOLLOUT` is what wakes the
+    /// loop for the rest).
+    // kite-lint: no-alloc
     fn pump_completions(&mut self) -> bool {
+        let first = self.worker * self.slots.len();
+        for c in self.actor.completions() {
+            let i = (c.op_id.session.slot as usize).wrapping_sub(first);
+            let conn = match self.slots.get(i) {
+                Some(&Slot::Served(idx)) => self.conns[idx].as_mut(),
+                _ => None,
+            };
+            match conn {
+                Some(Conn::Client { backlog, .. }) => backlog.push_back(c),
+                _ => self.orphaned += 1,
+            }
+        }
         let mut left_behind = false;
         let mut moved = 0u64;
-        for idx in 0..self.conns.len() {
-            let Some(Conn::Client { ring, done_rx, .. }) =
-                self.conns[idx].as_mut()
-            else {
+        for i in 0..self.slots.len() {
+            let Slot::Served(idx) = self.slots[i] else { continue };
+            let Some(Conn::Client { ring, backlog, .. }) = self.conns[idx].as_mut() else {
                 continue;
             };
-            if done_rx.is_empty() {
+            if backlog.is_empty() {
                 continue;
             }
             let mut buf = self.byte_pool.pop();
-            // Ring-full backpressure: completions stay in the channel (the
+            // Ring-full backpressure: completions stay in the backlog (the
             // client's own in-flight window bounds what can pile up).
             while ring.len() < 64 {
-                match done_rx.try_recv() {
-                    Ok(c) => {
-                        moved += 1;
-                        wire::encode_client_frame(&ClientFrame::Completion(c), &mut buf);
-                        if buf.len() >= 32 << 10 {
-                            let full = std::mem::replace(&mut buf, self.byte_pool.pop());
-                            if let Err(full) = ring.push(full) {
-                                self.byte_pool.put(full);
-                                break;
-                            }
-                        }
+                let Some(c) = backlog.pop_front() else { break };
+                moved += 1;
+                wire::encode_client_frame(&ClientFrame::Completion(c), &mut buf);
+                if buf.len() >= 32 << 10 {
+                    let full = std::mem::replace(&mut buf, self.byte_pool.pop());
+                    if let Err(full) = ring.push(full) {
+                        self.byte_pool.put(full);
+                        break;
                     }
-                    Err(_) => break,
                 }
             }
             if buf.is_empty() {
@@ -1401,8 +1380,8 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 self.byte_pool.put(buf);
             }
             self.service_writable(idx);
-            if let Some(Conn::Client { done_rx, want_out, .. }) = &self.conns[idx] {
-                left_behind |= !done_rx.is_empty() && !*want_out;
+            if let Some(Conn::Client { backlog, want_out, .. }) = &self.conns[idx] {
+                left_behind |= !backlog.is_empty() && !*want_out;
             }
         }
         if moved > 0 {
@@ -1565,11 +1544,17 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn close_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].take() else { return };
         let _ = self.poller.del(conn.raw_fd());
+        // The slot of a disconnected client stays claimed — sessions are
+        // claim-once — and what its backlog held is dropped with it.
+        if let Conn::Client { slot, backlog, .. } = &conn {
+            self.orphaned += backlog.len() as u64;
+            if let Some(i) = self.slot_index(*slot) {
+                self.slots[i] = Slot::Left;
+            }
+        }
         if let Conn::Client { mut ring, .. } | Conn::Scrape { mut ring, .. } = conn {
             ring.clear_into(&self.byte_pool);
         }
-        // The slot of a disconnected client stays claimed — sessions are
-        // claim-once (its channels went with the connection).
     }
 
     // -- diagnostics / shutdown -------------------------------------------
@@ -1593,13 +1578,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         let live_conns = self.conns.iter().filter(|c| c.is_some()).count();
         let _ = writeln!(
             s,
-            "fabric loop: {live_conns} conns + waker registered, selfq={}",
-            self.selfq.len()
+            "fabric loop: {live_conns} conns + waker registered, selfq={}, \
+             completions dropped for departed clients={}",
+            self.selfq.len(),
+            self.orphaned
         );
         s.push_str(&self.stats.describe());
         for c in self.conns.iter().flatten() {
-            if let Conn::Client { slot, ring, .. } = c {
-                let _ = writeln!(s, "  client s{slot}: ring={}f/{}B", ring.len(), ring.bytes());
+            if let Conn::Client { slot, ring, backlog, .. } = c {
+                let (frames, bytes, backlog) = (ring.len(), ring.bytes(), backlog.len());
+                let _ = writeln!(s, "  client s{slot}: ring={frames}f/{bytes}B backlog={backlog}");
             }
         }
         s

@@ -78,7 +78,7 @@ pub mod sys;
 pub use client::{RemoteSession, CLIENT_TIMEOUT};
 pub use cluster::Cluster;
 pub use fabric::{
-    bind_reuseaddr, spawn_tcp_workers, NodeStopHandle, TcpNet, TcpNetCfg, TcpWorkerIo,
+    bind_reuseaddr, spawn_tcp_workers, ClientPort, NodeStopHandle, TcpNet, TcpNetCfg, TcpWorkerIo,
 };
 pub use link::{FabricStats, LinkPhase, LinkState, LinkTable, LoopStats};
 pub use node::{NodeConfig, NodeRuntime, NodeWatchdog};

@@ -2,20 +2,21 @@
 //! client sessions, watchdog, clean shutdown.
 //!
 //! [`NodeRuntime::launch`] starts **one** node of a deployment: it builds
-//! the node's shared state, its sessions (`SessionDriver::External`
-//! channels, handed to the loop of the worker that owns each slot), its
+//! the node's shared state, its client sessions (`SessionDriver::Client`,
+//! one per slot, fed by the loop of the worker that owns the slot), its
 //! `Worker` actors, and drives them over the TCP fabric. Every client —
 //! in the same process or not — claims a session through the client
 //! protocol (`kite::wire`, [`crate::RemoteSession`]) and gets completions
 //! matched by op sequence number. [`crate::Cluster`] runs several of these
 //! on loopback in one process.
 
+use std::collections::VecDeque;
 use std::net::SocketAddr;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use kite::api::CompletionHook;
 use kite::session::{sessions_for, SessionDriver};
 use kite::{NodeShared, ProtocolMode, Worker};
@@ -114,7 +115,7 @@ impl NodeRuntime {
             return Err(KiteError::BadConfig(format!("node id {} out of range", cfg.me)));
         }
         let ccfg = cfg.cluster;
-        let (net, ios) = TcpNet::bind(TcpNetCfg {
+        let (net, mut ios) = TcpNet::bind(TcpNetCfg {
             me: cfg.me,
             peers: cfg.peers,
             workers: ccfg.workers_per_node,
@@ -164,24 +165,20 @@ impl NodeRuntime {
             (None, None) => None,
         };
         let mut metrics_addr = None;
-        let mut ios = ios;
         if let Some(listener) = metrics_listener {
             metrics_addr = listener.local_addr().ok();
             let hub = crate::scrape::node_metrics_hub(cfg.mode, &shared, &net, wal.as_ref());
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });
         }
 
-        // Session plumbing: the client end of each slot's channels goes to
-        // the loop of the worker that owns the slot, which serves the one
-        // connection that claims it (no bridge threads, no shared table).
+        // Every session is a client session: the loop of the worker that
+        // owns a slot serves the one connection that claims it, straight
+        // into the worker (no queue between them, no shared table).
         let mut rigs = Vec::with_capacity(ios.len());
-        for mut io in ios {
+        for io in ios {
             let w = io.worker;
             let sessions = sessions_for(cfg.me, w, ccfg.sessions_per_worker, |_| {
-                let (op_tx, op_rx) = unbounded();
-                let (done_tx, done_rx) = unbounded();
-                io.sessions.push(Some((op_tx, done_rx)));
-                SessionDriver::External { rx: op_rx, tx: done_tx }
+                SessionDriver::Client(VecDeque::new())
             });
             rigs.push((Worker::new(w, Arc::clone(&shared), cfg.mode, sessions, hook.clone()), io));
         }
@@ -327,11 +324,11 @@ pub struct NodeWatchdog {
 
 impl NodeWatchdog {
     pub(crate) fn arm(timeout: Duration, nodes: Vec<Watched>) -> NodeWatchdog {
-        let (disarm_tx, disarm_rx) = unbounded::<()>();
+        let (disarm_tx, disarm_rx) = channel::<()>();
         let handle = std::thread::Builder::new()
             .name("kite-watchdog".into())
             .spawn(move || {
-                if disarm_rx.recv_timeout(timeout).is_ok() {
+                if disarm_rx.recv_timeout(timeout) != Err(RecvTimeoutError::Timeout) {
                     return; // disarmed: finished in time
                 }
                 eprintln!(

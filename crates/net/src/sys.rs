@@ -1,14 +1,17 @@
-//! Raw-libc epoll / eventfd / nonblocking-connect surface for the event loop.
+//! Every kernel call `kite-net` makes outside `std`: epoll, eventfd,
+//! `poll(2)`, the nonblocking connect, the `SO_REUSEADDR` listener and
+//! `signal(2)` (the `kite-node` daemon).
 //!
-//! The workspace deliberately carries no `libc`/`mio`/`tokio` crates, so the
-//! fabric talks to the kernel through the same hand-declared `extern "C"`
-//! pattern already used for `SO_REUSEADDR` (`fabric::bind_reuseaddr`) and
-//! `signal(2)` (the `kite-node` daemon). Everything here is Linux-specific;
-//! the declarations match glibc's ABI on x86_64 (where `struct epoll_event`
-//! is packed) and the generic layout elsewhere.
+//! The workspace deliberately carries no `libc`/`mio`/`tokio` crates, so
+//! these are hand-declared `extern "C"` functions, all in this one module.
+//! Sockets are IPv4 (`sockaddr_in`, `AF_INET`): an address string is bound
+//! or dialled at the first IPv4 address it resolves to ([`resolve_ipv4`]).
+//! Everything here is Linux-specific; the declarations match glibc's ABI on
+//! x86_64 (where `struct epoll_event` is packed) and the generic layout
+//! elsewhere.
 
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 
 // epoll_ctl ops.
@@ -36,8 +39,13 @@ const SOCK_STREAM: i32 = 1;
 const SOCK_NONBLOCK: i32 = 0x800;
 const SOCK_CLOEXEC: i32 = 0x80000;
 const SOL_SOCKET: i32 = 1;
+const SO_REUSEADDR: i32 = 2;
 const SO_ERROR: i32 = 4;
 const EINPROGRESS: i32 = 115;
+/// Pending-connection queue of a fabric or metrics listener.
+const LISTEN_BACKLOG: i32 = 128;
+const SIGINT: i32 = 2;
+const SIGTERM: i32 = 15;
 
 /// glibc packs `struct epoll_event` on x86_64 only.
 #[cfg(target_arch = "x86_64")]
@@ -62,6 +70,17 @@ struct SockaddrIn {
     sin_port: u16,
     sin_addr: u32,
     sin_zero: [u8; 8],
+}
+
+impl SockaddrIn {
+    fn new(addr: &SocketAddrV4) -> SockaddrIn {
+        SockaddrIn {
+            sin_family: AF_INET as u16,
+            sin_port: addr.port().to_be(),
+            sin_addr: u32::from_ne_bytes(addr.ip().octets()),
+            sin_zero: [0; 8],
+        }
+    }
 }
 
 /// `struct pollfd` (poll(2)) — identical layout on every Linux ABI.
@@ -90,8 +109,12 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+    fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+    fn listen(fd: i32, backlog: i32) -> i32;
     fn getsockopt(fd: i32, level: i32, optname: i32, optval: *mut i32, optlen: *mut u32) -> i32;
+    fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
 /// `POLLIN` for [`wait_readable`]/[`wait_rw`].
@@ -263,29 +286,33 @@ impl Drop for Waker {
     }
 }
 
+/// The first IPv4 address of `addrs` (a resolver's answer, in its order):
+/// the one the fabric binds or dials.
+pub fn first_ipv4(addrs: impl IntoIterator<Item = SocketAddr>) -> Option<SocketAddrV4> {
+    addrs.into_iter().find_map(|a| match a {
+        SocketAddr::V4(v4) => Some(v4),
+        SocketAddr::V6(_) => None,
+    })
+}
+
+/// Resolve `addr` (`host:port`) to its first IPv4 address.
+pub fn resolve_ipv4(addr: &str) -> io::Result<SocketAddrV4> {
+    first_ipv4(addr.to_socket_addrs()?).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::AddrNotAvailable, format!("{addr} has no IPv4 address"))
+    })
+}
+
 /// Start a nonblocking IPv4 connect. Returns the in-progress stream; the
 /// caller registers it for `EPOLLOUT` and checks [`take_socket_error`] once
-/// writable. Non-IPv4 addresses are refused (the fabric dials v4 loopback or
-/// datacenter addresses; the listener side falls back to std for v6).
-pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
-    let v4 = match addr {
-        SocketAddr::V4(v4) => v4,
-        SocketAddr::V6(_) => {
-            return Err(io::Error::new(io::ErrorKind::Unsupported, "event-loop dial is IPv4-only"))
-        }
-    };
+/// writable.
+pub fn connect_nonblocking(addr: &SocketAddrV4) -> io::Result<TcpStream> {
     // SAFETY: no pointers cross the boundary; the returned fd (or -1) is
     // validated below before use.
     let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
-    let sa = SockaddrIn {
-        sin_family: AF_INET as u16,
-        sin_port: v4.port().to_be(),
-        sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-        sin_zero: [0; 8],
-    };
+    let sa = SockaddrIn::new(addr);
     // SAFETY: `sa` is a live stack value and the length passed is exactly
     // its size, so the kernel reads only initialized memory.
     let rc = unsafe { connect(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) };
@@ -318,4 +345,66 @@ pub fn take_socket_error(stream: &TcpStream) -> io::Result<()> {
         return Err(io::Error::from_raw_os_error(err));
     }
     Ok(())
+}
+
+/// Bind a listener on `addr` with `SO_REUSEADDR`: a SIGKILLed node leaves
+/// its accepted sockets in TIME_WAIT on the fabric port, and a restarted
+/// replica must rebind the same address *now*, not in 60 seconds. `std`'s
+/// `TcpListener::bind` does not set the option.
+pub fn listen_reuseaddr(addr: &SocketAddrV4) -> io::Result<TcpListener> {
+    // SAFETY: no pointers cross the boundary; the returned fd (or -1) is
+    // validated below before use.
+    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let (one, sa) = (1i32, SockaddrIn::new(addr));
+    // SAFETY: `one` and `sa` are live stack values and each length passed
+    // is exactly its size, so the kernel reads only initialized memory.
+    let rc = unsafe {
+        setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4);
+        match bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) {
+            0 => listen(fd, LISTEN_BACKLOG),
+            err => err,
+        }
+    };
+    if rc < 0 {
+        let err = io::Error::last_os_error();
+        // SAFETY: `fd` was created above and is not yet owned by any
+        // wrapper; closing it here is the only cleanup path.
+        unsafe { close(fd) };
+        return Err(err);
+    }
+    // SAFETY: fd is a freshly created, listening socket owned by nobody
+    // else; from_raw_fd transfers that sole ownership.
+    Ok(unsafe { TcpListener::from_raw_fd(fd) })
+}
+
+/// Install `handler` for SIGTERM and SIGINT (`signal(2)`).
+///
+/// # Safety
+///
+/// `handler` runs in signal context: it must be async-signal-safe.
+// SAFETY: that obligation is the caller's; the body passes plain ints and a
+// function pointer.
+pub unsafe fn on_stop_signals(handler: extern "C" fn(i32)) {
+    // SAFETY: as above.
+    unsafe {
+        signal(SIGTERM, handler);
+        signal(SIGINT, handler);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_first_ipv4_address_is_picked_past_ipv6_ones() {
+        let addr = |s: &str| s.parse::<SocketAddr>().unwrap();
+        let answer = [addr("[::1]:7100"), addr("127.0.0.1:7100"), addr("10.0.0.1:7100")];
+        assert_eq!(first_ipv4(answer), Some("127.0.0.1:7100".parse().unwrap()));
+        assert_eq!(first_ipv4([addr("[::1]:7100")]), None);
+        assert_eq!(first_ipv4([]), None);
+    }
 }

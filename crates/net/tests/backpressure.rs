@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use kite::api::{Completion, Op};
 use kite::msg::Msg;
-use kite_common::NodeId;
+use kite_common::{NodeId, SessionId};
 use kite_net::ring::{RING_CAP_BYTES, RING_CAP_FRAMES};
-use kite_net::{spawn_tcp_workers, TcpNet, TcpNetCfg};
+use kite_net::{spawn_tcp_workers, ClientPort, TcpNet, TcpNetCfg};
 use kite_simnet::{Actor, Outbox, Wakeup};
 
 /// Saturates the link to node 1: every tick emits a few ~8 KiB frames,
@@ -40,6 +41,15 @@ impl Actor for Flood {
 
     fn describe(&self, out: &mut String) {
         out.push_str("flood\n");
+    }
+}
+
+/// Serves no client sessions.
+impl ClientPort for Flood {
+    fn submit(&mut self, _session: SessionId, _op: Op) {}
+
+    fn completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
+        std::iter::empty()
     }
 }
 

@@ -28,14 +28,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kite::api::Op;
+use kite::api::{Completion, Op};
 use kite::msg::Msg;
 use kite::wire::{self, Hello};
 use kite::ProtocolMode;
-use kite_common::{ClusterConfig, Key, NodeId, Val};
+use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
 use kite_net::{
-    spawn_tcp_workers, Cluster, LinkPhase, LoopStats, NodeRuntime, RemoteSession, TcpNet,
-    TcpNetCfg,
+    spawn_tcp_workers, ClientPort, Cluster, LinkPhase, LoopStats, NodeRuntime, RemoteSession,
+    TcpNet, TcpNetCfg,
 };
 use kite_simnet::{Actor, Outbox, Wakeup};
 
@@ -373,6 +373,15 @@ impl Actor for Sink {
 
     fn describe(&self, out: &mut String) {
         out.push_str("sink\n");
+    }
+}
+
+/// Serves no client sessions.
+impl ClientPort for Sink {
+    fn submit(&mut self, _session: SessionId, _op: Op) {}
+
+    fn completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
+        std::iter::empty()
     }
 }
 

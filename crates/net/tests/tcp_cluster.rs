@@ -2,15 +2,15 @@
 //! sockets inside one process. Every byte crosses a real socket — these
 //! are the in-process twin of `scripts/e2e_tcp.sh`.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use kite::wire::{self, Hello};
-use kite::ProtocolMode;
+use kite::{Op, ProtocolMode};
 use kite_common::stats::ProtoCounters;
-use kite_common::{ClusterConfig, Key, NodeId};
+use kite_common::{ClusterConfig, Key, NodeId, Val};
 use kite_net::{Cluster, LinkTable, NodeConfig, NodeRuntime, RemoteSession};
 
 fn cfg() -> ClusterConfig {
@@ -101,6 +101,75 @@ fn cluster_sessions_are_served_through_the_completion_pump() {
     cluster.shutdown();
 }
 
+/// The scrape endpoint's `dump` view of the node at `addr`.
+fn dump(addr: SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect metrics endpoint");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(b"dump\n").expect("send request");
+    let mut body = String::new();
+    stream.read_to_string(&mut body).expect("read dump");
+    body
+}
+
+/// A client that leaves with a pipeline still queued on its session costs
+/// only its slot: the session runs the ops out, the serving loop drops
+/// their completions (the dump view counts them) instead of queueing them
+/// for a connection that is gone, the slot stays claimed, and the node's
+/// other sessions keep serving meanwhile.
+#[test]
+fn a_client_that_leaves_mid_pipeline_costs_only_its_slot() {
+    const OPS: u64 = 200;
+    let cluster = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch");
+    let _wd = cluster.watchdog(Duration::from_secs(120));
+    let metrics = cluster.nodes()[0].metrics_addr().expect("metrics endpoint");
+
+    // Releases block their session one quorum round each, so the pipeline
+    // is still running when its client goes.
+    let mut leaver = cluster.session(NodeId(0), 0).expect("session");
+    for i in 0..OPS {
+        leaver.submit(Op::Release { key: Key(100), val: Val::from_u64(i + 1) }).unwrap();
+    }
+    leaver.flush().unwrap();
+    drop(leaver);
+
+    // Two more sessions on the same node hand a value off meanwhile.
+    let mut producer = cluster.session(NodeId(0), 1).expect("producer");
+    let mut consumer = cluster.session(NodeId(0), 2).expect("consumer");
+    producer.write(Key(1), 0xDA7Au64).unwrap();
+    producer.release(Key(2), 1u64).unwrap();
+    assert_eq!(consumer.acquire(Key(2)).unwrap().as_u64(), 1);
+    assert_eq!(consumer.read(Key(1)).unwrap().as_u64(), 0xDA7A);
+
+    // Claim-once: the departed client's slot is not handed out again.
+    assert!(cluster.session(NodeId(0), 0).is_err(), "slot 0 was claimed once already");
+
+    // The session runs its queue out; once it is idle, every completion it
+    // made has passed the pump.
+    let finished = format!("seq={OPS} ");
+    let done = |d: &str| {
+        let ran_out = |l: &str| l.contains(&finished) && l.contains("idle=true");
+        d.lines().any(|l| l.contains("session[0] ") && ran_out(l))
+    };
+    let mut view = String::new();
+    assert!(
+        wait_for(Duration::from_secs(60), || {
+            view = dump(metrics);
+            done(&view)
+        }),
+        "the departed client's pipeline never ran out:\n{view}"
+    );
+    let dropped = view
+        .split_once("completions dropped for departed clients=")
+        .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .expect("the dump counts dropped completions");
+    // The loop reads the client's EOF with the pipeline barely started.
+    assert!((OPS / 2..=OPS).contains(&dropped), "{dropped} of {OPS} completions dropped:\n{view}");
+    assert!(!view.contains("client s0:"), "no connection holds the departed slot:\n{view}");
+    drop((producer, consumer));
+    cluster.shutdown();
+}
+
 #[test]
 fn malformed_peer_frames_drop_the_connection_not_the_worker() {
     let nodes = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch").into_nodes();
@@ -121,7 +190,6 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
         // wedged stream.
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut buf = [0u8; 1];
-        use std::io::Read;
         match s.read(&mut buf) {
             Ok(0) | Err(_) => {} // closed — the expected outcomes
             Ok(_) => panic!("server answered a garbage frame instead of dropping it"),
@@ -155,7 +223,6 @@ fn malformed_peer_frames_drop_the_connection_not_the_worker() {
 
 /// Does the node close `s` within `timeout` (without writing to it)?
 fn closed_within(s: &mut TcpStream, timeout: Duration) -> bool {
-    use std::io::Read;
     s.set_read_timeout(Some(timeout)).unwrap();
     match s.read(&mut [0u8; 1]) {
         Ok(0) => true,

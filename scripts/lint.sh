@@ -1,16 +1,11 @@
 #!/usr/bin/env bash
 # kite-lint: the offline invariant linter (crates/lint) over the whole
-# workspace, ratcheted against the committed lint-baseline.txt.
+# workspace. Prints every violation and a count; there is no baseline, so
+# any violation fails the pass.
 #
-#   scripts/lint.sh                    # the pass: fails on NEW violations
-#   scripts/lint.sh --list             # print every violation, no ratchet
-#   scripts/lint.sh --update-baseline  # re-grandfather (last resort — the
-#                                      # baseline is meant to only shrink)
-#
-# Exit codes: 0 clean (grandfathered entries allowed), 1 new violations,
-# 2 usage/IO error. The same check runs as a workspace test
-# (crates/lint/tests/workspace.rs), so `cargo test -q` enforces it too;
-# this script is the fast, human-facing form with the ratchet diff.
+# Exit codes: 0 clean, 1 violations, 2 usage/IO error. The same check runs
+# as a workspace test (crates/lint/tests/workspace.rs), so `cargo test -q`
+# enforces it too; this script is the fast, human-facing form.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
