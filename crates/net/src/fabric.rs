@@ -28,8 +28,9 @@
 //!   ring; otherwise the pass ends in an `epoll_wait` that blocks until
 //!   the earliest deadline anyone holds — the actor's own
 //!   (`Wakeup::next_deadline`: retransmission scan, release timeout,
-//!   back-off, anti-entropy sweep), a peer link's redial, a pending hello's
-//!   deadline or a paused listener's — and forever when nobody holds one.
+//!   back-off, anti-entropy sweep), a peer link's redial or connect
+//!   deadline, a pending hello's deadline or a paused listener's — and
+//!   forever when nobody holds one.
 //!   There is no timer beat: a client's submission is socket readiness
 //!   like any other, and whatever needs the loop from outside (worker 0
 //!   handing over a connection, a sibling's kick, a stop or dump request)
@@ -39,28 +40,36 @@
 //!   races in. Nobody connecting means zero wakes. The loop-health
 //!   counters ([`crate::link::LoopStats`]) make each of these a scrapeable
 //!   number.
-//! * **Worker peering (§6.3).** Worker *w* dials exactly one nonblocking
-//!   connection to each peer node, announced by a [`wire::Hello::Peer`]
-//!   handshake, and peers route inbound frames to *their* worker *w* —
-//!   one connection per remote worker, like the paper's RDMA QP layout.
-//!   The dial targets are the address list the node booted with; each
-//!   attempt re-resolves its address string, which is how a peer whose
-//!   hostname moved is found. Reconnect-with-backoff is loop state (a
-//!   deadline per peer), not a thread blocked in `connect`.
-//! * **Bounded outbound rings.** Each peer link drains through an
-//!   [`OutRing`] of encoded frames via vectored writes. A peer that stops
-//!   reading fills the ring and then *sheds* frames (counted on the link)
-//!   — the fabric behaves like a lossy NIC under backpressure, which is
-//!   exactly the failure model the protocols already recover from, so a
-//!   stalled peer bounds sender memory instead of growing a writer queue.
-//!   The same drop point takes injected loss: a link given a drop
-//!   probability ([`LinkTable::set_drop`]) loses envelopes before they are
-//!   framed — the §8.4 lossy-link fault on real sockets.
-//! * **Readiness-driven reads.** Inbound bytes accumulate in a per-
-//!   connection buffer; complete frames decode into pool-recycled
-//!   `Vec<Msg>` buffers and feed `Actor::on_envelope` directly. A
-//!   malformed frame closes that connection — never panics a worker — and
-//!   is counted on the link for the watchdog.
+//! * **Worker peering (§6.3).** Worker *w* of each node shares exactly one
+//!   bidirectional connection with worker *w* of every other node — one
+//!   socket per worker pair, like the paper's RDMA QP layout. The lower
+//!   node id dials it, nonblocking, and announces itself with a
+//!   [`wire::Hello::Peer`] handshake; worker 0's loop on the higher id
+//!   routes it to *its* worker *w*, whose loop attaches it as the link to
+//!   the dialler, closing any stale socket the link still held (a dialler
+//!   that restarted redials before its old socket's EOF arrives). A peer
+//!   hello from a higher id is dropped like an out-of-topology one. The
+//!   dial targets are the address list the node booted with; each attempt
+//!   re-resolves its address string, which is how a peer whose hostname
+//!   moved is found. Reconnect-with-backoff is loop state (a deadline per
+//!   link the node dials), not a thread blocked in `connect`; the accepting
+//!   side waits for the redial.
+//! * **Bounded outbound rings.** Each link drains through an [`OutRing`]
+//!   of encoded frames via vectored writes. A peer that stops reading fills
+//!   the ring and then *sheds* frames (counted on the link) — the fabric
+//!   behaves like a lossy NIC under backpressure, which is exactly the
+//!   failure model the protocols already recover from, so a stalled peer
+//!   bounds sender memory instead of growing a writer queue. The same drop
+//!   point takes injected loss: a link given a drop probability
+//!   ([`LinkTable::set_drop`]) loses envelopes before they are framed — the
+//!   §8.4 lossy-link fault on real sockets.
+//! * **Readiness-driven reads.** Every socket a loop owns — peer links,
+//!   clients, scrapes, listeners and pending hellos — sits in its conn slab:
+//!   one registration, one framed read, one ring drain. Inbound bytes
+//!   accumulate in a per-connection buffer; complete frames decode into
+//!   pool-recycled `Vec<Msg>` buffers and feed `Actor::on_envelope`
+//!   directly. A malformed frame closes that connection — never panics a
+//!   worker — and is counted on the link for the watchdog.
 //! * **Clients in the loop.** Client connections (session claims) are
 //!   served by the owning worker's loop too, with no queue between the loop
 //!   and the session: each loop keeps a flag per session slot (a slot is
@@ -140,9 +149,9 @@ pub struct TcpNetCfg {
 /// A freshly accepted, handshake-complete connection routed to a worker
 /// loop by worker 0's.
 enum NewConn {
-    /// Peer fabric traffic from `src` (the hello's worker picked us).
+    /// A lower id's link to us (the hello's worker picked us).
     Peer {
-        /// Sending node.
+        /// Dialling node.
         src: NodeId,
         /// The connection (hello consumed, nonblocking).
         stream: TcpStream,
@@ -216,18 +225,18 @@ struct Router {
 
 impl Router {
     /// The worker a completed hello names, with the connection it gets;
-    /// `None` for a bad handshake or an out-of-topology peer (dropped
-    /// silently).
+    /// `None` for a bad handshake, an out-of-topology peer, or a peer that
+    /// does not dial `me` — only a lower id does (all dropped silently).
     fn route(
         &self,
-        nodes: usize,
+        me: NodeId,
         hello: &[u8; HELLO_LEN],
         stream: TcpStream,
     ) -> Option<(usize, NewConn)> {
         match wire::decode_hello(hello).ok()? {
             Hello::Peer { node, worker } => {
                 let worker = worker as usize;
-                let known = node.idx() < nodes && worker < self.intake.len();
+                let known = node < me && worker < self.intake.len();
                 known.then_some((worker, NewConn::Peer { src: node, stream }))
             }
             // The worker that owns the slot's session; an out-of-range slot
@@ -272,9 +281,9 @@ pub struct TcpNet {
 impl TcpNet {
     /// Bind the fabric for one node and return the per-worker IO bundles.
     ///
-    /// Peer links start dialing as soon as the worker loops run and keep
-    /// retrying with backoff, so launch order across the cluster does not
-    /// matter.
+    /// Each worker loop dials its links to the higher node ids as soon as
+    /// it runs and keeps retrying with backoff, and the lower ids dial this
+    /// node, so launch order across the cluster does not matter.
     pub fn bind(cfg: TcpNetCfg) -> std::io::Result<(TcpNet, Vec<TcpWorkerIo>)> {
         let nodes = cfg.peers.len();
         let me = cfg.me;
@@ -369,47 +378,21 @@ pub fn bind_reuseaddr(addr: &str) -> std::io::Result<TcpListener> {
 // Worker event loop
 // ---------------------------------------------------------------------------
 
-/// Epoll token of the loop's waker eventfd.
-const TOK_WAKER: u64 = 0;
-/// Tokens `1..=nodes` are outbound peer links (dst = token - 1); inbound
-/// connections start here.
-fn conn_token_base(nodes: usize) -> u64 {
-    1 + nodes as u64
-}
+/// Epoll token of the loop's waker eventfd; every other token is a conn
+/// slab index.
+const TOK_WAKER: u64 = u64::MAX;
 
-/// Outbound link state machine — reconnect/backoff as loop state.
-enum DialState {
-    /// Waiting for the next dial attempt.
-    Idle,
-    /// Nonblocking connect in flight.
-    Connecting,
-    /// Established; ring drains through the socket.
-    Connected,
-}
-
-struct PeerOut {
-    state: DialState,
-    stream: Option<TcpStream>,
-    ring: OutRing,
+/// One peer node's link as a loop sees it: worker *w* of each node shares
+/// one socket with worker *w* of every other, dialled by the lower node id.
+/// The socket itself is a [`Conn::Peer`] in the slab; out here is only its
+/// index, and the redial ladder the dialling side climbs while it has none.
+struct PeerLink {
+    /// The link's conn (connecting or up); `None` while the link is down.
+    conn: Option<usize>,
+    /// The next rung of the backoff ladder (dialling side only).
     backoff: Duration,
+    /// When the dialling side dials again while the link is down.
     next_dial: Instant,
-    dial_deadline: Instant,
-    /// EPOLLOUT currently registered?
-    want_out: bool,
-}
-
-impl PeerOut {
-    fn new() -> PeerOut {
-        PeerOut {
-            state: DialState::Idle,
-            stream: None,
-            ring: OutRing::new(),
-            backoff: BACKOFF_MIN,
-            next_dial: Instant::now(),
-            dial_deadline: Instant::now(),
-            want_out: false,
-        }
-    }
 }
 
 /// Which of the node's listeners a [`Conn::Listener`] is.
@@ -433,11 +416,19 @@ enum Slot {
     Left,
 }
 
-/// One socket in a worker loop's conn slab (everything but the loop's own
-/// dialled peer links).
+/// One socket in a worker loop's conn slab — every socket the loop owns.
 enum Conn {
-    /// Peer fabric traffic.
-    PeerIn { src: NodeId, stream: TcpStream, rbuf: ReadBuf },
+    /// The link to `node`'s worker of the same index ([`PeerLink`]): both
+    /// ends read and write it. `dialing` is the connect deadline while this
+    /// end's nonblocking connect is in flight.
+    Peer {
+        node: NodeId,
+        stream: TcpStream,
+        rbuf: ReadBuf,
+        ring: OutRing,
+        want_out: bool,
+        dialing: Option<Instant>,
+    },
     /// A client session. `backlog` holds its completions until the ring
     /// takes them.
     Client {
@@ -462,7 +453,7 @@ enum Conn {
 impl Conn {
     fn raw_fd(&self) -> std::os::fd::RawFd {
         match self {
-            Conn::PeerIn { stream, .. }
+            Conn::Peer { stream, .. }
             | Conn::Client { stream, .. }
             | Conn::Hello { stream, .. }
             | Conn::Scrape { stream, .. } => stream.as_raw_fd(),
@@ -606,12 +597,12 @@ struct EventLoop<A: ClientPort> {
     msg_pool: Arc<Pool<Msg>>,
     /// The boot-time dial targets (see [`TcpWorkerIo::peers`]).
     peers: Arc<[String]>,
-    /// When the dial pass next has something to do (a backoff or a connect
-    /// deadline expiring); `None` while every link is up.
+    /// When the dial pass next has something to do (a backoff expiring);
+    /// `None` while no link this loop dials waits for a redial.
     next_dial: Option<Instant>,
     /// When a conn in the slab next needs the loop without readiness: a
-    /// pending hello's deadline or a paused listener's retry. May be early
-    /// (a hello that completed), never late.
+    /// pending hello's or dial's deadline, or a paused listener's retry.
+    /// May be early (a hello that completed), never late.
     conn_deadline: Option<Instant>,
     /// Worker 0's routes for accepted connections (`None` elsewhere).
     router: Option<Router>,
@@ -624,7 +615,8 @@ struct EventLoop<A: ClientPort> {
     /// Completions dropped because their slot's client had left.
     orphaned: u64,
     poller: Poller,
-    peer_out: Vec<PeerOut>,
+    /// Indexed by node id (the `me` entry is unused).
+    peer_links: Vec<PeerLink>,
     conns: Vec<Option<Conn>>,
     /// Self-addressed batches (loopback without a socket).
     selfq: VecDeque<Vec<Msg>>,
@@ -652,7 +644,9 @@ impl<A: ClientPort> EventLoop<A> {
         let mut io = io;
         let poller = Poller::new()?;
         poller.add(io.waker.fd(), TOK_WAKER, EPOLLIN)?;
-        let peer_out = (0..io.nodes).map(|_| PeerOut::new()).collect();
+        let now = Instant::now();
+        let link = || PeerLink { conn: None, backoff: BACKOFF_MIN, next_dial: now };
+        let peer_links = (0..io.nodes).map(|_| link()).collect();
         let (fabric_listener, router) = io.accept.take().unzip();
         let (metrics_listener, scrape_hub) = io.scrape.take().map(|s| (s.listener, s.hub)).unzip();
         let mut lp = EventLoop {
@@ -667,7 +661,8 @@ impl<A: ClientPort> EventLoop<A> {
             byte_pool: io.byte_pool,
             msg_pool: io.msg_pool,
             peers: io.peers,
-            next_dial: None,
+            // The links to the higher ids are this loop's to dial, at once.
+            next_dial: (io.node.idx() + 1 < io.nodes).then_some(now),
             conn_deadline: None,
             router,
             conn_rx: io.conn_rx,
@@ -676,7 +671,7 @@ impl<A: ClientPort> EventLoop<A> {
             slots: vec![Slot::Open; io.sessions],
             orphaned: 0,
             poller,
-            peer_out,
+            peer_links,
             conns: Vec::new(),
             selfq: VecDeque::new(),
             out: Outbox::new(io.nodes),
@@ -765,10 +760,8 @@ impl<A: ClientPort> EventLoop<A> {
             for &(tok, ev) in events.iter() {
                 if tok == TOK_WAKER {
                     self.waker.drain();
-                } else if tok < conn_token_base(self.nodes) {
-                    self.service_peer_out(NodeId((tok - 1) as u8), ev);
                 } else {
-                    self.service_conn((tok - conn_token_base(self.nodes)) as usize, ev);
+                    self.service_conn(tok as usize, ev);
                 }
             }
             self.events = events;
@@ -795,8 +788,8 @@ impl<A: ClientPort> EventLoop<A> {
             }
             pending = self.pump_completions();
 
-            // Dial pass: any disconnected peer whose backoff expired; then
-            // whatever conn deadline came due.
+            // Dial pass: any link this loop dials whose backoff expired;
+            // then whatever conn deadline came due.
             self.dial_pass();
             if self.conn_deadline.is_some_and(|t| Instant::now() >= t) {
                 self.reap_conns();
@@ -826,39 +819,28 @@ impl<A: ClientPort> EventLoop<A> {
         wait.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
     }
 
-    // -- outbound peers ---------------------------------------------------
+    // -- peer links -------------------------------------------------------
 
+    /// Dial every link to a higher id that is down and whose backoff has
+    /// expired (the lower id of a pair dials; see [`PeerLink`]).
     fn dial_pass(&mut self) {
-        // With every link up there is nothing to dial.
-        let me = self.me.idx();
-        let all_up = (self.peer_out.iter().enumerate())
-            .all(|(d, po)| d == me || matches!(po.state, DialState::Connected));
-        if all_up {
-            self.next_dial = None;
+        let Some(due) = self.next_dial else { return };
+        let now = Instant::now();
+        if now < due {
             return;
         }
-        let now = Instant::now();
-        for dst in 0..self.nodes {
-            if dst == me {
-                continue;
-            }
-            match self.peer_out[dst].state {
-                DialState::Idle if now >= self.peer_out[dst].next_dial => self.dial(dst, now),
-                DialState::Connecting if now >= self.peer_out[dst].dial_deadline => {
-                    self.peer_fail(NodeId(dst as u8))
-                }
-                _ => {}
+        let dialled = self.me.idx() + 1..self.nodes;
+        for dst in dialled.clone() {
+            let link = &self.peer_links[dst];
+            if link.conn.is_none() && now >= link.next_dial {
+                self.dial(dst, now);
             }
         }
         // The loop sleeps until its actor's deadline; a link waiting out a
-        // backoff or a connect attempt needs it back by then.
-        self.next_dial = (self.peer_out.iter().enumerate())
-            .filter(|&(d, _)| d != me)
-            .filter_map(|(_, po)| match po.state {
-                DialState::Idle => Some(po.next_dial),
-                DialState::Connecting => Some(po.dial_deadline),
-                DialState::Connected => None,
-            })
+        // backoff needs it back by then (a connect attempt's deadline is a
+        // conn deadline).
+        self.next_dial = (self.peer_links[dialled].iter())
+            .filter_map(|link| link.conn.is_none().then_some(link.next_dial))
             .min();
     }
 
@@ -867,158 +849,120 @@ impl<A: ClientPort> EventLoop<A> {
         // recovery path for a peer whose hostname now names another host.
         let addr = sys::resolve_ipv4(&self.peers[dst]);
         let Ok(stream) = addr.and_then(|a| sys::connect_nonblocking(&a)) else {
-            self.schedule_redial(dst);
-            return;
+            return self.schedule_redial(dst);
         };
         let _ = stream.set_nodelay(true);
-        if self.poller.add(stream.as_raw_fd(), 1 + dst as u64, EPOLLOUT).is_err() {
-            self.schedule_redial(dst);
-            return;
+        let deadline = now + CONNECT_TIMEOUT;
+        let conn = Conn::Peer {
+            node: NodeId(dst as u8),
+            stream,
+            rbuf: ReadBuf::new(READ_CHUNK),
+            ring: OutRing::new(),
+            // Writability is the connect completing.
+            want_out: true,
+            dialing: Some(deadline),
+        };
+        match self.insert_conn(conn) {
+            Ok(idx) => {
+                self.peer_links[dst].conn = Some(idx);
+                self.hold_until(deadline);
+            }
+            Err(_) => self.schedule_redial(dst),
         }
-        let po = &mut self.peer_out[dst];
-        po.stream = Some(stream);
-        po.state = DialState::Connecting;
-        po.dial_deadline = now + CONNECT_TIMEOUT;
-        po.want_out = true;
     }
 
+    /// The link to `dst`, which this loop dials, is down: dial again after
+    /// the next rung of the backoff ladder.
     fn schedule_redial(&mut self, dst: usize) {
-        let po = &mut self.peer_out[dst];
-        po.state = DialState::Idle;
-        po.stream = None;
-        po.next_dial = Instant::now() + po.backoff;
-        po.backoff = (po.backoff * 2).min(BACKOFF_MAX);
+        let link = &mut self.peer_links[dst];
+        link.next_dial = Instant::now() + link.backoff;
+        link.backoff = (link.backoff * 2).min(BACKOFF_MAX);
+        let at = link.next_dial;
+        self.next_dial = Some(self.next_dial.map_or(at, |t| t.min(at)));
         self.links.link(NodeId(dst as u8), self.worker).set_backoff();
     }
 
-    /// Outbound link readiness: connect completion, EOF probe, ring drain.
-    // kite-lint: no-alloc
-    // kite-lint: event-loop
-    fn service_peer_out(&mut self, dst: NodeId, ev: u32) {
-        let d = dst.idx();
-        if self.peer_out[d].stream.is_none() {
-            return; // stale event for a conn torn down earlier this batch
+    /// Readiness on a link whose connect is in flight: an error costs the
+    /// attempt; writability is the connection, and the hello goes first.
+    fn finish_dial(&mut self, idx: usize, ev: u32) {
+        if ev & (EPOLLERR | EPOLLHUP) != 0 {
+            return self.close_conn(idx);
         }
-        if let DialState::Connecting = self.peer_out[d].state {
-            if ev & (EPOLLERR | EPOLLHUP) != 0 {
-                self.peer_fail(dst);
-                return;
-            }
-            if ev & EPOLLOUT != 0 {
-                let healthy =
-                    sys::take_socket_error(self.peer_out[d].stream.as_ref().expect("stream"));
-                if healthy.is_err() {
-                    self.peer_fail(dst);
-                    return;
-                }
-                self.peer_established(dst);
-            }
+        let Some(Conn::Peer { node, stream, ring, dialing, .. }) = &mut self.conns[idx] else {
+            return;
+        };
+        if ev & EPOLLOUT == 0 {
             return;
         }
-        // Connected.
-        if ev & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
-            self.peer_fail(dst);
-            return;
+        if sys::take_socket_error(stream).is_err() {
+            return self.close_conn(idx);
         }
-        if ev & EPOLLIN != 0 {
-            // Peers never send data on our outbound connection — readable
-            // means EOF/RST (or junk, which also costs the connection).
-            let mut probe = [0u8; 64];
-            match self.peer_out[d].stream.as_ref().expect("stream").read(&mut probe) {
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                _ => {
-                    self.peer_fail(dst);
-                    return;
-                }
-            }
-        }
-        if ev & EPOLLOUT != 0 {
-            self.drain_peer_ring(dst);
-        }
+        *dialing = None;
+        let mut buf = self.byte_pool.pop();
+        buf.extend_from_slice(&wire::encode_hello(Hello::Peer {
+            node: self.me,
+            worker: self.worker as u16,
+        }));
+        let _ = ring.push(buf);
+        let node = *node;
+        self.peer_links[node.idx()].backoff = BACKOFF_MIN;
+        self.links.link(node, self.worker).set_connected();
+        self.service_writable(idx);
     }
 
-    fn peer_established(&mut self, dst: NodeId) {
-        let d = dst.idx();
-        {
-            let po = &mut self.peer_out[d];
-            po.state = DialState::Connected;
-            po.backoff = BACKOFF_MIN;
-            // First bytes on the wire: the peer hello (rides the ring like
-            // any frame; the ring is empty at connect time).
-            let mut buf = self.byte_pool.pop();
-            buf.extend_from_slice(&wire::encode_hello(Hello::Peer {
-                node: self.me,
-                worker: self.worker as u16,
-            }));
-            let _ = po.ring.push(buf);
+    /// The accepting side of a link: `src`'s worker dialled this loop. The
+    /// new socket replaces any the link still holds — a dialler that
+    /// restarted redials before its stale socket's EOF arrives here.
+    fn attach_peer(&mut self, src: NodeId, stream: TcpStream) {
+        let conn = Conn::Peer {
+            node: src,
+            stream,
+            rbuf: ReadBuf::new(READ_CHUNK),
+            ring: OutRing::new(),
+            want_out: false,
+            dialing: None,
+        };
+        // The stale socket closes after the insert, so the new one cannot
+        // take its slab slot: worker 0 attaches mid event batch, and an
+        // event for the stale socket may still be pending in it.
+        let stale = self.peer_links[src.idx()].conn;
+        let inserted = self.insert_conn(conn);
+        if let Some(stale) = stale {
+            self.close_conn(stale);
         }
-        self.links.link(dst, self.worker).set_connected();
-        self.drain_peer_ring(dst);
+        if let Ok(idx) = inserted {
+            self.peer_links[src.idx()].conn = Some(idx);
+            self.links.link(src, self.worker).set_connected();
+        }
     }
 
     // ordering: link-stat counters and ring gauges — monitoring state read
     // by the watchdog and tests; the loop that mutates them is their only
     // writer, so Relaxed publishes numbers, not invariants.
-    /// Tear down an outbound link (dial failure or death) and schedule the
-    /// redial. Ring contents are lost-and-counted, like frames on a downed
-    /// link.
-    fn peer_fail(&mut self, dst: NodeId) {
-        let d = dst.idx();
-        let link = self.links.link(dst, self.worker);
-        let po = &mut self.peer_out[d];
-        if let Some(stream) = po.stream.take() {
-            let _ = self.poller.del(stream.as_raw_fd());
-        }
-        if !po.ring.is_empty() {
-            link.dropped_out.fetch_add(po.ring.len() as u64, Ordering::Relaxed);
-            po.ring.clear_into(&self.byte_pool);
+    /// A link's socket closed (dial failure, death, or replaced): what its
+    /// ring held is lost-and-counted, like frames on a downed link, and the
+    /// row reads `Backoff` until the link is up again — redialled by the
+    /// dialling side, awaited by the accepting side.
+    fn link_down(&mut self, node: NodeId, mut ring: OutRing) {
+        let link = self.links.link(node, self.worker);
+        if !ring.is_empty() {
+            link.dropped_out.fetch_add(ring.len() as u64, Ordering::Relaxed);
+            ring.clear_into(&self.byte_pool);
         }
         link.ring_frames.store(0, Ordering::Relaxed);
         link.ring_bytes.store(0, Ordering::Relaxed);
-        po.want_out = false;
-        self.schedule_redial(d);
-    }
-
-    // ordering: link-stat counters and ring gauges — monitoring state read
-    // by the watchdog and tests; the loop that mutates them is their only
-    // writer, so Relaxed publishes numbers, not invariants.
-    /// Push ring bytes into the socket ([`drain_and_arm`]) and publish the
-    /// link's gauges.
-    // kite-lint: no-alloc
-    // kite-lint: event-loop
-    fn drain_peer_ring(&mut self, dst: NodeId) {
-        let d = dst.idx();
-        let link = self.links.link(dst, self.worker);
-        let po = &mut self.peer_out[d];
-        let Some(stream) = po.stream.as_mut() else { return };
-        let (before_frames, before_bytes) = (po.ring.len(), po.ring.bytes());
-        let outcome = drain_and_arm(
-            &mut po.ring,
-            &mut po.want_out,
-            stream,
-            1 + d as u64,
-            &self.poller,
-            &self.byte_pool,
-            &self.stats.loops[self.worker],
-        );
-        let done = po.ring.len();
-        if before_frames > done {
-            link.frames_out.fetch_add((before_frames - done) as u64, Ordering::Relaxed);
-        }
-        if po.ring.bytes() < before_bytes {
-            link.last_tx_ns.store(self.clock.now(), Ordering::Relaxed);
-        }
-        link.ring_frames.store(po.ring.len() as u64, Ordering::Relaxed);
-        link.ring_bytes.store(po.ring.bytes() as u64, Ordering::Relaxed);
-        if outcome.is_err() {
-            self.peer_fail(dst);
+        self.peer_links[node.idx()].conn = None;
+        if node > self.me {
+            self.schedule_redial(node.idx());
+        } else {
+            link.set_backoff();
         }
     }
 
     // ordering: link-stat counters and ring gauges — monitoring state read
     // by the watchdog and tests; the loop that mutates them is their only
     // writer, so Relaxed publishes numbers, not invariants.
-    /// Encode-and-ship every outbox batch: remote batches into peer rings
+    /// Encode-and-ship every outbox batch: remote batches into link rings
     /// (shedding when a ring is full — bounded memory under backpressure;
     /// dropping when the link is down or loses the envelope to injected
     /// loss), self batches onto the loopback queue. Batch buffers recycle
@@ -1028,8 +972,9 @@ impl<A: ClientPort> EventLoop<A> {
     fn flush_outbox(&mut self) {
         let me = self.me;
         let worker = self.worker;
-        let Self { out, peer_out, selfq, byte_pool, links, counters, rng, scratch, stats, .. } =
-            self;
+        let Self {
+            out, peer_links, conns, selfq, byte_pool, links, counters, rng, scratch, stats, ..
+        } = self;
         let stats = &stats.loops[worker];
         // The stamp the actor set at the end of its last step: every frame
         // this flush emits was composed under that membership view.
@@ -1045,18 +990,21 @@ impl<A: ClientPort> EventLoop<A> {
                 return;
             }
             let link = links.link(dst, worker);
-            let po = &mut peer_out[dst.idx()];
+            let up = match peer_links[dst.idx()].conn.and_then(|idx| conns[idx].as_mut()) {
+                Some(Conn::Peer { ring, dialing: None, .. }) => Some(ring),
+                _ => None,
+            };
             if link.drops(rng) {
                 // Injected loss: the envelope never reaches the wire.
                 link.dropped_out.fetch_add(1, Ordering::Relaxed);
-            } else if let DialState::Connected = po.state {
+            } else if let Some(ring) = up {
                 let mut buf = byte_pool.pop();
                 wire::encode_frames(me, stamp, &batch, &mut buf);
-                match po.ring.push(buf) {
+                match ring.push(buf) {
                     Ok(()) => {
                         dirty |= 1 << dst.idx();
-                        link.ring_frames.store(po.ring.len() as u64, Ordering::Relaxed);
-                        link.ring_bytes.store(po.ring.bytes() as u64, Ordering::Relaxed);
+                        link.ring_frames.store(ring.len() as u64, Ordering::Relaxed);
+                        link.ring_bytes.store(ring.bytes() as u64, Ordering::Relaxed);
                     }
                     Err(buf) => {
                         // Ring full: shed, exactly like a lossy link — the
@@ -1076,19 +1024,17 @@ impl<A: ClientPort> EventLoop<A> {
             out.recycle(b);
         }
         for d in 0..self.nodes {
-            if dirty & (1 << d) != 0 {
-                self.drain_peer_ring(NodeId(d as u8));
+            if let Some(idx) = self.peer_links[d].conn.filter(|_| dirty & (1 << d) != 0) {
+                self.service_writable(idx);
             }
         }
     }
 
-    // -- inbound connections ----------------------------------------------
+    // -- the conn slab -----------------------------------------------------
 
     fn register_conn(&mut self, nc: NewConn) {
         let (conn, claimed) = match nc {
-            NewConn::Peer { src, stream } => {
-                (Conn::PeerIn { src, stream, rbuf: ReadBuf::new(READ_CHUNK) }, None)
-            }
+            NewConn::Peer { src, stream } => return self.attach_peer(src, stream),
             NewConn::Client { slot, stream } => match self.claim_session(slot) {
                 Ok(i) => {
                     let mut ring = OutRing::new();
@@ -1129,8 +1075,9 @@ impl<A: ClientPort> EventLoop<A> {
     }
 
     /// Put `conn` in the first free slab slot and register it for
-    /// readability under that slot's token — every socket in the slab
-    /// enters here. On an epoll error the conn drops.
+    /// readability (and writability, for a dial in flight) under that
+    /// slot's index — every socket a loop owns enters here. On an epoll
+    /// error the conn drops.
     fn insert_conn(&mut self, conn: Conn) -> std::io::Result<usize> {
         let idx = match self.conns.iter().position(Option::is_none) {
             Some(i) => i,
@@ -1139,13 +1086,13 @@ impl<A: ClientPort> EventLoop<A> {
                 self.conns.len() - 1
             }
         };
-        self.poller.add(conn.raw_fd(), self.conn_token(idx), EPOLLIN)?;
+        let interest = match conn {
+            Conn::Peer { want_out: true, .. } => EPOLLIN | EPOLLOUT,
+            _ => EPOLLIN,
+        };
+        self.poller.add(conn.raw_fd(), idx as u64, interest)?;
         self.conns[idx] = Some(conn);
         Ok(idx)
-    }
-
-    fn conn_token(&self, idx: usize) -> u64 {
-        conn_token_base(self.nodes) + idx as u64
     }
 
     /// The index in `slots` of node-wide session `slot`, if this loop
@@ -1175,6 +1122,7 @@ impl<A: ClientPort> EventLoop<A> {
         match self.conns.get(idx) {
             Some(Some(Conn::Listener { .. })) => return self.accept_all(idx),
             Some(Some(Conn::Hello { .. })) => return self.read_hello(idx),
+            Some(Some(Conn::Peer { dialing: Some(_), .. })) => return self.finish_dial(idx, ev),
             Some(Some(_)) => {}
             _ => return, // closed earlier in this event batch
         }
@@ -1215,7 +1163,7 @@ impl<A: ClientPort> EventLoop<A> {
         let mut budget = READ_QUANTUM;
         while alive && budget > 0 {
             let (stream, rbuf) = match &mut conn {
-                Conn::PeerIn { stream, rbuf, .. }
+                Conn::Peer { stream, rbuf, .. }
                 | Conn::Client { stream, rbuf, .. }
                 | Conn::Scrape { stream, rbuf, .. } => (stream, rbuf),
                 Conn::Listener { .. } | Conn::Hello { .. } => break,
@@ -1261,8 +1209,8 @@ impl<A: ClientPort> EventLoop<A> {
     // kite-lint: event-loop
     fn decode_conn_frames(&mut self, conn: &mut Conn) -> bool {
         match conn {
-            Conn::PeerIn { src, rbuf, .. } => {
-                let src = *src;
+            Conn::Peer { node, rbuf, .. } => {
+                let src = *node;
                 let link = self.links.link(src, self.worker);
                 link.last_rx_ns.store(self.clock.now(), Ordering::Relaxed);
                 let (actor, out, msg_pool, clock) =
@@ -1305,22 +1253,44 @@ impl<A: ClientPort> EventLoop<A> {
         }
     }
 
-    /// Drain a client's or a scrape's ring ([`drain_and_arm`]); an answered
-    /// scrape closes once its response is out.
+    // ordering: link-stat counters and ring gauges — monitoring state read
+    // by the watchdog and tests; the loop that mutates them is their only
+    // writer, so Relaxed publishes numbers, not invariants.
+    /// Drain a link's, a client's or a scrape's ring ([`drain_and_arm`]); a
+    /// link publishes its gauges, an answered scrape closes once its
+    /// response is out.
     // kite-lint: no-alloc
     // kite-lint: event-loop
     fn service_writable(&mut self, idx: usize) {
-        let tok = self.conn_token(idx);
         let conn = self.conns.get_mut(idx).and_then(Option::as_mut);
-        let (stream, ring, want_out, answered) = match conn {
-            Some(Conn::Client { stream, ring, want_out, .. }) => (stream, ring, want_out, false),
+        let (stream, ring, want_out, answered, peer) = match conn {
+            Some(Conn::Peer { node, stream, ring, want_out, dialing: None, .. }) => {
+                (stream, ring, want_out, false, Some(*node))
+            }
+            Some(Conn::Client { stream, ring, want_out, .. }) => {
+                (stream, ring, want_out, false, None)
+            }
             Some(Conn::Scrape { stream, ring, want_out, done: answered, .. }) => {
-                (stream, ring, want_out, *answered)
+                (stream, ring, want_out, *answered, None)
             }
             _ => return, // nothing else queues outbound bytes
         };
         let stats = &self.stats.loops[self.worker];
-        match drain_and_arm(ring, want_out, stream, tok, &self.poller, &self.byte_pool, stats) {
+        let (frames, bytes) = (ring.len(), ring.bytes());
+        let outcome =
+            drain_and_arm(ring, want_out, stream, idx as u64, &self.poller, &self.byte_pool, stats);
+        if let Some(node) = peer {
+            let link = self.links.link(node, self.worker);
+            if frames > ring.len() {
+                link.frames_out.fetch_add((frames - ring.len()) as u64, Ordering::Relaxed);
+            }
+            if ring.bytes() < bytes {
+                link.last_tx_ns.store(self.clock.now(), Ordering::Relaxed);
+            }
+            link.ring_frames.store(ring.len() as u64, Ordering::Relaxed);
+            link.ring_bytes.store(ring.bytes() as u64, Ordering::Relaxed);
+        }
+        match outcome {
             Ok(Drain::Emptied) if answered => self.close_conn(idx),
             Ok(_) => {}
             Err(_) => self.close_conn(idx),
@@ -1430,10 +1400,9 @@ impl<A: ClientPort> EventLoop<A> {
     }
 
     fn pause_listener(&mut self, idx: usize) {
-        let tok = self.conn_token(idx);
         if let Some(Conn::Listener { listener, paused, .. }) = &mut self.conns[idx] {
             *paused = true;
-            let _ = self.poller.modify(listener.as_raw_fd(), tok, 0);
+            let _ = self.poller.modify(listener.as_raw_fd(), idx as u64, 0);
         }
         self.hold_until(Instant::now() + BACKOFF_MIN);
     }
@@ -1461,8 +1430,9 @@ impl<A: ClientPort> EventLoop<A> {
         let Some(Conn::Hello { stream, hello, .. }) = self.conns[idx].take() else { return };
         let _ = self.poller.del(stream.as_raw_fd());
         let Some(router) = &self.router else { return };
-        // Bad handshakes and out-of-topology peers are dropped silently.
-        let Some((worker, nc)) = router.route(self.nodes, &hello, stream) else { return };
+        // Bad handshakes, out-of-topology peers and peer hellos from higher
+        // ids are dropped silently.
+        let Some((worker, nc)) = router.route(self.me, &hello, stream) else { return };
         if worker == self.worker {
             self.register_conn(nc);
         } else {
@@ -1473,23 +1443,27 @@ impl<A: ClientPort> EventLoop<A> {
     }
 
     /// A conn deadline came due: a hello that has not arrived within
-    /// [`HELLO_TIMEOUT`] costs its connection, and every paused listener
-    /// tries again — one cause (the process out of fds) pauses them alike,
-    /// so they retry together: one wake per back-off, not one per listener.
+    /// [`HELLO_TIMEOUT`], or a dial not connected within
+    /// [`CONNECT_TIMEOUT`], costs its connection (and a dial its next
+    /// rung), and every paused listener tries again — one cause (the
+    /// process out of fds) pauses them alike, so they retry together: one
+    /// wake per back-off, not one per listener.
     fn reap_conns(&mut self) {
         let now = Instant::now();
         self.conn_deadline = None;
         for idx in 0..self.conns.len() {
-            let tok = self.conn_token(idx);
             match &mut self.conns[idx] {
-                Some(Conn::Hello { deadline, .. }) if *deadline <= now => self.close_conn(idx),
-                Some(Conn::Hello { deadline, .. }) => {
+                Some(Conn::Hello { deadline, .. } | Conn::Peer { dialing: Some(deadline), .. }) => {
                     let deadline = *deadline;
-                    self.hold_until(deadline);
+                    if deadline <= now {
+                        self.close_conn(idx);
+                    } else {
+                        self.hold_until(deadline);
+                    }
                 }
                 Some(Conn::Listener { listener, paused, .. }) if *paused => {
                     *paused = false;
-                    let _ = self.poller.modify(listener.as_raw_fd(), tok, EPOLLIN);
+                    let _ = self.poller.modify(listener.as_raw_fd(), idx as u64, EPOLLIN);
                     self.accept_all(idx);
                 }
                 _ => {}
@@ -1546,14 +1520,17 @@ impl<A: ClientPort> EventLoop<A> {
         let _ = self.poller.del(conn.raw_fd());
         // The slot of a disconnected client stays claimed — sessions are
         // claim-once — and what its backlog held is dropped with it.
-        if let Conn::Client { slot, backlog, .. } = &conn {
-            self.orphaned += backlog.len() as u64;
-            if let Some(i) = self.slot_index(*slot) {
-                self.slots[i] = Slot::Left;
+        match conn {
+            Conn::Client { slot, backlog, mut ring, .. } => {
+                self.orphaned += backlog.len() as u64;
+                if let Some(i) = self.slot_index(slot) {
+                    self.slots[i] = Slot::Left;
+                }
+                ring.clear_into(&self.byte_pool);
             }
-        }
-        if let Conn::Client { mut ring, .. } | Conn::Scrape { mut ring, .. } = conn {
-            ring.clear_into(&self.byte_pool);
+            Conn::Scrape { mut ring, .. } => ring.clear_into(&self.byte_pool),
+            Conn::Peer { node, ring, .. } => self.link_down(node, ring),
+            Conn::Listener { .. } | Conn::Hello { .. } => {}
         }
     }
 
@@ -1594,11 +1571,6 @@ impl<A: ClientPort> EventLoop<A> {
     }
 
     fn teardown(&mut self) {
-        for d in 0..self.nodes {
-            let po = &mut self.peer_out[d];
-            po.ring.clear_into(&self.byte_pool);
-            po.stream = None;
-        }
         for idx in 0..self.conns.len() {
             self.close_conn(idx);
         }

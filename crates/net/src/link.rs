@@ -1,9 +1,11 @@
 //! Per-peer link state: what the watchdog sees when a connection dies.
 //!
-//! Every `(peer node, worker)` pair owns one [`LinkState`]: the worker's
-//! event loop flips it between connected and backoff as the TCP connection
-//! lives and dies, both directions count frames, and the bounded outbound
-//! ring publishes its occupancy and shed count here. A peer connection
+//! Every `(peer node, worker)` pair owns one [`LinkState`]: the row of the
+//! one TCP connection worker *w* shares with that peer's worker *w* (the
+//! lower node id dials it). The worker's event loop flips it between
+//! connected and backoff as the connection lives and dies, both directions
+//! count frames, and the link's bounded outbound ring publishes its
+//! occupancy and shed count here. A peer connection
 //! dying mid-batch (or stalling and forcing sheds) therefore *surfaces* —
 //! in [`LinkTable::describe`], printed by the node watchdog next to the
 //! workers' `Actor::describe` dumps — instead of silently stalling
@@ -14,14 +16,16 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use kite_common::rng::SplitMix64;
 use kite_common::NodeId;
 
-/// Connection phase of one outbound link.
+/// Connection phase of one link, on either end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkPhase {
-    /// Never connected yet (still dialing for the first time).
+    /// Never connected yet (the dialling end's first dial is in flight; the
+    /// accepting end has not been dialled).
     Connecting,
-    /// Connected; frames flow.
+    /// Connected; frames flow both ways.
     Connected,
-    /// Lost the connection (or the dial failed); redialing with backoff.
+    /// Lost the connection (or the dial failed): the dialling end redials
+    /// with backoff, the accepting end waits for it.
     Backoff,
 }
 
@@ -100,7 +104,7 @@ impl LinkState {
         ]
     }
 
-    /// Is the outbound connection currently up?
+    /// Is the link's connection currently up?
     // ordering: advisory fast-path check — a stale read only means one more
     // frame queued to a dying link, which the drop counters then record.
     #[inline]

@@ -393,16 +393,17 @@ fn a_200_kb_burst_from_one_peer_is_fully_drained() {
     burst_drains(2, 1);
 }
 
-/// Node 0 with `workers` loops; a peer connects as node 1's worker
-/// `target` and sends its hello and a 200 KB burst in a single write.
+/// Node 1 with `workers` loops; a peer connects as node 0's worker
+/// `target` (the lower id dials) and sends its hello and a 200 KB burst in
+/// a single write.
 fn burst_drains(workers: usize, target: usize) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind node 0");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind node 1");
     let me_addr = listener.local_addr().unwrap().to_string();
-    // Node 1's slot is retired (empty address): the loops never dial it,
-    // and the test plays node 1's side of the inbound link by hand.
+    // Node 0's slot is retired (empty address), and node 1 never dials a
+    // lower id: the test plays node 0's side of the link by hand.
     let (net, ios) = TcpNet::bind(TcpNetCfg {
-        me: NodeId(0),
-        peers: vec![me_addr.clone(), String::new()],
+        me: NodeId(1),
+        peers: vec![String::new(), me_addr.clone()],
         workers,
         sessions_per_worker: 1,
         listener: Some(listener),
@@ -416,13 +417,13 @@ fn burst_drains(workers: usize, target: usize) {
     // ~2 KB per frame, 110 frames: past three read chunks, short of the
     // read quantum plus one — both rules are on the path.
     let batch = vec![Msg::AckBatch { rids: vec![7u64; 250] }];
-    let hello = wire::encode_hello(Hello::Peer { node: NodeId(1), worker: target as u16 });
+    let hello = wire::encode_hello(Hello::Peer { node: NodeId(0), worker: target as u16 });
     let mut burst = hello.to_vec();
     let mut frames = 0u64;
     while burst.len() < 220 << 10 {
-        frames += wire::encode_frames(NodeId(1), 0, &batch, &mut burst) as u64;
+        frames += wire::encode_frames(NodeId(0), 0, &batch, &mut burst) as u64;
     }
-    let mut peer = TcpStream::connect(&me_addr).expect("connect as node 1");
+    let mut peer = TcpStream::connect(&me_addr).expect("connect as node 0");
     peer.set_nodelay(true).expect("nodelay");
     peer.write_all(&burst).expect("hello and burst in one write");
 
@@ -432,7 +433,7 @@ fn burst_drains(workers: usize, target: usize) {
         got(),
         net.links().describe()
     );
-    let link = net.links().link(NodeId(1), target);
+    let link = net.links().link(NodeId(0), target);
     assert_eq!(link.frames_in.load(Ordering::Relaxed), frames);
     assert_eq!(link.decode_errors.load(Ordering::Relaxed), 0);
     let others: u64 = (delivered.iter().enumerate())
@@ -446,7 +447,7 @@ fn burst_drains(workers: usize, target: usize) {
 
     // The connection is still healthy: a trickle after the burst arrives.
     let mut tail = Vec::new();
-    wire::encode_frames(NodeId(1), 0, &batch, &mut tail);
+    wire::encode_frames(NodeId(0), 0, &batch, &mut tail);
     peer.write_all(&tail).expect("trickle");
     assert!(
         wait_for(Duration::from_secs(30), || got() == frames + 1),

@@ -173,42 +173,44 @@ fn a_client_that_leaves_mid_pipeline_costs_only_its_slot() {
 #[test]
 fn malformed_peer_frames_drop_the_connection_not_the_worker() {
     let nodes = Cluster::launch(cfg(), ProtocolMode::Kite).expect("launch").into_nodes();
-    let addr = nodes[0].addr();
+    // Only a lower id dials a node, so the "peers" play nodes 0 and 1
+    // against node 2 (each replaces that node's real link until it redials).
+    let addr = nodes[2].addr();
 
     // A "peer" that handshakes correctly, then sends garbage: valid length
     // prefix, undecodable body. The node must close this connection and
     // keep serving — never panic a worker.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&wire::encode_hello(Hello::Peer { node: NodeId(1), worker: 0 })).unwrap();
+        s.write_all(&wire::encode_hello(Hello::Peer { node: NodeId(0), worker: 0 })).unwrap();
         let garbage = [0xFFu8; 32];
         let mut frame = Vec::new();
         frame.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
         frame.extend_from_slice(&garbage);
         s.write_all(&frame).unwrap();
         // Server should close on us; observe EOF (or reset) rather than a
-        // wedged stream.
+        // wedged stream. The link is both directions, so the node's own
+        // protocol frames may arrive before the close: read past them.
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut buf = [0u8; 1];
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => {} // closed — the expected outcomes
-            Ok(_) => panic!("server answered a garbage frame instead of dropping it"),
+        if let Err(e) = s.read_to_end(&mut Vec::new()) {
+            let reset = e.kind() == std::io::ErrorKind::ConnectionReset;
+            assert!(reset, "server kept a connection that sent a garbage frame: {e}");
         }
     }
 
     // An oversized length prefix on a second connection.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&wire::encode_hello(Hello::Peer { node: NodeId(2), worker: 0 })).unwrap();
+        s.write_all(&wire::encode_hello(Hello::Peer { node: NodeId(1), worker: 0 })).unwrap();
         s.write_all(&(u32::MAX).to_le_bytes()).unwrap();
         std::thread::sleep(Duration::from_millis(100));
     }
 
     // The malformed connections are surfaced on the link table…
     assert!(
-        wait_for(Duration::from_secs(10), || nodes[0].describe().contains("decode_errors=1")),
+        wait_for(Duration::from_secs(10), || nodes[2].describe().contains("decode_errors=1")),
         "decode error must be counted for the watchdog: {}",
-        nodes[0].describe()
+        nodes[2].describe()
     );
 
     // …and the cluster still serves clients end to end.
@@ -377,6 +379,67 @@ fn restarted_node_redials_and_converges_by_keepalive() {
 
     node2.shutdown();
     for n in nodes {
+        n.shutdown();
+    }
+}
+
+/// Node 0 is the lowest id, so it dials every link it has and its peers
+/// only accept. Restarted on its port, it redials them all, and each new
+/// connection replaces the stale socket a survivor's link held (or whose
+/// EOF already put the row in `Backoff`): every survivor row to node 0 is
+/// `Connected` again after exactly its second attachment, and traffic flows
+/// both ways over the new links.
+#[test]
+fn restarted_lowest_node_redials_every_survivor() {
+    let cfg = cfg();
+    let workers = cfg.workers_per_node;
+    let nodes = Cluster::launch(cfg.clone(), ProtocolMode::Kite).expect("launch").into_nodes();
+    let peers: Vec<String> = nodes.iter().map(|n| n.addr().to_string()).collect();
+    let rows_to = |n: &NodeRuntime, peer: u8| -> Vec<(bool, u64)> {
+        (0..workers)
+            .map(|w| n.links().link(NodeId(peer), w))
+            .map(|l| (l.is_connected(), l.connects.load(Ordering::Relaxed)))
+            .collect()
+    };
+    let every_row = |nodes: &[NodeRuntime], want: (bool, u64)| {
+        nodes.iter().all(|n| {
+            let ids = 0..peers.len() as u8;
+            ids.filter(|&p| p != n.node().0).all(|p| rows_to(n, p).iter().all(|&r| r == want))
+        })
+    };
+    // A clean launch attaches every link once, on both ends.
+    assert!(
+        wait_for(Duration::from_secs(10), || every_row(&nodes, (true, 1))),
+        "a clean launch must connect every row exactly once: {}",
+        nodes.iter().map(NodeRuntime::describe).collect::<String>()
+    );
+
+    let mut survivors = nodes;
+    survivors.remove(0).shutdown();
+    let node0 = NodeRuntime::launch(NodeConfig::new(
+        cfg,
+        ProtocolMode::Kite,
+        NodeId(0),
+        peers.clone(),
+    ))
+    .expect("rebind the same port after restart");
+    assert!(
+        wait_for(Duration::from_secs(10), || survivors
+            .iter()
+            .all(|n| rows_to(n, 0).iter().all(|&r| r == (true, 2)))),
+        "every survivor row to node 0 must be connected by its second attachment: {}",
+        survivors.iter().map(NodeRuntime::describe).collect::<String>()
+    );
+
+    // A release through node 2 completes, and node 0 reads its value.
+    let mut s = RemoteSession::connect(&peers[2], 0).expect("session on node 2");
+    s.release(Key(77), 0x0A0Au64).expect("release with node 0 back");
+    let mut r = RemoteSession::connect(&peers[0], 0).expect("session on restarted node 0");
+    assert_eq!(r.acquire(Key(77)).unwrap().as_u64(), 0x0A0A, "{}", node0.describe());
+
+    drop((s, r));
+    node0.shutdown();
+    for n in survivors {
         n.shutdown();
     }
 }

@@ -110,6 +110,26 @@ assert_idle_wakes() { # assert_idle_wakes <timers-per-s> <metrics-addr of every 
     done
 }
 
+# One socket per worker pair: with its links up and no client connected, a
+# node holds its fabric and metrics listeners plus one link per worker of
+# every other node — 2 + (nodes − 1) × workers sockets (4 here: 3 nodes, 1
+# worker). A link still coming up gets two seconds.
+assert_node_sockets() { # assert_node_sockets <workers>
+    local want=$((2 + 2 * $1)) id pid n
+    for id in 0 1 2; do
+        pid="${PIDS[$id]}"
+        for _ in $(seq 1 20); do
+            n="$(find "/proc/$pid/fd" -lname 'socket:*' 2>/dev/null | wc -l)"
+            [ "$n" -eq "$want" ] && break
+            sleep 0.1
+        done
+        if [ "$n" -ne "$want" ]; then
+            echo "!! node $id (pid $pid) holds $n sockets, expected $want" >&2
+            exit 1
+        fi
+    done
+}
+
 wal_commit_sample() { # wal_commit_sample <metrics-addr> -> "now_ns busy_ns records fsyncs"
     "$CLIENT_BIN" scrape --servers "$1" | awk -v now="$(date +%s%N)" '
         $1=="wal_commit_busy_ns"{b=$2} $1=="wal_records"{r=$2} $1=="wal_fsyncs"{f=$2}
@@ -152,6 +172,7 @@ cleanup() {
     for pid in "${PIDS[@]:-}"; do
         kill -9 "$pid" 2>/dev/null || true
     done
+    wait 2>/dev/null || true   # reap them: no defunct kite-node outlives us
 }
 trap cleanup EXIT
 
@@ -186,6 +207,7 @@ for iter in $(seq 1 "$ITERS"); do
     wait_ready 2 "$LOGDIR/n2.log"
     # 5 ms keepalive: 200 sweeps/s per node.
     assert_idle_wakes 200 "$M0" "$M1" "$M2"
+    assert_node_sockets 1
 
     echo "-- phase 1: mixed workload across all 3 nodes + RC(Lin) check"
     "$CLIENT_BIN" mixed --servers "$P0,$P1,$P2" --slot 0 --ops 25
@@ -356,7 +378,9 @@ DELTA_COUNT=300
 LAST_FILL_KEY=$((1000 + FILL_COUNT - 1))      # fill keys are 1000..1000+count
 LAST_DELTA_KEY=$((50000 + DELTA_COUNT - 1))   # delta keys are 50000..50000+count
 
-wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
+# Runs in the main shell, so the EXIT trap sees the PIDS of the nodes it
+# starts: a failed check anywhere in it leaves no daemon running.
+wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair count
     local wal="$1"
     local logdir waldir
     logdir="$(mktemp -d)"
@@ -378,20 +402,21 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     start_node 0 "$logdir/n0.log" --metrics-addr "$m0"
     start_node 1 "$logdir/n1.log" --metrics-addr "$m1"
     start_node 2 "$logdir/n2.log" --metrics-addr "$m2"
-    wait_ready 0 "$logdir/n0.log" >&2
-    wait_ready 1 "$logdir/n1.log" >&2
-    wait_ready 2 "$logdir/n2.log" >&2
+    wait_ready 0 "$logdir/n0.log"
+    wait_ready 1 "$logdir/n1.log"
+    wait_ready 2 "$logdir/n2.log"
     # With the WAL on this is the flusher's check: nothing staged, no wakes.
     # The birth-time cool-down is one Merkle cycle (seven 5 ms sweeps at
     # this size); after it, the 50 ms keepalive: 20 sweeps/s per node.
     assert_idle_wakes 20 "$m0" "$m1" "$m2"
+    assert_node_sockets 1
 
-    echo "-- wal=$wal: fill $FILL_COUNT keys, then SIGKILL node 2" >&2
+    echo "-- wal=$wal: fill $FILL_COUNT keys, then SIGKILL node 2"
     local -a hot_before=()
     if [ "$wal" = on ]; then
         for m in "$m0" "$m1" "$m2"; do hot_before+=("$(wal_commit_sample "$m")"); done
     fi
-    "$CLIENT_BIN" fill --servers "$P0,$P1,$P2" --slot 0 --key-base 1000 --count "$FILL_COUNT" >&2
+    "$CLIENT_BIN" fill --servers "$P0,$P1,$P2" --slot 0 --key-base 1000 --count "$FILL_COUNT"
     if [ "$wal" = on ]; then
         local n=0
         for m in "$m0" "$m1" "$m2"; do
@@ -403,13 +428,13 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     kill -9 "${PIDS[2]}"
     wait "${PIDS[2]}" 2>/dev/null || true
 
-    echo "-- wal=$wal: write the downtime delta against the majority" >&2
-    "$CLIENT_BIN" fill --servers "$P0,$P1" --slot 2 --key-base 50000 --count "$DELTA_COUNT" >&2
-    "$CLIENT_BIN" put  --servers "$P0" --slot 3 --key 900 --val 7777 >&2
+    echo "-- wal=$wal: write the downtime delta against the majority"
+    "$CLIENT_BIN" fill --servers "$P0,$P1" --slot 2 --key-base 50000 --count "$DELTA_COUNT"
+    "$CLIENT_BIN" put  --servers "$P0" --slot 3 --key 900 --val 7777
 
-    echo "-- wal=$wal: restart node 2, wait for full convergence" >&2
+    echo "-- wal=$wal: restart node 2, wait for full convergence"
     start_node 2 "$logdir/n2-restart.log"
-    wait_ready 2 "$logdir/n2-restart.log" >&2
+    wait_ready 2 "$logdir/n2-restart.log"
     if [ "$wal" = on ]; then
         # The boot line must prove the restart recovered the pre-crash
         # store locally instead of starting empty.
@@ -417,7 +442,7 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
             || { echo "!! wal=on restart printed no recovery line" >&2; exit 1; }
         local recov snap_n wal_n
         recov="$(grep "recovered" "$logdir/n2-restart.log")"
-        echo "   $recov" >&2
+        echo "   $recov"
         snap_n="$(sed -n 's/.*snapshot_entries=\([0-9]*\).*/\1/p' <<<"$recov")"
         wal_n="$(sed -n 's/.*wal_records=\([0-9]*\).*/\1/p' <<<"$recov")"
         if [ "$((snap_n + wal_n))" -lt "$FILL_COUNT" ]; then
@@ -428,12 +453,12 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     # Relaxed reads on node 2 are local: seeing the sentinel, the last
     # delta key AND the last fill key proves its store fully caught up
     # (for wal=off every one of these arrives via repair traffic).
-    "$CLIENT_BIN" poll --servers "$P2" --slot 0 --key 900 --val 7777 --timeout-secs 60 >&2
-    "$CLIENT_BIN" poll --servers "$P2" --slot 1 --key "$LAST_DELTA_KEY" --val "$DELTA_COUNT" --timeout-secs 60 >&2
-    "$CLIENT_BIN" poll --servers "$P2" --slot 2 --key "$LAST_FILL_KEY" --val "$FILL_COUNT" --timeout-secs 120 >&2
+    "$CLIENT_BIN" poll --servers "$P2" --slot 0 --key 900 --val 7777 --timeout-secs 60
+    "$CLIENT_BIN" poll --servers "$P2" --slot 1 --key "$LAST_DELTA_KEY" --val "$DELTA_COUNT" --timeout-secs 60
+    "$CLIENT_BIN" poll --servers "$P2" --slot 2 --key "$LAST_FILL_KEY" --val "$FILL_COUNT" --timeout-secs 120
     sleep 1   # let in-flight repair chunks finish counting
 
-    echo "-- wal=$wal: SIGTERM all, read node 2's repair counter" >&2
+    echo "-- wal=$wal: SIGTERM all, read node 2's repair counter"
     for n in 0 1 2; do kill -TERM "${PIDS[$n]}"; done
     for n in 0 1 2; do
         wait "${PIDS[$n]}" || { echo "!! wal=$wal node $n unclean exit" >&2; \
@@ -445,14 +470,14 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
     [ -n "$repairs" ] || { echo "!! wal=$wal: no ae_repairs in node 2 shutdown dump" >&2; exit 1; }
 
     if [ "$wal" = on ]; then
-        echo "-- wal=on: graceful-shutdown restart must replay zero records" >&2
+        echo "-- wal=on: graceful-shutdown restart must replay zero records"
         P2b="127.0.0.1:$((PORT_BASE))"
         PORT_BASE=$((PORT_BASE + 3))
         NODE_ARGS=(--peers "$P0,$P1,$P2b" --workers 1 --sessions-per-worker 6 \
                    --keys 131072 --keepalive-ns 50000000 --wal on --wal-dir "$waldir")
         NODE_THREADS=3   # main + 1 worker + the WAL flusher
         start_node 2 "$logdir/n2-graceful.log"
-        wait_ready 2 "$logdir/n2-graceful.log" >&2
+        wait_ready 2 "$logdir/n2-graceful.log"
         grep "recovered" "$logdir/n2-graceful.log" >&2
         grep -q "wal_records=0 " "$logdir/n2-graceful.log" \
             || { echo "!! graceful shutdown left a WAL tail to replay" >&2; exit 1; }
@@ -463,12 +488,14 @@ wal_run() { # wal_run <on|off> -> echoes the restarted node's repair count
         PIDS=()
     fi
     rm -rf "$logdir" "$waldir"
-    echo "$repairs"
+    WAL_REPAIRS="$repairs"
 }
 
 echo "== WAL recovery phase: kill-restart-verify at ${FILL_COUNT}-key scale, wal on vs off =="
-REPAIRS_ON="$(wal_run on)"
-REPAIRS_OFF="$(wal_run off)"
+wal_run on
+REPAIRS_ON="$WAL_REPAIRS"
+wal_run off
+REPAIRS_OFF="$WAL_REPAIRS"
 echo "   restarted-node repairs: wal=on $REPAIRS_ON vs wal=off $REPAIRS_OFF"
 # wal=off re-replicates the whole store (~20k repairs); wal=on replays the
 # tail locally and repairs only the downtime delta (~300 + sentinel +
