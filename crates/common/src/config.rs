@@ -16,7 +16,8 @@ pub struct ClusterConfig {
     /// Sessions served by each worker (§6.1: each worker is allocated a
     /// number of client sessions).
     pub sessions_per_worker: usize,
-    /// Number of keys preallocated in each replica's KVS.
+    /// Number of keys preallocated in each replica's KVS (at most
+    /// [`ClusterConfig::MAX_KEYS`]).
     pub keys: usize,
     /// Release ack-gathering timeout in nanoseconds (§4.2 "Time-out and
     /// Availability"): how long a release waits for *all* acks before
@@ -142,6 +143,12 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// Most keys a replica's KVS holds: the store gives every slot (2×
+    /// headroom, rounded up to a power of two) a distinct 24-bit extension
+    /// index, 0 meaning none. `kite-kvs` asserts at compile time that this
+    /// many keys fit its index.
+    pub const MAX_KEYS: usize = 1 << 22;
+
     /// A small deterministic-simulation-friendly configuration.
     pub fn small() -> Self {
         ClusterConfig {
@@ -306,6 +313,9 @@ impl ClusterConfig {
         if self.keys == 0 {
             return Err("key space must be non-empty".into());
         }
+        if self.keys > Self::MAX_KEYS {
+            return Err(format!("at most {} keys supported, got {}", Self::MAX_KEYS, self.keys));
+        }
         if self.write_window == 0 {
             return Err("write window must be ≥ 1".into());
         }
@@ -366,6 +376,9 @@ mod tests {
         assert!(ClusterConfig::default().nodes(17).validate().is_err());
         assert!(ClusterConfig::default().workers_per_node(0).validate().is_err());
         assert!(ClusterConfig::default().keys(0).validate().is_err());
+        let max = ClusterConfig::MAX_KEYS;
+        assert!(ClusterConfig::default().keys(max).validate().is_ok());
+        assert!(ClusterConfig::default().keys(max + 1).validate().is_err());
         assert!(ClusterConfig::default().anti_entropy_chunk(0).validate().is_err());
         assert!(ClusterConfig::default().anti_entropy_interval_ns(0).validate().is_err());
         // ... but a disabled subsystem doesn't care about its knobs.

@@ -171,12 +171,14 @@ impl NodeShared {
         });
         // `len` counts claimed slots (reads probing fresh keys claim too);
         // `vals` counts only value-bearing keys, which is the number
-        // anti-entropy actually converges across replicas.
+        // anti-entropy actually converges across replicas; `exts` counts
+        // keys holding an extension (a value past 32 bytes, or an RMW).
         let s = Arc::clone(self);
         reg.poll_fields("store_", move || {
             [
                 ("len", s.store.len() as u64),
                 ("vals", s.store.values() as u64),
+                ("exts", s.store.exts() as u64),
                 ("writes", s.store_probe.writes.get()),
                 ("distinct_keys_est", s.store_probe.distinct_keys.estimate()),
             ]

@@ -3,7 +3,7 @@
 //! The per-replica in-memory key-value store, modeled on MICA ([Lim et al.,
 //! NSDI'14]) as adapted by Kite (§6.2):
 //!
-//! * a bucketed hash index over preallocated records;
+//! * an open-addressing hash index over preallocated one-cache-line slots;
 //! * **per-key sequence locks** (seqlocks, [Lameter '05]) for
 //!   multi-threaded access: reads are optimistic and lock-free, writes take
 //!   the key's lock;
@@ -11,8 +11,9 @@
 //!   and ABD — one of the reasons the paper picked these protocols, §3.3)
 //!   and the per-key **epoch-id** driving fast/slow-path decisions (§4.2);
 //! * a lazily-allocated **Paxos structure** behind each key (§6.2 "Adapting
-//!   MICA for Paxos"): locking the key through its seqlock also locks the
-//!   Paxos state.
+//!   MICA for Paxos"), kept in the key's *extension* — the per-key overflow
+//!   record that also holds value bytes past the slot's inline 32, so a
+//!   slot stays one cache line (see [`record`]).
 //!
 //! The store is deliberately *not* aware of the network or of sessions: it
 //! is the passive substrate all protocol engines (Kite, ZAB, Derecho) share.

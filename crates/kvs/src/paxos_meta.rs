@@ -65,9 +65,11 @@ pub struct CommittedRing {
 pub const COMMITTED_RING_DEPTH: usize = 32;
 
 impl CommittedRing {
-    /// An empty ring.
+    /// An empty ring. It reserves nothing: every replica builds a ring on
+    /// a key's first RMW, and it grows by one entry per session that
+    /// commits on the key, up to the depth.
     pub fn new() -> Self {
-        CommittedRing { ring: Vec::with_capacity(COMMITTED_RING_DEPTH), evicted_unretired: 0 }
+        CommittedRing { ring: Vec::new(), evicted_unretired: 0 }
     }
 
     /// Record a committed RMW: it replaces its session's older entry in
@@ -196,6 +198,15 @@ mod tests {
         r.push(RmwCommit { op: op(0, 1), slot: 0, result: Val::from_u64(7) });
         assert_eq!(r.find(op(0, 1)).unwrap().result.as_u64(), 7);
         assert!(r.find(op(0, 2)).is_none());
+    }
+
+    #[test]
+    fn a_ring_grows_with_its_sessions_not_its_depth() {
+        let mut r = CommittedRing::new();
+        r.push(RmwCommit { op: op(0, 1), slot: 0, result: Val::from_u64(7) });
+        r.push(RmwCommit { op: op(0, 2), slot: 1, result: Val::from_u64(8) });
+        assert_eq!(r.len(), 1);
+        assert!(r.ring.capacity() < COMMITTED_RING_DEPTH, "one session's entry reserved the depth");
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! # Look-ahead
 //!
 //! The slot array is far larger than any cache, and a key and its record
-//! share one slot of two or three cache lines, so a lookup is one DRAM miss
-//! on the slot's key word and little else. MICA and the paper's workers
-//! hide that miss by prefetching for a whole batch of requests before
-//! probing for any of them. [`Store::prefetch`] is the same hint for a
-//! single key: a caller that learns a key some time *before* it looks the
-//! key up (a runtime that knows its next delivery, a session that knows its
-//! next op) issues it and goes on with other work. It is only a hint — it
-//! reads no slot, claims none, and nothing about a later lookup depends on
-//! it having been given.
+//! share one slot of exactly one line-aligned cache line (key, seqlock,
+//! clock, a packed epoch/extension/length word and the first 32 value
+//! bytes; see `record`), so a lookup is one DRAM miss on the slot and
+//! nothing else for any value of up to 32 bytes. MICA and the paper's
+//! workers hide that miss by prefetching for a whole batch of requests
+//! before probing for any of them. [`Store::prefetch`] is the same hint for
+//! a single key — one prefetch of one line: a caller that learns a key some
+//! time *before* it looks the key up (a runtime that knows its next
+//! delivery, a session that knows its next op) issues it and goes on with
+//! other work. It is only a hint — it reads no slot, claims none, and
+//! nothing about a later lookup depends on it having been given.
 //!
 //! # The Merkle leaf lattice
 //!
@@ -53,11 +55,11 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use kite_common::{Epoch, Key, Lc, NodeId, Val};
+use kite_common::{ClusterConfig, Epoch, Key, Lc, NodeId, Val};
 use parking_lot::Mutex;
 
 use crate::paxos_meta::PaxosMeta;
-use crate::record::{Record, ReadView};
+use crate::record::{ExtArena, ReadView, Record, MAX_EXTS};
 
 const EMPTY_KEY: u64 = u64::MAX;
 
@@ -81,10 +83,25 @@ pub fn merkle_mix(key: Key, lc: Lc) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One key's slot: its key word and its record, in one cache line.
+#[repr(C, align(64))]
 struct Slot {
     key: AtomicU64,
     record: Record,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 64 && std::mem::align_of::<Slot>() == 64);
+
+/// Slots of a store sized for `keys`: 2× headroom keeps probe sequences
+/// short, and a power of two makes the home slot a mask.
+const fn capacity(keys: usize) -> usize {
+    let keys = if keys < 16 { 16 } else { keys };
+    (keys * 2).next_power_of_two()
+}
+
+// Every key count `ClusterConfig::validate` accepts gets a store whose
+// slots the extension index can all name.
+const _: () = assert!(capacity(ClusterConfig::MAX_KEYS) <= MAX_EXTS);
 
 /// A durability hook fed one `(key, lc, val)` triple by **every**
 /// stamp-transitioning store apply — the same choke points that feed the
@@ -137,6 +154,9 @@ impl std::error::Error for SinkError {}
 pub struct Store {
     slots: Box<[Slot]>,
     mask: u64,
+    /// Value tails and Paxos structures, one extension per key that needed
+    /// one (see `record`'s module docs).
+    exts: ExtArena,
     /// Population count, bumped once per claimed slot — keeps
     /// [`Store::len`] O(1) instead of an O(capacity) slot scan.
     live: AtomicUsize,
@@ -187,7 +207,7 @@ pub struct StoreProbe {
 impl Store {
     /// Create a store able to hold at least `keys` distinct keys. Capacity
     /// is rounded up to a power of two with 2× headroom to keep probe
-    /// sequences short.
+    /// sequences short. Panics past [`ClusterConfig::MAX_KEYS`].
     pub fn new(keys: usize) -> Self {
         Self::with_leaf_span(keys, LEAF_SPAN)
     }
@@ -197,7 +217,8 @@ impl Store {
     /// small spans let unit tests cross leaf boundaries with a few keys.
     /// The lattice is not optional: the sweep may summarize any interval.
     fn with_leaf_span(keys: usize, leaf_span: usize) -> Self {
-        let cap = (keys.max(16) * 2).next_power_of_two();
+        let cap = capacity(keys);
+        let exts = ExtArena::new(cap);
         let slots: Box<[Slot]> = (0..cap)
             .map(|_| Slot { key: AtomicU64::new(EMPTY_KEY), record: Record::new() })
             .collect();
@@ -207,6 +228,7 @@ impl Store {
         Store {
             slots,
             mask: (cap - 1) as u64,
+            exts,
             live: AtomicUsize::new(0),
             written: AtomicUsize::new(0),
             leaves,
@@ -377,20 +399,20 @@ impl Store {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            const SLOT: usize = std::mem::size_of::<Slot>();
+            // A slot is one line-aligned cache line (see `Slot`): one hint.
             let slot: *const Slot = &self.slots[(key.hash() & self.mask) as usize];
-            // Slots are 8-aligned, not line-aligned: one line per 64 bytes
-            // from the slot's start, and the one its last byte falls in.
-            for byte in (0..SLOT).step_by(64).chain([SLOT - 1]) {
-                // SAFETY: `slot` points at an in-bounds element of
-                // `self.slots` and `byte < size_of::<Slot>()`, so the
-                // address stays inside that element; a prefetch
-                // dereferences nothing, and SSE is baseline on x86-64.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>().add(byte)) };
-            }
+            // SAFETY: `slot` points at an in-bounds element of `self.slots`;
+            // a prefetch dereferences nothing, and SSE is baseline on x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>()) };
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = key;
+    }
+
+    /// Number of keys holding an extension (a value longer than the
+    /// slot's inline bytes, or a Paxos structure). O(1).
+    pub fn exts(&self) -> usize {
+        self.exts.len()
     }
 
     // ---- reads -----------------------------------------------------------
@@ -398,14 +420,14 @@ impl Store {
     /// Consistent snapshot of `(value, clock, epoch)`.
     #[inline]
     pub fn view(&self, key: Key) -> ReadView {
-        let d = self.record(key).snapshot();
-        ReadView { val: d.val(), lc: d.lc, epoch: Epoch(d.epoch) }
+        let s = self.record(key).snapshot(&self.exts);
+        ReadView { val: s.val(), lc: s.data.lc, epoch: Epoch(s.data.epoch()) }
     }
 
     /// The key's current Lamport clock (ABD write round 1 reads just this).
     #[inline]
     pub fn read_lc(&self, key: Key) -> Lc {
-        self.record(key).snapshot().lc
+        self.record(key).line().lc
     }
 
     // ---- writes ----------------------------------------------------------
@@ -424,8 +446,8 @@ impl Store {
         machine_epoch: Epoch,
     ) -> Option<Lc> {
         let mut prev = Lc::ZERO;
-        let stamped = self.record(key).update(|d| {
-            if d.epoch != machine_epoch.0 {
+        let stamped = self.record(key).update(&self.exts, |d| {
+            if d.epoch() != machine_epoch.0 {
                 return None;
             }
             prev = d.lc;
@@ -447,7 +469,7 @@ impl Store {
     #[inline]
     pub fn apply_max(&self, key: Key, val: &Val, lc: Lc) -> bool {
         let mut prev = Lc::ZERO;
-        let applied = self.record(key).update(|d| {
+        let applied = self.record(key).update(&self.exts, |d| {
             if lc > d.lc {
                 prev = d.lc;
                 d.lc = lc;
@@ -473,7 +495,7 @@ impl Store {
     #[inline]
     pub fn apply_max_restore(&self, key: Key, val: &Val, lc: Lc, snapshot: Epoch) -> bool {
         let mut prev = Lc::ZERO;
-        let applied = self.record(key).update(|d| {
+        let applied = self.record(key).update(&self.exts, |d| {
             let applied = if lc > d.lc {
                 prev = d.lc;
                 d.lc = lc;
@@ -482,8 +504,8 @@ impl Store {
             } else {
                 false
             };
-            if snapshot.0 > d.epoch {
-                d.epoch = snapshot.0;
+            if snapshot.0 > d.epoch() {
+                d.set_epoch(snapshot.0);
             }
             applied
         });
@@ -518,14 +540,14 @@ impl Store {
         snapshot: Option<Epoch>,
     ) -> Lc {
         let mut prev = Lc::ZERO;
-        let lc = self.record(key).update(|d| {
+        let lc = self.record(key).update(&self.exts, |d| {
             prev = d.lc;
             let lc = d.lc.max(floor).succ(mid);
             d.lc = lc;
             d.set_val(val);
             if let Some(s) = snapshot {
-                if s.0 > d.epoch {
-                    d.epoch = s.0;
+                if s.0 > d.epoch() {
+                    d.set_epoch(s.0);
                 }
             }
             lc
@@ -539,9 +561,9 @@ impl Store {
     /// the local value already freshest).
     #[inline]
     pub fn restore_epoch(&self, key: Key, snapshot: Epoch) {
-        self.record(key).update(|d| {
-            if snapshot.0 > d.epoch {
-                d.epoch = snapshot.0;
+        self.record(key).update(&self.exts, |d| {
+            if snapshot.0 > d.epoch() {
+                d.set_epoch(snapshot.0);
             }
         });
     }
@@ -552,7 +574,7 @@ impl Store {
     #[inline]
     pub fn apply_ordered(&self, key: Key, val: &Val, lc: Lc) {
         let mut prev = Lc::ZERO;
-        self.record(key).update(|d| {
+        self.record(key).update(&self.exts, |d| {
             prev = d.lc;
             d.lc = lc;
             d.set_val(val);
@@ -563,17 +585,25 @@ impl Store {
 
     // ---- Paxos -----------------------------------------------------------
 
-    /// The key's Paxos structure (lazily allocated on first RMW, §6.2).
+    /// The key's Paxos structure (lazily allocated on first RMW, §6.2), in
+    /// the key's extension — the one its long values use, if it has one.
     #[inline]
     pub fn paxos(&self, key: Key) -> &Mutex<PaxosMeta> {
-        self.record(key).paxos()
+        self.record(key).ext(&self.exts).paxos()
+    }
+
+    /// The key's Paxos structure iff one was ever allocated — lets
+    /// read-only paths consult it without allocating anything.
+    #[inline]
+    fn paxos_if_allocated(&self, key: Key) -> Option<&Mutex<PaxosMeta>> {
+        self.record(key).ext_if_allocated(&self.exts)?.paxos.get()
     }
 
     /// The key's next undecided Paxos slot, without allocating the Paxos
     /// structure for keys that never carried an RMW (those report 0).
     #[inline]
     pub fn paxos_next_slot(&self, key: Key) -> u64 {
-        self.record(key).paxos_if_allocated().map(|m| m.lock().slot).unwrap_or(0)
+        self.paxos_if_allocated(key).map(|m| m.lock().slot).unwrap_or(0)
     }
 
     /// The key's `(next undecided slot, committed ring)` read under one
@@ -581,7 +611,7 @@ impl Store {
     /// never advances its slot without the matching dedup entries. Keys
     /// that never carried an RMW report `(0, [])` without allocating.
     pub fn paxos_evidence(&self, key: Key) -> (u64, Vec<crate::paxos_meta::RmwCommit>) {
-        match self.record(key).paxos_if_allocated() {
+        match self.paxos_if_allocated(key) {
             None => (0, Vec::new()),
             Some(m) => {
                 let m = m.lock();
@@ -618,7 +648,7 @@ impl Store {
         for slot in &self.slots[start..end] {
             let key = slot.key.load(Ordering::Acquire);
             if key != EMPTY_KEY {
-                out.push((Key(key), slot.record.snapshot().lc));
+                out.push((Key(key), slot.record.line().lc));
             }
         }
         if end >= cap {
@@ -645,12 +675,12 @@ impl Store {
             if k == EMPTY_KEY {
                 continue;
             }
-            let d = slot.record.snapshot();
-            if d.lc == Lc::ZERO {
+            let s = slot.record.snapshot(&self.exts);
+            if s.data.lc == Lc::ZERO {
                 continue;
             }
-            let val = d.val();
-            f(Key(k), d.lc, &val);
+            let val = s.val();
+            f(Key(k), s.data.lc, &val);
         }
     }
 
@@ -721,7 +751,7 @@ impl Store {
             } else {
                 let key = Key(k);
                 if self.leaf_of(key) == leaf {
-                    out.push((key, self.slots[idx].record.snapshot().lc));
+                    out.push((key, self.slots[idx].record.line().lc));
                 }
             }
             pos += 1;
@@ -741,7 +771,7 @@ impl Store {
         for _ in 0..self.slots.len() {
             let slot = &self.slots[idx as usize];
             match slot.key.load(Ordering::Acquire) {
-                cur if cur == key.0 => return Some(slot.record.snapshot().lc),
+                cur if cur == key.0 => return Some(slot.record.line().lc),
                 // A concurrent claim of this very slot may race us to
                 // `None` — fine: "absent" is always a safe answer (the
                 // caller pulls, and the repair path claims properly).
@@ -1000,6 +1030,89 @@ mod tests {
         assert_eq!(s.paxos_next_slot(Key(5)), 4);
         // A never-RMWed key still reports 0 (and still has no Paxos box).
         assert_eq!(s.paxos_next_slot(Key(6)), 0);
+    }
+
+    /// A `len`-byte value whose bytes differ by position and by `tag`.
+    fn val_of(len: usize, tag: u8) -> Val {
+        let bytes: Vec<u8> = (0..len).map(|i| tag.wrapping_mul(31).wrapping_add(i as u8)).collect();
+        Val::from_bytes(&bytes)
+    }
+
+    /// Lengths on both sides of the slot's inline bytes and of `MAX_VAL`.
+    const LENS: [usize; 7] = [0, 1, 31, 32, 33, 63, 64];
+
+    #[test]
+    fn every_value_length_round_trips_through_every_mutator() {
+        use crate::record::HEAD;
+        let s = store();
+        let key = |i: usize, m: u64| Key(100 * i as u64 + m);
+        for (i, &len) in LENS.iter().enumerate() {
+            let v = val_of(len, i as u8 + 1);
+            s.fast_write(key(i, 0), &v, NodeId(1), Epoch::ZERO).unwrap();
+            assert!(s.apply_max(key(i, 1), &v, Lc::new(3, NodeId(1))));
+            assert!(s.apply_max_restore(key(i, 2), &v, Lc::new(3, NodeId(1)), Epoch(2)));
+            s.stamp_apply(key(i, 3), &v, Lc::ZERO, NodeId(1), Some(Epoch(1)));
+            s.apply_ordered(key(i, 4), &v, Lc::new(5, NodeId(0)));
+            for m in 0..5 {
+                assert_eq!(s.view(key(i, m)).val, v, "{len}-byte value through mutator {m}");
+            }
+        }
+        let spilled = LENS.iter().filter(|&&len| len > HEAD).count();
+        assert_eq!(s.exts(), 5 * spilled, "one extension per key whose value spilled");
+        let mut dump = Vec::new();
+        s.for_each_entry(|k, _, v| dump.push((k.0, v.clone())));
+        dump.sort_unstable_by_key(|(k, _)| *k);
+        let expect: Vec<(u64, Val)> = (0..LENS.len())
+            .flat_map(|i| (0..5).map(move |m| (key(i, m).0, val_of(LENS[i], i as u8 + 1))))
+            .collect();
+        assert_eq!(dump, expect, "for_each_entry hands out whole values");
+    }
+
+    #[test]
+    fn a_shrunk_value_leaves_no_stale_tail() {
+        let s = store();
+        for (i, len) in [64, 8, 40].into_iter().enumerate() {
+            let v = val_of(len, i as u8 + 1);
+            s.apply_ordered(Key(1), &v, Lc::new(i as u64 + 1, NodeId(0)));
+            assert_eq!(s.view(Key(1)).val.as_bytes(), v.as_bytes(), "after the {len}-byte write");
+        }
+        assert_eq!(s.exts(), 1, "the key kept its one extension");
+    }
+
+    #[test]
+    fn a_spilled_key_reports_no_paxos_state_and_allocates_none() {
+        let s = store();
+        s.apply_max(Key(1), &val_of(40, 1), Lc::new(1, NodeId(0)));
+        assert_eq!(s.paxos_next_slot(Key(1)), 0);
+        let (slot, ring) = s.paxos_evidence(Key(1));
+        assert_eq!((slot, ring.len()), (0, 0));
+        let ext = s.record(Key(1)).ext_if_allocated(&s.exts).expect("the value spilled");
+        assert!(ext.paxos.get().is_none(), "a read-only Paxos query allocated the structure");
+        assert_eq!(s.exts(), 1);
+    }
+
+    #[test]
+    fn an_rmw_on_a_spilled_key_reuses_its_extension() {
+        let s = store();
+        s.apply_max(Key(1), &val_of(40, 1), Lc::new(1, NodeId(0)));
+        s.paxos(Key(1)).lock().advance_past(0);
+        assert_eq!(s.exts(), 1, "the RMW took the spilled value's extension");
+        assert_eq!(s.paxos_next_slot(Key(1)), 1);
+        assert_eq!(s.view(Key(1)).val, val_of(40, 1), "the tail is untouched");
+        // The other order: a key whose RMW came first spills into the same
+        // extension, and keeps its Paxos state.
+        s.paxos(Key(2)).lock().advance_past(4);
+        assert_eq!(s.exts(), 2);
+        s.apply_max(Key(2), &val_of(64, 2), Lc::new(1, NodeId(0)));
+        assert_eq!(s.exts(), 2);
+        assert_eq!((s.view(Key(2)).val, s.paxos_next_slot(Key(2))), (val_of(64, 2), 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "extension index")]
+    fn a_store_wider_than_the_extension_index_panics() {
+        // 2^24 slots: one more slot than a 24-bit index (0 = none) can name.
+        Store::new(ClusterConfig::MAX_KEYS + 1);
     }
 
     #[test]

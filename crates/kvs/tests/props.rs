@@ -91,4 +91,30 @@ proptest! {
             prop_assert_eq!(s.view(key).epoch, Epoch(max));
         }
     }
+
+    /// Values of every length up to `MAX_VAL` — some inline in the slot,
+    /// some spilling into the key's extension — read back exactly, whatever
+    /// length the key held before: no stale tail byte ever shows, and a key
+    /// takes at most one extension.
+    #[test]
+    fn values_of_any_length_read_back_exactly(
+        ws in proptest::collection::vec((0u64..4, 0usize..=kite_kvs::record::MAX_VAL, any::<u8>()), 1..60)
+    ) {
+        let s = Store::new(64);
+        let mut last = std::collections::HashMap::new();
+        let mut spilled = std::collections::HashSet::new();
+        for (i, (k, len, seed)) in ws.into_iter().enumerate() {
+            let bytes: Vec<u8> = (0..len).map(|j| seed.wrapping_add(j as u8)).collect();
+            let val = Val::from_bytes(&bytes);
+            s.apply_ordered(Key(k), &val, Lc::new(i as u64 + 1, NodeId(0)));
+            if len > Val::INLINE_CAP {
+                spilled.insert(k);
+            }
+            last.insert(k, val);
+            for (k, v) in &last {
+                prop_assert_eq!(&s.view(Key(*k)).val, v);
+            }
+        }
+        prop_assert_eq!(s.exts(), spilled.len());
+    }
 }
