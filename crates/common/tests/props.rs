@@ -3,43 +3,57 @@
 
 use kite_common::rng::SplitMix64;
 use kite_common::{Key, Lc, NodeId, NodeSet, Val};
-use proptest::prelude::*;
+use kite_verify::check::{check, Src};
 
-fn lc() -> impl Strategy<Value = Lc> {
-    (0u64..1000, 0u8..16).prop_map(|(v, m)| Lc::new(v, NodeId(m)))
+fn lc(src: &mut Src) -> Lc {
+    Lc::new(src.below(1000), NodeId(src.below(16) as u8))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// LLC comparison is a total order: antisymmetric, transitive, total.
-    #[test]
-    fn lc_total_order(a in lc(), b in lc(), c in lc()) {
+/// LLC comparison is a total order: antisymmetric, transitive, total.
+#[test]
+fn lc_total_order() {
+    check(256, |src| {
+        let (a, b, c) = (lc(src), lc(src), lc(src));
         // totality
-        prop_assert!(a < b || b < a || a == b);
+        assert!(a < b || b < a || a == b);
         // antisymmetry
-        if a < b { prop_assert!((b >= a)); }
+        if a < b {
+            assert!(b >= a);
+        }
         // transitivity
-        if a < b && b < c { prop_assert!(a < c); }
-    }
+        if a < b && b < c {
+            assert!(a < c);
+        }
+    });
+}
 
-    /// succ() always dominates, regardless of who owns the successor.
-    #[test]
-    fn lc_succ_dominates(a in lc(), m in 0u8..16) {
-        prop_assert!(a.succ(NodeId(m)) > a);
-    }
+/// succ() always dominates, regardless of who owns the successor.
+#[test]
+fn lc_succ_dominates() {
+    check(256, |src| {
+        let (a, m) = (lc(src), src.below(16) as u8);
+        assert!(a.succ(NodeId(m)) > a);
+    });
+}
 
-    /// Two distinct machines never mint the same clock from the same base —
-    /// the write-serialization property of §3.1.
-    #[test]
-    fn lc_succ_unique_per_machine(a in lc(), m1 in 0u8..16, m2 in 0u8..16) {
-        prop_assume!(m1 != m2);
-        prop_assert_ne!(a.succ(NodeId(m1)), a.succ(NodeId(m2)));
-    }
+/// Two distinct machines never mint the same clock from the same base —
+/// the write-serialization property of §3.1.
+#[test]
+fn lc_succ_unique_per_machine() {
+    check(256, |src| {
+        let (a, m1, m2) = (lc(src), src.below(16) as u8, src.below(16) as u8);
+        if m1 == m2 {
+            return;
+        }
+        assert_ne!(a.succ(NodeId(m1)), a.succ(NodeId(m2)));
+    });
+}
 
-    /// NodeSet behaves like a set of small integers.
-    #[test]
-    fn nodeset_models_hashset(ops in proptest::collection::vec((0u8..16, any::<bool>()), 0..64)) {
+/// NodeSet behaves like a set of small integers.
+#[test]
+fn nodeset_models_hashset() {
+    check(256, |src| {
+        let ops = src.vec(0..64, |s| (s.below(16) as u8, s.bool()));
         let mut ns = NodeSet::EMPTY;
         let mut hs = std::collections::HashSet::new();
         for (n, insert) in ops {
@@ -50,61 +64,78 @@ proptest! {
                 ns.remove(NodeId(n));
                 hs.remove(&n);
             }
-            prop_assert_eq!(ns.len(), hs.len());
+            assert_eq!(ns.len(), hs.len());
             for i in 0..16u8 {
-                prop_assert_eq!(ns.contains(NodeId(i)), hs.contains(&i));
+                assert_eq!(ns.contains(NodeId(i)), hs.contains(&i));
             }
         }
-    }
+    });
+}
 
-    /// Any two majority quorums of any deployment size intersect — the
-    /// foundation of ABD, Paxos, and the slow-release invariant.
-    #[test]
-    fn quorums_intersect(
-        n in 3usize..=9,
-        picks_a in proptest::collection::vec(0u8..9, 0..9),
-        picks_b in proptest::collection::vec(0u8..9, 0..9),
-    ) {
-        let mut a = NodeSet::EMPTY;
-        let mut b = NodeSet::EMPTY;
-        for p in picks_a { if (p as usize) < n { a.insert(NodeId(p)); } }
-        for p in picks_b { if (p as usize) < n { b.insert(NodeId(p)); } }
+/// Any two majority quorums of any deployment size intersect — the
+/// foundation of ABD, Paxos, and the slow-release invariant.
+#[test]
+fn quorums_intersect() {
+    check(256, |src| {
+        let n = src.range(3..10) as usize;
+        let pick = |src: &mut Src| {
+            let mut set = NodeSet::EMPTY;
+            for p in src.vec(0..9, |s| s.below(9) as u8) {
+                if (p as usize) < n {
+                    set.insert(NodeId(p));
+                }
+            }
+            set
+        };
+        let (a, b) = (pick(src), pick(src));
         if a.is_quorum(n) && b.is_quorum(n) {
-            prop_assert!(!a.intersect(b).is_empty());
+            assert!(!a.intersect(b).is_empty());
         }
-    }
+    });
+}
 
-    /// Val round-trips bytes through either representation.
-    #[test]
-    fn val_round_trips(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+/// Val round-trips bytes through either representation.
+#[test]
+fn val_round_trips() {
+    check(256, |src| {
+        let bytes = src.vec(0..64, Src::u8);
         let v = Val::from_bytes(&bytes);
-        prop_assert_eq!(v.as_bytes(), &bytes[..]);
-        prop_assert_eq!(v.len(), bytes.len());
-        prop_assert_eq!(v.is_inline(), bytes.len() <= Val::INLINE_CAP);
-    }
+        assert_eq!(v.as_bytes(), &bytes[..]);
+        assert_eq!(v.len(), bytes.len());
+        assert_eq!(v.is_inline(), bytes.len() <= Val::INLINE_CAP);
+    });
+}
 
-    /// u64 encoding round-trips.
-    #[test]
-    fn val_u64_round_trips(x in any::<u64>()) {
-        prop_assert_eq!(Val::from_u64(x).as_u64(), x);
-    }
+/// u64 encoding round-trips.
+#[test]
+fn val_u64_round_trips() {
+    check(256, |src| {
+        let x = src.u64();
+        assert_eq!(Val::from_u64(x).as_u64(), x);
+    });
+}
 
-    /// Key hashing is deterministic and avalanches at least a little.
-    #[test]
-    fn key_hash_deterministic(k in any::<u64>()) {
-        prop_assert_eq!(Key(k).hash(), Key(k).hash());
-        prop_assert_ne!(Key(k).hash(), Key(k.wrapping_add(1)).hash());
-    }
+/// Key hashing is deterministic and avalanches at least a little.
+#[test]
+fn key_hash_deterministic() {
+    check(256, |src| {
+        let k = src.u64();
+        assert_eq!(Key(k).hash(), Key(k).hash());
+        assert_ne!(Key(k).hash(), Key(k.wrapping_add(1)).hash());
+    });
+}
 
-    /// The PRNG is reproducible and respects bounds.
-    #[test]
-    fn rng_reproducible(seed in any::<u64>(), bound in 1u64..1_000_000) {
+/// The PRNG is reproducible and respects bounds.
+#[test]
+fn rng_reproducible() {
+    check(256, |src| {
+        let (seed, bound) = (src.u64(), src.range(1..1_000_000));
         let mut a = SplitMix64::new(seed);
         let mut b = SplitMix64::new(seed);
         for _ in 0..32 {
             let x = a.next_below(bound);
-            prop_assert_eq!(x, b.next_below(bound));
-            prop_assert!(x < bound);
+            assert_eq!(x, b.next_below(bound));
+            assert!(x < bound);
         }
-    }
+    });
 }

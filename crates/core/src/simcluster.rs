@@ -21,6 +21,8 @@ pub struct SimCluster {
     shared: Vec<Arc<NodeShared>>,
     counters: Vec<Arc<ProtoCounters>>,
     cfg: ClusterConfig,
+    mode: ProtocolMode,
+    hook: Option<CompletionHook>,
 }
 
 impl SimCluster {
@@ -42,20 +44,23 @@ impl SimCluster {
             .map(|n| NodeShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
             .collect();
 
-        let actors: Vec<Vec<Worker>> = shared
-            .iter()
-            .map(|sh| {
-                (0..cfg.workers_per_node)
-                    .map(|w| {
-                        let sessions =
-                            sessions_for(sh.me, w, cfg.sessions_per_worker, &mut drivers);
-                        Worker::new(w, Arc::clone(sh), mode, sessions, hook.clone())
-                    })
-                    .collect()
-            })
-            .collect();
+        let actors: Vec<Vec<Worker>> =
+            shared.iter().map(|sh| workers(sh, mode, &mut drivers, &hook)).collect();
+        SimCluster { sim: Sim::new(actors, sim_cfg), shared, counters, cfg, mode, hook }
+    }
 
-        SimCluster { sim: Sim::new(actors, sim_cfg), shared, counters, cfg }
+    /// Restart `node` as a new process with nothing on disk: a fresh
+    /// [`NodeShared`] — empty store, no acceptor state, no epochs — whose
+    /// sessions `drivers` supplies, on the same counters. Models a restart
+    /// with the WAL off, or one that lost a write still staged: the
+    /// acceptor state is lost either way. Everything in flight to the old
+    /// process is dropped ([`Sim::restart`]).
+    pub fn restart(&mut self, node: NodeId, mut drivers: impl FnMut(SessionId) -> SessionDriver) {
+        let counters = Arc::clone(&self.counters[node.idx()]);
+        let sh = NodeShared::new(node, self.cfg.clone(), counters);
+        self.shared[node.idx()] = Arc::clone(&sh);
+        let (mode, hook) = (self.mode, &self.hook);
+        self.sim.restart(node, || workers(&sh, mode, &mut drivers, hook));
     }
 
     /// The deployment's configuration.
@@ -125,6 +130,22 @@ impl SimCluster {
     pub fn mreqs(completed: u64, window_ns: u64) -> f64 {
         completed as f64 / (window_ns as f64 / 1e9) / 1e6
     }
+}
+
+/// The workers of the node `sh` serves, their sessions from `drivers`.
+fn workers(
+    sh: &Arc<NodeShared>,
+    mode: ProtocolMode,
+    drivers: &mut impl FnMut(SessionId) -> SessionDriver,
+    hook: &Option<CompletionHook>,
+) -> Vec<Worker> {
+    let cfg = &sh.cfg;
+    (0..cfg.workers_per_node)
+        .map(|w| {
+            let sessions = sessions_for(sh.me, w, cfg.sessions_per_worker, &mut *drivers);
+            Worker::new(w, Arc::clone(sh), mode, sessions, hook.clone())
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1146,8 +1146,7 @@ pub fn decode_hello(b: &[u8; HELLO_LEN]) -> WireResult<Hello> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
+    use kite_verify::check::{check, Src};
 
     fn sample_msgs() -> Vec<Msg> {
         let op = OpId::new(SessionId::new(NodeId(3), 9), 77);
@@ -1277,45 +1276,46 @@ mod tests {
     // `*_wire_bytes` functions, not from encoded frames (the sim never
     // encodes). An encoder change that leaves one behind would silently
     // skew `ae.digest_bytes_per_op` on the sim.
-    proptest! {
-        #[test]
-        fn digest_wire_bytes_is_the_encoded_length(keys in vec(any::<u64>(), 0..600)) {
-            let entries: Vec<(Key, Lc)> = keys
-                .iter()
-                .map(|&k| (Key(k), Lc::new(k >> 24, NodeId((k % 16) as u8))))
+    #[test]
+    fn digest_wire_bytes_is_the_encoded_length() {
+        check(256, |src| {
+            let entries: Vec<(Key, Lc)> = src
+                .vec(0..600, Src::u64)
+                .into_iter()
+                .map(|k| (Key(k), Lc::new(k >> 24, NodeId((k % 16) as u8))))
                 .collect();
             let n = entries.len();
             let m = Msg::Digest { d: Arc::new(DigestChunk { entries }) };
-            prop_assert_eq!(digest_wire_bytes(n), encoded_len(&m));
-        }
+            assert_eq!(digest_wire_bytes(n), encoded_len(&m));
+        });
+    }
 
-        #[test]
-        fn summary_wire_bytes_is_the_encoded_length(
-            hashes in vec(any::<u64>(), 0..300),
-            level in 0u8..8,
-            start in any::<u32>(),
-        ) {
-            let n = hashes.len();
+    #[test]
+    fn summary_wire_bytes_is_the_encoded_length() {
+        check(256, |src| {
+            let hashes = src.vec(0..300, Src::u64);
+            let (level, start, n) = (src.below(8) as u8, src.u32(), hashes.len());
             let m = Msg::MerkleSummary { s: Arc::new(MerkleSummary { level, start, hashes }) };
-            prop_assert_eq!(summary_wire_bytes(n), encoded_len(&m));
-        }
+            assert_eq!(summary_wire_bytes(n), encoded_len(&m));
+        });
+    }
 
-        #[test]
-        fn req_wire_bytes_is_the_encoded_length(
-            buckets in vec(any::<u32>(), 0..300),
-            level in 0u8..8,
-        ) {
-            let n = buckets.len();
+    #[test]
+    fn req_wire_bytes_is_the_encoded_length() {
+        check(256, |src| {
+            let buckets = src.vec(0..300, Src::u32);
+            let (level, n) = (src.below(8) as u8, buckets.len());
             let m = Msg::MerkleReq { level, buckets: buckets.into() };
-            prop_assert_eq!(req_wire_bytes(n), encoded_len(&m));
-        }
+            assert_eq!(req_wire_bytes(n), encoded_len(&m));
+        });
+    }
 
-        #[test]
-        fn repair_wire_bytes_is_the_encoded_length(
-            val in vec(any::<u8>(), 0..65),
-            ring in vec((any::<u64>(), vec(any::<u8>(), 0..65)), 0..9),
-        ) {
-            let ring = ring
+    #[test]
+    fn repair_wire_bytes_is_the_encoded_length() {
+        check(256, |src| {
+            let val = src.vec(0..65, Src::u8);
+            let ring = src
+                .vec(0..9, |s| (s.u64(), s.vec(0..65, Src::u8)))
                 .iter()
                 .map(|(x, result)| RmwCommit {
                     op: OpId::new(
@@ -1333,7 +1333,7 @@ mod tests {
                 slot: 9,
                 ring,
             });
-            prop_assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
-        }
+            assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
+        });
     }
 }

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use kite::delinquency::DelinquencyTable;
 use kite_common::{NodeId, NodeSet, OpId, SessionId};
-use proptest::prelude::*;
+use kite_verify::check::{check, Src};
 
 /// One scripted action against the table (single bit: machine 0).
 #[derive(Clone, Debug)]
@@ -31,21 +31,19 @@ enum Action {
     StaleReset { s: u8 },
 }
 
-fn actions() -> impl Strategy<Value = Vec<Action>> {
-    proptest::collection::vec(
-        prop_oneof![
-            2 => Just(Action::Mark),
-            4 => (0u8..4).prop_map(|s| Action::Probe { s }),
-            3 => (0u8..4).prop_map(|s| Action::Reset { s }),
-            1 => (0u8..4).prop_map(|s| Action::StaleReset { s }),
-        ],
-        1..200,
-    )
+fn actions(src: &mut Src) -> Vec<Action> {
+    src.vec(1..200, |s| match s.pick(&[2, 4, 3, 1]) {
+        0 => Action::Mark,
+        1 => Action::Probe { s: s.below(4) as u8 },
+        2 => Action::Reset { s: s.below(4) as u8 },
+        _ => Action::StaleReset { s: s.below(4) as u8 },
+    })
 }
 
-proptest! {
-    #[test]
-    fn resets_never_erase_newer_delinquency(script in actions()) {
+#[test]
+fn resets_never_erase_newer_delinquency() {
+    check(256, |src| {
+        let script = actions(src);
         let machine = NodeId(0);
         let table = DelinquencyTable::new(1);
         let dm: NodeSet = [machine].into_iter().collect();
@@ -64,14 +62,14 @@ proptest! {
                     table.mark_delinquent(dm);
                     mark_epoch += 1;
                     marked = true;
-                    prop_assert!(table.is_marked(machine), "mark must mark");
+                    assert!(table.is_marked(machine), "mark must mark");
                 }
                 Action::Probe { s } => {
                     let si = s as usize;
                     let tag = OpId::new(SessionId::new(machine, s as u32), seqs[si]);
                     seqs[si] += 1;
                     let verdict = table.probe(machine, tag);
-                    prop_assert_eq!(
+                    assert_eq!(
                         verdict, marked,
                         "probe verdict must reflect the bit at probe time"
                     );
@@ -93,11 +91,11 @@ proptest! {
                     if cleared {
                         // Lemma 5.7 soundness: no mark intervened since the
                         // probe that created this tag.
-                        prop_assert_eq!(
+                        assert_eq!(
                             tag_epoch.get(&tag).copied(), Some(mark_epoch),
                             "reset cleared across an intervening slow-release"
                         );
-                        prop_assert!(!table.is_marked(machine));
+                        assert!(!table.is_marked(machine));
                         marked = false;
                     }
                 }
@@ -105,6 +103,6 @@ proptest! {
         }
 
         // The oracle's marked flag always agrees with the table at the end.
-        prop_assert_eq!(table.is_marked(machine), marked);
-    }
+        assert_eq!(table.is_marked(machine), marked);
+    });
 }

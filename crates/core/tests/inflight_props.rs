@@ -12,7 +12,7 @@ use kite::{NodeShared, ProtocolMode, Session, SessionDriver, Worker};
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_simnet::{Actor, Outbox};
-use proptest::prelude::*;
+use kite_verify::check::check;
 
 fn entry(tag: u64) -> InFlight {
     InFlight::EsWrite(EsWriteState {
@@ -30,14 +30,13 @@ fn entry(tag: u64) -> InFlight {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Model check: under arbitrary insert/remove interleavings, live rids
-    /// resolve to exactly their entry and every dead rid (including ones
-    /// whose slot has been recycled many times) resolves to nothing.
-    #[test]
-    fn dead_rids_never_resolve(ops in proptest::collection::vec((any::<bool>(), any::<u8>()), 1..200)) {
+/// Model check: under arbitrary insert/remove interleavings, live rids
+/// resolve to exactly their entry and every dead rid (including ones
+/// whose slot has been recycled many times) resolves to nothing.
+#[test]
+fn dead_rids_never_resolve() {
+    check(256, |src| {
+        let ops = src.vec(1..200, |s| (s.bool(), s.u8()));
         let mut table = InFlightTable::new();
         let mut live: Vec<(u64, u64)> = Vec::new(); // (rid, marker)
         let mut dead: Vec<u64> = Vec::new();
@@ -51,38 +50,41 @@ proptest! {
                 let idx = pick as usize % live.len();
                 let (rid, tag) = live.swap_remove(idx);
                 let removed = table.remove(rid).expect("live rid must remove");
-                prop_assert_eq!(removed.meta().invoked_at, tag);
+                assert_eq!(removed.meta().invoked_at, tag);
                 dead.push(rid);
             }
-            prop_assert_eq!(table.len(), live.len());
+            assert_eq!(table.len(), live.len());
             for &(rid, tag) in &live {
-                prop_assert_eq!(table.get(rid).expect("live rid").meta().invoked_at, tag);
+                assert_eq!(table.get(rid).expect("live rid").meta().invoked_at, tag);
             }
             for &rid in &dead {
-                prop_assert!(table.get(rid).is_none(), "dead rid resolved");
-                prop_assert!(!table.contains(rid));
+                assert!(table.get(rid).is_none(), "dead rid resolved");
+                assert!(!table.contains(rid));
             }
         }
-    }
+    });
+}
 
-    /// Hammering one slot through many generations never lets an old rid
-    /// alias the current occupant.
-    #[test]
-    fn slot_reuse_is_aba_safe(reuses in 1usize..512) {
+/// Hammering one slot through many generations never lets an old rid
+/// alias the current occupant.
+#[test]
+fn slot_reuse_is_aba_safe() {
+    check(256, |src| {
+        let reuses = src.range(1..512);
         let mut table = InFlightTable::new();
-        let mut old_rids = Vec::with_capacity(reuses);
+        let mut old_rids = Vec::new();
         for i in 0..reuses {
-            let rid = table.insert(entry(i as u64));
+            let rid = table.insert(entry(i));
             table.remove(rid);
             old_rids.push(rid);
         }
         let current = table.insert(entry(9999));
         for rid in old_rids {
-            prop_assert_ne!(rid, current);
-            prop_assert!(table.get(rid).is_none());
+            assert_ne!(rid, current);
+            assert!(table.get(rid).is_none());
         }
-        prop_assert_eq!(table.get(current).unwrap().meta().invoked_at, 9999);
-    }
+        assert_eq!(table.get(current).unwrap().meta().invoked_at, 9999);
+    });
 }
 
 // ===========================================================================

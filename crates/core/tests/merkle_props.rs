@@ -24,8 +24,7 @@ use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, Lc, NodeId, Val};
 use kite_simnet::SimCfg;
-use proptest::prelude::*;
-use proptest::test_runner::TestRng;
+use kite_verify::check::{check, Src};
 
 const SEC: u64 = 1_000_000_000;
 const NODES: usize = 3;
@@ -68,43 +67,38 @@ fn val_for(key: u64, v: u64, o: u8) -> Val {
     Val::from_u64((key << 20) ^ (v << 8) ^ (o as u64 + 1))
 }
 
-struct Plans;
-
-impl proptest::strategy::Strategy for Plans {
-    type Value = DivergencePlan;
-    fn generate(&self, rng: &mut TestRng) -> DivergencePlan {
-        // Edge cases get their own arms: empty stores and single-key
-        // stores are exactly where "advertise nothing" asymmetries hide.
-        let nkeys = match rng.below(8) {
-            0 => 0,
-            1 => 1,
-            _ => 2 + rng.below(23),
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        let mut keys = Vec::new();
-        for _ in 0..nkeys {
-            let key = rng.next_u64() >> 1; // avoid the reserved u64::MAX
-            if !seen.insert(key) {
-                continue;
-            }
-            let latest_v = 2 + rng.below(5);
-            let latest_o = rng.below(NODES as u64) as u8;
-            let mut state = [None; NODES];
-            for slot in state.iter_mut() {
-                *slot = match rng.below(4) {
-                    0 => None, // missing: the replica slept through the key
-                    1 => {
-                        // stale: an earlier stamp of the same key
-                        let v = 1 + rng.below(latest_v - 1);
-                        Some((v, rng.below(NODES as u64) as u8))
-                    }
-                    _ => Some((latest_v, latest_o)),
-                };
-            }
-            keys.push(KeyPlan { key, state });
+fn plan(src: &mut Src) -> DivergencePlan {
+    // Edge cases get their own arms: empty stores and single-key
+    // stores are exactly where "advertise nothing" asymmetries hide.
+    let nkeys = match src.below(8) {
+        0 => 0,
+        1 => 1,
+        _ => 2 + src.below(23),
+    };
+    let mut seen = std::collections::BTreeSet::new();
+    let mut keys = Vec::new();
+    for _ in 0..nkeys {
+        let key = src.u64() >> 1; // avoid the reserved u64::MAX
+        if !seen.insert(key) {
+            continue;
         }
-        DivergencePlan { keys, seed: rng.next_u64() | 1 }
+        let latest_v = 2 + src.below(5);
+        let latest_o = src.below(NODES as u64) as u8;
+        let mut state = [None; NODES];
+        for slot in state.iter_mut() {
+            *slot = match src.below(4) {
+                0 => None, // missing: the replica slept through the key
+                1 => {
+                    // stale: an earlier stamp of the same key
+                    let v = 1 + src.below(latest_v - 1);
+                    Some((v, src.below(NODES as u64) as u8))
+                }
+                _ => Some((latest_v, latest_o)),
+            };
+        }
+        keys.push(KeyPlan { key, state });
     }
+    DivergencePlan { keys, seed: src.u64() | 1 }
 }
 
 /// Final per-replica store content over the plan's keys, read with the
@@ -188,13 +182,12 @@ fn converge(plan: &DivergencePlan) -> RunOut {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn summaries_converge_every_replica_to_the_llc_max_winner(plan in Plans) {
+#[test]
+fn summaries_converge_every_replica_to_the_llc_max_winner() {
+    check(24, |src| {
+        let plan = plan(src);
         let out = converge(&plan);
-        prop_assert!(out.summaries > 0, "idle sweeps must broadcast summaries");
+        assert!(out.summaries > 0, "idle sweeps must broadcast summaries");
 
         // Every replica holds exactly the LLC-max winner of every key the
         // pattern placed anywhere — and nothing at all where nobody held
@@ -202,7 +195,7 @@ proptest! {
         for kp in &plan.keys {
             let want = kp.expected().map(|(v, o)| (Lc::new(v, NodeId(o)), val_for(kp.key, v, o).as_u64()));
             for (n, st) in out.state.iter().enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     st.get(&kp.key).copied(),
                     want,
                     "replica {} wrong on key {} (plan {:?})",
@@ -216,18 +209,18 @@ proptest! {
         // per lattice level otherwise.
         let diverged = plan.keys.iter().filter(|kp| kp.diverged()).count() as u64;
         if diverged == 0 {
-            prop_assert_eq!(out.merkle_reqs, 0, "identical replicas must not drill down");
-            prop_assert_eq!(
+            assert_eq!(out.merkle_reqs, 0, "identical replicas must not drill down");
+            assert_eq!(
                 out.digest_keys, 0,
                 "identical replicas must exchange no per-key digest entries"
             );
         } else {
             let bound = 64 * (1 + diverged * LEVELS);
-            prop_assert!(
+            assert!(
                 out.merkle_reqs <= bound,
                 "drill-down blow-up: {} reqs for {} diverged keys (bound {})",
                 out.merkle_reqs, diverged, bound
             );
         }
-    }
+    });
 }

@@ -12,176 +12,175 @@ use kite::msg::{
 use kite::wire::{self, WireError};
 use kite_common::{Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_kvs::RmwCommit;
-use proptest::prelude::*;
-use proptest::test_runner::TestRng;
+use kite_verify::check::{check, Src};
 
 // ---------------------------------------------------------------------------
-// Generators (the proptest shim's Strategy surface)
+// Generators
 // ---------------------------------------------------------------------------
 
-fn gen_val(rng: &mut TestRng) -> Val {
-    match rng.below(4) {
+fn gen_val(src: &mut Src) -> Val {
+    match src.below(4) {
         0 => Val::EMPTY,
-        1 => Val::from_u64(rng.next_u64()),
+        1 => Val::from_u64(src.u64()),
         2 => {
             // Inline boundary (32 bytes).
-            let b: Vec<u8> = (0..32).map(|_| rng.next_u64() as u8).collect();
+            let b: Vec<u8> = (0..32).map(|_| src.u8()).collect();
             Val::from_bytes(&b)
         }
         _ => {
             // Heap flavour.
-            let n = 33 + rng.below(64) as usize;
-            let b: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+            let n = 33 + src.below(64) as usize;
+            let b: Vec<u8> = (0..n).map(|_| src.u8()).collect();
             Val::from_bytes(&b)
         }
     }
 }
 
-fn gen_lc(rng: &mut TestRng) -> Lc {
-    Lc::new(rng.below(1 << 40), NodeId(rng.below(16) as u8))
+fn gen_lc(src: &mut Src) -> Lc {
+    Lc::new(src.below(1 << 40), NodeId(src.below(16) as u8))
 }
 
-fn gen_op_id(rng: &mut TestRng) -> OpId {
+fn gen_op_id(src: &mut Src) -> OpId {
     OpId::new(
-        SessionId::new(NodeId(rng.below(16) as u8), rng.below(1 << 10) as u32),
-        rng.below(1 << 30),
+        SessionId::new(NodeId(src.below(16) as u8), src.below(1 << 10) as u32),
+        src.below(1 << 30),
     )
 }
 
-fn gen_ring(rng: &mut TestRng) -> Vec<RmwCommit> {
-    (0..rng.below(5))
-        .map(|_| RmwCommit { op: gen_op_id(rng), slot: rng.below(1 << 20), result: gen_val(rng) })
+fn gen_ring(src: &mut Src) -> Vec<RmwCommit> {
+    (0..src.below(5))
+        .map(|_| RmwCommit { op: gen_op_id(src), slot: src.below(1 << 20), result: gen_val(src) })
         .collect()
 }
 
-fn gen_key(rng: &mut TestRng) -> Key {
-    Key(rng.next_u64())
+fn gen_key(src: &mut Src) -> Key {
+    Key(src.u64())
 }
 
 /// One random message covering **every** variant (tag picked uniformly).
-fn gen_msg(rng: &mut TestRng) -> Msg {
-    let rid = rng.next_u64();
-    match rng.below(23) {
-        0 => Msg::EsWrite { rid, key: gen_key(rng), val: gen_val(rng), lc: gen_lc(rng) },
+fn gen_msg(src: &mut Src) -> Msg {
+    let rid = src.u64();
+    match src.below(23) {
+        0 => Msg::EsWrite { rid, key: gen_key(src), val: gen_val(src), lc: gen_lc(src) },
         1 => Msg::Ack { rid },
-        2 => Msg::AckBatch { rids: (0..rng.below(20)).map(|_| rng.next_u64()).collect() },
-        3 => Msg::RtsReq { rid, key: gen_key(rng) },
-        4 => Msg::RtsRep { rid, lc: gen_lc(rng) },
+        2 => Msg::AckBatch { rids: (0..src.below(20)).map(|_| src.u64()).collect() },
+        3 => Msg::RtsReq { rid, key: gen_key(src) },
+        4 => Msg::RtsRep { rid, lc: gen_lc(src) },
         5 => {
-            let acq = if rng.below(2) == 0 { Some(gen_op_id(rng)) } else { None };
-            Msg::ReadReq { rid, key: gen_key(rng), acq }
+            let acq = if src.below(2) == 0 { Some(gen_op_id(src)) } else { None };
+            Msg::ReadReq { rid, key: gen_key(src), acq }
         }
         6 => Msg::ReadRep {
             rid,
-            val: gen_val(rng),
-            lc: gen_lc(rng),
-            delinquent: rng.below(2) == 0,
+            val: gen_val(src),
+            lc: gen_lc(src),
+            delinquent: src.below(2) == 0,
         },
-        7 => Msg::WriteMsg { rid, key: gen_key(rng), val: gen_val(rng), lc: gen_lc(rng) },
+        7 => Msg::WriteMsg { rid, key: gen_key(src), val: gen_val(src), lc: gen_lc(src) },
         8 => Msg::WriteAcq {
             rid,
             wb: Arc::new(WriteBack {
-                key: gen_key(rng),
-                val: gen_val(rng),
-                lc: gen_lc(rng),
-                acq: gen_op_id(rng),
+                key: gen_key(src),
+                val: gen_val(src),
+                lc: gen_lc(src),
+                acq: gen_op_id(src),
             }),
         },
-        9 => Msg::WriteAck { rid, delinquent: rng.below(2) == 0 },
-        10 => Msg::SlowRelease { rid, dm: NodeSet(rng.next_u64() as u16) },
+        9 => Msg::WriteAck { rid, delinquent: src.below(2) == 0 },
+        10 => Msg::SlowRelease { rid, dm: NodeSet(src.below(1 << 16) as u16) },
         11 => Msg::SlowReleaseAck { rid },
-        12 => Msg::ResetBit { acq: gen_op_id(rng) },
+        12 => Msg::ResetBit { acq: gen_op_id(src) },
         13 => Msg::Propose {
             rid,
-            key: gen_key(rng),
-            slot: rng.below(1 << 20),
-            ballot: gen_lc(rng),
-            op: gen_op_id(rng),
+            key: gen_key(src),
+            slot: src.below(1 << 20),
+            ballot: gen_lc(src),
+            op: gen_op_id(src),
         },
         14 => {
-            let outcome = match rng.below(5) {
+            let outcome = match src.below(5) {
                 0 => PromiseOutcome::Promised { accepted: None },
                 1 => PromiseOutcome::Promised {
                     accepted: Some(Box::new((
-                        gen_lc(rng),
+                        gen_lc(src),
                         Cmd {
-                            op: gen_op_id(rng),
-                            new_val: gen_val(rng),
-                            result: gen_val(rng),
-                            lc: gen_lc(rng),
+                            op: gen_op_id(src),
+                            new_val: gen_val(src),
+                            result: gen_val(src),
+                            lc: gen_lc(src),
                         },
                     ))),
                 },
-                2 => PromiseOutcome::NackBallot { promised: gen_lc(rng) },
+                2 => PromiseOutcome::NackBallot { promised: gen_lc(src) },
                 3 => PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
-                    slot: rng.below(1 << 20),
-                    cur_val: gen_val(rng),
-                    cur_lc: gen_lc(rng),
-                    done: if rng.below(2) == 0 { Some(gen_val(rng)) } else { None },
-                    ring: gen_ring(rng),
+                    slot: src.below(1 << 20),
+                    cur_val: gen_val(src),
+                    cur_lc: gen_lc(src),
+                    done: if src.below(2) == 0 { Some(gen_val(src)) } else { None },
+                    ring: gen_ring(src),
                 })),
-                _ => PromiseOutcome::Lagging { slot: rng.below(1 << 20) },
+                _ => PromiseOutcome::Lagging { slot: src.below(1 << 20) },
             };
-            Msg::PromiseRep { rid, ballot: gen_lc(rng), outcome, delinquent: rng.below(2) == 0 }
+            Msg::PromiseRep { rid, ballot: gen_lc(src), outcome, delinquent: src.below(2) == 0 }
         }
         15 => Msg::Accept {
             rid,
-            key: gen_key(rng),
-            slot: rng.below(1 << 20),
-            ballot: gen_lc(rng),
+            key: gen_key(src),
+            slot: src.below(1 << 20),
+            ballot: gen_lc(src),
             cmd: Arc::new(Cmd {
-                op: gen_op_id(rng),
-                new_val: gen_val(rng),
-                result: gen_val(rng),
-                lc: gen_lc(rng),
+                op: gen_op_id(src),
+                new_val: gen_val(src),
+                result: gen_val(src),
+                lc: gen_lc(src),
             }),
         },
         16 => Msg::AcceptRep {
             rid,
-            ballot: gen_lc(rng),
-            ok: rng.below(2) == 0,
-            promised: gen_lc(rng),
-            delinquent: rng.below(2) == 0,
+            ballot: gen_lc(src),
+            ok: src.below(2) == 0,
+            promised: gen_lc(src),
+            delinquent: src.below(2) == 0,
         },
         17 => Msg::Commit {
             rid,
-            key: gen_key(rng),
+            key: gen_key(src),
             c: Arc::new(CommitPayload {
-                slot: rng.below(1 << 20),
-                val: gen_val(rng),
-                lc: gen_lc(rng),
-                meta: if rng.below(2) == 0 { Some((gen_op_id(rng), gen_val(rng))) } else { None },
+                slot: src.below(1 << 20),
+                val: gen_val(src),
+                lc: gen_lc(src),
+                meta: if src.below(2) == 0 { Some((gen_op_id(src), gen_val(src))) } else { None },
             }),
         },
         18 => Msg::Digest {
             d: Arc::new(DigestChunk {
-                entries: (0..rng.below(40)).map(|_| (gen_key(rng), gen_lc(rng))).collect(),
+                entries: (0..src.below(40)).map(|_| (gen_key(src), gen_lc(src))).collect(),
             }),
         },
         19 => Msg::RepairReq {
-            keys: (0..rng.below(20)).map(|_| gen_key(rng)).collect::<Vec<_>>().into_boxed_slice(),
+            keys: (0..src.below(20)).map(|_| gen_key(src)).collect::<Vec<_>>().into_boxed_slice(),
         },
         20 => Msg::MerkleSummary {
             s: Arc::new(MerkleSummary {
-                level: rng.below(8) as u8,
-                start: rng.below(1 << 20) as u32,
-                hashes: (0..rng.below(40)).map(|_| rng.next_u64()).collect(),
+                level: src.below(8) as u8,
+                start: src.below(1 << 20) as u32,
+                hashes: (0..src.below(40)).map(|_| src.u64()).collect(),
             }),
         },
         21 => Msg::MerkleReq {
-            level: rng.below(8) as u8,
-            buckets: (0..rng.below(30))
-                .map(|_| rng.below(1 << 20) as u32)
+            level: src.below(8) as u8,
+            buckets: (0..src.below(30))
+                .map(|_| src.below(1 << 20) as u32)
                 .collect::<Vec<_>>()
                 .into(),
         },
         _ => Msg::RepairVal {
             r: Box::new(Repair {
-                key: gen_key(rng),
-                val: gen_val(rng),
-                lc: gen_lc(rng),
-                slot: rng.below(1 << 20),
-                ring: gen_ring(rng),
+                key: gen_key(src),
+                val: gen_val(src),
+                lc: gen_lc(src),
+                slot: src.below(1 << 20),
+                ring: gen_ring(src),
             }),
         },
     }
@@ -193,77 +192,76 @@ fn same(a: &Msg, b: &Msg) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
-struct MsgBatch;
-
-impl proptest::strategy::Strategy for MsgBatch {
-    type Value = Vec<Msg>;
-    fn generate(&self, rng: &mut TestRng) -> Vec<Msg> {
-        (0..1 + rng.below(16)).map(|_| gen_msg(rng)).collect()
-    }
+fn msg_batch(src: &mut Src) -> Vec<Msg> {
+    src.vec(1..17, gen_msg)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(400))]
-
-    /// encode → frame → decode is the identity on every variant, and the
-    /// decode lands in a recycled buffer without disturbing prior content.
-    #[test]
-    fn frame_round_trips_every_variant(msgs in MsgBatch, src in 0u8..16, mepoch in any::<u32>()) {
+/// encode → frame → decode is the identity on every variant, and the
+/// decode lands in a recycled buffer without disturbing prior content.
+#[test]
+fn frame_round_trips_every_variant() {
+    check(400, |src| {
+        let (msgs, from, mepoch) = (msg_batch(src), NodeId(src.below(16) as u8), src.u32());
         let mut buf = Vec::new();
-        wire::encode_frame(NodeId(src), mepoch, &msgs, &mut buf);
+        wire::encode_frame(from, mepoch, &msgs, &mut buf);
         let (body, rest) = wire::next_frame(&buf).unwrap().unwrap();
-        prop_assert!(rest.is_empty());
+        assert!(rest.is_empty());
         let mut out = Vec::new();
         let (got_src, got_mepoch) = wire::decode_frame_body(body, &mut out).unwrap();
-        prop_assert_eq!(got_src, NodeId(src));
-        prop_assert_eq!(got_mepoch, mepoch);
-        prop_assert_eq!(out.len(), msgs.len());
+        assert_eq!(got_src, from);
+        assert_eq!(got_mepoch, mepoch);
+        assert_eq!(out.len(), msgs.len());
         for (a, b) in msgs.iter().zip(&out) {
-            prop_assert!(same(a, b), "mismatch: {:?} vs {:?}", a, b);
+            assert!(same(a, b), "mismatch: {:?} vs {:?}", a, b);
         }
-    }
+    });
+}
 
-    /// Every truncation of a valid frame decodes to an error (never panics,
-    /// never fabricates messages) and leaves the output buffer clean.
-    #[test]
-    fn truncated_frames_error_cleanly(msgs in MsgBatch, cut_at in any::<proptest::sample::Index>()) {
+/// Every truncation of a valid frame decodes to an error (never panics,
+/// never fabricates messages) and leaves the output buffer clean.
+#[test]
+fn truncated_frames_error_cleanly() {
+    check(400, |src| {
+        let msgs = msg_batch(src);
         let mut buf = Vec::new();
         wire::encode_frame(NodeId(1), 0, &msgs, &mut buf);
         let body = &buf[4..];
-        let cut = cut_at.index(body.len().max(1));
+        // Counted from the end, so a shrink that deletes a message before
+        // the cut keeps the bytes after it.
+        let cut = body.len() - 1 - src.below(body.len() as u64) as usize;
         let mut out = Vec::new();
         let r = wire::decode_frame_body(&body[..cut], &mut out);
-        prop_assert!(r.is_err(), "decoding a {cut}-byte prefix of {} must fail", body.len());
-        prop_assert!(out.is_empty(), "failed decode must truncate its output buffer");
-    }
+        assert!(r.is_err(), "decoding a {cut}-byte prefix of {} must fail", body.len());
+        assert!(out.is_empty(), "failed decode must truncate its output buffer");
+    });
+}
 
-    /// Flipping any byte of a frame either still decodes (the flip hit a
-    /// payload byte) or errors — it never panics and never over-reads.
-    #[test]
-    fn bit_flips_never_panic(msgs in MsgBatch, at in any::<proptest::sample::Index>(), flip in 1u8..=255) {
+/// Flipping any byte of a frame either still decodes (the flip hit a
+/// payload byte) or errors — it never panics and never over-reads.
+#[test]
+fn bit_flips_never_panic() {
+    check(400, |src| {
         let mut buf = Vec::new();
-        wire::encode_frame(NodeId(0), 0, &msgs, &mut buf);
-        let i = 4 + at.index(buf.len() - 4);
-        buf[i] ^= flip;
+        wire::encode_frame(NodeId(0), 0, &msg_batch(src), &mut buf);
+        let i = 4 + src.below(buf.len() as u64 - 4) as usize;
+        buf[i] ^= src.range(1..256) as u8;
         let mut out = Vec::new();
         let _ = wire::decode_frame_body(&buf[4..], &mut out); // must return, not panic
-    }
+    });
+}
 
-    /// Pure garbage bodies decode to an error.
-    #[test]
-    fn garbage_bodies_error(len in 9usize..64, seed in any::<u64>()) {
-        let mut rng = TestRng::from_seed(seed);
+/// Pure garbage bodies decode to an error.
+#[test]
+fn garbage_bodies_error() {
+    check(400, |src| {
         // Every byte is forced ≥ 0x80, far past the last valid msg tag
         // (22), so at least the first message is guaranteed invalid.
-        let mut body = vec![0u8; len];
-        for b in body.iter_mut() {
-            *b = (rng.next_u64() | 0x80) as u8;
-        }
+        let mut body = src.vec(9..64, |s| s.u8() | 0x80);
         body[0] = 1; // src
         // count = huge → Oversized, or plausible → BadTag/Truncated later.
         let mut out = Vec::new();
-        prop_assert!(wire::decode_frame_body(&body, &mut out).is_err());
-    }
+        assert!(wire::decode_frame_body(&body, &mut out).is_err());
+    });
 }
 
 #[test]

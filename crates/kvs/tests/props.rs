@@ -4,20 +4,19 @@
 
 use kite_common::{Epoch, Key, Lc, NodeId, Val};
 use kite_kvs::Store;
-use proptest::prelude::*;
+use kite_verify::check::{check, Src};
 
-fn writes() -> impl Strategy<Value = Vec<(u64, u8, u64)>> {
+fn writes(src: &mut Src) -> Vec<(u64, u8, u64)> {
     // (version, mid, value) triples — possibly with duplicate clocks
-    proptest::collection::vec((1u64..50, 0u8..5, any::<u64>()), 1..40)
+    src.vec(1..40, |s| (s.range(1..50), s.below(5) as u8, s.u64()))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Applying the same set of LLC-stamped writes in any two orders yields
-    /// the same final value: the max-clock write wins everywhere.
-    #[test]
-    fn apply_max_is_order_insensitive(ws in writes(), seed in any::<u64>()) {
+/// Applying the same set of LLC-stamped writes in any two orders yields
+/// the same final value: the max-clock write wins everywhere.
+#[test]
+fn apply_max_is_order_insensitive() {
+    check(128, |src| {
+        let (ws, seed) = (writes(src), src.u64());
         // Clocks are unique per write in the real system (a machine never
         // stamps two writes of one key with the same clock): dedupe.
         let mut seen = std::collections::HashSet::new();
@@ -38,16 +37,19 @@ proptest! {
         for (v, m, val) in &perm {
             b.apply_max(key, &Val::from_u64(*val), Lc::new(*v, NodeId(*m)));
         }
-        prop_assert_eq!(a.view(key).val, b.view(key).val);
-        prop_assert_eq!(a.view(key).lc, b.view(key).lc);
+        assert_eq!(a.view(key).val, b.view(key).val);
+        assert_eq!(a.view(key).lc, b.view(key).lc);
         // and the final clock is the max of all applied clocks
         let max = ws.iter().map(|(v, m, _)| Lc::new(*v, NodeId(*m))).max().unwrap();
-        prop_assert_eq!(a.view(key).lc, max);
-    }
+        assert_eq!(a.view(key).lc, max);
+    });
+}
 
-    /// Redelivery (applying a write twice) never changes the outcome.
-    #[test]
-    fn apply_max_idempotent(ws in writes()) {
+/// Redelivery (applying a write twice) never changes the outcome.
+#[test]
+fn apply_max_idempotent() {
+    check(128, |src| {
+        let ws = writes(src);
         let a = Store::new(64);
         let key = Key(3);
         for (v, m, val) in &ws {
@@ -57,49 +59,56 @@ proptest! {
         for (v, m, val) in &ws {
             a.apply_max(key, &Val::from_u64(*val), Lc::new(*v, NodeId(*m)));
         }
-        prop_assert_eq!(a.view(key), before);
-    }
+        assert_eq!(a.view(key), before);
+    });
+}
 
-    /// fast_write clocks are strictly monotone per key and the epoch gate
-    /// is exact.
-    #[test]
-    fn fast_write_monotone_and_epoch_gated(n in 1usize..30, epoch in 0u64..4) {
+/// fast_write clocks are strictly monotone per key and the epoch gate
+/// is exact.
+#[test]
+fn fast_write_monotone_and_epoch_gated() {
+    check(128, |src| {
+        let (n, epoch) = (src.range(1..30), src.below(4));
         let s = Store::new(64);
         let key = Key(1);
         s.restore_epoch(key, Epoch(epoch));
         let mut last = Lc::ZERO;
         for i in 0..n {
             let lc = s
-                .fast_write(key, &Val::from_u64(i as u64), NodeId(2), Epoch(epoch))
+                .fast_write(key, &Val::from_u64(i), NodeId(2), Epoch(epoch))
                 .expect("in-epoch write");
-            prop_assert!(lc > last);
+            assert!(lc > last);
             last = lc;
         }
         // wrong machine epoch is refused
-        prop_assert!(s.fast_write(key, &Val::EMPTY, NodeId(2), Epoch(epoch + 1)).is_none());
-    }
+        assert!(s.fast_write(key, &Val::EMPTY, NodeId(2), Epoch(epoch + 1)).is_none());
+    });
+}
 
-    /// Epochs never regress through any combination of restores.
-    #[test]
-    fn epochs_monotone(restores in proptest::collection::vec(0u64..16, 1..32)) {
+/// Epochs never regress through any combination of restores.
+#[test]
+fn epochs_monotone() {
+    check(128, |src| {
         let s = Store::new(64);
         let key = Key(9);
         let mut max = 0;
-        for e in restores {
+        for e in src.vec(1..32, |s| s.below(16)) {
             s.restore_epoch(key, Epoch(e));
             max = max.max(e);
-            prop_assert_eq!(s.view(key).epoch, Epoch(max));
+            assert_eq!(s.view(key).epoch, Epoch(max));
         }
-    }
+    });
+}
 
-    /// Values of every length up to `MAX_VAL` — some inline in the slot,
-    /// some spilling into the key's extension — read back exactly, whatever
-    /// length the key held before: no stale tail byte ever shows, and a key
-    /// takes at most one extension.
-    #[test]
-    fn values_of_any_length_read_back_exactly(
-        ws in proptest::collection::vec((0u64..4, 0usize..=kite_kvs::record::MAX_VAL, any::<u8>()), 1..60)
-    ) {
+/// Values of every length up to `MAX_VAL` — some inline in the slot,
+/// some spilling into the key's extension — read back exactly, whatever
+/// length the key held before: no stale tail byte ever shows, and a key
+/// takes at most one extension.
+#[test]
+fn values_of_any_length_read_back_exactly() {
+    check(128, |src| {
+        let max_len = kite_kvs::record::MAX_VAL as u64 + 1;
+        let ws = src.vec(1..60, |s| (s.below(4), s.below(max_len) as usize, s.u8()));
         let s = Store::new(64);
         let mut last = std::collections::HashMap::new();
         let mut spilled = std::collections::HashSet::new();
@@ -112,9 +121,9 @@ proptest! {
             }
             last.insert(k, val);
             for (k, v) in &last {
-                prop_assert_eq!(&s.view(Key(*k)).val, v);
+                assert_eq!(&s.view(Key(*k)).val, v);
             }
         }
-        prop_assert_eq!(s.exts(), spilled.len());
-    }
+        assert_eq!(s.exts(), spilled.len());
+    });
 }

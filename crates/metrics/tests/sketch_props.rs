@@ -9,7 +9,7 @@
 //!   under merge order.
 
 use kite_metrics::{Histogram, HistogramSnapshot, Hll};
-use proptest::prelude::*;
+use kite_verify::check::{check, Src};
 
 /// SplitMix64 with a different stream than the sketch's internal mix, so the
 /// test isn't accidentally correlated with the hash under test.
@@ -24,7 +24,7 @@ impl Rng {
     }
 }
 
-/// HLL error bound across five decades of cardinality. Not a proptest macro
+/// HLL error bound across five decades of cardinality. Not a property
 /// test: the cardinality ladder is the interesting axis and must be covered
 /// exactly, not sampled.
 #[test]
@@ -75,16 +75,11 @@ fn snap_of(values: &[u64]) -> HistogramSnapshot {
     h.snapshot()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// (a + b) + c == a + (b + c) and a + b == b + a, element-wise.
-    #[test]
-    fn merge_associative_commutative(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-        b in proptest::collection::vec(any::<u64>(), 0..64),
-        c in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
+/// (a + b) + c == a + (b + c) and a + b == b + a, element-wise.
+#[test]
+fn merge_associative_commutative() {
+    check(128, |src| {
+        let [a, b, c] = [(); 3].map(|_| src.vec(0..64, Src::u64));
         let (sa, sb, sc) = (snap_of(&a), snap_of(&b), snap_of(&c));
 
         let mut left = sa.clone();
@@ -96,58 +91,61 @@ proptest! {
         let mut right = sa.clone();
         right.merge(&bc);
 
-        prop_assert_eq!(&left, &right);
+        assert_eq!(&left, &right);
 
         let mut ab = sa.clone();
         ab.merge(&sb);
         let mut ba = sb.clone();
         ba.merge(&sa);
-        prop_assert_eq!(&ab, &ba);
-    }
+        assert_eq!(&ab, &ba);
+    });
+}
 
-    /// Merging per-worker snapshots equals one shared histogram over the
-    /// concatenated samples — the property that makes per-worker histograms
-    /// a valid sharding of the cluster-wide distribution.
-    #[test]
-    fn merge_equals_concatenation(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-        b in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
+/// Merging per-worker snapshots equals one shared histogram over the
+/// concatenated samples — the property that makes per-worker histograms
+/// a valid sharding of the cluster-wide distribution.
+#[test]
+fn merge_equals_concatenation() {
+    check(128, |src| {
+        let (a, b) = (src.vec(0..64, Src::u64), src.vec(0..64, Src::u64));
         let mut merged = snap_of(&a);
         merged.merge(&snap_of(&b));
         let mut all = a.clone();
         all.extend_from_slice(&b);
-        prop_assert_eq!(merged, snap_of(&all));
-    }
+        assert_eq!(merged, snap_of(&all));
+    });
+}
 
-    /// quantile(q) is monotone non-decreasing in q, and every quantile of a
-    /// non-empty snapshot is bounded by the recorded extremes' buckets.
-    #[test]
-    fn quantile_monotone(
-        values in proptest::collection::vec(any::<u64>(), 1..128),
-        qs in proptest::collection::vec(1u64..1000, 2..16),
-    ) {
+/// quantile(q) is monotone non-decreasing in q, and every quantile of a
+/// non-empty snapshot is bounded by the recorded extremes' buckets.
+#[test]
+fn quantile_monotone() {
+    check(128, |src| {
+        let values = src.vec(1..128, Src::u64);
+        let qs = src.vec(2..16, |s| s.range(1..1000));
         let s = snap_of(&values);
         let mut sorted: Vec<f64> = qs.iter().map(|&q| q as f64 / 1000.0).collect();
         sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
         let mut prev = 0u64;
         for &q in &sorted {
             let v = s.quantile(q);
-            prop_assert!(v >= prev, "quantile({q}) = {v} < previous {prev}");
+            assert!(v >= prev, "quantile({q}) = {v} < previous {prev}");
             prev = v;
         }
         // bounds: every quantile at least reaches the min sample's bucket
         // floor and never exceeds the max sample's bucket upper bound.
         let max = *values.iter().max().unwrap();
         let hi = s.quantile(1.0);
-        prop_assert!(hi >= max, "q=1.0 gave {hi} < max sample {max}");
-    }
+        assert!(hi >= max, "q=1.0 gave {hi} < max sample {max}");
+    });
+}
 
-    /// p50 <= p99 <= p999 always, on arbitrary inputs.
-    #[test]
-    fn named_quantiles_ordered(values in proptest::collection::vec(any::<u64>(), 0..256)) {
-        let s = snap_of(&values);
-        prop_assert!(s.p50() <= s.p99());
-        prop_assert!(s.p99() <= s.p999());
-    }
+/// p50 <= p99 <= p999 always, on arbitrary inputs.
+#[test]
+fn named_quantiles_ordered() {
+    check(128, |src| {
+        let s = snap_of(&src.vec(0..256, Src::u64));
+        assert!(s.p50() <= s.p99());
+        assert!(s.p99() <= s.p999());
+    });
 }

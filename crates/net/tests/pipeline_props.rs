@@ -14,8 +14,7 @@ use kite::api::{Completion, Op, OpOutput};
 use kite::wire::{self, ClientFrame, Hello, HELLO_LEN};
 use kite_common::{Key, NodeId, OpId, SessionId, Val};
 use kite_net::RemoteSession;
-use proptest::prelude::*;
-use proptest::test_runner::TestRng;
+use kite_verify::check::check;
 
 /// The value the mock server reports for op `seq` — seq-dependent so a
 /// misattributed completion is always detectable.
@@ -23,10 +22,10 @@ fn expected_val(seq: u64) -> u64 {
     seq.wrapping_mul(31).wrapping_add(7)
 }
 
-/// A one-connection mock node: handshake, read `n_ops` submissions, then
-/// answer all of them in a shuffled order with some frames duplicated.
+/// A one-connection mock node: handshake, read `order.len()` submissions,
+/// then answer them in `order`, sending the frames `dup` marks twice.
 /// Returns the number of duplicate frames it injected.
-fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64> {
+fn mock_server(listener: TcpListener, order: Vec<u64>, dup: Vec<bool>) -> JoinHandle<u64> {
     std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept client");
         let mut hello = [0u8; HELLO_LEN];
@@ -42,6 +41,7 @@ fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64
 
         // Collect the whole window of submissions; TCP preserves the
         // client's submission (= seq) order.
+        let n_ops = order.len();
         let mut ops: Vec<Op> = Vec::with_capacity(n_ops);
         let mut buf: Vec<u8> = Vec::new();
         let mut chunk = [0u8; 64 << 10];
@@ -61,15 +61,8 @@ fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64
             buf.drain(..used);
         }
 
-        // Complete every op, shuffled (Fisher–Yates on the seeded rng) and
-        // with ~1 in 4 frames sent twice.
-        let mut order: Vec<u64> = (0..n_ops as u64).collect();
-        let mut rng = TestRng::from_seed(seed);
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.below(i as u64 + 1) as usize);
-        }
         let mut dups = 0u64;
-        for &seq in &order {
+        for (&seq, &twice) in order.iter().zip(&dup) {
             let completion = Completion {
                 op_id: OpId::new(session, seq),
                 op: ops[seq as usize].clone(),
@@ -79,7 +72,7 @@ fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64
             };
             frame.clear();
             wire::encode_client_frame(&ClientFrame::Completion(completion), &mut frame);
-            let repeats = if rng.below(4) == 0 { 2 } else { 1 };
+            let repeats = if twice { 2 } else { 1 };
             dups += repeats - 1;
             for _ in 0..repeats {
                 conn.write_all(&frame).expect("send completion");
@@ -93,66 +86,63 @@ fn mock_server(listener: TcpListener, n_ops: usize, seed: u64) -> JoinHandle<u64
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Any shuffle + duplication of a deep window's completions retires in
+/// exact session order with exact per-seq attribution.
+#[test]
+fn shuffled_duplicated_completions_resolve_by_seq() {
+    check(16, |src| {
+        // The server completes every op, shuffled (Fisher–Yates) and with
+        // ~1 in 4 frames sent twice.
+        let n_ops = src.range(2..256) as usize;
+        let mut order: Vec<u64> = (0..n_ops as u64).collect();
+        for i in (1..n_ops).rev() {
+            order.swap(i, src.below(i as u64 + 1) as usize);
+        }
+        let dup: Vec<bool> = (0..n_ops).map(|_| src.below(4) == 0).collect();
+        let expected_dups = dup.iter().filter(|&&d| d).count() as u64;
 
-    /// Any shuffle + duplication of a deep window's completions retires in
-    /// exact session order with exact per-seq attribution.
-    #[test]
-    fn shuffled_duplicated_completions_resolve_by_seq(
-        seed in any::<u64>(),
-        n_ops in 2usize..256,
-    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let server = mock_server(listener, n_ops, seed);
+        let server = mock_server(listener, order, dup);
 
         let mut s = RemoteSession::connect(&addr, 3).expect("connect");
-        prop_assert_eq!(s.id(), SessionId::new(NodeId(0), 3));
+        assert_eq!(s.id(), SessionId::new(NodeId(0), 3));
 
         // Fill the whole pipeline before reaping anything: every op is
         // outstanding at once, so the server's shuffle spans the full
         // window depth.
         for seq in 0..n_ops as u64 {
             let got = s.submit(Op::Write { key: Key(seq), val: Val::from_u64(seq) }).unwrap();
-            prop_assert_eq!(got, seq);
+            assert_eq!(got, seq);
         }
         s.flush().unwrap();
-        prop_assert_eq!(s.outstanding(), n_ops);
+        assert_eq!(s.outstanding(), n_ops);
 
         // Retirement must come back in seq order, each completion carrying
         // exactly its own op and its own seq-derived output.
         for seq in 0..n_ops as u64 {
             let c = s.next_completion().expect("completion");
-            prop_assert_eq!(c.op_id.seq, seq);
-            prop_assert_eq!(c.op.key(), Key(seq));
+            assert_eq!(c.op_id.seq, seq);
+            assert_eq!(c.op.key(), Key(seq));
             match c.output {
-                OpOutput::Value(v) => prop_assert_eq!(v.as_u64(), expected_val(seq)),
-                other => prop_assert!(false, "unexpected output {:?}", other),
+                OpOutput::Value(v) => assert_eq!(v.as_u64(), expected_val(seq)),
+                other => panic!("unexpected output {other:?}"),
             }
         }
-        prop_assert_eq!(s.outstanding(), 0);
+        assert_eq!(s.outstanding(), 0);
 
-        // Replay the server's rng consumption to know how many duplicate
-        // frames it injected, then pump until the client has absorbed (and
-        // counted) every one — trailing dups may still be in flight when
-        // the last op retires.
-        let expected_dups = {
-            let mut rng = TestRng::from_seed(seed);
-            for i in (1..n_ops).rev() {
-                let _ = rng.below(i as u64 + 1);
-            }
-            (0..n_ops).filter(|_| rng.below(4) == 0).count() as u64
-        };
+        // Pump until the client has absorbed (and counted) every duplicate
+        // frame: trailing dups may still be in flight when the last op
+        // retires.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while s.duplicates() < expected_dups && std::time::Instant::now() < deadline {
-            prop_assert!(s.poll_completion().unwrap().is_none());
+            assert!(s.poll_completion().unwrap().is_none());
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        prop_assert_eq!(s.duplicates(), expected_dups);
+        assert_eq!(s.duplicates(), expected_dups);
 
         drop(s); // hang up so the server thread's drain loop ends
         let injected = server.join().expect("server thread");
-        prop_assert_eq!(injected, expected_dups);
-    }
+        assert_eq!(injected, expected_dups);
+    });
 }

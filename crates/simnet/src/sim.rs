@@ -436,6 +436,41 @@ impl<A: Actor> Sim<A> {
         self.links[src.idx() * self.nodes + dst.idx()].extra_delay_ns = extra_ns;
     }
 
+    /// Restart `node` as a new process: its actors become the ones
+    /// `rebuild` returns (one per worker), and whatever was addressed to the
+    /// old incarnation is gone — its receive FIFOs and every delivery still
+    /// queued for it, envelopes parked for a sleep included. What it sent
+    /// is on the wire and still arrives. A crashed or sleeping node comes
+    /// back awake, and its workers tick at once. The pending deliveries are
+    /// walked once, here: delivery itself checks nothing new.
+    pub fn restart(&mut self, node: NodeId, rebuild: impl FnOnce() -> Vec<A>) {
+        let actors = rebuild();
+        assert_eq!(actors.len(), self.workers, "one actor per worker");
+        self.actors[node.idx()] = actors;
+        let (slab, free, mut lost) = (&mut self.slab, &mut self.free, 0);
+        self.queue.retain(|Reverse(d)| {
+            let to_node = slab[d.at as usize].as_ref().is_some_and(|ev| ev.dst == node);
+            if to_node {
+                slab[d.at as usize] = None;
+                free.push(d.at);
+                lost += 1;
+            }
+            !to_node
+        });
+        self.deliveries_pending -= lost;
+        for slot in node.idx() * self.workers..(node.idx() + 1) * self.workers {
+            self.deliveries_pending -= self.waiting[slot].len();
+            self.waiting[slot].clear();
+            self.held[slot] = 0;
+            self.timers.set(drain_leaf(slot), UNSCHEDULED);
+            self.busy_until[slot] = self.now;
+            self.due[slot] = 0;
+            self.schedule(tick_leaf(slot), self.now);
+        }
+        self.crashed[node.idx()] = false;
+        self.wake_at[node.idx()] = 0;
+    }
+
     // ---- execution ------------------------------------------------------
 
     /// Deliver one envelope to an actor: charge receive cost, run the
@@ -971,6 +1006,26 @@ mod tests {
         sim.crash(NodeId(2));
         sim.run_for(100_000_000);
         assert_eq!(sim.actors[0][0].pongs, 10);
+    }
+
+    /// A restart loses what was on its way to the old incarnation, not what
+    /// it sent, and the new actors serve from then on.
+    #[test]
+    fn a_restart_drops_what_was_addressed_to_the_old_incarnation() {
+        let mut sim = build(3, 2, 5);
+        sim.run_until(3_000); // two pings out, none delivered (5 µs latency)
+        sim.restart(NodeId(1), || vec![Pinger::new(NodeId(1), 2)]);
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert_eq!(sim.actors[0][0].pongs, 2, "node 1 never saw the pings");
+        sim.actors[0][0].to_send = 3;
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert_eq!(sim.actors[0][0].pongs, 4, "the new node 1 answers");
+        // A crashed node restarts awake.
+        sim.crash(NodeId(2));
+        sim.restart(NodeId(2), || vec![Pinger::new(NodeId(2), 0)]);
+        sim.actors[0][0].to_send = 4;
+        assert!(sim.run_until_quiesce(1_000_000_000));
+        assert_eq!(sim.actors[0][0].pongs, 6);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`rc`] — the Release Consistency axioms of §5.1 as a happens-before
 //!   graph construction plus the **load-value axiom** check (§5.2's proof
 //!   obligation), with an optional real-time edge set for RCLin.
+//! * [`check`] — the workspace's property runner: generators draw from a
+//!   recorded choice sequence, and a failing case shrinks on that sequence
+//!   and prints a one-line replay.
 //!
 //! Checkers are exhaustive searches with memoization, intended for the
 //! small-but-adversarial histories produced by the deterministic simulator
@@ -20,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod checker;
 pub mod history;
 pub mod rc;

@@ -5,65 +5,67 @@
 use kite_common::{Key, NodeId, SessionId};
 use kite_verify::checker::{check_linearizable, check_sequential, RegOp, RegOpKind};
 use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
-use proptest::prelude::*;
+use kite_verify::check::{check, Src};
 
 /// Generate a *sequential* register history: ops executed one at a time
 /// against a model register, with correct results and disjoint real-time
 /// windows. Such histories are trivially linearizable and SC.
-fn sequential_history() -> impl Strategy<Value = Vec<RegOp>> {
-    proptest::collection::vec((0u64..4, 0u8..3, any::<u64>()), 1..16).prop_map(|cmds| {
-        let mut value = 0u64;
-        let mut out = Vec::new();
-        let mut seqs = [0u64; 4];
-        for (i, (session, kind, arg)) in cmds.into_iter().enumerate() {
-            let t0 = i as u64 * 10;
-            let t1 = t0 + 5;
-            let seq = seqs[session as usize];
-            seqs[session as usize] += 1;
-            let kind = match kind {
-                0 => RegOpKind::Read(value),
-                1 => {
-                    value = arg | 1; // non-zero, unique enough
-                    RegOpKind::Write(value)
-                }
-                _ => {
-                    let observed = value;
-                    value = value.wrapping_add(1);
-                    RegOpKind::Rmw { observed, wrote: value }
-                }
-            };
-            out.push(RegOp { session, seq, kind, invoke: t0, complete: t1 });
-        }
-        out
-    })
+fn sequential_history(src: &mut Src) -> Vec<RegOp> {
+    let cmds = src.vec(1..16, |s| (s.below(4), s.below(3), s.u64()));
+    let mut value = 0u64;
+    let mut out = Vec::new();
+    let mut seqs = [0u64; 4];
+    for (i, (session, kind, arg)) in cmds.into_iter().enumerate() {
+        let t0 = i as u64 * 10;
+        let t1 = t0 + 5;
+        let seq = seqs[session as usize];
+        seqs[session as usize] += 1;
+        let kind = match kind {
+            0 => RegOpKind::Read(value),
+            1 => {
+                value = arg | 1; // non-zero, unique enough
+                RegOpKind::Write(value)
+            }
+            _ => {
+                let observed = value;
+                value = value.wrapping_add(1);
+                RegOpKind::Rmw { observed, wrote: value }
+            }
+        };
+        out.push(RegOp { session, seq, kind, invoke: t0, complete: t1 });
+    }
+    out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Every sequential history is linearizable and sequentially consistent.
+#[test]
+fn checkers_accept_sequential_histories() {
+    check(96, |src| {
+        let h = sequential_history(src);
+        assert!(check_linearizable(&h));
+        assert!(check_sequential(&h));
+    });
+}
 
-    /// Every sequential history is linearizable and sequentially consistent.
-    #[test]
-    fn checkers_accept_sequential_histories(h in sequential_history()) {
-        prop_assert!(check_linearizable(&h));
-        prop_assert!(check_sequential(&h));
-    }
-
-    /// Linearizability implies sequential consistency (the real-time order
-    /// is a superset of the per-session order for histories where each
-    /// session's ops are non-overlapping, which sequential histories are).
-    #[test]
-    fn lin_implies_sc_on_generated(h in sequential_history()) {
+/// Linearizability implies sequential consistency (the real-time order
+/// is a superset of the per-session order for histories where each
+/// session's ops are non-overlapping, which sequential histories are).
+#[test]
+fn lin_implies_sc_on_generated() {
+    check(96, |src| {
+        let h = sequential_history(src);
         if check_linearizable(&h) {
-            prop_assert!(check_sequential(&h));
+            assert!(check_sequential(&h));
         }
-    }
+    });
+}
 
-    /// Injecting a read of a never-written value breaks both checkers.
-    #[test]
-    fn checkers_reject_phantom_reads(h in sequential_history(), at in any::<proptest::sample::Index>()) {
-        let mut h = h;
-        let i = at.index(h.len());
-        let t0 = h[i].invoke;
+/// Injecting a read of a never-written value breaks both checkers.
+#[test]
+fn checkers_reject_phantom_reads() {
+    check(96, |src| {
+        let mut h = sequential_history(src);
+        let t0 = h[src.below(h.len() as u64) as usize].invoke;
         h.push(RegOp {
             session: 9,
             seq: 0,
@@ -71,83 +73,62 @@ proptest! {
             invoke: t0,
             complete: t0 + 1,
         });
-        prop_assert!(!check_linearizable(&h));
-        prop_assert!(!check_sequential(&h));
-    }
+        assert!(!check_linearizable(&h));
+        assert!(!check_sequential(&h));
+    });
+}
 
-    /// The RC checker accepts correctly synchronized producer/consumer runs
-    /// with arbitrary field counts and rounds.
-    #[test]
-    fn rc_accepts_correct_producer_consumer(fields in 1u64..6, rounds in 1u64..5) {
-        let h = History::new();
-        let mut t = 0u64;
-        let rec = |sess: u32, seq: u64, key: u64, kind: OpKind, t: &mut u64| {
-            h.record(OpRecord {
-                session: SessionId::new(NodeId(sess as u8), sess),
-                session_seq: seq,
-                key: Key(key),
-                kind,
-                invoke: *t,
-                complete: *t + 1,
-            });
-            *t += 5;
-        };
-        let mut pseq = 0;
-        let mut cseq = 0;
-        for r in 1..=rounds {
-            for f in 0..fields {
-                rec(0, pseq, 10 + f, OpKind::Write { v: (r << 8) | (f + 1) }, &mut t);
-                pseq += 1;
-            }
-            rec(0, pseq, 1, OpKind::Release { v: r }, &mut t);
-            pseq += 1;
-            rec(1, cseq, 1, OpKind::Acquire { v: r }, &mut t);
-            cseq += 1;
-            for f in 0..fields {
-                rec(1, cseq, 10 + f, OpKind::Read { v: (r << 8) | (f + 1) }, &mut t);
-                cseq += 1;
-            }
+/// A producer/consumer run: per round, the producer writes `fields` payload
+/// keys and releases the flag; the consumer acquires the flag and reads
+/// every field, its read of `stale` in round 2 returning round 1's value.
+fn producer_consumer(fields: u64, rounds: u64, stale: Option<u64>) -> History {
+    let h = History::new();
+    let mut t = 0u64;
+    let mut seqs = [0u64; 2];
+    let mut rec = |sess: u32, key: u64, kind: OpKind| {
+        h.record(OpRecord {
+            session: SessionId::new(NodeId(sess as u8), sess),
+            session_seq: seqs[sess as usize],
+            key: Key(key),
+            kind,
+            invoke: t,
+            complete: t + 1,
+        });
+        seqs[sess as usize] += 1;
+        t += 5;
+    };
+    for r in 1..=rounds {
+        for f in 0..fields {
+            rec(0, 10 + f, OpKind::Write { v: (r << 8) | (f + 1) });
         }
-        prop_assert_eq!(check_rc(&h, RcMode::Sc), Ok(()));
-        prop_assert_eq!(check_rc(&h, RcMode::Lin), Ok(()));
+        rec(0, 1, OpKind::Release { v: r });
+        rec(1, 1, OpKind::Acquire { v: r });
+        for f in 0..fields {
+            let from = if r == 2 && stale == Some(f) { 1 } else { r };
+            rec(1, 10 + f, OpKind::Read { v: (from << 8) | (f + 1) });
+        }
     }
+    h
+}
 
-    /// …and rejects the same runs when any single consumer read is made
-    /// stale (reads the previous round's field).
-    #[test]
-    fn rc_rejects_stale_field(fields in 1u64..6, broken in any::<proptest::sample::Index>()) {
-        let h = History::new();
-        let mut t = 0u64;
-        let broken_field = broken.index(fields as usize) as u64;
-        let rec = |sess: u32, seq: u64, key: u64, kind: OpKind, t: &mut u64| {
-            h.record(OpRecord {
-                session: SessionId::new(NodeId(sess as u8), sess),
-                session_seq: seq,
-                key: Key(key),
-                kind,
-                invoke: *t,
-                complete: *t + 1,
-            });
-            *t += 5;
-        };
-        let mut pseq = 0;
-        let mut cseq = 0;
-        for r in 1..=2u64 {
-            for f in 0..fields {
-                rec(0, pseq, 10 + f, OpKind::Write { v: (r << 8) | (f + 1) }, &mut t);
-                pseq += 1;
-            }
-            rec(0, pseq, 1, OpKind::Release { v: r }, &mut t);
-            pseq += 1;
-            rec(1, cseq, 1, OpKind::Acquire { v: r }, &mut t);
-            cseq += 1;
-            for f in 0..fields {
-                // round 2's read of `broken_field` returns round 1's value
-                let v = if r == 2 && f == broken_field { (1 << 8) | (f + 1) } else { (r << 8) | (f + 1) };
-                rec(1, cseq, 10 + f, OpKind::Read { v }, &mut t);
-                cseq += 1;
-            }
-        }
-        prop_assert!(check_rc(&h, RcMode::Sc).is_err(), "stale post-acquire read must be caught");
-    }
+/// The RC checker accepts correctly synchronized producer/consumer runs
+/// with arbitrary field counts and rounds.
+#[test]
+fn rc_accepts_correct_producer_consumer() {
+    check(96, |src| {
+        let h = producer_consumer(src.range(1..6), src.range(1..5), None);
+        assert_eq!(check_rc(&h, RcMode::Sc), Ok(()));
+        assert_eq!(check_rc(&h, RcMode::Lin), Ok(()));
+    });
+}
+
+/// …and rejects the same runs when any single consumer read is made
+/// stale (reads the previous round's field).
+#[test]
+fn rc_rejects_stale_field() {
+    check(96, |src| {
+        let fields = src.range(1..6);
+        let h = producer_consumer(fields, 2, Some(src.below(fields)));
+        assert!(check_rc(&h, RcMode::Sc).is_err(), "stale post-acquire read must be caught");
+    });
 }

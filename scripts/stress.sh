@@ -49,6 +49,12 @@
 # below, and a listed failure that no longer fails fails it too, so the
 # list can only shrink (ROADMAP direction 8 (c)).
 #
+# Then, once: the property sweep — every property suite (the
+# `kite_verify::check` runner's) at 20 fresh values of `KITE_CHECK_SEED`,
+# which perturbs every property's seed. A failing property prints its
+# shrunk case's one-line replay, and the script fails. It prints the
+# sweep's wall time.
+#
 # Then, once: the exactly-once-FAA soak (tests/faa_sleeper.rs,
 # 200 seeds of "every node bumps one counter while node 4 sleeps three
 # times", ~10 min). Deterministic per seed, so once is enough; it prints
@@ -62,7 +68,9 @@
 #   The flake census (ROADMAP direction 13 (a)) instead of all of the above:
 #   runs the bare tier-1 command `cargo test -q` `runs` times (default 50)
 #   beside two busy-loop CPU hogs and prints, per test, how many runs it
-#   failed. A failing run's output is kept in target/census-fail-<run>.log.
+#   failed and how many it skipped itself (a passing test that printed a
+#   line ending in `skipped` measured nothing: it is counted, not passed).
+#   A failing run's output is kept in target/census-fail-<run>.log.
 #   `cargo test` stops at the first failing test binary, so a run counts
 #   the failures of that binary only. The census reports; it never fails.
 set -euo pipefail
@@ -81,21 +89,31 @@ if [ "${1:-}" = "--census" ]; then
     trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
     echo "== census: cargo test -q x${RUNS}, 2 CPU hogs =="
     tally="$(mktemp)"
+    skips="$(mktemp)"
     failed_runs=0
     SECONDS=0
     for i in $(seq 1 "$RUNS"); do
         log="$(mktemp)"
-        if cargo test -q >"$log" 2>&1; then
+        # `--show-output` prints each passing test's output under a
+        # `---- <name> stdout ----` header in the `successes:` section, a
+        # failing test's in `failures:`.
+        rc=0
+        cargo test -q -- --show-output >"$log" 2>&1 || rc=$?
+        awk '/^successes:$/ {ok = 1; test = ""} /^failures:$/ {ok = 0}
+            /^---- .* stdout ----$/ {test = $2}
+            ok && test != "" && /skipped$/ {print test; test = ""}' "$log" >>"$skips"
+        if [ "$rc" -eq 0 ]; then
             rm -f "$log"
             printf '.'
             continue
         fi
         failed_runs=$((failed_runs + 1))
         printf 'F'
-        # A failing test prints a `---- <name> stdout ----` header; a binary
-        # that dies without one (an abort, a signal) is named by its rerun
-        # hint.
-        names="$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log")"
+        # A failing test's output is headed `---- <name> stdout ----` in
+        # the `failures:` section; a binary that dies without one (an
+        # abort, a signal) is named by its rerun hint.
+        names="$(awk '/^successes:$/ {bad = 0} /^failures:$/ {bad = 1}
+            bad && /^---- .* stdout ----$/ {print $2}' "$log")"
         if [ -z "$names" ]; then
             names="$(sed -n 's/^error: test failed, to rerun pass `\(.*\)`$/(binary died) \1/p' "$log")"
         fi
@@ -103,12 +121,16 @@ if [ "${1:-}" = "--census" ]; then
         mv "$log" "target/census-fail-${i}.log"
     done
     echo
-    echo "census: ${RUNS} runs, ${failed_runs} failed, ${SECONDS} s"
+    echo "census: ${RUNS} runs, ${failed_runs} failed, $(wc -l <"$skips") self-skips, ${SECONDS} s"
     if [ -s "$tally" ]; then
         echo "failures  test"
         sort "$tally" | uniq -c | sort -rn
     fi
-    rm -f "$tally"
+    if [ -s "$skips" ]; then
+        echo "skips  test (passed without measuring)"
+        sort "$skips" | uniq -c | sort -rn
+    fi
+    rm -f "$tally" "$skips"
     exit 0
 fi
 
@@ -125,6 +147,22 @@ cargo test --release --test cluster_threaded --test antientropy --test merkle_fa
 cargo test --release -p kite-net --test backpressure --test pipeline_props --test scrape --test membership_tcp --no-run
 cargo test --release -p kite-metrics --test sketch_props --no-run
 cargo build --release -p kite-bench --bins
+
+# Every property suite, as `cargo test --release` arguments.
+PROP_SUITES=(
+    "--test properties"
+    "-p kite-common --test props"
+    "-p kite-kvs --test props"
+    "-p kite-verify --test props"
+    "-p kite-metrics --test sketch_props"
+    "-p kite-net --test pipeline_props"
+    "-p kite --test wire_props --test merkle_props --test inflight_props --test delinquency_props"
+    "-p kite --lib wire::tests"
+)
+for suite in "${PROP_SUITES[@]}"; do
+    # shellcheck disable=SC2086 # a suite is a list of cargo arguments
+    cargo test -q --release $suite --no-run
+done
 
 run_logged() {
     # run_logged <iteration> <label> <cmd...>: run one test binary under a
@@ -198,6 +236,28 @@ for bin in "${SHAPE_BINS[@]}"; do
 done
 echo "shape gate: ${#SHAPE_BINS[@]} bins in ${SECONDS} s, ${shape_fails} problem(s)"
 if [ "$shape_fails" -gt 0 ]; then
+    exit 1
+fi
+
+SWEEP=20
+echo "== property sweep: ${#PROP_SUITES[@]} suites x ${SWEEP} fresh KITE_CHECK_SEED values =="
+prop_fails=0
+SECONDS=0
+for _ in $(seq 1 "$SWEEP"); do
+    seed="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
+    for suite in "${PROP_SUITES[@]}"; do
+        out="$(mktemp)"
+        # shellcheck disable=SC2086 # a suite is a list of cargo arguments
+        if ! KITE_CHECK_SEED="$seed" cargo test -q --release $suite >"$out" 2>&1; then
+            prop_fails=$((prop_fails + 1))
+            echo "KITE_CHECK_SEED=$seed cargo test --release $suite: FAILED"
+            grep -E '^(property failed at case|shrunk from|replay: )' "$out" || tail -n 20 "$out"
+        fi
+        rm -f "$out"
+    done
+done
+echo "property sweep: ${SWEEP} seeds x ${#PROP_SUITES[@]} suites in ${SECONDS} s, ${prop_fails} failure(s)"
+if [ "$prop_fails" -gt 0 ]; then
     exit 1
 fi
 

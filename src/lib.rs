@@ -49,6 +49,22 @@ pub mod testutil {
         }
     }
 
+    /// The values the history's RMWs observed, sorted. FAAs by one on a key
+    /// that starts at 0 ran exactly once each iff these are `0..n` — one
+    /// command per Paxos slot, none lost and none doubled.
+    pub fn rmw_bases(history: &History) -> Vec<u64> {
+        let mut bases: Vec<u64> = history
+            .sorted()
+            .iter()
+            .filter_map(|r| match r.kind {
+                OpKind::Rmw { observed, .. } => Some(observed),
+                _ => None,
+            })
+            .collect();
+        bases.sort_unstable();
+        bases
+    }
+
     /// A completion hook that appends every completion to a shared history.
     pub fn recording_hook(history: Arc<History>) -> CompletionHook {
         Arc::new(move |c: &Completion| history.record(to_record(c)))

@@ -13,7 +13,7 @@ use kite::api::Op;
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
-use kite_repro::testutil::recording_hook;
+use kite_repro::testutil::{recording_hook, rmw_bases};
 use kite_simnet::SimCfg;
 use kite_verify::{check_rc, History, OpKind, RcMode};
 
@@ -197,15 +197,7 @@ fn faa_exactly_once_without_overlap() {
             "replica {n} must converge to the exact count"
         );
     }
-    let mut observed: Vec<u64> = history
-        .sorted()
-        .iter()
-        .filter_map(|r| match r.kind {
-            OpKind::Rmw { observed, .. } => Some(observed),
-            _ => None,
-        })
-        .collect();
-    observed.sort_unstable();
+    let observed = rmw_bases(&history);
     assert_eq!(observed, (0..total).collect::<Vec<_>>(), "double or lost execution detected");
 }
 

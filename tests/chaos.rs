@@ -19,7 +19,7 @@ use kite::session::{ClientSm, SessionDriver};
 use kite::{ProtocolMode, SimCluster};
 use kite_common::rng::SplitMix64;
 use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
-use kite_repro::testutil::recording_hook;
+use kite_repro::testutil::{recording_hook, rmw_bases};
 use kite_simnet::SimCfg;
 use kite_verify::checker::check_linearizable_per_key;
 use kite_verify::{check_rc, History, RcMode};
@@ -65,15 +65,7 @@ fn mixed_script(seed: u64, me: u64, ops: u64) -> SessionDriver {
 
 /// Check the FAA-exactly-once invariant on a finished history.
 fn assert_faa_contiguous(history: &History, ctx: &str) {
-    let mut observed: Vec<u64> = history
-        .sorted()
-        .iter()
-        .filter_map(|r| match r.kind {
-            kite_verify::OpKind::Rmw { observed, .. } => Some(observed),
-            _ => None,
-        })
-        .collect();
-    observed.sort_unstable();
+    let observed = rmw_bases(history);
     let n = observed.len() as u64;
     assert_eq!(observed, (0..n).collect::<Vec<_>>(), "{ctx}: double or lost FAA");
 }

@@ -10,7 +10,7 @@ use kite::api::Op;
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
-use kite_repro::testutil::recording_hook;
+use kite_repro::testutil::{recording_hook, rmw_bases};
 use kite_simnet::SimCfg;
 use kite_verify::checker::check_linearizable_per_key;
 use kite_verify::{check_rc, History, OpKind, RcMode};
@@ -248,15 +248,7 @@ fn faa_exactly_once_under_loss() {
         );
     }
     // Every FAA observed a distinct base: 0..total.
-    let mut observed: Vec<u64> = history
-        .sorted()
-        .iter()
-        .filter_map(|r| match r.kind {
-            OpKind::Rmw { observed, .. } => Some(observed),
-            _ => None,
-        })
-        .collect();
-    observed.sort_unstable();
+    let observed = rmw_bases(&history);
     assert_eq!(observed, (0..total).collect::<Vec<_>>(), "double or lost execution detected");
     assert_eq!(check_rc(&history, RcMode::Lin), Ok(()));
 }
