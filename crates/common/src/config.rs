@@ -149,6 +149,13 @@ impl ClusterConfig {
     /// many keys fit its index.
     pub const MAX_KEYS: usize = 1 << 22;
 
+    /// Most sessions a deployment runs (`nodes × workers_per_node ×
+    /// sessions_per_worker`): a key's committed ring keeps the last commit
+    /// of every session that ever ran an RMW on it, and `kite` asserts at
+    /// compile time that the fullest ring still crosses the wire in one
+    /// frame.
+    pub const MAX_SESSIONS: usize = 1 << 15;
+
     /// A small deterministic-simulation-friendly configuration.
     pub fn small() -> Self {
         ClusterConfig {
@@ -316,6 +323,12 @@ impl ClusterConfig {
         if self.keys > Self::MAX_KEYS {
             return Err(format!("at most {} keys supported, got {}", Self::MAX_KEYS, self.keys));
         }
+        let per_node = self.workers_per_node.saturating_mul(self.sessions_per_worker);
+        let sessions = self.nodes.saturating_mul(per_node);
+        if sessions > Self::MAX_SESSIONS {
+            let max = Self::MAX_SESSIONS;
+            return Err(format!("at most {max} sessions supported, got {sessions}"));
+        }
         if self.write_window == 0 {
             return Err("write window must be ≥ 1".into());
         }
@@ -379,6 +392,13 @@ mod tests {
         let max = ClusterConfig::MAX_KEYS;
         assert!(ClusterConfig::default().keys(max).validate().is_ok());
         assert!(ClusterConfig::default().keys(max + 1).validate().is_err());
+        // 4 × 1 × 2^13 sessions is exactly the bound; 3 × 1 × 10 923 is one more.
+        let sessions =
+            |n, s| ClusterConfig::default().nodes(n).workers_per_node(1).sessions_per_worker(s);
+        assert_eq!(sessions(4, 1 << 13).total_sessions(), ClusterConfig::MAX_SESSIONS);
+        assert!(sessions(4, 1 << 13).validate().is_ok());
+        assert_eq!(sessions(3, 10_923).total_sessions(), ClusterConfig::MAX_SESSIONS + 1);
+        assert!(sessions(3, 10_923).validate().is_err());
         assert!(ClusterConfig::default().anti_entropy_chunk(0).validate().is_err());
         assert!(ClusterConfig::default().anti_entropy_interval_ns(0).validate().is_err());
         // ... but a disabled subsystem doesn't care about its knobs.

@@ -25,7 +25,9 @@
 //!   past the sender's decided prefix. Besides the sweep's own pulls and
 //!   pushes, the only other sender is a proposer answering a `Lagging`
 //!   promise, a repair the acceptor solicited. That the periodic sweep
-//!   alone is sufficient is what `tests/antientropy.rs` proves.
+//!   alone is sufficient is what `tests/antientropy.rs` proves. An
+//!   acceptor's `AlreadyCommitted` catch-up is the same [`Repair`], built
+//!   by [`Repair::of`] and applied by [`Repair::apply`] like every other.
 //!
 //! No anti-entropy message is acked or retransmitted: a lost digest or
 //! repair is simply superseded by the next sweep. Repairs never touch a
@@ -89,6 +91,7 @@ use kite_kvs::Store;
 use kite_simnet::{Outbox, Wakeup};
 
 use crate::msg::{DigestChunk, MerkleSummary, Msg, Repair};
+use crate::nodestate::NodeShared;
 use crate::wire::{digest_wire_bytes, repair_wire_bytes, req_wire_bytes, summary_wire_bytes};
 use crate::worker::Worker;
 
@@ -626,7 +629,7 @@ impl Worker {
                 Some(local) if local < lc => pull.push(key),
                 Some(local) if local > lc => {
                     // The *sender* is behind: push our value straight back.
-                    self.ae_send_repair(src, key, out);
+                    send_repair(&self.shared, src, key, out);
                     self.ae.rearm();
                 }
                 Some(_) => {} // equal: converged
@@ -644,38 +647,55 @@ impl Worker {
     /// answer is re-pulled on a later sweep.
     pub(crate) fn on_repair_req(&mut self, src: NodeId, keys: Box<[Key]>, out: &mut Outbox<Msg>) {
         for &key in keys.iter() {
-            self.ae_send_repair(src, key, out);
+            send_repair(&self.shared, src, key, out);
         }
     }
 
-    /// Build and send one repair for `key`: the current value plus the
-    /// `(slot, ring)` evidence pair read under one lock — evidence before
-    /// value, so a racing commit can only make the value *fresher* than
-    /// the slot implies, never staler.
-    pub(crate) fn ae_send_repair(&mut self, dst: NodeId, key: Key, out: &mut Outbox<Msg>) {
-        let (slot, ring) = self.shared.store.paxos_evidence(key);
-        let view = self.shared.store.view(key);
-        self.shared.counters.ae_repair_vals.incr();
-        let r = Box::new(Repair { key, val: view.val, lc: view.lc, slot, ring });
-        self.shared.counters.ae_repair_bytes.add(repair_wire_bytes(&r));
-        out.send(dst, Msg::RepairVal { r });
+    /// A repaired value (see [`Repair::apply`]): counted, and the sweep
+    /// re-armed, when it healed real divergence.
+    pub(crate) fn on_repair_val(&mut self, r: Box<Repair>) {
+        if r.apply(&self.shared.store) {
+            self.shared.counters.ae_repairs_applied.incr();
+            self.ae.rearm();
+        }
+    }
+}
+
+impl Repair {
+    /// `key`'s repair as `store` holds it: the `(slot, ring)` evidence
+    /// pair read under one lock, then the value — evidence before value,
+    /// so a racing commit can only make the value *fresher* than the slot
+    /// implies, never staler. A key that never carried an RMW reports slot
+    /// 0 and an empty ring without allocating its Paxos structure. The one
+    /// place a `Repair` is built (the decoder aside).
+    pub(crate) fn of(store: &Store, key: Key) -> Box<Repair> {
+        let (slot, ring) = store.paxos_evidence(key);
+        let view = store.view(key);
+        Box::new(Repair { key, val: view.val, lc: view.lc, slot, ring })
     }
 
-    /// A repaired value: merge the dedup evidence and advance the slot
+    /// Apply a repair: merge the dedup evidence and advance the slot
     /// *first* (one lock), then apply the value under LLC-max (idempotent;
     /// stale repairs no-op; the epoch is deliberately untouched). Evidence
     /// before value, so a decide on a sibling worker that observes the
     /// repaired value is guaranteed to find the ring entries behind it —
     /// a ring-less slot/value advance is exactly what let a strong CAS
-    /// fail against its own committed value (see `crate::msg::Repair`).
-    pub(crate) fn on_repair_val(&mut self, r: Box<Repair>) {
-        if r.slot > 0 || !r.ring.is_empty() {
-            let pax = self.shared.store.paxos(r.key);
-            pax.lock().merge_evidence(&r.ring, r.slot);
+    /// fail against its own committed value (see [`Repair::ring`]). A
+    /// repair without evidence allocates no Paxos structure. Returns
+    /// whether the value advanced the store.
+    pub(crate) fn apply(&self, store: &Store) -> bool {
+        if self.slot > 0 || !self.ring.is_empty() {
+            store.paxos(self.key).lock().merge_evidence(&self.ring, self.slot);
         }
-        if self.shared.store.apply_max(r.key, &r.val, r.lc) {
-            self.shared.counters.ae_repairs_applied.incr();
-            self.ae.rearm();
-        }
+        store.apply_max(self.key, &self.val, self.lc)
     }
+}
+
+/// Send `dst` one repair for `key` and count it: anti-entropy pull answers
+/// and pushes, and a proposer's answer to a `Lagging` promise.
+pub(crate) fn send_repair(shared: &NodeShared, dst: NodeId, key: Key, out: &mut Outbox<Msg>) {
+    let r = Repair::of(&shared.store, key);
+    shared.counters.ae_repair_vals.incr();
+    shared.counters.ae_repair_bytes.add(repair_wire_bytes(&r));
+    out.send(dst, Msg::RepairVal { r });
 }

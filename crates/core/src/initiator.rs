@@ -30,6 +30,7 @@ use kite_common::{Key, Lc, NodeSet, OpId, Val};
 use kite_kvs::paxos_meta::{AcceptedCmd, RmwCommit};
 use kite_simnet::Outbox;
 
+use crate::antientropy::send_repair;
 use crate::api::{Op, OpOutput};
 use crate::inflight::{
     AcquireState, Barrier, EsWriteState, InFlight, Meta, ReadFold, ReleaseState, RmwKind,
@@ -997,46 +998,35 @@ impl Worker {
                 cx.rmw_back_off(rid, state, promised.version(), now);
                 false
             }
-            PromiseOutcome::AlreadyCommitted(cu) => {
-                // Catch up to the decided prefix: merge the acceptor's ring
-                // evidence and advance the slot under one lock *before*
-                // applying the value (evidence travels with advancement —
+            PromiseOutcome::AlreadyCommitted(r) => {
+                // Catch up to the decided prefix: the acceptor's repair
+                // merges its ring evidence and advances the slot before it
+                // applies the value (evidence travels with advancement —
                 // see `crate::msg::Repair`).
-                let (slot, cur_lc) = (cu.slot, cu.cur_lc);
-                {
-                    let pax = cx.shared.store.paxos(state.meta.key);
-                    pax.lock().merge_evidence(&cu.ring, slot);
-                }
-                cx.shared.store.apply_max(state.meta.key, &cu.cur_val, cur_lc);
-                if let Some(result) = &cu.done {
+                r.apply(&cx.shared.store);
+                let op = state.meta.op_id;
+                if let Some(c) = r.ring.iter().find(|c| c.op == op) {
                     // Our command was helped to commit by another proposer:
                     // complete exactly once with its recorded result — after
                     // making the caught-up value (which subsumes our commit)
                     // quorum-visible.
-                    state.pending_output = Some(rmw_output(state.kind, result));
+                    state.pending_output = Some(rmw_output(state.kind, &c.result));
+                    let Repair { slot, val, lc, .. } = *r;
                     let slot = slot.saturating_sub(1);
-                    cx.rmw_start_commit_round(rid, state, slot, cu.cur_val, cur_lc, None, out);
+                    cx.rmw_start_commit_round(rid, state, slot, val, lc, None, out);
                     return;
                 }
                 // Retry at the new slot with a fresh evaluation.
                 cx.rmw_restart(rid, state, now, out)
             }
-            PromiseOutcome::Lagging { slot: _ } => {
+            PromiseOutcome::Lagging => {
                 // The replica missed a commit: repair it with the decided
                 // prefix (the key's current value summarizes it, the ring
                 // evidence travels along) and let the retransmission logic
                 // re-propose. Paxos liveness depends on lagging acceptors
                 // catching up, so this solicited repair does not wait for
                 // the sweep.
-                debug_assert!(state.slot > 0, "Lagging implies the proposer is ahead");
-                let key = state.meta.key;
-                let (slot, ring) = cx.shared.store.paxos_evidence(key);
-                let slot = slot.max(state.slot);
-                let view = cx.shared.store.view(key);
-                cx.shared.counters.ae_repair_vals.incr();
-                let r = Box::new(Repair { key, val: view.val, lc: view.lc, slot, ring });
-                cx.shared.counters.ae_repair_bytes.add(crate::wire::repair_wire_bytes(&r));
-                out.send(src, Msg::RepairVal { r });
+                send_repair(cx.shared, src, state.meta.key, out);
                 false
             }
         };
@@ -1382,9 +1372,9 @@ impl Cx<'_> {
                     //     reasoned about — possibly ours arriving
                     //     *ring-lessly* via an anti-entropy repair that
                     //     outran the commit message. The re-propose hits
-                    //     acceptors whose rings hold the commit
-                    //     (`AlreadyCommitted { done }`), recovering the
-                    //     true result.
+                    //     acceptors whose rings hold the commit (an
+                    //     `AlreadyCommitted` ring naming our op),
+                    //     recovering the true result.
                     // Without these, a strong CAS could report `ok: false`
                     // to a caller that actually holds the lock — the
                     // second, rarer hang mode of `threaded_mutex_exact_

@@ -100,27 +100,13 @@ pub struct CommitPayload {
     pub meta: Option<(OpId, Val)>,
 }
 
-/// Catch-up payload of [`PromiseOutcome::AlreadyCommitted`].
-#[derive(Clone, Debug)]
-pub struct CatchUp {
-    /// The acceptor's current (next undecided) slot.
-    pub slot: u64,
-    /// The key's current value at the acceptor (summarizes the decided
-    /// prefix).
-    pub cur_val: Val,
-    /// Its clock.
-    pub cur_lc: Lc,
-    /// The proposer's own command's recorded result, if it was helped
-    /// to commit.
-    pub done: Option<Val>,
-    /// The acceptor's committed ring for the key — dedup evidence that
-    /// must travel with any slot advancement (see [`Repair::ring`]).
-    pub ring: Vec<kite_kvs::RmwCommit>,
-}
-
-/// Payload of one repaired key ([`Msg::RepairVal`]), boxed: anti-entropy
-/// pull answers, digest-diff pushes and the proposer's answer to a
-/// `Lagging` promise all ride this.
+/// A key's decided state as one replica holds it — value, next undecided
+/// slot and the committed ring behind that slot — boxed: anti-entropy pull
+/// answers, digest-diff pushes and the proposer's answer to a `Lagging`
+/// promise ride it as [`Msg::RepairVal`], and an acceptor's catch-up rides
+/// it as [`PromiseOutcome::AlreadyCommitted`]. Built in one place and
+/// applied in one place (`Repair::of` and `Repair::apply`, both in
+/// `antientropy.rs`).
 #[derive(Clone, Debug)]
 pub struct Repair {
     /// Key being repaired.
@@ -209,16 +195,15 @@ pub enum PromiseOutcome {
         /// The ballot the acceptor has promised instead.
         promised: Lc,
     },
-    /// The acceptor has already moved past the proposer's slot: the slot is
-    /// decided. Boxed catch-up payload (two values).
-    AlreadyCommitted(Box<CatchUp>),
+    /// The acceptor knows the proposer's command committed, or has already
+    /// moved past the proposer's slot: the acceptor's [`Repair`] for the
+    /// key. The proposer applies it as any repair, and finds its own op in
+    /// the ring if it was helped to commit.
+    AlreadyCommitted(Box<Repair>),
     /// The acceptor is *behind* the proposer's slot (missed a commit); the
     /// proposer answers with a [`Msg::RepairVal`] carrying its decided
     /// prefix.
-    Lagging {
-        /// The acceptor's (stale) slot.
-        slot: u64,
-    },
+    Lagging,
 }
 
 /// Protocol messages. `rid` is the sender's request id; replies echo it.

@@ -17,7 +17,7 @@ use kite_common::{Key, Lc, NodeId, NodeSet, OpId, Val};
 use kite_kvs::paxos_meta::AcceptedCmd;
 use kite_simnet::Outbox;
 
-use crate::msg::{CatchUp, Cmd, CommitPayload, Msg, PromiseOutcome, WriteBack};
+use crate::msg::{Cmd, CommitPayload, Msg, PromiseOutcome, Repair, WriteBack};
 use crate::worker::Worker;
 
 impl Worker {
@@ -142,39 +142,22 @@ impl Worker {
         let outcome = {
             let meta = self.shared.store.paxos(key);
             let mut meta = meta.lock();
-            if let Some(c) = meta.committed.find(op) {
-                // The proposer's command already committed and we saw it.
-                // Surfacing this on *every* propose — not only on slot
-                // mismatches — is what makes RMWs exactly-once: the commit
-                // reached a quorum of rings, every promise quorum intersects
-                // that quorum, and replicas answering this way also deny the
-                // proposer a plain promise quorum — so a completed command
-                // can never be re-decided at a fresh slot. The catch-up
-                // carries our ring so the proposer's slot advance keeps the
-                // evidence with it (see `crate::msg::Repair`).
-                let result = c.result.clone();
-                let view = self.shared.store.view(key);
-                PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
-                    slot: meta.slot,
-                    cur_val: view.val,
-                    cur_lc: view.lc,
-                    done: Some(result),
-                    ring: meta.committed.iter().cloned().collect(),
-                }))
-            } else if slot < meta.slot {
-                // Slot already decided here: help the proposer catch up
-                // (ring attached — slot advances travel with evidence).
-                let view = self.shared.store.view(key);
-                PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
-                    slot: meta.slot,
-                    cur_val: view.val,
-                    cur_lc: view.lc,
-                    done: None,
-                    ring: meta.committed.iter().cloned().collect(),
-                }))
+            if meta.committed.find(op).is_some() || slot < meta.slot {
+                // The proposer's command already committed and we saw it,
+                // or its slot is already decided here: catch it up (below,
+                // once the lock is dropped). Surfacing a commit on *every*
+                // propose — not only on slot mismatches — is what makes
+                // RMWs exactly-once: the commit reached a quorum of rings,
+                // every promise quorum intersects that quorum, and replicas
+                // answering this way also deny the proposer a plain promise
+                // quorum — so a completed command can never be re-decided
+                // at a fresh slot. The catch-up is our repair for the key,
+                // so the proposer's slot advance keeps the evidence with it
+                // (see `crate::msg::Repair`).
+                None
             } else if slot > meta.slot {
                 // We missed a commit; the proposer answers with a repair.
-                PromiseOutcome::Lagging { slot: meta.slot }
+                Some(PromiseOutcome::Lagging)
             } else if ballot >= meta.promised {
                 // `>=` admits retransmissions of the same proposer's ballot
                 // (ballots embed the machine id, so equality ⇒ same proposer).
@@ -185,11 +168,14 @@ impl Worker {
                         Cmd { op: a.op, new_val: a.new_val.clone(), result: a.result.clone(), lc: a.lc },
                     ))
                 });
-                PromiseOutcome::Promised { accepted }
+                Some(PromiseOutcome::Promised { accepted })
             } else {
-                PromiseOutcome::NackBallot { promised: meta.promised }
+                Some(PromiseOutcome::NackBallot { promised: meta.promised })
             }
         };
+        let outcome = outcome.unwrap_or_else(|| {
+            PromiseOutcome::AlreadyCommitted(Repair::of(&self.shared.store, key))
+        });
         out.send(src, Msg::PromiseRep { rid, ballot, outcome, delinquent });
     }
 

@@ -56,19 +56,21 @@
 
 use std::sync::Arc;
 
-use kite_common::{Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
+use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_kvs::RmwCommit;
 
 use crate::api::{Completion, Op, OpOutput};
 use crate::msg::{
-    CatchUp, Cmd, CommitPayload, DigestChunk, MerkleSummary, Msg, PromiseOutcome, Repair, WriteBack,
+    Cmd, CommitPayload, DigestChunk, MerkleSummary, Msg, PromiseOutcome, Repair, WriteBack,
 };
 
 /// Upper bound on a frame body (everything after the 4-byte length
 /// prefix). Sized so that any *single* message this codec can legitimately
-/// produce fits (worst case: a `RepairVal` whose 32-entry committed ring
-/// carries [`MAX_VAL`]-sized results ≈ 2.2 MiB); batches larger than this
-/// are split across frames by [`encode_frames`]. A peer announcing more is
+/// produce fits (worst case: a [`Repair`] whose committed ring holds one
+/// entry per session of the largest cluster `ClusterConfig::validate`
+/// accepts, each result a full `kite_kvs::record::MAX_VAL` bytes ≈ 2.8 MiB —
+/// asserted at compile time below); batches larger than this are split
+/// across frames by [`encode_frames`]. A peer announcing more is
 /// malformed, not big.
 pub const MAX_FRAME: usize = 4 << 20;
 
@@ -79,12 +81,25 @@ pub const MAX_VAL: usize = 1 << 16;
 /// entries, repair-request key lists, committed rings).
 pub const MAX_SEQ: usize = 1 << 16;
 
+// A key's ring holds one entry per session that committed on it: the
+// fullest ring, every result (and the value) a store value of the longest
+// length, rides one `AlreadyCommitted` promise reply — 18 bytes more than
+// the same `RepairVal` (rid, ballot, delinquent flag and outcome tag, less
+// the repair tag) — in one frame (9 bytes past the length prefix) that
+// receivers accept.
+const _: () = {
+    let (ring, val) = (ClusterConfig::MAX_SESSIONS, kite_kvs::record::MAX_VAL);
+    assert!(ring <= MAX_SEQ);
+    assert!(9 + 18 + REPAIR_BYTES + val + ring * (RING_ENTRY_BYTES + val) <= MAX_FRAME);
+};
+
 /// Handshake magic: "KITE".
 pub const MAGIC: u32 = 0x4B49_5445;
 
 /// Wire-format version, bumped on any incompatible layout change (v2:
-/// peer frames carry the sender's membership epoch).
-pub const VERSION: u8 = 2;
+/// peer frames carry the sender's membership epoch; v3: an
+/// `AlreadyCommitted` promise carries a [`Repair`], and `Lagging` nothing).
+pub const VERSION: u8 = 3;
 
 /// Handshake kind byte: a peer fabric connection (node-to-node).
 pub const KIND_PEER: u8 = 0;
@@ -289,17 +304,28 @@ fn get_seq_len(c: &mut Cursor, what: &'static str) -> WireResult<usize> {
     Ok(len)
 }
 
-fn put_ring(out: &mut Vec<u8>, ring: &[RmwCommit]) {
-    put_u32(out, ring.len() as u32);
-    for r in ring {
-        put_op_id(out, r.op);
-        put_u64(out, r.slot);
-        put_val(out, &r.result);
+/// A [`Repair`], as both [`Msg::RepairVal`] and
+/// [`PromiseOutcome::AlreadyCommitted`] carry it: key, value, stamp, slot
+/// and the ring of `(op-id, slot, result)` entries.
+fn put_repair(out: &mut Vec<u8>, r: &Repair) {
+    put_u64(out, r.key.0);
+    put_val(out, &r.val);
+    put_lc(out, r.lc);
+    put_u64(out, r.slot);
+    put_u32(out, r.ring.len() as u32);
+    for e in &r.ring {
+        put_op_id(out, e.op);
+        put_u64(out, e.slot);
+        put_val(out, &e.result);
     }
 }
 
 // kite-lint: total-decode
-fn get_ring(c: &mut Cursor) -> WireResult<Vec<RmwCommit>> {
+fn get_repair(c: &mut Cursor) -> WireResult<Box<Repair>> {
+    let key = Key(c.u64()?);
+    let val = get_val(c)?;
+    let lc = get_lc(c)?;
+    let slot = c.u64()?;
     let n = get_seq_len(c, "ring")?;
     let mut ring = Vec::with_capacity(n.min(64));
     for _ in 0..n {
@@ -308,7 +334,7 @@ fn get_ring(c: &mut Cursor) -> WireResult<Vec<RmwCommit>> {
         let result = get_val(c)?;
         ring.push(RmwCommit { op, slot, result });
     }
-    Ok(ring)
+    Ok(Box::new(Repair { key, val, lc, slot, ring }))
 }
 
 // ---------------------------------------------------------------------------
@@ -467,24 +493,11 @@ pub fn encode_msg(m: &Msg, out: &mut Vec<u8>) {
                     out.push(P_NACK);
                     put_lc(out, *promised);
                 }
-                PromiseOutcome::AlreadyCommitted(cu) => {
+                PromiseOutcome::AlreadyCommitted(r) => {
                     out.push(P_ALREADY);
-                    put_u64(out, cu.slot);
-                    put_val(out, &cu.cur_val);
-                    put_lc(out, cu.cur_lc);
-                    match &cu.done {
-                        None => out.push(0),
-                        Some(v) => {
-                            out.push(1);
-                            put_val(out, v);
-                        }
-                    }
-                    put_ring(out, &cu.ring);
+                    put_repair(out, r);
                 }
-                PromiseOutcome::Lagging { slot } => {
-                    out.push(P_LAGGING);
-                    put_u64(out, *slot);
-                }
+                PromiseOutcome::Lagging => out.push(P_LAGGING),
             }
         }
         Msg::Accept { rid, key, slot, ballot, cmd } => {
@@ -536,11 +549,7 @@ pub fn encode_msg(m: &Msg, out: &mut Vec<u8>) {
         }
         Msg::RepairVal { r } => {
             out.push(T_REPAIR_VAL);
-            put_u64(out, r.key.0);
-            put_val(out, &r.val);
-            put_lc(out, r.lc);
-            put_u64(out, r.slot);
-            put_ring(out, &r.ring);
+            put_repair(out, r);
         }
         Msg::MerkleSummary { s } => {
             out.push(T_MERKLE_SUMMARY);
@@ -583,13 +592,19 @@ pub fn req_wire_bytes(buckets: usize) -> u64 {
     6 + 4 * buckets as u64
 }
 
+/// A [`Msg::RepairVal`]'s fixed bytes: tag + key + value length + Lc +
+/// slot + ring length.
+const REPAIR_BYTES: usize = 33;
+/// A ring entry's fixed bytes: op-id + slot + result length.
+const RING_ENTRY_BYTES: usize = 25;
+
 /// [`encode_msg`]'s length for a [`Msg::RepairVal`]: tag + key +
 /// len-prefixed value + Lc + slot + ring of `(op-id, slot, len-prefixed
 /// result)` entries.
 #[inline]
 pub fn repair_wire_bytes(r: &Repair) -> u64 {
-    33 + r.val.as_bytes().len() as u64
-        + r.ring.iter().map(|c| 25 + c.result.as_bytes().len() as u64).sum::<u64>()
+    let ring = r.ring.iter().map(|c| RING_ENTRY_BYTES + c.result.as_bytes().len()).sum::<usize>();
+    (REPAIR_BYTES + r.val.as_bytes().len() + ring) as u64
 }
 
 // kite-lint: total-decode
@@ -667,25 +682,8 @@ pub fn decode_msg(c: &mut Cursor) -> WireResult<Msg> {
                     PromiseOutcome::Promised { accepted: Some(Box::new((b, cmd))) }
                 }
                 P_NACK => PromiseOutcome::NackBallot { promised: get_lc(c)? },
-                P_ALREADY => {
-                    let slot = c.u64()?;
-                    let cur_val = get_val(c)?;
-                    let cur_lc = get_lc(c)?;
-                    let done = match c.u8()? {
-                        0 => None,
-                        1 => Some(get_val(c)?),
-                        t => return Err(WireError::BadTag { what: "catch-up done", tag: t }),
-                    };
-                    let ring = get_ring(c)?;
-                    PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
-                        slot,
-                        cur_val,
-                        cur_lc,
-                        done,
-                        ring,
-                    }))
-                }
-                P_LAGGING => PromiseOutcome::Lagging { slot: c.u64()? },
+                P_ALREADY => PromiseOutcome::AlreadyCommitted(get_repair(c)?),
+                P_LAGGING => PromiseOutcome::Lagging,
                 t => return Err(WireError::BadTag { what: "promise outcome", tag: t }),
             };
             Msg::PromiseRep { rid, ballot, outcome, delinquent }
@@ -739,14 +737,7 @@ pub fn decode_msg(c: &mut Cursor) -> WireResult<Msg> {
             }
             Msg::RepairReq { keys: keys.into_boxed_slice() }
         }
-        T_REPAIR_VAL => {
-            let key = Key(c.u64()?);
-            let val = get_val(c)?;
-            let lc = get_lc(c)?;
-            let slot = c.u64()?;
-            let ring = get_ring(c)?;
-            Msg::RepairVal { r: Box::new(Repair { key, val, lc, slot, ring }) }
-        }
+        T_REPAIR_VAL => Msg::RepairVal { r: get_repair(c)? },
         T_MERKLE_SUMMARY => {
             let level = c.u8()?;
             let start = c.u32()?;
@@ -1157,11 +1148,11 @@ mod tests {
             Msg::PromiseRep {
                 rid: 9,
                 ballot: Lc::new(7, NodeId(2)),
-                outcome: PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
+                outcome: PromiseOutcome::AlreadyCommitted(Box::new(Repair {
+                    key: Key(2),
+                    val: Val::from_u64(10),
+                    lc: Lc::new(8, NodeId(0)),
                     slot: 3,
-                    cur_val: Val::from_u64(10),
-                    cur_lc: Lc::new(8, NodeId(0)),
-                    done: Some(Val::from_u64(4)),
                     ring: vec![RmwCommit { op, slot: 2, result: Val::from_u64(1) }],
                 })),
                 delinquent: true,
@@ -1335,5 +1326,29 @@ mod tests {
             });
             assert_eq!(repair_wire_bytes(&r), encoded_len(&Msg::RepairVal { r }));
         });
+    }
+
+    #[test]
+    fn the_fullest_ring_crosses_in_one_frame() {
+        // One entry per session of the largest deployment `validate`
+        // accepts, every result a store value of the longest length.
+        let full = Val::from_bytes(&[0xab; kite_kvs::record::MAX_VAL]);
+        let session = |i: usize| SessionId::new(NodeId((i % 16) as u8), (i / 16) as u32);
+        let entry = |i: usize| RmwCommit {
+            op: OpId::new(session(i), 1 << 40),
+            slot: i as u64,
+            result: full.clone(),
+        };
+        let ring: Vec<RmwCommit> = (0..ClusterConfig::MAX_SESSIONS).map(entry).collect();
+        let lc = Lc::new(3, NodeId(2));
+        let r = Box::new(Repair { key: Key(7), val: full.clone(), lc, slot: 1 << 20, ring });
+        let msgs = vec![Msg::RepairVal { r }];
+        let mut buf = Vec::new();
+        assert_eq!(encode_frames(NodeId(1), 0, &msgs, &mut buf), 1, "one frame");
+        let (body, rest) = next_frame(&buf).unwrap().expect("receivers accept its length");
+        assert!(rest.is_empty());
+        let mut got = Vec::new();
+        assert_eq!(decode_frame_body(body, &mut got), Ok((NodeId(1), 0)));
+        assert_eq!(format!("{got:?}"), format!("{msgs:?}"));
     }
 }

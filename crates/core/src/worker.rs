@@ -41,7 +41,7 @@ use std::sync::Arc;
 use kite_common::{NodeId, NodeSet, OpId, SessionId, MEMBERSHIP_KEY};
 use kite_simnet::{Actor, Outbox, Wakeup};
 
-use crate::antientropy::AeState;
+use crate::antientropy::{send_repair, AeState};
 use crate::api::{Completion, CompletionHook, Op, OpOutput};
 use crate::inflight::{InFlight, InFlightTable, Meta, UNTRACKED_RID_BIT};
 use crate::msg::Msg;
@@ -102,6 +102,11 @@ impl Sessions {
     #[inline]
     fn park(&mut self, si: usize) {
         self.runnable[si / 64] &= !(1 << (si % 64));
+    }
+
+    /// Whether any session is waiting for a pump.
+    fn any_runnable(&self) -> bool {
+        self.runnable.iter().any(|&word| word != 0)
     }
 }
 
@@ -672,7 +677,7 @@ impl Actor for Worker {
                 // Our epoch exceeds a valid stamp, so it is > 0, which
                 // means it was installed from an applied store value — the
                 // membership key is present and repairable.
-                self.ae_send_repair(src, MEMBERSHIP_KEY, out);
+                send_repair(&self.shared, src, MEMBERSHIP_KEY, out);
                 out.set_stamp(mine);
                 return;
             }
@@ -744,6 +749,12 @@ impl Actor for Worker {
         if !self.inflight.is_empty() {
             next_deadline = next_deadline.min(self.last_scan + self.retransmit / 2);
         }
+        // A completion delivered after the pump (an RMW retry, a barrier or
+        // a retransmission scan finished the op) woke its session for the
+        // next tick. If nothing else brings one, that tick is now: a worker
+        // with a runnable session never sleeps for good.
+        let more_now =
+            more_now || (next_deadline == Wakeup::NEVER && self.sessions.any_runnable());
         let kick_siblings = std::mem::take(&mut self.kick_siblings);
         Wakeup { more_now, next_deadline, kick_siblings }
     }

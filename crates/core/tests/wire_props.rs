@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use kite::msg::{
-    CatchUp, Cmd, CommitPayload, DigestChunk, MerkleSummary, Msg, PromiseOutcome, Repair, WriteBack,
+    Cmd, CommitPayload, DigestChunk, MerkleSummary, Msg, PromiseOutcome, Repair, WriteBack,
 };
 use kite::wire::{self, WireError};
 use kite_common::{Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
@@ -112,14 +112,8 @@ fn gen_msg(src: &mut Src) -> Msg {
                     ))),
                 },
                 2 => PromiseOutcome::NackBallot { promised: gen_lc(src) },
-                3 => PromiseOutcome::AlreadyCommitted(Box::new(CatchUp {
-                    slot: src.below(1 << 20),
-                    cur_val: gen_val(src),
-                    cur_lc: gen_lc(src),
-                    done: if src.below(2) == 0 { Some(gen_val(src)) } else { None },
-                    ring: gen_ring(src),
-                })),
-                _ => PromiseOutcome::Lagging { slot: src.below(1 << 20) },
+                3 => PromiseOutcome::AlreadyCommitted(gen_repair(src)),
+                _ => PromiseOutcome::Lagging,
             };
             Msg::PromiseRep { rid, ballot: gen_lc(src), outcome, delinquent: src.below(2) == 0 }
         }
@@ -174,16 +168,18 @@ fn gen_msg(src: &mut Src) -> Msg {
                 .collect::<Vec<_>>()
                 .into(),
         },
-        _ => Msg::RepairVal {
-            r: Box::new(Repair {
-                key: gen_key(src),
-                val: gen_val(src),
-                lc: gen_lc(src),
-                slot: src.below(1 << 20),
-                ring: gen_ring(src),
-            }),
-        },
+        _ => Msg::RepairVal { r: gen_repair(src) },
     }
+}
+
+fn gen_repair(src: &mut Src) -> Box<Repair> {
+    Box::new(Repair {
+        key: gen_key(src),
+        val: gen_val(src),
+        lc: gen_lc(src),
+        slot: src.below(1 << 20),
+        ring: gen_ring(src),
+    })
 }
 
 /// Structural equality via Debug — `Msg` deliberately has no PartialEq

@@ -39,37 +39,31 @@ pub struct RmwCommit {
     pub result: Val,
 }
 
-/// The committed RMWs a key remembers: the **latest commit of each session**
-/// that has committed one on it (the paper's "last committed rmw-id per
-/// session", kept per key so it travels with the key's slot — see
-/// [`PaxosMeta::merge_evidence`]). The name is historical: this was a FIFO
-/// ring, and a sleeper's helped FAA was forgotten by every replica before
-/// its owner retried it.
+/// The committed RMWs a key remembers: the **latest commit of every
+/// session** that has committed one on it (the paper's "last committed
+/// rmw-id per session", kept per key so it travels with the key's slot —
+/// see [`PaxosMeta::merge_evidence`]).
 ///
 /// A proposer whose command was *helped* to commit by another proposer
 /// discovers this here (replicas attach the entries to `AlreadyCommitted`
 /// replies) and must not re-execute the command. A session has one RMW
 /// outstanding, so its newer commit supersedes its older one and one entry
-/// per session is all the evidence there is to keep: other sessions'
-/// commits can never push a session's latest op out. Memory is bounded by
-/// [`COMMITTED_RING_DEPTH`] sessions per key; past that the longest-decided
-/// entry goes, and [`CommittedRing::evicted_unretired`] counts it.
+/// per session is all the evidence there is to keep. Nothing else may drop
+/// an entry: a session whose entry is gone — however long ago its commit
+/// was decided — may still be retrying that op, and would run it twice.
+/// Memory is one entry per session that ever committed on the key, which
+/// `ClusterConfig::validate` bounds by `ClusterConfig::MAX_SESSIONS`.
 #[derive(Clone, Debug, Default)]
 pub struct CommittedRing {
     ring: Vec<RmwCommit>,
-    /// Entries dropped to make room (see [`CommittedRing::evicted_unretired`]).
-    evicted_unretired: u64,
 }
-
-/// How many sessions' latest commits one key remembers.
-pub const COMMITTED_RING_DEPTH: usize = 32;
 
 impl CommittedRing {
     /// An empty ring. It reserves nothing: every replica builds a ring on
     /// a key's first RMW, and it grows by one entry per session that
-    /// commits on the key, up to the depth.
+    /// commits on the key.
     pub fn new() -> Self {
-        CommittedRing { ring: Vec::new(), evicted_unretired: 0 }
+        CommittedRing { ring: Vec::new() }
     }
 
     /// Record a committed RMW: it replaces its session's older entry in
@@ -80,24 +74,9 @@ impl CommittedRing {
             if c.op.seq > own.op.seq {
                 *own = c;
             }
-        } else if self.ring.len() < COMMITTED_RING_DEPTH {
-            self.ring.push(c);
         } else {
-            // More sessions than entries: the commit decided longest ago
-            // goes. Nothing superseded it, so its owner may still be
-            // retrying it.
-            let oldest = self.ring.iter_mut().min_by_key(|e| e.slot).expect("depth > 0");
-            *oldest = c;
-            self.evicted_unretired += 1;
+            self.ring.push(c);
         }
-    }
-
-    /// Evidence lost that nothing superseded: entries evicted because more
-    /// than [`COMMITTED_RING_DEPTH`] sessions committed RMWs on the key —
-    /// each the latest op of a session that may not have learned its
-    /// outcome yet. Zero unless that many sessions contend on one key.
-    pub fn evicted_unretired(&self) -> u64 {
-        self.evicted_unretired
     }
 
     /// Look up a committed command by operation id.
@@ -169,8 +148,8 @@ impl PaxosMeta {
     /// advance without the matching ring entries lets this replica answer
     /// a plain promise for an operation that in fact committed, breaking
     /// RMW exactly-once (see `kite::msg::Repair`). Used by every
-    /// non-commit slot-advancing path (anti-entropy repairs, the
-    /// `AlreadyCommitted` catch-up).
+    /// non-commit slot-advancing path: `Repair::apply`, which both an
+    /// anti-entropy repair and an `AlreadyCommitted` catch-up go through.
     pub fn merge_evidence(&mut self, ring: &[RmwCommit], next_slot: u64) {
         for c in ring {
             if self.committed.find(c.op).is_none() {
@@ -206,7 +185,8 @@ mod tests {
         r.push(RmwCommit { op: op(0, 1), slot: 0, result: Val::from_u64(7) });
         r.push(RmwCommit { op: op(0, 2), slot: 1, result: Val::from_u64(8) });
         assert_eq!(r.len(), 1);
-        assert!(r.ring.capacity() < COMMITTED_RING_DEPTH, "one session's entry reserved the depth");
+        // A `Vec`'s first allocation: room for a few entries, not many.
+        assert!(r.ring.capacity() <= 4, "one session's entry reserved room for many");
     }
 
     #[test]
@@ -219,51 +199,29 @@ mod tests {
         assert_eq!(r.find(op(1, 5)).unwrap().result.as_u64(), 5, "the newer replaced the older");
         assert!(r.find(op(1, 3)).is_none(), "superseded");
         assert!(r.find(op(1, 4)).is_none(), "a late older commit is dropped");
-        assert_eq!(r.evicted_unretired(), 0);
     }
 
     #[test]
     fn other_sessions_commits_never_evict_a_sessions_entry() {
         let mut r = CommittedRing::new();
         r.push(RmwCommit { op: op(4, 9), slot: 0, result: Val::from_u64(7) });
-        for i in 0..10 * COMMITTED_RING_DEPTH as u64 {
+        for i in 0..320 {
             r.push(RmwCommit { op: op((i % 4) as u8, i), slot: i + 1, result: Val::EMPTY });
         }
         assert_eq!(r.find(op(4, 9)).unwrap().result.as_u64(), 7, "the sleeper's op is still known");
         assert_eq!(r.len(), 5, "one entry per session");
-        assert_eq!(r.evicted_unretired(), 0);
-    }
-
-    fn session(i: usize) -> SessionId {
-        SessionId::new(NodeId((i % 8) as u8), (i / 8) as u32)
     }
 
     #[test]
-    fn ring_evicts_oldest_beyond_depth() {
+    fn every_sessions_last_commit_is_kept() {
+        // Far more sessions than the 32 a key's ring once kept.
+        let session = |i: u64| SessionId::new(NodeId((i % 16) as u8), (i / 16) as u32);
         let mut r = CommittedRing::new();
-        for i in 0..COMMITTED_RING_DEPTH + 3 {
-            r.push(RmwCommit { op: OpId::new(session(i), 0), slot: i as u64, result: Val::EMPTY });
+        for i in 0..200 {
+            r.push(RmwCommit { op: OpId::new(session(i), 0), slot: i, result: Val::EMPTY });
         }
-        assert_eq!(r.len(), COMMITTED_RING_DEPTH);
-        for i in 0..3 {
-            assert!(r.find(OpId::new(session(i), 0)).is_none(), "lowest slots evicted");
-        }
-        assert!(r.find(OpId::new(session(COMMITTED_RING_DEPTH + 2), 0)).is_some(), "newest kept");
-    }
-
-    #[test]
-    fn eviction_of_a_sessions_latest_op_is_counted() {
-        let mut r = CommittedRing::new();
-        for i in 0..COMMITTED_RING_DEPTH {
-            r.push(RmwCommit { op: OpId::new(session(i), 0), slot: i as u64, result: Val::EMPTY });
-        }
-        // A session already present moves on: nothing is lost.
-        r.push(RmwCommit { op: OpId::new(session(0), 1), slot: 40, result: Val::EMPTY });
-        assert_eq!(r.evicted_unretired(), 0);
-        // One session more than the ring holds: session 1's only entry goes.
-        r.push(RmwCommit { op: OpId::new(session(40), 0), slot: 41, result: Val::EMPTY });
-        assert!(r.find(OpId::new(session(1), 0)).is_none());
-        assert_eq!(r.evicted_unretired(), 1, "nothing had superseded it");
+        assert_eq!(r.len(), 200);
+        assert!((0..200).all(|i| r.find(OpId::new(session(i), 0)).is_some()), "none evicted");
     }
 
     #[test]

@@ -126,14 +126,11 @@ fn quorum_requests_are_constructed_in_one_place() {
     assert!(threaded.is_empty(), "initiator.rs functions take `Cx`, not the fields: {threaded:?}");
 }
 
-/// One client path: every session a client drives is a client-protocol
-/// connection. The node runtime builds each `SessionDriver::Client`, one per
-/// slot the loop serving it may hand to a connection, so no second way into
-/// a session (a handle onto the worker's client port) can grow back beside
-/// `RemoteSession`.
-#[test]
-fn external_sessions_are_constructed_in_one_place() {
-    const CTOR: &str = "SessionDriver::Client(";
+/// Every site in the workspace's non-test Rust code (`crates/`, `src/`,
+/// `examples/` outside any `tests/` directory, above a file's unit tests,
+/// comment lines skipped) where `ctor` occurs and `is_use` holds for the
+/// text before and after it: `path:line: code` each.
+fn non_test_uses(ctor: &str, is_use: impl Fn(&str, &str) -> bool) -> Vec<String> {
     let root = workspace_root();
     let mut tree = Vec::new();
     walk(root, &mut tree);
@@ -149,20 +146,61 @@ fn external_sessions_are_constructed_in_one_place() {
         let text = std::fs::read_to_string(file).expect("source file");
         let above_tests = text.split("#[cfg(test)]").next().expect("split yields a first piece");
         for (n, line) in above_tests.lines().enumerate() {
-            let Some(at) = line.find(CTOR).filter(|_| !line.trim_start().starts_with("//")) else {
+            let Some(at) = line.find(ctor).filter(|_| !line.trim_start().starts_with("//")) else {
                 continue;
             };
-            // A pattern (`Client(ops) =>`, `let Client(ops) = …`,
-            // `matches!(d, Client(_))`) is not a construction.
-            let (before, rest) = (&line[..at], &line[at + CTOR.len()..]);
-            let pattern = rest.contains("=>")
-                || before.trim_end().ends_with("let")
-                || before.contains("matches!(");
-            if !pattern {
+            if is_use(&line[..at], &line[at + ctor.len()..]) {
                 found.push(format!("{}:{}: {}", rel.display(), n + 1, line.trim()));
             }
         }
     }
+    found
+}
+
+/// A key's decided state crosses the wire in one shape, built in one
+/// place: every `kite::msg::Repair` — anti-entropy answers and pushes, a
+/// proposer's answer to `Lagging`, an acceptor's `AlreadyCommitted`
+/// catch-up — comes from `Repair::of` in `antientropy.rs` (and `wire.rs`'s
+/// decoder), so no path can grow back a copy that reads the value before
+/// its slot evidence, or a second catch-up shape beside it.
+#[test]
+fn repairs_are_constructed_in_one_place() {
+    const CTOR: &str = "Repair {";
+    // The definition, its `impl` and a destructuring `let Repair { .. } =
+    // …` are not constructions; neither is a type name ending in `Repair`
+    // (`ReadRepair {`).
+    let found = non_test_uses(CTOR, |before, rest| {
+        let ident_tail = before.ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        let pattern = ["struct", "impl", "let"].iter().any(|k| before.trim_end().ends_with(k))
+            || rest.contains("} =");
+        !ident_tail && !pattern
+    });
+    let in_file = |f: &str| found.iter().filter(|l| l.starts_with(f)).count();
+    assert!(
+        found.len() == 2
+            && in_file("crates/core/src/antientropy.rs:") == 1
+            && in_file("crates/core/src/wire.rs:") == 1,
+        "`{CTOR}` must be built once in crates/core/src/antientropy.rs (`Repair::of`) and once \
+         in crates/core/src/wire.rs (the decoder); found:\n{}",
+        found.join("\n")
+    );
+}
+
+/// One client path: every session a client drives is a client-protocol
+/// connection. The node runtime builds each `SessionDriver::Client`, one per
+/// slot the loop serving it may hand to a connection, so no second way into
+/// a session (a handle onto the worker's client port) can grow back beside
+/// `RemoteSession`.
+#[test]
+fn external_sessions_are_constructed_in_one_place() {
+    const CTOR: &str = "SessionDriver::Client(";
+    // A pattern (`Client(ops) =>`, `let Client(ops) = …`,
+    // `matches!(d, Client(_))`) is not a construction.
+    let found = non_test_uses(CTOR, |before, rest| {
+        !(rest.contains("=>")
+            || before.trim_end().ends_with("let")
+            || before.contains("matches!("))
+    });
     assert!(
         found.len() == 1 && found[0].starts_with("crates/net/src/node.rs:"),
         "`{CTOR}` must be built once, in crates/net/src/node.rs; found:\n{}",

@@ -100,7 +100,7 @@ use kite::{Msg, Worker};
 use kite_common::rng::SplitMix64;
 use kite_common::stats::ProtoCounters;
 use kite_common::{NodeId, SessionId};
-use kite_simnet::{Actor, Clock, Dumper, Outbox, Wake, Wakeup, WallClock};
+use kite_simnet::{Actor, Dumper, Outbox, Wake, Wakeup, WallClock};
 
 use crate::link::{bump, FabricStats, LinkTable, LoopStats};
 use crate::ring::{Drain, OutRing, Pool, ReadBuf};

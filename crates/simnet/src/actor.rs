@@ -165,12 +165,6 @@ impl Wakeup {
     }
 }
 
-/// Nanosecond clock abstraction. The epoll fabric uses [`WallClock`].
-pub trait Clock: Send + Sync {
-    /// Current time in nanoseconds.
-    fn now(&self) -> u64;
-}
-
 /// Monotonic wall-clock time since a **process-wide** origin: every
 /// `WallClock` of one process reads the same time base, so stamps taken by
 /// the nodes of an in-process cluster (`invoked_at`/`completed_at` of the
@@ -187,11 +181,10 @@ impl WallClock {
         ORIGIN.get_or_init(Instant::now);
         WallClock
     }
-}
 
-impl Clock for WallClock {
+    /// Nanoseconds since the process-wide origin.
     #[inline]
-    fn now(&self) -> u64 {
+    pub fn now(&self) -> u64 {
         ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
 }

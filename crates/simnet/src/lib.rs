@@ -35,6 +35,6 @@ pub mod actor;
 pub mod outbox;
 pub mod sim;
 
-pub use actor::{Actor, Clock, Dumper, Wake, Wakeup, WallClock};
+pub use actor::{Actor, Dumper, Wake, Wakeup, WallClock};
 pub use outbox::Outbox;
 pub use sim::{Sim, SimCfg};

@@ -55,10 +55,12 @@
 # shrunk case's one-line replay, and the script fails. It prints the
 # sweep's wall time.
 #
-# Then, once: the exactly-once-FAA soak (tests/faa_sleeper.rs,
-# 200 seeds of "every node bumps one counter while node 4 sleeps three
-# times", ~10 min). Deterministic per seed, so once is enough; it prints
-# every failing seed, then the soak's wall time in seconds.
+# Then, once: the exactly-once-FAA soaks (tests/faa_sleeper.rs): 200
+# seeds of "one session per node bumps one counter while node 4 sleeps
+# three times" (~10 min), then 200 seeds of the same with every one of
+# the 80 sessions bumping it — more sessions than a key's committed ring
+# once kept. Deterministic per seed, so once is enough; each prints every
+# failing seed, then its wall time in seconds.
 #
 # Usage: scripts/stress.sh [iterations] [test-filter]
 #   iterations   default 50 (the loss soak runs 4 × iterations = 200)
@@ -263,9 +265,15 @@ fi
 
 echo "== exactly-once FAA with a sleeping proposer, seeds 1..=200 =="
 SECONDS=0
-cargo test -q --release --test faa_sleeper -- --ignored
+cargo test -q --release --test faa_sleeper -- --ignored --exact faa_counter_is_exact_across_200_seeds
 # The soak's wall time is the budget a wider seed swarm spends: print it.
 echo "FAA soak: 200 seeds in ${SECONDS} s"
+
+echo "== exactly-once FAA with every session adding, seeds 1..=200 =="
+SECONDS=0
+cargo test -q --release --test faa_sleeper -- --ignored --exact \
+    faa_counter_is_exact_across_200_seeds_when_every_session_adds
+echo "FAA soak, every session adding: 200 seeds in ${SECONDS} s"
 
 LOSS_N=$((4 * N))
 echo "== stressing '${FILTER}' x${LOSS_N} =="

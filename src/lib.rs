@@ -30,8 +30,8 @@ pub mod testutil {
             (Op::Acquire { .. }, OpOutput::Value(v)) => OpKind::Acquire { v: v.as_u64() },
             (Op::Write { val, .. }, _) => OpKind::Write { v: val.as_u64() },
             (Op::Release { val, .. }, _) => OpKind::Release { v: val.as_u64() },
-            (Op::Faa { .. }, OpOutput::Faa(old)) => {
-                OpKind::Rmw { observed: *old, wrote: old + 1 }
+            (Op::Faa { delta, .. }, OpOutput::Faa(old)) => {
+                OpKind::Rmw { observed: *old, wrote: old.wrapping_add(*delta) }
             }
             (Op::CasWeak { new, .. } | Op::CasStrong { new, .. }, OpOutput::Cas { ok, observed }) => {
                 let obs = observed.as_u64();
@@ -136,6 +136,9 @@ mod tests {
 
         let r = to_record(&completion(Op::Faa { key: Key(1), delta: 1 }, OpOutput::Faa(7)));
         assert_eq!(r.kind, OpKind::Rmw { observed: 7, wrote: 8 });
+
+        let r = to_record(&completion(Op::Faa { key: Key(1), delta: 5 }, OpOutput::Faa(7)));
+        assert_eq!(r.kind, OpKind::Rmw { observed: 7, wrote: 12 }, "an FAA writes old + delta");
 
         let r = to_record(&completion(
             Op::CasStrong { key: Key(1), expect: Val::from_u64(1), new: Val::from_u64(2) },
