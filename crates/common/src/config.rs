@@ -26,15 +26,6 @@ pub struct ClusterConfig {
     /// Retransmission interval for quorum-seeking operations (ABD rounds,
     /// Paxos phases) in nanoseconds. Needed for liveness under message loss.
     pub retransmit_ns: u64,
-    /// Per-session cap on relaxed writes with outstanding acks. Bounds
-    /// release-barrier bookkeeping; the paper's implementation similarly
-    /// bounds in-flight broadcasts by its window of pending messages.
-    pub write_window: usize,
-    /// Operations each session may *start* per worker scheduling tick.
-    /// Paired with the simulator's service-time model this is the
-    /// issue-rate half of the queueing model: relaxed ops are issue-bound,
-    /// synchronization ops are round-trip-bound.
-    pub ops_per_tick: usize,
     /// §4.3 optimization "overlapping a release with waiting": run the
     /// release's LLC-read round (and an RMW's propose phase) concurrently
     /// with gathering acks for prior writes. `false` serializes
@@ -72,19 +63,18 @@ pub struct ClusterConfig {
     /// interval this bounds a flat full-store walk:
     /// `ceil(capacity / chunk) * interval`.
     pub anti_entropy_chunk: usize,
-    /// Per-node crash durability: every stamp-transitioning store apply is
-    /// appended to a CRC-framed write-ahead log, group-committed off the
-    /// hot path by a dedicated flusher thread, with periodic snapshots
-    /// truncating the log. A restarted node reloads the snapshot, replays
-    /// the WAL tail (idempotent under LLC-max) and lets anti-entropy heal
-    /// only the downtime delta instead of re-replicating the whole store.
-    /// `false` (the default) is the equivalence kill switch: no WAL thread,
-    /// no sink attached, request paths byte-identical to pre-WAL builds.
-    pub wal: bool,
-    /// Directory holding WAL segments and snapshots. Each `NodeRuntime`
-    /// appends its own `node<idx>/` subdirectory so one config serves a
-    /// whole local cluster. Must be non-empty when `wal` is on.
-    pub wal_dir: String,
+    /// Per-node crash durability, and the directory it writes to: every
+    /// stamp-transitioning store apply is appended to a CRC-framed
+    /// write-ahead log, group-committed off the hot path by a dedicated
+    /// flusher thread, with periodic snapshots truncating the log. A
+    /// restarted node reloads the snapshot, replays the WAL tail
+    /// (idempotent under LLC-max) and lets anti-entropy heal only the
+    /// downtime delta instead of re-replicating the whole store. Each
+    /// `NodeRuntime` appends its own `node<idx>/` subdirectory, so one
+    /// config serves a whole local cluster. `None` (the default) is the
+    /// equivalence kill switch: no WAL thread, no sink attached, request
+    /// paths byte-identical to pre-WAL builds.
+    pub wal_dir: Option<String>,
     /// Bootstrap (membership-epoch-0) voter set. Empty — the default —
     /// means "every configured slot except `initial_learners`". Configs
     /// that pre-provision spare slots for future joiners list the actual
@@ -118,8 +108,6 @@ impl Default for ClusterConfig {
             keys: 1 << 16,
             release_timeout_ns: 1_000_000, // ~1 ms, as in §8.4
             retransmit_ns: 2_000_000,
-            write_window: 64,
-            ops_per_tick: 2,
             overlap_release: true,
             stripped_slow_path: true,
             coalesce_acks: true,
@@ -133,8 +121,7 @@ impl Default for ClusterConfig {
             // mixes (pinned by tests/antientropy.rs).
             anti_entropy_interval_ns: 5_000_000,
             anti_entropy_chunk: 128,
-            wal: false,
-            wal_dir: String::new(),
+            wal_dir: None,
             initial_voters: NodeSet::EMPTY,
             initial_learners: NodeSet::EMPTY,
             anti_entropy_keepalive_ns: 0,
@@ -155,6 +142,17 @@ impl ClusterConfig {
     /// compile time that the fullest ring still crosses the wire in one
     /// frame.
     pub const MAX_SESSIONS: usize = 1 << 15;
+
+    /// Per-session cap on relaxed writes with outstanding acks. Bounds
+    /// release-barrier bookkeeping; the paper's implementation similarly
+    /// bounds in-flight broadcasts by its window of pending messages.
+    pub const WRITE_WINDOW: usize = 64;
+
+    /// Operations each session may *start* per worker scheduling tick.
+    /// Paired with the simulator's service-time model this is the
+    /// issue-rate half of the queueing model: relaxed ops are issue-bound,
+    /// synchronization ops are round-trip-bound.
+    pub const OPS_PER_TICK: usize = 2;
 
     /// A small deterministic-simulation-friendly configuration.
     pub fn small() -> Self {
@@ -203,18 +201,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: per-session cap on relaxed writes with outstanding acks.
-    pub fn write_window(mut self, w: usize) -> Self {
-        self.write_window = w;
-        self
-    }
-
-    /// Builder: operations each session may start per scheduling tick.
-    pub fn ops_per_tick(mut self, n: usize) -> Self {
-        self.ops_per_tick = n;
-        self
-    }
-
     /// Builder: the §4.3 release-overlap optimization.
     pub fn overlap_release(mut self, on: bool) -> Self {
         self.overlap_release = on;
@@ -251,15 +237,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: the write-ahead-log durability kill switch.
-    pub fn wal(mut self, on: bool) -> Self {
-        self.wal = on;
-        self
-    }
-
-    /// Builder: WAL segment/snapshot directory.
+    /// Builder: write-ahead-log durability into `dir`.
     pub fn wal_dir(mut self, dir: impl Into<String>) -> Self {
-        self.wal_dir = dir.into();
+        self.wal_dir = Some(dir.into());
         self
     }
 
@@ -329,9 +309,6 @@ impl ClusterConfig {
             let max = Self::MAX_SESSIONS;
             return Err(format!("at most {max} sessions supported, got {sessions}"));
         }
-        if self.write_window == 0 {
-            return Err("write window must be ≥ 1".into());
-        }
         if self.anti_entropy && (self.anti_entropy_chunk == 0 || self.anti_entropy_interval_ns == 0)
         {
             return Err("anti-entropy needs a non-zero chunk and interval".into());
@@ -355,9 +332,6 @@ impl ClusterConfig {
         };
         if voters.len() < 3 {
             return Err(format!("need ≥3 bootstrap voters, got {}", voters.len()));
-        }
-        if self.wal && self.wal_dir.is_empty() {
-            return Err("wal needs a non-empty wal_dir".into());
         }
         Ok(())
     }
@@ -421,13 +395,9 @@ mod tests {
     #[test]
     fn wal_knobs_default_off_and_validate() {
         let c = ClusterConfig::default();
-        assert!(!c.wal, "the WAL is an opt-in durability mode");
-        assert!(c.wal_dir.is_empty());
-        let c = c.wal(true).wal_dir("/tmp/kite-wal");
-        assert!(c.wal);
-        assert_eq!(c.wal_dir, "/tmp/kite-wal");
+        assert_eq!(c.wal_dir, None, "the WAL is an opt-in durability mode");
+        let c = c.wal_dir("/tmp/kite-wal");
+        assert_eq!(c.wal_dir.as_deref(), Some("/tmp/kite-wal"));
         assert!(c.validate().is_ok());
-        // WAL on demands a directory.
-        assert!(ClusterConfig::default().wal(true).validate().is_err());
     }
 }

@@ -84,13 +84,28 @@ pub struct ProtoCounters {
     /// than ours (we process the batch but ask for the config we're
     /// missing).
     pub membership_pulls: Counter,
+    /// Paxos propose rounds an RMW proposer opened (its first, and every
+    /// retry after a nack, a moved slot or a helped commit).
+    pub rmw_rounds: Counter,
+    /// Rounds a proposer lost to a higher ballot: nacked promises,
+    /// rejected accepts, and accepts it gave up locally because a sibling
+    /// had already promised higher (`BallotLost`).
+    pub rmw_nacks: Counter,
+    /// Rounds restarted when a conflict back-off expired.
+    pub rmw_backoffs: Counter,
+    /// Phase-1 quorums that adopted another proposer's accepted command,
+    /// so this proposer drove that command to commit before its own.
+    pub rmw_helped: Counter,
+    /// `AlreadyCommitted` promise replies: the proposer's slot was decided
+    /// already, and it caught up from the acceptor's repair.
+    pub rmw_already_committed: Counter,
 }
 
 impl ProtoCounters {
     /// `(name, counter)` of every field — the scrape keys (`proto_<name>`)
     /// are built from this and nothing else. The destructuring is exhaustive
     /// on purpose: a field added without a name here does not compile.
-    pub fn fields(&self) -> [(&'static str, &Counter); 23] {
+    pub fn fields(&self) -> [(&'static str, &Counter); 28] {
         let ProtoCounters {
             completed,
             local_reads,
@@ -115,6 +130,11 @@ impl ProtoCounters {
             membership_installs,
             stale_epoch_dropped,
             membership_pulls,
+            rmw_rounds,
+            rmw_nacks,
+            rmw_backoffs,
+            rmw_helped,
+            rmw_already_committed,
         } = self;
         [
             ("completed", completed),
@@ -140,6 +160,11 @@ impl ProtoCounters {
             ("membership_installs", membership_installs),
             ("stale_epoch_dropped", stale_epoch_dropped),
             ("membership_pulls", membership_pulls),
+            ("rmw_rounds", rmw_rounds),
+            ("rmw_nacks", rmw_nacks),
+            ("rmw_backoffs", rmw_backoffs),
+            ("rmw_helped", rmw_helped),
+            ("rmw_already_committed", rmw_already_committed),
         ]
     }
 }

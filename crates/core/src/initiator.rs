@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use kite_common::{Key, Lc, NodeSet, OpId, Val};
+use kite_common::{ClusterConfig, Key, Lc, NodeSet, OpId, Val};
 use kite_kvs::paxos_meta::{AcceptedCmd, RmwCommit};
 use kite_simnet::Outbox;
 
@@ -187,7 +187,8 @@ impl Worker {
         now: u64,
         out: &mut Outbox<Msg>,
     ) -> StartResult {
-        if self.mode.has_barriers() && self.sessions[si].write_window.len() >= self.window_cap {
+        let window = self.sessions[si].write_window.len();
+        if self.mode.has_barriers() && window >= ClusterConfig::WRITE_WINDOW {
             return StartResult::Stall(op);
         }
         let snapshot = self.shared.epoch();
@@ -999,6 +1000,7 @@ impl Worker {
                 false
             }
             PromiseOutcome::AlreadyCommitted(r) => {
+                cx.shared.counters.rmw_already_committed.incr();
                 // Catch up to the decided prefix: the acceptor's repair
                 // merges its ring evidence and advances the slot before it
                 // applies the value (evidence travels with advancement —
@@ -1163,8 +1165,11 @@ impl Worker {
             let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { continue };
             // Only restart if the round is still stuck (a quorum may have
             // arrived after the nack; phase transitions clear retry_at).
-            if state.retry_at != 0 && now >= state.retry_at && cx.rmw_restart(rid, state, now, out)
-            {
+            if state.retry_at == 0 || now < state.retry_at {
+                continue;
+            }
+            cx.shared.counters.rmw_backoffs.incr();
+            if cx.rmw_restart(rid, state, now, out) {
                 table.remove(rid);
             }
         }
@@ -1284,6 +1289,7 @@ impl Cx<'_> {
         state.commit_bcast = None;
         state.pending_output = None;
         state.retry_at = 0;
+        shared.counters.rmw_rounds.incr();
         state.round(rid).expect("propose phase").send(me, shared.voters(), out);
         None
     }
@@ -1311,6 +1317,7 @@ impl Cx<'_> {
     /// local duel): rise above it next round, which waits out the
     /// exponential backoff unless a retry is already scheduled.
     fn rmw_back_off(&mut self, rid: u64, state: &mut RmwState, promised_version: u64, now: u64) {
+        self.shared.counters.rmw_nacks.incr();
         state.ballot_floor = state.ballot_floor.max(promised_version);
         if state.retry_at == 0 {
             state.retry_at = now + rmw_backoff(rid, state.backoff_exp);
@@ -1326,6 +1333,9 @@ impl Cx<'_> {
         let (shared, me) = (self.shared, self.me);
         if let Some((_, cmd)) = state.best_accepted.take() {
             state.helping = cmd.op != state.meta.op_id;
+            if state.helping {
+                shared.counters.rmw_helped.incr();
+            }
             state.cmd = Some(Arc::new(cmd));
             return RmwDecision::Cmd;
         }

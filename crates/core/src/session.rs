@@ -106,7 +106,7 @@ pub struct Session {
     /// An op pulled from the driver but not yet started. Two producers: a
     /// start that stalled on a full write window (the session is parked
     /// until the window moves), and the worker's look-ahead, which pulls the
-    /// next tick's op at the end of a tick that stopped at `ops_per_tick`
+    /// next tick's op at the end of a tick that stopped at `OPS_PER_TICK`
     /// (the session stays runnable). Either way the op is this session's
     /// next to start and keeps its `seq`.
     pub staged: Option<Op>,

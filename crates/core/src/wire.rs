@@ -765,25 +765,9 @@ pub fn decode_msg(c: &mut Cursor) -> WireResult<Msg> {
 // Peer frames
 // ---------------------------------------------------------------------------
 
-/// Append one peer frame (length prefix included) carrying `msgs` from
-/// `src` at membership epoch `mepoch` onto `out`. The caller guarantees
-/// the batch fits one frame; the transport uses [`encode_frames`], which
-/// splits.
-pub fn encode_frame(src: NodeId, mepoch: u32, msgs: &[Msg], out: &mut Vec<u8>) {
-    let len_at = out.len();
-    put_u32(out, 0); // patched below
-    out.push(src.0);
-    put_u32(out, mepoch);
-    put_u32(out, msgs.len() as u32);
-    for m in msgs {
-        encode_msg(m, out);
-    }
-    let body_len = (out.len() - len_at - 4) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
-}
-
-/// Append `msgs` from `src` onto `out` as **one or more** back-to-back
-/// frames, splitting wherever a frame would exceed [`MAX_FRAME`] bytes or
+/// Append `msgs` from `src` at membership epoch `mepoch` onto `out` as
+/// **one or more** back-to-back peer frames (length prefixes included),
+/// splitting wherever a frame would exceed [`MAX_FRAME`] bytes or
 /// [`MAX_SEQ`] messages. Returns the number of frames written.
 ///
 /// This is the transport's encoder: without the split, one legitimately
@@ -1164,7 +1148,7 @@ mod tests {
     fn frame_round_trips() {
         let msgs = sample_msgs();
         let mut buf = Vec::new();
-        encode_frame(NodeId(4), 7, &msgs, &mut buf);
+        assert_eq!(encode_frames(NodeId(4), 7, &msgs, &mut buf), 1);
         let (body, rest) = next_frame(&buf).unwrap().unwrap();
         assert!(rest.is_empty());
         let mut got = Vec::new();
@@ -1178,7 +1162,7 @@ mod tests {
     fn truncated_and_trailing_frames_are_errors() {
         let msgs = sample_msgs();
         let mut buf = Vec::new();
-        encode_frame(NodeId(0), 0, &msgs, &mut buf);
+        assert_eq!(encode_frames(NodeId(0), 0, &msgs, &mut buf), 1);
         // Truncated at every prefix length: must error, never panic.
         for cut in 4..buf.len() - 1 {
             let mut got = Vec::new();
@@ -1206,7 +1190,7 @@ mod tests {
     #[test]
     fn next_frame_waits_for_the_whole_frame() {
         let mut buf = Vec::new();
-        encode_frame(NodeId(1), 0, &sample_msgs(), &mut buf);
+        assert_eq!(encode_frames(NodeId(1), 0, &sample_msgs(), &mut buf), 1);
         let first = buf.len();
         let session = SessionId::new(NodeId(1), 2);
         encode_client_frame(&ClientFrame::HelloOk { session }, &mut buf);

@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use kite_common::{NodeId, NodeSet, OpId, SessionId, MEMBERSHIP_KEY};
+use kite_common::{ClusterConfig, NodeId, NodeSet, OpId, SessionId, MEMBERSHIP_KEY};
 use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::antientropy::{send_repair, AeState};
@@ -183,8 +183,6 @@ pub struct Worker {
     // *methods* reading the live cell; see the stale-quorum note on them)
     pub(crate) release_timeout: u64,
     pub(crate) retransmit: u64,
-    pub(crate) ops_per_tick: usize,
-    pub(crate) window_cap: usize,
     pub(crate) overlap_release: bool,
     pub(crate) stripped_slow: bool,
 }
@@ -252,13 +250,13 @@ impl Worker {
     ) -> Self {
         let cfg = &shared.cfg;
         // Size each session's write window up front: the window is bounded
-        // by `write_window`, so steady-state pushes never reallocate.
+        // by `WRITE_WINDOW`, so steady-state pushes never reallocate.
         for sess in &mut sessions {
-            sess.write_window.reserve(cfg.write_window);
+            sess.write_window.reserve(ClusterConfig::WRITE_WINDOW);
         }
         // The slab's steady-state occupancy is bounded by the sessions'
         // windows plus their single blocking ops.
-        let inflight_cap = sessions.len() * (cfg.write_window + 1);
+        let inflight_cap = sessions.len() * (ClusterConfig::WRITE_WINDOW + 1);
         Worker {
             me: shared.me,
             mode,
@@ -284,8 +282,6 @@ impl Worker {
             hook,
             release_timeout: cfg.release_timeout_ns,
             retransmit: cfg.retransmit_ns,
-            ops_per_tick: cfg.ops_per_tick,
-            window_cap: cfg.write_window,
             overlap_release: cfg.overlap_release,
             stripped_slow: cfg.stripped_slow_path,
             shared,
@@ -423,7 +419,7 @@ impl Worker {
 
     // ---- session pumping -------------------------------------------------
 
-    /// Let every runnable session start up to `ops_per_tick` ops. Returns
+    /// Let every runnable session start up to `OPS_PER_TICK` ops. Returns
     /// whether one stopped at that budget still free with its next op
     /// staged — the only case in which another tick right now would start
     /// more.
@@ -443,7 +439,7 @@ impl Worker {
     }
 
     fn pump_session(&mut self, si: usize, now: u64, out: &mut Outbox<Msg>) -> bool {
-        let mut budget = self.ops_per_tick;
+        let mut budget = ClusterConfig::OPS_PER_TICK;
         while budget > 0 && self.sessions[si].is_free() {
             // Out of ops: a script is finished for good, a client state
             // machine speaks again after its next completion, and a client
@@ -638,30 +634,16 @@ impl Worker {
 impl Actor for Worker {
     type Msg = Msg;
 
-    fn on_envelope(&mut self, src: NodeId, msgs: &mut Vec<Msg>, now: u64, out: &mut Outbox<Msg>) {
-        // A message from `src` proves it alive — clear any suspicion so
-        // releases resume waiting for its acks (fast path).
-        self.shared.clear_suspect(src);
-        debug_assert!(self.pending_acks.is_empty(), "acks staged outside an envelope");
-        for m in msgs.drain(..) {
-            self.dispatch(src, m, now, out);
-        }
-        // One ack message per envelope, not per request: everything the
-        // drain above staged goes back to `src` as a single batch.
-        self.flush_acks(src, out);
-        out.set_stamp(self.shared.mepoch());
-    }
-
-    /// The membership-epoch gate (the reconfiguration analogue of the
-    /// committed-ring "evidence travels with advancement" rule): a batch
-    /// stamped with an *older* epoch was composed against a membership we
-    /// know to be superseded, so it is dropped whole and answered with a
-    /// push-repair of the membership key — the stale sender converges in
-    /// one round trip and retransmission re-drives whatever the drop cost.
-    /// A *newer* stamp is processed normally (the sender's protocol state
-    /// is fine; we are the stale one) while we pull the configuration we
-    /// are missing.
-    fn on_envelope_stamped(
+    /// The membership-epoch gate comes first (the reconfiguration analogue
+    /// of the committed-ring "evidence travels with advancement" rule): a
+    /// batch stamped with an *older* epoch was composed against a
+    /// membership we know to be superseded, so it is dropped whole and
+    /// answered with a push-repair of the membership key — the stale sender
+    /// converges in one round trip and retransmission re-drives whatever
+    /// the drop cost. A *newer* stamp is processed normally (the sender's
+    /// protocol state is fine; we are the stale one) while we pull the
+    /// configuration we are missing. Our own batches pass unchecked.
+    fn on_envelope(
         &mut self,
         src: NodeId,
         mepoch: u32,
@@ -684,7 +666,18 @@ impl Actor for Worker {
             self.shared.counters.membership_pulls.incr();
             out.send(src, Msg::RepairReq { keys: Box::new([MEMBERSHIP_KEY]) });
         }
-        self.on_envelope(src, msgs, now, out);
+        // A message from `src` proves it alive — clear any suspicion so
+        // releases resume waiting for its acks (fast path).
+        self.shared.clear_suspect(src);
+        debug_assert!(self.pending_acks.is_empty(), "acks staged outside an envelope");
+        for m in msgs.drain(..) {
+            self.dispatch(src, m, now, out);
+        }
+        // One ack message per envelope, not per request: everything the
+        // drain above staged goes back to `src` as a single batch.
+        self.flush_acks(src, out);
+        // The drain may have installed a newer membership.
+        out.set_stamp(self.shared.mepoch());
     }
 
     /// Every keyed request of the coming batch will look its key up in the

@@ -136,8 +136,8 @@ fn stale_es_ack_for_recycled_rid_is_dropped() {
     assert_eq!(w.inflight_len(), 1);
 
     // Both peers ack: the entry retires and its slot is freed.
-    w.on_envelope(NodeId(1), &mut vec![Msg::Ack { rid: old_rid }], 10, &mut out);
-    w.on_envelope(NodeId(2), &mut vec![Msg::Ack { rid: old_rid }], 20, &mut out);
+    w.on_envelope(NodeId(1), 0, &mut vec![Msg::Ack { rid: old_rid }], 10, &mut out);
+    w.on_envelope(NodeId(2), 0, &mut vec![Msg::Ack { rid: old_rid }], 20, &mut out);
     out.flush(|_, _| {});
     assert_eq!(w.inflight_len(), 0, "fully acked write retires");
 
@@ -153,19 +153,19 @@ fn stale_es_ack_for_recycled_rid_is_dropped() {
     // A duplicate (retransmitted) ack carrying the OLD rid arrives: the
     // generation check must drop it — the new write's ack set is untouched,
     // so a single further ack cannot spuriously retire it.
-    w.on_envelope(NodeId(1), &mut vec![Msg::Ack { rid: old_rid }], 40, &mut out);
+    w.on_envelope(NodeId(1), 0, &mut vec![Msg::Ack { rid: old_rid }], 40, &mut out);
     assert_eq!(w.inflight_len(), 1, "stale ack must not touch the recycled slot");
 
     // One genuine ack: still in flight (needs all three machines).
-    w.on_envelope(NodeId(1), &mut vec![Msg::Ack { rid: new_rid }], 50, &mut out);
+    w.on_envelope(NodeId(1), 0, &mut vec![Msg::Ack { rid: new_rid }], 50, &mut out);
     assert_eq!(w.inflight_len(), 1, "one peer ack of two is not all-acked");
 
     // A stale ack from the *other* peer must not complete it either.
-    w.on_envelope(NodeId(2), &mut vec![Msg::Ack { rid: old_rid }], 60, &mut out);
+    w.on_envelope(NodeId(2), 0, &mut vec![Msg::Ack { rid: old_rid }], 60, &mut out);
     assert_eq!(w.inflight_len(), 1, "stale ack from second peer dropped too");
 
     // The genuine second ack retires it.
-    w.on_envelope(NodeId(2), &mut vec![Msg::Ack { rid: new_rid }], 70, &mut out);
+    w.on_envelope(NodeId(2), 0, &mut vec![Msg::Ack { rid: new_rid }], 70, &mut out);
     assert_eq!(w.inflight_len(), 0);
     out.flush(|_, _| {});
 }
@@ -181,8 +181,8 @@ fn stale_rid_inside_ack_batch_is_dropped_individually() {
     // Retire a first write to obtain a stale rid for a recycled slot.
     w.submit(session(), Op::Write { key: Key(7), val: Val::from_u64(1) });
     let old_rid = tick_collect_es_rids(&mut w, 0, &mut out)[0];
-    w.on_envelope(NodeId(1), &mut vec![Msg::Ack { rid: old_rid }], 10, &mut out);
-    w.on_envelope(NodeId(2), &mut vec![Msg::Ack { rid: old_rid }], 20, &mut out);
+    w.on_envelope(NodeId(1), 0, &mut vec![Msg::Ack { rid: old_rid }], 10, &mut out);
+    w.on_envelope(NodeId(2), 0, &mut vec![Msg::Ack { rid: old_rid }], 20, &mut out);
     assert_eq!(w.inflight_len(), 0);
 
     // Second write reuses the slot under a new generation.
@@ -192,11 +192,13 @@ fn stale_rid_inside_ack_batch_is_dropped_individually() {
 
     // One batch carrying both: only the live rid may count. After it, one
     // peer has acked — the entry must still be in flight.
-    w.on_envelope(NodeId(1), &mut vec![Msg::AckBatch { rids: vec![old_rid, new_rid] }], 40, &mut out);
+    let mut batch = vec![Msg::AckBatch { rids: vec![old_rid, new_rid] }];
+    w.on_envelope(NodeId(1), 0, &mut batch, 40, &mut out);
     assert_eq!(w.inflight_len(), 1, "stale rid in batch must not double-count");
 
     // The second peer's batch (stale first again) retires it.
-    w.on_envelope(NodeId(2), &mut vec![Msg::AckBatch { rids: vec![old_rid, new_rid] }], 50, &mut out);
+    let mut batch = vec![Msg::AckBatch { rids: vec![old_rid, new_rid] }];
+    w.on_envelope(NodeId(2), 0, &mut batch, 50, &mut out);
     assert_eq!(w.inflight_len(), 0, "live rids in batches must still resolve");
     out.flush(|_, _| {});
 }
@@ -220,7 +222,7 @@ fn unknown_rids_are_ignored_across_reply_kinds() {
             Msg::SlowReleaseAck { rid: bogus },
             Msg::AckBatch { rids: vec![bogus, bogus] },
         ];
-        w.on_envelope(NodeId(1), &mut msgs, 100, &mut out);
+        w.on_envelope(NodeId(1), 0, &mut msgs, 100, &mut out);
     }
     assert_eq!(w.inflight_len(), 1, "live entry unaffected by garbage rids");
     out.flush(|_, _| {});

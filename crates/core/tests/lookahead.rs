@@ -1,4 +1,4 @@
-//! The worker's session look-ahead: a session that stops at `ops_per_tick`
+//! The worker's session look-ahead: a session that stops at `OPS_PER_TICK`
 //! pulls its next op into `Session::staged` one tick early (to hint the
 //! store for its key) and nothing a client or a schedule can observe moves.
 
@@ -17,7 +17,7 @@ use kite_simnet::{Actor, Outbox, SimCfg};
 /// One standalone worker (node 0 of 3, anti-entropy off so `is_idle` is the
 /// protocol's own idleness) serving a single session with `driver`.
 fn worker(driver: SessionDriver) -> Worker {
-    let cfg = ClusterConfig::small().anti_entropy(false).ops_per_tick(2);
+    let cfg = ClusterConfig::small().anti_entropy(false);
     let shared = NodeShared::new(NodeId(0), cfg, Arc::new(ProtoCounters::default()));
     let mut sess = Session::new(SessionId::new(NodeId(0), 0));
     sess.driver = driver;
@@ -129,7 +129,7 @@ fn ops_start_at_the_ticks_they_did_without_the_look_ahead() {
             })
         }))
     };
-    let cfg = ClusterConfig::small().ops_per_tick(2);
+    let cfg = ClusterConfig::small();
     let mut sc = SimCluster::build(cfg, ProtocolMode::Kite, SimCfg::default(), script, Some(hook));
     assert!(sc.run_until_quiesce(1_000_000_000));
     let starts: Vec<u64> = starts.lock().unwrap().iter().map(|s| s.expect("op completed")).collect();

@@ -199,7 +199,7 @@ fn frame_round_trips_every_variant() {
     check(400, |src| {
         let (msgs, from, mepoch) = (msg_batch(src), NodeId(src.below(16) as u8), src.u32());
         let mut buf = Vec::new();
-        wire::encode_frame(from, mepoch, &msgs, &mut buf);
+        assert_eq!(wire::encode_frames(from, mepoch, &msgs, &mut buf), 1);
         let (body, rest) = wire::next_frame(&buf).unwrap().unwrap();
         assert!(rest.is_empty());
         let mut out = Vec::new();
@@ -220,7 +220,7 @@ fn truncated_frames_error_cleanly() {
     check(400, |src| {
         let msgs = msg_batch(src);
         let mut buf = Vec::new();
-        wire::encode_frame(NodeId(1), 0, &msgs, &mut buf);
+        assert_eq!(wire::encode_frames(NodeId(1), 0, &msgs, &mut buf), 1);
         let body = &buf[4..];
         // Counted from the end, so a shrink that deletes a message before
         // the cut keeps the bytes after it.
@@ -238,7 +238,7 @@ fn truncated_frames_error_cleanly() {
 fn bit_flips_never_panic() {
     check(400, |src| {
         let mut buf = Vec::new();
-        wire::encode_frame(NodeId(0), 0, &msg_batch(src), &mut buf);
+        assert_eq!(wire::encode_frames(NodeId(0), 0, &msg_batch(src), &mut buf), 1);
         let i = 4 + src.below(buf.len() as u64 - 4) as usize;
         buf[i] ^= src.range(1..256) as u8;
         let mut out = Vec::new();
@@ -340,7 +340,7 @@ fn decode_reuses_the_provided_buffer() {
     // reused, not reallocated, when it suffices.
     let msgs = vec![Msg::Ack { rid: 7 }, Msg::Ack { rid: 8 }];
     let mut buf = Vec::new();
-    wire::encode_frame(NodeId(0), 0, &msgs, &mut buf);
+    assert_eq!(wire::encode_frames(NodeId(0), 0, &msgs, &mut buf), 1);
     let mut out: Vec<Msg> = Vec::with_capacity(64);
     let cap = out.capacity();
     let ptr = out.as_ptr();

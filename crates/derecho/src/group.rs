@@ -70,7 +70,6 @@ pub struct DerechoWorker {
     cursor: (u64, usize), // (round, sender)
     delivered: u64,
     nodes: usize,
-    ops_per_tick: usize,
     hook: Option<CompletionHook>,
 }
 
@@ -97,7 +96,6 @@ impl DerechoWorker {
             cursor: (0, 0),
             delivered: 0,
             nodes: cfg.nodes,
-            ops_per_tick: cfg.ops_per_tick,
             hook,
         }
     }
@@ -166,6 +164,7 @@ impl Actor for DerechoWorker {
     fn on_envelope(
         &mut self,
         src: NodeId,
+        _mepoch: u32,
         msgs: &mut Vec<DrcMsg>,
         now: u64,
         out: &mut Outbox<DrcMsg>,
@@ -206,7 +205,7 @@ impl Actor for DerechoWorker {
         let mut more_now = false;
         let mut sent_this_tick = false;
         for si in 0..self.sessions.len() {
-            let mut budget = self.ops_per_tick;
+            let mut budget = ClusterConfig::OPS_PER_TICK;
             while budget > 0 && self.sessions[si].is_free() {
                 let Some(op) = self.sessions[si].next_op() else { break };
                 budget -= 1;

@@ -441,11 +441,10 @@ fn phase_scrape(servers: &[String], view: &str) {
     }
 }
 
-/// Membership changes through the front door: read the reserved key,
-/// derive the successor [`Membership`], strong-CAS it in. The CAS-retry
-/// loop makes concurrent operator actions safe — whoever loses the race
-/// re-reads and re-derives against the winner's config, so epochs stay
-/// gapless and no change is silently dropped. `cluster_nodes` is only
+/// Membership changes through the front door
+/// ([`RemoteSession::change_membership`]: read the reserved key, derive
+/// the successor, strong-CAS it in, re-derive on a lost race), or `show`
+/// the current membership. `cluster_nodes` is only
 /// consulted before the *first* committed change, when the key is still
 /// empty and the bootstrap membership (all slots voting) must be derived
 /// locally — mutating actions then require it explicitly, because
@@ -458,52 +457,48 @@ fn phase_reconfig(
     target: Option<u8>,
     cluster_nodes: Option<usize>,
 ) {
-    use kite_common::{Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY};
+    use kite_common::{Membership, NodeId, NodeSet, MEMBERSHIP_KEY};
     let mut s = RemoteSession::connect(&servers[0], slot)
         .unwrap_or_else(|e| fail(format!("connect {}: {e}", servers[0])));
-    loop {
-        let cur_val: Val =
+    if action == "show" {
+        let cur_val =
             s.acquire(MEMBERSHIP_KEY).unwrap_or_else(|e| fail(format!("read membership: {e}")));
-        let stored = Membership::from_val(&cur_val);
-        if action == "show" {
-            match stored {
-                Some(cur) => println!("kite-client: membership {cur}"),
-                None => println!(
-                    "kite-client: membership e0 (bootstrap — no config change committed yet)"
-                ),
-            }
-            return;
+        match Membership::from_val(&cur_val) {
+            Some(cur) => println!("kite-client: membership {cur}"),
+            None => println!(
+                "kite-client: membership e0 (bootstrap — no config change committed yet)"
+            ),
         }
-        let cur = stored.unwrap_or_else(|| Membership {
-            epoch: 0,
-            voters: NodeSet::all(cluster_nodes.unwrap_or_else(|| {
-                fail(format!(
-                    "reconfig {action}: membership key is empty (cluster still on bootstrap); \
-                     pass --cluster-nodes N so the bootstrap voter set can be derived"
-                ))
-            })),
-            learners: NodeSet::EMPTY,
-        });
-        let node =
-            NodeId(target.unwrap_or_else(|| fail(format!("reconfig {action} needs --target N"))));
-        let next = match action {
-            "add-learner" => cur.with_learner(node),
-            "promote" => cur.with_promoted(node),
-            "retire" => cur.with_retired(node),
-            a => fail(format!("unknown reconfig action {a} (show|add-learner|promote|retire)")),
-        };
-        if next.voters.is_empty() {
-            fail(format!("refusing {action} {node}: successor config has no voters"));
-        }
-        let (ok, _) = s
-            .cas_strong(MEMBERSHIP_KEY, cur_val, next.to_val())
-            .unwrap_or_else(|e| fail(format!("config-change CAS: {e}")));
-        if ok {
-            println!("kite-client: reconfig {action} {node} OK — membership {next}");
-            return;
-        }
-        // Lost the race with a concurrent config change: retry against it.
+        return;
     }
+    let successor: fn(Membership, NodeId) -> Membership = match action {
+        "add-learner" => Membership::with_learner,
+        "promote" => Membership::with_promoted,
+        "retire" => Membership::with_retired,
+        a => fail(format!("unknown reconfig action {a} (show|add-learner|promote|retire)")),
+    };
+    let node =
+        NodeId(target.unwrap_or_else(|| fail(format!("reconfig {action} needs --target N"))));
+    let bootstrap = || Membership {
+        epoch: 0,
+        voters: NodeSet::all(cluster_nodes.unwrap_or_else(|| {
+            fail(format!(
+                "reconfig {action}: membership key is empty (cluster still on bootstrap); \
+                 pass --cluster-nodes N so the bootstrap voter set can be derived"
+            ))
+        })),
+        learners: NodeSet::EMPTY,
+    };
+    let next = s
+        .change_membership(bootstrap, |cur| {
+            let next = successor(cur, node);
+            if next.voters.is_empty() {
+                fail(format!("refusing {action} {node}: successor config has no voters"));
+            }
+            Some(next)
+        })
+        .unwrap_or_else(|e| fail(format!("config change: {e}")));
+    println!("kite-client: reconfig {action} {node} OK — membership {next}");
 }
 
 fn phase_put(servers: &[String], slot: u32, key: u64, val: u64) {

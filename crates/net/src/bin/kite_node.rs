@@ -3,19 +3,23 @@
 //! ```text
 //! kite-node --node 0 --peers 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 \
 //!           [--workers 2] [--sessions-per-worker 4] [--keys 65536]
-//!           [--mode kite|es|abd|paxos] [--anti-entropy on|off]
 //!           [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS]
 //!           [--keepalive-ns N] [--release-timeout-ns N]
 //!           [--wal on|off] [--wal-dir DIR] [--metrics-addr HOST:PORT]
 //!           [--voters 0,1,2] [--learners 3] [--join HOST:PORT [--join-slot S]]
 //! ```
 //!
+//! The daemon runs the Kite protocol with anti-entropy on; the protocol
+//! ablations and the anti-entropy kill switch are the simulator's. It
+//! listens on its own entry of `--peers`. `--wal on` needs `--wal-dir`:
+//! the node logs into its `node<N>/` subdirectory.
+//!
 //! `--voters`/`--learners` pin the bootstrap (membership-epoch-0) sets;
 //! by default every configured slot votes. `--join <seed-addr>` admits
 //! this node into a **running** cluster before it starts serving: it
-//! claims a client session on the seed, reads the current membership from
-//! the reserved key and strong-CASes the add-learner successor config in
-//! — the config change rides the same per-key Paxos as any workload RMW.
+//! claims a client session on the seed and commits the add-learner
+//! successor config through [`RemoteSession::change_membership`] — the
+//! config change rides the same per-key Paxos as any workload RMW.
 //! The node then launches normally and bulk-syncs as a non-voting
 //! learner; `kite-client reconfig promote` makes it a voter once its
 //! anti-entropy catch-up converges.
@@ -34,13 +38,14 @@
 //! report and exits 0.
 
 use std::collections::HashMap;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use kite::ProtocolMode;
-use kite_common::{ClusterConfig, Membership, NodeId, NodeSet, MEMBERSHIP_KEY};
+use kite_common::{ClusterConfig, Membership, NodeId, NodeSet};
 use kite_net::sys::{self, PollFd, Waker};
-use kite_net::{NodeConfig, NodeRuntime, RemoteSession};
+use kite_net::{bind_reuseaddr, NodeConfig, NodeRuntime, RemoteSession};
 
 static STOP: AtomicBool = AtomicBool::new(false);
 /// The eventfd the main thread sleeps on; the signal handler writes it.
@@ -70,17 +75,16 @@ fn install_signal_handlers() -> &'static Waker {
 }
 
 /// Every flag `main` reads; anything else is a usage error.
-const FLAGS: [&str; 18] = [
-    "node", "peers", "workers", "sessions-per-worker", "keys", "mode", "anti-entropy",
-    "anti-entropy-interval-ns", "anti-entropy-chunk", "keepalive-ns", "release-timeout-ns", "wal",
-    "wal-dir", "metrics-addr", "voters", "learners", "join", "join-slot",
+const FLAGS: [&str; 16] = [
+    "node", "peers", "workers", "sessions-per-worker", "keys", "anti-entropy-interval-ns",
+    "anti-entropy-chunk", "keepalive-ns", "release-timeout-ns", "wal", "wal-dir", "metrics-addr",
+    "voters", "learners", "join", "join-slot",
 ];
 
 fn usage() -> ! {
     eprintln!(
         "usage: kite-node --node N --peers addr0,addr1,... \
          [--workers W] [--sessions-per-worker S] [--keys K] \
-         [--mode kite|es|abd|paxos] [--anti-entropy on|off] \
          [--anti-entropy-interval-ns N] [--anti-entropy-chunk SLOTS] \
          [--keepalive-ns N] [--release-timeout-ns N] \
          [--wal on|off] [--wal-dir DIR] [--metrics-addr HOST:PORT] \
@@ -105,10 +109,7 @@ fn parse_node_set(flag: &str, raw: &str) -> NodeSet {
 }
 
 /// Admit `me` into a running cluster as a non-voting learner, through a
-/// client session on `seed`. The add-learner successor config is
-/// installed with a strong CAS on [`MEMBERSHIP_KEY`] — an ordinary
-/// per-key Paxos RMW — and retried on CAS failure (losing the race just
-/// means another config change landed first; re-read and re-derive).
+/// client session on `seed` ([`RemoteSession::change_membership`]).
 /// Returns the membership epoch this node was admitted at.
 fn join_as_learner(
     seed: &str,
@@ -118,29 +119,27 @@ fn join_as_learner(
 ) -> Result<u32, String> {
     let mut s = RemoteSession::connect(seed, slot)
         .map_err(|e| format!("connect seed {seed} slot {slot}: {e}"))?;
-    loop {
-        let cur_val =
-            s.acquire(MEMBERSHIP_KEY).map_err(|e| format!("read membership: {e}"))?;
-        // An empty value means no config change has ever committed: the
-        // cluster is still on its bootstrap membership, which this node
-        // can derive from the shared deployment config. Only a *stored*
-        // membership counts as "already admitted" — the bootstrap
-        // fallback lists every slot as a voter, so taking the early
-        // return on it would skip the add-learner CAS entirely.
-        let stored = Membership::from_val(&cur_val);
-        let cur = stored.unwrap_or_else(|| Membership::bootstrap(cluster));
-        if stored.is_some() && (cur.learners.contains(me) || cur.voters.contains(me)) {
-            // A previous (interrupted) join attempt already landed.
-            return Ok(cur.epoch);
-        }
-        let next = cur.with_learner(me);
-        let (ok, _) = s
-            .cas_strong(MEMBERSHIP_KEY, cur_val, next.to_val())
-            .map_err(|e| format!("config-change CAS: {e}"))?;
-        if ok {
-            return Ok(next.epoch);
-        }
-    }
+    let admitted = s
+        .change_membership(
+            || Membership::bootstrap(cluster),
+            // Only a *stored* membership (epoch ≥ 1) counts as "already
+            // admitted" — the bootstrap lists every slot as a voter, so
+            // stopping on it would skip the add-learner change entirely.
+            // A stored one naming `me` is a previous (interrupted) join
+            // attempt that landed.
+            |cur| (cur.epoch == 0 || !cur.members().contains(me)).then(|| cur.with_learner(me)),
+        )
+        .map_err(|e| format!("config change: {e}"))?;
+    Ok(admitted.epoch)
+}
+
+/// Bind `addr` with `SO_REUSEADDR` — a restarted node rebinds its ports at
+/// once, through its predecessor's TIME_WAIT sockets — or exit.
+fn bind_or_exit(what: &str, addr: &str) -> TcpListener {
+    bind_reuseaddr(addr).unwrap_or_else(|e| {
+        eprintln!("kite-node: bind {what} {addr}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn main() {
@@ -168,17 +167,6 @@ fn main() {
     let Some(peers_raw) = get("peers") else { usage() };
     let peers: Vec<String> = peers_raw.split(',').map(|s| s.trim().to_string()).collect();
 
-    let mode = match get("mode").as_deref().unwrap_or("kite") {
-        "kite" => ProtocolMode::Kite,
-        "es" => ProtocolMode::EsOnly,
-        "abd" => ProtocolMode::AbdOnly,
-        "paxos" => ProtocolMode::PaxosOnly,
-        m => {
-            eprintln!("kite-node: unknown mode {m}");
-            std::process::exit(2);
-        }
-    };
-
     let workers = parse_u64("workers", 2) as usize;
     let mut cluster = ClusterConfig::default()
         .nodes(peers.len())
@@ -191,14 +179,14 @@ fn main() {
     cluster = cluster
         .anti_entropy_interval_ns(parse_u64("anti_entropy_interval_ns", ae_interval))
         .anti_entropy_chunk(parse_u64("anti_entropy_chunk", ae_chunk as u64) as usize);
-    if let Some(ae) = get("anti_entropy") {
-        cluster = cluster.anti_entropy(ae == "on" || ae == "true");
-    }
-    if let Some(wal) = get("wal") {
-        cluster = cluster.wal(wal == "on" || wal == "true");
-    }
-    if let Some(dir) = get("wal_dir") {
-        cluster = cluster.wal_dir(dir);
+    if get("wal").is_some_and(|wal| wal == "on" || wal == "true") {
+        match get("wal_dir") {
+            Some(dir) if !dir.is_empty() => cluster = cluster.wal_dir(dir),
+            _ => {
+                eprintln!("kite-node: --wal on needs --wal-dir");
+                usage();
+            }
+        }
     }
     if let Some(v) = get("voters") {
         cluster = cluster.initial_voters(parse_node_set("voters", &v));
@@ -229,8 +217,15 @@ fn main() {
         }
     }
 
-    let mut node_cfg = NodeConfig::new(cluster, mode, NodeId(node), peers);
-    node_cfg.metrics_addr = get("metrics_addr");
+    let Some(addr) = peers.get(node as usize) else {
+        eprintln!("kite-node: node id {node} out of range for {} peers", peers.len());
+        std::process::exit(2);
+    };
+    let fabric = bind_or_exit("fabric", addr);
+    let node_cfg = NodeConfig {
+        metrics_listener: get("metrics_addr").map(|m| bind_or_exit("metrics", &m)),
+        ..NodeConfig::new(cluster, ProtocolMode::Kite, NodeId(node), peers, fabric)
+    };
     let runtime = match NodeRuntime::launch(node_cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -255,17 +250,14 @@ fn main() {
     // extra detail goes after the `ready on <addr>` prefix it greps).
     match runtime.metrics_addr() {
         Some(m) => println!(
-            "kite-node: node {} ready on {} (mode {:?}, {workers} event-loop worker(s), \
-             metrics on {m})",
+            "kite-node: node {} ready on {} ({workers} event-loop worker(s), metrics on {m})",
             runtime.node(),
             runtime.addr(),
-            mode
         ),
         None => println!(
-            "kite-node: node {} ready on {} (mode {:?}, {workers} event-loop worker(s))",
+            "kite-node: node {} ready on {} ({workers} event-loop worker(s))",
             runtime.node(),
             runtime.addr(),
-            mode
         ),
     }
 

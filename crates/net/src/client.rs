@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use kite::api::{Completion, Op, OpOutput};
 use kite::wire::{self, ClientFrame, Hello};
-use kite_common::{Key, KiteError, Result, SessionId, Val};
+use kite_common::{Key, KiteError, Membership, Result, SessionId, Val, MEMBERSHIP_KEY};
 
 use crate::ring::ReadBuf;
 
@@ -413,6 +413,34 @@ impl RemoteSession {
         match self.call(Op::CasStrong { key, expect: expect.into(), new: new.into() })?.output {
             OpOutput::Cas { ok, observed } => Ok((ok, observed)),
             other => Err(KiteError::Net(format!("cas completed with {other:?}"))),
+        }
+    }
+
+    /// Change the cluster's membership, the one way it is done: acquire
+    /// [`MEMBERSHIP_KEY`], derive the successor with `change`, strong-CAS
+    /// it in — an ordinary per-key Paxos RMW — and, when another change
+    /// landed first, re-read and re-derive against it, so epochs stay
+    /// gapless and no change is silently dropped.
+    ///
+    /// An empty key means no change has committed yet and the cluster runs
+    /// its bootstrap membership, which only the caller can derive
+    /// (`bootstrap` is called then). The bootstrap's epoch is 0 and every
+    /// stored membership's is at least 1, so `change` tells them apart by
+    /// `epoch`. `change` returns `None` when the current membership already
+    /// is what the caller wants; nothing is written then. Returns the
+    /// membership in force afterwards.
+    pub fn change_membership(
+        &mut self,
+        bootstrap: impl Fn() -> Membership,
+        mut change: impl FnMut(Membership) -> Option<Membership>,
+    ) -> Result<Membership> {
+        loop {
+            let cur_val = self.acquire(MEMBERSHIP_KEY)?;
+            let cur = Membership::from_val(&cur_val).unwrap_or_else(&bootstrap);
+            let Some(next) = change(cur) else { return Ok(cur) };
+            if self.cas_strong(MEMBERSHIP_KEY, cur_val, next.to_val())?.0 {
+                return Ok(next);
+            }
         }
     }
 }

@@ -55,9 +55,8 @@ impl Cluster {
             .enumerate()
             .map(|(n, listener)| {
                 let node = NodeConfig {
-                    fabric_listener: Some(listener),
                     metrics_listener: Some(loopback()?),
-                    ..NodeConfig::new(cfg.clone(), mode, NodeId(n as u8), peers.clone())
+                    ..NodeConfig::new(cfg.clone(), mode, NodeId(n as u8), peers.clone(), listener)
                 };
                 NodeRuntime::launch_hooked(node, hook.clone())
             })

@@ -129,9 +129,8 @@ const REQUEST_MAX: usize = 1024;
 pub struct TcpNetCfg {
     /// This node's id.
     pub me: NodeId,
-    /// Fabric address of every node, indexed by node id (`peers[me]` is the
-    /// address *this* node listens on, unless `listener` overrides it).
-    /// Fixed for the fabric's lifetime: the loops dial these strings.
+    /// Fabric address of every node, indexed by node id. Fixed for the
+    /// fabric's lifetime: the loops dial these strings.
     pub peers: Vec<String>,
     /// Worker threads per node (uniform across the cluster — worker
     /// peering needs both sides to agree).
@@ -141,9 +140,8 @@ pub struct TcpNetCfg {
     /// slots each loop serves (worker `w`'s are `w × sessions_per_worker
     /// + i`, `sessions_for`'s numbering).
     pub sessions_per_worker: usize,
-    /// Pre-bound listener override: lets tests bind `127.0.0.1:0` first
-    /// and distribute the real addresses.
-    pub listener: Option<TcpListener>,
+    /// The bound fabric listener (peers and clients connect to it).
+    pub listener: TcpListener,
 }
 
 /// A freshly accepted, handshake-complete connection routed to a worker
@@ -290,10 +288,7 @@ impl TcpNet {
         assert!(me.idx() < nodes, "me out of range");
         assert!(cfg.workers > 0);
 
-        let listener = match cfg.listener {
-            Some(l) => l,
-            None => bind_reuseaddr(&cfg.peers[me.idx()])?,
-        };
+        let listener = cfg.listener;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
@@ -729,7 +724,7 @@ impl<A: ClientPort> EventLoop<A> {
             for _ in 0..64 {
                 let Some(mut msgs) = self.selfq.pop_front() else { break };
                 let now = self.clock.now();
-                self.actor.on_envelope(self.me, &mut msgs, now, &mut self.out);
+                self.actor.on_envelope(self.me, 0, &mut msgs, now, &mut self.out);
                 self.out.recycle(msgs);
                 pending = true;
             }
@@ -1220,7 +1215,7 @@ impl<A: ClientPort> EventLoop<A> {
                     let ok = match wire::decode_frame_body(body, &mut msgs) {
                         Ok((frame_src, mepoch)) if frame_src == src => {
                             link.frames_in.fetch_add(1, Ordering::Relaxed);
-                            actor.on_envelope_stamped(src, mepoch, &mut msgs, clock.now(), out);
+                            actor.on_envelope(src, mepoch, &mut msgs, clock.now(), out);
                             true
                         }
                         _ => false,

@@ -11,7 +11,7 @@
 //! on loopback in one process.
 
 use std::collections::VecDeque;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,32 +48,29 @@ pub struct NodeConfig {
     pub mode: ProtocolMode,
     /// This node's id.
     pub me: NodeId,
-    /// Fabric address of every node, indexed by node id.
+    /// Fabric address of every node, indexed by node id (the addresses
+    /// this node dials; its own entry is what its peers dial).
     pub peers: Vec<String>,
-    /// Pre-bound fabric listener (overrides `peers[me]` — lets tests bind
-    /// `127.0.0.1:0` first and distribute real addresses).
-    pub fabric_listener: Option<std::net::TcpListener>,
-    /// Metrics/dump scrape endpoint address (e.g. `127.0.0.1:9100`). The
-    /// listener is registered on worker 0's epoll loop — live observability
-    /// costs zero extra threads. `None` disables the endpoint.
-    pub metrics_addr: Option<String>,
-    /// Pre-bound scrape listener (overrides `metrics_addr`; lets tests
-    /// bind `127.0.0.1:0`).
-    pub metrics_listener: Option<std::net::TcpListener>,
+    /// The bound fabric listener: peers and client sessions connect here.
+    /// A daemon binds `peers[me]` with [`crate::bind_reuseaddr`]; tests
+    /// bind `127.0.0.1:0` first and hand out the real addresses.
+    pub fabric_listener: TcpListener,
+    /// The bound metrics/dump scrape listener; `None` disables the
+    /// endpoint. It is registered on worker 0's epoll loop — live
+    /// observability costs zero extra threads.
+    pub metrics_listener: Option<TcpListener>,
 }
 
 impl NodeConfig {
-    /// A node config with no listener override and no metrics endpoint.
-    pub fn new(cluster: ClusterConfig, mode: ProtocolMode, me: NodeId, peers: Vec<String>) -> Self {
-        NodeConfig {
-            cluster,
-            mode,
-            me,
-            peers,
-            fabric_listener: None,
-            metrics_addr: None,
-            metrics_listener: None,
-        }
+    /// A node config with no metrics endpoint.
+    pub fn new(
+        cluster: ClusterConfig,
+        mode: ProtocolMode,
+        me: NodeId,
+        peers: Vec<String>,
+        fabric_listener: TcpListener,
+    ) -> Self {
+        NodeConfig { cluster, mode, me, peers, fabric_listener, metrics_listener: None }
     }
 }
 
@@ -133,9 +130,8 @@ impl NodeRuntime {
         // Replaying through `apply_max` rebuilds the Merkle lattice, so the
         // first anti-entropy sweep against the peers heals exactly the
         // downtime delta.
-        let (wal, recovery) = if ccfg.wal {
-            let dir =
-                std::path::Path::new(&ccfg.wal_dir).join(format!("node{}", cfg.me.idx()));
+        let (wal, recovery) = if let Some(wal_dir) = &ccfg.wal_dir {
+            let dir = std::path::Path::new(wal_dir).join(format!("node{}", cfg.me.idx()));
             let stats = kite_wal::recover_into(&dir, &shared.store)
                 .map_err(|e| KiteError::Net(format!("wal recovery: {e}")))?;
             let src = Arc::clone(&shared);
@@ -152,20 +148,12 @@ impl NodeRuntime {
             (None, None)
         };
 
-        // Metrics endpoint: bind (or adopt) the scrape listener and hand it
-        // to worker 0's event loop. The whole observability plane — hub,
-        // listener, scrape conns — rides the existing epoll budget; the
-        // node's thread count is identical with metrics on or off.
-        let metrics_listener = match (cfg.metrics_listener, &cfg.metrics_addr) {
-            (Some(l), _) => Some(l),
-            (None, Some(addr)) => Some(
-                crate::fabric::bind_reuseaddr(addr)
-                    .map_err(|e| KiteError::Net(format!("bind metrics {addr}: {e}")))?,
-            ),
-            (None, None) => None,
-        };
+        // Metrics endpoint: hand the scrape listener to worker 0's event
+        // loop. The whole observability plane — hub, listener, scrape conns
+        // — rides the existing epoll budget; the node's thread count is
+        // identical with metrics on or off.
         let mut metrics_addr = None;
-        if let Some(listener) = metrics_listener {
+        if let Some(listener) = cfg.metrics_listener {
             metrics_addr = listener.local_addr().ok();
             let hub = crate::scrape::node_metrics_hub(cfg.mode, &shared, &net, wal.as_ref());
             ios[0].scrape = Some(crate::fabric::ScrapeSource { listener, hub });

@@ -28,7 +28,14 @@ struct Flood;
 impl Actor for Flood {
     type Msg = Msg;
 
-    fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<Msg>, _now: u64, _out: &mut Outbox<Msg>) {
+    fn on_envelope(
+        &mut self,
+        _src: NodeId,
+        _mepoch: u32,
+        msgs: &mut Vec<Msg>,
+        _now: u64,
+        _out: &mut Outbox<Msg>,
+    ) {
         msgs.clear();
     }
 
@@ -104,7 +111,7 @@ fn stalled_peer_bounds_sender_memory_and_recovery_resumes_flow() {
         peers: vec![me_addr, mock_addr],
         workers: 1,
         sessions_per_worker: 1,
-        listener: Some(listener),
+        listener,
     })
     .expect("bind fabric");
     let rigs = ios.into_iter().map(|io| (Flood, io)).collect();

@@ -92,7 +92,6 @@ fn launch_with_keepalive(tag: &str, keepalive_ns: u64) -> (Vec<NodeRuntime>, std
         .sessions_per_worker(4)
         .release_timeout_ns(50_000_000)
         .anti_entropy_keepalive_ns(keepalive_ns)
-        .wal(true)
         .wal_dir(wal_dir.to_str().expect("utf8"));
     let nodes = Cluster::launch(cfg, ProtocolMode::Kite).expect("launch").into_nodes();
     let all_up = || {
@@ -362,7 +361,14 @@ struct Sink(Arc<AtomicU64>);
 impl Actor for Sink {
     type Msg = Msg;
 
-    fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<Msg>, _now: u64, _out: &mut Outbox<Msg>) {
+    fn on_envelope(
+        &mut self,
+        _src: NodeId,
+        _mepoch: u32,
+        msgs: &mut Vec<Msg>,
+        _now: u64,
+        _out: &mut Outbox<Msg>,
+    ) {
         self.0.fetch_add(msgs.len() as u64, Ordering::Relaxed);
         msgs.clear();
     }
@@ -406,7 +412,7 @@ fn burst_drains(workers: usize, target: usize) {
         peers: vec![String::new(), me_addr.clone()],
         workers,
         sessions_per_worker: 1,
-        listener: Some(listener),
+        listener,
     })
     .expect("bind fabric");
     let delivered: Vec<Arc<AtomicU64>> = (0..workers).map(|_| Arc::default()).collect();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kite::ProtocolMode;
-use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY};
+use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val};
 use kite_net::{Cluster, LinkPhase, NodeConfig, NodeRuntime, RemoteSession};
 use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
 
@@ -98,6 +98,7 @@ fn rolling_restart_under_load_zero_failed_ops() {
             ProtocolMode::Kite,
             NodeId(victim as u8),
             peers.clone(),
+            kite_net::bind_reuseaddr(&peers[victim]).expect("rebind the node's port"),
         ))
         .expect("rebind same port after restart");
 
@@ -141,16 +142,21 @@ fn replacement_node_joins_as_learner_and_bulk_syncs() {
     // slot and the address).
     nodes[2].take().expect("node 2 running").shutdown();
 
-    // Demote the dead slot to learner — the same add-learner CAS
-    // `kite-node --join` issues, here through a survivor's session. The
+    // Demote the dead slot to learner — the same add-learner change
+    // `kite-node --join` commits, here through a survivor's session. The
     // RMW commits on the {0,1} majority of the epoch-0 voter set.
     let mut ops = RemoteSession::connect(&peers[0], 0).expect("connect node 0");
-    let cur = ops.acquire(MEMBERSHIP_KEY).expect("read membership");
-    assert!(Membership::from_val(&cur).is_none(), "no change committed yet");
-    let m0 = Membership { epoch: 0, voters: NodeSet::all(3), learners: NodeSet::EMPTY };
-    let m1 = m0.with_learner(NodeId(2));
-    let (ok, _) = ops.cas_strong(MEMBERSHIP_KEY, cur, m1.to_val()).expect("config change");
-    assert!(ok, "add-learner CAS must land on the surviving majority");
+    let bootstrap = Membership::bootstrap(&cfg);
+    let m1 = ops
+        .change_membership(
+            || bootstrap,
+            |cur| {
+                assert_eq!(cur, bootstrap, "no change committed yet");
+                Some(cur.with_learner(NodeId(2)))
+            },
+        )
+        .expect("config change");
+    assert_eq!(m1.epoch, 1, "add-learner change must land on the surviving majority");
 
     // Build a store worth bulk-syncing, quorum {0,1} — no node 2 in the
     // barrier set, so this runs at full speed.
@@ -167,6 +173,7 @@ fn replacement_node_joins_as_learner_and_bulk_syncs() {
         ProtocolMode::Kite,
         NodeId(2),
         peers.clone(),
+        kite_net::bind_reuseaddr(&peers[2]).expect("rebind the node's port"),
     ))
     .expect("launch replacement");
     assert!(
@@ -186,10 +193,16 @@ fn replacement_node_joins_as_learner_and_bulk_syncs() {
     );
 
     // Promote it: epoch 2, three voters again.
-    let cur = ops.acquire(MEMBERSHIP_KEY).expect("re-read membership");
-    let m2 = Membership::from_val(&cur).expect("epoch-1 value").with_promoted(NodeId(2));
-    let (ok, _) = ops.cas_strong(MEMBERSHIP_KEY, cur, m2.to_val()).expect("promote");
-    assert!(ok);
+    let m2 = ops
+        .change_membership(
+            || bootstrap,
+            |cur| {
+                assert_eq!(cur, m1, "the epoch-1 value");
+                Some(cur.with_promoted(NodeId(2)))
+            },
+        )
+        .expect("promote");
+    assert_eq!(m2.epoch, 2);
     assert!(
         wait_for(Duration::from_secs(30), || reborn.shared().mepoch() == 2),
         "promotion never reached the learner"
@@ -225,14 +238,14 @@ fn reconnect_reaches_a_peer_that_boots_late() {
         listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect();
     addrs.push(late);
 
-    let launch = |me: u8, listener: Option<std::net::TcpListener>| {
-        let mut nc = NodeConfig::new(cfg.clone(), ProtocolMode::Kite, NodeId(me), addrs.clone());
-        nc.fabric_listener = listener;
+    let launch = |me: u8, listener: std::net::TcpListener| {
+        let nc =
+            NodeConfig::new(cfg.clone(), ProtocolMode::Kite, NodeId(me), addrs.clone(), listener);
         NodeRuntime::launch(nc).expect("launch node")
     };
     let mut listeners = listeners.into_iter();
-    let n0 = launch(0, listeners.next());
-    let n1 = launch(1, listeners.next());
+    let n0 = launch(0, listeners.next().unwrap());
+    let n1 = launch(1, listeners.next().unwrap());
 
     // Node 0's outbound link to peer 2 must end up in backoff (connection
     // refused on every dial), on every worker's link row.
@@ -245,7 +258,7 @@ fn reconnect_reaches_a_peer_that_boots_late() {
     );
 
     // Node 2 comes up at its boot address; the ladder connects.
-    let n2 = launch(2, None);
+    let n2 = launch(2, kite_net::bind_reuseaddr(&addrs[2]).expect("bind node 2's address"));
     assert!(
         wait_for(Duration::from_secs(10), || (0..workers)
             .all(|w| n0.links().link(NodeId(2), w).is_connected())),

@@ -27,7 +27,6 @@ fn cfg(wal_dir: &str) -> ClusterConfig {
         .keys(1 << 10)
         .sessions_per_worker(4)
         .release_timeout_ns(2_000_000)
-        .wal(true)
         .wal_dir(wal_dir)
 }
 
@@ -266,7 +265,8 @@ const NODE0_KEYS: &str = "\
     proto_ae_repair_vals proto_ae_repairs_applied proto_ae_summaries_sent proto_completed \
     proto_envelopes_sent proto_epoch_bumps proto_fast_releases proto_local_reads \
     proto_membership_installs proto_membership_pulls proto_msgs_batched proto_msgs_sent \
-    proto_slow_path_accesses proto_slow_releases proto_stale_epoch_dropped \
+    proto_rmw_already_committed proto_rmw_backoffs proto_rmw_helped proto_rmw_nacks \
+    proto_rmw_rounds proto_slow_path_accesses proto_slow_releases proto_stale_epoch_dropped \
     store_distinct_keys_est store_exts store_len store_vals store_writes wal_appended_bytes \
     wal_commit_busy_ns wal_commit_latency_ns_count wal_commit_latency_ns_p50 \
     wal_commit_latency_ns_p99 wal_commit_latency_ns_p999 wal_commit_window_ns \
@@ -316,7 +316,7 @@ fn sim_and_daemon_render_the_same_core_keys() {
         .into_iter()
         .filter(|k| ["proto_", "membership_", "store_", "op_"].iter().any(|p| k.starts_with(p)))
         .collect();
-    assert_eq!(core.len(), 23 + 3 + 5 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
+    assert_eq!(core.len(), 28 + 3 + 5 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
 
     cluster.session(NodeId(2), 0).expect("session").write(Key(5), 1u64).expect("write");
     let text = cluster.metrics_text(NodeId(2));

@@ -364,6 +364,7 @@ fn restarted_node_redials_and_converges_by_keepalive() {
         ProtocolMode::Kite,
         NodeId(2),
         peers.clone(),
+        kite_net::bind_reuseaddr(&peers[2]).expect("rebind the node's port"),
     ))
     .expect("rebind the same port after restart");
 
@@ -421,6 +422,7 @@ fn restarted_lowest_node_redials_every_survivor() {
         ProtocolMode::Kite,
         NodeId(0),
         peers.clone(),
+        kite_net::bind_reuseaddr(&peers[0]).expect("rebind the node's port"),
     ))
     .expect("rebind the same port after restart");
     assert!(

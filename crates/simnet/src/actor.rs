@@ -31,37 +31,25 @@ pub trait Actor: Send {
     /// Protocol message type carried by the fabric.
     type Msg: Send + Clone + std::fmt::Debug + 'static;
 
-    /// A batch of messages from `src` arrived. The actor **drains** `msgs`
-    /// (e.g. `for m in msgs.drain(..)`); the driving scheduler recycles the
+    /// A batch of messages from `src` arrived, stamped with the sender's
+    /// membership epoch `mepoch` (its [`Outbox::stamp`] at flush, carried
+    /// as the wire frame's `mepoch` field; a runtime may pass 0 for a batch
+    /// the actor addressed to itself). Kite's worker gates stale-epoch traffic on it; the
+    /// membership-oblivious actors (the ZAB and Derecho baselines,
+    /// unit-test actors) ignore it. The actor **drains** `msgs` (e.g.
+    /// `for m in msgs.drain(..)`); the driving scheduler recycles the
     /// emptied buffer into the outbox pool afterwards, which is what keeps
-    /// the steady-state fabric allocation-free (see
-    /// [`crate::outbox`]'s buffer-recycling contract). `now` is nanoseconds
-    /// on the driving scheduler's clock.
+    /// the steady-state fabric allocation-free (see [`crate::outbox`]'s
+    /// buffer-recycling contract). `now` is nanoseconds on the driving
+    /// scheduler's clock.
     fn on_envelope(
-        &mut self,
-        src: NodeId,
-        msgs: &mut Vec<Self::Msg>,
-        now: u64,
-        out: &mut Outbox<Self::Msg>,
-    );
-
-    /// [`Actor::on_envelope`] plus the sender's membership-epoch stamp
-    /// (its [`Outbox::stamp`] at flush, carried as the wire frame's
-    /// `mepoch` field). Runtimes call *this* entry point; the default
-    /// discards the stamp and delegates, so membership-oblivious actors
-    /// (the ZAB and Derecho baselines, unit-test actors) need no changes.
-    /// Kite's worker overrides it to gate stale-epoch traffic.
-    fn on_envelope_stamped(
         &mut self,
         src: NodeId,
         mepoch: u32,
         msgs: &mut Vec<Self::Msg>,
         now: u64,
         out: &mut Outbox<Self::Msg>,
-    ) {
-        let _ = mepoch;
-        self.on_envelope(src, msgs, now, out);
-    }
+    );
 
     /// Look-ahead, the software-pipelining way: a runtime about to deliver
     /// one batch tells the actor which batch comes **after** it — `msgs` is
@@ -244,6 +232,7 @@ mod tests {
         fn on_envelope(
             &mut self,
             src: NodeId,
+            _mepoch: u32,
             msgs: &mut Vec<u32>,
             _now: u64,
             out: &mut Outbox<u32>,
@@ -267,7 +256,7 @@ mod tests {
     fn actor_contract_smoke() {
         let mut a = Echo { me: NodeId(1), got: 0 };
         let mut out = Outbox::new(2);
-        a.on_envelope(NodeId(0), &mut vec![1, 2], 0, &mut out);
+        a.on_envelope(NodeId(0), 0, &mut vec![1, 2], 0, &mut out);
         assert_eq!(a.got, 2);
         let mut echoed = Vec::new();
         out.flush(|d, b| echoed.push((d, b)));

@@ -37,4 +37,4 @@ pub mod sim;
 
 pub use actor::{Actor, Dumper, Wake, Wakeup, WallClock};
 pub use outbox::Outbox;
-pub use sim::{Sim, SimCfg};
+pub use sim::{Sim, SimCfg, BASE_LATENCY_NS, JITTER_NS, RECV_QUEUE_CAP, TICK_NS};

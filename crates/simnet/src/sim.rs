@@ -29,7 +29,7 @@
 //! # Ticks are deadlines
 //!
 //! A worker's tick chain keeps the model's cadence — one tick per
-//! `tick_ns` while the worker's virtual CPU is free, sliding past busy
+//! `TICK_NS` while the worker's virtual CPU is free, sliding past busy
 //! periods and sleeps — because that cadence is part of the queueing model
 //! (it is what paces a saturated worker's sessions). But a tick calls the
 //! actor only when the actor asked for it: every `on_tick` returns a
@@ -61,16 +61,27 @@ use kite_common::NodeId;
 use crate::actor::Actor;
 use crate::outbox::Outbox;
 
-/// Simulator timing/fault defaults. Latencies are loosely modeled on the
-/// paper's testbed (single-switch InfiniBand: a few microseconds per hop).
+/// Base one-way latency, nanoseconds. The simulator's latencies are
+/// loosely modeled on the paper's testbed (single-switch InfiniBand: a few
+/// microseconds per hop).
+pub const BASE_LATENCY_NS: u64 = 5_000;
+
+/// Uniform extra one-way jitter, drawn from `[0, JITTER_NS)`.
+pub const JITTER_NS: u64 = 2_000;
+
+/// Worker tick cadence (sessions pumped, timeouts checked).
+pub const TICK_NS: u64 = 2_000;
+
+/// Per-worker receive-queue capacity. Like RDMA UD receive queues,
+/// arrivals beyond the capacity are *dropped* (counted in
+/// [`Sim::dropped`]) — this is what bounds the backlog a §8.4 sleeping
+/// replica wakes up to, and it is precisely the loss mode Kite's
+/// delinquency machinery exists to absorb.
+pub const RECV_QUEUE_CAP: usize = 4096;
+
+/// Simulator seed and cost model.
 #[derive(Clone, Debug)]
 pub struct SimCfg {
-    /// Base one-way latency, nanoseconds.
-    pub base_latency_ns: u64,
-    /// Uniform extra jitter in `[0, jitter_ns)`.
-    pub jitter_ns: u64,
-    /// Worker tick cadence (sessions pumped, timeouts checked).
-    pub tick_ns: u64,
     /// RNG seed: determines jitter, drops, and therefore the whole run.
     pub seed: u64,
     /// Virtual CPU cost charged to the *receiving* worker per envelope.
@@ -89,12 +100,6 @@ pub struct SimCfg {
     pub send_per_envelope_ns: u64,
     /// Additional sender-side cost per message (inlining/DMA per WQE).
     pub send_per_msg_ns: u64,
-    /// Per-worker receive-queue capacity. Like RDMA UD receive queues,
-    /// arrivals beyond the capacity are *dropped* (counted in
-    /// [`Sim::dropped`]) — this is what bounds the backlog a §8.4 sleeping
-    /// replica wakes up to, and it is precisely the loss mode Kite's
-    /// delinquency machinery exists to absorb.
-    pub recv_queue_cap: usize,
     /// Maximum protocol messages per network envelope; `0` means unbounded
     /// (§6.3's opportunistic batching, the default). `1` disables batching
     /// entirely — every message pays its own envelope service/send cost.
@@ -106,15 +111,11 @@ pub struct SimCfg {
 impl Default for SimCfg {
     fn default() -> Self {
         SimCfg {
-            base_latency_ns: 5_000,
-            jitter_ns: 2_000,
-            tick_ns: 2_000,
             seed: 1,
             service_per_envelope_ns: 200,
             service_per_msg_ns: 100,
             send_per_envelope_ns: 150,
             send_per_msg_ns: 40,
-            recv_queue_cap: 4096,
             max_batch: 0,
         }
     }
@@ -290,7 +291,7 @@ pub struct Sim<A: Actor> {
     /// re-enqueueing every waiter would be quadratic under load).
     waiting: Vec<std::collections::VecDeque<(NodeId, u32, Vec<A::Msg>)>>,
     /// Envelopes parked in `queue` until a sleeping node's wake-up, per
-    /// worker. Bounded at arrival by `recv_queue_cap + 1` — the most a
+    /// worker. Bounded at arrival by `RECV_QUEUE_CAP + 1` — the most a
     /// waking worker can accept (one served at once, a full FIFO behind it).
     held: Vec<usize>,
     workers: usize,
@@ -484,7 +485,7 @@ impl<A: Actor> Sim<A> {
         self.delivered += 1;
         let mut out = std::mem::replace(&mut self.scratch, Outbox::new(0));
         let a = &mut self.actors[slot / self.workers][slot % self.workers];
-        a.on_envelope_stamped(src, mepoch, &mut msgs, self.now, &mut out);
+        a.on_envelope(src, mepoch, &mut msgs, self.now, &mut out);
         // Pump immediately after delivery (protocol progress should not
         // wait for the next tick).
         let wakeup = a.on_tick(self.now, &mut out);
@@ -570,7 +571,7 @@ impl<A: Actor> Sim<A> {
             // receive queue, which overflows like any other time — bounded
             // here, at arrival, by what the worker can accept when it
             // wakes. The survivors are redelivered at wake-up time.
-            if self.held[slot] > self.cfg.recv_queue_cap {
+            if self.held[slot] > RECV_QUEUE_CAP {
                 self.deliveries_pending -= 1;
                 self.dropped += 1;
                 return Step::Acted;
@@ -583,7 +584,7 @@ impl<A: Actor> Sim<A> {
         // Queueing model: a busy worker's envelopes wait in FIFO order; a
         // single drain serves the queue.
         if self.busy_until[slot] > self.now || !self.waiting[slot].is_empty() {
-            if self.waiting[slot].len() >= self.cfg.recv_queue_cap {
+            if self.waiting[slot].len() >= RECV_QUEUE_CAP {
                 // UD receive-queue overflow: the datagram is lost.
                 self.deliveries_pending -= 1;
                 self.dropped += 1;
@@ -661,7 +662,7 @@ impl<A: Actor> Sim<A> {
     }
 
     /// A worker's tick fired. Its place in the `(time, seq)` order is that
-    /// of the polled tick it replaces — one per `tick_ns` while the worker
+    /// of the polled tick it replaces — one per `TICK_NS` while the worker
     /// is free, deferred past busy periods and sleeps — but the actor is
     /// only called when the tick is due by the actor's own account
     /// ([`crate::Wakeup`]): a tick it did not ask for is one whose `on_tick` would
@@ -695,7 +696,7 @@ impl<A: Actor> Sim<A> {
             self.route(slot, &mut out);
             self.scratch = out;
         }
-        self.schedule(tick_leaf(slot), self.now + self.cfg.tick_ns);
+        self.schedule(tick_leaf(slot), self.now + TICK_NS);
         if called {
             Step::Acted
         } else {
@@ -706,7 +707,7 @@ impl<A: Actor> Sim<A> {
     /// Skip an idle stretch in one go. With no envelope anywhere and no
     /// worker busy or asleep, nothing can happen before the earliest tick
     /// some actor asked for: until then every event is a tick that is not
-    /// due, and each does nothing but re-key itself one `tick_ns` on. So
+    /// due, and each does nothing but re-key itself one `TICK_NS` on. So
     /// every worker's tick is moved straight to its first grid point that
     /// is not ordered before that earliest due tick (or past `limit`, if
     /// the run ends first) — where tick-by-tick stepping would have left
@@ -715,12 +716,12 @@ impl<A: Actor> Sim<A> {
     ///
     /// Ties keep the order stepping gives them. Two ticks that meet at one
     /// time `T` were each scheduled when their predecessor fired at
-    /// `T - tick_ns`, in the order those fired — so by induction in the
+    /// `T - TICK_NS`, in the order those fired — so by induction in the
     /// order of the first instant both chains had a tick, where a tick
     /// still pending from before the stretch precedes one scheduled within
     /// it: the later-starting chain goes first, then the older `seq`.
     fn skip_idle_ticks(&mut self, limit: u64) -> bool {
-        let dt = self.cfg.tick_ns;
+        let dt = TICK_NS;
         if !self.queue.is_empty() || dt == 0 {
             return false;
         }
@@ -820,12 +821,11 @@ impl<A: Actor> Sim<A> {
             self.dropped += 1;
             return;
         }
-        let jitter =
-            if self.cfg.jitter_ns == 0 { 0 } else { self.rng.next_below(self.cfg.jitter_ns) };
+        let jitter = self.rng.next_below(JITTER_NS);
         let latency = if dst == src {
             200 // loopback
         } else {
-            self.cfg.base_latency_ns + jitter + link.extra_delay_ns
+            BASE_LATENCY_NS + jitter + link.extra_delay_ns
         };
         self.deliveries_pending += 1;
         let worker = slot % self.workers;
@@ -901,7 +901,14 @@ mod tests {
     impl Actor for Pinger {
         type Msg = u8;
 
-        fn on_envelope(&mut self, src: NodeId, msgs: &mut Vec<u8>, _now: u64, out: &mut Outbox<u8>) {
+        fn on_envelope(
+            &mut self,
+            src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u8>,
+            _now: u64,
+            out: &mut Outbox<u8>,
+        ) {
             for m in msgs.drain(..) {
                 if m == 0 {
                     out.send(src, 1);
@@ -1076,7 +1083,14 @@ mod tests {
     impl Actor for Burst {
         type Msg = u8;
 
-        fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<u8>, _now: u64, _out: &mut Outbox<u8>) {
+        fn on_envelope(
+            &mut self,
+            _src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u8>,
+            _now: u64,
+            _out: &mut Outbox<u8>,
+        ) {
             self.got += msgs.len();
             msgs.clear();
         }
@@ -1131,7 +1145,14 @@ mod tests {
     impl Actor for Flood {
         type Msg = u8;
 
-        fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<u8>, _now: u64, _out: &mut Outbox<u8>) {
+        fn on_envelope(
+            &mut self,
+            _src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u8>,
+            _now: u64,
+            _out: &mut Outbox<u8>,
+        ) {
             self.got += msgs.len();
             msgs.clear();
         }
@@ -1151,25 +1172,27 @@ mod tests {
     }
 
     /// A sleeping node's inbox is a receive queue like any other: bounded
-    /// when the envelopes arrive, not when the node wakes. The drop and
-    /// delivery totals are the ones the unbounded inbox produced for this
-    /// seed (captured at `b701804`), and the event heap never carries more
-    /// than the worker can accept at wake-up plus what is on the wire — nor
-    /// the envelope slab more slots than the heap has held entries.
+    /// when the envelopes arrive, not when the node wakes. The sleep outlasts
+    /// `RECV_QUEUE_CAP` envelopes, so the queue overflows. The drop and
+    /// delivery totals are the ones the unbounded inbox of `b701804`
+    /// produced for this scenario and seed, and the event heap never
+    /// carries more than the worker can accept at wake-up plus what is on
+    /// the wire — nor the envelope slab more slots than the heap has held
+    /// entries.
     #[test]
     fn sleeping_inbox_is_bounded_at_arrival() {
-        const CAP: usize = 16;
-        const FLOOD: usize = 2_000;
+        const CAP: usize = RECV_QUEUE_CAP;
+        const FLOOD: usize = 8_000;
+        const SLEEP: u64 = 12_000_000;
         let actors = (0..2).map(|n| vec![Flood { me: NodeId(n as u8), ticks: FLOOD, got: 0 }]).collect();
-        let mut sim = Sim::new(actors, SimCfg { seed: 5, recv_queue_cap: CAP, ..Default::default() });
+        let mut sim = Sim::new(actors, SimCfg { seed: 5, ..Default::default() });
         sim.run_for(100_000);
-        sim.sleep_node(NodeId(1), 3_000_000);
+        sim.sleep_node(NodeId(1), SLEEP);
         // One-way latency is at most base + jitter, so at one envelope per
         // tick this many are on the wire at any instant.
-        let cfg = SimCfg::default();
-        let in_flight = ((cfg.base_latency_ns + cfg.jitter_ns) / cfg.tick_ns) as usize + 1;
+        let in_flight = ((BASE_LATENCY_NS + JITTER_NS) / TICK_NS) as usize + 1;
         let mut peak = 0;
-        while sim.now() < 3_000_000 && sim.step() {
+        while sim.now() < SLEEP && sim.step() {
             peak = peak.max(sim.queue.len());
         }
         assert!(
@@ -1179,7 +1202,8 @@ mod tests {
         );
         assert!(sim.slab.len() <= peak, "{} slab slots for a heap of at most {peak}", sim.slab.len());
         assert!(sim.run_until_quiesce(1_000_000_000));
-        assert_eq!((sim.delivered, sim.dropped), (517, 1483), "same totals as the unbounded inbox");
+        let totals = (sim.delivered, sim.dropped);
+        assert_eq!(totals, (6097, 1903), "same totals as the unbounded inbox");
         assert_eq!(sim.actors[1][0].got as u64, sim.delivered);
         assert_eq!(sim.delivered + sim.dropped, FLOOD as u64, "every envelope accounted for");
     }
@@ -1201,7 +1225,14 @@ mod tests {
     impl Actor for Watcher {
         type Msg = u32;
 
-        fn on_envelope(&mut self, _src: NodeId, msgs: &mut Vec<u32>, _now: u64, _out: &mut Outbox<u32>) {
+        fn on_envelope(
+            &mut self,
+            _src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u32>,
+            _now: u64,
+            _out: &mut Outbox<u32>,
+        ) {
             let announced = self.announced.get_mut().unwrap().take();
             match std::mem::replace(&mut self.expected, announced) {
                 Some(hint) => {
@@ -1246,7 +1277,7 @@ mod tests {
             .map(|n| {
                 vec![Watcher {
                     me: NodeId(n),
-                    ticks: 3_000,
+                    ticks: 8_000,
                     next: 0,
                     announced: Default::default(),
                     expected: None,
@@ -1256,12 +1287,15 @@ mod tests {
             })
             .collect();
         // Serving an envelope costs about a tick and three arrive per tick:
-        // every worker runs a backlog, and a queue of 8 overflows.
-        let cfg = SimCfg { seed: 3, recv_queue_cap: 8, service_per_envelope_ns: 1_500, ..Default::default() };
+        // every worker's backlog grows by more than one envelope a tick, and
+        // within 6 ms the receive queues overflow.
+        let cfg = SimCfg { seed: 3, service_per_envelope_ns: 1_500, ..Default::default() };
         let mut sim = Sim::new(actors, cfg);
-        sim.run_for(1_000_000);
+        sim.run_for(3_000_000);
         sim.sleep_node(NodeId(1), 500_000);
-        sim.run_for(1_000_000);
+        sim.run_for(3_000_000);
+        let drops = sim.dropped;
+        assert!(drops > 1_000, "the queues overflowed before the crash ({drops} drops)");
         sim.crash(NodeId(2));
         let at_crash = (sim.actors[2][0].honoured, sim.actors[2][0].unannounced);
         assert!(sim.run_until_quiesce(1_000_000_000));
@@ -1291,7 +1325,14 @@ mod tests {
     impl Actor for Beacon {
         type Msg = u8;
 
-        fn on_envelope(&mut self, src: NodeId, msgs: &mut Vec<u8>, now: u64, _out: &mut Outbox<u8>) {
+        fn on_envelope(
+            &mut self,
+            src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u8>,
+            now: u64,
+            _out: &mut Outbox<u8>,
+        ) {
             self.log.lock().unwrap().push((now, self.me.0, src.0));
             msgs.clear();
         }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use kite::api::{CompletionHook, Op, OpOutput};
 use kite::session::Session;
-use kite_common::{Key, NodeId, NodeSet, OpId, Val};
+use kite_common::{ClusterConfig, Key, NodeId, NodeSet, OpId, Val};
 use kite_simnet::{Actor, Outbox, Wakeup};
 
 use crate::shared::ZabShared;
@@ -92,7 +92,6 @@ pub struct ZabWorker {
     next_rid: u64,
     hook: Option<CompletionHook>,
     quorum: usize,
-    ops_per_tick: usize,
     retransmit: u64,
     last_scan: u64,
 }
@@ -115,7 +114,6 @@ impl ZabWorker {
             next_rid: 1,
             hook,
             quorum: cfg.quorum(),
-            ops_per_tick: cfg.ops_per_tick,
             retransmit: cfg.retransmit_ns,
             last_scan: 0,
             shared,
@@ -266,6 +264,7 @@ impl Actor for ZabWorker {
     fn on_envelope(
         &mut self,
         src: NodeId,
+        _mepoch: u32,
         msgs: &mut Vec<ZabMsg>,
         now: u64,
         out: &mut Outbox<ZabMsg>,
@@ -281,7 +280,7 @@ impl Actor for ZabWorker {
         // a session that stopped at its budget while still free.
         let mut more_now = false;
         for si in 0..self.sessions.len() {
-            let mut budget = self.ops_per_tick;
+            let mut budget = ClusterConfig::OPS_PER_TICK;
             while budget > 0 && self.sessions[si].is_free() {
                 let Some(op) = self.sessions[si].next_op() else { break };
                 budget -= 1;

@@ -30,12 +30,7 @@ fn record_key(run: u64, i: u64) -> Key {
 }
 
 fn main() -> kite_common::Result<()> {
-    // Throughput-tuned deployment: a deep write window and per-tick issue
-    // budget let the pipelined batch actually stay in flight (the defaults
-    // are sized for the latency-oriented benchmarks).
-    let mut cfg = ClusterConfig::small().keys(1 << 13);
-    cfg.write_window = 1024;
-    cfg.ops_per_tick = 64;
+    let cfg = ClusterConfig::small().keys(1 << 13);
     let cluster = Cluster::launch(cfg, ProtocolMode::Kite)?;
     let mut writer = cluster.session(NodeId(0), 0)?;
 

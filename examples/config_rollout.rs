@@ -4,7 +4,8 @@
 //! A 4-slot deployment boots with three founding voters and one cold
 //! spare. While a writer keeps publishing versioned payloads, an operator
 //! session performs a full node-replacement rollout with nothing but
-//! strong-CAS RMWs on the reserved membership key:
+//! strong-CAS RMWs on the reserved membership key
+//! (`RemoteSession::change_membership`):
 //!
 //! 1. **learner-join** — slot 3 is admitted as a non-voting learner
 //!    (epoch 1). It receives only anti-entropy traffic and bulk-syncs the
@@ -24,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use kite::ProtocolMode;
-use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val, MEMBERSHIP_KEY};
+use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val};
 use kite_net::Cluster;
 
 const PAYLOAD_KEYS: u64 = 64;
@@ -55,6 +56,7 @@ fn main() -> kite_common::Result<()> {
         .nodes(4)
         .keys(1 << 10)
         .initial_voters(NodeSet(0b0111));
+    let bootstrap = Membership::bootstrap(&cfg);
     let cluster = Cluster::launch(cfg, ProtocolMode::Kite)?;
     let mut writer = cluster.session(NodeId(1), 0)?;
     let mut operator = cluster.session(NodeId(2), 0)?;
@@ -68,16 +70,9 @@ fn main() -> kite_common::Result<()> {
 
     // -- 1. learner-join ---------------------------------------------------
     // The add-learner config change is a strong CAS against the current
-    // value (empty before the first change → derive the bootstrap).
-    let cur = operator.acquire(MEMBERSHIP_KEY)?;
-    let m0 = Membership::from_val(&cur).unwrap_or(Membership {
-        epoch: 0,
-        voters: NodeSet(0b0111),
-        learners: NodeSet::EMPTY,
-    });
-    let m1 = m0.with_learner(NodeId(3));
-    let (ok, _) = operator.cas_strong(MEMBERSHIP_KEY, cur, m1.to_val())?;
-    assert!(ok, "join CAS");
+    // value (empty before the first change → the bootstrap membership).
+    let m1 = operator.change_membership(|| bootstrap, |cur| Some(cur.with_learner(NodeId(3))))?;
+    assert_eq!(m1.epoch, 1, "join");
     wait_for_epoch(&cluster, &[0, 1, 2, 3], 1, &mut writer)?;
     println!("join: membership {}", cluster.shared(NodeId(3)).membership.load());
 
@@ -95,10 +90,8 @@ fn main() -> kite_common::Result<()> {
     println!("sync: learner caught up ({PAYLOAD_KEYS} payload keys) — promoting");
 
     // -- 2. promote --------------------------------------------------------
-    let cur = operator.acquire(MEMBERSHIP_KEY)?;
-    let m2 = Membership::from_val(&cur).expect("epoch-1 value").with_promoted(NodeId(3));
-    let (ok, _) = operator.cas_strong(MEMBERSHIP_KEY, cur, m2.to_val())?;
-    assert!(ok, "promote CAS");
+    let m2 = operator.change_membership(|| bootstrap, |cur| Some(cur.with_promoted(NodeId(3))))?;
+    assert_eq!(m2.epoch, 2, "promote");
     wait_for_epoch(&cluster, &[0, 1, 2, 3], 2, &mut writer)?;
     assert_eq!(cluster.shared(NodeId(1)).quorum(), 3, "majority of FOUR voters");
     // Releases wait for all four voters now — including the new one.
@@ -106,10 +99,8 @@ fn main() -> kite_common::Result<()> {
     println!("promote: membership {}", cluster.shared(NodeId(1)).membership.load());
 
     // -- 3. retire the old node -------------------------------------------
-    let cur = operator.acquire(MEMBERSHIP_KEY)?;
-    let m3 = Membership::from_val(&cur).expect("epoch-2 value").with_retired(NodeId(0));
-    let (ok, _) = operator.cas_strong(MEMBERSHIP_KEY, cur, m3.to_val())?;
-    assert!(ok, "retire CAS");
+    let m3 = operator.change_membership(|| bootstrap, |cur| Some(cur.with_retired(NodeId(0))))?;
+    assert_eq!(m3.epoch, 3, "retire");
     // Node 0 was a voter when the change committed, so it learns of its
     // own retirement through the commit itself.
     wait_for_epoch(&cluster, &[0, 1, 2, 3], 3, &mut writer)?;

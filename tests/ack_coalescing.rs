@@ -91,11 +91,7 @@ fn coalesced_acks_are_equivalent_to_per_message_acks_under_faults() {
 #[test]
 fn ack_messages_per_write_drop_below_one_at_window_8() {
     const WRITES_PER_SESSION: u64 = 400;
-    let cfg = ClusterConfig::small()
-        .keys(1 << 10)
-        .sessions_per_worker(8)
-        .write_window(16)
-        .ops_per_tick(4);
+    let cfg = ClusterConfig::small().keys(1 << 10).sessions_per_worker(8);
     let sessions = cfg.sessions_per_node();
     let cluster = Cluster::launch(cfg, ProtocolMode::Kite).unwrap();
 

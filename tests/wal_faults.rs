@@ -208,10 +208,11 @@ fn snapshot_plus_mangled_tail_recovers_the_union() {
 }
 
 /// The kill switch, merkle_faults-ablation style: a faulted mixed run
-/// with a WAL directory set (but `wal(false)`) completes exactly the same
-/// operations as a run with defaults, both histories pass the RC checks,
-/// and the configured directory stays untouched — the simulator (like
-/// any deployment with durability off) never observes it.
+/// with a WAL directory configured completes exactly the same operations
+/// as a run with defaults (no WAL), both histories pass the RC checks,
+/// and the configured directory stays untouched — durability belongs to
+/// a node's runtime, and the simulator (like any deployment with
+/// durability off) never observes it.
 #[test]
 fn wal_off_is_a_provable_no_op() {
     let dir = tempdir("killswitch");
@@ -237,16 +238,15 @@ fn wal_off_is_a_provable_no_op() {
 
     let base = ClusterConfig::small().keys(1 << 10).release_timeout_ns(200_000);
     let (ops_default, hist_default) = run(base.clone());
-    let (ops_off, hist_off) = run(base.wal(false).wal_dir(dir.to_str().expect("utf8 tempdir")));
+    let (ops_off, hist_off) = run(base.wal_dir(dir.to_str().expect("utf8 tempdir")));
 
-    assert_eq!(ops_default, ops_off, "wal(false) must not change one completed op");
-    // Both runs have the WAL off (`ClusterConfig::wal` defaults to false),
-    // so both owe the same guarantees.
+    assert_eq!(ops_default, ops_off, "a WAL directory must not change one completed op");
+    // Neither simulated run writes a WAL, so both owe the same guarantees.
     for hist in [&hist_default, &hist_off] {
         assert_eq!(check_rc(hist, RcMode::Sc), Ok(()));
         assert_eq!(check_rc(hist, RcMode::Lin), Ok(()));
     }
-    assert!(!dir.exists(), "wal(false) must not create {}", dir.display());
+    assert!(!dir.exists(), "the simulator must not create {}", dir.display());
 }
 
 /// The oversize-value contract at the frame cap, byte-exact: a 64-byte
