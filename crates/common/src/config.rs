@@ -148,10 +148,14 @@ impl ClusterConfig {
     /// bounds in-flight broadcasts by its window of pending messages.
     pub const WRITE_WINDOW: usize = 64;
 
-    /// Operations each session may *start* per worker scheduling tick.
-    /// Paired with the simulator's service-time model this is the
+    /// Operations a self-issuing session (a script or a client state
+    /// machine driven inside the worker) may *start* per worker scheduling
+    /// tick. Paired with the simulator's service-time model this is the
     /// issue-rate half of the queueing model: relaxed ops are issue-bound,
-    /// synchronization ops are round-trip-bound.
+    /// synchronization ops are round-trip-bound. A session served for a
+    /// client outside the worker is not paced by it: each tick starts
+    /// everything that client has submitted, up to a blocking op or a full
+    /// write window.
     pub const OPS_PER_TICK: usize = 2;
 
     /// A small deterministic-simulation-friendly configuration.

@@ -1150,17 +1150,17 @@ impl Worker {
         if self.rmw_retries.is_empty() {
             return;
         }
-        let due: Vec<u64> = self
-            .rmw_retries
-            .iter()
-            .filter(|&&(_, at)| now >= at)
-            .map(|&(rid, _)| rid)
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        self.rmw_retries.retain(|&(_, at)| now < at);
-        for rid in due {
+        // Drain the due ones into the worker's scratch buffer (taken, so a
+        // restart below may schedule a new back-off), in scheduling order.
+        let mut due = std::mem::take(&mut self.rmw_due);
+        self.rmw_retries.retain(|&(rid, at)| {
+            let waiting = now < at;
+            if !waiting {
+                due.push(rid);
+            }
+            waiting
+        });
+        for &rid in &due {
             let (table, mut cx) = self.split();
             let Some(InFlight::Rmw(state)) = table.get_mut(rid) else { continue };
             // Only restart if the round is still stuck (a quorum may have
@@ -1173,6 +1173,8 @@ impl Worker {
                 table.remove(rid);
             }
         }
+        due.clear();
+        self.rmw_due = due;
     }
 }
 

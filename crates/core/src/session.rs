@@ -107,8 +107,10 @@ pub struct Session {
     /// start that stalled on a full write window (the session is parked
     /// until the window moves), and the worker's look-ahead, which pulls the
     /// next tick's op at the end of a tick that stopped at `OPS_PER_TICK`
-    /// (the session stays runnable). Either way the op is this session's
-    /// next to start and keeps its `seq`.
+    /// (the session stays runnable). The look-ahead applies to self-issuing
+    /// sessions (`Script`, `Interactive`) only: a `Client` session's tick
+    /// starts its whole queue, so nothing is left to look ahead at. Either
+    /// way the op is this session's next to start and keeps its `seq`.
     pub staged: Option<Op>,
     /// rid of an in-flight write-window relief (at most one per session).
     pub relief: Option<u64>,

@@ -161,6 +161,9 @@ pub struct Worker {
     /// from the tick path (the retransmit scan is far too coarse for
     /// contention backoffs).
     pub(crate) rmw_retries: Vec<(u64, u64)>,
+    /// Scratch for the rids `fire_rmw_retries` finds due; empty between
+    /// calls, its capacity kept.
+    pub(crate) rmw_due: Vec<u64>,
     /// Counter for fire-and-forget broadcast ids (untracked: bit 63 set, so
     /// they can never alias a slab rid — see `inflight`'s module docs).
     next_untracked: u64,
@@ -271,6 +274,7 @@ impl Worker {
             kick_siblings: false,
             barrier_passes: 0,
             rmw_retries: Vec::new(),
+            rmw_due: Vec::new(),
             next_untracked: 0,
             last_scan: 0,
             pending_acks: Vec::with_capacity(64),
@@ -419,10 +423,12 @@ impl Worker {
 
     // ---- session pumping -------------------------------------------------
 
-    /// Let every runnable session start up to `OPS_PER_TICK` ops. Returns
-    /// whether one stopped at that budget still free with its next op
-    /// staged — the only case in which another tick right now would start
-    /// more.
+    /// Let every runnable session start the ops its budget allows: a client
+    /// session everything its client has submitted, a self-issuing session
+    /// (script, state machine) up to `OPS_PER_TICK`. Returns whether a
+    /// self-issuing session stopped at that budget still free with its next
+    /// op staged — the only case in which another tick right now would
+    /// start more.
     fn pump_sessions(&mut self, now: u64, out: &mut Outbox<Msg>) -> bool {
         let mut more_now = false;
         for word in 0..self.sessions.runnable.len() {
@@ -439,7 +445,15 @@ impl Worker {
     }
 
     fn pump_session(&mut self, si: usize, now: u64, out: &mut Outbox<Msg>) -> bool {
-        let mut budget = ClusterConfig::OPS_PER_TICK;
+        // A client's submitted ops are already waiting on the runtime that
+        // serves it: holding them back for another pass costs that runtime
+        // a wait, a flush and a client write per two ops. Only the ops that
+        // sessions issue themselves are paced (the simulator's issue rate).
+        let sess = &self.sessions[si];
+        let mut budget = match &sess.driver {
+            SessionDriver::Client(ops) => ops.len() + usize::from(sess.staged.is_some()),
+            _ => ClusterConfig::OPS_PER_TICK,
+        };
         while budget > 0 && self.sessions[si].is_free() {
             // Out of ops: a script is finished for good, a client state
             // machine speaks again after its next completion, and a client
@@ -474,12 +488,13 @@ impl Worker {
             self.sessions.park(si);
             return false;
         }
-        // Stopped at the budget, still free. Look ahead: pull the op the
-        // next tick will start into the staged slot now, and have the store
-        // start loading its key — the load then overlaps whatever runs
-        // before that tick instead of stalling it. The op starts exactly
-        // where it would have; another tick right now would start more iff
-        // one is staged.
+        // Stopped at the budget, still free. A client session has started
+        // its whole queue and parks below; a self-issuing one looks ahead:
+        // pull the op the next tick will start into the staged slot now,
+        // and have the store start loading its key — the load then overlaps
+        // whatever runs before that tick instead of stalling it. The op
+        // starts exactly where it would have; another tick right now would
+        // start more iff one is staged.
         match self.sessions[si].next_op() {
             Some(op) => {
                 self.shared.store.prefetch(op.key());

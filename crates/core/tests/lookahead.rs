@@ -1,6 +1,8 @@
-//! The worker's session look-ahead: a session that stops at `OPS_PER_TICK`
-//! pulls its next op into `Session::staged` one tick early (to hint the
-//! store for its key) and nothing a client or a schedule can observe moves.
+//! The worker's session budget and look-ahead: a self-issuing session that
+//! stops at `OPS_PER_TICK` pulls its next op into `Session::staged` one
+//! tick early (to hint the store for its key) and nothing a client or a
+//! schedule can observe moves; a client session has no such stop — a tick
+//! starts everything its client submitted, up to a full write window.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -17,36 +19,80 @@ use kite_simnet::{Actor, Outbox, SimCfg};
 /// One standalone worker (node 0 of 3, anti-entropy off so `is_idle` is the
 /// protocol's own idleness) serving a single session with `driver`.
 fn worker(driver: SessionDriver) -> Worker {
+    hooked_worker(driver, None)
+}
+
+fn hooked_worker(driver: SessionDriver, hook: Option<CompletionHook>) -> Worker {
     let cfg = ClusterConfig::small().anti_entropy(false);
     let shared = NodeShared::new(NodeId(0), cfg, Arc::new(ProtoCounters::default()));
     let mut sess = Session::new(SessionId::new(NodeId(0), 0));
     sess.driver = driver;
-    Worker::new(0, shared, ProtocolMode::Kite, vec![sess], None)
+    Worker::new(0, shared, ProtocolMode::Kite, vec![sess], hook)
 }
 
 #[test]
 fn a_staged_look_ahead_op_keeps_the_worker_busy() {
-    let mut w = worker(SessionDriver::Client(VecDeque::new()));
+    // A script of three local reads; a script's completions reach only the
+    // hook (the worker buffers a client session's alone).
+    let script =
+        SessionDriver::Script(Box::new(|seq| (seq < 3).then_some(Op::Read { key: Key(seq) })));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    let hook: CompletionHook = Arc::new(move |c| sink.lock().unwrap().push(c.clone()));
+    let mut w = hooked_worker(script, Some(hook));
     let mut out: Outbox<Msg> = Outbox::new(3);
-    for k in 0..3 {
-        w.submit(SessionId::new(NodeId(0), 0), Op::Read { key: Key(k) });
-    }
-    // Two local reads start and complete; the third is taken off the
-    // session's queue and staged. Nothing is in flight, yet the worker owes
-    // an op.
+    // Two local reads start and complete; the third is taken from the
+    // script and staged. Nothing is in flight, yet the worker owes an op.
     let wakeup = w.on_tick(0, &mut out);
-    let mut done: Vec<Completion> = w.completions().collect();
+    let mut done: Vec<Completion> = std::mem::take(&mut *log.lock().unwrap());
     assert_eq!(done.len(), 2);
     assert_eq!(w.inflight_len(), 0);
     assert!(wakeup.more_now, "an op is staged: another tick starts it");
     assert!(!w.is_idle(), "a staged op is outstanding work");
     // It starts at the next tick, as it would have without the look-ahead.
     let wakeup = w.on_tick(2_000, &mut out);
-    done.extend(w.completions());
+    done.extend(log.lock().unwrap().drain(..));
     let started: Vec<(u64, u64)> = done.iter().map(|c| (c.op_id.seq, c.invoked_at)).collect();
     assert_eq!(started, [(0, 0), (1, 0), (2, 2_000)]);
     assert!(!wakeup.more_now);
     assert!(w.is_idle());
+}
+
+#[test]
+fn a_client_session_starts_everything_it_submitted_in_one_tick() {
+    let me = SessionId::new(NodeId(0), 0);
+    let mut out: Outbox<Msg> = Outbox::new(3);
+    // Three local reads: all three start and complete in one tick, and
+    // nothing is left to stage or to tick again for.
+    let mut w = worker(SessionDriver::Client(VecDeque::new()));
+    for k in 0..3 {
+        w.submit(me, Op::Read { key: Key(k) });
+    }
+    let wakeup = w.on_tick(0, &mut out);
+    let done: Vec<(u64, u64)> = w.completions().map(|c| (c.op_id.seq, c.invoked_at)).collect();
+    assert_eq!(done, [(0, 0), (1, 0), (2, 0)]);
+    assert!(!wakeup.more_now, "the queue is empty: nothing is staged");
+    assert!(w.is_idle(), "no staged op is outstanding");
+
+    // A window and five more relaxed writes: the window's worth starts
+    // (each completes at once and stays in the window until acked), the
+    // next one stalls in the staged slot, and the session parks on the
+    // window instead of asking for another tick.
+    let mut w = worker(SessionDriver::Client(VecDeque::new()));
+    let writes = ClusterConfig::WRITE_WINDOW + 5;
+    for k in 0..writes as u64 {
+        w.submit(me, Op::Write { key: Key(k), val: Val::from_u64(k) });
+    }
+    let wakeup = w.on_tick(0, &mut out);
+    assert_eq!(w.completions().count(), ClusterConfig::WRITE_WINDOW, "a window's worth started");
+    assert_eq!(w.inflight_len(), ClusterConfig::WRITE_WINDOW, "each awaits its acks");
+    assert!(!wakeup.more_now, "a full window is waited out, not ticked on");
+    assert!(!w.is_idle(), "the stalled writes are outstanding work");
+    // With no ack in between, a later tick starts nothing: the session is
+    // parked until the window moves.
+    w.on_tick(2_000, &mut out);
+    assert_eq!(w.completions().count(), 0);
+    assert_eq!(w.inflight_len(), ClusterConfig::WRITE_WINDOW);
 }
 
 /// Issues `ops` local reads, then has nothing to say. Panics if the worker

@@ -11,8 +11,9 @@
 //!
 //! The daemon runs the Kite protocol with anti-entropy on; the protocol
 //! ablations and the anti-entropy kill switch are the simulator's. It
-//! listens on its own entry of `--peers`. `--wal on` needs `--wal-dir`:
-//! the node logs into its `node<N>/` subdirectory.
+//! listens on its own entry of `--peers`. `--wal` is exactly `on` or
+//! `off` (the default); `--wal on` needs `--wal-dir`: the node logs into
+//! its `node<N>/` subdirectory.
 //!
 //! `--voters`/`--learners` pin the bootstrap (membership-epoch-0) sets;
 //! by default every configured slot votes. `--join <seed-addr>` admits
@@ -179,13 +180,18 @@ fn main() {
     cluster = cluster
         .anti_entropy_interval_ns(parse_u64("anti_entropy_interval_ns", ae_interval))
         .anti_entropy_chunk(parse_u64("anti_entropy_chunk", ae_chunk as u64) as usize);
-    if get("wal").is_some_and(|wal| wal == "on" || wal == "true") {
-        match get("wal_dir") {
+    match get("wal").as_deref() {
+        None | Some("off") => {}
+        Some("on") => match get("wal_dir") {
             Some(dir) if !dir.is_empty() => cluster = cluster.wal_dir(dir),
             _ => {
                 eprintln!("kite-node: --wal on needs --wal-dir");
                 usage();
             }
+        },
+        Some(other) => {
+            eprintln!("kite-node: --wal takes on or off, not {other:?}");
+            usage();
         }
     }
     if let Some(v) = get("voters") {

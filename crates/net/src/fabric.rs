@@ -763,9 +763,11 @@ impl<A: ClientPort> EventLoop<A> {
 
             // Protocol tick: session intake, and whatever timer is due. The
             // actor says when it next needs one and whether another right
-            // now would start more (a session stopped at `ops_per_tick`).
-            // An op stalled behind its session's full write window is
-            // neither: what opens the window is an inbound ack, a
+            // now would start more (a self-issuing session stopped at
+            // `OPS_PER_TICK`; a client session's tick starts every op its
+            // client has submitted, so it never asks). An op stalled behind
+            // its session's full write window is neither: what opens the
+            // window is an inbound ack, a
             // readiness event, so the loop waits for it in `epoll_wait`
             // (spinning there took the CPU from the very peers it waited
             // for).

@@ -4,6 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -495,8 +496,6 @@ fn idle_populated_cluster_keeps_alive_with_summaries() {
 /// `ready on` line `scripts/e2e_tcp.sh` and the benchmark wait for.
 #[test]
 fn kite_node_rejects_unknown_flags_and_launches_on_known_ones() {
-    use std::process::{Command, Stdio};
-
     // Three loopback ports nobody listens on once the probes are dropped.
     let peers = (0..3)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("probe port"))
@@ -510,19 +509,53 @@ fn kite_node_rejects_unknown_flags_and_launches_on_known_ones() {
     };
 
     for bad in [&["--bogus", "1"][..], &["--merkle-digests", "on"], &["--workers"]] {
-        let mut child = node(bad).stderr(Stdio::piped()).spawn().expect("spawn kite-node");
-        // An accepted flag would launch a node that serves forever.
-        let exited = wait_for(Duration::from_secs(10), || child.try_wait().expect("wait").is_some());
-        child.kill().ok();
-        assert!(exited, "{bad:?} was accepted: the node launched instead of exiting");
-        let out = child.wait_with_output().expect("reap kite-node");
-        assert_eq!(out.status.code(), Some(2), "{bad:?} must be a usage error");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("usage: kite-node --node N --peers"), "{bad:?}: {err}");
+        assert_usage_error(node(bad), bad);
     }
+    assert!(
+        reaches_ready(node(&["--workers", "1", "--keys", "1024"]), "flags"),
+        "a known-flag launch must print the ready line"
+    );
+}
 
-    let log = std::env::temp_dir().join(format!("kite-node-flags-{}.log", std::process::id()));
-    let mut child = node(&["--workers", "1", "--keys", "1024"])
+/// `kite-node --wal` takes exactly `on` or `off`: any other spelling is a
+/// usage error, never a node that silently runs without durability.
+#[test]
+fn kite_node_takes_wal_on_or_off_and_nothing_else() {
+    let peers = (0..3)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("probe port"))
+        .map(|l| l.local_addr().expect("addr").to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let node = |args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_kite-node"));
+        cmd.args(args).args(["--node", "0", "--peers", &peers, "--workers", "1", "--keys", "1024"]);
+        cmd
+    };
+    for value in ["yes", "ON", "true", "1", ""] {
+        assert_usage_error(node(&["--wal", value]), &["--wal", value]);
+    }
+    assert!(reaches_ready(node(&["--wal", "off"]), "wal-off"), "--wal off must launch");
+}
+
+/// `cmd` (a `kite-node` invocation) exits 2 with the usage line on stderr.
+fn assert_usage_error(mut cmd: Command, args: &[&str]) {
+    let mut child = cmd.stderr(Stdio::piped()).spawn().expect("spawn kite-node");
+    // An accepted flag would launch a node that serves forever.
+    let exited = wait_for(Duration::from_secs(10), || child.try_wait().expect("wait").is_some());
+    child.kill().ok();
+    assert!(exited, "{args:?} was accepted: the node launched instead of exiting");
+    let out = child.wait_with_output().expect("reap kite-node");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage: kite-node --node N --peers"), "{args:?}: {err}");
+}
+
+/// Whether `cmd` (a `kite-node` invocation) prints the `ready on` line
+/// `scripts/e2e_tcp.sh` and the benchmark wait for; the node is killed
+/// either way.
+fn reaches_ready(mut cmd: Command, tag: &str) -> bool {
+    let log = std::env::temp_dir().join(format!("kite-node-{tag}-{}.log", std::process::id()));
+    let mut child = cmd
         .stdout(std::fs::File::create(&log).expect("stdout log"))
         .stderr(Stdio::null())
         .spawn()
@@ -533,5 +566,5 @@ fn kite_node_rejects_unknown_flags_and_launches_on_known_ones() {
     child.kill().expect("kill kite-node");
     child.wait().expect("reap kite-node");
     let _ = std::fs::remove_file(&log);
-    assert!(ready, "a known-flag launch must print the ready line");
+    ready
 }

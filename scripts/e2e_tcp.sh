@@ -17,7 +17,9 @@
 #      `--metrics-addr` endpoint must serve the key-value view while the
 #      cluster is under a one-key write storm, and the scrape deltas must
 #      show ack *messages* per op staying sub-linear in node count (the
-#      §6.3 ack-coalescing invariant, measured from the live counters);
+#      §6.3 ack-coalescing invariant, measured from the live counters) and
+#      the event loops going round per window of the pipelined storm, not
+#      per op (loop passes per op < 0.4);
 #   4. SIGSTOP one node (a stalled-but-alive peer, the backpressure case
 #      a crash can't exercise): the majority must keep serving while the
 #      survivors' outbound rings to the frozen node shed at their caps,
@@ -218,10 +220,11 @@ for iter in $(seq 1 "$ITERS"); do
 
     echo "-- phase 2b: flash-crowd hot key + mid-run scrapes (§6.3 ack-coalescing invariant)"
     # Baseline counters from the live endpoints.
-    acks0=0; done0=0
+    acks0=0; done0=0; passes0=0
     for m in "$M0" "$M1" "$M2"; do
         acks0=$((acks0 + $(scrape_metric "$m" proto_acks_sent)))
         done0=$((done0 + $(scrape_metric "$m" proto_completed)))
+        passes0=$((passes0 + $(scrape_metric "$m" loop_w0_passes)))
     done
     # One key takes half of every session's pipelined writes, from all
     # three nodes at once.
@@ -238,19 +241,27 @@ for iter in $(seq 1 "$ITERS"); do
         [ -n "$p99" ] || { echo "!! node $n scrape missing write-latency histogram"; exit 1; }
     done
     wait "$HOT_PID" || { echo "!! hot phase failed"; exit 1; }
-    acks1=0; done1=0
+    acks1=0; done1=0; passes1=0
     for m in "$M0" "$M1" "$M2"; do
         acks1=$((acks1 + $(scrape_metric "$m" proto_acks_sent)))
         done1=$((done1 + $(scrape_metric "$m" proto_completed)))
+        passes1=$((passes1 + $(scrape_metric "$m" loop_w0_passes)))
     done
     # 3 nodes → 2 acks/op if every ack were its own message. Coalescing
     # under the pipelined hot-key storm must keep ack *messages* per op
-    # clearly sub-linear (< 1.5), or §6.3 regressed.
-    awk -v a="$((acks1 - acks0))" -v c="$((done1 - done0))" 'BEGIN {
+    # clearly sub-linear (< 1.5), or §6.3 regressed. The same deltas give
+    # the event loops' passes per op: a pass starts every op its pipelined
+    # client has submitted, so the storm costs passes per window (0.15–0.19
+    # per op on a 2-core host), not one per two ops (0.64–0.71 when a pass
+    # started two of a client's ops).
+    awk -v a="$((acks1 - acks0))" -v c="$((done1 - done0))" -v p="$((passes1 - passes0))" 'BEGIN {
         if (c <= 0) { print "!! scrape deltas saw no completed ops"; exit 1 }
         apo = a / c
         printf "   ack-msgs/op under flash crowd: %.3f (linear would be 2.0)\n", apo
         if (apo >= 1.5) { print "!! ack coalescing regressed: " apo " >= 1.5"; exit 1 }
+        ppo = p / c
+        printf "   loop passes/op under flash crowd: %.3f\n", ppo
+        if (ppo >= 0.4) { print "!! pipelined ops are paced per pass: " ppo " >= 0.4"; exit 1 }
     }'
     # The dump view serves the promoted watchdog text, and the distinct-keys
     # sketch is live (hot phase touched ~257 keys + earlier phases).
