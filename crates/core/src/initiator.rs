@@ -1263,10 +1263,10 @@ impl Cx<'_> {
             // round then passes the stale-round filter and hands this
             // round a *previous slot's* accepted command to adopt. That
             // command re-commits at the new slot: duplicate RMW execution
-            // (two FAAs observing the same base — caught by
-            // `tests/chaos.rs::crash_stop_preserves_progress_and_rc` once
-            // the TCP-duel backoff perturbed the interleaving). Per-rid
-            // ballot monotonicity makes every stale reply unmistakable.
+            // (two FAAs observing the same base — re-injected,
+            // `tests/chaos.rs::random_schedules_preserve_rclin` catches it
+            // at its default seed). Per-rid ballot monotonicity makes every
+            // stale reply unmistakable.
             let version =
                 pax.promised.version().max(state.ballot_floor).max(state.ballot.version()) + 1;
             let ballot = Lc::new(version, me);

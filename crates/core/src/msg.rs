@@ -80,7 +80,8 @@ pub struct Cmd {
     /// the `apply_max` race at a replica holding the higher stamp of an
     /// *older* slot's value — that replica would advance its slot with a
     /// stale store and the next RMW would decide from a stale base (lost
-    /// FAA increment; caught by `tests/chaos.rs` seed 8).
+    /// FAA increment; re-injected, it is caught by the fault swarm's
+    /// `random_schedules_preserve_rclin` in `tests/chaos.rs`).
     pub lc: Lc,
 }
 

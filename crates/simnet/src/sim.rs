@@ -428,8 +428,10 @@ impl<A: Actor> Sim<A> {
     /// Heal both directions between `a` and `b` (delivery resumes; drop
     /// probability and extra delay reset).
     pub fn heal(&mut self, a: NodeId, b: NodeId) {
-        self.set_drop(a, b, 0.0);
-        self.set_drop(b, a, 0.0);
+        for (src, dst) in [(a, b), (b, a)] {
+            self.set_drop(src, dst, 0.0);
+            self.set_link_delay(src, dst, 0);
+        }
     }
 
     /// Add `extra_ns` of one-way delay on the directed link `src → dst`.
@@ -1056,6 +1058,19 @@ mod tests {
         sim.actors[0][0].sent = 0;
         sim.run_for(5_000_000);
         assert_eq!(sim.actors[0][0].pongs, 3);
+    }
+
+    /// A heal resets a link's extra delay along with its drop probability.
+    #[test]
+    fn heal_resets_loss_and_delay() {
+        let mut sim = build(3, 1, 11);
+        sim.set_drop(NodeId(0), NodeId(1), 0.5);
+        sim.set_link_delay(NodeId(0), NodeId(1), 50_000_000);
+        sim.set_link_delay(NodeId(1), NodeId(0), 50_000_000);
+        sim.heal(NodeId(1), NodeId(0));
+        sim.run_for(1_000_000);
+        assert_eq!(sim.actors[0][0].pongs, 2, "both pongs inside a millisecond");
+        assert_eq!(sim.dropped, 0);
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub enum RcCheckError {
     StaleRead {
         /// Index of the read.
         op: usize,
-        /// Index of the write it observed.
-        write: usize,
+        /// Index of the write it observed; `None` when it returned the
+        /// initial value.
+        write: Option<usize>,
         /// Index of an intervening write it should have seen instead.
         between: usize,
     },
@@ -195,7 +196,7 @@ pub fn check_rc(history: &History, mode: RcMode) -> Result<(), RcCheckError> {
             // Initial value: no write to this key may be hb-before the read.
             for (i, w) in ops.iter().enumerate() {
                 if w.key == op.key && w.kind.writes().is_some() && hb(i, j) {
-                    return Err(RcCheckError::StaleRead { op: j, write: i, between: i });
+                    return Err(RcCheckError::StaleRead { op: j, write: None, between: i });
                 }
             }
             continue;
@@ -209,7 +210,7 @@ pub fn check_rc(history: &History, mode: RcMode) -> Result<(), RcCheckError> {
         // No write may sit between the observed write and the read in hb.
         for (k, w) in ops.iter().enumerate() {
             if k != wi && w.key == op.key && w.kind.writes().is_some() && hb(wi, k) && hb(k, j) {
-                return Err(RcCheckError::StaleRead { op: j, write: wi, between: k });
+                return Err(RcCheckError::StaleRead { op: j, write: Some(wi), between: k });
             }
         }
     }
@@ -298,6 +299,19 @@ mod tests {
             .op(1, FLAG, OpKind::Acquire { v: 1 })
             .op(1, X, OpKind::Read { v: 0 });
         assert!(matches!(check_rc(&b.h, RcMode::Sc), Err(RcCheckError::StaleRead { .. })));
+    }
+
+    #[test]
+    fn a_missed_initial_value_names_no_observed_write() {
+        let mut b = B::new();
+        b.op(0, X, OpKind::Write { v: 10 })
+            .op(0, FLAG, OpKind::Release { v: 1 })
+            .op(1, FLAG, OpKind::Acquire { v: 1 })
+            .op(1, X, OpKind::Read { v: 0 });
+        // The read returned the initial value: it observed no write, and
+        // missed write 0.
+        let err = Err(RcCheckError::StaleRead { op: 3, write: None, between: 0 });
+        assert_eq!(check_rc(&b.h, RcMode::Sc), err);
     }
 
     #[test]

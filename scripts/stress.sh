@@ -52,8 +52,11 @@
 # Then, once: the property sweep — every property suite (the
 # `kite_verify::check` runner's) at 20 fresh values of `KITE_CHECK_SEED`,
 # which perturbs every property's seed. A failing property prints its
-# shrunk case's one-line replay, and the script fails. It prints the
-# sweep's wall time.
+# shrunk case's one-line replay, and the script fails. The fault-schedule
+# swarm (tests/chaos.rs) is one of them: its amnesia hunt, a known
+# violation until ROADMAP direction 7's fix, must find (P) or (A) at every
+# seed, and prints the case that found it and the case it shrank to. It
+# prints the sweep's wall time.
 #
 # Then, once: the exactly-once-FAA soaks (tests/faa_sleeper.rs): 200
 # seeds of "one session per node bumps one counter while node 4 sleeps
@@ -153,6 +156,7 @@ cargo build --release -p kite-bench --bins
 # Every property suite, as `cargo test --release` arguments.
 PROP_SUITES=(
     "--test properties"
+    "--test chaos --test restart_amnesia"
     "-p kite-common --test props"
     "-p kite-kvs --test props"
     "-p kite-verify --test props"
@@ -250,11 +254,14 @@ for _ in $(seq 1 "$SWEEP"); do
     for suite in "${PROP_SUITES[@]}"; do
         out="$(mktemp)"
         # shellcheck disable=SC2086 # a suite is a list of cargo arguments
-        if ! KITE_CHECK_SEED="$seed" cargo test -q --release $suite >"$out" 2>&1; then
+        if ! KITE_CHECK_SEED="$seed" cargo test -q --release $suite -- --show-output >"$out" 2>&1; then
             prop_fails=$((prop_fails + 1))
             echo "KITE_CHECK_SEED=$seed cargo test --release $suite: FAILED"
             grep -E '^(property failed at case|shrunk from|replay: )' "$out" || tail -n 20 "$out"
         fi
+        # The amnesia hunt (a known violation) reports the case that found
+        # it and the case it shrank to.
+        grep -E '^hunt: ' "$out" | sed "s/^/KITE_CHECK_SEED=$seed /" || true
         rm -f "$out"
     done
 done

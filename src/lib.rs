@@ -14,7 +14,8 @@
 #![warn(missing_docs)]
 
 pub mod testutil {
-    //! Bridges between the Kite runtime and the `kite-verify` checkers.
+    //! Bridges between the Kite runtime and the `kite-verify` checkers, and
+    //! the fault suites' one runner ([`swarm`]).
 
     use std::sync::Arc;
 
@@ -70,36 +71,41 @@ pub mod testutil {
         Arc::new(move |c: &Completion| history.record(to_record(c)))
     }
 
-    /// A deterministic mixed workload touching every reply-producing path:
-    /// relaxed writes (ES acks), releases (value-round acks), acquires
-    /// (write-back acks) and FAAs (commit acks) — shared by the fault
-    /// suites so the value-encoding subtleties live in one place.
+    /// Op `seq` of a deterministic mixed workload touching every
+    /// reply-producing path: relaxed writes (ES acks), releases
+    /// (value-round acks), acquires (write-back acks) and FAAs (commit acks)
+    /// — shared by the fault suites so the value-encoding subtleties live
+    /// in one place.
     ///
     /// Written values are unique per key and **never 0**: the checkers
     /// read 0 as "the initial value", so a write of literal 0 would make a
     /// legitimate read of it indistinguishable from a stale read of the
     /// pre-write state (`base` and `seq + 1` are both non-zero).
+    pub fn mixed_op(sid: kite_common::SessionId, payload_keys: u64, seq: u64) -> Op {
+        use kite_common::{Key, Val};
+        let base = (sid.node.idx() as u64 + 1) << 8 | sid.slot as u64;
+        let key = Key(10 + (seq + base) % payload_keys);
+        match seq % 6 {
+            0 | 1 => Op::Write { key, val: Val::from_u64(base << 16 | (seq + 1)) },
+            2 => Op::Release { key: Key(3), val: Val::from_u64(base << 16 | (seq + 1)) },
+            3 => Op::Acquire { key: Key(3) },
+            4 => Op::Faa { key: Key(5), delta: 1 },
+            _ => Op::Read { key },
+        }
+    }
+
+    /// A session that runs the first `ops` ops of [`mixed_op`].
     pub fn mixed_fault_driver(
         sid: kite_common::SessionId,
         payload_keys: u64,
         ops: u64,
     ) -> kite::SessionDriver {
-        use kite_common::{Key, Val};
-        let base = (sid.node.idx() as u64 + 1) << 8 | sid.slot as u64;
         kite::SessionDriver::Script(Box::new(move |seq| {
-            let key = Key(10 + (seq + base) % payload_keys);
-            match seq {
-                n if n >= ops => None,
-                n => Some(match n % 6 {
-                    0 | 1 => Op::Write { key, val: Val::from_u64(base << 16 | (n + 1)) },
-                    2 => Op::Release { key: Key(3), val: Val::from_u64(base << 16 | (n + 1)) },
-                    3 => Op::Acquire { key: Key(3) },
-                    4 => Op::Faa { key: Key(5), delta: 1 },
-                    _ => Op::Read { key },
-                }),
-            }
+            (seq < ops).then(|| mixed_op(sid, payload_keys, seq))
         }))
     }
+
+    pub mod swarm;
 }
 
 #[cfg(test)]

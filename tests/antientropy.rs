@@ -2,11 +2,11 @@
 //! equivalence, and steady-state traffic bounds.
 //!
 //! The headline scenario is the §8.4 sleeper taken one step further than
-//! `chaos.rs` goes: a replica is cut off (partition + sleep) through a
-//! key's **last** RMW commit, then wakes into a 20%-lossy network. Nothing
-//! in the request path will ever resend that commit, and no finished round
-//! pushes its value to stragglers — convergence must come from the
-//! periodic digest sweep alone.
+//! the fault swarm in `chaos.rs` goes: a replica is cut off (partition +
+//! sleep) through a key's **last** RMW commit, then wakes into a 20%-lossy
+//! network. Nothing in the request path will ever resend that commit, and
+//! no finished round pushes its value to stragglers — convergence must
+//! come from the periodic digest sweep alone.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -43,7 +43,8 @@ fn planes(sc: &SimCluster) -> (u64, u64) {
 
 /// One faulted run, quiesced: 25% loss on both directions of the
 /// survivors' link, one replica crash-stopped mid-run. The dead node's
-/// sessions are idle (as in `chaos.rs`) so the run can quiesce. 256 keys
+/// sessions are idle (as a fault case's victim's are in
+/// `kite_repro::testutil::swarm`) so the run can quiesce. 256 keys
 /// make a lattice of 8 leaves, and 250 µs sweeps see far more writes than
 /// that while the survivors' sessions run. Returns the cluster, its
 /// history, and the `planes` of the first millisecond — the loaded window.
