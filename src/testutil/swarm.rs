@@ -44,9 +44,9 @@ pub type Event = (u64, Fault);
 
 /// One run's inputs: the cluster (`ClusterConfig::small()`'s 3 nodes of 2
 /// sessions), the simulator's seed, the node `Crash` and `Restart` hit (it
-/// runs no sessions), one script per session by `global_idx` (values
-/// written unique per key and non-zero, FAAs by 1 on one key, no key ≥ 300)
-/// and the schedule.
+/// must run no sessions if the schedule holds either), one script per
+/// session by `global_idx` (values written unique per key and non-zero,
+/// FAAs by 1 on one key, no key ≥ 300) and the schedule.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)]
 pub struct Case {
@@ -172,9 +172,8 @@ pub fn run(case: &Case) -> Outcome {
 /// assert that the first fault hit a running workload.
 pub fn literal(case: &Case) -> Outcome {
     let out = run(case);
-    let outstanding: Vec<u64> = out.fired.iter().map(|f| f.1).collect();
-    println!("ops outstanding at {:?}, then at the closing heal: {outstanding:?}", case.events);
-    assert!(outstanding[0] >= 1, "the first fault fired after the workload finished");
+    println!("(ns, ops outstanding) at {:?}, then at the heal: {:?}", case.events, out.fired);
+    assert!(out.fired[0].1 >= 1, "the first fault fired after the workload finished");
     out
 }
 

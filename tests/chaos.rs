@@ -69,9 +69,9 @@ fn minority_partition_keeps_relaxed_availability() {
             .flat_map(|n| [Op::Write { key, val: Val::from_u64(n) }, Op::Read { key }])
             .collect()
     };
-    let scripts =
-        vec![vec![], vec![], mixed(2, 20), mixed(3, 20), relaxed(Key(24)), relaxed(Key(25))];
-    let case = Case { cfg: cfg(), seed: 77, victim: 0, scripts, events: vec![(4, Isolate(2))] };
+    let majority = (0..4).map(|s| mixed(s, 20));
+    let scripts = majority.chain([relaxed(Key(24)), relaxed(Key(25))]).collect();
+    let case = Case { cfg: cfg(), seed: 77, victim: 2, scripts, events: vec![(4, Isolate(2))] };
     let out = literal(&case);
     // Of all the ops, only the isolated sessions' closing releases need a quorum.
     assert_eq!(out.fired[1].1, 2, "every other op completes while node 2 is cut off");
@@ -92,6 +92,31 @@ fn crash_stop_preserves_progress_and_rc() {
         let scripts = (0..6).map(|s| if s / 2 == victim as usize { vec![] } else { mixed(s, 12) });
         let (scripts, events) = (scripts.collect(), vec![(4, Crash)]);
         let case = Case { cfg, seed: seed + 900, victim, scripts, events };
+        judge(&case, &literal(&case));
+    }
+}
+
+/// Releases and acquires alone are linearizable per key (the ABD claim):
+/// all six sessions race on one key under loss from the first op, and a
+/// node sleeps mid-run, across the §4.3 ablations.
+#[test]
+fn sync_ops_linearizable_under_chaos() {
+    for seed in 0..6u64 {
+        let sync = |s: u64| -> Vec<Op> {
+            let val = |n| Val::from_u64((s + 1) << 40 | (n + 1));
+            let op = |n: u64| match (n + s) % 2 {
+                0 => Op::Release { key: Key(7), val: val(n) },
+                _ => Op::Acquire { key: Key(7) },
+            };
+            (0..10).map(op).collect()
+        };
+        let links = (0..3u8).flat_map(|a| [(a, (a + 1) % 3), (a, (a + 2) % 3)]);
+        let pct = |a: u8, b: u8| ((seed as u8 * 7 + a * 11 + b * 5) % 31);
+        let mut events: Vec<_> = links.map(|(a, b)| (0, Loss(a, b, pct(a, b)))).collect();
+        events.push((20, Sleep((seed % 3) as u8, 3)));
+        let cfg = cfg().overlap_release(seed % 2 == 0).stripped_slow_path(seed % 4 < 2);
+        let scripts = (0..6).map(sync).collect();
+        let case = Case { cfg, seed: seed + 500, victim: 0, scripts, events };
         judge(&case, &literal(&case));
     }
 }
@@ -249,8 +274,10 @@ fn run_mutex(seed: u64, drop_pct: f64, rounds: u64) -> (u64, u64) {
     // Freshest replica carries the final count (all have it after quiesce,
     // since the last unlock's release pushed the value to a quorum and ES
     // broadcasts retransmit to the rest; read the max to be independent).
-    let final_count =
-        (0..3u8).map(|n| sc.shared(NodeId(n)).store.view(counter).val.as_u64()).max().unwrap();
+    let final_count = (0..3u8)
+        .map(|n| sc.shared(NodeId(n)).store.view(counter).val.as_u64())
+        .max()
+        .unwrap();
     (acquisitions.load(Ordering::Relaxed), final_count)
 }
 

@@ -53,11 +53,7 @@ fn acceptor_amnesia_commits_two_commands_in_one_slot_known_violation() {
     assert_eq!(rmw_bases(&run(false)), vec![0, 1], "R remembers: Q's FAA sees P's");
 
     let h = run(true);
-    assert_eq!(
-        rmw_bases(&h),
-        vec![0, 0],
-        "known violation: both FAAs saw 0 — one slot, two commands"
-    );
+    assert_eq!(rmw_bases(&h), vec![0, 0], "known violation: both FAAs saw 0 — one slot, two commands");
     // Both wrote 1: the checker cannot even order the key's writes.
     let err = check_rc(&h, RcMode::Lin);
     assert!(matches!(err, Err(RcCheckError::DuplicateWrite { .. })), "known violation: {err:?}");
