@@ -186,6 +186,48 @@ fn repairs_are_constructed_in_one_place() {
     );
 }
 
+/// A fault suite's faults go through the one fault runner
+/// (`kite_repro::testutil::swarm`): in the suites whose fault tests are all
+/// its cases, no line calls the simulator's fault entries itself, so a fault
+/// timed by the clock — one that can land after the workload has finished —
+/// cannot grow back beside the runner's completion-triggered events.
+/// `swarm::apply` is where a `Fault` becomes one of these calls.
+#[test]
+fn scripted_faults_go_through_the_runner() {
+    const SUITES: [&str; 6] = [
+        "tests/ablations.rs",
+        "tests/chaos.rs",
+        "tests/merkle_faults.rs",
+        "tests/rc_invariants.rs",
+        "tests/restart_amnesia.rs",
+        "tests/scenarios/mod.rs",
+    ];
+    const CALLS: [&str; 7] = [
+        ".set_drop(",
+        ".partition(",
+        ".heal(",
+        ".crash(",
+        ".sleep_node(",
+        ".set_link_delay(",
+        ".restart(",
+    ];
+    let mut found = Vec::new();
+    for suite in SUITES {
+        let text = std::fs::read_to_string(workspace_root().join(suite)).expect("fault suite");
+        for (n, line) in text.lines().enumerate() {
+            if !line.trim_start().starts_with("//") && CALLS.iter().any(|c| line.contains(c)) {
+                found.push(format!("{suite}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a fault suite calls a simulator fault itself; make the fault a `swarm::Case` event \
+         (or, for a driver a script cannot express, `swarm::apply`); found:\n{}",
+        found.join("\n")
+    );
+}
+
 /// One client path: every session a client drives is a client-protocol
 /// connection. The node runtime builds each `SessionDriver::Client`, one per
 /// slot the loop serving it may hand to a connection, so no second way into

@@ -94,6 +94,14 @@ pub mod testutil {
         }
     }
 
+    /// Session `s`'s first `ops` ops of [`mixed_op`] over 5 payload keys, on a
+    /// cluster of 2 sessions per node: a script for a fault case
+    /// ([`swarm::Case`]).
+    pub fn mixed_script(s: usize, ops: u64) -> Vec<Op> {
+        let sid = kite_common::SessionId::new(kite_common::NodeId(s as u8 / 2), s as u32 % 2);
+        (0..ops).map(|seq| mixed_op(sid, 5, seq)).collect()
+    }
+
     /// A session that runs the first `ops` ops of [`mixed_op`].
     pub fn mixed_fault_driver(
         sid: kite_common::SessionId,

@@ -5,7 +5,8 @@
 //! since the previous one fired, or once nothing has completed for
 //! [`STALL_NS`]: a case of a few ops per session finishes in under a
 //! millisecond of virtual time, so a fault triggered by time lands on an
-//! idle cluster.
+//! idle cluster. [`apply`] is the one place a [`Fault`] becomes a call on
+//! the simulator.
 
 use std::sync::Arc;
 
@@ -22,9 +23,9 @@ use super::{recording_hook, rmw_bases};
 /// Virtual ns a schedule waits for a completion before it fires anyway.
 pub const STALL_NS: u64 = 5_000_000;
 
-/// A fault on nodes `0..3`. `Crash` and `Restart` hit the case's victim;
-/// `Loss` is a percentage, `Delay` µs and `Sleep` ms, on a directed link or
-/// a node.
+/// A fault on the case's nodes. `Crash` and `Restart` hit the case's
+/// victim; `Loss` is a percentage, `Delay` µs and `Sleep` ms, on a directed
+/// link or a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Fault {
@@ -42,7 +43,8 @@ pub enum Fault {
 /// `(after, fault)`: the fault fires once `after` more ops have completed.
 pub type Event = (u64, Fault);
 
-/// One run's inputs: the cluster (`ClusterConfig::small()`'s 3 nodes of 2
+/// One run's inputs: the cluster (its `nodes` and `sessions_per_node()`
+/// size the run; a drawn case is `ClusterConfig::small()`'s 3 nodes of 2
 /// sessions), the simulator's seed, the node `Crash` and `Restart` hit (it
 /// must run no sessions if the schedule holds either), one script per
 /// session by `global_idx` (values written unique per key and non-zero,
@@ -132,13 +134,20 @@ pub struct Outcome {
 /// Apply `case`'s schedule to a fresh cluster, keep the last faults until
 /// every op completes or the run stalls, heal every link and quiesce.
 pub fn run(case: &Case) -> Outcome {
-    let (history, total) = (Arc::new(History::new()), case.ops());
+    run_with(case, |_, _| {})
+}
+
+/// [`run`], calling `at_event` with each fault and the cluster just before
+/// the fault lands.
+fn run_with(case: &Case, mut at_event: impl FnMut(Fault, &SimCluster)) -> Outcome {
+    let (history, total, spn) =
+        (Arc::new(History::new()), case.ops(), case.cfg.sessions_per_node());
     let mut sc = SimCluster::build(
         case.cfg.clone(),
         ProtocolMode::Kite,
         SimCfg { seed: case.seed, ..Default::default() },
         |sid| {
-            let ops = case.script(sid.global_idx(2));
+            let ops = case.script(sid.global_idx(spn));
             SessionDriver::Script(Box::new(move |seq| ops.get(seq as usize).cloned()))
         },
         Some(recording_hook(Arc::clone(&history))),
@@ -151,27 +160,41 @@ pub fn run(case: &Case) -> Outcome {
             last = if history.len() > last.0 { (history.len(), sc.now()) } else { last };
         }
         fired.push((sc.now(), (total - history.len()) as u64));
-        let n = NodeId;
-        match fault {
-            Fault::Isolate(a) => (1..3).for_each(|d| sc.sim.partition(n(a), n((a + d) % 3))),
-            Fault::Partition(a, b) => sc.sim.partition(n(a), n(b)),
-            Fault::Heal(a, b) => sc.sim.heal(n(a), n(b)),
-            Fault::HealAll => (0..3).for_each(|a| sc.sim.heal(n(a), n((a + 1) % 3))),
-            Fault::Loss(a, b, pct) => sc.sim.set_drop(n(a), n(b), pct as f64 / 100.0),
-            Fault::Delay(a, b, us) => sc.sim.set_link_delay(n(a), n(b), us as u64 * 1_000),
-            Fault::Sleep(a, ms) => sc.sim.sleep_node(n(a), ms as u64 * 1_000_000),
-            Fault::Crash => sc.sim.crash(n(case.victim)),
-            Fault::Restart => sc.restart(n(case.victim), |_| SessionDriver::Idle),
-        }
+        at_event(fault, &sc);
+        apply(&mut sc, case.victim, fault);
     }
     assert!(sc.run_until_quiesce(60_000_000_000), "the healed cluster quiesces");
     Outcome { sc, history, fired }
 }
 
+/// Land `fault` on `sc` now; `Crash` and `Restart` hit `victim`. The one
+/// place a fault suite's fault becomes a call on the simulator.
+pub fn apply(sc: &mut SimCluster, victim: u8, fault: Fault) {
+    let (n, nodes) = (NodeId, sc.config().nodes as u8);
+    let pairs = (0..nodes).flat_map(|a| (a + 1..nodes).map(move |b| (a, b)));
+    match fault {
+        Fault::Isolate(a) => (1..nodes).for_each(|d| sc.sim.partition(n(a), n((a + d) % nodes))),
+        Fault::Partition(a, b) => sc.sim.partition(n(a), n(b)),
+        Fault::Heal(a, b) => sc.sim.heal(n(a), n(b)),
+        Fault::HealAll => pairs.for_each(|(a, b)| sc.sim.heal(n(a), n(b))),
+        Fault::Loss(a, b, pct) => sc.sim.set_drop(n(a), n(b), pct as f64 / 100.0),
+        Fault::Delay(a, b, us) => sc.sim.set_link_delay(n(a), n(b), us as u64 * 1_000),
+        Fault::Sleep(a, ms) => sc.sim.sleep_node(n(a), ms as u64 * 1_000_000),
+        Fault::Crash => sc.sim.crash(n(victim)),
+        Fault::Restart => sc.restart(n(victim), |_| SessionDriver::Idle),
+    }
+}
+
 /// Run a literal case, print the ops outstanding as each event fired and
 /// assert that the first fault hit a running workload.
 pub fn literal(case: &Case) -> Outcome {
-    let out = run(case);
+    literal_with(case, |_, _| {})
+}
+
+/// [`literal`], calling `at_event` with each fault and the cluster just
+/// before the fault lands (the closing `HealAll` included).
+pub fn literal_with(case: &Case, at_event: impl FnMut(Fault, &SimCluster)) -> Outcome {
+    let out = run_with(case, at_event);
     println!("(ns, ops outstanding) at {:?}, then at the heal: {:?}", case.events, out.fired);
     assert!(out.fired[0].1 >= 1, "the first fault fired after the workload finished");
     out
@@ -179,10 +202,12 @@ pub fn literal(case: &Case) -> Outcome {
 
 /// Every run's four checks: every op completed, FAAs ran exactly once,
 /// the history is RCLin, and the keys only releases and acquires touch
-/// are linearizable.
+/// are linearizable. A failure names the case's `(overlap_release,
+/// stripped_slow_path)`, events and op count.
 pub fn judge(case: &Case, out: &Outcome) {
-    let h = &out.history;
-    let ctx = format!("{} events {:?}, {} ops", case.events.len(), case.events, case.ops());
+    let (h, combo) = (&out.history, (case.cfg.overlap_release, case.cfg.stripped_slow_path));
+    let ctx =
+        format!("{combo:?}, {} events {:?}, {} ops", case.events.len(), case.events, case.ops());
     assert_eq!(h.len(), case.ops(), "every op completes: {ctx}");
     let bases = rmw_bases(h);
     assert_eq!(bases, (0..bases.len() as u64).collect::<Vec<_>>(), "double or lost FAA: {ctx}");

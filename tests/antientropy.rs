@@ -8,16 +8,15 @@
 //! no finished round pushes its value to stragglers — convergence must
 //! come from the periodic digest sweep alone.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kite::api::Op;
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, Lc, NodeId, SessionId, Val};
-use kite_repro::testutil::recording_hook;
+use kite_repro::testutil::{mixed_script, recording_hook, swarm::Fault::*, swarm::*};
 use kite_simnet::SimCfg;
-use kite_verify::{check_rc, History, RcMode};
+use kite_verify::History;
 use kite_workloads::{run_kite_mix, MixCfg};
 
 const MS: u64 = 1_000_000;
@@ -89,7 +88,10 @@ fn sleeping_replica_converges_by_anti_entropy_alone() {
         sc.sim.set_drop(a, b, 0.2);
         sc.sim.set_drop(b, a, 0.2);
     }
+    let dropped = sc.sim.dropped;
     assert!(sc.run_until_quiesce(600 * SEC), "anti-entropy must converge and wind down");
+    // The loss met the sweep's traffic: no client op runs in this phase.
+    assert!(sc.sim.dropped > dropped, "the lossy phase dropped nothing: the sweep met no loss");
 
     for n in 0..3u8 {
         let sh = sc.shared(NodeId(n));
@@ -151,52 +153,27 @@ fn lossy_run_converges_under_uniform_loss() {
     }
 }
 
-/// The shared deterministic mixed workload; see
-/// `kite_repro::testutil::mixed_fault_driver` for the value-encoding rules
-/// (unique per key, never 0).
-fn mixed_driver(sid: SessionId) -> SessionDriver {
-    kite_repro::testutil::mixed_fault_driver(sid, 5, 40)
-}
-
-fn faulted_run(anti_entropy: bool, seed: u64) -> (BTreeSet<(u8, u32, u64)>, Arc<History>, u64) {
-    let history = Arc::new(History::new());
-    let mut sc = SimCluster::build(
-        ae_cfg().keys(1 << 10).anti_entropy(anti_entropy),
-        ProtocolMode::Kite,
-        SimCfg { seed, ..Default::default() },
-        mixed_driver,
-        Some(recording_hook(Arc::clone(&history))),
-    );
-    sc.sim.set_drop(NodeId(0), NodeId(2), 0.25);
-    sc.sim.set_drop(NodeId(1), NodeId(0), 0.25);
-    sc.sim.set_link_delay(NodeId(2), NodeId(1), 40_000);
-    assert!(sc.run_until_quiesce(60 * SEC), "must quiesce, anti_entropy={anti_entropy}");
-    let completed: BTreeSet<(u8, u32, u64)> = history
-        .sorted()
-        .iter()
-        .map(|r| (r.session.node.0, r.session.slot, r.session_seq))
-        .collect();
-    let digests: u64 = (0..3).map(|n| sc.counters(NodeId(n)).ae_digests_sent.get()).sum();
-    (completed, history, digests)
-}
-
 /// Equivalence: anti-entropy changes no protocol outcome. A faulted run
-/// with it on completes exactly the same operations as a run with it off,
-/// and both histories pass the RC checks.
+/// (loss on two directed links and a slow third, from the first op) with it
+/// on completes every operation and passes the judge, and so does the run
+/// with it off. Retransmits every 500 µs keep every op inside the faults: at
+/// the default 2 ms one run goes the runner's stall time without a
+/// completion, and the runner heals with ops outstanding. 32 ops per session
+/// keep key 3's releases and acquires (60) within the per-key checker's 63.
 #[test]
 fn anti_entropy_on_off_equivalence_under_faults() {
+    let events = vec![(0, Loss(0, 2, 25)), (0, Loss(1, 0, 25)), (0, Delay(2, 1, 40))];
     for seed in [5u64, 23] {
-        let (ops_on, hist_on, digests_on) = faulted_run(true, seed);
-        let (ops_off, hist_off, digests_off) = faulted_run(false, seed);
-
-        assert!(digests_on > 0, "seed {seed}: sweeps must actually run");
-        assert_eq!(digests_off, 0, "seed {seed}: kill switch must kill the sweep");
-
-        assert_eq!(ops_on, ops_off, "seed {seed}: completed-op sets diverge");
-        assert_eq!(check_rc(&hist_on, RcMode::Sc), Ok(()), "seed {seed}: AE-on RCSC");
-        assert_eq!(check_rc(&hist_off, RcMode::Sc), Ok(()), "seed {seed}: AE-off RCSC");
-        assert_eq!(check_rc(&hist_on, RcMode::Lin), Ok(()), "seed {seed}: AE-on RCLin");
-        assert_eq!(check_rc(&hist_off, RcMode::Lin), Ok(()), "seed {seed}: AE-off RCLin");
+        let digests = |on: bool| {
+            let cfg = ae_cfg().keys(1 << 10).retransmit_ns(500_000).anti_entropy(on);
+            let scripts = (0..6).map(|s| mixed_script(s, 32)).collect();
+            let case = Case { cfg, seed, victim: 0, scripts, events: events.clone() };
+            let out = literal(&case);
+            judge(&case, &out);
+            (0..3).map(|n| out.sc.counters(NodeId(n)).ae_digests_sent.get()).sum::<u64>()
+        };
+        assert!(digests(true) > 0, "seed {seed}: sweeps must actually run");
+        assert_eq!(digests(false), 0, "seed {seed}: kill switch must kill the sweep");
     }
 }
 
@@ -205,21 +182,15 @@ fn anti_entropy_on_off_equivalence_under_faults() {
 /// through the sweep alone" invariant.
 #[test]
 fn quiescence_implies_store_convergence() {
-    let history = Arc::new(History::new());
-    let mut sc = SimCluster::build(
-        ae_cfg().keys(1 << 10),
-        ProtocolMode::Kite,
-        SimCfg { seed: 31, ..Default::default() },
-        mixed_driver,
-        Some(recording_hook(Arc::clone(&history))),
-    );
-    sc.sim.set_drop(NodeId(1), NodeId(2), 0.3);
-    sc.sim.set_drop(NodeId(2), NodeId(1), 0.3);
-    assert!(sc.run_until_quiesce(60 * SEC));
+    let scripts = (0..6).map(|s| mixed_script(s, 32)).collect();
+    let events = vec![(0, Loss(1, 2, 30)), (0, Loss(2, 1, 30))];
+    let case = Case { cfg: ae_cfg().keys(1 << 10), seed: 31, victim: 0, scripts, events };
+    let out = literal(&case);
+    judge(&case, &out);
     for key in [Key(3), Key(5), Key(10), Key(11), Key(12), Key(13), Key(14)] {
         let views: Vec<(u64, u64)> = (0..3u8)
             .map(|n| {
-                let sh = sc.shared(NodeId(n));
+                let sh = out.sc.shared(NodeId(n));
                 (sh.store.view(key).val.as_u64(), sh.store.paxos_next_slot(key))
             })
             .collect();
@@ -394,7 +365,7 @@ fn merkle_drill_downs_bounded_under_transient_churn() {
         ae_cfg().keys(1 << 10),
         ProtocolMode::Kite,
         SimCfg { seed: 13, ..Default::default() },
-        mixed_driver,
+        |sid| kite_repro::testutil::mixed_fault_driver(sid, 5, 40),
         Some(recording_hook(Arc::clone(&history))),
     );
     assert!(sc.run_until_quiesce(60 * SEC), "churn run must quiesce");

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use kite::api::{Completion, Op, OpOutput};
 use kite::session::{ClientSm, SessionDriver};
 use kite::{ProtocolMode, SimCluster};
-use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
-use kite_repro::testutil::{mixed_op, swarm::Fault::*, swarm::*};
+use kite_common::{ClusterConfig, Key, NodeId, Val};
+use kite_repro::testutil::{mixed_script, swarm::Fault::*, swarm::*};
 use kite_simnet::SimCfg;
 use kite_verify::check::{check, Src};
 use kite_verify::OpKind;
@@ -49,11 +49,6 @@ fn random_schedules_with_restarts_find_amnesia_known_violation() {
     }
 }
 
-/// The first `n` ops of the shared mixed workload for session `s`.
-fn mixed(s: usize, n: u64) -> Vec<Op> {
-    (0..n).map(|seq| mixed_op(SessionId::new(NodeId(s as u8 / 2), s as u32 % 2), 5, seq)).collect()
-}
-
 fn cfg() -> ClusterConfig {
     ClusterConfig::small().keys(512).release_timeout_ns(200_000)
 }
@@ -69,7 +64,7 @@ fn minority_partition_keeps_relaxed_availability() {
             .flat_map(|n| [Op::Write { key, val: Val::from_u64(n) }, Op::Read { key }])
             .collect()
     };
-    let majority = (0..4).map(|s| mixed(s, 20));
+    let majority = (0..4).map(|s| mixed_script(s, 20));
     let scripts = majority.chain([relaxed(Key(24)), relaxed(Key(25))]).collect();
     let case = Case { cfg: cfg(), seed: 77, victim: 2, scripts, events: vec![(4, Isolate(2))] };
     let out = literal(&case);
@@ -89,7 +84,8 @@ fn crash_stop_preserves_progress_and_rc() {
     for seed in 0..4u64 {
         let victim = (seed % 3) as u8;
         let cfg = cfg().overlap_release(seed % 2 == 0).stripped_slow_path(seed % 4 < 2);
-        let scripts = (0..6).map(|s| if s / 2 == victim as usize { vec![] } else { mixed(s, 12) });
+        let script = |s| if s / 2 == victim as usize { vec![] } else { mixed_script(s, 12) };
+        let scripts = (0..6).map(script);
         let (scripts, events) = (scripts.collect(), vec![(4, Crash)]);
         let case = Case { cfg, seed: seed + 900, victim, scripts, events };
         judge(&case, &literal(&case));
@@ -238,7 +234,7 @@ impl ClientSm for MutexClient {
     }
 }
 
-fn run_mutex(seed: u64, drop_pct: f64, rounds: u64) -> (u64, u64) {
+fn run_mutex(seed: u64, loss_pct: u8, rounds: u64) -> (u64, u64) {
     let acquisitions = Arc::new(AtomicU64::new(0));
     let lock = Key(1);
     let counter = Key(2);
@@ -261,14 +257,8 @@ fn run_mutex(seed: u64, drop_pct: f64, rounds: u64) -> (u64, u64) {
         },
         None,
     );
-    if drop_pct > 0.0 {
-        for a in 0..3u8 {
-            for b in 0..3u8 {
-                if a != b {
-                    sc.sim.set_drop(NodeId(a), NodeId(b), drop_pct);
-                }
-            }
-        }
+    for (a, b) in (0..3u8).flat_map(|a| [(a, (a + 1) % 3), (a, (a + 2) % 3)]) {
+        apply(&mut sc, 0, Loss(a, b, loss_pct));
     }
     assert!(sc.run_until_quiesce(600 * SEC), "mutex run must quiesce (seed {seed})");
     // Freshest replica carries the final count (all have it after quiesce,
@@ -284,7 +274,7 @@ fn run_mutex(seed: u64, drop_pct: f64, rounds: u64) -> (u64, u64) {
 /// Healthy network: every lock acquisition's increment survives.
 #[test]
 fn mutex_loses_no_increments() {
-    let (acquired, count) = run_mutex(11, 0.0, 4);
+    let (acquired, count) = run_mutex(11, 0, 4);
     assert_eq!(acquired, 6 * 4, "every session finishes its rounds");
     assert_eq!(count, acquired, "each critical section incremented exactly once");
 }
@@ -294,7 +284,7 @@ fn mutex_loses_no_increments() {
 #[test]
 fn mutex_loses_no_increments_under_loss() {
     for seed in [21u64, 22, 23] {
-        let (acquired, count) = run_mutex(seed, 0.15, 3);
+        let (acquired, count) = run_mutex(seed, 15, 3);
         assert_eq!(acquired, 6 * 3, "seed {seed}: all rounds complete");
         assert_eq!(count, acquired, "seed {seed}: lost increment — mutex broken");
     }

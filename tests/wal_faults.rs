@@ -8,7 +8,8 @@
 //! flush, **no** final snapshot — the on-disk shape of a crash whose tail
 //! happened to be flushed), mutilates the segment bytes the way a real
 //! torn write would, and asserts recovery lands exactly on the surviving
-//! prefix. The ablation at the bottom mirrors `tests/merkle_faults.rs`:
+//! prefix. The ablation at the bottom mirrors
+//! `tests/antientropy.rs::anti_entropy_on_off_equivalence_under_faults`:
 //! with `wal(false)` the durability knobs are provably inert — same
 //! completed ops, same RC verdicts, not a file on disk.
 
@@ -207,7 +208,8 @@ fn snapshot_plus_mangled_tail_recovers_the_union() {
     }
 }
 
-/// The kill switch, merkle_faults-ablation style: a faulted mixed run
+/// The kill switch, in the style of the anti-entropy on/off equivalence
+/// (`tests/antientropy.rs`): a faulted mixed run
 /// with a WAL directory configured completes exactly the same operations
 /// as a run with defaults (no WAL), both histories pass the RC checks,
 /// and the configured directory stays untouched — durability belongs to
