@@ -20,21 +20,22 @@
 //! voter, and [`Worker::scan_retransmits`] resends the same description to
 //! whoever has not answered. The one request built in this file is the
 //! `EsWrite` of [`Worker::broadcast_es_write`], because an untracked write
-//! has no state to describe it.
+//! has no state to describe it. A round is timed once too: every send goes
+//! through [`transmit`], which restarts its entry's retransmission clock.
 
 #![allow(clippy::too_many_arguments)] // protocol handlers thread (now, cfg, outbox, ...) explicitly
 
 use std::sync::Arc;
 
-use kite_common::{ClusterConfig, Key, Lc, NodeSet, OpId, Val};
+use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, Val};
 use kite_kvs::paxos_meta::{AcceptedCmd, RmwCommit};
 use kite_simnet::Outbox;
 
 use crate::antientropy::send_repair;
 use crate::api::{Op, OpOutput};
 use crate::inflight::{
-    AcquireState, Barrier, EsWriteState, InFlight, Meta, ReadFold, ReleaseState, RmwKind,
-    RmwPhase, RmwState, SlowReadState, SlowReleaseSub, SlowWriteState, WindowReliefState,
+    AcquireState, Barrier, EsWriteState, InFlight, Meta, ReadFold, ReleaseState, RmwKind, RmwPhase,
+    RmwState, Round, SlowReadState, SlowReleaseSub, SlowWriteState, WindowReliefState,
 };
 use crate::msg::{Cmd, CommitPayload, Msg, PromiseOutcome, Repair};
 use crate::session::ProtocolMode;
@@ -67,19 +68,33 @@ fn rmw_backoff(rid: u64, exp: u8) -> u64 {
     (RMW_BACKOFF_NS << exp.min(5)) + (rid % 8) * 2_500
 }
 
+/// Send `round` and restart its entry's retransmission clock: `last_sent` is
+/// when any of the entry's rounds last went out, first or again.
+fn transmit(
+    round: Round,
+    meta: &mut Meta,
+    now: u64,
+    me: NodeId,
+    to: NodeSet,
+    out: &mut Outbox<Msg>,
+) {
+    meta.last_sent = now;
+    round.send(me, to, out);
+}
+
 impl Worker {
     fn meta(&self, si: usize, op_id: OpId, key: Key, op: Op, now: u64) -> Meta {
         Meta { sess: si, op_id, key, op, invoked_at: now, last_sent: now }
     }
 
-
     /// Track `entry` and make the first transmission of the round it opens
     /// (none, for a release whose first round waits for the barrier).
-    fn launch(&mut self, entry: InFlight, out: &mut Outbox<Msg>) -> u64 {
+    fn launch(&mut self, entry: InFlight, now: u64, out: &mut Outbox<Msg>) -> u64 {
+        let (me, voters) = (self.me, self.voters());
         let rid = self.inflight.insert(entry);
-        let entry = self.inflight.get(rid).expect("just inserted");
+        let entry = self.inflight.get_mut(rid).expect("just inserted");
         for round in entry.rounds(rid).into_iter().flatten() {
-            round.send(self.me, self.shared.voters(), out);
+            transmit(round, entry.meta_mut(), now, me, voters, out);
         }
         rid
     }
@@ -171,7 +186,7 @@ impl Worker {
             fold: ReadFold::new(self.me, view.val, view.lc),
             w2: None,
         };
-        StartResult::Blocked(self.launch(InFlight::SlowRead(state), out))
+        StartResult::Blocked(self.launch(InFlight::SlowRead(state), now, out))
     }
 
     /// Relaxed write (§3.2): stamp with the key's next clock, apply locally,
@@ -210,7 +225,7 @@ impl Worker {
                     reps: NodeSet::singleton(self.me),
                     w2: None,
                 };
-                StartResult::Blocked(self.launch(InFlight::SlowWrite(state), out))
+                StartResult::Blocked(self.launch(InFlight::SlowWrite(state), now, out))
             }
         }
     }
@@ -285,7 +300,7 @@ impl Worker {
             rts_max: self.shared.store.read_lc(key),
             w2: None,
         };
-        let rid = self.launch(InFlight::Release(state), out);
+        let rid = self.launch(InFlight::Release(state), now, out);
         if barrier_pending {
             self.add_barrier_waiter(si, rid);
         }
@@ -316,7 +331,7 @@ impl Worker {
             w2: None,
             decided: false,
         };
-        StartResult::Blocked(self.launch(InFlight::Acquire(state), out))
+        StartResult::Blocked(self.launch(InFlight::Acquire(state), now, out))
     }
 
     /// RMW (§3.4): leaderless per-key Paxos, with release-barrier semantics
@@ -398,7 +413,7 @@ impl Worker {
 
     /// Ack for a tracked relaxed write: when *all* machines acked, the write
     /// stops being a barrier obligation (§4.2 fast path).
-    pub(crate) fn on_es_ack(&mut self, src: kite_common::NodeId, rid: u64, _now: u64) {
+    pub(crate) fn on_es_ack(&mut self, src: kite_common::NodeId, rid: u64) {
         let voters = self.voters();
         let Some(InFlight::EsWrite(state)) = self.inflight.get_mut(rid) else { return };
         state.acked.insert(src);
@@ -431,7 +446,7 @@ impl Worker {
             Some(InFlight::Release(state)) => {
                 state.rts_reps.insert(src);
                 state.rts_max = state.rts_max.max(lc);
-                cx.try_advance_release(quorum, rid, state, out);
+                cx.try_advance_release(quorum, rid, state, now, out);
             }
             Some(InFlight::SlowWrite(state)) => {
                 if state.w2.is_some() {
@@ -461,8 +476,7 @@ impl Worker {
                     // Full-ABD ablation: the value round must be
                     // quorum-acked before the write completes.
                     state.w2 = Some((wlc, NodeSet::singleton(cx.me)));
-                    state.meta.last_sent = now;
-                    state.round(rid).send(cx.me, voters, out);
+                    transmit(state.round(rid), &mut state.meta, now, cx.me, voters, out);
                     return;
                 }
                 // §4.3 default: broadcast the value ES-style under a fresh
@@ -517,8 +531,7 @@ impl Worker {
                     // before returning it (the §4.3 default skips this —
                     // RC only needs the read to observe missed writes).
                     state.w2 = Some(NodeSet::singleton(cx.me));
-                    state.meta.last_sent = now;
-                    state.round(rid).send(cx.me, voters, out);
+                    transmit(state.round(rid), &mut state.meta, now, cx.me, voters, out);
                     return;
                 }
                 cx.complete(&state.meta, OpOutput::Value(state.fold.val.clone()), now);
@@ -545,7 +558,7 @@ impl Worker {
                 // Write-back round (§3.3): make the value quorum-visible
                 // before returning it.
                 state.w2 = Some(NodeSet::singleton(cx.me));
-                state.round(rid).send(cx.me, voters, out);
+                transmit(state.round(rid), &mut state.meta, now, cx.me, voters, out);
             }
             _ => {}
         }
@@ -629,13 +642,7 @@ impl Worker {
     }
 
 
-    pub(crate) fn on_slow_release_ack(
-        &mut self,
-        src: kite_common::NodeId,
-        rid: u64,
-        _now: u64,
-        _out: &mut Outbox<Msg>,
-    ) {
+    pub(crate) fn on_slow_release_ack(&mut self, src: kite_common::NodeId, rid: u64) {
         match self.inflight.get_mut(rid) {
             Some(InFlight::WindowRelief(s)) => {
                 s.acked.insert(src);
@@ -733,10 +740,10 @@ impl Worker {
                     if !state.rts_sent {
                         // Deferred LLC-read round (overlap ablation).
                         state.rts_sent = true;
-                        state.meta.last_sent = now;
-                        state.round(rid).expect("round 1 just opened").send(cx.me, voters, out);
+                        let round = state.round(rid).expect("round 1 just opened");
+                        transmit(round, &mut state.meta, now, cx.me, voters, out);
                     }
-                    cx.try_advance_release(quorum, rid, state, out);
+                    cx.try_advance_release(quorum, rid, state, now, out);
                     false
                 }
                 Some(InFlight::Rmw(state)) => {
@@ -744,11 +751,8 @@ impl Worker {
                     state.barrier = barrier;
                     match state.phase {
                         RmwPhase::WaitBarrier => cx.rmw_accept(rid, state, now, out),
-                        RmwPhase::WaitBarrierPropose => {
-                            // Deferred propose phase (overlap ablation).
-                            state.meta.last_sent = now;
-                            cx.rmw_restart(rid, state, now, out)
-                        }
+                        // Deferred propose phase (overlap ablation).
+                        RmwPhase::WaitBarrierPropose => cx.rmw_restart(rid, state, now, out),
                         _ => false,
                     }
                 }
@@ -809,37 +813,38 @@ impl Worker {
                 barrier.slow =
                     Some(SlowReleaseSub { dm: dm_due, acked: NodeSet::singleton(self.me) });
                 self.shared.counters.slow_releases.incr();
-                let round = barrier.round(rid).expect("slow round just opened");
-                round.send(self.me, self.voters(), out);
-                false
             }
             Some(sub) => {
                 // More writes may have aged out since the DM broadcast:
                 // extend it (the published set must cover every machine that
                 // may miss a barrier write — Lemma 5.2).
                 let extra = dm_due.minus(sub.dm);
-                if !extra.is_empty() {
-                    self.barriers_dirty = true;
-                    sub.dm = sub.dm.union(extra);
-                    sub.acked = NodeSet::singleton(self.me);
-                    self.shared.delinquency.mark_delinquent(extra);
-                    barrier.round(rid).expect("slow round open").send(self.me, self.voters(), out);
-                    return false;
+                if extra.is_empty() {
+                    // Slow path resolves when the DM broadcast is
+                    // quorum-acked and every prior write is quorum-acked
+                    // with its remaining non-ackers covered by the published
+                    // DM (invariants 1+2 of §4.2).
+                    let (quorum, voters, dm) = (self.quorum(), self.voters(), sub.dm);
+                    let dm_ok = sub.acked.len() >= quorum;
+                    let writes_ok = barrier.writes.iter().all(|w| match self.inflight.get(*w) {
+                        Some(InFlight::EsWrite(es)) => es.covered_by(dm, voters, quorum),
+                        _ => true,
+                    });
+                    barrier.done = dm_ok && writes_ok;
+                    return barrier.done;
                 }
-                // Slow path resolves when the DM broadcast is quorum-acked
-                // and every prior write is quorum-acked with its remaining
-                // non-ackers covered by the published DM (invariants 1+2 of
-                // §4.2).
-                let (quorum, voters, dm) = (self.quorum(), self.voters(), sub.dm);
-                let dm_ok = sub.acked.len() >= quorum;
-                let writes_ok = barrier.writes.iter().all(|w| match self.inflight.get(*w) {
-                    Some(InFlight::EsWrite(es)) => es.covered_by(dm, voters, quorum),
-                    _ => true,
-                });
-                barrier.done = dm_ok && writes_ok;
-                barrier.done
+                self.barriers_dirty = true;
+                sub.dm = sub.dm.union(extra);
+                sub.acked = NodeSet::singleton(self.me);
+                self.shared.delinquency.mark_delinquent(extra);
             }
         }
+        // The DM round opened or grew (its detached barrier's owner is in the table).
+        let (me, voters) = (self.me, self.voters());
+        let round = barrier.round(rid).expect("slow round open");
+        let owner = self.inflight.get_mut(rid).expect("a barrier's owner is in flight");
+        transmit(round, owner.meta_mut(), now, me, voters, out);
+        false
     }
 
     /// Nodes missing acks for barrier writes that are past due: the write
@@ -900,16 +905,9 @@ impl Worker {
         self.shared.delinquency.mark_delinquent(dm);
         self.shared.counters.slow_releases.incr();
         let op_id = OpId::new(self.sessions[si].id, u64::MAX); // synthetic
-        let meta = Meta {
-            sess: si,
-            op_id,
-            key: Key(0),
-            op: Op::Read { key: Key(0) },
-            invoked_at: now,
-            last_sent: now,
-        };
+        let meta = self.meta(si, op_id, Key(0), Op::Read { key: Key(0) }, now);
         let relief = WindowReliefState { meta, dm, acked: NodeSet::singleton(self.me), writes };
-        self.sessions[si].relief = Some(self.launch(InFlight::WindowRelief(relief), out));
+        self.sessions[si].relief = Some(self.launch(InFlight::WindowRelief(relief), now, out));
     }
 
     /// Relief's DM broadcast is quorum-acked: retire every covered write
@@ -934,8 +932,7 @@ impl Worker {
     fn retransmit_es_write(&mut self, rid: u64, now: u64, out: &mut Outbox<Msg>) {
         let (me, voters) = (self.me, self.voters());
         if let Some(InFlight::EsWrite(es)) = self.inflight.get_mut(rid) {
-            es.meta.last_sent = now;
-            es.round(rid).send(me, voters, out);
+            transmit(es.round(rid), &mut es.meta, now, me, voters, out);
         }
     }
 
@@ -984,10 +981,7 @@ impl Worker {
                         cx.complete_sync(&state.meta, state.delinquent, output, now, out);
                         true
                     }
-                    RmwDecision::Restart => {
-                        state.meta.last_sent = now;
-                        cx.rmw_restart(rid, state, now, out)
-                    }
+                    RmwDecision::Restart => cx.rmw_restart(rid, state, now, out),
                     RmwDecision::Cmd if state.barrier.done => cx.rmw_accept(rid, state, now, out),
                     RmwDecision::Cmd => {
                         state.phase = RmwPhase::WaitBarrier;
@@ -1015,7 +1009,7 @@ impl Worker {
                     state.pending_output = Some(rmw_output(state.kind, &c.result));
                     let Repair { slot, val, lc, .. } = *r;
                     let slot = slot.saturating_sub(1);
-                    cx.rmw_start_commit_round(rid, state, slot, val, lc, None, out);
+                    cx.rmw_start_commit_round(rid, state, slot, val, lc, None, now, out);
                     return;
                 }
                 // Retry at the new slot with a fresh evaluation.
@@ -1061,7 +1055,7 @@ impl Worker {
         }
         state.accepts.insert(src);
         if state.accepts.len() >= quorum {
-            cx.rmw_commit(rid, state, out);
+            cx.rmw_commit(rid, state, now, out);
         }
     }
 
@@ -1139,9 +1133,8 @@ impl Worker {
                 _ => NodeSet::EMPTY,
             };
             for round in entry.rounds(rid).into_iter().flatten() {
-                round.send(me, voters.minus(spared), out);
+                transmit(round, entry.meta_mut(), now, me, voters.minus(spared), out);
             }
-            entry.meta_mut().last_sent = now;
         }
     }
 
@@ -1212,6 +1205,7 @@ impl Cx<'_> {
         quorum: usize,
         rid: u64,
         state: &mut ReleaseState,
+        now: u64,
         out: &mut Outbox<Msg>,
     ) {
         if !state.barrier.done || state.w2.is_some() || state.rts_reps.len() < quorum {
@@ -1224,7 +1218,8 @@ impl Cx<'_> {
         let lc =
             self.shared.store.stamp_apply(state.meta.key, &state.val, state.rts_max, self.me, None);
         state.w2 = Some((lc, NodeSet::singleton(self.me)));
-        state.round(rid).expect("round 2 just opened").send(self.me, self.shared.voters(), out);
+        let round = state.round(rid).expect("round 2 just opened");
+        transmit(round, &mut state.meta, now, self.me, self.shared.voters(), out);
     }
 
     // =====================================================================
@@ -1244,6 +1239,7 @@ impl Cx<'_> {
         &mut self,
         rid: u64,
         state: &mut RmwState,
+        now: u64,
         out: &mut Outbox<Msg>,
     ) -> Option<OpOutput> {
         let (shared, me) = (self.shared, self.me);
@@ -1292,7 +1288,8 @@ impl Cx<'_> {
         state.pending_output = None;
         state.retry_at = 0;
         shared.counters.rmw_rounds.incr();
-        state.round(rid).expect("propose phase").send(me, shared.voters(), out);
+        let round = state.round(rid).expect("propose phase");
+        transmit(round, &mut state.meta, now, me, shared.voters(), out);
         None
     }
 
@@ -1306,7 +1303,7 @@ impl Cx<'_> {
         now: u64,
         out: &mut Outbox<Msg>,
     ) -> bool {
-        match self.rmw_new_round(rid, state, out) {
+        match self.rmw_new_round(rid, state, now, out) {
             Some(output) => {
                 self.complete_sync(&state.meta, state.delinquent, output, now, out);
                 true
@@ -1480,7 +1477,8 @@ impl Cx<'_> {
         state.retry_at = 0;
         state.backoff_exp = 0;
         state.accepts = NodeSet::singleton(me);
-        state.round(rid).expect("accept phase with a command").send(me, self.shared.voters(), out);
+        let round = state.round(rid).expect("accept phase with a command");
+        transmit(round, &mut state.meta, now, me, self.shared.voters(), out);
         false
     }
 
@@ -1488,7 +1486,7 @@ impl Cx<'_> {
     /// run the commit round — the RMW completes (or, when helping, our own
     /// round restarts) only once the commit is visible at a quorum (§3.4's
     /// third broadcast round).
-    fn rmw_commit(&mut self, rid: u64, state: &mut RmwState, out: &mut Outbox<Msg>) {
+    fn rmw_commit(&mut self, rid: u64, state: &mut RmwState, now: u64, out: &mut Outbox<Msg>) {
         let shared = self.shared;
         let cmd = state.cmd.clone().expect("commit without command");
         let key = state.meta.key;
@@ -1510,7 +1508,7 @@ impl Cx<'_> {
         let slot = state.slot;
         let meta = Some((cmd.op, cmd.result.clone()));
         let val = cmd.new_val.clone();
-        self.rmw_start_commit_round(rid, state, slot, val, lc, meta, out);
+        self.rmw_start_commit_round(rid, state, slot, val, lc, meta, now, out);
     }
 
     /// Broadcast the commit and wait for a visibility quorum.
@@ -1522,6 +1520,7 @@ impl Cx<'_> {
         val: Val,
         lc: Lc,
         meta: Option<(OpId, Val)>,
+        now: u64,
         out: &mut Outbox<Msg>,
     ) {
         self.shared.store.apply_max(state.meta.key, &val, lc);
@@ -1531,7 +1530,8 @@ impl Cx<'_> {
         // One allocation for the whole round: the broadcast unicasts and
         // their retransmissions all clone this Arc.
         state.commit_bcast = Some(Arc::new(CommitPayload { slot, val, lc, meta }));
-        state.round(rid).expect("commit phase").send(self.me, self.shared.voters(), out);
+        let round = state.round(rid).expect("commit phase");
+        transmit(round, &mut state.meta, now, self.me, self.shared.voters(), out);
     }
 }
 

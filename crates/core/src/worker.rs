@@ -581,7 +581,7 @@ impl Worker {
     /// borrow patterns for a win that is noise next to the handler body.
     fn on_plain_ack(&mut self, src: NodeId, rid: u64, now: u64, out: &mut Outbox<Msg>) {
         match self.inflight.get(rid) {
-            Some(InFlight::EsWrite(_)) => self.on_es_ack(src, rid, now),
+            Some(InFlight::EsWrite(_)) => self.on_es_ack(src, rid),
             Some(InFlight::Rmw(_)) => self.on_commit_ack(src, rid, now, out),
             Some(_) => self.on_write_ack(src, rid, false, now, out),
             None => {}
@@ -635,7 +635,7 @@ impl Worker {
                 self.on_read_rep(src, rid, val, lc, delinquent, now, out)
             }
             Msg::WriteAck { rid, delinquent } => self.on_write_ack(src, rid, delinquent, now, out),
-            Msg::SlowReleaseAck { rid } => self.on_slow_release_ack(src, rid, now, out),
+            Msg::SlowReleaseAck { rid } => self.on_slow_release_ack(src, rid),
             Msg::PromiseRep { rid, ballot, outcome, delinquent } => {
                 self.on_promise_rep(src, rid, ballot, outcome, delinquent, now, out)
             }

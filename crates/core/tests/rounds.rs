@@ -6,7 +6,12 @@
 //!
 //! One real worker (node 0 of 5, so a single reply never makes a quorum)
 //! runs one op of each class; nodes 1–4 are real workers used only to
-//! compose replies, and a scenario says which of them answer what.
+//! compose replies, and a scenario says which of them answer what, and how
+//! long each answer takes to come back.
+//!
+//! A round is timed once as well: the scan resends an entry's rounds one
+//! retransmission period after the latest of them was sent, so a round that
+//! opens late is not resent at its entry's older due time.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -28,12 +33,18 @@ const FAA: usize = 2;
 const WINDOW: usize = 3;
 const SLOW_READ: usize = 4;
 const SLOW_WRITE: usize = 5;
+/// A release with no writes before it, and an FAA on a key a peer has
+/// promised a high ballot for.
+const BARE_RELEASE: usize = 6;
+const DUEL: usize = 7;
+const SESSIONS: usize = 8;
 /// The acquire's and the slow read's keys: a scenario may seed a fresher
 /// value at node 1, which forces their write-back rounds.
 const ACQUIRE_KEY: Key = Key(20);
 const SLOW_READ_KEY: Key = Key(50);
 /// The first of the keys the window session writes.
 const WINDOW_KEYS: u64 = 100;
+const DUEL_KEY: Key = Key(31);
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::small()
@@ -43,11 +54,16 @@ fn cfg() -> ClusterConfig {
         .retransmit_ns(RETRANSMIT)
 }
 
-/// A round: the rid and the kind of its request.
-type RoundId = (u64, &'static str);
+/// A round: the rid, the kind of its request and, for a Paxos phase, its
+/// ballot's version (a re-proposal is a new round of the same entry).
+type RoundId = (u64, &'static str, u64);
 
 /// The round a quorum request belongs to; `None` for everything else.
 fn round_of(m: &Msg) -> Option<RoundId> {
+    let ballot = match m {
+        Msg::Propose { ballot, .. } | Msg::Accept { ballot, .. } => ballot.version(),
+        _ => 0,
+    };
     match m {
         Msg::EsWrite { rid, .. }
         | Msg::RtsReq { rid, .. }
@@ -57,7 +73,7 @@ fn round_of(m: &Msg) -> Option<RoundId> {
         | Msg::SlowRelease { rid, .. }
         | Msg::Propose { rid, .. }
         | Msg::Accept { rid, .. }
-        | Msg::Commit { rid, .. } => Some((*rid, m.tag())),
+        | Msg::Commit { rid, .. } => Some((*rid, m.tag(), ballot)),
         _ => None,
     }
 }
@@ -65,11 +81,16 @@ fn round_of(m: &Msg) -> Option<RoundId> {
 /// One flush's worth of one round: `(destination, message)` pairs.
 type Transmission = BTreeSet<(u8, String)>;
 
-/// One flush of one round, and who had answered the round before it.
+/// One flush of one round: when, and who had answered the round before it.
 struct Flush {
+    at: u64,
     sent: Transmission,
     answered: BTreeSet<u8>,
 }
+
+/// A peer's replies on their way back to node 0: due time, sender, the
+/// round they answer.
+type InTransit = (u64, NodeId, RoundId, Vec<Msg>);
 
 struct Harness {
     nodes: Vec<Worker>,
@@ -80,6 +101,9 @@ struct Harness {
     now: u64,
     /// Which peers answer which request kinds.
     answers: fn(NodeId, &'static str) -> bool,
+    /// How long an answer to each request kind takes to reach node 0.
+    delay: fn(&'static str) -> u64,
+    in_transit: Vec<InTransit>,
     /// Per round, its flushes in order.
     log: BTreeMap<RoundId, Vec<Flush>>,
     answered: BTreeMap<RoundId, BTreeSet<u8>>,
@@ -93,7 +117,7 @@ impl Harness {
         let nodes = (0..NODES as u8)
             .map(|n| {
                 // Only node 0 runs sessions; the peers are replicas.
-                let sessions = (0..if n == 0 { 6 } else { 0 })
+                let sessions = (0..if n == 0 { SESSIONS as u32 } else { 0 })
                     .map(|slot| {
                         let mut s = Session::new(SessionId::new(NodeId(n), slot));
                         s.driver = SessionDriver::Client(VecDeque::new());
@@ -107,9 +131,11 @@ impl Harness {
             nodes,
             shared,
             out: Outbox::new(NODES),
-            completed: vec![0; 6],
+            completed: vec![0; SESSIONS],
             now: 0,
             answers,
+            delay: |_| 0,
+            in_transit: Vec::new(),
             log: BTreeMap::new(),
             answered: BTreeMap::new(),
         }
@@ -124,8 +150,8 @@ impl Harness {
     }
 
     /// Record what node 0 just put in its outbox, then let the scenario's
-    /// peers answer it; their replies go straight back in (and whatever
-    /// those provoke is recorded as flushes of their own).
+    /// peers answer it; their replies go back in once their delay has passed
+    /// (and whatever those provoke is recorded as flushes of their own).
     fn flush(&mut self) {
         for c in self.nodes[0].completions() {
             self.completed[c.op_id.session.slot as usize] += 1;
@@ -141,14 +167,13 @@ impl Harness {
         }
         for (round, sent) in flushed {
             let answered = self.answered.get(&round).cloned().unwrap_or_default();
-            self.log.entry(round).or_default().push(Flush { sent, answered });
+            self.log.entry(round).or_default().push(Flush { at: self.now, sent, answered });
         }
         for (dst, m) in sent {
             let Some(round) = round_of(&m) else { continue };
             if !(self.answers)(dst, round.1) {
                 continue;
             }
-            self.answered.entry(round).or_default().insert(dst.0);
             let mut reply_out: Outbox<Msg> = Outbox::new(NODES);
             self.nodes[dst.idx()].on_envelope(NodeId(0), 0, &mut vec![m], self.now, &mut reply_out);
             let mut replies = Vec::new();
@@ -156,7 +181,17 @@ impl Harness {
                 assert_eq!(to, NodeId(0));
                 replies.extend(batch);
             });
-            self.nodes[0].on_envelope(dst, 0, &mut replies, self.now, &mut self.out);
+            self.in_transit.push((self.now + (self.delay)(round.1), dst, round, replies));
+            self.deliver();
+        }
+    }
+
+    /// Hand node 0 every reply that is due, oldest first.
+    fn deliver(&mut self) {
+        while let Some(i) = self.in_transit.iter().position(|(at, ..)| *at <= self.now) {
+            let (_, src, round, mut replies) = self.in_transit.remove(i);
+            self.answered.entry(round).or_default().insert(src.0);
+            self.nodes[0].on_envelope(src, 0, &mut replies, self.now, &mut self.out);
             self.flush();
         }
     }
@@ -165,6 +200,7 @@ impl Harness {
     /// `OPS_PER_TICK` ops a call, so, like every runtime, the step calls
     /// again while the worker says it could start more.
     fn tick(&mut self) {
+        self.deliver();
         while self.nodes[0].on_tick(self.now, &mut self.out).more_now {
             self.flush();
         }
@@ -201,7 +237,7 @@ impl Harness {
         let mut retransmitted = BTreeSet::new();
         for (round, flushes) in &self.log {
             let first = &flushes[0].sent;
-            for Flush { sent, answered } in &flushes[1..] {
+            for Flush { sent, answered, .. } in &flushes[1..] {
                 let expected: Transmission =
                     first.iter().filter(|(dst, _)| !answered.contains(dst)).cloned().collect();
                 assert_eq!(sent, &expected, "{round:?}: answered so far {answered:?}");
@@ -247,7 +283,7 @@ fn a_peer_that_answered_is_not_sent_the_round_again() {
         kinds(&["es-write", "rts-req", "read-req", "propose", "slow-release"]),
     );
     for (round, flushes) in &h.log {
-        for Flush { sent, answered } in &flushes[1..] {
+        for Flush { sent, answered, .. } in &flushes[1..] {
             assert_eq!(answered, &BTreeSet::from([2]), "{round:?}");
             let dsts: Vec<u8> = sent.iter().map(|(dst, _)| *dst).collect();
             assert_eq!(dsts, [1, 3, 4], "{round:?} omits exactly the peer that answered");
@@ -277,7 +313,7 @@ fn second_rounds_are_retransmitted_like_first_rounds() {
     for kind in ["write", "write-acq", "accept"] {
         assert!(retransmitted.contains(kind), "{kind} rounds retransmitted: {retransmitted:?}");
     }
-    let second_rounds = h.log.iter().filter(|((_, kind), _)| *kind == "write").count();
+    let second_rounds = h.log.keys().filter(|(_, kind, _)| *kind == "write").count();
     assert_eq!(
         second_rounds, 4,
         "release value round, slow read write-back, value rounds of the slow write and of the \
@@ -309,5 +345,80 @@ fn deferred_first_rounds_are_retransmitted_like_the_others() {
     // Every peer acked the writes, so both barriers resolved on the fast
     // path; only then were the stamp round and the propose sent.
     assert_eq!(h.check(), kinds(&["rts-req", "propose"]));
-    assert!(!h.log.keys().any(|(_, kind)| *kind == "slow-release"));
+    assert!(!h.log.keys().any(|(_, kind, _)| *kind == "slow-release"));
+}
+
+/// How late the peers' answers come back in the late-round scenario: more
+/// than a period, so what they open opens long after its entry's first send.
+const LATE: u64 = RETRANSMIT + MS;
+/// The scan's cadence (`retransmit_ns / 2`): a due round goes out at the
+/// first scan past its due time.
+const SCAN: u64 = RETRANSMIT / 2;
+
+/// A round can open long after its entry's first transmission: at a late
+/// quorum, after a nack's back-off, at the barrier's timeout. Its
+/// retransmission clock starts when it is sent, so the scan resends it one
+/// period after it opened, not at its entry's older due time.
+#[test]
+fn a_round_that_opens_late_is_resent_one_period_after_it_opened() {
+    // Peers 1 and 2 (a quorum with node 0) ack relaxed writes at once and
+    // answer first rounds LATE after they were sent, accepts a millisecond
+    // later still. Nobody answers the rounds those answers open.
+    fn answers(peer: NodeId, kind: &'static str) -> bool {
+        peer.0 <= 2 && matches!(kind, "es-write" | "rts-req" | "read-req" | "propose" | "accept")
+    }
+    // The barrier's timeout opens the slow-release round at LATE too; the
+    // full-ABD ablation gives the slow-path read and write second rounds.
+    let mut h = Harness::new(cfg().release_timeout_ns(LATE).stripped_slow_path(false), answers);
+    h.delay = |kind| match kind {
+        "es-write" => 0,
+        "accept" => LATE + MS,
+        _ => LATE,
+    };
+    // Node 1 holds a fresher value than anyone else (the reads write it
+    // back) and has promised a high ballot on the duel's key (the first
+    // propose there is nacked and proposed again after a back-off).
+    for key in [ACQUIRE_KEY, SLOW_READ_KEY] {
+        h.shared[1].store.apply_max(key, &Val::from_u64(7), Lc::new(9, NodeId(1)));
+    }
+    h.shared[1].store.paxos(DUEL_KEY).lock().promised = Lc::new(100, NodeId(1));
+    h.write(RELEASE, 10);
+    h.submit(RELEASE, Op::Release { key: Key(11), val: Val::from_u64(11) });
+    h.submit(BARE_RELEASE, Op::Release { key: Key(12), val: Val::from_u64(12) });
+    h.submit(ACQUIRE, Op::Acquire { key: ACQUIRE_KEY });
+    h.submit(FAA, Op::Faa { key: Key(30), delta: 1 });
+    h.submit(DUEL, Op::Faa { key: DUEL_KEY, delta: 1 });
+    h.tick();
+    assert!(h.shared[0].bump_epoch_once(0, h.now));
+    h.submit(SLOW_READ, Op::Read { key: SLOW_READ_KEY });
+    h.write(SLOW_WRITE, 51);
+    while h.now <= 4 * RETRANSMIT {
+        h.tick();
+    }
+    h.check();
+    // An entry's first send: the first flush of any of its rounds.
+    let mut first_send: BTreeMap<u64, u64> = BTreeMap::new();
+    for ((rid, ..), flushes) in &h.log {
+        let at = first_send.entry(*rid).or_insert(u64::MAX);
+        *at = (*at).min(flushes[0].at);
+    }
+    let (mut resent, mut off_clock) = (BTreeSet::new(), Vec::new());
+    for (round, flushes) in &h.log {
+        let opened = flushes[0].at;
+        if opened <= first_send[&round.0] + RETRANSMIT {
+            continue;
+        }
+        let Some(again) = flushes.get(1).map(|f| f.at) else { continue };
+        if !(opened + RETRANSMIT..opened + RETRANSMIT + SCAN).contains(&again) {
+            off_clock.push(format!("{round:?} opened at {opened} ns, resent at {again} ns"));
+        }
+        resent.insert(round.1);
+    }
+    assert!(off_clock.is_empty(), "rounds resent off their own clock:\n{}", off_clock.join("\n"));
+    assert_eq!(
+        resent,
+        kinds(&["write-acq", "slow-release", "write", "propose", "accept", "commit"]),
+        "acquire write-back, barrier DM round, value rounds (release, slow read and write), \
+         re-proposal, accept and commit each opened late and were resent one period later"
+    );
 }

@@ -3,6 +3,7 @@
 //! preamble) run as a binary — wired into the test suite so it cannot be
 //! forgotten.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use kite_lint::analyze_workspace;
@@ -124,6 +125,37 @@ fn quorum_requests_are_constructed_in_one_place() {
     assert_eq!(es_writes.len(), 1, "initiator.rs builds Msg::EsWrite in broadcast_es_write only");
     let threaded: Vec<_> = initiator.iter().filter(|l| l.contains("shared: &NodeShared")).collect();
     assert!(threaded.is_empty(), "initiator.rs functions take `Cx`, not the fields: {threaded:?}");
+
+    // A round is timed once, too: the entry's retransmission clock is
+    // assigned where rounds are sent, in one function of initiator.rs
+    // (building a `Meta { .., last_sent: now }` is not an assignment).
+    let stamps = |l: &str| l.find("last_sent =").is_some_and(|at| !l[at + 11..].starts_with('='));
+    for file in std::fs::read_dir(workspace_root().join("crates/core/src")).expect("core src") {
+        let name = file.expect("dir entry").file_name().into_string().expect("utf-8 name");
+        if name != "initiator.rs" && name.ends_with(".rs") {
+            let found: Vec<_> = code(&name).into_iter().filter(|l| stamps(l)).collect();
+            assert!(found.is_empty(), "{name} assigns `last_sent`:\n{}", found.join("\n"));
+        }
+    }
+    let (mut current, mut stampers, mut senders) = ("", BTreeSet::new(), BTreeSet::new());
+    for line in &initiator {
+        let decl = line.trim_start();
+        let decl = decl.strip_prefix("pub(crate) ").or(decl.strip_prefix("pub ")).unwrap_or(decl);
+        if let Some(rest) = decl.strip_prefix("fn ") {
+            current = rest.split(['(', '<']).next().expect("split yields a first piece");
+        }
+        if stamps(line) {
+            stampers.insert(current);
+        }
+        if line.contains(".send(") {
+            senders.insert(current);
+        }
+    }
+    assert!(
+        stampers.len() == 1 && senders == stampers,
+        "initiator.rs sends rounds and assigns `last_sent` in one function, the same one: \
+         assigned in {stampers:?}, sent from {senders:?}"
+    );
 }
 
 /// Every site in the workspace's non-test Rust code (`crates/`, `src/`,

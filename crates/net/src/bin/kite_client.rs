@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use kite_common::Key;
 use kite_net::RemoteSession;
-use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
+use kite_verify::{check_rc, History, OpKind, OpRecord};
 
 const DATA_BASE: u64 = 100;
 const FLAG_BASE: u64 = 200;
@@ -220,7 +220,7 @@ fn phase_mixed(servers: &[String], slot: u32, ops: u64, key_base: u64) {
         fail(format!("mutex-protected cell {} != {expect} — critical sections interleaved", cell.as_u64()));
     }
 
-    match check_rc(&history, RcMode::Lin) {
+    match check_rc(&history) {
         Ok(()) => println!(
             "kite-client: mixed OK — {} ops across {n} sessions, RC(Lin) checks passed, \
              FAA total {expect}, mutex cell {expect}",

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, Membership, NodeId, NodeSet, Val};
 use kite_net::{Cluster, LinkPhase, NodeConfig, NodeRuntime, RemoteSession};
-use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
+use kite_verify::{check_rc, History, OpKind, OpRecord};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::small()
@@ -118,7 +118,7 @@ fn rolling_restart_under_load_zero_failed_ops() {
         nodes[victim] = Some(reborn);
     }
 
-    assert_eq!(check_rc(&history, RcMode::Lin), Ok(()), "rolling restart violated RC(Lin)");
+    assert_eq!(check_rc(&history), Ok(()), "rolling restart violated RC(Lin)");
     for n in nodes.into_iter().flatten() {
         n.shutdown();
     }

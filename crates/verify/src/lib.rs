@@ -12,7 +12,7 @@
 //!   per-key SC** (session order, used for ES).
 //! * [`rc`] — the Release Consistency axioms of §5.1 as a happens-before
 //!   graph construction plus the **load-value axiom** check (§5.2's proof
-//!   obligation), with an optional real-time edge set for RCLin.
+//!   obligation), with RCLin's real-time edges among sync operations.
 //! * [`check`] — the workspace's property runner: generators draw from a
 //!   recorded choice sequence, and a failing case shrinks on that sequence
 //!   and prints a one-line replay.
@@ -30,4 +30,4 @@ pub mod rc;
 
 pub use checker::{check_linearizable, check_per_key_sc, check_sequential, RegOp, RegOpKind};
 pub use history::{History, OpKind, OpRecord};
-pub use rc::{check_rc, RcCheckError, RcMode};
+pub use rc::{check_rc, RcCheckError};

@@ -9,9 +9,10 @@
 //! * synchronization: an acquire that reads the value written by a release
 //!   synchronizes with it (`Rel →hb Acq`); histories use unique written
 //!   values per key so reads-from is unambiguous.
-//! * RCLin additionally orders any two sync operations separated in real
-//!   time (`a.complete < b.invoke ⇒ a →hb b`), which is how Kite's ABD/Paxos
-//!   upgrade RCSC to RCLin (§2.3).
+//! * RCLin: any two sync operations separated in real time are ordered
+//!   (`a.complete < b.invoke ⇒ a →hb b`), which is how Kite's ABD/Paxos
+//!   upgrade RCSC to RCLin (§2.3). These edges only add to happens-before,
+//!   so a history that passes is RCSC as well.
 //!
 //! It then verifies the **load-value axiom** (rule vi) — every read returns
 //! the most recent write before it in happens-before — and the
@@ -22,15 +23,6 @@ use std::collections::HashMap;
 use kite_common::Key;
 
 use crate::history::{History, OpKind};
-
-/// Which variant of RC to check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RcMode {
-    /// RCSC: SC among releases/acquires (§2.3).
-    Sc,
-    /// RCLin: additionally, real-time order among sync operations.
-    Lin,
-}
 
 /// A violation found by [`check_rc`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,9 +72,9 @@ pub enum RcCheckError {
     },
 }
 
-/// Check a history against the RC axioms. Operation indices in errors refer
-/// to the order of `history.sorted()`.
-pub fn check_rc(history: &History, mode: RcMode) -> Result<(), RcCheckError> {
+/// Check a history against the RCLin axioms. Operation indices in errors
+/// refer to the order of `history.sorted()`.
+pub fn check_rc(history: &History) -> Result<(), RcCheckError> {
     let ops = history.sorted();
     let n = ops.len();
     if n == 0 {
@@ -157,15 +149,13 @@ pub fn check_rc(history: &History, mode: RcMode) -> Result<(), RcCheckError> {
     }
 
     // RCLin: real-time edges between sync operations.
-    if mode == RcMode::Lin {
-        for i in 0..n {
-            if !ops[i].kind.is_sync() {
-                continue;
-            }
-            for j in 0..n {
-                if i != j && ops[j].kind.is_sync() && ops[i].complete < ops[j].invoke {
-                    add_edge(&mut adj, i, j);
-                }
+    for i in 0..n {
+        if !ops[i].kind.is_sync() {
+            continue;
+        }
+        for j in 0..n {
+            if i != j && ops[j].kind.is_sync() && ops[i].complete < ops[j].invoke {
+                add_edge(&mut adj, i, j);
             }
         }
     }
@@ -285,8 +275,7 @@ mod tests {
             .op(0, FLAG, OpKind::Release { v: 1 })
             .op(1, FLAG, OpKind::Acquire { v: 1 })
             .op(1, X, OpKind::Read { v: 10 });
-        assert_eq!(check_rc(&b.h, RcMode::Sc), Ok(()));
-        assert_eq!(check_rc(&b.h, RcMode::Lin), Ok(()));
+        assert_eq!(check_rc(&b.h), Ok(()));
     }
 
     #[test]
@@ -298,7 +287,7 @@ mod tests {
             .op(0, FLAG, OpKind::Release { v: 1 })
             .op(1, FLAG, OpKind::Acquire { v: 1 })
             .op(1, X, OpKind::Read { v: 0 });
-        assert!(matches!(check_rc(&b.h, RcMode::Sc), Err(RcCheckError::StaleRead { .. })));
+        assert!(matches!(check_rc(&b.h), Err(RcCheckError::StaleRead { .. })));
     }
 
     #[test]
@@ -311,7 +300,7 @@ mod tests {
         // The read returned the initial value: it observed no write, and
         // missed write 0.
         let err = Err(RcCheckError::StaleRead { op: 3, write: None, between: 0 });
-        assert_eq!(check_rc(&b.h, RcMode::Sc), err);
+        assert_eq!(check_rc(&b.h), err);
     }
 
     #[test]
@@ -319,7 +308,7 @@ mod tests {
         // Without the acquire, missing the write is allowed: no hb edge.
         let mut b = B::new();
         b.op(0, X, OpKind::Write { v: 10 }).op(1, X, OpKind::Read { v: 0 });
-        assert_eq!(check_rc(&b.h, RcMode::Sc), Ok(()));
+        assert_eq!(check_rc(&b.h), Ok(()));
     }
 
     #[test]
@@ -327,7 +316,7 @@ mod tests {
         // Rule (iv): program order per key.
         let mut b = B::new();
         b.op(0, X, OpKind::Write { v: 5 }).op(0, X, OpKind::Read { v: 0 });
-        assert!(check_rc(&b.h, RcMode::Sc).is_err());
+        assert!(check_rc(&b.h).is_err());
     }
 
     #[test]
@@ -345,7 +334,7 @@ mod tests {
         // Chain: Read(X=7) →so Rel →hb Acq →hb Write(X=7) means the read
         // observed a write hb-after it.
         assert!(matches!(
-            check_rc(&b.h, RcMode::Sc),
+            check_rc(&b.h),
             Err(RcCheckError::ReadFromFuture { .. }) | Err(RcCheckError::CyclicHb)
         ));
     }
@@ -362,7 +351,7 @@ mod tests {
             .op(1, F2, OpKind::Release { v: 2 })
             .op(2, F2, OpKind::Acquire { v: 2 })
             .op(2, X, OpKind::Read { v: 0 }); // stale at the end of the chain
-        assert!(matches!(check_rc(&b.h, RcMode::Sc), Err(RcCheckError::StaleRead { .. })));
+        assert!(matches!(check_rc(&b.h), Err(RcCheckError::StaleRead { .. })));
     }
 
     #[test]
@@ -374,18 +363,17 @@ mod tests {
             .op(0, FLAG, OpKind::Rmw { observed: 0, wrote: 1 })
             .op(1, FLAG, OpKind::Rmw { observed: 1, wrote: 2 })
             .op(1, X, OpKind::Read { v: 0 });
-        assert!(check_rc(&b.h, RcMode::Sc).is_err());
+        assert!(check_rc(&b.h).is_err());
     }
 
     #[test]
     fn rclin_enforces_real_time_between_syncs() {
-        // Release completes at t≈1; a later acquire (t≈20) reads the *old*
+        // Release completes at t≈1; a later acquire (t≈10) reads the *old*
         // flag value. RCSC allows it; RCLin must reject (§2.3's example).
         let mut b = B::new();
         b.op(0, FLAG, OpKind::Release { v: 1 });
         b.op(1, FLAG, OpKind::Acquire { v: 0 });
-        assert_eq!(check_rc(&b.h, RcMode::Sc), Ok(()));
-        assert!(check_rc(&b.h, RcMode::Lin).is_err());
+        assert!(check_rc(&b.h).is_err());
     }
 
     #[test]
@@ -393,7 +381,7 @@ mod tests {
         let mut b = B::new();
         b.op(0, X, OpKind::Write { v: 5 }).op(1, X, OpKind::Write { v: 5 });
         assert_eq!(
-            check_rc(&b.h, RcMode::Sc),
+            check_rc(&b.h),
             Err(RcCheckError::DuplicateWrite { key: Key(X), value: 5 })
         );
     }
@@ -403,13 +391,13 @@ mod tests {
         let mut b = B::new();
         b.op(0, X, OpKind::Read { v: 77 });
         assert!(matches!(
-            check_rc(&b.h, RcMode::Sc),
+            check_rc(&b.h),
             Err(RcCheckError::ReadFromNowhere { value: 77, .. })
         ));
     }
 
     #[test]
     fn empty_history_is_fine() {
-        assert_eq!(check_rc(&History::new(), RcMode::Lin), Ok(()));
+        assert_eq!(check_rc(&History::new()), Ok(()));
     }
 }

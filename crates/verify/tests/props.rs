@@ -4,7 +4,7 @@
 
 use kite_common::{Key, NodeId, SessionId};
 use kite_verify::checker::{check_linearizable, check_sequential, RegOp, RegOpKind};
-use kite_verify::{check_rc, History, OpKind, OpRecord, RcMode};
+use kite_verify::{check_rc, History, OpKind, OpRecord};
 use kite_verify::check::{check, Src};
 
 /// Generate a *sequential* register history: ops executed one at a time
@@ -117,8 +117,7 @@ fn producer_consumer(fields: u64, rounds: u64, stale: Option<u64>) -> History {
 fn rc_accepts_correct_producer_consumer() {
     check(96, |src| {
         let h = producer_consumer(src.range(1..6), src.range(1..5), None);
-        assert_eq!(check_rc(&h, RcMode::Sc), Ok(()));
-        assert_eq!(check_rc(&h, RcMode::Lin), Ok(()));
+        assert_eq!(check_rc(&h), Ok(()));
     });
 }
 
@@ -129,6 +128,6 @@ fn rc_rejects_stale_field() {
     check(96, |src| {
         let fields = src.range(1..6);
         let h = producer_consumer(fields, 2, Some(src.below(fields)));
-        assert!(check_rc(&h, RcMode::Sc).is_err(), "stale post-acquire read must be caught");
+        assert!(check_rc(&h).is_err(), "stale post-acquire read must be caught");
     });
 }

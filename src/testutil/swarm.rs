@@ -3,10 +3,10 @@
 //! drawn from a [`Src`] (so a failing case shrinks in events and ops) or
 //! written as a literal. An event fires once its count of ops has completed
 //! since the previous one fired, or once nothing has completed for
-//! [`STALL_NS`]: a case of a few ops per session finishes in under a
-//! millisecond of virtual time, so a fault triggered by time lands on an
-//! idle cluster. [`apply`] is the one place a [`Fault`] becomes a call on
-//! the simulator.
+//! [`STALL_NS`] (each [`Fired`] record says which): a case of a few ops per
+//! session finishes in under a millisecond of virtual time, so a fault
+//! triggered by time lands on an idle cluster. [`apply`] is the one place a
+//! [`Fault`] becomes a call on the simulator.
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use kite_common::{ClusterConfig, Key, NodeId, Val};
 use kite_simnet::SimCfg;
 use kite_verify::check::Src;
 use kite_verify::checker::check_linearizable_per_key;
-use kite_verify::{check_rc, History, OpKind, RcMode};
+use kite_verify::{check_rc, History, OpKind};
 
 use super::{recording_hook, rmw_bases};
 
@@ -122,13 +122,24 @@ fn draw_fault(src: &mut Src, restarts: bool) -> Fault {
     }
 }
 
-/// A finished run: the healed cluster, every completion, and the virtual
-/// time and ops outstanding as each event fired, then the closing heal.
+/// How an event fired: the virtual time, the ops still outstanding, and
+/// whether its count of completions was reached (`false`: the run stalled
+/// or went idle short of it, and the event fired anyway).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct Fired {
+    pub at: u64,
+    pub outstanding: u64,
+    pub on_count: bool,
+}
+
+/// A finished run: the healed cluster, every completion, and how each event
+/// fired, then the closing heal.
 #[allow(missing_docs)]
 pub struct Outcome {
     pub sc: SimCluster,
     pub history: Arc<History>,
-    pub fired: Vec<(u64, u64)>,
+    pub fired: Vec<Fired>,
 }
 
 /// Apply `case`'s schedule to a fresh cluster, keep the last faults until
@@ -159,7 +170,8 @@ fn run_with(case: &Case, mut at_event: impl FnMut(Fault, &SimCluster)) -> Outcom
         while history.len() < target && sc.now() < last.1 + STALL_NS && sc.sim.step() {
             last = if history.len() > last.0 { (history.len(), sc.now()) } else { last };
         }
-        fired.push((sc.now(), (total - history.len()) as u64));
+        let (outstanding, on_count) = ((total - history.len()) as u64, history.len() >= target);
+        fired.push(Fired { at: sc.now(), outstanding, on_count });
         at_event(fault, &sc);
         apply(&mut sc, case.victim, fault);
     }
@@ -185,8 +197,8 @@ pub fn apply(sc: &mut SimCluster, victim: u8, fault: Fault) {
     }
 }
 
-/// Run a literal case, print the ops outstanding as each event fired and
-/// assert that the first fault hit a running workload.
+/// Run a literal case, print how each event fired and assert that the first
+/// fault hit a running workload.
 pub fn literal(case: &Case) -> Outcome {
     literal_with(case, |_, _| {})
 }
@@ -195,8 +207,10 @@ pub fn literal(case: &Case) -> Outcome {
 /// before the fault lands (the closing `HealAll` included).
 pub fn literal_with(case: &Case, at_event: impl FnMut(Fault, &SimCluster)) -> Outcome {
     let out = run_with(case, at_event);
-    println!("(ns, ops outstanding) at {:?}, then at the heal: {:?}", case.events, out.fired);
-    assert!(out.fired[0].1 >= 1, "the first fault fired after the workload finished");
+    let how = |f: &Fired| (f.at, f.outstanding, if f.on_count { "count" } else { "stall" });
+    let fired: Vec<_> = out.fired.iter().map(how).collect();
+    println!("(ns, ops outstanding, fired on) at {:?}, then at the heal: {fired:?}", case.events);
+    assert!(out.fired[0].outstanding >= 1, "the first fault fired after the workload finished");
     out
 }
 
@@ -211,7 +225,7 @@ pub fn judge(case: &Case, out: &Outcome) {
     assert_eq!(h.len(), case.ops(), "every op completes: {ctx}");
     let bases = rmw_bases(h);
     assert_eq!(bases, (0..bases.len() as u64).collect::<Vec<_>>(), "double or lost FAA: {ctx}");
-    assert_eq!(check_rc(h, RcMode::Lin), Ok(()), "RCLin: {ctx}");
+    assert_eq!(check_rc(h), Ok(()), "RCLin: {ctx}");
     let sync = History::new();
     for ops in h.keys().into_iter().map(|k| h.for_key(k)) {
         if ops.iter().all(|r| matches!(r.kind, OpKind::Release { .. } | OpKind::Acquire { .. })) {

@@ -23,7 +23,7 @@ use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
 use kite_net::Cluster;
 use kite_repro::testutil::recording_hook;
 use kite_simnet::SimCfg;
-use kite_verify::{check_rc, History, RcMode};
+use kite_verify::{check_rc, History};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -79,9 +79,8 @@ fn coalesced_acks_are_equivalent_to_per_message_acks_under_faults() {
         // Same set of completed operations (every scripted op, exactly once),
         // and both histories are RC-correct.
         assert_eq!(ops_on, ops_off, "seed {seed}: completed-op sets diverge");
-        assert_eq!(check_rc(&hist_on, RcMode::Sc), Ok(()), "seed {seed}: coalesced run RCSC");
-        assert_eq!(check_rc(&hist_off, RcMode::Sc), Ok(()), "seed {seed}: baseline run RCSC");
-        assert_eq!(check_rc(&hist_on, RcMode::Lin), Ok(()), "seed {seed}: coalesced run RCLin");
+        assert_eq!(check_rc(&hist_on), Ok(()), "seed {seed}: coalesced run RCLin");
+        assert_eq!(check_rc(&hist_off), Ok(()), "seed {seed}: baseline run RCLin");
     }
 }
 

@@ -170,6 +170,8 @@ fn anti_entropy_on_off_equivalence_under_faults() {
             let case = Case { cfg, seed, victim: 0, scripts, events: events.clone() };
             let out = literal(&case);
             judge(&case, &out);
+            let heal = out.fired[3];
+            assert!(heal.on_count, "seed {seed}, sweep {on}: faults healed on a stall: {heal:?}");
             (0..3).map(|n| out.sc.counters(NodeId(n)).ae_digests_sent.get()).sum::<u64>()
         };
         assert!(digests(true) > 0, "seed {seed}: sweeps must actually run");

@@ -14,7 +14,7 @@ use kite::session::{ClientSm, SessionDriver};
 use kite::{ProtocolMode, SimCluster};
 use kite_common::{ClusterConfig, Key, NodeId, Val};
 use kite_repro::testutil::{mixed_script, swarm::Fault::*, swarm::*};
-use kite_simnet::SimCfg;
+use kite_simnet::{SimCfg, BASE_LATENCY_NS};
 use kite_verify::check::{check, Src};
 use kite_verify::OpKind;
 
@@ -69,7 +69,7 @@ fn minority_partition_keeps_relaxed_availability() {
     let case = Case { cfg: cfg(), seed: 77, victim: 2, scripts, events: vec![(4, Isolate(2))] };
     let out = literal(&case);
     // Of all the ops, only the isolated sessions' closing releases need a quorum.
-    assert_eq!(out.fired[1].1, 2, "every other op completes while node 2 is cut off");
+    assert_eq!(out.fired[1].outstanding, 2, "every other op completes while node 2 is cut off");
     judge(&case, &out);
     for (n, key) in (0..3).flat_map(|n| [(n, Key(24)), (n, Key(25))]) {
         assert_eq!(out.sc.shared(NodeId(n)).store.view(key).val.as_u64(), 19, "node {n}, {key:?}");
@@ -86,9 +86,14 @@ fn crash_stop_preserves_progress_and_rc() {
         let cfg = cfg().overlap_release(seed % 2 == 0).stripped_slow_path(seed % 4 < 2);
         let script = |s| if s / 2 == victim as usize { vec![] } else { mixed_script(s, 12) };
         let scripts = (0..6).map(script);
-        let (scripts, events) = (scripts.collect(), vec![(4, Crash)]);
+        let (scripts, events) = (scripts.collect(), vec![(20, Crash)]);
         let case = Case { cfg, seed: seed + 900, victim, scripts, events };
-        judge(&case, &literal(&case));
+        let out = literal(&case);
+        // After the survivors' first quorum rounds have reached the victim,
+        // not before anything could (its first completions are local).
+        let crash = out.fired[0];
+        assert!(crash.at >= BASE_LATENCY_NS && crash.outstanding > 0, "crash: {crash:?}");
+        judge(&case, &out);
     }
 }
 
@@ -133,7 +138,7 @@ fn release_survives_producer_sleep() {
     let case = Case { cfg: cfg().keys(64), seed: 31, victim: 2, scripts, events };
     let out = literal(&case);
     judge(&case, &out);
-    let (h, asleep) = (out.history.sorted(), out.fired[0].0..out.fired[0].0 + 10_000_000);
+    let (h, asleep) = (out.history.sorted(), out.fired[0].at..out.fired[0].at + 10_000_000);
     let released = h.iter().find(|r| r.key == flag && r.kind == OpKind::Release { v: 1 });
     assert!(released.expect("released").complete <= asleep.start, "released before the sleep");
     let synced =

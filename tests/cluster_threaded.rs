@@ -8,7 +8,7 @@ use kite::ProtocolMode;
 use kite_common::{ClusterConfig, Key, KiteError, NodeId, Val};
 use kite_net::Cluster;
 use kite_repro::testutil::recording_hook;
-use kite_verify::{check_rc, History, RcMode};
+use kite_verify::{check_rc, History};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig::small().keys(1 << 10)
@@ -153,7 +153,7 @@ fn producer_consumer_rc_holds_with_real_threads() {
     // round across fields — uniqueness per key holds, which is what the
     // checker needs for the *flag* key; payload keys use round<<8|f, also
     // unique per key). Check it.
-    assert_eq!(check_rc(&history, RcMode::Sc), Ok(()), "RC violated");
+    assert_eq!(check_rc(&history), Ok(()), "RC violated");
 
     match Arc::try_unwrap(cluster) {
         Ok(c) => c.shutdown(),

@@ -59,7 +59,9 @@ fn sweeps_go_flat_under_load_and_summarize_in_the_wind_down() {
         let out =
             literal_with(&case, |f, sc| loaded = if f == Crash { planes(sc) } else { loaded });
         judge(&case, &out);
-        assert!(out.fired[2].1 > 0, "seed {seed}: the crash landed after the load ended");
+        assert!(out.fired[2].outstanding > 0, "seed {seed}: the crash landed after the load ended");
+        let heal = out.fired[3];
+        assert!(heal.on_count, "seed {seed}: the loss was healed on a stall: {heal:?}");
         let end = planes(&out.sc);
         assert!(loaded.0 > 0, "seed {seed}: loaded sweeps must ship flat chunks");
         assert_eq!(loaded.1, 0, "seed {seed}: loaded sweeps must not summarize ({loaded:?})");

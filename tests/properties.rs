@@ -15,7 +15,7 @@ use kite_common::{ClusterConfig, Key, NodeId, Val};
 use kite_repro::testutil::{recording_hook, rmw_bases};
 use kite_simnet::SimCfg;
 use kite_verify::check::check;
-use kite_verify::{check_rc, History, RcMode};
+use kite_verify::{check_rc, History};
 
 const SEC: u64 = 1_000_000_000;
 /// `ClusterConfig::small()`: 3 nodes × 2 sessions.
@@ -94,7 +94,7 @@ fn regression_helped_rmw_not_double_executed() {
     let n = bases.len() as u64;
     assert_eq!(bases, (0..n).collect::<Vec<_>>(), "FAA bases must be contiguous (no double/lost execution)");
     assert_eq!(faa_total, n);
-    assert_eq!(check_rc(&history, RcMode::Lin), Ok(()));
+    assert_eq!(check_rc(&history), Ok(()));
 }
 
 /// Whatever the seed, the loss rate (up to 30%) and the sessions' op
@@ -124,7 +124,7 @@ fn random_executions_satisfy_rclin() {
         let n = bases.len() as u64;
         assert_eq!(bases, (0..n).collect::<Vec<_>>(), "double or lost FAA execution ({total} ops)");
         assert_eq!(faa_total, n, "store count disagrees with completions");
-        if let Err(e) = check_rc(&history, RcMode::Lin) {
+        if let Err(e) = check_rc(&history) {
             panic!("RCLin violated (seed {seed}, drop {drop_pct}%): {e:?}");
         }
     });

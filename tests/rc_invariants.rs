@@ -191,7 +191,7 @@ fn sleeping_replica_does_not_block_survivors() {
     let case = Case { cfg, seed: 5, victim: 1, scripts, events: vec![(4, Sleep(2, 150))] };
     let out = literal(&case);
     judge(&case, &out);
-    let (h, asleep) = (out.history.sorted(), out.fired[0].0..out.fired[0].0 + 150_000_000);
+    let (h, asleep) = (out.history.sorted(), out.fired[0].at..out.fired[0].at + 150_000_000);
 
     let releases = |r: &&kite_verify::OpRecord| {
         r.session == writer && matches!(r.kind, OpKind::Release { .. })

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use kite::api::Op;
 use kite_common::{ClusterConfig, Key, Val};
 use kite_repro::testutil::{rmw_bases, swarm::Fault::*, swarm::*};
-use kite_verify::{check_rc, History, OpKind, RcCheckError, RcMode};
+use kite_verify::{check_rc, History, OpKind, RcCheckError};
 
 /// One shape, node 1 the victim: session 0 of node 0 runs `p`, of node 2
 /// `q`. Node 0's first op completes through {0, 1} while node 2 is cut
@@ -33,9 +33,9 @@ fn amnesia(seed: u64, p: Vec<Op>, q: Vec<Op>, restart: bool) -> Arc<History> {
     let scripts = vec![p, vec![], vec![], vec![], q, vec![]];
     let case = Case { cfg: ClusterConfig::small().keys(256), seed, victim: 1, scripts, events };
     let out = literal(&case);
-    assert_eq!(out.fired[1].1 as usize, case.ops() - 1, "node 0's op completes through {{0, 1}}");
+    assert_eq!(out.fired[1].outstanding as usize, case.ops() - 1, "node 0's op completes through {{0, 1}}");
     // All that waits for the heal is node 0's closing release.
-    assert_eq!(out.fired.last().unwrap().1, 1, "node 2's ops complete through {{1, 2}}");
+    assert_eq!(out.fired.last().unwrap().outstanding, 1, "node 2's ops complete through {{1, 2}}");
     if !restart {
         judge(&case, &out);
     }
@@ -55,7 +55,7 @@ fn acceptor_amnesia_commits_two_commands_in_one_slot_known_violation() {
     let h = run(true);
     assert_eq!(rmw_bases(&h), vec![0, 0], "known violation: both FAAs saw 0 — one slot, two commands");
     // Both wrote 1: the checker cannot even order the key's writes.
-    let err = check_rc(&h, RcMode::Lin);
+    let err = check_rc(&h);
     assert!(matches!(err, Err(RcCheckError::DuplicateWrite { .. })), "known violation: {err:?}");
 }
 
@@ -79,6 +79,6 @@ fn abd_amnesia_lets_an_acquire_miss_a_completed_release_known_violation() {
     let h = run(true);
     assert_eq!(acquired(&h), Some(0), "known violation: the acquire returns the pre-release value");
     assert_eq!(rmw_bases(&h), Vec::<u64>::new(), "no RMW, so no slot to double");
-    let err = check_rc(&h, RcMode::Lin);
+    let err = check_rc(&h);
     assert!(matches!(err, Err(RcCheckError::StaleRead { .. })), "known violation: {err:?}");
 }

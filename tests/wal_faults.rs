@@ -24,7 +24,7 @@ use kite_common::{ClusterConfig, Key, Lc, NodeId, Val};
 use kite_kvs::Store;
 use kite_repro::testutil::recording_hook;
 use kite_simnet::SimCfg;
-use kite_verify::{check_rc, History, RcMode};
+use kite_verify::{check_rc, History};
 use kite_wal::{frame, recover_into, Wal};
 
 const SEC: u64 = 1_000_000_000;
@@ -245,8 +245,7 @@ fn wal_off_is_a_provable_no_op() {
     assert_eq!(ops_default, ops_off, "a WAL directory must not change one completed op");
     // Neither simulated run writes a WAL, so both owe the same guarantees.
     for hist in [&hist_default, &hist_off] {
-        assert_eq!(check_rc(hist, RcMode::Sc), Ok(()));
-        assert_eq!(check_rc(hist, RcMode::Lin), Ok(()));
+        assert_eq!(check_rc(hist), Ok(()));
     }
     assert!(!dir.exists(), "the simulator must not create {}", dir.display());
 }
