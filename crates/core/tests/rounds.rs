@@ -26,6 +26,12 @@ const MS: u64 = 1_000_000;
 const RELEASE_TIMEOUT: u64 = MS;
 const RETRANSMIT: u64 = 4 * MS;
 const TICK: u64 = MS / 2;
+/// How late the peers' answers come back in the late-round scenarios: more
+/// than a period, so what they open opens long after its entry's first send.
+const LATE: u64 = RETRANSMIT + MS;
+/// The scan's cadence (`retransmit_ns / 2`): a due round goes out at the
+/// first scan past its due time.
+const SCAN: u64 = RETRANSMIT / 2;
 /// Session indices, one per op class.
 const RELEASE: usize = 0;
 const ACQUIRE: usize = 1;
@@ -54,14 +60,16 @@ fn cfg() -> ClusterConfig {
         .retransmit_ns(RETRANSMIT)
 }
 
-/// A round: the rid, the kind of its request and, for a Paxos phase, its
-/// ballot's version (a re-proposal is a new round of the same entry).
+/// A round: the rid, the kind of its request and what else tells its
+/// rounds apart — a Paxos phase's ballot version, a DM round's DM-set (a
+/// re-proposal and a grown DM-set are new rounds of the same entry).
 type RoundId = (u64, &'static str, u64);
 
 /// The round a quorum request belongs to; `None` for everything else.
 fn round_of(m: &Msg) -> Option<RoundId> {
-    let ballot = match m {
+    let version = match m {
         Msg::Propose { ballot, .. } | Msg::Accept { ballot, .. } => ballot.version(),
+        Msg::SlowRelease { dm, .. } => dm.0.into(),
         _ => 0,
     };
     match m {
@@ -73,7 +81,7 @@ fn round_of(m: &Msg) -> Option<RoundId> {
         | Msg::SlowRelease { rid, .. }
         | Msg::Propose { rid, .. }
         | Msg::Accept { rid, .. }
-        | Msg::Commit { rid, .. } => Some((*rid, m.tag(), ballot)),
+        | Msg::Commit { rid, .. } => Some((*rid, m.tag(), version)),
         _ => None,
     }
 }
@@ -99,8 +107,8 @@ struct Harness {
     /// Completions node 0 returned, per session.
     completed: Vec<usize>,
     now: u64,
-    /// Which peers answer which request kinds.
-    answers: fn(NodeId, &'static str) -> bool,
+    /// Which peers answer which requests.
+    answers: fn(NodeId, &Msg) -> bool,
     /// How long an answer to each request kind takes to reach node 0.
     delay: fn(&'static str) -> u64,
     in_transit: Vec<InTransit>,
@@ -110,7 +118,7 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(cfg: ClusterConfig, answers: fn(NodeId, &'static str) -> bool) -> Self {
+    fn new(cfg: ClusterConfig, answers: fn(NodeId, &Msg) -> bool) -> Self {
         let shared: Vec<_> = (0..NODES as u8)
             .map(|n| NodeShared::new(NodeId(n), cfg.clone(), Arc::new(ProtoCounters::default())))
             .collect();
@@ -171,7 +179,7 @@ impl Harness {
         }
         for (dst, m) in sent {
             let Some(round) = round_of(&m) else { continue };
-            if !(self.answers)(dst, round.1) {
+            if !(self.answers)(dst, &m) {
                 continue;
             }
             let mut reply_out: Outbox<Msg> = Outbox::new(NODES);
@@ -247,6 +255,31 @@ impl Harness {
         retransmitted
     }
 
+    /// The rounds opened more than a period after their entry's first send
+    /// must be resent one period after they opened (the first scan at or
+    /// past it). Returns the kinds that were.
+    fn late_rounds_resent(&self) -> BTreeSet<&'static str> {
+        let mut first_send: BTreeMap<u64, u64> = BTreeMap::new();
+        for ((rid, ..), flushes) in &self.log {
+            let at = first_send.entry(*rid).or_insert(u64::MAX);
+            *at = (*at).min(flushes[0].at);
+        }
+        let (mut resent, mut off_clock) = (BTreeSet::new(), Vec::new());
+        for (round, flushes) in &self.log {
+            let opened = flushes[0].at;
+            if opened <= first_send[&round.0] + RETRANSMIT {
+                continue;
+            }
+            let Some(again) = flushes.get(1).map(|f| f.at) else { continue };
+            if !(opened + RETRANSMIT..opened + RETRANSMIT + SCAN).contains(&again) {
+                off_clock.push(format!("{round:?} opened at {opened} ns, resent at {again} ns"));
+            }
+            resent.insert(round.1);
+        }
+        assert!(off_clock.is_empty(), "rounds resent off their own clock:\n{}", off_clock.join("\n"));
+        resent
+    }
+
     fn completed(&self, session: usize) -> usize {
         self.completed[session]
     }
@@ -296,8 +329,8 @@ fn a_peer_that_answered_is_not_sent_the_round_again() {
 /// and then retransmitted whole.
 #[test]
 fn second_rounds_are_retransmitted_like_first_rounds() {
-    fn first_rounds(peer: NodeId, kind: &'static str) -> bool {
-        let first = matches!(kind, "es-write" | "rts-req" | "read-req" | "propose" | "slow-release");
+    fn first_rounds(peer: NodeId, m: &Msg) -> bool {
+        let first = matches!(m.tag(), "es-write" | "rts-req" | "read-req" | "propose" | "slow-release");
         peer.0 <= 2 && first
     }
     // The full-ABD ablation gives the slow-path read and write their
@@ -323,7 +356,7 @@ fn second_rounds_are_retransmitted_like_first_rounds() {
 
 #[test]
 fn commit_rounds_are_retransmitted_like_first_rounds() {
-    let mut h = Harness::new(cfg(), |peer, kind| peer.0 <= 2 && kind != "commit");
+    let mut h = Harness::new(cfg(), |peer, m| peer.0 <= 2 && m.tag() != "commit");
     h.run();
     assert!(h.check().contains("commit"));
     assert_eq!(h.completed(FAA), 0, "the commit round never reached its quorum");
@@ -334,7 +367,7 @@ fn commit_rounds_are_retransmitted_like_first_rounds() {
 /// transmission is a first transmission like any other.
 #[test]
 fn deferred_first_rounds_are_retransmitted_like_the_others() {
-    let mut h = Harness::new(cfg().overlap_release(false), |_, kind| kind == "es-write");
+    let mut h = Harness::new(cfg().overlap_release(false), |_, m| m.tag() == "es-write");
     h.write(RELEASE, 10);
     h.submit(RELEASE, Op::Release { key: Key(11), val: Val::from_u64(11) });
     h.write(FAA, 30);
@@ -348,13 +381,6 @@ fn deferred_first_rounds_are_retransmitted_like_the_others() {
     assert!(!h.log.keys().any(|(_, kind, _)| *kind == "slow-release"));
 }
 
-/// How late the peers' answers come back in the late-round scenario: more
-/// than a period, so what they open opens long after its entry's first send.
-const LATE: u64 = RETRANSMIT + MS;
-/// The scan's cadence (`retransmit_ns / 2`): a due round goes out at the
-/// first scan past its due time.
-const SCAN: u64 = RETRANSMIT / 2;
-
 /// A round can open long after its entry's first transmission: at a late
 /// quorum, after a nack's back-off, at the barrier's timeout. Its
 /// retransmission clock starts when it is sent, so the scan resends it one
@@ -364,8 +390,8 @@ fn a_round_that_opens_late_is_resent_one_period_after_it_opened() {
     // Peers 1 and 2 (a quorum with node 0) ack relaxed writes at once and
     // answer first rounds LATE after they were sent, accepts a millisecond
     // later still. Nobody answers the rounds those answers open.
-    fn answers(peer: NodeId, kind: &'static str) -> bool {
-        peer.0 <= 2 && matches!(kind, "es-write" | "rts-req" | "read-req" | "propose" | "accept")
+    fn answers(peer: NodeId, m: &Msg) -> bool {
+        peer.0 <= 2 && matches!(m.tag(), "es-write" | "rts-req" | "read-req" | "propose" | "accept")
     }
     // The barrier's timeout opens the slow-release round at LATE too; the
     // full-ABD ablation gives the slow-path read and write second rounds.
@@ -396,29 +422,42 @@ fn a_round_that_opens_late_is_resent_one_period_after_it_opened() {
         h.tick();
     }
     h.check();
-    // An entry's first send: the first flush of any of its rounds.
-    let mut first_send: BTreeMap<u64, u64> = BTreeMap::new();
-    for ((rid, ..), flushes) in &h.log {
-        let at = first_send.entry(*rid).or_insert(u64::MAX);
-        *at = (*at).min(flushes[0].at);
-    }
-    let (mut resent, mut off_clock) = (BTreeSet::new(), Vec::new());
-    for (round, flushes) in &h.log {
-        let opened = flushes[0].at;
-        if opened <= first_send[&round.0] + RETRANSMIT {
-            continue;
-        }
-        let Some(again) = flushes.get(1).map(|f| f.at) else { continue };
-        if !(opened + RETRANSMIT..opened + RETRANSMIT + SCAN).contains(&again) {
-            off_clock.push(format!("{round:?} opened at {opened} ns, resent at {again} ns"));
-        }
-        resent.insert(round.1);
-    }
-    assert!(off_clock.is_empty(), "rounds resent off their own clock:\n{}", off_clock.join("\n"));
     assert_eq!(
-        resent,
+        h.late_rounds_resent(),
         kinds(&["write-acq", "slow-release", "write", "propose", "accept", "commit"]),
         "acquire write-back, barrier DM round, value rounds (release, slow read and write), \
          re-proposal, accept and commit each opened late and were resent one period later"
     );
+}
+
+/// A barrier's DM round grows when a later write ages out (Lemma 5.2): the
+/// grown round opens late too, and is resent one period after it grew.
+#[test]
+fn a_dm_round_that_grows_late_is_resent_one_period_after_it_grew() {
+    // Peers 1 and 2 ack every write, peer 3 only key 10's; nobody answers
+    // anything else.
+    fn answers(peer: NodeId, m: &Msg) -> bool {
+        match m {
+            Msg::EsWrite { key, .. } => peer.0 <= 2 || (peer.0 == 3 && *key == Key(10)),
+            _ => false,
+        }
+    }
+    let mut h = Harness::new(cfg().release_timeout_ns(LATE), answers);
+    // Key 10's write is missing node 4 from t = 0, key 12's nodes 3 and 4
+    // from 3 ms, when the release after them starts: the DM round opens
+    // with {4} at 5 ms and grows to {3, 4} at 8 ms.
+    h.write(RELEASE, 10);
+    while h.now < 3 * MS {
+        h.tick();
+    }
+    h.write(RELEASE, 12);
+    h.submit(RELEASE, Op::Release { key: Key(11), val: Val::from_u64(11) });
+    while h.now <= 4 * RETRANSMIT {
+        h.tick();
+    }
+    // (No `check()`: node 4 is suspected once the DM round opens, so the
+    // quorum-acked writes stop being resent to it.)
+    let dm_rounds: Vec<_> = h.log.keys().filter(|(_, kind, _)| *kind == "slow-release").collect();
+    assert_eq!(dm_rounds.len(), 2, "the DM round opened, then grew: {dm_rounds:?}");
+    assert_eq!(h.late_rounds_resent(), kinds(&["slow-release"]));
 }
