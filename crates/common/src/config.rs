@@ -130,9 +130,9 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Most keys a replica's KVS holds: the store gives every slot (2×
-    /// headroom, rounded up to a power of two) a distinct 24-bit extension
-    /// index, 0 meaning none. `kite-kvs` asserts at compile time that this
+    /// Most keys a replica's KVS holds: the store gives every slot (⌈1.5 ×
+    /// keys⌉, rounded up to a whole 64-slot Merkle leaf) a distinct 24-bit
+    /// extension index, 0 meaning none. `kite-kvs` asserts at compile time that this
     /// many keys fit its index.
     pub const MAX_KEYS: usize = 1 << 22;
 

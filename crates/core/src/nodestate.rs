@@ -172,10 +172,13 @@ impl NodeShared {
         // `len` counts claimed slots (reads probing fresh keys claim too);
         // `vals` counts only value-bearing keys, which is the number
         // anti-entropy actually converges across replicas; `exts` counts
-        // keys holding an extension (a value past 32 bytes, or an RMW).
+        // keys holding an extension (a value past 32 bytes, or an RMW);
+        // `slots` is the slot array's length, 64 B each — most of a node's
+        // resident memory.
         let s = Arc::clone(self);
         reg.poll_fields("store_", move || {
             [
+                ("slots", s.store.capacity() as u64),
                 ("len", s.store.len() as u64),
                 ("vals", s.store.values() as u64),
                 ("exts", s.store.exts() as u64),

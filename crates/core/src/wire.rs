@@ -98,8 +98,9 @@ pub const MAGIC: u32 = 0x4B49_5445;
 
 /// Wire-format version, bumped on any incompatible layout change (v2:
 /// peer frames carry the sender's membership epoch; v3: an
-/// `AlreadyCommitted` promise carries a [`Repair`], and `Lagging` nothing).
-pub const VERSION: u8 = 3;
+/// `AlreadyCommitted` promise carries a [`Repair`], and `Lagging` nothing;
+/// v4: leaf ranges index the 1.5× multiply-shift geometry).
+pub const VERSION: u8 = 4;
 
 /// Handshake kind byte: a peer fabric connection (node-to-node).
 pub const KIND_PEER: u8 = 0;
@@ -1235,6 +1236,11 @@ mod tests {
         let mut bad = encode_hello(Hello::Client { slot: 0 });
         bad[0] ^= 0xFF;
         assert_eq!(decode_hello(&bad), Err(WireError::BadHandshake));
+        // A v3 peer indexes Merkle leaves by another geometry: refused.
+        let mut old = encode_hello(Hello::Peer { node: NodeId(1), worker: 0 });
+        assert_eq!(old[4], 4);
+        old[4] = 3;
+        assert_eq!(decode_hello(&old), Err(WireError::BadHandshake));
         let mut bad_kind = encode_hello(Hello::Client { slot: 0 });
         bad_kind[5] = 9;
         assert!(matches!(decode_hello(&bad_kind), Err(WireError::BadTag { .. })));

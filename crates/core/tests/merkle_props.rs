@@ -112,7 +112,7 @@ struct RunOut {
     digest_keys: u64,
 }
 
-/// 16 384 keys: capacity 32 768, 512 leaves of 64 home slots; fanout 16
+/// 16 384 keys: capacity 24 576, 384 leaves of 64 home slots; fanout 16
 /// puts the summary at level 2, so a drill-down descends 2 levels to a leaf.
 const KEYS: usize = 1 << 14;
 const LEVELS: u64 = 3;

@@ -157,8 +157,11 @@ impl Ext {
     }
 }
 
-/// Extensions per arena chunk: the unit the arena grows by.
+/// Extensions per arena chunk: the unit the arena grows by. A power of
+/// two, so an index splits into chunk and offset with a shift and a mask.
 const EXT_CHUNK: usize = 256;
+const CHUNK_SHIFT: u32 = EXT_CHUNK.trailing_zeros();
+const _: () = assert!(EXT_CHUNK.is_power_of_two());
 
 /// A store's extensions: a directory of fixed-size chunks, each allocated
 /// on the first index that falls in it. Indices are 1-based (0 in a
@@ -166,19 +169,16 @@ const EXT_CHUNK: usize = 256;
 /// once handed out, so a record holds it by index for the store's life.
 pub(crate) struct ExtArena {
     chunks: Box<[OnceLock<Box<[Ext]>>]>,
-    chunk_shift: u32,
     used: AtomicUsize,
 }
 
 impl ExtArena {
-    /// An arena able to hand one extension to each of `slots` keys
-    /// (`slots` a power of two). Allocates only the chunk directory.
+    /// An arena able to hand one extension to each of `slots` keys.
+    /// Allocates only the chunk directory.
     pub(crate) fn new(slots: usize) -> Self {
         assert!(slots <= MAX_EXTS, "{slots} slots exceed the {EXT_BITS}-bit extension index");
-        let chunk = EXT_CHUNK.min(slots);
         ExtArena {
-            chunks: (0..slots / chunk).map(|_| OnceLock::new()).collect(),
-            chunk_shift: chunk.trailing_zeros(),
+            chunks: (0..slots.div_ceil(EXT_CHUNK)).map(|_| OnceLock::new()).collect(),
             used: AtomicUsize::new(0),
         }
     }
@@ -196,8 +196,8 @@ impl ExtArena {
     // Release publishes the index to the key's readers.
     fn alloc(&self) -> usize {
         let i = self.used.fetch_add(1, Ordering::Relaxed);
-        let chunk = self.chunks.get(i >> self.chunk_shift).expect("one extension per slot");
-        chunk.get_or_init(|| (0..1usize << self.chunk_shift).map(|_| Ext::new()).collect());
+        let chunk = self.chunks.get(i >> CHUNK_SHIFT).expect("one extension per slot");
+        chunk.get_or_init(|| (0..EXT_CHUNK).map(|_| Ext::new()).collect());
         i + 1
     }
 
@@ -206,8 +206,8 @@ impl ExtArena {
     #[inline]
     fn get(&self, idx: usize) -> Option<&Ext> {
         let i = idx.checked_sub(1)?;
-        let chunk = self.chunks.get(i >> self.chunk_shift)?.get()?;
-        chunk.get(i & ((1 << self.chunk_shift) - 1))
+        let chunk = self.chunks.get(i >> CHUNK_SHIFT)?.get()?;
+        chunk.get(i & (EXT_CHUNK - 1))
     }
 }
 

@@ -28,11 +28,23 @@
 //! whenever write churn is low: an array of **leaf hashes**, one per
 //! `LEAF_SPAN` *home* slots, where leaf `i` is the XOR of
 //! [`merkle_mix`]`(key, lc)` over every written entry whose home slot
-//! (`key.hash() & mask`, before linear-probe displacement) falls in leaf
-//! `i`'s range. Leaves bucket by *home* position — a pure function of the
-//! key — so two replicas holding the same `(key, lc)` set produce the same
-//! leaf hashes even when probing placed the keys in different physical
-//! slots.
+//! (before linear-probe displacement) falls in leaf `i`'s range. Leaves
+//! bucket by *home* position — a pure function of the key and the slot
+//! count — so two replicas holding the same `(key, lc)` set produce the
+//! same leaf hashes even when probing placed the keys in different
+//! physical slots.
+//!
+//! # Geometry
+//!
+//! A store for `keys` keys has ⌈1.5 · keys⌉ slots rounded up to a whole
+//! leaf (see `capacity`), so a full store is at most 2/3 loaded: linear
+//! probing then expects 2 probes per hit and 5 per miss (Knuth, TAOCP 3
+//! §6.4). The slot count is not a power of two, so the home slot is the
+//! multiply-shift reduction `(key.hash() · capacity) >> 64` (Lemire,
+//! arXiv:1805.10941) rather than the hash's low bits: `Key::hash` is a
+//! splitmix64 finalizer, so its high bits are uniform. The reduction is
+//! monotone in the hash, so a leaf is one contiguous range of home slots,
+//! and every replica sized for the same `keys` has the same lattice.
 //!
 //! **Lock-free update rule.** Every mutation that changes a key's clock
 //! from `old` to `new` XORs `merkle_mix(key, old) ^ merkle_mix(key, new)`
@@ -92,11 +104,16 @@ struct Slot {
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 64 && std::mem::align_of::<Slot>() == 64);
 
-/// Slots of a store sized for `keys`: 2× headroom keeps probe sequences
-/// short, and a power of two makes the home slot a mask.
+/// Slots of a store sized for `keys`: ⌈1.5 · keys⌉ rounded up to a whole
+/// Merkle leaf, and at least one leaf — a full store is at most 2/3
+/// loaded, and the leaves tile the slots exactly.
 const fn capacity(keys: usize) -> usize {
-    let keys = if keys < 16 { 16 } else { keys };
-    (keys * 2).next_power_of_two()
+    let slots = (keys * 3).div_ceil(2).div_ceil(LEAF_SPAN) * LEAF_SPAN;
+    if slots < LEAF_SPAN {
+        LEAF_SPAN
+    } else {
+        slots
+    }
 }
 
 // Every key count `ClusterConfig::validate` accepts gets a store whose
@@ -153,7 +170,6 @@ impl std::error::Error for SinkError {}
 /// A node-local replica of the KVS.
 pub struct Store {
     slots: Box<[Slot]>,
-    mask: u64,
     /// Value tails and Paxos structures, one extension per key that needed
     /// one (see `record`'s module docs).
     exts: ExtArena,
@@ -205,29 +221,30 @@ pub struct StoreProbe {
 }
 
 impl Store {
-    /// Create a store able to hold at least `keys` distinct keys. Capacity
-    /// is rounded up to a power of two with 2× headroom to keep probe
-    /// sequences short. Panics past [`ClusterConfig::MAX_KEYS`].
+    /// Create a store able to hold at least `keys` distinct keys: ⌈1.5 ·
+    /// keys⌉ slots rounded up to a whole Merkle leaf (see the module docs).
+    /// Every key count up to [`ClusterConfig::MAX_KEYS`] fits; panics when
+    /// the slots outgrow the extension index.
     pub fn new(keys: usize) -> Self {
         Self::with_leaf_span(keys, LEAF_SPAN)
     }
 
     /// [`Store::new`] with another Merkle leaf span (home slots per leaf
-    /// hash; rounded up to a power of two and clamped to the capacity) —
-    /// small spans let unit tests cross leaf boundaries with a few keys.
-    /// The lattice is not optional: the sweep may summarize any interval.
+    /// hash; rounded up to a power of two, at most `LEAF_SPAN`, so the
+    /// leaves still tile the slots exactly) — small spans let unit tests
+    /// cross leaf boundaries with a few keys. The lattice is not optional:
+    /// the sweep may summarize any interval.
     fn with_leaf_span(keys: usize, leaf_span: usize) -> Self {
         let cap = capacity(keys);
         let exts = ExtArena::new(cap);
         let slots: Box<[Slot]> = (0..cap)
             .map(|_| Slot { key: AtomicU64::new(EMPTY_KEY), record: Record::new() })
             .collect();
-        let span = leaf_span.next_power_of_two().min(cap);
+        let span = leaf_span.next_power_of_two().min(LEAF_SPAN);
         let leaves: Box<[AtomicU64]> = (0..cap / span).map(|_| AtomicU64::new(0)).collect();
         let leaf_shift = span.trailing_zeros();
         Store {
             slots,
-            mask: (cap - 1) as u64,
             exts,
             live: AtomicUsize::new(0),
             written: AtomicUsize::new(0),
@@ -295,11 +312,28 @@ impl Store {
         self.written.load(Ordering::Relaxed)
     }
 
+    /// The slot `key`'s probe starts at: the multiply-shift reduction of
+    /// its hash onto the slot count (see the module docs).
+    #[inline]
+    fn home(&self, key: Key) -> usize {
+        ((key.hash() as u128 * self.slots.len() as u128) >> 64) as usize
+    }
+
+    /// The slot after `idx`, wrapping past the last one.
+    #[inline]
+    fn next_slot(&self, idx: usize) -> usize {
+        if idx + 1 == self.slots.len() {
+            0
+        } else {
+            idx + 1
+        }
+    }
+
     /// The leaf index of `key`'s home slot — a pure function of the key
     /// and the store geometry, identical on every replica.
     #[inline]
     pub fn leaf_of(&self, key: Key) -> usize {
-        ((key.hash() & self.mask) >> self.leaf_shift) as usize
+        self.home(key) >> self.leaf_shift
     }
 
     /// Fold a clock transition `old → new` for `key` into its leaf hash.
@@ -361,9 +395,9 @@ impl Store {
     #[inline]
     fn record(&self, key: Key) -> &Record {
         debug_assert_ne!(key.0, EMPTY_KEY, "key u64::MAX is reserved");
-        let mut idx = key.hash() & self.mask;
+        let mut idx = self.home(key);
         for _ in 0..self.slots.len() {
-            let slot = &self.slots[idx as usize];
+            let slot = &self.slots[idx];
             let cur = slot.key.load(Ordering::Acquire);
             if cur == key.0 {
                 return &slot.record;
@@ -384,7 +418,7 @@ impl Store {
                     Err(_) => {} // someone else claimed this slot; keep probing
                 }
             }
-            idx = (idx + 1) & self.mask;
+            idx = self.next_slot(idx);
         }
         panic!("store capacity exhausted: {} slots", self.slots.len());
     }
@@ -400,7 +434,7 @@ impl Store {
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             // A slot is one line-aligned cache line (see `Slot`): one hint.
-            let slot: *const Slot = &self.slots[(key.hash() & self.mask) as usize];
+            let slot: *const Slot = &self.slots[self.home(key)];
             // SAFETY: `slot` points at an in-bounds element of `self.slots`;
             // a prefetch dereferences nothing, and SSE is baseline on x86-64.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>()) };
@@ -686,7 +720,8 @@ impl Store {
 
     // ---- Merkle leaf lattice ---------------------------------------------
 
-    /// Number of Merkle leaves (`capacity / LEAF_SPAN`; ≥ 1).
+    /// Number of Merkle leaves: `capacity / LEAF_SPAN`, a whole number ≥ 1
+    /// (the capacity is rounded up to whole leaves).
     #[inline]
     pub fn merkle_leaves(&self) -> usize {
         self.leaves.len()
@@ -738,9 +773,8 @@ impl Store {
         if start >= cap {
             return;
         }
-        let mut pos = 0usize;
-        while pos < cap {
-            let idx = (start + pos) & self.mask as usize;
+        let mut idx = start;
+        for pos in 0..cap {
             let k = self.slots[idx].key.load(Ordering::Acquire);
             if k == EMPTY_KEY {
                 if pos >= span {
@@ -754,7 +788,7 @@ impl Store {
                     out.push((key, self.slots[idx].record.line().lc));
                 }
             }
-            pos += 1;
+            idx = self.next_slot(idx);
         }
     }
 
@@ -767,16 +801,16 @@ impl Store {
     // miss is answered from the probe chain without claiming anything.
     pub fn probe_lc(&self, key: Key) -> Option<Lc> {
         debug_assert_ne!(key.0, EMPTY_KEY, "key u64::MAX is reserved");
-        let mut idx = key.hash() & self.mask;
+        let mut idx = self.home(key);
         for _ in 0..self.slots.len() {
-            let slot = &self.slots[idx as usize];
+            let slot = &self.slots[idx];
             match slot.key.load(Ordering::Acquire) {
                 cur if cur == key.0 => return Some(slot.record.line().lc),
                 // A concurrent claim of this very slot may race us to
                 // `None` — fine: "absent" is always a safe answer (the
                 // caller pulls, and the repair path claims properly).
                 EMPTY_KEY => return None,
-                _ => idx = (idx + 1) & self.mask,
+                _ => idx = self.next_slot(idx),
             }
         }
         None
@@ -894,7 +928,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity exhausted")]
     fn table_overflow_panics() {
-        let s = Store::new(16); // capacity 64
+        let s = Store::new(16); // capacity 64: one leaf
         for k in 0..65u64 {
             s.view(Key(k));
         }
@@ -956,12 +990,12 @@ mod tests {
     #[test]
     fn prefetch_is_invisible() {
         let s = Store::with_leaf_span(16, 2); // capacity 64, 32 leaves
-        let home = |k: u64| Key(k).hash() & s.mask;
+        let home = |k: u64| s.home(Key(k));
         // Two keys sharing a home slot (the second one is displaced), one
         // whose home is the last slot of the array, and one never touched.
         let first = 1u64;
         let displaced = (2..).find(|&k| home(k) == home(first)).unwrap();
-        let last = (2..).find(|&k| home(k) == s.mask && k != displaced).unwrap();
+        let last = (2..).find(|&k| home(k) == s.capacity() - 1 && k != displaced).unwrap();
         let absent = (2..).find(|&k| ![displaced, last].contains(&k)).unwrap();
         let present = [first, displaced, last];
         for (i, &k) in present.iter().enumerate() {
@@ -1111,8 +1145,71 @@ mod tests {
     #[test]
     #[should_panic(expected = "extension index")]
     fn a_store_wider_than_the_extension_index_panics() {
-        // 2^24 slots: one more slot than a 24-bit index (0 = none) can name.
-        Store::new(ClusterConfig::MAX_KEYS + 1);
+        // The smallest key count whose slots outnumber what a 24-bit index
+        // (0 = none) can name: 11 184 769 keys, 2^24 slots.
+        let keys = (ClusterConfig::MAX_KEYS..).find(|&k| capacity(k) > MAX_EXTS).unwrap();
+        assert!(capacity(keys - 1) <= MAX_EXTS);
+        Store::new(keys);
+    }
+
+    #[test]
+    fn a_store_off_the_power_of_two_gives_every_key_an_extension() {
+        let s = Store::new(100);
+        assert_eq!(s.capacity(), 192);
+        for k in 0..100u64 {
+            s.paxos(Key(k));
+        }
+        assert_eq!(s.exts(), 100);
+        // ... and so does every other slot of the store.
+        for k in 100..192u64 {
+            s.paxos(Key(k));
+        }
+        assert_eq!((s.len(), s.exts()), (192, 192));
+    }
+
+    #[test]
+    fn capacity_is_one_and_a_half_keys_rounded_to_a_leaf() {
+        let counts = [12, 16].into_iter().flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        for keys in counts.chain([70_000]) {
+            let bound = (1.5 * keys as f64 / LEAF_SPAN as f64).ceil() as usize * LEAF_SPAN;
+            let s = Store::new(keys);
+            assert!(s.capacity() <= bound, "{keys} keys: {} slots > {bound}", s.capacity());
+            assert!(2 * s.capacity() >= 3 * keys, "{keys} keys: a full store is over 2/3 loaded");
+            assert_eq!(s.merkle_leaves() * LEAF_SPAN, s.capacity(), "{keys} keys: a partial leaf");
+        }
+        assert_eq!(capacity(70_000), 105_024);
+        assert_eq!((capacity(0), capacity(1)), (LEAF_SPAN, LEAF_SPAN));
+    }
+
+    #[test]
+    fn a_full_store_claims_every_key_close_to_home() {
+        const KEYS: usize = 1 << 16;
+        let s = Store::new(KEYS);
+        // The workload's keys plus 64 reserved ones at the top of the key
+        // space, where the membership key lives.
+        let keys = (0..KEYS as u64).chain((1..=64).map(|i| u64::MAX - i));
+        for k in keys.clone() {
+            s.view(Key(k));
+        }
+        assert_eq!(s.len(), KEYS + 64);
+        let cap = s.capacity();
+        let mut displacement = Vec::with_capacity(KEYS + 64);
+        for (idx, slot) in s.slots.iter().enumerate() {
+            let k = slot.key.load(Ordering::Relaxed);
+            if k != EMPTY_KEY {
+                displacement.push((idx + cap - s.home(Key(k))) % cap);
+            }
+        }
+        assert_eq!(displacement.len(), KEYS + 64);
+        let mean = displacement.iter().sum::<usize>() as f64 / displacement.len() as f64;
+        let max = *displacement.iter().max().unwrap();
+        println!("{KEYS} keys + 64 in {cap} slots: displacement mean {mean:.3}, max {max}");
+        // Uniform homes at load 2/3 expect a mean displacement of 1.0
+        // (2 probes per hit); a skewed reduction piles keys into long runs.
+        assert!(mean < 1.5, "mean displacement {mean:.3}");
+        for k in keys {
+            assert_eq!(s.probe_lc(Key(k)), Some(Lc::ZERO), "{k} lost");
+        }
     }
 
     #[test]

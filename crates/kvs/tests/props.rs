@@ -127,3 +127,66 @@ fn values_of_any_length_read_back_exactly() {
         assert_eq!(s.exts(), spilled.len());
     });
 }
+
+/// The Merkle lattice is a function of `keys` and the written `(key, lc)`
+/// set alone: two replicas filled in different orders hash every leaf
+/// equal, and each key is digested under exactly its own leaf — keys whose
+/// probe run wraps past the last slot included.
+#[test]
+fn leaf_geometry_is_the_same_on_every_replica() {
+    check(64, |src| {
+        let keys = src.range(64..3000) as usize;
+        let a = Store::new(keys);
+        let b = Store::new(keys);
+        let (cap, leaves) = (a.capacity(), a.merkle_leaves());
+        // More keys homed in the last leaf than it has slots, so at least
+        // one run wraps to the front of the array.
+        let span = cap / leaves;
+        let tail = span + src.range(1..17) as usize;
+        let base = src.u64() >> 1;
+        let mut set: Vec<u64> =
+            (base..).filter(|&k| a.leaf_of(Key(k)) == leaves - 1).take(tail).collect();
+        let others = src.below((cap - tail) as u64 + 1) as usize;
+        set.extend(src.vec(others..others + 1, |s| s.u64() >> 1));
+        set.sort_unstable();
+        set.dedup();
+        let writes: Vec<(u64, Lc)> = set
+            .iter()
+            .map(|&k| (k, Lc::new(src.range(1..9), NodeId(src.below(5) as u8))))
+            .collect();
+        for &(k, lc) in &writes {
+            a.apply_max(Key(k), &Val::from_u64(k), lc);
+        }
+        let mut perm = writes.clone();
+        let mut rng = kite_common::rng::SplitMix64::new(src.u64());
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for &(k, lc) in &perm {
+            b.apply_max(Key(k), &Val::from_u64(k), lc);
+        }
+        for leaf in 0..leaves {
+            assert_eq!(a.leaf_hash(leaf), b.leaf_hash(leaf), "leaf {leaf} of {leaves}");
+        }
+        for s in [&a, &b] {
+            // A key homed in the last leaf but held before it wrapped.
+            let mut front = Vec::new();
+            s.digest_range(0, cap - span, &mut front);
+            assert!(
+                front.iter().any(|(k, _)| s.leaf_of(*k) == leaves - 1),
+                "no run wrapped past the last slot"
+            );
+            let mut seen = std::collections::HashMap::new();
+            for leaf in 0..leaves {
+                let mut out = Vec::new();
+                s.digest_leaf(leaf, &mut out);
+                for (k, _) in out {
+                    assert_eq!(s.leaf_of(k), leaf, "{k} digested under leaf {leaf}");
+                    *seen.entry(k.0).or_insert(0) += 1;
+                }
+            }
+            assert_eq!(seen.len(), set.len());
+            assert!(seen.values().all(|&n| n == 1), "a key digested twice");
+        }
+    });
+}

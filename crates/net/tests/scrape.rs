@@ -267,7 +267,7 @@ const NODE0_KEYS: &str = "\
     proto_membership_installs proto_membership_pulls proto_msgs_batched proto_msgs_sent \
     proto_rmw_already_committed proto_rmw_backoffs proto_rmw_helped proto_rmw_nacks \
     proto_rmw_rounds proto_slow_path_accesses proto_slow_releases proto_stale_epoch_dropped \
-    store_distinct_keys_est store_exts store_len store_vals store_writes wal_appended_bytes \
+    store_distinct_keys_est store_exts store_len store_slots store_vals store_writes wal_appended_bytes \
     wal_commit_busy_ns wal_commit_latency_ns_count wal_commit_latency_ns_p50 \
     wal_commit_latency_ns_p99 wal_commit_latency_ns_p999 wal_commit_window_ns \
     wal_durable_bytes wal_flush_batches wal_flusher_wakes wal_fsyncs wal_lag_bytes \
@@ -316,7 +316,7 @@ fn sim_and_daemon_render_the_same_core_keys() {
         .into_iter()
         .filter(|k| ["proto_", "membership_", "store_", "op_"].iter().any(|p| k.starts_with(p)))
         .collect();
-    assert_eq!(core.len(), 28 + 3 + 5 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
+    assert_eq!(core.len(), 28 + 3 + 6 + 5 * 4, "core-layer keys in the daemon's scrape: {core:?}");
 
     cluster.session(NodeId(2), 0).expect("session").write(Key(5), 1u64).expect("write");
     let text = cluster.metrics_text(NodeId(2));

@@ -4,7 +4,9 @@
 #
 #   1. launch 3 kite-node processes (fixed localhost ports), each exactly
 #      its main thread plus one event loop per worker (plus the WAL flusher
-#      in the WAL phase); before any load, two scrapes a second apart must
+#      in the WAL phase), holding no more resident memory than its store's
+#      slots (`store_slots` × 64 B) plus a fixed residue — both are checked
+#      at every `ready on`; before any load, two scrapes a second apart must
 #      show worker 0's loop (which accepts for the node) going round only
 #      for its timers, and the WAL flusher asleep — idle threads make no
 #      wakes;
@@ -156,14 +158,37 @@ assert_commit_duty() { # assert_commit_duty <label> <sample-before> <sample-afte
 # A node is its event loops: once ready, `kite-node` runs its main thread,
 # one thread per worker and — with the WAL on — the flusher; nothing else
 # (NODE_THREADS says how many that is for the current NODE_ARGS).
-wait_ready() { # wait_ready <node-id> <logfile>
-    local pid="${PIDS[$1]}" threads
+#
+# A ready node's resident memory is its store's slot array — `store_slots`
+# × 64 B, every slot written at start-up — plus a residue that does not
+# grow with the key count: code, thread stacks, rings and buffers. On a
+# 1-worker node the residue read 2.9–3.5 MB at every `ready on` below (4 096
+# and 131 072 keys, WAL on or off), except on the node that restarts empty
+# into the wal=off phase's re-replication: its peers' repair traffic is
+# already arriving when the check reads it, and it read 8.2–8.6 MB in four
+# runs. The bound is the largest residue measured plus 25 %.
+RSS_MEASURED_KB=8556
+RSS_RESIDUE_KB=$(( RSS_MEASURED_KB * 5 / 4 ))
+
+wait_ready() { # wait_ready <node-id> <logfile> <metrics-addr>
+    local pid="${PIDS[$1]}" threads rss_kb store_kb
     for _ in $(seq 1 100); do
         if grep -q "ready on" "$2" 2>/dev/null; then
             threads="$(ls "/proc/$pid/task" | wc -l)"
-            [ "$threads" -eq "$NODE_THREADS" ] && return 0
-            echo "!! node $1 (pid $pid) runs $threads threads, expected $NODE_THREADS" >&2
-            exit 1
+            if [ "$threads" -ne "$NODE_THREADS" ]; then
+                echo "!! node $1 (pid $pid) runs $threads threads, expected $NODE_THREADS" >&2
+                exit 1
+            fi
+            rss_kb="$(awk '$1 == "VmRSS:" {print $2}' "/proc/$pid/status")"
+            store_kb=$(( $(scrape_metric "$3" store_slots) * 64 / 1024 ))
+            echo "   node $1 ready: VmRSS ${rss_kb} kB = store ${store_kb} kB + $((rss_kb - store_kb)) kB" \
+                 "(bound: store + ${RSS_RESIDUE_KB} kB)"
+            if [ "$rss_kb" -gt $(( store_kb + RSS_RESIDUE_KB )) ]; then
+                echo "!! node $1 (pid $pid) holds ${rss_kb} kB, more than its ${store_kb} kB store" \
+                     "+ ${RSS_RESIDUE_KB} kB" >&2
+                exit 1
+            fi
+            return 0
         fi
         sleep 0.1
     done
@@ -204,9 +229,9 @@ for iter in $(seq 1 "$ITERS"); do
     start_node 0 "$LOGDIR/n0.log" --metrics-addr "$M0"
     start_node 1 "$LOGDIR/n1.log" --metrics-addr "$M1"
     start_node 2 "$LOGDIR/n2.log" --metrics-addr "$M2"
-    wait_ready 0 "$LOGDIR/n0.log"
-    wait_ready 1 "$LOGDIR/n1.log"
-    wait_ready 2 "$LOGDIR/n2.log"
+    wait_ready 0 "$LOGDIR/n0.log" "$M0"
+    wait_ready 1 "$LOGDIR/n1.log" "$M1"
+    wait_ready 2 "$LOGDIR/n2.log" "$M2"
     # 5 ms keepalive: 200 sweeps/s per node.
     assert_idle_wakes 200 "$M0" "$M1" "$M2"
     assert_node_sockets 1
@@ -290,7 +315,7 @@ for iter in $(seq 1 "$ITERS"); do
 
     echo "-- phase 5: restart node 2 on the same port; reconnect + anti-entropy catch-up"
     start_node 2 "$LOGDIR/n2-restart.log" --metrics-addr "$M2"
-    wait_ready 2 "$LOGDIR/n2-restart.log"
+    wait_ready 2 "$LOGDIR/n2-restart.log" "$M2"
     # The sentinel was released while node 2 was dead; a *relaxed* read on
     # node 2 is local, so convergence proves the keepalive sweep repaired it.
     "$CLIENT_BIN" poll --servers "$P2" --slot 0 --key 900 --val 7777 --timeout-secs 30
@@ -310,7 +335,7 @@ for iter in $(seq 1 "$ITERS"); do
     len0="$(scrape_metric "$M0" store_vals)"
     "$CLIENT_BIN" put --servers "$P0" --slot 10 --key 902 --val 5555
     start_node 2 "$LOGDIR/n2-replace.log" --metrics-addr "$M2" --join "$P0" --join-slot 12
-    wait_ready 2 "$LOGDIR/n2-replace.log"
+    wait_ready 2 "$LOGDIR/n2-replace.log" "$M2"
     grep -q "joined via" "$LOGDIR/n2-replace.log" \
         || { echo "!! replacement printed no join line"; cat "$LOGDIR/n2-replace.log"; exit 1; }
     # The join CAS bumped the membership epoch on the survivors…
@@ -413,9 +438,9 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     start_node 0 "$logdir/n0.log" --metrics-addr "$m0"
     start_node 1 "$logdir/n1.log" --metrics-addr "$m1"
     start_node 2 "$logdir/n2.log" --metrics-addr "$m2"
-    wait_ready 0 "$logdir/n0.log"
-    wait_ready 1 "$logdir/n1.log"
-    wait_ready 2 "$logdir/n2.log"
+    wait_ready 0 "$logdir/n0.log" "$m0"
+    wait_ready 1 "$logdir/n1.log" "$m1"
+    wait_ready 2 "$logdir/n2.log" "$m2"
     # With the WAL on this is the flusher's check: nothing staged, no wakes.
     # The birth-time cool-down is one Merkle cycle (seven 5 ms sweeps at
     # this size); after it, the 50 ms keepalive: 20 sweeps/s per node.
@@ -444,8 +469,8 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     "$CLIENT_BIN" put  --servers "$P0" --slot 3 --key 900 --val 7777
 
     echo "-- wal=$wal: restart node 2, wait for full convergence"
-    start_node 2 "$logdir/n2-restart.log"
-    wait_ready 2 "$logdir/n2-restart.log"
+    start_node 2 "$logdir/n2-restart.log" --metrics-addr "$m2"
+    wait_ready 2 "$logdir/n2-restart.log" "$m2"
     if [ "$wal" = on ]; then
         # The boot line must prove the restart recovered the pre-crash
         # store locally instead of starting empty.
@@ -483,12 +508,13 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     if [ "$wal" = on ]; then
         echo "-- wal=on: graceful-shutdown restart must replay zero records"
         P2b="127.0.0.1:$((PORT_BASE))"
+        local m2b="127.0.0.1:$((PORT_BASE + 1))"
         PORT_BASE=$((PORT_BASE + 3))
         NODE_ARGS=(--peers "$P0,$P1,$P2b" --workers 1 --sessions-per-worker 6 \
                    --keys 131072 --keepalive-ns 50000000 --wal on --wal-dir "$waldir")
         NODE_THREADS=3   # main + 1 worker + the WAL flusher
-        start_node 2 "$logdir/n2-graceful.log"
-        wait_ready 2 "$logdir/n2-graceful.log"
+        start_node 2 "$logdir/n2-graceful.log" --metrics-addr "$m2b"
+        wait_ready 2 "$logdir/n2-graceful.log" "$m2b"
         grep "recovered" "$logdir/n2-graceful.log" >&2
         grep -q "wal_records=0 " "$logdir/n2-graceful.log" \
             || { echo "!! graceful shutdown left a WAL tail to replay" >&2; exit 1; }

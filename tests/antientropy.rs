@@ -246,7 +246,7 @@ fn large_store_single_divergence_heals_with_fraction_of_flat_bytes() {
     let stale_key = Key(777);
     let mut sc = SimCluster::build(
         ClusterConfig::small()
-            .keys(KEYS as usize) // capacity 262144
+            .keys(KEYS as usize) // capacity 150 016
             .release_timeout_ns(200_000)
             .anti_entropy_interval_ns(100_000),
         ProtocolMode::Kite,
@@ -306,7 +306,7 @@ fn large_store_single_divergence_heals_with_fraction_of_flat_bytes() {
 #[test]
 fn sweeps_go_flat_under_churn_and_summarize_once_idle() {
     const WRITES: u64 = 2_000;
-    let cfg = ae_cfg().keys(1 << 12); // capacity 8192: 128 leaves, summary level 1
+    let cfg = ae_cfg().keys(1 << 12); // capacity 6 144: 96 leaves, summary level 1
     let interval = cfg.anti_entropy_interval_ns;
     let history = Arc::new(History::new());
     let mut sc = SimCluster::build(
@@ -339,12 +339,15 @@ fn sweeps_go_flat_under_churn_and_summarize_once_idle() {
     assert_eq!(sc.total_completed(), total);
     let idle = planes(&sc);
     let last = history.sorted().iter().map(|r| r.complete).max().unwrap();
-    assert_eq!(sc.shared(NodeId(0)).store.merkle_leaves(), 128);
-    let top_level = 1; // 128 leaves fold into 8 buckets at level 1
+    let store = &sc.shared(NodeId(0)).store;
+    let leaves = store.merkle_leaves() as u64;
+    assert_eq!(leaves * 64, store.capacity() as u64, "whole 64-slot leaves");
+    assert!(leaves > 16 && leaves <= 16 * 16, "{leaves} leaves must summarize at level 1");
+    let top_level = 1; // 96 leaves fold into 6 buckets at level 1
     assert!(idle.1 > 0, "idle sweeps must summarize");
     // The cool-down is `top_level + 5` intervals from the first idle tick,
     // which follows the last completion by the acks of its last writes:
-    // one more interval covers that tail. A flat walk of this store is 32.
+    // one more interval covers that tail. A flat walk of this store is 24.
     assert!(
         sc.now() - last <= (top_level + 6) * interval,
         "the wind-down took {} ns after the last completion: more than a Merkle cycle",
