@@ -700,15 +700,15 @@ impl Worker {
             let rid = self.barrier_waiters[i];
             let taken = self.inflight.get_mut(rid).map(|e| {
                 let barrier = e.barrier_mut().expect("barrier waiter must be release or rmw");
-                (std::mem::replace(barrier, Barrier::resolved()), e.meta().invoked_at)
+                std::mem::replace(barrier, Barrier::resolved())
             });
-            let Some((mut barrier, invoked_at)) = taken else {
+            let Some(mut barrier) = taken else {
                 // Entry already gone (op completed): drop the waiter.
                 self.barrier_waiters[i] = u64::MAX;
                 any_resolved = true;
                 continue;
             };
-            let done = self.evaluate_barrier(rid, invoked_at, &mut barrier, now, out);
+            let done = self.evaluate_barrier(rid, &mut barrier, now, out);
             if !done {
                 self.slow_mode |= barrier.slow.is_some();
                 let entry = self.inflight.get_mut(rid).expect("entry checked above");
@@ -774,7 +774,6 @@ impl Worker {
     fn evaluate_barrier(
         &mut self,
         rid: u64,
-        invoked_at: u64,
         barrier: &mut Barrier,
         now: u64,
         out: &mut Outbox<Msg>,
@@ -796,7 +795,7 @@ impl Worker {
         // whose missing ackers are all already suspected. Acks merely in
         // flight for young writes must NOT mark healthy replicas delinquent
         // — that would cascade needless epoch bumps across the cluster.
-        let (dm_due, next_overdue) = self.barrier_overdue_missing(&barrier.writes, now, invoked_at);
+        let (dm_due, next_overdue) = self.barrier_overdue_missing(&barrier.writes, now);
         self.barrier_deadline = self.barrier_deadline.min(next_overdue);
         match &mut barrier.slow {
             None => {
@@ -848,21 +847,13 @@ impl Worker {
     }
 
     /// Nodes missing acks for barrier writes that are past due: the write
-    /// (or the barrier itself) aged beyond the release timeout, or everyone
-    /// the write is missing is already suspected. Second: the earliest time
-    /// a write that is *not* yet due becomes so by age alone (`u64::MAX` if
-    /// none can) — when the verdict can next change with no input moving.
-    /// `barrier_invoked` is `u64::MAX` for a set of writes no barrier waits
-    /// on (a stalled window).
-    fn barrier_overdue_missing(
-        &self,
-        writes: &[u64],
-        now: u64,
-        barrier_invoked: u64,
-    ) -> (NodeSet, u64) {
+    /// aged beyond the release timeout, or everyone the write is missing is
+    /// already suspected. Second: the earliest time a write that is *not*
+    /// yet due becomes so by age alone (`u64::MAX` if none can) — when the
+    /// verdict can next change with no input moving.
+    fn barrier_overdue_missing(&self, writes: &[u64], now: u64) -> (NodeSet, u64) {
         let all = self.voters();
         let suspected = self.shared.suspected();
-        let barrier_due = barrier_invoked.saturating_add(self.release_timeout);
         let mut dm = NodeSet::EMPTY;
         let mut next_overdue = u64::MAX;
         for w in writes {
@@ -871,7 +862,7 @@ impl Worker {
                 if missing.is_empty() {
                     continue;
                 }
-                let due = barrier_due.min(es.meta.invoked_at.saturating_add(self.release_timeout));
+                let due = es.meta.invoked_at.saturating_add(self.release_timeout);
                 if now >= due || missing.minus(suspected).is_empty() {
                     dm = dm.union(missing);
                 } else {
@@ -893,7 +884,7 @@ impl Worker {
         let writes: Vec<u64> = self.sessions[si].write_window.iter().copied().collect();
         // Only *overdue* missing ackers are published — acks in flight for
         // young writes are not delinquency.
-        let (dm, next_overdue) = self.barrier_overdue_missing(&writes, now, u64::MAX);
+        let (dm, next_overdue) = self.barrier_overdue_missing(&writes, now);
         if dm.is_empty() {
             // Acks are simply in flight: the session is retried when a
             // write leaves its window, when an input of this decision moves,
