@@ -24,7 +24,7 @@
 
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
-use kite_bench::{fmt_mreqs, paper_sim, ShapeCheck, Table, RUN_NS, WARMUP_NS};
+use kite_bench::{fmt_mreqs, paper_sim, Detection, ShapeCheck, Table, RUN_NS, WARMUP_NS};
 use kite_common::{ClusterConfig, NodeId};
 use kite_workloads::MixCfg;
 
@@ -64,10 +64,10 @@ fn run_healthy(timeout_ns: u64, quick: bool) -> (f64, u64, u64) {
 }
 
 /// Outage run: a replica sleeps `sleep_dur`; returns `(dip_ms, mid_mreqs,
-/// post_mreqs, slow_releases, epoch_bumps)` where `dip_ms` is how long
-/// after the sleep the survivors' aggregate throughput stayed below 70% of
-/// the pre-sleep average.
-fn run_outage(timeout_ns: u64, quick: bool) -> (u64, f64, f64, u64, u64) {
+/// post_mreqs, slow_releases, epoch_bumps, detection)` where `dip_ms` is
+/// how long after the sleep the survivors' aggregate throughput stayed
+/// below 70% of the pre-sleep average.
+fn run_outage(timeout_ns: u64, quick: bool) -> (u64, f64, f64, u64, u64, Detection) {
     let (sleep_at, sleep_dur, total) =
         if quick { (30 * MS, 90 * MS, 180 * MS) } else { (50 * MS, 150 * MS, 300 * MS) };
     let sample = 2 * MS;
@@ -96,15 +96,18 @@ fn run_outage(timeout_ns: u64, quick: bool) -> (u64, f64, f64, u64, u64) {
     );
 
     let mut prev: Vec<u64> = vec![0; cfg.nodes];
-    let mut slept = false;
+    let mut detection = None;
     let mut timeline: Vec<(u64, f64)> = Vec::new(); // (end time, total mreqs)
     let mut t = 0;
     while t < total {
-        if !slept && t >= sleep_at {
+        if detection.is_none() && t >= sleep_at {
             sc.sim.sleep_node(sleeper, sleep_dur);
-            slept = true;
+            detection = Some(Detection::new(&sc, sleeper));
         }
-        sc.run_for(sample);
+        match detection.as_mut() {
+            Some(d) => d.run_for(&mut sc, sample),
+            None => sc.run_for(sample),
+        }
         t += sample;
         let cur: Vec<u64> = (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
         let d: u64 = cur.iter().zip(&prev).map(|(c, p)| c - p).sum();
@@ -132,7 +135,7 @@ fn run_outage(timeout_ns: u64, quick: bool) -> (u64, f64, f64, u64, u64) {
     let post = avg(sleep_at + sleep_dur + settle, total);
     let slow: u64 = (0..5).map(|n| sc.counters(NodeId(n)).slow_releases.get()).sum();
     let bumps: u64 = (0..5).map(|n| sc.counters(NodeId(n)).epoch_bumps.get()).sum();
-    (dip_ns / MS, mid, post, slow, bumps)
+    (dip_ns / MS, mid, post, slow, bumps, detection.expect("the sleep began"))
 }
 
 fn main() {
@@ -164,11 +167,15 @@ fn main() {
     println!();
     let outage_timeouts: &[(u64, &str)] =
         &[(200 * US, "200µs"), (MS, "1ms"), (5 * MS, "5ms"), (20 * MS, "20ms")];
-    let mut t =
-        Table::new(vec!["timeout", "dip(ms)", "mid mreqs", "post mreqs", "slow-rel", "bumps"]);
+    // detect/bump: from the sleep's onset to the first slow-path release
+    // and to the sleeper's first epoch bump.
+    let mut t = Table::new(vec![
+        "timeout", "dip(ms)", "mid mreqs", "post mreqs", "slow-rel", "bumps", "detect(ms)",
+        "bump(ms)",
+    ]);
     let mut outage = Vec::new();
     for &(ns, label) in outage_timeouts {
-        let (dip, mid, post, slow, bumps) = run_outage(ns, quick);
+        let (dip, mid, post, slow, bumps, d) = run_outage(ns, quick);
         outage.push((ns, dip, mid, post, slow, bumps));
         t.row(vec![
             label.to_string(),
@@ -177,6 +184,8 @@ fn main() {
             fmt_mreqs(post),
             format!("{slow}"),
             format!("{bumps}"),
+            Detection::ms(d.slow_release),
+            Detection::ms(d.epoch_bump),
         ]);
         eprintln!("  outage timeout {label} …");
     }

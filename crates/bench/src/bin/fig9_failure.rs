@@ -18,7 +18,7 @@
 
 use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
-use kite_bench::{paper_sim, ShapeCheck, Table};
+use kite_bench::{paper_sim, Detection, ShapeCheck, Table};
 use kite_common::{ClusterConfig, NodeId};
 use kite_workloads::MixCfg;
 
@@ -33,13 +33,13 @@ fn main() {
     let sleeper = NodeId(4);
 
     // The release timeout is overprovisioned (§8.4: "such that it never
-    // gets triggered while in common operation") — here 5 ms, above the
-    // queueing of steady operation. It does not keep healthy replicas from
-    // deeming each other delinquent around the wake-up: with this setup at
-    // 4 sessions per worker (seed 41, a 30 or 60 ms sleep after 15 ms of
-    // warm-up, then 50 ms more), three of the four healthy nodes bump their
-    // epoch 1–2 times and take ~16 000–17 500 slow-path accesses each. At
-    // this bin's 8 sessions per worker none did in that probe.
+    // gets triggered while in common operation") — here 5 ms, counted from
+    // each write's quorum. Healthy replicas can still deem each other
+    // delinquent around the wake-up: with this setup at 4 sessions per
+    // worker (seed 41, 15 ms of warm-up, then a sleep and 50 ms more), a
+    // 30 ms sleep bumps no healthy node's epoch, but a 60 ms one bumps three
+    // of the four twice each (~16 100 slow-path accesses each). At this
+    // bin's 8 sessions per worker neither does.
     let cfg = ClusterConfig::default()
         .nodes(5)
         .workers_per_node(2)
@@ -70,16 +70,19 @@ fn main() {
 
     let mut table = Table::new(vec!["t(ms)", "total", "sleeper", "healthy(n0)"]);
     let mut prev: Vec<u64> = vec![0; cfg.nodes];
-    let mut slept = false;
+    let mut detection = None;
     let mut timeline: Vec<(u64, f64, f64, f64)> = Vec::new();
 
     let mut t = 0;
     while t < total {
-        if !slept && t >= sleep_at {
+        if detection.is_none() && t >= sleep_at {
             sc.sim.sleep_node(sleeper, sleep_dur);
-            slept = true;
+            detection = Some(Detection::new(&sc, sleeper));
         }
-        sc.run_for(sample);
+        match detection.as_mut() {
+            Some(d) => d.run_for(&mut sc, sample),
+            None => sc.run_for(sample),
+        }
         t += sample;
         let cur: Vec<u64> =
             (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
@@ -135,6 +138,12 @@ fn main() {
         (0..cfg.nodes).map(|n| sc.counters(NodeId(n as u8)).epoch_bumps.get()).sum();
     println!();
     println!("slow-release barriers: {slow_releases}, epoch bumps: {epoch_bumps}, slow-path accesses: {slow_paths}");
+    let d = detection.expect("the sleep began");
+    println!(
+        "after the sleep's onset: first slow-path release {} ms, sleeper's first epoch bump {} ms",
+        Detection::ms(d.slow_release),
+        Detection::ms(d.epoch_bump)
+    );
     println!("per-node [fast-rel/slow-rel/epoch-bumps/slow-accesses]:");
     for n in 0..cfg.nodes {
         let c = sc.counters(NodeId(n as u8));

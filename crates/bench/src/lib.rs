@@ -30,8 +30,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kite::CompletionHook;
-use kite_common::ClusterConfig;
+use kite::{CompletionHook, SimCluster};
+use kite_common::{ClusterConfig, NodeId};
 use kite_simnet::SimCfg;
 
 /// The standard simulated deployment for the figures: 5 replicas (the
@@ -79,6 +79,64 @@ impl LastCompletion {
     pub fn at(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+}
+
+/// How long after a replica's sleep began its effects showed, in virtual
+/// ns: the first slow-path release anywhere (the survivors publish the
+/// sleeper's delinquency) and the sleeper's first epoch bump (it learns
+/// that it was declared delinquent). A healthy node's bump is not counted:
+/// it is a spurious declaration, not a detection. A watched run is cut into
+/// [`Detection::STEP`] pieces until both have shown; the simulator's
+/// trajectory does not depend on how a run is cut, so watching changes
+/// nothing it measures.
+pub struct Detection {
+    onset: u64,
+    sleeper: NodeId,
+    before: (u64, u64),
+    /// Onset to the first slow-path release, once one is seen.
+    pub slow_release: Option<u64>,
+    /// Onset to the sleeper's first epoch bump, once one is seen.
+    pub epoch_bump: Option<u64>,
+}
+
+impl Detection {
+    /// The resolution of both stamps: each is the end of the step in which
+    /// its counter first moved.
+    pub const STEP: u64 = 10_000;
+
+    /// Watch `sc` from now, when `sleeper` fell asleep.
+    pub fn new(sc: &SimCluster, sleeper: NodeId) -> Self {
+        let (onset, before) = (sc.now(), slow_path(sc, sleeper));
+        Detection { onset, sleeper, before, slow_release: None, epoch_bump: None }
+    }
+
+    /// Run `sc` for `dur_ns`, stamping what first shows within it.
+    pub fn run_for(&mut self, sc: &mut SimCluster, dur_ns: u64) {
+        let end = sc.now() + dur_ns;
+        while sc.now() < end && (self.slow_release.is_none() || self.epoch_bump.is_none()) {
+            sc.run_for(Self::STEP.min(end - sc.now()));
+            let ((slow, bumps), at) = (slow_path(sc, self.sleeper), sc.now() - self.onset);
+            if slow > self.before.0 {
+                self.slow_release.get_or_insert(at);
+            }
+            if bumps > self.before.1 {
+                self.epoch_bump.get_or_insert(at);
+            }
+        }
+        sc.run_for(end - sc.now());
+    }
+
+    /// A stamp in milliseconds, `-` if it never showed.
+    pub fn ms(stamp: Option<u64>) -> String {
+        stamp.map_or("-".into(), |ns| format!("{:.2}", ns as f64 / 1e6))
+    }
+}
+
+/// Slow-path releases so far, summed over the nodes, and `node`'s epoch
+/// bumps.
+fn slow_path(sc: &SimCluster, node: NodeId) -> (u64, u64) {
+    let nodes = (0..sc.config().nodes).map(|n| sc.counters(NodeId(n as u8)));
+    (nodes.map(|c| c.slow_releases.get()).sum(), sc.counters(node).epoch_bumps.get())
 }
 
 /// Fixed-width table printing for harness output.

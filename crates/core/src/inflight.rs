@@ -50,7 +50,8 @@ pub struct Meta {
     pub key: Key,
     /// The originating API operation (returned in the completion record).
     pub op: Op,
-    /// When the op was invoked (for completions and timeouts).
+    /// When the op was invoked (for completions and timeouts); for an `EsWrite`,
+    /// its lateness origin: when first seen quorum-acked (`u64::MAX` before).
     pub invoked_at: u64,
     /// Last (re)transmission time — drives retransmission.
     pub last_sent: u64,
@@ -103,6 +104,15 @@ impl EsWriteState {
     /// voter still missing it is covered by the published DM-set.
     pub fn covered_by(&self, dm: NodeSet, voters: NodeSet, quorum: usize) -> bool {
         self.acked.len() >= quorum && voters.minus(self.acked).minus(dm).is_empty()
+    }
+
+    /// Dates the write's lateness from `now` the first time it is seen quorum-acked (true then).
+    pub(crate) fn stamp_quorum(&mut self, quorum: usize, now: u64) -> bool {
+        let first = self.meta.invoked_at == u64::MAX && self.acked.len() >= quorum;
+        if first {
+            self.meta.invoked_at = now;
+        }
+        first
     }
 }
 

@@ -247,12 +247,13 @@ impl Worker {
         out: &mut Outbox<Msg>,
     ) {
         let rid = if self.mode.has_barriers() {
-            let state = EsWriteState {
+            let mut state = EsWriteState {
                 meta: self.meta(si, op_id, key, op.clone(), now),
                 val: val.clone(),
                 lc,
                 acked: NodeSet::singleton(self.me),
             };
+            state.meta.invoked_at = u64::MAX; // dated at its quorum
             let rid = self.inflight.insert(InFlight::EsWrite(state));
             self.sessions[si].write_window.push_back(rid);
             rid
@@ -413,18 +414,18 @@ impl Worker {
 
     /// Ack for a tracked relaxed write: when *all* machines acked, the write
     /// stops being a barrier obligation (§4.2 fast path).
-    pub(crate) fn on_es_ack(&mut self, src: kite_common::NodeId, rid: u64) {
-        let voters = self.voters();
+    pub(crate) fn on_es_ack(&mut self, src: kite_common::NodeId, rid: u64, now: u64) {
+        let (voters, quorum) = (self.voters(), self.quorum());
         let Some(InFlight::EsWrite(state)) = self.inflight.get_mut(rid) else { return };
         state.acked.insert(src);
         let si = state.meta.sess;
         if voters.minus(state.acked).is_empty() {
             self.inflight.remove(rid);
             self.remove_from_window(si, rid);
-        } else if self.slow_mode {
+        } else if state.stamp_quorum(quorum, now) || self.slow_mode {
             // Short of "acked by all", an ack moves a barrier (or a stalled
-            // session's relief decision) only on the slow path: it can make
-            // a write quorum-acked, or leave only suspected replicas missing.
+            // session's relief decision) when it dates the write's quorum,
+            // or on the slow path when it leaves only suspected replicas missing.
             let sess = &self.sessions[si];
             self.barriers_dirty |= sess.awaiting_barrier || sess.staged.is_some();
         }
@@ -789,12 +790,12 @@ impl Worker {
             return true;
         }
         // Who is past due? A node joins the DM-set only for writes that
-        // have waited out the timeout (counted from the *write's* issue —
-        // a release behind a long-stuck write goes slow immediately instead
-        // of re-paying the timeout; the §8.4 timeline depends on this) or
-        // whose missing ackers are all already suspected. Acks merely in
-        // flight for young writes must NOT mark healthy replicas delinquent
-        // — that would cascade needless epoch bumps across the cluster.
+        // have waited out the timeout since they reached their quorum (not
+        // since their send, which counts queueing behind a busy worker; a release
+        // behind a long-stuck write goes slow at once — the §8.4 timeline
+        // depends on it) or whose missing ackers are all already suspected.
+        // Acks merely in flight for young writes must NOT mark healthy
+        // replicas delinquent — that would cascade needless epoch bumps.
         let (dm_due, next_overdue) = self.barrier_overdue_missing(&barrier.writes, now);
         self.barrier_deadline = self.barrier_deadline.min(next_overdue);
         match &mut barrier.slow {
@@ -846,22 +847,24 @@ impl Worker {
         false
     }
 
-    /// Nodes missing acks for barrier writes that are past due: the write
-    /// aged beyond the release timeout, or everyone the write is missing is
-    /// already suspected. Second: the earliest time a write that is *not*
-    /// yet due becomes so by age alone (`u64::MAX` if none can) — when the
-    /// verdict can next change with no input moving.
-    fn barrier_overdue_missing(&self, writes: &[u64], now: u64) -> (NodeSet, u64) {
-        let all = self.voters();
+    /// Nodes missing acks for barrier writes that are past due: the release
+    /// timeout passed since the write reached its quorum (dated here if no
+    /// ack did: a membership change can lower the quorum under a write), or
+    /// everyone the write is missing is already suspected. Second: the
+    /// earliest time a write that is *not* yet due becomes so by age alone
+    /// (`u64::MAX` if none can) — when the verdict can next change.
+    fn barrier_overdue_missing(&mut self, writes: &[u64], now: u64) -> (NodeSet, u64) {
+        let (all, quorum) = (self.voters(), self.quorum());
         let suspected = self.shared.suspected();
         let mut dm = NodeSet::EMPTY;
         let mut next_overdue = u64::MAX;
         for w in writes {
-            if let Some(InFlight::EsWrite(es)) = self.inflight.get(*w) {
+            if let Some(InFlight::EsWrite(es)) = self.inflight.get_mut(*w) {
                 let missing = all.minus(es.acked);
                 if missing.is_empty() {
                     continue;
                 }
+                es.stamp_quorum(quorum, now);
                 let due = es.meta.invoked_at.saturating_add(self.release_timeout);
                 if now >= due || missing.minus(suspected).is_empty() {
                     dm = dm.union(missing);
@@ -888,7 +891,7 @@ impl Worker {
         if dm.is_empty() {
             // Acks are simply in flight: the session is retried when a
             // write leaves its window, when an input of this decision moves,
-            // or when the oldest write has waited out the timeout.
+            // or when a quorum-acked write has waited out the timeout.
             self.barrier_deadline = self.barrier_deadline.min(next_overdue);
             return;
         }

@@ -581,7 +581,7 @@ impl Worker {
     /// borrow patterns for a win that is noise next to the handler body.
     fn on_plain_ack(&mut self, src: NodeId, rid: u64, now: u64, out: &mut Outbox<Msg>) {
         match self.inflight.get(rid) {
-            Some(InFlight::EsWrite(_)) => self.on_es_ack(src, rid),
+            Some(InFlight::EsWrite(_)) => self.on_es_ack(src, rid, now),
             Some(InFlight::Rmw(_)) => self.on_commit_ack(src, rid, now, out),
             Some(_) => self.on_write_ack(src, rid, false, now, out),
             None => {}
@@ -807,13 +807,17 @@ impl Actor for Worker {
         }
         for (rid, e) in self.inflight.iter() {
             let m = e.meta();
+            let origin = match (e, m.invoked_at) {
+                (InFlight::EsWrite(_), u64::MAX) => "quorum_at=-".to_string(),
+                (InFlight::EsWrite(_), at) => format!("quorum_at={at}"),
+                (_, at) => format!("invoked_at={at}"),
+            };
             let _ = write!(
                 out,
-                "  rid={rid:#x} {} key={} op_id={} invoked_at={} last_sent={} ",
+                "  rid={rid:#x} {} key={} op_id={} {origin} last_sent={} ",
                 e.tag(),
                 m.key,
                 m.op_id,
-                m.invoked_at,
                 m.last_sent
             );
             let _ = match e {

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use kite::{Msg, NodeShared, Op, ProtocolMode, Session, SessionDriver, Worker};
 use kite_common::stats::ProtoCounters;
-use kite_common::{ClusterConfig, Key, Lc, NodeId, SessionId, Val};
+use kite_common::{ClusterConfig, Key, Lc, Membership, NodeId, NodeSet, SessionId, Val, MEMBERSHIP_KEY};
 use kite_simnet::{Actor, Outbox};
 
 const NODES: usize = 5;
@@ -293,13 +293,15 @@ fn kinds(list: &[&'static str]) -> BTreeSet<&'static str> {
 fn silent_peers_are_sent_the_first_transmission_again() {
     let mut h = Harness::new(cfg(), |_, _| false);
     h.run();
-    // The barrier and the stalled window time out into slow-release rounds;
-    // nothing gets past its first round.
+    // Nothing gets past its first round. No write reaches a quorum, so none
+    // is ever late: neither the barrier nor the stalled window opens a
+    // slow-release round.
     assert_eq!(
         h.check(),
-        kinds(&["es-write", "rts-req", "read-req", "propose", "slow-release"]),
+        kinds(&["es-write", "rts-req", "read-req", "propose"]),
         "every first round was retransmitted"
     );
+    assert!(!h.log.keys().any(|(_, kind, _)| *kind == "slow-release"));
     for (round, flushes) in &h.log {
         assert_eq!(flushes[0].sent.len(), NODES - 1, "{round:?} first goes to every peer");
     }
@@ -311,10 +313,8 @@ fn silent_peers_are_sent_the_first_transmission_again() {
 fn a_peer_that_answered_is_not_sent_the_round_again() {
     let mut h = Harness::new(cfg(), |peer, _| peer == NodeId(2));
     h.run();
-    assert_eq!(
-        h.check(),
-        kinds(&["es-write", "rts-req", "read-req", "propose", "slow-release"]),
-    );
+    // One peer's ack makes no write quorum-acked: no slow-release round.
+    assert_eq!(h.check(), kinds(&["es-write", "rts-req", "read-req", "propose"]));
     for (round, flushes) in &h.log {
         for Flush { sent, answered, .. } in &flushes[1..] {
             assert_eq!(answered, &BTreeSet::from([2]), "{round:?}");
@@ -326,7 +326,10 @@ fn a_peer_that_answered_is_not_sent_the_round_again() {
 
 /// Peers 1 and 2 answer first rounds (a quorum with node 0) and nobody
 /// answers second rounds: value rounds, write-backs and accepts are opened
-/// and then retransmitted whole.
+/// and then retransmitted whole. The ES writes' quorum starts their
+/// lateness clocks, so the barrier and the stalled window open DM rounds a
+/// release timeout later; those acks take two periods to come back, so the
+/// DM rounds are resent before they resolve.
 #[test]
 fn second_rounds_are_retransmitted_like_first_rounds() {
     fn first_rounds(peer: NodeId, m: &Msg) -> bool {
@@ -336,6 +339,7 @@ fn second_rounds_are_retransmitted_like_first_rounds() {
     // The full-ABD ablation gives the slow-path read and write their
     // second rounds too.
     let mut h = Harness::new(cfg().stripped_slow_path(false), first_rounds);
+    h.delay = |kind| if kind == "slow-release" { 2 * RETRANSMIT } else { 0 };
     // Node 1 holds a fresher value than anyone else: the reads find it at
     // one holder and must write it back.
     for key in [ACQUIRE_KEY, SLOW_READ_KEY] {
@@ -343,7 +347,7 @@ fn second_rounds_are_retransmitted_like_first_rounds() {
     }
     h.run();
     let retransmitted = h.check();
-    for kind in ["write", "write-acq", "accept"] {
+    for kind in ["write", "write-acq", "accept", "slow-release"] {
         assert!(retransmitted.contains(kind), "{kind} rounds retransmitted: {retransmitted:?}");
     }
     let second_rounds = h.log.keys().filter(|(_, kind, _)| *kind == "write").count();
@@ -460,4 +464,65 @@ fn a_dm_round_that_grows_late_is_resent_one_period_after_it_grew() {
     let dm_rounds: Vec<_> = h.log.keys().filter(|(_, kind, _)| *kind == "slow-release").collect();
     assert_eq!(dm_rounds.len(), 2, "the DM round opened, then grew: {dm_rounds:?}");
     assert_eq!(h.late_rounds_resent(), kinds(&["slow-release"]));
+}
+
+/// The DM rounds node 0 opened: when, and the DM-set each published.
+fn dm_rounds(h: &Harness) -> Vec<(u64, u64)> {
+    let dm = h.log.iter().filter(|((_, kind, _), _)| *kind == "slow-release");
+    dm.map(|((.., dm), flushes)| (flushes[0].at, *dm)).collect()
+}
+
+/// A write is late a release timeout after it reaches its quorum, not after
+/// it is sent (`docs/INVARIANTS.md`): peers 1 and 2 ack the write LATE after
+/// it was sent, so the barrier's DM round opens at the first tick at or
+/// past LATE + RELEASE_TIMEOUT, publishing the two peers still missing.
+#[test]
+fn a_write_is_late_a_release_timeout_after_its_quorum() {
+    let mut h = Harness::new(cfg(), |peer, m| peer.0 <= 2 && m.tag() == "es-write");
+    h.delay = |_| LATE;
+    h.write(RELEASE, 10);
+    h.submit(RELEASE, Op::Release { key: Key(11), val: Val::from_u64(11) });
+    while h.now <= 2 * RETRANSMIT {
+        h.tick();
+    }
+    let [(opened, dm)] = dm_rounds(&h)[..] else { panic!("one DM round: {:?}", dm_rounds(&h)) };
+    let due = LATE + RELEASE_TIMEOUT;
+    assert!((due..due + TICK).contains(&opened), "DM round opened at {opened} ns, due at {due}");
+    assert_eq!(dm, NodeSet(0b11000).0.into(), "peers 3 and 4 are missing");
+}
+
+/// A membership change can lower the quorum under a write with no ack left
+/// to date it: the write is dated when it is first seen quorum-acked, at the
+/// change, and is late a release timeout after that. The watchdog dump shows
+/// the date (`quorum_at=`), and `-` before it.
+#[test]
+fn a_write_a_membership_change_makes_quorum_acked_is_late_a_release_timeout_later() {
+    // Peer 1 alone acks the write: {0, 1} is no majority of five voters.
+    let mut h = Harness::new(cfg(), |peer, m| peer == NodeId(1) && m.tag() == "es-write");
+    h.write(RELEASE, 10);
+    h.submit(RELEASE, Op::Release { key: Key(11), val: Val::from_u64(11) });
+    while h.now < LATE {
+        h.tick();
+    }
+    assert_eq!(dm_rounds(&h), [], "a write short of its quorum is never late");
+    let dump = |h: &Harness| {
+        let mut s = String::new();
+        h.nodes[0].describe(&mut s);
+        s
+    };
+    assert!(dump(&h).contains("es-write key=k10 op_id=n0s0#0 quorum_at=- "), "{}", dump(&h));
+    // Nodes 3 and 4 become learners: {0, 1} is a majority of {0, 1, 2}.
+    let m = Membership { epoch: 1, voters: NodeSet(0b00111), learners: NodeSet(0b11000) };
+    for shared in &h.shared {
+        shared.store.apply_max(MEMBERSHIP_KEY, &m.to_val(), Lc::new(1, NodeId(1)));
+    }
+    let changed = h.now;
+    while h.now <= changed + 2 * RELEASE_TIMEOUT {
+        h.tick();
+    }
+    let [(opened, dm)] = dm_rounds(&h)[..] else { panic!("one DM round: {:?}", dm_rounds(&h)) };
+    let due = changed + RELEASE_TIMEOUT;
+    assert!((due..due + TICK).contains(&opened), "DM round opened at {opened} ns, due at {due}");
+    assert_eq!(dm, NodeSet(0b00100).0.into(), "voter 2 is missing");
+    assert!(dump(&h).contains(&format!("quorum_at={changed} ")), "{}", dump(&h));
 }

@@ -258,16 +258,16 @@ fn a_release_half_propagated_between_two_acquires_is_seen_by_both() {
     }
 }
 
-/// Direction 18 (a), a known violation: with no fault and no dropped
-/// message, load alone gets healthy replicas declared delinquent. fig5's
-/// Kite(5 %) mix at 20 % writes on the paper's deployment (5 nodes × 2
-/// workers, 65 536 keys, the default 1 ms release timeout), seed 5, 10 ms
-/// of virtual time: at 64 sessions per worker a write's age includes its
-/// queueing behind a saturated worker, writes go overdue and replicas bump
-/// their epochs; at 32 (the control) none does. Direction 18's fix flips
-/// the 64-session assertion to "no epoch bump".
+/// Direction 18: with no fault and no dropped message, load alone declares
+/// no replica delinquent. fig5's Kite(5 %) mix at 20 % writes on the
+/// paper's deployment (5 nodes × 2 workers, 65 536 keys, the default 1 ms
+/// release timeout), seed 5, 10 ms of virtual time. A write is late a
+/// release timeout after its quorum, not after it was sent: when lateness
+/// counted from the send it included queueing behind a saturated worker, and
+/// at 64 sessions per worker 15 epochs were bumped (17 at 128), throughput
+/// falling below the 32-session control's.
 #[test]
-fn overload_alone_declares_healthy_replicas_delinquent_known_violation() {
+fn overload_alone_declares_no_replica_delinquent() {
     let run = |sessions: usize| {
         let cfg = ClusterConfig::default().sessions_per_worker(sessions);
         let (mix, spn) = (MixCfg::typical(0.2, cfg.keys as u64), cfg.sessions_per_node());
@@ -289,14 +289,22 @@ fn overload_alone_declares_healthy_replicas_delinquent_known_violation() {
             (0..5).map(|n| f(sc.counters(NodeId(n)))).sum()
         };
         let (bumps, slow) = (sum(|c| c.epoch_bumps.get()), sum(|c| c.slow_releases.get()));
+        let completed = sc.total_completed();
         println!(
-            "{sessions} sessions per worker: {bumps} epoch bumps, {slow} slow releases, {} dropped",
+            "{sessions} sessions per worker: {bumps} epoch bumps, {slow} slow releases, {} \
+             dropped, {completed} completed",
             sc.sim.dropped
         );
-        (bumps, sc.sim.dropped)
+        ((bumps, slow, sc.sim.dropped), completed)
     };
-    assert_eq!(run(32), (0, 0), "control: 32 sessions per worker bump no epoch");
-    let (bumps, dropped) = run(64);
-    assert_eq!(dropped, 0, "no message is lost");
-    assert!(bumps > 0, "known violation (direction 18): load alone no longer bumps an epoch");
+    let (faults, control) = run(32);
+    assert_eq!(faults, (0, 0, 0), "control: 32 sessions per worker declare no one");
+    for sessions in [64, 128] {
+        let (faults, completed) = run(sessions);
+        assert_eq!(faults, (0, 0, 0), "{sessions} sessions: no bump, slow release or drop");
+        assert!(
+            completed * 10 >= control * 9,
+            "{sessions} sessions: {completed} completed, under 0.9 × the control's {control}"
+        );
+    }
 }

@@ -116,6 +116,12 @@ fn typical_mix_row_is_pinned() {
 /// fewer leaves, so more sweeps summarize (completed 659 445 → 647 937,
 /// delivered 501 039 → 493 428, dropped 9 410 → 9 394, epoch bumps
 /// 16 → 18, digests 644 → 628).
+///
+/// Re-captured when a relaxed write's lateness began to count from its
+/// quorum, not from its send: a write that queued behind a busy worker no
+/// longer ages toward a slow release (completed 647 937 → 658 325,
+/// delivered 493 428 → 501 262, dropped 9 394 → 9 263, slow releases
+/// 1 798 → 1 787).
 #[test]
 fn sleeping_replica_row_is_pinned() {
     let keys = 1 << 12;
@@ -145,10 +151,10 @@ fn sleeping_replica_row_is_pinned() {
     assert_eq!(
         row(&sc),
         Row {
-            total_completed: 647937,
-            delivered: 493428,
-            dropped: 9394,
-            slow_releases: 1798,
+            total_completed: 658325,
+            delivered: 501262,
+            dropped: 9263,
+            slow_releases: 1787,
             epoch_bumps: 18,
             ae_digests_sent: 628,
             now: 64 * MS,
@@ -158,6 +164,12 @@ fn sleeping_replica_row_is_pinned() {
 
 /// 10 % loss on two links (both directions): retransmission scans, the
 /// slow-path barrier and anti-entropy repairs all carry load.
+///
+/// Re-captured when a relaxed write's lateness began to count from its
+/// quorum, not from its send: a write whose quorum itself waits on a lost
+/// message is not yet late (completed 55 804 → 55 880, delivered
+/// 174 085 → 171 903, dropped 2 512 → 2 392, slow releases 286 → 267,
+/// epoch bumps 119 → 102).
 #[test]
 fn lossy_links_row_is_pinned() {
     let keys = 1 << 12;
@@ -172,11 +184,11 @@ fn lossy_links_row_is_pinned() {
     assert_eq!(
         row(&sc),
         Row {
-            total_completed: 55804,
-            delivered: 174085,
-            dropped: 2512,
-            slow_releases: 286,
-            epoch_bumps: 119,
+            total_completed: 55880,
+            delivered: 171903,
+            dropped: 2392,
+            slow_releases: 267,
+            epoch_bumps: 102,
             ae_digests_sent: 120,
             now: 16 * MS,
         }
