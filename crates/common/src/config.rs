@@ -57,7 +57,10 @@ pub struct ClusterConfig {
     /// digest (a chunk of `anti_entropy_chunk` store slots, or one summary)
     /// is broadcast to every peer per interval per node — digest traffic is
     /// `nodes × (nodes − 1) / interval` messages cluster-wide, independent
-    /// of op throughput.
+    /// of op throughput. Its second reader is the WAL (`wal_dir`): the
+    /// flusher group-commits once per interval, because whatever a crash
+    /// takes from its staging buffer the first sweep after the restart
+    /// fetches back from the replicas that acked it.
     pub anti_entropy_interval_ns: u64,
     /// Store slots covered per flat digest sweep. Together with the
     /// interval this bounds a flat full-store walk:
@@ -66,7 +69,8 @@ pub struct ClusterConfig {
     /// Per-node crash durability, and the directory it writes to: every
     /// stamp-transitioning store apply is appended to a CRC-framed
     /// write-ahead log, group-committed off the hot path by a dedicated
-    /// flusher thread, with periodic snapshots truncating the log. A
+    /// flusher thread once per `anti_entropy_interval_ns`, with periodic
+    /// snapshots truncating the log. A
     /// restarted node reloads the snapshot, replays the WAL tail
     /// (idempotent under LLC-max) and lets anti-entropy heal only the
     /// downtime delta instead of re-replicating the whole store. Each

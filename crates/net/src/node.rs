@@ -28,14 +28,10 @@ use kite_wal::{RecoveryStats, Wal};
 use crate::fabric::{spawn_tcp_workers, NodeStopHandle, TcpNet, TcpNetCfg};
 use crate::link::LinkTable;
 
-/// Group-commit window floor handed to [`Wal::open`]: staged records
-/// accumulate this long (or `K` × the device's measured commit time, when
-/// that is longer) before one write + fsync, so the durability lag is at
-/// most `max(100 µs, K × commit) + one commit` after the store apply.
-const WAL_GROUP_COMMIT_NS: u64 = 100_000;
-
-/// Interval between WAL snapshots: each one rotates the log and deletes
-/// older segments, so the replay tail is bounded by one second of writes.
+/// Least interval between WAL snapshots: each one rotates the log and
+/// deletes older segments. A rotation also waits until the log has
+/// outgrown the last snapshot, so the replay tail is at most the larger of
+/// that snapshot and one interval of writes.
 const WAL_SNAPSHOT_INTERVAL_NS: u64 = 1_000_000_000;
 
 /// Configuration of one node of a real-network deployment.
@@ -135,9 +131,13 @@ impl NodeRuntime {
             let stats = kite_wal::recover_into(&dir, &shared.store)
                 .map_err(|e| KiteError::Net(format!("wal recovery: {e}")))?;
             let src = Arc::clone(&shared);
+            // The group-commit window is the sweep interval: acks leave
+            // before group commit, and what a crash takes out of the
+            // staging buffer the first sweep after the restart fetches back
+            // from the replicas that acked it.
             let wal = Wal::open(
                 &dir,
-                WAL_GROUP_COMMIT_NS,
+                ccfg.anti_entropy_interval_ns,
                 WAL_SNAPSHOT_INTERVAL_NS,
                 Box::new(move |f| src.store.for_each_entry(|k, lc, v| f(k, lc, v))),
             )

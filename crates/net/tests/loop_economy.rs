@@ -217,7 +217,6 @@ fn idle_cluster_makes_no_wakes_without_work() {
         "loop_w0_pumps",
         "loop_w0_completions",
         "wal_flusher_wakes",
-        "wal_commit_window_ns",
         "wal_commit_busy_ns",
     ] {
         let line = body.lines().find(|l| l.split(' ').next() == Some(key));
@@ -225,7 +224,7 @@ fn idle_cluster_makes_no_wakes_without_work() {
         assert!(value.is_some(), "scrape view has no numeric `{key}`:\n{body}");
     }
     let dump = fetch("dump");
-    for needle in ["loop w0: passes=", "flusher_wakes=", "commit_window="] {
+    for needle in ["loop w0: passes=", "flusher_wakes=", "commit_busy="] {
         assert!(dump.contains(needle), "dump view lacks `{needle}`:\n{dump}");
     }
 

@@ -269,7 +269,7 @@ const NODE0_KEYS: &str = "\
     proto_rmw_rounds proto_slow_path_accesses proto_slow_releases proto_stale_epoch_dropped \
     store_distinct_keys_est store_exts store_len store_slots store_vals store_writes wal_appended_bytes \
     wal_commit_busy_ns wal_commit_latency_ns_count wal_commit_latency_ns_p50 \
-    wal_commit_latency_ns_p99 wal_commit_latency_ns_p999 wal_commit_window_ns \
+    wal_commit_latency_ns_p99 wal_commit_latency_ns_p999 \
     wal_durable_bytes wal_flush_batches wal_flusher_wakes wal_fsyncs wal_lag_bytes \
     wal_records wal_snapshots";
 

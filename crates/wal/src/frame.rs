@@ -14,7 +14,7 @@
 //!   * `vlen` — value byte count (1 B);
 //!   * value bytes (`vlen` B, at most the store record's 64-byte cap).
 //!
-//! Budget: `8 + 8 + 1 = 17` payload bytes plus the value, `25` framed
+//! Budget: `8 + 8 + 1 = 17` payload bytes plus the value, `33` framed
 //! bytes for the ubiquitous 8-byte counter values and at worst
 //! `8 + 17 + 64 = 89` — small enough that group-commit batches are
 //! dominated by value bytes, not framing. Epochs are deliberately absent:
@@ -31,12 +31,19 @@
 //!
 //! # Torn tails
 //!
-//! [`scan`] walks frames until the first violation — short header, absurd
-//! length, short payload, CRC mismatch, or an inner/outer length
-//! disagreement — and reports everything before it plus a `truncated`
-//! flag. A crash mid-`write(2)` thus costs at most the unflushed suffix;
-//! nothing before the tear is ever discarded, and recovery never trusts a
-//! byte the CRC does not vouch for.
+//! One decoder reads every frame, for replay and for [`scan`] alike. It
+//! walks frames until the first violation — short header, absurd length,
+//! short payload, CRC mismatch, or an inner/outer length disagreement —
+//! and reports everything before it plus a `truncated` flag, reading a
+//! file [`READ_BUF`] bytes at a time: replay holds one buffer, never a
+//! whole file or a list of its records. A crash mid-`write(2)` thus costs
+//! at most the unflushed suffix; nothing before the tear is ever
+//! discarded, and recovery never trusts a byte the CRC does not vouch
+//! for.
+
+use std::fs::File;
+use std::io::{self, Read};
+use std::path::Path;
 
 use kite_common::{Key, Lc, NodeId, Val};
 
@@ -146,6 +153,10 @@ pub fn file_header(magic: &[u8; 8], seq: u64) -> [u8; FILE_HEADER_LEN] {
 
 // ---- scanning ------------------------------------------------------------
 
+/// Bytes a file is read in: replay holds this buffer and one record,
+/// never a whole file.
+pub const READ_BUF: usize = 1 << 16;
+
 /// One decoded record plus the byte offset its frame starts at — offsets
 /// are what the fault-injection tests aim their corruption at.
 #[derive(Clone, Debug)]
@@ -174,6 +185,33 @@ pub struct Scan {
     pub complete: bool,
 }
 
+/// What [`stream`] found in one file: a [`Scan`] without the records,
+/// which went to the caller one at a time.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tally {
+    /// Sequence number from the file header.
+    pub(crate) seq: u64,
+    /// Frames handed over, all of them before the first violation.
+    pub(crate) records: u64,
+    /// A tail violation was hit (torn write, corrupt CRC, garbage).
+    pub(crate) truncated: bool,
+    /// A valid end marker terminated the file.
+    pub(crate) complete: bool,
+}
+
+/// What [`decode`] found at the start of its input.
+enum Decoded<'a> {
+    /// One whole, CRC-checked record, `len` framed bytes long.
+    Record { key: Key, lc: Lc, value: &'a [u8], len: usize },
+    /// A snapshot end marker and the entry count it carries.
+    End(u32),
+    /// The input ends inside a frame: a tear if nothing follows it.
+    Short,
+    /// An absurd length, a CRC mismatch or an inner/outer length
+    /// disagreement: the tail from here on is garbage.
+    Bad,
+}
+
 /// Read a little-endian `u32` at `off`, or `None` past the end.
 // kite-lint: total-decode
 fn read_u32(data: &[u8], off: usize) -> Option<u32> {
@@ -188,75 +226,132 @@ fn read_u64(data: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(<[u8; 8]>::try_from(b).ok()?))
 }
 
-/// Scan `data` as a WAL segment or snapshot body. Returns `None` when the
-/// header is short or the magic is wrong — the file is not ours at all,
-/// as opposed to ours-but-torn.
+/// Decode the frame `data` starts with — the one frame decoder: replay,
+/// [`scan`] and [`scan_file`] all read through it (by way of [`stream`]).
 ///
-/// The scan is *total*: arbitrary on-disk garbage (the fault-injection
-/// tests feed exactly that) yields a truncation verdict, never a panic.
+/// Total: arbitrary on-disk garbage (the fault-injection tests feed
+/// exactly that) yields [`Decoded::Short`] or [`Decoded::Bad`], never a
+/// panic.
 // kite-lint: total-decode
-pub fn scan(data: &[u8], magic: &[u8; 8]) -> Option<Scan> {
-    if data.get(0..8) != Some(&magic[..]) {
-        return None;
+fn decode(data: &[u8]) -> Decoded<'_> {
+    let (Some(len), Some(crc)) = (read_u32(data, 0), read_u32(data, 4)) else {
+        return Decoded::Short; // torn mid-header
+    };
+    if len == u32::MAX {
+        // End marker: the crc field carries the entry count.
+        return Decoded::End(crc);
     }
-    let seq = read_u64(data, 8)?;
-    let mut records = Vec::new();
-    let mut off = FILE_HEADER_LEN;
-    let mut truncated = false;
-    let mut complete = false;
-    while off < data.len() {
-        let (len, crc) = match (read_u32(data, off), read_u32(data, off + 4)) {
-            (Some(len), Some(crc)) => (len, crc),
-            _ => {
-                truncated = true; // torn mid-header
+    let len = len as usize;
+    if !(PAYLOAD_FIXED..=MAX_PAYLOAD).contains(&len) {
+        return Decoded::Bad;
+    }
+    let Some(payload) = data.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
+        return Decoded::Short; // torn mid-payload
+    };
+    // The bound check above guarantees `len >= PAYLOAD_FIXED`, so the
+    // fixed fields below always decode once this `get` succeeds — the
+    // `else` arm is unreachable belt-and-braces, not a live path.
+    let (Some(key), Some(lc), Some(&vlen), Some(value)) =
+        (read_u64(payload, 0), read_u64(payload, 8), payload.get(16), payload.get(PAYLOAD_FIXED..))
+    else {
+        return Decoded::Bad;
+    };
+    if crc32(payload) != crc || PAYLOAD_FIXED + vlen as usize != len {
+        return Decoded::Bad;
+    }
+    Decoded::Record { key: Key(key), lc: unpack_lc(lc), value, len: FRAME_HEADER_LEN + len }
+}
+
+/// Fill `buf` from `src` until it is full or `src` is exhausted; returns
+/// the bytes read.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while let Some(rest) = buf.get_mut(filled..).filter(|r| !r.is_empty()) {
+        match src.read(rest) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// Stream a WAL segment or snapshot from `src` through [`decode`], [`READ_BUF`]
+/// bytes at a time, handing each record to `each` as `(offset, key, lc,
+/// value)` until the first violation. Returns `None` when the header is
+/// short or the magic is wrong — the file is not ours at all, as opposed
+/// to ours-but-torn.
+// kite-lint: total-decode
+pub(crate) fn stream(
+    mut src: impl Read,
+    magic: &[u8; 8],
+    mut each: impl FnMut(u64, Key, Lc, &[u8]),
+) -> io::Result<Option<Tally>> {
+    let mut buf = vec![0u8; READ_BUF];
+    let mut filled = read_full(&mut src, &mut buf)?;
+    if buf.get(0..8) != Some(&magic[..]) || filled < FILE_HEADER_LEN {
+        return Ok(None);
+    }
+    let Some(seq) = read_u64(&buf, 8) else {
+        return Ok(None);
+    };
+    let mut tally = Tally { seq, records: 0, truncated: false, complete: false };
+    // `buf[pos..filled]` is unread; `base` is the file offset of `buf[0]`.
+    let (mut pos, mut base) = (FILE_HEADER_LEN, 0u64);
+    let mut eof = filled < buf.len();
+    loop {
+        let unread = buf.get(pos..filled).unwrap_or_default();
+        match decode(unread) {
+            Decoded::Record { key, lc, value, len } => {
+                each(base + pos as u64, key, lc, value);
+                tally.records += 1;
+                pos += len;
+            }
+            Decoded::End(count) => {
+                tally.complete = u64::from(count) == tally.records;
+                tally.truncated = !tally.complete;
                 break;
             }
-        };
-        if len == u32::MAX {
-            // End marker: the crc field must carry the entry count.
-            complete = crc as usize == records.len();
-            truncated = !complete;
-            break;
+            Decoded::Short if unread.is_empty() && eof => break,
+            Decoded::Short if !eof => {
+                // A frame straddles the buffer's end: keep its head, read on.
+                buf.copy_within(pos..filled, 0);
+                base += pos as u64;
+                filled -= pos;
+                pos = 0;
+                filled += read_full(&mut src, buf.get_mut(filled..).unwrap_or_default())?;
+                eof = filled < buf.len();
+            }
+            Decoded::Short | Decoded::Bad => {
+                tally.truncated = true;
+                break;
+            }
         }
-        let len = len as usize;
-        if !(PAYLOAD_FIXED..=MAX_PAYLOAD).contains(&len) {
-            truncated = true;
-            break;
-        }
-        // The bound check above guarantees `len >= PAYLOAD_FIXED`, so the
-        // fixed fields below always decode once this `get` succeeds — the
-        // `else` arms are unreachable belt-and-braces, not live paths.
-        let Some(payload) = data.get(off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len) else {
-            truncated = true; // torn mid-payload
-            break;
-        };
-        let (Some(key), Some(lc), Some(&vlen), Some(value)) = (
-            read_u64(payload, 0),
-            read_u64(payload, 8),
-            payload.get(16),
-            payload.get(PAYLOAD_FIXED..),
-        ) else {
-            truncated = true;
-            break;
-        };
-        if crc32(payload) != crc || PAYLOAD_FIXED + vlen as usize != len {
-            truncated = true;
-            break;
-        }
-        records.push(ScannedRecord {
-            offset: off as u64,
-            key: Key(key),
-            lc: unpack_lc(lc),
-            val: Val::from_bytes(value),
-        });
-        off += FRAME_HEADER_LEN + len;
     }
-    Some(Scan { seq, records, truncated, complete })
+    Ok(Some(tally))
+}
+
+/// Decode `data` as a WAL segment or snapshot, through the decoder replay
+/// streams through, and keep every record: the whole-file view the
+/// fault-injection tests aim their corruption with. Returns `None` when
+/// the header is short or the magic is wrong — the file is not ours at
+/// all, as opposed to ours-but-torn.
+pub fn scan(data: &[u8], magic: &[u8; 8]) -> Option<Scan> {
+    collect(data, magic).ok()?
 }
 
 /// Read and [`scan`] a file on disk.
-pub fn scan_file(path: &std::path::Path, magic: &[u8; 8]) -> std::io::Result<Option<Scan>> {
-    Ok(scan(&std::fs::read(path)?, magic))
+pub fn scan_file(path: &Path, magic: &[u8; 8]) -> io::Result<Option<Scan>> {
+    collect(File::open(path)?, magic)
+}
+
+fn collect(src: impl Read, magic: &[u8; 8]) -> io::Result<Option<Scan>> {
+    let mut records = Vec::new();
+    let tally = stream(src, magic, |offset, key, lc, value| {
+        records.push(ScannedRecord { offset, key, lc, val: Val::from_bytes(value) })
+    })?;
+    Ok(tally.map(|t| Scan { seq: t.seq, records, truncated: t.truncated, complete: t.complete }))
 }
 
 #[cfg(test)]

@@ -17,42 +17,47 @@
 //!    not run. The append that ends the idleness — it holds the staging
 //!    mutex anyway — signals it, once per idle→busy edge.
 //! 2. **Window.** Something staged: the flusher sleeps out one group-commit
-//!    window, `max(group_commit_ns, K × commit time)`, where the commit
-//!    time is the median of the last five write + `fdatasync` wall times it
-//!    measured itself and `K` = 3 (`pacing.rs`). A commit costs the device's
-//!    time whatever the batch size, so the window is sized to keep the
-//!    flusher in the device at most a quarter of the time, every commit
-//!    carrying four commit times' worth of records: on a disk that commits
-//!    in 20 µs the configured 100 µs floor is the window; on the 2-vCPU
-//!    reference VM (commits of 130–430 µs) it settles at 0.4–1.3 ms. Three
-//!    things cut a window short: `flush()`, `snapshot_now()` and stop, as
-//!    requests always did, and a staged backlog of one staging buffer
+//!    window, the `commit_window_ns` [`Wal::open`] was given — a node hands
+//!    it its anti-entropy sweep interval (5 ms by default). The sweep
+//!    interval is the horizon durability needs: acks leave before group
+//!    commit, and a record staged but not yet durable when the process dies
+//!    is re-fetched by the first sweep after the restart, from the replicas
+//!    that acked it. So a commit carries a window's records whatever the
+//!    device, and the flusher's cost follows the records it persists, not
+//!    the clock. Three things cut a window short: `flush()`,
+//!    `snapshot_now()` and stop, and a staged backlog of one staging buffer
 //!    (64 KiB) — the append that fills it signals — so time paces a trickle
 //!    and bytes pace a burst.
 //! 3. **Commit.** Swap the staging buffer against a recycled spare (two
 //!    buffers ping-pong forever — steady-state appends and flushes are
 //!    allocation-free once the buffers have grown to the working set),
 //!    write the batch to the active segment and `fdatasync` it once — the
-//!    third sleep, in the device. The wall time goes to `commit_latency`,
-//!    to `commit_busy_ns` and into the next window. `flush()`/
-//!    `snapshot_now()` callers are woken only if there are any: a commit
-//!    with nobody waiting makes no wake-up syscall.
+//!    third sleep, in the device. The wall time goes to `commit_latency`
+//!    and `commit_busy_ns`. `flush()`/`snapshot_now()` callers are woken
+//!    only if there are any: a commit with nobody waiting makes no wake-up
+//!    syscall.
 //!
 //! Records that arrive during 2 and 3 start the next window with no signal
-//! at all, so sustained load makes **zero** signals per record. The
-//! durability lag is bounded by `max(group_commit_ns, K × commit) + one
-//! commit` in time (≈ 0.6–1.8 ms on the reference VM, 120 µs on the fast
-//! disk; a record staged while a commit is in the device also waits out
+//! at all, so sustained load makes **zero** signals per record. In any
+//! stretch `Δt` the flusher commits at most
+//! `Δt / window + Δbytes / 64 KiB + 1` times, plus two fsyncs per
+//! rotation. The durability lag is bounded by one window + one commit in
+//! time (a record staged while a commit is in the device also waits out
 //! the rest of that commit) and by one staging buffer plus one commit's
-//! arrivals in bytes; lag, the window in force and the commit duty cycle
-//! are reported in [`Wal::stats`].
+//! arrivals in bytes; lag and the commit duty cycle are reported in
+//! [`Wal::stats`].
 //!
-//! Every `snapshot_interval_ns` — if anything was appended since the last
-//! rotation: re-dumping an unchanged store buys nothing — and on
-//! [`Wal::snapshot_now`] and [`Wal::shutdown`] unconditionally, the flusher
-//! **rotates**: seal the active segment, open segment `S+1`, dump the
-//! whole store to `snap-<S+1>.tmp`, fsync, rename to `.snap`, then delete
-//! every older segment and snapshot. The ordering argument: a record
+//! The flusher **rotates** once `snapshot_interval_ns` has passed since the
+//! last rotation *and* the log appended since then holds at least as many
+//! bytes as that rotation's snapshot, and on [`Wal::snapshot_now`] and
+//! [`Wal::shutdown`] unconditionally: seal the active segment, open
+//! segment `S+1`, dump the whole store to `snap-<S+1>.tmp`, fsync, rename
+//! to `.snap`, then delete every older segment and snapshot. The size gate
+//! makes a snapshot cost no more bytes than the log it retires (write
+//! amplification ≤ 2, and an idle node never re-dumps an unchanged store),
+//! and a restart replays one snapshot plus a log no longer than the larger
+//! of that snapshot and one interval of appends — streamed, so replay
+//! memory is one read buffer ([`recover`]). The ordering argument: a record
 //! staged before the rotation swap was *applied to the store before the
 //! dump started* (apply happens-before stage), so the snapshot covers
 //! every sealed segment; records staged after the swap land in segment
@@ -66,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub mod frame;
-mod pacing;
 pub mod recover;
 
 use std::fs::{self, File, OpenOptions};
@@ -80,7 +84,6 @@ use std::time::{Duration, Instant};
 use kite_common::{Key, Lc, Val};
 use kite_kvs::{DurabilitySink, SinkError};
 
-use pacing::CommitPacer;
 pub use recover::{recover_into, segment_path, snapshot_path, RecoveryStats};
 
 /// Store-iteration callback: the WAL asks its owner to walk every written
@@ -104,9 +107,6 @@ struct Staging {
     durable: u64,
     /// Active segment sequence number.
     seq: u64,
-    /// `appended` as of the last rotation: more than this means the newest
-    /// snapshot is stale.
-    rotated_at: u64,
     /// The flusher is parked on `wake` with nothing staged; the append
     /// that finds this set clears it and signals.
     parked: bool,
@@ -124,8 +124,6 @@ struct Counters {
     snapshots: AtomicU64,
     snapshot_entries: AtomicU64,
     flusher_wakes: AtomicU64,
-    /// Gauge, not a counter: the group-commit window in force.
-    commit_window_ns: AtomicU64,
     commit_busy_ns: AtomicU64,
 }
 
@@ -154,9 +152,6 @@ pub struct WalStats {
     /// Times the flusher thread returned from a condvar wait — once per
     /// group-commit window under load, flat on an idle node.
     pub flusher_wakes: u64,
-    /// The group-commit window in force (a gauge): the configured floor, or
-    /// `K ×` the recent commit time where that is longer.
-    pub commit_window_ns: u64,
     /// Σ write + `fdatasync` wall time of every group commit — the
     /// flusher's time in the device, so Δ`commit_busy_ns` ÷ Δt between two
     /// readings is its commit duty cycle.
@@ -166,7 +161,7 @@ pub struct WalStats {
 impl WalStats {
     /// `(name, reading)` of every scrape key (`wal_<name>`), all from this
     /// one snapshot. `snapshot_entries` shows in [`Wal::describe`] only.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("records", self.records),
             ("appended_bytes", self.appended_bytes),
@@ -176,7 +171,6 @@ impl WalStats {
             ("fsyncs", self.fsyncs),
             ("snapshots", self.snapshots),
             ("flusher_wakes", self.flusher_wakes),
-            ("commit_window_ns", self.commit_window_ns),
             ("commit_busy_ns", self.commit_busy_ns),
         ]
     }
@@ -188,6 +182,7 @@ impl WalStats {
 /// next boot replays nothing).
 pub struct Wal {
     dir: PathBuf,
+    commit_window: Duration,
     snapshot_interval: Duration,
     inner: Mutex<Staging>,
     /// Wakes the flusher: flush/snapshot/stop requests, and the append
@@ -219,12 +214,16 @@ fn open_segment(dir: &Path, seq: u64) -> io::Result<File> {
 
 impl Wal {
     /// Open (creating if needed) the WAL under `dir` and start the flusher
-    /// thread. A fresh segment is always opened — one past the highest
-    /// sequence present — so a torn tail left by a crash is never appended
-    /// to. Call only after [`recover_into`] has replayed `dir`.
+    /// thread. Staged records wait out `commit_window_ns` (at least 1 ns)
+    /// before one group commit; a rotation is due every
+    /// `snapshot_interval_ns` in which the log outgrew the last snapshot
+    /// (see the crate docs). A fresh segment is always opened — one past
+    /// the highest sequence present — so a torn tail left by a crash is
+    /// never appended to. Call only after [`recover_into`] has replayed
+    /// `dir`.
     pub fn open(
         dir: &Path,
-        group_commit_ns: u64,
+        commit_window_ns: u64,
         snapshot_interval_ns: u64,
         source: SnapshotSource,
     ) -> io::Result<Arc<Wal>> {
@@ -236,19 +235,15 @@ impl Wal {
             .unwrap_or(0);
         let seq = newest + 1;
         let seg = open_segment(dir, seq)?;
-        // The configured window is the floor of the paced one.
-        let pacer = CommitPacer::new(group_commit_ns);
-        let counters = Counters::default();
-        counters.commit_window_ns.store(pacer.window().as_nanos() as u64, Ordering::Relaxed);
         let wal = Arc::new(Wal {
             dir: dir.to_path_buf(),
+            commit_window: Duration::from_nanos(commit_window_ns.max(1)),
             snapshot_interval: Duration::from_nanos(snapshot_interval_ns.max(1)),
             inner: Mutex::new(Staging {
                 buf: Vec::with_capacity(STAGING_CAP),
                 appended: 0,
                 durable: 0,
                 seq,
-                rotated_at: 0,
                 parked: false,
                 waiters: 0,
             }),
@@ -258,7 +253,7 @@ impl Wal {
             flush_req: AtomicBool::new(false),
             snap_req: AtomicBool::new(false),
             skip_final_snapshot: AtomicBool::new(false),
-            counters,
+            counters: Counters::default(),
             commit_latency: kite_metrics::Histogram::new(),
             flusher: Mutex::new(None),
         });
@@ -266,7 +261,7 @@ impl Wal {
             let wal = Arc::clone(&wal);
             std::thread::Builder::new()
                 .name("kite-wal-flusher".into())
-                .spawn(move || wal.flusher_loop(seg, source, pacer))?
+                .spawn(move || wal.flusher_loop(seg, source))?
         };
         *wal.flusher.lock().unwrap() = Some(handle);
         Ok(wal)
@@ -288,7 +283,6 @@ impl Wal {
             snapshots: self.counters.snapshots.load(Ordering::Relaxed),
             snapshot_entries: self.counters.snapshot_entries.load(Ordering::Relaxed),
             flusher_wakes: self.counters.flusher_wakes.load(Ordering::Relaxed),
-            commit_window_ns: self.counters.commit_window_ns.load(Ordering::Relaxed),
             commit_busy_ns: self.counters.commit_busy_ns.load(Ordering::Relaxed),
         }
     }
@@ -303,9 +297,9 @@ impl Wal {
         let s = self.stats();
         format!(
             "wal records={} durable={}B lag={}B batches={} fsyncs={} snapshots={} snap_entries={} \
-             flusher_wakes={} commit_window={}ns commit_busy={}ns",
+             flusher_wakes={} commit_busy={}ns",
             s.records, s.durable_bytes, s.lag_bytes, s.flush_batches, s.fsyncs, s.snapshots,
-            s.snapshot_entries, s.flusher_wakes, s.commit_window_ns, s.commit_busy_ns
+            s.snapshot_entries, s.flusher_wakes, s.commit_busy_ns
         )
     }
 
@@ -385,11 +379,15 @@ impl Wal {
 
     // ---- flusher ---------------------------------------------------------
 
-    fn flusher_loop(&self, mut seg: File, source: SnapshotSource, mut pacer: CommitPacer) {
+    fn flusher_loop(&self, mut seg: File, source: SnapshotSource) {
         let mut spare: Vec<u8> = Vec::with_capacity(STAGING_CAP);
         let mut last_snapshot = Instant::now();
+        // `appended` from which the log has outgrown the newest snapshot:
+        // past the last rotation by the snapshot's bytes, and by one at
+        // least (an unchanged store is never re-dumped).
+        let mut outgrown_at: u64 = 1;
         loop {
-            let stale;
+            let outgrown;
             {
                 let mut inner = self.inner.lock().unwrap();
                 let requested = || {
@@ -399,11 +397,11 @@ impl Wal {
                 };
                 // Nothing staged: park until an append signals the
                 // idle→busy edge or a request arrives, but no longer than
-                // the next snapshot is due (or, with nothing to snapshot,
-                // one interval — a heartbeat, not a deadline).
+                // the next snapshot is due (or, with none due, one
+                // interval — a heartbeat, not a deadline).
                 inner.parked = inner.buf.is_empty();
                 while inner.parked && !requested() {
-                    let due_in = if inner.appended > inner.rotated_at {
+                    let due_in = if inner.appended >= outgrown_at {
                         self.snapshot_interval.saturating_sub(last_snapshot.elapsed())
                     } else {
                         self.snapshot_interval
@@ -420,9 +418,7 @@ impl Wal {
                 // last commit under load. A request ends it early, and so
                 // does a full staging buffer (the append that fills it
                 // signals): time paces a trickle, bytes pace a burst.
-                let window = pacer.window();
-                self.counters.commit_window_ns.store(window.as_nanos() as u64, Ordering::Relaxed);
-                let deadline = Instant::now() + window;
+                let deadline = Instant::now() + self.commit_window;
                 while !inner.buf.is_empty() && inner.buf.len() < STAGING_CAP && !requested() {
                     let now = Instant::now();
                     if now >= deadline {
@@ -431,30 +427,29 @@ impl Wal {
                     inner = self.wake.wait_timeout(inner, deadline - now).unwrap().0;
                     self.counters.flusher_wakes.fetch_add(1, Ordering::Relaxed);
                 }
-                stale = inner.appended > inner.rotated_at;
+                outgrown = inner.appended >= outgrown_at;
             }
             self.flush_req.store(false, Ordering::Relaxed);
             let stopping = self.stop.load(Ordering::Relaxed);
 
             // Swap staging out and commit the batch.
-            if self.commit_batch(&mut seg, &mut spare, &mut pacer).is_err() {
+            if self.commit_batch(&mut seg, &mut spare).is_err() {
                 // Disk trouble: durability is lost but the replica keeps
                 // serving (same availability stance as running WAL-off).
                 // Retry next window.
             }
 
-            // An interval with nothing appended since the last rotation is
-            // skipped: the snapshot on disk already covers the store.
             let snapshot_due = self.snap_req.swap(false, Ordering::Relaxed)
-                || (stale && last_snapshot.elapsed() >= self.snapshot_interval);
+                || (outgrown && last_snapshot.elapsed() >= self.snapshot_interval);
             let wants_snapshot = if stopping {
                 !self.skip_final_snapshot.load(Ordering::Relaxed)
             } else {
                 snapshot_due
             };
             if wants_snapshot {
-                if let Ok(new_seg) = self.rotate_and_snapshot(seg, &mut spare, &source) {
+                if let Ok((new_seg, next)) = self.rotate_and_snapshot(seg, &mut spare, &source) {
                     seg = new_seg;
+                    outgrown_at = next;
                     last_snapshot = Instant::now();
                 } else {
                     // Rotation failed irrecoverably (the old segment file
@@ -472,14 +467,8 @@ impl Wal {
     }
 
     /// Swap the staging buffer against `spare`, write it to `seg`, fsync,
-    /// and publish the new durable watermark. The commit's wall time feeds
-    /// `pacer` — the next window is sized from it.
-    fn commit_batch(
-        &self,
-        seg: &mut File,
-        spare: &mut Vec<u8>,
-        pacer: &mut CommitPacer,
-    ) -> io::Result<()> {
+    /// and publish the new durable watermark.
+    fn commit_batch(&self, seg: &mut File, spare: &mut Vec<u8>) -> io::Result<()> {
         let watermark = {
             let mut inner = self.inner.lock().unwrap();
             std::mem::swap(&mut inner.buf, spare);
@@ -496,7 +485,6 @@ impl Wal {
             let commit_ns = started.elapsed().as_nanos() as u64;
             self.commit_latency.record(commit_ns);
             self.counters.commit_busy_ns.fetch_add(commit_ns, Ordering::Relaxed);
-            pacer.observe(commit_ns);
             spare.clear();
         }
         self.publish(|inner| inner.durable = inner.durable.max(watermark));
@@ -505,20 +493,21 @@ impl Wal {
 
     /// The rotation protocol (see the crate docs for the ordering
     /// argument): seal the old segment, open `S+1`, dump the store to a
-    /// temp snapshot, fsync + rename, prune everything older.
+    /// temp snapshot, fsync + rename, prune everything older. Returns the
+    /// new segment and the `appended` watermark from which the log has
+    /// outgrown this snapshot.
     fn rotate_and_snapshot(
         &self,
         mut seg: File,
         spare: &mut Vec<u8>,
         source: &SnapshotSource,
-    ) -> io::Result<File> {
+    ) -> io::Result<(File, u64)> {
         // 1. Swap any residue and bump the segment sequence: appends from
         //    here on belong to the new segment.
         let (watermark, new_seq) = {
             let mut inner = self.inner.lock().unwrap();
             std::mem::swap(&mut inner.buf, spare);
             inner.seq += 1;
-            inner.rotated_at = inner.appended;
             (inner.appended, inner.seq)
         };
         // 2. Seal the old segment with the residue.
@@ -539,7 +528,7 @@ impl Wal {
         let tmp = self.dir.join(format!("snap-{new_seq:010}.tmp"));
         let mut w = BufWriter::new(File::create(&tmp)?);
         w.write_all(&frame::file_header(frame::SNAP_MAGIC, new_seq))?;
-        let mut count: u64 = 0;
+        let (mut count, mut bytes) = (0u64, 0u64);
         let mut err: Option<io::Error> = None;
         {
             let mut frame_buf = [0u8; frame::MAX_FRAME];
@@ -549,7 +538,7 @@ impl Wal {
                 }
                 let n = frame::encode_into(&mut frame_buf, key, lc, val);
                 match w.write_all(&frame_buf[..n]) {
-                    Ok(()) => count += 1,
+                    Ok(()) => (count, bytes) = (count + 1, bytes + n as u64),
                     Err(e) => err = Some(e),
                 }
             });
@@ -579,7 +568,7 @@ impl Wal {
         }
         self.counters.snapshot_entries.store(count, Ordering::Relaxed);
         self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-        Ok(new_seg)
+        Ok((new_seg, watermark + bytes.max(1)))
     }
 }
 

@@ -10,8 +10,11 @@
 //! * **order-insensitive** — racing appenders may stage records out of
 //!   per-key order; LLC-max converges to the highest clock regardless;
 //! * **tear-tolerant** — a torn or corrupt frame truncates that file's
-//!   replay at the tear ([`crate::frame::scan`]), costing only the
-//!   unflushed suffix.
+//!   replay at the tear (the decoder [`crate::frame::scan`] also reads
+//!   through), costing only the unflushed suffix;
+//! * **streamed** — each file is read one bounded buffer at a time and
+//!   every record applied as it is decoded, so replay memory is one
+//!   buffer, not the file.
 //!
 //! Applying through the normal mutators also rebuilds the Merkle leaf
 //! lattice for free: by the time recovery returns, the store's summaries
@@ -25,9 +28,11 @@
 //! but a crash can leave them behind) are fully covered by the snapshot
 //! and skipped.
 
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use kite_common::{Key, Lc, Val};
 use kite_kvs::Store;
 
 use crate::frame;
@@ -87,19 +92,27 @@ pub fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
 /// attaching the WAL sink — a sink that observed its own replay would
 /// double every record. Missing or empty directories recover nothing and
 /// are not an error (first boot).
+///
+/// Every file streams through [`frame::READ_BUF`] bytes at a time, each
+/// record applied as it is decoded: replay memory is one buffer, whatever
+/// the size of the snapshot or the tail.
 pub fn recover_into(dir: &Path, store: &Store) -> io::Result<RecoveryStats> {
     let mut stats = RecoveryStats::default();
+    let apply = |_: u64, key: Key, lc: Lc, value: &[u8]| {
+        store.apply_max(key, &Val::from_bytes(value), lc);
+    };
 
     // Newest complete snapshot wins; incomplete or alien files are skipped
-    // (a torn snapshot is recorded as a truncation but never trusted).
+    // (a torn snapshot is recorded as a truncation and its seq never
+    // trusted). A snapshot's records are applied before its end marker is
+    // read: each is CRC-vouched state this node held, which LLC-max makes
+    // safe to apply in any order, so a torn one's prefix only adds what an
+    // older snapshot and the segments would restore anyway.
     for (seq, path) in list_files(dir, "snap-", ".snap")?.into_iter().rev() {
-        match frame::scan_file(&path, frame::SNAP_MAGIC)? {
-            Some(scan) if scan.complete && scan.seq == seq => {
-                for r in &scan.records {
-                    store.apply_max(r.key, &r.val, r.lc);
-                }
+        match frame::stream(File::open(&path)?, frame::SNAP_MAGIC, apply)? {
+            Some(tally) if tally.complete && tally.seq == seq => {
                 stats.snapshot_seq = Some(seq);
-                stats.snapshot_entries = scan.records.len() as u64;
+                stats.snapshot_entries = tally.records;
                 break;
             }
             _ => stats.truncated = true,
@@ -113,12 +126,9 @@ pub fn recover_into(dir: &Path, store: &Store) -> io::Result<RecoveryStats> {
             continue;
         }
         stats.segments += 1;
-        if let Some(scan) = frame::scan_file(&path, frame::SEG_MAGIC)? {
-            stats.truncated |= scan.truncated;
-            for r in &scan.records {
-                store.apply_max(r.key, &r.val, r.lc);
-                stats.replayed_records += 1;
-            }
+        if let Some(tally) = frame::stream(File::open(&path)?, frame::SEG_MAGIC, apply)? {
+            stats.truncated |= tally.truncated;
+            stats.replayed_records += tally.records;
         } else {
             stats.truncated = true;
         }

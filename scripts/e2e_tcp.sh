@@ -48,9 +48,14 @@
 # delta; without it, the node comes back empty and the sweep re-replicates
 # the world. A final graceful-restart check asserts SIGTERM's
 # flush+snapshot leaves zero replay. With the WAL on, scrape deltas across
-# the fill give each node's commit duty cycle (Δwal_commit_busy_ns ÷ Δt)
-# and records per fsync; a duty above 0.4 fails — group commit is paced to
-# keep the flusher out of the device three quarters of the time.
+# the fill give each node's commit cadence: its fsyncs may not exceed one
+# per group-commit window (the anti-entropy sweep interval), one per 64 KiB
+# staged and two per snapshot rotation, plus two for the edges of the
+# stretch; its commit duty cycle (Δwal_commit_busy_ns ÷ Δt) and records per
+# fsync are printed beside it. Every `ready on` prints the node's peak
+# resident memory (VmHWM) beside VmRSS, and the restarted node prints both
+# again once it has caught up: whether a restart's memory is a peak or is
+# kept.
 #
 # Usage: scripts/e2e_tcp.sh [iterations]   (default 1; loop it à la
 #        scripts/stress.sh for CI soak runs)
@@ -134,24 +139,34 @@ assert_node_sockets() { # assert_node_sockets <workers>
     done
 }
 
-wal_commit_sample() { # wal_commit_sample <metrics-addr> -> "now_ns busy_ns records fsyncs"
+# The WAL phase's group-commit window: its nodes' anti-entropy sweep
+# interval, passed explicitly (it is also kite-node's default).
+WAL_WINDOW_NS=5000000
+
+wal_commit_sample() { # wal_commit_sample <metrics-addr> -> "now_ns busy_ns records fsyncs bytes snapshots"
     "$CLIENT_BIN" scrape --servers "$1" | awk -v now="$(date +%s%N)" '
         $1=="wal_commit_busy_ns"{b=$2} $1=="wal_records"{r=$2} $1=="wal_fsyncs"{f=$2}
-        END{print now, b+0, r+0, f+0}'
+        $1=="wal_appended_bytes"{n=$2} $1=="wal_snapshots"{s=$2}
+        END{print now, b+0, r+0, f+0, n+0, s+0}'
 }
 
-# Group-commit economy of one node between two samples: the share of wall
-# time its flusher spent in write+fdatasync (the pacing keeps it near 1/4;
-# above 0.4 the window is not tracking the device) and records per fsync.
-assert_commit_duty() { # assert_commit_duty <label> <sample-before> <sample-after>
-    awk -v label="$1" -v a="$2" -v b="$3" 'BEGIN{
+# Group-commit cadence of one node between two samples. The flusher sleeps
+# out a whole window before each commit unless 64 KiB staged cut it short,
+# and a snapshot rotation adds two fsyncs (seal + snapshot); the edges of
+# the stretch add at most two. A slow disk only lowers the count, so the
+# bound checks the cadence, not the device. Duty cycle (the share of wall
+# time in write+fdatasync) and records per fsync are printed, not bounded.
+assert_commit_cadence() { # assert_commit_cadence <label> <sample-before> <sample-after>
+    awk -v label="$1" -v a="$2" -v b="$3" -v w="$WAL_WINDOW_NS" 'BEGIN{
         split(a, x, " "); split(b, y, " ")
-        dt = y[1]-x[1]; fs = y[4]-x[4]
+        dt = y[1]-x[1]; fs = y[4]-x[4]; bytes = y[5]-x[5]; snaps = y[6]-x[6]
         duty = (dt > 0) ? (y[2]-x[2])/dt : 0
         rpf = (fs > 0) ? (y[3]-x[3])/fs : 0
-        printf("   %s: commit duty %.3f, %.1f records/fsync (%d records, %d fsyncs)\n",
-               label, duty, rpf, y[3]-x[3], fs) > "/dev/stderr"
-        if (duty > 0.4) { print "!! " label ": commit duty cycle " duty " > 0.4" > "/dev/stderr"; exit 1 }
+        bound = int(dt / w) + int(bytes / 65536) + 2 * snaps + 2
+        printf("   %s: %d fsyncs in %.2f s (bound %d: %d B staged, %d snapshots), " \
+               "commit duty %.3f, %.1f records/fsync (%d records)\n",
+               label, fs, dt / 1e9, bound, bytes, snaps, duty, rpf, y[3]-x[3]) > "/dev/stderr"
+        if (fs > bound) { print "!! " label ": " fs " fsyncs > " bound > "/dev/stderr"; exit 1 }
     }' || exit 1
 }
 
@@ -170,8 +185,13 @@ assert_commit_duty() { # assert_commit_duty <label> <sample-before> <sample-afte
 RSS_MEASURED_KB=8556
 RSS_RESIDUE_KB=$(( RSS_MEASURED_KB * 5 / 4 ))
 
+# Resident and peak resident memory of a process, "<VmRSS> <VmHWM>" in kB.
+vm_kb() { # vm_kb <pid>
+    awk '$1 == "VmRSS:" {r=$2} $1 == "VmHWM:" {h=$2} END {print r, h}' "/proc/$1/status"
+}
+
 wait_ready() { # wait_ready <node-id> <logfile> <metrics-addr>
-    local pid="${PIDS[$1]}" threads rss_kb store_kb
+    local pid="${PIDS[$1]}" threads rss_kb hwm_kb store_kb
     for _ in $(seq 1 100); do
         if grep -q "ready on" "$2" 2>/dev/null; then
             threads="$(ls "/proc/$pid/task" | wc -l)"
@@ -179,10 +199,10 @@ wait_ready() { # wait_ready <node-id> <logfile> <metrics-addr>
                 echo "!! node $1 (pid $pid) runs $threads threads, expected $NODE_THREADS" >&2
                 exit 1
             fi
-            rss_kb="$(awk '$1 == "VmRSS:" {print $2}' "/proc/$pid/status")"
+            read -r rss_kb hwm_kb < <(vm_kb "$pid")
             store_kb=$(( $(scrape_metric "$3" store_slots) * 64 / 1024 ))
             echo "   node $1 ready: VmRSS ${rss_kb} kB = store ${store_kb} kB + $((rss_kb - store_kb)) kB" \
-                 "(bound: store + ${RSS_RESIDUE_KB} kB)"
+                 "(bound: store + ${RSS_RESIDUE_KB} kB), VmHWM ${hwm_kb} kB"
             if [ "$rss_kb" -gt $(( store_kb + RSS_RESIDUE_KB )) ]; then
                 echo "!! node $1 (pid $pid) holds ${rss_kb} kB, more than its ${store_kb} kB store" \
                      "+ ${RSS_RESIDUE_KB} kB" >&2
@@ -429,7 +449,7 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     local m2="127.0.0.1:$((PORT_BASE + 5))"
     PORT_BASE=$((PORT_BASE + 6))
     NODE_ARGS=(--peers "$P0,$P1,$P2" --workers 1 --sessions-per-worker 6 \
-               --keys 131072 --keepalive-ns 50000000)
+               --keys 131072 --keepalive-ns 50000000 --anti-entropy-interval-ns "$WAL_WINDOW_NS")
     NODE_THREADS=2   # main + 1 worker
     if [ "$wal" = on ]; then
         NODE_ARGS+=(--wal on --wal-dir "$waldir")
@@ -456,7 +476,7 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     if [ "$wal" = on ]; then
         local n=0
         for m in "$m0" "$m1" "$m2"; do
-            assert_commit_duty "node $n" "${hot_before[$n]}" "$(wal_commit_sample "$m")"
+            assert_commit_cadence "node $n" "${hot_before[$n]}" "$(wal_commit_sample "$m")"
             n=$((n + 1))
         done
     fi
@@ -493,6 +513,9 @@ wal_run() { # wal_run <on|off> -> sets WAL_REPAIRS, the restarted node's repair 
     "$CLIENT_BIN" poll --servers "$P2" --slot 1 --key "$LAST_DELTA_KEY" --val "$DELTA_COUNT" --timeout-secs 60
     "$CLIENT_BIN" poll --servers "$P2" --slot 2 --key "$LAST_FILL_KEY" --val "$FILL_COUNT" --timeout-secs 120
     sleep 1   # let in-flight repair chunks finish counting
+    local rss_kb hwm_kb
+    read -r rss_kb hwm_kb < <(vm_kb "${PIDS[2]}")
+    echo "   wal=$wal: restarted node 2 caught up: VmRSS ${rss_kb} kB, VmHWM ${hwm_kb} kB"
 
     echo "-- wal=$wal: SIGTERM all, read node 2's repair counter"
     for n in 0 1 2; do kill -TERM "${PIDS[$n]}"; done
