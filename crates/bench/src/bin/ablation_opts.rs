@@ -19,7 +19,7 @@
 //! 3. **Opportunistic batching** (§6.3): by default every message a worker
 //!    step produces for one destination shares an envelope. Ablated with
 //!    the simulator's `max_batch` cap (1 = every message pays its own
-//!    envelope overhead). Reported as throughput and envelopes delivered.
+//!    envelope overhead). Reported as throughput.
 //!
 //! Usage: `cargo run -p kite-bench --release --bin ablation_opts [quick]`
 
@@ -30,7 +30,7 @@ use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_bench::{fmt_mreqs, paper_cluster, paper_sim, ShapeCheck, Table, RUN_NS, WARMUP_NS};
 use kite_common::{ClusterConfig, Key, NodeId, SessionId, Val};
-use kite_workloads::{run_kite_mix, MixCfg};
+use kite_workloads::{measure, run_kite_mix, MixCfg};
 
 const MS: u64 = 1_000_000;
 
@@ -101,7 +101,6 @@ fn run_overlap(overlap: bool, quick: bool) -> (f64, f64, f64, f64) {
     // Plenty of releases *behind relaxed writes* — the case the overlap
     // optimization targets — plus some RMWs for the propose-phase half.
     let mix = MixCfg { write_ratio: 0.4, sync_frac: 0.3, rmw_frac: 0.05, keys, val_len: 32, skew_theta: 0.0 };
-    let spn = cfg.sessions_per_node();
     let lats = Arc::new(Lats::default());
     let run_ns = if quick { RUN_NS / 2 } else { RUN_NS };
 
@@ -109,17 +108,10 @@ fn run_overlap(overlap: bool, quick: bool) -> (f64, f64, f64, f64) {
         cfg.clone(),
         ProtocolMode::Kite,
         paper_sim(51),
-        |sid| {
-            let seed = 0xAB1u64 ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
+        mix.drivers(&cfg, 0xAB1),
         Some(latency_hook(Arc::clone(&lats), WARMUP_NS, 0)),
     );
-    sc.run_for(WARMUP_NS);
-    let before = sc.total_completed();
-    sc.run_for(run_ns);
-    let completed = sc.total_completed() - before;
-    let mreqs = SimCluster::mreqs(completed, run_ns);
+    let mreqs = measure(&mut sc, WARMUP_NS, run_ns).mreqs;
     (mreqs, lats.release.q_us(0.5), lats.release.q_us(0.99), lats.rmw.q_us(0.5))
 }
 
@@ -183,19 +175,15 @@ fn run_slowpath(stripped: bool) -> (u64, f64, f64) {
     (slow, lats.read.q_us(0.5), lats.write.q_us(0.5))
 }
 
-/// Part 3: batching cap sweep. Returns `(mreqs, envelopes delivered)`.
-fn run_batching(max_batch: usize, quick: bool) -> (f64, u64) {
+/// Part 3: batching cap sweep. Returns mreqs.
+fn run_batching(max_batch: usize, quick: bool) -> f64 {
     let cfg = paper_cluster();
     let keys = cfg.keys as u64;
     let mix = MixCfg::typical(0.2, keys);
     let mut sim = paper_sim(53);
     sim.max_batch = max_batch;
     let run_ns = if quick { RUN_NS / 2 } else { RUN_NS };
-    let r = run_kite_mix(cfg, ProtocolMode::Kite, sim, mix, WARMUP_NS, run_ns);
-    // Envelope count isn't surfaced by RunResult; rerun cheaply? No —
-    // approximate with a direct run below instead. Simpler: report only
-    // throughput here; the simnet unit tests pin down envelope counts.
-    (r.mreqs, 0)
+    run_kite_mix(cfg, ProtocolMode::Kite, sim, mix, WARMUP_NS, run_ns).mreqs
 }
 
 fn main() {
@@ -254,7 +242,7 @@ fn main() {
     let mut t = Table::new(vec!["max batch", "mreqs"]);
     let mut batch_series = Vec::new();
     for &(cap, label) in caps {
-        let (m, _) = run_batching(cap, quick);
+        let m = run_batching(cap, quick);
         batch_series.push((cap, m));
         t.row(vec![label.to_string(), fmt_mreqs(m)]);
     }

@@ -22,11 +22,10 @@
 //!
 //! Usage: `cargo run -p kite-bench --release --bin ablation_timeout [quick]`
 
-use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_bench::{fmt_mreqs, paper_sim, Detection, ShapeCheck, Table, RUN_NS, WARMUP_NS};
 use kite_common::{ClusterConfig, NodeId};
-use kite_workloads::MixCfg;
+use kite_workloads::{measure, MixCfg};
 
 const MS: u64 = 1_000_000;
 const US: u64 = 1_000;
@@ -41,26 +40,14 @@ fn run_healthy(timeout_ns: u64, quick: bool) -> (f64, u64, u64) {
         .release_timeout_ns(timeout_ns);
     let keys = cfg.keys as u64;
     let mix = MixCfg { write_ratio: 0.2, sync_frac: 0.1, rmw_frac: 0.0, keys, val_len: 32, skew_theta: 0.0 };
-    let spn = cfg.sessions_per_node();
     let run_ns = if quick { RUN_NS / 2 } else { RUN_NS };
 
-    let mut sc = SimCluster::build(
-        cfg.clone(),
-        ProtocolMode::Kite,
-        paper_sim(61),
-        |sid| {
-            let seed = 0x71Au64 ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
-    sc.run_for(WARMUP_NS);
-    let before = sc.total_completed();
-    sc.run_for(run_ns);
-    let completed = sc.total_completed() - before;
+    let drivers = mix.drivers(&cfg, 0x71A);
+    let mut sc = SimCluster::build(cfg, ProtocolMode::Kite, paper_sim(61), drivers, None);
+    let mreqs = measure(&mut sc, WARMUP_NS, run_ns).mreqs;
     let slow: u64 = (0..5).map(|n| sc.counters(NodeId(n)).slow_releases.get()).sum();
     let bumps: u64 = (0..5).map(|n| sc.counters(NodeId(n)).epoch_bumps.get()).sum();
-    (completed as f64 / (run_ns as f64 / 1e9) / 1e6, slow, bumps)
+    (mreqs, slow, bumps)
 }
 
 /// Outage run: a replica sleeps `sleep_dur`; returns `(dip_ms, mid_mreqs,
@@ -82,18 +69,9 @@ fn run_outage(timeout_ns: u64, quick: bool) -> (u64, f64, f64, u64, u64, Detecti
         .retransmit_ns(8_000_000);
     let keys = cfg.keys as u64;
     let mix = MixCfg { write_ratio: 0.05, sync_frac: 0.05, rmw_frac: 0.0, keys, val_len: 32, skew_theta: 0.0 };
-    let spn = cfg.sessions_per_node();
 
-    let mut sc = SimCluster::build(
-        cfg.clone(),
-        ProtocolMode::Kite,
-        paper_sim(62),
-        |sid| {
-            let seed = 0x0F1u64 ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
+    let drivers = mix.drivers(&cfg, 0x0F1);
+    let mut sc = SimCluster::build(cfg.clone(), ProtocolMode::Kite, paper_sim(62), drivers, None);
 
     let mut prev: Vec<u64> = vec![0; cfg.nodes];
     let mut detection = None;

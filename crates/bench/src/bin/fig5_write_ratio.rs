@@ -14,7 +14,7 @@
 
 use kite::ProtocolMode;
 use kite_bench::{fmt_mreqs, paper_cluster, paper_sim, ShapeCheck, Table, RUN_NS, WARMUP_NS};
-use kite_workloads::{run_kite_mix, run_zab_mix, MixCfg};
+use kite_workloads::{measure, run_kite_mix, MixCfg};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
@@ -36,7 +36,8 @@ fn main() {
         let abd = run_kite_mix(cfg.clone(), ProtocolMode::AbdOnly, paper_sim(2), plain, WARMUP_NS, RUN_NS);
         let paxos =
             run_kite_mix(cfg.clone(), ProtocolMode::PaxosOnly, paper_sim(3), plain, WARMUP_NS, RUN_NS);
-        let zab = run_zab_mix(cfg.clone(), paper_sim(4), plain, WARMUP_NS, RUN_NS);
+        let mut zc = kite_zab::sim_cluster(cfg.clone(), paper_sim(4), plain.drivers(&cfg, 4), None);
+        let zab = measure(&mut zc, WARMUP_NS, RUN_NS);
         let kite = run_kite_mix(cfg.clone(), ProtocolMode::Kite, paper_sim(5), typical, WARMUP_NS, RUN_NS);
         table.row(vec![
             format!("{w}"),

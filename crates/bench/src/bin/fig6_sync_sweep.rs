@@ -10,7 +10,7 @@
 
 use kite::ProtocolMode;
 use kite_bench::{fmt_mreqs, paper_cluster, paper_sim, ShapeCheck, Table, RUN_NS, WARMUP_NS};
-use kite_workloads::{run_kite_mix, run_zab_mix, MixCfg};
+use kite_workloads::{measure, run_kite_mix, MixCfg};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
@@ -30,7 +30,9 @@ fn main() {
         println!("write ratio = {w}%");
         let mut table = Table::new(vec!["sync%", "rmw%", "Kite", "ZAB"]);
         let mut kite_series = Vec::new();
-        let zab = run_zab_mix(cfg.clone(), paper_sim(11), MixCfg::plain(ratio, keys), WARMUP_NS, RUN_NS);
+        let drivers = MixCfg::plain(ratio, keys).drivers(&cfg, 11);
+        let mut zc = kite_zab::sim_cluster(cfg.clone(), paper_sim(11), drivers, None);
+        let zab = measure(&mut zc, WARMUP_NS, RUN_NS);
         for &(sync, rmw) in steps {
             let rmw_frac = (rmw as f64 / 100.0).min(ratio);
             let mix = MixCfg {

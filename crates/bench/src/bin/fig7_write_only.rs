@@ -14,8 +14,9 @@
 use kite::session::SessionDriver;
 use kite::ProtocolMode;
 use kite_bench::{fmt_mreqs, paper_cluster, paper_sim, ShapeCheck, Table, RUN_NS, WARMUP_NS};
-use kite_derecho::{DerechoMode, DerechoSimCluster};
-use kite_workloads::{run_kite_mix, run_zab_mix, MixCfg};
+use kite_common::SessionId;
+use kite_derecho::DerechoMode;
+use kite_workloads::{measure, run_kite_mix, MixCfg};
 
 fn run_derecho(mode: DerechoMode, keys: u64, warm: u64, run: u64) -> f64 {
     // Derecho nodes are single-threaded by design (§8.2) — 1 worker — and
@@ -30,21 +31,12 @@ fn run_derecho(mode: DerechoMode, keys: u64, warm: u64, run: u64) -> f64 {
     sim_cfg.send_per_envelope_ns *= 10;
     sim_cfg.send_per_msg_ns *= 10;
     let mix = MixCfg::plain(1.0, keys);
-    let mut dc = DerechoSimCluster::build(
-        cfg.clone(),
-        mode,
-        sim_cfg,
-        |sid| {
-            let seed = sid.global_idx(cfg.sessions_per_node()) as u64 + 77;
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
-    dc.run_for(warm);
-    let before = dc.total_completed();
-    dc.run_for(run);
-    let after = dc.total_completed();
-    (after - before) as f64 / (run as f64 / 1e9) / 1e6
+    let spn = cfg.sessions_per_node();
+    let drivers = |sid: SessionId| {
+        SessionDriver::Script(Box::new(mix.generator(sid.global_idx(spn) as u64 + 77)))
+    };
+    let mut dc = kite_derecho::sim_cluster(cfg, mode, sim_cfg, drivers, None);
+    measure(&mut dc, warm, run).mreqs
 }
 
 fn main() {
@@ -62,7 +54,8 @@ fn main() {
     eprintln!("  measuring Derecho unordered …");
     let drc_unord = run_derecho(DerechoMode::Unordered, keys, warm, run);
     eprintln!("  measuring ZAB …");
-    let zab = run_zab_mix(cfg.clone(), paper_sim(22), writes, warm, run).mreqs;
+    let mut zc = kite_zab::sim_cluster(cfg.clone(), paper_sim(22), writes.drivers(&cfg, 22), None);
+    let zab = measure(&mut zc, warm, run).mreqs;
     eprintln!("  measuring Kite RMWs (Paxos) …");
     let paxos =
         run_kite_mix(cfg.clone(), ProtocolMode::PaxosOnly, paper_sim(23), writes, warm, run).mreqs;

@@ -36,7 +36,7 @@ use kite_bench::{paper_sim, LastCompletion, ShapeCheck, Table};
 use kite_common::{ClusterConfig, NodeId};
 use kite_lockfree::driver::DsLayout;
 use kite_lockfree::{DsClient, DsStats, DsWorkload};
-use kite_workloads::{run_zab_mix, MixCfg};
+use kite_workloads::{measure, MixCfg};
 
 struct WorkloadSpec {
     name: &'static str,
@@ -182,13 +182,9 @@ fn main() {
         // ZAB-ideal per the paper: micro-benchmark throughput at the
         // workload's write ratio, divided by requests per DS op.
         let zcfg = ClusterConfig::default().nodes(5).workers_per_node(1).sessions_per_worker(4).keys(1 << 14);
-        let zab = run_zab_mix(
-            zcfg,
-            paper_sim(32),
-            MixCfg::plain(spec.write_ratio, 1 << 14),
-            1_000_000,
-            4_000_000,
-        );
+        let drivers = MixCfg::plain(spec.write_ratio, 1 << 14).drivers(&zcfg, 32);
+        let mut zc = kite_zab::sim_cluster(zcfg, paper_sim(32), drivers, None);
+        let zab = measure(&mut zc, 1_000_000, 4_000_000);
         let zab_ideal = zab.mreqs / spec.ops_per_dsop;
 
         ratios.push((spec.name, kite_mops / zab_ideal));

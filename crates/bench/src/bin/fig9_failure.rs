@@ -16,11 +16,10 @@
 //!
 //! Usage: `cargo run -p kite-bench --release --bin fig9_failure [quick]`
 
-use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
 use kite_bench::{paper_sim, Detection, ShapeCheck, Table};
 use kite_common::{ClusterConfig, NodeId};
-use kite_workloads::MixCfg;
+use kite_workloads::{mreqs, MixCfg};
 
 const MS: u64 = 1_000_000;
 
@@ -50,19 +49,9 @@ fn main() {
                                    // while the waking replica drains
     let keys = cfg.keys as u64;
     let mix = MixCfg { write_ratio: 0.05, sync_frac: 0.05, rmw_frac: 0.0, keys, val_len: 32, skew_theta: 0.0 };
-    let spn = cfg.sessions_per_node();
-    let seed0 = 0xF19u64;
 
-    let mut sc = SimCluster::build(
-        cfg.clone(),
-        ProtocolMode::Kite,
-        paper_sim(41),
-        |sid| {
-            let seed = seed0 ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
+    let drivers = mix.drivers(&cfg, 0xF19);
+    let mut sc = SimCluster::build(cfg.clone(), ProtocolMode::Kite, paper_sim(41), drivers, None);
 
     println!("Figure 9: throughput timeline with a replica sleeping {} ms", sleep_dur / MS);
     println!("(mreqs of virtual time; sleeper = {sleeper}, sampled every {} ms)", sample / MS);
@@ -88,7 +77,7 @@ fn main() {
             (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
         let delta: Vec<u64> = cur.iter().zip(&prev).map(|(c, p)| c - p).collect();
         prev = cur;
-        let to_mreqs = |d: u64| SimCluster::mreqs(d, sample);
+        let to_mreqs = |d: u64| mreqs(d, sample);
         let row = (
             t / MS,
             to_mreqs(delta.iter().sum()),

@@ -35,7 +35,7 @@ use kite_common::{ClusterConfig, NodeId};
 use kite_simnet::SimCfg;
 
 /// The standard simulated deployment for the figures: 5 replicas (the
-/// paper's testbed size), 2 workers each, 8 sessions per worker.
+/// paper's testbed size), 2 workers each, 32 sessions per worker.
 pub fn paper_cluster() -> ClusterConfig {
     // 2 workers × 32 sessions per node: enough concurrent sessions that
     // multi-round protocols (Paxos: 4 rounds with the acked commit) hide

@@ -1,66 +1,43 @@
-//! Kite on the deterministic simulator: reproducible protocol executions
-//! in virtual time, used by the correctness test-suites and the benchmark
-//! harnesses (virtual time makes a run a function of its seed, not of the
-//! host's core count or load).
+//! Deployments on the deterministic simulator: reproducible protocol
+//! executions in virtual time, used by the correctness test-suites and the
+//! benchmark harnesses (virtual time makes a run a function of its seed,
+//! not of the host's core count or load). Kite's workers by default; the
+//! ZAB and Derecho baselines run on the same deployment type.
 
 use std::sync::Arc;
 
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, NodeId, SessionId};
-use kite_simnet::{Sim, SimCfg};
+use kite_simnet::{Actor, Sim, SimCfg};
 
 use crate::api::CompletionHook;
 use crate::nodestate::NodeShared;
 use crate::session::{sessions_for, ProtocolMode, SessionDriver};
 use crate::worker::Worker;
 
-/// A deterministic, single-threaded Kite deployment on virtual time.
-pub struct SimCluster {
-    /// The discrete-event executor; actors are the Kite workers.
-    pub sim: Sim<Worker>,
-    shared: Vec<Arc<NodeShared>>,
+/// A deterministic, single-threaded deployment on virtual time: one
+/// simulator over every node's actors, and the counters each node's
+/// actors count on.
+pub struct SimCluster<A: Actor = Worker> {
+    /// The discrete-event executor; actors are indexed `[node][worker]`.
+    pub sim: Sim<A>,
     counters: Vec<Arc<ProtoCounters>>,
     cfg: ClusterConfig,
-    mode: ProtocolMode,
-    hook: Option<CompletionHook>,
 }
 
-impl SimCluster {
-    /// Build a simulated deployment.
-    ///
-    /// `drivers` is called once per session to produce its driver (script
-    /// or idle); `hook` observes every completion cluster-wide.
-    pub fn build(
+impl<A: Actor> SimCluster<A> {
+    /// A deployment of `cfg.nodes` nodes: `node` returns the actors (one
+    /// per worker) of the node it is handed, counting on the counters it
+    /// is handed. Nodes are built in id order.
+    pub fn new(
         cfg: ClusterConfig,
-        mode: ProtocolMode,
         sim_cfg: SimCfg,
-        mut drivers: impl FnMut(SessionId) -> SessionDriver,
-        hook: Option<CompletionHook>,
+        mut node: impl FnMut(NodeId, &Arc<ProtoCounters>) -> Vec<A>,
     ) -> Self {
         cfg.validate().expect("invalid cluster config");
-        let counters: Vec<Arc<ProtoCounters>> =
-            (0..cfg.nodes).map(|_| Arc::new(ProtoCounters::default())).collect();
-        let shared: Vec<Arc<NodeShared>> = (0..cfg.nodes)
-            .map(|n| NodeShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
-            .collect();
-
-        let actors: Vec<Vec<Worker>> =
-            shared.iter().map(|sh| workers(sh, mode, &mut drivers, &hook)).collect();
-        SimCluster { sim: Sim::new(actors, sim_cfg), shared, counters, cfg, mode, hook }
-    }
-
-    /// Restart `node` as a new process with nothing on disk: a fresh
-    /// [`NodeShared`] — empty store, no acceptor state, no epochs — whose
-    /// sessions `drivers` supplies, on the same counters. Models a restart
-    /// with the WAL off, or one that lost a write still staged: the
-    /// acceptor state is lost either way. Everything in flight to the old
-    /// process is dropped ([`Sim::restart`]).
-    pub fn restart(&mut self, node: NodeId, mut drivers: impl FnMut(SessionId) -> SessionDriver) {
-        let counters = Arc::clone(&self.counters[node.idx()]);
-        let sh = NodeShared::new(node, self.cfg.clone(), counters);
-        self.shared[node.idx()] = Arc::clone(&sh);
-        let (mode, hook) = (self.mode, &self.hook);
-        self.sim.restart(node, || workers(&sh, mode, &mut drivers, hook));
+        let counters: Vec<Arc<ProtoCounters>> = (0..cfg.nodes).map(|_| Arc::default()).collect();
+        let actors = counters.iter().enumerate().map(|(n, c)| node(NodeId(n as u8), c)).collect();
+        SimCluster { sim: Sim::new(actors, sim_cfg), counters, cfg }
     }
 
     /// The deployment's configuration.
@@ -68,20 +45,9 @@ impl SimCluster {
         &self.cfg
     }
 
-    /// Per-node shared state.
-    pub fn shared(&self, node: NodeId) -> &Arc<NodeShared> {
-        &self.shared[node.idx()]
-    }
-
     /// Per-node counters.
     pub fn counters(&self, node: NodeId) -> &ProtoCounters {
         &self.counters[node.idx()]
-    }
-
-    /// One node's core-layer metrics as `key value` text — the `proto_*`,
-    /// `membership_*`, `store_*` and `op_*` lines its daemon would scrape.
-    pub fn metrics_text(&self, node: NodeId) -> String {
-        self.shared[node.idx()].metrics_text()
     }
 
     /// Total completed requests across the deployment.
@@ -124,11 +90,49 @@ impl SimCluster {
     pub fn now(&self) -> u64 {
         self.sim.now()
     }
+}
 
-    /// Throughput over a window, in million requests per second of
-    /// *virtual* time.
-    pub fn mreqs(completed: u64, window_ns: u64) -> f64 {
-        completed as f64 / (window_ns as f64 / 1e9) / 1e6
+impl SimCluster {
+    /// Build a simulated Kite deployment.
+    ///
+    /// `drivers` is called once per session to produce its driver (script
+    /// or idle); `hook` observes every completion cluster-wide.
+    pub fn build(
+        cfg: ClusterConfig,
+        mode: ProtocolMode,
+        sim_cfg: SimCfg,
+        mut drivers: impl FnMut(SessionId) -> SessionDriver,
+        hook: Option<CompletionHook>,
+    ) -> Self {
+        SimCluster::new(cfg.clone(), sim_cfg, |me, counters| {
+            let sh = NodeShared::new(me, cfg.clone(), Arc::clone(counters));
+            workers(&sh, mode, &mut drivers, &hook)
+        })
+    }
+
+    /// Restart `node` as a new process with nothing on disk: a fresh
+    /// [`NodeShared`] — empty store, no acceptor state, no epochs — whose
+    /// sessions `drivers` supplies, on the same counters, mode and hook.
+    /// Models a restart with the WAL off, or one that lost a write still
+    /// staged: the acceptor state is lost either way. Everything in flight
+    /// to the old process is dropped ([`Sim::restart`]).
+    pub fn restart(&mut self, node: NodeId, mut drivers: impl FnMut(SessionId) -> SessionDriver) {
+        let old = &self.sim.actors[node.idx()][0];
+        let (mode, hook) = (old.mode, old.hook.clone());
+        let counters = Arc::clone(&self.counters[node.idx()]);
+        let sh = NodeShared::new(node, self.cfg.clone(), counters);
+        self.sim.restart(node, || workers(&sh, mode, &mut drivers, &hook));
+    }
+
+    /// Per-node shared state (the running process's: a restart replaces it).
+    pub fn shared(&self, node: NodeId) -> &Arc<NodeShared> {
+        &self.sim.actors[node.idx()][0].shared
+    }
+
+    /// One node's core-layer metrics as `key value` text — the `proto_*`,
+    /// `membership_*`, `store_*` and `op_*` lines its daemon would scrape.
+    pub fn metrics_text(&self, node: NodeId) -> String {
+        self.shared(node).metrics_text()
     }
 }
 

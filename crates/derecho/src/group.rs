@@ -6,10 +6,11 @@ use std::sync::Arc;
 
 use kite::api::{CompletionHook, Op, OpOutput};
 use kite::session::{sessions_for, Session, SessionDriver};
+use kite::SimCluster;
 use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_kvs::Store;
-use kite_simnet::{Actor, Outbox, Sim, SimCfg, Wakeup};
+use kite_simnet::{Actor, Outbox, SimCfg, Wakeup};
 
 /// Delivery discipline (the two flavors of Figure 7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -271,69 +272,31 @@ impl Actor for DerechoWorker {
     }
 }
 
-/// A Derecho group on the deterministic simulator.
-pub struct DerechoSimCluster {
-    /// The discrete-event executor running the group.
-    pub sim: Sim<DerechoWorker>,
-    counters: Vec<Arc<ProtoCounters>>,
-    stores: Vec<Arc<Store>>,
-}
-
-impl DerechoSimCluster {
-    /// Build a simulated Derecho-like group.
-    pub fn build(
-        cfg: ClusterConfig,
-        mode: DerechoMode,
-        sim_cfg: SimCfg,
-        mut drivers: impl FnMut(SessionId) -> SessionDriver,
-        hook: Option<CompletionHook>,
-    ) -> Self {
-        assert_eq!(cfg.workers_per_node, 1, "Derecho nodes are single-threaded by design");
-        cfg.validate().expect("invalid cluster config");
-        let counters: Vec<Arc<ProtoCounters>> =
-            (0..cfg.nodes).map(|_| Arc::new(ProtoCounters::default())).collect();
-        let stores: Vec<Arc<Store>> = (0..cfg.nodes).map(|_| Arc::new(Store::new(cfg.keys))).collect();
-        let mut actors = Vec::with_capacity(cfg.nodes);
-        for n in 0..cfg.nodes {
-            let sessions =
-                sessions_for(NodeId(n as u8), 0, cfg.sessions_per_worker, &mut drivers);
-            actors.push(vec![DerechoWorker::new(
-                NodeId(n as u8),
-                mode,
-                &cfg,
-                Arc::clone(&stores[n]),
-                Arc::clone(&counters[n]),
-                sessions,
-                hook.clone(),
-            )]);
-        }
-        DerechoSimCluster { sim: Sim::new(actors, sim_cfg), counters, stores }
-    }
-
-    /// Completed requests across the group.
-    pub fn total_completed(&self) -> u64 {
-        self.counters.iter().map(|c| c.completed.get()).sum()
-    }
-
-    /// One node's replica store.
-    pub fn store(&self, node: NodeId) -> &Arc<Store> {
-        &self.stores[node.idx()]
-    }
-
-    /// Run `dur_ns` of virtual time.
-    pub fn run_for(&mut self, dur_ns: u64) {
-        self.sim.run_for(dur_ns);
-    }
-
-    /// Run until quiescent or `max_ns`; true on quiescence.
-    pub fn run_until_quiesce(&mut self, max_ns: u64) -> bool {
-        self.sim.run_until_quiesce(max_ns)
-    }
+/// A simulated Derecho-like group: one single-threaded member per node.
+/// `drivers` and `hook` are as in [`SimCluster::build`].
+pub fn sim_cluster(
+    cfg: ClusterConfig,
+    mode: DerechoMode,
+    sim_cfg: SimCfg,
+    mut drivers: impl FnMut(SessionId) -> SessionDriver,
+    hook: Option<CompletionHook>,
+) -> SimCluster<DerechoWorker> {
+    assert_eq!(cfg.workers_per_node, 1, "Derecho nodes are single-threaded by design");
+    SimCluster::new(cfg.clone(), sim_cfg, |me, counters| {
+        let sessions = sessions_for(me, 0, cfg.sessions_per_worker, &mut drivers);
+        let (store, counters) = (Arc::new(Store::new(cfg.keys)), Arc::clone(counters));
+        vec![DerechoWorker::new(me, mode, &cfg, store, counters, sessions, hook.clone())]
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Node `n`'s replica store.
+    fn store(dc: &SimCluster<DerechoWorker>, n: u8) -> &Store {
+        &dc.sim.actors[n as usize][0].store
+    }
 
     fn writer_script(writes: u64) -> impl FnMut(SessionId) -> SessionDriver {
         move |sid| {
@@ -352,7 +315,7 @@ mod tests {
 
     #[test]
     fn unordered_delivers_everywhere() {
-        let mut dc = DerechoSimCluster::build(
+        let mut dc = sim_cluster(
             cfg(),
             DerechoMode::Unordered,
             SimCfg::default(),
@@ -363,14 +326,23 @@ mod tests {
         assert_eq!(dc.total_completed(), 15);
         for n in 0..3u8 {
             for k in 0..3u64 {
-                assert_eq!(dc.store(NodeId(n)).view(Key(k)).val.as_u64(), 5);
+                assert_eq!(store(&dc, n).view(Key(k)).val.as_u64(), 5);
             }
         }
+        // The sim counts what each member posted, for Derecho as for Kite:
+        // with nothing dropped and nothing left in flight, every posted
+        // envelope was delivered.
+        let sent = |n: u8| {
+            let c = dc.counters(NodeId(n));
+            (c.msgs_sent.get(), c.envelopes_sent.get())
+        };
+        assert!((0..3).all(|n| sent(n).0 >= sent(n).1 && sent(n).1 > 0));
+        assert_eq!((0..3).map(|n| sent(n).1).sum::<u64>(), dc.sim.delivered);
     }
 
     #[test]
     fn ordered_delivers_everywhere_with_agreement() {
-        let mut dc = DerechoSimCluster::build(
+        let mut dc = sim_cluster(
             cfg(),
             DerechoMode::Ordered,
             SimCfg::default(),
@@ -387,10 +359,10 @@ mod tests {
         );
         assert!(dc.run_until_quiesce(60_000_000_000));
         assert_eq!(dc.total_completed(), 15);
-        let v0 = dc.store(NodeId(0)).view(Key(0)).val.as_u64();
+        let v0 = store(&dc, 0).view(Key(0)).val.as_u64();
         for n in 1..3u8 {
             assert_eq!(
-                dc.store(NodeId(n)).view(Key(0)).val.as_u64(),
+                store(&dc, n).view(Key(0)).val.as_u64(),
                 v0,
                 "ordered delivery must agree on the final write"
             );
@@ -400,7 +372,7 @@ mod tests {
     #[test]
     fn ordered_mode_single_writer_progresses_past_idle_senders() {
         // Only node 0 writes; nodes 1, 2 must emit nulls to unblock rounds.
-        let mut dc = DerechoSimCluster::build(
+        let mut dc = sim_cluster(
             cfg(),
             DerechoMode::Ordered,
             SimCfg::default(),
@@ -418,7 +390,7 @@ mod tests {
         assert!(dc.run_until_quiesce(10_000_000_000), "must not deadlock on quiet senders");
         assert_eq!(dc.total_completed(), 3);
         for n in 0..3u8 {
-            assert_eq!(dc.store(NodeId(n)).view(Key(7)).val.as_u64(), 3);
+            assert_eq!(store(&dc, n).view(Key(7)).val.as_u64(), 3);
         }
     }
 }

@@ -24,4 +24,4 @@
 
 pub mod group;
 
-pub use group::{DerechoMode, DerechoSimCluster, DerechoWorker, DrcMsg};
+pub use group::{sim_cluster, DerechoMode, DerechoWorker, DrcMsg};

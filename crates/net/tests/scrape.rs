@@ -77,7 +77,7 @@ fn scrape_mid_run_under_flash_crowd() {
         .map(|n| RemoteSession::connect(&n.addr().to_string(), 0).expect("session"))
         .collect();
     let mut exact: HashSet<u64> = HashSet::new();
-    let mut drive = |sessions: &mut Vec<RemoteSession>, exact: &mut HashSet<u64>, ops: u64| {
+    let drive = |sessions: &mut Vec<RemoteSession>, exact: &mut HashSet<u64>, ops: u64| {
         for i in 0..ops {
             for (idx, s) in sessions.iter_mut().enumerate() {
                 let v = ((idx as u64 + 1) << 40) | (i + 1);

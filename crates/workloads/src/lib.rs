@@ -21,6 +21,6 @@ pub mod measure;
 pub mod mix;
 pub mod skew;
 
-pub use measure::{run_kite_mix, run_zab_mix, RunResult};
+pub use measure::{measure, mreqs, run_kite_mix, RunResult};
 pub use mix::MixCfg;
 pub use skew::Zipf;

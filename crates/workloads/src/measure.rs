@@ -1,13 +1,12 @@
-//! Measurement harness: run a mix on a simulated deployment for
-//! warmup + measurement windows and report throughput (mreqs of virtual
-//! time), per node and in aggregate — the quantity every figure of §8
-//! plots.
+//! Measurement harness: run a built deployment — Kite, ZAB or Derecho —
+//! for warmup + measurement windows and report throughput (mreqs of
+//! virtual time), per node and in aggregate — the quantity every figure of
+//! §8 plots.
 
-use kite::session::SessionDriver;
 use kite::{ProtocolMode, SimCluster};
+use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, NodeId};
-use kite_simnet::SimCfg;
-use kite_zab::ZabSimCluster;
+use kite_simnet::{Actor, SimCfg};
 
 use crate::mix::MixCfg;
 
@@ -24,7 +23,7 @@ pub struct RunResult {
     /// Fast-path local reads during the whole run (diagnostics).
     pub local_reads: u64,
     /// Slow-path accesses during the whole run (should be 0 without
-    /// failures).
+    /// failures; 0 on the baselines, which have no slow path).
     pub slow_path: u64,
     /// Anti-entropy messages sent during the whole run (digests + Merkle
     /// summaries + drill-downs + repair pulls + repair values):
@@ -36,8 +35,43 @@ pub struct RunResult {
     pub total_completed: u64,
 }
 
-/// Run `mix` on a Kite deployment in `mode` for `warmup_ns + run_ns` of
-/// virtual time; throughput is measured over the last `run_ns`.
+/// Throughput over a window, in million requests per second of *virtual*
+/// time.
+pub fn mreqs(completed: u64, window_ns: u64) -> f64 {
+    completed as f64 / (window_ns as f64 / 1e9) / 1e6
+}
+
+/// Run `sc` for `warmup_ns + run_ns` of virtual time; throughput is
+/// measured over the last `run_ns`. The deployment is left as the run left
+/// it, its counters readable.
+pub fn measure<A: Actor>(sc: &mut SimCluster<A>, warmup_ns: u64, run_ns: u64) -> RunResult {
+    let nodes: Vec<NodeId> = (0..sc.config().nodes).map(|n| NodeId(n as u8)).collect();
+    sc.run_for(warmup_ns);
+    let before: Vec<u64> = nodes.iter().map(|&n| sc.node_completed(n)).collect();
+    sc.run_for(run_ns);
+    let per_node =
+        nodes.iter().zip(&before).map(|(&n, b)| mreqs(sc.node_completed(n) - b, run_ns)).collect();
+    let completed = sc.total_completed() - before.iter().sum::<u64>();
+    let sum = |f: fn(&ProtoCounters) -> u64| nodes.iter().map(|&n| f(sc.counters(n))).sum();
+    RunResult {
+        mreqs: mreqs(completed, run_ns),
+        per_node,
+        completed,
+        local_reads: sum(|c| c.local_reads.get()),
+        slow_path: sum(|c| c.slow_path_accesses.get()),
+        ae_msgs: sum(|c| {
+            c.ae_digests_sent.get()
+                + c.ae_summaries_sent.get()
+                + c.ae_merkle_reqs.get()
+                + c.ae_repair_reqs.get()
+                + c.ae_repair_vals.get()
+        }),
+        total_completed: sc.total_completed(),
+    }
+}
+
+/// Run `mix` on a Kite deployment in `mode` through [`measure`], its
+/// sessions seeded from `sim_cfg.seed` ([`MixCfg::drivers`]).
 pub fn run_kite_mix(
     cfg: ClusterConfig,
     mode: ProtocolMode,
@@ -46,92 +80,8 @@ pub fn run_kite_mix(
     warmup_ns: u64,
     run_ns: u64,
 ) -> RunResult {
-    mix.validate().expect("invalid mix");
-    let seed0 = sim_cfg.seed;
-    let mut sc = SimCluster::build(
-        cfg.clone(),
-        mode,
-        sim_cfg,
-        |sid| {
-            let seed = seed0 ^ ((sid.global_idx(cfg.sessions_per_node()) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
-    sc.run_for(warmup_ns);
-    let before: Vec<u64> = (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
-    sc.run_for(run_ns);
-    let after: Vec<u64> = (0..cfg.nodes).map(|n| sc.node_completed(NodeId(n as u8))).collect();
-    let per_node: Vec<f64> =
-        before.iter().zip(&after).map(|(b, a)| SimCluster::mreqs(a - b, run_ns)).collect();
-    let completed: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
-    let (local_reads, slow_path, ae_msgs) = (0..cfg.nodes)
-        .map(|n| {
-            let c = sc.counters(NodeId(n as u8));
-            (
-                c.local_reads.get(),
-                c.slow_path_accesses.get(),
-                c.ae_digests_sent.get()
-                    + c.ae_summaries_sent.get()
-                    + c.ae_merkle_reqs.get()
-                    + c.ae_repair_reqs.get()
-                    + c.ae_repair_vals.get(),
-            )
-        })
-        .fold((0, 0, 0), |(lr, sp, ae), (l, s, e)| (lr + l, sp + s, ae + e));
-    RunResult {
-        mreqs: SimCluster::mreqs(completed, run_ns),
-        per_node,
-        completed,
-        local_reads,
-        slow_path,
-        ae_msgs,
-        total_completed: sc.total_completed(),
-    }
-}
-
-/// Run `mix` on the ZAB baseline. Releases/acquires degrade to ZAB
-/// writes/reads (ZAB has no RC API — §8.1 compares it at equal write
-/// ratios).
-pub fn run_zab_mix(
-    cfg: ClusterConfig,
-    sim_cfg: SimCfg,
-    mix: MixCfg,
-    warmup_ns: u64,
-    run_ns: u64,
-) -> RunResult {
-    mix.validate().expect("invalid mix");
-    let seed0 = sim_cfg.seed;
-    let mut zc = ZabSimCluster::build(
-        cfg.clone(),
-        sim_cfg,
-        |sid| {
-            let seed = seed0 ^ ((sid.global_idx(cfg.sessions_per_node()) as u64 + 1) * 0x9E37);
-            SessionDriver::Script(Box::new(mix.generator(seed)))
-        },
-        None,
-    );
-    zc.run_for(warmup_ns);
-    let before: Vec<u64> =
-        (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).completed.get()).collect();
-    zc.run_for(run_ns);
-    let after: Vec<u64> =
-        (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).completed.get()).collect();
-    let per_node: Vec<f64> =
-        before.iter().zip(&after).map(|(b, a)| SimCluster::mreqs(a - b, run_ns)).collect();
-    let completed: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
-    let local_reads =
-        (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).local_reads.get()).sum();
-    let total_completed = (0..cfg.nodes).map(|n| zc.counters(NodeId(n as u8)).completed.get()).sum();
-    RunResult {
-        mreqs: SimCluster::mreqs(completed, run_ns),
-        per_node,
-        completed,
-        local_reads,
-        slow_path: 0,
-        ae_msgs: 0,
-        total_completed,
-    }
+    let drivers = mix.drivers(&cfg, sim_cfg.seed);
+    measure(&mut SimCluster::build(cfg, mode, sim_cfg, drivers, None), warmup_ns, run_ns)
 }
 
 #[cfg(test)]
@@ -191,7 +141,9 @@ mod tests {
 
     #[test]
     fn zab_runs_and_reads_stay_local() {
-        let r = run_zab_mix(small_cfg(), sim(), MixCfg::plain(0.2, 1 << 10), WARM, RUN);
+        let cfg = small_cfg();
+        let drivers = MixCfg::plain(0.2, 1 << 10).drivers(&cfg, 42);
+        let r = measure(&mut kite_zab::sim_cluster(cfg, sim(), drivers, None), WARM, RUN);
         assert!(r.mreqs > 0.0);
         assert!(r.local_reads > 0);
     }

@@ -1,8 +1,9 @@
 //! KVS operation mixes (§7: 8-byte keys, 32-byte values, uniform access).
 
 use kite::api::Op;
+use kite::session::SessionDriver;
 use kite_common::rng::SplitMix64;
-use kite_common::{Key, Val};
+use kite_common::{ClusterConfig, Key, SessionId, Val};
 
 use crate::skew::Zipf;
 
@@ -111,6 +112,17 @@ impl MixCfg {
             } else {
                 Op::Read { key }
             })
+        }
+    }
+
+    /// A generator per session of a `cfg` deployment: session `i` (its
+    /// [`SessionId::global_idx`]) is seeded `seed ^ ((i + 1) · 0x9E37)`.
+    pub fn drivers(self, cfg: &ClusterConfig, seed: u64) -> impl FnMut(SessionId) -> SessionDriver {
+        self.validate().expect("invalid mix");
+        let spn = cfg.sessions_per_node();
+        move |sid| {
+            let i = sid.global_idx(spn) as u64;
+            SessionDriver::Script(Box::new(self.generator(seed ^ ((i + 1) * 0x9E37))))
         }
     }
 }

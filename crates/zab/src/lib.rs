@@ -35,7 +35,7 @@ pub mod zcluster;
 
 pub use shared::{ApplyBuf, ZabShared};
 pub use worker::{ZabMsg, ZabWorker};
-pub use zcluster::ZabSimCluster;
+pub use zcluster::sim_cluster;
 
 /// The fixed leader of the deployment.
 pub const LEADER: kite_common::NodeId = kite_common::NodeId(0);

@@ -82,8 +82,7 @@ pub struct ZabWorker {
     me: NodeId,
     #[allow(dead_code)]
     wid: usize,
-    #[allow(dead_code)]
-    shared: Arc<ZabShared>,
+    pub(crate) shared: Arc<ZabShared>,
     sessions: Vec<Session>,
     /// Leader: zxid → pending proposal state.
     pending: HashMap<u64, Pending>,

@@ -112,7 +112,7 @@ fn sync_ops_linearizable_under_chaos() {
             (0..10).map(op).collect()
         };
         let links = (0..3u8).flat_map(|a| [(a, (a + 1) % 3), (a, (a + 2) % 3)]);
-        let pct = |a: u8, b: u8| ((seed as u8 * 7 + a * 11 + b * 5) % 31);
+        let pct = |a: u8, b: u8| (seed as u8 * 7 + a * 11 + b * 5) % 31;
         let mut events: Vec<_> = links.map(|(a, b)| (0, Loss(a, b, pct(a, b)))).collect();
         events.push((20, Sleep((seed % 3) as u8, 3)));
         let cfg = cfg().overlap_release(seed % 2 == 0).stripped_slow_path(seed % 4 < 2);

@@ -270,20 +270,10 @@ fn a_release_half_propagated_between_two_acquires_is_seen_by_both() {
 fn overload_alone_declares_no_replica_delinquent() {
     let run = |sessions: usize| {
         let cfg = ClusterConfig::default().sessions_per_worker(sessions);
-        let (mix, spn) = (MixCfg::typical(0.2, cfg.keys as u64), cfg.sessions_per_node());
+        // `run_kite_mix`'s per-session seeds: this is fig5's run.
+        let drivers = MixCfg::typical(0.2, cfg.keys as u64).drivers(&cfg, 5);
         let sim = SimCfg { seed: 5, ..Default::default() };
-        let mut sc = SimCluster::build(
-            cfg,
-            ProtocolMode::Kite,
-            sim,
-            // `run_kite_mix`'s per-session seeds: this is fig5's run.
-            |sid| {
-                SessionDriver::Script(Box::new(
-                    mix.generator(5 ^ ((sid.global_idx(spn) as u64 + 1) * 0x9E37)),
-                ))
-            },
-            None,
-        );
+        let mut sc = SimCluster::build(cfg, ProtocolMode::Kite, sim, drivers, None);
         sc.run_for(10_000_000);
         let sum = |f: fn(&kite_common::stats::ProtoCounters) -> u64| -> u64 {
             (0..5).map(|n| f(sc.counters(NodeId(n)))).sum()
