@@ -427,7 +427,7 @@ impl Worker {
             // session's relief decision) when it dates the write's quorum,
             // or on the slow path when it leaves only suspected replicas missing.
             let sess = &self.sessions[si];
-            self.barriers_dirty |= sess.awaiting_barrier || sess.staged.is_some();
+            self.barriers_dirty |= sess.awaiting_barrier || !sess.staged.is_empty();
         }
     }
 

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use kite_common::{NodeId, SessionId};
+use kite_common::{ClusterConfig, NodeId, SessionId};
 
 use crate::api::{Completion, Op};
 
@@ -38,9 +38,10 @@ pub trait ClientSm: Send {
 pub enum SessionDriver {
     /// No client attached.
     Idle,
-    /// Closure-driven (benchmarks, deterministic tests): called with the
-    /// next op sequence number whenever the session can start a new op;
-    /// `None` means the script is exhausted.
+    /// Closure-driven (benchmarks, deterministic tests): called once per
+    /// op, in program order, with the op's sequence number — as much as a
+    /// tick early (the worker's look-ahead stages the next tick's whole
+    /// `OPS_PER_TICK` budget); `None` means the script is exhausted.
     Script(Box<dyn FnMut(u64) -> Option<Op> + Send>),
     /// Closed-loop state-machine client (sees completions).
     Interactive(Box<dyn ClientSm>),
@@ -103,15 +104,18 @@ pub struct Session {
     /// rids of relaxed writes whose acks are still outstanding, in issue
     /// order — the release barrier's "writes before me in session order".
     pub write_window: VecDeque<u64>,
-    /// An op pulled from the driver but not yet started. Two producers: a
-    /// start that stalled on a full write window (the session is parked
-    /// until the window moves), and the worker's look-ahead, which pulls the
-    /// next tick's op at the end of a tick that stopped at `OPS_PER_TICK`
-    /// (the session stays runnable). The look-ahead applies to self-issuing
-    /// sessions (`Script`, `Interactive`) only: a `Client` session's tick
-    /// starts its whole queue, so nothing is left to look ahead at. Either
-    /// way the op is this session's next to start and keeps its `seq`.
-    pub staged: Option<Op>,
+    /// Ops pulled from the driver but not yet started, in program order:
+    /// the front one is this session's next to start, and each keeps the
+    /// `seq` it was pulled with (`seq`, `seq + 1`, …). Two producers: a
+    /// start that stalled on a full write window puts its op back at the
+    /// front (the session is parked until the window moves), and the
+    /// worker's look-ahead, at the end of a tick that stopped at
+    /// `OPS_PER_TICK` with the session still free, pulls what the next tick
+    /// will start (the session stays runnable): a `Script`'s whole next
+    /// budget, an `Interactive` client's next op only — its next question
+    /// may depend on that op's completion. A `Client` session's tick starts
+    /// its whole queue, so nothing is left to look ahead at.
+    pub staged: Staged,
     /// rid of an in-flight write-window relief (at most one per session).
     pub relief: Option<u64>,
     /// The session's blocking release/RMW is waiting on an unresolved
@@ -131,7 +135,7 @@ impl Session {
             seq: 0,
             blocked_on: None,
             write_window: VecDeque::new(),
-            staged: None,
+            staged: Staged::default(),
             relief: None,
             awaiting_barrier: false,
             script_done: false,
@@ -146,7 +150,7 @@ impl Session {
     /// Is the session completely quiet (for sim quiescence)?
     pub fn is_idle(&self) -> bool {
         self.blocked_on.is_none()
-            && self.staged.is_none()
+            && self.staged.is_empty()
             && self.write_window.is_empty()
             && match &self.driver {
                 SessionDriver::Idle => true,
@@ -156,25 +160,31 @@ impl Session {
             }
     }
 
-    /// Pull the next operation to execute, honoring the staged slot.
+    /// Pull the next operation to execute, honoring the staged ops.
     pub fn next_op(&mut self) -> Option<Op> {
-        if let Some(op) = self.staged.take() {
-            return Some(op);
+        match self.staged.pop_front() {
+            Some(op) => Some(op),
+            None => self.pull(self.seq),
         }
+    }
+
+    /// Ask the driver for the op with sequence number `seq`, bypassing the
+    /// staged ops (the caller stages or starts what it gets).
+    pub fn pull(&mut self, seq: u64) -> Option<Op> {
         match &mut self.driver {
             SessionDriver::Idle => None,
             SessionDriver::Script(f) => {
                 if self.script_done {
                     None
                 } else {
-                    let op = f(self.seq);
+                    let op = f(seq);
                     if op.is_none() {
                         self.script_done = true;
                     }
                     op
                 }
             }
-            SessionDriver::Interactive(sm) => sm.next_op(self.seq),
+            SessionDriver::Interactive(sm) => sm.next_op(seq),
             SessionDriver::Client(ops) => ops.pop_front(),
         }
     }
@@ -186,6 +196,46 @@ impl Session {
         if let SessionDriver::Interactive(sm) = &mut self.driver {
             sm.on_completion(&c);
         }
+    }
+}
+
+/// The ops a session pulled from its driver and has not started, front
+/// first: at most [`ClusterConfig::OPS_PER_TICK`], held inline — a node
+/// runs hundreds of sessions, and a heap buffer each would be resident
+/// memory for what is two ops at most.
+#[derive(Default)]
+pub struct Staged([Option<Op>; ClusterConfig::OPS_PER_TICK]);
+
+impl Staged {
+    /// How many ops are staged.
+    pub fn len(&self) -> usize {
+        self.0.iter().take_while(|op| op.is_some()).count()
+    }
+
+    /// Is no op staged?
+    pub fn is_empty(&self) -> bool {
+        self.0[0].is_none()
+    }
+
+    /// Take the front op.
+    pub fn pop_front(&mut self) -> Option<Op> {
+        let op = self.0[0].take();
+        self.0.rotate_left(1);
+        op
+    }
+
+    /// Stage `op` behind the others. Panics when `OPS_PER_TICK` are staged.
+    pub fn push_back(&mut self, op: Op) {
+        let at = self.len();
+        self.0[at] = Some(op);
+    }
+
+    /// Put `op` back in front of the others (its start stalled). Panics
+    /// when `OPS_PER_TICK` are staged.
+    pub fn push_front(&mut self, op: Op) {
+        assert!(self.0[ClusterConfig::OPS_PER_TICK - 1].is_none(), "staged ops full");
+        self.0.rotate_right(1);
+        self.0[0] = Some(op);
     }
 }
 
@@ -248,9 +298,24 @@ mod tests {
     fn staged_op_takes_priority() {
         let mut s = Session::new(sid());
         s.driver = SessionDriver::Script(Box::new(|_| Some(Op::Read { key: Key(1) })));
-        s.staged = Some(Op::Read { key: Key(42) });
+        s.staged.push_back(Op::Read { key: Key(42) });
         assert!(matches!(s.next_op(), Some(Op::Read { key }) if key == Key(42)));
         assert!(matches!(s.next_op(), Some(Op::Read { key }) if key == Key(1)));
+    }
+
+    #[test]
+    fn staged_ops_keep_program_order() {
+        let read = |k| Op::Read { key: Key(k) };
+        let key = |op: Option<Op>| op.map(|op| op.key().0);
+        let mut staged = Staged::default();
+        assert!(staged.is_empty());
+        staged.push_back(read(1));
+        staged.push_back(read(2));
+        assert_eq!(staged.len(), 2);
+        assert_eq!(key(staged.pop_front()), Some(1));
+        staged.push_front(read(1)); // a stalled start goes back first
+        assert_eq!((key(staged.pop_front()), key(staged.pop_front())), (Some(1), Some(2)));
+        assert!(staged.is_empty() && staged.pop_front().is_none());
     }
 
     #[test]

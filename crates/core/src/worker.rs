@@ -60,7 +60,8 @@ pub(crate) enum StartResult {
     Inline,
     /// In flight; the session is blocked on `rid`.
     Blocked(u64),
-    /// Could not start (write window full); op goes back to the staged slot.
+    /// Could not start (write window full); op goes back to the front of the
+    /// staged ops.
     Stall(Op),
 }
 
@@ -347,7 +348,7 @@ impl Worker {
         let Some(sess) = self.sessions.get_mut(si).filter(|s| s.id == session) else { return };
         if let SessionDriver::Client(ops) = &mut sess.driver {
             ops.push_back(op);
-            if sess.is_free() && sess.staged.is_none() {
+            if sess.is_free() && sess.staged.is_empty() {
                 self.sessions.wake(si);
             }
         }
@@ -404,7 +405,7 @@ impl Worker {
             sess.write_window.swap_remove_back(pos);
         }
         self.barriers_dirty |= sess.awaiting_barrier;
-        if sess.staged.is_some() {
+        if !sess.staged.is_empty() {
             self.sessions.wake(si);
         }
     }
@@ -451,7 +452,7 @@ impl Worker {
         // sessions issue themselves are paced (the simulator's issue rate).
         let sess = &self.sessions[si];
         let mut budget = match &sess.driver {
-            SessionDriver::Client(ops) => ops.len() + usize::from(sess.staged.is_some()),
+            SessionDriver::Client(ops) => ops.len() + sess.staged.len(),
             _ => ClusterConfig::OPS_PER_TICK,
         };
         while budget > 0 && self.sessions[si].is_free() {
@@ -477,7 +478,7 @@ impl Worker {
                     // session is retried when a write leaves its window or
                     // a barrier input moves (see `Sessions`).
                     self.sessions[si].seq -= 1;
-                    self.sessions[si].staged = Some(op);
+                    self.sessions[si].staged.push_front(op);
                     self.maybe_window_relief(si, now, out);
                     self.sessions.park(si);
                     return false;
@@ -488,24 +489,30 @@ impl Worker {
             self.sessions.park(si);
             return false;
         }
-        // Stopped at the budget, still free. A client session has started
-        // its whole queue and parks below; a self-issuing one looks ahead:
-        // pull the op the next tick will start into the staged slot now,
-        // and have the store start loading its key — the load then overlaps
-        // whatever runs before that tick instead of stalling it. The op
-        // starts exactly where it would have; another tick right now would
-        // start more iff one is staged.
-        match self.sessions[si].next_op() {
-            Some(op) => {
-                self.shared.store.prefetch(op.key());
-                self.sessions[si].staged = Some(op);
-                true
-            }
-            None => {
-                self.sessions.park(si);
-                false
-            }
+        // Stopped at the budget, still free, nothing left staged (each of
+        // the budget's starts took one). A client session has started its
+        // whole queue and parks below; a self-issuing one looks ahead: pull
+        // what the next tick will start into the staged ops now — a
+        // script's whole budget, a state machine's next op — and have the
+        // store start loading each key, so the loads overlap whatever runs
+        // before that tick instead of stalling it. The ops start exactly
+        // where they would have; another tick right now would start more
+        // iff one is staged.
+        let sess = &mut self.sessions[si];
+        let ahead = match sess.driver {
+            SessionDriver::Script(_) => ClusterConfig::OPS_PER_TICK,
+            _ => 1,
+        };
+        while sess.staged.len() < ahead {
+            let Some(op) = sess.pull(sess.seq + sess.staged.len() as u64) else { break };
+            self.shared.store.prefetch(op.key());
+            sess.staged.push_back(op);
         }
+        if sess.staged.is_empty() {
+            self.sessions.park(si);
+            return false;
+        }
+        true
     }
 
     // ---- ack coalescing ---------------------------------------------------
@@ -722,7 +729,7 @@ impl Actor for Worker {
             // share of the deadline, `check_barriers` below the rest).
             self.barrier_deadline = Wakeup::NEVER;
             for si in 0..self.sessions.len() {
-                if self.sessions[si].staged.is_some() {
+                if !self.sessions[si].staged.is_empty() {
                     self.sessions.wake(si);
                 }
             }
@@ -800,7 +807,7 @@ impl Actor for Worker {
                 s.seq,
                 s.blocked_on,
                 s.write_window,
-                s.staged.is_some(),
+                s.staged.len(),
                 s.relief,
                 s.is_idle(),
             );

@@ -181,3 +181,96 @@ fn ops_start_at_the_ticks_they_did_without_the_look_ahead() {
     let starts: Vec<u64> = starts.lock().unwrap().iter().map(|s| s.expect("op completed")).collect();
     assert_eq!(starts, STARTS_AT_PARENT);
 }
+
+/// A script is asked for each `seq` exactly once and in program order,
+/// though each tick that stops at its budget stages the next tick's whole
+/// budget, and though a full write window stalls the session: with node 2
+/// asleep, node 0's relaxed writes keep their window until it wakes.
+#[test]
+fn a_script_is_asked_for_each_seq_once_and_in_order() {
+    const OPS: u64 = 200;
+    let watched = SessionId::new(NodeId(0), 0);
+    let asked = Arc::new(Mutex::new(Vec::new()));
+    let started = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&started);
+    let hook: CompletionHook = Arc::new(move |c| {
+        if let (true, Op::Write { val, .. }) = (c.op_id.session == watched, &c.op) {
+            sink.lock().unwrap().push((c.op_id.seq, val.as_u64(), c.invoked_at));
+        }
+    });
+    let log = Arc::clone(&asked);
+    let script = move |sid: SessionId| {
+        if sid != watched {
+            return SessionDriver::Idle;
+        }
+        let log = Arc::clone(&log);
+        SessionDriver::Script(Box::new(move |seq| {
+            log.lock().unwrap().push(seq);
+            (seq < OPS).then(|| Op::Write { key: Key(seq % 50), val: Val::from_u64(seq) })
+        }))
+    };
+    let cfg = ClusterConfig::small();
+    let mut sc = SimCluster::build(cfg, ProtocolMode::Kite, SimCfg::default(), script, Some(hook));
+    sc.sim.sleep_node(NodeId(2), 1_000_000);
+    assert!(sc.run_until_quiesce(1_000_000_000));
+    let asked = asked.lock().unwrap().clone();
+    assert_eq!(asked, (0..=OPS).collect::<Vec<_>>(), "every seq once, in order, then the end");
+    let started = started.lock().unwrap().clone();
+    let ops: Vec<(u64, u64)> = started.iter().map(|&(seq, val, _)| (seq, val)).collect();
+    let pulled: Vec<(u64, u64)> = (0..OPS).map(|seq| (seq, seq)).collect();
+    assert_eq!(ops, pulled, "every op started once, in program order, with the seq it was pulled at");
+    let stall = started.windows(2).map(|w| w[1].2 - w[0].2).max().unwrap();
+    assert!(stall > 500_000, "the window filled and the session waited ({stall} ns at most)");
+}
+
+/// Issues a mix of ops that complete at once (relaxed reads and writes)
+/// and ops that block (releases, acquires, FAAs), and checks at every
+/// question that the completion of every op before it has been delivered.
+struct Patient {
+    ops: u64,
+    base: u64,
+    seen: Arc<AtomicUsize>,
+}
+
+impl ClientSm for Patient {
+    fn next_op(&mut self, seq: u64) -> Option<Op> {
+        let seen = self.seen.load(Ordering::Relaxed) as u64;
+        assert_eq!(seen, seq, "asked for op {seq} with {seen} completions delivered");
+        let key = Key(self.base + seq % 5);
+        (seq < self.ops).then(|| match seq % 6 {
+            0 | 3 => Op::Write { key, val: Val::from_u64(seq) },
+            1 => Op::Release { key: Key(1), val: Val::from_u64(seq) },
+            2 => Op::Read { key },
+            4 => Op::Acquire { key: Key(1) },
+            _ => Op::Faa { key: Key(2), delta: 1 },
+        })
+    }
+
+    fn on_completion(&mut self, c: &Completion) {
+        assert_eq!(c.op_id.seq, self.seen.fetch_add(1, Ordering::Relaxed) as u64, "in session order");
+    }
+
+    fn finished(&self) -> bool {
+        self.seen.load(Ordering::Relaxed) as u64 == self.ops
+    }
+}
+
+/// An interactive client keeps a one-op look-ahead: it is never asked for
+/// an op before the previous op's completion has reached it.
+#[test]
+fn an_interactive_client_is_asked_only_after_its_last_completion() {
+    const OPS: u64 = 60;
+    let seen: Vec<Arc<AtomicUsize>> = (0..6).map(|_| Arc::default()).collect();
+    let counts = seen.clone();
+    let clients = move |sid: SessionId| {
+        let seen = Arc::clone(&counts[sid.global_idx(2)]);
+        let base = 100 + sid.global_idx(2) as u64 * 10;
+        SessionDriver::Interactive(Box::new(Patient { ops: OPS, base, seen }))
+    };
+    let cfg = ClusterConfig::small();
+    let mut sc = SimCluster::build(cfg, ProtocolMode::Kite, SimCfg::default(), clients, None);
+    assert!(sc.run_until_quiesce(1_000_000_000));
+    for s in &seen {
+        assert_eq!(s.load(Ordering::Relaxed) as u64, OPS);
+    }
+}

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+mod pages;
 pub mod paxos_meta;
 pub mod record;
 pub mod seqlock;

@@ -15,7 +15,11 @@
 //! waits for `min(next_deadline, I/O)`: the simulator skips the calls of
 //! ticks that are not due, the epoll loop hands the deadline to
 //! `epoll_wait`. What the actor owes in return is a step that costs O(due),
-//! not O(pending).
+//! not O(pending). The simulator's own bookkeeping follows the same rule:
+//! a busy worker's tick, deferred behind the receive-queue drain it
+//! trails, is stepped inside that drain rather than as an event of its own
+//! (see `crate::sim`), so an actor sees the same calls at the same
+//! virtual times either way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};

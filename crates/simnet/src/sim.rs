@@ -51,6 +51,22 @@
 //! ways and compares every call). `run_until_quiesce` re-examines idleness
 //! only after a step that ran an actor. Together they make an idle
 //! cluster's wind-down cost its events, not its duration.
+//!
+//! # Trailing ticks ride their drains
+//!
+//! A saturated worker's events come in pairs: its drain serves one
+//! envelope, leaves the worker busy and re-keys itself to the end of that
+//! busy period; its tick, deferred only because the worker is busy, re-keys
+//! itself to the same instant with the very next `seq`. No event can be
+//! ordered between the two, so inside `run_until` such a tick is held out
+//! of the tree as the drain's *follower* and stepped inside the drain, right
+//! after it (`Sim::defer_tick`): the pair costs one step and one re-key
+//! instead of two of each, every `seq` is consumed as before, and the
+//! order of the run does not change. `run_until` puts every follower still
+//! held back in the tree before it returns; `step` and
+//! `run_until_quiesce`, which look at the state between two steps, step
+//! every tick on its own (a unit test runs a saturated scenario both ways
+//! and compares every call).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -312,6 +328,19 @@ pub struct Sim<A: Actor> {
     /// turn it off to get the tick-by-tick reference execution.
     skip_idle: bool,
     idle_scratch: Vec<(u64, Reverse<u64>, u64, usize)>,
+    /// Per worker, the key of a tick `run_until` holds out of `timers` as
+    /// the follower of the worker's drain (see [`Sim::defer_tick`]);
+    /// [`UNSCHEDULED`] when none. Every entry is `UNSCHEDULED` outside
+    /// `run_until`.
+    follower: Vec<Key>,
+    /// `run_until` is stepping: a deferred tick may become a follower.
+    following: bool,
+    /// Hold trailing ticks as followers inside `run_until`. Always on;
+    /// tests turn it off to get the eager reference execution.
+    follow_ticks: bool,
+    /// Events stepped so far. A follower stepped inside its drain is not
+    /// one: it costs neither a lookup nor a re-key of `timers`.
+    pub steps: u64,
 }
 
 impl<A: Actor> Sim<A> {
@@ -350,6 +379,10 @@ impl<A: Actor> Sim<A> {
             sent: vec![(0, 0); nodes],
             skip_idle: true,
             idle_scratch: Vec::with_capacity(slots),
+            follower: vec![UNSCHEDULED; slots],
+            following: false,
+            follow_ticks: true,
+            steps: 0,
         };
         for slot in 0..slots {
             // Stagger initial ticks so nodes don't act in lockstep.
@@ -547,10 +580,23 @@ impl<A: Actor> Sim<A> {
     fn step_at(&mut self, time: u64, which: Next, limit: u64) -> Step {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
+        self.steps += 1;
         match which {
             Next::Deliver => self.deliver(),
-            Next::Drain(slot) => self.drain(slot),
+            Next::Drain(slot) => self.drain(slot, limit),
             Next::Tick(slot) => self.tick(slot, limit),
+        }
+    }
+
+    /// When the worker at `slot` can next run, if it cannot now: its node's
+    /// wake-up while the node sleeps, else the end of its busy period.
+    #[inline]
+    fn blocked_until(&self, slot: usize) -> Option<u64> {
+        let wake = self.wake_at[slot / self.workers];
+        if wake > self.now {
+            Some(wake)
+        } else {
+            (self.busy_until[slot] > self.now).then_some(self.busy_until[slot])
         }
     }
 
@@ -600,15 +646,25 @@ impl<A: Actor> Sim<A> {
         Step::Acted
     }
 
+    /// The drain of the worker at `slot` fired, and with it the tick it
+    /// holds as its follower, if any — which is the very next event.
+    fn drain(&mut self, slot: usize, limit: u64) -> Step {
+        let step = self.serve(slot);
+        let follower = std::mem::replace(&mut self.follower[slot], UNSCHEDULED);
+        if follower != UNSCHEDULED {
+            self.follow(slot, follower, limit);
+        }
+        step
+    }
+
     /// Pop one envelope from the worker's receive FIFO (scheduled whenever
     /// envelopes arrive while the worker's virtual CPU is busy).
     ///
     /// The drain's leaf is re-keyed once, on the way out; the key of a
     /// next drain is taken after the envelope's posts, as a one-queue
     /// scheduler would have pushed it.
-    fn drain(&mut self, slot: usize) -> Step {
-        let node = self.node_of(slot);
-        if self.crashed[node.idx()] {
+    fn serve(&mut self, slot: usize) -> Step {
+        if self.crashed[slot / self.workers] {
             // drop the whole backlog at a dead node
             self.deliveries_pending -= self.waiting[slot].len();
             self.waiting[slot].clear();
@@ -616,13 +672,8 @@ impl<A: Actor> Sim<A> {
             return Step::Acted;
         }
         // Asleep or busy: try again when neither.
-        let wake = self.wake_at[node.idx()];
-        if wake > self.now {
-            self.schedule(drain_leaf(slot), wake);
-            return Step::Blind;
-        }
-        if self.busy_until[slot] > self.now {
-            self.schedule(drain_leaf(slot), self.busy_until[slot]);
+        if let Some(free) = self.blocked_until(slot) {
+            self.schedule(drain_leaf(slot), free);
             return Step::Blind;
         }
         if let Some((src, mepoch, msgs)) = self.waiting[slot].pop_front() {
@@ -671,19 +722,13 @@ impl<A: Actor> Sim<A> {
     /// have done nothing, so skipping the call moves no virtual-time figure
     /// and leaves an idle worker costing a slot update per tick.
     fn tick(&mut self, slot: usize, limit: u64) -> Step {
-        let node = self.node_of(slot);
-        if self.crashed[node.idx()] {
+        if self.crashed[slot / self.workers] {
             // crashed nodes stop ticking forever
             self.timers.set(tick_leaf(slot), UNSCHEDULED);
             return Step::Blind;
         }
-        let wake = self.wake_at[node.idx()];
-        if wake > self.now {
-            self.schedule(tick_leaf(slot), wake);
-            return Step::Blind;
-        }
-        if self.busy_until[slot] > self.now {
-            self.schedule(tick_leaf(slot), self.busy_until[slot]);
+        if let Some(free) = self.blocked_until(slot) {
+            self.defer_tick(slot, free);
             return Step::Blind;
         }
         let called = self.now >= self.due[slot];
@@ -703,6 +748,52 @@ impl<A: Actor> Sim<A> {
             Step::Acted
         } else {
             Step::Blind
+        }
+    }
+
+    /// Defer the tick of the worker at `slot`, blocked now, to `time`,
+    /// consuming its `seq` as an eager re-key does.
+    ///
+    /// Inside `run_until`, a tick whose new key directly succeeds that of
+    /// its worker's drain — same time, the `seq` just before — becomes the
+    /// drain's *follower*: it is held out of `timers` and stepped inside
+    /// the drain, right after it. Nothing can be ordered between the two,
+    /// since every event scheduled from then on takes a larger `seq`, and
+    /// the drain's leaf is re-keyed only by the drain itself (or by a
+    /// restart, which `run_until` never runs into). That is the saturated
+    /// worker's pattern: each drain leaves its worker busy again and
+    /// re-keys itself to the end of that busy period, and the tick behind
+    /// it, finding the worker busy, defers to the same instant. Held, the
+    /// pair costs one step and one re-key, not two of each.
+    #[inline]
+    fn defer_tick(&mut self, slot: usize, time: u64) {
+        let key = key_of(time, self.seq);
+        self.seq += 1;
+        if self.following && self.timers.key(drain_leaf(slot)) == key - 1 {
+            self.follower[slot] = key;
+            if self.timers.key(tick_leaf(slot)) != UNSCHEDULED {
+                self.timers.set(tick_leaf(slot), UNSCHEDULED);
+            }
+        } else {
+            self.timers.set(tick_leaf(slot), key);
+        }
+    }
+
+    /// Step the tick held at `key` as the follower of the drain that just
+    /// ran, as `tick` would: a crashed node retires it (its leaf is already
+    /// unscheduled), a blocked worker defers it again — as a follower once
+    /// more if the drain re-keyed itself to the same instant — and a free
+    /// worker gets it back in `timers` at its own key and runs it.
+    fn follow(&mut self, slot: usize, key: Key, limit: u64) {
+        if self.crashed[slot / self.workers] {
+            return;
+        }
+        match self.blocked_until(slot) {
+            Some(free) => self.defer_tick(slot, free),
+            None => {
+                self.timers.set(tick_leaf(slot), key);
+                self.tick(slot, limit);
+            }
         }
     }
 
@@ -835,10 +926,22 @@ impl<A: Actor> Sim<A> {
         self.push(self.now + latency, ev);
     }
 
-    /// Run until virtual time passes `deadline_ns`.
+    /// Run until virtual time passes `deadline_ns`. Trailing ticks are held
+    /// as their drains' followers while it runs ([`Sim::defer_tick`]), and
+    /// every one still held goes back into `timers` at its key on return,
+    /// so [`Sim::step`] and [`Sim::run_until_quiesce`], which look at the
+    /// state between any two events, find every event where it belongs.
     pub fn run_until(&mut self, deadline_ns: u64) {
+        self.following = self.follow_ticks;
         while let Some((time, which)) = self.next().filter(|&(time, _)| time <= deadline_ns) {
             self.step_at(time, which, deadline_ns);
+        }
+        self.following = false;
+        for slot in 0..self.follower.len() {
+            let key = std::mem::replace(&mut self.follower[slot], UNSCHEDULED);
+            if key != UNSCHEDULED {
+                self.timers.set(tick_leaf(slot), key);
+            }
         }
         self.now = self.now.max(deadline_ns);
     }
@@ -1405,5 +1508,108 @@ mod tests {
         assert_eq!(stepped.0, skipped.0, "same calls, same order, same times");
         assert_eq!((stepped.1, stepped.2, stepped.3), (skipped.1, skipped.2, skipped.3));
         assert!(skipped.4 * 3 < stepped.4, "{} events scheduled vs {}", skipped.4, stepped.4);
+    }
+
+    /// Every call, in order: `(now, node, worker, from)`, `from` being the
+    /// sender of a delivery and `u8::MAX` for a tick.
+    type CallLog = std::sync::Arc<std::sync::Mutex<Vec<(u64, u8, u8, u8)>>>;
+
+    /// Broadcasts at every tick it is called for while `ticks` last, and
+    /// answers every message numbered `0 mod 3`; logs each call.
+    struct Chatter {
+        me: NodeId,
+        worker: u8,
+        ticks: usize,
+        next: u32,
+        log: CallLog,
+    }
+
+    impl Chatter {
+        fn row(me: u8, ticks: usize, log: &CallLog) -> Vec<Chatter> {
+            (0..2)
+                .map(|w| Chatter {
+                    me: NodeId(me),
+                    worker: w,
+                    ticks,
+                    next: 0,
+                    log: std::sync::Arc::clone(log),
+                })
+                .collect()
+        }
+    }
+
+    impl Actor for Chatter {
+        type Msg = u32;
+
+        fn on_envelope(
+            &mut self,
+            src: NodeId,
+            _mepoch: u32,
+            msgs: &mut Vec<u32>,
+            now: u64,
+            out: &mut Outbox<u32>,
+        ) {
+            self.log.lock().unwrap().push((now, self.me.0, self.worker, src.0));
+            for m in msgs.drain(..) {
+                if m % 3 == 0 {
+                    out.send(src, m + 1);
+                }
+            }
+        }
+
+        fn on_tick(&mut self, now: u64, out: &mut Outbox<u32>) -> Wakeup {
+            self.log.lock().unwrap().push((now, self.me.0, self.worker, u8::MAX));
+            if self.ticks == 0 {
+                return Wakeup::IDLE;
+            }
+            self.ticks -= 1;
+            self.next += 1;
+            out.broadcast(self.me, self.next);
+            Wakeup::AGAIN
+        }
+
+        fn is_idle(&self) -> bool {
+            self.ticks == 0
+        }
+    }
+
+    /// Holding a saturated worker's trailing ticks as its drains' followers
+    /// is invisible: the same calls at the same virtual times in the same
+    /// order, the same totals, clock and `seq` — across a sleep, a crash, a
+    /// restart and hundreds of `run_until` boundaries that fall inside busy
+    /// periods — in fewer steps.
+    #[test]
+    fn stepping_trailing_ticks_inside_their_drains_is_invisible() {
+        let run = |follow_ticks: bool| {
+            let log = CallLog::default();
+            let actors = (0..4).map(|n| Chatter::row(n, 3_000, &log)).collect();
+            // Serving an envelope costs most of a tick and three arrive per
+            // tick: every worker is busy from its first few ticks on, so
+            // each drain leaves it busy and its tick deferred behind it.
+            let cfg = SimCfg { seed: 13, service_per_envelope_ns: 1_700, ..Default::default() };
+            let mut sim = Sim::new(actors, cfg);
+            sim.follow_ticks = follow_ticks;
+            let chunks = |sim: &mut Sim<Chatter>, n: u64| {
+                for _ in 0..n {
+                    let at = sim.now() + 9_973;
+                    sim.run_until(at);
+                }
+            };
+            chunks(&mut sim, 150);
+            sim.sleep_node(NodeId(1), 400_001);
+            chunks(&mut sim, 150);
+            sim.crash(NodeId(2));
+            chunks(&mut sim, 100);
+            sim.restart(NodeId(3), || Chatter::row(3, 500, &log));
+            chunks(&mut sim, 100);
+            sim.run_for(20_000_000);
+            let log = std::mem::take(&mut *log.lock().unwrap());
+            (log, (sim.delivered, sim.dropped, sim.now(), sim.seq), sim.steps)
+        };
+        let (eager, held) = (run(false), run(true));
+        assert!(eager.0.len() > 10_000, "the scenario did something");
+        assert_eq!(eager.0, held.0, "same calls, same order, same times");
+        assert_eq!(eager.1, held.1, "(delivered, dropped, now, seq)");
+        assert!(held.2 * 5 < eager.2 * 4, "{} steps with followers vs {}", held.2, eager.2);
     }
 }

@@ -127,14 +127,23 @@ impl MixCfg {
     }
 }
 
+/// `len` random bytes, eight per draw. A value that fits inline is built
+/// in a stack buffer: a generated write allocates nothing.
 fn random_val(rng: &mut SplitMix64, len: usize) -> Val {
-    let mut bytes = vec![0u8; len];
+    let mut inline = [0u8; Val::INLINE_CAP];
+    let mut heap = Vec::new();
+    let bytes = if len <= inline.len() {
+        &mut inline[..len]
+    } else {
+        heap.resize(len, 0);
+        &mut heap[..]
+    };
     for chunk in bytes.chunks_mut(8) {
         let v = rng.next_u64().to_le_bytes();
         let n = chunk.len();
         chunk.copy_from_slice(&v[..n]);
     }
-    Val::from_bytes(&bytes)
+    Val::from_bytes(bytes)
 }
 
 #[cfg(test)]
@@ -217,6 +226,19 @@ mod tests {
             if let Some(Op::Write { val, .. }) = gen(i) {
                 assert_eq!(val.len(), 32);
             }
+        }
+    }
+
+    /// Inline or not, a value's bytes are the stream's next draws, eight
+    /// per draw, the last one cut short — whatever buffer they are built in.
+    #[test]
+    fn values_are_the_streams_draws() {
+        for len in [0, 1, 7, 8, 31, 32, 33, 100] {
+            let (mut a, mut b) = (SplitMix64::new(len as u64), SplitMix64::new(len as u64));
+            let val = random_val(&mut a, len);
+            let draws: Vec<u8> = (0..len.div_ceil(8)).flat_map(|_| b.next_u64().to_le_bytes()).collect();
+            assert_eq!(val.as_bytes(), &draws[..len], "{len} bytes");
+            assert_eq!(a.next_u64(), b.next_u64(), "{len} bytes: one draw per eight");
         }
     }
 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# A/B the benchmark: a base revision against the working tree, in
-# alternating pairs, with a verdict per workload and end-to-end metric.
+# A/B the benchmark: a base revision against the working tree, in pairs,
+# with a verdict per workload and end-to-end metric.
 #
 #   scripts/ab.sh <base-rev> [--pairs N] [--workloads w1,w2,...] [--seed S]
 #                 [--dir D]
 #
-#   --pairs N      alternating pairs per workload (default 10); pair i runs
+#   --pairs N      pairs per workload (default 10). A `sim_*` pair runs base
+#                  and head side by side, each pinned to one of the first two
+#                  CPUs this script may use (the sides swap CPUs every pair);
+#                  a `tcp_*` pair, which starts several processes a run, runs
 #                  base then head when i is odd, head then base when even
 #   --workloads    comma-separated (default: every workload in BENCHMARK.json)
 #   --seed S       the seed every run uses (default 1)
@@ -14,9 +17,15 @@
 #                  one CARGO_TARGET_DIR per side, and every run's JSON and
 #                  stderr in runs/
 #
-# Every run lasts BENCHMARK.json's `run_seconds`, the length the benchmark
-# itself uses. Each side is built by its own `benchmark/run.sh`, so the base
-# is measured with the harness it shipped with. The readings go to
+# A sim run is one single-threaded process whose `cpu_us_per_op` follows
+# the host's load: run back to back, the two sides of a pair meet different
+# loads, and on a shared 2-core host that spread hid a 10 % difference
+# (serial A/A sets differed by 12 %). Side by side, both meet the same
+# load. Without `taskset`, or with fewer than two CPUs, sim pairs run back
+# to back too. Every run lasts BENCHMARK.json's `run_seconds`, the length
+# the benchmark itself uses. Each side is built by its own
+# `benchmark/run.sh`, so the base is measured with the harness it shipped
+# with. The readings go to
 # D/readings.txt and the table comes from scripts/ab_verdict.awk, which
 # documents the verdicts: per workload and end-to-end metric, both medians
 # with their quartiles, the head's wins, and one of `same`, `unresolved`,
@@ -29,7 +38,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$PWD"
 
-usage() { sed -n '2,27p' "$0" >&2; exit 2; }
+usage() { sed -n '2,36p' "$0" >&2; exit 2; }
 [ $# -gt 0 ] || usage
 base_rev="$1"; shift
 pairs=10 seed=1 dir=target/ab workloads=""
@@ -73,15 +82,26 @@ done
 runs="$dir/runs"
 mkdir -p "$runs"
 rm -f "$runs"/*.json "$runs"/*.log
-one_run() { # side workload pair
-    local out="$runs/$1-$2-s$seed-p$3"
-    (cd "$(src_of "$1")" && CARGO_TARGET_DIR="$dir/$1-tgt" benchmark/run.sh \
+# The CPUs this script may run on, ranges expanded: sim pairs run side by
+# side on the first two.
+cpus=()
+if command -v taskset >/dev/null; then
+    mapfile -t cpus < <(taskset -pc $$ | sed 's/.*: //' | tr ',' '\n' |
+        while IFS=- read -r lo hi; do seq "$lo" "${hi:-$lo}"; done)
+fi
+one_run() { # side workload pair [cpu]
+    local out="$runs/$1-$2-s$seed-p$3" pin=()
+    [ -z "${4:-}" ] || pin=(taskset -c "$4")
+    (cd "$(src_of "$1")" && CARGO_TARGET_DIR="$dir/$1-tgt" "${pin[@]}" benchmark/run.sh \
         --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 2>"$out.log" | tail -1) > "$out.json" || true
     echo "ab: pair $3 $2 $1: $(grep -o '"correct": [a-z]*, "attempted": [0-9]*, "failed": [0-9]*' "$out.json")" >&2
 }
 for p in $(seq 1 "$pairs"); do
     for w in ${workloads//,/ }; do
-        if [ $((p % 2)) -eq 1 ]; then one_run base "$w" "$p"; one_run head "$w" "$p"
+        if [ "${w#sim_}" != "$w" ] && [ "${#cpus[@]}" -ge 2 ]; then
+            a="${cpus[$((p % 2))]}" b="${cpus[$(((p + 1) % 2))]}"
+            one_run base "$w" "$p" "$a" & one_run head "$w" "$p" "$b"; wait
+        elif [ $((p % 2)) -eq 1 ]; then one_run base "$w" "$p"; one_run head "$w" "$p"
         else one_run head "$w" "$p"; one_run base "$w" "$p"; fi
     done
 done
